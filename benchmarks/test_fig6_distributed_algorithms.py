@@ -7,21 +7,22 @@ very cheap and roughly flat in the partition count.
 
 Here each stage runs on the simulated cluster with one rank per
 partition; plotted runtimes are virtual elapsed seconds, averaged over
-three repetitions.  To give the workers non-trivial per-rank work we
-trim a *lightly coarsened* hybrid graph (few coarsening levels keep
-thousands of nodes) — the paper's hybrid graphs likewise hold far more
-nodes per partition than our default benchmark datasets produce.
+five repetitions.  To give the workers non-trivial per-rank work we
+trim a *lightly coarsened* hybrid graph (one coarsening level keeps
+~11,600 nodes) — the paper's hybrid graphs likewise hold far more
+nodes per partition than our default benchmark datasets produce.  Each
+vectorized kernel compacts a whole-graph alive view per rank (O(E),
+independent of the partition count), so on a graph of a few thousand
+nodes that fixed cost, not the partition's share of the work, sets the
+runtime and the curve is flat.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.distributed.containment import containment_removal
 from repro.distributed.dgraph import DistributedAssemblyGraph, enrich_hybrid
-from repro.distributed.transitive import transitive_reduction
-from repro.distributed.traversal import maximal_paths
-from repro.distributed.trimming import pop_bubbles, trim_dead_ends
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.hybrid import build_hybrid_set
 from repro.mpi.cluster import SimCluster
@@ -38,7 +39,7 @@ def big_hybrids(prepared):
     """name -> (HybridAssembly, hybrid set) with light coarsening."""
     out = {}
     for name, prep in prepared.items():
-        mls = build_multilevel_set(prep.g0, CoarsenConfig(max_levels=3, seed=0))
+        mls = build_multilevel_set(prep.g0, CoarsenConfig(max_levels=1, seed=0))
         hyb = build_hybrid_set(mls, prep.reads.lengths)
         asm = enrich_hybrid(hyb, prep.g0, prep.reads)
         out[name] = (mls, hyb, asm)
@@ -53,10 +54,10 @@ def _run_stages(mls, hyb, asm, k):
         dag = DistributedAssemblyGraph(asm, part.labels_finest)
         cluster = SimCluster(k, cost_model=FAST_NET, deadlock_timeout=300.0)
         trim = 0.0
-        for stage in (transitive_reduction, containment_removal, trim_dead_ends, pop_bubbles):
-            _, stats = cluster.run(stage, dag)
+        for stage in ("transitive", "containment", "dead_ends", "bubbles"):
+            _, stats = cluster.run(run_stage_on_comm, get_stage(stage), dag)
             trim += stats.elapsed
-        _, stats = cluster.run(maximal_paths, dag)
+        _, stats = cluster.run(run_stage_on_comm, get_stage("traversal"), dag)
         trims.append(trim)
         travs.append(stats.elapsed)
     return float(np.median(trims)), float(np.median(travs))

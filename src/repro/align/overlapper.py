@@ -8,21 +8,20 @@ with enough votes are verified — by a fast ungapped identity check
 (exact for the substitution-only error model) or by banded
 Needleman–Wunsch.
 
-Two engines process a work unit:
+A work unit is processed in bulk: one
+:meth:`~repro.io.readset.ReadSet.kmer_table` + ``lookup`` for *all*
+query reads of the subset, a single lexsort/group-by over
+``(query, ref, diagonal)`` to produce every candidate at once, and a
+batched verification pass that evaluates all overlap spans and their
+ungapped Hamming identities in one numpy sweep (``banded_nw`` still
+verifies per candidate).  The per-query scalar form of the same
+selection lives in ``tests/reference/overlap_loop.py`` as the test
+oracle.
 
-- ``engine="vectorized"`` (default): one bulk
-  :meth:`~repro.io.readset.ReadSet.kmer_table` + ``lookup`` for *all*
-  query reads of the subset, a single lexsort/group-by over
-  ``(query, ref, diagonal)`` to produce every candidate at once, and a
-  batched verification pass that evaluates all overlap spans and their
-  ungapped Hamming identities in one numpy sweep (``banded_nw`` still
-  verifies per candidate).
-- ``engine="loop"``: the legacy per-query-read engine, kept for one
-  release as the reference implementation and benchmark baseline.
-
-Both engines produce identical overlap lists; so do the serial,
-multiprocess (:meth:`OverlapDetector.find_overlaps_processes`) and
-simulated-MPI (:meth:`OverlapDetector.find_overlaps_parallel`) drivers.
+The serial, multiprocess
+(:meth:`OverlapDetector.find_overlaps_processes`) and simulated-MPI
+(:meth:`OverlapDetector.find_overlaps_parallel`) drivers produce
+identical overlap lists.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ import numpy as np
 
 from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex, compress_queries
-from repro.align.overlap import Overlap, PackedOverlaps, classify_overlap, overlap_span
+from repro.align.overlap import Overlap, PackedOverlaps
 from repro.io.readset import ReadSet
-from repro.sequence.dna import hamming_identity
 
 __all__ = ["OverlapConfig", "OverlapDetector", "subset_pairs"]
 
@@ -95,9 +93,6 @@ class OverlapConfig:
     index: str = "kmer"
     band: int = 5
     n_subsets: int = 1
-    #: work-unit engine: "vectorized" (batched, default) or "loop"
-    #: (legacy per-query engine, kept for one release).
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -114,8 +109,6 @@ class OverlapConfig:
             raise ValueError(f"unknown index structure {self.index!r}")
         if self.n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
-        if self.engine not in ("vectorized", "loop"):
-            raise ValueError(f"unknown overlap engine {self.engine!r}")
 
 
 class OverlapDetector:
@@ -128,98 +121,7 @@ class OverlapDetector:
         #: accounting only; the sim-MPI driver does not update it).
         self.last_candidates = 0
 
-    # -- legacy per-query engine (engine="loop") ---------------------------
-
-    def _candidates(
-        self, reads: ReadSet, query: int, index: KmerIndex, same_subset: bool
-    ) -> list[tuple[int, int, int]]:
-        """(ref_read, diagonal, votes) candidates for one query read.
-
-        In same-subset mode only references with a larger index are
-        considered, so each unordered read pair is evaluated once.
-        """
-        cfg = self.config
-        vals = reads.kmer_codes_of(query, cfg.k)
-        qpos, hit_reads, hit_offsets = index.lookup(vals)
-        if qpos.size == 0:
-            return []
-        keep = hit_reads > query if same_subset else hit_reads != query
-        qpos, hit_reads, hit_offsets = qpos[keep], hit_reads[keep], hit_offsets[keep]
-        if qpos.size == 0:
-            return []
-        diag = qpos - hit_offsets
-        order = np.lexsort((diag, hit_reads))
-        r, d = hit_reads[order], diag[order]
-        boundary = np.ones(r.size, dtype=bool)
-        boundary[1:] = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
-        starts = np.flatnonzero(boundary)
-        counts = np.diff(np.append(starts, r.size))
-        g_reads, g_diags = r[starts], d[starts]
-        strong = counts >= cfg.min_kmer_hits
-        if not strong.any():
-            return []
-        g_reads, g_diags, counts = g_reads[strong], g_diags[strong], counts[strong]
-        # Keep the best-supported diagonal per reference read.
-        order = np.lexsort((counts, g_reads))
-        g_reads, g_diags, counts = g_reads[order], g_diags[order], counts[order]
-        last = np.ones(g_reads.size, dtype=bool)
-        last[:-1] = g_reads[1:] != g_reads[:-1]
-        return list(
-            zip(g_reads[last].tolist(), g_diags[last].tolist(), counts[last].tolist())
-        )
-
-    def _verify(
-        self, reads: ReadSet, query: int, ref: int, diagonal: int
-    ) -> Overlap | None:
-        cfg = self.config
-        len_q, len_r = reads.length_of(query), reads.length_of(ref)
-        q_start, r_start, length = overlap_span(diagonal, len_q, len_r)
-        if length < cfg.min_overlap:
-            return None
-        q_seg = reads.codes_of(query)[q_start : q_start + length]
-        r_seg = reads.codes_of(ref)[r_start : r_start + length]
-        if cfg.method == "ungapped":
-            identity = hamming_identity(q_seg, r_seg)
-            aln_length = length
-        else:
-            result = banded_align(q_seg, r_seg, band=cfg.band)
-            identity = result.identity
-            aln_length = result.length
-        if identity < cfg.min_identity or aln_length < cfg.min_overlap:
-            return None
-        kind = classify_overlap(q_start, r_start, length, len_q, len_r)
-        return Overlap(
-            query=query,
-            ref=ref,
-            q_start=q_start,
-            r_start=r_start,
-            length=length,
-            identity=identity,
-            kind=kind,
-        )
-
-    def overlap_subset_pair_loop(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-    ) -> tuple[list[Overlap], int]:
-        """Legacy work-unit engine: one Python iteration per query read."""
-        if index is None:
-            index = self._build_index(reads, ref_indices)
-        overlaps: list[Overlap] = []
-        n_candidates = 0
-        for q in np.asarray(query_indices).tolist():  # noqa: PERF002 - legacy engine
-            for ref, diag, _votes in self._candidates(reads, q, index, same_subset):
-                n_candidates += 1
-                ov = self._verify(reads, q, ref, diag)
-                if ov is not None:
-                    overlaps.append(ov)
-        return overlaps, n_candidates
-
-    # -- vectorized engine (engine="vectorized") ---------------------------
+    # -- one work unit ----------------------------------------------------
 
     def _pair_candidates_vectorized(
         self,
@@ -234,13 +136,11 @@ class OverlapDetector:
 
         One concatenated index lookup for every query read's k-mers,
         then a single sort/group-by over ``(query, ref, diagonal)``
-        replaces the per-query voting loop.  Selection is identical to
-        the legacy engine: candidates need ``min_kmer_hits`` votes and
+        counts the votes: candidates need ``min_kmer_hits`` votes and
         only the best-supported diagonal per read pair survives (ties
-        resolved toward the larger diagonal, matching the legacy
-        stable-sort behaviour).  ``query_batch`` optionally supplies a
-        prebuilt :meth:`_query_batch` for the query subset, reused
-        across the work units that share it.
+        resolved toward the larger diagonal).  ``query_batch``
+        optionally supplies a prebuilt :meth:`_query_batch` for the
+        query subset, reused across the work units that share it.
         """
         cfg = self.config
         if index is None:
@@ -405,11 +305,6 @@ class OverlapDetector:
         that touch one subset in several work units prepare it only
         once.
         """
-        if self.config.engine == "loop":
-            overlaps, n_candidates = self.overlap_subset_pair_loop(
-                reads, query_indices, ref_indices, same_subset, index=index
-            )
-            return PackedOverlaps.from_overlaps(overlaps), n_candidates
         cand_q, cand_r, cand_d = self._pair_candidates_vectorized(
             reads, query_indices, ref_indices, same_subset,
             index=index, query_batch=query_batch,
@@ -442,10 +337,6 @@ class OverlapDetector:
         index=None,
         query_batch=None,
     ) -> tuple[list[Overlap], int]:
-        if self.config.engine == "loop":
-            return self.overlap_subset_pair_loop(
-                reads, query_indices, ref_indices, same_subset, index=index
-            )
         packed, n_candidates = self.overlap_subset_pair_packed(
             reads, query_indices, ref_indices, same_subset,
             index=index, query_batch=query_batch,
@@ -472,18 +363,15 @@ class OverlapDetector:
         subsets = reads.split(self.config.n_subsets)
         overlaps: list[Overlap] = []
         n_candidates = 0
-        vectorized = self.config.engine != "loop"
         ref_indexes: dict[int, object] = {}
         query_batches: dict[int, tuple] = {}
         for i, j in subset_pairs(len(subsets)):
             index = ref_indexes.get(j)
             if index is None:
                 index = ref_indexes[j] = self._build_index(reads, subsets[j])
-            batch = None
-            if vectorized:
-                batch = query_batches.get(i)
-                if batch is None:
-                    batch = query_batches[i] = self._query_batch(reads, subsets[i])
+            batch = query_batches.get(i)
+            if batch is None:
+                batch = query_batches[i] = self._query_batch(reads, subsets[i])
             part, nc = self._pair_with_stats(
                 reads, subsets[i], subsets[j], same_subset=(i == j),
                 index=index, query_batch=batch,
@@ -539,7 +427,6 @@ class OverlapDetector:
         else:
             raise ValueError(f"unknown schedule {schedule!r}")
         local: list[Overlap] = []
-        vectorized = self.config.engine != "loop"
         ref_indexes: dict[int, object] = {}
         query_batches: dict[int, tuple] = {}
         with comm.timed():
@@ -549,13 +436,9 @@ class OverlapDetector:
                 index = ref_indexes.get(j)
                 if index is None:
                     index = ref_indexes[j] = self._build_index(reads, subsets[j])
-                batch = None
-                if vectorized:
-                    batch = query_batches.get(i)
-                    if batch is None:
-                        batch = query_batches[i] = self._query_batch(
-                            reads, subsets[i]
-                        )
+                batch = query_batches.get(i)
+                if batch is None:
+                    batch = query_batches[i] = self._query_batch(reads, subsets[i])
                 local.extend(
                     self._pair_with_stats(
                         reads, subsets[i], subsets[j], same_subset=(i == j),

@@ -10,7 +10,6 @@ from repro.bench.datasets import (
 from repro.bench.overlap_bench import (
     OverlapBenchRecord,
     OverlapBenchReport,
-    regression_failures,
     run_overlap_bench,
 )
 from repro.bench.reporting import format_series, format_table
@@ -26,5 +25,4 @@ __all__ = [
     "OverlapBenchRecord",
     "OverlapBenchReport",
     "run_overlap_bench",
-    "regression_failures",
 ]

@@ -6,10 +6,10 @@ communities over the same ten genera, with distinct seeds (different
 genomes *and* different abundance profiles), 100 bp reads, and sizes
 scaled to what pure-Python graph assembly can process.
 
-The finish-stage bench additionally needs *graphs* far larger than
-D1-D3's hybrid graphs (a few hundred nodes) to expose the loop-vs-
-sparse engine gap: :func:`finish_scale_assemblies` builds synthetic
-enriched hybrid assemblies at 10^4-10^5-read-equivalent scale —
+Finish-stage tests additionally need *graphs* far larger than D1-D3's
+hybrid graphs (a few hundred nodes): :func:`build_finish_assembly`
+builds synthetic enriched hybrid assemblies at
+10^4-10^5-read-equivalent scale —
 contig backbones with implanted transitive edges, containments,
 error tips, and bubbles, so every finish kernel does real work —
 without paying read alignment for hundreds of thousands of reads.
@@ -36,7 +36,6 @@ __all__ = [
     "FinishScaleSpec",
     "FINISH_SCALE_SPECS",
     "build_finish_assembly",
-    "finish_scale_assemblies",
     "SCALE_SWEEP_SPECS",
     "SCALE_EQUIVALENCE_SPEC",
     "iter_scale_reads",
@@ -192,7 +191,7 @@ class FinishScaleAssembly:
         return np.minimum(labels, k - 1).astype(np.int64)
 
 
-#: 10^4- and 10^5-read-equivalent graphs for the engine bench.
+#: 10^4- and 10^5-read-equivalent scale points.
 FINISH_SCALE_SPECS: tuple[FinishScaleSpec, ...] = (
     FinishScaleSpec(name="S4", backbone=2000, seed=404),
     FinishScaleSpec(name="S5", backbone=16000, seed=505),
@@ -264,16 +263,6 @@ def build_finish_assembly(spec: FinishScaleSpec) -> FinishScaleAssembly:
     return FinishScaleAssembly(
         spec=spec, assembly=assembly, anchors=np.array(anchors, dtype=np.int64)
     )
-
-
-@lru_cache(maxsize=4)
-def _cached_scale(index: int) -> FinishScaleAssembly:
-    return build_finish_assembly(FINISH_SCALE_SPECS[index])
-
-
-def finish_scale_assemblies() -> list[FinishScaleAssembly]:
-    """S4-S5, cached per process so benches share the build cost."""
-    return [_cached_scale(i) for i in range(len(FINISH_SCALE_SPECS))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,13 @@
-"""Perf-trajectory benchmark for the overlap engines (``repro bench overlap``).
+"""Perf-trajectory benchmark for overlap detection (``repro bench overlap``).
 
-Times the legacy per-query engine (``loop``), the batch-vectorized
-engine (``vectorized``), and the multiprocess driver (``process``) on
-the standard D1–D3 datasets, asserts all engines produce identical
-overlap sets, writes the machine-readable trajectory to
-``BENCH_overlap.json``, and prints a human summary table.
-
-The JSON is the repo's durable performance record: every later PR that
-touches the alignment hot path re-runs this bench and extends or
-replaces the file, so regressions are visible as a trajectory, not an
-anecdote.  The run exits non-zero when the vectorized engine is slower
-than the legacy engine on any dataset (a silent-regression guard wired
-for CI) — see docs/performance.md for how to read the output.
+Times the serial detector (``serial``) and the multiprocess driver
+(``process``) on the standard D1–D3 datasets with ``n_subsets > 1`` —
+the only place the overlap pool is timed with more than one work unit —
+asserts both produce identical overlap sets, writes the
+machine-readable trajectory to ``BENCH_overlap.json``, and prints a
+human summary table.  The end-to-end benchmark of record is
+``benchmarks/e2e`` (see its README); docs/performance.md explains how
+to read this file.
 """
 
 from __future__ import annotations
@@ -34,22 +30,22 @@ __all__ = [
     "OverlapBenchReport",
     "bench_dataset",
     "run_overlap_bench",
-    "regression_failures",
     "main",
 ]
 
 #: schema of one record in ``BENCH_overlap.json``; bump when fields change.
-SCHEMA = "repro.bench.overlap/v1"
+SCHEMA = "repro.bench.overlap/v2"
 
 DEFAULT_OUTPUT = "BENCH_overlap.json"
 
 
 @dataclass(frozen=True)
 class OverlapBenchRecord:
-    """One (dataset, engine) timing measurement."""
+    """One (dataset, driver) timing measurement."""
 
     dataset: str
-    engine: str
+    #: "serial" (in-process) or "process" (worker pool).
+    driver: str
     wall_s: float
     reads_per_s: float
     candidates_verified: int
@@ -79,24 +75,19 @@ class OverlapBenchReport:
             fh.write(self.to_json() + "\n")
 
     def summary_table(self) -> str:
-        loop_wall = {r.dataset: r.wall_s for r in self.records if r.engine == "loop"}
-        rows = []
-        for r in self.records:
-            base = loop_wall.get(r.dataset)
-            speedup = f"{base / r.wall_s:.2f}x" if base else "-"
-            rows.append(
-                [
-                    r.dataset,
-                    r.engine,
-                    f"{r.wall_s:.3f}",
-                    f"{r.reads_per_s:.0f}",
-                    r.candidates_verified,
-                    r.overlaps_found,
-                    speedup,
-                ]
-            )
+        rows = [
+            [
+                r.dataset,
+                r.driver,
+                f"{r.wall_s:.3f}",
+                f"{r.reads_per_s:.0f}",
+                r.candidates_verified,
+                r.overlaps_found,
+            ]
+            for r in self.records
+        ]
         return format_table(
-            ["Dataset", "Engine", "Wall (s)", "Reads/s", "Candidates", "Overlaps", "vs loop"],
+            ["Dataset", "Driver", "Wall (s)", "Reads/s", "Candidates", "Overlaps"],
             rows,
         )
 
@@ -115,21 +106,19 @@ def bench_dataset(
     min_overlap: int = 50,
     repeats: int = 2,
 ) -> tuple[list[OverlapBenchRecord], bool]:
-    """Time every engine on one dataset.
+    """Time both drivers on one dataset.
 
-    Each engine runs ``repeats`` times and reports its best wall time
+    Each driver runs ``repeats`` times and reports its best wall time
     (the standard guard against scheduler noise on shared hosts).
-    Returns the records plus an all-engines-agree flag (identical
-    sorted overlap sets across loop, vectorized, and process paths).
+    Returns the records plus a drivers-agree flag (identical sorted
+    overlap sets from the serial and process paths).
     """
     reads = dataset.reads
     records: list[OverlapBenchRecord] = []
     keys: list[list[tuple]] = []
 
-    def measure(engine_label: str, engine: str, run_workers: int):
-        config = OverlapConfig(
-            min_overlap=min_overlap, n_subsets=n_subsets, engine=engine
-        )
+    def measure(driver: str, run_workers: int):
+        config = OverlapConfig(min_overlap=min_overlap, n_subsets=n_subsets)
         detector = OverlapDetector(config)
         wall = float("inf")
         for _ in range(max(1, repeats)):
@@ -142,7 +131,7 @@ def bench_dataset(
         records.append(
             OverlapBenchRecord(
                 dataset=dataset.name,
-                engine=engine_label,
+                driver=driver,
                 wall_s=wall,
                 reads_per_s=len(reads) / wall if wall > 0 else 0.0,
                 candidates_verified=detector.last_candidates,
@@ -152,26 +141,9 @@ def bench_dataset(
         )
         keys.append(_overlap_key(overlaps))
 
-    measure("loop", "loop", 1)
-    measure("vectorized", "vectorized", 1)
-    measure("process", "vectorized", workers)
-    agree = all(k == keys[0] for k in keys[1:])
-    return records, agree
-
-
-def regression_failures(records: list[OverlapBenchRecord]) -> list[str]:
-    """Datasets where the vectorized engine is slower than legacy."""
-    walls: dict[tuple[str, str], float] = {(r.dataset, r.engine): r.wall_s for r in records}
-    failures = []
-    for (dataset, engine), wall in sorted(walls.items()):
-        if engine != "vectorized":
-            continue
-        loop_wall = walls.get((dataset, "loop"))
-        if loop_wall is not None and wall > loop_wall:
-            failures.append(
-                f"{dataset}: vectorized ({wall:.3f}s) slower than loop ({loop_wall:.3f}s)"
-            )
-    return failures
+    measure("serial", 1)
+    measure("process", workers)
+    return records, keys[0] == keys[1]
 
 
 def run_overlap_bench(
@@ -181,7 +153,7 @@ def run_overlap_bench(
     min_overlap: int = 50,
     repeats: int = 2,
 ) -> tuple[OverlapBenchReport, bool]:
-    """Bench all engines on all datasets; returns (report, engines_agree)."""
+    """Bench both drivers on all datasets; returns (report, drivers_agree)."""
     if datasets is None:
         datasets = standard_datasets()
     report = OverlapBenchReport(
@@ -219,8 +191,8 @@ def main(
 ) -> int:
     """CLI entry point for ``repro bench overlap``.
 
-    Exit codes: 0 ok; 1 vectorized slower than legacy on some dataset;
-    2 engines disagreed on an overlap set (results written either way).
+    Exit codes: 0 ok; 2 the drivers disagreed on an overlap set
+    (results written either way).
     """
     stream = stream or sys.stdout
     datasets = standard_datasets()
@@ -236,10 +208,6 @@ def main(
     print(report.summary_table(), file=stream)
     print(f"wrote {len(report.records)} records to {output}", file=stream)
     if not agree:
-        print("FAIL: engines disagree on overlap sets", file=stream)
+        print("FAIL: drivers disagree on overlap sets", file=stream)
         return 2
-    failures = regression_failures(report.records)
-    if failures:
-        print("FAIL: " + "; ".join(failures), file=stream)
-        return 1
     return 0

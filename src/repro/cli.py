@@ -13,7 +13,6 @@ Usage examples::
     python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.npz --resume
     python -m repro assemble reads.fastq -o contigs.fasta --fault-plan random:7 --retries 3
     python -m repro bench overlap -o BENCH_overlap.json
-    python -m repro bench finish -o BENCH_finish.json
     python -m repro bench chaos -o BENCH_chaos.json
     python -m repro bench scale -o BENCH_scale.json --datasets S4 S5
     python -m repro stats contigs.fasta
@@ -133,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process (0 = one per partition)",
     )
     p.add_argument(
-        "--finish-engine",
-        choices=("loop", "sparse"),
-        default="loop",
-        help="finish-kernel implementation for the distributed cleaning "
-        "stages: scalar per-node loop or vectorized masked-CSR sparse "
-        "engine (identical contigs, see docs/performance.md)",
-    )
-    p.add_argument(
         "--timings",
         metavar="PATH",
         help="write per-stage durations as JSON (tagged with the backend, "
@@ -187,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes (0/1 = serial in-process)",
     )
-    p.add_argument(
-        "--engine",
-        choices=("vectorized", "loop"),
-        default="vectorized",
-        help="vectorized batch engine or the legacy per-query loop",
-    )
     p.add_argument("--subsets", type=int, default=4, help="read-subset count")
     p.add_argument("--min-overlap", type=int, default=50)
     p.add_argument("--min-identity", type=float, default=0.9)
@@ -228,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", choices=("serial", "sim", "process"), default="serial"
     )
-    p.add_argument("--engine", choices=("loop", "sparse"), default="loop")
     p.add_argument("--min-overlap", type=int, default=50)
     p.add_argument("--min-identity", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
@@ -345,66 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     b = bench_sub.add_parser(
         "overlap",
-        help="time the overlap engines (loop / vectorized / process)",
+        help="time overlap detection (serial / process pool)",
         description=(
-            "Times the legacy loop engine, the vectorized engine, and the "
-            "multiprocess driver on D1-D3, verifies all three produce "
-            "identical overlap sets, and writes the trajectory JSON.  "
-            "Exits nonzero if vectorized is slower than loop anywhere."
+            "Times the serial detector and the multiprocess driver on "
+            "D1-D3, verifies both produce identical overlap sets, and "
+            "writes the trajectory JSON."
         ),
     )
     b.add_argument(
         "-o", "--output", default="BENCH_overlap.json", help="trajectory JSON path"
     )
-    b.add_argument("--workers", type=int, default=4, help="process-engine worker count")
+    b.add_argument("--workers", type=int, default=4, help="process-pool worker count")
     b.add_argument("--subsets", type=int, default=4, help="read-subset count")
     b.add_argument(
         "--datasets",
         nargs="*",
         help="subset of dataset names to run (default: all of D1-D3)",
-    )
-    b = bench_sub.add_parser(
-        "finish",
-        help="time the distributed finish stages across backends",
-        description=(
-            "Times the distributed graph stages (trim + traversal) on "
-            "D1/D2 plus synthetic finish-scale graphs across partition "
-            "counts, backends, and finish engines, verifies "
-            "byte-identical contigs across every backend x engine "
-            "cell, and writes the trajectory JSON.  Exits nonzero if "
-            "any cell disagrees, if (on multi-core hosts) the process "
-            "backend is slower than serial at >= 4 partitions, or if "
-            "the sparse engine is slower than the loop engine on a "
-            "large dataset."
-        ),
-    )
-    b.add_argument(
-        "-o", "--output", default="BENCH_finish.json", help="trajectory JSON path"
-    )
-    b.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-backend worker count (0 = one per partition)",
-    )
-    b.add_argument(
-        "--partitions",
-        type=int,
-        nargs="*",
-        default=[4, 8],
-        help="partition counts to sweep (powers of two)",
-    )
-    b.add_argument(
-        "--datasets",
-        nargs="*",
-        help="subset of dataset names to run (default: D1 D2 S4 S5)",
-    )
-    b.add_argument(
-        "--engine",
-        choices=("loop", "sparse", "both"),
-        default="both",
-        help="finish engines to time (default: both, with per-stage "
-        "loop-vs-sparse speedup rows)",
     )
     b = bench_sub.add_parser(
         "chaos",
@@ -674,7 +614,6 @@ def _cmd_assemble(args) -> int:
         overlap_workers=args.workers,
         backend=args.backend,
         backend_workers=args.backend_workers,
-        finish_engine=args.finish_engine,
         retry=retry,
         fault_plan=fault_plan,
         store_path=args.store,
@@ -737,7 +676,6 @@ def _cmd_overlap(args) -> int:
         min_overlap=args.min_overlap,
         min_identity=args.min_identity,
         n_subsets=args.subsets,
-        engine=args.engine,
     )
     detector = OverlapDetector(config)
     t0 = time.perf_counter()
@@ -753,7 +691,7 @@ def _cmd_overlap(args) -> int:
                 f"{o.query}\t{o.ref}\t{o.q_start}\t{o.r_start}\t"
                 f"{o.length}\t{o.identity:.6f}\t{o.kind.value}\n"
             )
-    mode = f"{args.workers} workers" if args.workers > 1 else f"serial/{args.engine}"
+    mode = f"{args.workers} workers" if args.workers > 1 else "serial"
     print(
         f"found {len(overlaps):,} overlaps in {len(reads):,} reads "
         f"({mode}, {wall:.2f}s) -> {args.output}"
@@ -770,16 +708,6 @@ def _cmd_bench(args) -> int:
             workers=args.workers,
             n_subsets=args.subsets,
             dataset_names=args.datasets,
-        )
-    if args.bench_command == "finish":
-        from repro.bench.finish_bench import main as bench_finish_main
-
-        return bench_finish_main(
-            output=args.output,
-            workers=args.workers,
-            partitions=tuple(args.partitions),
-            dataset_names=args.datasets,
-            engine=args.engine,
         )
     if args.bench_command == "chaos":
         from repro.bench.chaos_bench import main as bench_chaos_main
@@ -836,7 +764,6 @@ def _cmd_submit(args) -> int:
             n_partitions=args.partitions,
             partition_mode=args.partition_mode,
             backend=args.backend,
-            engine=args.engine,
             min_overlap=args.min_overlap,
             min_identity=args.min_identity,
             seed=args.seed,

@@ -50,11 +50,6 @@ class AssemblyConfig:
     #: worker processes for the "process" backend (0 = one per
     #: partition, capped at the core count).
     backend_workers: int = 0
-    #: finish-kernel implementation for the distributed cleaning
-    #: stages: "loop" (scalar per-node reference) or "sparse"
-    #: (vectorized masked-CSR engine, docs/performance.md) — both
-    #: produce byte-identical contigs on every backend.
-    finish_engine: str = "loop"
 
     # -- fault tolerance (docs/robustness.md) --
     #: retry/backoff/fallback policy wrapped around every distributed
@@ -110,8 +105,6 @@ class AssemblyConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend_workers < 0:
             raise ValueError("backend_workers must be non-negative")
-        if self.finish_engine not in ("loop", "sparse"):
-            raise ValueError(f"unknown finish_engine {self.finish_engine!r}")
         if self.shard_size < 1:
             raise ValueError("shard_size must be positive")
         if self.cache_budget < 0:

@@ -118,8 +118,6 @@ class AssemblyResult:
     paths: list[list[int]] = field(default_factory=list)
     #: execution backend the distributed stages ran on.
     backend: str = "sim"
-    #: finish-kernel implementation the cleaning stages used.
-    engine: str = "loop"
     #: clock kind of ``virtual_times``: "virtual" or "wall".
     time_kind: str = "virtual"
     #: cumulative fault-injection/retry/recovery accounting from the
@@ -241,7 +239,6 @@ class FocusAssembler:
         n_partitions: int | None = None,
         partition_mode: str | None = None,
         backend: str | None = None,
-        engine: str | None = None,
         checkpoint: str | os.PathLike | None = None,
         resume: bool = False,
         on_stage=None,
@@ -254,10 +251,6 @@ class FocusAssembler:
         configured backend (``serial``, ``sim``, or ``process``) —
         contigs are byte-identical across backends; only where the
         kernels run and which clock fills ``virtual_times`` changes.
-        ``engine`` overrides ``config.finish_engine`` ("loop" or
-        "sparse"); both engines propose identical removals, so it is
-        likewise excluded from the checkpoint fingerprint — a
-        checkpoint written by one engine resumes under the other.
 
         With ``checkpoint`` set, the alive-masks and completed-stage
         list are persisted (atomically) after every distributed stage;
@@ -281,9 +274,6 @@ class FocusAssembler:
         k = cfg.n_partitions if n_partitions is None else n_partitions
         mode = cfg.partition_mode if partition_mode is None else partition_mode
         backend_name = cfg.backend if backend is None else backend
-        engine_name = cfg.finish_engine if engine is None else engine
-        if engine_name not in ("loop", "sparse"):
-            raise ValueError(f"unknown finish engine {engine_name!r}")
         if k < 1 or (k & (k - 1)) != 0:
             raise ValueError("n_partitions must be a power of two")
         if mode not in ("hybrid", "multilevel"):
@@ -341,7 +331,6 @@ class FocusAssembler:
             cost_model=self.cost_model,
             retry=cfg.retry,
             injector=injector,
-            engine=engine_name,
         )
 
         def run(stage: str, **params) -> object:
@@ -421,7 +410,6 @@ class FocusAssembler:
             backend=runner.name,
             time_kind=runner.time_kind,
             fault_report=runner.fault_report,
-            engine=engine_name,
         )
 
     def open_reads(self) -> ReadSet:

@@ -19,7 +19,6 @@ from repro.distributed.dgraph import (
     HybridAssembly,
     enrich_hybrid,
 )
-from repro.distributed.containment import containment_removal
 from repro.distributed.partition_parallel import parallel_partition_graph_set
 from repro.distributed.stages import (
     StageSpec,
@@ -28,9 +27,7 @@ from repro.distributed.stages import (
     register_stage,
     run_stage_on_comm,
 )
-from repro.distributed.transitive import transitive_reduction
-from repro.distributed.traversal import contigs_from_paths, maximal_paths
-from repro.distributed.trimming import pop_bubbles, trim_dead_ends
+from repro.distributed.traversal import contigs_from_paths
 from repro.distributed.variants import Variant, detect_variants, find_bubble_variants
 
 __all__ = [
@@ -42,11 +39,6 @@ __all__ = [
     "get_stage",
     "all_stages",
     "run_stage_on_comm",
-    "transitive_reduction",
-    "containment_removal",
-    "trim_dead_ends",
-    "pop_bubbles",
-    "maximal_paths",
     "contigs_from_paths",
     "parallel_partition_graph_set",
     "Variant",

@@ -13,61 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.distributed.stages import register_stage, run_stage_on_comm, union_proposals
+from repro.distributed.stages import register_stage, union_proposals
 from repro.graph.sparse import ragged_positions
-from repro.sequence.dna import hamming_identity
 
 __all__ = [
     "find_containments",
-    "find_containments_sparse",
     "containment_kernel",
-    "containment_sparse_kernel",
     "apply_containments",
-    "containment_removal",
 ]
-
-
-def _contained_identity(
-    inner: np.ndarray, outer: np.ndarray, start: int
-) -> float:
-    """Identity of ``inner`` vs the slice of ``outer`` starting at ``start``."""
-    seg = outer[start : start + inner.size]
-    if seg.size != inner.size:
-        return 0.0
-    return hamming_identity(inner, seg)
-
-
-def find_containments(
-    dag: DistributedAssemblyGraph,
-    nodes: np.ndarray,
-    min_overlap: int = 50,
-    min_identity: float = 0.9,
-) -> tuple[list[int], list[int]]:
-    """(contained node ids, false-positive edge ids) seen from ``nodes``."""
-    dead_nodes: list[int] = []
-    dead_edges: list[int] = []
-    g = dag.graph
-    contigs = dag.assembly.contigs
-    for v in np.asarray(nodes).tolist():
-        cv = contigs[v]
-        nbrs, eids = dag.alive_incident(v)
-        for u, e in zip(nbrs.tolist(), eids.tolist()):
-            d = g.edge_delta(e, v)  # offset of u's contig relative to v's
-            cu = contigs[u]
-            overlap = min(cv.size, d + cu.size) - max(0, d)
-            if overlap < min_overlap:
-                dead_edges.append(e)
-                continue
-            # v contained in u: u's interval [d, d+|cu|) covers [0, |cv|).
-            if d <= 0 and d + cu.size >= cv.size:
-                # Mutual (exactly coextensive) containments keep the
-                # lower-id node, otherwise identical contigs would all
-                # remove each other.
-                proper = d < 0 or d + cu.size > cv.size
-                if (proper or v > u) and _contained_identity(cv, cu, -d) >= min_identity:
-                    dead_nodes.append(v)
-                    break
-    return dead_nodes, dead_edges
 
 
 def _batched_identities(
@@ -80,8 +33,7 @@ def _batched_identities(
 
     Geometry is pre-filtered so every slice fits; rows are bucketed by
     inner length and each bucket compared as one stacked
-    ``hamming_identity`` — the batched form of
-    :func:`_contained_identity`.
+    ``hamming_identity``.
     """
     out = np.zeros(v.size, dtype=np.float64)
     if v.size == 0:
@@ -108,19 +60,18 @@ def _batched_identities(
     return out
 
 
-def find_containments_sparse(
+def find_containments(
     dag: DistributedAssemblyGraph,
     nodes: np.ndarray,
     min_overlap: int = 50,
     min_identity: float = 0.9,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`find_containments`: same sets, no node loop.
+    """(contained node ids, false-positive edge ids) seen from ``nodes``.
 
-    The loop stops scanning a node at its first containment hit, so a
-    short-overlap edge *after* that hit is never proposed by this node;
-    the vectorized form replays that with a per-node first-hit cutoff
-    over the graph's CSR incident order (hence
-    ``alive_incident_many``, which preserves it).
+    A node's scan ends at its first containment hit, so a
+    short-overlap edge *after* that hit is never proposed by this
+    node: a per-node first-hit cutoff over the graph's CSR incident
+    order (hence ``alive_incident_many``, which preserves it).
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
@@ -166,20 +117,7 @@ def containment_kernel(
     min_identity: float = 0.9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pure kernel: (node ids, edge ids) proposed by one partition."""
-    nodes, edges = find_containments(
-        dag, dag.partition_nodes(part), min_overlap, min_identity
-    )
-    return np.asarray(nodes, dtype=np.int64), np.asarray(edges, dtype=np.int64)
-
-
-def containment_sparse_kernel(
-    dag: DistributedAssemblyGraph,
-    part: int,
-    min_overlap: int = 50,
-    min_identity: float = 0.9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse-engine kernel: identical proposals, batched identities."""
-    return find_containments_sparse(
+    return find_containments(
         dag, dag.partition_nodes(part), min_overlap, min_identity
     )
 
@@ -193,21 +131,4 @@ def apply_containments(
     return dag.remove_nodes(nodes), dag.remove_edges(edges)
 
 
-CONTAINMENT = register_stage(
-    "containment",
-    containment_kernel,
-    apply_containments,
-    sparse_kernel=containment_sparse_kernel,
-)
-
-
-def containment_removal(
-    comm,
-    dag: DistributedAssemblyGraph,
-    min_overlap: int = 50,
-    min_identity: float = 0.9,
-) -> tuple[int, int]:
-    """MPI-style containment removal; returns (nodes, edges) removed."""
-    return run_stage_on_comm(
-        comm, CONTAINMENT, dag, min_overlap=min_overlap, min_identity=min_identity
-    )
+register_stage("containment", containment_kernel, apply_containments)

@@ -125,29 +125,9 @@ class DistributedAssemblyGraph:
         self.n_parts = int(labels.max()) + 1 if labels.size else 0
         self.node_alive = np.ones(self.graph.n_nodes, dtype=bool)
         self.edge_alive = np.ones(self.graph.n_edges, dtype=bool)
-        # Mask-independent sparse tables, primed once by the execution
-        # backend (master-side, or per worker after fork) so sequential
-        # sparse-engine stages share the one sorted build.
-        self._sparse: SparseStructure | None = None
-
-    # -- sparse representation ---------------------------------------------
-
-    def prime_sparse(self) -> SparseStructure:
-        """Build and cache the sparse structure (mutating; backend-only).
-
-        Kernels must not call this — they read :attr:`sparse_structure`,
-        which falls back to a throwaway build when nothing is primed.
-        """
-        if self._sparse is None:
-            self._sparse = SparseStructure(self.graph)
-        return self._sparse
-
-    @property
-    def sparse_structure(self) -> SparseStructure:
-        """The cached-or-fresh sparse structure (pure: never assigns)."""
-        if self._sparse is not None:
-            return self._sparse
-        return SparseStructure(self.graph)
+        #: mask-independent sorted pair tables, built once per graph
+        #: and shared by every stage's masked view.
+        self.sparse_structure = SparseStructure(self.graph)
 
     # -- partition views ---------------------------------------------------
 

@@ -34,7 +34,6 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
-    "ENGINES",
     "StageSpec",
     "register_stage",
     "get_stage",
@@ -42,10 +41,6 @@ __all__ = [
     "run_stage_on_comm",
     "union_proposals",
 ]
-
-#: kernel implementations a stage may offer; every backend accepts any
-#: of these names and resolves the kernel via :meth:`StageSpec.kernel_for`.
-ENGINES = ("loop", "sparse")
 
 
 @dataclass(frozen=True)
@@ -56,58 +51,21 @@ class StageSpec:
     module-level function returning picklable numpy proposals;
     ``merge(dag, proposals, **params)`` receives the proposal list
     indexed by partition id and applies it on the master's graph.
-    ``sparse_kernel``, when present, is a drop-in vectorized kernel
-    with the identical signature and proposal semantics, selected via
-    the ``engine`` knob (:meth:`kernel_for`); the merge is shared.
     """
 
     name: str
     kernel: Callable[..., Any]
     merge: Callable[..., Any]
-    sparse_kernel: Callable[..., Any] | None = None
-
-    def kernel_for(self, engine: str) -> Callable[..., Any]:
-        """The kernel implementing ``engine`` ('loop' or 'sparse').
-
-        ``engine`` is a preference, not a demand: stages without a
-        vectorized implementation (e.g. traversal) fall back to the
-        loop reference, so an end-to-end sparse run never fails on a
-        loop-only stage.
-        """
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-        if engine == "sparse" and self.sparse_kernel is not None:
-            return self.sparse_kernel
-        return self.kernel
-
-    def with_engine(self, engine: str) -> "StageSpec":
-        """A spec whose primary kernel is the engine-resolved one.
-
-        Lets engine-unaware drivers (``run_stage_on_comm``, the sim
-        cluster body) run the chosen implementation without threading
-        the knob through every call site.
-        """
-        kernel = self.kernel_for(engine)
-        if kernel is self.kernel:
-            return self
-        return StageSpec(
-            name=self.name,
-            kernel=kernel,
-            merge=self.merge,
-            sparse_kernel=self.sparse_kernel,
-        )
 
 
 _STAGES: dict[str, StageSpec] = {}
 
 
-def register_stage(name: str, kernel, merge, sparse_kernel=None) -> StageSpec:
-    """Register a stage; returns the spec for module-level reuse."""
+def register_stage(name: str, kernel, merge) -> StageSpec:
+    """Register a stage under a unique name; returns its spec."""
     if name in _STAGES:
         raise ValueError(f"duplicate stage name {name!r}")
-    spec = StageSpec(
-        name=name, kernel=kernel, merge=merge, sparse_kernel=sparse_kernel
-    )
+    spec = StageSpec(name=name, kernel=kernel, merge=merge)
     _STAGES[name] = spec
     return spec
 
@@ -152,19 +110,18 @@ def union_proposals(proposals) -> np.ndarray:
     return np.unique(np.concatenate(arrays))
 
 
-def run_stage_on_comm(comm, stage: StageSpec, dag, engine: str = "loop", **params):
+def run_stage_on_comm(comm, stage: StageSpec, dag, **params):
     """SPMD driver: run one stage on an MPI-style communicator.
 
-    Rank ``r`` executes the ``engine``-selected kernel for partition
-    ``r`` under the virtual clock, proposals are gathered to the root,
-    the root merges (also timed), and the result is broadcast — the
-    paper's scan-locally/apply-centrally pattern.  The communicator is
+    Rank ``r`` executes the kernel for partition ``r`` under the
+    virtual clock, proposals are gathered to the root, the root merges
+    (also timed), and the result is broadcast — the paper's
+    scan-locally/apply-centrally pattern.  The communicator is
     duck-typed (anything with ``rank``/``timed``/``gather``/``bcast``),
     so this module stays free of :mod:`repro.mpi` imports.
     """
-    kernel = stage.kernel_for(engine)
     with comm.timed():
-        proposal = kernel(dag, comm.rank, **params)
+        proposal = stage.kernel(dag, comm.rank, **params)
     gathered = comm.gather(proposal, root=0)
     result = None
     if comm.rank == 0:

@@ -14,58 +14,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.distributed.stages import register_stage, run_stage_on_comm, union_proposals
+from repro.distributed.stages import register_stage, union_proposals
 from repro.graph.sparse import boolean_product_keys, masked_view, ragged_positions
 
 __all__ = [
     "find_transitive_edges",
-    "find_transitive_edges_sparse",
     "transitive_kernel",
-    "transitive_sparse_kernel",
     "apply_transitive",
-    "transitive_reduction",
 ]
 
 
 def find_transitive_edges(
     dag: DistributedAssemblyGraph, nodes: np.ndarray, tolerance: int = 2
-) -> list[int]:
-    """Transitive edge ids discoverable from the given nodes."""
-    out: list[int] = []
-    g = dag.graph
-    for v in np.asarray(nodes).tolist():
-        nbrs, eids = dag.alive_incident(v)
-        if nbrs.size < 2:
-            continue
-        deltas = np.array([g.edge_delta(int(e), v) for e in eids])
-        right = deltas > 0
-        r_nbrs, r_eids, r_deltas = nbrs[right], eids[right], deltas[right]
-        if r_nbrs.size < 2:
-            continue
-        order = np.argsort(r_deltas, kind="stable")
-        r_nbrs, r_eids, r_deltas = r_nbrs[order], r_eids[order], r_deltas[order]
-        # Candidate far edges checked against every closer neighbour.
-        for far in range(1, r_nbrs.size):
-            u, du = int(r_nbrs[far]), int(r_deltas[far])
-            for near in range(far):
-                w, dw = int(r_nbrs[near]), int(r_deltas[near])
-                if dw <= 0 or dw >= du:
-                    continue
-                # Does w have an alive edge to u with delta ~ du - dw?
-                w_nbrs, w_eids = dag.alive_incident(w)
-                hit = np.flatnonzero(w_nbrs == u)
-                if hit.size:
-                    e_wu = int(w_eids[hit[0]])
-                    if abs(g.edge_delta(e_wu, w) - (du - dw)) <= tolerance:
-                        out.append(int(r_eids[far]))
-                        break
-    return out
-
-
-def find_transitive_edges_sparse(
-    dag: DistributedAssemblyGraph, nodes: np.ndarray, tolerance: int = 2
 ) -> np.ndarray:
-    """Vectorized :func:`find_transitive_edges`: same set, no node loop.
+    """Sorted transitive edge ids discoverable from the given nodes.
 
     An edge v->u (delta ``du > 0``) is transitive iff some right
     neighbour w of v (``0 < dw < du``, strict — delta ties are never
@@ -128,15 +90,7 @@ def transitive_kernel(
     dag: DistributedAssemblyGraph, part: int, tolerance: int = 2
 ) -> np.ndarray:
     """Pure kernel: transitive edge ids proposed by one partition."""
-    found = find_transitive_edges(dag, dag.partition_nodes(part), tolerance)
-    return np.asarray(found, dtype=np.int64)
-
-
-def transitive_sparse_kernel(
-    dag: DistributedAssemblyGraph, part: int, tolerance: int = 2
-) -> np.ndarray:
-    """Sparse-engine kernel: identical proposals, matrix formulation."""
-    return find_transitive_edges_sparse(dag, dag.partition_nodes(part), tolerance)
+    return find_transitive_edges(dag, dag.partition_nodes(part), tolerance)
 
 
 def apply_transitive(
@@ -146,18 +100,4 @@ def apply_transitive(
     return dag.remove_edges(union_proposals(proposals))
 
 
-TRANSITIVE = register_stage(
-    "transitive",
-    transitive_kernel,
-    apply_transitive,
-    sparse_kernel=transitive_sparse_kernel,
-)
-
-
-def transitive_reduction(comm, dag: DistributedAssemblyGraph, tolerance: int = 2) -> int:
-    """MPI-style transitive reduction; returns removed-edge count.
-
-    Rank ``r`` owns partition ``r``.  Run with a cluster of
-    ``dag.n_parts`` ranks.
-    """
-    return run_stage_on_comm(comm, TRANSITIVE, dag, tolerance=tolerance)
+register_stage("transitive", transitive_kernel, apply_transitive)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.distributed.stages import register_stage, run_stage_on_comm
+from repro.distributed.stages import register_stage
 from repro.graph.sparse import masked_view
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "unpack_paths",
     "join_subpaths",
     "merge_subpaths",
-    "maximal_paths",
     "contigs_from_paths",
 ]
 
@@ -176,15 +175,7 @@ def merge_subpaths(
     return join_subpaths(dag, flat_paths)
 
 
-TRAVERSAL = register_stage("traversal", subpath_kernel, merge_subpaths)
-
-
-def maximal_paths(comm, dag: DistributedAssemblyGraph) -> list[list[int]] | None:
-    """MPI-style traversal: workers extract, master joins.
-
-    Returns the joined path list on every rank.
-    """
-    return run_stage_on_comm(comm, TRAVERSAL, dag)
+register_stage("traversal", subpath_kernel, merge_subpaths)
 
 
 def contigs_from_paths(

@@ -17,28 +17,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.distributed.stages import register_stage, run_stage_on_comm, union_proposals
+from repro.distributed.stages import register_stage, union_proposals
 from repro.graph.sparse import masked_view
 
 __all__ = [
     "find_dead_ends",
-    "find_dead_ends_sparse",
     "dead_end_kernel",
-    "dead_end_sparse_kernel",
     "apply_dead_ends",
-    "trim_dead_ends",
     "find_bubbles",
-    "find_bubbles_sparse",
     "bubble_kernel",
-    "bubble_sparse_kernel",
     "apply_bubbles",
-    "pop_bubbles",
 ]
 
 
 def find_dead_ends(
     dag: DistributedAssemblyGraph, nodes: np.ndarray, max_tip_bases: int = 150
-) -> list[int]:
+) -> np.ndarray:
     """Nodes of short dead-end chains starting at tips in ``nodes``.
 
     A chain is trimmed only if it hangs off a junction (degree >= 3)
@@ -46,39 +40,6 @@ def find_dead_ends(
     Velvet's "tips shorter than 2k" rule transplanted to the overlap
     model, so a genuine long backbone end is never mistaken for an
     error spur.
-    """
-    out: list[int] = []
-    contig_len = dag.assembly.contig_lengths
-    for v in np.asarray(nodes).tolist():
-        if dag.alive_degree(v) != 1:
-            continue
-        chain = [v]
-        bases = int(contig_len[v])
-        prev = v
-        cur = int(dag.alive_incident(v)[0][0])
-        ok = False
-        while bases <= max_tip_bases:
-            deg = dag.alive_degree(cur)
-            if deg >= 3:
-                ok = True  # chain hangs off a junction
-                break
-            if deg == 1:
-                # isolated chain (both ends tips): leave it alone
-                break
-            nbrs, _ = dag.alive_incident(cur)
-            nxt = int(nbrs[0]) if int(nbrs[0]) != prev else int(nbrs[1])
-            chain.append(cur)
-            bases += int(contig_len[cur])
-            prev, cur = cur, nxt
-        if ok:
-            out.extend(chain)
-    return out
-
-
-def find_dead_ends_sparse(
-    dag: DistributedAssemblyGraph, nodes: np.ndarray, max_tip_bases: int = 150
-) -> np.ndarray:
-    """Vectorized :func:`find_dead_ends`: same set, no per-tip loop.
 
     All degree-1 tips of the partition walk their chains *in lockstep*
     on the frozen alive view: each peeling round advances every still-
@@ -113,8 +74,8 @@ def find_dead_ends_sparse(
         junction = live & (d >= 3)
         ok[active[junction]] = True
         # Walks continue only through interior degree-2 nodes within
-        # the base budget; degree-1 means an isolated chain (left
-        # alone, like the loop's tip-to-tip break).
+        # the base budget; degree-1 means an isolated chain (both
+        # ends tips), which is left alone.
         cont = live & (d == 2)
         if not cont.any():
             break
@@ -142,15 +103,7 @@ def dead_end_kernel(
     dag: DistributedAssemblyGraph, part: int, max_tip_bases: int = 150
 ) -> np.ndarray:
     """Pure kernel: dead-end chain node ids proposed by one partition."""
-    found = find_dead_ends(dag, dag.partition_nodes(part), max_tip_bases)
-    return np.asarray(found, dtype=np.int64)
-
-
-def dead_end_sparse_kernel(
-    dag: DistributedAssemblyGraph, part: int, max_tip_bases: int = 150
-) -> np.ndarray:
-    """Sparse-engine kernel: identical proposals, lockstep peeling."""
-    return find_dead_ends_sparse(dag, dag.partition_nodes(part), max_tip_bases)
+    return find_dead_ends(dag, dag.partition_nodes(part), max_tip_bases)
 
 
 def apply_dead_ends(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
@@ -158,68 +111,25 @@ def apply_dead_ends(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
     return dag.remove_nodes(union_proposals(proposals))
 
 
-DEAD_ENDS = register_stage(
-    "dead_ends",
-    dead_end_kernel,
-    apply_dead_ends,
-    sparse_kernel=dead_end_sparse_kernel,
-)
+register_stage("dead_ends", dead_end_kernel, apply_dead_ends)
 
 
-def trim_dead_ends(comm, dag: DistributedAssemblyGraph, max_tip_bases: int = 150) -> int:
-    """MPI-style dead-end trimming; returns removed-node count."""
-    return run_stage_on_comm(comm, DEAD_ENDS, dag, max_tip_bases=max_tip_bases)
-
-
-def find_bubbles(dag: DistributedAssemblyGraph, nodes: np.ndarray) -> list[int]:
+def find_bubbles(
+    dag: DistributedAssemblyGraph, nodes: np.ndarray
+) -> np.ndarray:
     """Lighter branch node of each simple bubble anchored in ``nodes``.
 
     A simple bubble is ``v - a - w`` / ``v - b - w`` with ``a`` and
     ``b`` of degree exactly 2, where both branches extend to the *same
     side* of ``v`` (same delta sign) — two alternative spellings of the
     same genomic interval.  Without the direction check every 4-cycle
-    would be popped.  The branch with the shorter contig is recorded.
-    """
-    out: list[int] = []
-    contig_len = dag.assembly.contig_lengths
-    g = dag.graph
-    for v in np.asarray(nodes).tolist():
-        nbrs, eids = dag.alive_incident(v)
-        two_deg = [
-            (int(u), int(np.sign(g.edge_delta(int(e), v))))
-            for u, e in zip(nbrs.tolist(), eids.tolist())
-            if dag.alive_degree(int(u)) == 2
-        ]
-        if len(two_deg) < 2:
-            continue
-        # group the degree-2 neighbours by (far endpoint, side of v)
-        far: dict[tuple[int, int], list[int]] = {}
-        for u, side in two_deg:
-            u_nbrs, _ = dag.alive_incident(u)
-            other = [int(x) for x in u_nbrs.tolist() if int(x) != v]
-            if len(other) != 1:
-                continue
-            far.setdefault((other[0], side), []).append(u)
-        for (w, _side), branches in far.items():
-            if w == v or len(branches) < 2:
-                continue
-            branches = sorted(branches, key=lambda u: (int(contig_len[u]), u))
-            out.extend(branches[:-1])  # keep the longest branch
-    return out
-
-
-def find_bubbles_sparse(
-    dag: DistributedAssemblyGraph, nodes: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`find_bubbles`: same set, grouped two-path join.
+    would be popped.
 
     Every (anchor v, degree-2 branch u) row resolves u's far endpoint
     ``w`` from the view's two CSR slots, then a single lexsort groups
     rows by the (anchor, side-of-v, far-endpoint) key; in each group of
     two or more parallel branches, all but the (contig length, id)-max
-    branch are proposed — group membership is order-free, so the
-    view's (src, dst) order needs no replay of the loop's incident
-    order.
+    branch are proposed.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
@@ -265,13 +175,7 @@ def find_bubbles_sparse(
 
 def bubble_kernel(dag: DistributedAssemblyGraph, part: int) -> np.ndarray:
     """Pure kernel: lighter-branch node ids proposed by one partition."""
-    found = find_bubbles(dag, dag.partition_nodes(part))
-    return np.asarray(found, dtype=np.int64)
-
-
-def bubble_sparse_kernel(dag: DistributedAssemblyGraph, part: int) -> np.ndarray:
-    """Sparse-engine kernel: identical proposals, grouped join."""
-    return find_bubbles_sparse(dag, dag.partition_nodes(part))
+    return find_bubbles(dag, dag.partition_nodes(part))
 
 
 def apply_bubbles(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
@@ -279,14 +183,4 @@ def apply_bubbles(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
     return dag.remove_nodes(union_proposals(proposals))
 
 
-BUBBLES = register_stage(
-    "bubbles",
-    bubble_kernel,
-    apply_bubbles,
-    sparse_kernel=bubble_sparse_kernel,
-)
-
-
-def pop_bubbles(comm, dag: DistributedAssemblyGraph) -> int:
-    """MPI-style bubble popping; returns removed-node count."""
-    return run_stage_on_comm(comm, BUBBLES, dag)
+register_stage("bubbles", bubble_kernel, apply_bubbles)

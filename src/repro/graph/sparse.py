@@ -1,15 +1,13 @@
 """Masked sparse-matrix representation of the alive assembly subgraph.
 
 The finish stages (paper §V-A/B/C: transitive reduction, containment
-removal, dead-end trimming, bubble popping) originally walked nodes one
-at a time through ``alive_incident()`` Python loops.  The ``sparse``
-engine batches each stage into whole-partition numpy / ``scipy.sparse``
-operations over the representation built here, the way diBELLA performs
-string-graph transitive reduction as distributed sparse matrix products
-(PAPERS.md: *Parallel String Graph Construction and Transitive
-Reduction for De Novo Genome Assembly*), over a compact directed-pair
-encoding in the spirit of Dinh & Rajasekaran's exact-match overlap
-graph.
+removal, dead-end trimming, bubble popping) batch each stage into
+whole-partition numpy operations over the representation built here,
+the way diBELLA performs string-graph transitive reduction as
+distributed sparse matrix products (PAPERS.md: *Parallel String Graph
+Construction and Transitive Reduction for De Novo Genome Assembly*),
+over a compact directed-pair encoding in the spirit of Dinh &
+Rajasekaran's exact-match overlap graph.
 
 Two layers keep the per-stage cost incremental:
 
@@ -17,40 +15,24 @@ Two layers keep the per-stage cost incremental:
     The mask-*independent* directed pair tables of one graph: every
     undirected edge is stored in both orientations with its
     delta-as-seen-from-source, globally sorted by ``(src, dst)``.  The
-    sort is the only superlinear step and runs **once per graph**; the
-    master (or an execution backend) primes it via
-    ``DistributedAssemblyGraph.prime_sparse()`` so sequential stages
-    share it.
+    sort is the only superlinear step and runs **once per graph**, in
+    ``DistributedAssemblyGraph.__init__``, so sequential stages share
+    it.
 
 :class:`SparseFinishView`
     The alive subgraph under the current ``node_alive``/``edge_alive``
     masks: an O(E) boolean compaction of the structure tables — an
     incremental mask update between stages, never a rebuild.  The view
     offers CSR adjacency (``indptr``/``dst``), alive degree vectors
-    (``indptr`` diffs), vectorized pair lookup, the right-directed
-    (positive-delta) sub-adjacency, and boolean ``scipy.sparse``
-    matrices for semiring products.
-
-``scipy`` is optional: :func:`boolean_product_keys` degrades to an
-exact pure-numpy expansion when it is missing, so the engine (and its
-equivalence tests) work on a numpy-only install; only the product
-prefilter speeds up.
+    (``indptr`` diffs), vectorized pair lookup and the right-directed
+    (positive-delta) sub-adjacency.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised through HAVE_SCIPY branches
-    import scipy.sparse as _sp
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is present on CI tier-1
-    _sp = None
-    HAVE_SCIPY = False
-
 __all__ = [
-    "HAVE_SCIPY",
     "SparseStructure",
     "SparseFinishView",
     "masked_view",
@@ -178,19 +160,6 @@ class SparseFinishView:
             )
         return self._right
 
-    # -- scipy matrices ----------------------------------------------------
-
-    def adjacency_csr(self):
-        """Boolean symmetric alive adjacency (requires scipy)."""
-        return _sp.csr_matrix(
-            (
-                np.ones(self.src.size, dtype=np.int8),
-                self.dst,
-                self.indptr,
-            ),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-
 
 def boolean_product_keys(
     rows: np.ndarray,
@@ -202,23 +171,14 @@ def boolean_product_keys(
     The first hop is the given directed edge set (``rows[i] ->
     cols[i]``); the second hop is *any* alive edge of the view (either
     direction — delta tolerance is checked later on matched triples,
-    which may legally run slightly leftward).  With scipy this is the
-    boolean sparse product ``A_near @ A``; without it, an exact ragged
-    expansion of the same reachability set.
+    which may legally run slightly leftward).  This is the boolean
+    sparse product ``A_near @ A``, computed as a ragged expansion of
+    every (row -> col -> col's alive neighbour) triple through the
+    view's CSR slices.
     """
     n = view.n_nodes
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    if HAVE_SCIPY:
-        a_near = _sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-        two_hop = a_near @ view.adjacency_csr()
-        two_hop.sort_indices()
-        hops = two_hop.tocoo()
-        return np.unique(hops.row.astype(np.int64) * n + hops.col.astype(np.int64))
-    # Exact numpy fallback: expand every (row -> col -> col's alive
-    # neighbour) triple through the view's CSR slices.
     counts = view.degrees[cols]
     mids = ragged_positions(view.indptr[cols], counts)
     ends = view.dst[mids]
@@ -227,11 +187,5 @@ def boolean_product_keys(
 
 
 def masked_view(dag) -> SparseFinishView:
-    """The alive-masked view of a distributed graph (pure).
-
-    Uses the structure primed by the backend
-    (:meth:`~repro.distributed.dgraph.DistributedAssemblyGraph.\
-prime_sparse`) when present; otherwise builds a throwaway structure so
-    kernels stay side-effect free either way.
-    """
+    """The alive-masked view of a distributed graph (pure)."""
     return dag.sparse_structure.masked(dag.node_alive, dag.edge_alive)

@@ -9,14 +9,13 @@ that neither run under ``timed()`` nor touch the communicator in their
 body (a loop that sends/receives is communication, not untimed compute).
 
 PERF002 — the vectorized hot paths must stay vectorized.  Two kinds
-of function carry the contract: the alignment engine
-(``src/repro/align/``, overlap/candidate functions) and the sparse
-finish engine (``src/repro/graph/sparse.py`` plus ``sparse``-named
-functions under ``src/repro/distributed/``).  Iterating ``.tolist()``
-output there reintroduces a per-element Python loop on the innermost
-path, exactly the scalarization the vectorized engine removed.  The
-scalar ``loop`` reference kernels are deliberately exempt — they are
-the readable spec the sparse engine is checked against.
+of function carry the contract: overlap detection
+(``src/repro/align/``, overlap/candidate functions) and the finish
+kernels (every function of ``src/repro/graph/sparse.py`` and of
+``src/repro/distributed/{transitive,containment,trimming}.py``).
+Iterating ``.tolist()`` output there reintroduces a per-element Python
+loop on the innermost path.  The scalar reference implementations live
+under ``tests/reference/``, outside the rule's scope.
 """
 
 from __future__ import annotations
@@ -87,9 +86,13 @@ def _is_hot_function(name: str) -> bool:
     )
 
 
-def _is_sparse_hot_function(name: str) -> bool:
-    """Finish-engine functions that promise vectorized execution."""
-    return "sparse" in name
+#: modules whose every function is a vectorized finish-kernel path.
+_FINISH_KERNEL_MODULES = (
+    "repro/graph/sparse.py",
+    "repro/distributed/transitive.py",
+    "repro/distributed/containment.py",
+    "repro/distributed/trimming.py",
+)
 
 
 def _iter_calls_tolist(node: ast.expr) -> bool:
@@ -116,15 +119,8 @@ class ScalarizedHotLoop(Rule):
             for func in ctx.functions():
                 if _is_hot_function(func.name):
                     yield func
-        elif "repro/graph/sparse" in path:
-            # The whole module is the vectorized engine's substrate.
+        elif path.endswith(_FINISH_KERNEL_MODULES):
             yield from ctx.functions()
-        elif "repro/distributed/" in path:
-            # Only the sparse kernels promise vectorization; the loop
-            # reference kernels are the readable spec and stay scalar.
-            for func in ctx.functions():
-                if _is_sparse_hot_function(func.name):
-                    yield func
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func in self._hot_functions(ctx):
@@ -137,6 +133,6 @@ class ScalarizedHotLoop(Rule):
                         node,
                         "hot-path function iterates `.tolist()` element by "
                         "element — batch the work with array operations (see "
-                        "the vectorized overlap/sparse engines), or mark a "
+                        "the overlap detector and the finish kernels), or mark a "
                         "deliberate scalar fallback with `# noqa: PERF002`",
                     )

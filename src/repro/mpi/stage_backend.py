@@ -51,9 +51,8 @@ class SimBackend(ExecutionBackend):
         sanitize: bool = False,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
-        engine: str = "loop",
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector, engine=engine)
+        super().__init__(dag, retry=retry, injector=injector)
         if injector is not None and self.retry.task_deadline is not None:
             # Under fault injection a dead rank stalls its peers until
             # the recv timeout: bound that stall by the task deadline
@@ -79,15 +78,8 @@ class SimBackend(ExecutionBackend):
 
         return StageSpec(spec.name, kernel_with_faults, spec.merge)
 
-    def run_stage(
-        self, stage: StageSpec | str, engine: str | None = None, **params
-    ) -> StageOutcome:
-        # Engine resolution swaps the spec's primary kernel, so the
-        # SPMD driver (and the serial fallback below) run the chosen
-        # implementation unchanged; the sim ranks are threads sharing
-        # the master's graph, so the master-side sparse prime covers
-        # every rank.
-        spec, _ = self._engine_spec(stage, engine)
+    def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
+        spec = self._resolve(stage)
         dag = self.dag
         policy = self.retry
         report = FaultReport()

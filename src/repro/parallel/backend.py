@@ -8,8 +8,7 @@ cover the repo's execution modes:
 ``serial``
     An in-process loop: kernels run per partition on the calling
     thread, the merge applies immediately.  The baseline every other
-    backend must match bit for bit (and that ``process`` must beat on
-    wall-clock — see ``repro bench finish``).
+    backend must match bit for bit.
 
 ``sim``
     The paper's virtual cluster: kernels run as SPMD rank functions on
@@ -57,7 +56,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.distributed.stages import ENGINES, StageSpec, get_stage
+from repro.distributed.stages import StageSpec, get_stage
 from repro.faults import (
     DeadlineExceededError,
     FaultInjector,
@@ -109,10 +108,7 @@ class ExecutionBackend:
     standard :class:`~repro.faults.RetryPolicy`); ``injector``
     optionally injects deterministic faults from a
     :class:`~repro.faults.FaultPlan`.  ``fault_report`` accumulates
-    activity across every stage run on this backend.  ``engine``
-    selects the kernel implementation ("loop" or "sparse") for every
-    stage run on this backend; ``run_stage(engine=...)`` overrides it
-    per call.
+    activity across every stage run on this backend.
     """
 
     name: str = ""
@@ -123,36 +119,17 @@ class ExecutionBackend:
         dag,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
-        engine: str = "loop",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.dag = dag
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
-        self.engine = engine
         self.fault_report = FaultReport()
 
     @staticmethod
     def _resolve(stage: StageSpec | str) -> StageSpec:
         return get_stage(stage) if isinstance(stage, str) else stage
 
-    def _engine_spec(self, stage: StageSpec | str, engine: str | None) -> tuple[StageSpec, str]:
-        """(engine-resolved spec, effective engine name) for one run.
-
-        The sparse engine's mask-independent structure is primed on the
-        master here, so sequential stages — and in-process fallbacks —
-        share the one sorted build.
-        """
-        eng = engine if engine is not None else self.engine
-        spec = self._resolve(stage).with_engine(eng)
-        if eng == "sparse":
-            self.dag.prime_sparse()
-        return spec, eng
-
-    def run_stage(
-        self, stage: StageSpec | str, engine: str | None = None, **params
-    ) -> StageOutcome:
+    def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -227,10 +204,8 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     time_kind = "wall"
 
-    def run_stage(
-        self, stage: StageSpec | str, engine: str | None = None, **params
-    ) -> StageOutcome:
-        spec, _ = self._engine_spec(stage, engine)
+    def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
+        spec = self._resolve(stage)
         dag = self.dag
         report = FaultReport()
         t0 = time.perf_counter()
@@ -265,7 +240,6 @@ def _run_stage_task(
     params,
     plan,
     attempt,
-    engine: str = "loop",
 ):
     """Execute one (stage, partition) kernel inside a worker process.
 
@@ -273,18 +247,14 @@ def _run_stage_task(
     the only state stages mutate), so sequential stages see each
     other's removals without re-priming the pool.  ``plan``/``attempt``
     drive fault injection: a "crash" fault really SIGKILLs this
-    worker, a "hang" really sleeps past the deadline.  ``engine``
-    picks the kernel implementation; the sparse structure is primed
-    once per worker and reused across tasks (it is mask-independent).
+    worker, a "hang" really sleeps past the deadline.
     """
     if plan is not None:
         apply_kernel_fault_in_worker(plan, stage_name, part, attempt)
     dag = _WORKER["dag"]
     dag.node_alive = node_alive
     dag.edge_alive = edge_alive
-    if engine == "sparse":
-        dag.prime_sparse()
-    return get_stage(stage_name).kernel_for(engine)(dag, part, **params)
+    return get_stage(stage_name).kernel(dag, part, **params)
 
 
 def _warmup_worker() -> int:
@@ -329,9 +299,8 @@ class ProcessBackend(ExecutionBackend):
         workers: int = 0,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
-        engine: str = "loop",
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector, engine=engine)
+        super().__init__(dag, retry=retry, injector=injector)
         if workers < 0:
             raise ValueError("workers must be non-negative")
         cores = os.cpu_count() or 1
@@ -380,28 +349,24 @@ class ProcessBackend(ExecutionBackend):
                 proc.kill()
         pool.shutdown(wait=not kill, cancel_futures=True)
 
-    def run_stage(
-        self, stage: StageSpec | str, engine: str | None = None, **params
-    ) -> StageOutcome:
-        spec, eng = self._engine_spec(stage, engine)
+    def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
+        spec = self._resolve(stage)
         dag = self.dag
         if dag.n_parts <= 1 or self.n_workers <= 1:
             # Nothing to parallelise: run in-process, same clock kind,
             # same retry/injection semantics.
-            inner = SerialBackend(
-                dag, retry=self.retry, injector=self.injector, engine=eng
-            )
+            inner = SerialBackend(dag, retry=self.retry, injector=self.injector)
             outcome = inner.run_stage(spec, **params)
             self.fault_report.merge(inner.fault_report)
             return outcome
         report = FaultReport()
         t0 = time.perf_counter()
-        proposals = self._collect_proposals(spec, params, report, eng)
+        proposals = self._collect_proposals(spec, params, report)
         result = spec.merge(dag, proposals, **params)
         return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
 
     def _collect_proposals(
-        self, spec: StageSpec, params: dict, report: FaultReport, engine: str = "loop"
+        self, spec: StageSpec, params: dict, report: FaultReport
     ) -> list:
         """Run every partition's kernel to completion, surviving faults."""
         dag = self.dag
@@ -465,7 +430,6 @@ class ProcessBackend(ExecutionBackend):
                         params,
                         self._plan,
                         attempt[part],
-                        engine,
                     )
                     for part in submit_order
                 }
@@ -577,21 +541,17 @@ def create_backend(
     sanitize: bool = False,
     retry: RetryPolicy | None = None,
     injector: FaultInjector | None = None,
-    engine: str = "loop",
 ) -> ExecutionBackend:
     """Instantiate a backend by name for one distributed graph.
 
     ``workers`` only affects ``process``; ``cost_model`` and
-    ``sanitize`` only affect ``sim``.  ``retry``, ``injector``, and
-    ``engine`` (the finish-kernel implementation) apply to every
-    backend.
+    ``sanitize`` only affect ``sim``.  ``retry`` and ``injector``
+    apply to every backend.
     """
     if name == "serial":
-        return SerialBackend(dag, retry=retry, injector=injector, engine=engine)
+        return SerialBackend(dag, retry=retry, injector=injector)
     if name == "process":
-        return ProcessBackend(
-            dag, workers=workers, retry=retry, injector=injector, engine=engine
-        )
+        return ProcessBackend(dag, workers=workers, retry=retry, injector=injector)
     if name == "sim":
         # The sim adapter lives in the mpi layer; imported lazily so
         # repro.parallel itself never depends on repro.mpi.
@@ -603,6 +563,5 @@ def create_backend(
             sanitize=sanitize,
             retry=retry,
             injector=injector,
-            engine=engine,
         )
     raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

@@ -73,13 +73,9 @@ def _run_pair(pair: tuple[int, int]) -> tuple[PackedOverlaps, int]:
     index = _WORKER["ref_indexes"].get(j)
     if index is None:
         index = _WORKER["ref_indexes"][j] = detector._build_index(reads, subsets[j])
-    batch = None
-    if detector.config.engine != "loop":
-        batch = _WORKER["query_batches"].get(i)
-        if batch is None:
-            batch = _WORKER["query_batches"][i] = detector._query_batch(
-                reads, subsets[i]
-            )
+    batch = _WORKER["query_batches"].get(i)
+    if batch is None:
+        batch = _WORKER["query_batches"][i] = detector._query_batch(reads, subsets[i])
     return detector.overlap_subset_pair_packed(
         reads, subsets[i], subsets[j], same_subset=(i == j),
         index=index, query_batch=batch,

@@ -109,7 +109,6 @@ class JobSpec:
     n_partitions: int = 4
     partition_mode: str = "hybrid"
     backend: str = "serial"
-    engine: str = "loop"
     min_overlap: int = 50
     min_identity: float = 0.9
     seed: int = 0
@@ -139,8 +138,6 @@ class JobSpec:
             raise ValueError("n_partitions must be a power of two")
         if self.backend not in ("serial", "sim", "process"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.engine not in ("loop", "sparse"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.partition_mode not in ("hybrid", "multilevel"):
             raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
         if self.memory_bytes < 0 or self.cache_budget < 0:
@@ -164,7 +161,6 @@ class JobSpec:
             n_partitions=self.n_partitions,
             partition_mode=self.partition_mode,
             backend=self.backend,
-            finish_engine=self.engine,
             overlap=OverlapConfig(
                 min_overlap=self.min_overlap, min_identity=self.min_identity
             ),
@@ -182,7 +178,6 @@ class JobSpec:
             "n_partitions": self.n_partitions,
             "partition_mode": self.partition_mode,
             "backend": self.backend,
-            "engine": self.engine,
             "min_overlap": self.min_overlap,
             "min_identity": self.min_identity,
             "seed": self.seed,
@@ -197,6 +192,9 @@ class JobSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         payload = dict(data)
+        # Specs queued before the finish-engine option was removed
+        # carry an "engine" key; one kernel runs now, so it is dropped.
+        payload.pop("engine", None)
         retry = payload.get("retry")
         if isinstance(retry, dict):
             payload["retry"] = RetryPolicy.from_dict(retry)

@@ -183,7 +183,6 @@ def _finish_ok(store: JobStore, job_id: str, result) -> None:
             "n50": int(stats.n50),
             "max_contig": int(stats.max_contig),
             "backend": result.backend,
-            "engine": result.engine,
             "stage_times": {
                 k: float(v) for k, v in result.virtual_times.items()
             },

@@ -1,8 +1,9 @@
-"""Property test: all four overlap execution paths agree exactly.
+"""Property test: every overlap execution path equals the scalar oracle.
 
-The legacy per-query loop, the batch-vectorized engine, the
-multiprocess driver, and the simulated-cluster driver must return
-identical overlap sets for any read set and either reference index.
+The batched detector, the multiprocess driver, and the
+simulated-cluster driver must return exactly the overlap set of the
+per-query reference (``tests/reference/overlap_loop.py``) for any read
+set and either reference index.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
+from tests.reference.overlap_loop import find_overlaps_loop
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
@@ -50,36 +52,27 @@ class TestEngineEquivalence:
         base = OverlapConfig(
             min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets, index=index
         )
-        vectorized = OverlapDetector(base).find_overlaps(reads)
-        loop = OverlapDetector(
-            OverlapConfig(
-                min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets,
-                index=index, engine="loop",
-            )
-        ).find_overlaps(reads)
+        detector = OverlapDetector(base)
+        vectorized = detector.find_overlaps(reads)
+        loop, loop_candidates = find_overlaps_loop(base, reads)
         processes = OverlapDetector(base).find_overlaps_processes(reads, n_workers=2)
         cluster_results, _ = SimCluster(2, cost_model=FAST).run(
             OverlapDetector(base).find_overlaps_parallel, reads
         )
-        expected = overlap_keys(vectorized)
-        assert overlap_keys(loop) == expected
+        expected = overlap_keys(loop)
+        assert overlap_keys(vectorized) == expected
+        assert detector.last_candidates == loop_candidates
         assert overlap_keys(processes) == expected
         assert overlap_keys(cluster_results[0]) == expected
 
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())
     def test_banded_nw_method_paths_agree(self, index, reads):
-        # The gapped-verification fallback runs per candidate in every
-        # engine; the batched span selection feeding it must still agree.
-        configs = {
-            engine: OverlapConfig(
-                min_overlap=25, min_kmer_hits=2, method="banded_nw",
-                index=index, engine=engine,
-            )
-            for engine in ("vectorized", "loop")
-        }
-        results = {
-            engine: OverlapDetector(cfg).find_overlaps(reads)
-            for engine, cfg in configs.items()
-        }
-        assert overlap_keys(results["vectorized"]) == overlap_keys(results["loop"])
+        # Gapped verification runs per candidate in production too; the
+        # batched span selection feeding it must still agree.
+        cfg = OverlapConfig(
+            min_overlap=25, min_kmer_hits=2, method="banded_nw", index=index
+        )
+        vectorized = OverlapDetector(cfg).find_overlaps(reads)
+        loop, _ = find_overlaps_loop(cfg, reads)
+        assert overlap_keys(vectorized) == overlap_keys(loop)

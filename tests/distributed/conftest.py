@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.dgraph import DistributedAssemblyGraph, HybridAssembly
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.hybrid import build_hybrid_set
 from repro.graph.overlap_graph import OverlapGraph
@@ -54,6 +55,23 @@ def run_on_cluster(fn, dag, n_parts, **kw):
     cluster = SimCluster(n_parts, cost_model=FAST, deadlock_timeout=30.0, sanitize=True)
     results, stats = cluster.run(fn, dag, **kw)
     return results, stats
+
+
+def run_stage_on_cluster(name, dag, n_parts, **params):
+    """Run one registered stage SPMD, one simulated rank per partition."""
+    stage = get_stage(name)
+    return run_on_cluster(
+        lambda comm, dag: run_stage_on_comm(comm, stage, dag, **params), dag, n_parts
+    )
+
+
+def ids(found):
+    """Sorted unique ids of a scan result.
+
+    The reference scans return lists in scan order and may repeat an
+    id; the production kernels return sorted unique arrays.
+    """
+    return sorted(set(np.asarray(found, dtype=np.int64).tolist()))
 
 
 @pytest.fixture(scope="module")

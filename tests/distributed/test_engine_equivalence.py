@@ -1,12 +1,12 @@
-"""Property tests: loop and sparse finish kernels propose identical sets.
+"""Property tests: production finish kernels == scalar reference scans.
 
-The sparse engine's whole contract (docs/performance.md) is that it is
-a *drop-in* for the scalar reference: for any graph, any alive-mask
-state, and any partitioning, each stage's sparse kernel must propose
-exactly the removals the loop kernel proposes.  Hypothesis drives the
-four kernel pairs over randomized genome-sliced assemblies with random
-dead nodes/edges; a chaos smoke then proves fault injection composes
-with the sparse engine end to end.
+The vectorized kernels' whole contract (docs/performance.md) is that
+for any graph, any alive-mask state, and any partitioning, each stage's
+kernel proposes exactly the removals the per-node reference scan
+(``tests/reference/finish_loop.py``) finds.  Hypothesis drives the four
+kernel/oracle pairs over randomized genome-sliced assemblies with
+random dead nodes/edges; a chaos smoke then proves fault injection
+composes with the kernels end to end.
 """
 
 import numpy as np
@@ -15,20 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AssemblyConfig
-from repro.core.focus import FocusAssembler
-from repro.distributed.containment import containment_kernel, containment_sparse_kernel
-from repro.distributed.transitive import transitive_kernel, transitive_sparse_kernel
-from repro.distributed.trimming import (
-    bubble_kernel,
-    bubble_sparse_kernel,
-    dead_end_kernel,
-    dead_end_sparse_kernel,
-)
+from repro.core.focus import FocusAssembler, deduplicate_contigs
+from repro.distributed.containment import containment_kernel
+from repro.distributed.dgraph import DistributedAssemblyGraph
+from repro.distributed.transitive import transitive_kernel
+from repro.distributed.traversal import contigs_from_paths
+from repro.distributed.trimming import bubble_kernel, dead_end_kernel
 from repro.faults import FaultPlan, KernelFault, RetryPolicy
-from repro.parallel.backend import BACKEND_NAMES
+from repro.parallel.backend import BACKEND_NAMES, SerialBackend
 from repro.simulate.genome import random_genome
 
 from tests.distributed.conftest import dag_of, make_assembly
+from tests.reference import finish_loop
 
 GENOME_LEN = 400
 
@@ -68,17 +66,19 @@ def masked_dags(draw):
     return dag
 
 
-def assert_same_proposals(dag, loop_kernel, sparse_kernel, **params):
-    # Set equality: the loop kernels may propose an id twice (seen
+def assert_same_proposals(dag, reference_scan, kernel, **params):
+    # Set equality: the reference scans may report an id twice (seen
     # from two anchors of one partition); union_proposals dedups at
     # merge time, so duplicates are not an observable difference.
     for part in range(dag.n_parts):
-        got_loop = loop_kernel(dag, part, **params)
-        got_sparse = sparse_kernel(dag, part, **params)
-        if not isinstance(got_loop, tuple):
-            got_loop, got_sparse = (got_loop,), (got_sparse,)
-        for a, b in zip(got_loop, got_sparse):
-            np.testing.assert_array_equal(np.unique(a), np.unique(b))
+        expect = reference_scan(dag, dag.partition_nodes(part), **params)
+        got = kernel(dag, part, **params)
+        if not isinstance(got, tuple):
+            expect, got = (expect,), (got,)
+        for a, b in zip(expect, got):
+            np.testing.assert_array_equal(
+                np.unique(np.asarray(a, dtype=np.int64)), np.unique(b)
+            )
 
 
 class TestKernelEquivalence:
@@ -86,7 +86,10 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_transitive(self, dag, tolerance):
         assert_same_proposals(
-            dag, transitive_kernel, transitive_sparse_kernel, tolerance=tolerance
+            dag,
+            finish_loop.find_transitive_edges,
+            transitive_kernel,
+            tolerance=tolerance,
         )
 
     @given(
@@ -98,8 +101,8 @@ class TestKernelEquivalence:
     def test_containment(self, dag, min_overlap, min_identity):
         assert_same_proposals(
             dag,
+            finish_loop.find_containments,
             containment_kernel,
-            containment_sparse_kernel,
             min_overlap=min_overlap,
             min_identity=min_identity,
         )
@@ -108,19 +111,49 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_dead_ends(self, dag, max_tip_bases):
         assert_same_proposals(
-            dag, dead_end_kernel, dead_end_sparse_kernel, max_tip_bases=max_tip_bases
+            dag,
+            finish_loop.find_dead_ends,
+            dead_end_kernel,
+            max_tip_bases=max_tip_bases,
         )
 
     @given(dag=masked_dags())
     @settings(max_examples=40, deadline=None)
     def test_bubbles(self, dag):
-        assert_same_proposals(dag, bubble_kernel, bubble_sparse_kernel)
+        assert_same_proposals(dag, finish_loop.find_bubbles, bubble_kernel)
+
+
+def reference_contigs(assembly, labels, cfg):
+    """Contigs of one assembly trimmed by the scalar reference scans.
+
+    Every scan is per node on the frozen graph, so scanning all alive
+    nodes at once proposes the union of the per-partition proposals.
+    Traversal and consensus have a single implementation and run as in
+    ``FocusAssembler.finish``.
+    """
+    dag = DistributedAssemblyGraph(assembly, labels)
+
+    def alive():
+        return np.flatnonzero(dag.node_alive)
+
+    dag.remove_edges(
+        finish_loop.find_transitive_edges(dag, alive(), cfg.transitive_tolerance)
+    )
+    nodes, edges = finish_loop.find_containments(
+        dag, alive(), cfg.containment_min_overlap, cfg.containment_min_identity
+    )
+    dag.remove_nodes(nodes)
+    dag.remove_edges(edges)
+    dag.remove_nodes(finish_loop.find_dead_ends(dag, alive(), cfg.max_tip_bases))
+    dag.remove_nodes(finish_loop.find_bubbles(dag, alive()))
+    paths = SerialBackend(dag).run_stage("traversal").result
+    return deduplicate_contigs(contigs_from_paths(dag, paths))
 
 
 class TestSparseChaosSmoke:
-    """Fault injection composes with the sparse engine: the faulted
-    sparse run on every backend recovers contigs byte-identical to the
-    fault-free loop run."""
+    """Fault injection composes with the vectorized kernels: the
+    faulted run on every backend recovers contigs byte-identical to the
+    fault-free assembly trimmed by the scalar reference scans."""
 
     PLAN = FaultPlan(
         kernel_faults=(
@@ -144,44 +177,49 @@ class TestSparseChaosSmoke:
         ).simulate_genome(g)
         assembler = FocusAssembler(AssemblyConfig(backend_workers=2))
         prep = assembler.prepare(reads)
-        baseline = assembler.finish(
-            prep, n_partitions=4, backend="serial", engine="loop"
+        clean = assembler.finish(prep, n_partitions=4, backend="serial")
+        baseline = reference_contigs(
+            prep.assembly, clean.dag.labels, assembler.config
         )
-        return prep, sorted(c.tobytes() for c in baseline.contigs)
+        return prep, sorted(c.tobytes() for c in baseline)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_faulted_sparse_matches_loop_baseline(self, prep_and_baseline, backend):
         prep, baseline = prep_and_baseline
         chaos = FocusAssembler(
             AssemblyConfig(
-                backend_workers=2,
-                retry=self.POLICY,
-                fault_plan=self.PLAN,
-                finish_engine="sparse",
+                backend_workers=2, retry=self.POLICY, fault_plan=self.PLAN
             )
         )
         result = chaos.finish(prep, n_partitions=4, backend=backend)
         assert sorted(c.tobytes() for c in result.contigs) == baseline, backend
-        assert result.engine == "sparse"
         report = result.fault_report
         assert report is not None and report.total_injected >= 1
 
 
 @pytest.mark.slow
 class TestEngineMatrixSlow:
-    """Exhaustive backend x engine byte-identity on a larger assembly."""
+    """Backend byte-identity against the scalar reference on a larger
+    assembly with every implanted defect class."""
 
     def test_all_cells_agree(self):
         from repro.bench.datasets import FinishScaleSpec, build_finish_assembly
-        from repro.bench.finish_bench import _contig_key, _run_scale_cell
+        from repro.parallel.backend import create_backend
+        from tests.parallel.test_backend import STAGE_PARAMS
 
         scale = build_finish_assembly(
             FinishScaleSpec(name="Sslow", backbone=4000, seed=77)
         )
         labels = scale.labels(8)
-        keys = []
+        # STAGE_PARAMS are AssemblyConfig's defaults, traversal last.
+        expect = sorted(
+            c.tobytes()
+            for c in reference_contigs(scale.assembly, labels, AssemblyConfig())
+        )
         for backend in BACKEND_NAMES:
-            for engine in ("loop", "sparse"):
-                _, _, contigs = _run_scale_cell(scale, labels, backend, engine, 0)
-                keys.append(_contig_key(contigs))
-        assert all(key == keys[0] for key in keys[1:])
+            dag = DistributedAssemblyGraph(scale.assembly, labels)
+            with create_backend(backend, dag, workers=2) as runner:
+                for name, params in STAGE_PARAMS.items():
+                    paths = runner.run_stage(name, **params).result
+            contigs = deduplicate_contigs(contigs_from_paths(dag, paths))
+            assert sorted(c.tobytes() for c in contigs) == expect, backend

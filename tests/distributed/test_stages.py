@@ -9,7 +9,6 @@ from repro.distributed.stages import (
     all_stages,
     get_stage,
     register_stage,
-    run_stage_on_comm,
     union_proposals,
 )
 from repro.distributed.transitive import find_transitive_edges, transitive_kernel
@@ -20,7 +19,13 @@ from repro.distributed.traversal import (
     unpack_paths,
 )
 from repro.distributed.trimming import dead_end_kernel, find_dead_ends
-from tests.distributed.conftest import chain_assembly, dag_of, run_on_cluster
+from tests.distributed.conftest import (
+    chain_assembly,
+    dag_of,
+    ids,
+    run_stage_on_cluster,
+)
+from tests.reference import finish_loop
 
 
 class TestRegistry:
@@ -75,33 +80,35 @@ def chain_dag():
 
 
 class TestKernelsMatchScans:
-    """Kernels return exactly what the per-partition scans find."""
+    """Kernels return exactly what the per-partition scans find —
+    the production scan and the scalar oracle alike."""
 
     def test_transitive_kernel(self, chain_dag):
         for part in range(2):
             nodes = chain_dag.partition_nodes(part)
-            expect = sorted(find_transitive_edges(chain_dag, nodes, tolerance=2))
             got = transitive_kernel(chain_dag, part, tolerance=2)
-            assert sorted(got.tolist()) == expect
+            for find in (finish_loop.find_transitive_edges, find_transitive_edges):
+                assert ids(got) == ids(find(chain_dag, nodes, tolerance=2))
 
     def test_containment_kernel(self, chain_dag):
         for part in range(2):
             nodes = chain_dag.partition_nodes(part)
-            exp_nodes, exp_edges = find_containments(
-                chain_dag, nodes, min_overlap=50, min_identity=0.9
-            )
             got_nodes, got_edges = containment_kernel(
                 chain_dag, part, min_overlap=50, min_identity=0.9
             )
-            assert sorted(got_nodes.tolist()) == sorted(exp_nodes)
-            assert sorted(got_edges.tolist()) == sorted(exp_edges)
+            for find in (finish_loop.find_containments, find_containments):
+                exp_nodes, exp_edges = find(
+                    chain_dag, nodes, min_overlap=50, min_identity=0.9
+                )
+                assert ids(got_nodes) == ids(exp_nodes)
+                assert ids(got_edges) == ids(exp_edges)
 
     def test_dead_end_kernel(self, chain_dag):
         for part in range(2):
             nodes = chain_dag.partition_nodes(part)
-            expect = sorted(find_dead_ends(chain_dag, nodes, max_tip_bases=150))
             got = dead_end_kernel(chain_dag, part, max_tip_bases=150)
-            assert sorted(got.tolist()) == expect
+            for find in (finish_loop.find_dead_ends, find_dead_ends):
+                assert ids(got) == ids(find(chain_dag, nodes, max_tip_bases=150))
 
     def test_subpath_kernel_packs_extract(self, chain_dag):
         for part in range(2):
@@ -140,10 +147,6 @@ class TestRunStageOnComm:
         expect = spec.merge(serial_dag, proposals, tolerance=2)
 
         sim_dag = dag_of(assembly, labels)
-        results, _ = run_on_cluster(
-            lambda comm, dag: run_stage_on_comm(comm, spec, dag, tolerance=2),
-            sim_dag,
-            2,
-        )
+        results, _ = run_stage_on_cluster("transitive", sim_dag, 2, tolerance=2)
         assert all(r == expect for r in results)
         assert (sim_dag.edge_alive == serial_dag.edge_alive).all()

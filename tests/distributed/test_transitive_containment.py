@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.distributed.containment import containment_removal, find_containments
-from repro.distributed.transitive import find_transitive_edges, transitive_reduction
-from repro.sequence.dna import decode
+from repro.distributed.containment import find_containments
+from repro.distributed.transitive import find_transitive_edges
 from repro.simulate.genome import random_genome
-from tests.distributed.conftest import chain_assembly, dag_of, make_assembly, run_on_cluster
+from tests.distributed.conftest import (
+    chain_assembly,
+    dag_of,
+    ids,
+    make_assembly,
+    run_stage_on_cluster,
+)
+from tests.reference import finish_loop
+
+#: every hand-built case holds for the scalar oracle and the production scan.
+FIND_TRANSITIVE = (finish_loop.find_transitive_edges, find_transitive_edges)
+FIND_CONTAINMENTS = (finish_loop.find_containments, find_containments)
 
 
 def triangle_assembly(seed=0):
@@ -23,21 +33,21 @@ class TestTransitiveReduction:
     def test_detects_triangle(self):
         asm, _ = triangle_assembly()
         dag = dag_of(asm, [0, 0, 0])
-        edges = find_transitive_edges(dag, np.array([0, 1, 2]))
-        assert len(set(edges)) == 1
         g = dag.graph
-        e = edges[0]
-        assert {int(g.eu[e]), int(g.ev[e])} == {0, 2}
+        for find in FIND_TRANSITIVE:
+            (e,) = ids(find(dag, np.array([0, 1, 2])))
+            assert {int(g.eu[e]), int(g.ev[e])} == {0, 2}
 
     def test_chain_has_no_transitive(self):
         asm, _ = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        assert find_transitive_edges(dag, np.arange(6)) == []
+        for find in FIND_TRANSITIVE:
+            assert ids(find(dag, np.arange(6))) == []
 
     def test_distributed_run_removes(self):
         asm, _ = triangle_assembly()
         dag = dag_of(asm, [0, 1, 1])
-        results, stats = run_on_cluster(transitive_reduction, dag, 2)
+        results, stats = run_stage_on_cluster("transitive", dag, 2)
         assert results == [1, 1]  # both ranks learn the removal count
         assert dag.n_alive_edges == 2
         assert stats.elapsed > 0
@@ -46,14 +56,15 @@ class TestTransitiveReduction:
         asm, _ = triangle_assembly()
         # transitive edge 0-2 crosses partitions 0|1: both may record it
         dag = dag_of(asm, [0, 0, 1])
-        results, _ = run_on_cluster(transitive_reduction, dag, 2)
+        results, _ = run_stage_on_cluster("transitive", dag, 2)
         assert results[0] == 1
 
     def test_respects_tolerance(self):
         asm, _ = triangle_assembly()
         dag = dag_of(asm, [0, 0, 0])
         # with tolerance 0 the exact deltas still match (60 + 60 = 120)
-        assert len(find_transitive_edges(dag, np.arange(3), tolerance=0)) == 1
+        for find in FIND_TRANSITIVE:
+            assert len(ids(find(dag, np.arange(3), tolerance=0))) == 1
 
 
 class TestContainment:
@@ -67,9 +78,10 @@ class TestContainment:
     def test_detects_contained_node(self):
         asm, _ = self.make_contained()
         dag = dag_of(asm, [0, 0])
-        nodes, edges = find_containments(dag, np.array([0, 1]))
-        assert nodes == [1]
-        assert edges == []
+        for find in FIND_CONTAINMENTS:
+            nodes, edges = find(dag, np.array([0, 1]))
+            assert ids(nodes) == [1]
+            assert ids(edges) == []
 
     def test_short_overlap_edge_flagged(self):
         rng = np.random.default_rng(4)
@@ -77,11 +89,12 @@ class TestContainment:
         contigs = [genome[0:100], genome[80:180]]  # 20bp overlap < 50
         asm = make_assembly(contigs, [(0, 1, 80)])
         dag = dag_of(asm, [0, 0])
-        nodes, edges = find_containments(dag, np.array([0, 1]))
-        assert nodes == []
-        # both endpoints may record the same crossing edge (paper §V-A);
-        # the master deduplicates
-        assert len(set(edges)) == 1
+        for find in FIND_CONTAINMENTS:
+            nodes, edges = find(dag, np.array([0, 1]))
+            assert ids(nodes) == []
+            # both endpoints may record the same crossing edge (paper
+            # §V-A); the master deduplicates
+            assert len(ids(edges)) == 1
 
     def test_identity_guard(self):
         rng = np.random.default_rng(5)
@@ -90,18 +103,20 @@ class TestContainment:
         contigs = [genome[0:150], inner]
         asm = make_assembly(contigs, [(0, 1, 20)])
         dag = dag_of(asm, [0, 0])
-        nodes, _ = find_containments(dag, np.array([0, 1]))
-        assert nodes == []  # interval says contained, sequence says no
+        for find in FIND_CONTAINMENTS:
+            nodes, _ = find(dag, np.array([0, 1]))
+            assert ids(nodes) == []  # interval says contained, sequence says no
 
     def test_distributed_run(self):
         asm, _ = self.make_contained()
         dag = dag_of(asm, [0, 1])
-        results, _ = run_on_cluster(containment_removal, dag, 2)
+        results, _ = run_stage_on_cluster("containment", dag, 2)
         assert results[0] == (1, 0)
         assert not dag.node_alive[1]
 
     def test_chain_untouched(self):
         asm, _ = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        nodes, edges = find_containments(dag, np.arange(6))
-        assert nodes == [] and edges == []
+        for find in FIND_CONTAINMENTS:
+            nodes, edges = find(dag, np.arange(6))
+            assert ids(nodes) == [] and ids(edges) == []

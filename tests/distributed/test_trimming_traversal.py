@@ -7,17 +7,22 @@ from repro.distributed.traversal import (
     contigs_from_paths,
     extract_subpaths,
     join_subpaths,
-    maximal_paths,
 )
-from repro.distributed.trimming import (
-    find_bubbles,
-    find_dead_ends,
-    pop_bubbles,
-    trim_dead_ends,
-)
+from repro.distributed.trimming import find_bubbles, find_dead_ends
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
-from tests.distributed.conftest import chain_assembly, dag_of, make_assembly, run_on_cluster
+from tests.distributed.conftest import (
+    chain_assembly,
+    dag_of,
+    ids,
+    make_assembly,
+    run_stage_on_cluster,
+)
+from tests.reference import finish_loop
+
+#: every hand-built case holds for the scalar oracle and the production scan.
+FIND_DEAD_ENDS = (finish_loop.find_dead_ends, find_dead_ends)
+FIND_BUBBLES = (finish_loop.find_bubbles, find_bubbles)
 
 
 def spur_assembly():
@@ -43,32 +48,36 @@ class TestDeadEnds:
     def test_spur_detected(self):
         asm, _ = spur_assembly()
         dag = dag_of(asm, [0] * 5)
-        assert find_dead_ends(dag, np.arange(5)) == [4]
+        for find in FIND_DEAD_ENDS:
+            assert ids(find(dag, np.arange(5))) == [4]
 
     def test_backbone_tips_not_removed(self):
         # chain ends are degree-1 but lead into degree-2 nodes, never a
         # junction, so nothing is trimmed
         asm, _ = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        assert find_dead_ends(dag, np.arange(6)) == []
+        for find in FIND_DEAD_ENDS:
+            assert ids(find(dag, np.arange(6))) == []
 
     def test_long_spur_kept(self):
         asm, _ = spur_assembly()
         dag = dag_of(asm, [0] * 5)
         # threshold below the spur's 60bp contig: nothing is short enough
-        assert find_dead_ends(dag, np.arange(5), max_tip_bases=50) == []
+        for find in FIND_DEAD_ENDS:
+            assert ids(find(dag, np.arange(5), max_tip_bases=50)) == []
 
     def test_backbone_end_never_trimmed(self):
         asm, _ = spur_assembly()
         dag = dag_of(asm, [0] * 5)
         # even a generous threshold keeps the 200bp backbone ends
-        found = find_dead_ends(dag, np.arange(5), max_tip_bases=150)
-        assert 0 not in found and 3 not in found
+        for find in FIND_DEAD_ENDS:
+            found = ids(find(dag, np.arange(5), max_tip_bases=150))
+            assert 0 not in found and 3 not in found
 
     def test_distributed_run(self):
         asm, _ = spur_assembly()
         dag = dag_of(asm, [0, 0, 1, 1, 1])
-        results, stats = run_on_cluster(trim_dead_ends, dag, 2)
+        results, stats = run_stage_on_cluster("dead_ends", dag, 2)
         assert results == [1, 1]
         assert not dag.node_alive[4]
         assert stats.elapsed > 0
@@ -79,17 +88,19 @@ class TestBubbles:
         asm, _ = bubble_assembly()
         dag = dag_of(asm, [0] * 4)
         # branch 2 (90bp) is shorter than branch 1 (120bp)
-        assert find_bubbles(dag, np.array([0])) == [2]
+        for find in FIND_BUBBLES:
+            assert ids(find(dag, np.array([0]))) == [2]
 
     def test_no_bubble_in_chain(self):
         asm, _ = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        assert find_bubbles(dag, np.arange(6)) == []
+        for find in FIND_BUBBLES:
+            assert ids(find(dag, np.arange(6))) == []
 
     def test_distributed_run(self):
         asm, _ = bubble_assembly()
         dag = dag_of(asm, [0, 0, 1, 1])
-        results, _ = run_on_cluster(pop_bubbles, dag, 2)
+        results, _ = run_stage_on_cluster("bubbles", dag, 2)
         assert results[0] == 1
         assert not dag.node_alive[2]
         # after popping, the graph is a clean chain 0-1-3
@@ -130,7 +141,7 @@ class TestTraversal:
         for parts in ([0] * 8, [0] * 4 + [1] * 4, [0, 0, 1, 1, 2, 2, 3, 3]):
             dag = dag_of(asm, parts)
             k = max(parts) + 1
-            results, _ = run_on_cluster(maximal_paths, dag, k)
+            results, _ = run_stage_on_cluster("traversal", dag, k)
             assert results[0] is not None
             assert sorted(len(p) for p in results[0]) == [8]
 

@@ -168,8 +168,8 @@ class TestPERF002ScalarizedHotLoop:
     def test_noqa_suppresses(self):
         fs = perf2_findings(
             """
-            def overlap_subset_pair_loop(self, q_idx):
-                for q in q_idx.tolist():  # noqa: PERF002 - legacy engine
+            def overlap_subset_pair(self, q_idx):
+                for q in q_idx.tolist():  # noqa: PERF002 - scalar fallback
                     yield q
             """
         )
@@ -177,7 +177,7 @@ class TestPERF002ScalarizedHotLoop:
 
 
 SPARSE_SCALARIZED = """
-def find_transitive_edges_sparse(dag, nodes):
+def find_transitive_edges(dag, nodes):
     out = []
     for v in nodes.tolist():
         out.append(v)
@@ -186,28 +186,24 @@ def find_transitive_edges_sparse(dag, nodes):
 
 
 class TestPERF002SparseEngineScope:
-    """The finish-engine hot paths are policed like the align engine."""
+    """The finish-kernel modules are policed by path, every function."""
 
     def test_sparse_function_in_distributed_flagged(self):
-        fs = perf2_findings(
-            SPARSE_SCALARIZED, path="src/repro/distributed/transitive.py"
-        )
-        assert len(fs) == 1
-        assert fs[0].rule == "PERF002"
+        for module in ("transitive", "containment", "trimming"):
+            fs = perf2_findings(
+                SPARSE_SCALARIZED, path=f"src/repro/distributed/{module}.py"
+            )
+            assert len(fs) == 1, module
+            assert fs[0].rule == "PERF002"
 
-    def test_loop_reference_kernel_in_distributed_clean(self):
-        # The scalar reference kernels are the readable spec — exempt.
-        fs = perf2_findings(
-            """
-            def find_transitive_edges(dag, nodes):
-                out = []
-                for v in nodes.tolist():
-                    out.append(v)
-                return out
-            """,
-            path="src/repro/distributed/transitive.py",
-        )
-        assert fs == []
+    def test_outside_kernel_modules_clean(self):
+        # Scope is by path: other distributed modules and the scalar
+        # test oracles may loop element by element.
+        for path in (
+            "src/repro/distributed/traversal.py",
+            "tests/reference/finish_loop.py",
+        ):
+            assert perf2_findings(SPARSE_SCALARIZED, path=path) == [], path
 
     def test_any_function_in_sparse_module_flagged(self):
         fs = perf2_findings(
@@ -223,8 +219,8 @@ class TestPERF002SparseEngineScope:
     def test_sparse_noqa_still_suppresses(self):
         fs = perf2_findings(
             """
-            def boolean_product_keys_sparse(rows):
-                for r in rows.tolist():  # noqa: PERF002 - numpy fallback
+            def boolean_product_keys(rows):
+                for r in rows.tolist():  # noqa: PERF002 - deliberate
                     yield r
             """,
             path="src/repro/graph/sparse.py",

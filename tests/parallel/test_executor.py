@@ -45,11 +45,3 @@ class TestRunSubsetPairs:
         detector.find_overlaps(reads)
         _, stats = run_subset_pairs(config, reads, n_workers=2)
         assert stats.candidates == detector.last_candidates
-
-    def test_loop_engine_through_processes(self):
-        reads, _ = tiled_reads(genome_len=600)
-        vec = OverlapConfig(min_overlap=50, n_subsets=2)
-        loop = OverlapConfig(min_overlap=50, n_subsets=2, engine="loop")
-        a, _ = run_subset_pairs(vec, reads, n_workers=2)
-        b, _ = run_subset_pairs(loop, reads, n_workers=2)
-        assert a == b

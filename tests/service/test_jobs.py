@@ -113,15 +113,20 @@ class TestJobSpec:
         assert again.retry.jitter == 0.5
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed job spec"):
             JobSpec.from_dict({"reads_path": "a.fasta", "color": "red"})
+
+    def test_from_dict_drops_legacy_engine_key(self):
+        # A spec.json queued before the finish-engine option was removed.
+        legacy = {**JobSpec(reads_path="a.fasta", seed=4).to_dict(), "engine": "loop"}
+        assert JobSpec.from_dict(legacy) == JobSpec(reads_path="a.fasta", seed=4)
+        assert "engine" not in JobSpec.from_dict(legacy).to_dict()
 
     def test_assembly_config_mirrors_spec(self):
         spec = JobSpec(
             reads_path="a.fasta",
             n_partitions=8,
             backend="process",
-            engine="sparse",
             min_overlap=40,
             min_identity=0.85,
             seed=11,
@@ -129,7 +134,6 @@ class TestJobSpec:
         cfg = spec.assembly_config()
         assert cfg.n_partitions == 8
         assert cfg.backend == "process"
-        assert cfg.finish_engine == "sparse"
         assert cfg.overlap.min_overlap == 40
         assert cfg.overlap.min_identity == 0.85
         assert cfg.seed == 11
