@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import ragged_positions
+from repro.graph.sparse import ragged_positions, sorted_unique
 
 __all__ = [
     "find_containments",
@@ -25,39 +25,31 @@ __all__ = [
 
 def _batched_identities(
     contigs: list[np.ndarray],
+    lengths: np.ndarray,
     v: np.ndarray,
     u: np.ndarray,
     start: np.ndarray,
 ) -> np.ndarray:
     """Identity of ``contigs[v[i]]`` vs ``contigs[u[i]][start[i]:...]``.
 
-    Geometry is pre-filtered so every slice fits; rows are bucketed by
-    inner length and each bucket compared as one stacked
-    ``hamming_identity``.
+    Geometry is pre-filtered so every slice fits.  Only the contigs the
+    rows name are flattened; every base pair of every row is then
+    compared in one ragged gather and summed back per row —
+    ``hamming_identity`` over all rows at once.
     """
-    out = np.zeros(v.size, dtype=np.float64)
     if v.size == 0:
-        return out
-    lengths = np.array([c.size for c in contigs], dtype=np.int64)
-    flat = np.concatenate([np.asarray(c) for c in contigs])
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+        return np.zeros(0, dtype=np.float64)
+    used, local = np.unique(np.concatenate([v, u]), return_inverse=True)
+    flat = np.concatenate([contigs[i] for i in used.tolist()])
+    offsets = np.zeros(used.size + 1, dtype=np.int64)
+    np.cumsum(lengths[used], out=offsets[1:])
     inner_len = lengths[v]
-    for length in np.unique(inner_len):
-        rows = np.flatnonzero(inner_len == length)
-        if length == 0:
-            out[rows] = 1.0  # hamming_identity's empty-sequence convention
-            continue
-        k = rows.size
-        inner = flat[
-            ragged_positions(offsets[v[rows]], np.full(k, length))
-        ].reshape(k, length)
-        outer = flat[
-            ragged_positions(offsets[u[rows]] + start[rows], np.full(k, length))
-        ].reshape(k, length)
-        # Row-wise hamming_identity over the stacked slices.
-        out[rows] = np.count_nonzero(inner == outer, axis=1) / length
-    return out
+    inner = flat[ragged_positions(offsets[local[: v.size]], inner_len)]
+    outer = flat[ragged_positions(offsets[local[v.size :]] + start, inner_len)]
+    row = np.repeat(np.arange(v.size, dtype=np.int64), inner_len)
+    matches = np.bincount(row[inner == outer], minlength=v.size)
+    # hamming_identity's empty-sequence convention: identity 1.
+    return np.where(inner_len > 0, matches / np.maximum(inner_len, 1), 1.0)
 
 
 def find_containments(
@@ -97,7 +89,9 @@ def find_containments(
     geom = ~short & covered & (proper | (v > nbrs))
     rows = np.flatnonzero(geom)
     ident = np.zeros(nbrs.size, dtype=np.float64)
-    ident[rows] = _batched_identities(contigs, v[rows], nbrs[rows], -d[rows])
+    ident[rows] = _batched_identities(
+        contigs, lengths, v[rows], nbrs[rows], -d[rows]
+    )
     hit = geom & (ident >= min_identity)
     # First containment hit per node ends its scan.
     first_hit = np.full(nodes.size, nbrs.size, dtype=np.int64)
@@ -105,8 +99,8 @@ def find_containments(
     dead_nodes = nodes[first_hit < nbrs.size]
     dead_edge_rows = short & (np.arange(nbrs.size) < first_hit[owner])
     return (
-        np.unique(dead_nodes),
-        np.unique(eids[dead_edge_rows]),
+        sorted_unique(dead_nodes),
+        sorted_unique(eids[dead_edge_rows]),
     )
 
 

@@ -15,7 +15,8 @@ gather/apply barrier the algorithms already have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class HybridAssembly:
     #: G0 read members per hybrid node.
     clusters: list[np.ndarray]
 
-    @property
+    @cached_property
     def contig_lengths(self) -> np.ndarray:
+        """Bases per contig; contigs are fixed once enriched, so computed once."""
         return np.array([c.size for c in self.contigs], dtype=np.int64)
 
 
@@ -110,6 +112,13 @@ def enrich_hybrid(
     return HybridAssembly(graph=graph, contigs=contigs, clusters=clusters)
 
 
+def _as_ids(ids) -> np.ndarray:
+    """int64 id array from an array (no Python-level copy) or any iterable."""
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    return np.asarray(ids, dtype=np.int64)
+
+
 class DistributedAssemblyGraph:
     """Partition-owned view of a :class:`HybridAssembly` with alive masks."""
 
@@ -126,7 +135,7 @@ class DistributedAssemblyGraph:
         self.node_alive = np.ones(self.graph.n_nodes, dtype=bool)
         self.edge_alive = np.ones(self.graph.n_edges, dtype=bool)
         #: mask-independent sorted pair tables, built once per graph
-        #: and shared by every stage's masked view.
+        #: and read in place by every stage's masked view.
         self.sparse_structure = SparseStructure(self.graph)
 
     # -- partition views ---------------------------------------------------
@@ -251,7 +260,7 @@ class DistributedAssemblyGraph:
 
     def remove_edges(self, edge_ids) -> int:
         """Kill edges; returns how many were alive."""
-        edge_ids = np.asarray(list(edge_ids), dtype=np.int64)
+        edge_ids = _as_ids(edge_ids)
         if edge_ids.size == 0:
             return 0
         n = int(self.edge_alive[edge_ids].sum())
@@ -260,7 +269,7 @@ class DistributedAssemblyGraph:
 
     def remove_nodes(self, node_ids) -> int:
         """Kill nodes (and implicitly their edges); returns alive count."""
-        node_ids = np.asarray(list(node_ids), dtype=np.int64)
+        node_ids = _as_ids(node_ids)
         if node_ids.size == 0:
             return 0
         n = int(self.node_alive[node_ids].sum())

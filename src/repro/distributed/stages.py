@@ -33,6 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.graph.sparse import sorted_unique
+
 __all__ = [
     "StageSpec",
     "register_stage",
@@ -104,10 +106,10 @@ def union_proposals(proposals) -> np.ndarray:
     removals are idempotent); the merge deduplicates so removal counts
     stay exact.
     """
-    arrays = [np.asarray(p, dtype=np.int64).ravel() for p in proposals]
-    if not arrays:
+    if len(proposals) == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(arrays))
+    flat = np.concatenate(proposals, axis=None, dtype=np.int64, casting="unsafe")
+    return sorted_unique(flat)
 
 
 def run_stage_on_comm(comm, stage: StageSpec, dag, **params):

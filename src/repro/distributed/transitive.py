@@ -15,13 +15,18 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import boolean_product_keys, masked_view, ragged_positions
+from repro.graph.sparse import masked_view, ragged_positions, sorted_unique
 
 __all__ = [
     "find_transitive_edges",
     "transitive_kernel",
     "apply_transitive",
 ]
+
+
+#: (far, near) row pairs expanded per block: bounds the kernel's
+#: transient arrays (~64 bytes per pair, measured) whatever the degrees.
+_MAX_PAIRS = 1 << 21
 
 
 def find_transitive_edges(
@@ -32,58 +37,40 @@ def find_transitive_edges(
     An edge v->u (delta ``du > 0``) is transitive iff some right
     neighbour w of v (``0 < dw < du``, strict — delta ties are never
     witnesses) has an alive edge to u whose delta from w is within
-    ``tolerance`` of ``du - dw``.  The boolean sparse product
-    ``A_right @ A`` (diBELLA's reduction step) prunes to (v, u) pairs
-    that have *some* 2-path before the exact delta check runs on the
-    surviving triples.
+    ``tolerance`` of ``du - dw``.  Every far row v->u of the partition
+    is paired with every nearer right row v->w of the same source, and
+    one batched lookup of the closing edges w-u runs the delta check on
+    all pairs at once — the masked sparse product ``A_right @ A``
+    evaluated on the pattern of ``A_right`` (diBELLA's reduction step).
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     view = masked_view(dag)
-    if nodes.size == 0 or view.src.size == 0:
+    # Right-extending rows of the partition's own nodes; CSR slices of
+    # sorted nodes keep the structure's (src, dst) order, so a source's
+    # right rows are one sorted run.
+    rows, _ = view.rows_of(nodes)
+    rows = rows[view.delta[rows] > 0]
+    if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    in_part = np.zeros(view.n_nodes, dtype=bool)
-    in_part[nodes] = True
-    r_src, r_dst, r_delta, r_eid = view.right()
-    keep = in_part[r_src]
-    r_src, r_dst, r_delta, r_eid = (
-        r_src[keep],
-        r_dst[keep],
-        r_delta[keep],
-        r_eid[keep],
-    )
-    if r_src.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # Prefilter: candidate far edges are those with at least one 2-path.
-    two_hop = boolean_product_keys(r_src, r_dst, view)
-    key = r_src * view.n_nodes + r_dst
-    pos = np.searchsorted(two_hop, key)
-    pos = np.minimum(pos, two_hop.size - 1)
-    cand = two_hop[pos] == key
-    c_src, c_dst, c_delta, c_eid = (
-        r_src[cand],
-        r_dst[cand],
-        r_delta[cand],
-        r_eid[cand],
-    )
-    if c_src.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # Expand every candidate far edge against all right rows of its
-    # source — the near-witness candidates.  Right rows inherit the
-    # view's (src, dst) sort, so a per-source CSR is a bincount away.
-    r_counts = np.bincount(r_src, minlength=view.n_nodes).astype(np.int64)
-    r_indptr = np.zeros(view.n_nodes + 1, dtype=np.int64)
-    np.cumsum(r_counts, out=r_indptr[1:])
-    counts = r_counts[c_src]
-    mids = ragged_positions(r_indptr[c_src], counts)
-    far = np.repeat(np.arange(c_src.size, dtype=np.int64), counts)
-    w = r_dst[mids]
-    dw = r_delta[mids]
-    near_ok = dw < c_delta[far]
-    far, w, dw = far[near_ok], w[near_ok], dw[near_ok]
-    # Witness check: alive edge w-u whose delta from w matches du - dw.
-    d_wu, found = view.pair_deltas(w, c_dst[far])
-    hit = found & (np.abs(d_wu - (c_delta[far] - dw)) <= tolerance)
-    return np.unique(c_eid[far[hit]])
+    src = view.src[rows]
+    first = np.searchsorted(src, src, side="left")
+    fan = np.searchsorted(src, src, side="right") - first
+    # Blocks of far rows whose pair count stays under the budget.
+    total = np.cumsum(fan)
+    cuts = np.searchsorted(total, np.arange(_MAX_PAIRS, total[-1], _MAX_PAIRS))
+    transitive = []
+    bounds = np.concatenate([[0], cuts, [rows.size]])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        far = np.repeat(rows[lo:hi], fan[lo:hi])
+        near = rows[ragged_positions(first[lo:hi], fan[lo:hi])]
+        dw, du = view.delta[near], view.delta[far]
+        closer = dw < du
+        far, near, gap = far[closer], near[closer], (du - dw)[closer]
+        # Witness check: alive edge w-u whose delta from w matches du - dw.
+        d_wu, found = view.pair_deltas(view.dst[near], view.dst[far])
+        hit = found & (np.abs(d_wu - gap) <= tolerance)
+        transitive.append(view.eid[far[hit]])
+    return sorted_unique(np.concatenate(transitive))
 
 
 def transitive_kernel(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import masked_view
+from repro.graph.sparse import masked_view, sorted_unique
 
 __all__ = [
     "find_dead_ends",
@@ -43,26 +43,23 @@ def find_dead_ends(
 
     All degree-1 tips of the partition walk their chains *in lockstep*
     on the frozen alive view: each peeling round advances every still-
-    active walk one hop using the view's degree vector (an ``indptr``
-    diff) and CSR neighbour slots.  Rounds run until every walk has
-    resolved — at most O(longest chain) iterations of O(active tips)
-    vector work, never O(nodes) Python steps.
+    active walk one hop from the alive rows of the nodes under
+    inspection.  Rounds run until every walk has resolved — at most
+    O(longest chain) iterations of O(active tips) vector work, never
+    O(nodes) Python steps.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    if nodes.size == 0:
-        return empty
     view = masked_view(dag)
-    deg = view.degrees
     contig_len = dag.assembly.contig_lengths
-    tips = nodes[deg[nodes] == 1]
-    if tips.size == 0:
-        return empty
+    rows, deg = view.rows_of(nodes)
+    # A tip's single alive row is its neighbour.
+    tip = deg == 1
+    tips = nodes[tip]
     n_tips = tips.size
     # Walk state: bases counts the chain collected so far (tip
     # included); cur is the node under inspection this round.
-    prev = tips.copy()
-    cur = view.dst[view.indptr[tips]]
+    prev = tips
+    cur = view.dst[rows[(np.cumsum(deg) - deg)[tip]]]
     bases = contig_len[tips].astype(np.int64)
     ok = np.zeros(n_tips, dtype=bool)
     active = np.arange(n_tips, dtype=np.int64)
@@ -70,15 +67,14 @@ def find_dead_ends(
     chain_node: list[np.ndarray] = []
     while active.size:
         live = bases <= max_tip_bases
-        d = deg[cur]
+        rows, d = view.rows_of(cur)
         junction = live & (d >= 3)
         ok[active[junction]] = True
         # Walks continue only through interior degree-2 nodes within
         # the base budget; degree-1 means an isolated chain (both
         # ends tips), which is left alone.
         cont = live & (d == 2)
-        if not cont.any():
-            break
+        lo = (np.cumsum(d) - d)[cont]
         active, prev, cur, bases = (
             active[cont],
             prev[cont],
@@ -88,15 +84,14 @@ def find_dead_ends(
         chain_tip.append(active)
         chain_node.append(cur)
         bases = bases + contig_len[cur]
-        lo = view.indptr[cur]
-        nbr0 = view.dst[lo]
-        nbr1 = view.dst[lo + 1]
+        nbr0 = view.dst[rows[lo]]
+        nbr1 = view.dst[rows[lo + 1]]
         nxt = np.where(nbr0 != prev, nbr0, nbr1)
         prev, cur = cur, nxt
     out = [tips[ok]]
     for t, c in zip(chain_tip, chain_node):
         out.append(c[ok[t]])
-    return np.unique(np.concatenate(out))
+    return sorted_unique(np.concatenate(out))
 
 
 def dead_end_kernel(
@@ -126,31 +121,26 @@ def find_bubbles(
     would be popped.
 
     Every (anchor v, degree-2 branch u) row resolves u's far endpoint
-    ``w`` from the view's two CSR slots, then a single lexsort groups
+    ``w`` from u's two alive rows, then a single lexsort groups
     rows by the (anchor, side-of-v, far-endpoint) key; in each group of
     two or more parallel branches, all but the (contig length, id)-max
     branch are proposed.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     empty = np.empty(0, dtype=np.int64)
-    if nodes.size == 0:
-        return empty
     view = masked_view(dag)
-    if view.src.size == 0:
-        return empty
-    in_part = np.zeros(view.n_nodes, dtype=bool)
-    in_part[nodes] = True
-    deg = view.degrees
-    rows = np.flatnonzero(in_part[view.src] & (deg[view.dst] == 2))
-    if rows.size == 0:
-        return empty
+    # The partition's own rows whose far end is a degree-2 branch.
+    rows, _ = view.rows_of(nodes)
+    u_rows, u_deg = view.rows_of(view.dst[rows])
+    branch = u_deg == 2
+    rows = rows[branch]
     v = view.src[rows]
     u = view.dst[rows]
     side = np.sign(view.delta[rows])
-    # u's far endpoint: the one of its two alive slots that is not v.
-    lo = view.indptr[u]
-    nbr0 = view.dst[lo]
-    nbr1 = view.dst[lo + 1]
+    # u's far endpoint: the one of its two alive rows that is not v.
+    lo = (np.cumsum(u_deg) - u_deg)[branch]
+    nbr0 = view.dst[u_rows[lo]]
+    nbr1 = view.dst[u_rows[lo + 1]]
     w = np.where(nbr0 != v, nbr0, nbr1)
     keep = w != v
     v, u, side, w = v[keep], u[keep], side[keep], w[keep]
@@ -170,7 +160,7 @@ def find_bubbles(
     last_in_group = np.ones(v.size, dtype=bool)
     last_in_group[:-1] = new_group[1:]
     pop = (sizes[group] >= 2) & ~last_in_group
-    return np.unique(u[pop])
+    return sorted_unique(u[pop])
 
 
 def bubble_kernel(dag: DistributedAssemblyGraph, part: int) -> np.ndarray:

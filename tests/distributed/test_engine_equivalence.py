@@ -122,6 +122,40 @@ class TestKernelEquivalence:
     def test_bubbles(self, dag):
         assert_same_proposals(dag, finish_loop.find_bubbles, bubble_kernel)
 
+    @pytest.mark.parametrize("max_pairs", [None, 500])
+    def test_transitive_high_degree(self, monkeypatch, max_pairs):
+        """A 60-clique (every contig overlaps every other: ~7 * 10^4
+        row pairs, quadratic in the degree) reduces to the same edges as
+        the reference, in one block and in ~150 bounded blocks."""
+        from repro.distributed import transitive
+
+        if max_pairs is not None:
+            monkeypatch.setattr(transitive, "_MAX_PAIRS", max_pairs)
+        n = 60
+        genome = random_genome(GENOME_LEN, np.random.default_rng(3))
+        contigs = [genome[2 * i : 2 * i + 150] for i in range(n)]
+        edges = [(u, v, 2 * (v - u)) for u in range(n) for v in range(u + 1, n)]
+        dag = dag_of(make_assembly(contigs, edges), np.arange(n) % 3)
+        assert_same_proposals(
+            dag, finish_loop.find_transitive_edges, transitive_kernel, tolerance=2
+        )
+        # Every edge but the n - 1 adjacent ones has a closer witness.
+        found = [transitive_kernel(dag, part) for part in range(dag.n_parts)]
+        assert np.unique(np.concatenate(found)).size == len(edges) - (n - 1)
+
+
+def trim_params(cfg):
+    """Per-stage kernel parameters of one config, in ``finish()`` order."""
+    return {
+        "transitive": {"tolerance": cfg.transitive_tolerance},
+        "containment": {
+            "min_overlap": cfg.containment_min_overlap,
+            "min_identity": cfg.containment_min_identity,
+        },
+        "dead_ends": {"max_tip_bases": cfg.max_tip_bases},
+        "bubbles": {},
+    }
+
 
 def reference_contigs(assembly, labels, cfg):
     """Contigs of one assembly trimmed by the scalar reference scans.
@@ -132,20 +166,21 @@ def reference_contigs(assembly, labels, cfg):
     ``FocusAssembler.finish``.
     """
     dag = DistributedAssemblyGraph(assembly, labels)
+    params = trim_params(cfg)
 
     def alive():
         return np.flatnonzero(dag.node_alive)
 
     dag.remove_edges(
-        finish_loop.find_transitive_edges(dag, alive(), cfg.transitive_tolerance)
+        finish_loop.find_transitive_edges(dag, alive(), **params["transitive"])
     )
     nodes, edges = finish_loop.find_containments(
-        dag, alive(), cfg.containment_min_overlap, cfg.containment_min_identity
+        dag, alive(), **params["containment"]
     )
     dag.remove_nodes(nodes)
     dag.remove_edges(edges)
-    dag.remove_nodes(finish_loop.find_dead_ends(dag, alive(), cfg.max_tip_bases))
-    dag.remove_nodes(finish_loop.find_bubbles(dag, alive()))
+    dag.remove_nodes(finish_loop.find_dead_ends(dag, alive(), **params["dead_ends"]))
+    dag.remove_nodes(finish_loop.find_bubbles(dag, alive(), **params["bubbles"]))
     paths = SerialBackend(dag).run_stage("traversal").result
     return deduplicate_contigs(contigs_from_paths(dag, paths))
 
@@ -205,21 +240,20 @@ class TestEngineMatrixSlow:
     def test_all_cells_agree(self):
         from repro.bench.datasets import FinishScaleSpec, build_finish_assembly
         from repro.parallel.backend import create_backend
-        from tests.parallel.test_backend import STAGE_PARAMS
 
         scale = build_finish_assembly(
             FinishScaleSpec(name="Sslow", backbone=4000, seed=77)
         )
         labels = scale.labels(8)
-        # STAGE_PARAMS are AssemblyConfig's defaults, traversal last.
+        cfg = AssemblyConfig()
         expect = sorted(
-            c.tobytes()
-            for c in reference_contigs(scale.assembly, labels, AssemblyConfig())
+            c.tobytes() for c in reference_contigs(scale.assembly, labels, cfg)
         )
         for backend in BACKEND_NAMES:
             dag = DistributedAssemblyGraph(scale.assembly, labels)
             with create_backend(backend, dag, workers=2) as runner:
-                for name, params in STAGE_PARAMS.items():
-                    paths = runner.run_stage(name, **params).result
+                for name, params in trim_params(cfg).items():
+                    runner.run_stage(name, **params)
+                paths = runner.run_stage("traversal").result
             contigs = deduplicate_contigs(contigs_from_paths(dag, paths))
             assert sorted(c.tobytes() for c in contigs) == expect, backend
