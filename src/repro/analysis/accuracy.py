@@ -77,8 +77,11 @@ def evaluate_assembly(
 
     for ci, contig in enumerate(contigs):
         contig = np.asarray(contig, dtype=np.uint8)
-        hit = mapper.place(contig, min_identity=min_identity, min_votes=min_votes)
-        if hit is not None:
+        # One pass at no identity floor: the best placement clears
+        # ``min_identity`` or nothing does, and then its identity is
+        # the best unverified one, recorded for diagnostics.
+        hit = mapper.place(contig, min_identity=0.0, min_votes=min_votes)
+        if hit is not None and hit.identity >= min_identity:
             placements.append(
                 ContigPlacement(
                     contig_index=ci,
@@ -94,8 +97,6 @@ def evaluate_assembly(
             placed_bases += int(contig.size)
             identity_weighted += hit.identity * contig.size
         else:
-            # Record the best unverified identity for diagnostics.
-            weak = mapper.place(contig, min_identity=0.0, min_votes=min_votes)
             placements.append(
                 ContigPlacement(
                     contig_index=ci,
@@ -103,7 +104,7 @@ def evaluate_assembly(
                     reference=None,
                     position=None,
                     strand=None,
-                    identity=0.0 if weak is None else weak.identity,
+                    identity=0.0 if hit is None else hit.identity,
                     placed=False,
                 )
             )

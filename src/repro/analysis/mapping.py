@@ -8,12 +8,14 @@ placement base-by-base.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.sparse import ragged_positions
 from repro.sequence.dna import hamming_identity, reverse_complement
-from repro.sequence.kmers import kmer_codes
+from repro.sequence.kmers import kmer_positions
 
 __all__ = ["Placement", "SequenceMapper"]
 
@@ -33,7 +35,14 @@ class Placement:
 
 
 class SequenceMapper:
-    """Places query sequences on a set of reference code arrays."""
+    """Places query sequences on a set of reference code arrays.
+
+    ``active`` is a per-reference bool mask (all true after
+    construction): k-mer hits on an inactive reference do not vote, so a
+    caller can index every sequence it may ever place against once and
+    switch references on as it goes (``deduplicate_contigs`` does)
+    instead of rebuilding the index.
+    """
 
     def __init__(self, references: list[np.ndarray], k: int = 21) -> None:
         if k < 1:
@@ -42,11 +51,11 @@ class SequenceMapper:
             raise ValueError("need at least one reference sequence")
         self.k = k
         self.references = [np.asarray(r, dtype=np.uint8) for r in references]
+        self.active = np.ones(len(self.references), dtype=bool)
         vals_parts, ref_parts, pos_parts = [], [], []
         for ri, codes in enumerate(self.references):
-            vals = kmer_codes(codes, k)
-            valid = np.flatnonzero(vals >= 0)
-            vals_parts.append(vals[valid])
+            valid, vals = kmer_positions(codes, k)
+            vals_parts.append(vals)
             ref_parts.append(np.full(valid.size, ri, dtype=np.int64))
             pos_parts.append(valid.astype(np.int64))
         vals = np.concatenate(vals_parts)
@@ -55,24 +64,39 @@ class SequenceMapper:
         self.refs = np.concatenate(ref_parts)[order]
         self.pos = np.concatenate(pos_parts)[order]
 
-    def _best_diagonal(self, seq: np.ndarray) -> tuple[int, int, int] | None:
-        """(reference, start, votes) of the consensus diagonal."""
-        vals = kmer_codes(seq, self.k)
-        qpos = np.flatnonzero(vals >= 0)
-        if qpos.size == 0 or self.vals.size == 0:
+    def _hit_ranges(
+        self, seqs: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per sequence: (k-mer position, first index row, row count) of
+        its valid k-mers, all looked up in one pass.
+
+        The needles are sorted first, so both binary searches walk the
+        index front to back instead of jumping through it per k-mer.
+        """
+        qpos, vals = zip(*(kmer_positions(seq, self.k) for seq in seqs))
+        needles = np.concatenate(vals)
+        order = np.argsort(needles)
+        needles = needles[order]
+        lo = np.searchsorted(self.vals, needles, side="left")
+        counts = np.empty(needles.size, dtype=np.int64)
+        counts[order] = np.searchsorted(self.vals, needles, side="right") - lo
+        first = np.empty(needles.size, dtype=np.int64)
+        first[order] = lo
+        cuts = np.cumsum([p.size for p in qpos])[:-1]
+        return list(zip(qpos, np.split(first, cuts), np.split(counts, cuts)))
+
+    def _best_diagonal(
+        self, qpos: np.ndarray, first: np.ndarray, counts: np.ndarray
+    ) -> tuple[int, int, int] | None:
+        """(reference, start, votes) of the consensus diagonal among the
+        hits on active references."""
+        flat = ragged_positions(first, counts)
+        refs = self.refs[flat]
+        live = self.active[refs]
+        if not live.any():
             return None
-        lo = np.searchsorted(self.vals, vals[qpos], side="left")
-        hi = np.searchsorted(self.vals, vals[qpos], side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        starts = np.repeat(lo, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        flat = starts + within
-        q = np.repeat(qpos, counts)
-        diag = self.pos[flat] - q
-        key = self.refs[flat] * _REF_SHIFT + (diag + _DIAG_BIAS)
+        diag = self.pos[flat[live]] - np.repeat(qpos, counts)[live]
+        key = refs[live] * _REF_SHIFT + (diag + _DIAG_BIAS)
         uniq, votes = np.unique(key, return_counts=True)
         best = int(np.argmax(votes))
         ref = int(uniq[best] // _REF_SHIFT)
@@ -85,23 +109,45 @@ class SequenceMapper:
             return None
         return hamming_identity(seq, codes[start : start + seq.size])
 
+    def place_each(
+        self,
+        queries: list[np.ndarray],
+        min_identity: float = 0.9,
+        min_votes: int = 2,
+    ) -> Iterator[Placement | None]:
+        """:meth:`place` for each query in turn, with the index looked
+        up once for all of them, both strands.
+
+        A generator: each placement is voted against ``active`` as it
+        stands when that item is requested, so the caller may switch
+        references on or off between items.
+        """
+        if not queries:
+            return
+        n = len(queries)
+        seqs = [np.asarray(q, dtype=np.uint8) for q in queries]
+        seqs += [reverse_complement(q) for q in seqs]
+        ranges = self._hit_ranges(seqs)
+        for i in range(n):
+            best: Placement | None = None
+            for strand, j in (("+", i), ("-", n + i)):
+                hit = self._best_diagonal(*ranges[j])
+                if hit is None or hit[2] < min_votes:
+                    continue
+                ref, start, votes = hit
+                identity = self._verify(seqs[j], ref, start)
+                if identity is None or identity < min_identity:
+                    continue
+                if best is None or identity > best.identity:
+                    best = Placement(
+                        reference=ref, position=start, strand=strand,
+                        identity=identity, votes=votes,
+                    )
+            yield best
+
     def place(
         self, query: np.ndarray, min_identity: float = 0.9, min_votes: int = 2
     ) -> Placement | None:
-        """Best verified placement of ``query`` on any reference/strand."""
-        query = np.asarray(query, dtype=np.uint8)
-        best: Placement | None = None
-        for strand, seq in (("+", query), ("-", reverse_complement(query))):
-            hit = self._best_diagonal(seq)
-            if hit is None or hit[2] < min_votes:
-                continue
-            ref, start, votes = hit
-            identity = self._verify(seq, ref, start)
-            if identity is None or identity < min_identity:
-                continue
-            if best is None or identity > best.identity:
-                best = Placement(
-                    reference=ref, position=start, strand=strand,
-                    identity=identity, votes=votes,
-                )
-        return best
+        """Best verified placement of ``query`` on any active
+        reference, either strand."""
+        return next(self.place_each([query], min_identity, min_votes))

@@ -60,30 +60,29 @@ def deduplicate_contigs(
     """
     from repro.analysis.mapping import SequenceMapper
 
-    order = sorted(range(len(contigs)), key=lambda i: -contigs[i].size)
-    kept: list[np.ndarray] = []
+    if not contigs:
+        return []
+    # Longest first (stable): a contig can only duplicate one that
+    # precedes it here.  Every contig is indexed once, as reference
+    # ``rank``, and starts inactive; keeping a contig switches it on.
+    ranked = sorted(contigs, key=lambda c: -c.size)
+    mapper = SequenceMapper(ranked, k=21)
+    mapper.active[:] = False
     kept_strings: list[str] = []
-    mapper: SequenceMapper | None = None
-    mapper_size = 0
-    for i in order:
-        contig = contigs[i]
-        seq = decode(contig)
-        rc = decode(reverse_complement(contig))
-        # Fast path: exact containment.
-        if any(seq in k or rc in k for k in kept_strings):
-            continue
-        # Near-duplicate path: placement on a kept contig at >= 98%.
-        if kept and contig.size >= 64:
-            if mapper is None or mapper_size != len(kept):
-                mapper = SequenceMapper(kept, k=21)
-                mapper_size = len(kept)
-            hit = mapper.place(contig, min_identity=min_identity, min_votes=3)
-            if hit is not None:
-                continue
-        kept.append(contig)
-        kept_strings.append(seq)
-        mapper = None  # rebuilt lazily on next candidate
-    return kept
+    hits = mapper.place_each(ranked, min_identity=min_identity, min_votes=3)
+    for rank, (contig, hit) in enumerate(zip(ranked, hits)):
+        duplicate = hit is not None and contig.size >= 64
+        # An exact copy of an N-free contig >= 64 puts all its k-mers on
+        # one in-range diagonal, so the placement finds it at identity
+        # 1.0; only contigs the placement cannot decide are string-scanned.
+        if not duplicate and (contig.size < 64 or (contig >= 4).any()):
+            seq = decode(contig)
+            rc = decode(reverse_complement(contig))
+            duplicate = any(seq in k or rc in k for k in kept_strings)
+        if not duplicate:
+            mapper.active[rank] = True
+            kept_strings.append(decode(contig))
+    return [c for c, keep in zip(ranked, mapper.active) if keep]
 
 
 @dataclass
@@ -139,7 +138,7 @@ class AssemblyResult:
 
 
 class FocusAssembler:
-    """End-to-end Focus assembly on the simulated cluster."""
+    """End-to-end Focus assembly on the configured execution backend."""
 
     def __init__(
         self,
@@ -391,7 +390,8 @@ class FocusAssembler:
 
         with timer.stage("contigs"):
             contigs = contigs_from_paths(dag, paths)
-            if cfg.add_reverse_complements and cfg.dedupe_rc:
+        if cfg.add_reverse_complements and cfg.dedupe_rc:
+            with timer.stage("dedupe"):
                 contigs = deduplicate_contigs(contigs)
 
         return AssemblyResult(

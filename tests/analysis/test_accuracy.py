@@ -55,6 +55,28 @@ class TestEvaluateAssembly:
         report = evaluate_assembly([chimera], [reference], min_identity=0.95)
         assert report.n_misassembled == 1
 
+    def test_unplaced_contig_reports_best_unverified_identity(
+        self, reference, monkeypatch
+    ):
+        """One placement per contig, placed or not: the chimera's best
+        diagonal verifies its first half and ~1/4 of the second."""
+        from repro.analysis.mapping import SequenceMapper
+
+        calls = []
+        real = SequenceMapper.place
+        monkeypatch.setattr(
+            SequenceMapper,
+            "place",
+            lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw),
+        )
+        chimera = np.concatenate([reference.codes[:500], reference.codes[3000:3500]])
+        report = evaluate_assembly([chimera, reference.codes[:400].copy()], [reference])
+        bad, good = report.placements
+        assert not bad.placed and bad.reference is None and bad.position is None
+        assert 0.55 < bad.identity < 0.7
+        assert good.placed and good.identity == 1.0
+        assert len(calls) == 2
+
     def test_small_errors_tolerated(self, reference):
         noisy = reference.codes[:2000].copy()
         noisy[::211] = (noisy[::211] + 1) % 4  # ~0.5% errors

@@ -5,8 +5,10 @@ for any graph, any alive-mask state, and any partitioning, each stage's
 kernel proposes exactly the removals the per-node reference scan
 (``tests/reference/finish_loop.py``) finds.  Hypothesis drives the four
 kernel/oracle pairs over randomized genome-sliced assemblies with
-random dead nodes/edges; a chaos smoke then proves fault injection
-composes with the kernels end to end.
+random dead nodes/edges, and the blocked-bincount contig overlay
+against the per-node ``np.add.at`` overlay
+(``tests/reference/contigs.py``); a chaos smoke then proves fault
+injection composes with the kernels end to end.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.parallel.backend import BACKEND_NAMES, SerialBackend
 from repro.simulate.genome import random_genome
 
 from tests.distributed.conftest import dag_of, make_assembly
+from tests.reference import contigs as contigs_ref
 from tests.reference import finish_loop
 
 GENOME_LEN = 400
@@ -144,6 +147,54 @@ class TestKernelEquivalence:
         assert np.unique(np.concatenate(found)).size == len(edges) - (n - 1)
 
 
+@st.composite
+def dags_with_paths(draw):
+    """A random assembly cut into vertex-disjoint paths.
+
+    Contigs are 1-60 random bases, ~8 % ``N``; consecutive path nodes
+    are joined by an edge of any delta in [-40, 70], so cumulative
+    offsets go negative, columns pile up unevenly (argmax ties) and a
+    step past its contig's end leaves uncovered columns.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    n = draw(st.integers(min_value=1, max_value=30))
+    rng = np.random.default_rng(seed)
+    contigs = [
+        rng.choice(5, size=int(rng.integers(1, 61)), p=[0.23] * 4 + [0.08]).astype(
+            np.uint8
+        )
+        for _ in range(n)
+    ]
+    nodes = rng.permutation(n).tolist()
+    cuts = np.flatnonzero(rng.random(n - 1) < 0.3) + 1
+    paths = [p.tolist() for p in np.split(np.asarray(nodes), cuts)]
+    edges = [
+        (u, v, int(rng.integers(-40, 71)))
+        for path in paths
+        for u, v in zip(path[:-1], path[1:])
+    ]
+    return dag_of(make_assembly(contigs, edges), np.zeros(n)), paths
+
+
+class TestContigOverlayEquivalence:
+    @given(case=dags_with_paths(), max_bases=st.sampled_from([1, 7, 64, 1 << 18]))
+    @settings(max_examples=60, deadline=None)
+    def test_overlay_matches_reference(self, case, max_bases):
+        """Any path set, in one block and in many (a budget below one
+        contig's size puts every node in its own block)."""
+        from repro.distributed import traversal
+
+        dag, paths = case
+        expect = contigs_ref.contigs_from_paths(dag, paths)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(traversal, "_MAX_BASES", max_bases)
+            got = contigs_from_paths(dag, paths)
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype == np.uint8
+            np.testing.assert_array_equal(a, b)
+
+
 def trim_params(cfg):
     """Per-stage kernel parameters of one config, in ``finish()`` order."""
     return {
@@ -162,8 +213,8 @@ def reference_contigs(assembly, labels, cfg):
 
     Every scan is per node on the frozen graph, so scanning all alive
     nodes at once proposes the union of the per-partition proposals.
-    Traversal and consensus have a single implementation and run as in
-    ``FocusAssembler.finish``.
+    Traversal has a single implementation and runs as in
+    ``FocusAssembler.finish``; overlay and dedupe are the references.
     """
     dag = DistributedAssemblyGraph(assembly, labels)
     params = trim_params(cfg)
@@ -182,7 +233,9 @@ def reference_contigs(assembly, labels, cfg):
     dag.remove_nodes(finish_loop.find_dead_ends(dag, alive(), **params["dead_ends"]))
     dag.remove_nodes(finish_loop.find_bubbles(dag, alive(), **params["bubbles"]))
     paths = SerialBackend(dag).run_stage("traversal").result
-    return deduplicate_contigs(contigs_from_paths(dag, paths))
+    return contigs_ref.deduplicate_contigs(
+        contigs_ref.contigs_from_paths(dag, paths)
+    )
 
 
 class TestSparseChaosSmoke:
