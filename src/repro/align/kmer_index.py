@@ -4,58 +4,29 @@ This is the depth-k truncation of the reference suffix array: all
 packed k-mers of all reference reads, sorted, with parallel arrays
 giving the read each k-mer came from and its offset within that read.
 The build is one bulk :meth:`~repro.io.readset.ReadSet.kmer_table` call
-(cache-backed, no per-read Python loop) plus a sort; querying a batch
-of k-mers is two ``np.searchsorted`` calls plus an expansion — no
-per-hit Python work.  All index arrays are ``int64`` on every platform.
+(cache-backed, no per-read Python loop) plus a stable sort.  Hits are
+handed out as *ranges of index rows* — every occurrence of one k-mer is
+one contiguous run — so a caller expands only as many as it wants to
+hold: :meth:`KmerIndex.hit_ranges` finds the run of each query k-mer
+with two ``np.searchsorted`` calls, and :meth:`KmerIndex.self_join`
+reads the runs of the index's own windows straight off the sort, with
+no search at all.  All index arrays are ``int64`` on every platform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
 
-__all__ = ["KmerIndex", "CompressedQueries", "compress_queries"]
+__all__ = ["KmerIndex"]
 
 #: batch size above which lookups binary-search unique query values
 #: only.  High-coverage query batches repeat each genomic k-mer many
 #: times; deduplicating first makes the searchsorted cost scale with
 #: distinct k-mers, not total k-mers.
 _UNIQUE_LOOKUP_MIN = 2048
-
-
-@dataclass(frozen=True)
-class CompressedQueries:
-    """A query batch preprocessed for repeated lookups.
-
-    The valid-filtering and unique-compression of a query batch depend
-    only on the batch, not on the index — one overlap query subset is
-    looked up against several reference indexes, so callers can compute
-    this once per subset (:func:`compress_queries`) and pass it to each
-    :meth:`KmerIndex.lookup`.
-    """
-
-    #: positions of valid (>= 0) entries in the original batch.
-    valid: np.ndarray
-    #: the valid k-mer values themselves.
-    vals: np.ndarray
-    #: sorted distinct values and the inverse map, or None for small
-    #: batches where direct searchsorted is cheaper.
-    uniq: np.ndarray | None
-    inverse: np.ndarray | None
-
-
-def compress_queries(query_vals: np.ndarray) -> CompressedQueries:
-    """Preprocess a query batch for reuse across several indexes."""
-    query_vals = np.asarray(query_vals, dtype=np.int64)
-    valid = np.flatnonzero(query_vals >= 0).astype(np.int64, copy=False)
-    vals = query_vals[valid]
-    if vals.size >= _UNIQUE_LOOKUP_MIN:
-        uniq, inverse = np.unique(vals, return_inverse=True)
-        return CompressedQueries(valid, vals, uniq, inverse)
-    return CompressedQueries(valid, vals, None, None)
 
 
 class KmerIndex:
@@ -74,62 +45,87 @@ class KmerIndex:
         valid = vals >= 0
         if not valid.all():
             vals, read_ids, offsets = vals[valid], read_ids[valid], offsets[valid]
-        order = np.argsort(vals, kind="stable")
-        self.kmers = vals[order]
-        self.kmer_reads = read_ids[order]
-        self.kmer_offsets = offsets[order]
+        #: index row -> valid window in ``read_indices`` order (the
+        #: stable sort; equal k-mers keep read order, then offset order).
+        self._order = np.argsort(vals, kind="stable")
+        self.kmers = vals[self._order]
+        self.kmer_reads = read_ids[self._order]
+        self.kmer_offsets = offsets[self._order]
 
     def __len__(self) -> int:
         return int(self.kmers.size)
 
-    def lookup(
+    def hit_ranges(
+        self, query_vals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each query k-mer's occurrences as a run of index rows.
+
+        Returns ``(lo, counts, row_reads, row_offsets)``: query k-mer
+        ``i`` occurs at rows ``lo[i] .. lo[i] + counts[i]`` of the two
+        row tables (``counts[i] == 0`` for invalid entries < 0 and for
+        absent k-mers).  Nothing is expanded.
+        """
+        query_vals = np.asarray(query_vals, dtype=np.int64)
+        lo = np.zeros(query_vals.size, dtype=np.int64)
+        counts = np.zeros(query_vals.size, dtype=np.int64)
+        valid = np.flatnonzero(query_vals >= 0)
+        if valid.size and self.kmers.size:
+            vals = query_vals[valid]
+            inverse = None
+            if vals.size >= _UNIQUE_LOOKUP_MIN:
+                vals, inverse = np.unique(vals, return_inverse=True)
+            left = np.searchsorted(self.kmers, vals, side="left")
+            run = np.searchsorted(self.kmers, vals, side="right") - left
+            if inverse is not None:
+                left, run = left[inverse], run[inverse]
+            lo[valid] = left
+            counts[valid] = run
+        return lo, counts, self.kmer_reads, self.kmer_offsets
+
+    def self_join(
         self,
-        query_vals: np.ndarray,
-        compressed: CompressedQueries | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The index's own windows joined against the index, upper half.
+
+        Returns ``(win_reads, win_offsets, lo, counts, row_reads,
+        row_offsets)``: the valid windows in ``read_indices`` order and,
+        as in :meth:`hit_ranges`, each one's run of rows — here the rows
+        *after* the window's own row inside its equal-k-mer run.  The
+        stable sort keeps a run in read order, so when ``read_indices``
+        ascends these are exactly the occurrences in reads ``>=`` the
+        window's read (``==`` only for a k-mer repeated inside one
+        read): the window never meets itself or the mirrored pair, and
+        nothing is searched.
+        """
+        n = self.kmers.size
+        rank = np.empty(n, dtype=np.int64)
+        rank[self._order] = np.arange(n, dtype=np.int64)
+        last = np.ones(n, dtype=bool)
+        last[:-1] = self.kmers[1:] != self.kmers[:-1]
+        run_ends = np.flatnonzero(last) + 1
+        run_end = np.repeat(run_ends, np.diff(run_ends, prepend=0))
+        lo = rank + 1
+        return (
+            self.kmer_reads[rank],
+            self.kmer_offsets[rank],
+            lo,
+            run_end[rank] - lo,
+            self.kmer_reads,
+            self.kmer_offsets,
+        )
+
+    def lookup(self, query_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Find all occurrences of each query k-mer.
 
-        Parameters
-        ----------
-        query_vals:
-            Packed k-mer values (invalid entries < 0 are skipped).
-        compressed:
-            Optional :func:`compress_queries` result for this exact
-            batch, reused when one batch is looked up against several
-            indexes.
-
-        Returns
-        -------
-        (query_pos, hit_reads, hit_offsets):
-            parallel ``int64`` arrays, one row per (query k-mer,
-            reference occurrence) pair; ``query_pos`` indexes into
-            ``query_vals``.
+        Returns ``(query_pos, hit_reads, hit_offsets)``: parallel
+        ``int64`` arrays, one row per (query k-mer, reference
+        occurrence) pair; ``query_pos`` indexes into ``query_vals``
+        (invalid entries < 0 are skipped).
         """
-        if compressed is None:
-            compressed = compress_queries(query_vals)
-        valid, vals = compressed.valid, compressed.vals
-        if valid.size == 0 or self.kmers.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        if compressed.inverse is not None:
-            lo_u = np.searchsorted(self.kmers, compressed.uniq, side="left")
-            hi_u = np.searchsorted(self.kmers, compressed.uniq, side="right")
-            lo = lo_u[compressed.inverse].astype(np.int64, copy=False)
-            hi = hi_u[compressed.inverse].astype(np.int64, copy=False)
-        else:
-            lo = np.searchsorted(self.kmers, vals, side="left").astype(np.int64, copy=False)
-            hi = np.searchsorted(self.kmers, vals, side="right").astype(np.int64, copy=False)
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        query_pos = np.repeat(valid, counts)
-        # Build flat indices [lo_i, hi_i) for each query k-mer i.
-        starts = np.repeat(lo, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        flat = starts + within
-        return query_pos, self.kmer_reads[flat], self.kmer_offsets[flat]
+        lo, counts, row_reads, row_offsets = self.hit_ranges(query_vals)
+        rows = ragged_positions(lo, counts)
+        query_pos = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        return query_pos, row_reads[rows], row_offsets[rows]
 
     def hit_counts(self, query_vals: np.ndarray, exclude_read: int | None = None) -> dict[int, int]:
         """Number of shared k-mers per reference read (diagnostic helper)."""

@@ -9,7 +9,8 @@ span and its kind (suffix/prefix dovetail or containment) follow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,9 +94,10 @@ _CODE_OF_KIND = {kind: code for code, kind in enumerate(KIND_CODES)}
 class PackedOverlaps:
     """A batch of overlaps as parallel numpy columns.
 
-    This is the native output of the vectorized verification pass and
-    the wire format of the multiprocess executor (seven flat arrays
-    pickle far cheaper than thousands of :class:`Overlap` objects).
+    This is the native output of the vectorized verification pass, the
+    wire format of the multiprocess executor (seven flat arrays pickle
+    far cheaper than thousands of :class:`Overlap` objects) and what
+    ``prepare()`` hands to :meth:`OverlapGraph.from_overlaps`.
     ``to_overlaps``/``from_overlaps`` round-trip exactly.
     """
 
@@ -121,6 +123,20 @@ class PackedOverlaps:
             length=i64.copy(),
             identity=np.empty(0, dtype=np.float64),
             kind_code=np.empty(0, dtype=np.uint8),
+        )
+
+    @classmethod
+    def concatenate(cls, chunks: Sequence["PackedOverlaps"]) -> "PackedOverlaps":
+        """The rows of ``chunks``, in order, as one batch."""
+        if not chunks:
+            return cls.empty()
+        if len(chunks) == 1:
+            return chunks[0]
+        return cls(
+            *(
+                np.concatenate([getattr(c, f.name) for c in chunks])
+                for f in fields(cls)
+            )
         )
 
     @classmethod

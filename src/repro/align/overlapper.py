@@ -8,15 +8,19 @@ with enough votes are verified — by a fast ungapped identity check
 (exact for the substitution-only error model) or by banded
 Needleman–Wunsch.
 
-A work unit is processed in bulk: one
-:meth:`~repro.io.readset.ReadSet.kmer_table` + ``lookup`` for *all*
-query reads of the subset, a single lexsort/group-by over
-``(query, ref, diagonal)`` to produce every candidate at once, and a
-batched verification pass that evaluates all overlap spans and their
-ungapped Hamming identities in one numpy sweep (``banded_nw`` still
-verifies per candidate).  The per-query scalar form of the same
-selection lives in ``tests/reference/overlap_loop.py`` as the test
-oracle.
+A work unit never holds all of its k-mer hits: its query reads are cut
+into contiguous *stripes* whose hit count stays under ``_MAX_HITS``,
+and each stripe is voted and verified on its own — expand the stripe's
+hit rows, pack ``(query, ref, diagonal)`` into one ``int64`` key, sort
+the keys, run-length count the votes, keep the best diagonal per read
+pair, and verify all of the stripe's candidates in one numpy sweep
+(``banded_nw`` still verifies per candidate).  Every vote of a read
+pair lies in the query read's stripe, so stripes need no merge and the
+result does not depend on where they are cut.  A subset aligned against
+itself on the k-mer index takes its hit ranges from the index's own
+sort (:meth:`~repro.align.kmer_index.KmerIndex.self_join`) instead of
+looking its k-mers up.  The per-query scalar form of the same selection
+lives in ``tests/reference/overlap_loop.py`` as the test oracle.
 
 The serial, multiprocess
 (:meth:`OverlapDetector.find_overlaps_processes`) and simulated-MPI
@@ -31,11 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.align.banded_nw import banded_align
-from repro.align.kmer_index import KmerIndex, compress_queries
+from repro.align.kmer_index import KmerIndex
 from repro.align.overlap import Overlap, PackedOverlaps
+from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
 
 __all__ = ["OverlapConfig", "OverlapDetector", "subset_pairs"]
+
+#: most k-mer hit rows one stripe of query reads expands at once (a
+#: read whose own hits exceed it is a stripe by itself).  Bounds the
+#: stage's transient memory; the output does not depend on it.
+_MAX_HITS = 1 << 20
 
 
 def subset_pairs(n_subsets: int) -> list[tuple[int, int]]:
@@ -45,34 +55,11 @@ def subset_pairs(n_subsets: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n_subsets) for j in range(i, n_subsets)]
 
 
-def _argsort_keys(*keys: np.ndarray) -> np.ndarray:
-    """Stable argsort by the given keys, primary key first.
-
-    Equivalent to ``np.lexsort(tuple(reversed(keys)))`` but packs the
-    keys into one composite ``int64`` when their ranges fit 62 bits —
-    a single sort pass instead of one stable sort per key.  Falls back
-    to ``np.lexsort`` for extreme ranges.
-    """
-    if keys[0].size == 0:
-        return np.empty(0, dtype=np.int64)
-    spans: list[tuple[int, int]] = []
-    fits = True
-    capacity = 1
-    for k in keys:
-        lo = int(k.min())
-        span = int(k.max()) - lo + 1
-        spans.append((lo, span))
-        capacity *= span
-        if capacity >= (1 << 62):
-            fits = False
-            break
-    if not fits:
-        return np.lexsort(tuple(reversed(keys)))
-    composite = np.zeros(keys[0].size, dtype=np.int64)
-    for k, (lo, span) in zip(keys, spans):
-        composite *= span
-        composite += k - lo
-    return np.argsort(composite, kind="stable")
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Position of the first element of every run of equal neighbours."""
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(first)
 
 
 @dataclass(frozen=True)
@@ -92,6 +79,9 @@ class OverlapConfig:
     #: "suffix_array" (the paper's structure; slower in Python).
     index: str = "kmer"
     band: int = 5
+    #: work units of the parallel drivers: the reads are split into
+    #: this many subsets and every subset pair is one unit.  Not a
+    #: memory knob — a unit's memory is bounded by the stripe budget.
     n_subsets: int = 1
 
     def __post_init__(self) -> None:
@@ -123,66 +113,75 @@ class OverlapDetector:
 
     # -- one work unit ----------------------------------------------------
 
-    def _pair_candidates_vectorized(
+    def _unit_hits(
         self,
         reads: ReadSet,
         query_indices: np.ndarray,
-        ref_indices: np.ndarray,
         same_subset: bool,
-        index=None,
-        query_batch=None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (query, ref, diagonal) candidates of a work unit at once.
+        index,
+    ) -> tuple[np.ndarray, ...]:
+        """A work unit's query windows and each one's run of index rows.
 
-        One concatenated index lookup for every query read's k-mers,
-        then a single sort/group-by over ``(query, ref, diagonal)``
-        counts the votes: candidates need ``min_kmer_hits`` votes and
-        only the best-supported diagonal per read pair survives (ties
-        resolved toward the larger diagonal).  ``query_batch``
-        optionally supplies a prebuilt :meth:`_query_batch` for the
-        query subset, reused across the work units that share it.
+        ``(win_reads, win_offsets, lo, counts, row_reads,
+        row_offsets)``: the windows in ``query_indices`` order (one
+        read's windows adjacent); window ``i`` hits rows ``lo[i] ..
+        lo[i] + counts[i]`` of the two row tables.  A subset against
+        its own k-mer index is a sorted self-join, which needs the
+        index's run order to be read order — anything else (other
+        subset, suffix array, reads not ascending) looks the windows up.
         """
-        cfg = self.config
-        if index is None:
-            index = self._build_index(reads, ref_indices)
-        if query_batch is None:
-            query_batch = self._query_batch(reads, query_indices)
-        vals, kmer_read, kmer_off, compressed = query_batch
-        if isinstance(index, KmerIndex):
-            qpos, hit_reads, hit_offsets = index.lookup(vals, compressed=compressed)
-        else:
-            qpos, hit_reads, hit_offsets = index.lookup(vals)
-        empty = np.empty(0, dtype=np.int64)
-        if qpos.size == 0:
-            return empty, empty.copy(), empty.copy()
-        q_reads = kmer_read[qpos]
-        keep = hit_reads > q_reads if same_subset else hit_reads != q_reads
-        if not keep.all():
-            qpos, hit_reads, hit_offsets = qpos[keep], hit_reads[keep], hit_offsets[keep]
-            q_reads = q_reads[keep]
-        if qpos.size == 0:
-            return empty, empty.copy(), empty.copy()
-        diag = kmer_off[qpos] - hit_offsets
-        # Group votes by (query, ref, diagonal).
-        order = _argsort_keys(q_reads, hit_reads, diag)
-        q_s, r_s, d_s = q_reads[order], hit_reads[order], diag[order]
-        boundary = np.ones(q_s.size, dtype=bool)
-        boundary[1:] = (
-            (q_s[1:] != q_s[:-1]) | (r_s[1:] != r_s[:-1]) | (d_s[1:] != d_s[:-1])
+        if (
+            same_subset
+            and isinstance(index, KmerIndex)
+            and np.array_equal(query_indices, index.read_indices)
+            and bool((query_indices[1:] > query_indices[:-1]).all())
+        ):
+            return index.self_join()
+        vals, win_reads, win_offsets = reads.kmer_table(self.config.k, query_indices)
+        return (win_reads, win_offsets, *index.hit_ranges(vals))
+
+    def _stripe_candidates(
+        self,
+        hits: tuple[np.ndarray, ...],
+        stripe: slice,
+        same_subset: bool,
+        n_reads: int,
+        diag_lo: int,
+        n_diags: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(query, ref, diagonal) candidates of one stripe of windows.
+
+        The hit rows of the :meth:`_unit_hits` windows in ``stripe``
+        are expanded, packed into one sortable key per vote and
+        run-length counted: candidates need ``min_kmer_hits`` votes and
+        only the best-supported diagonal per read pair survives (ties
+        resolved toward the larger diagonal).  Candidates come back in
+        ``(query, ref)`` order.
+        """
+        win_reads, win_offsets, lo, counts, row_reads, row_offsets = hits
+        counts = counts[stripe]
+        rows = ragged_positions(lo[stripe], counts)
+        q = np.repeat(win_reads[stripe], counts)
+        r = row_reads[rows]
+        key = (q * n_reads + r) * n_diags + (
+            np.repeat(win_offsets[stripe], counts) - row_offsets[rows] - diag_lo
         )
-        starts = np.flatnonzero(boundary)
-        counts = np.diff(np.append(starts, q_s.size))
-        g_q, g_r, g_d = q_s[starts], r_s[starts], d_s[starts]
-        strong = counts >= cfg.min_kmer_hits
+        keep = r > q if same_subset else r != q
+        if not keep.all():
+            key = key[keep]
+        if key.size == 0:
+            return None
+        key.sort()
+        starts = _run_starts(key)
+        votes = np.diff(starts, append=key.size)
+        strong = votes >= self.config.min_kmer_hits
         if not strong.any():
-            return empty, empty.copy(), empty.copy()
-        g_q, g_r, g_d, counts = g_q[strong], g_r[strong], g_d[strong], counts[strong]
-        # Best-supported diagonal per (query, ref) pair.
-        order = _argsort_keys(g_q, g_r, counts, g_d)
-        g_q, g_r, g_d = g_q[order], g_r[order], g_d[order]
-        last = np.ones(g_q.size, dtype=bool)
-        last[:-1] = (g_q[1:] != g_q[:-1]) | (g_r[1:] != g_r[:-1])
-        return g_q[last], g_r[last], g_d[last]
+            return None
+        pair, diag = np.divmod(key[starts[strong]], n_diags)
+        starts = _run_starts(pair)
+        best = np.maximum.reduceat(votes[strong] * n_diags + diag, starts)
+        cand_q, cand_r = np.divmod(pair[starts], n_reads)
+        return cand_q, cand_r, best % n_diags + diag_lo
 
     def _batch_hamming_identity(
         self,
@@ -294,24 +293,47 @@ class OverlapDetector:
         ref_indices: np.ndarray,
         same_subset: bool,
         index=None,
-        query_batch=None,
+        max_hits: int = _MAX_HITS,
     ) -> tuple[PackedOverlaps, int]:
         """One work unit in columnar form: (packed overlaps, candidates).
 
         This is the multiprocess wire format — seven flat arrays
         instead of thousands of :class:`Overlap` objects.  ``index``
-        and ``query_batch`` optionally supply a prebuilt
-        reference-subset index / query-subset k-mer batch so drivers
-        that touch one subset in several work units prepare it only
-        once.
+        optionally supplies a prebuilt reference-subset index so
+        drivers that touch one subset in several work units build it
+        only once.  ``max_hits`` is the stripe budget (tests force it
+        small; the result does not depend on it).
         """
-        cand_q, cand_r, cand_d = self._pair_candidates_vectorized(
-            reads, query_indices, ref_indices, same_subset,
-            index=index, query_batch=query_batch,
-        )
-        if cand_q.size == 0:
+        query_indices = np.asarray(query_indices, dtype=np.int64)
+        if index is None:
+            index = self._build_index(reads, ref_indices)
+        hits = self._unit_hits(reads, query_indices, same_subset, index)
+        win_reads, win_offsets, _, counts, _, row_offsets = hits
+        if row_offsets.size == 0 or not counts.any():
             return PackedOverlaps.empty(), 0
-        return self._verify_batch(reads, cand_q, cand_r, cand_d), int(cand_q.size)
+        n_reads = len(reads)
+        diag_lo = -int(row_offsets.max())
+        n_diags = int(win_offsets.max()) - diag_lo + 1
+        if n_reads * n_reads * n_diags >= 1 << 63:
+            raise OverflowError("(query, ref, diagonal) does not fit one int64 key")
+        # First window of every query read, and the hits before it.
+        bounds = np.append(_run_starts(win_reads), win_reads.size)
+        hits_before = np.zeros(bounds.size, dtype=np.int64)
+        np.cumsum(np.add.reduceat(counts, bounds[:-1]), out=hits_before[1:])
+        chunks: list[PackedOverlaps] = []
+        n_candidates = 0
+        b = 0
+        while b < bounds.size - 1:
+            limit = hits_before[b] + max_hits
+            e = max(b + 1, int(np.searchsorted(hits_before, limit, side="right")) - 1)
+            cand = self._stripe_candidates(
+                hits, slice(bounds[b], bounds[e]), same_subset, n_reads, diag_lo, n_diags
+            )
+            b = e
+            if cand is not None:
+                n_candidates += int(cand[0].size)
+                chunks.append(self._verify_batch(reads, *cand))
+        return PackedOverlaps.concatenate(chunks), n_candidates
 
     # -- public API ---------------------------------------------------------
 
@@ -322,12 +344,6 @@ class OverlapDetector:
             return SuffixArrayReadIndex(reads, self.config.k, ref_indices)
         return KmerIndex(reads, self.config.k, ref_indices)
 
-    def _query_batch(self, reads: ReadSet, query_indices: np.ndarray):
-        """The query side of a work unit, prepared for repeated lookups."""
-        q_idx = np.asarray(query_indices, dtype=np.int64)
-        vals, kmer_read, kmer_off = reads.kmer_table(self.config.k, q_idx)
-        return vals, kmer_read, kmer_off, compress_queries(vals)
-
     def _pair_with_stats(
         self,
         reads: ReadSet,
@@ -335,11 +351,9 @@ class OverlapDetector:
         ref_indices: np.ndarray,
         same_subset: bool,
         index=None,
-        query_batch=None,
     ) -> tuple[list[Overlap], int]:
         packed, n_candidates = self.overlap_subset_pair_packed(
-            reads, query_indices, ref_indices, same_subset,
-            index=index, query_batch=query_batch,
+            reads, query_indices, ref_indices, same_subset, index=index
         )
         return packed.to_overlaps(), n_candidates
 
@@ -353,33 +367,40 @@ class OverlapDetector:
         """All overlaps between two read subsets (one work unit)."""
         return self._pair_with_stats(reads, query_indices, ref_indices, same_subset)[0]
 
-    def find_overlaps(self, reads: ReadSet) -> list[Overlap]:
-        """All pairwise overlaps of a ReadSet (serial over subset pairs).
+    def find_overlaps_packed(self, reads: ReadSet, n_workers: int = 1) -> PackedOverlaps:
+        """All pairwise overlaps of a ReadSet, as columns.
 
-        Reference-subset indexes are built once and reused across the
-        work units that share them (subset ``j`` serves ``j + 1``
-        pairs).
+        Serial over subset pairs, or — ``n_workers > 1`` — farmed out
+        to that many OS processes (:func:`~repro.parallel.executor.
+        run_subset_pairs`); rows are identical either way, in subset
+        pair, then ``(query, ref)`` order.  Reference-subset indexes
+        are built once and reused across the work units that share them
+        (subset ``j`` serves ``j + 1`` pairs).
         """
+        if n_workers > 1:
+            from repro.parallel.executor import run_subset_pairs
+
+            packed, stats = run_subset_pairs(self.config, reads, n_workers)
+            self.last_candidates = stats.candidates
+            return packed
         subsets = reads.split(self.config.n_subsets)
-        overlaps: list[Overlap] = []
-        n_candidates = 0
+        chunks: list[PackedOverlaps] = []
+        self.last_candidates = 0
         ref_indexes: dict[int, object] = {}
-        query_batches: dict[int, tuple] = {}
         for i, j in subset_pairs(len(subsets)):
             index = ref_indexes.get(j)
             if index is None:
                 index = ref_indexes[j] = self._build_index(reads, subsets[j])
-            batch = query_batches.get(i)
-            if batch is None:
-                batch = query_batches[i] = self._query_batch(reads, subsets[i])
-            part, nc = self._pair_with_stats(
-                reads, subsets[i], subsets[j], same_subset=(i == j),
-                index=index, query_batch=batch,
+            part, nc = self.overlap_subset_pair_packed(
+                reads, subsets[i], subsets[j], same_subset=(i == j), index=index
             )
-            overlaps.extend(part)
-            n_candidates += nc
-        self.last_candidates = n_candidates
-        return overlaps
+            chunks.append(part)
+            self.last_candidates += nc
+        return PackedOverlaps.concatenate(chunks)
+
+    def find_overlaps(self, reads: ReadSet) -> list[Overlap]:
+        """All pairwise overlaps of a ReadSet (serial over subset pairs)."""
+        return self.find_overlaps_packed(reads).to_overlaps()
 
     def find_overlaps_processes(
         self, reads: ReadSet, n_workers: int
@@ -391,11 +412,7 @@ class OverlapDetector:
         start early.  Result-identical (including list order) to
         :meth:`find_overlaps`.
         """
-        from repro.parallel.executor import run_subset_pairs
-
-        overlaps, stats = run_subset_pairs(self.config, reads, n_workers)
-        self.last_candidates = stats.candidates
-        return overlaps
+        return self.find_overlaps_packed(reads, n_workers).to_overlaps()
 
     def find_overlaps_parallel(
         self, comm, reads: ReadSet, schedule: str = "lpt"
@@ -428,7 +445,6 @@ class OverlapDetector:
             raise ValueError(f"unknown schedule {schedule!r}")
         local: list[Overlap] = []
         ref_indexes: dict[int, object] = {}
-        query_batches: dict[int, tuple] = {}
         with comm.timed():
             for task, (i, j) in enumerate(pairs):
                 if owner[task] != comm.rank:
@@ -436,13 +452,10 @@ class OverlapDetector:
                 index = ref_indexes.get(j)
                 if index is None:
                     index = ref_indexes[j] = self._build_index(reads, subsets[j])
-                batch = query_batches.get(i)
-                if batch is None:
-                    batch = query_batches[i] = self._query_batch(reads, subsets[i])
                 local.extend(
                     self._pair_with_stats(
                         reads, subsets[i], subsets[j], same_subset=(i == j),
-                        index=index, query_batch=batch,
+                        index=index,
                     )[0]
                 )
         gathered = comm.gather(local, root=0)

@@ -62,6 +62,18 @@ class SuffixArrayReadIndex:
         offsets = text_positions - self.read_starts[slot]
         return self.read_indices[slot], offsets
 
+    def hit_ranges(
+        self, query_vals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Same contract as :meth:`KmerIndex.hit_ranges`.
+
+        The row tables are this batch's :meth:`lookup` result, whose
+        rows already come grouped by ascending query position.
+        """
+        query_pos, hit_reads, hit_offsets = self.lookup(query_vals)
+        counts = np.bincount(query_pos, minlength=np.size(query_vals)).astype(np.int64)
+        return np.cumsum(counts) - counts, counts, hit_reads, hit_offsets
+
     def lookup(self, query_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Same contract as :meth:`KmerIndex.lookup`.
 

@@ -173,11 +173,9 @@ class FocusAssembler:
         if len(rs) == 0:
             raise ValueError("no reads survived preprocessing")
         with timer.stage("align"):
-            detector = OverlapDetector(cfg.overlap)
-            if cfg.overlap_workers > 1:
-                overlaps = detector.find_overlaps_processes(rs, cfg.overlap_workers)
-            else:
-                overlaps = detector.find_overlaps(rs)
+            overlaps = OverlapDetector(cfg.overlap).find_overlaps_packed(
+                rs, cfg.overlap_workers
+            )
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
         with timer.stage("coarsen"):

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.align.overlap import Overlap
+from repro.align.overlap import Overlap, PackedOverlaps
 from repro.graph.csr import build_csr
 
 __all__ = ["OverlapGraph"]
@@ -122,8 +122,23 @@ class OverlapGraph:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_overlaps(cls, overlaps: Sequence[Overlap], n_reads: int) -> "OverlapGraph":
-        """Build G0 from verified overlaps (weight = alignment length)."""
+    def from_overlaps(
+        cls, overlaps: Sequence[Overlap] | PackedOverlaps, n_reads: int
+    ) -> "OverlapGraph":
+        """Build G0 from verified overlaps (weight = alignment length).
+
+        A :class:`PackedOverlaps` batch supplies the edge columns as
+        they are; a sequence of :class:`Overlap` is read field by field.
+        """
+        if isinstance(overlaps, PackedOverlaps):
+            return cls(
+                n_reads,
+                overlaps.query,
+                overlaps.ref,
+                overlaps.length,
+                deltas=overlaps.q_start - overlaps.r_start,
+                identities=overlaps.identity,
+            )
         m = len(overlaps)
         eu = np.fromiter((o.query for o in overlaps), dtype=np.int64, count=m)
         ev = np.fromiter((o.ref for o in overlaps), dtype=np.int64, count=m)

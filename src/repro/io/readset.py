@@ -190,7 +190,7 @@ class ReadSet:
         -1), the read it belongs to, and its offset within that read —
         reads in ``read_indices`` order, windows in position order.
         This is the bulk primitive behind the k-mer index build and the
-        whole-subset query pass; no per-read Python loop.
+        query side of a cross-subset work unit; no per-read Python loop.
         """
         if read_indices is None:
             idx = np.arange(len(self), dtype=np.int64)
@@ -254,7 +254,9 @@ class ReadSet:
     def split(self, n_subsets: int) -> list[np.ndarray]:
         """Split read indices into ``n_subsets`` contiguous chunks.
 
-        Used to farm pairwise alignment of subset pairs out to ranks.
+        Used to farm pairwise alignment of subset pairs out to ranks
+        and worker processes: the chunk count sets how many work units
+        there are, not how much memory one of them takes.
         """
         if n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")

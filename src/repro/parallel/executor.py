@@ -10,8 +10,8 @@ back, so inter-process traffic stays flat in the number of overlaps.
 
 Work units are submitted largest-first (LPT order, estimated cost
 ``|Q|·|R|``, self-pairs halved) so the big tasks never arrive last and
-leave the pool draining on one straggler.  Results are merged in
-canonical ``subset_pairs`` order, making the output list identical to
+leave the pool draining on one straggler.  Results are concatenated in
+canonical ``subset_pairs`` order, making the output rows identical to
 the serial driver's.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.align.overlap import Overlap, PackedOverlaps
+from repro.align.overlap import PackedOverlaps
 from repro.io.readset import ReadSet
 
 __all__ = ["ExecutorStats", "run_subset_pairs"]
@@ -58,27 +58,21 @@ def _init_worker(config, reads: ReadSet) -> None:
     _WORKER["reads"] = reads
     _WORKER["subsets"] = reads.split(config.n_subsets)
     _WORKER["ref_indexes"] = {}
-    _WORKER["query_batches"] = {}
 
 
 def _run_pair(pair: tuple[int, int]) -> tuple[PackedOverlaps, int]:
     """Execute one subset-pair work unit inside a worker process.
 
-    Reference-subset indexes and query-subset k-mer batches are cached
-    per worker, so a worker that draws several pairs sharing a subset
-    prepares it once.
+    Reference-subset indexes are cached per worker, so a worker that
+    draws several pairs sharing a reference subset builds it once.
     """
     i, j = pair
     detector, reads, subsets = _WORKER["detector"], _WORKER["reads"], _WORKER["subsets"]
     index = _WORKER["ref_indexes"].get(j)
     if index is None:
         index = _WORKER["ref_indexes"][j] = detector._build_index(reads, subsets[j])
-    batch = _WORKER["query_batches"].get(i)
-    if batch is None:
-        batch = _WORKER["query_batches"][i] = detector._query_batch(reads, subsets[i])
     return detector.overlap_subset_pair_packed(
-        reads, subsets[i], subsets[j], same_subset=(i == j),
-        index=index, query_batch=batch,
+        reads, subsets[i], subsets[j], same_subset=(i == j), index=index
     )
 
 
@@ -92,11 +86,11 @@ def _pool_context():
 
 def run_subset_pairs(
     config, reads: ReadSet, n_workers: int
-) -> tuple[list[Overlap], ExecutorStats]:
+) -> tuple[PackedOverlaps, ExecutorStats]:
     """All pairwise overlaps of ``reads`` across ``n_workers`` processes.
 
-    Returns the merged overlap list — identical, element for element,
-    to ``OverlapDetector(config).find_overlaps(reads)`` — plus run
+    Returns the overlap columns — identical, row for row, to
+    ``OverlapDetector(config).find_overlaps_packed(reads)`` — plus run
     accounting.  ``n_workers <= 1`` short-circuits to in-process serial
     execution (no pool is spawned).
     """
@@ -110,18 +104,17 @@ def run_subset_pairs(
 
     if n_workers <= 1 or len(pairs) == 1:
         detector = OverlapDetector(config)
-        overlaps = detector.find_overlaps(reads)
-        return overlaps, ExecutorStats(
+        packed = detector.find_overlaps_packed(reads)
+        return packed, ExecutorStats(
             n_workers=1,
             n_tasks=len(pairs),
             candidates=detector.last_candidates,
-            overlaps=len(overlaps),
+            overlaps=len(packed),
         )
 
     costs = subset_pair_costs(pairs, np.array([s.size for s in subsets]))
     submit_order = np.argsort(-costs, kind="stable").tolist()
 
-    packed_by_task: dict[int, tuple[PackedOverlaps, int]] = {}
     max_workers = min(n_workers, len(pairs))
     with ProcessPoolExecutor(
         max_workers=max_workers,
@@ -132,18 +125,12 @@ def run_subset_pairs(
         futures = {
             task: pool.submit(_run_pair, pairs[task]) for task in submit_order
         }
-        for task, future in futures.items():
-            packed_by_task[task] = future.result()
+        by_task = [futures[task].result() for task in range(len(pairs))]
 
-    overlaps: list[Overlap] = []
-    n_candidates = 0
-    for task in range(len(pairs)):
-        packed, nc = packed_by_task[task]
-        overlaps.extend(packed.to_overlaps())
-        n_candidates += nc
-    return overlaps, ExecutorStats(
+    packed = PackedOverlaps.concatenate([part for part, _ in by_task])
+    return packed, ExecutorStats(
         n_workers=max_workers,
         n_tasks=len(pairs),
-        candidates=n_candidates,
-        overlaps=len(overlaps),
+        candidates=sum(nc for _, nc in by_task),
+        overlaps=len(packed),
     )

@@ -171,6 +171,19 @@ def pack_reads(
     return writer.finalize(store_meta)
 
 
+def _shard_groups(shard_ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(shard, positions holding it)`` per distinct id, ascending.
+
+    One stable sort and contiguous slices of it — not one full-length
+    mask per shard, which is O(shards x positions).
+    """
+    order = np.argsort(shard_ids, kind="stable")
+    ids = shard_ids[order]
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
+        yield int(ids[lo]), order[lo:hi]
+
+
 class _ShardColumn(Sequence):
     """Lazy per-read view of a JSON shard column (ids or meta)."""
 
@@ -360,10 +373,9 @@ class ShardedReadSet(ReadSet):
         if flat.size == 0:
             return out
         shard_ids = np.searchsorted(self._base_bounds, flat, side="right") - 1
-        for s in np.unique(shard_ids):
-            mask = shard_ids == s
-            data = self.store.shard(int(s))["data"]
-            out[mask] = data[flat[mask] - int(self._base_bounds[s])]
+        for s, at in _shard_groups(shard_ids):
+            data = self.store.shard(s)["data"]
+            out[at] = data[flat[at] - int(self._base_bounds[s])]
         return out
 
     def base_span(self, lo: int, length: int) -> np.ndarray:
@@ -431,10 +443,9 @@ class ShardedReadSet(ReadSet):
         )
         window_shards = np.repeat(read_shards, n_windows)
         values = np.empty(total, dtype=np.int64)
-        for s in np.unique(window_shards):
-            mask = window_shards == s
-            packed = self._shard_kmers(int(s), k, canonical)
-            values[mask] = packed[flat[mask] - int(self._base_bounds[s])]
+        for s, at in _shard_groups(window_shards):
+            packed = self._shard_kmers(s, k, canonical)
+            values[at] = packed[flat[at] - int(self._base_bounds[s])]
         return values, read_ids, within
 
     # -- preprocessing (streams into derived stores) ----------------------

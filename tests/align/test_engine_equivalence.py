@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.overlapper import OverlapConfig, OverlapDetector
+from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
 from repro.io.readset import ReadSet
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
-from tests.reference.overlap_loop import find_overlaps_loop
+from tests.reference.overlap_loop import find_overlaps_loop, overlap_keys
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
@@ -35,13 +35,6 @@ def genome_readsets(draw):
         start = draw(st.integers(min_value=0, max_value=genome_len - length))
         seqs.append(decode(genome[start : start + length]))
     return ReadSet.from_strings(seqs)
-
-
-def overlap_keys(overlaps):
-    return sorted(
-        (o.query, o.ref, o.q_start, o.r_start, o.length, o.identity, o.kind.value)
-        for o in overlaps
-    )
 
 
 @pytest.mark.parametrize("index", ["kmer", "suffix_array"])
@@ -64,6 +57,27 @@ class TestEngineEquivalence:
         assert detector.last_candidates == loop_candidates
         assert overlap_keys(processes) == expected
         assert overlap_keys(cluster_results[0]) == expected
+
+    @settings(max_examples=5, deadline=None)
+    @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=2))
+    def test_stripe_budget_does_not_change_the_result(self, index, reads, n_subsets):
+        # Budget 1 makes every read its own stripe; 60 cuts mid-unit.
+        detector = OverlapDetector(
+            OverlapConfig(min_overlap=25, min_kmer_hits=2, index=index)
+        )
+        subsets = reads.split(n_subsets)
+        for i, j in subset_pairs(n_subsets):
+            unit = (reads, subsets[i], subsets[j], i == j)
+            whole, n_whole = detector.overlap_subset_pair_packed(*unit)
+            for budget in (1, 60):
+                striped, n_striped = detector.overlap_subset_pair_packed(
+                    *unit, max_hits=budget
+                )
+                assert n_striped == n_whole
+                for column in vars(whole):
+                    assert np.array_equal(
+                        getattr(striped, column), getattr(whole, column)
+                    ), column
 
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())

@@ -13,8 +13,8 @@ class TestRunSubsetPairs:
         config = OverlapConfig(min_overlap=50, n_subsets=4)
         serial = OverlapDetector(config).find_overlaps(reads)
         parallel, stats = run_subset_pairs(config, reads, n_workers=2)
-        # Element-for-element identity, including list order.
-        assert parallel == serial
+        # Row-for-row identity, including order.
+        assert parallel.to_overlaps() == serial
         assert stats.n_workers == 2
         assert stats.n_tasks == 10
         assert stats.overlaps == len(serial)
@@ -24,7 +24,7 @@ class TestRunSubsetPairs:
         reads, _ = tiled_reads(genome_len=600)
         config = OverlapConfig(min_overlap=50, n_subsets=2)
         overlaps, stats = run_subset_pairs(config, reads, n_workers=1)
-        assert overlaps == OverlapDetector(config).find_overlaps(reads)
+        assert overlaps.to_overlaps() == OverlapDetector(config).find_overlaps(reads)
         assert isinstance(stats, ExecutorStats)
         assert stats.n_workers == 1
 

@@ -18,7 +18,15 @@ from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
 from repro.io.readset import ReadSet
 from repro.sequence.dna import hamming_identity
 
-__all__ = ["find_overlaps_loop", "overlap_subset_pair_loop"]
+__all__ = ["find_overlaps_loop", "overlap_subset_pair_loop", "overlap_keys"]
+
+
+def overlap_keys(overlaps: list[Overlap]) -> list[tuple]:
+    """An overlap list as sorted plain rows, for order-free comparison."""
+    return sorted(
+        (o.query, o.ref, o.q_start, o.r_start, o.length, o.identity, o.kind.value)
+        for o in overlaps
+    )
 
 
 def _candidates(

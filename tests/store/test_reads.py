@@ -67,6 +67,24 @@ class TestEquivalence:
         for a, b in zip(opened.kmer_table(16, idx), ram.kmer_table(16, idx)):
             assert (a == b).all()
 
+    def test_many_small_shards_unsorted_positions(self, tmp_path):
+        # 29 shards of two reads; positions and reads arrive shuffled
+        # and repeated, so every shard's group is scattered.
+        reads = make_reads()
+        path = str(tmp_path / "small.store")
+        pack_reads(iter(reads), path, shard_size=2)
+        ram, opened = ReadSet(reads), ReadSet.open(path)
+        assert opened.store.n_shards == 29
+        rng = np.random.default_rng(5)
+        flat = rng.integers(0, ram.total_bases, size=4000)
+        gathered = opened.gather_bases(flat)
+        assert gathered.dtype == np.uint8
+        assert np.array_equal(gathered, ram.gather_bases(flat))
+        assert opened.gather_bases(np.empty(0, dtype=np.int64)).size == 0
+        idx = rng.integers(0, len(ram), size=80)
+        for a, b in zip(opened.kmer_table(16, idx), ram.kmer_table(16, idx)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_derived_sets_match(self, stores):
         ram, opened, path = stores
         rt, ot = ram.trimmed(trim5=2, min_length=45), None
