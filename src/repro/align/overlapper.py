@@ -183,27 +183,27 @@ class OverlapDetector:
         cand_q, cand_r = np.divmod(pair[starts], n_reads)
         return cand_q, cand_r, best % n_diags + diag_lo
 
+    @staticmethod
     def _batch_hamming_identity(
-        self,
-        reads: ReadSet,
-        abs_q_start: np.ndarray,
-        abs_r_start: np.ndarray,
+        codes: np.ndarray,
+        q_start: np.ndarray,
+        r_start: np.ndarray,
         length: np.ndarray,
     ) -> np.ndarray:
         """Ungapped identity of many spans in one flat numpy pass.
 
-        Gathers both sides of every span into two flat arrays via the
-        CSR offsets (through :meth:`ReadSet.gather_bases`, so a
-        shard-backed set serves the gather per shard), compares
-        elementwise, and segment-sums the matches with a
-        cumulative-sum difference (no ``reduceat`` dtype traps).
+        Span ``i`` compares ``codes[q_start[i]:][:length[i]]`` with
+        ``codes[r_start[i]:][:length[i]]``: both sides of every span are
+        gathered into two flat arrays, compared elementwise, and the
+        matches segment-summed with a cumulative-sum difference (no
+        ``reduceat`` dtype traps).
         """
         total = int(length.sum())
         seg_starts = np.cumsum(length) - length
         within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, length)
-        q_flat = np.repeat(abs_q_start, length) + within
-        r_flat = np.repeat(abs_r_start, length) + within
-        eq = reads.gather_bases(q_flat) == reads.gather_bases(r_flat)
+        eq = codes[np.repeat(q_start, length) + within] == codes[
+            np.repeat(r_start, length) + within
+        ]
         cum = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(eq, out=cum[1:])
         matches = cum[seg_starts + length] - cum[seg_starts]
@@ -220,10 +220,12 @@ class OverlapDetector:
 
         The overlap span implied by each candidate diagonal is computed
         vectorized (:func:`~repro.align.overlap.overlap_span` semantics),
-        short spans are dropped, and — for the ``ungapped`` method —
-        every surviving span's Hamming identity is evaluated in one
-        numpy pass.  ``banded_nw`` falls back to per-candidate dynamic
-        programming on the batch-computed spans.
+        short spans are dropped, the distinct reads of the survivors
+        are fetched as one block (:meth:`ReadSet.gather_reads` — one
+        visit per shard on a store) and — for the ``ungapped`` method —
+        every span's Hamming identity is evaluated in one numpy pass on
+        it.  ``banded_nw`` falls back to per-candidate dynamic
+        programming on the block's spans.
         """
         cfg = self.config
         lengths = reads.lengths
@@ -240,10 +242,11 @@ class OverlapDetector:
         length = length[long_enough]
         len_q, len_r = len_q[long_enough], len_r[long_enough]
 
-        abs_q = reads.offsets[cand_q] + q_start
-        abs_r = reads.offsets[cand_r] + r_start
+        codes, starts, _ = reads.gather_reads(np.concatenate([cand_q, cand_r]))
+        abs_q = starts[: cand_q.size] + q_start
+        abs_r = starts[cand_q.size :] + r_start
         if cfg.method == "ungapped":
-            identity = self._batch_hamming_identity(reads, abs_q, abs_r, length)
+            identity = self._batch_hamming_identity(codes, abs_q, abs_r, length)
             accepted = identity >= cfg.min_identity
         else:
             identity = np.empty(length.size, dtype=np.float64)
@@ -252,9 +255,7 @@ class OverlapDetector:
                 zip(abs_q.tolist(), abs_r.tolist(), length.tolist())
             ):
                 result = banded_align(
-                    reads.base_span(lo_q, ln),
-                    reads.base_span(lo_r, ln),
-                    band=cfg.band,
+                    codes[lo_q : lo_q + ln], codes[lo_r : lo_r + ln], band=cfg.band
                 )
                 identity[c] = result.identity
                 aln_length[c] = result.length

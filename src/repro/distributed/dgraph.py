@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.graph.contigs import cluster_layout_offsets, consensus_from_layout
+from repro.graph.contigs import cluster_layout_offsets, consensus_of_layouts
 from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import OverlapGraph
 from repro.graph.sparse import SparseStructure, ragged_positions
@@ -56,22 +56,20 @@ def enrich_hybrid(
     """Contigs + contig-level edge geometry for the hybrid graph."""
     h = hyb.hybrid
     clusters = hyb.clusters_of_hybrid()
-    contigs: list[np.ndarray] = []
+    # Every layout first (graph only), then the reads, block by block.
+    layouts = [cluster_layout_offsets(g0, c, tolerance=tolerance) for c in clusters]
+    if any(lay is None for lay in layouts):
+        raise RuntimeError(
+            "hybrid cluster admits no layout; representative selection is broken"
+        )
     # read -> offset within its cluster's layout.
     read_offset = np.zeros(g0.n_nodes, dtype=np.int64)
-    for cluster in clusters:
-        offsets = cluster_layout_offsets(g0, cluster, tolerance=tolerance)
-        if offsets is None:
-            raise RuntimeError(
-                "hybrid cluster admits no layout; representative selection is broken"
-            )
-        read_offset[cluster] = offsets
-        segments = consensus_from_layout(
-            reads, cluster, offsets, quality_weighted=quality_weighted
-        )
-        if len(segments) != 1:
-            raise RuntimeError("hybrid cluster consensus is not contiguous")
-        contigs.append(segments[0])
+    if clusters:
+        read_offset[np.concatenate(clusters)] = np.concatenate(layouts)
+    segments = consensus_of_layouts(reads, clusters, layouts, quality_weighted)
+    if any(len(s) != 1 for s in segments):
+        raise RuntimeError("hybrid cluster consensus is not contiguous")
+    contigs = [s[0] for s in segments]
 
     lengths = np.array([c.size for c in contigs], dtype=np.int64)
     bm = hyb.base_maps[0]

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
-from repro.graph.sparse import masked_view, ragged_positions
+from repro.graph.contigs import overlay_votes
+from repro.graph.sparse import masked_view
 
 __all__ = [
     "extract_subpaths",
@@ -225,8 +226,7 @@ def contigs_from_paths(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             codes = np.concatenate([contigs[v] for v in path[lo:hi]])
             left = int(offsets[lo:hi].min())
-            cell = (ragged_positions(offsets[lo:hi] - left, sizes[lo:hi]) << 2) + codes
-            tally = np.bincount(cell[codes < 4])
+            tally = overlay_votes(codes, offsets[lo:hi] - left, sizes[lo:hi])
             counts[left * 4 : left * 4 + tally.size] += tally
         counts = counts.reshape(width, 4)
         seq = counts.argmax(axis=1).astype(np.uint8)

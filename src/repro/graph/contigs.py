@@ -15,14 +15,22 @@ from collections import deque
 import numpy as np
 
 from repro.graph.overlap_graph import OverlapGraph
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, ragged_positions
 
 __all__ = [
     "cluster_layout_offsets",
     "is_layout_contiguous",
+    "overlay_votes",
+    "consensus_of_layouts",
     "consensus_from_layout",
     "contig_for_nodes",
 ]
+
+#: read bases gathered and overlaid per block of whole clusters in
+#: :func:`consensus_of_layouts`: bounds its transient arrays (a few
+#: int64 per base) whatever the read set.  A block visits every shard
+#: its reads live in, so a store pays for small blocks in shard loads.
+_MAX_BASES = 1 << 20
 
 
 def cluster_layout_offsets(
@@ -82,6 +90,81 @@ def is_layout_contiguous(offsets: np.ndarray, lengths: np.ndarray) -> bool:
     return bool((starts[1:] <= reach[:-1]).all())
 
 
+def overlay_votes(
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+    weights: np.ndarray | None = None,
+    minlength: int = 0,
+) -> np.ndarray:
+    """Flat ``(column, base)`` vote table of stacked sequences.
+
+    ``codes`` concatenates sequences of ``sizes`` bases, sequence ``i``
+    laid at columns ``offsets[i] ...``; cell ``4 * column + base`` of the
+    result counts (or, with per-base ``weights``, sums in input order)
+    the called bases there — one ``np.bincount``, as long as the last
+    voted cell or ``minlength``.
+    """
+    cell = (ragged_positions(offsets, sizes) << 2) + codes
+    called = codes < 4
+    if weights is not None:
+        weights = weights[called]
+    return np.bincount(cell[called], weights=weights, minlength=minlength)
+
+
+def consensus_of_layouts(
+    reads: ReadSet,
+    clusters: list[np.ndarray],
+    layouts: list[np.ndarray],
+    quality_weighted: bool = False,
+) -> list[list[np.ndarray]]:
+    """:func:`consensus_from_layout` of many non-empty clusters.
+
+    Clusters are taken in blocks of whole clusters of at most
+    ``_MAX_BASES`` read bases (a larger cluster is a block by itself):
+    one :meth:`ReadSet.gather_reads` and one :func:`overlay_votes` per
+    block, each cluster voting in its own run of columns.
+    """
+    out: list[list[np.ndarray]] = []
+    if not clusters:
+        return out
+    weighted = quality_weighted and reads.has_quals
+    nodes = np.concatenate(clusters)
+    shifted = np.concatenate([lay - lay.min() for lay in layouts])
+    sizes = reads.lengths[nodes]
+    first = np.cumsum([0, *(c.size for c in clusters)])
+    widths = np.maximum.reduceat(shifted + sizes, first[:-1])
+    total = np.cumsum(np.add.reduceat(sizes, first[:-1]))
+    cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(clusters)]])).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        members = slice(first[lo], first[hi])
+        columns = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(widths[lo:hi], out=columns[1:])
+        codes, starts, quals = reads.gather_reads(nodes[members], quals=weighted)
+        at = ragged_positions(starts, sizes[members])
+        counts = overlay_votes(
+            codes[at],
+            np.repeat(columns[:-1], np.diff(first[lo : hi + 1])) + shifted[members],
+            sizes[members],
+            1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
+            minlength=int(columns[-1]) * 4,
+        ).reshape(-1, 4)
+        consensus = counts.argmax(axis=1).astype(np.uint8)
+        covered = counts.sum(axis=1) > 0
+        for left, right in zip(columns[:-1].tolist(), columns[1:].tolist()):
+            # Split at zero-coverage columns.
+            edges = np.flatnonzero(np.diff(covered[left:right])) + left + 1
+            out.append(
+                [
+                    consensus[a:b].copy()
+                    for a, b in zip([left, *edges], [*edges, right])
+                    if a < b and covered[a]
+                ]
+            )
+    return out
+
+
 def consensus_from_layout(
     reads: ReadSet,
     nodes: np.ndarray,
@@ -104,32 +187,7 @@ def consensus_from_layout(
         raise ValueError("nodes/offsets length mismatch")
     if nodes.size == 0:
         return []
-    weighted = quality_weighted and reads.quals is not None
-    shifted = offsets - offsets.min()
-    width = int((shifted + reads.lengths[nodes]).max())
-    counts = np.zeros((width, 4), dtype=np.float64 if weighted else np.int64)
-    for v, off in zip(nodes.tolist(), shifted.tolist()):
-        codes = reads.codes_of(v)
-        called = codes < 4
-        pos = np.arange(codes.size)[called] + off
-        if weighted:
-            quals = reads.quals_of(v)[called]
-            votes = 1.0 - np.power(10.0, -quals / 10.0)
-            np.add.at(counts, (pos, codes[called].astype(np.int64)), votes)
-        else:
-            np.add.at(counts, (pos, codes[called].astype(np.int64)), 1)
-    coverage = counts.sum(axis=1)
-    consensus = counts.argmax(axis=1).astype(np.uint8)
-    covered = coverage > 0
-    # Split at zero-coverage columns.
-    segments: list[np.ndarray] = []
-    if covered.any():
-        edges = np.flatnonzero(np.diff(covered.astype(np.int8)))
-        bounds = np.concatenate([[0], edges + 1, [width]])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if covered[lo]:
-                segments.append(consensus[lo:hi].copy())
-    return segments
+    return consensus_of_layouts(reads, [nodes], [offsets], quality_weighted)[0]
 
 
 def contig_for_nodes(

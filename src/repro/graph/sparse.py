@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.io.readset import ragged_positions
+
 __all__ = [
     "SparseStructure",
     "SparseFinishView",
@@ -57,21 +59,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
-
-
-def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``[starts[i], starts[i]+counts[i])`` ranges.
-
-    The standard vectorized replacement for ``for s, c in zip(...):
-    out.extend(range(s, s+c))`` — one flat int64 index array.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    block = np.cumsum(counts) - counts
-    return np.repeat(starts - block, counts) + np.arange(total, dtype=np.int64)
 
 
 class SparseStructure:

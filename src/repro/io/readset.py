@@ -18,15 +18,93 @@ docs/performance.md for the trade-off.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from repro.io.records import Read
-from repro.sequence.dna import decode
+from repro.sequence.dna import complement, decode
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
-from repro.sequence.quality import trim_read
+from repro.sequence.quality import trim_spans
 
-__all__ = ["ReadSet"]
+__all__ = ["ReadSet", "ragged_positions", "read_columns", "trim_columns", "rc_columns"]
+
+#: a ragged block of reads as columns ``(data, offsets, quals, ids,
+#: meta)``: concatenated codes, CSR offsets, flat scores or ``None``,
+#: and one id and one meta dict per read.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray | None, list, list]
+
+
+def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``[starts[i], starts[i]+counts[i])`` ranges.
+
+    The standard vectorized replacement for ``for s, c in zip(...):
+    out.extend(range(s, s+c))`` — one flat int64 index array.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    block = np.cumsum(counts) - counts
+    return np.repeat(starts - block, counts) + np.arange(total, dtype=np.int64)
+
+
+def read_columns(reads: list[Read]) -> Columns:
+    """The column block of a list of reads; once any read carries
+    scores, a read without them scores zero."""
+    lengths = np.fromiter((len(r) for r in reads), dtype=np.int64, count=len(reads))
+    offsets = np.zeros(len(reads) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    data = np.empty(int(offsets[-1]), dtype=np.uint8)
+    quals = None
+    if any(r.quals is not None for r in reads):
+        quals = np.zeros(data.size, dtype=np.int64)
+    for r, lo, hi in zip(reads, offsets[:-1].tolist(), offsets[1:].tolist()):
+        data[lo:hi] = r.codes
+        if r.quals is not None:
+            quals[lo:hi] = r.quals
+    return data, offsets, quals, [r.id for r in reads], [r.meta for r in reads]
+
+
+def trim_columns(
+    data, offsets, quals, ids, meta, min_length: int = 1, **rule
+) -> Columns:
+    """The Focus trimming rule on a block; reads under ``min_length`` go.
+
+    ``rule`` is :func:`~repro.sequence.quality.trim_spans`'s keywords
+    (``trim_read``'s, which it equals read by read).
+    """
+    lo, hi = trim_spans(offsets, quals, **rule)
+    kept = np.flatnonzero(hi - lo >= min_length)
+    sizes = (hi - lo)[kept]
+    at = ragged_positions(lo[kept], sizes)
+    trimmed = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=trimmed[1:])
+    kept = kept.tolist()
+    return (
+        data[at],
+        trimmed,
+        None if quals is None else quals[at],
+        [ids[i] for i in kept],
+        [meta[i] for i in kept],
+    )
+
+
+def rc_columns(data, offsets, quals, ids, meta) -> Columns:
+    """:meth:`Read.reverse_complement` of every read of a block: one
+    mirrored gather per column; ids gain ``/rc``, meta ``rc_of``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    last = offsets[:-1] + offsets[1:] - 1
+    mirror = np.repeat(last, np.diff(offsets)) - np.arange(data.size, dtype=np.int64)
+    return (
+        complement(data[mirror]),
+        offsets,
+        None if quals is None else quals[mirror],
+        [i + "/rc" for i in ids],
+        [{**m, "rc_of": i} for i, m in zip(ids, meta)],
+    )
 
 
 class ReadSet:
@@ -38,20 +116,13 @@ class ReadSet:
     """
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
-        reads = list(reads)
-        self.ids: list[str] = [r.id for r in reads]
-        self.meta: list[dict] = [r.meta for r in reads]
-        lengths = np.fromiter((len(r) for r in reads), dtype=np.int64, count=len(reads))
-        self.offsets = np.zeros(len(reads) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.offsets[1:])
-        self.data = np.empty(int(self.offsets[-1]), dtype=np.uint8)
-        has_quals = any(r.quals is not None for r in reads)
-        self.quals = np.zeros(int(self.offsets[-1]), dtype=np.int64) if has_quals else None
-        for i, r in enumerate(reads):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            self.data[lo:hi] = r.codes
-            if self.quals is not None and r.quals is not None:
-                self.quals[lo:hi] = r.quals
+        self._set_columns(*read_columns(list(reads)))
+
+    def _set_columns(self, data, offsets, quals, ids: list[str], meta: list[dict]) -> None:
+        self.data, self.offsets, self.quals = data, offsets, quals
+        self.ids, self.meta = ids, meta
+        #: whether the set carries Phred scores at all.
+        self.has_quals = quals is not None
         #: packed k-mer values of ``data``, keyed (k, canonical); lazy.
         self._kmer_cache: dict[tuple[int, bool], np.ndarray] = {}
 
@@ -69,6 +140,13 @@ class ReadSet:
     @classmethod
     def from_reads(cls, reads: Iterable[Read]) -> "ReadSet":
         return cls(reads)
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "ReadSet":
+        """A set over a ready-made column block (taken, not copied)."""
+        self = cls.__new__(cls)
+        self._set_columns(*columns)
+        return self
 
     @classmethod
     def from_strings(cls, seqs: Sequence[str], prefix: str = "r") -> "ReadSet":
@@ -121,27 +199,36 @@ class ReadSet:
     def length_of(self, i: int) -> int:
         return int(self.offsets[i + 1] - self.offsets[i])
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """Bases per read (read-only; the container is immutable)."""
+        lengths = np.diff(self.offsets)
+        lengths.setflags(write=False)
+        return lengths
 
     @property
     def total_bases(self) -> int:
         return int(self.offsets[-1])
 
-    # -- flat-position access ---------------------------------------------
-    # The vectorized overlap engine addresses bases by absolute position
-    # in the concatenated code array.  These two primitives are the only
-    # way it touches the bases, so the shard-backed subclass can serve
-    # them from per-shard arrays instead of one whole-set array.
+    # -- block access -----------------------------------------------------
+    # The one bulk read primitive: consensus, overlap verification and
+    # preprocessing all take their bases through it, so the shard-backed
+    # subclass can serve a whole request with one visit per shard.
 
-    def gather_bases(self, flat: np.ndarray) -> np.ndarray:
-        """Base codes at the given absolute positions of :attr:`data`."""
-        return self.data[flat]
+    def gather_reads(
+        self, indices: np.ndarray, quals: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The reads at ``indices`` as one ragged block.
 
-    def base_span(self, lo: int, length: int) -> np.ndarray:
-        """Contiguous base codes ``data[lo : lo + length]`` (one read)."""
-        return self.data[lo : lo + length]
+        Returns ``(codes, starts, scores)``: request ``j``'s bases are
+        ``codes[starts[j] : starts[j] + lengths[indices[j]]]`` and its
+        Phred scores the same span of ``scores`` (``None`` unless
+        ``quals`` is asked for and the set has any).  In RAM the block
+        is the set's own arrays — nothing is copied, so it must not be
+        written to.
+        """
+        starts = self.offsets[np.asarray(indices, dtype=np.int64)]
+        return self.data, starts, self.quals if quals else None
 
     # -- k-mer code cache -------------------------------------------------
 
@@ -208,6 +295,26 @@ class ReadSet:
         return self.packed_kmers(k, canonical)[flat], read_ids, within
 
     # -- preprocessing ---------------------------------------------------
+    # Both steps map a column kernel over the set's blocks — the whole
+    # set here, one shard at a time on a store — and :meth:`_rebuilt`
+    # makes a set of the results.
+
+    def _blocks(self) -> Iterator[Columns]:
+        yield self.data, self.offsets, self.quals, self.ids, self.meta
+
+    def _rebuilt(self, tag: str, params: dict, blocks: Iterable[Columns]) -> "ReadSet":
+        """A new set holding ``blocks`` in order (``tag`` and ``params``
+        name the step, for sets that keep what they derive)."""
+        data, offsets, quals, ids, meta = zip(*blocks)
+        joined = np.zeros(sum(len(block) for block in ids) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(o) for o in offsets]), out=joined[1:])
+        return ReadSet._from_columns(
+            np.concatenate(data),
+            joined,
+            np.concatenate(quals) if self.has_quals else None,
+            [i for block in ids for i in block],
+            [m for block in meta for m in block],
+        )
 
     def trimmed(
         self,
@@ -219,20 +326,16 @@ class ReadSet:
         min_length: int = 1,
     ) -> "ReadSet":
         """Apply the Focus trimming rule to every read; drop short reads."""
-        out: list[Read] = []
-        for i in range(len(self)):
-            codes, quals = trim_read(
-                self.codes_of(i),
-                self.quals_of(i),
-                trim5=trim5,
-                trim3=trim3,
-                window=window,
-                step=step,
-                min_quality=min_quality,
-            )
-            if codes.size >= min_length:
-                out.append(Read(self.ids[i], codes.copy(), quals, self.meta[i]))
-        return ReadSet(out)
+        rule = {
+            "trim5": trim5,
+            "trim3": trim3,
+            "window": window,
+            "step": step,
+            "min_quality": min_quality,
+            "min_length": min_length,
+        }
+        trimmed = (trim_columns(*block, **rule) for block in self._blocks())
+        return self._rebuilt("trim", rule, trimmed)
 
     def with_reverse_complements(self) -> "ReadSet":
         """Append the reverse complement of every read (paper §II-A).
@@ -240,8 +343,8 @@ class ReadSet:
         The forward read ``i`` and its reverse complement ``i + n`` are
         paired; :meth:`mate_of` maps between them.
         """
-        fwd = list(self)
-        return ReadSet(fwd + [r.reverse_complement() for r in fwd])
+        mates = (rc_columns(*block) for block in self._blocks())
+        return self._rebuilt("rc", {}, chain(self._blocks(), mates))
 
     def mate_of(self, i: int) -> int:
         """Index of read ``i``'s reverse complement in an rc-augmented set."""

@@ -20,6 +20,7 @@ __all__ = [
     "error_probabilities",
     "sliding_window_trim_index",
     "trim_read",
+    "trim_spans",
 ]
 
 #: Sanger / Illumina 1.8+ ASCII offset.
@@ -112,3 +113,51 @@ def trim_read(
         raise ValueError("quality array length does not match sequence")
     keep = sliding_window_trim_index(quals, window=window, step=step, min_quality=min_quality)
     return codes[:keep], quals[:keep]
+
+
+def trim_spans(
+    offsets: np.ndarray,
+    quals: np.ndarray | None,
+    trim5: int = 0,
+    trim3: int = 0,
+    window: int = 10,
+    step: int = 1,
+    min_quality: float = 20.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`trim_read` on every read of a ragged block at once.
+
+    ``offsets`` is the block's CSR offsets and ``quals`` its flat
+    integer scores (or ``None``); returns the ``[lo, hi)`` position
+    span each read keeps.  Every window of every read — read ``i`` has
+    them at ``hi_i - w_i - j * step``, ``w_i = min(window, length)`` —
+    is summed through one cumulative sum, so sums are exact integers
+    and each mean is the same ``sum / w`` the per-read rule computes.
+    """
+    if trim5 < 0 or trim3 < 0:
+        raise ValueError("fixed trim lengths must be non-negative")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lo = offsets[:-1] + np.minimum(trim5, np.diff(offsets))
+    hi = np.maximum(lo, offsets[1:] - trim3)
+    if quals is None:
+        return lo, hi
+    if window <= 0 or step <= 0:
+        raise ValueError("window and step must be positive")
+    if quals.size != int(offsets[-1]):
+        raise ValueError("quality array length does not match sequence")
+    width = np.minimum(hi - lo, window)
+    n_windows = np.where(hi > lo, (hi - lo - width) // step + 1, 0)
+    first = np.cumsum(n_windows) - n_windows
+    total = int(n_windows.sum())
+    nth = np.arange(total, dtype=np.int64) - np.repeat(first, n_windows)
+    left = np.repeat(hi - width, n_windows) - nth * step
+    width = np.repeat(width, n_windows)
+    csum = np.zeros(quals.size + 1, dtype=np.int64)
+    np.cumsum(quals, dtype=np.int64, out=csum[1:])
+    passing = np.flatnonzero((csum[left + width] - csum[left]) / width > min_quality)
+    # Each read's first passing window, 3'-most first; none -> empty span.
+    hit = np.append(passing, total)[np.searchsorted(passing, first)]
+    found = hit < first + n_windows
+    hit = hit[found]
+    hi = lo.copy()
+    hi[found] = left[hit] + width[hit]
+    return lo, hi

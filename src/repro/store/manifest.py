@@ -27,6 +27,9 @@ from repro.io.store import atomic_write_text, fsync_dir
 __all__ = ["STORE_VERSION", "MANIFEST_NAME", "ShardInfo", "StoreManifest"]
 
 #: format version of the sharded-store layout; bump on layout changes.
+#: Still 1 with narrow quality scores: a reads shard's ``quals`` is any
+#: integer dtype (``uint8`` as packed today, ``int64`` in older stores)
+#: and readers widen it, so both generations open.
 STORE_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"

@@ -14,8 +14,9 @@ Layout of a reads store::
       manifest.json          # written last; certifies a complete pack
       offsets.npy            # global CSR offsets, opened memory-mapped
       shard-00000.npz        # data, offsets (local), ids, meta, quals
-      shard-00001.npz
-      derived/               # trimmed / reverse-complement children
+      shard-00001.npz        #   (scores in the narrowest dtype: uint8)
+      derived/               # trimmed / reverse-complement children,
+                             #   written shard by shard from the parent's
 
 Reads never straddle shards, so every in-read k-mer window of a shard
 is computable from that shard alone — the per-shard packed k-mer
@@ -29,18 +30,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from array import array
 from collections.abc import Sequence
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.io.readset import ReadSet
+from repro.io.readset import Columns, ReadSet, ragged_positions, read_columns
 from repro.io.records import Read
 from repro.io.store import fsync_dir
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
-from repro.sequence.quality import trim_read
 from repro.store.manifest import StoreManifest
 from repro.store.sharded import DEFAULT_CACHE_BUDGET, ShardedStore, ShardWriter
 
@@ -79,6 +79,67 @@ def _json_load(arr: np.ndarray):
     return json.loads(bytes(np.asarray(arr, dtype=np.uint8).tobytes()).decode("utf-8"))
 
 
+def _read_blocks(reads: Iterable[Read], shard_size: int) -> Iterator[Columns]:
+    """Chunk a read stream into column blocks of ``shard_size`` reads."""
+    reads = iter(reads)
+    while chunk := list(islice(reads, shard_size)):
+        yield read_columns(chunk)
+
+
+def _narrowed(quals: np.ndarray) -> np.ndarray:
+    """Scores in the narrowest unsigned dtype that holds them (``uint8``
+    for real Phred data); anything negative stays ``int64``."""
+    if quals.size == 0 or int(quals.min()) < 0:
+        return quals
+    return quals.astype(np.min_scalar_type(int(quals.max())), copy=False)
+
+
+def _pack_blocks(
+    blocks: Iterable[Columns],
+    path: str | Path,
+    shard_size: int,
+    compressed: bool = False,
+    resume: bool = False,
+    meta: dict | None = None,
+) -> StoreManifest:
+    """Write one durable shard per non-empty block, then the global
+    offsets, then the manifest — the commit point."""
+    writer = ShardWriter(
+        path, READS_KIND, shard_size, compressed=compressed, resume=resume
+    )
+    global_offsets = [np.zeros(1, dtype=np.int64)]
+    total = 0
+    any_quals = False
+    for data, offsets, quals, ids, read_meta in blocks:
+        if not ids:
+            continue
+        has_quals = quals is not None
+        writer.write_shard(
+            {
+                "data": data,
+                "offsets": offsets,
+                "ids": _json_uint8(ids),
+                "meta": _json_uint8(read_meta),
+                "has_quals": np.bool_(has_quals),
+                "quals": _narrowed(quals) if has_quals else np.empty(0, dtype=np.uint8),
+            },
+            len(ids),
+        )
+        global_offsets.append(offsets[1:] + total)
+        total += int(offsets[-1])
+        any_quals = any_quals or has_quals
+    all_offsets = np.concatenate(global_offsets)
+    _atomic_save_npy(os.path.join(str(path), OFFSETS_NAME), all_offsets)
+    store_meta = {
+        "has_quals": any_quals,
+        "n_reads": all_offsets.size - 1,
+        "total_bases": total,
+    }
+    if meta:
+        store_meta.update(meta)
+    return writer.finalize(store_meta)
+
+
 def pack_reads(
     reads: Iterable[Read],
     path: str | Path,
@@ -98,77 +159,9 @@ def pack_reads(
     ``resume=True`` (already-durable shards are verified and skipped;
     the read stream must be reproduced identically).
     """
-    writer = ShardWriter(
-        path, READS_KIND, shard_size, compressed=compressed, resume=resume
+    return _pack_blocks(
+        _read_blocks(reads, shard_size), path, shard_size, compressed, resume, meta
     )
-    global_offsets = array("q", [0])
-    codes_buf: list[np.ndarray] = []
-    quals_buf: list[np.ndarray | None] = []
-    ids_buf: list[str] = []
-    meta_buf: list[dict] = []
-    any_quals = False
-
-    def flush() -> None:
-        n = len(ids_buf)
-        if n == 0:
-            return
-        lengths = np.fromiter((c.size for c in codes_buf), dtype=np.int64, count=n)
-        local = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=local[1:])
-        data = (
-            np.concatenate(codes_buf).astype(np.uint8, copy=False)
-            if int(local[-1])
-            else np.empty(0, dtype=np.uint8)
-        )
-        shard_quals = any(q is not None for q in quals_buf)
-        if shard_quals:
-            quals = np.zeros(int(local[-1]), dtype=np.int64)
-            for r, q in enumerate(quals_buf):
-                if q is not None:
-                    quals[local[r] : local[r + 1]] = q
-        else:
-            quals = np.empty(0, dtype=np.int64)
-        writer.write_shard(
-            {
-                "data": data,
-                "offsets": local,
-                "ids": _json_uint8(ids_buf),
-                "meta": _json_uint8(meta_buf),
-                "has_quals": np.bool_(shard_quals),
-                "quals": quals,
-            },
-            n,
-        )
-        codes_buf.clear()
-        quals_buf.clear()
-        ids_buf.clear()
-        meta_buf.clear()
-
-    for read in reads:
-        codes = np.asarray(read.codes, dtype=np.uint8)
-        codes_buf.append(codes)
-        quals_buf.append(None if read.quals is None else np.asarray(read.quals))
-        ids_buf.append(read.id)
-        meta_buf.append(read.meta)
-        global_offsets.append(global_offsets[-1] + codes.size)
-        if read.quals is not None:
-            any_quals = True
-        if len(ids_buf) >= shard_size:
-            flush()
-    flush()
-
-    _atomic_save_npy(
-        os.path.join(str(path), OFFSETS_NAME),
-        np.frombuffer(global_offsets, dtype=np.int64),
-    )
-    store_meta = {
-        "has_quals": any_quals,
-        "n_reads": len(global_offsets) - 1,
-        "total_bases": int(global_offsets[-1]),
-    }
-    if meta:
-        store_meta.update(meta)
-    return writer.finalize(store_meta)
 
 
 def _shard_groups(shard_ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -177,6 +170,8 @@ def _shard_groups(shard_ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     One stable sort and contiguous slices of it — not one full-length
     mask per shard, which is O(shards x positions).
     """
+    if shard_ids.size == 0:
+        return
     order = np.argsort(shard_ids, kind="stable")
     ids = shard_ids[order]
     cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
@@ -261,7 +256,7 @@ class ShardedReadSet(ReadSet):
         )
         self.ids = _ShardColumn(self, "ids")
         self.meta = _ShardColumn(self, "meta")
-        self._kmer_cache = {}  # unused here; kept for base-class parity
+        self._kmer_cache = {}  # whole-store entries, filled by packed_kmers
         self._materialized: np.ndarray | None = None
         self._materialized_quals: np.ndarray | None = None
 
@@ -324,7 +319,7 @@ class ShardedReadSet(ReadSet):
         lo, hi = int(offsets[local]), int(offsets[local + 1])
         if not bool(arrays["has_quals"]):
             return np.zeros(hi - lo, dtype=np.int64)
-        return arrays["quals"][lo:hi].copy()
+        return arrays["quals"][lo:hi].astype(np.int64)
 
     # -- whole-store materialization (explicit; avoid in kernels) ---------
 
@@ -365,28 +360,31 @@ class ShardedReadSet(ReadSet):
             self._materialized_quals = out
         return self._materialized_quals
 
-    # -- flat-position access (the overlap engine's primitives) -----------
+    # -- block access (each requested shard visited once) ------------------
 
-    def gather_bases(self, flat: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat, dtype=np.int64)
-        out = np.empty(flat.size, dtype=np.uint8)
-        if flat.size == 0:
-            return out
-        shard_ids = np.searchsorted(self._base_bounds, flat, side="right") - 1
+    def gather_reads(
+        self, indices: np.ndarray, quals: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        indices = np.asarray(indices, dtype=np.int64)
+        # Distinct requested reads, ascending: one shard's are adjacent
+        # both here and in the block, which is copied shard by shard.
+        wanted = np.zeros(len(self), dtype=bool)
+        wanted[indices] = True
+        distinct = np.flatnonzero(wanted)
+        sizes = self.lengths[distinct]
+        starts = np.cumsum(sizes) - sizes
+        codes = np.empty(int(sizes.sum()), dtype=np.uint8)
+        scores = np.zeros(codes.size, dtype=np.int64) if quals and self.has_quals else None
+        shard_ids = np.searchsorted(self.store.record_starts, distinct, side="right") - 1
         for s, at in _shard_groups(shard_ids):
-            data = self.store.shard(s)["data"]
-            out[at] = data[flat[at] - int(self._base_bounds[s])]
-        return out
-
-    def base_span(self, lo: int, length: int) -> np.ndarray:
-        shard = int(np.searchsorted(self._base_bounds, lo, side="right") - 1)
-        local = int(lo) - int(self._base_bounds[shard])
-        data = self.store.shard(shard)["data"]
-        if local + length <= data.size:
-            return data[local : local + length]
-        # Defensive: a span crossing shards (cannot happen for in-read
-        # spans, since reads never straddle shards).
-        return self.gather_bases(np.arange(lo, lo + length, dtype=np.int64))
+            arrays = self.store.shard(s)
+            local = distinct[at] - int(self.store.record_starts[s])
+            src = ragged_positions(arrays["offsets"][local], sizes[at])
+            dest = slice(int(starts[at[0]]), int(starts[at[0]]) + src.size)
+            codes[dest] = arrays["data"][src]
+            if scores is not None and bool(arrays["has_quals"]):
+                scores[dest] = arrays["quals"][src]
+        return codes, starts[np.cumsum(wanted)[indices] - 1], scores
 
     # -- k-mer cache API (per-shard materialization) ----------------------
 
@@ -450,65 +448,46 @@ class ShardedReadSet(ReadSet):
 
     # -- preprocessing (streams into derived stores) ----------------------
 
-    def _derived(self, tag: str, generate: Iterator[Read]) -> "ShardedReadSet":
-        """Open-or-pack a derived store keyed by source digest + params."""
+    def _blocks(self) -> Iterator[Columns]:
+        """Every shard as a column block, in shard order (one visit each)."""
+        for _, arrays in self.store.iter_shards():
+            quals = None
+            if self.has_quals:
+                quals = arrays["quals"]
+                if not bool(arrays["has_quals"]):
+                    quals = np.zeros(arrays["data"].size, dtype=np.int64)
+            yield (
+                arrays["data"],
+                arrays["offsets"],
+                quals,
+                _json_load(arrays["ids"]),
+                _json_load(arrays["meta"]),
+            )
+
+    def _rebuilt(
+        self, tag: str, params: dict, blocks: Iterable[Columns]
+    ) -> "ShardedReadSet":
+        """Open-or-pack the derived store keyed by step, params and source.
+
+        One derived shard per non-empty block, so its shards follow the
+        source's and may hold fewer than ``shard_size`` reads.
+        """
+        digest = hashlib.sha256(
+            json.dumps({**params, "source": self.store_fingerprint}, sort_keys=True).encode(
+                "utf-8"
+            )
+        ).hexdigest()[:12]
+        tag = f"{tag}-{digest}"
         dest = os.path.join(self.store_path, "derived", tag)
         try:
             return ShardedReadSet(dest, self.cache_budget)
         except ValueError:
             pass
         os.makedirs(dest, exist_ok=True)
-        pack_reads(
-            generate,
+        _pack_blocks(
+            blocks,
             dest,
             shard_size=self.store.manifest.shard_size,
             meta={"derived_from": self.store_fingerprint, "derived_tag": tag},
         )
         return ShardedReadSet(dest, self.cache_budget)
-
-    def trimmed(
-        self,
-        trim5: int = 0,
-        trim3: int = 0,
-        window: int = 10,
-        step: int = 1,
-        min_quality: float = 20.0,
-        min_length: int = 1,
-    ) -> "ShardedReadSet":
-        params = {
-            "trim5": trim5,
-            "trim3": trim3,
-            "window": window,
-            "step": step,
-            "min_quality": min_quality,
-            "min_length": min_length,
-            "source": self.store_fingerprint,
-        }
-        digest = hashlib.sha256(
-            json.dumps(params, sort_keys=True).encode("utf-8")
-        ).hexdigest()[:12]
-
-        def generate() -> Iterator[Read]:
-            for i in range(len(self)):
-                codes, quals = trim_read(
-                    self.codes_of(i),
-                    self.quals_of(i),
-                    trim5=trim5,
-                    trim3=trim3,
-                    window=window,
-                    step=step,
-                    min_quality=min_quality,
-                )
-                if codes.size >= min_length:
-                    yield Read(self.ids[i], codes.copy(), quals, self.meta[i])
-
-        return self._derived(f"trim-{digest}", generate())
-
-    def with_reverse_complements(self) -> "ShardedReadSet":
-        def generate() -> Iterator[Read]:
-            for i in range(len(self)):
-                yield self[i]
-            for i in range(len(self)):
-                yield self[i].reverse_complement()
-
-        return self._derived(f"rc-{self.store_fingerprint[:12]}", generate())

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.align.overlapper import OverlapDetector
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
+from repro.distributed.dgraph import enrich_hybrid
+from repro.graph import contigs
 from repro.io.readset import ReadSet
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 from repro.store import ShardedReadSet, pack_reads
+from repro.store.reads import _ShardColumn
+from repro.store.sharded import ShardedStore
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +75,109 @@ class TestStoreBackedAssembly:
         assert fp_ram["store"] is None
         assert fp_store["store"] is not None
         assert fp_ram != fp_store
+
+    def test_quality_weighted_consensus_stays_shard_backed(self, sim_reads, store_path):
+        """Weighted votes take their scores block by block: the
+        whole-store ``.quals`` materialisation is never built."""
+        cfg = AssemblyConfig(
+            n_partitions=2,
+            store_path=store_path,
+            cache_budget=1 << 20,
+            quality_weighted_consensus=True,
+        )
+        assembler = FocusAssembler(cfg)
+        stored = assembler.prepare(assembler.open_reads())
+        assert stored.reads.has_quals
+        assert stored.reads._materialized is None
+        assert stored.reads._materialized_quals is None
+        ram = assembler.prepare(ReadSet(sim_reads))
+        assert [c.tobytes() for c in stored.assembly.contigs] == [
+            c.tobytes() for c in ram.assembly.contigs
+        ]
+
+
+class TestShardOrderAccess:
+    """The store is read a block at a time, in shard order.
+
+    Counted in ``ShardedStore.load_shard`` calls with a cache that
+    holds one shard, so a per-read walk in cluster or candidate order
+    (hundreds of loads here) cannot come back unnoticed.
+    """
+
+    @pytest.fixture()
+    def assembler(self, tmp_path):
+        rng = np.random.default_rng(11)
+        genome = Genome("g", random_genome(7500, rng))
+        sim = ReadSimulator(ReadSimConfig(read_length=100, coverage=8.0, seed=11))
+        path = str(tmp_path / "reads.store")
+        manifest = pack_reads(sim.simulate_genome(genome), path, shard_size=64)
+        assert manifest.n_records >= 600 and manifest.n_shards >= 8
+        budget = max(s.nbytes for s in manifest.shards)
+        return FocusAssembler(AssemblyConfig(store_path=path, cache_budget=budget))
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        calls = []
+        load_shard = ShardedStore.load_shard
+
+        def counting(store, index):
+            calls.append((store.path, index))
+            return load_shard(store, index)
+
+        monkeypatch.setattr(ShardedStore, "load_shard", counting)
+        return calls
+
+    def test_preprocess_reads_each_shard_in_turn(self, assembler, loads):
+        source = assembler.open_reads()
+        rs = assembler.preprocess(source)
+        per_store = {path: [i for p, i in loads if p == path] for path, _ in loads}
+        assert per_store.pop(source.store_path) == [*range(source.store.n_shards)]
+        # forwards, then mates: every trimmed shard is read twice.
+        (trimmed,) = per_store.values()
+        assert trimmed == [*range(rs.store.n_shards // 2)] * 2
+
+    def test_enrich_visits_each_shard_once_per_block(self, assembler, loads, monkeypatch):
+        prep = assembler.prepare(assembler.open_reads())
+        monkeypatch.setattr(contigs, "_MAX_BASES", prep.reads.total_bases // 3)
+        blocks = []
+        gather = ShardedReadSet.gather_reads
+
+        def counting(reads, indices, quals=False):
+            blocks.append(len(loads))
+            return gather(reads, indices, quals)
+
+        monkeypatch.setattr(ShardedReadSet, "gather_reads", counting)
+        del loads[:]
+        enrich_hybrid(prep.hyb, prep.g0, prep.reads)
+        assert 3 <= len(blocks) <= 5
+        per_block = np.diff([*blocks, len(loads)])
+        assert (per_block <= prep.reads.store.n_shards).all()
+
+    def test_verify_visits_each_shard_once_per_stripe(self, assembler, loads, monkeypatch):
+        rs = assembler.preprocess(assembler.open_reads())
+        stripes = []
+        verify = OverlapDetector._verify_batch
+
+        def counting(detector, reads, *cand):
+            before = len(loads)
+            out = verify(detector, reads, *cand)
+            stripes.append(len(loads) - before)
+            return out
+
+        monkeypatch.setattr(OverlapDetector, "_verify_batch", counting)
+        detector = OverlapDetector(assembler.config.overlap)
+        packed_overlaps, _ = detector.overlap_subset_pair_packed(
+            rs, np.arange(len(rs)), np.arange(len(rs)), same_subset=True, max_hits=20_000
+        )
+        assert len(packed_overlaps) > 0 and len(stripes) >= 3
+        assert max(stripes) <= rs.store.n_shards
+
+    def test_prepare_never_walks_the_store_read_by_read(self, assembler, monkeypatch):
+        def per_read(*args, **kwargs):
+            raise AssertionError("per-read store access inside prepare()")
+
+        monkeypatch.setattr(ShardedReadSet, "codes_of", per_read)
+        monkeypatch.setattr(ShardedReadSet, "quals_of", per_read)
+        monkeypatch.setattr(_ShardColumn, "__getitem__", per_read)
+        prep = assembler.prepare(assembler.open_reads())
+        assert len(prep.assembly.contigs) > 0

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.graph import contigs as contigs_module
 from repro.graph.contigs import (
     cluster_layout_offsets,
     consensus_from_layout,
+    consensus_of_layouts,
     contig_for_nodes,
     is_layout_contiguous,
 )
 from repro.graph.overlap_graph import OverlapGraph
+from repro.io.readset import ReadSet
+from repro.io.records import Read
 from repro.sequence.dna import decode
 from tests.graph.conftest import graph_from_reads, tiled_readset
+from tests.reference import contigs as contigs_ref
 
 
 class TestClusterLayout:
@@ -132,3 +139,78 @@ class TestConsensus:
         reads = ReadSet.from_strings(["AAAA", "TTTT"])
         g = OverlapGraph(2, np.array([]), np.array([]), np.array([]), deltas=np.array([], dtype=np.int64))
         assert contig_for_nodes(reads, g, np.array([0, 1])) is None
+
+
+@st.composite
+def stacked_clusters(draw):
+    """Reads (with N runs, all-N reads and optional scores) plus a few
+    clusters over them laid out with overlaps, repeats and gaps."""
+    n_reads = draw(st.integers(min_value=1, max_value=12))
+    with_quals = draw(st.booleans())
+    reads = []
+    for i in range(n_reads):
+        codes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=14))
+        quals = (
+            draw(st.lists(st.integers(0, 41), min_size=len(codes), max_size=len(codes)))
+            if with_quals
+            else None
+        )
+        reads.append(Read(f"r{i}", np.array(codes, dtype=np.uint8), quals))
+    clusters, layouts = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        nodes = draw(st.lists(st.integers(0, n_reads - 1), min_size=1, max_size=6))
+        offsets = draw(
+            st.lists(st.integers(-5, 40), min_size=len(nodes), max_size=len(nodes))
+        )
+        clusters.append(np.array(nodes, dtype=np.int64))
+        layouts.append(np.array(offsets, dtype=np.int64))
+    return ReadSet(reads), clusters, layouts
+
+
+class TestBatchedConsensusEqualsOracle:
+    """One gather + one bincount per block == ``np.add.at`` per read."""
+
+    @given(stacked_clusters(), st.booleans(), st.sampled_from([1, 16, 1 << 20]))
+    def test_blocks_match_per_read_oracle(self, drawn, weighted, budget):
+        reads, clusters, layouts = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(contigs_module, "_MAX_BASES", budget)
+            got = consensus_of_layouts(reads, clusters, layouts, weighted)
+        want = [
+            contigs_ref.consensus_from_layout(reads, c, lay, weighted)
+            for c, lay in zip(clusters, layouts)
+        ]
+        assert [[s.tobytes() for s in segs] for segs in got] == [
+            [s.tobytes() for s in segs] for segs in want
+        ]
+
+    def test_gap_and_all_n_columns(self):
+        # read 1 is all N: it spans columns 2..5 without voting, so they
+        # stay zero-coverage gaps, as does read 0's own N column.
+        reads = ReadSet.from_strings(["ACNT", "NNNN", "GGTT"])
+        nodes, layout = np.array([0, 1, 2]), np.array([0, 2, 7])
+        for weighted in (False, True):
+            segs = consensus_from_layout(reads, nodes, layout, weighted)
+            want = contigs_ref.consensus_from_layout(reads, nodes, layout, weighted)
+            assert [decode(s) for s in segs] == [decode(s) for s in want]
+            assert [decode(s) for s in segs] == ["AC", "T", "GGTT"]
+
+    def test_weighted_float_sums_are_bit_identical(self):
+        # In every column A and C receive the same multiset of weights
+        # in different orders, so the winner is decided by the last bit
+        # of two float sums: the votes must be added in the oracle's
+        # (read, then position) order, not merely add up to the same.
+        rng = np.random.default_rng(0)
+        quals_a = rng.integers(1, 41, (12, 50))
+        quals_c = rng.permuted(quals_a, axis=0)
+        reads = ReadSet(
+            Read(f"{'ac'[base]}{i}", np.full(50, base, dtype=np.uint8), quals[i])
+            for i in range(12)
+            for base, quals in ((0, quals_a), (1, quals_c))
+        )
+        nodes, layout = np.arange(24), np.zeros(24, dtype=np.int64)
+        want = contigs_ref.consensus_from_layout(reads, nodes, layout, True)
+        backwards = contigs_ref.consensus_from_layout(reads, nodes[::-1], layout, True)
+        assert want[0].tobytes() != backwards[0].tobytes()  # order does matter
+        got = consensus_from_layout(reads, nodes, layout, quality_weighted=True)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]

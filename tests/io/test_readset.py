@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.io.records import Read
 from repro.io.readset import ReadSet
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
+from repro.sequence.quality import trim_read
 
 seq_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=40), min_size=0, max_size=25)
 
@@ -83,6 +84,90 @@ class TestPreprocessing:
         for i in range(len(rs)):
             j = rs.mate_of(i)
             assert rs.mate_of(j) == i
+
+
+@st.composite
+def scored_reads(draw):
+    """Reads of 0..25 bases (N included); scored, unscored or mixed."""
+    scoring = draw(st.sampled_from(["all", "none", "mixed"]))
+    reads = []
+    for i in range(draw(st.integers(min_value=0, max_value=10))):
+        codes = draw(st.lists(st.integers(0, 4), max_size=25))
+        scored = scoring == "all" or (scoring == "mixed" and draw(st.booleans()))
+        quals = (
+            draw(st.lists(st.integers(0, 41), min_size=len(codes), max_size=len(codes)))
+            if scored
+            else None
+        )
+        reads.append(Read(f"r{i}", np.array(codes, dtype=np.uint8), quals, {"n": i}))
+    return ReadSet(reads)
+
+
+trim_rules = st.fixed_dictionaries(
+    {
+        "trim5": st.integers(0, 7),
+        "trim3": st.integers(0, 7),
+        "window": st.integers(1, 14),
+        "step": st.integers(1, 3),
+        "min_quality": st.one_of(
+            st.sampled_from([20.0, 19.5, 20.25, 0.0]), st.floats(0.0, 41.0)
+        ),
+    }
+)
+
+
+def assert_reads_equal(got: Read, want: Read):
+    assert got.id == want.id and got.meta == want.meta
+    assert got.codes.dtype == np.uint8 and np.array_equal(got.codes, want.codes)
+    assert (got.quals is None) == (want.quals is None)
+    if want.quals is not None:
+        assert got.quals.dtype == np.int64 and np.array_equal(got.quals, want.quals)
+
+
+class TestBlockPreprocessEqualsPerRead:
+    """The column kernels against ``trim_read`` / ``Read.reverse_complement``."""
+
+    @given(scored_reads(), trim_rules, st.integers(0, 6))
+    def test_trimmed_matches_trim_read(self, rs, rule, min_length):
+        want = []
+        for i in range(len(rs)):
+            codes, quals = trim_read(rs.codes_of(i), rs.quals_of(i), **rule)
+            if codes.size >= min_length:
+                want.append(Read(rs.ids[i], codes, quals, rs.meta[i]))
+        got = rs.trimmed(min_length=min_length, **rule)
+        assert len(got) == len(want)
+        assert got.offsets.dtype == np.int64 and got.total_bases == got.data.size
+        for read, expected in zip(got, want):
+            assert_reads_equal(read, expected)
+
+    @pytest.mark.parametrize("length", [0, 3, 5, 6])  # <, == and > the window
+    def test_window_boundaries(self, length):
+        for level, kept in ((30, length), (10, 0)):
+            rs = ReadSet([Read("r", np.zeros(length, dtype=np.uint8), np.full(length, level))])
+            out = rs.trimmed(window=5, min_quality=20, min_length=0)
+            assert out.lengths.tolist() == [kept]
+
+    def test_trim_argument_errors(self):
+        scored = ReadSet([Read("r", np.zeros(4, dtype=np.uint8), np.full(4, 30))])
+        with pytest.raises(ValueError, match="non-negative"):
+            scored.trimmed(trim5=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            scored.trimmed(trim3=-1)
+        with pytest.raises(ValueError, match="positive"):
+            scored.trimmed(window=0)
+        with pytest.raises(ValueError, match="positive"):
+            scored.trimmed(step=0)
+
+    @given(scored_reads())
+    def test_reverse_complements_match_per_read(self, rs):
+        both = rs.with_reverse_complements()
+        n = len(rs)
+        assert len(both) == 2 * n and both.has_quals == rs.has_quals
+        # forwards first, then the mates in the same order (mate_of).
+        for i in range(n):
+            assert_reads_equal(both[i], rs[i])
+            assert_reads_equal(both[both.mate_of(i)], rs[i].reverse_complement())
+            assert both.meta[n + i]["rc_of"] == rs.ids[i]
 
 
 class TestSplit:

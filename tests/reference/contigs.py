@@ -1,11 +1,12 @@
-"""Scalar reference implementations of the contig-emission step.
+"""Scalar reference implementations of the consensus and contig steps.
 
-The readable specification of paper §II step 6 that the production
+The readable specification of paper §II steps 3-4 and 6 that the
+production ``repro.graph.contigs.consensus_from_layout``,
 ``repro.distributed.traversal.contigs_from_paths`` and
 ``repro.core.focus.deduplicate_contigs`` are checked against: one
-``np.add.at`` per path node, and one fresh :class:`SequenceMapper` over
-the kept contigs per candidate.  Same arguments and results as the
-production functions.
+``np.add.at`` per read or path node, and one fresh
+:class:`SequenceMapper` over the kept contigs per candidate.  Same
+arguments and results as the production functions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,41 @@ from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.graph.sparse import masked_view
 from repro.sequence.dna import decode, reverse_complement
 
-__all__ = ["contigs_from_paths", "deduplicate_contigs"]
+__all__ = ["consensus_from_layout", "contigs_from_paths", "deduplicate_contigs"]
+
+
+def consensus_from_layout(reads, nodes, offsets, quality_weighted=False):
+    """Majority-vote consensus of the stacked reads, one read at a time."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if nodes.size == 0:
+        return []
+    weighted = quality_weighted and reads.has_quals
+    shifted = offsets - offsets.min()
+    width = int((shifted + reads.lengths[nodes]).max())
+    counts = np.zeros((width, 4), dtype=np.float64 if weighted else np.int64)
+    for v, off in zip(nodes.tolist(), shifted.tolist()):
+        codes = reads.codes_of(v)
+        called = codes < 4
+        pos = np.arange(codes.size)[called] + off
+        if weighted:
+            quals = reads.quals_of(v)[called]
+            votes = 1.0 - np.power(10.0, -quals / 10.0)
+            np.add.at(counts, (pos, codes[called].astype(np.int64)), votes)
+        else:
+            np.add.at(counts, (pos, codes[called].astype(np.int64)), 1)
+    coverage = counts.sum(axis=1)
+    consensus = counts.argmax(axis=1).astype(np.uint8)
+    covered = coverage > 0
+    # Split at zero-coverage columns.
+    segments = []
+    if covered.any():
+        edges = np.flatnonzero(np.diff(covered.astype(np.int8)))
+        bounds = np.concatenate([[0], edges + 1, [width]])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if covered[lo]:
+                segments.append(consensus[lo:hi].copy())
+    return segments
 
 
 def contigs_from_paths(

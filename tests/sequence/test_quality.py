@@ -114,3 +114,27 @@ class TestTrimRead:
     def test_mismatched_quals_raise(self):
         with pytest.raises(ValueError):
             quality.trim_read(dna.encode("ACGT"), np.array([40, 40]))
+
+
+class TestTrimSpans:
+    """The block kernel keeps ``trim_read``'s checks (its read-by-read
+    equality is the property in ``tests/io/test_readset.py``)."""
+
+    def test_spans_of_a_block(self):
+        offsets = np.array([0, 12, 12, 16])
+        quals = np.concatenate([np.full(8, 40), np.full(4, 2), np.full(4, 30)])
+        lo, hi = quality.trim_spans(offsets, quals, trim5=1, window=4, min_quality=20)
+        assert lo.tolist() == [1, 12, 13]
+        assert hi.tolist() == [10, 12, 16]  # last passing window ends at 10
+
+    def test_fasta_mode_fixed_trims_only(self):
+        lo, hi = quality.trim_spans(np.array([0, 8, 10]), None, trim5=3, trim3=3, window=0)
+        assert (hi - lo).tolist() == [2, 0]
+
+    def test_negative_trim_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            quality.trim_spans(np.array([0, 4]), None, trim3=-1)
+
+    def test_mismatched_quals_raise(self):
+        with pytest.raises(ValueError, match="length"):
+            quality.trim_spans(np.array([0, 4]), np.array([40, 40]))

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.io.records import Read
 from repro.io.readset import ReadSet
@@ -22,6 +24,39 @@ def make_reads(n=57, with_quals=True, seed=11):
             Read(f"r{i}", codes, quals=quals, meta={"lane": i % 3})
         )
     return reads
+
+
+def block_reads(reads, indices, quals=True):
+    """A ``gather_reads`` block unpacked to per-request (codes, scores)."""
+    codes, starts, scores = reads.gather_reads(indices, quals=quals)
+    assert codes.dtype == np.uint8 and starts.dtype == np.int64
+    spans = [
+        slice(int(s), int(s) + int(n))
+        for s, n in zip(starts, reads.lengths[np.asarray(indices, dtype=np.int64)])
+    ]
+    return [(codes[sp], None if scores is None else scores[sp]) for sp in spans]
+
+
+def assert_same_block(opened, ram, indices, quals=True):
+    got, want = block_reads(opened, indices, quals), block_reads(ram, indices, quals)
+    assert len(got) == len(want) == len(indices)
+    for (codes, scores), (ram_codes, ram_scores) in zip(got, want):
+        assert np.array_equal(codes, ram_codes)
+        assert (scores is None) == (ram_scores is None)
+        if scores is not None:
+            assert scores.dtype == np.int64 and np.array_equal(scores, ram_scores)
+
+
+def assert_same_columns(opened, ram):
+    """Every column of a shard-backed set equals the in-RAM set's."""
+    assert len(opened) == len(ram) and opened.has_quals == ram.has_quals
+    assert np.array_equal(opened.offsets, ram.offsets)
+    assert np.array_equal(opened.to_array(), ram.data)
+    if ram.has_quals:
+        assert opened.quals.dtype == np.int64
+        assert np.array_equal(opened.quals, ram.quals)
+    assert list(opened.ids) == list(ram.ids)
+    assert list(opened.meta) == list(ram.meta)
 
 
 @pytest.fixture()
@@ -51,11 +86,8 @@ class TestEquivalence:
         ram, opened, _ = stores
         assert (opened.to_array() == ram.data).all()
         assert (opened.offsets[:] == ram.offsets).all()
-        flat = np.array([0, 5, 999, 1203, 17])
-        assert (opened.gather_bases(flat) == ram.gather_bases(flat)).all()
-        lo = int(ram.offsets[3])
-        ln = int(ram.offsets[4] - ram.offsets[3])
-        assert (opened.base_span(lo, ln) == ram.base_span(lo, ln)).all()
+        assert np.array_equal(opened.lengths, ram.lengths)
+        assert_same_block(opened, ram, np.array([0, 5, 56, 9, 10, 5]))
 
     def test_kmer_primitives_match(self, stores):
         ram, opened, _ = stores
@@ -68,42 +100,131 @@ class TestEquivalence:
             assert (a == b).all()
 
     def test_many_small_shards_unsorted_positions(self, tmp_path):
-        # 29 shards of two reads; positions and reads arrive shuffled
-        # and repeated, so every shard's group is scattered.
+        # 29 shards of two reads; reads arrive shuffled and repeated,
+        # so every shard's group is scattered.
         reads = make_reads()
         path = str(tmp_path / "small.store")
         pack_reads(iter(reads), path, shard_size=2)
         ram, opened = ReadSet(reads), ReadSet.open(path)
         assert opened.store.n_shards == 29
         rng = np.random.default_rng(5)
-        flat = rng.integers(0, ram.total_bases, size=4000)
-        gathered = opened.gather_bases(flat)
-        assert gathered.dtype == np.uint8
-        assert np.array_equal(gathered, ram.gather_bases(flat))
-        assert opened.gather_bases(np.empty(0, dtype=np.int64)).size == 0
         idx = rng.integers(0, len(ram), size=80)
+        assert_same_block(opened, ram, idx)
+        assert opened.gather_reads(np.empty(0, dtype=np.int64))[0].size == 0
         for a, b in zip(opened.kmer_table(16, idx), ram.kmer_table(16, idx)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_derived_sets_match(self, stores):
         ram, opened, path = stores
-        rt, ot = ram.trimmed(trim5=2, min_length=45), None
+        rt = ram.trimmed(trim5=2, min_length=45)
         ot = opened.trimmed(trim5=2, min_length=45)
         assert isinstance(ot, ShardedReadSet)
-        assert len(ot) == len(rt)
-        for i in range(len(rt)):
-            assert (ot.codes_of(i) == rt.codes_of(i)).all()
-        rrc, orc = ram.with_reverse_complements(), opened.with_reverse_complements()
+        assert 0 < len(rt) < len(ram)  # some reads are dropped
+        assert_same_columns(ot, rt)
+        orc = ot.with_reverse_complements()
         assert isinstance(orc, ShardedReadSet)
-        assert len(orc) == len(rrc)
-        for i in (0, len(rrc) - 1):
-            assert (orc.codes_of(i) == rrc.codes_of(i)).all()
+        assert_same_columns(orc, rt.with_reverse_complements())
+
+    def test_derived_shards_follow_the_source(self, tmp_path):
+        # Shard 1's reads all fail the quality rule: no empty shard is
+        # written, and the shards after it keep their own reads.
+        reads = make_reads(n=40)
+        for read in reads[10:20]:
+            read.quals[:] = 2
+        path = str(tmp_path / "reads.store")
+        pack_reads(iter(reads), path, shard_size=10)
+        ram, opened = ReadSet(reads), ReadSet.open(path)
+        trimmed = opened.trimmed(min_length=30)
+        assert [s.n_records for s in trimmed.store.manifest.shards] == [10, 10, 10]
+        assert_same_columns(trimmed, ram.trimmed(min_length=30))
+        both = trimmed.with_reverse_complements()
+        assert both.store.n_shards == 6
+        assert_same_columns(both, ram.trimmed(min_length=30).with_reverse_complements())
 
     def test_derived_store_is_reused(self, stores):
         _, opened, _ = stores
         first = opened.trimmed(trim5=2, min_length=45)
         again = opened.trimmed(trim5=2, min_length=45)
         assert first.store_path == again.store_path
+
+
+@pytest.fixture(scope="module")
+def ragged_stores(tmp_path_factory):
+    """Two-read shards with empty reads; one set scored except for one
+    whole shard (``has_quals`` false inside a store that has them), one
+    unscored."""
+    out = {}
+    for scored in (True, False):
+        reads = make_reads(n=24, with_quals=scored)
+        for i in (0, 7, 8, 23):
+            reads[i] = Read(f"r{i}", np.empty(0, dtype=np.uint8), [] if scored else None)
+        for i in (4, 5):
+            reads[i].quals = None
+        path = str(tmp_path_factory.mktemp("ragged") / "reads.store")
+        pack_reads(iter(reads), path, shard_size=2)
+        out[scored] = ReadSet(reads), ReadSet.open(path, cache_budget=1)
+    return out
+
+
+class TestBlockGatherEqualsInRam:
+    @given(
+        st.lists(st.integers(0, 23), max_size=40),
+        st.sampled_from(["drawn", "descending", "ascending"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_any_index_array(self, ragged_stores, indices, order, scored, quals):
+        ram, opened = ragged_stores[scored]
+        if order != "drawn":
+            indices = sorted(indices, reverse=order == "descending")
+        assert_same_block(opened, ram, np.array(indices, dtype=np.int64), quals)
+
+    def test_unscored_shard_reads_as_zeros(self, ragged_stores):
+        ram, opened = ragged_stores[True]
+        assert not bool(opened.store.shard(2)["has_quals"])
+        (_, zeros), (_, scores) = block_reads(opened, [4, 6])
+        assert zeros.size and not zeros.any() and scores.any()
+
+    def test_one_visit_per_requested_shard(self, ragged_stores):
+        _, opened = ragged_stores[True]
+        opened.store.cache.clear()
+        before = opened.store.cache.stats().misses
+        opened.gather_reads(np.array([21, 2, 3, 20, 2, 21]))  # shards 10, 1
+        assert opened.store.cache.stats().misses - before == 2
+
+
+class TestQualityDtype:
+    """Scores are stored narrow and always read back as ``int64``."""
+
+    @pytest.mark.parametrize(
+        "top, stored", [(40, np.uint8), (300, np.uint16), (-1, np.int64)]
+    )
+    def test_narrowest_dtype_that_holds_the_shard(self, tmp_path, top, stored):
+        reads = make_reads(n=6)
+        reads[2].quals[0] = top
+        path = str(tmp_path / "reads.store")
+        pack_reads(iter(reads), path, shard_size=3)
+        opened = ReadSet.open(path)
+        assert opened.store.shard(0)["quals"].dtype == stored
+        assert opened.store.shard(1)["quals"].dtype == np.uint8
+        assert opened.quals_of(2).dtype == np.int64
+        assert_same_columns(opened, ReadSet(reads))
+
+    def test_int64_scores_of_older_stores_still_open(self, tmp_path):
+        reads = make_reads(n=6)
+        path = str(tmp_path / "reads.store")
+        pack_reads(iter(reads), path, shard_size=3)
+        for name in ("shard-00000.npz", "shard-00001.npz"):
+            with np.load(f"{path}/{name}") as data:
+                arrays = dict(data)
+            arrays["quals"] = arrays["quals"].astype(np.int64)
+            np.savez(f"{path}/{name}", **arrays)
+        opened = ShardedReadSet(path)
+        assert opened.store.shard(0)["quals"].dtype == np.int64
+        ram = ReadSet(reads)
+        assert_same_columns(opened, ram)
+        assert_same_block(opened, ram, np.arange(6))
+        assert_same_columns(opened.trimmed(min_length=30), ram.trimmed(min_length=30))
 
 
 class TestPickleContract:
