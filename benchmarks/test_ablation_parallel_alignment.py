@@ -2,15 +2,15 @@
 
 Focus splits the read set into subsets and farms each subset pair out
 to a processor.  This bench measures the virtual runtime of the
-alignment stage on 1-8 simulated ranks (D1 reads, 4 subsets = 10
-independent pair tasks) and checks the expected speedup shape: gains
-up to the task-granularity limit, then saturation.
+``overlap`` stage on 1-8 simulated ranks (D1 reads, 4 subsets = 10
+independent pair tasks LPT-packed into one part per rank) through the
+generic SPMD driver, and checks the expected speedup shape: gains up
+to the task-granularity limit, then saturation.
 """
 
-import numpy as np
-
-from repro.align.overlapper import OverlapConfig, OverlapDetector
+from repro.align.overlapper import OverlapConfig, OverlapSubject
 from repro.bench.reporting import format_series, format_table
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.mpi.cluster import SimCluster
 
 from conftest import FAST_NET
@@ -21,16 +21,18 @@ N_SUBSETS = 4  # -> 10 subset-pair tasks
 
 def test_ablation_parallel_alignment(benchmark, datasets, write_result):
     reads = datasets[0].reads
-    detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=N_SUBSETS))
+    config = OverlapConfig(min_overlap=50, n_subsets=N_SUBSETS)
     times = {}
     counts = {}
 
     def run_all():
         for p in RANKS:
             cluster = SimCluster(p, cost_model=FAST_NET, deadlock_timeout=600.0)
-            results, stats = cluster.run(detector.find_overlaps_parallel, reads)
+            results, stats = cluster.run(
+                run_stage_on_comm, get_stage("overlap"), OverlapSubject(reads, config, p)
+            )
             times[p] = stats.elapsed
-            counts[p] = len(results[0])
+            counts[p] = len(results[0][0])
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 

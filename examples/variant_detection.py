@@ -20,7 +20,7 @@ Run:  python examples/variant_detection.py
 import numpy as np
 
 from repro import AssemblyConfig, FocusAssembler
-from repro.distributed.variants import detect_variants
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.io.readset import ReadSet
 from repro.mpi.cluster import SimCluster
 from repro.simulate.genome import Genome, mutate, random_genome
@@ -54,7 +54,10 @@ def main() -> None:
 
     cluster = SimCluster(N_PARTITIONS)
     results, stats = cluster.run(
-        detect_variants, result.dag, max_variants_per_bubble=300
+        run_stage_on_comm,
+        get_stage("variants"),
+        result.dag,
+        max_variants_per_bubble=300,
     )
     calls = results[0]
     snvs = [v for v in calls if v.kind == "snv"]

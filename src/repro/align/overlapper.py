@@ -22,25 +22,39 @@ sort (:meth:`~repro.align.kmer_index.KmerIndex.self_join`) instead of
 looking its k-mers up.  The per-query scalar form of the same selection
 lives in ``tests/reference/overlap_loop.py`` as the test oracle.
 
-The serial, multiprocess
-(:meth:`OverlapDetector.find_overlaps_processes`) and simulated-MPI
-(:meth:`OverlapDetector.find_overlaps_parallel`) drivers produce
-identical overlap lists.
+Parallel alignment is the registered ``overlap`` stage
+(:mod:`repro.distributed.stages`): :class:`OverlapSubject` packs the
+subset pairs into parts, :func:`overlap_kernel` runs one part's pairs,
+:func:`overlap_merge` puts the units back in subset-pair order — so the
+serial loop, the simulated cluster and the process pool are the three
+execution backends every other stage uses, and return identical rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex
 from repro.align.overlap import Overlap, PackedOverlaps
+from repro.distributed.stages import register_stage
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
+from repro.parallel.backend import ExecutionBackend, create_backend
+from repro.parallel.schedule import lpt_assignment, subset_pair_costs
 
-__all__ = ["OverlapConfig", "OverlapDetector", "subset_pairs"]
+__all__ = [
+    "OverlapConfig",
+    "OverlapDetector",
+    "OverlapSubject",
+    "overlap_backend",
+    "overlap_kernel",
+    "overlap_merge",
+    "subset_pairs",
+]
 
 #: most k-mer hit rows one stripe of query reads expands at once (a
 #: read whose own hits exceed it is a stripe by itself).  Bounds the
@@ -79,7 +93,7 @@ class OverlapConfig:
     #: "suffix_array" (the paper's structure; slower in Python).
     index: str = "kmer"
     band: int = 5
-    #: work units of the parallel drivers: the reads are split into
+    #: work units of the ``overlap`` stage: the reads are split into
     #: this many subsets and every subset pair is one unit.  Not a
     #: memory knob — a unit's memory is bounded by the stripe budget.
     n_subsets: int = 1
@@ -107,8 +121,7 @@ class OverlapDetector:
     def __init__(self, config: OverlapConfig | None = None) -> None:
         self.config = config or OverlapConfig()
         #: candidates sent to verification by the most recent
-        #: ``find_overlaps``/``find_overlaps_processes`` call (serial
-        #: accounting only; the sim-MPI driver does not update it).
+        #: ``find_overlaps*`` call.
         self.last_candidates = 0
 
     # -- one work unit ----------------------------------------------------
@@ -298,12 +311,12 @@ class OverlapDetector:
     ) -> tuple[PackedOverlaps, int]:
         """One work unit in columnar form: (packed overlaps, candidates).
 
-        This is the multiprocess wire format — seven flat arrays
-        instead of thousands of :class:`Overlap` objects.  ``index``
-        optionally supplies a prebuilt reference-subset index so
-        drivers that touch one subset in several work units build it
-        only once.  ``max_hits`` is the stripe budget (tests force it
-        small; the result does not depend on it).
+        This is the stage's wire format — seven flat arrays instead
+        of thousands of :class:`Overlap` objects.  ``index`` optionally
+        supplies a prebuilt reference-subset index so a kernel that
+        touches one subset in several work units builds it only once.
+        ``max_hits`` is the stripe budget (tests force it small; the
+        result does not depend on it).
         """
         query_indices = np.asarray(query_indices, dtype=np.int64)
         if index is None:
@@ -345,19 +358,6 @@ class OverlapDetector:
             return SuffixArrayReadIndex(reads, self.config.k, ref_indices)
         return KmerIndex(reads, self.config.k, ref_indices)
 
-    def _pair_with_stats(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-    ) -> tuple[list[Overlap], int]:
-        packed, n_candidates = self.overlap_subset_pair_packed(
-            reads, query_indices, ref_indices, same_subset, index=index
-        )
-        return packed.to_overlaps(), n_candidates
-
     def overlap_subset_pair(
         self,
         reads: ReadSet,
@@ -366,38 +366,22 @@ class OverlapDetector:
         same_subset: bool,
     ) -> list[Overlap]:
         """All overlaps between two read subsets (one work unit)."""
-        return self._pair_with_stats(reads, query_indices, ref_indices, same_subset)[0]
+        packed, _ = self.overlap_subset_pair_packed(
+            reads, query_indices, ref_indices, same_subset
+        )
+        return packed.to_overlaps()
 
     def find_overlaps_packed(self, reads: ReadSet, n_workers: int = 1) -> PackedOverlaps:
         """All pairwise overlaps of a ReadSet, as columns.
 
-        Serial over subset pairs, or — ``n_workers > 1`` — farmed out
-        to that many OS processes (:func:`~repro.parallel.executor.
-        run_subset_pairs`); rows are identical either way, in subset
-        pair, then ``(query, ref)`` order.  Reference-subset indexes
-        are built once and reused across the work units that share them
-        (subset ``j`` serves ``j + 1`` pairs).
+        The ``overlap`` stage on the in-process loop, or —
+        ``n_workers > 1`` — on that many OS processes; rows are
+        identical either way, in subset pair, then ``(query, ref)``
+        order.
         """
-        if n_workers > 1:
-            from repro.parallel.executor import run_subset_pairs
-
-            packed, stats = run_subset_pairs(self.config, reads, n_workers)
-            self.last_candidates = stats.candidates
-            return packed
-        subsets = reads.split(self.config.n_subsets)
-        chunks: list[PackedOverlaps] = []
-        self.last_candidates = 0
-        ref_indexes: dict[int, object] = {}
-        for i, j in subset_pairs(len(subsets)):
-            index = ref_indexes.get(j)
-            if index is None:
-                index = ref_indexes[j] = self._build_index(reads, subsets[j])
-            part, nc = self.overlap_subset_pair_packed(
-                reads, subsets[i], subsets[j], same_subset=(i == j), index=index
-            )
-            chunks.append(part)
-            self.last_candidates += nc
-        return PackedOverlaps.concatenate(chunks)
+        with overlap_backend(reads, self.config, n_workers) as backend:
+            packed, self.last_candidates = backend.run_stage("overlap").result
+        return packed
 
     def find_overlaps(self, reads: ReadSet) -> list[Overlap]:
         """All pairwise overlaps of a ReadSet (serial over subset pairs)."""
@@ -408,59 +392,104 @@ class OverlapDetector:
     ) -> list[Overlap]:
         """All pairwise overlaps using real OS processes (paper §II-B).
 
-        Subset pairs are farmed out to a ``ProcessPoolExecutor`` with
-        ``n_workers`` workers, assigned largest-first so big work units
-        start early.  Result-identical (including list order) to
-        :meth:`find_overlaps`.
+        Result-identical (including list order) to :meth:`find_overlaps`.
         """
         return self.find_overlaps_packed(reads, n_workers).to_overlaps()
 
-    def find_overlaps_parallel(
-        self, comm, reads: ReadSet, schedule: str = "lpt"
-    ) -> list[Overlap]:
-        """Parallel read alignment (paper §II-B) on a simulated cluster.
 
-        Subset pairs are the independent work units.  ``schedule="lpt"``
-        (default) assigns them largest-first by estimated cost
-        ``|Q|·|R|`` (self-pairs halved) to the least-loaded rank;
-        ``schedule="round_robin"`` reproduces the legacy blind striping.
-        Every rank receives the merged overlap list.  Run via
-        ``SimCluster(p).run(detector.find_overlaps_parallel, reads)``.
-        Results match :meth:`find_overlaps` exactly (order aside) for
-        any rank count and either schedule.
-        """
-        from repro.parallel.schedule import (
-            lpt_assignment,
-            round_robin_assignment,
-            subset_pair_costs,
+class OverlapSubject:
+    """Alignment as a partitioned stage subject (docs/architecture.md).
+
+    The reads are split into ``config.n_subsets`` subsets, every subset
+    pair is a work unit, and the units are LPT-packed by estimated cost
+    into at most ``n_parts`` parts — one kernel call each.  Nothing
+    here is mutable, so ``state`` is empty.
+    """
+
+    state: tuple = ()
+
+    def __init__(self, reads: ReadSet, config: OverlapConfig, n_parts: int = 1) -> None:
+        self.reads = reads
+        self.config = config
+        self.subsets = reads.split(config.n_subsets)
+        self.pairs = subset_pairs(len(self.subsets))
+        self.unit_costs = subset_pair_costs(
+            self.pairs, np.array([s.size for s in self.subsets])
         )
+        self.n_parts = max(1, min(n_parts, len(self.pairs)))
+        #: part that runs each unit of ``pairs``.
+        self.owner = lpt_assignment(self.unit_costs, self.n_parts)
 
-        subsets = reads.split(self.config.n_subsets)
-        pairs = subset_pairs(len(subsets))
-        if schedule == "lpt":
-            costs = subset_pair_costs(pairs, np.array([s.size for s in subsets]))
-            owner = lpt_assignment(costs, comm.size)
-        elif schedule == "round_robin":
-            owner = round_robin_assignment(len(pairs), comm.size)
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
-        local: list[Overlap] = []
-        ref_indexes: dict[int, object] = {}
-        with comm.timed():
-            for task, (i, j) in enumerate(pairs):
-                if owner[task] != comm.rank:
-                    continue
-                index = ref_indexes.get(j)
-                if index is None:
-                    index = ref_indexes[j] = self._build_index(reads, subsets[j])
-                local.extend(
-                    self._pair_with_stats(
-                        reads, subsets[i], subsets[j], same_subset=(i == j),
-                        index=index,
-                    )[0]
-                )
-        gathered = comm.gather(local, root=0)
-        merged = None
-        if comm.rank == 0:
-            merged = [ov for part in gathered for ov in part]
-        return comm.bcast(merged, root=0)
+    def partition_costs(self) -> np.ndarray:
+        """Estimated kernel cost per part: the sum of its units' costs."""
+        return np.bincount(self.owner, weights=self.unit_costs, minlength=self.n_parts)
+
+    def worker_view(self) -> "OverlapSubject":
+        """A worker's own view: a shard-backed ReadSet is re-opened by
+        store path, so the worker reads shards through its own cold
+        cache instead of retaining the parent's mapped arrays or cache
+        contents inherited over ``fork`` — worker RSS stays O(cache
+        budget)."""
+        if not hasattr(self.reads, "reopen"):
+            return self
+        return OverlapSubject(self.reads.reopen(), self.config, self.n_parts)
+
+
+def overlap_kernel(subject: OverlapSubject, part: int) -> list[tuple]:
+    """``(unit, overlap columns, candidates)`` of each pair packed into ``part``.
+
+    Reference-subset indexes are built once and reused across the
+    part's units that share them (on one part, subset ``j`` serves
+    ``j + 1`` pairs).
+    """
+    detector = OverlapDetector(subject.config)
+    reads, subsets = subject.reads, subject.subsets
+    ref_indexes: dict[int, object] = {}
+    units = []
+    for unit, (i, j) in enumerate(subject.pairs):
+        if subject.owner[unit] != part:
+            continue
+        index = ref_indexes.get(j)
+        if index is None:
+            index = ref_indexes[j] = detector._build_index(reads, subsets[j])
+        packed, n_candidates = detector.overlap_subset_pair_packed(
+            reads, subsets[i], subsets[j], same_subset=(i == j), index=index
+        )
+        units.append((unit, packed, n_candidates))
+    return units
+
+
+def overlap_merge(subject: OverlapSubject, proposals) -> tuple[PackedOverlaps, int]:
+    """(overlap columns in subset-pair order, candidates verified)."""
+    units = sorted((u for part in proposals for u in part), key=lambda u: u[0])
+    packed = PackedOverlaps.concatenate([columns for _, columns, _ in units])
+    return packed, sum(n for _, _, n in units)
+
+
+register_stage("overlap", overlap_kernel, overlap_merge)
+
+
+def overlap_backend(
+    reads: ReadSet,
+    config: OverlapConfig,
+    n_workers: int = 1,
+    retry: RetryPolicy | None = None,
+    fault_plan: FaultPlan | None = None,
+) -> ExecutionBackend:
+    """The execution backend of one alignment run over ``reads``.
+
+    ``n_workers > 1`` asks for the process pool with the subset pairs
+    packed into ``min(n_workers, pairs)`` parts (one part ⇒ the backend
+    runs its serial loop and spawns nothing); otherwise the in-process
+    loop over one part.  A part's runtime grows with the input, so the
+    per-task deadline — sized for graph kernels — is lifted rather than
+    kill healthy workers on a large read set.
+    """
+    subject = OverlapSubject(reads, config, n_workers)
+    return create_backend(
+        "process" if n_workers > 1 else "serial",
+        subject,
+        workers=n_workers,
+        retry=replace(retry or RetryPolicy(), task_deadline=None),
+        injector=FaultInjector.for_parts(fault_plan, subject.n_parts),
+    )

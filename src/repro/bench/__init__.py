@@ -7,11 +7,6 @@ from repro.bench.datasets import (
     build_dataset,
     standard_datasets,
 )
-from repro.bench.overlap_bench import (
-    OverlapBenchRecord,
-    OverlapBenchReport,
-    run_overlap_bench,
-)
 from repro.bench.reporting import format_series, format_table
 
 __all__ = [
@@ -22,7 +17,4 @@ __all__ = [
     "standard_datasets",
     "format_table",
     "format_series",
-    "OverlapBenchRecord",
-    "OverlapBenchReport",
-    "run_overlap_bench",
 ]

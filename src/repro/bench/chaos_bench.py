@@ -28,8 +28,7 @@ import numpy as np
 from repro.bench.datasets import BenchDataset, standard_datasets
 from repro.bench.reporting import format_table
 from repro.core.config import AssemblyConfig
-from repro.core.focus import FocusAssembler
-from repro.distributed.stages import all_stages
+from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.faults import FaultPlan, RetryPolicy
 
 __all__ = [
@@ -167,13 +166,12 @@ class ChaosBenchReport:
 def chaos_plan(seed: int, n_parts: int) -> FaultPlan:
     """The seeded plan one chaos cell runs under.
 
-    Generated over the real stage registry so new stages are chaos-
-    tested automatically, with short hangs (see :data:`HANG_SECONDS`)
-    and single-attempt faults so :data:`CHAOS_RETRY` always outlasts
-    the plan.
+    Drawn over the stages ``finish()`` runs (a seed keeps naming the
+    plan ``BENCH_chaos.json`` recorded under it), with short hangs
+    (see :data:`HANG_SECONDS`) and single-attempt faults so
+    :data:`CHAOS_RETRY` always outlasts the plan.
     """
-    stages = tuple(spec.name for spec in all_stages())
-    plan = FaultPlan.random(seed, stages, n_parts)
+    plan = FaultPlan.random(seed, FINISH_STAGES, n_parts)
     return replace(plan, hang_seconds=HANG_SECONDS)
 
 

@@ -12,7 +12,6 @@ Usage examples::
     python -m repro assemble reads.fastq -o contigs.fasta --backend process --timings t.json
     python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.npz --resume
     python -m repro assemble reads.fastq -o contigs.fasta --fault-plan random:7 --retries 3
-    python -m repro bench overlap -o BENCH_overlap.json
     python -m repro bench chaos -o BENCH_chaos.json
     python -m repro bench scale -o BENCH_scale.json --datasets S4 S5
     python -m repro stats contigs.fasta
@@ -32,7 +31,7 @@ import time
 import numpy as np
 
 from repro.core.config import AssemblyConfig
-from repro.core.focus import FocusAssembler
+from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.core.stats import AssemblyStats
 from repro.io.fasta import parse_fasta, write_fasta
 from repro.io.fastq import parse_fastq, write_fastq
@@ -43,6 +42,10 @@ from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 
 __all__ = ["main", "build_parser"]
+
+#: read subsets when alignment has workers to share the pairs
+#: (4 subsets -> 10 subset-pair work units).
+_POOL_SUBSETS = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the alignment stage (0/1 = serial)",
+        help="worker processes for the alignment stage (0/1 = serial; "
+        f"more share the pairs of {_POOL_SUBSETS} read subsets)",
     )
     p.add_argument(
         "--backend",
@@ -178,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes (0/1 = serial in-process)",
     )
-    p.add_argument("--subsets", type=int, default=4, help="read-subset count")
+    p.add_argument(
+        "--subsets", type=int, default=_POOL_SUBSETS, help="read-subset count"
+    )
     p.add_argument("--min-overlap", type=int, default=50)
     p.add_argument("--min-identity", type=float, default=0.9)
 
@@ -327,25 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="performance benchmarks on the standard D1-D3 datasets",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser(
-        "overlap",
-        help="time overlap detection (serial / process pool)",
-        description=(
-            "Times the serial detector and the multiprocess driver on "
-            "D1-D3, verifies both produce identical overlap sets, and "
-            "writes the trajectory JSON."
-        ),
-    )
-    b.add_argument(
-        "-o", "--output", default="BENCH_overlap.json", help="trajectory JSON path"
-    )
-    b.add_argument("--workers", type=int, default=4, help="process-pool worker count")
-    b.add_argument("--subsets", type=int, default=4, help="read-subset count")
-    b.add_argument(
-        "--datasets",
-        nargs="*",
-        help="subset of dataset names to run (default: all of D1-D3)",
-    )
     b = bench_sub.add_parser(
         "chaos",
         help="measure fault-recovery overhead under seeded fault plans",
@@ -575,11 +562,37 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _cmd_assemble(args) -> int:
+def _assemble_config(args) -> AssemblyConfig:
+    """The ``AssemblyConfig`` of one ``repro assemble`` invocation."""
     from repro.align.overlapper import OverlapConfig
-    from repro.distributed.stages import all_stages
     from repro.faults import RetryPolicy
 
+    fault_plan = None
+    if args.fault_plan:
+        fault_plan = _parse_fault_plan(
+            args.fault_plan, FINISH_STAGES, args.partitions
+        )
+    retry = RetryPolicy() if args.retries is None else RetryPolicy(max_attempts=args.retries)
+    return AssemblyConfig(
+        n_partitions=args.partitions,
+        partition_mode=args.mode,
+        overlap=OverlapConfig(
+            min_overlap=args.min_overlap,
+            min_identity=args.min_identity,
+            n_subsets=_POOL_SUBSETS if args.workers > 1 else 1,
+        ),
+        overlap_workers=args.workers,
+        backend=args.backend,
+        backend_workers=args.backend_workers,
+        retry=retry,
+        fault_plan=fault_plan,
+        store_path=args.store,
+        cache_budget=args.cache_budget_mb << 20,
+        seed=args.seed,
+    )
+
+
+def _cmd_assemble(args) -> int:
     if args.store and args.reads:
         print("error: pass a reads file or --store, not both", file=sys.stderr)
         return 1
@@ -596,30 +609,11 @@ def _cmd_assemble(args) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
-    fault_plan = None
-    if args.fault_plan:
-        stage_names = tuple(spec.name for spec in all_stages())
-        try:
-            fault_plan = _parse_fault_plan(
-                args.fault_plan, stage_names, args.partitions
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    retry = RetryPolicy() if args.retries is None else RetryPolicy(max_attempts=args.retries)
-    config = AssemblyConfig(
-        n_partitions=args.partitions,
-        partition_mode=args.mode,
-        overlap=OverlapConfig(min_overlap=args.min_overlap, min_identity=args.min_identity),
-        overlap_workers=args.workers,
-        backend=args.backend,
-        backend_workers=args.backend_workers,
-        retry=retry,
-        fault_plan=fault_plan,
-        store_path=args.store,
-        cache_budget=args.cache_budget_mb << 20,
-        seed=args.seed,
-    )
+    try:
+        config = _assemble_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     assembler = FocusAssembler(config)
     result = assembler.finish(
         assembler.prepare(reads),
@@ -677,12 +671,8 @@ def _cmd_overlap(args) -> int:
         min_identity=args.min_identity,
         n_subsets=args.subsets,
     )
-    detector = OverlapDetector(config)
     t0 = time.perf_counter()
-    if args.workers > 1:
-        overlaps = detector.find_overlaps_processes(reads, args.workers)
-    else:
-        overlaps = detector.find_overlaps(reads)
+    overlaps = OverlapDetector(config).find_overlaps_packed(reads, args.workers).to_overlaps()
     wall = time.perf_counter() - t0
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("query\tref\tq_start\tr_start\tlength\tidentity\tkind\n")
@@ -700,15 +690,6 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.bench_command == "overlap":
-        from repro.bench.overlap_bench import main as bench_overlap_main
-
-        return bench_overlap_main(
-            output=args.output,
-            workers=args.workers,
-            n_subsets=args.subsets,
-            dataset_names=args.datasets,
-        )
     if args.bench_command == "chaos":
         from repro.bench.chaos_bench import main as bench_chaos_main
 

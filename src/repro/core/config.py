@@ -39,7 +39,8 @@ class AssemblyConfig:
     partition: PartitionConfig = field(default_factory=PartitionConfig)
 
     #: OS worker processes for the alignment stage (0/1 = in-process
-    #: serial; N > 1 farms subset pairs to a ProcessPoolExecutor).
+    #: serial; N > 1 runs the ``overlap`` stage on the process backend,
+    #: which shares work only when ``overlap.n_subsets > 1``).
     overlap_workers: int = 0
 
     # -- distributed-stage execution --

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.align.overlapper import OverlapDetector
+from repro.align.overlapper import overlap_backend
 from repro.core.config import AssemblyConfig
 from repro.core.pipeline import StageTimer
 from repro.core.stats import AssemblyStats
@@ -43,7 +43,19 @@ from repro.partition.multilevel import (
 )
 from repro.sequence.dna import decode, reverse_complement
 
-__all__ = ["PreparedAssembly", "AssemblyResult", "FocusAssembler", "deduplicate_contigs"]
+__all__ = [
+    "FINISH_STAGES",
+    "PreparedAssembly",
+    "AssemblyResult",
+    "FocusAssembler",
+    "deduplicate_contigs",
+]
+
+#: the distributed stages :meth:`FocusAssembler.finish` runs, in the
+#: sorted order seeded ``random:SEED`` fault plans draw over — the
+#: registry also holds ``overlap`` and ``variants``, and drawing over
+#: it would silently re-draw every recorded plan.
+FINISH_STAGES = ("bubbles", "containment", "dead_ends", "transitive", "traversal")
 
 
 def deduplicate_contigs(
@@ -95,6 +107,8 @@ class PreparedAssembly:
     hyb: HybridGraphSet
     assembly: HybridAssembly
     timer: StageTimer
+    #: fault activity of the alignment stage.
+    fault_report: FaultReport = field(default_factory=FaultReport)
 
 
 @dataclass
@@ -119,8 +133,8 @@ class AssemblyResult:
     backend: str = "sim"
     #: clock kind of ``virtual_times``: "virtual" or "wall".
     time_kind: str = "virtual"
-    #: cumulative fault-injection/retry/recovery accounting from the
-    #: distributed backend (no activity recorded on a clean run).
+    #: cumulative fault-injection/retry/recovery accounting of the
+    #: alignment and distributed stages (no activity on a clean run).
     fault_report: FaultReport | None = None
 
     @property
@@ -173,9 +187,10 @@ class FocusAssembler:
         if len(rs) == 0:
             raise ValueError("no reads survived preprocessing")
         with timer.stage("align"):
-            overlaps = OverlapDetector(cfg.overlap).find_overlaps_packed(
-                rs, cfg.overlap_workers
-            )
+            with overlap_backend(
+                rs, cfg.overlap, cfg.overlap_workers, cfg.retry, cfg.fault_plan
+            ) as aligner:
+                overlaps, _ = aligner.run_stage("overlap").result
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
         with timer.stage("coarsen"):
@@ -191,7 +206,13 @@ class FocusAssembler:
                 quality_weighted=cfg.quality_weighted_consensus,
             )
         return PreparedAssembly(
-            reads=rs, g0=g0, mls=mls, hyb=hyb, assembly=assembly, timer=timer
+            reads=rs,
+            g0=g0,
+            mls=mls,
+            hyb=hyb,
+            assembly=assembly,
+            timer=timer,
+            fault_report=aligner.fault_report,
         )
 
     def _hybrid_labels(
@@ -318,16 +339,13 @@ class FocusAssembler:
             restored_paths = state.paths
         restored = frozenset(completed)
 
-        injector = None
-        if cfg.fault_plan is not None and not cfg.fault_plan.empty:
-            injector = FaultInjector(cfg.fault_plan.scaled_to(dag.n_parts))
         runner = create_backend(
             backend_name,
             dag,
             workers=cfg.backend_workers,
             cost_model=self.cost_model,
             retry=cfg.retry,
-            injector=injector,
+            injector=FaultInjector.for_parts(cfg.fault_plan, dag.n_parts),
         )
 
         def run(stage: str, **params) -> object:
@@ -386,6 +404,10 @@ class FocusAssembler:
         finally:
             runner.close()
 
+        fault_report = FaultReport()
+        fault_report.merge(prep.fault_report)
+        fault_report.merge(runner.fault_report)
+
         with timer.stage("contigs"):
             contigs = contigs_from_paths(dag, paths)
         if cfg.add_reverse_complements and cfg.dedupe_rc:
@@ -407,7 +429,7 @@ class FocusAssembler:
             paths=paths,
             backend=runner.name,
             time_kind=runner.time_kind,
-            fault_report=runner.fault_report,
+            fault_report=fault_report,
         )
 
     def open_reads(self) -> ReadSet:

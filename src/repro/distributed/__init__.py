@@ -28,7 +28,7 @@ from repro.distributed.stages import (
     run_stage_on_comm,
 )
 from repro.distributed.traversal import contigs_from_paths
-from repro.distributed.variants import Variant, detect_variants, find_bubble_variants
+from repro.distributed.variants import Variant, find_bubble_variants
 
 __all__ = [
     "DistributedAssemblyGraph",
@@ -42,6 +42,5 @@ __all__ = [
     "contigs_from_paths",
     "parallel_partition_graph_set",
     "Variant",
-    "detect_variants",
     "find_bubble_variants",
 ]

@@ -136,6 +136,26 @@ class DistributedAssemblyGraph:
         #: and read in place by every stage's masked view.
         self.sparse_structure = SparseStructure(self.graph)
 
+    # -- stage subject (docs/architecture.md, the subject contract) --------
+
+    def partition_costs(self) -> np.ndarray:
+        """Estimated kernel cost per partition: its alive-node count."""
+        labels = self.labels[self.node_alive]
+        return np.bincount(labels, minlength=self.n_parts).astype(np.float64)
+
+    @property
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The alive masks — the only state stages mutate."""
+        return self.node_alive, self.edge_alive
+
+    @state.setter
+    def state(self, masks: tuple[np.ndarray, np.ndarray]) -> None:
+        self.node_alive, self.edge_alive = masks
+
+    def worker_view(self) -> "DistributedAssemblyGraph":
+        """A worker's own view (own masks) of the shared assembly."""
+        return DistributedAssemblyGraph(self.assembly, self.labels)
+
     # -- partition views ---------------------------------------------------
 
     def partition_nodes(self, part: int) -> np.ndarray:

@@ -1,20 +1,24 @@
-"""Stage specifications: pure per-partition kernels plus master merges.
+"""Stage specifications: pure per-part kernels plus master merges.
 
-Every distributed graph-cleaning stage of paper §V decomposes into the
-same two halves:
+The paper has one parallel pattern and uses it twice — subset-pair
+alignment (§II-B) and every graph-cleaning stage of §V: scan locally,
+merge centrally.  A stage is that pattern over a *partitioned subject*
+(the :class:`~repro.distributed.dgraph.DistributedAssemblyGraph`, or
+alignment's :class:`~repro.align.overlapper.OverlapSubject`; the
+subject contract is in docs/architecture.md):
 
-- a **kernel** — ``kernel(dag, part, **params)`` — reads one
-  partition's view of the :class:`~repro.distributed.dgraph.\
-DistributedAssemblyGraph` and returns *proposals* as plain numpy
-  arrays (edge ids to drop, node ids to trim, packed sub-paths).
-  Kernels never mutate the graph and never communicate, so they can be
-  executed anywhere: in-process, on a simulated MPI rank, or inside a
-  forked worker process.
-- a **merge** — ``merge(dag, proposals, **params)`` — runs on the
-  master, conflict-resolves the per-partition proposals (removals are
+- a **kernel** — ``kernel(subject, part, **params)`` — reads one
+  part of the subject and returns *proposals* as picklable values
+  (edge ids to drop, node ids to trim, packed sub-paths, overlap
+  columns).  Kernels never mutate the subject and never communicate,
+  so they can be executed anywhere: in-process, on a simulated MPI
+  rank, or inside a forked worker process.
+- a **merge** — ``merge(subject, proposals, **params)`` — runs on the
+  master, conflict-resolves the per-part proposals (removals are
   idempotent, so a union suffices; sub-paths are joined across
-  partition boundaries), mutates the alive-masks, and returns the
-  stage result.
+  partition boundaries; overlap units go back in subset-pair order),
+  applies them to the subject's mutable state, and returns the stage
+  result.
 
 The registry maps stage names to :class:`StageSpec` pairs; execution
 backends (:mod:`repro.parallel.backend`) look stages up by name so a
@@ -49,10 +53,10 @@ __all__ = [
 class StageSpec:
     """One distributed stage as a (kernel, merge) pair.
 
-    ``kernel(dag, part, **params)`` must be a pure, deterministic,
-    module-level function returning picklable numpy proposals;
-    ``merge(dag, proposals, **params)`` receives the proposal list
-    indexed by partition id and applies it on the master's graph.
+    ``kernel(subject, part, **params)`` must be a pure, deterministic,
+    module-level function returning picklable proposals;
+    ``merge(subject, proposals, **params)`` receives the proposal list
+    indexed by part id and applies it on the master's subject.
     """
 
     name: str
@@ -74,11 +78,13 @@ def register_stage(name: str, kernel, merge) -> StageSpec:
 
 def _load_stage_modules() -> None:
     """Import every kernel-defining module (registration side effect)."""
+    from repro.align import overlapper  # noqa: F401 (imports register stages)
     from repro.distributed import (  # noqa: F401 (imports register stages)
         containment,
         transitive,
         traversal,
         trimming,
+        variants,
     )
 
 
@@ -112,21 +118,22 @@ def union_proposals(proposals) -> np.ndarray:
     return sorted_unique(flat)
 
 
-def run_stage_on_comm(comm, stage: StageSpec, dag, **params):
+def run_stage_on_comm(comm, stage: StageSpec, subject, **params):
     """SPMD driver: run one stage on an MPI-style communicator.
 
-    Rank ``r`` executes the kernel for partition ``r`` under the
-    virtual clock, proposals are gathered to the root, the root merges
-    (also timed), and the result is broadcast — the paper's
-    scan-locally/apply-centrally pattern.  The communicator is
-    duck-typed (anything with ``rank``/``timed``/``gather``/``bcast``),
-    so this module stays free of :mod:`repro.mpi` imports.
+    Rank ``r`` executes the kernel for part ``r`` under the virtual
+    clock, proposals are gathered to the root, the root merges (also
+    timed), and the result is broadcast — the paper's
+    scan-locally/apply-centrally pattern, and the only gather → merge
+    → bcast driver in the package.  The communicator is duck-typed
+    (anything with ``rank``/``timed``/``gather``/``bcast``), so this
+    module stays free of :mod:`repro.mpi` imports.
     """
     with comm.timed():
-        proposal = stage.kernel(dag, comm.rank, **params)
+        proposal = stage.kernel(subject, comm.rank, **params)
     gathered = comm.gather(proposal, root=0)
     result = None
     if comm.rank == 0:
         with comm.timed():
-            result = stage.merge(dag, gathered, **params)
+            result = stage.merge(subject, gathered, **params)
     return comm.bcast(result, root=0)

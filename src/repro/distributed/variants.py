@@ -11,7 +11,9 @@ variants.
 
 Workers scan their own partitions for bubbles anchored at their nodes;
 the master merges and deduplicates the calls — the same
-scan-locally/apply-centrally pattern as the other §V algorithms.
+scan-locally/apply-centrally pattern as the other §V algorithms,
+registered as the ``variants`` stage so it runs on every execution
+backend.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 
 from repro.align.banded_nw import banded_align
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.mpi.simcomm import SimComm
+from repro.distributed.stages import register_stage
 from repro.sequence.dna import decode
 
-__all__ = ["Variant", "find_bubble_variants", "detect_variants"]
+__all__ = ["Variant", "find_bubble_variants", "variants_kernel", "variants_merge"]
 
 
 @dataclass(frozen=True)
@@ -175,31 +177,36 @@ def find_bubble_variants(
     return out
 
 
-def detect_variants(
-    comm: SimComm,
+def variants_kernel(
     dag: DistributedAssemblyGraph,
+    part: int,
     band: int = 8,
     max_variants_per_bubble: int = 20,
-) -> list[Variant] | None:
-    """MPI-style variant detection; all ranks receive the merged calls."""
-    with comm.timed():
-        local = find_bubble_variants(
-            dag,
-            dag.partition_nodes(comm.rank),
-            band=band,
-            max_variants_per_bubble=max_variants_per_bubble,
-        )
-    gathered = comm.gather(local, root=0)
-    merged = None
-    if comm.rank == 0:
-        with comm.timed():
-            seen: set[tuple] = set()
-            merged = []
-            for part in gathered:
-                for v in part:
-                    key = (v.ref_node, v.alt_node, v.position, v.kind)
-                    if key not in seen:
-                        seen.add(key)
-                        merged.append(v)
-            merged.sort(key=lambda v: (v.ref_node, v.alt_node, v.position))
-    return comm.bcast(merged, root=0)
+) -> list[Variant]:
+    """Variants from the bubbles anchored in one partition."""
+    return find_bubble_variants(
+        dag,
+        dag.partition_nodes(part),
+        band=band,
+        max_variants_per_bubble=max_variants_per_bubble,
+    )
+
+
+def variants_merge(
+    dag: DistributedAssemblyGraph, proposals, **_params
+) -> list[Variant]:
+    """Per-partition calls, deduplicated (a bubble spanning partitions
+    is seen from both anchors) and sorted."""
+    seen: set[tuple] = set()
+    merged = []
+    for part in proposals:
+        for v in part:
+            key = (v.ref_node, v.alt_node, v.position, v.kind)
+            if key not in seen:
+                seen.add(key)
+                merged.append(v)
+    merged.sort(key=lambda v: (v.ref_node, v.alt_node, v.position))
+    return merged
+
+
+register_stage("variants", variants_kernel, variants_merge)

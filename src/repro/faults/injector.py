@@ -82,6 +82,14 @@ class FaultInjector:
         # after each attempt for the fault report.
         self._fired: list[tuple[str, int, int]] = []
 
+    @classmethod
+    def for_parts(cls, plan: FaultPlan | None, n_parts: int) -> "FaultInjector | None":
+        """The injector of ``plan`` folded onto ``n_parts`` parts, or
+        ``None`` when there is nothing to inject."""
+        if plan is None or plan.empty:
+            return None
+        return cls(plan.scaled_to(n_parts))
+
     # -- kernel faults (in-process contexts) -----------------------------
 
     def kernel_fault(self, stage: str, part: int, attempt: int) -> KernelFault | None:

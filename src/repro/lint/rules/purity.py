@@ -22,8 +22,8 @@ another module that mutates shared state is caught too.
 - **ARCH002** — a ``repro.distributed.stages.register_stage`` call
   whose kernel/merge do not satisfy the registry contract:
   module-level named functions, kernel named ``*_kernel`` and callable
-  as ``kernel(dag, part, **params)``, merge callable as
-  ``merge(dag, proposals, **params)``.
+  as ``kernel(subject, part, **params)``, merge callable as
+  ``merge(subject, proposals, **params)``.
 
 The underlying analysis is optimistic about calls it cannot resolve
 (object methods, out-of-tree imports) — see ``repro.lint.project`` —
@@ -134,7 +134,7 @@ class KernelReachesNondeterminism(ProjectRule):
                     f"kernel `{info.name}` reaches {_AMBIENT_LABEL[kind]}"
                     f"{_chain_text(project, via, owner)}: {eff.detail} at "
                     f"{_site_text(project, owner, eff.lineno)} — kernel "
-                    "output must be a pure function of (dag, part, params) "
+                    "output must be a pure function of (subject, part, params) "
                     "so every backend produces identical proposals",
                 )
 
@@ -212,7 +212,7 @@ class StageContract(ProjectRule):
             yield self._contract_finding(
                 summary, cs,
                 f"kernel `{fn.name}` takes {len(fn.pos_params)} positional "
-                "parameter(s); backends invoke `kernel(dag, part, **params)`",
+                "parameter(s); backends invoke `kernel(subject, part, **params)`",
             )
 
     def _check_merge(
@@ -223,7 +223,7 @@ class StageContract(ProjectRule):
                 summary, cs,
                 f"merge `{fn.name}` takes {len(fn.pos_params)} positional "
                 "parameter(s); backends invoke "
-                "`merge(dag, proposals, **params)`",
+                "`merge(subject, proposals, **params)`",
             )
 
     def _contract_finding(

@@ -12,28 +12,27 @@ the final step but are mutually independent.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
+from repro.parallel.schedule import lpt_assignment
 from repro.partition.recursive import TaskRecord
 
 __all__ = ["lpt_makespan", "partition_schedule_makespan", "speedup_curve"]
 
 
 def lpt_makespan(durations: Sequence[float], n_processors: int) -> float:
-    """Longest-processing-time list-schedule makespan on p processors."""
-    if n_processors < 1:
-        raise ValueError("n_processors must be >= 1")
-    if any(d < 0 for d in durations):
-        raise ValueError("durations must be non-negative")
-    if not durations:
+    """Longest-processing-time list-schedule makespan on p processors.
+
+    The largest per-processor load of :func:`~repro.parallel.schedule.\
+lpt_assignment` (which validates both arguments).
+    """
+    durations = np.asarray(durations, dtype=np.float64)
+    owner = lpt_assignment(durations, n_processors)
+    if durations.size == 0:
         return 0.0
-    loads = [0.0] * min(n_processors, len(durations))
-    heapq.heapify(loads)
-    for d in sorted(durations, reverse=True):
-        lightest = heapq.heappop(loads)
-        heapq.heappush(loads, lightest + d)
-    return max(loads)
+    return float(np.bincount(owner, weights=durations).max())
 
 
 def partition_schedule_makespan(tasks: Iterable[TaskRecord], n_processors: int) -> float:

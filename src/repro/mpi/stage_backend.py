@@ -11,13 +11,13 @@ virtual wall-clock (slowest rank), not real time.
 Fault tolerance: a rank failure poisons a whole SPMD run (the other
 ranks deadlock waiting on the dead peer), so the retry granularity
 here is the *stage attempt*, not the partition.  Before each attempt
-the alive-masks are snapshotted; on failure they are restored (a
-partially-applied merge never leaks into the retry) and the stage is
-re-run with the next attempt number.  Injected message faults
-(drop/duplicate/delay from the :class:`~repro.faults.FaultPlan`) are
-armed per attempt through the cluster's fault hook.  Once the retry
-budget is exhausted the stage falls back to the in-process serial
-loop (without injection) when the policy allows it.
+the subject's state (the alive-masks) is snapshotted; on failure it is
+restored (a partially-applied merge never leaks into the retry) and
+the stage is re-run with the next attempt number.  Injected message
+faults (drop/duplicate/delay from the :class:`~repro.faults.FaultPlan`)
+are armed per attempt through the cluster's fault hook.  Once the
+retry budget is exhausted the stage falls back to the in-process
+serial loop (without injection) when the policy allows it.
 """
 
 from __future__ import annotations
@@ -38,28 +38,28 @@ __all__ = ["SimBackend"]
 
 
 class SimBackend(ExecutionBackend):
-    """Virtual-cluster execution: one simulated rank per partition."""
+    """Virtual-cluster execution: one simulated rank per part."""
 
     name = "sim"
     time_kind = "virtual"
 
     def __init__(
         self,
-        dag,
+        subject,
         cost_model: CommCostModel | None = None,
         deadlock_timeout: float = 600.0,
         sanitize: bool = False,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector)
+        super().__init__(subject, retry=retry, injector=injector)
         if injector is not None and self.retry.task_deadline is not None:
             # Under fault injection a dead rank stalls its peers until
             # the recv timeout: bound that stall by the task deadline
             # so failed attempts surface quickly in real time.
             deadlock_timeout = min(deadlock_timeout, self.retry.task_deadline)
         self.cluster = SimCluster(
-            max(dag.n_parts, 1),
+            max(subject.n_parts, 1),
             cost_model=cost_model,
             deadlock_timeout=deadlock_timeout,
             sanitize=sanitize,
@@ -72,15 +72,15 @@ class SimBackend(ExecutionBackend):
         if injector is None:
             return spec
 
-        def kernel_with_faults(dag, part, **params):
+        def kernel_with_faults(subject, part, **params):
             injector.fire_kernel_fault(spec.name, part, attempt)
-            return spec.kernel(dag, part, **params)
+            return spec.kernel(subject, part, **params)
 
         return StageSpec(spec.name, kernel_with_faults, spec.merge)
 
     def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         spec = self._resolve(stage)
-        dag = self.dag
+        subject = self.subject
         policy = self.retry
         report = FaultReport()
         failures: list[str] = []
@@ -89,10 +89,9 @@ class SimBackend(ExecutionBackend):
             # Snapshot the only state merges mutate, so a failed
             # attempt (even one that died mid-merge or mid-broadcast)
             # can be rolled back cleanly.
-            node_alive = dag.node_alive.copy()
-            edge_alive = dag.edge_alive.copy()
+            snapshot = tuple(a.copy() for a in subject.state)
             if self.injector is not None:
-                for part in range(dag.n_parts):
+                for part in range(subject.n_parts):
                     fault = self.injector.kernel_fault(spec.name, part, attempt)
                     if fault is not None:
                         report.record_injected(fault.kind, spec.name, f"rank {part}")
@@ -101,16 +100,18 @@ class SimBackend(ExecutionBackend):
                 self.injector.begin_attempt(spec.name, attempt)
             try:
                 results, stats = self.cluster.run(
-                    run_stage_on_comm, self._attempt_spec(spec, attempt), dag, **params
+                    run_stage_on_comm,
+                    self._attempt_spec(spec, attempt),
+                    subject,
+                    **params,
                 )
             except (RuntimeError, DeadlockError) as exc:
-                dag.node_alive = node_alive
-                dag.edge_alive = edge_alive
+                subject.state = snapshot
                 failures.append(f"attempt {attempt}: {exc}")
                 if not policy.allows(attempt + 1):
                     if policy.fallback_serial:
                         report.record_fallback(spec.name, "stage")
-                        inner = SerialBackend(dag, retry=policy)
+                        inner = SerialBackend(subject, retry=policy)
                         outcome = inner.run_stage(spec, **params)
                         self.fault_report.merge(report)
                         return StageOutcome(

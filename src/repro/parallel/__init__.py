@@ -5,13 +5,12 @@ a virtual clock; this package runs the same independent work units on
 actual cores via :class:`concurrent.futures.ProcessPoolExecutor`.  Both
 layers share the scheduling helpers in :mod:`repro.parallel.schedule`.
 
-Two executor families live here:
-
-- :mod:`repro.parallel.executor` — subset-pair overlap work units for
-  the alignment stage;
-- :mod:`repro.parallel.backend` — the backend abstraction for the
-  distributed kernel/merge stages (``serial`` / ``sim`` / ``process``),
-  selected per run via ``AssemblyConfig.backend``.
+One executor family lives here: :mod:`repro.parallel.backend`, the
+backend abstraction (``serial`` / ``sim`` / ``process``) every
+kernel/merge stage runs on — alignment's subset pairs and the
+distributed graph stages alike — selected per run via
+``AssemblyConfig.backend`` (graph stages) and
+``AssemblyConfig.overlap_workers`` (alignment).
 """
 
 from repro.parallel.backend import (
@@ -21,28 +20,16 @@ from repro.parallel.backend import (
     SerialBackend,
     StageOutcome,
     create_backend,
-    partition_costs,
 )
-from repro.parallel.executor import ExecutorStats, run_subset_pairs
-from repro.parallel.schedule import (
-    assignment_imbalance,
-    lpt_assignment,
-    round_robin_assignment,
-    subset_pair_costs,
-)
+from repro.parallel.schedule import lpt_assignment, subset_pair_costs
 
 __all__ = [
     "subset_pair_costs",
     "lpt_assignment",
-    "round_robin_assignment",
-    "assignment_imbalance",
-    "run_subset_pairs",
-    "ExecutorStats",
     "BACKEND_NAMES",
     "StageOutcome",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
     "create_backend",
-    "partition_costs",
 ]

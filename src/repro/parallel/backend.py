@@ -1,14 +1,19 @@
-"""Execution backends for the distributed kernel/merge stages.
+"""Execution backends for the kernel/merge stages.
 
-A backend takes a :class:`~repro.distributed.dgraph.\
-DistributedAssemblyGraph` and executes registered stages
-(:mod:`repro.distributed.stages`) against it.  Three implementations
-cover the repo's execution modes:
+A backend takes a partitioned *subject* — the
+:class:`~repro.distributed.dgraph.DistributedAssemblyGraph` of the
+graph stages, the :class:`~repro.align.overlapper.OverlapSubject` of
+alignment — and executes registered stages
+(:mod:`repro.distributed.stages`) against it.  It reads four things
+from the subject (the contract, docs/architecture.md): ``n_parts``,
+``partition_costs()``, the mutable ``state`` tuple and
+``worker_view()``.  Three implementations cover the repo's execution
+modes:
 
 ``serial``
-    An in-process loop: kernels run per partition on the calling
-    thread, the merge applies immediately.  The baseline every other
-    backend must match bit for bit.
+    An in-process loop: kernels run per part on the calling thread,
+    the merge applies immediately.  The baseline every other backend
+    must match bit for bit.
 
 ``sim``
     The paper's virtual cluster: kernels run as SPMD rank functions on
@@ -20,17 +25,16 @@ cover the repo's execution modes:
 ``process``
     Real OS parallelism: kernels ship to a ``fork``-context
     :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    inherit the enriched assembly copy-on-write.  Each task sends only
-    the stage name, partition id, and current alive-masks, and returns
-    plain numpy proposal arrays; the master merges in-process.  Tasks
-    are submitted largest-partition-first (LPT order, shared with the
-    overlap executor's scheduling policy) so stragglers don't drain
-    the pool.
+    inherit the subject copy-on-write.  Each task sends only the stage
+    name, part id, and the subject's current state (the alive-masks),
+    and returns plain numpy proposal arrays; the master merges
+    in-process.  Tasks are submitted largest-part-first (LPT order) so
+    stragglers don't drain the pool.
 
-All three produce byte-identical contigs and alive-masks because the
+All three produce byte-identical results and state because the
 kernels are pure and deterministic and merges consume proposals in
-partition order — the backend only changes *where* kernels run and
-which clock measures them.
+part order — the backend only changes *where* kernels run and which
+clock measures them.
 
 Fault tolerance (docs/robustness.md): every backend wraps kernel
 execution in a :class:`~repro.faults.RetryPolicy` — failed partitions
@@ -73,7 +77,6 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "create_backend",
-    "partition_costs",
 ]
 
 #: the recognised backend names, in documentation order.
@@ -95,14 +98,8 @@ class StageOutcome:
     faults: FaultReport | None = None
 
 
-def partition_costs(dag) -> np.ndarray:
-    """Estimated kernel cost per partition: its alive-node count."""
-    labels = dag.labels[dag.node_alive]
-    return np.bincount(labels, minlength=dag.n_parts).astype(np.float64)
-
-
 class ExecutionBackend:
-    """Base class: binds a distributed graph and runs stages on it.
+    """Base class: binds a partitioned subject and runs stages on it.
 
     ``retry`` governs how kernel failures are handled (defaults to the
     standard :class:`~repro.faults.RetryPolicy`); ``injector``
@@ -116,11 +113,11 @@ class ExecutionBackend:
 
     def __init__(
         self,
-        dag,
+        subject,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
-        self.dag = dag
+        self.subject = subject
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self.fault_report = FaultReport()
@@ -166,7 +163,7 @@ class ExecutionBackend:
                     if fault is not None:
                         report.record_injected(fault.kind, spec.name, where)
                     self.injector.fire_kernel_fault(spec.name, part, attempt)
-                proposal = spec.kernel(self.dag, part, **params)
+                proposal = spec.kernel(self.subject, part, **params)
             except Exception as exc:  # noqa: BLE001 - recorded and re-raised below
                 if isinstance(exc, DeadlineExceededError):
                     report.record_deadline(spec.name, where)
@@ -174,7 +171,7 @@ class ExecutionBackend:
                 if not policy.allows(attempt + 1):
                     if policy.fallback_serial:
                         report.record_fallback(spec.name, where)
-                        return spec.kernel(self.dag, part, **params)
+                        return spec.kernel(self.subject, part, **params)
                     raise StageExecutionError(spec.name, attempt, failures) from exc
                 report.record_retry(spec.name, where, type(exc).__name__)
                 time.sleep(policy.backoff(attempt, token=part))
@@ -206,14 +203,14 @@ class SerialBackend(ExecutionBackend):
 
     def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         spec = self._resolve(stage)
-        dag = self.dag
+        subject = self.subject
         report = FaultReport()
         t0 = time.perf_counter()
         proposals = [
             self._kernel_with_retry(spec, part, params, report)
-            for part in range(dag.n_parts)
+            for part in range(subject.n_parts)
         ]
-        result = spec.merge(dag, proposals, **params)
+        result = spec.merge(subject, proposals, **params)
         return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
 
 
@@ -221,40 +218,30 @@ class SerialBackend(ExecutionBackend):
 _WORKER: dict = {}
 
 
-def _init_stage_worker(assembly, labels) -> None:
-    """Prime one worker with its own distributed view of the graph.
+def _init_stage_worker(subject) -> None:
+    """Prime one worker with its own view of the subject.
 
-    Under ``fork`` the (large, immutable) assembly is inherited
-    copy-on-write; only this view object is constructed per worker.
+    Under ``fork`` the (large, immutable) bulk of the subject is
+    inherited copy-on-write; only the view object is constructed per
+    worker.
     """
-    from repro.distributed.dgraph import DistributedAssemblyGraph
-
-    _WORKER["dag"] = DistributedAssemblyGraph(assembly, labels)
+    _WORKER["subject"] = subject.worker_view()
 
 
-def _run_stage_task(
-    stage_name: str,
-    part: int,
-    node_alive,
-    edge_alive,
-    params,
-    plan,
-    attempt,
-):
-    """Execute one (stage, partition) kernel inside a worker process.
+def _run_stage_task(stage_name: str, part: int, state, params, plan, attempt):
+    """Execute one (stage, part) kernel inside a worker process.
 
-    The master's current alive-masks travel with the task (they are
-    the only state stages mutate), so sequential stages see each
-    other's removals without re-priming the pool.  ``plan``/``attempt``
-    drive fault injection: a "crash" fault really SIGKILLs this
-    worker, a "hang" really sleeps past the deadline.
+    The master's current state travels with the task (it is all that
+    stages mutate), so sequential stages see each other's removals
+    without re-priming the pool.  ``plan``/``attempt`` drive fault
+    injection: a "crash" fault really SIGKILLs this worker, a "hang"
+    really sleeps past the deadline.
     """
     if plan is not None:
         apply_kernel_fault_in_worker(plan, stage_name, part, attempt)
-    dag = _WORKER["dag"]
-    dag.node_alive = node_alive
-    dag.edge_alive = edge_alive
-    return get_stage(stage_name).kernel(dag, part, **params)
+    subject = _WORKER["subject"]
+    subject.state = state
+    return get_stage(stage_name).kernel(subject, part, **params)
 
 
 def _warmup_worker() -> int:
@@ -262,7 +249,7 @@ def _warmup_worker() -> int:
 
 
 def _pool_context():
-    """Prefer ``fork`` (cheap copy-on-write inheritance of the graph)."""
+    """Prefer ``fork`` (cheap copy-on-write inheritance of the subject)."""
     import multiprocessing
 
     try:
@@ -275,9 +262,9 @@ class ProcessBackend(ExecutionBackend):
     """Kernels on real OS processes; merges on the calling process.
 
     The pool is created lazily on the first stage and reused across
-    stages (workers are re-synchronised through the masks shipped with
-    each task).  ``workers=0`` uses one process per partition, capped
-    at the core count.
+    stages (workers are re-synchronised through the state shipped with
+    each task).  ``workers=0`` uses one process per part, capped at
+    the core count.
 
     Fault tolerance: each round submits every unfinished partition,
     collects results under the policy's per-task deadline, and reacts
@@ -295,16 +282,16 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(
         self,
-        dag,
+        subject,
         workers: int = 0,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector)
+        super().__init__(subject, retry=retry, injector=injector)
         if workers < 0:
             raise ValueError("workers must be non-negative")
         cores = os.cpu_count() or 1
-        self.n_workers = workers if workers > 0 else min(dag.n_parts, cores)
+        self.n_workers = workers if workers > 0 else min(subject.n_parts, cores)
         self._pool: ProcessPoolExecutor | None = None
 
     @property
@@ -317,7 +304,7 @@ class ProcessBackend(ExecutionBackend):
                 max_workers=self.n_workers,
                 mp_context=_pool_context(),
                 initializer=_init_stage_worker,
-                initargs=(self.dag.assembly, self.dag.labels),
+                initargs=(self.subject,),
             )
             # Spawn (and fork-prime) every worker up front so the fork
             # cost lands in backend setup, not in the first stage's
@@ -351,31 +338,31 @@ class ProcessBackend(ExecutionBackend):
 
     def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         spec = self._resolve(stage)
-        dag = self.dag
-        if dag.n_parts <= 1 or self.n_workers <= 1:
+        subject = self.subject
+        if subject.n_parts <= 1 or self.n_workers <= 1:
             # Nothing to parallelise: run in-process, same clock kind,
             # same retry/injection semantics.
-            inner = SerialBackend(dag, retry=self.retry, injector=self.injector)
+            inner = SerialBackend(subject, retry=self.retry, injector=self.injector)
             outcome = inner.run_stage(spec, **params)
             self.fault_report.merge(inner.fault_report)
             return outcome
         report = FaultReport()
         t0 = time.perf_counter()
         proposals = self._collect_proposals(spec, params, report)
-        result = spec.merge(dag, proposals, **params)
+        result = spec.merge(subject, proposals, **params)
         return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
 
     def _collect_proposals(
         self, spec: StageSpec, params: dict, report: FaultReport
     ) -> list:
         """Run every partition's kernel to completion, surviving faults."""
-        dag = self.dag
+        subject = self.subject
         policy = self.retry
-        proposals: list = [None] * dag.n_parts
-        attempt = {part: 1 for part in range(dag.n_parts)}
+        proposals: list = [None] * subject.n_parts
+        attempt = {part: 1 for part in range(subject.n_parts)}
         failed_once: set[int] = set()
         failures: list[str] = []
-        pending = set(range(dag.n_parts))
+        pending = set(range(subject.n_parts))
         respawns = 0
         # A pool that keeps dying stops being a useful execution
         # substrate regardless of which partition is at fault.
@@ -389,7 +376,7 @@ class ProcessBackend(ExecutionBackend):
                         spec.name, attempt[part] - 1, failures or ["worker pool failure"]
                     )
                 report.record_fallback(spec.name, f"part {part}")
-                proposals[part] = spec.kernel(dag, part, **params)
+                proposals[part] = spec.kernel(subject, part, **params)
                 pending.discard(part)
             if not pending:
                 break
@@ -402,12 +389,12 @@ class ProcessBackend(ExecutionBackend):
                             failures + ["worker pool kept dying"],
                         )
                     report.record_fallback(spec.name, f"part {part}")
-                    proposals[part] = spec.kernel(dag, part, **params)
+                    proposals[part] = spec.kernel(subject, part, **params)
                 pending.clear()
                 break
 
             pool = self._ensure_pool()
-            costs = partition_costs(dag)
+            costs = subject.partition_costs()
             submit_order = [
                 p for p in np.argsort(-costs, kind="stable").tolist() if p in pending
             ]
@@ -425,8 +412,7 @@ class ProcessBackend(ExecutionBackend):
                         _run_stage_task,
                         spec.name,
                         part,
-                        dag.node_alive,
-                        dag.edge_alive,
+                        subject.state,
                         params,
                         self._plan,
                         attempt[part],
@@ -534,7 +520,7 @@ class ProcessBackend(ExecutionBackend):
 
 def create_backend(
     name: str,
-    dag,
+    subject,
     *,
     workers: int = 0,
     cost_model=None,
@@ -542,23 +528,25 @@ def create_backend(
     retry: RetryPolicy | None = None,
     injector: FaultInjector | None = None,
 ) -> ExecutionBackend:
-    """Instantiate a backend by name for one distributed graph.
+    """Instantiate a backend by name for one partitioned subject.
 
     ``workers`` only affects ``process``; ``cost_model`` and
     ``sanitize`` only affect ``sim``.  ``retry`` and ``injector``
     apply to every backend.
     """
     if name == "serial":
-        return SerialBackend(dag, retry=retry, injector=injector)
+        return SerialBackend(subject, retry=retry, injector=injector)
     if name == "process":
-        return ProcessBackend(dag, workers=workers, retry=retry, injector=injector)
+        return ProcessBackend(
+            subject, workers=workers, retry=retry, injector=injector
+        )
     if name == "sim":
         # The sim adapter lives in the mpi layer; imported lazily so
         # repro.parallel itself never depends on repro.mpi.
         from repro.mpi.stage_backend import SimBackend
 
         return SimBackend(
-            dag,
+            subject,
             cost_model=cost_model,
             sanitize=sanitize,
             retry=retry,

@@ -1,13 +1,14 @@
-"""Static assignment of subset-pair work units to workers.
+"""Static assignment of work units to workers: the one LPT.
 
 Subset-pair alignment tasks have predictable cost: candidate
 generation and verification scale with the number of query/reference
 read combinations, so a pair ``(i, j)`` is estimated at ``|Q|·|R|``
 (halved for self-pairs, which only evaluate ordered combinations).
 Largest-processing-time (LPT) list scheduling on those estimates gives
-a provably 4/3-competitive makespan and measurably tighter rank balance
-than blind round-robin — see ``tests/parallel/test_schedule.py`` for
-the D1 imbalance comparison.
+a provably 4/3-competitive makespan and tighter balance than blind
+striping (``tests/parallel/test_schedule.py``).  The same assignment
+packs subset pairs into the parts of the ``overlap`` stage and replays
+Fig. 4's recorded partitioning tasks (:mod:`repro.mpi.schedule`).
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = [
-    "subset_pair_costs",
-    "lpt_assignment",
-    "round_robin_assignment",
-    "assignment_imbalance",
-]
+__all__ = ["subset_pair_costs", "lpt_assignment"]
 
 
 def subset_pair_costs(
@@ -65,21 +61,3 @@ def lpt_assignment(costs: np.ndarray, n_workers: int) -> np.ndarray:
         owner[task] = worker
         heapq.heappush(loads, (load + float(costs[task]), worker))
     return owner
-
-
-def round_robin_assignment(n_tasks: int, n_workers: int) -> np.ndarray:
-    """Worker id per task under blind round-robin (the legacy policy)."""
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    return np.arange(n_tasks, dtype=np.int64) % n_workers
-
-
-def assignment_imbalance(costs: np.ndarray, owner: np.ndarray, n_workers: int) -> float:
-    """max/mean per-worker load of an assignment (1.0 = perfectly even)."""
-    costs = np.asarray(costs, dtype=np.float64)
-    loads = np.zeros(n_workers, dtype=np.float64)
-    np.add.at(loads, np.asarray(owner, dtype=np.int64), costs)
-    mean = loads.mean()
-    if mean == 0:
-        return 1.0
-    return float(loads.max() / mean)

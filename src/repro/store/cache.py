@@ -12,10 +12,15 @@ caller needs the data to make progress) — it simply evicts everything
 else and is itself evicted as soon as another entry arrives.  A budget
 of 0 therefore degenerates to "load on every access", which is the
 correct worst case, not an error.
+
+One lock serialises every operation: the rank threads of a simulated
+cluster share one read set — and so one cache — when alignment runs on
+the ``sim`` backend.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
@@ -63,6 +68,7 @@ class ShardCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -80,26 +86,28 @@ class ShardCache:
         ``loader`` returns ``(value, nbytes)``; it only runs on a miss.
         A hit moves the entry to most-recently-used position.
         """
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry[0]
-        self.misses += 1
-        value, nbytes = loader()
-        self.put(key, value, nbytes)
-        return value
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self.misses += 1
+            value, nbytes = loader()
+            self.put(key, value, nbytes)
+            return value
 
     def put(self, key: Hashable, value: Any, nbytes: int) -> None:
         """Admit (or refresh) an entry, evicting LRU entries over budget."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= old[1]
-        self._entries[key] = (value, int(nbytes))
-        self.current_bytes += int(nbytes)
-        self._evict()
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.current_bytes -= old[1]
+            self._entries[key] = (value, int(nbytes))
+            self.current_bytes += int(nbytes)
+            self._evict()
 
     def _evict(self) -> None:
         while self.current_bytes > self.budget_bytes and len(self._entries) > 1:
@@ -118,13 +126,15 @@ class ShardCache:
             self.evictions += 1
 
     def invalidate(self, key: Hashable) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self.current_bytes -= entry[1]
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self.current_bytes -= entry[1]
 
     def clear(self) -> None:
-        self._entries.clear()
-        self.current_bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self.current_bytes = 0
 
     def stats(self) -> CacheStats:
         return CacheStats(

@@ -1,22 +1,32 @@
 """Property test: every overlap execution path equals the scalar oracle.
 
-The batched detector, the multiprocess driver, and the
-simulated-cluster driver must return exactly the overlap set of the
-per-query reference (``tests/reference/overlap_loop.py``) for any read
-set and either reference index.
+The ``overlap`` stage on the serial, simulated-cluster and process
+backends must return exactly the rows of the per-query reference
+(``tests/reference/overlap_loop.py``), in its order, for any read set
+— in RAM or store-backed — and either reference index.
 """
+
+import itertools
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
+from repro.align.overlap import PackedOverlaps
+from repro.align.overlapper import (
+    OverlapConfig,
+    OverlapDetector,
+    OverlapSubject,
+    subset_pairs,
+)
 from repro.io.readset import ReadSet
-from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
+from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
+from repro.store import pack_reads
 from tests.reference.overlap_loop import find_overlaps_loop, overlap_keys
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
@@ -37,6 +47,13 @@ def genome_readsets(draw):
     return ReadSet.from_strings(seqs)
 
 
+def assert_same_columns(got: PackedOverlaps, expected: PackedOverlaps, label=""):
+    for column in vars(expected):
+        assert np.array_equal(
+            getattr(got, column), getattr(expected, column)
+        ), (label, column)
+
+
 @pytest.mark.parametrize("index", ["kmer", "suffix_array"])
 class TestEngineEquivalence:
     @settings(max_examples=5, deadline=None)
@@ -45,18 +62,19 @@ class TestEngineEquivalence:
         base = OverlapConfig(
             min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets, index=index
         )
-        detector = OverlapDetector(base)
-        vectorized = detector.find_overlaps(reads)
         loop, loop_candidates = find_overlaps_loop(base, reads)
-        processes = OverlapDetector(base).find_overlaps_processes(reads, n_workers=2)
-        cluster_results, _ = SimCluster(2, cost_model=FAST).run(
-            OverlapDetector(base).find_overlaps_parallel, reads
-        )
-        expected = overlap_keys(loop)
-        assert overlap_keys(vectorized) == expected
-        assert detector.last_candidates == loop_candidates
-        assert overlap_keys(processes) == expected
-        assert overlap_keys(cluster_results[0]) == expected
+        expected = PackedOverlaps.from_overlaps(loop)
+        with tempfile.TemporaryDirectory() as tmp:
+            sources = [reads]
+            if len(reads):
+                pack_reads(iter(reads), f"{tmp}/reads.store", shard_size=3)
+                sources.append(ReadSet.open(f"{tmp}/reads.store", cache_budget=1 << 10))
+            for name, source in itertools.product(BACKEND_NAMES, sources):
+                subject = OverlapSubject(source, base, n_parts=2)
+                with create_backend(name, subject, workers=2, cost_model=FAST) as backend:
+                    packed, candidates = backend.run_stage("overlap").result
+                assert candidates == loop_candidates, name
+                assert_same_columns(packed, expected, name)
 
     @settings(max_examples=5, deadline=None)
     @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=2))
@@ -74,10 +92,7 @@ class TestEngineEquivalence:
                     *unit, max_hits=budget
                 )
                 assert n_striped == n_whole
-                for column in vars(whole):
-                    assert np.array_equal(
-                        getattr(striped, column), getattr(whole, column)
-                    ), column
+                assert_same_columns(striped, whole)
 
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())

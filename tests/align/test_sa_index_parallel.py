@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.align.kmer_index import KmerIndex
-from repro.align.overlapper import OverlapConfig, OverlapDetector
+from repro.align.overlapper import OverlapConfig, OverlapDetector, OverlapSubject
 from repro.align.sa_index import SuffixArrayReadIndex
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.io.readset import ReadSet
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
@@ -77,21 +78,20 @@ class TestParallelAlignment:
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     def test_matches_serial(self, n_ranks):
         reads, _ = tiled_reads(genome_len=800)
-        detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=4))
-        serial = detector.find_overlaps(reads)
+        config = OverlapConfig(min_overlap=50, n_subsets=4)
+        serial = OverlapDetector(config).find_overlaps(reads)
         results, stats = SimCluster(n_ranks, cost_model=FAST).run(
-            detector.find_overlaps_parallel, reads
+            run_stage_on_comm, get_stage("overlap"), OverlapSubject(reads, config, n_ranks)
         )
-        key = lambda ovs: sorted((o.query, o.ref, o.length, o.identity) for o in ovs)
-        for r in results:
-            assert key(r) == key(serial)
+        for packed, _candidates in results:
+            assert packed.to_overlaps() == serial
         assert stats.elapsed > 0
 
     def test_work_spread_over_ranks(self):
         reads, _ = tiled_reads(genome_len=1200)
-        detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=4))
+        config = OverlapConfig(min_overlap=50, n_subsets=4)
         _, stats = SimCluster(4, cost_model=FAST).run(
-            detector.find_overlaps_parallel, reads
+            run_stage_on_comm, get_stage("overlap"), OverlapSubject(reads, config, 4)
         )
         busy = [c for c in stats.compute_times if c > 0]
-        assert len(busy) >= 3  # 10 subset pairs round-robin on 4 ranks
+        assert len(busy) >= 3  # 10 subset pairs LPT-packed on 4 ranks

@@ -96,6 +96,21 @@ class TestAssembleAndStats:
             )
         assert outputs["serial"] == outputs["sim"] == outputs["process"]
 
+    def test_assemble_workers_gives_the_pool_units_to_share(self, tmp_path, reads_fastq):
+        from repro.cli import _assemble_config, build_parser
+
+        outputs = {}
+        for workers in (0, 1, 2):
+            path = tmp_path / f"c_{workers}.fasta"
+            argv = ["assemble", str(reads_fastq), "-o", str(path), "--partitions", "2",
+                    "--backend", "serial", "--workers", str(workers)]
+            config = _assemble_config(build_parser().parse_args(argv))
+            assert config.overlap_workers == workers
+            assert (config.overlap.n_subsets > 1) == (workers > 1)
+            assert main(argv) == 0
+            outputs[workers] = path.read_bytes()
+        assert outputs[2] == outputs[1] == outputs[0]
+
     def test_assemble_timings_json(self, tmp_path, reads_fastq):
         import json
 

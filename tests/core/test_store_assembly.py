@@ -1,9 +1,11 @@
 """Sharded-store assemblies are byte-identical to in-RAM on every backend."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.align.overlapper import OverlapDetector
+from repro.align.overlapper import OverlapConfig, OverlapDetector
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 from repro.distributed.dgraph import enrich_hybrid
@@ -94,6 +96,29 @@ class TestStoreBackedAssembly:
         assert [c.tobytes() for c in stored.assembly.contigs] == [
             c.tobytes() for c in ram.assembly.contigs
         ]
+
+
+class TestAlignWorkUnitInvariance:
+    """Contigs do not depend on how alignment is cut into work units or
+    where they run — the align-stage analogue of the paper's Table III."""
+
+    def test_contigs_byte_identical(self, sim_reads, store_path):
+        digests = set()
+        for n_subsets, workers, path in itertools.product(
+            (1, 3), (0, 2), (None, store_path)
+        ):
+            cfg = AssemblyConfig(
+                backend="serial",
+                n_partitions=2,
+                overlap=OverlapConfig(n_subsets=n_subsets),
+                overlap_workers=workers,
+                store_path=path,
+                cache_budget=1 << 20,
+            )
+            reads = None if path else ReadSet(sim_reads)
+            result = FocusAssembler(cfg).assemble(reads)
+            digests.add(tuple(c.tobytes() for c in result.contigs))
+        assert len(digests) == 1 and len(digests.pop()) > 0
 
 
 class TestShardOrderAccess:

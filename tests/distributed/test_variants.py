@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.distributed.variants import Variant, detect_variants, find_bubble_variants
+from repro.distributed.variants import Variant, find_bubble_variants
+from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.sequence.dna import decode, encode
 from repro.simulate.genome import random_genome
-from tests.distributed.conftest import chain_assembly, dag_of, make_assembly, run_on_cluster
+from tests.distributed.conftest import (
+    FAST,
+    chain_assembly,
+    dag_of,
+    make_assembly,
+    run_stage_on_cluster,
+)
 
 
 def snv_bubble_assembly(n_snvs=2, seed=12):
@@ -85,7 +92,7 @@ class TestDetectVariants:
     def test_distributed_run_merges_and_dedupes(self):
         asm, positions = snv_bubble_assembly(n_snvs=2)
         dag = dag_of(asm, [0, 0, 1, 1])
-        results, stats = run_on_cluster(detect_variants, dag, 2)
+        results, stats = run_stage_on_cluster("variants", dag, 2)
         assert results[0] == results[1]
         snvs = [v for v in results[0] if v.kind == "snv"]
         assert sorted(v.position for v in snvs) == sorted(positions.tolist())
@@ -94,10 +101,20 @@ class TestDetectVariants:
     def test_sorted_output(self):
         asm, _ = snv_bubble_assembly(n_snvs=3)
         dag = dag_of(asm, [0] * 4)
-        results, _ = run_on_cluster(detect_variants, dag, 1)
+        results, _ = run_stage_on_cluster("variants", dag, 1)
         calls = results[0]
         keys = [(v.ref_node, v.alt_node, v.position) for v in calls]
         assert keys == sorted(keys)
+
+    def test_same_sorted_calls_on_every_backend(self):
+        asm, _ = snv_bubble_assembly(n_snvs=3)
+        calls = {}
+        for name in BACKEND_NAMES:
+            dag = dag_of(asm, [0, 0, 1, 1])
+            with create_backend(name, dag, workers=2, cost_model=FAST) as backend:
+                calls[name] = backend.run_stage("variants", band=8).result
+        assert len(calls["serial"]) == 3
+        assert calls["sim"] == calls["process"] == calls["serial"]
 
     def test_variant_record_fields(self):
         v = Variant(0, 1, 2, 10, "snv", "A", "C")

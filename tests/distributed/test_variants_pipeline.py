@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AssemblyConfig, FocusAssembler
-from repro.distributed.variants import detect_variants
+from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.io.readset import ReadSet
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
@@ -12,6 +12,12 @@ from repro.simulate.genome import Genome, mutate, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
+
+
+def call_variants(dag, **params):
+    """Every rank's copy of the ``variants`` stage result."""
+    cluster = SimCluster(dag.n_parts, cost_model=FAST)
+    return cluster.run(run_stage_on_comm, get_stage("variants"), dag, **params)[0]
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +41,7 @@ def divergent_sample():
 class TestVariantPipeline:
     def test_divergent_locus_forms_bubble_and_calls(self, divergent_sample):
         a, b, n_true, result = divergent_sample
-        cluster = SimCluster(4, cost_model=FAST)
-        results, _ = cluster.run(detect_variants, result.dag, max_variants_per_bubble=300)
+        results = call_variants(result.dag, max_variants_per_bubble=300)
         calls = results[0]
         snvs = [v for v in calls if v.kind == "snv"]
         # Most of the planted differences are recovered (the bubble
@@ -50,8 +55,7 @@ class TestVariantPipeline:
         a, b, _, result = divergent_sample
         from repro.sequence.dna import decode
 
-        cluster = SimCluster(4, cost_model=FAST)
-        results, _ = cluster.run(detect_variants, result.dag, max_variants_per_bubble=300)
+        results = call_variants(result.dag, max_variants_per_bubble=300)
         snvs = [v for v in results[0] if v.kind == "snv"]
         if not snvs:
             pytest.skip("no bubble this seed")
@@ -81,6 +85,5 @@ class TestVariantPipeline:
             AssemblyConfig(n_partitions=2, run_trimming=False), cost_model=FAST
         )
         result = assembler.assemble(reads)
-        cluster = SimCluster(2, cost_model=FAST)
-        results, _ = cluster.run(detect_variants, result.dag)
+        results = call_variants(result.dag)
         assert results[0] == []

@@ -11,11 +11,11 @@ generated plans across the full backend matrix.
 import pytest
 
 from repro.core.config import AssemblyConfig
-from repro.core.focus import FocusAssembler
+from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.faults import FaultPlan, KernelFault, MessageFault, RetryPolicy
 from repro.parallel.backend import BACKEND_NAMES
 
-from tests.faults.conftest import contig_key
+from tests.faults.conftest import contig_key, small_reads
 
 #: fast in-test policy: no real backoff sleeping, quick hang detection.
 POLICY = RetryPolicy(
@@ -86,6 +86,14 @@ class TestChaosSmoke:
         assert "injected" in report.summary()
         assert "retries" in report.summary()
 
+    def test_align_fault_recovered_and_reported_first(self, prepared, baseline):
+        assembler, _ = prepared
+        plan = FaultPlan(kernel_faults=(KernelFault("error", "overlap", 0),))
+        result = faulted_assembler(assembler, plan).assemble(small_reads())
+        assert contig_key(result) == baseline
+        assert result.fault_report.injected == {"error": 1}
+        assert result.fault_report.events[0]["stage"] == "overlap"
+
     def test_clean_run_reports_no_activity(self, prepared):
         assembler, prep = prepared
         result = assembler.finish(prep, n_partitions=4, backend="serial")
@@ -100,12 +108,9 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_random_plans_recovered(self, prepared, baseline, backend, seed):
-        from repro.distributed.stages import all_stages
-
         assembler, prep = prepared
-        stages = tuple(spec.name for spec in all_stages())
         plan = FaultPlan.random(
-            seed, stages, n_parts=4, n_kernel_faults=3, n_message_faults=2
+            seed, FINISH_STAGES, n_parts=4, n_kernel_faults=3, n_message_faults=2
         )
         plan = FaultPlan(
             seed=plan.seed,

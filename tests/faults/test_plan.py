@@ -32,6 +32,24 @@ class TestKernelFault:
             KernelFault("explode", "transitive", 0)
 
 
+def test_seeded_plans_draw_over_the_finish_stages_only():
+    from repro.core.focus import FINISH_STAGES
+
+    assert FINISH_STAGES == (
+        "bubbles", "containment", "dead_ends", "transitive", "traversal"
+    )
+    # The plan `random:11` named before `overlap` and `variants` were
+    # registered.
+    assert FaultPlan.random(11, FINISH_STAGES, 4) == FaultPlan(
+        seed=11,
+        kernel_faults=(
+            KernelFault("crash", "bubbles", 3),
+            KernelFault("hang", "dead_ends", 2),
+        ),
+        message_faults=(MessageFault("drop", "dead_ends", 0, 2),),
+    )
+
+
 class TestMessageFault:
     def test_src_equals_dst_rejected(self):
         with pytest.raises(ValueError, match="must differ"):

@@ -12,6 +12,7 @@ import signal
 
 import pytest
 
+from repro.align.overlapper import OverlapConfig, OverlapDetector, overlap_backend
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.faults import (
     FaultInjector,
@@ -21,6 +22,8 @@ from repro.faults import (
     StageExecutionError,
 )
 from repro.parallel.backend import ProcessBackend, SerialBackend
+from tests.align.test_engine_equivalence import assert_same_columns
+from tests.faults.conftest import small_reads
 
 #: the finish stage sequence with the pipeline's default parameters.
 STAGES = (
@@ -178,3 +181,36 @@ class TestBudgetExhaustion:
                 run_all_stages(backend)
         finally:
             backend.close()
+
+
+class TestOverlapStage:
+    """Alignment runs under the same policy; its faults are named
+    explicitly (seeded plans draw over the ``finish()`` stages only)."""
+
+    CONFIG = OverlapConfig(min_overlap=50, n_subsets=3)
+
+    @pytest.mark.parametrize("kind, part, workers", [("error", 0, 1), ("crash", 1, 2)])
+    def test_fault_retried_and_recorded(self, kind, part, workers):
+        # A kernel error on serial; a real worker SIGKILL on process.
+        reads = small_reads(genome_len=2000)
+        plan = FaultPlan(kernel_faults=(KernelFault(kind, "overlap", part),))
+        with overlap_backend(reads, self.CONFIG, workers, FAST_RETRY, plan) as backend:
+            packed, _ = backend.run_stage("overlap").result
+        fault_free = OverlapDetector(self.CONFIG).find_overlaps_packed(reads)
+        assert_same_columns(packed, fault_free)
+        report = backend.fault_report
+        assert report.injected == {kind: 1}
+        assert report.retries >= 1 and report.recovered_partitions == 1
+        assert report.respawns >= (kind == "crash") and report.fallbacks == 0
+
+    def test_exhausted_budget_without_fallback_raises(self):
+        plan = FaultPlan(
+            kernel_faults=(KernelFault("crash", "overlap", 0, attempts=99),)
+        )
+        policy = RetryPolicy(
+            max_attempts=2, backoff_base=0.0, backoff_cap=0.0, fallback_serial=False
+        )
+        reads = small_reads(genome_len=2000)
+        with overlap_backend(reads, self.CONFIG, 2, policy, plan) as backend:
+            with pytest.raises(StageExecutionError, match="overlap"):
+                backend.run_stage("overlap")

@@ -220,11 +220,11 @@ class TestArch002:
             from repro.distributed.stages import register_stage
 
 
-            def trim_kernel(dag, part, **params):
+            def trim_kernel(subject, part, **params):
                 return []
 
 
-            def trim_merge(dag, proposals, **params):
+            def trim_merge(subject, proposals, **params):
                 return 0
             """
         )
@@ -274,8 +274,8 @@ class TestArch002:
         )
         fs = lint_paths([pkg], rules=CONTRACT)
         assert [f.rule for f in fs] == ["ARCH002", "ARCH002"]
-        assert "kernel(dag, part, **params)" in fs[0].message
-        assert "merge(dag, proposals, **params)" in fs[1].message
+        assert "kernel(subject, part, **params)" in fs[0].message
+        assert "merge(subject, proposals, **params)" in fs[1].message
 
     def test_keyword_arguments_resolved(self, tmp_path):
         pkg = self._registration(
@@ -299,7 +299,7 @@ class TestArch002:
             from pkg.kernels import trim
 
 
-            def merge(dag, proposals, **params):
+            def merge(subject, proposals, **params):
                 return 0
 
 

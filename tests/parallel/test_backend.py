@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.align.overlapper import (
+    OverlapConfig,
+    OverlapDetector,
+    OverlapSubject,
+    overlap_backend,
+)
 from repro.parallel.backend import (
     BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
     StageOutcome,
     create_backend,
-    partition_costs,
 )
+from tests.align.test_overlapper import tiled_reads
 from tests.distributed.conftest import FAST, chain_assembly, dag_of
 
 LABELS_6 = [0, 0, 0, 1, 1, 1]
@@ -53,9 +59,9 @@ class TestSerialBackend:
 class TestPartitionCosts:
     def test_counts_alive_nodes_per_partition(self):
         dag = fresh_dag()
-        assert partition_costs(dag).tolist() == [3.0, 3.0]
+        assert dag.partition_costs().tolist() == [3.0, 3.0]
         dag.node_alive[0] = False
-        assert partition_costs(dag).tolist() == [2.0, 3.0]
+        assert dag.partition_costs().tolist() == [2.0, 3.0]
 
 
 class TestCreateBackend:
@@ -132,3 +138,50 @@ class TestBackendEquivalenceSmall:
             engine.close()
         assert out.time_kind == "virtual"
         assert out.elapsed > 0.0
+
+
+class TestOverlapStage:
+    """Alignment is one more stage on the same three backends."""
+
+    def test_identical_to_serial(self):
+        reads, _ = tiled_reads(genome_len=1200)
+        config = OverlapConfig(min_overlap=50, n_subsets=4)
+        serial = OverlapDetector(config).find_overlaps(reads)
+        with overlap_backend(reads, config, n_workers=2) as backend:
+            packed, candidates = backend.run_stage("overlap").result
+            assert backend._pool is not None  # the pool really ran
+        assert packed.to_overlaps() == serial  # row for row, in order
+        assert len(backend.subject.pairs) == 10 and backend.subject.n_parts == 2
+        assert candidates > 0
+        assert backend.retry.task_deadline is None  # sized for graph kernels
+
+    def test_single_worker_short_circuits(self):
+        reads, _ = tiled_reads(genome_len=600)
+        config = OverlapConfig(min_overlap=50, n_subsets=2)
+        serial = OverlapDetector(config).find_overlaps(reads)
+        with overlap_backend(reads, config, n_workers=1) as backend:
+            assert isinstance(backend, SerialBackend)
+            assert backend.run_stage("overlap").result[0].to_overlaps() == serial
+        # One work unit: the process backend spawns nothing either.
+        with overlap_backend(reads, OverlapConfig(min_overlap=50), 2) as backend:
+            backend.run_stage("overlap")
+            assert backend._pool is None
+
+    def test_detector_facade(self):
+        reads, _ = tiled_reads(genome_len=800)
+        detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=3))
+        serial = detector.find_overlaps(reads)
+        serial_candidates = detector.last_candidates
+        assert detector.find_overlaps_processes(reads, n_workers=2) == serial
+        assert detector.last_candidates == serial_candidates
+
+    def test_candidate_counts_match_serial(self):
+        reads, _ = tiled_reads(genome_len=1000)
+        config = OverlapConfig(min_overlap=50, n_subsets=4)
+        detector = OverlapDetector(config)
+        detector.find_overlaps(reads)
+        for name in BACKEND_NAMES:
+            subject = OverlapSubject(reads, config, n_parts=3)
+            with create_backend(name, subject, workers=2, cost_model=FAST) as backend:
+                _, candidates = backend.run_stage("overlap").result
+            assert candidates == detector.last_candidates, name

@@ -1,5 +1,9 @@
 """Tests for the byte-budgeted LRU shard cache."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.store import ShardCache
@@ -130,3 +134,34 @@ class TestCounters:
         cache.invalidate("missing")  # no-op
         cache.clear()
         assert len(cache) == 0 and cache.current_bytes == 0
+
+    def test_concurrent_gets_keep_the_accounting_exact(self):
+        # Rank threads of a simulated cluster share one cache when the
+        # overlap stage runs on the sim backend: more threads than
+        # cores, a budget that evicts on nearly every load.
+        cache = ShardCache(budget_bytes=30)
+
+        def load(key):
+            time.sleep(0)  # a shard read releases the GIL mid-miss
+            return key, 10
+
+        def hammer(seed):
+            for i in range(2000):
+                key = (seed * 7 + i * 3) % 11
+                assert cache.get(key, lambda k=key: load(k)) == key
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        s = cache.stats()
+        assert s.hits + s.misses == 8 * 2000
+        assert s.current_bytes == 10 * s.entries <= 30
+        assert s.misses - s.evictions == s.entries
