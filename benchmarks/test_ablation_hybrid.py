@@ -11,7 +11,7 @@ be unsound — exactly the failures counted here.
 """
 
 from repro.bench.reporting import format_table
-from repro.graph.contigs import cluster_layout_offsets
+from repro.graph.contigs import layout_clusters
 
 
 def test_ablation_hybrid_criterion(benchmark, prepared, write_result):
@@ -20,19 +20,16 @@ def test_ablation_hybrid_criterion(benchmark, prepared, write_result):
 
     def run_all():
         for name, prep in prepared.items():
-            top = prep.mls.n_levels - 1
-            clusters = prep.mls.clusters_at_level(top)
-            failing = sum(
-                1
-                for c in clusters
-                if c.size > 1 and cluster_layout_offsets(prep.g0, c) is None
-            )
+            # One batched layout over every coarsest cluster.
+            members, first = prep.mls.members_at_level(prep.mls.n_levels - 1)
+            _, ok = layout_clusters(prep.g0, members, first)
+            failing = int((~ok).sum())
             rep_levels = prep.hyb.rep_level
-            checks[name] = (failing, len(clusters))
+            checks[name] = (failing, ok.size)
             rows.append(
                 [
                     name,
-                    len(clusters),
+                    ok.size,
                     failing,
                     prep.hyb.hybrid.n_nodes,
                     prep.g0.n_nodes,

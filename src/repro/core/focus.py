@@ -223,9 +223,9 @@ class FocusAssembler:
             return result.labels_finest
         # multilevel mode: labels live on G0; vote per hybrid cluster.
         k = result.k
-        votes = np.zeros((hyb.hybrid.n_nodes, k), dtype=np.int64)
-        np.add.at(votes, (hyb.base_maps[0], result.labels_g0), 1)
-        return votes.argmax(axis=1).astype(np.int64)
+        n = hyb.hybrid.n_nodes
+        votes = np.bincount(hyb.base_maps[0] * k + result.labels_g0, minlength=n * k)
+        return votes.reshape(n, k).argmax(axis=1).astype(np.int64)
 
     def _fingerprint(self, prep: PreparedAssembly, k: int, mode: str) -> dict:
         """Run identity recorded in checkpoints: a resume against a

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.graph.contigs import cluster_layout_offsets, consensus_of_layouts
+from repro.graph.contigs import consensus_of_layouts, layout_clusters
+from repro.graph.csr import split_groups
 from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import OverlapGraph
 from repro.graph.sparse import SparseStructure, ragged_positions
@@ -53,19 +54,29 @@ def enrich_hybrid(
     tolerance: int = 0,
     quality_weighted: bool = False,
 ) -> HybridAssembly:
-    """Contigs + contig-level edge geometry for the hybrid graph."""
+    """Contigs + contig-level edge geometry for the hybrid graph.
+
+    All H0 clusters are laid out in one
+    :func:`~repro.graph.contigs.layout_clusters` call; its per-read
+    offsets place the reads for the consensus and are the table the
+    crossing overlaps are measured against.  Raises ``RuntimeError``
+    if a cluster admits no layout at ``tolerance`` or its consensus is
+    not one contiguous segment: selection accepted a cluster it should
+    not have (or was run at another tolerance).
+    """
     h = hyb.hybrid
-    clusters = hyb.clusters_of_hybrid()
+    members, first = hyb.members_of_hybrid()
     # Every layout first (graph only), then the reads, block by block.
-    layouts = [cluster_layout_offsets(g0, c, tolerance=tolerance) for c in clusters]
-    if any(lay is None for lay in layouts):
+    offsets, ok = layout_clusters(g0, members, first, tolerance)
+    if not ok.all():
         raise RuntimeError(
             "hybrid cluster admits no layout; representative selection is broken"
         )
     # read -> offset within its cluster's layout.
     read_offset = np.zeros(g0.n_nodes, dtype=np.int64)
-    if clusters:
-        read_offset[np.concatenate(clusters)] = np.concatenate(layouts)
+    read_offset[members] = offsets
+    clusters = split_groups(members, first)
+    layouts = split_groups(offsets, first)
     segments = consensus_of_layouts(reads, clusters, layouts, quality_weighted)
     if any(len(s) != 1 for s in segments):
         raise RuntimeError("hybrid cluster consensus is not contiguous")

@@ -15,7 +15,12 @@ from repro.graph.components import (
     connected_components,
     summarize_graph,
 )
-from repro.graph.contigs import cluster_layout_offsets, consensus_from_layout, contig_for_nodes
+from repro.graph.contigs import (
+    cluster_layout_offsets,
+    consensus_from_layout,
+    contig_for_nodes,
+    layout_clusters,
+)
 from repro.graph.csr import build_csr
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set, is_contiguous_cluster
 from repro.graph.matching import heavy_edge_matching
@@ -36,6 +41,7 @@ __all__ = [
     "HybridGraphSet",
     "build_hybrid_set",
     "is_contiguous_cluster",
+    "layout_clusters",
     "cluster_layout_offsets",
     "consensus_from_layout",
     "contig_for_nodes",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.csr import group_by_label, split_groups
 from repro.graph.matching import heavy_edge_matching
 from repro.graph.overlap_graph import OverlapGraph
 
@@ -51,8 +52,7 @@ def coarsen_once(
     reps = np.minimum(np.arange(n), match)
     uniq, mapping = np.unique(reps, return_inverse=True)
     n_coarse = uniq.size
-    node_w = np.zeros(n_coarse, dtype=np.int64)
-    np.add.at(node_w, mapping, graph.node_weights)
+    node_w = np.bincount(mapping, weights=graph.node_weights, minlength=n_coarse)
     cu = mapping[graph.eu]
     cv = mapping[graph.ev]
     keep = cu != cv
@@ -101,17 +101,15 @@ class MultilevelGraphSet:
             out = m[out]
         return out
 
+    def members_at_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ragged form of :meth:`clusters_at_level`: node ``v`` of
+        G_level represents G0 nodes ``members[first[v]:first[v+1]]``."""
+        return group_by_label(self.map_to_level(level), self.graphs[level].n_nodes)
+
     def clusters_at_level(self, level: int) -> list[np.ndarray]:
         """For each node of G_level, the G0 nodes it represents."""
-        comp = self.map_to_level(level)
-        order = np.argsort(comp, kind="stable")
-        sorted_comp = comp[order]
-        boundaries = np.flatnonzero(np.diff(sorted_comp)) + 1
-        groups = np.split(order, boundaries)
-        out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.graphs[level].n_nodes
-        for grp in groups:
-            out[int(comp[grp[0]])] = grp
-        return out
+        members, first = self.members_at_level(level)
+        return split_groups(members, first)
 
 
 def build_multilevel_set(

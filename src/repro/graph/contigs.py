@@ -10,14 +10,14 @@ laid-out cluster is the per-column majority over the stacked reads.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.graph.overlap_graph import OverlapGraph
 from repro.io.readset import ReadSet, ragged_positions
 
 __all__ = [
+    "layout_clusters",
+    "layout_contiguity",
     "cluster_layout_offsets",
     "is_layout_contiguous",
     "overlay_votes",
@@ -33,61 +33,120 @@ __all__ = [
 _MAX_BASES = 1 << 20
 
 
+def layout_clusters(
+    g0: OverlapGraph, members: np.ndarray, first: np.ndarray, tolerance: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out many disjoint clusters of G0 nodes in one pass.
+
+    Cluster ``i`` is ``members[first[i]:first[i+1]]`` (non-empty; no
+    node listed twice) and is rooted at its first member.  Returns
+    ``(offsets, ok)``: ``offsets[j]`` places ``members[j]``, normalised
+    so each cluster's smallest is 0; ``ok[i]`` is False — and the
+    cluster's offsets meaningless — if its induced subgraph is
+    disconnected or some induced edge disagrees with the offsets by
+    more than ``tolerance`` bases (a repeat signature).
+
+    All clusters advance together in one level-synchronous BFS.  A
+    round expands the frontier's adjacency rows, frontier in discovery
+    order and rows in adjacency order, and the *first* entry reaching
+    an unseen node of the same cluster becomes its parent — the parent
+    a FIFO queue picks, so the offsets are those of a per-cluster
+    queue walk at any ``tolerance``.  An offset never changes once
+    set, so the tolerance test is one pass over the edges afterwards.
+    """
+    if not g0.has_deltas:
+        raise ValueError("layout requires a graph with deltas (G0)")
+    members = np.asarray(members, dtype=np.int64)
+    first = np.asarray(first, dtype=np.int64)
+    sizes = np.diff(first)
+    if (sizes <= 0).any():
+        raise ValueError("empty cluster")
+    n = g0.n_nodes
+    if np.bincount(members, minlength=n).max(initial=0) > 1:
+        raise ValueError("a node is listed twice")
+    label = np.full(n, -1, dtype=np.int64)
+    label[members] = np.repeat(np.arange(sizes.size), sizes)
+    offset = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    stamp = np.empty(n, dtype=np.int64)
+    degrees = g0.degrees
+    frontier = members[first[:-1]]
+    seen[frontier] = True
+    while frontier.size:
+        counts = degrees[frontier]
+        rows = ragged_positions(g0.indptr[frontier], counts)
+        src, dst = np.repeat(frontier, counts), g0.adj[rows]
+        keep = np.flatnonzero((label[dst] == label[src]) & ~seen[dst])
+        dst = dst[keep]
+        # First entry per target wins: written back to front, the
+        # earliest entry's stamp lands last.
+        stamp[dst[::-1]] = keep[::-1]
+        won = stamp[dst] == keep
+        keep, dst = keep[won], dst[won]
+        rows, src = rows[keep], src[keep]
+        delta = g0.deltas[g0.adj_edge[rows]]
+        # eu < ev, so a delta reads forwards from the smaller end.
+        offset[dst] = offset[src] + np.where(src < dst, delta, -delta)
+        seen[dst] = True
+        frontier = dst
+    inside = label[g0.eu] == label[g0.ev]
+    eu, ev = g0.eu[inside], g0.ev[inside]
+    torn = np.abs(offset[ev] - offset[eu] - g0.deltas[inside]) > tolerance
+    bad = np.concatenate([label[eu[torn]], label[members[~seen[members]]]])
+    ok = np.bincount(bad[bad >= 0], minlength=sizes.size) == 0
+    offsets = offset[members]
+    offsets -= np.repeat(np.minimum.reduceat(offsets, first[:-1]), sizes)
+    return offsets, ok
+
+
+def layout_contiguity(
+    offsets: np.ndarray, lengths: np.ndarray, first: np.ndarray
+) -> np.ndarray:
+    """Per cluster: do its read intervals [offset, offset+length) leave no gap?
+
+    Cluster ``i`` owns entries ``first[i]:first[i+1]`` of both columns.
+    One sort by (cluster, offset) and one running maximum of read ends:
+    every cluster is shifted into its own stretch of one coordinate
+    axis, wide enough that no reach carries over from the cluster
+    before.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if offsets.size != lengths.size:
+        raise ValueError("offsets/lengths length mismatch")
+    sizes = np.diff(np.asarray(first, dtype=np.int64))
+    if offsets.size == 0:
+        return np.ones(sizes.size, dtype=bool)
+    cluster = np.repeat(np.arange(sizes.size), sizes)
+    low = offsets.min()
+    stretch = int((offsets + lengths).max() - low) + 1
+    starts = offsets - low + cluster * stretch
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate(starts + lengths[order])
+    # A cluster's first read follows nothing.
+    gap = (starts[1:] > reach[:-1]) & (cluster[1:] == cluster[:-1])
+    return np.bincount(cluster[1:][gap], minlength=sizes.size) == 0
+
+
 def cluster_layout_offsets(
     g0: OverlapGraph, nodes: np.ndarray, tolerance: int = 0
 ) -> np.ndarray | None:
     """Offsets of ``nodes`` satisfying all induced edge deltas, or None.
 
-    Returns None if the induced subgraph is disconnected or if any
-    induced edge disagrees with the BFS-assigned offsets by more than
-    ``tolerance`` bases (a repeat signature).  Offsets are normalised
-    so the smallest is 0.
+    The one-cluster call of :func:`layout_clusters`, rooted at
+    ``nodes[0]``: None if the induced subgraph is disconnected or if
+    any induced edge disagrees with the assigned offsets by more than
+    ``tolerance`` bases.  Offsets are normalised so the smallest is 0.
     """
-    if not g0.has_deltas:
-        raise ValueError("layout requires a graph with deltas (G0)")
     nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        raise ValueError("empty cluster")
-    local = {int(v): i for i, v in enumerate(nodes)}
-    offsets = np.zeros(nodes.size, dtype=np.int64)
-    seen = np.zeros(nodes.size, dtype=bool)
-    seen[0] = True
-    queue = deque([int(nodes[0])])
-    n_visited = 1
-    while queue:
-        v = queue.popleft()
-        lv = local[v]
-        lo, hi = g0.indptr[v], g0.indptr[v + 1]
-        for u, eid in zip(g0.adj[lo:hi].tolist(), g0.adj_edge[lo:hi].tolist()):
-            lu = local.get(u)
-            if lu is None:
-                continue
-            implied = offsets[lv] + g0.edge_delta(eid, v)
-            if seen[lu]:
-                if abs(int(offsets[lu]) - implied) > tolerance:
-                    return None
-            else:
-                offsets[lu] = implied
-                seen[lu] = True
-                n_visited += 1
-                queue.append(u)
-    if n_visited != nodes.size:
-        return None
-    offsets -= offsets.min()
-    return offsets
+    offsets, ok = layout_clusters(g0, nodes, np.array([0, nodes.size]), tolerance)
+    return offsets if ok[0] else None
 
 
 def is_layout_contiguous(offsets: np.ndarray, lengths: np.ndarray) -> bool:
     """True if the read intervals [offset, offset+length) leave no gap."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if offsets.size != lengths.size:
-        raise ValueError("offsets/lengths length mismatch")
-    order = np.argsort(offsets, kind="stable")
-    starts = offsets[order]
-    ends = starts + lengths[order]
-    reach = np.maximum.accumulate(ends)
-    return bool((starts[1:] <= reach[:-1]).all())
+    return bool(layout_contiguity(offsets, lengths, [0, np.size(offsets)])[0])
 
 
 def overlay_votes(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_csr"]
+__all__ = ["build_csr", "group_by_label", "split_groups"]
 
 
 def build_csr(
@@ -46,6 +46,27 @@ def build_csr(
     order = np.argsort(src, kind="stable")
     src, dst, eids = src[order], dst[order], eids[order]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
     return indptr, dst, eids
+
+
+def group_by_label(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged group-by of ``0 <= labels < n_groups``.
+
+    Returns
+    -------
+    (members, first):
+        ``members[first[g]:first[g+1]]`` are the positions carrying
+        label ``g``, ascending; a label nobody carries is an empty run.
+        :func:`split_groups` is the list-of-arrays view.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    first = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=n_groups), out=first[1:])
+    return np.argsort(labels, kind="stable"), first
+
+
+def split_groups(values: np.ndarray, first: np.ndarray) -> list[np.ndarray]:
+    """One view of ``values`` per run ``first[g]:first[g+1]``."""
+    bounds = np.asarray(first).tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -20,10 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.coarsen import MultilevelGraphSet
-from repro.graph.contigs import cluster_layout_offsets, is_layout_contiguous
+from repro.graph.contigs import layout_clusters, layout_contiguity
+from repro.graph.csr import group_by_label, split_groups
 from repro.graph.overlap_graph import OverlapGraph
 
 __all__ = ["is_contiguous_cluster", "HybridGraphSet", "build_hybrid_set"]
+
+
+def _contiguous_clusters(
+    g0: OverlapGraph,
+    members: np.ndarray,
+    first: np.ndarray,
+    read_lengths: np.ndarray,
+    tolerance: int,
+) -> np.ndarray:
+    """Per cluster of ``(members, first)``: one contiguous contig?"""
+    offsets, ok = layout_clusters(g0, members, first, tolerance)
+    return ok & layout_contiguity(offsets, read_lengths[members], first)
 
 
 def is_contiguous_cluster(
@@ -32,14 +45,17 @@ def is_contiguous_cluster(
     read_lengths: np.ndarray,
     tolerance: int = 0,
 ) -> bool:
-    """Does this G0 node cluster assemble into one contiguous contig?"""
+    """Does this G0 node cluster assemble into one contiguous contig?
+
+    True for a single read; otherwise the cluster must admit a layout
+    (:func:`~repro.graph.contigs.layout_clusters`, one cluster) whose
+    read intervals leave no gap.
+    """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 1:
         return True
-    offsets = cluster_layout_offsets(g0, nodes, tolerance=tolerance)
-    if offsets is None:
-        return False
-    return is_layout_contiguous(offsets, read_lengths[nodes])
+    first = np.array([0, nodes.size])
+    return bool(_contiguous_clusters(g0, nodes, first, read_lengths, tolerance)[0])
 
 
 @dataclass
@@ -69,44 +85,41 @@ class HybridGraphSet:
         """H0, *the* hybrid graph."""
         return self.graphs[0]
 
+    def members_of_hybrid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ragged form of :meth:`clusters_of_hybrid`: H0 node ``h``
+        represents G0 nodes ``members[first[h]:first[h+1]]``."""
+        return group_by_label(self.base_maps[0], self.hybrid.n_nodes)
+
     def clusters_of_hybrid(self) -> list[np.ndarray]:
         """For each H0 node, the G0 nodes (reads) it represents."""
-        comp = self.base_maps[0]
-        order = np.argsort(comp, kind="stable")
-        sorted_comp = comp[order]
-        boundaries = np.flatnonzero(np.diff(sorted_comp)) + 1
-        groups = np.split(order, boundaries)
-        out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.hybrid.n_nodes
-        for grp in groups:
-            out[int(comp[grp[0]])] = grp
-        return out
+        members, first = self.members_of_hybrid()
+        return split_groups(members, first)
 
 
 def _select_representatives(
     mls: MultilevelGraphSet, read_lengths: np.ndarray, tolerance: int
 ) -> np.ndarray:
-    """Per-G0-node level of its best representative (top-down descent)."""
-    g0 = mls.base
-    n0 = g0.n_nodes
-    top = mls.n_levels - 1
-    rep_level = np.full(n0, -1, dtype=np.int64)
-    clusters_cache = {lvl: mls.clusters_at_level(lvl) for lvl in range(mls.n_levels)}
+    """Per-G0-node level of its best representative (top-down descent).
 
-    # Work stack of (level, node-at-level); start from every coarsest node.
-    stack: list[tuple[int, int]] = [(top, v) for v in range(mls.graphs[top].n_nodes)]
-    # children[level][node] = nodes of level-1 mapping to it
-    while stack:
-        level, node = stack.pop()
-        members = clusters_cache[level][node]
-        if level == 0 or is_contiguous_cluster(g0, members, read_lengths, tolerance):
-            rep_level[members] = level
-            continue
-        # descend into the node's children one level down
-        mapping = mls.mappings[level - 1]
-        child_candidates = np.unique(mls.map_to_level(level - 1)[members])
-        for child in child_candidates.tolist():
-            if mapping[child] == node:
-                stack.append((level - 1, child))
+    Level-synchronous: every cluster of a level whose parent failed is
+    tested in one layout; the reads of those that fail stay pending for
+    the level below, and level 0 takes what is left.
+    """
+    g0 = mls.base
+    rep_level = np.full(g0.n_nodes, -1, dtype=np.int64)
+    pending = np.arange(g0.n_nodes, dtype=np.int64)
+    for level in range(mls.n_levels - 1, 0, -1):
+        if pending.size == 0:
+            break
+        labels = mls.map_to_level(level)[pending]
+        order, first = group_by_label(labels, mls.graphs[level].n_nodes)
+        first = np.unique(first)  # pending clusters only
+        members = pending[order]
+        passed = _contiguous_clusters(g0, members, first, read_lengths, tolerance)
+        passed = np.repeat(passed, np.diff(first))
+        rep_level[members[passed]] = level
+        pending = members[~passed]
+    rep_level[pending] = 0
     if (rep_level < 0).any():
         raise RuntimeError("representative selection left nodes unassigned")
     return rep_level
@@ -140,8 +153,7 @@ def build_hybrid_set(
         _, base_map = np.unique(keys, return_inverse=True)
         base_maps.append(base_map.astype(np.int64))
         n_h = int(base_map.max()) + 1
-        node_w = np.zeros(n_h, dtype=np.int64)
-        np.add.at(node_w, base_map, g0.node_weights)
+        node_w = np.bincount(base_map, weights=g0.node_weights, minlength=n_h)
         hu = base_map[g0.eu]
         hv = base_map[g0.ev]
         keep = hu != hv

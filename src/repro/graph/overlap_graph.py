@@ -58,8 +58,6 @@ class OverlapGraph:
         weights = np.asarray(weights, dtype=np.float64)
         if not (eu.shape == ev.shape == weights.shape):
             raise ValueError("edge arrays must have equal length")
-        if (eu == ev).any():
-            raise ValueError("self-loops are not allowed")
         self.has_deltas = deltas is not None
         deltas = (
             np.zeros(eu.size, dtype=np.int64)
@@ -87,28 +85,23 @@ class OverlapGraph:
             weights, deltas, identities = weights[order], deltas[order], identities[order]
             first = np.ones(eu2.size, dtype=bool)
             first[1:] = (eu2[1:] != eu2[:-1]) | (ev2[1:] != ev2[:-1])
+            starts = np.flatnonzero(first)
             group = np.cumsum(first) - 1
-            n_groups = int(group[-1]) + 1
-            w_sum = np.zeros(n_groups)
-            np.add.at(w_sum, group, weights)
-            id_max = np.full(n_groups, -np.inf)
-            np.maximum.at(id_max, group, identities)
-            # delta of the heaviest instance in each group: sort within
-            # groups by weight and take the last row of each group.
-            worder = np.lexsort((weights, group))
-            last = np.flatnonzero(np.diff(np.append(group[worder], n_groups)))
-            heavy = worder[last]
-            self.eu = eu2[first]
-            self.ev = ev2[first]
-            self.weights = w_sum
-            self.identities = id_max
-            self.deltas = deltas[heavy]
-        else:
-            self.eu, self.ev = eu2, ev2
-            self.weights, self.deltas, self.identities = weights, deltas, identities
+            if self.has_deltas:
+                # delta of the heaviest instance in each group (of the
+                # last one on a tie): sort within groups by weight and
+                # take the last row of each group.
+                worder = np.lexsort((weights, group))
+                deltas = deltas[worder[np.append(starts[1:], eu2.size) - 1]]
+            else:
+                deltas = deltas[starts]
+            eu2, ev2 = eu2[starts], ev2[starts]
+            # bincount adds in input order: the sums of a running +=.
+            weights = np.bincount(group, weights=weights)
+            identities = np.maximum.reduceat(identities, starts)
+        self.eu, self.ev = eu2, ev2
+        self.weights, self.deltas, self.identities = weights, deltas, identities
 
-        if self.eu.size and (self.eu.min() < 0 or self.ev.max() >= n_nodes):
-            raise ValueError("edge endpoint out of range")
         self.n_nodes = int(n_nodes)
         self.node_weights = (
             np.ones(n_nodes, dtype=np.int64)

@@ -8,14 +8,17 @@ rule flags ``for``/``while`` loops in communicator-taking functions
 that neither run under ``timed()`` nor touch the communicator in their
 body (a loop that sends/receives is communication, not untimed compute).
 
-PERF002 — the vectorized hot paths must stay vectorized.  Two kinds
+PERF002 — the vectorized hot paths must stay vectorized.  Three kinds
 of function carry the contract: overlap detection
-(``src/repro/align/``, overlap/candidate functions) and the finish
+(``src/repro/align/``, overlap/candidate functions), the finish
 kernels (every function of ``src/repro/graph/sparse.py`` and of
-``src/repro/distributed/{transitive,containment,trimming}.py``).
-Iterating ``.tolist()`` output there reintroduces a per-element Python
-loop on the innermost path.  The scalar reference implementations live
-under ``tests/reference/``, outside the rule's scope.
+``src/repro/distributed/{transitive,containment,trimming}.py``) and
+cluster layout (``layout_*`` / ``*_layout_*`` in
+``src/repro/graph/contigs.py``, ``_select_*`` in
+``src/repro/graph/hybrid.py``).  Iterating ``.tolist()`` output there
+reintroduces a per-element Python loop on the innermost path.  The
+scalar reference implementations live under ``tests/reference/``,
+outside the rule's scope.
 """
 
 from __future__ import annotations
@@ -86,6 +89,24 @@ def _is_hot_function(name: str) -> bool:
     )
 
 
+def _is_layout_function(name: str) -> bool:
+    """The batched cluster layout and its one-cluster calls; not
+    ``consensus_of_layouts``, which loops over clusters, not edges."""
+    return name.startswith("layout_") or "_layout_" in name
+
+
+def _is_selection_function(name: str) -> bool:
+    """The level-synchronous representative descent."""
+    return name.startswith("_select_")
+
+
+#: path fragment -> which functions of a matching file are hot, by name.
+_NAME_SCOPED = (
+    ("repro/align/", _is_hot_function),
+    ("repro/graph/contigs.py", _is_layout_function),
+    ("repro/graph/hybrid.py", _is_selection_function),
+)
+
 #: modules whose every function is a vectorized finish-kernel path.
 _FINISH_KERNEL_MODULES = (
     "repro/graph/sparse.py",
@@ -115,12 +136,12 @@ class ScalarizedHotLoop(Rule):
 
     def _hot_functions(self, ctx: FileContext):
         path = ctx.path.replace("\\", "/")
-        if "repro/align/" in path:
-            for func in ctx.functions():
-                if _is_hot_function(func.name):
-                    yield func
-        elif path.endswith(_FINISH_KERNEL_MODULES):
+        if path.endswith(_FINISH_KERNEL_MODULES):
             yield from ctx.functions()
+            return
+        for fragment, is_hot in _NAME_SCOPED:
+            if fragment in path:
+                yield from (f for f in ctx.functions() if is_hot(f.name))
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func in self._hot_functions(ctx):
@@ -133,6 +154,7 @@ class ScalarizedHotLoop(Rule):
                         node,
                         "hot-path function iterates `.tolist()` element by "
                         "element — batch the work with array operations (see "
-                        "the overlap detector and the finish kernels), or mark a "
+                        "the overlap detector, the finish kernels and the "
+                        "cluster layout), or mark a "
                         "deliberate scalar fallback with `# noqa: PERF002`",
                     )

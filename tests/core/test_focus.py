@@ -131,6 +131,21 @@ class TestFocusPipeline:
         with pytest.raises(ValueError, match="no reads"):
             assembler.assemble(ReadSet.from_strings([]))
 
+    def test_unrelated_reads_become_one_contig_each(self):
+        # Edgeless G0 end to end: nothing coarsens, every read is its
+        # own hybrid node, and only the reverse-complement mirrors go.
+        from repro.io.readset import ReadSet
+
+        rng = np.random.default_rng(11)
+        seqs = [random_genome(100, rng) for _ in range(5)]
+        reads = ReadSet.from_strings([decode(s) for s in seqs])
+        res = FocusAssembler(AssemblyConfig(n_partitions=2), cost_model=FAST).assemble(reads)
+        assert res.g0.n_edges == 0 and res.hyb.n_levels == 1
+        got = {c.tobytes() for c in res.contigs}
+        assert len(got) == len(res.contigs) == 5
+        for s in seqs:
+            assert {s.tobytes(), reverse_complement(s).tobytes()} & got
+
     def test_invalid_finish_args(self, assembled):
         _, reads, _ = assembled
         assembler = FocusAssembler(AssemblyConfig(), cost_model=FAST)

@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.distributed import dgraph as dgraph_module
 from repro.distributed.dgraph import DistributedAssemblyGraph, enrich_hybrid
+from repro.graph import hybrid as hybrid_module
+from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
+from repro.graph.overlap_graph import OverlapGraph
+from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
 from tests.distributed.conftest import chain_assembly, dag_of, make_assembly
+
+
+def one_cluster_hybrid(g0):
+    """A hand-built hybrid set whose single H0 node holds all of G0."""
+    empty = np.empty(0, dtype=np.int64)
+    h0 = OverlapGraph(1, empty, empty, np.empty(0), node_weights=[g0.n_nodes])
+    n = g0.n_nodes
+    return HybridGraphSet(
+        graphs=[h0],
+        mappings=[],
+        base_maps=[np.zeros(n, dtype=np.int64)],
+        rep_level=np.ones(n, dtype=np.int64),
+    )
 
 
 class TestEnrichHybrid:
@@ -40,6 +58,58 @@ class TestEnrichHybrid:
     def test_contig_lengths(self):
         asm, _ = chain_assembly()
         assert (asm.contig_lengths == 120).all()
+
+    def test_cluster_without_a_layout_is_refused(self):
+        # 0->1 +10, 1->2 +10 but 0->2 +50: selection would never have
+        # accepted this cluster, so enrich must not paper over it.
+        g0 = OverlapGraph(
+            3,
+            np.array([0, 1, 0]),
+            np.array([1, 2, 2]),
+            np.full(3, 60.0),
+            deltas=np.array([10, 10, 50]),
+        )
+        reads = ReadSet.from_strings(["ACGT" * 25] * 3)
+        with pytest.raises(RuntimeError, match="admits no layout"):
+            enrich_hybrid(one_cluster_hybrid(g0), g0, reads)
+        # ... unless the slack covers the 30-base disagreement.
+        assert len(enrich_hybrid(one_cluster_hybrid(g0), g0, reads, tolerance=30).contigs) == 1
+
+    def test_cluster_with_a_coverage_gap_is_refused(self):
+        # A consistent layout that leaves columns 100..149 uncovered.
+        g0 = OverlapGraph(
+            2, np.array([0]), np.array([1]), np.array([60.0]), deltas=np.array([150])
+        )
+        reads = ReadSet.from_strings(["ACGT" * 25] * 2)
+        with pytest.raises(RuntimeError, match="not contiguous"):
+            enrich_hybrid(one_cluster_hybrid(g0), g0, reads)
+
+
+class TestLayoutWork:
+    """Hybrid build + enrich lay clusters out in bulk, not edge by edge."""
+
+    def test_no_scalar_edge_reads_and_one_layout_per_level(
+        self, pipeline_graphs, monkeypatch
+    ):
+        reads, _, g0, mls, want = pipeline_graphs
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return layout_clusters(*args, **kwargs)
+
+        def scalar_read(self, edge_id, source):
+            raise AssertionError("edge_delta called: a per-edge Python walk is back")
+
+        layout_clusters = hybrid_module.layout_clusters
+        monkeypatch.setattr(hybrid_module, "layout_clusters", counting)
+        monkeypatch.setattr(dgraph_module, "layout_clusters", counting)
+        monkeypatch.setattr(OverlapGraph, "edge_delta", scalar_read)
+        hyb = build_hybrid_set(mls, reads.lengths)
+        asm = enrich_hybrid(hyb, g0, reads)
+        assert mls.n_levels > 2 and 2 <= len(calls) <= mls.n_levels
+        assert np.array_equal(hyb.rep_level, want.rep_level)
+        assert len(asm.contigs) == want.hybrid.n_nodes
 
 
 class TestDistributedAssemblyGraph:

@@ -45,6 +45,27 @@ class TestConstruction:
         assert g.identities[0] == 0.95
         assert g.deltas[0] == 3  # heaviest instance (weight 7, flipped to (0,1) delta 3)
 
+    def test_parallel_edges_weight_tie_keeps_last_heaviest(self):
+        # Two instances tie at weight 7; the later one in input order
+        # (given as (1, 0) with delta -9, so +9 once flipped) is kept.
+        g = OverlapGraph(
+            3,
+            np.array([0, 1, 1, 0]),
+            np.array([1, 2, 0, 1]),
+            np.array([7.0, 2.0, 7.0, 5.0]),
+            deltas=np.array([3, 1, -9, 4]),
+            identities=np.array([0.9, 1.0, 0.8, 0.97]),
+        )
+        assert g.eu.tolist() == [0, 1] and g.ev.tolist() == [1, 2]
+        assert g.weights.tolist() == [19.0, 2.0]
+        assert g.identities.tolist() == [0.97, 1.0]
+        assert g.deltas.tolist() == [9, 1]
+
+    def test_parallel_edges_without_deltas(self):
+        g = OverlapGraph(2, np.array([0, 1, 0]), np.array([1, 0, 1]), np.array([1.0, 2.0, 4.0]))
+        assert not g.has_deltas
+        assert g.weights.tolist() == [7.0] and g.deltas.tolist() == [0]
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             OverlapGraph(2, np.array([0]), np.array([0]), np.array([1.0]))

@@ -226,3 +226,39 @@ class TestPERF002SparseEngineScope:
             path="src/repro/graph/sparse.py",
         )
         assert fs == []
+
+
+LAYOUT_SCALARIZED = """
+def layout_clusters(g0, members, first, tolerance=0):
+    out = []
+    for v in members.tolist():
+        out.append(v)
+    return out
+"""
+
+
+class TestPERF002LayoutScope:
+    """Cluster layout and the representative descent, by function name."""
+
+    def test_layout_and_selection_functions_flagged(self):
+        for path, name in (
+            ("src/repro/graph/contigs.py", "layout_clusters"),
+            ("src/repro/graph/contigs.py", "cluster_layout_offsets"),
+            ("src/repro/graph/hybrid.py", "_select_representatives"),
+        ):
+            src = LAYOUT_SCALARIZED.replace("layout_clusters", name)
+            fs = perf2_findings(src, path=path)
+            assert len(fs) == 1, name
+            assert fs[0].rule == "PERF002"
+
+    def test_cluster_loops_and_other_modules_clean(self):
+        # Name-scoped: consensus_of_layouts walks clusters, not edges;
+        # the scalar oracle lives outside the rule's paths.
+        for path, name in (
+            ("src/repro/graph/contigs.py", "consensus_of_layouts"),
+            ("src/repro/graph/hybrid.py", "build_hybrid_set"),
+            ("src/repro/graph/coarsen.py", "layout_clusters"),
+            ("tests/reference/layout.py", "cluster_layout_offsets"),
+        ):
+            src = LAYOUT_SCALARIZED.replace("layout_clusters", name)
+            assert perf2_findings(src, path=path) == [], (path, name)
