@@ -2,25 +2,38 @@
 
 The read set is split into subsets; every unordered pair of subsets is
 an independent work unit (this is what Focus farms out to processors).
-Within a pair, the reference subset is k-mer indexed, query k-mers vote
-for (query read, reference read, diagonal) candidates, and candidates
-with enough votes are verified — by a fast ungapped identity check
-(exact for the substitution-only error model) or by banded
-Needleman–Wunsch.
+Within a pair, the reference subset is k-mer indexed, shared k-mers
+name (query read, reference read, diagonal) triples, every triple's
+diagonal is laid out once and compared base by base — which yields its
+k-mer *votes* and its identity together — and the best-voted diagonal
+of a read pair becomes an overlap when it is long and similar enough
+(ungapped identity, exact for the substitution-only error model, or
+banded Needleman–Wunsch per candidate).
 
-A work unit never holds all of its k-mer hits: its query reads are cut
-into contiguous *stripes* whose hit count stays under ``_MAX_HITS``,
-and each stripe is voted and verified on its own — expand the stripe's
-hit rows, pack ``(query, ref, diagonal)`` into one ``int64`` key, sort
-the keys, run-length count the votes, keep the best diagonal per read
-pair, and verify all of the stripe's candidates in one numpy sweep
-(``banded_nw`` still verifies per candidate).  Every vote of a read
-pair lies in the query read's stripe, so stripes need no merge and the
-result does not depend on where they are cut.  A subset aligned against
-itself on the k-mer index takes its hit ranges from the index's own
-sort (:meth:`~repro.align.kmer_index.KmerIndex.self_join`) instead of
+The votes are counted on the diagonal, not in a hit list.  The index
+hands out *seeds*: on the k-mer index only the left-maximal hits, one
+per maximal exact match (:mod:`repro.align.kmer_index`); on the suffix
+array every hit.  Every triple that shares a k-mer has a left-maximal
+hit — the leftmost window of its leftmost match — so any seed set
+between the two names the same triples, and the kernel only has to
+deduplicate them: expand the seed rows, pack ``(query, ref, diagonal)``
+into one ``int64`` key, sort, drop repeats.  The number of k-mer hits a
+triple *would* have had is then read off the compared span: a run of
+``m`` agreeing, ``N``-free bases holds ``max(0, m - k + 1)`` shared
+windows.
+
+A work unit never holds all of its seeds or all of its spans: its query
+reads are cut into contiguous *stripes* whose seed rows stay under
+``_MAX_HITS``, and a stripe's triples are compared in blocks of whole
+spans of at most ``_MAX_BASES`` bases.  Every seed of a read pair lies
+in the query read's stripe, so stripes need no merge and the result
+depends neither on where they are cut nor on the block size.  A subset
+aligned against itself on the k-mer index takes its seed ranges from
+the index's own sort
+(:meth:`~repro.align.kmer_index.KmerIndex.self_join`) instead of
 looking its k-mers up.  The per-query scalar form of the same selection
-lives in ``tests/reference/overlap_loop.py`` as the test oracle.
+— expand every hit, count them — lives in
+``tests/reference/overlap_loop.py`` as the test oracle.
 
 Parallel alignment is the registered ``overlap`` stage
 (:mod:`repro.distributed.stages`): :class:`OverlapSubject` packs the
@@ -45,6 +58,7 @@ from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
 from repro.parallel.backend import ExecutionBackend, create_backend
 from repro.parallel.schedule import lpt_assignment, subset_pair_costs
+from repro.sequence.dna import N
 
 __all__ = [
     "OverlapConfig",
@@ -56,10 +70,13 @@ __all__ = [
     "subset_pairs",
 ]
 
-#: most k-mer hit rows one stripe of query reads expands at once (a
-#: read whose own hits exceed it is a stripe by itself).  Bounds the
-#: stage's transient memory; the output does not depend on it.
+#: most seed rows one stripe of query reads expands at once (a read
+#: whose own seeds exceed it is a stripe by itself), and most bases one
+#: block of the diagonal compare lays side by side (a longer span is a
+#: block by itself).  Together they bound the stage's transient memory;
+#: the output depends on neither.
 _MAX_HITS = 1 << 20
+_MAX_BASES = 1 << 22
 
 
 def subset_pairs(n_subsets: int) -> list[tuple[int, int]]:
@@ -74,6 +91,23 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return np.flatnonzero(first)
+
+
+def _span_codes(
+    codes: np.ndarray, first: np.ndarray, span: np.ndarray, seg_starts: np.ndarray
+) -> np.ndarray:
+    """``codes[first[i] : first[i] + span[i]]`` of every span, end to
+    end (span ``i`` lands at ``seg_starts[i]``; none is empty).
+
+    The flat gather index is a running sum of steps — one inside a
+    span, a jump at each span's start — so it is the only block-sized
+    index array alive, ``int32`` when that can address ``codes``.
+    """
+    flat = np.int32 if codes.size < 1 << 31 else np.int64
+    at = np.ones(int(seg_starts[-1] + span[-1]), dtype=flat)
+    at[0] = first[0]
+    at[seg_starts[1:]] = first[1:] - (first[:-1] + span[:-1] - 1)
+    return codes[np.cumsum(at, dtype=flat, out=at)]
 
 
 @dataclass(frozen=True)
@@ -126,52 +160,59 @@ class OverlapDetector:
 
     # -- one work unit ----------------------------------------------------
 
-    def _unit_hits(
+    def _unit_seeds(
         self,
         reads: ReadSet,
         query_indices: np.ndarray,
         same_subset: bool,
         index,
     ) -> tuple[np.ndarray, ...]:
-        """A work unit's query windows and each one's run of index rows.
+        """A work unit's seeds, as ranges of index rows per query window.
 
         ``(win_reads, win_offsets, lo, counts, row_reads,
-        row_offsets)``: the windows in ``query_indices`` order (one
-        read's windows adjacent); window ``i`` hits rows ``lo[i] ..
-        lo[i] + counts[i]`` of the two row tables.  A subset against
-        its own k-mer index is a sorted self-join, which needs the
-        index's run order to be read order — anything else (other
-        subset, suffix array, reads not ascending) looks the windows up.
+        row_offsets)``: entry ``i`` pairs the query window at
+        ``(win_reads[i], win_offsets[i])`` with rows ``lo[i] .. lo[i] +
+        counts[i]`` of the two row tables; entries come in
+        ``query_indices`` order, one read's adjacent.  The k-mer index
+        answers with left-maximal hits only — off its own sort for a
+        subset against itself (which needs that sort's read order to be
+        query order), by search otherwise; the suffix array with every
+        hit, one range per window.
         """
+        on_kmers = isinstance(index, KmerIndex)
         if (
-            same_subset
-            and isinstance(index, KmerIndex)
+            on_kmers
+            and same_subset
             and np.array_equal(query_indices, index.read_indices)
             and bool((query_indices[1:] > query_indices[:-1]).all())
         ):
             return index.self_join()
         vals, win_reads, win_offsets = reads.kmer_table(self.config.k, query_indices)
-        return (win_reads, win_offsets, *index.hit_ranges(vals))
+        if not on_kmers:
+            return (win_reads, win_offsets, *index.hit_ranges(vals))
+        windows, *ranges = index.seed_ranges(vals, win_offsets)
+        return (win_reads[windows], win_offsets[windows], *ranges)
 
-    def _stripe_candidates(
-        self,
-        hits: tuple[np.ndarray, ...],
+    @staticmethod
+    def _stripe_triples(
+        seeds: tuple[np.ndarray, ...],
         stripe: slice,
         same_subset: bool,
         n_reads: int,
         diag_lo: int,
         n_diags: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(query, ref, diagonal) candidates of one stripe of windows.
+    ) -> np.ndarray:
+        """The distinct (query, ref, diagonal) of one stripe of seeds.
 
-        The hit rows of the :meth:`_unit_hits` windows in ``stripe``
-        are expanded, packed into one sortable key per vote and
-        run-length counted: candidates need ``min_kmer_hits`` votes and
-        only the best-supported diagonal per read pair survives (ties
-        resolved toward the larger diagonal).  Candidates come back in
-        ``(query, ref)`` order.
+        The row ranges of the :meth:`_unit_seeds` entries in ``stripe``
+        are expanded, each row packed with its query window into one
+        ``(query * n_reads + ref) * n_diags + diagonal - diag_lo`` key,
+        and the keys sorted and deduplicated — a triple has one seed per
+        maximal exact match on its diagonal (or, from the suffix array,
+        one per hit).  Each unordered read pair is kept once in a
+        subset against itself.
         """
-        win_reads, win_offsets, lo, counts, row_reads, row_offsets = hits
+        win_reads, win_offsets, lo, counts, row_reads, row_offsets = seeds
         counts = counts[stripe]
         rows = ragged_positions(lo[stripe], counts)
         q = np.repeat(win_reads[stripe], counts)
@@ -182,115 +223,157 @@ class OverlapDetector:
         keep = r > q if same_subset else r != q
         if not keep.all():
             key = key[keep]
-        if key.size == 0:
-            return None
         key.sort()
-        starts = _run_starts(key)
-        votes = np.diff(starts, append=key.size)
-        strong = votes >= self.config.min_kmer_hits
-        if not strong.any():
-            return None
-        pair, diag = np.divmod(key[starts[strong]], n_diags)
-        starts = _run_starts(pair)
-        best = np.maximum.reduceat(votes[strong] * n_diags + diag, starts)
-        cand_q, cand_r = np.divmod(pair[starts], n_reads)
-        return cand_q, cand_r, best % n_diags + diag_lo
+        return key[_run_starts(key)]
 
-    @staticmethod
-    def _batch_hamming_identity(
-        codes: np.ndarray,
-        q_start: np.ndarray,
-        r_start: np.ndarray,
-        length: np.ndarray,
-    ) -> np.ndarray:
-        """Ungapped identity of many spans in one flat numpy pass.
-
-        Span ``i`` compares ``codes[q_start[i]:][:length[i]]`` with
-        ``codes[r_start[i]:][:length[i]]``: both sides of every span are
-        gathered into two flat arrays, compared elementwise, and the
-        matches segment-summed with a cumulative-sum difference (no
-        ``reduceat`` dtype traps).
-        """
-        total = int(length.sum())
-        seg_starts = np.cumsum(length) - length
-        within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, length)
-        eq = codes[np.repeat(q_start, length) + within] == codes[
-            np.repeat(r_start, length) + within
-        ]
-        cum = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(eq, out=cum[1:])
-        matches = cum[seg_starts + length] - cum[seg_starts]
-        return matches / length
-
-    def _verify_batch(
+    def _diagonal_votes(
         self,
         reads: ReadSet,
         cand_q: np.ndarray,
         cand_r: np.ndarray,
-        cand_d: np.ndarray,
-    ) -> PackedOverlaps:
-        """Batched span computation + identity verification.
+        q_start: np.ndarray,
+        r_start: np.ndarray,
+        length: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(votes, matches)`` of many diagonal spans, from the bases.
 
-        The overlap span implied by each candidate diagonal is computed
-        vectorized (:func:`~repro.align.overlap.overlap_span` semantics),
-        short spans are dropped, the distinct reads of the survivors
-        are fetched as one block (:meth:`ReadSet.gather_reads` — one
-        visit per shard on a store) and — for the ``ungapped`` method —
-        every span's Hamming identity is evaluated in one numpy pass on
-        it.  ``banded_nw`` falls back to per-candidate dynamic
-        programming on the block's spans.
+        Span ``i`` lays ``length[i]`` bases of read ``cand_q[i]`` from
+        ``q_start[i]`` against read ``cand_r[i]`` from ``r_start[i]``.
+        ``matches`` counts its equal positions (``N == N`` is one);
+        ``votes`` its shared k-mer windows — the offsets at which ``k``
+        consecutive bases agree and none is ``N`` — which is what
+        counting the span's k-mer hits would give: a run of ``m``
+        agreeing bases between two disagreements holds ``max(0, m - k +
+        1)`` of them.  Whole spans are taken in blocks of at most
+        ``_MAX_BASES`` bases (a longer span is a block by itself); a
+        block's distinct reads are fetched once
+        (:meth:`ReadSet.gather_reads` — one visit per shard on a store),
+        both sides gathered flat and compared elementwise, and only the
+        sparse disagreeing positions are looked at again.
         """
-        cfg = self.config
-        lengths = reads.lengths
-        len_q = lengths[cand_q]
-        len_r = lengths[cand_r]
-        q_start = np.maximum(cand_d, 0)
-        r_start = np.maximum(-cand_d, 0)
-        length = np.minimum(len_q - q_start, len_r - r_start)
-        long_enough = length >= cfg.min_overlap
-        if not long_enough.any():
-            return PackedOverlaps.empty()
-        cand_q, cand_r = cand_q[long_enough], cand_r[long_enough]
-        q_start, r_start = q_start[long_enough], r_start[long_enough]
-        length = length[long_enough]
-        len_q, len_r = len_q[long_enough], len_r[long_enough]
+        k = self.config.k
+        votes = np.maximum(length - (k - 1), 0)
+        matches = length.copy()
+        ends = np.cumsum(length)
+        b = 0
+        while b < length.size:
+            limit = ends[b] - length[b] + _MAX_BASES
+            e = max(b + 1, int(np.searchsorted(ends, limit, side="right")))
+            span = length[b:e]
+            codes, starts, _ = reads.gather_reads(np.concatenate([cand_q[b:e], cand_r[b:e]]))
+            seg_starts = ends[b:e] - span - (ends[b] - length[b])
+            cq = _span_codes(codes, starts[: e - b] + q_start[b:e], span, seg_starts)
+            cr = _span_codes(codes, starts[e - b :] + r_start[b:e], span, seg_starts)
+            same = cq == cr
+            bad = np.flatnonzero(~(same & (cq < N)))
+            if bad.size:
+                seg = np.searchsorted(seg_starts, bad, side="right") - 1
+                rel = bad - seg_starts[seg]
+                new_seg = np.ones(bad.size, dtype=bool)
+                np.not_equal(seg[1:], seg[:-1], out=new_seg[1:])
+                # agreeing bases before each bad position, back to the
+                # previous one (or the span's start) ...
+                run = rel.copy()
+                run[1:] -= np.where(new_seg[1:], 0, rel[:-1] + 1)
+                gain = np.maximum(run - (k - 1), 0)
+                # ... and after a span's last one, up to its end.
+                last = np.flatnonzero(np.append(new_seg[1:], True))
+                gain[last] += np.maximum(span[seg[last]] - rel[last] - k, 0)
+                first = np.flatnonzero(new_seg)
+                votes[b + seg[first]] = np.add.reduceat(gain, first)
+                matches[b:e] -= np.bincount(seg[~same[bad]], minlength=e - b)
+            b = e
+        return votes, matches
 
+    def _banded_identity(
+        self,
+        reads: ReadSet,
+        cand_q: np.ndarray,
+        cand_r: np.ndarray,
+        q_start: np.ndarray,
+        r_start: np.ndarray,
+        length: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(identity, aligned length)`` of each span under banded
+        Needleman–Wunsch — per-candidate dynamic programming on one
+        gathered block of the candidates' reads."""
         codes, starts, _ = reads.gather_reads(np.concatenate([cand_q, cand_r]))
         abs_q = starts[: cand_q.size] + q_start
         abs_r = starts[cand_q.size :] + r_start
+        identity = np.empty(length.size, dtype=np.float64)
+        aln_length = np.empty(length.size, dtype=np.int64)
+        for c, (lo_q, lo_r, ln) in enumerate(
+            zip(abs_q.tolist(), abs_r.tolist(), length.tolist())
+        ):
+            result = banded_align(
+                codes[lo_q : lo_q + ln], codes[lo_r : lo_r + ln], band=self.config.band
+            )
+            identity[c] = result.identity
+            aln_length[c] = result.length
+        return identity, aln_length
+
+    def _stripe_overlaps(
+        self,
+        reads: ReadSet,
+        key: np.ndarray,
+        n_reads: int,
+        diag_lo: int,
+        n_diags: int,
+    ) -> tuple[PackedOverlaps, int]:
+        """(overlaps, candidates) of one stripe's ``_stripe_triples``.
+
+        Every triple's span (:func:`~repro.align.overlap.overlap_span`
+        semantics) is voted on and measured by one
+        :meth:`_diagonal_votes` pass; a triple needs ``min_kmer_hits``
+        votes, only the best-supported diagonal per read pair survives
+        (ties resolved toward the larger diagonal) — those are the
+        candidates that are counted — and a candidate becomes an
+        overlap when its span is long enough and similar enough.  Rows
+        come back in ``(query, ref)`` order.
+        """
+        cfg = self.config
+        pair, diag = np.divmod(key, n_diags)
+        cand_q, cand_r = np.divmod(pair, n_reads)
+        lengths = reads.lengths
+        len_q, len_r = lengths[cand_q], lengths[cand_r]
+        q_start = np.maximum(diag + diag_lo, 0)
+        r_start = np.maximum(-(diag + diag_lo), 0)
+        length = np.minimum(len_q - q_start, len_r - r_start)
+        votes, matches = self._diagonal_votes(reads, cand_q, cand_r, q_start, r_start, length)
+
+        strong = np.flatnonzero(votes >= cfg.min_kmer_hits)
+        if strong.size == 0:
+            return PackedOverlaps.empty(), 0
+        starts = _run_starts(pair[strong])
+        score = votes[strong] * n_diags + diag[strong]
+        best = np.maximum.reduceat(score, starts)
+        keep = strong[score == np.repeat(best, np.diff(starts, append=score.size))]
+        n_candidates = int(keep.size)
+
+        keep = keep[length[keep] >= cfg.min_overlap]
         if cfg.method == "ungapped":
-            identity = self._batch_hamming_identity(codes, abs_q, abs_r, length)
+            identity = matches[keep] / length[keep]
             accepted = identity >= cfg.min_identity
         else:
-            identity = np.empty(length.size, dtype=np.float64)
-            aln_length = np.empty(length.size, dtype=np.int64)
-            for c, (lo_q, lo_r, ln) in enumerate(
-                zip(abs_q.tolist(), abs_r.tolist(), length.tolist())
-            ):
-                result = banded_align(
-                    codes[lo_q : lo_q + ln], codes[lo_r : lo_r + ln], band=cfg.band
-                )
-                identity[c] = result.identity
-                aln_length[c] = result.length
+            identity, aln_length = self._banded_identity(
+                reads, cand_q[keep], cand_r[keep], q_start[keep], r_start[keep], length[keep]
+            )
             accepted = (identity >= cfg.min_identity) & (aln_length >= cfg.min_overlap)
-        if not accepted.any():
-            return PackedOverlaps.empty()
-        cand_q, cand_r = cand_q[accepted], cand_r[accepted]
-        q_start, r_start = q_start[accepted], r_start[accepted]
-        length, identity = length[accepted], identity[accepted]
-        len_q, len_r = len_q[accepted], len_r[accepted]
+        keep, identity = keep[accepted], identity[accepted]
+        cand_q, cand_r, length = cand_q[keep], cand_r[keep], length[keep]
+        q_start, r_start = q_start[keep], r_start[keep]
 
         # Vectorized overlap classification (classify_overlap semantics;
         # KIND_CODES order: EQUAL, QUERY_CONTAINED, REF_CONTAINED,
         # QUERY_LEFT, QUERY_RIGHT).
-        q_full = (q_start == 0) & (length == len_q)
-        r_full = (r_start == 0) & (length == len_r)
+        q_full = (q_start == 0) & (length == len_q[keep])
+        r_full = (r_start == 0) & (length == len_r[keep])
         kind_code = np.full(length.size, 4, dtype=np.uint8)  # QUERY_RIGHT
         kind_code[q_start > 0] = 3  # QUERY_LEFT
         kind_code[r_full] = 2  # REF_CONTAINED
         kind_code[q_full] = 1  # QUERY_CONTAINED
         kind_code[q_full & r_full] = 0  # EQUAL
-        return PackedOverlaps(
+        packed = PackedOverlaps(
             query=cand_q,
             ref=cand_r,
             q_start=q_start,
@@ -299,6 +382,7 @@ class OverlapDetector:
             identity=identity,
             kind_code=kind_code,
         )
+        return packed, n_candidates
 
     def overlap_subset_pair_packed(
         self,
@@ -315,14 +399,14 @@ class OverlapDetector:
         of thousands of :class:`Overlap` objects.  ``index`` optionally
         supplies a prebuilt reference-subset index so a kernel that
         touches one subset in several work units builds it only once.
-        ``max_hits`` is the stripe budget (tests force it small; the
-        result does not depend on it).
+        ``max_hits`` is the stripe budget in seed rows (tests force it
+        small; the result does not depend on it).
         """
         query_indices = np.asarray(query_indices, dtype=np.int64)
         if index is None:
             index = self._build_index(reads, ref_indices)
-        hits = self._unit_hits(reads, query_indices, same_subset, index)
-        win_reads, win_offsets, _, counts, _, row_offsets = hits
+        seeds = self._unit_seeds(reads, query_indices, same_subset, index)
+        win_reads, win_offsets, _, counts, _, row_offsets = seeds
         if row_offsets.size == 0 or not counts.any():
             return PackedOverlaps.empty(), 0
         n_reads = len(reads)
@@ -330,23 +414,24 @@ class OverlapDetector:
         n_diags = int(win_offsets.max()) - diag_lo + 1
         if n_reads * n_reads * n_diags >= 1 << 63:
             raise OverflowError("(query, ref, diagonal) does not fit one int64 key")
-        # First window of every query read, and the hits before it.
+        # First entry of every query read, and the seed rows before it.
         bounds = np.append(_run_starts(win_reads), win_reads.size)
-        hits_before = np.zeros(bounds.size, dtype=np.int64)
-        np.cumsum(np.add.reduceat(counts, bounds[:-1]), out=hits_before[1:])
+        rows_before = np.zeros(bounds.size, dtype=np.int64)
+        np.cumsum(np.add.reduceat(counts, bounds[:-1]), out=rows_before[1:])
         chunks: list[PackedOverlaps] = []
         n_candidates = 0
         b = 0
         while b < bounds.size - 1:
-            limit = hits_before[b] + max_hits
-            e = max(b + 1, int(np.searchsorted(hits_before, limit, side="right")) - 1)
-            cand = self._stripe_candidates(
-                hits, slice(bounds[b], bounds[e]), same_subset, n_reads, diag_lo, n_diags
+            limit = rows_before[b] + max_hits
+            e = max(b + 1, int(np.searchsorted(rows_before, limit, side="right")) - 1)
+            key = self._stripe_triples(
+                seeds, slice(bounds[b], bounds[e]), same_subset, n_reads, diag_lo, n_diags
             )
             b = e
-            if cand is not None:
-                n_candidates += int(cand[0].size)
-                chunks.append(self._verify_batch(reads, *cand))
+            if key.size:
+                packed, n = self._stripe_overlaps(reads, key, n_reads, diag_lo, n_diags)
+                chunks.append(packed)
+                n_candidates += n
         return PackedOverlaps.concatenate(chunks), n_candidates
 
     # -- public API ---------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.graph.sparse import ragged_positions
 from repro.sequence.dna import hamming_identity, reverse_complement
-from repro.sequence.kmers import kmer_positions
+from repro.sequence.kmers import kmer_positions, stable_order
 
 __all__ = ["Placement", "SequenceMapper"]
 
@@ -59,7 +59,7 @@ class SequenceMapper:
             ref_parts.append(np.full(valid.size, ri, dtype=np.int64))
             pos_parts.append(valid.astype(np.int64))
         vals = np.concatenate(vals_parts)
-        order = np.argsort(vals, kind="stable")
+        order = stable_order(vals)
         self.vals = vals[order]
         self.refs = np.concatenate(ref_parts)[order]
         self.pos = np.concatenate(pos_parts)[order]

@@ -10,7 +10,7 @@ body (a loop that sends/receives is communication, not untimed compute).
 
 PERF002 — the vectorized hot paths must stay vectorized.  Three kinds
 of function carry the contract: overlap detection
-(``src/repro/align/``, overlap/candidate functions), the finish
+(``src/repro/align/``, overlap/seed/vote/candidate functions), the finish
 kernels (every function of ``src/repro/graph/sparse.py`` and of
 ``src/repro/distributed/{transitive,containment,trimming}.py``) and
 cluster layout (``layout_*`` / ``*_layout_*`` in
@@ -83,9 +83,14 @@ class UntimedComputeLoop(Rule):
 
 
 def _is_hot_function(name: str) -> bool:
-    """Functions that sit on the overlap hot path by naming convention."""
-    return name.startswith("overlap_") or name == "_candidates" or name.endswith(
-        "_candidates"
+    """Functions that sit on the overlap hot path by naming convention:
+    the work-unit drivers (``overlap_*``), the seed side of the kernel
+    and the index (``*_seeds``, ``*_ranges``, ``*_triples``,
+    ``self_join``) and the vote side (``*_votes``, ``*_candidates``)."""
+    return (
+        name.startswith("overlap_")
+        or name == "self_join"
+        or name.endswith(("_seeds", "_ranges", "_triples", "_votes", "_candidates"))
     )
 
 

@@ -3,17 +3,23 @@
 The ``overlap`` stage on the serial, simulated-cluster and process
 backends must return exactly the rows of the per-query reference
 (``tests/reference/overlap_loop.py``), in its order, for any read set
-— in RAM or store-backed — and either reference index.
+— in RAM or store-backed — and either reference index.  The two
+indexes hand the kernel different seed sets (left-maximal hits, all
+hits); that both reproduce the oracle, under any stripe and compare
+budget, is the seed-set invariance the kernel rests on.
 """
 
 import itertools
 import tempfile
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align import overlapper
 from repro.align.overlap import PackedOverlaps
 from repro.align.overlapper import (
     OverlapConfig,
@@ -27,7 +33,12 @@ from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
 from repro.store import pack_reads
-from tests.reference.overlap_loop import find_overlaps_loop, overlap_keys
+from tests.align.test_overlapper import oracle_votes, recorded_votes
+from tests.reference.overlap_loop import (
+    find_overlaps_loop,
+    overlap_keys,
+    overlap_subset_pair_loop,
+)
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
@@ -45,6 +56,39 @@ def genome_readsets(draw):
         start = draw(st.integers(min_value=0, max_value=genome_len - length))
         seqs.append(decode(genome[start : start + length]))
     return ReadSet.from_strings(seqs)
+
+
+@st.composite
+def adversarial_units(draw):
+    """``(reads, config)`` built to break a seed-and-compare kernel:
+    substitution errors and ``N``s (also right before a shared k-mer), a
+    2-letter low-complexity genome (several strong diagonals on one read
+    pair, so the tie rule decides), duplicated reads, reads shorter
+    than k, k from 4 up to the widest that packs."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    k = draw(st.sampled_from([4, 8, 16, 31]))
+    letters = draw(st.sampled_from([4, 4, 2]))
+    error_rate = draw(st.sampled_from([0.0, 0.02, 0.08]))
+    n_rate = draw(st.sampled_from([0.0, 0.02]))
+    genome = rng.integers(0, letters, size=draw(st.integers(min_value=60, max_value=240)))
+    seqs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        length = int(rng.integers(1, min(100, genome.size) + 1))
+        start = int(rng.integers(0, genome.size - length + 1))
+        read = genome[start : start + length].copy()
+        wrong = rng.random(length) < error_rate
+        read[wrong] = (read[wrong] + rng.integers(1, 4, size=int(wrong.sum()))) % 4
+        read[rng.random(length) < n_rate] = 4
+        seqs.append(decode(read))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if seqs else 0):
+        seqs.insert(int(rng.integers(len(seqs) + 1)), seqs[int(rng.integers(len(seqs)))])
+    config = OverlapConfig(
+        k=k,
+        min_kmer_hits=draw(st.integers(min_value=1, max_value=3)),
+        min_overlap=draw(st.integers(min_value=1, max_value=40)),
+        min_identity=draw(st.sampled_from([0.0, 0.8, 0.95])),
+    )
+    return ReadSet.from_strings(seqs), config
 
 
 def assert_same_columns(got: PackedOverlaps, expected: PackedOverlaps, label=""):
@@ -76,7 +120,7 @@ class TestEngineEquivalence:
                 assert candidates == loop_candidates, name
                 assert_same_columns(packed, expected, name)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=15, deadline=None)
     @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=2))
     def test_stripe_budget_does_not_change_the_result(self, index, reads, n_subsets):
         # Budget 1 makes every read its own stripe; 60 cuts mid-unit.
@@ -94,6 +138,36 @@ class TestEngineEquivalence:
                 assert n_striped == n_whole
                 assert_same_columns(striped, whole)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        unit=adversarial_units(),
+        n_subsets=st.integers(min_value=1, max_value=3),
+        max_hits=st.sampled_from([1, 40, overlapper._MAX_HITS]),
+        max_bases=st.sampled_from([1, 300, overlapper._MAX_BASES]),
+    )
+    def test_kernel_equals_oracle_on_adversarial_units(
+        self, index, unit, n_subsets, max_hits, max_bases
+    ):
+        # Rows and order, candidates, and the votes of every diagonal
+        # that shares a k-mer — whichever seeds named it, however the
+        # stripes and the compare blocks are cut.
+        reads, config = unit
+        config = replace(config, index=index)
+        detector = OverlapDetector(config)
+        subsets = reads.split(n_subsets)
+        for i, j in subset_pairs(n_subsets):
+            work = (reads, subsets[i], subsets[j], i == j)
+            loop, loop_candidates = overlap_subset_pair_loop(config, *work)
+            with recorded_votes() as seen, mock.patch.object(
+                overlapper, "_MAX_BASES", max_bases
+            ):
+                packed, candidates = detector.overlap_subset_pair_packed(
+                    *work, max_hits=max_hits
+                )
+            assert candidates == loop_candidates
+            assert_same_columns(packed, PackedOverlaps.from_overlaps(loop))
+            assert {t: v for t, (v, _) in seen.items()} == oracle_votes(config, *work)
+
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())
     def test_banded_nw_method_paths_agree(self, index, reads):
@@ -105,3 +179,27 @@ class TestEngineEquivalence:
         vectorized = OverlapDetector(cfg).find_overlaps(reads)
         loop, _ = find_overlaps_loop(cfg, reads)
         assert overlap_keys(vectorized) == overlap_keys(loop)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_subsets", [1, 3])
+def test_d1_sample_both_indexes_equal_the_oracle(n_subsets):
+    """1,500 reads of D1 as ``prepare()`` aligns them (trimmed, with
+    reverse complements): left-maximal seeds, all-hit seeds and the
+    hit-counting oracle give the same rows in the same order."""
+    from repro.bench.datasets import standard_datasets
+    from repro.core.config import AssemblyConfig
+    from repro.core.focus import FocusAssembler
+
+    dataset = next(d for d in standard_datasets() if d.name == "D1")
+    sample = ReadSet(list(dataset.reads)[:750])
+    reads = FocusAssembler(AssemblyConfig()).preprocess(sample)
+    assert len(reads) == 1500
+    config = OverlapConfig(n_subsets=n_subsets)
+    loop, loop_candidates = find_overlaps_loop(config, reads)
+    expected = PackedOverlaps.from_overlaps(loop)
+    assert len(expected) > 5000
+    for index in ("kmer", "suffix_array"):
+        detector = OverlapDetector(replace(config, index=index))
+        assert_same_columns(detector.find_overlaps_packed(reads), expected, index)
+        assert detector.last_candidates == loop_candidates

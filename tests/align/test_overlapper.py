@@ -1,5 +1,10 @@
 """Unit + integration tests for the overlap detector."""
 
+import contextlib
+import itertools
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from tests.reference.overlap_loop import (
     find_overlaps_loop,
     overlap_keys,
     overlap_subset_pair_loop,
+    vote_groups,
 )
 
 
@@ -23,6 +29,37 @@ def tiled_reads(genome_len=600, read_len=100, stride=40, seed=0):
     g = random_genome(genome_len, np.random.default_rng(seed))
     seqs = [decode(g[s : s + read_len]) for s in range(0, genome_len - read_len + 1, stride)]
     return ReadSet.from_strings(seqs), g
+
+
+@contextlib.contextmanager
+def recorded_votes():
+    """``{(query, ref, diagonal): (votes, matches)}`` of every span the
+    kernel compares while the context is open; a triple compared twice
+    is an error (the kernel dedupes its seeds)."""
+    seen = {}
+    real = OverlapDetector._diagonal_votes
+
+    def spy(detector, reads, cand_q, cand_r, q_start, r_start, length):
+        votes, matches = real(detector, reads, cand_q, cand_r, q_start, r_start, length)
+        triples = zip(cand_q.tolist(), cand_r.tolist(), (q_start - r_start).tolist())
+        for triple, *counted in zip(triples, votes.tolist(), matches.tolist()):
+            assert triple not in seen, triple
+            seen[triple] = tuple(counted)
+        return votes, matches
+
+    with mock.patch.object(OverlapDetector, "_diagonal_votes", spy):
+        yield seen
+
+
+def oracle_votes(cfg, reads, query_indices, ref_indices, same_subset):
+    """``{(query, ref, diagonal): votes}`` by counting k-mer hits."""
+    index = OverlapDetector(cfg)._build_index(reads, ref_indices)
+    votes = {}
+    for q in np.asarray(query_indices).tolist():
+        groups = vote_groups(cfg, reads, q, index, same_subset)
+        for r, d, n in zip(*(column.tolist() for column in groups)):
+            votes[q, r, d] = n
+    return votes
 
 
 class TestSubsetPairs:
@@ -230,22 +267,173 @@ class TestStripedLoopEdgeCases:
                 assert overlap_keys(found) == expect
 
 
+def brute_force_votes(seqs, k):
+    """``{(query, ref, diagonal): (votes, matches)}`` of every diagonal
+    of every read pair ``query < ref`` that shares an ``N``-free k-mer,
+    by comparing the strings — no index, no k-mer packing."""
+    counted = {}
+    for (q, sq), (r, sr) in itertools.combinations(enumerate(seqs), 2):
+        for d in range(-len(sr) + 1, len(sq)):
+            q_start, r_start = max(d, 0), max(-d, 0)
+            length = min(len(sq) - q_start, len(sr) - r_start)
+            a, b = sq[q_start : q_start + length], sr[r_start : r_start + length]
+            votes = sum(
+                a[w : w + k] == b[w : w + k] and "N" not in a[w : w + k]
+                for w in range(length - k + 1)
+            )
+            if votes:
+                counted[q, r, d] = (votes, sum(x == y for x, y in zip(a, b)))
+    return counted
+
+
+class TestSeedsAndVotes:
+    """The kernel compares exactly the diagonals that share a k-mer —
+    whatever seed set names them — and the votes it reads off the bases
+    are the hit counts."""
+
+    K = 6
+
+    def check(self, seqs, min_kmer_hits=3, expect_candidates=None):
+        reads = ReadSet.from_strings(seqs)
+        expected = brute_force_votes(seqs, self.K)
+        everything = np.arange(len(reads))
+        for index in ("kmer", "suffix_array"):
+            cfg = OverlapConfig(
+                k=self.K, min_overlap=8, min_kmer_hits=min_kmer_hits, index=index
+            )
+            counted = oracle_votes(cfg, reads, everything, everything, True)
+            assert counted == {t: v for t, (v, _) in expected.items()}
+            detector = OverlapDetector(cfg)
+            with recorded_votes() as seen:
+                found = detector.find_overlaps(reads)
+            assert seen == expected, index
+            oracle, n_candidates = find_overlaps_loop(cfg, reads)
+            assert found == oracle
+            assert detector.last_candidates == n_candidates
+            if expect_candidates is not None:
+                assert n_candidates == expect_candidates
+        return expected
+
+    def test_weak_diagonal_is_compared_but_is_no_candidate(self):
+        g = decode(random_genome(120, np.random.default_rng(12)))
+        # 7 shared bases = 2 windows of 6; 6 shared bases = 1.
+        seqs = [g[0:40] + g[100:107], g[100:107] + g[50:90], g[60:66] + "TTTTTTTT"]
+        votes = self.check(seqs, min_kmer_hits=3, expect_candidates=0)
+        assert votes[0, 1, 40][0] == 2 and votes[1, 2, 17][0] == 1
+        assert max(v for v, _ in votes.values()) == 2
+        self.check(seqs, min_kmer_hits=2, expect_candidates=1)
+
+    def test_n_inside_and_directly_before_a_seed(self):
+        g = decode(random_genome(90, np.random.default_rng(13)))
+        inside = g[10:30] + "N" + g[31:60]
+        before = "N" + g[21:70]
+        votes = self.check([g[0:60], inside, before, g[20:80]])
+        # the N splits read 1's 50-base diagonal into runs of 20 and 29.
+        assert votes[0, 1, 10] == ((20 - 5) + (29 - 5), 49)
+        # both carry an N on this diagonal, at different places.
+        assert votes[1, 2, 10][1] == 38
+        assert votes[0, 2, 20] == (39 - 5, 39)
+
+    def test_n_facing_n_matches_but_does_not_vote(self):
+        g = decode(random_genome(60, np.random.default_rng(14)))
+        read = g[0:25] + "N" + g[26:50]
+        votes = self.check([read, read])
+        assert votes[0, 1, 0] == ((25 - 5) + (24 - 5), 50)
+
+    def test_error_directly_before_a_seed(self):
+        g = decode(random_genome(80, np.random.default_rng(15)))
+        wrong = "A" if g[29] != "A" else "C"
+        seqs = [g[0:70], g[10:29] + wrong + g[30:80]]
+        votes = self.check(seqs)
+        assert votes[0, 1, 10] == ((19 - 5) + (40 - 5), 59)
+
+    def test_kmer_repeated_inside_one_read(self):
+        g = decode(random_genome(60, np.random.default_rng(16)))
+        repeat = "ACCGTTGACTGA"
+        votes = self.check([g[0:20] + repeat * 3 + g[20:30], repeat * 2 + g[20:45], repeat])
+        # the repeat puts several strong diagonals on one read pair.
+        assert len({d for q, r, d in votes if (q, r) == (0, 1) and votes[q, r, d][0] >= 3}) >= 3
+
+    def test_prefix_read_has_one_left_maximal_window(self):
+        g = decode(random_genome(70, np.random.default_rng(18)))  # no 6-mer twice
+        reads = ReadSet.from_strings([g, g[:40]])
+        win_reads, win_offsets, _, counts, _, _ = KmerIndex(reads, self.K).self_join()
+        # only the first windows (nothing in front of either) pair up.
+        assert sorted(zip(win_reads.tolist(), win_offsets.tolist())) == [(0, 0), (1, 0)]
+        assert counts.tolist() == [2, 2]  # the other first window, and its own row
+        votes = self.check([g, g[:40]])
+        assert votes == {(0, 1, 0): (35, 40)}
+
+    def test_two_letter_genome_ties_go_to_the_larger_diagonal(self):
+        period = "AC" * 20
+        votes = self.check([period, period[:30]], min_kmer_hits=1, expect_candidates=1)
+        best = max(v for v, _ in votes.values())
+        tied = sorted(d for (_, _, d), (v, _) in votes.items() if v == best)
+        assert len(tied) > 1
+        found = OverlapDetector(
+            OverlapConfig(k=self.K, min_overlap=8, min_kmer_hits=1)
+        ).find_overlaps(ReadSet.from_strings([period, period[:30]]))
+        assert [o.q_start - o.r_start for o in found] == [tied[-1]]
+
+    @pytest.mark.parametrize("k", [30, 31])
+    def test_widest_kmers(self, k):
+        # k = 31 leaves no room for the class digit in the sort key
+        # (the index orders by lexsort there); k = 30 is the last that
+        # packs it, and neither leaves room for the row number.
+        g = decode(random_genome(200, np.random.default_rng(19)))
+        seqs = [g[0:90], g[30:120] + "N", "N" + g[60:150], g[60:150], g[100:131], g[5:30]]
+        reads = ReadSet.from_strings(seqs)
+        cfg = OverlapConfig(k=k, min_overlap=31, min_kmer_hits=1)
+        detector = OverlapDetector(cfg)
+        with recorded_votes() as seen:
+            found = detector.find_overlaps(reads)
+        assert seen == brute_force_votes(seqs, k)
+        oracle, n_candidates = find_overlaps_loop(cfg, reads)
+        assert found == oracle and len(found) >= 5
+        assert detector.last_candidates == n_candidates
+
+
 class TestWorkIsBounded:
     """Counted, not timed: a subset against its own k-mer index is a
-    sorted self-join (no lookup, half the hit rows), and no stripe
-    expands more rows than the budget allows."""
+    sorted self-join that expands left-maximal seeds only (no lookup),
+    no stripe expands more seed rows than its budget allows, and no
+    compare block lays out more bases than its own."""
 
     @staticmethod
-    def shotgun(n=400, genome_len=5000, read_len=100, seed=8):
+    def shotgun(n=400, genome_len=5000, read_len=100, seed=8, error_rate=0.0):
         rng = np.random.default_rng(seed)
         g = random_genome(genome_len, rng)
         starts = rng.integers(0, genome_len - read_len + 1, size=n)
-        return ReadSet.from_strings([decode(g[s : s + read_len]) for s in starts])
+        frags = g[starts[:, None] + np.arange(read_len)[None, :]]
+        hit = rng.random(frags.shape) < error_rate
+        frags[hit] = (frags[hit] + rng.integers(1, 4, size=int(hit.sum()))) % 4
+        return ReadSet.from_strings([decode(f) for f in frags])
+
+    @staticmethod
+    def seed_rows(reads, k):
+        """(rows a self-join must expand, all unordered k-mer hits),
+        derived from the strings: per k-mer, a window pairs with every
+        other window whose preceding base differs from its own — or
+        with all of them, itself included, when it has none."""
+        runs = {}
+        for i in range(len(reads)):
+            seq = reads.sequence_of(i)
+            for o in range(len(seq) - k + 1):
+                if "N" not in seq[o : o + k]:
+                    before = seq[o - 1] if o and seq[o - 1] != "N" else None
+                    runs.setdefault(seq[o : o + k], Counter())[before] += 1
+        seeds = hits = 0
+        for classes in runs.values():
+            n = sum(classes.values())
+            hits += n * (n - 1) // 2
+            seeds += n * n - sum(c * c for before, c in classes.items() if before)
+        return seeds, hits
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"kmer_table": 0, "hit_ranges": 0, "lookup": 0, "expanded": []}
+        seen = {"kmer_table": 0, "searches": 0, "expanded": [], "blocks": []}
         real_table, real_expand = ReadSet.kmer_table, overlapper.ragged_positions
+        real_codes = overlapper._span_codes
 
         def counting_table(self, *args, **kwargs):
             seen["kmer_table"] += 1
@@ -254,9 +442,9 @@ class TestWorkIsBounded:
         def counting_search(name):
             real = getattr(KmerIndex, name)
 
-            def counted(self, query_vals):
-                seen[name] += 1
-                return real(self, query_vals)
+            def counted(self, *query):
+                seen["searches"] += 1
+                return real(self, *query)
 
             return counted
 
@@ -265,31 +453,39 @@ class TestWorkIsBounded:
             seen["expanded"].append(rows.size)
             return rows
 
+        def counting_codes(codes, first, span, seg_starts):
+            out = real_codes(codes, first, span, seg_starts)
+            seen["blocks"].append((out.size, span.size))
+            return out
+
         monkeypatch.setattr(ReadSet, "kmer_table", counting_table)
-        monkeypatch.setattr(KmerIndex, "hit_ranges", counting_search("hit_ranges"))
-        monkeypatch.setattr(KmerIndex, "lookup", counting_search("lookup"))
+        for name in ("hit_ranges", "seed_ranges", "lookup"):
+            monkeypatch.setattr(KmerIndex, name, counting_search(name))
         monkeypatch.setattr(overlapper, "ragged_positions", counting_expand)
+        monkeypatch.setattr(overlapper, "_span_codes", counting_codes)
         return seen
 
-    def test_self_join_expands_half_the_hits_without_a_lookup(self, counts):
-        reads = self.shotgun()
+    def test_self_join_expands_seeds_without_a_lookup(self, counts):
         cfg = OverlapConfig(min_overlap=40)
-        _, run = np.unique(KmerIndex(reads, cfg.k).kmers, return_counts=True)
-        counts["kmer_table"] = 0
-        overlaps = OverlapDetector(cfg).find_overlaps(reads)
-        assert len(overlaps) > 1000
-        assert (counts["kmer_table"], counts["hit_ranges"], counts["lookup"]) == (1, 0, 0)
-        # every unordered pair of equal k-mers once: sum c(c-1)/2, where
-        # looking every window up expands sum c^2.
-        assert sum(counts["expanded"]) == int((run * (run - 1) // 2).sum())
-        assert sum(counts["expanded"]) < int((run * run).sum()) // 2
+        for error_rate in (0.0, 0.01):
+            reads = self.shotgun(error_rate=error_rate)
+            seeds, hits = self.seed_rows(reads, cfg.k)
+            counts.update(kmer_table=0, expanded=[])
+            overlaps = OverlapDetector(cfg).find_overlaps(reads)
+            assert len(overlaps) > 1000
+            assert (counts["kmer_table"], counts["searches"]) == (1, 0)
+            # one row per maximal exact match and side, where counting
+            # the votes in the hit list expanded every unordered pair of
+            # equal k-mers: sum c(c-1)/2.
+            assert sum(counts["expanded"]) == seeds
+            assert seeds < hits // 5
 
     def test_no_stripe_expands_more_than_the_budget(self, counts):
         reads = self.shotgun()
         detector = OverlapDetector(OverlapConfig(min_overlap=40))
         everything = np.arange(len(reads))
-        win_reads, _, _, win_hits, _, _ = KmerIndex(reads, 16).self_join()
-        per_read = np.bincount(win_reads, weights=win_hits).astype(np.int64)
+        win_reads, _, _, win_rows, _, _ = KmerIndex(reads, 16).self_join()
+        per_read = np.bincount(win_reads, weights=win_rows).astype(np.int64)
         whole, n_whole = detector.overlap_subset_pair_packed(
             reads, everything, everything, True
         )
@@ -304,3 +500,19 @@ class TestWorkIsBounded:
             assert len(counts["expanded"]) >= per_read.sum() // max(budget, per_read.max())
             assert n_striped == n_whole
             assert striped.to_overlaps() == whole.to_overlaps()
+
+    def test_no_compare_block_lays_out_more_than_the_budget(self, counts, monkeypatch):
+        reads = self.shotgun(error_rate=0.01)
+        detector = OverlapDetector(OverlapConfig(min_overlap=40))
+        whole = detector.find_overlaps(reads)
+        (bases, triples), both_sides = counts["blocks"][0], counts["blocks"]
+        assert both_sides == [(bases, triples)] * 2  # fits one default block
+        for budget in (bases // 7, 150, 1):
+            counts["blocks"].clear()
+            monkeypatch.setattr(overlapper, "_MAX_BASES", budget)
+            assert detector.find_overlaps(reads) == whole
+            sizes = counts["blocks"][::2]
+            assert all(size <= budget or spans == 1 for size, spans in sizes)
+            assert sum(size for size, _ in sizes) == bases
+            assert sum(spans for _, spans in sizes) == triples
+            assert len(sizes) >= bases // max(budget, 100)

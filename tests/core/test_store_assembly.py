@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.align import overlapper
 from repro.align.overlapper import OverlapConfig, OverlapDetector
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
@@ -178,24 +179,55 @@ class TestShardOrderAccess:
         per_block = np.diff([*blocks, len(loads)])
         assert (per_block <= prep.reads.store.n_shards).all()
 
-    def test_verify_visits_each_shard_once_per_stripe(self, assembler, loads, monkeypatch):
+    def test_compare_visits_each_shard_once_per_block(self, assembler, loads, monkeypatch):
         rs = assembler.preprocess(assembler.open_reads())
-        stripes = []
-        verify = OverlapDetector._verify_batch
+        monkeypatch.setattr(overlapper, "_MAX_BASES", 50_000)
+        blocks = []
+        gather = ShardedReadSet.gather_reads
 
-        def counting(detector, reads, *cand):
+        def counting(reads, indices, quals=False):
             before = len(loads)
-            out = verify(detector, reads, *cand)
-            stripes.append(len(loads) - before)
+            out = gather(reads, indices, quals)
+            blocks.append(len(loads) - before)
             return out
 
-        monkeypatch.setattr(OverlapDetector, "_verify_batch", counting)
+        monkeypatch.setattr(ShardedReadSet, "gather_reads", counting)
         detector = OverlapDetector(assembler.config.overlap)
         packed_overlaps, _ = detector.overlap_subset_pair_packed(
-            rs, np.arange(len(rs)), np.arange(len(rs)), same_subset=True, max_hits=20_000
+            rs, np.arange(len(rs)), np.arange(len(rs)), same_subset=True, max_hits=10_000
         )
-        assert len(packed_overlaps) > 0 and len(stripes) >= 3
-        assert max(stripes) <= rs.store.n_shards
+        assert len(packed_overlaps) > 0 and len(blocks) >= 6
+        assert max(blocks) <= rs.store.n_shards
+
+    def test_align_loads_no_more_shards_than_before(
+        self, assembler, loads, monkeypatch
+    ):
+        # The compare reads every diagonal that shares a k-mer, not only
+        # the candidates, and must not pay for that in shard visits.
+        # Counted in the proportions of the par2_store_d1 unit: its
+        # 6,934,626 hit rows were 6.6 stripe budgets — this fixture's
+        # 330,160, cut the same way, cost the hit-list kernel 123 loads
+        # (20 for the k-mer table, the rest verifying) — and its
+        # 12,148,202 compared bases are 2.9 block budgets.
+        rs = assembler.preprocess(assembler.open_reads())
+        unit = (rs, np.arange(len(rs)), np.arange(len(rs)), True)
+        detector = OverlapDetector(assembler.config.overlap)
+        compared = []
+        span_codes = overlapper._span_codes
+
+        def counting(*spans):
+            codes = span_codes(*spans)
+            compared.append(codes.size)
+            return codes
+
+        monkeypatch.setattr(overlapper, "_span_codes", counting)
+        whole = detector.overlap_subset_pair_packed(*unit)
+        total = sum(compared) // 2  # both sides of every span
+        monkeypatch.setattr(overlapper, "_MAX_BASES", int(total / 2.9))
+        del loads[:], compared[:]
+        blocks = detector.overlap_subset_pair_packed(*unit)
+        assert len(compared) == 2 * 3 and blocks[1] == whole[1] > 0
+        assert len(loads) <= 123
 
     def test_prepare_never_walks_the_store_read_by_read(self, assembler, monkeypatch):
         def per_read(*args, **kwargs):

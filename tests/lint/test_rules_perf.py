@@ -137,6 +137,38 @@ class TestPERF002ScalarizedHotLoop:
         )
         assert len(fs) == 1
 
+    def test_seed_and_vote_functions_flagged(self):
+        for name in (
+            "_unit_seeds",
+            "seed_ranges",
+            "hit_ranges",
+            "self_join",
+            "_stripe_triples",
+            "_diagonal_votes",
+        ):
+            fs = perf2_findings(SCALARIZED.replace("overlap_subset_pair", name))
+            assert len(fs) == 1, name
+
+    def test_batched_vote_count_clean(self):
+        # The per-candidate banded fallback is not a hot name, and a
+        # vote function that walks blocks, not elements, is clean.
+        fs = perf2_findings(
+            """
+            import numpy as np
+            def _diagonal_votes(self, reads, cand_q, cand_r, length):
+                ends = np.cumsum(length)
+                b = 0
+                while b < length.size:
+                    e = int(np.searchsorted(ends, ends[b] + 1024))
+                    b = max(b + 1, e)
+                return ends
+            def _banded_identity(self, spans):
+                for lo, hi in spans.tolist():
+                    yield lo, hi
+            """
+        )
+        assert fs == []
+
     def test_outside_align_package_clean(self):
         fs = perf2_findings(SCALARIZED, path="src/repro/graph/fixture.py")
         assert fs == []

@@ -18,7 +18,7 @@ from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
 from repro.io.readset import ReadSet
 from repro.sequence.dna import hamming_identity
 
-__all__ = ["find_overlaps_loop", "overlap_subset_pair_loop", "overlap_keys"]
+__all__ = ["find_overlaps_loop", "overlap_subset_pair_loop", "overlap_keys", "vote_groups"]
 
 
 def overlap_keys(overlaps: list[Overlap]) -> list[tuple]:
@@ -29,30 +29,37 @@ def overlap_keys(overlaps: list[Overlap]) -> list[tuple]:
     )
 
 
-def _candidates(
+def vote_groups(
     config: OverlapConfig, reads: ReadSet, query: int, index, same_subset: bool
-) -> list[tuple[int, int, int]]:
-    """(ref_read, diagonal, votes) candidates for one query read.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ref_read, diagonal, votes) of every diagonal one query read
+    shares a k-mer with, by expanding and counting its k-mer hits.
 
     In same-subset mode only references with a larger index are
     considered, so each unordered read pair is evaluated once.
     """
+    empty = np.empty(0, dtype=np.int64)
     vals = reads.kmer_codes_of(query, config.k)
     qpos, hit_reads, hit_offsets = index.lookup(vals)
-    if qpos.size == 0:
-        return []
     keep = hit_reads > query if same_subset else hit_reads != query
     qpos, hit_reads, hit_offsets = qpos[keep], hit_reads[keep], hit_offsets[keep]
     if qpos.size == 0:
-        return []
+        return empty, empty, empty
     diag = qpos - hit_offsets
     order = np.lexsort((diag, hit_reads))
     r, d = hit_reads[order], diag[order]
     boundary = np.ones(r.size, dtype=bool)
     boundary[1:] = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
     starts = np.flatnonzero(boundary)
-    counts = np.diff(np.append(starts, r.size))
-    g_reads, g_diags = r[starts], d[starts]
+    return r[starts], d[starts], np.diff(np.append(starts, r.size))
+
+
+def _candidates(
+    config: OverlapConfig, reads: ReadSet, query: int, index, same_subset: bool
+) -> list[tuple[int, int, int]]:
+    """(ref_read, diagonal, votes) candidates for one query read: the
+    best-supported diagonal of every reference read with enough votes."""
+    g_reads, g_diags, counts = vote_groups(config, reads, query, index, same_subset)
     strong = counts >= config.min_kmer_hits
     if not strong.any():
         return []

@@ -111,3 +111,41 @@ class TestCanonical:
         fwd = kmers.canonical_kmer_codes(dna.encode(s), k)
         rev = kmers.canonical_kmer_codes(dna.reverse_complement(dna.encode(s)), k)
         assert sorted(fwd.tolist()) == sorted(rev.tolist())
+
+
+class TestStableOrder:
+    """``stable_order`` is ``argsort(kind="stable")`` on both of its
+    branches; which one runs is decided by the keys, not the caller."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=200),
+        st.sampled_from([0, 2**62]),
+    )
+    def test_matches_stable_argsort(self, values, offset):
+        # + 2**62 leaves no room for the row number: the fallback.
+        keys = np.array(values, dtype=np.int64) + offset
+        order = kmers.stable_order(keys)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    def test_widest_keys_that_still_pack(self):
+        # 200 rows take 8 bits: keys up to 2**55 - 1 pack, 2**55 does not.
+        rng = np.random.default_rng(3)
+        for top in (2**55 - 1, 2**55):
+            keys = rng.choice(np.array([0, 7, top], dtype=np.int64), size=200)
+            assert np.array_equal(
+                kmers.stable_order(keys), np.argsort(keys, kind="stable")
+            )
+
+    def test_negative_keys_take_the_fallback(self):
+        keys = np.array([3, -1, 3, -1, 0], dtype=np.int64)
+        assert kmers.stable_order(keys).tolist() == [1, 3, 4, 0, 2]
+
+    def test_empty(self):
+        order = kmers.stable_order(np.empty(0, dtype=np.int64))
+        assert order.size == 0 and order.dtype == np.int64
+
+    def test_keys_are_not_written_to(self):
+        keys = np.array([5, 1, 5, 0], dtype=np.int64)
+        keys.setflags(write=False)
+        assert kmers.stable_order(keys).tolist() == [3, 1, 0, 2]
