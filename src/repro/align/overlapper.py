@@ -11,16 +11,16 @@ of a read pair becomes an overlap when it is long and similar enough
 banded Needleman–Wunsch per candidate).
 
 The votes are counted on the diagonal, not in a hit list.  The index
-hands out *seeds*: on the k-mer index only the left-maximal hits, one
-per maximal exact match (:mod:`repro.align.kmer_index`); on the suffix
-array every hit.  Every triple that shares a k-mer has a left-maximal
-hit — the leftmost window of its leftmost match — so any seed set
-between the two names the same triples, and the kernel only has to
-deduplicate them: expand the seed rows, pack ``(query, ref, diagonal)``
-into one ``int64`` key, sort, drop repeats.  The number of k-mer hits a
-triple *would* have had is then read off the compared span: a run of
-``m`` agreeing, ``N``-free bases holds ``max(0, m - k + 1)`` shared
-windows.
+hands out *seeds*: only the left-maximal hits, one per maximal exact
+match (:mod:`repro.align.kmer_index`).  Every triple that shares a
+k-mer has a left-maximal hit — the leftmost window of its leftmost
+match — so any seed set between those and all hits names the same
+triples (the tests run the kernel on an all-hits index to hold it to
+that), and the kernel only has to deduplicate them: expand the seed
+rows, pack ``(query, ref, diagonal)`` into one ``int64`` key, sort,
+drop repeats.  The number of k-mer hits a triple *would* have had is
+then read off the compared span: a run of ``m`` agreeing, ``N``-free
+bases holds ``max(0, m - k + 1)`` shared windows.
 
 A work unit never holds all of its seeds or all of its spans: its query
 reads are cut into contiguous *stripes* whose seed rows stay under
@@ -28,8 +28,7 @@ reads are cut into contiguous *stripes* whose seed rows stay under
 spans of at most ``_MAX_BASES`` bases.  Every seed of a read pair lies
 in the query read's stripe, so stripes need no merge and the result
 depends neither on where they are cut nor on the block size.  A subset
-aligned against itself on the k-mer index takes its seed ranges from
-the index's own sort
+aligned against itself takes its seed ranges from the index's own sort
 (:meth:`~repro.align.kmer_index.KmerIndex.self_join`) instead of
 looking its k-mers up.  The per-query scalar form of the same selection
 — expand every hit, count them — lives in
@@ -123,9 +122,6 @@ class OverlapConfig:
     min_overlap: int = 50
     min_identity: float = 0.90
     method: str = "ungapped"  # "ungapped" | "banded_nw"
-    #: reference index structure: "kmer" (sorted k-mer table) or
-    #: "suffix_array" (the paper's structure; slower in Python).
-    index: str = "kmer"
     band: int = 5
     #: work units of the ``overlap`` stage: the reads are split into
     #: this many subsets and every subset pair is one unit.  Not a
@@ -143,8 +139,6 @@ class OverlapConfig:
             raise ValueError("min_identity must be in [0, 1]")
         if self.method not in ("ungapped", "banded_nw"):
             raise ValueError(f"unknown verification method {self.method!r}")
-        if self.index not in ("kmer", "suffix_array"):
-            raise ValueError(f"unknown index structure {self.index!r}")
         if self.n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
 
@@ -165,7 +159,7 @@ class OverlapDetector:
         reads: ReadSet,
         query_indices: np.ndarray,
         same_subset: bool,
-        index,
+        index: KmerIndex,
     ) -> tuple[np.ndarray, ...]:
         """A work unit's seeds, as ranges of index rows per query window.
 
@@ -173,23 +167,18 @@ class OverlapDetector:
         row_offsets)``: entry ``i`` pairs the query window at
         ``(win_reads[i], win_offsets[i])`` with rows ``lo[i] .. lo[i] +
         counts[i]`` of the two row tables; entries come in
-        ``query_indices`` order, one read's adjacent.  The k-mer index
+        ``query_indices`` order, one read's adjacent.  The index
         answers with left-maximal hits only — off its own sort for a
         subset against itself (which needs that sort's read order to be
-        query order), by search otherwise; the suffix array with every
-        hit, one range per window.
+        query order), by search otherwise.
         """
-        on_kmers = isinstance(index, KmerIndex)
         if (
-            on_kmers
-            and same_subset
+            same_subset
             and np.array_equal(query_indices, index.read_indices)
             and bool((query_indices[1:] > query_indices[:-1]).all())
         ):
             return index.self_join()
         vals, win_reads, win_offsets = reads.kmer_table(self.config.k, query_indices)
-        if not on_kmers:
-            return (win_reads, win_offsets, *index.hit_ranges(vals))
         windows, *ranges = index.seed_ranges(vals, win_offsets)
         return (win_reads[windows], win_offsets[windows], *ranges)
 
@@ -208,9 +197,8 @@ class OverlapDetector:
         are expanded, each row packed with its query window into one
         ``(query * n_reads + ref) * n_diags + diagonal - diag_lo`` key,
         and the keys sorted and deduplicated — a triple has one seed per
-        maximal exact match on its diagonal (or, from the suffix array,
-        one per hit).  Each unordered read pair is kept once in a
-        subset against itself.
+        maximal exact match on its diagonal.  Each unordered read pair
+        is kept once in a subset against itself.
         """
         win_reads, win_offsets, lo, counts, row_reads, row_offsets = seeds
         counts = counts[stripe]
@@ -390,7 +378,7 @@ class OverlapDetector:
         query_indices: np.ndarray,
         ref_indices: np.ndarray,
         same_subset: bool,
-        index=None,
+        index: KmerIndex | None = None,
         max_hits: int = _MAX_HITS,
     ) -> tuple[PackedOverlaps, int]:
         """One work unit in columnar form: (packed overlaps, candidates).
@@ -404,7 +392,7 @@ class OverlapDetector:
         """
         query_indices = np.asarray(query_indices, dtype=np.int64)
         if index is None:
-            index = self._build_index(reads, ref_indices)
+            index = KmerIndex(reads, self.config.k, ref_indices)
         seeds = self._unit_seeds(reads, query_indices, same_subset, index)
         win_reads, win_offsets, _, counts, _, row_offsets = seeds
         if row_offsets.size == 0 or not counts.any():
@@ -435,26 +423,6 @@ class OverlapDetector:
         return PackedOverlaps.concatenate(chunks), n_candidates
 
     # -- public API ---------------------------------------------------------
-
-    def _build_index(self, reads: ReadSet, ref_indices: np.ndarray):
-        if self.config.index == "suffix_array":
-            from repro.align.sa_index import SuffixArrayReadIndex
-
-            return SuffixArrayReadIndex(reads, self.config.k, ref_indices)
-        return KmerIndex(reads, self.config.k, ref_indices)
-
-    def overlap_subset_pair(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-    ) -> list[Overlap]:
-        """All overlaps between two read subsets (one work unit)."""
-        packed, _ = self.overlap_subset_pair_packed(
-            reads, query_indices, ref_indices, same_subset
-        )
-        return packed.to_overlaps()
 
     def find_overlaps_packed(self, reads: ReadSet, n_workers: int = 1) -> PackedOverlaps:
         """All pairwise overlaps of a ReadSet, as columns.
@@ -529,14 +497,14 @@ def overlap_kernel(subject: OverlapSubject, part: int) -> list[tuple]:
     """
     detector = OverlapDetector(subject.config)
     reads, subsets = subject.reads, subject.subsets
-    ref_indexes: dict[int, object] = {}
+    ref_indexes: dict[int, KmerIndex] = {}
     units = []
     for unit, (i, j) in enumerate(subject.pairs):
         if subject.owner[unit] != part:
             continue
         index = ref_indexes.get(j)
         if index is None:
-            index = ref_indexes[j] = detector._build_index(reads, subsets[j])
+            index = ref_indexes[j] = KmerIndex(reads, subject.config.k, subsets[j])
         packed, n_candidates = detector.overlap_subset_pair_packed(
             reads, subsets[i], subsets[j], same_subset=(i == j), index=index
         )

@@ -9,7 +9,6 @@ fraction matrices, concentration measures, and phylum co-location
 scores are computed.
 """
 
-from repro.analysis.abundance import abundance_error, estimate_abundances, profile_community
 from repro.analysis.accuracy import AccuracyReport, ContigPlacement, evaluate_assembly
 from repro.analysis.classify import KmerClassifier
 from repro.analysis.mapping import Placement, SequenceMapper
@@ -29,9 +28,6 @@ __all__ = [
     "evaluate_assembly",
     "AccuracyReport",
     "ContigPlacement",
-    "estimate_abundances",
-    "abundance_error",
-    "profile_community",
     "genus_partition_matrix",
     "max_fraction_per_genus",
     "normalized_entropy_per_genus",

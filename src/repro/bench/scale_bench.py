@@ -273,7 +273,6 @@ def bench_equivalence(
             backend=backend,
             n_partitions=2,
             store_path=store_path,
-            shard_size=shard_size,
             cache_budget=cache_budget,
         )
         assembler = FocusAssembler(config)

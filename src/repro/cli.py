@@ -609,12 +609,7 @@ def _cmd_assemble(args) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
-    try:
-        config = _assemble_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    assembler = FocusAssembler(config)
+    assembler = FocusAssembler(_assemble_config(args))
     result = assembler.finish(
         assembler.prepare(reads),
         checkpoint=args.checkpoint,
@@ -658,8 +653,6 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    import time
-
     from repro.align.overlapper import OverlapConfig, OverlapDetector
 
     reads = _load_reads(args.reads)
@@ -737,26 +730,22 @@ def _cmd_submit(args) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
-        spec = JobSpec(
-            name=args.name,
-            reads_path=args.reads,
-            reads_store=args.reads_store,
-            n_partitions=args.partitions,
-            partition_mode=args.partition_mode,
-            backend=args.backend,
-            min_overlap=args.min_overlap,
-            min_identity=args.min_identity,
-            seed=args.seed,
-            priority=args.priority,
-            memory_bytes=args.memory_mb << 20,
-            cache_budget=args.cache_budget_mb << 20,
-            retry=RetryPolicy(max_attempts=args.retries),
-            deadline=args.deadline,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = JobSpec(
+        name=args.name,
+        reads_path=args.reads,
+        reads_store=args.reads_store,
+        n_partitions=args.partitions,
+        partition_mode=args.partition_mode,
+        backend=args.backend,
+        min_overlap=args.min_overlap,
+        min_identity=args.min_identity,
+        seed=args.seed,
+        priority=args.priority,
+        memory_bytes=args.memory_mb << 20,
+        cache_budget=args.cache_budget_mb << 20,
+        retry=RetryPolicy(max_attempts=args.retries),
+        deadline=args.deadline,
+    )
     store = JobStore(args.store, create=True)
     record = store.submit(spec)
     print(f"submitted {record.job_id} (queued, priority {record.priority})")
@@ -766,11 +755,7 @@ def _cmd_submit(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service import JobStore, Supervisor
 
-    try:
-        store = JobStore(args.store)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = JobStore(args.store)
     sup = Supervisor(
         store,
         owner=args.owner,
@@ -802,11 +787,7 @@ def _cmd_jobs(args) -> int:
     from repro.bench.reporting import format_table
     from repro.service import JobStore
 
-    try:
-        store = JobStore(args.store)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = JobStore(args.store)
     if args.journal:
         try:
             entries = store.journal(args.journal)
@@ -854,7 +835,7 @@ def _cmd_cancel(args) -> int:
     try:
         store = JobStore(args.store)
         outcome = store.request_cancel(args.job_id)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.job_id}: {outcome}")
@@ -915,3 +896,8 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, ValueError) as exc:
+        # Bad input — a missing file, a foreign store, an out-of-range
+        # option — is the user's to fix: one line, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -72,8 +72,6 @@ class AssemblyConfig:
     #: in-RAM reads are passed to :meth:`FocusAssembler.assemble`, the
     #: pipeline streams the store shard by shard.
     store_path: str | None = None
-    #: reads per shard when packing stores from this config.
-    shard_size: int = 4096
     #: LRU shard-cache byte budget of shard-backed read sets — the
     #: memory ceiling of the streaming data path (64 MiB default).
     cache_budget: int = 64 * 1024 * 1024
@@ -106,8 +104,6 @@ class AssemblyConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend_workers < 0:
             raise ValueError("backend_workers must be non-negative")
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be positive")
         if self.cache_budget < 0:
             raise ValueError("cache_budget must be non-negative")
         if self.retry.max_attempts < 1:

@@ -9,12 +9,6 @@ is linear.
 """
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set, coarsen_once
-from repro.graph.components import (
-    GraphSummary,
-    component_sizes,
-    connected_components,
-    summarize_graph,
-)
 from repro.graph.contigs import (
     cluster_layout_offsets,
     consensus_from_layout,
@@ -28,10 +22,6 @@ from repro.graph.overlap_graph import OverlapGraph
 
 __all__ = [
     "OverlapGraph",
-    "connected_components",
-    "component_sizes",
-    "GraphSummary",
-    "summarize_graph",
     "build_csr",
     "heavy_edge_matching",
     "CoarsenConfig",

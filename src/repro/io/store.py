@@ -1,71 +1,31 @@
-"""Binary persistence for the expensive pipeline intermediates.
+"""The stage-checkpoint archive (docs/robustness.md).
 
-Read alignment dominates pipeline cost, so being able to save the
-overlap graph (and the read set it refers to) and resume later is the
-single most useful checkpoint.  Everything is stored in a single
-``.npz`` archive of numpy arrays — no pickle, no code execution on
-load.
+After each completed stage of the distributed finish pipeline the
+assembler persists the alive-masks, completed stage list, per-stage
+times, and (after traversal) the packed paths in a single ``.npz``
+archive of numpy arrays — no pickle, no code execution on load — so
+``repro assemble --resume`` and the job service restart from the last
+good stage instead of the beginning.
 
-Stage checkpoints (:func:`save_checkpoint` / :func:`load_checkpoint`)
-extend the same format to the distributed finish pipeline: after each
-completed stage the assembler persists the alive-masks, completed
-stage list, per-stage times, and (after traversal) the packed paths,
-so ``repro assemble --resume`` restarts from the last good stage
-instead of the beginning (see docs/robustness.md).
-
-Every archive write is atomic — the bytes go to a temporary file in
-the destination directory which is then ``os.replace``d over the
-target — so a crash mid-write can never leave a truncated or corrupt
-archive: either the previous file survives untouched or the new one
-is complete.
+The archive is written through :func:`repro.io.atomic.atomic_savez`, so
+a crash mid-write can never leave a truncated or corrupt checkpoint:
+either the previous file survives untouched or the new one is complete.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
-import pickle
 import zipfile
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
-from repro.io.readset import ReadSet
-from repro.io.records import Read
+from repro.io.atomic import atomic_savez
 
-__all__ = [
-    "atomic_savez",
-    "atomic_write_text",
-    "fsync_dir",
-    "save_graph",
-    "load_graph",
-    "save_readset",
-    "load_readset",
-    "CheckpointState",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+__all__ = ["CheckpointState", "save_checkpoint", "load_checkpoint"]
 
-_GRAPH_VERSION = 1
-_READSET_VERSION = 1
 _CHECKPOINT_VERSION = 1
 
-_GRAPH_KEYS = (
-    "version",
-    "n_nodes",
-    "eu",
-    "ev",
-    "weights",
-    "deltas",
-    "identities",
-    "node_weights",
-    "has_deltas",
-)
-_READSET_KEYS = ("version", "data", "offsets", "ids", "has_quals", "quals", "meta")
 _CHECKPOINT_KEYS = (
     "version",
     "fingerprint",
@@ -77,197 +37,6 @@ _CHECKPOINT_KEYS = (
     "paths_flat",
     "paths_offsets",
 )
-
-
-def fsync_dir(path: str | Path) -> None:
-    """fsync a directory so a completed ``os.replace`` survives power loss.
-
-    ``os.replace`` makes the rename atomic with respect to crashes of
-    this process, but the *directory entry* itself lives in the parent
-    directory's data — until that is flushed, a power loss can roll the
-    rename back.  Platforms whose directories cannot be opened or
-    fsynced (some network filesystems, Windows) are silently skipped:
-    the write is still atomic, just not power-loss durable.
-    """
-    try:
-        fd = os.open(str(path), os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystem without dir-fsync
-        pass
-    finally:
-        os.close(fd)
-
-
-def _atomic_savez(dest, compressed: bool = True, **arrays) -> None:
-    """Write an ``.npz`` archive atomically (temp file + ``os.replace``).
-
-    File-like destinations are written directly (the caller owns their
-    durability); for paths the archive is fully written and flushed to
-    a sibling temporary file first, so a crash at any point leaves the
-    previous archive intact, and the containing directory is fsynced
-    after the rename so the new name survives power loss.  Mimics
-    numpy's extension behavior: a path without ``.npz`` gets it
-    appended.
-    """
-    writer = np.savez_compressed if compressed else np.savez
-    if not isinstance(dest, (str, Path)):
-        writer(dest, **arrays)
-        return
-    final = str(dest)
-    if not final.endswith(".npz"):
-        final += ".npz"
-    tmp = f"{final}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            writer(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        fsync_dir(os.path.dirname(final) or ".")
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-#: public name of the atomic archive writer — the sharded store layer
-#: (:mod:`repro.store`) persists its shard files through the same
-#: crash-safe path the stage checkpoints use.
-atomic_savez = _atomic_savez
-
-#: process-wide tmp-name disambiguator (``itertools.count`` increments
-#: are atomic under the GIL, so threads never mint the same name).
-_tmp_counter = itertools.count()
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Durably replace a small text file (tmp + fsync + ``os.replace``).
-
-    The same crash-safety contract as :func:`atomic_savez`: a reader
-    never observes a truncated file — either the previous content
-    survives or the new content is complete and the rename is fsynced
-    into the parent directory.  Store manifests and the job-service
-    records (:mod:`repro.service`) are written through this path.
-    """
-    final = str(path)
-    # Unique per call, not just per process: concurrent writers in one
-    # process (supervisor threads) must not share a tmp name.
-    tmp = f"{final}.tmp.{os.getpid()}.{next(_tmp_counter)}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        fsync_dir(os.path.dirname(final) or ".")
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-@contextmanager
-def _open_archive(source, kind: str, keys: tuple[str, ...], version: int):
-    """np.load with clear errors: not-an-archive, missing keys, bad version."""
-    try:
-        data = np.load(source, allow_pickle=(kind == "readset"))
-    except (zipfile.BadZipFile, pickle.UnpicklingError, ValueError, OSError) as exc:
-        raise ValueError(f"not a {kind} archive: {source!r} ({exc})") from exc
-    with data:
-        missing = sorted(set(keys) - set(data.files))
-        if missing:
-            raise ValueError(
-                f"corrupt or foreign {kind} archive {source!r}: "
-                f"missing keys {missing}"
-            )
-        found = int(data["version"])
-        if found != version:
-            raise ValueError(
-                f"unsupported {kind} archive version {found} "
-                f"(this build reads version {version})"
-            )
-        yield data
-
-
-def save_graph(graph: OverlapGraph, dest) -> None:
-    """Write an OverlapGraph to an ``.npz`` archive (atomically)."""
-    _atomic_savez(
-        dest,
-        version=np.int64(_GRAPH_VERSION),
-        n_nodes=np.int64(graph.n_nodes),
-        eu=graph.eu,
-        ev=graph.ev,
-        weights=graph.weights,
-        deltas=graph.deltas,
-        identities=graph.identities,
-        node_weights=graph.node_weights,
-        has_deltas=np.bool_(graph.has_deltas),
-    )
-
-
-def load_graph(source) -> OverlapGraph:
-    """Read an OverlapGraph written by :func:`save_graph`.
-
-    Raises :class:`ValueError` (never a bare ``KeyError``) when the
-    file is not an archive, is missing expected arrays, or was written
-    by an unsupported format version.
-    """
-    with _open_archive(source, "graph", _GRAPH_KEYS, _GRAPH_VERSION) as data:
-        return OverlapGraph(
-            int(data["n_nodes"]),
-            data["eu"],
-            data["ev"],
-            data["weights"],
-            node_weights=data["node_weights"],
-            deltas=data["deltas"] if bool(data["has_deltas"]) else None,
-            identities=data["identities"],
-        )
-
-
-def save_readset(reads: ReadSet, dest) -> None:
-    """Write a ReadSet (ids, bases, qualities, JSON metadata) to ``.npz``."""
-    meta_json = json.dumps(reads.meta).encode("utf-8")
-    _atomic_savez(
-        dest,
-        version=np.int64(_READSET_VERSION),
-        data=reads.data,
-        offsets=reads.offsets,
-        ids=np.array(reads.ids, dtype=object) if reads.ids else np.array([], dtype=object),
-        quals=reads.quals if reads.quals is not None else np.array([]),
-        has_quals=np.bool_(reads.quals is not None),
-        meta=np.frombuffer(meta_json, dtype=np.uint8),
-    )
-
-
-def load_readset(source) -> ReadSet:
-    """Read a ReadSet written by :func:`save_readset`.
-
-    Raises :class:`ValueError` (never a bare ``KeyError``) when the
-    file is not an archive, is missing expected arrays, or was written
-    by an unsupported format version.
-    """
-    with _open_archive(source, "readset", _READSET_KEYS, _READSET_VERSION) as data:
-        offsets = data["offsets"]
-        codes = data["data"]
-        ids = [str(x) for x in data["ids"].tolist()]
-        has_quals = bool(data["has_quals"])
-        quals = data["quals"] if has_quals else None
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        reads = []
-        for i, rid in enumerate(ids):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            reads.append(
-                Read(
-                    rid,
-                    codes[lo:hi].copy(),
-                    quals[lo:hi].copy() if has_quals else None,
-                    dict(meta[i]),
-                )
-            )
-        return ReadSet(reads)
 
 
 @dataclass
@@ -315,7 +84,7 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
     else:
         offsets = np.empty(0, dtype=np.int64)
         flat = np.empty(0, dtype=np.int64)
-    _atomic_savez(
+    atomic_savez(
         dest,
         version=np.int64(_CHECKPOINT_VERSION),
         fingerprint=_json_array(state.fingerprint),
@@ -336,9 +105,23 @@ def load_checkpoint(source) -> CheckpointState:
     file is not an archive, is missing expected arrays, or was written
     by an unsupported format version.
     """
-    with _open_archive(
-        source, "checkpoint", _CHECKPOINT_KEYS, _CHECKPOINT_VERSION
-    ) as data:
+    try:
+        data = np.load(source, allow_pickle=False)
+    except (zipfile.BadZipFile, ValueError, OSError) as exc:
+        raise ValueError(f"not a checkpoint archive: {source!r} ({exc})") from exc
+    with data:
+        missing = sorted(set(_CHECKPOINT_KEYS) - set(data.files))
+        if missing:
+            raise ValueError(
+                f"corrupt or foreign checkpoint archive {source!r}: "
+                f"missing keys {missing}"
+            )
+        found = int(data["version"])
+        if found != _CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint archive version {found} "
+                f"(this build reads version {_CHECKPOINT_VERSION})"
+            )
         paths: list[list[int]] | None = None
         if bool(data["has_paths"]):
             flat = data["paths_flat"]

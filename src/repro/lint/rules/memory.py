@@ -2,23 +2,20 @@
 
 The out-of-core contract (docs/architecture.md, storage layer): a
 per-partition kernel sees O(partition) data, never O(dataset).  The
-sharded stores keep that true by handing kernels shard-sized views;
-the escape hatches that rebuild the full in-RAM object —
-``ShardedReadSet.to_array()``, ``ShardedOverlaps.to_packed()``,
-``ShardedGraph.to_graph()`` — exist for tooling and tests, not for
+sharded store keeps that true by handing kernels shard-sized views;
+the escape hatch that rebuilds the full in-RAM array —
+``ShardedReadSet.to_array()`` — exists for tooling and tests, not for
 kernels.  One such call inside a kernel silently restores the O(reads)
 peak memory the store was built to remove, on *every* partition at
 once.
 
 MEM001 flags, inside any function named ``*_kernel``:
 
-- calls to the materialization methods ``.to_array()`` /
-  ``.to_packed()`` / ``.to_graph()``;
+- calls to the materialization method ``.to_array()``;
 - a full-concatenate of a shard stream: ``np.concatenate`` /
   ``np.vstack`` / ``np.hstack`` fed (anywhere in its arguments) by an
-  ``iter_shards()`` / ``iter_batches()`` / ``iter_edge_shards()``
-  call — gluing every shard back together is materialization with
-  extra steps.
+  ``iter_shards()`` call — gluing every shard back together is
+  materialization with extra steps.
 
 Kernels that genuinely need a full view (none today) must say so with
 ``# noqa: MEM001`` at the call site.
@@ -36,10 +33,10 @@ from repro.lint.registry import Rule, register
 __all__ = ["WholeStoreMaterialization"]
 
 #: sharded-store methods that rebuild the full in-RAM object.
-MATERIALIZE_METHODS = frozenset({"to_array", "to_packed", "to_graph"})
+MATERIALIZE_METHODS = frozenset({"to_array"})
 
-#: shard-stream iterators of the sharded stores.
-SHARD_ITERATORS = frozenset({"iter_shards", "iter_batches", "iter_edge_shards"})
+#: shard-stream iterators of the sharded store.
+SHARD_ITERATORS = frozenset({"iter_shards"})
 
 #: array-gluing callables (bare or ``np.``-qualified).
 CONCATENATORS = frozenset({"concatenate", "vstack", "hstack"})
@@ -90,7 +87,7 @@ class WholeStoreMaterialization(Rule):
                         node,
                         f"kernel calls `.{name}()`, rebuilding the whole "
                         "store in RAM — stream shard views instead "
-                        "(`shard()`/`shard_batch()`/`iter_edge_shards()`), "
+                        "(`shard()` / `iter_shards()`), "
                         "or mark a deliberate full view with "
                         "`# noqa: MEM001`",
                     )

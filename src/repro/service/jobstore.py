@@ -16,7 +16,7 @@ Layout::
         result.json              # stats + stage times (done jobs)
 
 Durability contract (the same tmp+fsync+``os.replace`` machinery as
-the PR 5 checkpoints, via :func:`repro.io.store.atomic_write_text`):
+the PR 5 checkpoints, via :func:`repro.io.atomic.atomic_write_text`):
 ``spec.json`` and ``state.json`` are always complete — a crash at any
 instant leaves either the previous record or the new one, never a
 torn file.  ``journal.jsonl`` is append-only with per-line fsync; a
@@ -37,7 +37,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.io.store import atomic_write_text, fsync_dir
+from repro.io.atomic import atomic_write_text, fsync_dir
 from repro.service import lease as lease_mod
 from repro.service.jobs import (
     ACTIVE_STATES,

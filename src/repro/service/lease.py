@@ -33,7 +33,7 @@ import time
 import uuid
 from dataclasses import dataclass, replace
 
-from repro.io.store import atomic_write_text, fsync_dir
+from repro.io.atomic import atomic_write_text, fsync_dir
 
 __all__ = [
     "LEASE_NAME",

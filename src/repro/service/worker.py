@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 
+from repro.io.atomic import atomic_write
 from repro.service import lease as lease_mod
 from repro.service.jobstore import JobStore
 
@@ -170,10 +171,9 @@ def _finish_ok(store: JobStore, job_id: str, result) -> None:
     contigs = [
         Read(f"contig_{i}", np.asarray(c)) for i, c in enumerate(result.contigs)
     ]
-    final = store.contigs_path(job_id)
-    tmp = f"{final}.tmp.{os.getpid()}"
-    write_fasta(contigs, tmp)
-    os.replace(tmp, final)
+    atomic_write(
+        store.contigs_path(job_id), lambda fh: write_fasta(contigs, fh), mode="w"
+    )
     stats = result.stats
     store.write_result(
         job_id,

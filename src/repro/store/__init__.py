@@ -8,20 +8,16 @@ datasets with peak memory O(shard), not O(dataset):
 - :mod:`repro.store.manifest` — manifest format and fingerprints.
 - :mod:`repro.store.sharded` — generic shard writer/reader.
 - :mod:`repro.store.reads` — :func:`pack_reads` + :class:`ShardedReadSet`.
-- :mod:`repro.store.overlaps` — sharded PackedOverlaps columns.
-- :mod:`repro.store.graphs` — sharded overlap-graph pair tables.
 - :mod:`repro.store.verify` — offline scrub (``repro verify-store``).
 """
 
 from repro.store.cache import CacheStats, ShardCache
-from repro.store.graphs import GRAPH_KIND, ShardedGraph, pack_graph
 from repro.store.manifest import (
     MANIFEST_NAME,
     STORE_VERSION,
     ShardInfo,
     StoreManifest,
 )
-from repro.store.overlaps import OVERLAPS_KIND, ShardedOverlaps, pack_overlaps
 from repro.store.reads import (
     DEFAULT_SHARD_SIZE,
     OFFSETS_NAME,
@@ -53,12 +49,6 @@ __all__ = [
     "READS_KIND",
     "ShardedReadSet",
     "pack_reads",
-    "OVERLAPS_KIND",
-    "ShardedOverlaps",
-    "pack_overlaps",
-    "GRAPH_KIND",
-    "ShardedGraph",
-    "pack_graph",
     "ShardReport",
     "VerifyReport",
     "verify_store",

@@ -2,8 +2,8 @@
 
 A sharded store is a directory of fixed-capacity ``.npz`` shard files
 plus one ``manifest.json`` describing them: format version, store kind
-(``reads``, ``overlaps``, ``graph``, ...), shard capacity, per-shard
-record counts, and free-form metadata.  The manifest is written last —
+(``reads``), shard capacity, per-shard record counts, and free-form
+metadata.  The manifest is written last —
 after every shard file has been atomically renamed into place — so its
 presence certifies a complete store; a crash mid-pack leaves shards
 without a manifest, which the writer detects and resumes from.
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.io.store import atomic_write_text, fsync_dir
+from repro.io.atomic import atomic_write_text, fsync_dir
 
 __all__ = ["STORE_VERSION", "MANIFEST_NAME", "ShardInfo", "StoreManifest"]
 

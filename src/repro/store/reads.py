@@ -37,9 +37,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.io.atomic import atomic_save_npy
 from repro.io.readset import Columns, ReadSet, ragged_positions, read_columns
 from repro.io.records import Read
-from repro.io.store import fsync_dir
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
 from repro.store.manifest import StoreManifest
 from repro.store.sharded import DEFAULT_CACHE_BUDGET, ShardedStore, ShardWriter
@@ -58,17 +58,6 @@ OFFSETS_NAME = "offsets.npy"
 #: default reads per shard: at ~100 bp reads this is ~0.4 MB of codes
 #: per shard, small enough that a 64 MiB cache holds dozens of shards.
 DEFAULT_SHARD_SIZE = 4096
-
-
-def _atomic_save_npy(final: str, arr: np.ndarray) -> None:
-    """np.save with the same crash-safety contract as atomic_savez."""
-    tmp = f"{final}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        np.save(fh, arr)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
-    fsync_dir(os.path.dirname(final) or ".")
 
 
 def _json_uint8(obj) -> np.ndarray:
@@ -129,7 +118,7 @@ def _pack_blocks(
         total += int(offsets[-1])
         any_quals = any_quals or has_quals
     all_offsets = np.concatenate(global_offsets)
-    _atomic_save_npy(os.path.join(str(path), OFFSETS_NAME), all_offsets)
+    atomic_save_npy(os.path.join(str(path), OFFSETS_NAME), all_offsets)
     store_meta = {
         "has_quals": any_quals,
         "n_reads": all_offsets.size - 1,

@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.io.store import atomic_savez
+from repro.io.atomic import atomic_savez
 from repro.store.cache import ShardCache
 from repro.store.manifest import STORE_VERSION, ShardInfo, StoreManifest
 
@@ -56,8 +56,8 @@ class ShardWriter:
     """Append-only builder of one sharded store directory.
 
     Subclass-free and kind-agnostic: callers hand complete per-shard
-    array dicts to :meth:`write_shard` (the reads/overlaps/graph
-    builders chunk their streams to shard capacity first).  Set
+    array dicts to :meth:`write_shard` (the reads packer chunks its
+    stream to shard capacity first).  Set
     ``resume=True`` to skip shards that already survived a previous
     crashed pack.
     """

@@ -3,15 +3,16 @@
 The ``overlap`` stage on the serial, simulated-cluster and process
 backends must return exactly the rows of the per-query reference
 (``tests/reference/overlap_loop.py``), in its order, for any read set
-— in RAM or store-backed — and either reference index.  The two
-indexes hand the kernel different seed sets (left-maximal hits, all
-hits); that both reproduce the oracle, under any stripe and compare
-budget, is the seed-set invariance the kernel rests on.
+— in RAM or store-backed.  The same kernel is also run, unit by unit,
+on the suffix-array reference index (``tests/reference/sa_index.py``),
+which hands it every hit where the production index hands out
+left-maximal ones; that both seed sets reproduce the oracle, under any
+stripe and compare budget, is the seed-set invariance the kernel rests
+on.
 """
 
 import itertools
 import tempfile
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,12 @@ from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
 from repro.store import pack_reads
-from tests.align.test_overlapper import oracle_votes, recorded_votes
+from tests.align.test_overlapper import (
+    INDEXES,
+    find_overlaps_on,
+    oracle_votes,
+    recorded_votes,
+)
 from tests.reference.overlap_loop import (
     find_overlaps_loop,
     overlap_keys,
@@ -98,14 +104,23 @@ def assert_same_columns(got: PackedOverlaps, expected: PackedOverlaps, label="")
         ), (label, column)
 
 
-@pytest.mark.parametrize("index", ["kmer", "suffix_array"])
+def run_path(path, config, reads):
+    """``(overlap columns, candidates)`` on the named backend — or, for
+    the reference index, which no backend builds, from the per-unit
+    kernel calls."""
+    if path not in BACKEND_NAMES:
+        return find_overlaps_on(path, config, reads)
+    subject = OverlapSubject(reads, config, n_parts=2)
+    with create_backend(path, subject, workers=2, cost_model=FAST) as backend:
+        return backend.run_stage("overlap").result
+
+
+@pytest.mark.parametrize("index", list(INDEXES))
 class TestEngineEquivalence:
     @settings(max_examples=5, deadline=None)
     @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=3))
     def test_all_paths_identical(self, index, reads, n_subsets):
-        base = OverlapConfig(
-            min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets, index=index
-        )
+        base = OverlapConfig(min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets)
         loop, loop_candidates = find_overlaps_loop(base, reads)
         expected = PackedOverlaps.from_overlaps(loop)
         with tempfile.TemporaryDirectory() as tmp:
@@ -113,10 +128,9 @@ class TestEngineEquivalence:
             if len(reads):
                 pack_reads(iter(reads), f"{tmp}/reads.store", shard_size=3)
                 sources.append(ReadSet.open(f"{tmp}/reads.store", cache_budget=1 << 10))
-            for name, source in itertools.product(BACKEND_NAMES, sources):
-                subject = OverlapSubject(source, base, n_parts=2)
-                with create_backend(name, subject, workers=2, cost_model=FAST) as backend:
-                    packed, candidates = backend.run_stage("overlap").result
+            paths = BACKEND_NAMES if index == "kmer" else [index]
+            for name, source in itertools.product(paths, sources):
+                packed, candidates = run_path(name, base, source)
                 assert candidates == loop_candidates, name
                 assert_same_columns(packed, expected, name)
 
@@ -124,16 +138,15 @@ class TestEngineEquivalence:
     @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=2))
     def test_stripe_budget_does_not_change_the_result(self, index, reads, n_subsets):
         # Budget 1 makes every read its own stripe; 60 cuts mid-unit.
-        detector = OverlapDetector(
-            OverlapConfig(min_overlap=25, min_kmer_hits=2, index=index)
-        )
+        detector = OverlapDetector(OverlapConfig(min_overlap=25, min_kmer_hits=2))
         subsets = reads.split(n_subsets)
         for i, j in subset_pairs(n_subsets):
             unit = (reads, subsets[i], subsets[j], i == j)
-            whole, n_whole = detector.overlap_subset_pair_packed(*unit)
+            seeds = INDEXES[index](reads, detector.config.k, subsets[j])
+            whole, n_whole = detector.overlap_subset_pair_packed(*unit, index=seeds)
             for budget in (1, 60):
                 striped, n_striped = detector.overlap_subset_pair_packed(
-                    *unit, max_hits=budget
+                    *unit, index=seeds, max_hits=budget
                 )
                 assert n_striped == n_whole
                 assert_same_columns(striped, whole)
@@ -152,7 +165,6 @@ class TestEngineEquivalence:
         # that shares a k-mer — whichever seeds named it, however the
         # stripes and the compare blocks are cut.
         reads, config = unit
-        config = replace(config, index=index)
         detector = OverlapDetector(config)
         subsets = reads.split(n_subsets)
         for i, j in subset_pairs(n_subsets):
@@ -162,7 +174,7 @@ class TestEngineEquivalence:
                 overlapper, "_MAX_BASES", max_bases
             ):
                 packed, candidates = detector.overlap_subset_pair_packed(
-                    *work, max_hits=max_hits
+                    *work, index=INDEXES[index](reads, config.k, subsets[j]), max_hits=max_hits
                 )
             assert candidates == loop_candidates
             assert_same_columns(packed, PackedOverlaps.from_overlaps(loop))
@@ -173,12 +185,10 @@ class TestEngineEquivalence:
     def test_banded_nw_method_paths_agree(self, index, reads):
         # Gapped verification runs per candidate in production too; the
         # batched span selection feeding it must still agree.
-        cfg = OverlapConfig(
-            min_overlap=25, min_kmer_hits=2, method="banded_nw", index=index
-        )
-        vectorized = OverlapDetector(cfg).find_overlaps(reads)
+        cfg = OverlapConfig(min_overlap=25, min_kmer_hits=2, method="banded_nw")
+        vectorized, _ = find_overlaps_on(index, cfg, reads)
         loop, _ = find_overlaps_loop(cfg, reads)
-        assert overlap_keys(vectorized) == overlap_keys(loop)
+        assert overlap_keys(vectorized.to_overlaps()) == overlap_keys(loop)
 
 
 @pytest.mark.slow
@@ -199,7 +209,7 @@ def test_d1_sample_both_indexes_equal_the_oracle(n_subsets):
     loop, loop_candidates = find_overlaps_loop(config, reads)
     expected = PackedOverlaps.from_overlaps(loop)
     assert len(expected) > 5000
-    for index in ("kmer", "suffix_array"):
-        detector = OverlapDetector(replace(config, index=index))
-        assert_same_columns(detector.find_overlaps_packed(reads), expected, index)
-        assert detector.last_candidates == loop_candidates
+    for index in INDEXES:
+        packed, candidates = find_overlaps_on(index, config, reads)
+        assert_same_columns(packed, expected, index)
+        assert candidates == loop_candidates

@@ -10,7 +10,7 @@ import pytest
 
 from repro.align import overlapper
 from repro.align.kmer_index import KmerIndex
-from repro.align.overlap import OverlapKind
+from repro.align.overlap import OverlapKind, PackedOverlaps
 from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
@@ -22,6 +22,28 @@ from tests.reference.overlap_loop import (
     overlap_subset_pair_loop,
     vote_groups,
 )
+from tests.reference.sa_index import SuffixArrayReadIndex
+
+#: what the kernel takes its seeds from in these tests: the production
+#: index (left-maximal hits) and the all-hits reference index.
+INDEXES = {"kmer": KmerIndex, "suffix_array": SuffixArrayReadIndex}
+
+
+def find_overlaps_on(index, cfg, reads):
+    """``(overlap columns, candidates)`` of a read set: ``"kmer"`` is
+    the public path; the reference index, which no backend builds, is
+    handed to the kernel unit by unit."""
+    detector = OverlapDetector(cfg)
+    if index == "kmer":
+        return detector.find_overlaps_packed(reads), detector.last_candidates
+    subsets = reads.split(cfg.n_subsets)
+    units = [
+        detector.overlap_subset_pair_packed(
+            reads, subsets[i], subsets[j], i == j, index=INDEXES[index](reads, cfg.k, subsets[j])
+        )
+        for i, j in subset_pairs(len(subsets))
+    ]
+    return PackedOverlaps.concatenate([p for p, _ in units]), sum(n for _, n in units)
 
 
 def tiled_reads(genome_len=600, read_len=100, stride=40, seed=0):
@@ -53,7 +75,7 @@ def recorded_votes():
 
 def oracle_votes(cfg, reads, query_indices, ref_indices, same_subset):
     """``{(query, ref, diagonal): votes}`` by counting k-mer hits."""
-    index = OverlapDetector(cfg)._build_index(reads, ref_indices)
+    index = KmerIndex(reads, cfg.k, ref_indices)
     votes = {}
     for q in np.asarray(query_indices).tolist():
         groups = vote_groups(cfg, reads, q, index, same_subset)
@@ -205,9 +227,10 @@ class TestStripedLoopEdgeCases:
         "seqs", [["ACGTAC", "ACGTACG", "CGTA"], ["N" * 40, "N" * 33], ["ACGT"]]
     )
     def test_no_valid_kmer_window(self, seqs, index):
-        detector = OverlapDetector(OverlapConfig(k=8, min_overlap=3, index=index))
-        assert detector.find_overlaps(ReadSet.from_strings(seqs)) == []
-        assert detector.last_candidates == 0
+        packed, n_candidates = find_overlaps_on(
+            index, OverlapConfig(k=8, min_overlap=3), ReadSet.from_strings(seqs)
+        )
+        assert len(packed) == 0 and n_candidates == 0
 
     def test_one_read_over_the_budget_is_its_own_stripe(self):
         # Read 0 is a tandem repeat: each of its windows hits every
@@ -253,14 +276,15 @@ class TestStripedLoopEdgeCases:
     @pytest.mark.parametrize("index", ["kmer", "suffix_array"])
     def test_non_ascending_query_indices(self, index):
         reads, _ = tiled_reads(genome_len=500)
-        cfg = OverlapConfig(min_overlap=50, index=index)
+        cfg = OverlapConfig(min_overlap=50)
         order = np.random.default_rng(6).permutation(len(reads))
         expect = overlap_keys(OverlapDetector(cfg).find_overlaps(reads))
         assert expect
         for same_subset in (True, False):
-            found = OverlapDetector(cfg).overlap_subset_pair(
-                reads, order, order, same_subset
+            found, _ = OverlapDetector(cfg).overlap_subset_pair_packed(
+                reads, order, order, same_subset, index=INDEXES[index](reads, cfg.k, order)
             )
+            found = found.to_overlaps()
             oracle, _ = overlap_subset_pair_loop(cfg, reads, order, order, same_subset)
             assert overlap_keys(found) == overlap_keys(oracle)
             if same_subset:
@@ -297,21 +321,18 @@ class TestSeedsAndVotes:
         reads = ReadSet.from_strings(seqs)
         expected = brute_force_votes(seqs, self.K)
         everything = np.arange(len(reads))
-        for index in ("kmer", "suffix_array"):
-            cfg = OverlapConfig(
-                k=self.K, min_overlap=8, min_kmer_hits=min_kmer_hits, index=index
-            )
-            counted = oracle_votes(cfg, reads, everything, everything, True)
-            assert counted == {t: v for t, (v, _) in expected.items()}
-            detector = OverlapDetector(cfg)
+        cfg = OverlapConfig(k=self.K, min_overlap=8, min_kmer_hits=min_kmer_hits)
+        counted = oracle_votes(cfg, reads, everything, everything, True)
+        assert counted == {t: v for t, (v, _) in expected.items()}
+        oracle, n_candidates = find_overlaps_loop(cfg, reads)
+        if expect_candidates is not None:
+            assert n_candidates == expect_candidates
+        for index in INDEXES:
             with recorded_votes() as seen:
-                found = detector.find_overlaps(reads)
+                found, candidates = find_overlaps_on(index, cfg, reads)
             assert seen == expected, index
-            oracle, n_candidates = find_overlaps_loop(cfg, reads)
-            assert found == oracle
-            assert detector.last_candidates == n_candidates
-            if expect_candidates is not None:
-                assert n_candidates == expect_candidates
+            assert found.to_overlaps() == oracle
+            assert candidates == n_candidates
         return expected
 
     def test_weak_diagonal_is_compared_but_is_no_candidate(self):

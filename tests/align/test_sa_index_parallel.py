@@ -5,14 +5,14 @@ import pytest
 
 from repro.align.kmer_index import KmerIndex
 from repro.align.overlapper import OverlapConfig, OverlapDetector, OverlapSubject
-from repro.align.sa_index import SuffixArrayReadIndex
 from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.io.readset import ReadSet
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
 from repro.sequence.dna import encode
 from repro.sequence.kmers import kmer_codes
-from tests.align.test_overlapper import tiled_reads
+from tests.align.test_overlapper import find_overlaps_on, tiled_reads
+from tests.reference.sa_index import SuffixArrayReadIndex
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
@@ -62,16 +62,10 @@ class TestSuffixArrayReadIndex:
 class TestDetectorWithSuffixArray:
     def test_same_overlaps_as_kmer_index(self):
         reads, _ = tiled_reads(genome_len=500)
-        km = OverlapDetector(OverlapConfig(min_overlap=50, index="kmer")).find_overlaps(reads)
-        sa = OverlapDetector(
-            OverlapConfig(min_overlap=50, index="suffix_array")
-        ).find_overlaps(reads)
-        key = lambda ovs: sorted((o.query, o.ref, o.length) for o in ovs)
-        assert key(km) == key(sa)
-
-    def test_invalid_index_name(self):
-        with pytest.raises(ValueError):
-            OverlapConfig(index="btree")
+        cfg = OverlapConfig(min_overlap=50)
+        km, _ = find_overlaps_on("kmer", cfg, reads)
+        sa, _ = find_overlaps_on("suffix_array", cfg, reads)
+        assert len(km) and km.to_overlaps() == sa.to_overlaps()
 
 
 class TestParallelAlignment:

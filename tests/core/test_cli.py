@@ -160,3 +160,24 @@ class TestAssembleAndStats:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestBadInputIsOneLine:
+    """Bad input exits 1 with ``error: ...`` on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pack", "{reads}", "-o", "{tmp}/s", "--shard-size", "0"], "shard_size"),
+            (["assemble", "--store", "{tmp}/missing", "-o", "{tmp}/c.fa"], "not a sharded store"),
+            (["overlap", "{reads}", "-o", "{tmp}/o.tsv", "--subsets", "0"], "n_subsets"),
+            (["stats", "{tmp}/missing.fa"], "missing.fa"),
+        ],
+        ids=["pack-shard-size-0", "assemble-missing-store", "overlap-subsets-0", "stats-missing-file"],
+    )
+    def test_error_line_and_exit_code(self, tmp_path, reads_fastq, capsys, argv, message):
+        argv = [a.format(reads=reads_fastq, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

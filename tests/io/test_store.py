@@ -1,236 +1,120 @@
-"""Tests for npz persistence of graphs and read sets."""
+"""Tests for the checkpoint archive and the atomic writes under it."""
+
+import os
 
 import numpy as np
 import pytest
 
-from repro.graph.overlap_graph import OverlapGraph
-from repro.io.records import Read
-from repro.io.readset import ReadSet
-from repro.io.store import load_graph, load_readset, save_graph, save_readset
+from repro.io.atomic import atomic_save_npy, atomic_savez, atomic_write, atomic_write_text
+from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 
 
-def sample_graph():
-    return OverlapGraph(
-        4,
-        np.array([0, 1, 2]),
-        np.array([1, 2, 3]),
-        np.array([10.0, 20.0, 30.0]),
-        node_weights=np.array([1, 2, 1, 3]),
-        deltas=np.array([40, -15, 7]),
-        identities=np.array([0.9, 0.95, 1.0]),
+def sample_state(paths=None):
+    return CheckpointState(
+        fingerprint={"n_reads": 10, "n_partitions": 4, "seed": 1},
+        completed=["transitive", "containment"],
+        node_alive=np.array([True, False, True]),
+        edge_alive=np.array([True, True, False, False]),
+        stage_times={"transitive": 0.25, "containment": 0.5},
+        paths=paths,
     )
 
 
-class TestGraphStore:
-    def test_roundtrip(self, tmp_path):
-        g = sample_graph()
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
-        g2 = load_graph(path)
-        assert g2.n_nodes == g.n_nodes
-        assert (g2.eu == g.eu).all() and (g2.ev == g.ev).all()
-        assert (g2.weights == g.weights).all()
-        assert (g2.deltas == g.deltas).all()
-        assert (g2.identities == g.identities).all()
-        assert (g2.node_weights == g.node_weights).all()
-        assert g2.has_deltas
-
-    def test_roundtrip_without_deltas(self, tmp_path):
-        g = OverlapGraph(2, np.array([0]), np.array([1]), np.array([1.0]))
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
-        g2 = load_graph(path)
-        assert not g2.has_deltas
-
-    def test_csr_rebuilt(self, tmp_path):
-        g = sample_graph()
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
-        g2 = load_graph(path)
-        assert g2.neighbors(1).tolist() == g.neighbors(1).tolist()
-
-    def test_empty_graph(self, tmp_path):
-        g = OverlapGraph(3, np.array([]), np.array([]), np.array([]))
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
-        assert load_graph(path).n_edges == 0
-
-
-class TestReadSetStore:
-    def test_roundtrip_with_quals_and_meta(self, tmp_path):
-        reads = ReadSet(
-            [
-                Read.from_string("a", "ACGT", quals=np.array([10, 20, 30, 40]),
-                                 meta={"genus": "Prevotella", "position": 5}),
-                Read.from_string("b", "TT", quals=np.array([2, 2])),
-            ]
-        )
-        path = tmp_path / "r.npz"
-        save_readset(reads, path)
-        back = load_readset(path)
-        assert back.ids == ["a", "b"]
-        assert back.sequence_of(0) == "ACGT"
-        assert back.quals_of(0).tolist() == [10, 20, 30, 40]
-        assert back.meta[0]["genus"] == "Prevotella"
-        assert back.meta[0]["position"] == 5
-
-    def test_roundtrip_without_quals(self, tmp_path):
-        reads = ReadSet.from_strings(["ACG", "TTTT"])
-        path = tmp_path / "r.npz"
-        save_readset(reads, path)
-        back = load_readset(path)
-        assert back.quals is None
-        assert [back.sequence_of(i) for i in range(2)] == ["ACG", "TTTT"]
-
-    def test_empty_readset(self, tmp_path):
-        path = tmp_path / "r.npz"
-        save_readset(ReadSet.from_strings([]), path)
-        assert len(load_readset(path)) == 0
-
-    def test_cross_loader_rejected_with_clear_error(self, tmp_path):
-        # A readset archive fed to load_graph must not surface a bare
-        # KeyError from numpy's lazy dict access.
-        path = tmp_path / "r.npz"
-        save_readset(ReadSet.from_strings(["ACGT"]), path)
-        with pytest.raises(ValueError, match="missing keys"):
-            load_graph(path)
-
-    def test_pipeline_checkpoint(self, tmp_path):
-        # align once, save, reload, partition: same edge cut
-        from repro.align.overlapper import OverlapConfig, OverlapDetector
-        from tests.graph.conftest import tiled_readset
-
-        reads, _ = tiled_readset(genome_len=600)
-        overlaps = OverlapDetector(OverlapConfig(min_overlap=50)).find_overlaps(reads)
-        g = OverlapGraph.from_overlaps(overlaps, len(reads))
-        gp, rp = tmp_path / "g.npz", tmp_path / "r.npz"
-        save_graph(g, gp)
-        save_readset(reads, rp)
-        g2, r2 = load_graph(gp), load_readset(rp)
-        assert g2.n_edges == g.n_edges
-        assert r2.total_bases == reads.total_bases
-
-
 class TestCorruptedArchives:
-    """Loaders must fail with ValueError, never a bare KeyError."""
+    """The loader must fail with ValueError, never a bare KeyError."""
 
     def test_not_an_archive(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(ValueError, match="not a graph archive"):
-            load_graph(path)
-        with pytest.raises(ValueError, match="not a readset archive"):
-            load_readset(path)
-
-    def test_graph_archive_missing_keys(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        np.savez(path, version=np.int64(1), n_nodes=np.int64(2))
-        with pytest.raises(ValueError, match="missing keys"):
-            load_graph(path)
-
-    def test_readset_archive_missing_keys(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        np.savez(path, version=np.int64(1))
-        with pytest.raises(ValueError, match="missing keys"):
-            load_readset(path)
+        # What a torn copy looks like: the first half of a real archive.
+        path = tmp_path / "ck.npz"
+        save_checkpoint(sample_state(), path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match="not a checkpoint archive"):
+            load_checkpoint(path)
 
     def test_missing_key_message_names_the_keys(self, tmp_path):
         path = tmp_path / "partial.npz"
-        np.savez(path, version=np.int64(1), n_nodes=np.int64(2))
-        with pytest.raises(ValueError, match="eu"):
-            load_graph(path)
+        np.savez(path, version=np.int64(1), node_alive=np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="missing keys.*edge_alive"):
+            load_checkpoint(path)
 
-    def test_graph_version_mismatch(self, tmp_path):
-        g = sample_graph()
-        path = tmp_path / "g.npz"
-        save_graph(g, path)
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(sample_state(), path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         arrays["version"] = np.int64(99)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="version 99"):
-            load_graph(path)
-
-    def test_readset_version_mismatch(self, tmp_path):
-        path = tmp_path / "r.npz"
-        save_readset(ReadSet.from_strings(["ACGT"]), path)
-        with np.load(path, allow_pickle=True) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["version"] = np.int64(99)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="version 99"):
-            load_readset(path)
+            load_checkpoint(path)
 
 
 class TestAtomicWrites:
-    """A crash mid-write must never corrupt an existing archive."""
+    """A crash mid-write must never corrupt an existing file — through
+    each of the three helpers and the primitive they share."""
+
+    WRITES = {
+        "c.npz": lambda path, n: atomic_savez(path, value=np.arange(n)),
+        "c.npy": lambda path, n: atomic_save_npy(path, np.arange(n)),
+        "c.txt": lambda path, n: atomic_write_text(path, "x" * n),
+        "c.bin": lambda path, n: atomic_write(path, lambda fh: fh.write(b"x" * n)),
+    }
 
     @staticmethod
     def _crashing_writer(monkeypatch):
-        # Simulate the process dying mid-write: emit partial bytes into
-        # the (temporary) destination, then blow up before completion.
-        import repro.io.store as store_mod
-
-        def exploding_savez(dest, **arrays):
-            dest.write(b"PK\x03\x04 partial garbage")
+        # Simulate the process dying mid-write: the bytes are in the
+        # temporary file, the flush to disk blows up.
+        def exploding_fsync(fd):
             raise RuntimeError("simulated crash mid-write")
 
-        monkeypatch.setattr(
-            store_mod.np, "savez_compressed", exploding_savez
-        )
-        monkeypatch.setattr(store_mod.np, "savez", exploding_savez)
+        monkeypatch.setattr(os, "fsync", exploding_fsync)
 
     def test_crash_preserves_previous_archive(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.npz"
-        g = sample_graph()
-        save_graph(g, path)
+        for name, write in self.WRITES.items():
+            write(tmp_path / name, 5)
+        before = {name: (tmp_path / name).read_bytes() for name in self.WRITES}
         self._crashing_writer(monkeypatch)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            save_graph(sample_graph(), path)
-        # The original archive is untouched and still loads.
-        g2 = load_graph(path)
-        assert g2.n_edges == g.n_edges
-        assert (g2.weights == g.weights).all()
+        for name, write in self.WRITES.items():
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                write(tmp_path / name, 7)
+            assert (tmp_path / name).read_bytes() == before[name]
 
     def test_crash_leaks_no_temp_files(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.npz"
-        self._crashing_writer(monkeypatch)
+        def raising_writer(fh):
+            fh.write(b"PK\x03\x04 partial garbage")
+            raise RuntimeError("simulated crash mid-write")
+
         with pytest.raises(RuntimeError):
-            save_graph(sample_graph(), path)
-        assert not path.exists()
+            atomic_write(tmp_path / "c.bin", raising_writer)
+        self._crashing_writer(monkeypatch)
+        for name, write in self.WRITES.items():
+            with pytest.raises(RuntimeError):
+                write(tmp_path / name, 7)
         assert list(tmp_path.iterdir()) == []
 
-    def test_success_leaves_only_the_archive(self, tmp_path):
-        path = tmp_path / "g.npz"
-        save_graph(sample_graph(), path)
-        assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
+    def test_success_leaves_only_the_archive(self, tmp_path, durable_ops):
+        for name, write in self.WRITES.items():
+            del durable_ops[:]
+            write(tmp_path / name, 5)
+            # file flushed to disk, renamed over the target, and the
+            # rename itself flushed: in that order, nothing else.
+            assert durable_ops == [
+                ("fsync", name),
+                ("replace", name),
+                ("fsync", tmp_path.name),
+            ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.WRITES)
 
     def test_npz_suffix_appended_like_numpy(self, tmp_path):
-        save_graph(sample_graph(), tmp_path / "noext")
+        save_checkpoint(sample_state(), tmp_path / "noext")
         assert (tmp_path / "noext.npz").exists()
 
 
 class TestCheckpointStore:
     """Stage-checkpoint persistence (docs/robustness.md)."""
 
-    @staticmethod
-    def state(paths=None):
-        from repro.io.store import CheckpointState
-
-        return CheckpointState(
-            fingerprint={"n_reads": 10, "n_partitions": 4, "seed": 1},
-            completed=["transitive", "containment"],
-            node_alive=np.array([True, False, True]),
-            edge_alive=np.array([True, True, False, False]),
-            stage_times={"transitive": 0.25, "containment": 0.5},
-            paths=paths,
-        )
-
     def test_roundtrip_without_paths(self, tmp_path):
-        from repro.io.store import load_checkpoint, save_checkpoint
-
         path = tmp_path / "ck.npz"
-        state = self.state()
+        state = sample_state()
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded.fingerprint == state.fingerprint
@@ -241,38 +125,28 @@ class TestCheckpointStore:
         assert loaded.paths is None
 
     def test_roundtrip_with_paths(self, tmp_path):
-        from repro.io.store import load_checkpoint, save_checkpoint
-
         path = tmp_path / "ck.npz"
         paths = [[0, 1, 2], [], [5, 4]]
-        save_checkpoint(self.state(paths=paths), path)
+        save_checkpoint(sample_state(paths=paths), path)
         assert load_checkpoint(path).paths == paths
 
     def test_empty_paths_distinct_from_missing(self, tmp_path):
-        from repro.io.store import load_checkpoint, save_checkpoint
-
         path = tmp_path / "ck.npz"
-        save_checkpoint(self.state(paths=[]), path)
+        save_checkpoint(sample_state(paths=[]), path)
         assert load_checkpoint(path).paths == []
 
     def test_masks_required(self, tmp_path):
-        from repro.io.store import CheckpointState, save_checkpoint
-
         state = CheckpointState(fingerprint={})
         with pytest.raises(ValueError, match="alive-masks"):
             save_checkpoint(state, tmp_path / "ck.npz")
 
     def test_foreign_archive_rejected(self, tmp_path):
-        from repro.io.store import load_checkpoint
-
         path = tmp_path / "r.npz"
-        save_readset(ReadSet.from_strings(["ACGT"]), path)
+        np.savez(path, version=np.int64(1), data=np.arange(4))
         with pytest.raises(ValueError, match="missing keys"):
             load_checkpoint(path)
 
     def test_not_an_archive_rejected(self, tmp_path):
-        from repro.io.store import load_checkpoint
-
         path = tmp_path / "junk.npz"
         path.write_bytes(b"nope")
         with pytest.raises(ValueError, match="not a checkpoint archive"):

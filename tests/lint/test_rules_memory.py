@@ -25,30 +25,16 @@ class TestMEM001TruePositives:
         assert fs[0].severity is Severity.WARNING
         assert "to_array" in fs[0].message
 
-    def test_to_packed_and_to_graph_flagged(self):
-        fs = findings(
-            """
-            def merge_kernel(overlaps, graph_store):
-                full = overlaps.to_packed()
-                g = graph_store.to_graph()
-                return full, g
-            """
-        )
-        assert {f.message.split("`")[1] for f in fs} == {
-            ".to_packed()",
-            ".to_graph()",
-        }
-
     def test_concatenated_shard_stream_flagged(self):
         fs = findings(
             """
             import numpy as np
 
             def traversal_kernel(store):
-                eu = np.concatenate(
-                    [s["eu"] for s in store.iter_edge_shards()]
+                data = np.concatenate(
+                    [arrays["data"] for _, arrays in store.iter_shards()]
                 )
-                return eu
+                return data
             """
         )
         assert len(fs) == 1
@@ -70,8 +56,8 @@ class TestMEM001TruePositives:
             """
             from numpy import hstack
 
-            def glue_kernel(ovl):
-                return hstack(list(ovl.iter_batches()))
+            def glue_kernel(store):
+                return hstack([a["data"] for _, a in store.iter_shards()])
             """
         )
         assert len(fs) == 1

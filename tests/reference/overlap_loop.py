@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.align.banded_nw import banded_align
+from repro.align.kmer_index import KmerIndex
 from repro.align.overlap import Overlap, classify_overlap, overlap_span
-from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
+from repro.align.overlapper import OverlapConfig, subset_pairs
 from repro.io.readset import ReadSet
 from repro.sequence.dna import hamming_identity
 
@@ -112,7 +113,7 @@ def overlap_subset_pair_loop(
     same_subset: bool,
 ) -> tuple[list[Overlap], int]:
     """One work unit: (overlaps, candidates sent to verification)."""
-    index = OverlapDetector(config)._build_index(reads, ref_indices)
+    index = KmerIndex(reads, config.k, ref_indices)
     overlaps: list[Overlap] = []
     n_candidates = 0
     for q in np.asarray(query_indices).tolist():

@@ -1,10 +1,13 @@
-"""Suffix-array-backed reference read index (paper §II-B).
+"""Suffix-array-backed reference read index (paper §II-B): the all-hits
+second witness of the production kernel's seed-set invariance.
 
 Focus indexes each reference read subset with a suffix array and
-queries it with the query read's k-mers.  This module provides that
-exact structure with the same ``lookup`` interface as
-:class:`repro.align.kmer_index.KmerIndex`, so the overlap detector can
-use either (``OverlapConfig.index = "suffix_array"``).
+queries it with the query read's k-mers.  This is that exact structure
+behind the seed interface of :class:`repro.align.kmer_index.KmerIndex`
+(``read_indices``, ``seed_ranges``, ``self_join``, ``lookup``), except
+that it answers with *every* hit where the production index hands out
+left-maximal ones.  Tests pass it to ``overlap_subset_pair_packed`` via
+``index=``: the kernel must return the same rows from either seed set.
 
 Reference reads are concatenated with single ``N`` separators; since
 queries never contain code 4, no match can span a read boundary.
@@ -14,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.suffix_array import SuffixArraySearcher
 from repro.io.readset import ReadSet
 from repro.sequence.dna import N
 from repro.sequence.kmers import unpack_kmer
+from tests.reference.suffix_array import SuffixArraySearcher
 
 __all__ = ["SuffixArrayReadIndex"]
 
@@ -62,17 +65,27 @@ class SuffixArrayReadIndex:
         offsets = text_positions - self.read_starts[slot]
         return self.read_indices[slot], offsets
 
-    def hit_ranges(
-        self, query_vals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Same contract as :meth:`KmerIndex.hit_ranges`.
+    def seed_ranges(
+        self, query_vals: np.ndarray, query_offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Same contract as :meth:`KmerIndex.seed_ranges`, with every
+        hit: one range per query window that occurs at all.
 
         The row tables are this batch's :meth:`lookup` result, whose
         rows already come grouped by ascending query position.
         """
         query_pos, hit_reads, hit_offsets = self.lookup(query_vals)
         counts = np.bincount(query_pos, minlength=np.size(query_vals)).astype(np.int64)
-        return np.cumsum(counts) - counts, counts, hit_reads, hit_offsets
+        windows = np.flatnonzero(counts)
+        lo = np.cumsum(counts) - counts
+        return windows, lo[windows], counts[windows], hit_reads, hit_offsets
+
+    def self_join(self) -> tuple[np.ndarray, ...]:
+        """Same contract as :meth:`KmerIndex.self_join`, by looking the
+        index's own windows up."""
+        vals, win_reads, win_offsets = self.reads.kmer_table(self.k, self.read_indices)
+        windows, *ranges = self.seed_ranges(vals, win_offsets)
+        return (win_reads[windows], win_offsets[windows], *ranges)
 
     def lookup(self, query_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Same contract as :meth:`KmerIndex.lookup`.

@@ -1,11 +1,14 @@
 """Worker failure-escalation and cooperative-cancellation paths."""
 
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
+from repro.service.worker import _finish_ok
 
 POLL = 0.02
 TIMEOUT = 60.0
@@ -85,3 +88,35 @@ class TestCooperativeCancel:
         assert not (
             tmp_path / "store" / "jobs" / record.job_id / "contigs.fasta"
         ).exists()
+
+
+class TestDoneIsDurable:
+    def test_contigs_reach_disk_before_the_done_transition(
+        self, tmp_path, reads_path, durable_ops
+    ):
+        # Power loss after `done` must not find an empty contig file:
+        # contigs fsynced, renamed, the rename fsynced — then the
+        # result, then the journal line, then the state file.
+        store = JobStore(str(tmp_path / "store"), create=True)
+        job_id = store.submit(JobSpec(reads_path=reads_path)).job_id
+        store.transition(job_id, "leased")
+        store.transition(job_id, "running")
+        stats = SimpleNamespace(n_contigs=1, total_bases=4, n50=4, max_contig=4)
+        result = SimpleNamespace(
+            contigs=[np.array([0, 1, 2, 3], dtype=np.uint8)],
+            stats=stats,
+            backend="serial",
+            virtual_times={"traversal": 0.5},
+        )
+        del durable_ops[:]
+        _finish_ok(store, job_id, result)
+        durable = lambda name: [("fsync", name), ("replace", name), ("fsync", job_id)]
+        assert durable_ops == [
+            *durable("contigs.fasta"),
+            *durable("result.json"),
+            ("fsync", "journal.jsonl"),
+            *durable("state.json"),
+        ]
+        assert store.load_record(job_id).state == "done"
+        with open(store.contigs_path(job_id)) as fh:
+            assert fh.read() == ">contig_0\nACGT\n"
