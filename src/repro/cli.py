@@ -33,8 +33,14 @@ import numpy as np
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.core.stats import AssemblyStats
-from repro.io.fasta import parse_fasta, write_fasta
-from repro.io.fastq import parse_fastq, write_fastq
+from repro.io.fasta import (
+    load_reads,
+    parse_fasta,
+    parse_reads,
+    write_contigs,
+    write_fasta,
+)
+from repro.io.fastq import write_fastq
 from repro.io.records import Read
 from repro.io.readset import ReadSet
 from repro.simulate.community import CommunityConfig, build_community
@@ -416,16 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="static correctness checks (MPI model + kernel purity)",
         description=(
             "AST checks for the simulated-MPI programming model and the "
-            "distributed kernel contract: MPI001 collective-symmetry, "
-            "MPI002 reserved-tag, MPI003 mutate-after-send, DET001 "
-            "unseeded-rng, PERF001 untimed-compute, PERF002 "
-            "scalarized-hot-loop, ARCH001 kernel-imports-mpi, plus the "
-            "whole-program rules PURE001 kernel-mutates-state, PURE002 "
-            "kernel-reaches-nondeterminism, and ARCH002 stage-contract "
-            "(interprocedural, resolved over the full call graph), "
-            "ROB001 swallowed-exception, and MEM001 "
-            "whole-store-materialization in partition kernels.  "
-            "Suppress per line with `# noqa: RULEID`."
+            "distributed kernel contract, per file and (kernel purity, "
+            "stage registration) over the whole call graph; --list-rules "
+            "prints the rule table.  Suppress per line with "
+            "`# noqa: RULEID`."
         ),
     )
     p.add_argument(
@@ -446,35 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-rule counts, files analyzed, and cache hit rate",
     )
     p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings fingerprinted in FILE (adopt-then-burn-down)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline FILE and exit 0",
-    )
-    p.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    p.add_argument(
-        "--protocol-report",
-        metavar="FUNCTION",
-        help=(
-            "instead of linting, dump the reconstructed per-role "
-            "communication protocol of the named comm-taking function "
-            "(plain or dotted name) as text/JSON"
-        ),
     )
 
     return parser
-
-
-def _load_reads(path: str) -> ReadSet:
-    if path.endswith((".fq", ".fastq")):
-        return ReadSet(parse_fastq(path))
-    return ReadSet(parse_fasta(path))
 
 
 def _cmd_simulate_genome(args) -> int:
@@ -543,13 +518,8 @@ def _parse_fault_plan(spec: str, stages: tuple[str, ...], n_parts: int):
 def _cmd_pack(args) -> int:
     from repro.store import pack_reads
 
-    records = (
-        parse_fastq(args.reads)
-        if args.reads.endswith((".fq", ".fastq"))
-        else parse_fasta(args.reads)
-    )
     manifest = pack_reads(
-        records,
+        parse_reads(args.reads),
         args.output,
         shard_size=args.shard_size,
         resume=args.resume,
@@ -599,7 +569,7 @@ def _cmd_assemble(args) -> int:
     if args.store:
         reads = ReadSet.open(args.store, cache_budget=args.cache_budget_mb << 20)
     elif args.reads:
-        reads = _load_reads(args.reads)
+        reads = load_reads(args.reads)
     else:
         print("error: a reads file or --store is required", file=sys.stderr)
         return 1
@@ -615,10 +585,7 @@ def _cmd_assemble(args) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    contigs = [
-        Read(f"contig_{i}", c) for i, c in enumerate(result.contigs)
-    ]
-    write_fasta(contigs, args.output)
+    write_contigs(args.output, result.contigs)
     fault_report = result.fault_report
     if args.timings:
         extra = {}
@@ -655,7 +622,7 @@ def _cmd_assemble(args) -> int:
 def _cmd_overlap(args) -> int:
     from repro.align.overlapper import OverlapConfig, OverlapDetector
 
-    reads = _load_reads(args.reads)
+    reads = load_reads(args.reads)
     if len(reads) == 0:
         print("error: no reads in input", file=sys.stderr)
         return 1
@@ -849,20 +816,13 @@ def _cmd_verify_store(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import all_rules, run as lint_run
+    from repro.lint import rule_table, run as lint_run
 
     if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}  [{rule.severity}]  {rule.summary}")
+        print(rule_table())
         return 0
     return lint_run(
-        args.paths,
-        fmt=args.format,
-        strict=args.strict,
-        stats=args.stats,
-        baseline=args.baseline,
-        update_baseline=args.write_baseline,
-        protocol_report=args.protocol_report,
+        args.paths, fmt=args.format, strict=args.strict, stats=args.stats
     )
 
 

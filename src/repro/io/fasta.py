@@ -1,4 +1,9 @@
-"""Minimal, strict FASTA reader and writer."""
+"""Minimal, strict FASTA reader and writer.
+
+Also the two file-level entry points every front end shares:
+:func:`load_reads` (a reads file, FASTQ or FASTA by extension) and
+:func:`write_contigs` (the assembly's output, replaced atomically).
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,14 @@ import io
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
+import numpy as np
+
+from repro.io.atomic import atomic_write
+from repro.io.fastq import parse_fastq
+from repro.io.readset import ReadSet
 from repro.io.records import Read
 
-__all__ = ["parse_fasta", "write_fasta"]
+__all__ = ["parse_fasta", "write_fasta", "parse_reads", "load_reads", "write_contigs"]
 
 
 def _open_text(source) -> io.TextIOBase:
@@ -65,3 +75,26 @@ def write_fasta(reads: Iterable[Read], dest, width: int = 70) -> None:
     finally:
         if close:
             fh.close()
+
+
+def parse_reads(path: str | Path) -> Iterator[Read]:
+    """Records of a reads file: FASTQ by ``.fq`` / ``.fastq``, else FASTA."""
+    if str(path).endswith((".fq", ".fastq")):
+        return parse_fastq(path)
+    return parse_fasta(path)
+
+
+def load_reads(path: str | Path) -> ReadSet:
+    """The whole reads file as an in-RAM :class:`ReadSet`."""
+    return ReadSet(parse_reads(path))
+
+
+def write_contigs(path: str | Path, contigs: Iterable[np.ndarray]) -> None:
+    """Write contig code arrays as ``contig_<i>`` FASTA records.
+
+    The file is replaced atomically: a writer killed (or raising)
+    half-way leaves the previous output, never a truncated FASTA that
+    still parses.
+    """
+    records = (Read(f"contig_{i}", np.asarray(c)) for i, c in enumerate(contigs))
+    atomic_write(path, lambda fh: write_fasta(records, fh), mode="w")

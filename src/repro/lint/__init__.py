@@ -9,35 +9,7 @@ clock — survive the test suite because they corrupt *timing* and
 *determinism* rather than values.  This package catches them at the
 AST level:
 
-========  ========  =====================================================
-rule      severity  checks
-========  ========  =====================================================
-MPI001    error     collective calls under ``comm.rank``-dependent branches
-MPI002    error     literal message tags in the reserved space (<= -1000)
-MPI003    error     payload names mutated after an eager ``send``/``isend``
-MPI004    error     point-to-point sends/recvs no peer rank ever matches
-MPI005    error     cyclic send/recv waits (deadlock, with per-role witness)
-MPI006    error     collective divergence across ranks (whole-program MPI001)
-MPI007    warning   receiver uses a payload type the sender never ships
-DET001    warning   ``random.*`` / ``np.random.*`` global-state calls
-PERF001   warning   compute loops in rank functions outside ``comm.timed()``
-PERF002   warning   per-element ``.tolist()`` loops on the overlap hot path
-ARCH001   error     distributed kernel modules importing ``repro.mpi``
-PURE001   error     kernels mutating parameters/globals (interprocedural)
-PURE002   error     kernels reaching unseeded RNG, wall clock, or I/O
-ARCH002   error     ``register_stage`` kernel/merge contract violations
-========  ========  =====================================================
-
-The MPI004-007 rules run a *protocol verifier*: ``repro.lint.cfg``
-lowers each communicator-taking function to a control-flow graph,
-``repro.lint.protocol`` abstractly interprets every root driver once
-per concrete rank at a small model size (folding ``comm.rank`` /
-``comm.size`` arithmetic, splicing helpers through the call graph),
-and a matching simulation of the resulting per-rank event traces
-yields unmatched messages, cyclic waits, and diverging collectives —
-with witnesses that name each role's blocking event.  Inspect a
-driver's reconstructed protocol with
-``repro lint <paths> --protocol-report FUNCTION``.
+{rule_table}
 
 The PURE/ARCH002 rules are *whole-program*: ``repro.lint.project``
 parses every linted file once, resolves imports into a package-level
@@ -50,82 +22,66 @@ Parsed files and summaries are cached by content hash
 re-parses nothing.
 
 Run it as ``python -m repro lint [paths] [--format text|json]
-[--strict] [--stats] [--baseline FILE [--write-baseline]]``, or from
-code via :func:`lint_paths` / :func:`analyze_paths` /
-:func:`lint_source`.  Suppress a finding with a trailing
-``# noqa: RULEID`` comment; adopt a legacy tree's findings with
-``--baseline`` and burn them down over time.
+[--strict] [--stats]``, or from code via :func:`lint_paths` /
+:func:`analyze_paths` / :func:`lint_source`.  Suppress a finding with
+a trailing ``# noqa: RULEID`` comment.
 
-The static pass pairs with a *runtime* sanitizer:
+Communication *protocols* — who sends what to whom, and whether every
+rank reaches the same collectives — are checked where they execute,
+by the simulated runtime: a receive from a rank that has already
+returned raises :class:`~repro.mpi.simcomm.DeadlockError` at once (a
+cycle among live ranks after the timeout), and
 ``SimCluster(..., sanitize=True)`` fingerprints every payload at send
-and re-verifies it at receive (raising
-:class:`~repro.mpi.simcomm.PayloadMutationError` on a mutate-after-send
-race) and reports unconsumed mailbox messages at shutdown as
+and re-verifies it at receive
+(:class:`~repro.mpi.simcomm.PayloadMutationError`) and reports
+unconsumed mailbox messages at shutdown as
 :class:`~repro.mpi.simcomm.MessageLeakError`.
 """
 
 from repro.lint.cache import DEFAULT_CACHE, LintCache
-from repro.lint.cfg import CFG, build_cfg
 from repro.lint.context import FileContext
 from repro.lint.driver import (
     LintRun,
     LintStats,
     UsageError,
     analyze_paths,
-    build_project,
     format_findings,
     iter_python_files,
-    lint_file,
     lint_paths,
     lint_source,
     run,
 )
-from repro.lint.findings import Finding, Severity, finding_fingerprints
+from repro.lint.findings import Finding, Severity
 from repro.lint.project import SUMMARY_VERSION, ProjectContext, summarize_file
-from repro.lint.protocol import (
-    CommEvent,
-    ProtocolAnalysis,
-    RootProtocol,
-    analyze_protocols,
-    format_protocol,
-)
 from repro.lint.registry import (
     ProjectRule,
     Rule,
     all_rules,
     file_rules,
-    get_rule,
     project_rules,
     register,
+    rule_table,
     select_rules,
 )
+
+__doc__ = __doc__.format(rule_table=rule_table())
 
 __all__ = [
     "FileContext",
     "ProjectContext",
     "SUMMARY_VERSION",
     "summarize_file",
-    "CFG",
-    "build_cfg",
-    "CommEvent",
-    "RootProtocol",
-    "ProtocolAnalysis",
-    "analyze_protocols",
-    "format_protocol",
-    "build_project",
     "Finding",
     "Severity",
-    "finding_fingerprints",
     "Rule",
     "ProjectRule",
     "register",
     "all_rules",
     "file_rules",
     "project_rules",
-    "get_rule",
+    "rule_table",
     "select_rules",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "analyze_paths",
     "iter_python_files",

@@ -1,16 +1,16 @@
 """File and directory drivers, output formatting, exit codes.
 
-`lint_source` / `lint_file` run the per-file rules over one unit of
-source; `analyze_paths` is the whole-program pass — it walks files
-through the content-hash cache, runs the file rules per module and the
-project rules (PURE001/PURE002/ARCH002) over the resolved call graph,
-and returns findings plus run statistics.  `lint_paths` is its
+`lint_source` runs the per-file rules over one unit of source;
+`analyze_paths` is the whole-program pass — it walks files through the
+content-hash cache, runs the file rules per module and the project
+rules (PURE001/PURE002/ARCH002) over the resolved call graph, and
+returns findings plus run statistics.  `lint_paths` is its
 findings-only wrapper; `run` is the CLI entry point used by
 ``python -m repro lint``.
 
 Exit codes: 0 clean, 1 findings at or above the failing severity
 (errors by default, everything under ``--strict``), 2 on bad input
-(missing paths, non-Python file arguments, unreadable baseline).
+(missing paths, non-Python file arguments).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from repro.lint.cache import DEFAULT_CACHE, LintCache
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding, Severity, finding_fingerprints
+from repro.lint.findings import Finding, Severity
 from repro.lint.project import ProjectContext
 from repro.lint.registry import ProjectRule, Rule, file_rules, project_rules
 
@@ -32,20 +32,14 @@ __all__ = [
     "LintStats",
     "LintRun",
     "lint_source",
-    "lint_file",
     "analyze_paths",
     "lint_paths",
-    "build_project",
     "iter_python_files",
-    "load_baseline",
-    "write_baseline",
     "run",
 ]
 
 #: directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
-
-BASELINE_VERSION = 1
 
 
 class UsageError(ValueError):
@@ -96,11 +90,6 @@ def lint_source(
     return sorted(findings)
 
 
-def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
-    p = Path(path)
-    return lint_source(p.read_text(encoding="utf-8"), path=str(p), rules=rules)
-
-
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted, de-duplicated .py list.
 
@@ -137,10 +126,6 @@ class LintStats:
     parses: int = 0
     cache_hits: int = 0
     project_functions: int = 0
-    #: wall time spent building/simulating protocols (MPI004–007).
-    protocol_seconds: float = 0.0
-    #: root SPMD drivers whose protocols were reconstructed.
-    protocol_drivers: int = 0
     rule_counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -155,8 +140,6 @@ class LintStats:
             f"cache hits:        {self.cache_hits} "
             f"({self.cache_hit_rate:.0%} hit rate)",
             f"project functions: {self.project_functions}",
-            f"protocol pass:     {self.protocol_seconds * 1000:.1f} ms "
-            f"over {self.protocol_drivers} driver(s)",
         ]
         if self.rule_counts:
             lines.append("findings by rule:")
@@ -213,8 +196,6 @@ def analyze_paths(
             if not entry.ctx.suppressed(fd.line, fd.rule)
         )
 
-    protocol_seconds = 0.0
-    protocol_drivers = 0
     if prules and summaries:
         project = ProjectContext(summaries)
         for rule in prules:
@@ -223,10 +204,6 @@ def analyze_paths(
                 if ctx is not None and ctx.suppressed(fd.line, fd.rule):
                     continue
                 findings.append(fd)
-        analysis = getattr(project, "_protocol_analysis", None)
-        if analysis is not None:
-            protocol_seconds = analysis.seconds
-            protocol_drivers = len(analysis.roots)
 
     findings.sort()
     counts: dict[str, int] = {}
@@ -237,8 +214,6 @@ def analyze_paths(
         parses=cache.parses - parses0,
         cache_hits=cache.hits - hits0,
         project_functions=sum(len(s.functions) for s in summaries),
-        protocol_seconds=protocol_seconds,
-        protocol_drivers=protocol_drivers,
         rule_counts=counts,
     )
     return LintRun(findings=findings, stats=stats)
@@ -251,68 +226,6 @@ def lint_paths(
 ) -> list[Finding]:
     """Findings of a whole-program lint (see :func:`analyze_paths`)."""
     return analyze_paths(paths, rules=rules, cache=cache).findings
-
-
-def build_project(
-    paths: Iterable[str | Path], cache: LintCache | None = None
-) -> ProjectContext:
-    """ProjectContext over every python file under ``paths``.
-
-    Used by ``--protocol-report`` (and tests) to reach the
-    whole-program analyses without running any rules; files come
-    through the same content-hash cache as :func:`analyze_paths`.
-    Raises :class:`UsageError` when a file does not parse.
-    """
-    cache = cache if cache is not None else DEFAULT_CACHE
-    summaries = []
-    for f in iter_python_files(paths):
-        try:
-            entry = cache.file_entry(str(f), f.read_text(encoding="utf-8"))
-        except SyntaxError as exc:
-            raise UsageError(f"cannot parse {f}: {exc.msg}") from exc
-        summaries.append(entry.summary)
-    return ProjectContext(summaries)
-
-
-# -- baselines --------------------------------------------------------------
-
-
-def load_baseline(path: str | Path) -> set[str]:
-    """Fingerprint set from a baseline file written by `--write-baseline`."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or "fingerprints" not in data:
-        raise UsageError(f"malformed baseline {path}: missing 'fingerprints'")
-    return set(data["fingerprints"])
-
-
-def write_baseline(path: str | Path, findings: Sequence[Finding]) -> int:
-    """Adopt the current findings; returns the fingerprint count."""
-    fps = sorted(set(finding_fingerprints(findings)))
-    payload = {
-        "version": BASELINE_VERSION,
-        "count": len(fps),
-        "fingerprints": fps,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return len(fps)
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: set[str]
-) -> tuple[list[Finding], int]:
-    """(surviving findings, suppressed count) after baseline filtering."""
-    kept: list[Finding] = []
-    suppressed = 0
-    ordered = sorted(findings)
-    for f, fp in zip(ordered, finding_fingerprints(ordered)):
-        if fp in baseline:
-            suppressed += 1
-        else:
-            kept.append(f)
-    return kept, suppressed
 
 
 # -- CLI entry point --------------------------------------------------------
@@ -330,45 +243,15 @@ def run(
     strict: bool = False,
     stream=None,
     stats: bool = False,
-    baseline: str | None = None,
-    update_baseline: bool = False,
-    protocol_report: str | None = None,
 ) -> int:
     """CLI driver; prints findings and returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    if protocol_report is not None:
-        from repro.lint.protocol import analyze_protocols, format_protocol
-
-        try:
-            project = build_project(paths)
-            proto = analyze_protocols(project).protocol_for(protocol_report)
-        except (UsageError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        print(format_protocol(proto, fmt=fmt), file=stream)
-        return 0
     try:
         result = analyze_paths(paths)
-        known = load_baseline(baseline) if baseline and not update_baseline else None
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = result.findings
-
-    if update_baseline:
-        if not baseline:
-            print("error: --write-baseline requires --baseline PATH", file=sys.stderr)
-            return 2
-        n = write_baseline(baseline, findings)
-        print(f"wrote {n} fingerprint(s) to {baseline}", file=stream)
-        return 0
-
-    suppressed = 0
-    if known is not None:
-        findings, suppressed = apply_baseline(findings, known)
 
     if findings or fmt == "json":
         print(format_findings(findings, fmt=fmt), file=stream)
@@ -381,8 +264,6 @@ def run(
             f"{len(findings) - errors} warning(s)",
             file=stream,
         )
-    if suppressed and fmt == "text":
-        print(f"{suppressed} baselined finding(s) suppressed", file=stream)
     if stats and fmt == "text":
         print(result.stats.report(), file=stream)
     return 1 if failing else 0

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
-__all__ = ["Severity", "Finding", "finding_fingerprints"]
+__all__ = ["Severity", "Finding"]
 
 
 class Severity(enum.IntEnum):
@@ -46,26 +45,3 @@ class Finding:
             "severity": str(self.severity),
             "message": self.message,
         }
-
-    def fingerprint(self, occurrence: int = 0) -> str:
-        """Stable id for baseline files: line-number independent.
-
-        Hashes (path, rule, message, occurrence-index) so pure code
-        motion does not churn an adopted baseline, while the k-th
-        identical finding in a file stays distinct from the first.
-        """
-        path = self.path.replace("\\", "/")
-        key = f"{path}::{self.rule}::{self.message}::{occurrence}"
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-
-
-def finding_fingerprints(findings) -> list[str]:
-    """Fingerprints for a finding list, disambiguating duplicates."""
-    seen: dict[tuple, int] = {}
-    out: list[str] = []
-    for f in sorted(findings):
-        key = (f.path, f.rule, f.message)
-        k = seen.get(key, 0)
-        seen[key] = k + 1
-        out.append(f.fingerprint(k))
-    return out

@@ -40,7 +40,6 @@ from pathlib import Path
 from repro.lint.context import (
     MUTATING_METHODS,
     FileContext,
-    comm_param_name,
     dotted_name,
 )
 
@@ -59,10 +58,10 @@ __all__ = [
 
 #: schema version of :class:`FileSummary`/:class:`FunctionInfo`.  Folded
 #: into every :class:`~repro.lint.cache.LintCache` digest so extending
-#: the summaries (as the protocol pass did with ``comm_param``/``node``)
-#: invalidates long-lived process-global caches instead of serving
-#: stale shapes to daemon/editor runs.  Bump on any field change.
-SUMMARY_VERSION = 2
+#: the summaries invalidates long-lived process-global caches instead
+#: of serving stale shapes to daemon/editor runs.  Bump on any field
+#: change.
+SUMMARY_VERSION = 3
 
 #: RNG constructors/types that are explicitly seeded or stateless —
 #: calls resolving to these are *not* hidden-global-state draws.
@@ -180,11 +179,6 @@ class FunctionInfo:
     is_method: bool
     effects: list[Effect] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    #: communicator parameter name (SPMD functions), else None.
-    comm_param: str | None = None
-    #: the function's AST node — kept for the flow-sensitive protocol
-    #: pass, which needs full bodies (CFGs), not just effect summaries.
-    node: ast.FunctionDef | ast.AsyncFunctionDef | None = None
 
     @property
     def fq(self) -> str:
@@ -514,8 +508,6 @@ def _function_info(
         is_method=is_method,
         effects=walker.effects,
         calls=walker.calls,
-        comm_param=comm_param_name(node),
-        node=node,
     )
 
 

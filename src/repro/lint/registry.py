@@ -32,7 +32,8 @@ __all__ = [
     "all_rules",
     "file_rules",
     "project_rules",
-    "get_rule",
+    "rule_table",
+    "select_rules",
 ]
 
 
@@ -116,10 +117,16 @@ def project_rules() -> list[ProjectRule]:
     return [r for r in all_rules() if isinstance(r, ProjectRule)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    import repro.lint.rules  # noqa: F401 (import for side effect)
+def rule_table() -> str:
+    """``id  [severity]  summary`` for every registered rule, one per line.
 
-    return _REGISTRY[rule_id]
+    The one rule listing: ``repro lint --list-rules`` (which the
+    ``lint`` subcommand's help points to) and the package docstring
+    both print this.
+    """
+    return "\n".join(
+        f"{r.id:<8} {f'[{r.severity}]':<10} {r.summary}" for r in all_rules()
+    )
 
 
 def select_rules(ids: Iterable[str] | None = None) -> list[Rule]:

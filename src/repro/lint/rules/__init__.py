@@ -6,7 +6,6 @@ from repro.lint.rules import (  # noqa: F401 (registration side effect)
     memory,
     mpi,
     perf,
-    protocol,
     purity,
     robustness,
 )

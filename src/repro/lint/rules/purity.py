@@ -6,7 +6,7 @@ pool — interchangeable **only if kernels are pure**: the process
 backend runs kernels in workers that inherit the enriched assembly
 copy-on-write and resolve kernels by name, so a kernel that mutates
 its inputs or module globals diverges silently from the serial
-baseline, and one that reaches hidden nondeterminism (unseeded RNG,
+backend, and one that reaches hidden nondeterminism (unseeded RNG,
 the wall clock, the filesystem) breaks the paper's Table III
 invariance claim (identical assembly quality at every partition
 count).  ARCH001 checks the *import* discipline per file; these rules
@@ -98,7 +98,7 @@ class KernelMutatesState(ProjectRule):
                     f"{_chain_text(project, via, owner)}: {eff.detail} at "
                     f"{_site_text(project, owner, eff.lineno)} — kernels must "
                     "return proposals, never mutate shared state, or the "
-                    "process backend diverges from the serial baseline",
+                    "process backend diverges from the serial backend",
                 )
             for gname, (via, eff, owner) in sorted(s.mutated_globals.items()):
                 yield self.finding_at(

@@ -87,6 +87,10 @@ class SimCluster:
                 results[rank] = fn(comms[rank], *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - must not kill the pool silently
                 errors.append((rank, exc))
+            finally:
+                # Peers still receiving from this rank fail now, not
+                # after the deadlock timeout.
+                channels.finish(rank)
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)

@@ -55,7 +55,12 @@ _COLLECTIVE_TAG_BASE = COLLECTIVE_TAG_BASE
 
 
 class DeadlockError(RuntimeError):
-    """A recv waited past the runtime's deadlock timeout."""
+    """A recv can never complete.
+
+    Either its source rank has already returned or raised without
+    sending the message (reported at once), or the wait outlived the
+    runtime's deadlock timeout (a cycle among live ranks).
+    """
 
 
 class PayloadMutationError(RuntimeError):
@@ -101,12 +106,19 @@ class _Message:
     dropped: bool = False
 
 
+#: marker a finished rank leaves behind the last real message of each
+#: of its outgoing mailboxes.  Never available in model time, so
+#: ``SimRequest.test()`` keeps reporting False on it.
+_PEER_EXITED = _Message(None, float("inf"))
+
+
 class _Channels:
     """Shared mailbox fabric: one FIFO per (src, dst, tag)."""
 
     def __init__(self) -> None:
         self._queues: dict[tuple[int, int, int], queue.Queue] = {}
         self._seqs: dict[tuple[int, int, int], int] = {}
+        self._finished: set[int] = set()
         self._lock = threading.Lock()
 
     def get(self, src: int, dst: int, tag: int) -> queue.Queue:
@@ -115,7 +127,21 @@ class _Channels:
             q = self._queues.get(key)
             if q is None:
                 q = self._queues[key] = queue.Queue()
+                if src in self._finished:
+                    q.put(_PEER_EXITED)
             return q
+
+    def finish(self, rank: int) -> None:
+        """Rank ``rank`` has returned or raised: it will never send again.
+
+        Every receive that reaches the end of one of its mailboxes from
+        now on fails at once instead of waiting out the deadlock timeout.
+        """
+        with self._lock:
+            self._finished.add(rank)
+            for (src, _dst, _tag), q in self._queues.items():
+                if src == rank:
+                    q.put(_PEER_EXITED)
 
     def next_seq(self, src: int, dst: int, tag: int) -> int:
         """Monotonic per-channel sequence number for the next send."""
@@ -136,7 +162,8 @@ class _Channels:
         with self._lock:
             report = []
             for (src, dst, tag), q in sorted(self._queues.items()):
-                n = q.qsize()
+                with q.mutex:
+                    n = sum(m is not _PEER_EXITED for m in q.queue)
                 if n:
                     report.append((src, dst, tag, n))
             return report
@@ -304,6 +331,12 @@ class SimComm:
                     f"(tag {tag}) after {self.deadlock_timeout}s at virtual "
                     f"time {self.clock:.6f}s"
                 ) from None
+            if msg is _PEER_EXITED:
+                q.put(msg)  # a repeated recv fails the same way
+                raise DeadlockError(
+                    f"rank {self.rank}: rank {source} exited without sending "
+                    f"(tag {tag}) at virtual time {self.clock:.6f}s"
+                )
             if msg.dropped:
                 raise DeadlockError(
                     f"rank {self.rank}: message from rank {source} "

@@ -9,15 +9,16 @@ paper's Fig. 6 times.  The returned ``elapsed`` is the cluster's
 virtual wall-clock (slowest rank), not real time.
 
 Fault tolerance: a rank failure poisons a whole SPMD run (the other
-ranks deadlock waiting on the dead peer), so the retry granularity
-here is the *stage attempt*, not the partition.  Before each attempt
-the subject's state (the alive-masks) is snapshotted; on failure it is
-restored (a partially-applied merge never leaks into the retry) and
-the stage is re-run with the next attempt number.  Injected message
-faults (drop/duplicate/delay from the :class:`~repro.faults.FaultPlan`)
-are armed per attempt through the cluster's fault hook.  Once the
-retry budget is exhausted the stage falls back to the in-process
-serial loop (without injection) when the policy allows it.
+ranks fail at once on their next receive from the dead peer), so the
+retry granularity here is the *stage attempt*, not the partition.
+Before each attempt the subject's state (the alive-masks) is
+snapshotted; on failure it is restored (a partially-applied merge
+never leaks into the retry) and the stage is re-run with the next
+attempt number.  Injected message faults (drop/duplicate/delay from the
+:class:`~repro.faults.FaultPlan`) are armed per attempt through the
+cluster's fault hook.  Once the retry budget is exhausted the stage
+falls back to the in-process serial loop (without injection) when the
+policy allows it.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class SimBackend(ExecutionBackend):
         injector: FaultInjector | None = None,
     ) -> None:
         super().__init__(subject, retry=retry, injector=injector)
-        if injector is not None and self.retry.task_deadline is not None:
-            # Under fault injection a dead rank stalls its peers until
-            # the recv timeout: bound that stall by the task deadline
-            # so failed attempts surface quickly in real time.
-            deadlock_timeout = min(deadlock_timeout, self.retry.task_deadline)
         self.cluster = SimCluster(
             max(subject.n_parts, 1),
             cost_model=cost_model,

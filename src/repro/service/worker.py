@@ -31,7 +31,6 @@ import sys
 import threading
 import time
 
-from repro.io.atomic import atomic_write
 from repro.service import lease as lease_mod
 from repro.service.jobstore import JobStore
 
@@ -46,16 +45,12 @@ class JobCancelled(Exception):
 
 
 def _load_reads(spec):
-    from repro.io.fasta import parse_fasta
-    from repro.io.fastq import parse_fastq
+    from repro.io.fasta import load_reads
     from repro.io.readset import ReadSet
 
     if spec.reads_store is not None:
         return ReadSet.open(spec.reads_store, cache_budget=spec.cache_budget)
-    path = spec.reads_path
-    if path.endswith((".fq", ".fastq")):
-        return ReadSet(parse_fastq(path))
-    return ReadSet(parse_fasta(path))
+    return load_reads(spec.reads_path)
 
 
 class _Heartbeat:
@@ -163,17 +158,9 @@ def _execute(store: JobStore, job_id: str, spec, on_stage):
 
 def _finish_ok(store: JobStore, job_id: str, result) -> None:
     """Make the outputs durable, then commit the ``done`` transition."""
-    import numpy as np
+    from repro.io.fasta import write_contigs
 
-    from repro.io.fasta import write_fasta
-    from repro.io.records import Read
-
-    contigs = [
-        Read(f"contig_{i}", np.asarray(c)) for i, c in enumerate(result.contigs)
-    ]
-    atomic_write(
-        store.contigs_path(job_id), lambda fh: write_fasta(contigs, fh), mode="w"
-    )
+    write_contigs(store.contigs_path(job_id), result.contigs)
     stats = result.stats
     store.write_result(
         job_id,

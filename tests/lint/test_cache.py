@@ -40,10 +40,9 @@ class TestFileEntry:
 class TestSummaryVersioning:
     """Cached entries must not survive a summary-shape change.
 
-    ``FileSummary``/``FunctionInfo`` grow new fields over time (the
-    protocol pass added ``comm_param`` and ``node``); a cache keyed on
-    source bytes alone would keep serving summaries built by older
-    code.  ``SUMMARY_VERSION`` is folded into the digest so bumping it
+    ``FileSummary``/``FunctionInfo`` change shape over time; a cache
+    keyed on source bytes alone would keep serving summaries built by
+    older code.  ``SUMMARY_VERSION`` is folded into the digest so bumping it
     invalidates every entry.
     """
 

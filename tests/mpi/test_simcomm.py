@@ -1,5 +1,8 @@
 """Integration tests for the simulated MPI runtime."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -63,7 +66,7 @@ class TestPointToPoint:
 
     def test_self_send_rejected(self):
         def fn(comm):
-            comm.send(1, dest=comm.rank)  # noqa: MPI004 - deliberate self-send fixture
+            comm.send(1, dest=comm.rank)
 
         with pytest.raises(RuntimeError, match="rank 0 failed"):
             cluster(1).run(fn)
@@ -71,7 +74,7 @@ class TestPointToPoint:
     def test_deadlock_detected(self):
         def fn(comm):
             if comm.rank == 1:
-                comm.recv(source=0)  # noqa: MPI004 - deliberate deadlock fixture
+                comm.recv(source=0)
 
         with pytest.raises(RuntimeError, match="failed"):
             cluster(2, deadlock_timeout=0.2).run(fn)
@@ -313,10 +316,17 @@ class TestErrorContext:
     """
 
     def test_timeout_message_names_rank_peer_tag_and_time(self):
+        gave_up = threading.Event()
+
         def fn(comm):
             if comm.rank == 1:
                 comm.advance(1.5)
-                comm.recv(source=0, tag=7)  # noqa: MPI004 - deliberate deadlock fixture
+                try:
+                    comm.recv(source=0, tag=7)
+                finally:
+                    gave_up.set()
+            else:
+                gave_up.wait(timeout=10.0)  # a live but silent peer
 
         with pytest.raises(RuntimeError, match="rank 1 failed") as ei:
             cluster(2, deadlock_timeout=0.2).run(fn)
@@ -324,4 +334,22 @@ class TestErrorContext:
         assert "timed out receiving from rank 0" in message
         assert "tag 7" in message
         assert "after 0.2s" in message
+        assert "virtual time 1.5" in message
+
+    def test_finished_peer_message_names_rank_peer_tag_and_time(self):
+        """A recv from a rank that already returned fails at once."""
+
+        def fn(comm):
+            if comm.rank == 1:
+                comm.advance(1.5)
+                comm.recv(source=0, tag=7)
+
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank 1 failed") as ei:
+            cluster(2, deadlock_timeout=30.0).run(fn)
+        assert time.perf_counter() - t0 < 5.0
+        assert isinstance(ei.value.__cause__, DeadlockError)
+        message = str(ei.value)
+        assert "rank 1: rank 0 exited without sending" in message
+        assert "tag 7" in message
         assert "virtual time 1.5" in message

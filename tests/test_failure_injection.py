@@ -131,7 +131,7 @@ class TestRuntimeFailures:
     def test_recv_from_dead_rank(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.recv(source=1)  # noqa: MPI004 - deliberate dead-peer fixture
+                comm.recv(source=1)
 
         with pytest.raises(RuntimeError):
             SimCluster(2, cost_model=FAST, deadlock_timeout=0.3).run(fn)

@@ -4,9 +4,9 @@ A module counts as used when a file under ``src/``, ``benchmarks/`` or
 ``examples/`` — other than the module itself and its package
 ``__init__`` — imports it, or imports from its package a name that the
 ``__init__`` re-exports from it.  ``__init__`` / ``__main__`` files and
-``python -m`` entry points are roots, and ``repro.lint`` is left out:
-its rule modules register themselves when ``rules/__init__`` imports
-them, and the package is up for its own audit (ROADMAP 6a).
+``python -m`` entry points are roots, and ``repro.lint.rules.*`` is
+left out: rule modules register themselves when ``rules/__init__``
+imports them.
 """
 
 import ast
@@ -72,7 +72,7 @@ def orphan_modules(root: Path = ROOT) -> set[str]:
         for module, path in files.items()
         if path.name not in ("__init__.py", "__main__.py")
         and module not in ENTRY_POINTS | used
-        and not module.startswith("repro.lint")
+        and not module.startswith("repro.lint.rules.")
     }
 
 
