@@ -1,4 +1,4 @@
-"""Benchmark harness: standard datasets, runners, and table formatting."""
+"""Standard datasets D1-D3 and table formatting for the paper benchmarks."""
 
 from repro.bench.datasets import (
     BenchDataset,

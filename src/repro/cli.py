@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, overlap, assemble, bench, stats.
+"""Command-line interface: simulate, pack, overlap, assemble, stats, jobs, lint.
 
 Usage examples::
 
@@ -12,8 +12,6 @@ Usage examples::
     python -m repro assemble reads.fastq -o contigs.fasta --backend process --timings t.json
     python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.npz --resume
     python -m repro assemble reads.fastq -o contigs.fasta --fault-plan random:7 --retries 3
-    python -m repro bench chaos -o BENCH_chaos.json
-    python -m repro bench scale -o BENCH_scale.json --datasets S4 S5
     python -m repro stats contigs.fasta
     python -m repro submit jobs.store reads.fastq --partitions 4 --retries 3
     python -m repro serve jobs.store --workers 2 --drain
@@ -33,6 +31,7 @@ import numpy as np
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.core.stats import AssemblyStats
+from repro.io.atomic import atomic_write, atomic_write_text
 from repro.io.fasta import (
     load_reads,
     parse_fasta,
@@ -335,89 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser(
-        "bench",
-        help="performance benchmarks on the standard D1-D3 datasets",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser(
-        "chaos",
-        help="measure fault-recovery overhead under seeded fault plans",
-        description=(
-            "Runs the distributed finish stages fault-free and under "
-            "seeded chaos fault plans on each backend, verifies the "
-            "recovered contigs are byte-identical to the fault-free "
-            "run, and writes recovery overhead (retries, respawns, "
-            "fallbacks, slowdown) to the trajectory JSON.  Exits "
-            "nonzero if any faulted run fails to recover the exact "
-            "fault-free contigs."
-        ),
-    )
-    b.add_argument(
-        "-o", "--output", default="BENCH_chaos.json", help="trajectory JSON path"
-    )
-    b.add_argument(
-        "--backends",
-        nargs="*",
-        default=["serial", "sim", "process"],
-        choices=("serial", "sim", "process"),
-        help="backends to chaos-test (default: all three)",
-    )
-    b.add_argument(
-        "--seeds",
-        type=int,
-        nargs="*",
-        default=[1, 2],
-        help="fault-plan seeds to sweep per backend",
-    )
-    b.add_argument(
-        "--partitions", type=int, default=4, help="partition count (power of two)"
-    )
-    b.add_argument(
-        "--service",
-        action="store_true",
-        help="also run the assembly-service SIGKILL axis: kill the "
-        "worker and the supervisor mid-stage (and race two supervisors "
-        "over a stale lease), gating byte-identical recovered contigs",
-    )
-    b = bench_sub.add_parser(
-        "scale",
-        help="out-of-core sweep: pack + stream 10^4-10^6 read equivalents",
-        description=(
-            "Stream-synthesizes the S4/S5/S6 scale datasets (10^4 to "
-            "10^6 read equivalents) into sharded stores, runs a "
-            "shard-pair-wise k-mer scan over each with a bounded LRU "
-            "cache, and assembles the small SE dataset from the store "
-            "and from RAM on every backend.  Writes the trajectory "
-            "JSON with per-cell wall time, tracked allocation peak, "
-            "and RSS high-water mark.  Exits 1 if any stream cell's "
-            "tracked peak exceeds the cache budget plus slack, 2 if "
-            "sharded and in-RAM contigs differ anywhere."
-        ),
-    )
-    b.add_argument(
-        "-o", "--output", default="BENCH_scale.json", help="trajectory JSON path"
-    )
-    b.add_argument(
-        "--datasets",
-        nargs="*",
-        help="subset of scale dataset names to run (default: S4 S5 S6)",
-    )
-    b.add_argument(
-        "--shard-size", type=int, default=4096, help="reads per shard"
-    )
-    b.add_argument(
-        "--cache-budget-mb",
-        type=int,
-        default=64,
-        help="LRU shard-cache byte budget, in MiB (the memory ceiling)",
-    )
-    b.add_argument(
-        "--skip-equivalence",
-        action="store_true",
-        help="skip the in-RAM-vs-sharded assembly equivalence cell",
-    )
-
-    p = sub.add_parser(
         "lint",
         help="static correctness checks (MPI model + kernel purity)",
         description=(
@@ -591,18 +507,18 @@ def _cmd_assemble(args) -> int:
         extra = {}
         if fault_report is not None and fault_report.has_activity:
             extra["faults"] = fault_report.to_dict()
-        with open(args.timings, "w", encoding="utf-8") as fh:
-            fh.write(
-                result.timer.to_json(
-                    backend=result.backend,
-                    distributed={
-                        "time_kind": result.time_kind,
-                        "stages": result.virtual_times,
-                    },
-                    **extra,
-                )
-                + "\n"
+        atomic_write_text(
+            args.timings,
+            result.timer.to_json(
+                backend=result.backend,
+                distributed={
+                    "time_kind": result.time_kind,
+                    "stages": result.virtual_times,
+                },
+                **extra,
             )
+            + "\n",
+        )
     s = result.stats
     print(result.timer.report())
     print(
@@ -634,43 +550,22 @@ def _cmd_overlap(args) -> int:
     t0 = time.perf_counter()
     overlaps = OverlapDetector(config).find_overlaps_packed(reads, args.workers).to_overlaps()
     wall = time.perf_counter() - t0
-    with open(args.output, "w", encoding="utf-8") as fh:
+
+    def write_rows(fh) -> None:
         fh.write("query\tref\tq_start\tr_start\tlength\tidentity\tkind\n")
         for o in overlaps:
             fh.write(
                 f"{o.query}\t{o.ref}\t{o.q_start}\t{o.r_start}\t"
                 f"{o.length}\t{o.identity:.6f}\t{o.kind.value}\n"
             )
+
+    atomic_write(args.output, write_rows, mode="w")
     mode = f"{args.workers} workers" if args.workers > 1 else "serial"
     print(
         f"found {len(overlaps):,} overlaps in {len(reads):,} reads "
         f"({mode}, {wall:.2f}s) -> {args.output}"
     )
     return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.bench_command == "chaos":
-        from repro.bench.chaos_bench import main as bench_chaos_main
-
-        return bench_chaos_main(
-            output=args.output,
-            backends=tuple(args.backends),
-            seeds=tuple(args.seeds),
-            n_partitions=args.partitions,
-            service=args.service,
-        )
-    if args.bench_command == "scale":
-        from repro.bench.scale_bench import main as bench_scale_main
-
-        return bench_scale_main(
-            output=args.output,
-            dataset_names=args.datasets,
-            shard_size=args.shard_size,
-            cache_budget=args.cache_budget_mb << 20,
-            skip_equivalence=args.skip_equivalence,
-        )
-    raise AssertionError(f"unknown bench command {args.bench_command!r}")
 
 
 def _cmd_stats(args) -> int:
@@ -834,7 +729,6 @@ _COMMANDS = {
     "assemble": _cmd_assemble,
     "overlap": _cmd_overlap,
     "stats": _cmd_stats,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
     "submit": _cmd_submit,
     "serve": _cmd_serve,

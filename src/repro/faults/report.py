@@ -1,8 +1,8 @@
 """FaultReport: what the fault-tolerance machinery actually did.
 
 Backends accumulate one report per run; the assembler surfaces it on
-:class:`~repro.core.focus.AssemblyResult`, ``repro assemble --timings``
-embeds it in the JSON, and ``repro bench chaos`` records it per cell.
+:class:`~repro.core.focus.AssemblyResult` and ``repro assemble --timings``
+embeds it in the JSON.
 """
 
 from __future__ import annotations

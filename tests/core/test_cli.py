@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.io.fasta import parse_fasta
+from repro.io.fasta import parse_fasta, write_contigs
 from repro.io.fastq import parse_fastq
 
 
@@ -160,6 +160,52 @@ class TestAssembleAndStats:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_pack_and_assemble_store_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        p = parser.parse_args(["pack", "r.fastq", "-o", "r.store"])
+        assert p.command == "pack" and p.shard_size == 4096
+        a = parser.parse_args(["assemble", "--store", "r.store", "-o", "c.fa"])
+        assert a.store == "r.store" and a.reads is None
+
+
+class TestOutputsAreAtomic:
+    @pytest.mark.parametrize("output", ["contigs", "timings", "overlap"])
+    def test_failed_write_leaves_previous_output_intact(
+        self, tmp_path, reads_fastq, monkeypatch, output
+    ):
+        """What `repro assemble -o / --timings`, `repro overlap -o` and the
+        service worker rely on: a killed writer leaves no torn file."""
+        from repro.align.overlap import PackedOverlaps
+        from repro.core.pipeline import StageTimer
+
+        def killed(*args, **kwargs):
+            raise OSError("killed mid-write")
+
+        def dies_half_way(items):
+            yield from items[: len(items) // 2]
+            killed()
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / output
+        out.write_text("previous\n")
+        if output == "contigs":
+            with pytest.raises(OSError, match="killed mid-write"):
+                write_contigs(out, dies_half_way([np.array([2, 2, 2]), np.array([3, 3])]))
+        elif output == "timings":
+            monkeypatch.setattr(StageTimer, "to_json", killed)
+            argv = ["assemble", str(reads_fastq), "-o", str(tmp_path / "c.fasta"),
+                    "--partitions", "2", "--backend", "serial", "--timings", str(out)]
+            assert main(argv) == 1
+        else:
+            packed = PackedOverlaps.to_overlaps
+            monkeypatch.setattr(PackedOverlaps, "to_overlaps", lambda self: dies_half_way(packed(self)))
+            assert main(["overlap", str(reads_fastq), "-o", str(out)]) == 1
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in out_dir.iterdir()] == [output]
 
 
 class TestBadInputIsOneLine:

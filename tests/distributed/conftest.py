@@ -45,6 +45,56 @@ def chain_assembly(n=6, contig_len=120, step=60, seed=0):
     return make_assembly(contigs, edges), genome
 
 
+def defect_chain_assembly(backbone, seed, length=150, step=60):
+    """A ``backbone``-contig chain with one finish defect per node, at scale.
+
+    Consecutive contigs overlap by ``length - step`` bases; the chain is
+    decorated in a fixed 30-cycle so every finish stage has real work:
+
+    * every 5th node gets a skip edge ``(i, i+2)`` — removed by
+      transitive reduction (witness ``i+1``);
+    * cycle offset 7: an error tip hanging off a junction — removed by
+      dead-end trimming (too short to be a containment);
+    * cycle offset 13: a two-branch bubble to ``i+1`` (the direct
+      chain edge becomes transitive through the branches; the shorter
+      branch is popped);
+    * cycle offset 22: a node properly contained in its anchor —
+      removed by containment with identity 1.0.
+
+    Returns the assembly and every node's backbone position
+    (decorations inherit their anchor's), the key for block labels.
+    """
+    genome = random_genome(step * (backbone - 1) + length, np.random.default_rng(seed))
+    contigs = [genome[i * step : i * step + length] for i in range(backbone)]
+    anchors = list(range(backbone))
+    edges = [(i, i + 1, step) for i in range(backbone - 1)]
+
+    def add_node(anchor, start, clen):
+        contigs.append(genome[start : start + clen])
+        anchors.append(anchor)
+        return len(contigs) - 1
+
+    for i in range(backbone):
+        base = i * step
+        if i % 5 == 2 and i + 2 < backbone:
+            edges.append((i, i + 2, 2 * step))  # transitive via i+1
+        cycle = i % 30
+        if cycle == 7 and 0 < i < backbone - 1:
+            # Tip past the junction contig's end: overlap exactly 50,
+            # so the edge is not short and the tip is not contained.
+            edges.append((i, add_node(i, base + 100, 80), 100))
+        elif cycle == 13 and i + 1 < backbone:
+            long_b = add_node(i, base + 30, length)
+            short_b = add_node(i, base + 35, length - 10)
+            edges.append((i, long_b, 30))
+            edges.append((long_b, i + 1, step - 30))
+            edges.append((i, short_b, 35))
+            edges.append((short_b, i + 1, step - 35))
+        elif cycle == 22:
+            edges.append((i, add_node(i, base + 25, 100), 25))  # contained in i
+    return make_assembly(contigs, edges), np.array(anchors, dtype=np.int64)
+
+
 def dag_of(assembly, labels):
     return DistributedAssemblyGraph(assembly, np.asarray(labels, dtype=np.int64))
 

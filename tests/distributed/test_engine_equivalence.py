@@ -27,7 +27,7 @@ from repro.faults import FaultPlan, KernelFault, RetryPolicy
 from repro.parallel.backend import BACKEND_NAMES, SerialBackend
 from repro.simulate.genome import random_genome
 
-from tests.distributed.conftest import dag_of, make_assembly
+from tests.distributed.conftest import dag_of, defect_chain_assembly, make_assembly
 from tests.reference import contigs as contigs_ref
 from tests.reference import finish_loop
 
@@ -291,19 +291,17 @@ class TestEngineMatrixSlow:
     assembly with every implanted defect class."""
 
     def test_all_cells_agree(self):
-        from repro.bench.datasets import FinishScaleSpec, build_finish_assembly
         from repro.parallel.backend import create_backend
 
-        scale = build_finish_assembly(
-            FinishScaleSpec(name="Sslow", backbone=4000, seed=77)
-        )
-        labels = scale.labels(8)
+        backbone, k = 4000, 8
+        assembly, anchors = defect_chain_assembly(backbone, seed=77)
+        labels = np.minimum(anchors * k // backbone, k - 1)  # k backbone blocks
         cfg = AssemblyConfig()
         expect = sorted(
-            c.tobytes() for c in reference_contigs(scale.assembly, labels, cfg)
+            c.tobytes() for c in reference_contigs(assembly, labels, cfg)
         )
         for backend in BACKEND_NAMES:
-            dag = DistributedAssemblyGraph(scale.assembly, labels)
+            dag = DistributedAssemblyGraph(assembly, labels)
             with create_backend(backend, dag, workers=2) as runner:
                 for name, params in trim_params(cfg).items():
                     runner.run_stage(name, **params)

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.io.fasta import load_reads, parse_fasta, write_contigs, write_fasta
+from repro.io.fasta import parse_fasta, write_fasta
 from repro.io.fastq import parse_fastq, write_fastq
 from repro.io.records import Read
 
@@ -47,24 +47,6 @@ class TestFasta:
     def test_write_bad_width(self):
         with pytest.raises(ValueError):
             write_fasta([], io.StringIO(), width=0)
-
-
-class TestContigOutput:
-    def test_failed_write_leaves_previous_output_intact(self, tmp_path):
-        """What `repro assemble -o` and the service worker both rely on."""
-        out = tmp_path / "contigs.fasta"
-        write_contigs(out, [np.array([0, 1, 2, 3]), np.array([3, 3])])
-        before = out.read_bytes()
-        assert [r.sequence for r in load_reads(out)] == ["ACGT", "TT"]
-
-        def dies_half_way():
-            yield np.array([2, 2, 2])
-            raise OSError("killed mid-write")
-
-        with pytest.raises(OSError, match="killed mid-write"):
-            write_contigs(out, dies_half_way())
-        assert out.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["contigs.fasta"]
 
 
 class TestFastq:

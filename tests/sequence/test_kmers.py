@@ -87,6 +87,20 @@ class TestKmerCodes:
         vals = kmers.kmer_codes(dna.encode(s), k)
         assert vals.size == max(0, len(s) - k + 1)
 
+    def test_temporaries_stay_proportional_to_the_input(self):
+        # Every store shard's k-mer table goes through here; an (n, k)
+        # window matrix would make the transient k times the output.
+        import tracemalloc
+
+        codes = np.random.default_rng(0).integers(0, 4, 1 << 18).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            vals = kmers.kmer_codes(codes, 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * vals.nbytes
+
 
 class TestKmerPositions:
     def test_skips_n(self):

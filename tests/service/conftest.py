@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.chaos import write_service_reads
+from tests.service.chaos import write_service_reads
 
 
 @pytest.fixture(scope="package")

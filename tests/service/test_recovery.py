@@ -1,7 +1,7 @@
 """End-to-end hard-kill recovery: real processes, real SIGKILL.
 
-These are the PR's headline guarantees, exercised through the same
-scenario harness the chaos benchmark runs (repro.service.chaos):
+The service's recovery guarantees, driven through the SIGKILL scenario
+harness beside this file (``tests/service/chaos.py``):
 
 - a worker SIGKILLed mid-stage is requeued by its supervisor and the
   resumed attempt produces byte-identical contigs;
@@ -14,7 +14,7 @@ scenario harness the chaos benchmark runs (repro.service.chaos):
 import pytest
 
 from repro.service import JobStore
-from repro.service.chaos import run_scenario
+from tests.service.chaos import run_scenario
 
 TIMEOUT = 120.0
 

@@ -257,6 +257,34 @@ class TestPickleContract:
         assert len(fresh.store.cache) == 0
 
 
+class TestPackMemory:
+    def test_pack_peak_is_per_shard_not_per_read(self, tmp_path):
+        """Packing streams its input: 8x the reads, about the same peak.
+
+        The tracked peak is one shard's reads and columns plus the
+        global offsets (8 B per read); collecting the generator first
+        would hold every ``Read`` at once, several times the bases.
+        """
+        import tracemalloc
+
+        def reads(n):
+            rng = np.random.default_rng(7)
+            for lo in range(0, n, 1024):
+                for i, codes in enumerate(rng.integers(0, 4, (1024, 100), dtype=np.uint8), lo):
+                    yield Read(f"r{i}", codes)
+
+        peaks = {}
+        for n in (4096, 32768):
+            tracemalloc.start()
+            try:
+                pack_reads(reads(n), str(tmp_path / f"{n}.store"), shard_size=1024)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32768] < 1.5 * peaks[4096]
+        assert peaks[32768] < 32768 * 100 // 2
+
+
 def _forked_scan(blob, budget, conn):
     import tracemalloc
 
