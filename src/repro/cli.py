@@ -335,13 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static correctness checks (MPI model + kernel purity)",
+        help="static correctness checks for the simulated-MPI model",
         description=(
-            "AST checks for the simulated-MPI programming model and the "
-            "distributed kernel contract, per file and (kernel purity, "
-            "stage registration) over the whole call graph; --list-rules "
-            "prints the rule table.  Suppress per line with "
-            "`# noqa: RULEID`."
+            "Per-file AST checks for the simulated-MPI programming model "
+            "and the distributed kernel layering; --list-rules prints the "
+            "rule table.  Suppress per line with `# noqa: RULEID`."
         ),
     )
     p.add_argument(
@@ -355,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit nonzero on warnings too, not just errors",
-    )
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-rule counts, files analyzed, and cache hit rate",
     )
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -716,9 +709,7 @@ def _cmd_lint(args) -> int:
     if args.list_rules:
         print(rule_table())
         return 0
-    return lint_run(
-        args.paths, fmt=args.format, strict=args.strict, stats=args.stats
-    )
+    return lint_run(args.paths, fmt=args.format, strict=args.strict)
 
 
 _COMMANDS = {

@@ -54,7 +54,8 @@ class StageSpec:
     """One distributed stage as a (kernel, merge) pair.
 
     ``kernel(subject, part, **params)`` must be a pure, deterministic,
-    module-level function returning picklable proposals;
+    module-level function returning picklable proposals (checked by
+    running it in ``tests/distributed/test_stages.py``);
     ``merge(subject, proposals, **params)`` receives the proposal list
     indexed by part id and applies it on the master's subject.
     """
@@ -68,9 +69,18 @@ _STAGES: dict[str, StageSpec] = {}
 
 
 def register_stage(name: str, kernel, merge) -> StageSpec:
-    """Register a stage under a unique name; returns its spec."""
+    """Register a stage under a unique name; returns its spec.
+
+    The kernel must be named ``*_kernel``: lint rules ARCH001 and
+    MEM001 find kernels by that name.
+    """
     if name in _STAGES:
         raise ValueError(f"duplicate stage name {name!r}")
+    kernel_name = getattr(kernel, "__name__", "")
+    if not kernel_name.endswith("_kernel"):
+        raise ValueError(
+            f"stage {name!r}: kernel {kernel_name!r} is not named *_kernel"
+        )
     spec = StageSpec(name=name, kernel=kernel, merge=merge)
     _STAGES[name] = spec
     return spec

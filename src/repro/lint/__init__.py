@@ -11,20 +11,15 @@ AST level:
 
 {rule_table}
 
-The PURE/ARCH002 rules are *whole-program*: ``repro.lint.project``
-parses every linted file once, resolves imports into a package-level
-symbol table, builds a call graph, and propagates per-function effect
-summaries (parameter/global mutation, RNG, clock, I/O, ``repro.mpi``
-use) interprocedurally — a kernel calling a helper in another module
-that mutates shared state is caught, which no per-file rule can do.
-Parsed files and summaries are cached by content hash
-(``repro.lint.cache``), so a second run over an unchanged tree
-re-parses nothing.
+Every rule sees one parsed file at a time.  The stage-kernel contract
+(a kernel reads its part and returns proposals, mutating nothing and
+drawing on no ambient state) is checked where kernels run, by the
+contract test in ``tests/distributed/test_stages.py``, not here.
 
 Run it as ``python -m repro lint [paths] [--format text|json]
-[--strict] [--stats]``, or from code via :func:`lint_paths` /
-:func:`analyze_paths` / :func:`lint_source`.  Suppress a finding with
-a trailing ``# noqa: RULEID`` comment.
+[--strict]``, or from code via :func:`lint_paths` /
+:func:`lint_source`.  Suppress a finding with a trailing
+``# noqa: RULEID`` comment.
 
 Communication *protocols* — who sends what to whom, and whether every
 rank reaches the same collectives — are checked where they execute,
@@ -38,13 +33,9 @@ unconsumed mailbox messages at shutdown as
 :class:`~repro.mpi.simcomm.MessageLeakError`.
 """
 
-from repro.lint.cache import DEFAULT_CACHE, LintCache
 from repro.lint.context import FileContext
 from repro.lint.driver import (
-    LintRun,
-    LintStats,
     UsageError,
-    analyze_paths,
     format_findings,
     iter_python_files,
     lint_paths,
@@ -52,13 +43,9 @@ from repro.lint.driver import (
     run,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import SUMMARY_VERSION, ProjectContext, summarize_file
 from repro.lint.registry import (
-    ProjectRule,
     Rule,
     all_rules,
-    file_rules,
-    project_rules,
     register,
     rule_table,
     select_rules,
@@ -68,28 +55,17 @@ __doc__ = __doc__.format(rule_table=rule_table())
 
 __all__ = [
     "FileContext",
-    "ProjectContext",
-    "SUMMARY_VERSION",
-    "summarize_file",
     "Finding",
     "Severity",
     "Rule",
-    "ProjectRule",
     "register",
     "all_rules",
-    "file_rules",
-    "project_rules",
     "rule_table",
     "select_rules",
     "lint_source",
     "lint_paths",
-    "analyze_paths",
     "iter_python_files",
     "format_findings",
     "run",
-    "LintCache",
-    "DEFAULT_CACHE",
-    "LintRun",
-    "LintStats",
     "UsageError",
 ]

@@ -31,8 +31,8 @@ COLLECTIVE_METHODS = frozenset(
     {"bcast", "gather", "scatter", "allgather", "reduce", "allreduce", "alltoall", "barrier"}
 )
 
-#: method calls that mutate their receiver in place (shared by the
-#: mutate-after-send rule and the interprocedural purity analysis).
+#: method calls that mutate their receiver in place (the
+#: mutate-after-send rule's list).
 MUTATING_METHODS = frozenset(
     {
         "append", "extend", "insert", "remove", "pop", "popitem", "clear",

@@ -1,18 +1,11 @@
-"""Rule base classes and the global rule registry.
+"""Rule base class and the global rule registry.
 
-A *file rule* is a small object with an ``id``, a default
-``severity``, a one-line ``summary``, and a ``check(ctx)`` generator
-yielding :class:`~repro.lint.findings.Finding` objects for one parsed
-file.  A *project rule* (:class:`ProjectRule`) instead implements
-``check_project(project)`` over the whole-program
-:class:`~repro.lint.project.ProjectContext` — call graph, symbol
-table, interprocedural effect summaries — and so can see a kernel in
-one module calling a state-mutating helper in another.
-
-Both kinds self-register at import time via the :func:`register`
-decorator and share the id namespace; ``repro.lint.rules`` imports
-every rule module so that :func:`all_rules` is complete after
-``import repro.lint``.
+A rule is a small object with an ``id``, a default ``severity``, a
+one-line ``summary``, and a ``check(ctx)`` generator yielding
+:class:`~repro.lint.findings.Finding` objects for one parsed file.
+Rules self-register at import time via the :func:`register` decorator;
+``repro.lint.rules`` imports every rule module so that
+:func:`all_rules` is complete after ``import repro.lint``.
 """
 
 from __future__ import annotations
@@ -23,15 +16,11 @@ from repro.lint.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.context import FileContext
-    from repro.lint.project import ProjectContext
 
 __all__ = [
     "Rule",
-    "ProjectRule",
     "register",
     "all_rules",
-    "file_rules",
-    "project_rules",
     "rule_table",
     "select_rules",
 ]
@@ -59,33 +48,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program checks over a ProjectContext.
-
-    Subclasses implement :meth:`check_project`; the per-file
-    :meth:`check` is a no-op so a project rule passed to
-    ``lint_source`` is silently inert rather than an error.
-    """
-
-    def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=path,
-            line=line,
-            col=col,
-            rule=self.id,
-            message=message,
-            severity=self.severity,
-        )
-
-
 _REGISTRY: dict[str, Rule] = {}
 
 
@@ -100,21 +62,11 @@ def register(cls: type[Rule]) -> type[Rule]:
 
 
 def all_rules() -> list[Rule]:
-    """Every registered rule (file and project), sorted by id."""
+    """Every registered rule, sorted by id."""
     # Importing the rules package populates the registry on first use.
     import repro.lint.rules  # noqa: F401 (import for side effect)
 
     return [_REGISTRY[rid] for rid in sorted(_REGISTRY)]
-
-
-def file_rules() -> list[Rule]:
-    """Registered per-file rules, sorted by id."""
-    return [r for r in all_rules() if not isinstance(r, ProjectRule)]
-
-
-def project_rules() -> list[ProjectRule]:
-    """Registered whole-program rules, sorted by id."""
-    return [r for r in all_rules() if isinstance(r, ProjectRule)]
 
 
 def rule_table() -> str:

@@ -6,6 +6,5 @@ from repro.lint.rules import (  # noqa: F401 (registration side effect)
     memory,
     mpi,
     perf,
-    purity,
     robustness,
 )

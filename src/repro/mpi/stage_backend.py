@@ -110,13 +110,7 @@ class SimBackend(ExecutionBackend):
                         inner = SerialBackend(subject, retry=policy)
                         outcome = inner.run_stage(spec, **params)
                         self.fault_report.merge(report)
-                        return StageOutcome(
-                            stage=spec.name,
-                            result=outcome.result,
-                            elapsed=outcome.elapsed,
-                            time_kind=outcome.time_kind,
-                            faults=report,
-                        )
+                        return outcome
                     raise StageExecutionError(spec.name, attempt, failures) from exc
                 report.record_retry(spec.name, "stage", type(exc).__name__)
                 attempt += 1

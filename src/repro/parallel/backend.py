@@ -93,9 +93,6 @@ class StageOutcome:
     elapsed: float
     #: "wall" for serial/process, "virtual" for sim.
     time_kind: str
-    #: fault activity during this stage (None only for legacy callers
-    #: constructing outcomes by hand).
-    faults: FaultReport | None = None
 
 
 class ExecutionBackend:
@@ -191,7 +188,6 @@ class ExecutionBackend:
             result=result,
             elapsed=elapsed,
             time_kind=self.time_kind,
-            faults=report,
         )
 
 

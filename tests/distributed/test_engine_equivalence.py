@@ -27,7 +27,12 @@ from repro.faults import FaultPlan, KernelFault, RetryPolicy
 from repro.parallel.backend import BACKEND_NAMES, SerialBackend
 from repro.simulate.genome import random_genome
 
-from tests.distributed.conftest import dag_of, defect_chain_assembly, make_assembly
+from tests.distributed.conftest import (
+    dag_of,
+    defect_chain_assembly,
+    make_assembly,
+    trim_params,
+)
 from tests.reference import contigs as contigs_ref
 from tests.reference import finish_loop
 
@@ -193,19 +198,6 @@ class TestContigOverlayEquivalence:
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype == np.uint8
             np.testing.assert_array_equal(a, b)
-
-
-def trim_params(cfg):
-    """Per-stage kernel parameters of one config, in ``finish()`` order."""
-    return {
-        "transitive": {"tolerance": cfg.transitive_tolerance},
-        "containment": {
-            "min_overlap": cfg.containment_min_overlap,
-            "min_identity": cfg.containment_min_identity,
-        },
-        "dead_ends": {"max_tip_bases": cfg.max_tip_bases},
-        "bubbles": {},
-    }
 
 
 def reference_contigs(assembly, labels, cfg):

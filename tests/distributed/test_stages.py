@@ -1,8 +1,13 @@
 """Kernel/merge split: registry, proposal merging, kernel purity."""
 
+import pickle
+import random
+
 import numpy as np
 import pytest
 
+from repro.align.overlapper import OverlapConfig, OverlapSubject
+from repro.core.config import AssemblyConfig
 from repro.distributed.containment import containment_kernel, find_containments
 from repro.distributed.stages import (
     StageSpec,
@@ -22,9 +27,12 @@ from repro.distributed.trimming import dead_end_kernel, find_dead_ends
 from tests.distributed.conftest import (
     chain_assembly,
     dag_of,
+    defect_chain_assembly,
     ids,
     run_stage_on_cluster,
+    trim_params,
 )
+from tests.graph.conftest import tiled_readset
 from tests.reference import finish_loop
 
 
@@ -45,7 +53,16 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            register_stage("transitive", lambda *a: None, lambda *a: None)  # noqa: ARCH002 - duplicate-name probe
+            register_stage("transitive", lambda *a: None, lambda *a: None)
+
+    def test_misnamed_kernel_rejected(self):
+        # ARCH001 and MEM001 find kernels by their ``*_kernel`` name.
+        def trim(subject, part):
+            return []
+
+        with pytest.raises(ValueError, match="not named"):
+            register_stage("misnamed", trim, lambda *a: None)
+        assert "misnamed" not in {s.name for s in all_stages()}
 
 
 class TestUnionProposals:
@@ -77,6 +94,61 @@ def chain_dag():
     assembly, _ = chain_assembly(n=6)
     labels = [0, 0, 0, 1, 1, 1]
     return dag_of(assembly, labels)
+
+
+#: subject kind and kernel parameters of every registered stage; the
+#: contract test runs each kernel on its subject.
+CONTRACT_CASES = {
+    **{name: ("dag", p) for name, p in trim_params(AssemblyConfig()).items()},
+    "traversal": ("dag", {}),
+    "variants": ("dag", {}),
+    "overlap": ("reads", {}),
+}
+
+
+def uncovered_stages(specs):
+    """Names of ``specs`` with no case in :data:`CONTRACT_CASES`."""
+    return sorted(s.name for s in specs if s.name not in CONTRACT_CASES)
+
+
+@pytest.fixture(scope="module")
+def contract_subjects():
+    """Builders of fresh subjects on which every stage has work."""
+    backbone, n_parts = 90, 3
+    assembly, anchors = defect_chain_assembly(backbone, seed=5)
+    labels = anchors * n_parts // backbone
+    reads, _ = tiled_readset(genome_len=1200, stride=30)
+    return {
+        "dag": lambda: dag_of(assembly, labels),
+        "reads": lambda: OverlapSubject(reads, OverlapConfig(n_subsets=3), n_parts=2),
+    }
+
+
+@pytest.fixture
+def seed_global_rngs():
+    """Reseeds the global ``random`` and ``np.random``; restores them after.
+
+    The contract test drives the hidden global state on purpose, to
+    show that no kernel reads it.
+    """
+    saved = random.getstate(), np.random.get_state()  # noqa: DET001
+
+    def seed(value):
+        random.seed(value)  # noqa: DET001
+        np.random.seed(value)  # noqa: DET001
+
+    yield seed
+    random.setstate(saved[0])  # noqa: DET001
+    np.random.set_state(saved[1])  # noqa: DET001
+
+
+def proposal_size(proposal):
+    """Ids, paths or records in one proposal (0 when the part had no work)."""
+    if isinstance(proposal, np.ndarray):
+        return proposal.size
+    if isinstance(proposal, (list, tuple)):
+        return sum(proposal_size(p) for p in proposal)
+    return 1
 
 
 class TestKernelsMatchScans:
@@ -117,19 +189,47 @@ class TestKernelsMatchScans:
             flat, lens = subpath_kernel(chain_dag, part)
             assert unpack_paths(flat, lens) == expect
 
-    def test_kernels_do_not_mutate(self, chain_dag):
-        node_before = chain_dag.node_alive.copy()
-        edge_before = chain_dag.edge_alive.copy()
-        transitive_kernel(chain_dag, 0, tolerance=2)
-        containment_kernel(chain_dag, 0, min_overlap=50, min_identity=0.9)
-        dead_end_kernel(chain_dag, 0, max_tip_bases=150)
-        subpath_kernel(chain_dag, 0)
-        assert (chain_dag.node_alive == node_before).all()
-        assert (chain_dag.edge_alive == edge_before).all()
+    def test_kernels_do_not_mutate(self, contract_subjects, seed_global_rngs):
+        """The kernel contract, checked by running every registered
+        kernel on every part: the subject's state is bit-identical
+        after each call, and the proposals (as the pickled bytes the
+        process backend ships) depend neither on the order the parts
+        run in nor on the global ``random`` / ``np.random`` state."""
+        assert uncovered_stages(all_stages()) == []
+        for spec in all_stages():
+            kind, params = CONTRACT_CASES[spec.name]
+            subject = contract_subjects[kind]()
+            parts = range(subject.n_parts)
+            assert subject.n_parts >= 2, spec.name
+            state = pickle.dumps(subject.state)
+
+            def run(order, seed):
+                seed_global_rngs(seed)
+                blobs = {}
+                for part in order:
+                    proposal = spec.kernel(subject, part, **params)
+                    assert pickle.dumps(subject.state) == state, (
+                        f"{spec.name} kernel mutated the subject on part {part}"
+                    )
+                    blobs[part] = pickle.dumps(proposal)
+                return blobs
+
+            forward = run(parts, seed=0)
+            assert sum(
+                proposal_size(pickle.loads(b)) for b in forward.values()
+            ) > 0, f"{spec.name} has no work on this subject"
+            assert run(reversed(parts), seed=0) == forward, (
+                f"{spec.name} proposals depend on the part order"
+            )
+            assert run(parts, seed=1) == forward, (
+                f"{spec.name} proposals depend on the global RNG"
+            )
+
+    def test_unlisted_stage_fails_the_guard(self):
+        extra = StageSpec("extra", subpath_kernel, lambda *a: None)
+        assert uncovered_stages([*all_stages(), extra]) == ["extra"]
 
     def test_kernel_proposals_are_picklable(self, chain_dag):
-        import pickle
-
         flat, lens = subpath_kernel(chain_dag, 0)
         blob = pickle.dumps((flat, lens))
         back_flat, back_lens = pickle.loads(blob)

@@ -6,13 +6,14 @@ targeted stage fail after the checkpoint of its predecessor was
 written — exactly the state a crashed run leaves on disk.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 from repro.faults import FaultPlan, KernelFault, RetryPolicy, StageExecutionError
 
-from tests.faults.conftest import FAST, contig_key
+from tests.faults.conftest import FAST, contig_key, small_reads
 
 #: fails fast and hard at the targeted stage (no fallback, no backoff).
 INTERRUPT = RetryPolicy(
@@ -31,11 +32,43 @@ def interrupted_at(stage):
     )
 
 
+@pytest.fixture(scope="module")
+def prepared_trimming():
+    """A prepared input whose trim stages kill both nodes and edges.
+
+    At 20x coverage transitive reduction removes an edge and
+    containment removes nodes before any interruption point below, so
+    a resume must restore both alive masks.  (At the suite's shared 10x
+    input no edge ever dies, and a resume that drops ``edge_alive``
+    would pass.)
+    """
+    assembler = FocusAssembler(AssemblyConfig(backend_workers=2), cost_model=FAST)
+    return assembler, assembler.prepare(small_reads(coverage=20))
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(prepared_trimming):
+    """The fault-free serial run a resumed run must reproduce."""
+    assembler, prep = prepared_trimming
+    result = assembler.finish(prep, n_partitions=4, backend="serial")
+    assert not result.dag.node_alive.all() and not result.dag.edge_alive.all()
+    return result
+
+
+def assert_resumed(result, uninterrupted):
+    """Same contigs and both alive masks as the uninterrupted run."""
+    assert contig_key(result) == contig_key(uninterrupted)
+    for mask in ("node_alive", "edge_alive"):
+        np.testing.assert_array_equal(
+            getattr(result.dag, mask), getattr(uninterrupted.dag, mask), err_msg=mask
+        )
+
+
 class TestResume:
     def test_resume_skips_completed_trim_stages(
-        self, prepared, baseline, tmp_path
+        self, prepared_trimming, uninterrupted, tmp_path
     ):
-        assembler, prep = prepared
+        assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
         crashed = FocusAssembler(interrupted_at("dead_ends"), cost_model=FAST)
         with pytest.raises(StageExecutionError):
@@ -44,7 +77,7 @@ class TestResume:
         result = assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
         )
-        assert contig_key(result) == baseline
+        assert_resumed(result, uninterrupted)
         # transitive+containment were restored, dead_ends onward re-ran:
         # the trim timer exists but the restored stage times come from
         # the checkpoint.
@@ -53,9 +86,9 @@ class TestResume:
             assert stage in result.virtual_times
 
     def test_resume_after_trim_skips_trim_entirely(
-        self, prepared, baseline, tmp_path
+        self, prepared_trimming, uninterrupted, tmp_path
     ):
-        assembler, prep = prepared
+        assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
         crashed = FocusAssembler(interrupted_at("traversal"), cost_model=FAST)
         with pytest.raises(StageExecutionError):
@@ -64,7 +97,7 @@ class TestResume:
         result = assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
         )
-        assert contig_key(result) == baseline
+        assert_resumed(result, uninterrupted)
         # Every trim stage was restored: the StageTimer must not have
         # opened a "trim" stage at all (nothing was executed).
         assert "trim" not in result.timer.durations
@@ -72,9 +105,9 @@ class TestResume:
         assert result.virtual_times["trim_total"] >= 0.0
 
     def test_resume_of_finished_checkpoint_runs_no_stage(
-        self, prepared, baseline, tmp_path
+        self, prepared_trimming, uninterrupted, tmp_path
     ):
-        assembler, prep = prepared
+        assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
         assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt
@@ -82,14 +115,16 @@ class TestResume:
         result = assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
         )
-        assert contig_key(result) == baseline
+        assert_resumed(result, uninterrupted)
         assert "trim" not in result.timer.durations
         assert "traverse" not in result.timer.durations
 
-    def test_resume_across_backends(self, prepared, baseline, tmp_path):
+    def test_resume_across_backends(
+        self, prepared_trimming, uninterrupted, tmp_path
+    ):
         # Contigs are backend-identical, so a checkpoint written under
         # serial may resume under sim.
-        assembler, prep = prepared
+        assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
         crashed = FocusAssembler(interrupted_at("bubbles"), cost_model=FAST)
         with pytest.raises(StageExecutionError):
@@ -97,10 +132,12 @@ class TestResume:
         result = assembler.finish(
             prep, n_partitions=4, backend="sim", checkpoint=ckpt, resume=True
         )
-        assert contig_key(result) == baseline
+        assert_resumed(result, uninterrupted)
 
-    def test_missing_checkpoint_starts_fresh(self, prepared, baseline, tmp_path):
-        assembler, prep = prepared
+    def test_missing_checkpoint_starts_fresh(
+        self, prepared_trimming, uninterrupted, tmp_path
+    ):
+        assembler, prep = prepared_trimming
         result = assembler.finish(
             prep,
             n_partitions=4,
@@ -108,11 +145,11 @@ class TestResume:
             checkpoint=tmp_path / "never_written.npz",
             resume=True,
         )
-        assert contig_key(result) == baseline
+        assert_resumed(result, uninterrupted)
         assert "trim" in result.timer.durations
 
-    def test_mismatched_fingerprint_refused(self, prepared, tmp_path):
-        assembler, prep = prepared
+    def test_mismatched_fingerprint_refused(self, prepared_trimming, tmp_path):
+        assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
         assembler.finish(prep, n_partitions=4, backend="serial", checkpoint=ckpt)
         with pytest.raises(ValueError, match="does not match"):
@@ -120,7 +157,7 @@ class TestResume:
                 prep, n_partitions=2, backend="serial", checkpoint=ckpt, resume=True
             )
 
-    def test_resume_requires_checkpoint_path(self, prepared):
-        assembler, prep = prepared
+    def test_resume_requires_checkpoint_path(self, prepared_trimming):
+        assembler, prep = prepared_trimming
         with pytest.raises(ValueError, match="requires a checkpoint"):
             assembler.finish(prep, n_partitions=4, resume=True)
