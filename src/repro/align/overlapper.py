@@ -52,7 +52,7 @@ from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex
 from repro.align.overlap import Overlap, PackedOverlaps
 from repro.distributed.stages import register_stage
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
 from repro.parallel.backend import ExecutionBackend, create_backend
@@ -534,15 +534,16 @@ def overlap_backend(
     ``n_workers > 1`` asks for the process pool with the subset pairs
     packed into ``min(n_workers, pairs)`` parts (one part ⇒ the backend
     runs its serial loop and spawns nothing); otherwise the in-process
-    loop over one part.  A part's runtime grows with the input, so the
+    loop over one part, which has no worker for ``fault_plan`` to fire
+    in and so ignores it.  A part's runtime grows with the input, so the
     per-task deadline — sized for graph kernels — is lifted rather than
     kill healthy workers on a large read set.
     """
-    subject = OverlapSubject(reads, config, n_workers)
+    pool = n_workers > 1
     return create_backend(
-        "process" if n_workers > 1 else "serial",
-        subject,
+        "process" if pool else "serial",
+        OverlapSubject(reads, config, n_workers),
         workers=n_workers,
         retry=replace(retry or RetryPolicy(), task_deadline=None),
-        injector=FaultInjector.for_parts(fault_plan, subject.n_parts),
+        fault_plan=fault_plan if pool else None,
     )

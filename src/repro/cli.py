@@ -162,17 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fault-plan",
         metavar="PATH|random:SEED",
-        help="inject deterministic faults: path to a FaultPlan JSON file, "
-        "or random:SEED to generate a seeded chaos plan "
-        "(see docs/robustness.md)",
+        help="inject deterministic faults into --backend process workers: "
+        "path to a FaultPlan JSON file, or random:SEED to generate a "
+        "seeded chaos plan (see docs/robustness.md)",
     )
     p.add_argument(
         "--retries",
         type=int,
         default=None,
         metavar="N",
-        help="max attempts per distributed stage/partition before serial "
-        "fallback (default: 3)",
+        help="max attempts of a partition on process workers before the "
+        "serial fallback (default: 3)",
     )
     p.add_argument("--seed", type=int, default=0)
 

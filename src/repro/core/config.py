@@ -53,12 +53,14 @@ class AssemblyConfig:
     backend_workers: int = 0
 
     # -- fault tolerance (docs/robustness.md) --
-    #: retry/backoff/fallback policy wrapped around every distributed
-    #: stage execution, on every backend.
+    #: retry/backoff/fallback policy of process-backend workers (the
+    #: distributed stages, and alignment when ``overlap_workers > 1``);
+    #: serial and sim run each kernel once.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: deterministic fault plan to inject (None = no injection).  With
-    #: retries enabled the final contigs stay byte-identical to the
-    #: fault-free run under any plan whose faults fit the retry budget.
+    #: deterministic faults to inject into process workers (None = no
+    #: injection); requires ``backend == "process"``.  With retries
+    #: enabled the final contigs stay byte-identical to the fault-free
+    #: run under any plan whose faults fit the retry budget.
     fault_plan: FaultPlan | None = None
 
     # -- graph construction --
@@ -108,3 +110,8 @@ class AssemblyConfig:
             raise ValueError("cache_budget must be non-negative")
         if self.retry.max_attempts < 1:
             raise ValueError("retry.max_attempts must be >= 1")
+        if self.fault_plan is not None and self.backend != "process":
+            raise ValueError(
+                "a fault plan fires only in process workers: it needs "
+                f"backend='process', not {self.backend!r}"
+            )

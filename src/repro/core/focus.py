@@ -28,7 +28,7 @@ from repro.core.pipeline import StageTimer
 from repro.core.stats import AssemblyStats
 from repro.distributed.dgraph import DistributedAssemblyGraph, HybridAssembly, enrich_hybrid
 from repro.distributed.traversal import contigs_from_paths
-from repro.faults import FaultInjector, FaultReport
+from repro.faults import FaultReport
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
@@ -345,7 +345,7 @@ class FocusAssembler:
             workers=cfg.backend_workers,
             cost_model=self.cost_model,
             retry=cfg.retry,
-            injector=FaultInjector.for_parts(cfg.fault_plan, dag.n_parts),
+            fault_plan=cfg.fault_plan,
         )
 
         def run(stage: str, **params) -> object:

@@ -2,59 +2,45 @@
 
 The paper's master/worker merge model assumes every rank finishes every
 stage; at production scale worker loss, stragglers, and half-written
-files are routine.  This package provides the pieces the execution
-backends (:mod:`repro.parallel.backend`, :mod:`repro.mpi.stage_backend`)
-use to degrade gracefully instead of dying on the first failure:
+files are routine.  Kernels are pure and deterministic, so a kernel
+that fails in the calling process would fail the same way again: the
+serial and sim backends run each kernel once and let the error
+propagate.  Retrying helps only where the worker itself can die — the
+``process`` backend (:mod:`repro.parallel.backend`) — and this package
+provides its pieces:
 
 - :class:`FaultPlan` — a seeded, serializable description of the
-  faults to inject: worker crashes, task hangs, transient kernel
-  exceptions, and (on the simulated cluster) message drop /
-  duplication / delay.  Plans are concrete — ``FaultPlan.random``
-  expands a seed into explicit specs — so a run is exactly
-  reproducible from its plan.
+  worker faults to inject: crashes (a real ``SIGKILL``), hangs past the
+  task deadline, and transient kernel exceptions.  Plans are concrete
+  — ``FaultPlan.random`` expands a seed into explicit specs — so a run
+  is exactly reproducible from its plan.
 - :class:`RetryPolicy` — max attempts, capped exponential backoff,
-  and a per-task deadline; shared by every backend.
-- :class:`FaultInjector` — the runtime that evaluates a plan during
-  execution (thread-safe; shippable to worker processes as the plan).
+  a per-task deadline, and the serial fallback; the job service reuses
+  it for lease requeues.
 - :class:`FaultReport` — what actually happened: injected faults,
   retries, pool respawns, serial fallbacks, recovered partitions.
 
-The invariant the whole package is built around: under any seeded
-``FaultPlan``, with retries enabled, final contigs are byte-identical
-to the fault-free serial run (see docs/robustness.md and
-``tests/faults/test_chaos_equivalence.py``).
+The invariant the package is built around: under any seeded
+``FaultPlan``, with retries enabled, the process backend's final
+contigs are byte-identical to the fault-free serial run (see
+docs/robustness.md and ``tests/faults/test_chaos_equivalence.py``).
 """
 
 from repro.faults.errors import (
     DeadlineExceededError,
-    InjectedCrashError,
-    InjectedFaultError,
     InjectedKernelError,
     StageExecutionError,
 )
-from repro.faults.injector import FaultInjector, apply_kernel_fault_in_worker
-from repro.faults.plan import (
-    KERNEL_FAULT_KINDS,
-    MESSAGE_FAULT_KINDS,
-    FaultPlan,
-    KernelFault,
-    MessageFault,
-)
+from repro.faults.plan import KERNEL_FAULT_KINDS, FaultPlan, KernelFault
 from repro.faults.policy import RetryPolicy
 from repro.faults.report import FaultReport
 
 __all__ = [
     "KERNEL_FAULT_KINDS",
-    "MESSAGE_FAULT_KINDS",
     "KernelFault",
-    "MessageFault",
     "FaultPlan",
     "RetryPolicy",
     "FaultReport",
-    "FaultInjector",
-    "apply_kernel_fault_in_worker",
-    "InjectedFaultError",
-    "InjectedCrashError",
     "InjectedKernelError",
     "DeadlineExceededError",
     "StageExecutionError",

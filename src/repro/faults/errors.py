@@ -1,47 +1,28 @@
 """Exception types of the fault-tolerance layer.
 
-Injected faults raise dedicated types so retry loops can tell a
-deliberately injected failure from a genuine defect in a kernel, and
-so the chaos suites can assert on exactly what fired.
+Injected faults raise dedicated types so the chaos suites can assert
+on exactly what fired.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "InjectedFaultError",
-    "InjectedCrashError",
     "InjectedKernelError",
     "DeadlineExceededError",
     "StageExecutionError",
 ]
 
 
-class InjectedFaultError(RuntimeError):
-    """Base class for failures raised by the fault injector."""
-
-
-class InjectedCrashError(InjectedFaultError):
-    """In-process stand-in for a worker crash.
-
-    On the ``process`` backend a "crash" fault SIGKILLs the worker (a
-    real ``kill -9``); on the in-process backends (serial, sim) the
-    same plan entry raises this instead so the retry path is exercised
-    without taking down the interpreter.
-    """
-
-
-class InjectedKernelError(InjectedFaultError):
+class InjectedKernelError(RuntimeError):
     """A transient kernel exception (the "error" fault kind)."""
 
 
 class DeadlineExceededError(RuntimeError):
-    """A task ran past the retry policy's per-task deadline.
+    """An injected hang outlived its sleep without being killed.
 
-    Raised by the ``process`` backend when a worker (hung or genuinely
-    stuck) misses the deadline, and by the in-process backends when a
-    "hang" fault is injected (they model the deadline without
-    sleeping).  Deliberately *not* an :class:`InjectedFaultError`:
-    a real straggler produces the same failure.
+    The ``process`` backend normally kills a hung worker at the retry
+    policy's per-task deadline; this is what the worker raises if the
+    sleep ends first.
     """
 
 

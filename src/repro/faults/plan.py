@@ -1,11 +1,15 @@
-"""FaultPlan: a seeded, serializable description of faults to inject.
+"""FaultPlan: a seeded, serializable description of worker faults.
 
-A plan is a list of *concrete* fault specs — which stage, which
-partition or rank pair, which attempt numbers — rather than live
-probabilities, so the same plan object always injects exactly the same
-faults.  :meth:`FaultPlan.random` bridges the two worlds: it expands a
-seed into explicit specs with a seeded generator, giving "random
-chaos" that is still fully reproducible and serializable.
+A plan is a list of *concrete* kernel fault specs — which stage, which
+partition, which attempt numbers — rather than live probabilities, so
+the same plan object always injects exactly the same faults.
+:meth:`FaultPlan.random` bridges the two worlds: it expands a seed
+into explicit specs with a seeded generator, giving "random chaos"
+that is still fully reproducible and serializable.
+
+A plan fires only inside ``process``-backend workers, the one place
+where a failed attempt can be followed by a successful one (see
+docs/robustness.md).
 
 Every spec carries an ``attempts`` budget: the fault fires while the
 executing attempt number is ``<= attempts`` and then stops, so a
@@ -21,20 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = [
-    "KERNEL_FAULT_KINDS",
-    "MESSAGE_FAULT_KINDS",
-    "KernelFault",
-    "MessageFault",
-    "FaultPlan",
-]
+__all__ = ["KERNEL_FAULT_KINDS", "KernelFault", "FaultPlan"]
 
 #: kernel-level fault kinds: kill the worker, stall past the deadline,
 #: raise a transient exception.
 KERNEL_FAULT_KINDS = ("crash", "hang", "error")
-
-#: message-level fault kinds (simulated cluster only).
-MESSAGE_FAULT_KINDS = ("drop", "duplicate", "delay")
 
 
 @dataclass(frozen=True)
@@ -71,63 +66,21 @@ class KernelFault:
 
 
 @dataclass(frozen=True)
-class MessageFault:
-    """One injected message fault on the simulated cluster.
-
-    Affects up to ``count`` messages from rank ``src`` to rank ``dst``
-    during stage ``stage`` (``"*"`` = any), on attempts ``<= attempts``.
-    ``delay`` is the extra virtual seconds added by the "delay" kind.
-    """
-
-    kind: str
-    stage: str
-    src: int
-    dst: int
-    count: int = 1
-    attempts: int = 1
-    delay: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.kind not in MESSAGE_FAULT_KINDS:
-            raise ValueError(
-                f"unknown message fault kind {self.kind!r}; "
-                f"expected one of {MESSAGE_FAULT_KINDS}"
-            )
-        if self.src < 0 or self.dst < 0:
-            raise ValueError("src/dst ranks must be non-negative")
-        if self.src == self.dst:
-            raise ValueError("src and dst must differ")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-
-    def matches_attempt(self, stage: str, attempt: int) -> bool:
-        return (self.stage == "*" or self.stage == stage) and attempt <= self.attempts
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A complete, deterministic fault-injection schedule.
 
     ``hang_seconds`` is how long an injected hang actually sleeps in a
-    real worker process — long enough to trip any sane per-task
-    deadline, short enough that a leaked worker eventually exits on
-    its own.  The in-process backends never sleep: they model a hang
-    as an immediate deadline failure.
+    worker process — long enough to trip any sane per-task deadline,
+    short enough that a leaked worker eventually exits on its own.
     """
 
     seed: int = 0
     kernel_faults: tuple[KernelFault, ...] = ()
-    message_faults: tuple[MessageFault, ...] = ()
     hang_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         # Tolerate lists in hand-written plans; store tuples.
         object.__setattr__(self, "kernel_faults", tuple(self.kernel_faults))
-        object.__setattr__(self, "message_faults", tuple(self.message_faults))
         if self.hang_seconds <= 0:
             raise ValueError("hang_seconds must be positive")
 
@@ -140,28 +93,9 @@ class FaultPlan:
                 return spec
         return None
 
-    def message_faults_for(self, stage: str, attempt: int) -> tuple[MessageFault, ...]:
-        """Message faults active during one attempt of one stage."""
-        return tuple(
-            spec
-            for spec in self.message_faults
-            if spec.matches_attempt(stage, attempt)
-        )
-
-    @property
-    def max_fault_attempts(self) -> int:
-        """The deepest attempt budget in the plan (0 when empty).
-
-        A retry policy with ``max_attempts > max_fault_attempts`` is
-        guaranteed to outlast every injected fault.
-        """
-        budgets = [s.attempts for s in self.kernel_faults]
-        budgets += [s.attempts for s in self.message_faults]
-        return max(budgets, default=0)
-
     @property
     def empty(self) -> bool:
-        return not self.kernel_faults and not self.message_faults
+        return not self.kernel_faults
 
     # -- serialization ---------------------------------------------------
 
@@ -178,29 +112,15 @@ class FaultPlan:
                 }
                 for s in self.kernel_faults
             ],
-            "message_faults": [
-                {
-                    "kind": s.kind,
-                    "stage": s.stage,
-                    "src": s.src,
-                    "dst": s.dst,
-                    "count": s.count,
-                    "attempts": s.attempts,
-                    "delay": s.delay,
-                }
-                for s in self.message_faults
-            ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         try:
             kernel = tuple(KernelFault(**d) for d in data.get("kernel_faults", ()))
-            message = tuple(MessageFault(**d) for d in data.get("message_faults", ()))
             return cls(
                 seed=int(data.get("seed", 0)),
                 kernel_faults=kernel,
-                message_faults=message,
                 hang_seconds=float(data.get("hang_seconds", 30.0)),
             )
         except TypeError as exc:
@@ -228,17 +148,14 @@ class FaultPlan:
         stages: tuple[str, ...],
         n_parts: int,
         n_kernel_faults: int = 2,
-        n_message_faults: int = 1,
         max_fail_attempts: int = 1,
         kinds: tuple[str, ...] = KERNEL_FAULT_KINDS,
-        message_kinds: tuple[str, ...] = MESSAGE_FAULT_KINDS,
     ) -> "FaultPlan":
         """Expand a seed into a concrete plan with explicit specs.
 
         The generated specs are drawn with a seeded generator and then
         frozen into the plan, so the result is deterministic in
-        ``seed`` and fully serializable.  Message faults need at least
-        two ranks; with ``n_parts < 2`` none are generated.
+        ``seed`` and fully serializable.
         """
         if n_parts < 1:
             raise ValueError("n_parts must be >= 1")
@@ -254,36 +171,15 @@ class FaultPlan:
             )
             for _ in range(n_kernel_faults)
         )
-        message: tuple[MessageFault, ...] = ()
-        if n_parts >= 2:
-            specs = []
-            for _ in range(n_message_faults):
-                src, dst = rng.choice(n_parts, size=2, replace=False)
-                specs.append(
-                    MessageFault(
-                        kind=str(rng.choice(list(message_kinds))),
-                        stage=str(rng.choice(list(stages))),
-                        src=int(src),
-                        dst=int(dst),
-                        attempts=int(rng.integers(1, max_fail_attempts + 1)),
-                    )
-                )
-            message = tuple(specs)
-        return cls(seed=seed, kernel_faults=kernel, message_faults=message)
+        return cls(seed=seed, kernel_faults=kernel)
 
     def scaled_to(self, n_parts: int) -> "FaultPlan":
-        """A copy with every partition/rank index folded into range.
+        """A copy with every partition index folded into range.
 
         Lets one plan be reused across partition counts in sweeps:
-        indices are taken modulo ``n_parts`` (message faults whose
-        ``src``/``dst`` collide after folding are dropped).
+        indices are taken modulo ``n_parts``.
         """
         kernel = tuple(
             replace(s, part=s.part % n_parts) for s in self.kernel_faults
         )
-        message = tuple(
-            replace(s, src=s.src % n_parts, dst=s.dst % n_parts)
-            for s in self.message_faults
-            if s.src % n_parts != s.dst % n_parts
-        )
-        return replace(self, kernel_faults=kernel, message_faults=message)
+        return replace(self, kernel_faults=kernel)

@@ -1,14 +1,14 @@
 """RetryPolicy: attempts, capped exponential backoff + jitter, deadlines.
 
-One policy object is shared by every execution backend; only the
-*granularity* of a retry differs per backend (per-partition kernel on
-serial/process, whole stage on the simulated cluster — see
-docs/robustness.md).  The job service (:mod:`repro.service`) reuses the
-same policy for lease requeue escalation, which is where the bounded
-*jitter* matters: when one dead supervisor strands dozens of leased
-jobs, their retries must not all fire on the same tick (the classic
-thundering herd), so each retry site passes a ``token`` and receives a
-deterministic, bounded perturbation of the shared backoff curve.
+The ``process`` execution backend retries a partition whose worker
+died, hung or raised under this policy; the serial and sim backends
+run each kernel once (see docs/robustness.md).  The job service
+(:mod:`repro.service`) reuses the same policy for lease requeue
+escalation, which is where the bounded *jitter* matters: when one
+dead supervisor strands dozens of leased jobs, their retries must not
+all fire on the same tick (the classic thundering herd), so each retry
+site passes a ``token`` and receives a deterministic, bounded
+perturbation of the shared backoff curve.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a backend responds to a failed kernel execution.
+    """How the process backend responds to a failed worker attempt.
 
     ``max_attempts`` counts the first try: ``max_attempts=1`` disables
     retrying entirely.  ``backoff(attempt)`` grows exponentially from
     ``backoff_base`` and is capped at ``backoff_cap``.
-    ``task_deadline`` bounds one attempt in real seconds (``process``
-    backend: ``future.result`` timeout; ``sim`` backend: the recv
-    deadlock timeout while faults are injected).  When
-    ``fallback_serial`` is set, a backend that exhausts the budget
-    re-runs the failed partitions in-process (without fault injection
-    — the master itself is the fallback worker) instead of raising.
+    ``task_deadline`` bounds one attempt in real seconds (the
+    ``future.result`` timeout).  When ``fallback_serial`` is set, a
+    backend that exhausts the budget re-runs the failed partitions
+    in-process (without fault injection — the master itself is the
+    fallback worker) instead of raising.
 
     ``jitter`` adds a bounded random fraction of the capped backoff on
     top of it: ``backoff(attempt, token)`` returns a value in

@@ -1,8 +1,9 @@
 """FaultReport: what the fault-tolerance machinery actually did.
 
-Backends accumulate one report per run; the assembler surfaces it on
-:class:`~repro.core.focus.AssemblyResult` and ``repro assemble --timings``
-embeds it in the JSON.
+Every backend carries one report per run, but only the ``process``
+backend, whose workers can die and be replaced, ever records into it;
+the assembler surfaces it on :class:`~repro.core.focus.AssemblyResult`
+and ``repro assemble --timings`` embeds it in the JSON.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ _MAX_EVENTS = 200
 class FaultReport:
     """Counters plus a bounded event log for one backend run."""
 
-    #: injected faults by kind ("crash", "hang", "error", "drop", ...).
+    #: injected faults by kind ("crash", "hang", "error").
     injected: dict[str, int] = field(default_factory=dict)
-    #: re-executions of a kernel/stage after a failed attempt.
+    #: re-executions of a partition's kernel after a failed attempt.
     retries: int = 0
     #: process-pool respawns after a dead pool or deadline kill.
     respawns: int = 0

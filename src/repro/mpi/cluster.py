@@ -51,7 +51,6 @@ class SimCluster:
         cost_model: CommCostModel | None = None,
         deadlock_timeout: float = 60.0,
         sanitize: bool = False,
-        fault_hook=None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
@@ -61,9 +60,6 @@ class SimCluster:
         #: runtime message sanitizer: payload fingerprints at send/recv
         #: plus a message-leak check at shutdown (see docs/mpi_simulation.md).
         self.sanitize = sanitize
-        #: message fault injector shared by every rank's communicator
-        #: (see :class:`repro.faults.FaultInjector` and docs/robustness.md).
-        self.fault_hook = fault_hook
 
     def run(self, fn, *args, **kwargs) -> tuple[list, RunStats]:
         channels = _Channels()
@@ -75,7 +71,6 @@ class SimCluster:
                 self.cost_model,
                 self.deadlock_timeout,
                 sanitize=self.sanitize,
-                fault_hook=self.fault_hook,
             )
             for r in range(self.n_ranks)
         ]

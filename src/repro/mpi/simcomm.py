@@ -99,11 +99,6 @@ class _Message:
     #: sanitizer fingerprint taken at send time (None when disabled
     #: or the payload is unpicklable).
     digest: bytes | None = None
-    #: per-channel send sequence number (receivers use it to discard
-    #: injected duplicates).
-    seq: int = 0
-    #: True for a tombstone left by an injected message drop.
-    dropped: bool = False
 
 
 #: marker a finished rank leaves behind the last real message of each
@@ -117,7 +112,6 @@ class _Channels:
 
     def __init__(self) -> None:
         self._queues: dict[tuple[int, int, int], queue.Queue] = {}
-        self._seqs: dict[tuple[int, int, int], int] = {}
         self._finished: set[int] = set()
         self._lock = threading.Lock()
 
@@ -142,14 +136,6 @@ class _Channels:
             for (src, _dst, _tag), q in self._queues.items():
                 if src == rank:
                     q.put(_PEER_EXITED)
-
-    def next_seq(self, src: int, dst: int, tag: int) -> int:
-        """Monotonic per-channel sequence number for the next send."""
-        key = (src, dst, tag)
-        with self._lock:
-            seq = self._seqs.get(key, 0)
-            self._seqs[key] = seq + 1
-            return seq
 
     def peek(self, src: int, dst: int, tag: int) -> _Message | None:
         """Head message of a channel without consuming it."""
@@ -220,7 +206,6 @@ class SimComm:
         cost_model: CommCostModel,
         deadlock_timeout: float = 60.0,
         sanitize: bool = False,
-        fault_hook=None,
     ) -> None:
         if not 0 <= rank < size:
             raise ValueError("rank out of range")
@@ -232,13 +217,6 @@ class SimComm:
         #: message sanitizer: fingerprint payloads at send, re-verify at
         #: recv, raising :class:`PayloadMutationError` on mismatch.
         self.sanitize = sanitize
-        #: fault injector hook (``message_action(src, dst)``) — drops,
-        #: duplicates, or delays outgoing messages when armed.
-        self.fault_hook = fault_hook
-        #: highest consumed sequence number per (src, tag) channel;
-        #: injected duplicates arrive with an already-seen seq and are
-        #: discarded (exactly-once delivery to the application).
-        self._consumed_seq: dict[tuple[int, int], int] = {}
         #: virtual seconds elapsed on this rank.
         self.clock = 0.0
         #: virtual seconds spent purely computing (subset of clock).
@@ -282,13 +260,7 @@ class SimComm:
     # -- point-to-point -------------------------------------------------------
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Send a picklable object (eager, non-blocking sender).
-
-        When a fault hook is armed the message may be dropped (a
-        tombstone is enqueued so the receiver fails loudly instead of
-        silently hanging), duplicated (the receiver discards the copy
-        by sequence number), or delayed (extra virtual latency).
-        """
+        """Send a picklable object (eager, non-blocking sender)."""
         self._check_peer(dest)
         nbytes = payload_nbytes(obj)
         available = self.clock + self.cost.message_cost(nbytes)
@@ -296,58 +268,28 @@ class SimComm:
         self.clock += self.cost.alpha
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        action, extra_delay = (None, 0.0)
-        if self.fault_hook is not None:
-            action, extra_delay = self.fault_hook.message_action(self.rank, dest)
         digest = _fingerprint(obj) if self.sanitize else None
-        seq = self._channels.next_seq(self.rank, dest, tag)
         channel = self._channels.get(self.rank, dest, tag)
-        if action == "drop":
-            channel.put(_Message(None, available, None, seq=seq, dropped=True))
-            return
-        if action == "delay":
-            available += extra_delay
-        channel.put(_Message(obj, available, digest, seq=seq))
-        if action == "duplicate":
-            channel.put(_Message(obj, available, digest, seq=seq))
+        channel.put(_Message(obj, available, digest))
 
     def recv(self, source: int, tag: int = 0):
-        """Blocking receive; advances the clock to the arrival time.
-
-        Injected duplicates (same sequence number) are discarded;
-        an injected drop raises a :class:`DeadlockError` immediately
-        with the full message context rather than stalling for the
-        deadlock timeout.
-        """
+        """Blocking receive; advances the clock to the arrival time."""
         self._check_peer(source)
         q = self._channels.get(source, self.rank, tag)
-        chan = (source, tag)
-        while True:
-            try:
-                msg = q.get(timeout=self.deadlock_timeout)
-            except queue.Empty:
-                raise DeadlockError(
-                    f"rank {self.rank} timed out receiving from rank {source} "
-                    f"(tag {tag}) after {self.deadlock_timeout}s at virtual "
-                    f"time {self.clock:.6f}s"
-                ) from None
-            if msg is _PEER_EXITED:
-                q.put(msg)  # a repeated recv fails the same way
-                raise DeadlockError(
-                    f"rank {self.rank}: rank {source} exited without sending "
-                    f"(tag {tag}) at virtual time {self.clock:.6f}s"
-                )
-            if msg.dropped:
-                raise DeadlockError(
-                    f"rank {self.rank}: message from rank {source} "
-                    f"(tag {tag}, seq {msg.seq}) was dropped by fault "
-                    f"injection at virtual time {self.clock:.6f}s"
-                )
-            last = self._consumed_seq.get(chan)
-            if last is not None and msg.seq <= last:
-                continue  # injected duplicate of an already-consumed send
-            self._consumed_seq[chan] = msg.seq
-            break
+        try:
+            msg = q.get(timeout=self.deadlock_timeout)
+        except queue.Empty:
+            raise DeadlockError(
+                f"rank {self.rank} timed out receiving from rank {source} "
+                f"(tag {tag}) after {self.deadlock_timeout}s at virtual "
+                f"time {self.clock:.6f}s"
+            ) from None
+        if msg is _PEER_EXITED:
+            q.put(msg)  # a repeated recv fails the same way
+            raise DeadlockError(
+                f"rank {self.rank}: rank {source} exited without sending "
+                f"(tag {tag}) at virtual time {self.clock:.6f}s"
+            )
         self.clock = max(self.clock, msg.available_at)
         if self.sanitize and msg.digest is not None:
             now = _fingerprint(msg.payload)

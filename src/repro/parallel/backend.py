@@ -36,22 +36,27 @@ kernels are pure and deterministic and merges consume proposals in
 part order — the backend only changes *where* kernels run and which
 clock measures them.
 
-Fault tolerance (docs/robustness.md): every backend wraps kernel
-execution in a :class:`~repro.faults.RetryPolicy` — failed partitions
-are retried with capped exponential backoff, the process backend
-detects dead pools (a worker SIGKILLed mid-stage), respawns its
-workers, and re-runs only the partitions that did not complete, and a
-partition that exhausts its retry budget falls back to the in-process
-serial loop.  Because kernels are pure, a failed attempt never leaves
-partial state behind; merges only run once every proposal is in.  The
-resulting contigs stay byte-identical to the fault-free serial run —
-the invariant ``tests/faults/test_chaos_equivalence.py`` enforces.
+Fault tolerance (docs/robustness.md) lives only in the process
+backend, the one place where an attempt can fail and the next one
+succeed: a worker SIGKILLed, hung past its deadline, or a broken pool.
+Under a :class:`~repro.faults.RetryPolicy` it retries failed partitions
+with capped exponential backoff, respawns a dead pool, re-runs only the
+partitions that did not complete, and falls back to the in-process
+serial loop for a partition that exhausts its budget.  Kernels are pure
+and deterministic, so one that raises in the calling process would
+raise again: serial and sim run each kernel once and let the error
+propagate.  Because kernels are pure, a failed worker attempt never
+leaves partial state behind; merges only run once every proposal is
+in.  The resulting contigs stay byte-identical to the fault-free serial
+run — the invariant ``tests/faults/test_chaos_equivalence.py``
+enforces.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -63,11 +68,11 @@ import numpy as np
 from repro.distributed.stages import StageSpec, get_stage
 from repro.faults import (
     DeadlineExceededError,
-    FaultInjector,
+    FaultPlan,
     FaultReport,
+    InjectedKernelError,
     RetryPolicy,
     StageExecutionError,
-    apply_kernel_fault_in_worker,
 )
 
 __all__ = [
@@ -98,25 +103,16 @@ class StageOutcome:
 class ExecutionBackend:
     """Base class: binds a partitioned subject and runs stages on it.
 
-    ``retry`` governs how kernel failures are handled (defaults to the
-    standard :class:`~repro.faults.RetryPolicy`); ``injector``
-    optionally injects deterministic faults from a
-    :class:`~repro.faults.FaultPlan`.  ``fault_report`` accumulates
-    activity across every stage run on this backend.
+    ``fault_report`` accumulates retry and recovery activity across
+    every stage run on this backend; only the process backend, whose
+    workers can die, ever records any.
     """
 
     name: str = ""
     time_kind: str = "wall"
 
-    def __init__(
-        self,
-        subject,
-        retry: RetryPolicy | None = None,
-        injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, subject) -> None:
         self.subject = subject
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.injector = injector
         self.fault_report = FaultReport()
 
     @staticmethod
@@ -135,61 +131,6 @@ class ExecutionBackend:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- shared retry machinery -----------------------------------------
-
-    def _kernel_with_retry(
-        self, spec: StageSpec, part: int, params: dict, report: FaultReport
-    ):
-        """Run one partition's kernel in-process under the retry policy.
-
-        Kernels are pure, so a failed attempt leaves no state to roll
-        back; injected faults surface as exceptions here (the worker
-        crash / hang semantics belong to the process backend).  After
-        the budget is exhausted the partition either falls back to one
-        final un-injected in-process run (``fallback_serial``) or the
-        stage fails with :class:`StageExecutionError`.
-        """
-        policy = self.retry
-        where = f"part {part}"
-        failures: list[str] = []
-        attempt = 1
-        while True:
-            try:
-                if self.injector is not None:
-                    fault = self.injector.kernel_fault(spec.name, part, attempt)
-                    if fault is not None:
-                        report.record_injected(fault.kind, spec.name, where)
-                    self.injector.fire_kernel_fault(spec.name, part, attempt)
-                proposal = spec.kernel(self.subject, part, **params)
-            except Exception as exc:  # noqa: BLE001 - recorded and re-raised below
-                if isinstance(exc, DeadlineExceededError):
-                    report.record_deadline(spec.name, where)
-                failures.append(f"{where} attempt {attempt}: {exc}")
-                if not policy.allows(attempt + 1):
-                    if policy.fallback_serial:
-                        report.record_fallback(spec.name, where)
-                        return spec.kernel(self.subject, part, **params)
-                    raise StageExecutionError(spec.name, attempt, failures) from exc
-                report.record_retry(spec.name, where, type(exc).__name__)
-                time.sleep(policy.backoff(attempt, token=part))
-                attempt += 1
-                continue
-            if failures:
-                report.record_recovery(spec.name, where)
-            return proposal
-
-    def _finish_outcome(
-        self, spec: StageSpec, result, elapsed: float, report: FaultReport
-    ) -> StageOutcome:
-        """Merge the stage's fault activity and build the outcome."""
-        self.fault_report.merge(report)
-        return StageOutcome(
-            stage=spec.name,
-            result=result,
-            elapsed=elapsed,
-            time_kind=self.time_kind,
-        )
-
 
 class SerialBackend(ExecutionBackend):
     """In-process loop over partitions; the equivalence baseline."""
@@ -200,14 +141,12 @@ class SerialBackend(ExecutionBackend):
     def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         spec = self._resolve(stage)
         subject = self.subject
-        report = FaultReport()
         t0 = time.perf_counter()
         proposals = [
-            self._kernel_with_retry(spec, part, params, report)
-            for part in range(subject.n_parts)
+            spec.kernel(subject, part, **params) for part in range(subject.n_parts)
         ]
         result = spec.merge(subject, proposals, **params)
-        return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
+        return StageOutcome(spec.name, result, time.perf_counter() - t0, self.time_kind)
 
 
 #: per-worker state installed by the pool initializer (fork-inherited).
@@ -222,6 +161,34 @@ def _init_stage_worker(subject) -> None:
     worker.
     """
     _WORKER["subject"] = subject.worker_view()
+
+
+def apply_kernel_fault_in_worker(
+    plan: FaultPlan, stage: str, part: int, attempt: int
+) -> None:
+    """Execute a matching kernel fault inside a real worker process.
+
+    "crash" is a genuine ``kill -9`` of the live worker; "hang" sleeps
+    ``plan.hang_seconds`` (long enough to trip any sane deadline,
+    bounded so a leaked worker exits on its own); "error" raises a
+    transient :class:`~repro.faults.InjectedKernelError`.
+    """
+    fault = plan.kernel_fault(stage, part, attempt)
+    if fault is None:
+        return
+    if fault.kind == "crash":
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif fault.kind == "hang":
+        time.sleep(plan.hang_seconds)
+        raise DeadlineExceededError(
+            f"injected hang in stage {stage!r} partition {part} outlived "
+            f"its {plan.hang_seconds}s sleep without being killed"
+        )
+    else:  # "error"
+        raise InjectedKernelError(
+            f"injected transient kernel error in stage {stage!r} "
+            f"partition {part} (attempt {attempt})"
+        )
 
 
 def _run_stage_task(stage_name: str, part: int, state, params, plan, attempt):
@@ -270,7 +237,8 @@ class ProcessBackend(ExecutionBackend):
     partitions that never completed.  A partition that exhausts its
     attempts (or a pool that keeps dying) falls back to the in-process
     serial loop, so the stage completes whenever the kernels themselves
-    are sound.
+    are sound.  ``fault_plan`` injects deterministic worker faults; it
+    is folded onto the subject's parts.
     """
 
     name = "process"
@@ -281,18 +249,20 @@ class ProcessBackend(ExecutionBackend):
         subject,
         workers: int = 0,
         retry: RetryPolicy | None = None,
-        injector: FaultInjector | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
-        super().__init__(subject, retry=retry, injector=injector)
+        super().__init__(subject)
         if workers < 0:
             raise ValueError("workers must be non-negative")
         cores = os.cpu_count() or 1
         self.n_workers = workers if workers > 0 else min(subject.n_parts, cores)
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.fault_plan = (
+            None
+            if fault_plan is None or fault_plan.empty
+            else fault_plan.scaled_to(subject.n_parts)
+        )
         self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def _plan(self):
-        return self.injector.plan if self.injector is not None else None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -336,24 +306,20 @@ class ProcessBackend(ExecutionBackend):
         spec = self._resolve(stage)
         subject = self.subject
         if subject.n_parts <= 1 or self.n_workers <= 1:
-            # Nothing to parallelise: run in-process, same clock kind,
-            # same retry/injection semantics.
-            inner = SerialBackend(subject, retry=self.retry, injector=self.injector)
-            outcome = inner.run_stage(spec, **params)
-            self.fault_report.merge(inner.fault_report)
-            return outcome
-        report = FaultReport()
+            # Nothing to parallelise and no worker for a fault to fire
+            # in: run the serial loop, same clock kind.
+            return SerialBackend(subject).run_stage(spec, **params)
         t0 = time.perf_counter()
-        proposals = self._collect_proposals(spec, params, report)
+        proposals = self._collect_proposals(spec, params)
         result = spec.merge(subject, proposals, **params)
-        return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
+        return StageOutcome(spec.name, result, time.perf_counter() - t0, self.time_kind)
 
-    def _collect_proposals(
-        self, spec: StageSpec, params: dict, report: FaultReport
-    ) -> list:
+    def _collect_proposals(self, spec: StageSpec, params: dict) -> list:
         """Run every partition's kernel to completion, surviving faults."""
         subject = self.subject
         policy = self.retry
+        report = self.fault_report
+        plan = self.fault_plan
         proposals: list = [None] * subject.n_parts
         attempt = {part: 1 for part in range(subject.n_parts)}
         failed_once: set[int] = set()
@@ -396,8 +362,8 @@ class ProcessBackend(ExecutionBackend):
             ]
             expected = {
                 part: (
-                    self.injector.kernel_fault(spec.name, part, attempt[part])
-                    if self.injector is not None
+                    plan.kernel_fault(spec.name, part, attempt[part])
+                    if plan is not None
                     else None
                 )
                 for part in submit_order
@@ -410,7 +376,7 @@ class ProcessBackend(ExecutionBackend):
                         part,
                         subject.state,
                         params,
-                        self._plan,
+                        plan,
                         attempt[part],
                     )
                     for part in submit_order
@@ -522,30 +488,29 @@ def create_backend(
     cost_model=None,
     sanitize: bool = False,
     retry: RetryPolicy | None = None,
-    injector: FaultInjector | None = None,
+    fault_plan: FaultPlan | None = None,
 ) -> ExecutionBackend:
     """Instantiate a backend by name for one partitioned subject.
 
-    ``workers`` only affects ``process``; ``cost_model`` and
-    ``sanitize`` only affect ``sim``.  ``retry`` and ``injector``
-    apply to every backend.
+    ``workers``, ``retry`` and ``fault_plan`` only affect ``process``;
+    ``cost_model`` and ``sanitize`` only affect ``sim``.  A fault plan
+    fires only in process workers, so serial and sim refuse one.
     """
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
+    if fault_plan is not None and name != "process":
+        raise ValueError(
+            f"a fault plan fires only in process workers, not on the {name!r} "
+            "backend, which runs each kernel once in the calling process"
+        )
     if name == "serial":
-        return SerialBackend(subject, retry=retry, injector=injector)
+        return SerialBackend(subject)
     if name == "process":
         return ProcessBackend(
-            subject, workers=workers, retry=retry, injector=injector
+            subject, workers=workers, retry=retry, fault_plan=fault_plan
         )
-    if name == "sim":
-        # The sim adapter lives in the mpi layer; imported lazily so
-        # repro.parallel itself never depends on repro.mpi.
-        from repro.mpi.stage_backend import SimBackend
+    # The sim adapter lives in the mpi layer; imported lazily so
+    # repro.parallel itself never depends on repro.mpi.
+    from repro.mpi.stage_backend import SimBackend
 
-        return SimBackend(
-            subject,
-            cost_model=cost_model,
-            sanitize=sanitize,
-            retry=retry,
-            injector=injector,
-        )
-    raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
+    return SimBackend(subject, cost_model=cost_model, sanitize=sanitize)

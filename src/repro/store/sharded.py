@@ -45,6 +45,39 @@ def shard_name(index: int) -> str:
     return f"shard-{index:05d}.npz"
 
 
+def _check_stamp(data, path: str, kind: str, index: int, n_records: int) -> None:
+    """Raise ``ValueError`` unless an open shard archive is shard
+    ``index`` of a current-version ``kind`` store holding ``n_records``
+    records."""
+    missing = sorted(
+        {"store_version", "store_kind", "shard_index", "n_records"} - set(data.files)
+    )
+    if missing:
+        raise ValueError(f"foreign shard {path!r}: missing keys {missing}")
+    found = int(data["store_version"])
+    if found != STORE_VERSION:
+        raise ValueError(
+            f"unsupported shard version {found} in {path!r} "
+            f"(this build reads version {STORE_VERSION})"
+        )
+    if str(data["store_kind"]) != kind:
+        raise ValueError(
+            f"shard {path!r} belongs to a {str(data['store_kind'])!r} "
+            f"store, expected {kind!r}"
+        )
+    if int(data["shard_index"]) != index:
+        raise ValueError(
+            f"shard {path!r} is stamped as shard "
+            f"{int(data['shard_index'])}, expected {index} — "
+            "was it moved between stores?"
+        )
+    if int(data["n_records"]) != n_records:
+        raise ValueError(
+            f"shard {path!r} holds {int(data['n_records'])} records, "
+            f"manifest expects {n_records}"
+        )
+
+
 def _array_nbytes(arrays: dict) -> int:
     total = 0
     for value in arrays.values():
@@ -99,14 +132,10 @@ class ShardWriter:
             return False
         try:
             with np.load(final) as data:
-                return (
-                    int(data["store_version"]) == STORE_VERSION
-                    and str(data["store_kind"]) == self.kind
-                    and int(data["shard_index"]) == index
-                    and int(data["n_records"]) == n_records
-                )
-        except (zipfile.BadZipFile, OSError, KeyError, ValueError):
+                _check_stamp(data, final, self.kind, index, n_records)
+        except (zipfile.BadZipFile, OSError, ValueError):
             return False
+        return True
 
     def write_shard(self, arrays: dict, n_records: int) -> ShardInfo:
         """Durably write the next shard (or reuse a surviving one)."""
@@ -199,32 +228,7 @@ class ShardedStore:
         except (zipfile.BadZipFile, OSError, ValueError) as exc:
             raise ValueError(f"corrupt shard {path!r}: {exc}") from exc
         with data:
-            required = {"store_version", "store_kind", "shard_index", "n_records"}
-            missing = sorted(required - set(data.files))
-            if missing:
-                raise ValueError(f"foreign shard {path!r}: missing keys {missing}")
-            found = int(data["store_version"])
-            if found != STORE_VERSION:
-                raise ValueError(
-                    f"unsupported shard version {found} in {path!r} "
-                    f"(this build reads version {STORE_VERSION})"
-                )
-            if str(data["store_kind"]) != self.kind:
-                raise ValueError(
-                    f"shard {path!r} belongs to a {str(data['store_kind'])!r} "
-                    f"store, expected {self.kind!r}"
-                )
-            if int(data["shard_index"]) != index:
-                raise ValueError(
-                    f"shard {path!r} is stamped as shard "
-                    f"{int(data['shard_index'])}, expected {index} — "
-                    "was it moved between stores?"
-                )
-            if int(data["n_records"]) != info.n_records:
-                raise ValueError(
-                    f"shard {path!r} holds {int(data['n_records'])} records, "
-                    f"manifest expects {info.n_records}"
-                )
+            _check_stamp(data, path, self.kind, index, info.n_records)
             return {
                 key: data[key]
                 for key in data.files

@@ -218,8 +218,18 @@ class TestBadInputIsOneLine:
             (["assemble", "--store", "{tmp}/missing", "-o", "{tmp}/c.fa"], "not a sharded store"),
             (["overlap", "{reads}", "-o", "{tmp}/o.tsv", "--subsets", "0"], "n_subsets"),
             (["stats", "{tmp}/missing.fa"], "missing.fa"),
+            (
+                ["assemble", "{reads}", "-o", "{tmp}/c.fa", "--fault-plan", "random:7"],
+                "process workers",
+            ),
         ],
-        ids=["pack-shard-size-0", "assemble-missing-store", "overlap-subsets-0", "stats-missing-file"],
+        ids=[
+            "pack-shard-size-0",
+            "assemble-missing-store",
+            "overlap-subsets-0",
+            "stats-missing-file",
+            "assemble-fault-plan-off-process",
+        ],
     )
     def test_error_line_and_exit_code(self, tmp_path, reads_fastq, capsys, argv, message):
         argv = [a.format(reads=reads_fastq, tmp=tmp_path) for a in argv]

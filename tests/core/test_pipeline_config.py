@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import AssemblyConfig
 from repro.core.pipeline import StageTimer
+from repro.faults import FaultPlan, KernelFault
 
 
 class TestStageTimer:
@@ -91,3 +92,10 @@ class TestAssemblyConfig:
     @pytest.mark.parametrize("backend", ["serial", "sim", "process"])
     def test_backend_names_accepted(self, backend):
         assert AssemblyConfig(backend=backend).backend == backend
+
+    def test_fault_plan_needs_the_process_backend(self):
+        plan = FaultPlan(kernel_faults=(KernelFault("error", "*", 0),))
+        assert AssemblyConfig(backend="process", fault_plan=plan).fault_plan == plan
+        for backend in ("serial", "sim"):
+            with pytest.raises(ValueError, match="process workers"):
+                AssemblyConfig(backend=backend, fault_plan=plan)

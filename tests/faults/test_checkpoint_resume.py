@@ -1,9 +1,9 @@
 """Checkpoint/resume: interrupted runs restart from the last good stage.
 
-Interruption is simulated deterministically: a fault plan with an
-inexhaustible fault budget plus ``fallback_serial=False`` makes the
-targeted stage fail after the checkpoint of its predecessor was
-written — exactly the state a crashed run leaves on disk.
+Interruption is simulated deterministically: an ``on_stage`` callback
+raises once stage X's checkpoint is durable — the path the job service
+aborts a cancelled run by — leaving exactly the state a run killed
+before the next stage leaves on disk.
 """
 
 import numpy as np
@@ -11,25 +11,34 @@ import pytest
 
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
-from repro.faults import FaultPlan, KernelFault, RetryPolicy, StageExecutionError
 
 from tests.faults.conftest import FAST, contig_key, small_reads
 
-#: fails fast and hard at the targeted stage (no fallback, no backoff).
-INTERRUPT = RetryPolicy(
-    max_attempts=2, backoff_base=0.0, backoff_cap=0.0, fallback_serial=False
-)
+
+class Interrupted(Exception):
+    """Stands in for a run killed between two stages."""
 
 
-def interrupted_at(stage):
-    """Config whose run dies at ``stage``, like a crashed process."""
-    return AssemblyConfig(
-        backend_workers=2,
-        retry=INTERRUPT,
-        fault_plan=FaultPlan(
-            kernel_faults=(KernelFault("error", stage, 0, attempts=99),)
-        ),
-    )
+def interrupt_after(stage):
+    """``on_stage`` callback that stops the run once ``stage`` is done."""
+
+    def on_stage(done):
+        if done == stage:
+            raise Interrupted(stage)
+
+    return on_stage
+
+
+def run_interrupted(assembler, prep, ckpt, after):
+    """Run ``finish`` until the checkpoint after stage ``after``."""
+    with pytest.raises(Interrupted):
+        assembler.finish(
+            prep,
+            n_partitions=4,
+            backend="serial",
+            checkpoint=ckpt,
+            on_stage=interrupt_after(after),
+        )
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +79,7 @@ class TestResume:
     ):
         assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
-        crashed = FocusAssembler(interrupted_at("dead_ends"), cost_model=FAST)
-        with pytest.raises(StageExecutionError):
-            crashed.finish(prep, n_partitions=4, checkpoint=ckpt, backend="serial")
+        run_interrupted(assembler, prep, ckpt, after="containment")
 
         result = assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
@@ -90,9 +97,7 @@ class TestResume:
     ):
         assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
-        crashed = FocusAssembler(interrupted_at("traversal"), cost_model=FAST)
-        with pytest.raises(StageExecutionError):
-            crashed.finish(prep, n_partitions=4, checkpoint=ckpt, backend="serial")
+        run_interrupted(assembler, prep, ckpt, after="bubbles")
 
         result = assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
@@ -126,9 +131,7 @@ class TestResume:
         # serial may resume under sim.
         assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.npz"
-        crashed = FocusAssembler(interrupted_at("bubbles"), cost_model=FAST)
-        with pytest.raises(StageExecutionError):
-            crashed.finish(prep, n_partitions=4, checkpoint=ckpt, backend="serial")
+        run_interrupted(assembler, prep, ckpt, after="dead_ends")
         result = assembler.finish(
             prep, n_partitions=4, backend="sim", checkpoint=ckpt, resume=True
         )

@@ -4,13 +4,22 @@ import pytest
 
 from repro.faults import (
     KERNEL_FAULT_KINDS,
-    MESSAGE_FAULT_KINDS,
     FaultPlan,
     FaultReport,
     KernelFault,
-    MessageFault,
     RetryPolicy,
 )
+
+#: ``FaultPlan.random(seed, FINISH_STAGES, 4)`` kernel draws, recorded
+#: when plans still drew message faults after them: dropping those draws
+#: changed no plan, and neither did registering ``overlap`` and
+#: ``variants``.
+SEEDED_KERNEL_DRAWS = {
+    7: (KernelFault("error", "transitive", 2), KernelFault("error", "dead_ends", 3)),
+    11: (KernelFault("crash", "bubbles", 3), KernelFault("hang", "dead_ends", 2)),
+    22: (KernelFault("error", "containment", 2), KernelFault("crash", "traversal", 0)),
+    33: (KernelFault("error", "dead_ends", 1), KernelFault("hang", "traversal", 3)),
+}
 
 
 class TestKernelFault:
@@ -38,28 +47,10 @@ def test_seeded_plans_draw_over_the_finish_stages_only():
     assert FINISH_STAGES == (
         "bubbles", "containment", "dead_ends", "transitive", "traversal"
     )
-    # The plan `random:11` named before `overlap` and `variants` were
-    # registered.
-    assert FaultPlan.random(11, FINISH_STAGES, 4) == FaultPlan(
-        seed=11,
-        kernel_faults=(
-            KernelFault("crash", "bubbles", 3),
-            KernelFault("hang", "dead_ends", 2),
-        ),
-        message_faults=(MessageFault("drop", "dead_ends", 0, 2),),
-    )
-
-
-class TestMessageFault:
-    def test_src_equals_dst_rejected(self):
-        with pytest.raises(ValueError, match="must differ"):
-            MessageFault("drop", "*", 1, 1)
-
-    def test_attempt_gating(self):
-        spec = MessageFault("delay", "bubbles", 0, 1, attempts=1)
-        assert spec.matches_attempt("bubbles", 1)
-        assert not spec.matches_attempt("bubbles", 2)
-        assert not spec.matches_attempt("transitive", 1)
+    for seed, kernel_faults in SEEDED_KERNEL_DRAWS.items():
+        assert FaultPlan.random(seed, FINISH_STAGES, 4) == FaultPlan(
+            seed=seed, kernel_faults=kernel_faults
+        ), seed
 
 
 class TestFaultPlan:
@@ -74,14 +65,6 @@ class TestFaultPlan:
         assert plan.kernel_fault("bubbles", 0, 1).kind == "crash"
         assert plan.kernel_fault("bubbles", 0, 2) is None
 
-    def test_max_fault_attempts(self):
-        assert FaultPlan().max_fault_attempts == 0
-        plan = FaultPlan(
-            kernel_faults=(KernelFault("error", "*", 0, attempts=3),),
-            message_faults=(MessageFault("drop", "*", 0, 1, attempts=2),),
-        )
-        assert plan.max_fault_attempts == 3
-
     def test_empty(self):
         assert FaultPlan().empty
         assert not FaultPlan(
@@ -92,9 +75,6 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=7,
             kernel_faults=(KernelFault("hang", "traversal", 2, attempts=2),),
-            message_faults=(
-                MessageFault("delay", "bubbles", 0, 3, count=2, delay=0.5),
-            ),
             hang_seconds=1.5,
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -115,27 +95,13 @@ class TestFaultPlan:
             assert spec.kind in KERNEL_FAULT_KINDS
             assert spec.stage in stages
             assert 0 <= spec.part < 4
-        for spec in a.message_faults:
-            assert spec.kind in MESSAGE_FAULT_KINDS
         assert FaultPlan.random(43, stages, n_parts=4) != a
-
-    def test_random_single_partition_has_no_message_faults(self):
-        plan = FaultPlan.random(1, ("transitive",), n_parts=1)
-        assert plan.message_faults == ()
 
     def test_scaled_to_folds_indices(self):
         plan = FaultPlan(
-            kernel_faults=(KernelFault("error", "*", 7),),
-            message_faults=(
-                MessageFault("drop", "*", 6, 3),
-                MessageFault("duplicate", "*", 5, 1),
-            ),
+            kernel_faults=(KernelFault("error", "*", 7), KernelFault("hang", "*", 2))
         )
-        scaled = plan.scaled_to(2)
-        assert scaled.kernel_faults[0].part == 1
-        # 6%2 == 0, 3%2 == 1 -> survives; 5%2 == 1 == 1%2 -> dropped.
-        assert len(scaled.message_faults) == 1
-        assert (scaled.message_faults[0].src, scaled.message_faults[0].dst) == (0, 1)
+        assert [s.part for s in plan.scaled_to(2).kernel_faults] == [1, 0]
 
 
 class TestRetryPolicy:
@@ -215,7 +181,7 @@ class TestFaultReport:
         assert not report.has_activity
         assert report.summary() == "no faults"
         report.record_injected("crash", "transitive", "part 0")
-        report.record_retry("transitive", "part 0", "InjectedCrashError")
+        report.record_retry("transitive", "part 0", "WorkerCrash")
         report.record_respawn("transitive", "BrokenProcessPool")
         report.record_recovery("transitive", "part 0")
         assert report.has_activity

@@ -14,13 +14,7 @@ import pytest
 
 from repro.align.overlapper import OverlapConfig, OverlapDetector, overlap_backend
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    KernelFault,
-    RetryPolicy,
-    StageExecutionError,
-)
+from repro.faults import FaultPlan, KernelFault, RetryPolicy, StageExecutionError
 from repro.parallel.backend import ProcessBackend, SerialBackend
 from tests.align.test_engine_equivalence import assert_same_columns
 from tests.faults.conftest import small_reads
@@ -100,9 +94,7 @@ class TestInjectedFaults:
             kernel_faults=(KernelFault("crash", "containment", 1),)
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(
-            dag, workers=2, retry=FAST_RETRY, injector=FaultInjector(plan)
-        )
+        backend = ProcessBackend(dag, workers=2, retry=FAST_RETRY, fault_plan=plan)
         try:
             paths = run_all_stages(backend)
             assert_matches_serial(dag, paths, serial_reference)
@@ -127,9 +119,7 @@ class TestInjectedFaults:
             max_attempts=3, backoff_base=0.0, backoff_cap=0.0, task_deadline=1.0
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(
-            dag, workers=2, retry=policy, injector=FaultInjector(plan)
-        )
+        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
         try:
             paths = run_all_stages(backend)
             assert_matches_serial(dag, paths, serial_reference)
@@ -149,9 +139,7 @@ class TestBudgetExhaustion:
             max_attempts=2, backoff_base=0.0, backoff_cap=0.0, task_deadline=10.0
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(
-            dag, workers=2, retry=policy, injector=FaultInjector(plan)
-        )
+        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
         try:
             paths = run_all_stages(backend)
             assert_matches_serial(dag, paths, serial_reference)
@@ -173,9 +161,7 @@ class TestBudgetExhaustion:
             fallback_serial=False,
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(
-            dag, workers=2, retry=policy, injector=FaultInjector(plan)
-        )
+        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
         try:
             with pytest.raises(StageExecutionError, match="transitive"):
                 run_all_stages(backend)
@@ -189,12 +175,12 @@ class TestOverlapStage:
 
     CONFIG = OverlapConfig(min_overlap=50, n_subsets=3)
 
-    @pytest.mark.parametrize("kind, part, workers", [("error", 0, 1), ("crash", 1, 2)])
-    def test_fault_retried_and_recorded(self, kind, part, workers):
-        # A kernel error on serial; a real worker SIGKILL on process.
+    @pytest.mark.parametrize("kind, part", [("error", 0), ("crash", 1)])
+    def test_fault_retried_and_recorded(self, kind, part):
+        # A transient kernel error, and a real worker SIGKILL.
         reads = small_reads(genome_len=2000)
         plan = FaultPlan(kernel_faults=(KernelFault(kind, "overlap", part),))
-        with overlap_backend(reads, self.CONFIG, workers, FAST_RETRY, plan) as backend:
+        with overlap_backend(reads, self.CONFIG, 2, FAST_RETRY, plan) as backend:
             packed, _ = backend.run_stage("overlap").result
         fault_free = OverlapDetector(self.CONFIG).find_overlaps_packed(reads)
         assert_same_columns(packed, fault_free)

@@ -1,5 +1,7 @@
 """Execution backends: serial/sim/process equivalence and plumbing."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.align.overlapper import (
     OverlapSubject,
     overlap_backend,
 )
+from repro.distributed.stages import StageSpec, get_stage
+from repro.faults import FaultPlan, KernelFault
 from repro.parallel.backend import (
     BACKEND_NAMES,
     ProcessBackend,
@@ -80,6 +84,45 @@ class TestCreateBackend:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("threads", fresh_dag())
+
+    @pytest.mark.parametrize("name", ["serial", "sim"])
+    def test_fault_plan_refused_off_process(self, name):
+        plan = FaultPlan(kernel_faults=(KernelFault("error", "*", 0),))
+        with pytest.raises(ValueError, match="process workers"):
+            create_backend(name, fresh_dag(), fault_plan=plan)
+
+
+class TestKernelErrorsPropagate:
+    """A kernel that raises in the calling process would raise again:
+    serial and sim run it once and fail loudly."""
+
+    def test_serial_runs_a_failing_kernel_once(self):
+        calls = []
+
+        def failing_kernel(subject, part, **params):
+            calls.append(part)
+            raise RuntimeError("kernel bug")
+
+        spec = StageSpec("transitive", failing_kernel, get_stage("transitive").merge)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            SerialBackend(fresh_dag()).run_stage(spec, tolerance=2)
+        assert calls == [0]
+
+    def test_sim_raises_and_names_the_rank(self):
+        # The kernel fails only off the main thread, i.e. on a simulated
+        # rank: an in-process serial fallback would hide it.
+        transitive = get_stage("transitive")
+
+        def rank_only_kernel(subject, part, **params):
+            if part == 1 and threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("kernel bug on a rank thread")
+            return transitive.kernel(subject, part, **params)
+
+        spec = StageSpec("transitive", rank_only_kernel, transitive.merge)
+        with create_backend("sim", fresh_dag(), cost_model=FAST) as engine:
+            with pytest.raises(RuntimeError, match="rank 1 failed.*kernel bug"):
+                engine.run_stage(spec, tolerance=2)
+            assert not engine.fault_report.has_activity
 
 
 class TestProcessBackend:
