@@ -128,7 +128,8 @@ class AssemblyResult:
     assembly: HybridAssembly
     dag: DistributedAssemblyGraph
     partition: PartitionResult
-    paths: list[list[int]] = field(default_factory=list)
+    #: the traversal's paths, packed: (flat node ids, per-path lengths).
+    paths: tuple[np.ndarray, np.ndarray]
     #: execution backend the distributed stages ran on.
     backend: str = "sim"
     #: clock kind of ``virtual_times``: "virtual" or "wall".
@@ -321,7 +322,7 @@ class FocusAssembler:
         fingerprint = self._fingerprint(prep, k, mode)
 
         completed: list[str] = []
-        restored_paths: list[list[int]] | None = None
+        restored_paths: tuple[np.ndarray, np.ndarray] | None = None
         if resume and ckpt_file is not None and os.path.exists(ckpt_file):
             state = load_checkpoint(ckpt_file)
             if state.fingerprint != fingerprint:

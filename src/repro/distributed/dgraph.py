@@ -258,33 +258,6 @@ class DistributedAssemblyGraph:
         neg = self._directed_deltas(v, eids) < 0
         return nbrs[neg], eids[neg]
 
-    def direction_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(out_deg, out_next, in_deg, in_next) over alive edges.
-
-        Vectorised snapshot of edge directions: ``out_next[v]`` is v's
-        unique right neighbour when ``out_deg[v] == 1`` (undefined
-        otherwise), and symmetrically for in-edges.  Zero-delta edges
-        (pure containments, normally removed by then) count as
-        neither.  Path traversal consults these tables instead of
-        slicing adjacency per node.
-        """
-        g = self.graph
-        alive = self.edge_alive & self.node_alive[g.eu] & self.node_alive[g.ev]
-        eu, ev, d = g.eu[alive], g.ev[alive], g.deltas[alive]
-        pos, neg = d > 0, d < 0
-        out_src = np.concatenate([eu[pos], ev[neg]])
-        out_dst = np.concatenate([ev[pos], eu[neg]])
-        in_src = np.concatenate([eu[neg], ev[pos]])
-        in_dst = np.concatenate([ev[neg], eu[pos]])
-        n = g.n_nodes
-        out_deg = np.bincount(out_src, minlength=n)
-        in_deg = np.bincount(in_src, minlength=n)
-        out_next = np.full(n, -1, dtype=np.int64)
-        out_next[out_src] = out_dst
-        in_next = np.full(n, -1, dtype=np.int64)
-        in_next[in_src] = in_dst
-        return out_deg, out_next, in_deg, in_next
-
     # -- master mutations -----------------------------------------------------
 
     def remove_edges(self, edge_ids) -> int:

@@ -1,20 +1,28 @@
 """Distributed maximal-path extraction and contig construction (§V-D).
 
-The per-partition kernel grows paths within its own partition:
-starting from an unvisited node, the path extends through out-edges
-while the chain is unambiguous (single out-edge that is also the
-single in-edge of its head) and stays inside the partition; then
-symmetrically through in-edges.  Sub-paths travel as a packed ragged
-encoding (flat node array + per-path lengths).  The master merge joins
-sub-paths whose endpoints meet across partition boundaries (right end
-of p1 -> left end of p2, where that is p2's only in-edge); one contig
-per path is then emitted by overlaying the node contigs at their
-delta-accumulated offsets.
+A node's *unambiguous successor* is its one right neighbour (the one
+alive edge of positive delta) when that neighbour's one left neighbour
+is the node itself; zero-delta edges count as neither.  The relation
+is a partial injection, so its components are disjoint chains and
+cycles — the linear subgraph whose components ELBA emits as contigs
+(Guidi et al. 2022, PAPERS.md).  Both halves of the stage find them by
+list ranking: pointer doubling gives every node its chain head and its
+rank in O(log L) array rounds, and a cycle is cut before its smallest
+member, which then starts it.
 
-Kernels consult vectorised :meth:`direction_tables` (one O(E) numpy
-precompute) rather than slicing adjacency per node, so traversal time
-is dominated by that precompute — cheap and nearly independent of the
-partition count, as the paper observes (Fig. 6).
+The per-partition kernel restricts the relation to its partition's
+alive rows, so it reads those rows and nothing else; its sub-paths
+come out in ascending order of their smallest member and travel as a
+packed ragged pair (flat node ids, per-path lengths).  The master
+merge applies the same relation to the sub-path ends: p1 joins p2 when
+p1's tail's unambiguous successor is p2's head.  The joined paths come
+out chains first, in head order, then cycles from their smallest
+sub-path.  One contig per path is then emitted by overlaying the node
+contigs at their delta-accumulated offsets.
+
+Traversal time is thus a partition's rows plus a few passes per
+doubling round — cheap and nearly independent of the partition count,
+as the paper observes (Fig. 6).
 """
 
 from __future__ import annotations
@@ -23,216 +31,209 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
-from repro.graph.contigs import overlay_votes
-from repro.graph.sparse import masked_view
+from repro.graph.contigs import overlay_votes, vote_winners
+from repro.graph.sparse import SparseFinishView, masked_view, ragged_positions
 
 __all__ = [
-    "extract_subpaths",
     "subpath_kernel",
-    "pack_paths",
-    "unpack_paths",
-    "join_subpaths",
     "merge_subpaths",
     "contigs_from_paths",
 ]
-
-Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: bases overlaid per ``np.bincount`` in :func:`contigs_from_paths`:
 #: bounds its transient arrays (a few int64 per base) whatever the path.
 _MAX_BASES = 1 << 18
 
 
-def extract_subpaths(
-    dag: DistributedAssemblyGraph,
-    part: int,
-    visited: np.ndarray,
-    tables: Tables | None = None,
-) -> list[list[int]]:
-    """Maximal unambiguous paths within one partition.
+def _unique_neighbours(
+    view: SparseFinishView, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left): each node's only right / left alive neighbour, -1
+    where it has none or several."""
+    rows, degrees = view.rows_of(nodes)
+    owner = np.repeat(np.arange(nodes.size), degrees)
+    delta, dst = view.delta[rows], view.dst[rows]
+    right, left = np.full((2, nodes.size), -1, dtype=np.int64)
+    for near, side in ((right, delta > 0), (left, delta < 0)):
+        near[owner[side]] = dst[side]
+        near[np.bincount(owner[side], minlength=nodes.size) != 1] = -1
+    return right, left
 
-    ``visited`` is a shared bool array marking nodes already placed in
-    a path (workers touch disjoint partitions, so there are no races).
+
+def _double(pred: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointer doubling along ``pred`` (-1: none): (jump, rank, low).
+
+    A chain element ends with ``jump`` at its head and ``rank`` its
+    distance from it.  A cycle element never reaches a head; its
+    ``low`` ends as the smallest member of its cycle.
     """
-    out_deg, out_next, in_deg, in_next = tables or dag.direction_tables()
-    labels = dag.labels
-    paths: list[list[int]] = []
-    for v in dag.partition_nodes(part).tolist():
-        if visited[v]:
-            continue
-        path = [v]
-        visited[v] = True
-        # Extend right.
-        cur = v
-        while out_deg[cur] == 1:
-            nxt = int(out_next[cur])
-            if visited[nxt] or labels[nxt] != part or in_deg[nxt] != 1 or in_next[nxt] != cur:
-                break
-            path.append(nxt)
-            visited[nxt] = True
-            cur = nxt
-        # Extend left from the seed.
-        cur = v
-        while in_deg[cur] == 1:
-            prv = int(in_next[cur])
-            if visited[prv] or labels[prv] != part or out_deg[prv] != 1 or out_next[prv] != cur:
-                break
-            path.insert(0, prv)
-            visited[prv] = True
-            cur = prv
-        paths.append(path)
-    return paths
+    n = pred.size
+    idx = np.arange(n)
+    linked = pred >= 0
+    jump = np.where(linked, pred, idx)
+    rank = linked.astype(np.int64)
+    low = idx.copy()
+    live = np.flatnonzero(pred[jump] >= 0)
+    # 2**rounds > n: every chain is ranked and every cycle's window is
+    # wider than the cycle.
+    for _ in range(n.bit_length()):
+        if live.size == 0:
+            break
+        to = jump[live]
+        rank[live] += rank[to]
+        low[live] = np.minimum(low[live], low[to])
+        jump[live] = jump[to]
+        live = live[pred[jump[live]] >= 0]
+    return jump, rank, low
 
 
-def pack_paths(paths: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged encoding of a path list: (flat node ids, path lengths)."""
-    lens = np.array([len(p) for p in paths], dtype=np.int64)
-    if paths:
-        flat = np.concatenate([np.asarray(p, dtype=np.int64) for p in paths])
-    else:
-        flat = np.empty(0, dtype=np.int64)
-    return flat, lens
+def _chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(head, rank) of every element of the partial injection ``succ``.
+
+    ``succ[i]`` is i's successor or -1.  A cycle is cut before its
+    smallest member, which becomes its head.
+    """
+    n = succ.size
+    pred = np.full(n, -1, dtype=np.int64)
+    linked = np.flatnonzero(succ >= 0)
+    pred[succ[linked]] = linked
+    head, rank, low = _double(pred)
+    cyclic = pred[head] >= 0
+    if cyclic.any():
+        pred[cyclic & (low == np.arange(n))] = -1
+        head, rank, _ = _double(pred)
+    return head, rank
 
 
-def unpack_paths(flat: np.ndarray, lens: np.ndarray) -> list[list[int]]:
-    """Inverse of :func:`pack_paths`."""
-    bounds = np.cumsum(np.asarray(lens, dtype=np.int64))
-    flat = np.asarray(flat, dtype=np.int64)
-    out: list[list[int]] = []
-    lo = 0
-    for hi in bounds.tolist():
-        out.append(flat[lo:hi].tolist())
-        lo = hi
-    return out
+def _gather(
+    head: np.ndarray, rank: np.ndarray, key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(order, lens): every chain head to tail, chains in ``key[head]`` order."""
+    heads = np.flatnonzero(rank == 0)
+    heads = heads[np.argsort(key[heads])]
+    lens = np.bincount(head, minlength=head.size)[heads]
+    start = np.zeros(head.size, dtype=np.int64)
+    start[heads] = np.cumsum(lens) - lens
+    order = np.empty(head.size, dtype=np.int64)
+    order[start[head] + rank] = np.arange(head.size)
+    return order, lens
 
 
 def subpath_kernel(
     dag: DistributedAssemblyGraph, part: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure kernel: packed maximal sub-paths of one partition.
-
-    A partition-local path never leaves its partition, so each kernel
-    invocation can use a private ``visited`` array — no shared state.
-    """
-    visited = np.zeros(dag.graph.n_nodes, dtype=bool)
-    paths = extract_subpaths(dag, part, visited, dag.direction_tables())
-    return pack_paths(paths)
-
-
-def join_subpaths(
-    dag: DistributedAssemblyGraph,
-    subpaths: list[list[int]],
-    tables: Tables | None = None,
-) -> list[list[int]]:
-    """Master-side joining of sub-paths across partition boundaries.
-
-    p1 joins p2 when p1's right end has a unique out-edge to p2's left
-    end and that edge is p2's head's only in-edge (paper §V-D).
-    """
-    out_deg, out_next, in_deg, in_next = tables or dag.direction_tables()
-    head_of = {p[0]: i for i, p in enumerate(subpaths)}
-    paths = [list(p) for p in subpaths]
-
-    successor: dict[int, int] = {}
-    has_pred: set[int] = set()
-    for i, p in enumerate(paths):
-        tail = p[-1]
-        if out_deg[tail] != 1:
-            continue
-        head = int(out_next[tail])
-        j = head_of.get(head)
-        if j is None or j == i:
-            continue
-        if in_deg[head] != 1 or in_next[head] != tail:
-            continue
-        successor[i] = j
-        has_pred.add(j)
-
-    joined: list[list[int]] = []
-    consumed = [False] * len(paths)
-
-    def follow(start: int) -> None:
-        chain = list(paths[start])
-        consumed[start] = True
-        j = successor.get(start)
-        while j is not None and not consumed[j]:
-            chain.extend(paths[j])
-            consumed[j] = True
-            j = successor.get(j)
-        joined.append(chain)
-
-    for i in range(len(paths)):
-        if not consumed[i] and i not in has_pred:
-            follow(i)
-    # Pure cycles (every member has a predecessor) are emitted as-is.
-    for i in range(len(paths)):
-        if not consumed[i]:
-            follow(i)
-    return joined
+    """Pure kernel: the packed maximal unambiguous paths inside one
+    partition, in ascending order of their smallest member."""
+    nodes = dag.partition_nodes(part)
+    if nodes.size == 0:
+        return nodes, np.empty(0, dtype=np.int64)
+    right, left = _unique_neighbours(masked_view(dag), nodes)
+    j = np.minimum(np.searchsorted(nodes, right), nodes.size - 1)
+    linked = (right >= 0) & (nodes[j] == right) & (left[j] == nodes)
+    head, rank = _chains(np.where(linked, j, -1))
+    # Smallest member of each chain, stored at its head.
+    smallest = np.empty(nodes.size, dtype=np.int64)
+    smallest[head[::-1]] = np.arange(nodes.size)[::-1]
+    order, lens = _gather(head, rank, smallest)
+    return nodes[order], lens
 
 
 def merge_subpaths(
     dag: DistributedAssemblyGraph, proposals, **_params
-) -> list[list[int]]:
-    """Master merge: unpack per-partition sub-paths (in partition
-    order, so the result is backend-independent) and join them."""
-    flat_paths = [p for prop in proposals for p in unpack_paths(*prop)]
-    return join_subpaths(dag, flat_paths)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Master merge: join the sub-paths (taken in partition order, so
+    the result is backend-independent) across partition boundaries."""
+    empty = np.empty(0, dtype=np.int64)
+    flat = np.concatenate([empty, *(f for f, _ in proposals)])
+    lens = np.concatenate([empty, *(n for _, n in proposals)])
+    m = lens.size
+    if m == 0:
+        return flat, lens
+    first = np.cumsum(lens) - lens
+    heads, tails = flat[first], flat[first + lens - 1]
+    right, left = _unique_neighbours(masked_view(dag), np.concatenate([tails, heads]))
+    right, left = right[:m], left[m:]
+    by_head = np.argsort(heads)
+    j = by_head[np.minimum(np.searchsorted(heads, right, sorter=by_head), m - 1)]
+    # A sub-path never joins itself: a partition-local cycle stays cut.
+    linked = (right >= 0) & (heads[j] == right) & (left[j] == tails)
+    linked &= j != np.arange(m)
+    head, rank = _chains(np.where(linked, j, -1))
+    # Chains in head order, then the cycles (heads that had a predecessor).
+    cyclic = np.zeros(m, dtype=bool)
+    cyclic[j[linked]] = True
+    order, counts = _gather(head, rank, np.arange(m) + m * cyclic)
+    sizes = lens[order]
+    joined = flat[ragged_positions(first[order], sizes)]
+    return joined, np.add.reduceat(sizes, np.cumsum(counts) - counts)
 
 
 register_stage("traversal", subpath_kernel, merge_subpaths)
 
 
-def contigs_from_paths(
-    dag: DistributedAssemblyGraph, paths: list[list[int]]
+def _overlay(
+    dag: DistributedAssemblyGraph, nodes: np.ndarray, lens: np.ndarray
 ) -> list[np.ndarray]:
-    """One consensus sequence per path, overlaying contigs at offsets.
+    """Consensus of each packed path of two or more nodes.
 
-    All step deltas resolve through one batched sparse pair lookup, and
-    a path's node contigs are counted into its (column, base) table one
-    ``np.bincount`` per block of whole contigs.
+    The paths are laid side by side in one base-major vote table:
+    every step delta resolves through one batched sparse pair lookup,
+    and node contigs are counted into the table one ``np.bincount``
+    per block of whole contigs.  A path's contig is its covered columns.
     """
-    out: list[np.ndarray] = []
     contigs = dag.assembly.contigs
-    lengths = dag.assembly.contig_lengths
-    multi = [p for p in paths if len(p) > 1]
-    if multi:
-        heads = np.concatenate([np.asarray(p[:-1], dtype=np.int64) for p in multi])
-        tails = np.concatenate([np.asarray(p[1:], dtype=np.int64) for p in multi])
-        step_deltas, found = masked_view(dag).pair_deltas(heads, tails)
-        if not found.all():
-            i = int(np.flatnonzero(~found)[0])
-            raise ValueError(
-                f"path step {int(heads[i])}->{int(tails[i])} has no alive edge"
-            )
-    cursor = 0
-    for path in paths:
-        if len(path) == 1:
-            out.append(contigs[path[0]].copy())
-            continue
-        k = len(path) - 1
-        d = step_deltas[cursor : cursor + k]
-        cursor += k
-        offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(d, out=offsets[1:])
-        offsets -= offsets.min()
-        sizes = lengths[path]
-        width = int((offsets + sizes).max())
-        counts = np.zeros(width * 4, dtype=np.int32)
-        # Blocks of consecutive nodes whose bases stay under the budget.
-        total = np.cumsum(sizes)
-        cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
-        bounds = np.unique(np.concatenate([[0], cuts, [k + 1]])).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            codes = np.concatenate([contigs[v] for v in path[lo:hi]])
-            left = int(offsets[lo:hi].min())
-            tally = overlay_votes(codes, offsets[lo:hi] - left, sizes[lo:hi])
-            counts[left * 4 : left * 4 + tally.size] += tally
-        counts = counts.reshape(width, 4)
-        seq = counts.argmax(axis=1).astype(np.uint8)
-        # A valid path overlays contiguously; keep only covered columns
-        # defensively (uncovered columns would be argmax garbage).  Four
-        # column ORs: a reduction along the length-4 axis is ~4x slower.
-        a, c, g, t = counts.T
-        out.append(seq[(a | c | g | t) > 0])
-    return out
+    first = np.cumsum(lens) - lens
+    step = np.ones(nodes.size, dtype=bool)
+    step[first] = False
+    at = np.flatnonzero(step)
+    deltas, found = masked_view(dag).pair_deltas(nodes[at - 1], nodes[at])
+    if not found.all():
+        i = at[np.flatnonzero(~found)[0]]
+        raise ValueError(
+            f"path step {int(nodes[i - 1])}->{int(nodes[i])} has no alive edge"
+        )
+    offsets = np.zeros(nodes.size, dtype=np.int64)
+    offsets[at] = deltas
+    np.cumsum(offsets, out=offsets)
+    offsets -= np.repeat(np.minimum.reduceat(offsets, first), lens)
+    sizes = dag.assembly.contig_lengths[nodes]
+    widths = np.maximum.reduceat(offsets + sizes, first)
+    columns = np.cumsum(widths) - widths
+    offsets += np.repeat(columns, lens)
+    counts = np.zeros((4, int(widths.sum())), dtype=np.int32)
+    # Blocks of consecutive nodes whose bases stay under the budget.
+    total = np.cumsum(sizes)
+    cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
+    bounds = np.unique(np.concatenate([[0], cuts, [nodes.size]])).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        codes = np.concatenate([contigs[v] for v in nodes[lo:hi].tolist()])
+        left = int(offsets[lo:hi].min())
+        right = int((offsets[lo:hi] + sizes[lo:hi]).max())
+        counts[:, left:right] += overlay_votes(
+            codes, offsets[lo:hi] - left, sizes[lo:hi], right - left
+        )
+    seq, covered = vote_winners(counts)
+    # Free the table before the contigs are cut, so they can land in its
+    # space instead of above it, where a kept contig would pin the heap.
+    del counts
+    return [
+        seq[a:b][covered[a:b]]
+        for a, b in zip(columns.tolist(), (columns + widths).tolist())
+    ]
+
+
+def contigs_from_paths(
+    dag: DistributedAssemblyGraph, paths: tuple[np.ndarray, np.ndarray]
+) -> list[np.ndarray]:
+    """One consensus sequence per packed path, overlaying contigs at
+    their delta-accumulated offsets; a single-node path is its contig."""
+    flat, lens = (np.asarray(a, dtype=np.int64) for a in paths)
+    multi = lens > 1
+    overlaid = iter(
+        _overlay(dag, flat[np.repeat(multi, lens)], lens[multi]) if multi.any() else []
+    )
+    contigs = dag.assembly.contigs
+    return [
+        next(overlaid) if m else contigs[v].copy()
+        for m, v in zip(multi.tolist(), flat[np.cumsum(lens) - lens].tolist())
+    ]

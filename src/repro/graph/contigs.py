@@ -21,6 +21,7 @@ __all__ = [
     "cluster_layout_offsets",
     "is_layout_contiguous",
     "overlay_votes",
+    "vote_winners",
     "consensus_of_layouts",
     "consensus_from_layout",
     "contig_for_nodes",
@@ -153,22 +154,44 @@ def overlay_votes(
     codes: np.ndarray,
     offsets: np.ndarray,
     sizes: np.ndarray,
+    width: int,
     weights: np.ndarray | None = None,
-    minlength: int = 0,
 ) -> np.ndarray:
-    """Flat ``(column, base)`` vote table of stacked sequences.
+    """Base-major ``(4, width)`` vote table of stacked sequences.
 
     ``codes`` concatenates sequences of ``sizes`` bases, sequence ``i``
-    laid at columns ``offsets[i] ...``; cell ``4 * column + base`` of the
-    result counts (or, with per-base ``weights``, sums in input order)
-    the called bases there — one ``np.bincount``, as long as the last
-    voted cell or ``minlength``.
+    laid at columns ``offsets[i] ...`` (all below ``width``); cell
+    ``[base, column]`` of the result counts (or, with per-base
+    ``weights``, sums in input order) the called bases there — one
+    ``np.bincount``.
     """
-    cell = (ragged_positions(offsets, sizes) << 2) + codes
+    cell = ragged_positions(offsets, sizes) + codes * np.int64(width)
     called = codes < 4
     if weights is not None:
         weights = weights[called]
-    return np.bincount(cell[called], weights=weights, minlength=minlength)
+    votes = np.bincount(cell[called], weights=weights, minlength=4 * width)
+    return votes.reshape(4, width)
+
+
+def vote_winners(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(winning base, covered) of every column of a ``(4, width)`` vote table.
+
+    Ties go to the lowest base (the first maximum); a column is covered
+    when its winning count is positive.  Elementwise passes over the
+    table, in place: ``counts[0]`` is overwritten with the winning
+    counts, and no width-sized count temporary is made.
+    """
+    best = counts[0]
+    winner = np.zeros(counts.shape[1], dtype=np.uint8)
+    beaten = np.empty(counts.shape[1], dtype=np.uint8)
+    for base in (1, 2, 3):
+        # Every earlier winner is a lower base, so a strict win at
+        # ``base`` raises the winner to it and a loss leaves it.
+        np.greater(counts[base], best, out=beaten)
+        beaten *= base
+        np.maximum(winner, beaten, out=winner)
+        np.maximum(best, counts[base], out=best)
+    return winner, best > 0
 
 
 def consensus_of_layouts(
@@ -202,15 +225,15 @@ def consensus_of_layouts(
         np.cumsum(widths[lo:hi], out=columns[1:])
         codes, starts, quals = reads.gather_reads(nodes[members], quals=weighted)
         at = ragged_positions(starts, sizes[members])
-        counts = overlay_votes(
-            codes[at],
-            np.repeat(columns[:-1], np.diff(first[lo : hi + 1])) + shifted[members],
-            sizes[members],
-            1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
-            minlength=int(columns[-1]) * 4,
-        ).reshape(-1, 4)
-        consensus = counts.argmax(axis=1).astype(np.uint8)
-        covered = counts.sum(axis=1) > 0
+        consensus, covered = vote_winners(
+            overlay_votes(
+                codes[at],
+                np.repeat(columns[:-1], np.diff(first[lo : hi + 1])) + shifted[members],
+                sizes[members],
+                int(columns[-1]),
+                1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
+            )
+        )
         for left, right in zip(columns[:-1].tolist(), columns[1:].tolist()):
             # Split at zero-coverage columns.
             edges = np.flatnonzero(np.diff(covered[left:right])) + left + 1

@@ -48,7 +48,8 @@ class CheckpointState:
     different configuration is refused rather than silently producing
     wrong contigs.  ``completed`` lists finished stages in execution
     order; ``stage_times`` holds their recorded per-stage seconds;
-    ``paths`` is present once the traversal stage has completed.
+    ``paths`` — packed as (flat node ids, per-path lengths) — is present
+    once the traversal stage has completed.
     """
 
     fingerprint: dict
@@ -56,7 +57,7 @@ class CheckpointState:
     node_alive: np.ndarray | None = None
     edge_alive: np.ndarray | None = None
     stage_times: dict = field(default_factory=dict)
-    paths: list[list[int]] | None = None
+    paths: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _json_array(obj) -> np.ndarray:
@@ -71,19 +72,10 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
     """Persist a stage checkpoint atomically (see :class:`CheckpointState`)."""
     if state.node_alive is None or state.edge_alive is None:
         raise ValueError("checkpoint needs both alive-masks")
-    paths = state.paths
-    if paths is not None:
-        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-        if paths:
-            offsets[1:] = np.cumsum([len(p) for p in paths])
-        flat = (
-            np.concatenate([np.asarray(p, dtype=np.int64) for p in paths])
-            if paths
-            else np.empty(0, dtype=np.int64)
-        )
-    else:
-        offsets = np.empty(0, dtype=np.int64)
-        flat = np.empty(0, dtype=np.int64)
+    flat = offsets = np.empty(0, dtype=np.int64)
+    if state.paths is not None:
+        flat, lens = (np.asarray(a, dtype=np.int64) for a in state.paths)
+        offsets = np.concatenate([[0], np.cumsum(lens)])
     atomic_savez(
         dest,
         version=np.int64(_CHECKPOINT_VERSION),
@@ -92,7 +84,7 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
         node_alive=np.asarray(state.node_alive, dtype=bool),
         edge_alive=np.asarray(state.edge_alive, dtype=bool),
         stage_times=_json_array(state.stage_times),
-        has_paths=np.bool_(paths is not None),
+        has_paths=np.bool_(state.paths is not None),
         paths_flat=flat,
         paths_offsets=offsets,
     )
@@ -122,14 +114,12 @@ def load_checkpoint(source) -> CheckpointState:
                 f"unsupported checkpoint archive version {found} "
                 f"(this build reads version {_CHECKPOINT_VERSION})"
             )
-        paths: list[list[int]] | None = None
+        paths = None
         if bool(data["has_paths"]):
-            flat = data["paths_flat"]
-            offsets = data["paths_offsets"]
-            paths = [
-                flat[int(offsets[i]) : int(offsets[i + 1])].tolist()
-                for i in range(len(offsets) - 1)
-            ]
+            paths = (
+                data["paths_flat"].astype(np.int64),
+                np.diff(data["paths_offsets"]).astype(np.int64),
+            )
         return CheckpointState(
             fingerprint=_json_value(data["fingerprint"]),
             completed=list(_json_value(data["completed"])),

@@ -12,7 +12,7 @@ PERF002 — the vectorized hot paths must stay vectorized.  Three kinds
 of function carry the contract: overlap detection
 (``src/repro/align/``, overlap/seed/vote/candidate functions), the finish
 kernels (every function of ``src/repro/graph/sparse.py`` and of
-``src/repro/distributed/{transitive,containment,trimming}.py``) and
+``src/repro/distributed/{transitive,containment,trimming,traversal}.py``) and
 cluster layout (``layout_*`` / ``*_layout_*`` in
 ``src/repro/graph/contigs.py``, ``_select_*`` in
 ``src/repro/graph/hybrid.py``).  Iterating ``.tolist()`` output there
@@ -118,6 +118,7 @@ _FINISH_KERNEL_MODULES = (
     "repro/distributed/transitive.py",
     "repro/distributed/containment.py",
     "repro/distributed/trimming.py",
+    "repro/distributed/traversal.py",
 )
 
 

@@ -61,8 +61,9 @@ def defect_chain_assembly(backbone, seed, length=150, step=60):
     * cycle offset 22: a node properly contained in its anchor —
       removed by containment with identity 1.0.
 
-    Returns the assembly and every node's backbone position
-    (decorations inherit their anchor's), the key for block labels.
+    Returns the assembly, every node's backbone position (decorations
+    inherit their anchor's; the key for block labels) and the genome
+    the backbone tiles — the one contig a correct finish emits.
     """
     genome = random_genome(step * (backbone - 1) + length, np.random.default_rng(seed))
     contigs = [genome[i * step : i * step + length] for i in range(backbone)]
@@ -92,7 +93,7 @@ def defect_chain_assembly(backbone, seed, length=150, step=60):
             edges.append((short_b, i + 1, step - 35))
         elif cycle == 22:
             edges.append((i, add_node(i, base + 25, 100), 25))  # contained in i
-    return make_assembly(contigs, edges), np.array(anchors, dtype=np.int64)
+    return make_assembly(contigs, edges), np.array(anchors, dtype=np.int64), genome
 
 
 def trim_params(cfg):

@@ -5,10 +5,13 @@ for any graph, any alive-mask state, and any partitioning, each stage's
 kernel proposes exactly the removals the per-node reference scan
 (``tests/reference/finish_loop.py``) finds.  Hypothesis drives the four
 kernel/oracle pairs over randomized genome-sliced assemblies with
-random dead nodes/edges, and the blocked-bincount contig overlay
-against the per-node ``np.add.at`` overlay
-(``tests/reference/contigs.py``); a chaos smoke then proves fault
-injection composes with the kernels end to end.
+random dead nodes/edges, the list-ranking traversal against the
+per-node walk (``tests/reference/traversal_walk.py``) over random
+chains and cycles, and the blocked-bincount contig overlay against the
+per-node ``np.add.at`` overlay (``tests/reference/contigs.py``).  A
+defect chain then finishes to its genome at every partition count on
+every backend, and a chaos smoke proves fault injection composes with
+the kernels end to end.
 """
 
 import numpy as np
@@ -21,10 +24,14 @@ from repro.core.focus import FocusAssembler, deduplicate_contigs
 from repro.distributed.containment import containment_kernel
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.transitive import transitive_kernel
-from repro.distributed.traversal import contigs_from_paths
+from repro.distributed.traversal import (
+    contigs_from_paths,
+    merge_subpaths,
+    subpath_kernel,
+)
 from repro.distributed.trimming import bubble_kernel, dead_end_kernel
 from repro.faults import FaultPlan, KernelFault, RetryPolicy
-from repro.parallel.backend import BACKEND_NAMES, SerialBackend
+from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.simulate.genome import random_genome
 
 from tests.distributed.conftest import (
@@ -34,7 +41,7 @@ from tests.distributed.conftest import (
     trim_params,
 )
 from tests.reference import contigs as contigs_ref
-from tests.reference import finish_loop
+from tests.reference import finish_loop, traversal_walk
 
 GENOME_LEN = 400
 
@@ -193,11 +200,95 @@ class TestContigOverlayEquivalence:
         expect = contigs_ref.contigs_from_paths(dag, paths)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(traversal, "_MAX_BASES", max_bases)
-            got = contigs_from_paths(dag, paths)
+            got = contigs_from_paths(dag, traversal_walk.pack_paths(paths))
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype == np.uint8
             np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def linked_dags(draw):
+    """Random chains and cycles with every hazard traversal must stop at.
+
+    The nodes are shuffled and cut into runs; each run is a chain of
+    positive-delta edges, and about half the runs of three or more are
+    closed into a cycle.  Extra edges between random pairs add
+    junctions (out- or in-degree 2), zero-delta edges and repeated
+    pairs (merged into one edge, keeping one delta).  Labels are drawn
+    over up to eight partitions, so cycles cross boundaries and small
+    partitions hold one node or none; some nodes and edges are dead.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(seed)
+    runs = np.split(rng.permutation(n), np.flatnonzero(rng.random(n - 1) < 0.2) + 1)
+    edges = []
+    for run in runs:
+        ring = run.tolist()
+        if len(ring) >= 3 and rng.random() < 0.5:
+            ring.append(ring[0])
+        edges += [(u, v, int(rng.integers(1, 60))) for u, v in zip(ring, ring[1:])]
+    for _ in range(int(rng.integers(0, n // 3 + 2))):
+        u, v = rng.integers(0, n, size=2).tolist()
+        if u != v:
+            edges.append((u, v, int(rng.choice([0, *rng.integers(-60, 60, size=3)]))))
+    contigs = [random_genome(int(rng.integers(60, 121)), rng) for _ in range(n)]
+    k = draw(st.integers(min_value=1, max_value=8))
+    dag = dag_of(make_assembly(contigs, edges), rng.integers(0, k, size=n))
+    dag.node_alive &= rng.random(n) > 0.1
+    dag.edge_alive &= rng.random(dag.graph.n_edges) > 0.1
+    return dag
+
+
+def assert_same_paths(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+class TestTraversalEqualsWalk:
+    @given(dag=linked_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_merge_equal_walk(self, dag):
+        """List ranking returns the walk's paths in the walk's order:
+        per partition, and joined across partitions."""
+        proposals, walked = [], []
+        for part in range(dag.n_parts):
+            visited = np.zeros(dag.graph.n_nodes, dtype=bool)
+            sub = traversal_walk.extract_subpaths(dag, part, visited)
+            proposals.append(subpath_kernel(dag, part))
+            assert_same_paths(proposals[-1], traversal_walk.pack_paths(sub))
+            walked += sub
+        assert_same_paths(
+            merge_subpaths(dag, proposals),
+            traversal_walk.pack_paths(traversal_walk.join_subpaths(dag, walked)),
+        )
+
+
+class TestGroundTruthAcrossPartitions:
+    """Table III on the finish half: a defect-laden chain over one
+    genome finishes to exactly that genome for every partition count
+    and backend."""
+
+    BACKBONE = 600
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return defect_chain_assembly(self.BACKBONE, seed=13)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_one_contig_equal_to_genome(self, chain, backend, k):
+        assembly, anchors, genome = chain
+        dag = DistributedAssemblyGraph(assembly, anchors * k // self.BACKBONE)
+        with create_backend(backend, dag, workers=2) as runner:
+            for name, params in trim_params(AssemblyConfig()).items():
+                runner.run_stage(name, **params)
+            paths = runner.run_stage("traversal").result
+        contigs = contigs_from_paths(dag, paths)
+        assert len(contigs) == 1
+        np.testing.assert_array_equal(contigs[0], genome)
 
 
 def reference_contigs(assembly, labels, cfg):
@@ -205,8 +296,8 @@ def reference_contigs(assembly, labels, cfg):
 
     Every scan is per node on the frozen graph, so scanning all alive
     nodes at once proposes the union of the per-partition proposals.
-    Traversal has a single implementation and runs as in
-    ``FocusAssembler.finish``; overlay and dedupe are the references.
+    Traversal is the walk-and-join reference; overlay and dedupe are
+    the references too.
     """
     dag = DistributedAssemblyGraph(assembly, labels)
     params = trim_params(cfg)
@@ -224,7 +315,15 @@ def reference_contigs(assembly, labels, cfg):
     dag.remove_edges(edges)
     dag.remove_nodes(finish_loop.find_dead_ends(dag, alive(), **params["dead_ends"]))
     dag.remove_nodes(finish_loop.find_bubbles(dag, alive(), **params["bubbles"]))
-    paths = SerialBackend(dag).run_stage("traversal").result
+    visited = np.zeros(dag.graph.n_nodes, dtype=bool)
+    paths = traversal_walk.join_subpaths(
+        dag,
+        [
+            path
+            for part in range(dag.n_parts)
+            for path in traversal_walk.extract_subpaths(dag, part, visited)
+        ],
+    )
     return contigs_ref.deduplicate_contigs(
         contigs_ref.contigs_from_paths(dag, paths)
     )
@@ -285,10 +384,8 @@ class TestEngineMatrixSlow:
     assembly with every implanted defect class."""
 
     def test_all_cells_agree(self):
-        from repro.parallel.backend import create_backend
-
         backbone, k = 4000, 8
-        assembly, anchors = defect_chain_assembly(backbone, seed=77)
+        assembly, anchors, _ = defect_chain_assembly(backbone, seed=77)
         labels = np.minimum(anchors * k // backbone, k - 1)  # k backbone blocks
         cfg = AssemblyConfig()
         expect = sorted(

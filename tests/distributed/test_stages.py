@@ -17,12 +17,7 @@ from repro.distributed.stages import (
     union_proposals,
 )
 from repro.distributed.transitive import find_transitive_edges, transitive_kernel
-from repro.distributed.traversal import (
-    extract_subpaths,
-    pack_paths,
-    subpath_kernel,
-    unpack_paths,
-)
+from repro.distributed.traversal import subpath_kernel
 from repro.distributed.trimming import dead_end_kernel, find_dead_ends
 from tests.distributed.conftest import (
     chain_assembly,
@@ -34,6 +29,7 @@ from tests.distributed.conftest import (
 )
 from tests.graph.conftest import tiled_readset
 from tests.reference import finish_loop
+from tests.reference.traversal_walk import extract_subpaths, pack_paths, unpack_paths
 
 
 class TestRegistry:
@@ -78,6 +74,9 @@ class TestUnionProposals:
 
 
 class TestPackPaths:
+    """The oracle's encoding of walked paths, which the production
+    kernel's packed output is compared against."""
+
     def test_roundtrip(self):
         paths = [[0, 1, 2], [5], [], [7, 8]]
         flat, lens = pack_paths(paths)
@@ -115,7 +114,7 @@ def uncovered_stages(specs):
 def contract_subjects():
     """Builders of fresh subjects on which every stage has work."""
     backbone, n_parts = 90, 3
-    assembly, anchors = defect_chain_assembly(backbone, seed=5)
+    assembly, anchors, _ = defect_chain_assembly(backbone, seed=5)
     labels = anchors * n_parts // backbone
     reads, _ = tiled_readset(genome_len=1200, stride=30)
     return {
@@ -188,6 +187,7 @@ class TestKernelsMatchScans:
             expect = extract_subpaths(chain_dag, part, visited)
             flat, lens = subpath_kernel(chain_dag, part)
             assert unpack_paths(flat, lens) == expect
+            assert flat.dtype == lens.dtype == np.int64
 
     def test_kernels_do_not_mutate(self, contract_subjects, seed_global_rngs):
         """The kernel contract, checked by running every registered

@@ -5,8 +5,8 @@ import pytest
 
 from repro.distributed.traversal import (
     contigs_from_paths,
-    extract_subpaths,
-    join_subpaths,
+    merge_subpaths,
+    subpath_kernel,
 )
 from repro.distributed.trimming import find_bubbles, find_dead_ends
 from repro.sequence.dna import decode
@@ -19,6 +19,7 @@ from tests.distributed.conftest import (
     run_stage_on_cluster,
 )
 from tests.reference import finish_loop
+from tests.reference.traversal_walk import pack_paths
 
 #: every hand-built case holds for the scalar oracle and the production scan.
 FIND_DEAD_ENDS = (finish_loop.find_dead_ends, find_dead_ends)
@@ -108,33 +109,34 @@ class TestBubbles:
         assert dag.alive_degree(3) == 1
 
 
+def packed(*paths):
+    """(flat, lens) of the given node-id paths."""
+    return pack_paths([list(p) for p in paths])
+
+
 class TestTraversal:
     def test_single_partition_full_path(self):
         asm, genome = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        visited = np.zeros(6, dtype=bool)
-        paths = extract_subpaths(dag, 0, visited)
-        assert len(paths) == 1
-        assert paths[0] == [0, 1, 2, 3, 4, 5] or paths[0] == [5, 4, 3, 2, 1, 0]
+        flat, lens = subpath_kernel(dag, 0)
+        assert lens.tolist() == [6]
+        assert flat.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_partition_boundary_splits_then_joins(self):
         asm, _ = chain_assembly()
         dag = dag_of(asm, [0, 0, 0, 1, 1, 1])
-        visited = np.zeros(6, dtype=bool)
-        sub0 = extract_subpaths(dag, 0, visited)
-        sub1 = extract_subpaths(dag, 1, visited)
-        assert len(sub0) == 1 and len(sub1) == 1
-        joined = join_subpaths(dag, sub0 + sub1)
-        assert len(joined) == 1
-        assert joined[0] == [0, 1, 2, 3, 4, 5]
+        subs = [subpath_kernel(dag, part) for part in range(2)]
+        assert [lens.tolist() for _, lens in subs] == [[3], [3]]
+        flat, lens = merge_subpaths(dag, subs)
+        assert lens.tolist() == [6]
+        assert flat.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_junction_stops_path(self):
         asm, _ = spur_assembly()
         dag = dag_of(asm, [0] * 5)
-        visited = np.zeros(5, dtype=bool)
-        paths = extract_subpaths(dag, 0, visited)
+        _, lens = subpath_kernel(dag, 0)
         # node 1 has two out-edges (to 2 and 4): no single path spans all
-        assert all(len(p) < 5 for p in paths)
+        assert lens.sum() == 5 and (lens < 5).all()
 
     def test_distributed_traversal_matches_serial(self):
         asm, _ = chain_assembly(n=8)
@@ -143,25 +145,40 @@ class TestTraversal:
             k = max(parts) + 1
             results, _ = run_stage_on_cluster("traversal", dag, k)
             assert results[0] is not None
-            assert sorted(len(p) for p in results[0]) == [8]
+            flat, lens = results[0]
+            assert lens.tolist() == [8] and flat.tolist() == list(range(8))
+
+    def test_cycle_starts_at_smallest_member(self):
+        # 3 -> 1 -> 4 -> 0 -> 2 -> 3: one unambiguous cycle.
+        asm, _ = chain_assembly(n=5)
+        ring = [3, 1, 4, 0, 2]
+        edges = [(u, v, 10) for u, v in zip(ring, ring[1:] + ring[:1])]
+        dag = dag_of(make_assembly(asm.contigs, edges), [0] * 5)
+        flat, lens = subpath_kernel(dag, 0)
+        assert lens.tolist() == [5] and flat.tolist() == [0, 2, 3, 1, 4]
+        # Cut across two partitions, the joined cycle starts at the
+        # first sub-path, partition 0's, not at node 0.
+        dag = dag_of(dag.assembly, [1, 0, 1, 1, 0])
+        subs = [subpath_kernel(dag, part) for part in range(2)]
+        assert [f.tolist() for f, _ in subs] == [[1, 4], [0, 2, 3]]
+        flat, lens = merge_subpaths(dag, subs)
+        assert lens.tolist() == [5] and flat.tolist() == [1, 4, 0, 2, 3]
 
     def test_contigs_from_paths_reconstruct_genome(self):
         asm, genome = chain_assembly()
         dag = dag_of(asm, [0] * 6)
-        visited = np.zeros(6, dtype=bool)
-        paths = extract_subpaths(dag, 0, visited)
-        contigs = contigs_from_paths(dag, paths)
+        contigs = contigs_from_paths(dag, subpath_kernel(dag, 0))
         assert len(contigs) == 1
         assert decode(contigs[0]) == decode(genome)
 
     def test_single_node_path_contig(self):
         asm, _ = chain_assembly(n=2)
         dag = dag_of(asm, [0, 0])
-        contigs = contigs_from_paths(dag, [[0]])
+        contigs = contigs_from_paths(dag, packed([0]))
         assert decode(contigs[0]) == decode(asm.contigs[0])
 
     def test_invalid_path_step_raises(self):
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0] * 3)
-        with pytest.raises(ValueError, match="no alive edge"):
-            contigs_from_paths(dag, [[0, 2]])
+        with pytest.raises(ValueError, match="path step 0->2 has no alive edge"):
+            contigs_from_paths(dag, packed([1], [0, 1], [0, 2]))

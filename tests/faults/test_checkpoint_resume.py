@@ -13,6 +13,7 @@ from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 
 from tests.faults.conftest import FAST, contig_key, small_reads
+from tests.reference.traversal_walk import unpack_paths
 
 
 class Interrupted(Exception):
@@ -123,6 +124,34 @@ class TestResume:
         assert_resumed(result, uninterrupted)
         assert "trim" not in result.timer.durations
         assert "traverse" not in result.timer.durations
+
+    def test_resume_of_list_written_checkpoint(
+        self, prepared_trimming, uninterrupted, tmp_path
+    ):
+        # Earlier releases held paths as lists and wrote them with the
+        # writer below; the archive keys are unchanged, so such a
+        # checkpoint resumes to the same paths and contigs.
+        assembler, prep = prepared_trimming
+        ckpt = tmp_path / "ck.npz"
+        assembler.finish(prep, n_partitions=4, backend="serial", checkpoint=ckpt)
+        with np.load(ckpt) as data:
+            arrays = {key: data[key] for key in data.files}
+        paths = unpack_paths(*uninterrupted.paths)
+        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(p) for p in paths])
+        arrays["paths_offsets"] = offsets
+        arrays["paths_flat"] = np.concatenate(
+            [np.asarray(p, dtype=np.int64) for p in paths]
+        )
+        np.savez(ckpt, **arrays)
+
+        result = assembler.finish(
+            prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
+        )
+        assert "traverse" not in result.timer.durations
+        assert_resumed(result, uninterrupted)
+        for got, want in zip(result.paths, uninterrupted.paths):
+            np.testing.assert_array_equal(got, want)
 
     def test_resume_across_backends(
         self, prepared_trimming, uninterrupted, tmp_path

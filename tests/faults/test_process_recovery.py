@@ -10,6 +10,7 @@ the unfinished partitions, and still produce the exact serial masks.
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.align.overlapper import OverlapConfig, OverlapDetector, overlap_backend
@@ -60,7 +61,7 @@ def assert_matches_serial(dag, paths, serial_reference):
     node_alive, edge_alive, ref_paths = serial_reference
     assert (dag.node_alive == node_alive).all()
     assert (dag.edge_alive == edge_alive).all()
-    assert paths == ref_paths
+    assert all(map(np.array_equal, paths, ref_paths))
 
 
 class TestExternalKill:

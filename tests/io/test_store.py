@@ -126,14 +126,20 @@ class TestCheckpointStore:
 
     def test_roundtrip_with_paths(self, tmp_path):
         path = tmp_path / "ck.npz"
-        paths = [[0, 1, 2], [], [5, 4]]
+        paths = (np.array([0, 1, 2, 5, 4]), np.array([3, 0, 2]))
         save_checkpoint(sample_state(paths=paths), path)
-        assert load_checkpoint(path).paths == paths
+        flat, lens = load_checkpoint(path).paths
+        assert flat.dtype == lens.dtype == np.int64
+        assert flat.tolist() == [0, 1, 2, 5, 4] and lens.tolist() == [3, 0, 2]
+        with np.load(path) as data:
+            assert data["paths_offsets"].tolist() == [0, 3, 3, 5]
 
     def test_empty_paths_distinct_from_missing(self, tmp_path):
         path = tmp_path / "ck.npz"
-        save_checkpoint(sample_state(paths=[]), path)
-        assert load_checkpoint(path).paths == []
+        empty = np.empty(0, dtype=np.int64)
+        save_checkpoint(sample_state(paths=(empty, empty)), path)
+        flat, lens = load_checkpoint(path).paths
+        assert flat.size == 0 and lens.size == 0
 
     def test_masks_required(self, tmp_path):
         state = CheckpointState(fingerprint={})

@@ -221,7 +221,7 @@ class TestPERF002SparseEngineScope:
     """The finish-kernel modules are policed by path, every function."""
 
     def test_sparse_function_in_distributed_flagged(self):
-        for module in ("transitive", "containment", "trimming"):
+        for module in ("transitive", "containment", "trimming", "traversal"):
             fs = perf2_findings(
                 SPARSE_SCALARIZED, path=f"src/repro/distributed/{module}.py"
             )
@@ -232,8 +232,9 @@ class TestPERF002SparseEngineScope:
         # Scope is by path: other distributed modules and the scalar
         # test oracles may loop element by element.
         for path in (
-            "src/repro/distributed/traversal.py",
+            "src/repro/distributed/variants.py",
             "tests/reference/finish_loop.py",
+            "tests/reference/traversal_walk.py",
         ):
             assert perf2_findings(SPARSE_SCALARIZED, path=path) == [], path
 
