@@ -24,8 +24,8 @@ bases holds ``max(0, m - k + 1)`` shared windows.
 
 A work unit never holds all of its seeds or all of its spans: its query
 reads are cut into contiguous *stripes* whose seed rows stay under
-``_MAX_HITS``, and a stripe's triples are compared in blocks of whole
-spans of at most ``_MAX_BASES`` bases.  Every seed of a read pair lies
+``_MAX_HITS``, and a stripe's triples are compared in blocks of at most
+``_MAX_CELLS`` tile cells.  Every seed of a read pair lies
 in the query read's stripe, so stripes need no merge and the result
 depends neither on where they are cut nor on the block size.  A subset
 aligned against itself takes its seed ranges from the index's own sort
@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex
@@ -70,12 +71,12 @@ __all__ = [
 ]
 
 #: most seed rows one stripe of query reads expands at once (a read
-#: whose own seeds exceed it is a stripe by itself), and most bases one
-#: block of the diagonal compare lays side by side (a longer span is a
-#: block by itself).  Together they bound the stage's transient memory;
-#: the output depends on neither.
+#: whose own seeds exceed it is a stripe by itself), and most cells —
+#: rows × widest span — one block of the diagonal compare lays out per
+#: side (a longer span is a block by itself).  Together they bound the
+#: stage's transient memory; the output depends on neither.
 _MAX_HITS = 1 << 20
-_MAX_BASES = 1 << 22
+_MAX_CELLS = 1 << 22
 
 
 def subset_pairs(n_subsets: int) -> list[tuple[int, int]]:
@@ -92,21 +93,18 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _span_codes(
-    codes: np.ndarray, first: np.ndarray, span: np.ndarray, seg_starts: np.ndarray
-) -> np.ndarray:
-    """``codes[first[i] : first[i] + span[i]]`` of every span, end to
-    end (span ``i`` lands at ``seg_starts[i]``; none is empty).
-
-    The flat gather index is a running sum of steps — one inside a
-    span, a jump at each span's start — so it is the only block-sized
-    index array alive, ``int32`` when that can address ``codes``.
+def _diagonal_tile(codes: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """``codes[first[i] : first[i] + width]`` of every row ``i`` as one
+    ``(rows, width)`` tile: a row gather of ``codes``' sliding windows,
+    no per-base index.  A row running off the end reads a zero-padded
+    copy of the last ``width`` bases (the caller masks past its span).
     """
-    flat = np.int32 if codes.size < 1 << 31 else np.int64
-    at = np.ones(int(seg_starts[-1] + span[-1]), dtype=flat)
-    at[0] = first[0]
-    at[seg_starts[1:]] = first[1:] - (first[:-1] + span[:-1] - 1)
-    return codes[np.cumsum(at, dtype=flat, out=at)]
+    safe = codes.size - width
+    tile = sliding_window_view(codes, width)[np.minimum(first, safe)]
+    over = np.flatnonzero(first > safe)
+    tail = np.concatenate([codes[safe:], np.zeros(width, codes.dtype)])
+    tile[over] = sliding_window_view(tail, width)[first[over] - safe]
+    return tile
 
 
 @dataclass(frozen=True)
@@ -232,31 +230,33 @@ class OverlapDetector:
         consecutive bases agree and none is ``N`` — which is what
         counting the span's k-mer hits would give: a run of ``m``
         agreeing bases between two disagreements holds ``max(0, m - k +
-        1)`` of them.  Whole spans are taken in blocks of at most
-        ``_MAX_BASES`` bases (a longer span is a block by itself); a
-        block's distinct reads are fetched once
-        (:meth:`ReadSet.gather_reads` — one visit per shard on a store),
-        both sides gathered flat and compared elementwise, and only the
-        sparse disagreeing positions are looked at again.
+        1)`` of them.  Each block of consecutive spans (``_MAX_CELLS``)
+        fetches its reads once (:meth:`ReadSet.gather_reads`), compares
+        two tiles (:func:`_diagonal_tile`) and revisits only bad cells.
         """
         k = self.config.k
         votes = np.maximum(length - (k - 1), 0)
         matches = length.copy()
-        ends = np.cumsum(length)
         b = 0
         while b < length.size:
-            limit = ends[b] - length[b] + _MAX_BASES
-            e = max(b + 1, int(np.searchsorted(ends, limit, side="right")))
+            # rows × running-max span only grows, and fits no more rows
+            # than the budget over the first span: one search cuts.
+            ahead = length[b : b + max(1, _MAX_CELLS // int(length[b]))]
+            cells = np.maximum.accumulate(ahead) * np.arange(1, ahead.size + 1)
+            e = b + max(1, int(np.searchsorted(cells, _MAX_CELLS, side="right")))
             span = length[b:e]
+            width = int(span.max())
             codes, starts, _ = reads.gather_reads(np.concatenate([cand_q[b:e], cand_r[b:e]]))
-            seg_starts = ends[b:e] - span - (ends[b] - length[b])
-            cq = _span_codes(codes, starts[: e - b] + q_start[b:e], span, seg_starts)
-            cr = _span_codes(codes, starts[e - b :] + r_start[b:e], span, seg_starts)
-            same = cq == cr
-            bad = np.flatnonzero(~(same & (cq < N)))
+            cq = _diagonal_tile(codes, starts[: e - b] + q_start[b:e], width)
+            cr = _diagonal_tile(codes, starts[e - b :] + r_start[b:e], width)
+            # a mismatch or an N inside the span: ~4 B a cell alive.
+            bad = cq != cr
+            bad |= cq >= N
+            narrow = np.min_scalar_type(width)
+            bad &= np.arange(width, dtype=narrow) < span.astype(narrow)[:, None]
+            bad = np.flatnonzero(bad)
             if bad.size:
-                seg = np.searchsorted(seg_starts, bad, side="right") - 1
-                rel = bad - seg_starts[seg]
+                seg, rel = np.divmod(bad, width)
                 new_seg = np.ones(bad.size, dtype=bool)
                 np.not_equal(seg[1:], seg[:-1], out=new_seg[1:])
                 # agreeing bases before each bad position, back to the
@@ -269,7 +269,7 @@ class OverlapDetector:
                 gain[last] += np.maximum(span[seg[last]] - rel[last] - k, 0)
                 first = np.flatnonzero(new_seg)
                 votes[b + seg[first]] = np.add.reduceat(gain, first)
-                matches[b:e] -= np.bincount(seg[~same[bad]], minlength=e - b)
+                matches[b:e] -= np.bincount(seg[cq.take(bad) != cr.take(bad)], minlength=e - b)
             b = e
         return votes, matches
 

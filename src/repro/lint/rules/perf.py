@@ -83,14 +83,14 @@ class UntimedComputeLoop(Rule):
 
 
 def _is_hot_function(name: str) -> bool:
-    """Functions that sit on the overlap hot path by naming convention:
-    the work-unit drivers (``overlap_*``), the seed side of the kernel
-    and the index (``*_seeds``, ``*_ranges``, ``*_triples``,
-    ``self_join``) and the vote side (``*_votes``, ``*_candidates``)."""
+    """Functions on the overlap hot path by naming convention: the
+    work-unit drivers (``overlap_*``), the seed side (``*_seeds``,
+    ``*_ranges``, ``*_triples``, ``self_join``) and the vote side
+    (``*_votes``, ``*_tile``, ``*_candidates``)."""
     return (
         name.startswith("overlap_")
         or name == "self_join"
-        or name.endswith(("_seeds", "_ranges", "_triples", "_votes", "_candidates"))
+        or name.endswith(("_seeds", "_ranges", "_triples", "_votes", "_tile", "_candidates"))
     )
 
 

@@ -97,6 +97,17 @@ def adversarial_units(draw):
     return ReadSet.from_strings(seqs), config
 
 
+def string_matches(reads, triples):
+    """``{(query, ref, diagonal): equal positions}`` of each triple's
+    span, by comparing the strings (``N`` facing ``N`` is equal)."""
+    counted = {}
+    for q, r, d in triples:
+        sq, sr = reads.sequence_of(q), reads.sequence_of(r)
+        a, b = sq[max(d, 0) :], sr[max(-d, 0) :]
+        counted[q, r, d] = sum(x == y for x, y in zip(a, b))
+    return counted
+
+
 def assert_same_columns(got: PackedOverlaps, expected: PackedOverlaps, label=""):
     for column in vars(expected):
         assert np.array_equal(
@@ -156,14 +167,14 @@ class TestEngineEquivalence:
         unit=adversarial_units(),
         n_subsets=st.integers(min_value=1, max_value=3),
         max_hits=st.sampled_from([1, 40, overlapper._MAX_HITS]),
-        max_bases=st.sampled_from([1, 300, overlapper._MAX_BASES]),
+        max_cells=st.sampled_from([1, 300, overlapper._MAX_CELLS]),
     )
     def test_kernel_equals_oracle_on_adversarial_units(
-        self, index, unit, n_subsets, max_hits, max_bases
+        self, index, unit, n_subsets, max_hits, max_cells
     ):
-        # Rows and order, candidates, and the votes of every diagonal
-        # that shares a k-mer — whichever seeds named it, however the
-        # stripes and the compare blocks are cut.
+        # Rows and order, candidates, and the votes and matches of every
+        # diagonal that shares a k-mer — whichever seeds named it,
+        # however the stripes and the compare blocks are cut.
         reads, config = unit
         detector = OverlapDetector(config)
         subsets = reads.split(n_subsets)
@@ -171,7 +182,7 @@ class TestEngineEquivalence:
             work = (reads, subsets[i], subsets[j], i == j)
             loop, loop_candidates = overlap_subset_pair_loop(config, *work)
             with recorded_votes() as seen, mock.patch.object(
-                overlapper, "_MAX_BASES", max_bases
+                overlapper, "_MAX_CELLS", max_cells
             ):
                 packed, candidates = detector.overlap_subset_pair_packed(
                     *work, index=INDEXES[index](reads, config.k, subsets[j]), max_hits=max_hits
@@ -179,6 +190,7 @@ class TestEngineEquivalence:
             assert candidates == loop_candidates
             assert_same_columns(packed, PackedOverlaps.from_overlaps(loop))
             assert {t: v for t, (v, _) in seen.items()} == oracle_votes(config, *work)
+            assert {t: m for t, (_, m) in seen.items()} == string_matches(reads, seen)
 
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())

@@ -418,7 +418,8 @@ class TestWorkIsBounded:
     """Counted, not timed: a subset against its own k-mer index is a
     sorted self-join that expands left-maximal seeds only (no lookup),
     no stripe expands more seed rows than its budget allows, and no
-    compare block lays out more bases than its own."""
+    compare block lays out more tile cells than its own (unless it is
+    one row)."""
 
     @staticmethod
     def shotgun(n=400, genome_len=5000, read_len=100, seed=8, error_rate=0.0):
@@ -452,9 +453,9 @@ class TestWorkIsBounded:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"kmer_table": 0, "searches": 0, "expanded": [], "blocks": []}
+        seen = {"kmer_table": 0, "searches": 0, "expanded": [], "blocks": [], "bases": 0}
         real_table, real_expand = ReadSet.kmer_table, overlapper.ragged_positions
-        real_codes = overlapper._span_codes
+        real_tile, real_votes = overlapper._diagonal_tile, OverlapDetector._diagonal_votes
 
         def counting_table(self, *args, **kwargs):
             seen["kmer_table"] += 1
@@ -474,17 +475,29 @@ class TestWorkIsBounded:
             seen["expanded"].append(rows.size)
             return rows
 
-        def counting_codes(codes, first, span, seg_starts):
-            out = real_codes(codes, first, span, seg_starts)
-            seen["blocks"].append((out.size, span.size))
-            return out
+        def counting_tile(codes, first, width):
+            tile = real_tile(codes, first, width)
+            seen["blocks"].append(tile.shape)
+            return tile
+
+        def counting_votes(detector, *spans):
+            seen["bases"] += int(spans[-1].sum())
+            return real_votes(detector, *spans)
 
         monkeypatch.setattr(ReadSet, "kmer_table", counting_table)
         for name in ("hit_ranges", "seed_ranges", "lookup"):
             monkeypatch.setattr(KmerIndex, name, counting_search(name))
         monkeypatch.setattr(overlapper, "ragged_positions", counting_expand)
-        monkeypatch.setattr(overlapper, "_span_codes", counting_codes)
+        monkeypatch.setattr(overlapper, "_diagonal_tile", counting_tile)
+        monkeypatch.setattr(OverlapDetector, "_diagonal_votes", counting_votes)
         return seen
+
+    def assert_blocks_within(self, blocks, budget, triples, bases):
+        """Every block is at most ``budget`` cells unless it is one row;
+        together they lay out every triple once and every base."""
+        assert all(rows * width <= budget or rows == 1 for rows, width in blocks)
+        assert sum(rows for rows, _ in blocks) == triples
+        assert sum(rows * width for rows, width in blocks) >= bases
 
     def test_self_join_expands_seeds_without_a_lookup(self, counts):
         cfg = OverlapConfig(min_overlap=40)
@@ -526,14 +539,38 @@ class TestWorkIsBounded:
         reads = self.shotgun(error_rate=0.01)
         detector = OverlapDetector(OverlapConfig(min_overlap=40))
         whole = detector.find_overlaps(reads)
-        (bases, triples), both_sides = counts["blocks"][0], counts["blocks"]
-        assert both_sides == [(bases, triples)] * 2  # fits one default block
-        for budget in (bases // 7, 150, 1):
+        (triples, width), both_sides = counts["blocks"][0], counts["blocks"]
+        assert both_sides == [(triples, width)] * 2  # fits one default block
+        bases = counts["bases"]
+        for budget in (triples * width // 7, 150, 1):
             counts["blocks"].clear()
-            monkeypatch.setattr(overlapper, "_MAX_BASES", budget)
+            monkeypatch.setattr(overlapper, "_MAX_CELLS", budget)
             assert detector.find_overlaps(reads) == whole
-            sizes = counts["blocks"][::2]
-            assert all(size <= budget or spans == 1 for size, spans in sizes)
-            assert sum(size for size, _ in sizes) == bases
-            assert sum(spans for _, spans in sizes) == triples
-            assert len(sizes) >= bases // max(budget, 100)
+            blocks = counts["blocks"][::2]
+            assert counts["blocks"][1::2] == blocks  # both sides alike
+            self.assert_blocks_within(blocks, budget, triples, bases)
+            assert len(blocks) >= bases // max(budget, 100)
+
+    @pytest.mark.parametrize("budget", [1, 300, overlapper._MAX_CELLS])
+    def test_long_reads_among_short_ones(self, counts, monkeypatch, budget):
+        # Two 1,500-bp reads overlapping by 1,000 among 100-bp reads of
+        # the same genome: a block's width is its widest span, so a cut
+        # by bases alone would let one long span blow the tile up.
+        g = decode(random_genome(3000, np.random.default_rng(21)))
+        short = [g[s : s + 100] for s in range(0, 2900, 70)]
+        seqs = [*short[:20], g[0:1500], *short[20:], g[500:2000]]
+        reads = ReadSet.from_strings(seqs)
+        cfg = OverlapConfig(min_overlap=40)
+        monkeypatch.setattr(overlapper, "_MAX_CELLS", budget)
+        with recorded_votes() as seen:
+            packed, candidates = find_overlaps_on("kmer", cfg, reads)
+        everything = np.arange(len(reads))
+        assert {t: v for t, (v, _) in seen.items()} == oracle_votes(
+            cfg, reads, everything, everything, True
+        )
+        oracle, n_candidates = find_overlaps_loop(cfg, reads)
+        assert packed.to_overlaps() == oracle and candidates == n_candidates
+        assert (20, len(seqs) - 1) in {(o.query, o.ref) for o in oracle}
+        blocks = counts["blocks"][::2]
+        self.assert_blocks_within(blocks, budget, len(seen), counts["bases"])
+        assert max(width for _, width in blocks) == 1000

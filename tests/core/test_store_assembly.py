@@ -181,7 +181,7 @@ class TestShardOrderAccess:
 
     def test_compare_visits_each_shard_once_per_block(self, assembler, loads, monkeypatch):
         rs = assembler.preprocess(assembler.open_reads())
-        monkeypatch.setattr(overlapper, "_MAX_BASES", 50_000)
+        monkeypatch.setattr(overlapper, "_MAX_CELLS", 50_000)
         blocks = []
         gather = ShardedReadSet.gather_reads
 
@@ -208,22 +208,23 @@ class TestShardOrderAccess:
         # 6,934,626 hit rows were 6.6 stripe budgets — this fixture's
         # 330,160, cut the same way, cost the hit-list kernel 123 loads
         # (20 for the k-mer table, the rest verifying) — and its
-        # 12,148,202 compared bases are 2.9 block budgets.
+        # 12,148,202 compared bases were 2.9 block budgets.  A block's
+        # budget is in tile cells, so the cut is total cells / 2.9.
         rs = assembler.preprocess(assembler.open_reads())
         unit = (rs, np.arange(len(rs)), np.arange(len(rs)), True)
         detector = OverlapDetector(assembler.config.overlap)
         compared = []
-        span_codes = overlapper._span_codes
+        diagonal_tile = overlapper._diagonal_tile
 
-        def counting(*spans):
-            codes = span_codes(*spans)
-            compared.append(codes.size)
-            return codes
+        def counting(*rows):
+            tile = diagonal_tile(*rows)
+            compared.append(tile.size)
+            return tile
 
-        monkeypatch.setattr(overlapper, "_span_codes", counting)
+        monkeypatch.setattr(overlapper, "_diagonal_tile", counting)
         whole = detector.overlap_subset_pair_packed(*unit)
         total = sum(compared) // 2  # both sides of every span
-        monkeypatch.setattr(overlapper, "_MAX_BASES", int(total / 2.9))
+        monkeypatch.setattr(overlapper, "_MAX_CELLS", int(total / 2.9))
         del loads[:], compared[:]
         blocks = detector.overlap_subset_pair_packed(*unit)
         assert len(compared) == 2 * 3 and blocks[1] == whole[1] > 0

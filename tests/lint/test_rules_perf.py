@@ -169,6 +169,29 @@ class TestPERF002ScalarizedHotLoop:
         )
         assert fs == []
 
+    def test_tile_builder_in_scope(self):
+        # The compare's tile builder is on the vote path: a row-by-row
+        # copy is flagged, the one-gather form is clean.
+        fs = perf2_findings(
+            """
+            import numpy as np
+            def _diagonal_tile(codes, first, width):
+                tile = np.empty((first.size, width), dtype=codes.dtype)
+                for i, lo in enumerate(first.tolist()):
+                    tile[i] = codes[lo : lo + width]
+                return tile
+            """
+        )
+        assert len(fs) == 1 and fs[0].rule == "PERF002"
+        fs = perf2_findings(
+            """
+            from numpy.lib.stride_tricks import sliding_window_view
+            def _diagonal_tile(codes, first, width):
+                return sliding_window_view(codes, width)[first]
+            """
+        )
+        assert fs == []
+
     def test_outside_align_package_clean(self):
         fs = perf2_findings(SCALARIZED, path="src/repro/graph/fixture.py")
         assert fs == []
