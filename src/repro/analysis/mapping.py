@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.graph.sparse import ragged_positions
 from repro.sequence.dna import hamming_identity, reverse_complement
-from repro.sequence.kmers import kmer_positions, stable_order
+from repro.sequence.kmers import batched_kmer_positions, stable_order
 
 __all__ = ["Placement", "SequenceMapper"]
 
@@ -52,17 +52,11 @@ class SequenceMapper:
         self.k = k
         self.references = [np.asarray(r, dtype=np.uint8) for r in references]
         self.active = np.ones(len(self.references), dtype=bool)
-        vals_parts, ref_parts, pos_parts = [], [], []
-        for ri, codes in enumerate(self.references):
-            valid, vals = kmer_positions(codes, k)
-            vals_parts.append(vals)
-            ref_parts.append(np.full(valid.size, ri, dtype=np.int64))
-            pos_parts.append(valid.astype(np.int64))
-        vals = np.concatenate(vals_parts)
+        pos, vals, counts = batched_kmer_positions(self.references, k)
         order = stable_order(vals)
         self.vals = vals[order]
-        self.refs = np.concatenate(ref_parts)[order]
-        self.pos = np.concatenate(pos_parts)[order]
+        self.refs = np.repeat(np.arange(len(self.references)), counts)[order]
+        self.pos = pos[order]
 
     def _hit_ranges(
         self, seqs: list[np.ndarray]
@@ -73,8 +67,7 @@ class SequenceMapper:
         The needles are sorted first, so both binary searches walk the
         index front to back instead of jumping through it per k-mer.
         """
-        qpos, vals = zip(*(kmer_positions(seq, self.k) for seq in seqs))
-        needles = np.concatenate(vals)
+        qpos, needles, sizes = batched_kmer_positions(seqs, self.k)
         order = np.argsort(needles)
         needles = needles[order]
         lo = np.searchsorted(self.vals, needles, side="left")
@@ -82,8 +75,8 @@ class SequenceMapper:
         counts[order] = np.searchsorted(self.vals, needles, side="right") - lo
         first = np.empty(needles.size, dtype=np.int64)
         first[order] = lo
-        cuts = np.cumsum([p.size for p in qpos])[:-1]
-        return list(zip(qpos, np.split(first, cuts), np.split(counts, cuts)))
+        cuts = np.cumsum(sizes)[:-1]
+        return list(zip(np.split(qpos, cuts), np.split(first, cuts), np.split(counts, cuts)))
 
     def _best_diagonal(
         self, qpos: np.ndarray, first: np.ndarray, counts: np.ndarray

@@ -47,11 +47,12 @@ def coarsen_once(
 ) -> tuple[OverlapGraph, np.ndarray]:
     """One matching + merge step; returns (coarse graph, fine->coarse map)."""
     match = heavy_edge_matching(graph, rng)
-    n = graph.n_nodes
-    # Assign coarse ids: each pair (v, match[v]) with v <= match[v] gets one id.
-    reps = np.minimum(np.arange(n), match)
-    uniq, mapping = np.unique(reps, return_inverse=True)
-    n_coarse = uniq.size
+    ids = np.arange(graph.n_nodes)
+    # Coarse ids number the pairs (v, match[v]) in order of their smaller
+    # member: a running count of the nodes with v <= match[v].
+    smaller = match >= ids
+    mapping = (np.cumsum(smaller) - 1)[np.minimum(ids, match)]
+    n_coarse = int(smaller.sum())
     node_w = np.bincount(mapping, weights=graph.node_weights, minlength=n_coarse)
     cu = mapping[graph.eu]
     cv = mapping[graph.ev]

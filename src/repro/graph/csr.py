@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sequence.kmers import stable_order
+
 __all__ = ["build_csr", "group_by_label", "split_groups"]
 
 
@@ -43,7 +45,7 @@ def build_csr(
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     eids = np.concatenate([np.arange(m, dtype=np.int64), np.arange(m, dtype=np.int64)])
-    order = np.argsort(src, kind="stable")
+    order = stable_order(src)
     src, dst, eids = src[order], dst[order], eids[order]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
@@ -63,7 +65,7 @@ def group_by_label(labels: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.nd
     labels = np.asarray(labels, dtype=np.int64)
     first = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=n_groups), out=first[1:])
-    return np.argsort(labels, kind="stable"), first
+    return stable_order(labels), first
 
 
 def split_groups(values: np.ndarray, first: np.ndarray) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.overlap_graph import OverlapGraph
+from repro.sequence.kmers import stable_order
 
 __all__ = ["heavy_edge_matching"]
 
@@ -17,25 +18,27 @@ __all__ = ["heavy_edge_matching"]
 def heavy_edge_matching(graph: OverlapGraph, rng: np.random.Generator) -> np.ndarray:
     """Return ``match`` where ``match[v]`` is v's partner (or v itself).
 
-    The result is an involution: ``match[match[v]] == v``.
+    The result is an involution: ``match[match[v]] == v``.  Each CSR row
+    is sorted once by preference — heavier edges first, ties in
+    adjacency order (``np.argmax``'s rule) — so the walk over the
+    ``rng.permutation`` gives each node the first free neighbour of its
+    row, with no NumPy call per node.
     """
     n = graph.n_nodes
-    match = np.full(n, -1, dtype=np.int64)
     order = rng.permutation(n)
-    indptr, adj, adj_edge, weights = graph.indptr, graph.adj, graph.adj_edge, graph.weights
+    distinct, rank = np.unique(graph.weights, return_inverse=True)
+    row = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    heavier_first = distinct.size - 1 - rank[graph.adj_edge]
+    prefs = graph.adj[stable_order(row * distinct.size + heavier_first)]
+    match = np.full(n, -1, dtype=np.int64)
+    mate, nbrs, ptr = memoryview(match), memoryview(prefs), memoryview(graph.indptr)
     for v in order.tolist():
-        if match[v] != -1:
+        if mate[v] != -1:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        nbrs = adj[lo:hi]
-        if nbrs.size:
-            free = match[nbrs] == -1
-            if free.any():
-                w = weights[adj_edge[lo:hi]]
-                cand = np.where(free, w, -np.inf)
-                u = int(nbrs[np.argmax(cand)])
-                match[v] = u
-                match[u] = v
-                continue
-        match[v] = v
+        mate[v] = v
+        for i in range(ptr[v], ptr[v + 1]):
+            u = nbrs[i]
+            if mate[u] == -1:
+                mate[v], mate[u] = u, v
+                break
     return match

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.align.overlap import Overlap, PackedOverlaps
 from repro.graph.csr import build_csr
+from repro.sequence.kmers import stable_order
 
 __all__ = ["OverlapGraph"]
 
@@ -58,6 +59,8 @@ class OverlapGraph:
         weights = np.asarray(weights, dtype=np.float64)
         if not (eu.shape == ev.shape == weights.shape):
             raise ValueError("edge arrays must have equal length")
+        if not np.isfinite(weights).all():
+            raise ValueError("edge weights must be finite")
         self.has_deltas = deltas is not None
         deltas = (
             np.zeros(eu.size, dtype=np.int64)
@@ -78,9 +81,9 @@ class OverlapGraph:
         ev2 = np.where(flip, eu, ev)
         deltas = np.where(flip, -deltas, deltas)
 
-        # Merge parallel edges.
+        # Merge parallel edges: one packed (eu, ev) key, sorted stably.
         if eu2.size:
-            order = np.lexsort((ev2, eu2))
+            order = stable_order(eu2 * n_nodes + ev2)
             eu2, ev2 = eu2[order], ev2[order]
             weights, deltas, identities = weights[order], deltas[order], identities[order]
             first = np.ones(eu2.size, dtype=bool)
@@ -89,10 +92,10 @@ class OverlapGraph:
             group = np.cumsum(first) - 1
             if self.has_deltas:
                 # delta of the heaviest instance in each group (of the
-                # last one on a tie): sort within groups by weight and
-                # take the last row of each group.
-                worder = np.lexsort((weights, group))
-                deltas = deltas[worder[np.append(starts[1:], eu2.size) - 1]]
+                # last one on a tie): the last row reaching the group max.
+                heaviest = weights == np.maximum.reduceat(weights, starts)[group]
+                rows = np.where(heaviest, np.arange(eu2.size), -1)
+                deltas = deltas[np.maximum.reduceat(rows, starts)]
             else:
                 deltas = deltas[starts]
             eu2, ev2 = eu2[starts], ev2[starts]

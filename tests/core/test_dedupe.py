@@ -169,8 +169,9 @@ class TestPlacementPath:
 
 
 class TestWorkIsLinear:
-    """Counted, not timed: one index per call, three k-mer extractions
-    per contig (indexed once, looked up once per strand)."""
+    """Counted, not timed: one index per call and two k-mer extraction
+    passes whatever the number of contigs (one over every contig for the
+    index, one over all queries on both strands)."""
 
     @staticmethod
     def mirrored(n, seed=4):
@@ -183,23 +184,23 @@ class TestWorkIsLinear:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"kmer_positions": 0, "index": 0}
-        real_kmers, real_init = mapping.kmer_positions, mapping.SequenceMapper.__init__
+        seen = {"kmer_passes": 0, "index": 0}
+        real_kmers, real_init = mapping.batched_kmer_positions, mapping.SequenceMapper.__init__
 
-        def counting_kmers(codes, k):
-            seen["kmer_positions"] += 1
-            return real_kmers(codes, k)
+        def counting_kmers(seqs, k):
+            seen["kmer_passes"] += 1
+            return real_kmers(seqs, k)
 
         def counting_init(self, references, k=21):
             seen["index"] += 1
             real_init(self, references, k)
 
-        monkeypatch.setattr(mapping, "kmer_positions", counting_kmers)
+        monkeypatch.setattr(mapping, "batched_kmer_positions", counting_kmers)
         monkeypatch.setattr(mapping.SequenceMapper, "__init__", counting_init)
         return seen
 
     @pytest.mark.parametrize("n", [200, 400])
-    def test_one_index_three_extractions_per_contig(self, counts, n):
+    def test_one_index_two_extraction_passes(self, counts, n):
         kept = deduplicate_contigs(self.mirrored(n))
         assert len(kept) == n // 2
-        assert counts == {"kmer_positions": 3 * n, "index": 1}
+        assert counts == {"kmer_passes": 2, "index": 1}

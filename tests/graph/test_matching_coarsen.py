@@ -14,6 +14,16 @@ from repro.graph.coarsen import (
 from repro.graph.matching import heavy_edge_matching
 from repro.graph.overlap_graph import OverlapGraph
 
+from tests.graph.strategies import edge_lists
+from tests.reference import matching_loop
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def graph_of(case):
+    n, eu, ev, w, d, ident = case
+    return OverlapGraph(n, eu, ev, w, deltas=d, identities=ident)
+
 
 def path_graph(n, weights=None):
     eu = np.arange(n - 1)
@@ -67,6 +77,23 @@ class TestHeavyEdgeMatching:
         assert (match[match] == np.arange(n)).all()
 
 
+class TestMatchesLoopReference:
+    """The preference-sorted walk == the per-node ``argmax`` loop
+    (``tests/reference/matching_loop.py``).  Three calls share one
+    generator, so what each call draws from it is pinned too."""
+
+    @given(st.lists(edge_lists(), min_size=3, max_size=3), seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_three_calls_on_one_rng(self, cases, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for case in cases:
+            g = graph_of(case)
+            got = heavy_edge_matching(g, rng)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, matching_loop.heavy_edge_matching(g, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestCoarsenOnce:
     def test_node_weight_conserved(self):
         g = random_graph(40, 0.15, seed=2)
@@ -93,6 +120,18 @@ class TestCoarsenOnce:
             g.weights[i] for i in range(g.n_edges) if mapping[g.eu[i]] == mapping[g.ev[i]]
         )
         assert crossing + hidden == pytest.approx(g.total_edge_weight)
+
+    @given(edge_lists(), seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_mapping_numbers_pairs_by_smaller_member(self, case, seed):
+        """The running count over pair representatives == the
+        ``np.unique(return_inverse=True)`` relabelling it replaced."""
+        g = graph_of(case)
+        coarse, mapping = coarsen_once(g, np.random.default_rng(seed))
+        match = heavy_edge_matching(g, np.random.default_rng(seed))
+        uniq, want = np.unique(np.minimum(np.arange(g.n_nodes), match), return_inverse=True)
+        assert mapping.dtype == want.dtype and np.array_equal(mapping, want)
+        assert coarse.n_nodes == uniq.size
 
 
 class TestMultilevelSet:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.align.overlap import Overlap, OverlapKind
 from repro.graph.overlap_graph import OverlapGraph
+
+from tests.graph.strategies import edge_lists
+from tests.reference.graph_build import graph_arrays
 
 
 def simple_graph():
@@ -82,6 +86,28 @@ class TestConstruction:
         g = OverlapGraph(5, np.array([]), np.array([]), np.array([]))
         assert g.n_edges == 0
         assert g.degrees.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, bad):
+        # A -inf edge would tie the matching's "no free neighbour"
+        # sentinel, and the group-max reductions assume finite weights.
+        with pytest.raises(ValueError, match="finite"):
+            OverlapGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([2.0, bad]))
+
+
+class TestMatchesLexsortReference:
+    """The packed-key merge and CSR == the ``lexsort`` body they
+    replaced (``tests/reference/graph_build.py``), bit for bit."""
+
+    @given(edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_bit_equal(self, case):
+        n, eu, ev, w, d, ident = case
+        g = OverlapGraph(n, eu, ev, w, deltas=d, identities=ident)
+        for name, want in graph_arrays(n, eu, ev, w, deltas=d, identities=ident).items():
+            got = getattr(g, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestQueries:
