@@ -78,14 +78,13 @@ def atomic_write(path: str | Path, write: Callable[[IO], None], mode: str = "wb"
         raise
 
 
-def atomic_savez(path: str | Path, compressed: bool = True, **arrays) -> None:
-    """Durably write an ``.npz`` archive; like numpy, a path without
-    the ``.npz`` suffix gets it appended."""
-    writer = np.savez_compressed if compressed else np.savez
+def atomic_savez(path: str | Path, **arrays) -> None:
+    """Durably write a compressed ``.npz`` archive; like numpy, a path
+    without the ``.npz`` suffix gets it appended."""
     final = str(path)
     atomic_write(
         final if final.endswith(".npz") else final + ".npz",
-        lambda fh: writer(fh, **arrays),
+        lambda fh: np.savez_compressed(fh, **arrays),
     )
 
 

@@ -1,7 +1,7 @@
 """Out-of-core sharded storage (docs/architecture.md, storage layer).
 
-Fixed-capacity ``.npz`` shard files plus a manifest, served through a
-byte-budgeted LRU cache, let every backend stream 10^6–10^7-read
+Fixed-capacity, CRC-checked flat shard files plus a manifest, served
+through a byte-budgeted LRU cache, let every backend stream 10^6–10^7-read
 datasets with peak memory O(shard), not O(dataset):
 
 - :mod:`repro.store.cache` — the LRU byte-budget cache.

@@ -1,17 +1,18 @@
 """Store manifests: the durable index of a sharded store directory.
 
-A sharded store is a directory of fixed-capacity ``.npz`` shard files
-plus one ``manifest.json`` describing them: format version, store kind
-(``reads``), shard capacity, per-shard record counts, and free-form
-metadata.  The manifest is written last —
-after every shard file has been atomically renamed into place — so its
-presence certifies a complete store; a crash mid-pack leaves shards
-without a manifest, which the writer detects and resumes from.
+A sharded store is a directory of fixed-capacity shard files (format
+in :mod:`repro.store.sharded`) plus one ``manifest.json`` describing
+them: format version, store kind (``reads``), shard capacity,
+per-shard record counts, and free-form metadata.  The manifest is
+written last — after every shard file has been atomically renamed into
+place — so its presence certifies a complete store; a crash mid-pack
+leaves shards without a manifest, which the writer detects and resumes
+from.
 
-Loading raises :class:`ValueError` (matching the ``repro.io.store``
-conventions) when the file is not a manifest, was written by an
-unsupported format version, or describes a different store kind than
-the caller expects.
+Loading raises :class:`ValueError` naming the file (matching the
+``repro.io.store`` conventions) when it is not a manifest, is torn or
+mistyped, was written by an unsupported format version, or describes a
+different store kind than the caller expects.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from repro.io.atomic import atomic_write_text, fsync_dir
 __all__ = ["STORE_VERSION", "MANIFEST_NAME", "ShardInfo", "StoreManifest"]
 
 #: format version of the sharded-store layout; bump on layout changes.
-#: Still 1 with narrow quality scores: a reads shard's ``quals`` is any
-#: integer dtype (``uint8`` as packed today, ``int64`` in older stores)
-#: and readers widen it, so both generations open.
-STORE_VERSION = 1
+#: 2: flat CRC-checked shard files; version 1's ``.npz`` stores are
+#: refused (re-pack them).  ``quals`` is any integer dtype, widened on read.
+STORE_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -48,11 +48,19 @@ class ShardInfo:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShardInfo":
+        payload = _typed(payload, dict, "shard entry")
         return cls(
-            name=str(payload["name"]),
-            n_records=int(payload["n_records"]),
-            nbytes=int(payload["nbytes"]),
+            name=_typed(payload.get("name"), str, "shard name"),
+            n_records=_typed(payload.get("n_records"), int, "n_records"),
+            nbytes=_typed(payload.get("nbytes"), int, "nbytes"),
         )
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (a ``bool`` is not an ``int``)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{what} is {value!r}, not {kind.__name__}")
+    return value
 
 
 @dataclass
@@ -120,25 +128,29 @@ class StoreManifest:
                 f"not a sharded store: {str(directory)!r} has no {MANIFEST_NAME} "
                 "(incomplete pack? re-run with resume=True)"
             ) from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8
             raise ValueError(f"corrupt store manifest {path!r}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != "repro.store":
             raise ValueError(f"not a store manifest: {path!r}")
-        found = int(payload.get("version", -1))
+        found = payload.get("version")
         if found != STORE_VERSION:
             raise ValueError(
                 f"unsupported store version {found} in {path!r} "
-                f"(this build reads version {STORE_VERSION})"
+                f"(this build reads version {STORE_VERSION}; "
+                "re-pack older stores with `repro pack`)"
             )
         if kind is not None and payload.get("kind") != kind:
             raise ValueError(
-                f"store {str(directory)!r} holds {payload.get('kind')!r} "
+                f"store manifest {path!r} holds {payload.get('kind')!r} "
                 f"records, expected {kind!r}"
             )
-        return cls(
-            kind=str(payload["kind"]),
-            shard_size=int(payload["shard_size"]),
-            shards=[ShardInfo.from_dict(s) for s in payload.get("shards", ())],
-            meta=dict(payload.get("meta", {})),
-            version=found,
-        )
+        try:
+            return cls(
+                kind=_typed(payload.get("kind"), str, "kind"),
+                shard_size=_typed(payload.get("shard_size"), int, "shard_size"),
+                shards=list(map(ShardInfo.from_dict, _typed(payload.get("shards"), list, "shards"))),
+                meta=_typed(payload.get("meta"), dict, "meta"),
+                version=found,
+            )
+        except TypeError as exc:
+            raise ValueError(f"corrupt store manifest {path!r}: {exc}") from exc

@@ -13,8 +13,8 @@ Layout of a reads store::
     store/
       manifest.json          # written last; certifies a complete pack
       offsets.npy            # global CSR offsets, opened memory-mapped
-      shard-00000.npz        # data, offsets (local), ids, meta, quals
-      shard-00001.npz        #   (scores in the narrowest dtype: uint8)
+      shard-00000.bin        # data, offsets (local), ids, meta, quals
+      shard-00001.bin        #   (scores as uint8); CRC-checked, read-only
       derived/               # trimmed / reverse-complement children,
                              #   written shard by shard from the parent's
 
@@ -87,15 +87,12 @@ def _pack_blocks(
     blocks: Iterable[Columns],
     path: str | Path,
     shard_size: int,
-    compressed: bool = False,
     resume: bool = False,
     meta: dict | None = None,
 ) -> StoreManifest:
     """Write one durable shard per non-empty block, then the global
     offsets, then the manifest — the commit point."""
-    writer = ShardWriter(
-        path, READS_KIND, shard_size, compressed=compressed, resume=resume
-    )
+    writer = ShardWriter(path, READS_KIND, shard_size, resume=resume)
     global_offsets = [np.zeros(1, dtype=np.int64)]
     total = 0
     any_quals = False
@@ -133,7 +130,6 @@ def pack_reads(
     reads: Iterable[Read],
     path: str | Path,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    compressed: bool = False,
     resume: bool = False,
     meta: dict | None = None,
 ) -> StoreManifest:
@@ -149,7 +145,7 @@ def pack_reads(
     the read stream must be reproduced identically).
     """
     return _pack_blocks(
-        _read_blocks(reads, shard_size), path, shard_size, compressed, resume, meta
+        _read_blocks(reads, shard_size), path, shard_size, resume, meta
     )
 
 
@@ -238,7 +234,7 @@ class ShardedReadSet(ReadSet):
         self.has_quals = bool(self.store.manifest.meta.get("has_quals", False))
         #: manifest content digest — folded into assembly checkpoint
         #: fingerprints so a resume against changed shards is refused.
-        self.store_fingerprint = self.store.fingerprint()
+        self.store_fingerprint = self.store.manifest.fingerprint()
         #: global base offset of each shard's first base (n_shards + 1).
         self._base_bounds = np.asarray(
             self.offsets[self.store.record_starts], dtype=np.int64
@@ -376,22 +372,6 @@ class ShardedReadSet(ReadSet):
         return codes, starts[np.cumsum(wanted)[indices] - 1], scores
 
     # -- k-mer cache API (per-shard materialization) ----------------------
-
-    def packed_kmers(self, k: int, canonical: bool = False) -> np.ndarray:
-        """Whole-set packed k-mers — a whole-store materialization.
-
-        Kept for API parity (byte-identical to the in-RAM cache); the
-        streaming accessors :meth:`kmer_codes_of` / :meth:`kmer_table`
-        never call it.
-        """
-        key = (int(k), bool(canonical))
-        cached = self._kmer_cache.get(key)
-        if cached is None:
-            packer = canonical_kmer_codes if canonical else kmer_codes
-            cached = packer(self.to_array(), k)
-            cached.setflags(write=False)
-            self._kmer_cache[key] = cached
-        return cached
 
     def kmer_codes_of(self, i: int, k: int, canonical: bool = False) -> np.ndarray:
         shard = self.store.shard_of(int(i))

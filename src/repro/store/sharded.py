@@ -1,14 +1,19 @@
-"""Generic sharded ``.npz`` store: fixed-capacity shards + manifest.
+"""Generic sharded store: fixed-capacity flat shard files + manifest.
 
 A :class:`ShardWriter` streams record batches into numbered shard
-files (``shard-00000.npz``, ...), each written atomically through the
-same temp-file + ``os.replace`` + directory-fsync path the stage
-checkpoints use, and finalizes with a ``manifest.json`` once every
-shard is durable.  Because the manifest is written *last*, a crash
-mid-pack is detectable (shards without a manifest) and resumable:
-re-running the pack with ``resume=True`` verifies the already-durable
-shards and skips rewriting them, continuing from the first missing or
-short shard.
+files (``shard-00000.bin``, ...), each written through
+:func:`~repro.io.atomic.atomic_write`, and finalizes with a
+``manifest.json`` once every shard is durable.  Because the manifest is
+written *last*, a crash mid-pack is detectable (shards without a
+manifest) and resumable: ``resume=True`` reuses every shard that
+already passes its CRC and stamp and rewrites the rest.
+
+A shard file is an 8-byte magic, a ``u32`` CRC-32 of every later
+byte, a ``u64`` header length, a JSON header (the stamp plus a table of
+column ``name``, ``dtype``, ``shape``, ``offset``, ``nbytes``) and the
+raw columns at 16-byte boundaries.  It is read with one ``read`` and
+served as read-only ``np.frombuffer`` views of that buffer; a torn,
+truncated or bit-flipped shard raises ``ValueError`` naming the file.
 
 A :class:`ShardedStore` opens the manifest and serves shard payloads
 through a byte-budgeted :class:`~repro.store.cache.ShardCache`, so the
@@ -17,19 +22,24 @@ caller's peak memory is O(cache budget), not O(store).
 
 from __future__ import annotations
 
+import json
+import math
 import os
-import zipfile
+import re
+import struct
+import zlib
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from repro.io.atomic import atomic_savez
+from repro.io.atomic import atomic_write
 from repro.store.cache import ShardCache
 from repro.store.manifest import STORE_VERSION, ShardInfo, StoreManifest
 
 __all__ = [
     "DEFAULT_CACHE_BUDGET",
+    "SHARD_PATTERN",
     "shard_name",
     "ShardWriter",
     "ShardedStore",
@@ -40,49 +50,102 @@ __all__ = [
 #: that D-scale datasets never evict.
 DEFAULT_CACHE_BUDGET = 64 * 1024 * 1024
 
+#: every name :func:`shard_name` produces, and nothing else.
+SHARD_PATTERN = re.compile(r"shard-\d{5,}\.bin")
+
+_MAGIC = b"\x89RSHARD\n"
+_PREFIX = struct.Struct("<8sIQ")  # magic, crc, hlen
+_ALIGN = 16
+
 
 def shard_name(index: int) -> str:
-    return f"shard-{index:05d}.npz"
+    return f"shard-{index:05d}.bin"
 
 
-def _check_stamp(data, path: str, kind: str, index: int, n_records: int) -> None:
-    """Raise ``ValueError`` unless an open shard archive is shard
-    ``index`` of a current-version ``kind`` store holding ``n_records``
-    records."""
+def _encode_shard(arrays: dict, **stamp) -> bytes:
+    """The bytes of one shard file stamped with ``stamp``."""
+    columns, blobs, offset = [], [], 0
+    for name, value in arrays.items():
+        arr = np.asarray(value)
+        blob = arr.tobytes()
+        columns.append(
+            dict(name=name, dtype=arr.dtype.str, shape=arr.shape, offset=offset, nbytes=len(blob))
+        )
+        blobs += [blob, b"\0" * (-len(blob) % _ALIGN)]
+        offset += len(blob) + len(blobs[-1])
+    header = json.dumps({**stamp, "columns": columns}).encode("utf-8")
+    header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
+    body = b"".join([struct.pack("<Q", len(header)), header, *blobs])
+    return _MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def _check_stamp(header: dict, path: str, kind: str, index: int, n_records: int) -> None:
+    """Raise ``ValueError`` unless a shard header stamps shard ``index``
+    of a current-version ``kind`` store holding ``n_records`` records."""
     missing = sorted(
-        {"store_version", "store_kind", "shard_index", "n_records"} - set(data.files)
+        {"store_version", "store_kind", "shard_index", "n_records"} - set(header)
     )
     if missing:
         raise ValueError(f"foreign shard {path!r}: missing keys {missing}")
-    found = int(data["store_version"])
+    found = header["store_version"]
     if found != STORE_VERSION:
         raise ValueError(
             f"unsupported shard version {found} in {path!r} "
             f"(this build reads version {STORE_VERSION})"
         )
-    if str(data["store_kind"]) != kind:
+    if header["store_kind"] != kind:
         raise ValueError(
-            f"shard {path!r} belongs to a {str(data['store_kind'])!r} "
+            f"shard {path!r} belongs to a {header['store_kind']!r} "
             f"store, expected {kind!r}"
         )
-    if int(data["shard_index"]) != index:
+    if header["shard_index"] != index:
         raise ValueError(
             f"shard {path!r} is stamped as shard "
-            f"{int(data['shard_index'])}, expected {index} — "
+            f"{header['shard_index']}, expected {index} — "
             "was it moved between stores?"
         )
-    if int(data["n_records"]) != n_records:
+    if header["n_records"] != n_records:
         raise ValueError(
-            f"shard {path!r} holds {int(data['n_records'])} records, "
+            f"shard {path!r} holds {header['n_records']} records, "
             f"manifest expects {n_records}"
         )
 
 
-def _array_nbytes(arrays: dict) -> int:
-    total = 0
-    for value in arrays.values():
-        total += getattr(value, "nbytes", 0) or 0
-    return int(total)
+def _read_shard(path: str, kind: str, index: int, n_records: int) -> dict:
+    """One shard's columns, as read-only views of one read of ``path``.
+
+    Raises ``ValueError`` naming ``path`` when the file is missing,
+    torn, bit-flipped, foreign, or stamped for another store or slot.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValueError(f"unreadable shard {path!r}: {exc}") from exc
+    if len(raw) < _PREFIX.size or raw[:8] != _MAGIC:
+        raise ValueError(f"foreign shard {path!r}: not a repro.store shard file")
+    _, crc, hlen = _PREFIX.unpack_from(raw)
+    if zlib.crc32(memoryview(raw)[12:]) != crc:  # every byte after the CRC
+        raise ValueError(f"corrupt shard {path!r}: CRC mismatch (torn or bit-flipped)")
+    start = _PREFIX.size + hlen
+    try:
+        header = json.loads(raw[_PREFIX.size : start])
+        columns = header["columns"]  # TypeError unless a JSON object
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt shard {path!r}: {exc!r}") from exc
+    _check_stamp(header, path, kind, index, n_records)
+    try:
+        arrays = {}
+        for col in columns:
+            arrays[col["name"]] = np.frombuffer(
+                raw,
+                np.dtype(col["dtype"]),
+                count=math.prod(col["shape"]),
+                offset=start + col["offset"],
+            ).reshape(col["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt shard {path!r}: {exc!r}") from exc
+    return arrays
 
 
 class ShardWriter:
@@ -100,20 +163,15 @@ class ShardWriter:
         path: str | Path,
         kind: str,
         shard_size: int,
-        compressed: bool = False,
         resume: bool = False,
-        meta: dict | None = None,
     ) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
         self.path = str(path)
         self.kind = kind
         self.shard_size = int(shard_size)
-        self.compressed = bool(compressed)
         self.resume = bool(resume)
-        self.meta = dict(meta or {})
         self.shards: list[ShardInfo] = []
-        self.reused_shards = 0
         os.makedirs(self.path, exist_ok=True)
         if not resume:
             self._clear_stale()
@@ -128,12 +186,9 @@ class ShardWriter:
 
     def _reusable(self, final: str, index: int, n_records: int) -> bool:
         """True when a previous pack already wrote this exact shard."""
-        if not os.path.exists(final):
-            return False
         try:
-            with np.load(final) as data:
-                _check_stamp(data, final, self.kind, index, n_records)
-        except (zipfile.BadZipFile, OSError, ValueError):
+            _read_shard(final, self.kind, index, n_records)
+        except ValueError:
             return False
         return True
 
@@ -142,31 +197,26 @@ class ShardWriter:
         index = len(self.shards)
         name = shard_name(index)
         final = os.path.join(self.path, name)
-        payload = dict(arrays)
-        payload["store_version"] = np.int64(STORE_VERSION)
-        payload["store_kind"] = np.str_(self.kind)
-        payload["shard_index"] = np.int64(index)
-        payload["n_records"] = np.int64(n_records)
-        if self.resume and self._reusable(final, index, n_records):
-            self.reused_shards += 1
-        else:
-            atomic_savez(final, compressed=self.compressed, **payload)
-        info = ShardInfo(
-            name=name, n_records=int(n_records), nbytes=os.path.getsize(final)
-        )
+        if not (self.resume and self._reusable(final, index, n_records)):
+            blob = _encode_shard(
+                arrays,
+                store_version=STORE_VERSION,
+                store_kind=self.kind,
+                shard_index=index,
+                n_records=int(n_records),
+            )
+            atomic_write(final, lambda fh: fh.write(blob))
+        info = ShardInfo(name, int(n_records), os.path.getsize(final))
         self.shards.append(info)
         return info
 
-    def finalize(self, extra_meta: dict | None = None) -> StoreManifest:
+    def finalize(self, meta: dict | None = None) -> StoreManifest:
         """Write the manifest (the commit point of the whole pack)."""
-        meta = dict(self.meta)
-        if extra_meta:
-            meta.update(extra_meta)
         manifest = StoreManifest(
             kind=self.kind,
             shard_size=self.shard_size,
             shards=list(self.shards),
-            meta=meta,
+            meta=dict(meta or {}),
         )
         manifest.save(self.path)
         return manifest
@@ -180,20 +230,15 @@ class ShardedStore:
         path: str | Path,
         kind: str | None = None,
         cache_budget: int = DEFAULT_CACHE_BUDGET,
-        cache: ShardCache | None = None,
     ) -> None:
         self.path = str(path)
         self.manifest = StoreManifest.load(self.path, kind=kind)
-        self.cache = cache if cache is not None else ShardCache(cache_budget)
-        counts = np.fromiter(
-            (s.n_records for s in self.manifest.shards),
-            dtype=np.int64,
-            count=self.manifest.n_shards,
-        )
+        self.cache = ShardCache(cache_budget)
         #: cumulative record counts: shard ``s`` holds records
         #: ``[record_starts[s], record_starts[s + 1])``.
-        self.record_starts = np.zeros(self.manifest.n_shards + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.record_starts[1:])
+        self.record_starts = np.cumsum(
+            [0] + [s.n_records for s in self.manifest.shards], dtype=np.int64
+        )
 
     @property
     def kind(self) -> str:
@@ -207,9 +252,6 @@ class ShardedStore:
     def n_shards(self) -> int:
         return self.manifest.n_shards
 
-    def fingerprint(self) -> str:
-        return self.manifest.fingerprint()
-
     def shard_of(self, record: int) -> int:
         """Index of the shard holding global ``record``."""
         if not 0 <= record < self.n_records:
@@ -220,20 +262,9 @@ class ShardedStore:
         return os.path.join(self.path, self.manifest.shards[index].name)
 
     def load_shard(self, index: int) -> dict:
-        """Load one shard from disk, validating its stamp (no cache)."""
-        info = self.manifest.shards[index]
-        path = self.shard_path(index)
-        try:
-            data = np.load(path)
-        except (zipfile.BadZipFile, OSError, ValueError) as exc:
-            raise ValueError(f"corrupt shard {path!r}: {exc}") from exc
-        with data:
-            _check_stamp(data, path, self.kind, index, info.n_records)
-            return {
-                key: data[key]
-                for key in data.files
-                if key not in ("store_version", "store_kind", "shard_index")
-            }
+        """Load one shard from disk, checking its CRC and stamp (no cache)."""
+        n_records = self.manifest.shards[index].n_records
+        return _read_shard(self.shard_path(index), self.kind, index, n_records)
 
     def shard(self, index: int) -> dict:
         """One shard's arrays, served through the LRU cache."""
@@ -242,7 +273,7 @@ class ShardedStore:
 
         def loader() -> tuple[dict, int]:
             arrays = self.load_shard(index)
-            return arrays, _array_nbytes(arrays)
+            return arrays, sum(a.nbytes for a in arrays.values())
 
         return self.cache.get(("shard", self.path, index), loader)
 

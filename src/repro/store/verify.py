@@ -8,8 +8,8 @@ truncate, and people move files between stores.  The scrub re-checks,
 for every shard the manifest claims:
 
 - the file exists and its size matches the manifest's ``nbytes``;
-- the shard opens as a valid archive and its stamp fields agree with
-  the manifest slot (version, kind, index, record count) — the same
+- the shard's CRC holds and its stamp fields agree with the manifest
+  slot (version, kind, index, record count) — the same
   validation the hot read path performs in
   :meth:`~repro.store.sharded.ShardedStore.load_shard`;
 
@@ -29,10 +29,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.store.manifest import MANIFEST_NAME, StoreManifest
-from repro.store.sharded import ShardedStore
+from repro.store.sharded import SHARD_PATTERN, ShardedStore
 
 __all__ = ["ShardReport", "VerifyReport", "verify_store", "main"]
 
@@ -75,17 +75,7 @@ class VerifyReport:
         return sum(1 for s in self.shards if not s.ok)
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "n_shards": self.n_shards,
-            "n_records": self.n_records,
-            "ok": self.ok,
-            "fatal": self.fatal,
-            "orphans": self.orphans,
-            "shards": [asdict(s) for s in self.shards],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _check_shard(store: ShardedStore, index: int) -> ShardReport:
@@ -96,12 +86,8 @@ def _check_shard(store: ShardedStore, index: int) -> ShardReport:
     except OSError:
         return ShardReport(info.name, index, ok=False, error="missing")
     if size != info.nbytes:
-        return ShardReport(
-            info.name,
-            index,
-            ok=False,
-            error=f"size {size} != manifest nbytes {info.nbytes}",
-        )
+        error = f"size {size} != manifest nbytes {info.nbytes}"
+        return ShardReport(info.name, index, ok=False, error=error)
     try:
         store.load_shard(index)
     except ValueError as exc:
@@ -111,11 +97,9 @@ def _check_shard(store: ShardedStore, index: int) -> ShardReport:
 
 def _find_orphans(path: str, manifest: StoreManifest) -> list[str]:
     claimed = {s.name for s in manifest.shards}
-    orphans = []
-    for entry in sorted(os.listdir(path)):
-        if entry.endswith(".npz") and entry not in claimed:
-            orphans.append(entry)
-    return orphans
+    return [
+        e for e in sorted(os.listdir(path)) if SHARD_PATTERN.fullmatch(e) and e not in claimed
+    ]
 
 
 def _quarantine(store_path: str, shard_name: str) -> bool:
@@ -147,14 +131,7 @@ def verify_store(path: str, quarantine: bool = False) -> VerifyReport:
     for index in range(manifest.n_shards):
         shard = _check_shard(store, index)
         if not shard.ok and quarantine and shard.error != "missing":
-            moved = _quarantine(path, shard.name)
-            shard = ShardReport(
-                shard.name,
-                shard.index,
-                ok=False,
-                error=shard.error,
-                quarantined=moved,
-            )
+            shard = replace(shard, quarantined=_quarantine(path, shard.name))
         report.shards.append(shard)
     report.orphans = _find_orphans(path, manifest)
     return report

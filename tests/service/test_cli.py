@@ -90,6 +90,7 @@ class TestVerifyStoreCli:
 
         from repro.io.records import Read
         from repro.store.reads import pack_reads
+        from repro.store.sharded import SHARD_PATTERN
 
         reads = [
             Read(f"r{i}", np.zeros(50, dtype=np.uint8)) for i in range(300)
@@ -97,7 +98,7 @@ class TestVerifyStoreCli:
         store = str(tmp_path / "reads.store")
         pack_reads(reads, store, shard_size=128)
         shard = next(
-            e for e in sorted(os.listdir(store)) if e.endswith(".npz")
+            e for e in sorted(os.listdir(store)) if SHARD_PATTERN.fullmatch(e)
         )
         with open(os.path.join(store, shard), "r+b") as fh:
             fh.truncate(100)
@@ -106,3 +107,36 @@ class TestVerifyStoreCli:
         out = capsys.readouterr().out
         assert "BAD" in out and "quarantined" in out
         assert os.path.exists(os.path.join(store, "quarantine", shard))
+
+    def test_bit_flipped_shard_is_quarantined_then_repacked(
+        self, tmp_path, reads_path, capsys
+    ):
+        import os
+
+        from repro.io.fasta import parse_reads
+        from repro.io.readset import ReadSet
+        from repro.store.sharded import shard_name
+
+        store = str(tmp_path / "reads.store")
+        pack = ["pack", reads_path, "-o", store, "--shard-size", "100"]
+        assert main(pack) == 0
+        victim = os.path.join(store, shard_name(1))
+        with open(victim, "r+b") as fh:
+            fh.seek(os.path.getsize(victim) // 2)  # inside the base codes
+            byte = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte ^ 0x04]))
+        capsys.readouterr()
+        assert main(["verify-store", store, "--quarantine"]) == 1
+        out = capsys.readouterr().out
+        assert f"BAD {shard_name(1)}" in out and "quarantined" in out
+        assert not os.path.exists(victim)
+        assert os.path.exists(os.path.join(store, "quarantine", shard_name(1)))
+        assert main([*pack, "--resume"]) == 0
+        assert main(["verify-store", store]) == 0
+        opened = ReadSet.open(store)
+        source = list(parse_reads(reads_path))
+        assert len(opened) == len(source)
+        for i, read in enumerate(source):
+            assert opened.ids[i] == read.id
+            assert (opened.codes_of(i) == read.codes).all()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.io.records import Read
 from repro.io.readset import ReadSet
-from repro.store import ShardedReadSet, pack_reads
+from repro.store import ShardedReadSet, ShardedStore, pack_reads
+from tests.store.test_sharded import rewrite_shard
 
 
 def make_reads(n=57, with_quals=True, seed=11):
@@ -214,11 +215,9 @@ class TestQualityDtype:
         reads = make_reads(n=6)
         path = str(tmp_path / "reads.store")
         pack_reads(iter(reads), path, shard_size=3)
-        for name in ("shard-00000.npz", "shard-00001.npz"):
-            with np.load(f"{path}/{name}") as data:
-                arrays = dict(data)
-            arrays["quals"] = arrays["quals"].astype(np.int64)
-            np.savez(f"{path}/{name}", **arrays)
+        for index in (0, 1):
+            quals = ShardedStore(path).load_shard(index)["quals"]
+            rewrite_shard(path, index, {"quals": quals.astype(np.int64)})
         opened = ShardedReadSet(path)
         assert opened.store.shard(0)["quals"].dtype == np.int64
         ram = ReadSet(reads)

@@ -20,6 +20,31 @@ from repro.store import (
 )
 
 
+def rewrite_shard(store_path, index, columns=None, **stamp):
+    """Re-encode shard ``index`` in place with some columns or stamp
+    fields replaced, as another writer would have produced it."""
+    store = ShardedStore(store_path)
+    arrays = {**store.load_shard(index), **(columns or {})}
+    fields = {
+        "store_version": STORE_VERSION,
+        "store_kind": store.kind,
+        "shard_index": index,
+        "n_records": store.manifest.shards[index].n_records,
+        **stamp,
+    }
+    with open(store.shard_path(index), "wb") as fh:
+        fh.write(sharded_mod._encode_shard(arrays, **fields))
+
+
+def replace_in_manifest(store_path, old, new):
+    mpath = os.path.join(store_path, MANIFEST_NAME)
+    with open(mpath, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    with open(mpath, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+
+
 def write_store(path, n_shards=3, kind="reads"):
     writer = ShardWriter(path, kind=kind, shard_size=4)
     for i in range(n_shards):
@@ -41,6 +66,14 @@ class TestWriterRoundtrip:
             assert (payload["data"] == i).all()
             # Stamp keys are stripped from the served payload.
             assert "store_version" not in payload
+
+    def test_cached_shards_are_read_only(self, tmp_path):
+        path = str(tmp_path / "store")
+        write_store(path)
+        store = ShardedStore(path)
+        with pytest.raises(ValueError, match="read-only"):
+            store.shard(1)["data"][0] = 7
+        assert (store.shard(1)["data"] == 1).all()
 
     def test_record_starts_and_shard_of(self, tmp_path):
         path = str(tmp_path / "store")
@@ -79,6 +112,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"version {STORE_VERSION + 1}"):
             ShardedStore(path)
 
+    def test_version_1_store_refused_with_a_re_pack_hint(self, tmp_path):
+        path = str(tmp_path / "store")
+        write_store(path)
+        replace_in_manifest(path, f'"version": {STORE_VERSION}', '"version": 1')
+        with pytest.raises(ValueError, match="version 1 .*re-pack"):
+            ShardedStore(path)
+
+    def test_mistyped_manifest_field_names_the_file(self, tmp_path):
+        path = str(tmp_path / "store")
+        write_store(path)
+        replace_in_manifest(path, '"shard_size"', '"shard_sizg"')
+        with pytest.raises(ValueError, match="corrupt store manifest.*shard_size"):
+            ShardedStore(path)
+
     def test_kind_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "store")
         write_store(path, kind="overlaps")
@@ -105,11 +152,7 @@ class TestValidation:
         path = str(tmp_path / "store")
         write_store(path)
         # Rewrite shard 1 with a wrong embedded store_version.
-        spath = os.path.join(path, shard_name(1))
-        with np.load(spath) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["store_version"] = np.int64(STORE_VERSION + 7)
-        np.savez(spath, **arrays)
+        rewrite_shard(path, 1, store_version=STORE_VERSION + 7)
         store = ShardedStore(path)
         with pytest.raises(ValueError, match="shard version"):
             store.load_shard(1)
@@ -140,16 +183,16 @@ class TestCrashMidPackResume:
 
     @staticmethod
     def _crash_after(monkeypatch, n_shards):
-        real = sharded_mod.atomic_savez
+        real = sharded_mod.atomic_write
         written = []
 
-        def exploding(final, compressed=False, **arrays):
+        def exploding(final, write, mode="wb"):
             if len(written) >= n_shards:
                 raise RuntimeError("simulated crash mid-pack")
             written.append(final)
-            real(final, compressed=compressed, **arrays)
+            real(final, write, mode)
 
-        monkeypatch.setattr(sharded_mod, "atomic_savez", exploding)
+        monkeypatch.setattr(sharded_mod, "atomic_write", exploding)
 
     def test_crashed_pack_has_no_manifest(self, tmp_path, monkeypatch):
         path = str(tmp_path / "store")
