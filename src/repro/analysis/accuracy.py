@@ -75,12 +75,12 @@ def evaluate_assembly(
     placed_bases = 0
     identity_weighted = 0.0
 
-    for ci, contig in enumerate(contigs):
-        contig = np.asarray(contig, dtype=np.uint8)
-        # One pass at no identity floor: the best placement clears
-        # ``min_identity`` or nothing does, and then its identity is
-        # the best unverified one, recorded for diagnostics.
-        hit = mapper.place(contig, min_identity=0.0, min_votes=min_votes)
+    contigs = [np.asarray(contig, dtype=np.uint8) for contig in contigs]
+    # One pass at no identity floor: the best placement clears
+    # ``min_identity`` or nothing does, and then its identity is the
+    # best unverified one, recorded for diagnostics.
+    hits = mapper.place_each(contigs, min_identity=0.0, min_votes=min_votes)
+    for ci, (contig, hit) in enumerate(zip(contigs, hits)):
         if hit is not None and hit.identity >= min_identity:
             placements.append(
                 ContigPlacement(

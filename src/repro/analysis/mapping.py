@@ -8,7 +8,6 @@ placement base-by-base.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +34,7 @@ class Placement:
 
 
 class SequenceMapper:
-    """Places query sequences on a set of reference code arrays.
-
-    ``active`` is a per-reference bool mask (all true after
-    construction): k-mer hits on an inactive reference do not vote, so a
-    caller can index every sequence it may ever place against once and
-    switch references on as it goes (``deduplicate_contigs`` does)
-    instead of rebuilding the index.
-    """
+    """Places query sequences on a set of reference code arrays."""
 
     def __init__(self, references: list[np.ndarray], k: int = 21) -> None:
         if k < 1:
@@ -51,7 +43,6 @@ class SequenceMapper:
             raise ValueError("need at least one reference sequence")
         self.k = k
         self.references = [np.asarray(r, dtype=np.uint8) for r in references]
-        self.active = np.ones(len(self.references), dtype=bool)
         pos, vals, counts = batched_kmer_positions(self.references, k)
         order = stable_order(vals)
         self.vals = vals[order]
@@ -81,15 +72,12 @@ class SequenceMapper:
     def _best_diagonal(
         self, qpos: np.ndarray, first: np.ndarray, counts: np.ndarray
     ) -> tuple[int, int, int] | None:
-        """(reference, start, votes) of the consensus diagonal among the
-        hits on active references."""
+        """(reference, start, votes) of the consensus diagonal."""
         flat = ragged_positions(first, counts)
-        refs = self.refs[flat]
-        live = self.active[refs]
-        if not live.any():
+        if flat.size == 0:
             return None
-        diag = self.pos[flat[live]] - np.repeat(qpos, counts)[live]
-        key = refs[live] * _REF_SHIFT + (diag + _DIAG_BIAS)
+        diag = self.pos[flat] - np.repeat(qpos, counts)
+        key = self.refs[flat] * _REF_SHIFT + (diag + _DIAG_BIAS)
         uniq, votes = np.unique(key, return_counts=True)
         best = int(np.argmax(votes))
         ref = int(uniq[best] // _REF_SHIFT)
@@ -107,20 +95,16 @@ class SequenceMapper:
         queries: list[np.ndarray],
         min_identity: float = 0.9,
         min_votes: int = 2,
-    ) -> Iterator[Placement | None]:
-        """:meth:`place` for each query in turn, with the index looked
-        up once for all of them, both strands.
-
-        A generator: each placement is voted against ``active`` as it
-        stands when that item is requested, so the caller may switch
-        references on or off between items.
-        """
+    ) -> list[Placement | None]:
+        """:meth:`place` for each query, with the index looked up once
+        for all of them, both strands."""
         if not queries:
-            return
+            return []
         n = len(queries)
         seqs = [np.asarray(q, dtype=np.uint8) for q in queries]
         seqs += [reverse_complement(q) for q in seqs]
         ranges = self._hit_ranges(seqs)
+        out: list[Placement | None] = []
         for i in range(n):
             best: Placement | None = None
             for strand, j in (("+", i), ("-", n + i)):
@@ -136,11 +120,12 @@ class SequenceMapper:
                         reference=ref, position=start, strand=strand,
                         identity=identity, votes=votes,
                     )
-            yield best
+            out.append(best)
+        return out
 
     def place(
         self, query: np.ndarray, min_identity: float = 0.9, min_votes: int = 2
     ) -> Placement | None:
-        """Best verified placement of ``query`` on any active
-        reference, either strand."""
-        return next(self.place_each([query], min_identity, min_votes))
+        """Best verified placement of ``query`` on any reference, either
+        strand."""
+        return self.place_each([query], min_identity, min_votes)[0]

@@ -14,8 +14,10 @@ either the previous file survives untouched or the new one is complete.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,27 +95,45 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
 def load_checkpoint(source) -> CheckpointState:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises :class:`ValueError` (never a bare ``KeyError``) when the
-    file is not an archive, is missing expected arrays, or was written
-    by an unsupported format version.
+    Raises :class:`ValueError` naming the file — never a bare
+    ``KeyError``, ``BadZipFile`` or ``zlib.error`` — when the file is
+    not an archive, is damaged, is missing expected arrays, or was
+    written by an unsupported format version.  Every member is read
+    whole, so its CRC-32 is checked: a damaged archive is refused, never
+    loaded as different state.
     """
     try:
-        data = np.load(source, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, OSError) as exc:
+        with zipfile.ZipFile(source) as archive:
+            members = {
+                name.removesuffix(".npy"): archive.read(name)
+                for name in archive.namelist()
+            }
+    except (
+        zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError,
+        RuntimeError,  # a flipped "encrypted" flag
+    ) as exc:
         raise ValueError(f"not a checkpoint archive: {source!r} ({exc})") from exc
-    with data:
-        missing = sorted(set(_CHECKPOINT_KEYS) - set(data.files))
-        if missing:
-            raise ValueError(
-                f"corrupt or foreign checkpoint archive {source!r}: "
-                f"missing keys {missing}"
-            )
+    missing = sorted(set(_CHECKPOINT_KEYS) - set(members))
+    if missing:
+        raise ValueError(
+            f"corrupt or foreign checkpoint archive {source!r}: "
+            f"missing keys {missing}"
+        )
+    damage = (ValueError, TypeError, EOFError)
+    try:
+        data = {
+            key: np.load(io.BytesIO(members[key]), allow_pickle=False)
+            for key in _CHECKPOINT_KEYS
+        }
         found = int(data["version"])
-        if found != _CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint archive version {found} "
-                f"(this build reads version {_CHECKPOINT_VERSION})"
-            )
+    except damage as exc:
+        raise ValueError(f"corrupt checkpoint archive {source!r}: {exc}") from exc
+    if found != _CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint archive version {found} in {source!r} "
+            f"(this build reads version {_CHECKPOINT_VERSION})"
+        )
+    try:
         paths = None
         if bool(data["has_paths"]):
             paths = (
@@ -128,3 +148,5 @@ def load_checkpoint(source) -> CheckpointState:
             stage_times=_json_value(data["stage_times"]),
             paths=paths,
         )
+    except damage as exc:
+        raise ValueError(f"corrupt checkpoint archive {source!r}: {exc}") from exc

@@ -58,16 +58,18 @@ class TestEvaluateAssembly:
     def test_unplaced_contig_reports_best_unverified_identity(
         self, reference, monkeypatch
     ):
-        """One placement per contig, placed or not: the chimera's best
-        diagonal verifies its first half and ~1/4 of the second."""
+        """One placement pass for all contigs, placed or not: the
+        chimera's best diagonal verifies its first half and ~1/4 of the
+        second."""
         from repro.analysis.mapping import SequenceMapper
 
         calls = []
-        real = SequenceMapper.place
+        real = SequenceMapper.place_each
         monkeypatch.setattr(
             SequenceMapper,
-            "place",
-            lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw),
+            "place_each",
+            lambda self, queries, *a, **kw: calls.append(len(queries))
+            or real(self, queries, *a, **kw),
         )
         chimera = np.concatenate([reference.codes[:500], reference.codes[3000:3500]])
         report = evaluate_assembly([chimera, reference.codes[:400].copy()], [reference])
@@ -75,7 +77,7 @@ class TestEvaluateAssembly:
         assert not bad.placed and bad.reference is None and bad.position is None
         assert 0.55 < bad.identity < 0.7
         assert good.placed and good.identity == 1.0
-        assert len(calls) == 2
+        assert calls == [2]
 
     def test_small_errors_tolerated(self, reference):
         noisy = reference.codes[:2000].copy()

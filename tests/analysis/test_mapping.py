@@ -16,8 +16,7 @@ K = 5
 
 def place_by_dict(mapper, query, min_identity, min_votes):
     """``SequenceMapper.place`` spelled with a dict and Python loops:
-    one vote per (query k-mer, equal reference k-mer on an active
-    reference), smallest (reference, diagonal) among the most voted,
+    one vote per (query k-mer, equal reference k-mer), smallest (reference, diagonal) among the most voted,
     verified in range; the better strand wins, '+' on a tie."""
 
     def words(codes):
@@ -31,8 +30,6 @@ def place_by_dict(mapper, query, min_identity, min_votes):
     for strand, seq in (("+", query), ("-", reverse_complement(query))):
         votes = Counter()
         for ri, ref in enumerate(mapper.references):
-            if not mapper.active[ri]:
-                continue
             ref_words = words(ref)
             for q, word in words(seq).items():
                 votes.update((ri, p - q) for p, w in ref_words.items() if w == word)
@@ -51,8 +48,7 @@ def place_by_dict(mapper, query, min_identity, min_votes):
 
 @st.composite
 def mapper_cases(draw):
-    """A few short references (some repetitive, some with N), a mask,
-    and queries cut from them on either strand with substitutions."""
+    """A few short references (some repetitive, some with N) and queries cut from them on either strand with substitutions."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
     refs = []
     for _ in range(int(rng.integers(1, 5))):
@@ -72,17 +68,17 @@ def mapper_cases(draw):
         if rng.random() < 0.3:
             q = np.concatenate([q, random_genome(int(rng.integers(1, 6)), rng)])
         queries.append(reverse_complement(q) if rng.random() < 0.5 else q)
-    return refs, rng.random(len(refs)) < 0.7, queries
+    return refs, queries
 
 
 class TestSequenceMapper:
     @given(case=mapper_cases(), min_votes=st.integers(min_value=1, max_value=3))
     @settings(max_examples=150, deadline=None)
     def test_place_matches_dict_vote(self, case, min_votes):
-        refs, active, queries = case
+        refs, queries = case
         mapper = SequenceMapper(refs, k=K)
-        mapper.active[:] = active
-        batched = list(mapper.place_each(queries, 0.8, min_votes))
+        batched = mapper.place_each(queries, 0.8, min_votes)
+        assert len(batched) == len(queries)
         for query, together in zip(queries, batched):
             hit = mapper.place(query, min_identity=0.8, min_votes=min_votes)
             assert hit == together
@@ -90,28 +86,9 @@ class TestSequenceMapper:
             got = hit and (hit.reference, hit.position, hit.strand, hit.identity, hit.votes)
             assert got == expect
 
-    def test_inactive_reference_gets_no_votes(self):
-        rng = np.random.default_rng(0)
-        a, b = random_genome(200, rng), random_genome(200, rng)
-        mapper = SequenceMapper([a, b])
-        assert mapper.active.all()
-        assert mapper.place(b[50:150]).reference == 1
-        mapper.active[1] = False
-        assert mapper.place(b[50:150]) is None
-        assert mapper.place(a[50:150]).reference == 0
-
-    def test_place_each_reads_the_mask_lazily(self):
-        """Each item is voted when it is requested, so switching a
-        reference on between items changes the later ones only."""
-        rng = np.random.default_rng(1)
-        a = random_genome(200, rng)
-        mapper = SequenceMapper([a])
-        mapper.active[:] = False
-        hits = mapper.place_each([a[:100], a[100:]])
-        assert next(hits) is None
-        mapper.active[0] = True
-        assert next(hits).position == 100
-        assert list(hits) == [] == list(mapper.place_each([]))
+    def test_place_each_of_nothing(self):
+        mapper = SequenceMapper([random_genome(50, np.random.default_rng(1))])
+        assert mapper.place_each([]) == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
 """``deduplicate_contigs`` == the rebuild-per-keep reference, and its
 work is linear in the input.
 
-The production function indexes every contig once and switches kept
-contigs on in a per-reference mask; ``tests/reference/contigs.py``
-keeps the specification it replaced (a fresh ``SequenceMapper`` over
-the kept contigs per candidate, exact string scan first).  Hypothesis
-drives both over mirrored contig families; a counting guard pins the
-number of k-mer extractions and index builds, so a per-keep rebuild
-cannot come back unnoticed (no wall clock involved).
+The production function places every contig by one canonical k-mer
+self-join over all contigs; ``tests/reference/contigs.py`` keeps the
+specification it replaced (a fresh ``SequenceMapper`` over the kept
+contigs per candidate, exact string scan first).  Hypothesis drives
+both over mirrored contig families, on the packed vote key and on its
+``lexsort`` fallback; a counting guard pins the number of k-mer passes
+and sorts, so a per-contig lookup cannot come back unnoticed (no wall
+clock involved).
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import mapping
-from repro.core.focus import deduplicate_contigs
+from repro.core import focus
+from repro.core.config import AssemblyConfig
+from repro.core.focus import FocusAssembler, deduplicate_contigs
+from repro.io.readset import ReadSet
+from repro.io.records import Read
 from repro.sequence.dna import N, reverse_complement
 from repro.simulate.genome import random_genome
 
@@ -168,10 +175,33 @@ class TestPlacementPath:
         assert out[0] is contig
 
 
+class TestVoteKey:
+    """The vote key packs into one ``int64`` only when the product of
+    its field widths fits; otherwise ``lexsort`` counts the same rows."""
+
+    def test_rows_at_the_63_bit_boundary(self):
+        hi, lo = 2**32 - 1, 2**31 - 1
+        cols = [np.array([hi, 0, hi], dtype=np.int64), np.array([lo, 5, lo], dtype=np.int64)]
+        for widths in ([2**32, 2**31], [2**32, 2**31 + 1]):  # packed, fallback
+            rows, counts = focus._count_rows(cols, widths)
+            assert [r.tolist() for r in rows] == [[0, hi], [5, lo]]
+            assert counts.tolist() == [1, 2]
+
+    @given(contigs=contig_families())
+    @settings(max_examples=100, deadline=None)
+    def test_fallback_selects_like_the_packed_key(self, contigs):
+        packed = deduplicate_contigs(contigs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(focus, "_KEY_BITS", 0)
+            assert_same_selection(deduplicate_contigs(contigs), packed)
+
+
 class TestWorkIsLinear:
-    """Counted, not timed: one index per call and two k-mer extraction
-    passes whatever the number of contigs (one over every contig for the
-    index, one over all queries on both strands)."""
+    """Counted, not timed: whatever the number of contigs, one k-mer
+    pass per strand over all contigs joined, one sort of their
+    canonical k-mers (the contigs are their own index), no
+    ``SequenceMapper``, and at most one identity check per contig and
+    strand."""
 
     @staticmethod
     def mirrored(n, seed=4):
@@ -184,23 +214,51 @@ class TestWorkIsLinear:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"kmer_passes": 0, "index": 0}
-        real_kmers, real_init = mapping.batched_kmer_positions, mapping.SequenceMapper.__init__
+        seen = Counter()
 
-        def counting_kmers(seqs, k):
-            seen["kmer_passes"] += 1
-            return real_kmers(seqs, k)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
 
-        def counting_init(self, references, k=21):
-            seen["index"] += 1
-            real_init(self, references, k)
+            return wrapper
 
-        monkeypatch.setattr(mapping, "batched_kmer_positions", counting_kmers)
-        monkeypatch.setattr(mapping.SequenceMapper, "__init__", counting_init)
+        for name in ("kmer_codes", "stable_order", "hamming_identity"):
+            monkeypatch.setattr(focus, name, counting(name, getattr(focus, name)))
+        monkeypatch.setattr(
+            mapping.SequenceMapper,
+            "__init__",
+            counting("SequenceMapper", mapping.SequenceMapper.__init__),
+        )
         return seen
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_one_index_two_extraction_passes(self, counts, n):
         kept = deduplicate_contigs(self.mirrored(n))
         assert len(kept) == n // 2
-        assert counts == {"kmer_passes": 2, "index": 1}
+        assert 0 < counts.pop("hamming_identity") <= 2 * n
+        assert counts == {"kmer_codes": 2, "stable_order": 1}
+
+
+@pytest.mark.slow
+def test_real_shotgun_contigs_match_reference():
+    """The ~390 contigs a 9,607-read, 120 kb shotgun assembly emits
+    before dedupe (both strands of every region) select as the
+    rebuild-per-keep reference does."""
+    rng = np.random.default_rng(101)
+    genome = random_genome(120_090, rng)
+    starts = rng.integers(0, genome.size - 100 + 1, size=9_607)
+    strands = rng.integers(0, 2, size=starts.size)
+    frags = genome[starts[:, None] + np.arange(100)[None, :]]
+    hit = rng.random(frags.shape) < 0.005
+    frags[hit] = (frags[hit] + rng.integers(1, 4, size=int(hit.sum()))) % 4
+    reads = ReadSet(
+        Read(f"s{i}", reverse_complement(f) if strand else f)
+        for i, (f, strand) in enumerate(zip(frags, strands))
+    )
+    config = AssemblyConfig(backend="serial", n_partitions=4, dedupe_rc=False)
+    contigs = FocusAssembler(config).assemble(reads).contigs
+    assert len(contigs) > 300
+    got = deduplicate_contigs(contigs)
+    assert_same_selection(got, contigs_ref.deduplicate_contigs(contigs))
+    assert len(got) < len(contigs) * 0.6

@@ -4,9 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io.atomic import atomic_save_npy, atomic_savez, atomic_write, atomic_write_text
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
+
+from tests.store.test_loader_fuzz import damaged
 
 
 def sample_state(paths=None):
@@ -46,6 +50,50 @@ class TestCorruptedArchives:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pristine") / "ck.npz"
+    save_checkpoint(sample_state(paths=(np.arange(5), np.array([3, 0, 2]))), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_identically_or_names_the_file(
+    checkpoint_blob, tmp_path_factory, data
+):
+    """Any truncation or single-bit flip of a checkpoint either loads
+    the state that was saved or raises a ``ValueError`` naming the file
+    (each member's CRC-32 is checked, so a flip never loads as other
+    state)."""
+    path = tmp_path_factory.mktemp("fuzz") / "ck.npz"
+    path.write_bytes(damaged(checkpoint_blob, data))
+    try:
+        state = load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    want = sample_state()
+    assert state.fingerprint == want.fingerprint
+    assert state.completed == want.completed
+    assert state.stage_times == want.stage_times
+    assert state.node_alive.tolist() == want.node_alive.tolist()
+    assert state.edge_alive.tolist() == want.edge_alive.tolist()
+    assert [a.tolist() for a in state.paths] == [[0, 1, 2, 3, 4], [3, 0, 2]]
+
+
+def test_flipped_encryption_flag_names_the_file(checkpoint_blob, tmp_path):
+    """zipfile raises ``RuntimeError`` for a member flagged encrypted."""
+    blob = bytearray(checkpoint_blob)
+    entry = blob.index(b"PK\x01\x02")  # first central-directory entry
+    blob[entry + 8] |= 1  # its general-purpose flag: encrypted
+    path = tmp_path / "ck.npz"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="not a checkpoint archive") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 class TestAtomicWrites:
