@@ -420,8 +420,11 @@ def _parse_fault_plan(spec: str, stages: tuple[str, ...], n_parts: int):
                 f"bad --fault-plan {spec!r}: expected random:<integer seed>"
             ) from None
         return FaultPlan.random(seed, stages, n_parts)
-    with open(spec, encoding="utf-8") as fh:
-        return FaultPlan.from_json(fh.read())
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            return FaultPlan.from_json(fh.read())
+    except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
+        raise ValueError(f"bad --fault-plan file {spec!r}: {exc}") from exc
 
 
 def _cmd_pack(args) -> int:

@@ -62,23 +62,21 @@ def find_containments(
 
     A node's scan ends at its first containment hit, so a
     short-overlap edge *after* that hit is never proposed by this
-    node: a per-node first-hit cutoff over the graph's CSR incident
-    order (hence ``alive_incident_many``, which preserves it).
+    node.  "After" is the graph's adjacency order — every
+    ``OverlapGraph`` lists a node's higher neighbours ascending, then
+    its lower ones — which the rank ``nbr - n_nodes`` (higher) / ``nbr``
+    (lower) reproduces on the node's alive rows of the pair table.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    if nodes.size == 0:
+    rows, degrees = dag.rows_of(nodes)
+    if rows.size == 0:
         return empty, empty
-    indptr, nbrs, eids = dag.alive_incident_many(nodes)
-    if nbrs.size == 0:
-        return empty, empty
+    pairs = dag.pairs
     contigs = dag.assembly.contigs
     lengths = dag.assembly.contig_lengths
-    owner = np.repeat(
-        np.arange(nodes.size, dtype=np.int64), np.diff(indptr)
-    )
-    v = nodes[owner]
-    d = dag.edge_deltas(eids, v)
+    owner = np.repeat(np.arange(nodes.size, dtype=np.int64), degrees)
+    v, nbrs, d = pairs.src[rows], pairs.dst[rows], pairs.delta[rows]
     len_v, len_u = lengths[v], lengths[nbrs]
     overlap = np.minimum(len_v, d + len_u) - np.maximum(0, d)
     short = overlap < min_overlap
@@ -87,20 +85,22 @@ def find_containments(
     covered = (d <= 0) & (d + len_u >= len_v)
     proper = (d < 0) | (d + len_u > len_v)
     geom = ~short & covered & (proper | (v > nbrs))
-    rows = np.flatnonzero(geom)
-    ident = np.zeros(nbrs.size, dtype=np.float64)
-    ident[rows] = _batched_identities(
-        contigs, lengths, v[rows], nbrs[rows], -d[rows]
+    hits = np.flatnonzero(geom)
+    ident = np.zeros(rows.size, dtype=np.float64)
+    ident[hits] = _batched_identities(
+        contigs, lengths, v[hits], nbrs[hits], -d[hits]
     )
     hit = geom & (ident >= min_identity)
-    # First containment hit per node ends its scan.
-    first_hit = np.full(nodes.size, nbrs.size, dtype=np.int64)
-    np.minimum.at(first_hit, owner[hit], np.flatnonzero(hit))
-    dead_nodes = nodes[first_hit < nbrs.size]
-    dead_edge_rows = short & (np.arange(nbrs.size) < first_hit[owner])
+    # First containment hit per node, in adjacency order, ends its scan.
+    n = pairs.n_nodes
+    rank = np.where(nbrs > v, nbrs - n, nbrs)
+    first_hit = np.full(nodes.size, n, dtype=np.int64)
+    np.minimum.at(first_hit, owner[hit], rank[hit])
+    dead_nodes = nodes[first_hit < n]
+    dead_edge_rows = short & (rank < first_hit[owner])
     return (
         sorted_unique(dead_nodes),
-        sorted_unique(eids[dead_edge_rows]),
+        sorted_unique(pairs.eid[rows[dead_edge_rows]]),
     )
 
 

@@ -8,13 +8,16 @@ derived from the heaviest crossing G0 overlap — plus an implied
 contig-overlap length.
 
 ``DistributedAssemblyGraph`` wraps the enriched graph with partition
-ownership and alive-masks.  Workers only read; the master applies the
-removals they report (paper §V), so no locking is needed beyond the
+ownership and alive-masks.  Every stage reads the alive graph one way:
+the directed pair table (:class:`~repro.graph.sparse.PairTable`)
+through the masks.  Workers only read; the master applies the removals
+they report (paper §V), so no locking is needed beyond the
 gather/apply barrier the algorithms already have.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +27,7 @@ from repro.graph.contigs import consensus_of_layouts, layout_clusters
 from repro.graph.csr import split_groups
 from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import OverlapGraph
-from repro.graph.sparse import SparseStructure, ragged_positions
+from repro.graph.sparse import PairTable, ragged_positions
 from repro.io.readset import ReadSet
 
 __all__ = ["HybridAssembly", "enrich_hybrid", "DistributedAssemblyGraph"]
@@ -143,9 +146,10 @@ class DistributedAssemblyGraph:
         self.n_parts = int(labels.max()) + 1 if labels.size else 0
         self.node_alive = np.ones(self.graph.n_nodes, dtype=bool)
         self.edge_alive = np.ones(self.graph.n_edges, dtype=bool)
-        #: mask-independent sorted pair tables, built once per graph
-        #: and read in place by every stage's masked view.
-        self.sparse_structure = SparseStructure(self.graph)
+        #: mask-independent directed pair table, sorted once per graph;
+        #: every stage reads the alive graph through it (:meth:`rows_of`,
+        #: :meth:`lookup`, :meth:`pair_deltas`).
+        self.pairs = PairTable(self.graph)
 
     # -- stage subject (docs/architecture.md, the subject contract) --------
 
@@ -164,8 +168,11 @@ class DistributedAssemblyGraph:
         self.node_alive, self.edge_alive = masks
 
     def worker_view(self) -> "DistributedAssemblyGraph":
-        """A worker's own view (own masks) of the shared assembly."""
-        return DistributedAssemblyGraph(self.assembly, self.labels)
+        """A worker's own view (own, all-alive masks) of the shared
+        assembly; the pair table is the master's, not sorted again."""
+        view = copy.copy(self)
+        view.state = (np.ones_like(self.node_alive), np.ones_like(self.edge_alive))
+        return view
 
     # -- partition views ---------------------------------------------------
 
@@ -173,90 +180,52 @@ class DistributedAssemblyGraph:
         """Alive nodes owned by ``part``."""
         return np.flatnonzero((self.labels == part) & self.node_alive)
 
-    def alive_incident(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbour ids, edge ids) of v's alive incident edges."""
-        lo, hi = self.graph.indptr[v], self.graph.indptr[v + 1]
-        nbrs = self.graph.adj[lo:hi]
-        eids = self.graph.adj_edge[lo:hi]
-        keep = self.edge_alive[eids] & self.node_alive[nbrs]
-        return nbrs[keep], eids[keep]
+    # -- the alive graph: the pair table read through the masks ----------
 
-    def alive_degree(self, v: int) -> int:
-        return int(self.alive_incident(v)[0].size)
+    def rows_of(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """(alive row positions, alive degree per node) of a node sequence.
 
-    def alive_degrees(self, nodes) -> np.ndarray:
-        """Alive degree of each node in one vectorized pass."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return np.empty(0, dtype=np.int64)
-        g = self.graph
-        counts = (g.indptr[nodes + 1] - g.indptr[nodes]).astype(np.int64)
-        slots = ragged_positions(g.indptr[nodes].astype(np.int64), counts)
-        keep = self.edge_alive[g.adj_edge[slots]] & self.node_alive[g.adj[slots]]
-        owner = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
-        return np.bincount(owner[keep], minlength=nodes.size)
-
-    def alive_incident_many(
-        self, nodes
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, neighbour ids, edge ids) of many nodes' alive edges.
-
-        Row ``i`` spans ``nbrs[indptr[i]:indptr[i+1]]`` in the same
-        order :meth:`alive_incident` yields for ``nodes[i]`` — the
-        graph's CSR incident order, which order-sensitive kernels
-        (containment's first-hit break) rely on.
+        Rows index the :attr:`pairs` table; a row is alive when its
+        edge and both endpoints are.  Rows are concatenated in the
+        order of ``nodes`` (repeats allowed), each node's in ``dst``
+        order, so node ``i``'s rows start at ``cumsum(degrees)[i] -
+        degrees[i]``.  Cost is the nodes' table rows, not the graph's.
         """
+        t = self.pairs
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.zeros(1, dtype=np.int64), empty, empty
-        g = self.graph
-        counts = (g.indptr[nodes + 1] - g.indptr[nodes]).astype(np.int64)
-        slots = ragged_positions(g.indptr[nodes].astype(np.int64), counts)
-        nbrs = g.adj[slots]
-        eids = g.adj_edge[slots]
-        keep = self.edge_alive[eids] & self.node_alive[nbrs]
-        owner = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
-        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[keep], minlength=nodes.size), out=indptr[1:])
-        return indptr, nbrs[keep].astype(np.int64), eids[keep].astype(np.int64)
+        counts = t.degrees[nodes]
+        rows = ragged_positions(t.indptr[nodes], counts)
+        alive = (
+            self.edge_alive[t.eid[rows]]
+            & self.node_alive[t.dst[rows]]
+            & self.node_alive[t.src[rows]]
+        )
+        owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        return rows[alive], np.bincount(owner[alive], minlength=counts.size)
 
-    def edge_deltas(self, eids, v) -> np.ndarray:
-        """Delta of each edge as seen from endpoint ``v``, vectorized.
+    def lookup(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
+        """(row positions, found mask) of alive directed pairs (u, v)."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        t = self.pairs
+        if t.key.size == 0:
+            return np.zeros(us.shape, dtype=np.int64), np.zeros(us.shape, dtype=bool)
+        want = us * t.n_nodes + vs
+        pos = np.minimum(np.searchsorted(t.key, want), t.key.size - 1)
+        found = (
+            (t.key[pos] == want)
+            & self.edge_alive[t.eid[pos]]
+            & self.node_alive[us]
+            & self.node_alive[vs]
+        )
+        return pos, found
 
-        ``v`` may be a scalar (one viewpoint for all edges) or an array
-        paired elementwise with ``eids``; every edge must be incident
-        to its viewpoint, mirroring ``OverlapGraph.edge_delta``.
-        """
-        eids = np.asarray(eids, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        g = self.graph
-        at_u = g.eu[eids] == v
-        if not (at_u | (g.ev[eids] == v)).all():
-            raise ValueError("edge_deltas: an edge is not incident to its viewpoint")
-        return np.where(at_u, g.deltas[eids], -g.deltas[eids])
-
-    def alive_edge_ids(self) -> np.ndarray:
-        """Ids of edges alive at both endpoints."""
-        g = self.graph
-        alive = self.edge_alive & self.node_alive[g.eu] & self.node_alive[g.ev]
-        return np.flatnonzero(alive).astype(np.int64)
-
-    def _directed_deltas(self, v: int, eids: np.ndarray) -> np.ndarray:
-        """Deltas of the given edges as seen from endpoint ``v``."""
-        return np.where(self.graph.eu[eids] == v, self.graph.deltas[eids], -self.graph.deltas[eids])
-
-    def out_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Alive edges extending v to the right (positive delta)."""
-        nbrs, eids = self.alive_incident(v)
-        pos = self._directed_deltas(v, eids) > 0
-        return nbrs[pos], eids[pos]
-
-    def in_edges(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Alive edges extending v to the left (negative delta)."""
-        nbrs, eids = self.alive_incident(v)
-        neg = self._directed_deltas(v, eids) < 0
-        return nbrs[neg], eids[neg]
+    def pair_deltas(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
+        """(delta of edge u-v as seen from u, found mask); 0 where absent."""
+        pos, found = self.lookup(us, vs)
+        if self.pairs.delta.size == 0:
+            return np.zeros(found.shape, dtype=np.int64), found
+        return np.where(found, self.pairs.delta[pos], 0), found
 
     # -- master mutations -----------------------------------------------------
 

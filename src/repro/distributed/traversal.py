@@ -32,7 +32,7 @@ import numpy as np
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
 from repro.graph.contigs import overlay_votes, vote_winners
-from repro.graph.sparse import SparseFinishView, masked_view, ragged_positions
+from repro.graph.sparse import ragged_positions
 
 __all__ = [
     "subpath_kernel",
@@ -46,13 +46,13 @@ _MAX_BASES = 1 << 18
 
 
 def _unique_neighbours(
-    view: SparseFinishView, nodes: np.ndarray
+    dag: DistributedAssemblyGraph, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(right, left): each node's only right / left alive neighbour, -1
     where it has none or several."""
-    rows, degrees = view.rows_of(nodes)
+    rows, degrees = dag.rows_of(nodes)
     owner = np.repeat(np.arange(nodes.size), degrees)
-    delta, dst = view.delta[rows], view.dst[rows]
+    delta, dst = dag.pairs.delta[rows], dag.pairs.dst[rows]
     right, left = np.full((2, nodes.size), -1, dtype=np.int64)
     for near, side in ((right, delta > 0), (left, delta < 0)):
         near[owner[side]] = dst[side]
@@ -127,7 +127,7 @@ def subpath_kernel(
     nodes = dag.partition_nodes(part)
     if nodes.size == 0:
         return nodes, np.empty(0, dtype=np.int64)
-    right, left = _unique_neighbours(masked_view(dag), nodes)
+    right, left = _unique_neighbours(dag, nodes)
     j = np.minimum(np.searchsorted(nodes, right), nodes.size - 1)
     linked = (right >= 0) & (nodes[j] == right) & (left[j] == nodes)
     head, rank = _chains(np.where(linked, j, -1))
@@ -151,7 +151,7 @@ def merge_subpaths(
         return flat, lens
     first = np.cumsum(lens) - lens
     heads, tails = flat[first], flat[first + lens - 1]
-    right, left = _unique_neighbours(masked_view(dag), np.concatenate([tails, heads]))
+    right, left = _unique_neighbours(dag, np.concatenate([tails, heads]))
     right, left = right[:m], left[m:]
     by_head = np.argsort(heads)
     j = by_head[np.minimum(np.searchsorted(heads, right, sorter=by_head), m - 1)]
@@ -186,7 +186,7 @@ def _overlay(
     step = np.ones(nodes.size, dtype=bool)
     step[first] = False
     at = np.flatnonzero(step)
-    deltas, found = masked_view(dag).pair_deltas(nodes[at - 1], nodes[at])
+    deltas, found = dag.pair_deltas(nodes[at - 1], nodes[at])
     if not found.all():
         i = at[np.flatnonzero(~found)[0]]
         raise ValueError(

@@ -18,12 +18,13 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import masked_view, sorted_unique
+from repro.graph.sparse import sorted_unique
 
 __all__ = [
     "find_dead_ends",
     "dead_end_kernel",
     "apply_dead_ends",
+    "parallel_branches",
     "find_bubbles",
     "bubble_kernel",
     "apply_bubbles",
@@ -49,9 +50,9 @@ def find_dead_ends(
     O(nodes) Python steps.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    view = masked_view(dag)
+    pairs = dag.pairs
     contig_len = dag.assembly.contig_lengths
-    rows, deg = view.rows_of(nodes)
+    rows, deg = dag.rows_of(nodes)
     # A tip's single alive row is its neighbour.
     tip = deg == 1
     tips = nodes[tip]
@@ -59,7 +60,7 @@ def find_dead_ends(
     # Walk state: bases counts the chain collected so far (tip
     # included); cur is the node under inspection this round.
     prev = tips
-    cur = view.dst[rows[(np.cumsum(deg) - deg)[tip]]]
+    cur = pairs.dst[rows[(np.cumsum(deg) - deg)[tip]]]
     bases = contig_len[tips].astype(np.int64)
     ok = np.zeros(n_tips, dtype=bool)
     active = np.arange(n_tips, dtype=np.int64)
@@ -67,7 +68,7 @@ def find_dead_ends(
     chain_node: list[np.ndarray] = []
     while active.size:
         live = bases <= max_tip_bases
-        rows, d = view.rows_of(cur)
+        rows, d = dag.rows_of(cur)
         junction = live & (d >= 3)
         ok[active[junction]] = True
         # Walks continue only through interior degree-2 nodes within
@@ -84,8 +85,8 @@ def find_dead_ends(
         chain_tip.append(active)
         chain_node.append(cur)
         bases = bases + contig_len[cur]
-        nbr0 = view.dst[rows[lo]]
-        nbr1 = view.dst[rows[lo + 1]]
+        nbr0 = pairs.dst[rows[lo]]
+        nbr1 = pairs.dst[rows[lo + 1]]
         nxt = np.where(nbr0 != prev, nbr0, nbr1)
         prev, cur = cur, nxt
     out = [tips[ok]]
@@ -109,58 +110,61 @@ def apply_dead_ends(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
 register_stage("dead_ends", dead_end_kernel, apply_dead_ends)
 
 
-def find_bubbles(
+def parallel_branches(
     dag: DistributedAssemblyGraph, nodes: np.ndarray
-) -> np.ndarray:
-    """Lighter branch node of each simple bubble anchored in ``nodes``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(anchor, branch, group) of each simple bubble anchored in ``nodes``.
 
     A simple bubble is ``v - a - w`` / ``v - b - w`` with ``a`` and
     ``b`` of degree exactly 2, where both branches extend to the *same
     side* of ``v`` (same delta sign) — two alternative spellings of the
     same genomic interval.  Without the direction check every 4-cycle
-    would be popped.
+    would be a bubble.
 
     Every (anchor v, degree-2 branch u) row resolves u's far endpoint
-    ``w`` from u's two alive rows, then a single lexsort groups
-    rows by the (anchor, side-of-v, far-endpoint) key; in each group of
-    two or more parallel branches, all but the (contig length, id)-max
-    branch are proposed.
+    ``w`` from u's two alive rows, then a single lexsort groups rows by
+    the (anchor, side-of-v, far-endpoint) key.  Only groups of two or
+    more parallel branches are kept: each is one run ordered by
+    (contig length, id), numbered from 0 in key order.  Bubble popping
+    and the variant caller both read bubbles from here.
     """
     nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
-    empty = np.empty(0, dtype=np.int64)
-    view = masked_view(dag)
-    # The partition's own rows whose far end is a degree-2 branch.
-    rows, _ = view.rows_of(nodes)
-    u_rows, u_deg = view.rows_of(view.dst[rows])
+    pairs = dag.pairs
+    # The anchors' own rows whose far end is a degree-2 branch.
+    rows, _ = dag.rows_of(nodes)
+    u_rows, u_deg = dag.rows_of(pairs.dst[rows])
     branch = u_deg == 2
     rows = rows[branch]
-    v = view.src[rows]
-    u = view.dst[rows]
-    side = np.sign(view.delta[rows])
+    v = pairs.src[rows]
+    u = pairs.dst[rows]
+    side = np.sign(pairs.delta[rows])
     # u's far endpoint: the one of its two alive rows that is not v.
     lo = (np.cumsum(u_deg) - u_deg)[branch]
-    nbr0 = view.dst[u_rows[lo]]
-    nbr1 = view.dst[u_rows[lo + 1]]
+    nbr0 = pairs.dst[u_rows[lo]]
+    nbr1 = pairs.dst[u_rows[lo + 1]]
     w = np.where(nbr0 != v, nbr0, nbr1)
-    keep = w != v
-    v, u, side, w = v[keep], u[keep], side[keep], w[keep]
-    if v.size == 0:
-        return empty
-    contig_len = dag.assembly.contig_lengths
-    lu = contig_len[u]
-    # Group parallel branches by (anchor, side, far endpoint); within a
-    # group the (contig length, id)-max branch survives, i.e. the last
-    # element under this sort.
-    order = np.lexsort((u, lu, w, side, v))
+    order = np.lexsort((u, dag.assembly.contig_lengths[u], w, side, v))
     v, u, side, w = v[order], u[order], side[order], w[order]
     new_group = np.ones(v.size, dtype=bool)
     new_group[1:] = (v[1:] != v[:-1]) | (side[1:] != side[:-1]) | (w[1:] != w[:-1])
     group = np.cumsum(new_group) - 1
-    sizes = np.bincount(group)
-    last_in_group = np.ones(v.size, dtype=bool)
-    last_in_group[:-1] = new_group[1:]
-    pop = (sizes[group] >= 2) & ~last_in_group
-    return sorted_unique(u[pop])
+    parallel = np.bincount(group)[group] >= 2
+    return v[parallel], u[parallel], np.cumsum(new_group[parallel]) - 1
+
+
+def find_bubbles(
+    dag: DistributedAssemblyGraph, nodes: np.ndarray
+) -> np.ndarray:
+    """Lighter branch node of each simple bubble anchored in ``nodes``.
+
+    In each group of parallel branches (:func:`parallel_branches`) all
+    but the (contig length, id)-max branch, the last of its run, are
+    proposed.
+    """
+    _, u, group = parallel_branches(dag, nodes)
+    lighter = np.zeros(u.size, dtype=bool)
+    lighter[:-1] = group[1:] == group[:-1]
+    return sorted_unique(u[lighter])
 
 
 def bubble_kernel(dag: DistributedAssemblyGraph, part: int) -> np.ndarray:

@@ -7,7 +7,8 @@ branches spanning the same genomic interval — is the graph signature
 of a variant: the branches are alternative alleles.  Instead of
 popping the bubble (as error removal does), variant detection aligns
 the two branch contigs and reports their differences as candidate
-variants.
+variants.  The bubbles are bubble popping's own: both stages read
+them from :func:`~repro.distributed.trimming.parallel_branches`.
 
 Workers scan their own partitions for bubbles anchored at their nodes;
 the master merges and deduplicates the calls — the same
@@ -18,13 +19,15 @@ backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.align.banded_nw import banded_align
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
+from repro.distributed.trimming import parallel_branches
+from repro.graph.sparse import ragged_positions
 from repro.sequence.dna import decode
 
 __all__ = ["Variant", "find_bubble_variants", "variants_kernel", "variants_merge"]
@@ -45,39 +48,6 @@ class Variant:
     kind: str  # "snv" | "indel"
     ref_allele: str
     alt_allele: str
-
-
-def _branch_pairs(dag: DistributedAssemblyGraph, v: int) -> list[tuple[int, int, int]]:
-    """(anchor, branch_a, branch_b) bubbles anchored at ``v``.
-
-    Same geometry as bubble popping: both branches degree-2, same far
-    endpoint, same side of the anchor.
-    """
-    nbrs, eids = dag.alive_incident(v)
-    # Batched degree/delta queries instead of per-neighbour calls.
-    keep = dag.alive_degrees(nbrs) == 2
-    two_nbrs, two_eids = nbrs[keep], eids[keep]
-    sides = np.sign(dag.edge_deltas(two_eids, np.full(two_eids.size, v)))
-    u_indptr, u_nbrs, _ = dag.alive_incident_many(two_nbrs)
-    far: dict[tuple[int, int], list[int]] = {}
-    for i, (u, side) in enumerate(zip(two_nbrs.tolist(), sides.tolist())):
-        other = [
-            int(x)
-            for x in u_nbrs[u_indptr[i] : u_indptr[i + 1]].tolist()
-            if int(x) != v
-        ]
-        if len(other) != 1:
-            continue
-        far.setdefault((other[0], int(side)), []).append(u)
-    out = []
-    for (w, _side), branches in far.items():
-        if w == v or len(branches) < 2:
-            continue
-        branches = sorted(branches)
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                out.append((v, branches[i], branches[j]))
-    return out
 
 
 def _align_branches(
@@ -148,32 +118,30 @@ def find_bubble_variants(
 ) -> list[Variant]:
     """Variants from bubbles anchored at the given nodes.
 
+    The bubbles are bubble popping's own (:func:`parallel_branches`).
+    Every pair of branches in a group is aligned once: a bubble is seen
+    from both of its ends, and its calls carry the lower anchor.
     Bubbles whose branches differ in more than
     ``max_variants_per_bubble`` positions are discarded as repeats or
     misassemblies rather than alleles.
     """
+    v, u, group = parallel_branches(dag, nodes)
+    # Pair every branch with the later branches of its group.
+    later = np.searchsorted(group, group, side="right") - np.arange(u.size) - 1
+    anchor = np.repeat(v, later)
+    x = np.repeat(u, later)
+    y = u[ragged_positions(np.arange(u.size) + 1, later)]
+    a, b = np.minimum(x, y), np.maximum(x, y)
+    order = np.lexsort((anchor, b, a))
+    anchor, a, b = anchor[order], a[order], b[order]
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     out: list[Variant] = []
-    seen: set[tuple[int, int]] = set()
-    for v in np.asarray(nodes).tolist():
-        for anchor, a, b in _branch_pairs(dag, v):
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            calls = _align_branches(dag, a, b, band)
-            if 0 < len(calls) <= max_variants_per_bubble:
-                out.extend(
-                    Variant(
-                        anchor=anchor,
-                        ref_node=c.ref_node,
-                        alt_node=c.alt_node,
-                        position=c.position,
-                        kind=c.kind,
-                        ref_allele=c.ref_allele,
-                        alt_allele=c.alt_allele,
-                    )
-                    for c in calls
-                )
+    bubbles = zip(anchor[first].tolist(), a[first].tolist(), b[first].tolist())
+    for at, a_id, b_id in bubbles:
+        calls = _align_branches(dag, a_id, b_id, band)
+        if 0 < len(calls) <= max_variants_per_bubble:
+            out.extend(replace(c, anchor=at) for c in calls)
     return out
 
 

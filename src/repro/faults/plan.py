@@ -116,6 +116,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        # A misspelt key must not load as a plan that injects nothing.
+        unknown = sorted(set(data) - {"seed", "kernel_faults", "hang_seconds"})
+        if unknown:
+            raise ValueError(f"malformed fault plan: unknown keys {unknown}")
         try:
             kernel = tuple(KernelFault(**d) for d in data.get("kernel_faults", ()))
             return cls(

@@ -1,32 +1,25 @@
-"""Masked sparse-matrix representation of the alive assembly subgraph.
+"""The directed pair table every finish stage reads the alive graph through.
 
 The finish stages (paper §V-A/B/C: transitive reduction, containment
-removal, dead-end trimming, bubble popping) batch each stage into
-whole-partition numpy operations over the representation built here,
-the way diBELLA performs string-graph transitive reduction as
-distributed sparse matrix products (PAPERS.md: *Parallel String Graph
-Construction and Transitive Reduction for De Novo Genome Assembly*),
-over a compact directed-pair encoding in the spirit of Dinh &
-Rajasekaran's exact-match overlap graph.
+removal, dead-end trimming, bubble popping, plus traversal and the
+variant caller) batch each stage into whole-partition numpy operations
+over one table, the way diBELLA keeps the string graph as one sparse
+matrix that every step of its transitive reduction reads (PAPERS.md:
+*Parallel String Graph Construction and Transitive Reduction for De
+Novo Genome Assembly*), over a compact directed-pair encoding in the
+spirit of Dinh & Rajasekaran's exact-match overlap graph.
 
-Two layers keep a partition kernel's cost at its own share of the graph:
-
-:class:`SparseStructure`
-    The mask-*independent* directed pair tables of one graph: every
-    undirected edge is stored in both orientations with its
-    delta-as-seen-from-source, globally sorted by ``(src, dst)`` with a
-    CSR ``indptr``.  The sort is the only superlinear step and runs
-    **once per graph**, in ``DistributedAssemblyGraph.__init__``, so
-    every stage and every partition share it.
-
-:class:`SparseFinishView`
-    The alive subgraph under the current ``node_alive``/``edge_alive``
-    masks, read *in place*: nothing is compacted.  A query gathers the
-    structure rows of the nodes it names (CSR slices) and filters them
-    by the masks, so constructing a view is O(1) and a kernel pays for
-    its partition's rows plus the hops it reads — never an O(E) pass
-    per partition per stage.  The view offers alive rows and degrees of
-    a node set (``rows_of``) and vectorized pair lookup.
+:class:`PairTable` holds the mask-*independent* directed pairs of one
+graph: every undirected edge is stored in both orientations with its
+delta-as-seen-from-source, globally sorted by ``(src, dst)`` with a CSR
+``indptr``.  The sort is the only superlinear step and runs **once per
+graph**, in ``DistributedAssemblyGraph.__init__``; worker views share
+the master's table.  The alive subgraph is this table read *in place*
+through the current ``node_alive``/``edge_alive`` masks — nothing is
+compacted — by ``DistributedAssemblyGraph.rows_of`` (alive rows and
+degrees of a node set), ``lookup`` and ``pair_deltas`` (vectorized
+pair queries), so a kernel pays for its partition's rows plus the hops
+it reads, never an O(E) pass per partition per stage.
 """
 
 from __future__ import annotations
@@ -35,13 +28,7 @@ import numpy as np
 
 from repro.io.readset import ragged_positions
 
-__all__ = [
-    "SparseStructure",
-    "SparseFinishView",
-    "masked_view",
-    "ragged_positions",
-    "sorted_unique",
-]
+__all__ = ["PairTable", "ragged_positions", "sorted_unique"]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -61,8 +48,8 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class SparseStructure:
-    """Mask-independent directed-pair tables of one overlap graph.
+class PairTable:
+    """Mask-independent directed pairs of one overlap graph.
 
     Every undirected edge appears twice — once per orientation — with
     its delta as seen from ``src``.  Rows are sorted by ``(src, dst)``
@@ -93,79 +80,3 @@ class SparseStructure:
         self.degrees = np.bincount(self.src, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
-
-
-class SparseFinishView:
-    """One stage's alive subgraph: the structure tables read through the masks.
-
-    Row positions handed out by :meth:`rows_of` and :meth:`lookup`
-    index the structure's ``src``/``dst``/``delta``/``eid``/``key`` tables,
-    re-exported here.  A row is alive when its edge and both endpoints
-    are; the alive degree of a node equals ``dag.alive_degree``.
-    """
-
-    def __init__(
-        self,
-        structure: SparseStructure,
-        node_alive: np.ndarray,
-        edge_alive: np.ndarray,
-    ) -> None:
-        self.structure = structure
-        self.node_alive = node_alive
-        self.edge_alive = edge_alive
-        self.n_nodes = structure.n_nodes
-        self.src = structure.src
-        self.dst = structure.dst
-        self.delta = structure.delta
-        self.eid = structure.eid
-        self.key = structure.key
-
-    def rows_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(alive row positions, alive degree per node) of a node sequence.
-
-        Rows are concatenated in the order of ``nodes`` (repeats
-        allowed), each node's in ``dst`` order, so node ``i``'s rows
-        start at ``cumsum(degrees)[i] - degrees[i]``.  Cost is the
-        nodes' structure rows, not the graph's.
-        """
-        s = self.structure
-        counts = s.degrees[nodes]
-        rows = ragged_positions(s.indptr[nodes], counts)
-        alive = (
-            self.edge_alive[s.eid[rows]]
-            & self.node_alive[s.dst[rows]]
-            & self.node_alive[s.src[rows]]
-        )
-        owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        return rows[alive], np.bincount(owner[alive], minlength=counts.size)
-
-    # -- pair queries -----------------------------------------------------
-
-    def lookup(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row positions, found mask) of alive directed pairs (u, v)."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        key = self.key
-        if key.size == 0:
-            return np.zeros(us.shape, dtype=np.int64), np.zeros(us.shape, dtype=bool)
-        want = us * self.n_nodes + vs
-        pos = np.minimum(np.searchsorted(key, want), key.size - 1)
-        found = (
-            (key[pos] == want)
-            & self.edge_alive[self.eid[pos]]
-            & self.node_alive[us]
-            & self.node_alive[vs]
-        )
-        return pos, found
-
-    def pair_deltas(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(delta of edge u-v as seen from u, found mask); 0 where absent."""
-        pos, found = self.lookup(us, vs)
-        if self.delta.size == 0:
-            return np.zeros(found.shape, dtype=np.int64), found
-        return np.where(found, self.delta[pos], 0), found
-
-
-def masked_view(dag) -> SparseFinishView:
-    """The alive view of a distributed graph under its current masks (O(1), pure)."""
-    return SparseFinishView(dag.sparse_structure, dag.node_alive, dag.edge_alive)

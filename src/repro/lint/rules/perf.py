@@ -12,7 +12,8 @@ PERF002 — the vectorized hot paths must stay vectorized.  Three kinds
 of function carry the contract: overlap detection
 (``src/repro/align/``, overlap/seed/vote/candidate functions), the finish
 kernels (every function of ``src/repro/graph/sparse.py`` and of
-``src/repro/distributed/{transitive,containment,trimming,traversal}.py``) and
+``src/repro/distributed/{dgraph,transitive,containment,trimming,traversal}.py``,
+the pair-table reader included) and
 cluster layout (``layout_*`` / ``*_layout_*`` in
 ``src/repro/graph/contigs.py``, ``_select_*`` in
 ``src/repro/graph/hybrid.py``).  Iterating ``.tolist()`` output there
@@ -115,6 +116,7 @@ _NAME_SCOPED = (
 #: modules whose every function is a vectorized finish-kernel path.
 _FINISH_KERNEL_MODULES = (
     "repro/graph/sparse.py",
+    "repro/distributed/dgraph.py",
     "repro/distributed/transitive.py",
     "repro/distributed/containment.py",
     "repro/distributed/trimming.py",

@@ -191,13 +191,14 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
+        if not isinstance(data, dict):
+            raise ValueError("malformed job spec: not a JSON object")
         payload = dict(data)
         # Specs queued before the finish-engine option was removed
         # carry an "engine" key; one kernel runs now, so it is dropped.
         payload.pop("engine", None)
-        retry = payload.get("retry")
-        if isinstance(retry, dict):
-            payload["retry"] = RetryPolicy.from_dict(retry)
+        if "retry" in payload:
+            payload["retry"] = RetryPolicy.from_dict(payload["retry"])
         try:
             return cls(**payload)
         except TypeError as exc:

@@ -214,7 +214,7 @@ class JobStore:
                 return JobSpec.from_dict(json.load(fh))
         except FileNotFoundError:
             raise KeyError(f"no such job: {job_id!r}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
             raise ValueError(f"corrupt job spec {path!r}: {exc}") from exc
 
     def load_record(self, job_id: str) -> JobRecord:
@@ -224,7 +224,7 @@ class JobStore:
                 return JobRecord.from_dict(json.load(fh))
         except FileNotFoundError:
             raise KeyError(f"no such job: {job_id!r}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
             raise ValueError(f"corrupt job record {path!r}: {exc}") from exc
 
     def load_records(self) -> list[JobRecord]:

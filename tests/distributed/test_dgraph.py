@@ -127,31 +127,50 @@ class TestDistributedAssemblyGraph:
         with pytest.raises(ValueError):
             DistributedAssemblyGraph(asm, np.array([0, -1, 0]))
 
-    def test_out_in_edges(self):
+    def test_rows_of_splits_right_and_left(self):
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0, 0, 0])
-        # node 1 has an in-edge from 0 and out-edge to 2
-        out_n, _ = dag.out_edges(1)
-        in_n, _ = dag.in_edges(1)
-        assert out_n.tolist() == [2]
-        assert in_n.tolist() == [0]
+        # node 1 has a left neighbour 0 and a right neighbour 2
+        rows, degrees = dag.rows_of([1])
+        assert degrees.tolist() == [2]
+        dst, delta = dag.pairs.dst[rows], dag.pairs.delta[rows]
+        assert dst[delta > 0].tolist() == [2]
+        assert dst[delta < 0].tolist() == [0]
+
+    def test_pair_deltas_seen_from_each_end(self):
+        asm, _ = chain_assembly(n=3)
+        dag = dag_of(asm, [0, 0, 0])
+        deltas, found = dag.pair_deltas([0, 1, 0], [1, 0, 2])
+        assert found.tolist() == [True, True, False]
+        assert deltas.tolist() == [60, -60, 0]
 
     def test_remove_edges(self):
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0, 0, 0])
-        _, eids = dag.alive_incident(0)
-        assert dag.remove_edges(eids.tolist()) == 1
-        assert dag.alive_degree(0) == 0
+        rows, _ = dag.rows_of([0])
+        assert dag.remove_edges(dag.pairs.eid[rows]) == 1
+        assert dag.rows_of([0])[1].tolist() == [0]
+        assert dag.pair_deltas([0], [1])[1].tolist() == [False]
         assert dag.n_alive_edges == 1
 
     def test_remove_nodes_kills_incident_edges(self):
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0, 0, 0])
         assert dag.remove_nodes([1]) == 1
-        assert dag.alive_degree(0) == 0
-        assert dag.alive_degree(2) == 0
+        assert dag.rows_of([0, 2])[1].tolist() == [0, 0]
+        assert not dag.lookup([1, 2], [2, 1])[1].any()
         assert dag.n_alive_nodes == 2
         assert dag.n_alive_edges == 0
+
+    def test_worker_view_shares_the_pair_table(self):
+        asm, _ = chain_assembly(n=3)
+        dag = dag_of(asm, [0, 0, 0])
+        dag.remove_nodes([1])
+        view = dag.worker_view()
+        assert view.pairs is dag.pairs
+        assert view.node_alive.all() and view.edge_alive.all()
+        view.remove_nodes([0])
+        assert dag.node_alive.tolist() == [True, False, True]
 
     def test_remove_idempotent(self):
         asm, _ = chain_assembly(n=3)

@@ -105,8 +105,7 @@ class TestBubbles:
         assert results[0] == 1
         assert not dag.node_alive[2]
         # after popping, the graph is a clean chain 0-1-3
-        assert dag.alive_degree(0) == 1
-        assert dag.alive_degree(3) == 1
+        assert dag.rows_of([0, 3])[1].tolist() == [1, 1]
 
 
 def packed(*paths):

@@ -1,9 +1,17 @@
 """Tests for distributed variant detection (the paper's named extension)."""
 
-import numpy as np
-import pytest
+from dataclasses import astuple
 
-from repro.distributed.variants import Variant, find_bubble_variants
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.distributed.variants import (
+    Variant,
+    find_bubble_variants,
+    variants_kernel,
+    variants_merge,
+)
 from repro.parallel.backend import BACKEND_NAMES, create_backend
 from repro.sequence.dna import decode, encode
 from repro.simulate.genome import random_genome
@@ -14,6 +22,7 @@ from tests.distributed.conftest import (
     make_assembly,
     run_stage_on_cluster,
 )
+from tests.reference import variants_loop
 
 
 def snv_bubble_assembly(n_snvs=2, seed=12):
@@ -119,3 +128,68 @@ class TestDetectVariants:
     def test_variant_record_fields(self):
         v = Variant(0, 1, 2, 10, "snv", "A", "C")
         assert v.ref_allele == "A" and v.alt_allele == "C"
+
+
+@st.composite
+def bubbly_dags(draw):
+    """A backbone of contigs with 0-3 allele branches in every gap.
+
+    Backbone contig ``i`` sits at genome offset ``2 * i * STEP``; the
+    branches of gap ``i`` are copies of the slice between backbones
+    ``i`` and ``i + 1`` with a few SNVs and sometimes a short deletion,
+    each linked to both backbones.  Occasional backbone-backbone and
+    branch-branch edges, random kill masks and random labels exercise
+    the degree-2 test, both anchors of a bubble, and partition edges.
+    """
+    step, length = 20, 60
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    n_backbone = draw(st.integers(min_value=3, max_value=8))
+    genome = random_genome(2 * step * n_backbone + length, rng)
+    contigs = [genome[2 * step * i : 2 * step * i + length] for i in range(n_backbone)]
+    edges = []
+    for i in range(n_backbone - 1):
+        if rng.random() < 0.5:
+            edges.append((i, i + 1, 2 * step))
+        branches = []
+        for _ in range(int(rng.integers(0, 4))):
+            allele = genome[(2 * i + 1) * step : (2 * i + 1) * step + length].copy()
+            snvs = rng.integers(0, length, size=int(rng.integers(0, 4)))
+            allele[snvs] = (allele[snvs] + 1) % 4
+            if rng.random() < 0.2:
+                allele = np.delete(allele, np.arange(50, 50 + int(rng.integers(1, 5))))
+            b = len(contigs)
+            contigs.append(allele)
+            edges += [(i, b, step), (b, i + 1, step)]
+            if branches and rng.random() < 0.15:
+                edges.append((branches[-1], b, 0))
+            branches.append(b)
+    n = len(contigs)
+    assembly = make_assembly(contigs, edges)
+    k = draw(st.sampled_from([1, 2, 3]))
+    dag = dag_of(assembly, rng.integers(0, k, size=n))
+    dag.node_alive &= rng.random(n) > 0.1
+    dag.edge_alive &= rng.random(assembly.graph.n_edges) > 0.1
+    return dag
+
+
+def by_fields(calls):
+    return sorted(calls, key=astuple)
+
+
+class TestAgainstPerNodeScan:
+    """The kernel's vectorised bubble grouping finds what the per-node
+    scan (``tests/reference/variants_loop.py``) finds."""
+
+    @given(dag=bubbly_dags())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_and_stage_equal_the_scan(self, dag):
+        got, want = [], []
+        for part in range(dag.n_parts):
+            got.append(variants_kernel(dag, part))
+            want.append(
+                variants_loop.find_bubble_variants(dag, dag.partition_nodes(part))
+            )
+            assert by_fields(got[-1]) == by_fields(want[-1])
+        assert variants_merge(dag, got) == variants_merge(dag, want)
+

@@ -110,6 +110,25 @@ class TestMatchesLexsortReference:
             assert got.tobytes() == want.tobytes(), name
 
 
+class TestAdjacencyOrder:
+    """Containment's first-hit cutoff (``repro.distributed.containment``)
+    ranks a node's rows in this order: its higher neighbours ascending,
+    then its lower ones ascending, each once."""
+
+    @given(edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_higher_neighbours_ascending_then_lower(self, case):
+        n, eu, ev, w, d, ident = case
+        g = OverlapGraph(n, eu, ev, w, deltas=d, identities=ident)
+        for v in range(n):
+            nbrs = g.neighbors(v).tolist()
+            partners = {int(b) for a, b in zip(eu, ev) if a == v}
+            partners |= {int(a) for a, b in zip(eu, ev) if b == v}
+            higher = sorted(u for u in partners if u > v)
+            lower = sorted(u for u in partners if u < v)
+            assert nbrs == higher + lower
+
+
 class TestQueries:
     def test_neighbors(self):
         g = simple_graph()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.io.atomic import atomic_save_npy, atomic_savez, atomic_write, atomic_write_text
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 
-from tests.store.test_loader_fuzz import damaged
+from tests.fuzz import damaged
 
 
 def sample_state(paths=None):

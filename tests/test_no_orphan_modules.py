@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: run as ``python -m repro.service.worker`` by the supervisor.
 ENTRY_POINTS = {"repro.service.worker"}
 
-#: Fig. 4's live SPMD driver, imported only by its benchmark's test;
-#: ROADMAP 6f decides whether it becomes a stage or moves beside it.
+#: Fig. 4's live SPMD driver, imported only by
+#: ``tests/distributed/test_partition_parallel.py``; ROADMAP item 8
+#: decides its fate.
 KNOWN_ORPHANS = {"repro.distributed.partition_parallel"}
 
 
