@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 
 __all__ = ["hash_partition", "bfs_block_partition"]
 
@@ -27,7 +27,7 @@ def hash_partition(n_nodes: int, k: int, seed: int = 0) -> np.ndarray:
     return rng.integers(0, k, size=n_nodes).astype(np.int64)
 
 
-def bfs_block_partition(graph: OverlapGraph, k: int) -> np.ndarray:
+def bfs_block_partition(graph: Level, k: int) -> np.ndarray:
     """Chunk a BFS traversal order into k equal-node-weight blocks."""
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -266,9 +266,6 @@ class AssemblyResult:
         """Partition id of every processed read (via its hybrid node)."""
         return self.partition.labels_finest[self.hyb.base_maps[0]]
 
-    def contig_sequences(self) -> list[str]:
-        return [decode(c) for c in self.contigs]
-
 
 class FocusAssembler:
     """End-to-end Focus assembly on the configured execution backend."""

@@ -85,39 +85,24 @@ def enrich_hybrid(
         raise RuntimeError("hybrid cluster consensus is not contiguous")
     contigs = [s[0] for s in segments]
 
-    lengths = np.array([c.size for c in contigs], dtype=np.int64)
+    # Offset of the hv contig relative to the hu one, implied by each
+    # crossing read overlap; the merge keeps the heaviest witness.
     bm = hyb.base_maps[0]
-    hu = bm[g0.eu]
-    hv = bm[g0.ev]
+    hu, hv = bm[g0.eu], bm[g0.ev]
     crossing = hu != hv
-    if crossing.any():
-        cu, cv = hu[crossing], hv[crossing]
-        w = g0.weights[crossing]
-        # Offset of hv's contig relative to hu's, implied by each
-        # crossing read overlap.
-        d = read_offset[g0.eu[crossing]] + g0.deltas[crossing] - read_offset[g0.ev[crossing]]
-        # Normalise pair orientation and pick the heaviest witness.
-        flip = cu > cv
-        cu2 = np.where(flip, cv, cu)
-        cv2 = np.where(flip, cu, cv)
-        d2 = np.where(flip, -d, d)
-        order = np.lexsort((w, cv2, cu2))
-        cu2, cv2, d2, w = cu2[order], cv2[order], d2[order], w[order]
-        last = np.ones(cu2.size, dtype=bool)
-        last[:-1] = (cu2[1:] != cu2[:-1]) | (cv2[1:] != cv2[:-1])
-        eu, ev, deltas = cu2[last], cv2[last], d2[last]
-        # Implied contig overlap: intervals [0, L_eu) and [d, d+L_ev).
-        ov = np.minimum(lengths[eu], deltas + lengths[ev]) - np.maximum(0, deltas)
-        weights = np.maximum(ov, 1).astype(np.float64)
-    else:
-        eu = ev = deltas = np.empty(0, dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
-
+    d = read_offset[g0.eu] + g0.deltas - read_offset[g0.ev]
+    merged = OverlapGraph(
+        h.n_nodes, hu[crossing], hv[crossing], g0.weights[crossing], deltas=d[crossing]
+    )
+    # Implied contig overlap: intervals [0, L_eu) and [d, d+L_ev).
+    lengths = np.array([c.size for c in contigs], dtype=np.int64)
+    eu, ev, deltas = merged.eu, merged.ev, merged.deltas
+    ov = np.minimum(lengths[eu], deltas + lengths[ev]) - np.maximum(0, deltas)
     graph = OverlapGraph(
         h.n_nodes,
         eu,
         ev,
-        weights,
+        np.maximum(ov, 1).astype(np.float64),
         node_weights=h.node_weights,
         deltas=deltas,
     )

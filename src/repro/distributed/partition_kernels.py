@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.coarsen import MultilevelGraphSet
+from repro.graph.overlap_graph import Level
 from repro.partition.kway import kway_refine
-from repro.partition.recursive import PartitionConfig, _bisect_subgraph, bisect_graph_set
+from repro.partition.recursive import PartitionConfig, bisect_graph_set, bisect_group
 
 __all__ = ["bisect_group_kernel", "kway_level_kernel"]
 
 
 def bisect_group_kernel(
-    graphs: list[OverlapGraph],
-    mappings: list[np.ndarray],
+    gs: MultilevelGraphSet,
     group: np.ndarray,
     step: int,
     gi: int,
@@ -35,21 +35,19 @@ def bisect_group_kernel(
 ) -> np.ndarray:
     """Half-assignment (0/1 per group member) of one frontier group.
 
-    Step 0 bisects the whole multilevel set; later steps bisect the
-    induced subgraph of the group on the finest graph.
+    Step 0 bisects the whole graph set; later steps bisect the induced
+    subgraph of the group on the finest graph.
     """
     rng = np.random.default_rng((config.seed, step, gi))
     if group.size <= 1:
         return np.zeros(group.size, dtype=np.int64)
     if step == 0:
-        return bisect_graph_set(graphs, mappings, config, rng)
-    finest = graphs[0]
-    sub, remap = finest.induced_subgraph(group)
-    return _bisect_subgraph(sub, config, rng)[remap[group]]
+        return bisect_graph_set(gs, config, rng)
+    return bisect_group(gs.base, group, config, rng)
 
 
 def kway_level_kernel(
-    graph: OverlapGraph,
+    graph: Level,
     labels: np.ndarray,
     k: int,
     config: PartitionConfig,

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.distributed.partition_kernels import bisect_group_kernel, kway_level_kernel
 from repro.graph.coarsen import MultilevelGraphSet
-from repro.graph.overlap_graph import OverlapGraph
 from repro.mpi.cluster import RunStats, SimCluster
 from repro.mpi.simcomm import SimComm
 from repro.mpi.timing import CommCostModel
@@ -28,13 +27,9 @@ __all__ = ["parallel_partition_graph_set"]
 
 
 def _rank_fn(
-    comm: SimComm,
-    graphs: list[OverlapGraph],
-    mappings: list[np.ndarray],
-    k: int,
-    config: PartitionConfig,
+    comm: SimComm, gs: MultilevelGraphSet, k: int, config: PartitionConfig
 ) -> np.ndarray:
-    finest = graphs[0]
+    finest = gs.base
     labels = np.zeros(finest.n_nodes, dtype=np.int64)
     n_steps = int(np.log2(k))
     frontier: list[np.ndarray] = [np.arange(finest.n_nodes, dtype=np.int64)]
@@ -45,7 +40,7 @@ def _rank_fn(
             if gi % comm.size != comm.rank:
                 continue
             with comm.timed():
-                half = bisect_group_kernel(graphs, mappings, group, step, gi, config)
+                half = bisect_group_kernel(gs, group, step, gi, config)
             local_results.append((gi, half))
         # Everyone learns every group's bisection (the step barrier).
         all_results = comm.allgather(local_results)
@@ -65,13 +60,13 @@ def _rank_fn(
             frontier = next_frontier
 
     if config.run_kway and k > 1:
-        per_level = _project_labels_up(graphs, mappings, labels, k)
+        per_level = _project_labels_up(gs, labels, k)
         local_refined: list[tuple[int, np.ndarray]] = []
-        for level in range(len(graphs)):
+        for level in range(gs.n_levels):
             if level % comm.size != comm.rank:
                 continue
             with comm.timed():
-                refined = kway_level_kernel(graphs[level], per_level[level], k, config)
+                refined = kway_level_kernel(gs.graphs[level], per_level[level], k, config)
             local_refined.append((level, refined))
         all_refined = comm.allgather(local_refined)
         with comm.timed():
@@ -84,7 +79,7 @@ def _rank_fn(
 
 
 def parallel_partition_graph_set(
-    mls_like: MultilevelGraphSet,
+    gs: MultilevelGraphSet,
     k: int,
     n_ranks: int,
     config: PartitionConfig | None = None,
@@ -99,9 +94,7 @@ def parallel_partition_graph_set(
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError("k must be a power of two")
     cluster = SimCluster(n_ranks, cost_model=cost_model, deadlock_timeout=300.0)
-    results, stats = cluster.run(
-        _rank_fn, mls_like.graphs, mls_like.mappings, k, config
-    )
+    results, stats = cluster.run(_rank_fn, gs, k, config)
     labels = results[0]
     for other in results[1:]:
         if not np.array_equal(other, labels):

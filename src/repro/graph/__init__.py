@@ -6,6 +6,12 @@ iterative coarsening by heavy-edge matching into a *multilevel graph
 set*, and the *hybrid graph set* assembled from best-representative
 nodes — the structure that encodes the biological knowledge that DNA
 is linear.
+
+Every graph is a :class:`Level` (weighted nodes and edges in CSR form),
+and each level of either set is built from the level below it by one
+contraction, :meth:`Level.contract`.  Only G0 and the enriched hybrid
+graph are :class:`OverlapGraph` instances, whose edges also carry the
+layout deltas.
 """
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set, coarsen_once
@@ -18,9 +24,10 @@ from repro.graph.contigs import (
 from repro.graph.csr import build_csr
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set, is_contiguous_cluster
 from repro.graph.matching import heavy_edge_matching
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 
 __all__ = [
+    "Level",
     "OverlapGraph",
     "build_csr",
     "heavy_edge_matching",

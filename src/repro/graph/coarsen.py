@@ -2,10 +2,12 @@
 
 Repeated heavy-edge matching + node merging turns the overlap graph G0
 into a multilevel graph set ``{G0, G1, ..., Gn}`` with
-``|V(Gn)| <= ... <= |V(G0)|``.  Coarse node weights are the summed
-weights of their constituents; coarse edge weights sum the crossing
-fine edges, so the total edge weight *not* hidden inside coarse nodes
-is preserved level to level.
+``|V(Gn)| <= ... <= |V(G0)|``.  Each ``G(i+1)`` is ``Gi`` contracted
+along its matching (:meth:`~repro.graph.overlap_graph.Level.contract`):
+coarse node weights are the summed weights of their constituents and
+coarse edge weights sum the crossing fine edges, so the total edge
+weight *not* hidden inside coarse nodes is preserved level to level.
+Only G0 carries deltas; the coarse levels are plain weighted graphs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.graph.csr import group_by_label, split_groups
 from repro.graph.matching import heavy_edge_matching
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 
 __all__ = ["CoarsenConfig", "MultilevelGraphSet", "coarsen_once", "build_multilevel_set"]
 
@@ -42,9 +44,7 @@ class CoarsenConfig:
             raise ValueError("max_levels must be >= 1")
 
 
-def coarsen_once(
-    graph: OverlapGraph, rng: np.random.Generator
-) -> tuple[OverlapGraph, np.ndarray]:
+def coarsen_once(graph: Level, rng: np.random.Generator) -> tuple[Level, np.ndarray]:
     """One matching + merge step; returns (coarse graph, fine->coarse map)."""
     match = heavy_edge_matching(graph, rng)
     ids = np.arange(graph.n_nodes)
@@ -52,26 +52,13 @@ def coarsen_once(
     # member: a running count of the nodes with v <= match[v].
     smaller = match >= ids
     mapping = (np.cumsum(smaller) - 1)[np.minimum(ids, match)]
-    n_coarse = int(smaller.sum())
-    node_w = np.bincount(mapping, weights=graph.node_weights, minlength=n_coarse)
-    cu = mapping[graph.eu]
-    cv = mapping[graph.ev]
-    keep = cu != cv
-    coarse = OverlapGraph(
-        n_coarse,
-        cu[keep],
-        cv[keep],
-        graph.weights[keep],
-        node_weights=node_w,
-        identities=graph.identities[keep],
-    )
-    return coarse, mapping
+    return graph.contract(mapping, int(smaller.sum())), mapping
 
 
 class MultilevelGraphSet:
     """The graphs ``[G0..Gn]`` plus the fine->coarse maps between levels."""
 
-    def __init__(self, graphs: list[OverlapGraph], mappings: list[np.ndarray]) -> None:
+    def __init__(self, graphs: list[Level], mappings: list[np.ndarray]) -> None:
         if len(graphs) != len(mappings) + 1:
             raise ValueError("need one mapping per coarsening step")
         for i, m in enumerate(mappings):
@@ -86,11 +73,12 @@ class MultilevelGraphSet:
         return len(self.graphs)
 
     @property
-    def base(self) -> OverlapGraph:
+    def base(self) -> Level:
+        """The finest graph (G0 of a set coarsened from reads)."""
         return self.graphs[0]
 
     @property
-    def coarsest(self) -> OverlapGraph:
+    def coarsest(self) -> Level:
         return self.graphs[-1]
 
     def map_to_level(self, level: int) -> np.ndarray:
@@ -114,7 +102,7 @@ class MultilevelGraphSet:
 
 
 def build_multilevel_set(
-    g0: OverlapGraph, config: CoarsenConfig | None = None
+    g0: Level, config: CoarsenConfig | None = None
 ) -> MultilevelGraphSet:
     """Coarsen ``g0`` until the stopping rules fire."""
     config = config or CoarsenConfig()

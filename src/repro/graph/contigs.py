@@ -55,7 +55,7 @@ def layout_clusters(
     queue walk at any ``tolerance``.  An offset never changes once
     set, so the tolerance test is one pass over the edges afterwards.
     """
-    if not g0.has_deltas:
+    if not isinstance(g0, OverlapGraph):
         raise ValueError("layout requires a graph with deltas (G0)")
     members = np.asarray(members, dtype=np.int64)
     first = np.asarray(first, dtype=np.int64)

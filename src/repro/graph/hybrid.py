@@ -10,19 +10,20 @@ The hybrid graph set ``{H0..Hn}`` mirrors the multilevel set, but
 un-coarsens only *through* non-representative nodes: ``Hi`` contains
 every best representative chosen at level >= i plus, for the rest of
 the graph, the ordinary level-i nodes.  ``H0`` is *the hybrid graph* on
-which Focus partitions, trims, and traverses.
+which Focus partitions, trims, and traverses.  ``H0`` is G0 contracted
+along the base map and each ``H(i+1)`` is ``Hi`` contracted
+(:meth:`~repro.graph.overlap_graph.Level.contract`), so like the coarse
+multilevel graphs the hybrid levels carry no deltas.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.coarsen import MultilevelGraphSet
 from repro.graph.contigs import layout_clusters, layout_contiguity
 from repro.graph.csr import group_by_label, split_groups
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 
 __all__ = ["is_contiguous_cluster", "HybridGraphSet", "build_hybrid_set"]
 
@@ -58,30 +59,26 @@ def is_contiguous_cluster(
     return bool(_contiguous_clusters(g0, nodes, first, read_lengths, tolerance)[0])
 
 
-@dataclass
-class HybridGraphSet:
-    """Hybrid graphs ``[H0..Hn]`` plus maps between levels and to G0."""
+class HybridGraphSet(MultilevelGraphSet):
+    """Hybrid graphs ``[H0..Hn]``: a graph set whose levels also map to G0."""
 
-    graphs: list[OverlapGraph]
-    #: mappings[i]: V(H_i) -> V(H_{i+1})
-    mappings: list[np.ndarray]
-    #: base_maps[i]: V(G0) -> V(H_i)
-    base_maps: list[np.ndarray]
-    #: per G0 node, the multilevel level of its chosen representative.
-    rep_level: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.graphs) != len(self.mappings) + 1:
-            raise ValueError("need one mapping per level step")
-        if len(self.base_maps) != len(self.graphs):
+    def __init__(
+        self,
+        graphs: list[Level],
+        mappings: list[np.ndarray],
+        base_maps: list[np.ndarray],
+        rep_level: np.ndarray,
+    ) -> None:
+        super().__init__(graphs, mappings)
+        if len(base_maps) != len(graphs):
             raise ValueError("need one base map per level")
+        #: base_maps[i]: V(G0) -> V(H_i)
+        self.base_maps = base_maps
+        #: per G0 node, the multilevel level of its chosen representative.
+        self.rep_level = rep_level
 
     @property
-    def n_levels(self) -> int:
-        return len(self.graphs)
-
-    @property
-    def hybrid(self) -> OverlapGraph:
+    def hybrid(self) -> Level:
         """H0, *the* hybrid graph."""
         return self.graphs[0]
 
@@ -135,45 +132,23 @@ def build_hybrid_set(
         raise ValueError("read_lengths must cover V(G0)")
     rep_level = _select_representatives(mls, read_lengths, tolerance)
 
-    n_levels = mls.n_levels
-    level_maps = [mls.map_to_level(lvl) for lvl in range(n_levels)]
-    n0 = g0.n_nodes
+    level_maps = np.stack([mls.map_to_level(lvl) for lvl in range(mls.n_levels)])
+    reads = np.arange(g0.n_nodes)
     # Encode the hybrid identity of each G0 node at each level i:
     # (L, ancestor-at-L) for represented nodes with L >= i, else (i, ancestor-at-i).
     max_nodes = max(g.n_nodes for g in mls.graphs) + 1
-    graphs: list[OverlapGraph] = []
     base_maps: list[np.ndarray] = []
-    for i in range(n_levels):
+    for i in range(mls.n_levels):
         lvl = np.maximum(rep_level, i)
-        anc = np.empty(n0, dtype=np.int64)
-        for l_val in np.unique(lvl).tolist():
-            mask = lvl == l_val
-            anc[mask] = level_maps[l_val][mask]
-        keys = lvl * max_nodes + anc
-        _, base_map = np.unique(keys, return_inverse=True)
+        _, base_map = np.unique(lvl * max_nodes + level_maps[lvl, reads], return_inverse=True)
         base_maps.append(base_map.astype(np.int64))
-        n_h = int(base_map.max()) + 1
-        node_w = np.bincount(base_map, weights=g0.node_weights, minlength=n_h)
-        hu = base_map[g0.eu]
-        hv = base_map[g0.ev]
-        keep = hu != hv
-        graphs.append(
-            OverlapGraph(
-                n_h,
-                hu[keep],
-                hv[keep],
-                g0.weights[keep],
-                node_weights=node_w,
-                identities=g0.identities[keep],
-            )
-        )
 
+    # Each hybrid level is the one below it contracted: H0 from G0.
+    graphs = [g0.contract(base_maps[0])]
     mappings: list[np.ndarray] = []
-    for i in range(n_levels - 1):
+    for i in range(mls.n_levels - 1):
         m = np.zeros(graphs[i].n_nodes, dtype=np.int64)
         m[base_maps[i]] = base_maps[i + 1]
         mappings.append(m)
-
-    return HybridGraphSet(
-        graphs=graphs, mappings=mappings, base_maps=base_maps, rep_level=rep_level
-    )
+        graphs.append(graphs[i].contract(m))
+    return HybridGraphSet(graphs, mappings, base_maps, rep_level)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.sequence.kmers import stable_order
 
 __all__ = ["heavy_edge_matching"]
 
 
-def heavy_edge_matching(graph: OverlapGraph, rng: np.random.Generator) -> np.ndarray:
+def heavy_edge_matching(graph: Level, rng: np.random.Generator) -> np.ndarray:
     """Return ``match`` where ``match[v]`` is v's partner (or v itself).
 
     The result is an involution: ``match[match[v]] == v``.  Each CSR row

@@ -25,7 +25,6 @@ __all__ = [
     "fsync_dir",
     "atomic_write",
     "atomic_savez",
-    "atomic_save_npy",
     "atomic_write_text",
 ]
 
@@ -86,11 +85,6 @@ def atomic_savez(path: str | Path, **arrays) -> None:
         final if final.endswith(".npz") else final + ".npz",
         lambda fh: np.savez_compressed(fh, **arrays),
     )
-
-
-def atomic_save_npy(path: str | Path, arr: np.ndarray) -> None:
-    """Durably write one array as ``.npy``."""
-    atomic_write(path, lambda fh: np.save(fh, arr))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

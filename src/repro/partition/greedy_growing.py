@@ -18,7 +18,7 @@ import heapq
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 
 __all__ = ["greedy_grow_bisection"]
 
@@ -26,7 +26,7 @@ _UNASSIGNED = -1
 
 
 def greedy_grow_bisection(
-    graph: OverlapGraph,
+    graph: Level,
     rng: np.random.Generator,
     edge_balance: float = 1.03,
 ) -> np.ndarray:

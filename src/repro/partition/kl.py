@@ -17,13 +17,13 @@ import heapq
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.metrics import internal_external_weights
 
 __all__ = ["kl_refine_bisection", "edge_weight_between"]
 
 
-def edge_weight_between(graph: OverlapGraph, a: int, b: int) -> float:
+def edge_weight_between(graph: Level, a: int, b: int) -> float:
     """Weight of edge (a, b), or 0.0 if absent (scans the smaller side)."""
     if graph.indptr[a + 1] - graph.indptr[a] > graph.indptr[b + 1] - graph.indptr[b]:
         a, b = b, a
@@ -36,7 +36,7 @@ def edge_weight_between(graph: OverlapGraph, a: int, b: int) -> float:
 
 
 def _best_pair(
-    graph: OverlapGraph,
+    graph: Level,
     d: np.ndarray,
     cand0: np.ndarray,
     cand1: np.ndarray,
@@ -85,7 +85,7 @@ def _best_pair(
 
 
 def kl_refine_bisection(
-    graph: OverlapGraph,
+    graph: Level,
     labels: np.ndarray,
     stall_window: int = 50,
     max_passes: int = 8,

@@ -17,14 +17,14 @@ import heapq
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.metrics import internal_external_weights, partition_node_weights
 
 __all__ = ["kway_refine"]
 
 
 def _external_per_part(
-    graph: OverlapGraph, labels: np.ndarray, v: int
+    graph: Level, labels: np.ndarray, v: int
 ) -> dict[int, float]:
     """Summed edge weight from ``v`` into each *other* part."""
     lo, hi = graph.indptr[v], graph.indptr[v + 1]
@@ -39,7 +39,7 @@ def _external_per_part(
 
 
 def kway_refine(
-    graph: OverlapGraph,
+    graph: Level,
     labels: np.ndarray,
     k: int | None = None,
     balance: float = 1.03,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 
 __all__ = [
     "edge_cut",
@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-def _check_labels(graph: OverlapGraph, labels: np.ndarray) -> np.ndarray:
+def _check_labels(graph: Level, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size != graph.n_nodes:
         raise ValueError("labels must cover every node")
@@ -25,14 +25,14 @@ def _check_labels(graph: OverlapGraph, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def edge_cut(graph: OverlapGraph, labels: np.ndarray) -> float:
+def edge_cut(graph: Level, labels: np.ndarray) -> float:
     """Total weight of edges whose endpoints lie in different parts."""
     labels = _check_labels(graph, labels)
     crossing = labels[graph.eu] != labels[graph.ev]
     return float(graph.weights[crossing].sum())
 
 
-def edge_cut_fraction(graph: OverlapGraph, labels: np.ndarray) -> float:
+def edge_cut_fraction(graph: Level, labels: np.ndarray) -> float:
     """Edge cut as a fraction of the graph's total edge weight."""
     total = graph.total_edge_weight
     if total == 0:
@@ -40,7 +40,7 @@ def edge_cut_fraction(graph: OverlapGraph, labels: np.ndarray) -> float:
     return edge_cut(graph, labels) / total
 
 
-def partition_node_weights(graph: OverlapGraph, labels: np.ndarray, k: int | None = None) -> np.ndarray:
+def partition_node_weights(graph: Level, labels: np.ndarray, k: int | None = None) -> np.ndarray:
     """Summed node weight per part."""
     labels = _check_labels(graph, labels)
     k = int(labels.max()) + 1 if k is None else k
@@ -49,7 +49,7 @@ def partition_node_weights(graph: OverlapGraph, labels: np.ndarray, k: int | Non
     return out
 
 
-def partition_edge_weights(graph: OverlapGraph, labels: np.ndarray, k: int | None = None) -> np.ndarray:
+def partition_edge_weights(graph: Level, labels: np.ndarray, k: int | None = None) -> np.ndarray:
     """Summed weight of *internal* edges per part (paper's ew_partition)."""
     labels = _check_labels(graph, labels)
     k = int(labels.max()) + 1 if k is None else k
@@ -59,7 +59,7 @@ def partition_edge_weights(graph: OverlapGraph, labels: np.ndarray, k: int | Non
     return out
 
 
-def node_weight_balance(graph: OverlapGraph, labels: np.ndarray, k: int | None = None) -> float:
+def node_weight_balance(graph: Level, labels: np.ndarray, k: int | None = None) -> float:
     """max part weight / ideal part weight (1.0 = perfectly balanced)."""
     weights = partition_node_weights(graph, labels, k)
     ideal = graph.total_node_weight / weights.size
@@ -69,7 +69,7 @@ def node_weight_balance(graph: OverlapGraph, labels: np.ndarray, k: int | None =
 
 
 def internal_external_weights(
-    graph: OverlapGraph, labels: np.ndarray
+    graph: Level, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node internal cost I_v and external cost E_v (paper §IV-B).
 

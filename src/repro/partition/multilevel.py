@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
+from repro.graph.coarsen import MultilevelGraphSet
 from repro.graph.hybrid import HybridGraphSet
-from repro.graph.overlap_graph import OverlapGraph
 from repro.partition.kway import kway_refine
 from repro.partition.metrics import edge_cut
 from repro.partition.recursive import PartitionConfig, TaskRecord, recursive_bisection
@@ -55,41 +54,33 @@ class PartitionResult:
 
 
 def _project_labels_up(
-    graphs: list[OverlapGraph], mappings: list[np.ndarray], labels_finest: np.ndarray, k: int
+    gs: MultilevelGraphSet, labels_finest: np.ndarray, k: int
 ) -> list[np.ndarray]:
     """Labels per level: weighted-majority vote of each coarse node's children."""
     per_level = [np.asarray(labels_finest, dtype=np.int64)]
-    for level in range(len(graphs) - 1):
-        fine_labels = per_level[-1]
-        mapping = mappings[level]
-        n_coarse = graphs[level + 1].n_nodes
-        votes = np.zeros((n_coarse, k), dtype=np.int64)
-        np.add.at(votes, (mapping, fine_labels), graphs[level].node_weights)
+    for level in range(gs.n_levels - 1):
+        votes = np.zeros((gs.graphs[level + 1].n_nodes, k), dtype=np.int64)
+        np.add.at(votes, (gs.mappings[level], per_level[-1]), gs.graphs[level].node_weights)
         per_level.append(votes.argmax(axis=1).astype(np.int64))
     return per_level
 
 
 def partition_graph_set(
-    graphs: list[OverlapGraph],
-    mappings: list[np.ndarray],
-    k: int,
-    config: PartitionConfig | None = None,
-    precoarsened: MultilevelGraphSet | None = None,
+    gs: MultilevelGraphSet, k: int, config: PartitionConfig | None = None
 ) -> tuple[np.ndarray, list[TaskRecord], float]:
     """Recursive bisection + per-level k-way refinement on one graph set.
 
+    The first bisection reuses ``gs``; the finest graph is ``gs.base``.
     Returns (labels on the finest graph, task records, wall seconds).
     """
     config = config or PartitionConfig()
     tasks: list[TaskRecord] = []
     t0 = time.perf_counter()
-    labels = recursive_bisection(
-        graphs[0], k, config=config, precoarsened=precoarsened, tasks=tasks
-    )
+    labels = recursive_bisection(gs, k, config=config, tasks=tasks)
     if config.run_kway and k > 1:
-        per_level = _project_labels_up(graphs, mappings, labels, k)
+        per_level = _project_labels_up(gs, labels, k)
         refined_finest = labels
-        for level, (g, lab) in enumerate(zip(graphs, per_level)):
+        for level, (g, lab) in enumerate(zip(gs.graphs, per_level)):
             t1 = time.perf_counter()
             refined, _gain = kway_refine(
                 g,
@@ -111,11 +102,8 @@ def partition_via_multilevel(
     mls: MultilevelGraphSet, k: int, config: PartitionConfig | None = None
 ) -> PartitionResult:
     """Naive baseline: partition with full un-coarsening to G0."""
-    labels, tasks, wall = partition_graph_set(
-        mls.graphs, mls.mappings, k, config=config, precoarsened=mls
-    )
-    g0 = mls.base
-    cut = edge_cut(g0, labels)
+    labels, tasks, wall = partition_graph_set(mls, k, config)
+    cut = edge_cut(mls.base, labels)
     return PartitionResult(
         k=k,
         labels_finest=labels,
@@ -134,12 +122,8 @@ def partition_via_hybrid(
     config: PartitionConfig | None = None,
 ) -> PartitionResult:
     """Knowledge-enriched variant: partition the hybrid set, map to G0."""
-    config = config or PartitionConfig()
     t0 = time.perf_counter()
-    hyb_mls = MultilevelGraphSet(hyb.graphs, hyb.mappings)
-    labels_h0, tasks, _ = partition_graph_set(
-        hyb.graphs, hyb.mappings, k, config=config, precoarsened=hyb_mls
-    )
+    labels_h0, tasks, _ = partition_graph_set(hyb, k, config)
     labels_g0 = labels_h0[hyb.base_maps[0]]
     wall = time.perf_counter() - t0
     return PartitionResult(

@@ -19,11 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.greedy_growing import greedy_grow_bisection
 from repro.partition.kl import kl_refine_bisection
 
-__all__ = ["PartitionConfig", "TaskRecord", "bisect_graph_set", "recursive_bisection"]
+__all__ = [
+    "PartitionConfig",
+    "TaskRecord",
+    "bisect_graph_set",
+    "bisect_group",
+    "recursive_bisection",
+]
 
 
 @dataclass(frozen=True)
@@ -60,16 +66,14 @@ class TaskRecord:
 
 
 def bisect_graph_set(
-    graphs: list[OverlapGraph],
-    mappings: list[np.ndarray],
-    config: PartitionConfig,
-    rng: np.random.Generator,
+    gs: MultilevelGraphSet, config: PartitionConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Bisect the finest graph of a precoarsened set (labels 0/1).
+    """Bisect the finest graph of a coarsened set (labels 0/1).
 
-    ``graphs[0]`` is the finest; the initial bisection is found on
-    ``graphs[-1]`` and projected/refined down.
+    The initial bisection is found on the coarsest graph and
+    projected/refined down to ``gs.base``.
     """
+    graphs, mappings = gs.graphs, gs.mappings
     labels = greedy_grow_bisection(graphs[-1], rng, edge_balance=config.edge_balance)
     labels, _ = kl_refine_bisection(
         graphs[-1], labels, stall_window=config.stall_window, max_passes=config.kl_max_passes
@@ -82,34 +86,33 @@ def bisect_graph_set(
     return labels
 
 
-def _bisect_subgraph(
-    graph: OverlapGraph,
-    config: PartitionConfig,
-    rng: np.random.Generator,
-    precoarsened: MultilevelGraphSet | None = None,
+def bisect_group(
+    graph: Level, group: np.ndarray, config: PartitionConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    mls = precoarsened or build_multilevel_set(graph, config.coarsen)
-    return bisect_graph_set(mls.graphs, mls.mappings, config, rng)
+    """Half-assignment (0/1 per member) of ``group``: its induced
+    subgraph, coarsened afresh and bisected."""
+    sub, remap = graph.induced_subgraph(group)
+    return bisect_graph_set(build_multilevel_set(sub, config.coarsen), config, rng)[remap[group]]
 
 
 def recursive_bisection(
-    graph: OverlapGraph,
+    gs: MultilevelGraphSet,
     k: int,
     config: PartitionConfig | None = None,
-    precoarsened: MultilevelGraphSet | None = None,
     tasks: list[TaskRecord] | None = None,
 ) -> np.ndarray:
-    """Partition ``graph`` into ``k = 2^i`` parts by recursive bisection.
+    """Partition ``gs.base`` into ``k = 2^i`` parts by recursive bisection.
 
-    ``precoarsened`` (if given) supplies the multilevel set for the
-    first, whole-graph bisection; recursive sub-bisections coarsen
-    their induced subgraphs afresh.  ``tasks`` (if given) collects one
-    :class:`TaskRecord` per bisection for the Fig. 4 speedup replay.
+    The first, whole-graph bisection runs on the set ``gs`` as it is;
+    recursive sub-bisections coarsen their induced subgraphs afresh.
+    ``tasks`` (if given) collects one :class:`TaskRecord` per bisection
+    for the Fig. 4 speedup replay.
     """
     config = config or PartitionConfig()
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError("k must be a power of two")
     rng = np.random.default_rng(config.seed)
+    graph = gs.base
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     if k == 1 or graph.n_nodes == 0:
         return labels
@@ -123,11 +126,10 @@ def recursive_bisection(
             t0 = time.perf_counter()
             if group.size <= 1:
                 half = np.zeros(group.size, dtype=np.int64)
-            elif step == 0 and precoarsened is not None:
-                half = _bisect_subgraph(graph, config, rng, precoarsened=precoarsened)
+            elif step == 0:
+                half = bisect_graph_set(gs, config, rng)
             else:
-                sub, remap = graph.induced_subgraph(group)
-                half = _bisect_subgraph(sub, config, rng)[remap[group]]
+                half = bisect_group(graph, group, config, rng)
             if tasks is not None:
                 tasks.append(
                     TaskRecord(kind="bisect", step=step, duration=time.perf_counter() - t0)

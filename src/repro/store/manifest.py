@@ -30,7 +30,10 @@ __all__ = ["STORE_VERSION", "MANIFEST_NAME", "ShardInfo", "StoreManifest"]
 #: format version of the sharded-store layout; bump on layout changes.
 #: 2: flat CRC-checked shard files; version 1's ``.npz`` stores are
 #: refused (re-pack them).  ``quals`` is any integer dtype, widened on read.
-STORE_VERSION = 2
+#: 3: the reads store's global offsets are a CRC-checked table
+#: (``offsets.bin``) rather than an unchecked ``offsets.npy``; version-2
+#: stores are refused the same way.
+STORE_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

@@ -12,7 +12,7 @@ Layout of a reads store::
 
     store/
       manifest.json          # written last; certifies a complete pack
-      offsets.npy            # global CSR offsets, opened memory-mapped
+      offsets.bin            # global CSR offsets, a CRC-checked table
       shard-00000.bin        # data, offsets (local), ids, meta, quals
       shard-00001.bin        #   (scores as uint8); CRC-checked, read-only
       derived/               # trimmed / reverse-complement children,
@@ -37,7 +37,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.io.atomic import atomic_save_npy
 from repro.io.readset import Columns, ReadSet, ragged_positions, read_columns
 from repro.io.records import Read
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 READS_KIND = "reads"
-OFFSETS_NAME = "offsets.npy"
+OFFSETS_NAME = "offsets.bin"
 
 #: default reads per shard: at ~100 bp reads this is ~0.4 MB of codes
 #: per shard, small enough that a 64 MiB cache holds dozens of shards.
@@ -115,7 +114,7 @@ def _pack_blocks(
         total += int(offsets[-1])
         any_quals = any_quals or has_quals
     all_offsets = np.concatenate(global_offsets)
-    atomic_save_npy(os.path.join(str(path), OFFSETS_NAME), all_offsets)
+    writer.write_table(OFFSETS_NAME, {"offsets": all_offsets})
     store_meta = {
         "has_quals": any_quals,
         "n_reads": all_offsets.size - 1,
@@ -138,7 +137,7 @@ def pack_reads(
     Accepts any iterable of reads — a FASTA/FASTQ parser generator, a
     synthetic-read generator, or an existing ReadSet — and never
     accumulates more than ``shard_size`` reads before flushing them as
-    one durable shard file.  The global ``offsets.npy`` and the
+    one durable shard file.  The global ``offsets.bin`` and the
     manifest are written only after every shard is on disk, so a crash
     mid-pack leaves a store that :func:`pack_reads` can finish with
     ``resume=True`` (already-durable shards are verified and skipped;
@@ -194,8 +193,8 @@ class ShardedReadSet(ReadSet):
     splitting behave identically (and produce byte-identical downstream
     assemblies) — but base codes, qualities, and packed k-mers are
     loaded one shard at a time through an LRU cache, the global offsets
-    array is memory-mapped, and preprocessing streams its output into
-    derived stores under ``<store>/derived/`` instead of RAM.
+    array is read once and CRC-checked, and preprocessing streams its
+    output into derived stores under ``<store>/derived/`` instead of RAM.
 
     Pickling serializes only ``(store path, cache budget)``: a worker
     process re-opens the shards by path rather than receiving (or
@@ -218,10 +217,9 @@ class ShardedReadSet(ReadSet):
         self.store = ShardedStore(
             path, kind=READS_KIND, cache_budget=cache_budget
         )
-        offsets_path = os.path.join(path, OFFSETS_NAME)
         try:
-            self.offsets = np.load(offsets_path, mmap_mode="r")
-        except (OSError, ValueError) as exc:
+            self.offsets = self.store.load_table(OFFSETS_NAME)["offsets"]
+        except (KeyError, ValueError) as exc:
             raise ValueError(
                 f"reads store {path!r} has no readable {OFFSETS_NAME}: {exc}"
             ) from exc

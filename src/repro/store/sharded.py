@@ -14,6 +14,9 @@ column ``name``, ``dtype``, ``shape``, ``offset``, ``nbytes``) and the
 raw columns at 16-byte boundaries.  It is read with one ``read`` and
 served as read-only ``np.frombuffer`` views of that buffer; a torn,
 truncated or bit-flipped shard raises ``ValueError`` naming the file.
+A store-wide *table* (the reads store's global offsets) is one more
+file of the same format, stamped with shard index ``None`` and the
+store's record count.
 
 A :class:`ShardedStore` opens the manifest and serves shard payloads
 through a byte-budgeted :class:`~repro.store.cache.ShardCache`, so the
@@ -79,7 +82,9 @@ def _encode_shard(arrays: dict, **stamp) -> bytes:
     return _MAGIC + struct.pack("<I", zlib.crc32(body)) + body
 
 
-def _check_stamp(header: dict, path: str, kind: str, index: int, n_records: int) -> None:
+def _check_stamp(
+    header: dict, path: str, kind: str, index: int | None, n_records: int
+) -> None:
     """Raise ``ValueError`` unless a shard header stamps shard ``index``
     of a current-version ``kind`` store holding ``n_records`` records."""
     missing = sorted(
@@ -111,7 +116,21 @@ def _check_stamp(header: dict, path: str, kind: str, index: int, n_records: int)
         )
 
 
-def _read_shard(path: str, kind: str, index: int, n_records: int) -> dict:
+def _write_stamped(
+    path: str, arrays: dict, kind: str, index: int | None, n_records: int
+) -> None:
+    """Durably write ``arrays`` as one stamped, CRC-checked file."""
+    blob = _encode_shard(
+        arrays,
+        store_version=STORE_VERSION,
+        store_kind=kind,
+        shard_index=index,
+        n_records=int(n_records),
+    )
+    atomic_write(path, lambda fh: fh.write(blob))
+
+
+def _read_shard(path: str, kind: str, index: int | None, n_records: int) -> dict:
     """One shard's columns, as read-only views of one read of ``path``.
 
     Raises ``ValueError`` naming ``path`` when the file is missing,
@@ -198,17 +217,15 @@ class ShardWriter:
         name = shard_name(index)
         final = os.path.join(self.path, name)
         if not (self.resume and self._reusable(final, index, n_records)):
-            blob = _encode_shard(
-                arrays,
-                store_version=STORE_VERSION,
-                store_kind=self.kind,
-                shard_index=index,
-                n_records=int(n_records),
-            )
-            atomic_write(final, lambda fh: fh.write(blob))
+            _write_stamped(final, arrays, self.kind, index, n_records)
         info = ShardInfo(name, int(n_records), os.path.getsize(final))
         self.shards.append(info)
         return info
+
+    def write_table(self, name: str, arrays: dict) -> None:
+        """Durably write a store-wide table covering every shard so far."""
+        n_records = sum(s.n_records for s in self.shards)
+        _write_stamped(os.path.join(self.path, name), arrays, self.kind, None, n_records)
 
     def finalize(self, meta: dict | None = None) -> StoreManifest:
         """Write the manifest (the commit point of the whole pack)."""
@@ -265,6 +282,10 @@ class ShardedStore:
         """Load one shard from disk, checking its CRC and stamp (no cache)."""
         n_records = self.manifest.shards[index].n_records
         return _read_shard(self.shard_path(index), self.kind, index, n_records)
+
+    def load_table(self, name: str) -> dict:
+        """Load a store-wide table, checking its CRC and stamp (no cache)."""
+        return _read_shard(os.path.join(self.path, name), self.kind, None, self.n_records)
 
     def shard(self, index: int) -> dict:
         """One shard's arrays, served through the LRU cache."""

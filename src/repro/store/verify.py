@@ -13,10 +13,11 @@ for every shard the manifest claims:
   validation the hot read path performs in
   :meth:`~repro.store.sharded.ShardedStore.load_shard`;
 
-plus, store-wide: the manifest fingerprint (which assembly checkpoints
-embed) recomputes to a stable value, and no *orphan* shard files sit
-in the directory unclaimed by the manifest (debris from an interrupted
-re-pack).
+plus, store-wide: a reads store's global offsets table passes the
+same CRC and stamp check (it is reported like a shard, index -1), the
+manifest fingerprint (which assembly checkpoints embed) recomputes to
+a stable value, and no *orphan* shard files sit in the directory
+unclaimed by the manifest (debris from an interrupted re-pack).
 
 With ``quarantine=True`` corrupt shards are moved into
 ``<store>/quarantine/`` so a follow-up ``repro pack --resume`` of the
@@ -32,6 +33,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.store.manifest import MANIFEST_NAME, StoreManifest
+from repro.store.reads import OFFSETS_NAME, READS_KIND
 from repro.store.sharded import SHARD_PATTERN, ShardedStore
 
 __all__ = ["ShardReport", "VerifyReport", "verify_store", "main"]
@@ -95,6 +97,14 @@ def _check_shard(store: ShardedStore, index: int) -> ShardReport:
     return ShardReport(info.name, index, ok=True)
 
 
+def _check_table(store: ShardedStore, name: str) -> ShardReport:
+    try:
+        store.load_table(name)
+    except ValueError as exc:
+        return ShardReport(name, -1, ok=False, error=str(exc))
+    return ShardReport(name, -1, ok=True)
+
+
 def _find_orphans(path: str, manifest: StoreManifest) -> list[str]:
     claimed = {s.name for s in manifest.shards}
     return [
@@ -128,8 +138,10 @@ def verify_store(path: str, quarantine: bool = False) -> VerifyReport:
     report.fingerprint = manifest.fingerprint()
     report.n_shards = manifest.n_shards
     report.n_records = store.n_records
-    for index in range(manifest.n_shards):
-        shard = _check_shard(store, index)
+    checks = [_check_shard(store, index) for index in range(manifest.n_shards)]
+    if manifest.kind == READS_KIND:
+        checks.append(_check_table(store, OFFSETS_NAME))
+    for shard in checks:
         if not shard.ok and quarantine and shard.error != "missing":
             shard = replace(shard, quarantined=_quarantine(path, shard.name))
         report.shards.append(shard)

@@ -41,9 +41,9 @@ class TestBfsBlockPartition:
         assert bfs_cut < hash_cut
 
     def test_empty_graph(self):
-        from repro.graph.overlap_graph import OverlapGraph
+        from repro.graph.overlap_graph import Level
 
-        g = OverlapGraph(0, np.array([]), np.array([]), np.array([]))
+        g = Level(0, np.array([]), np.array([]), np.array([]))
         assert bfs_block_partition(g, 2).size == 0
 
     def test_k_one(self):

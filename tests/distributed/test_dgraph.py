@@ -7,7 +7,7 @@ from repro.distributed import dgraph as dgraph_module
 from repro.distributed.dgraph import DistributedAssemblyGraph, enrich_hybrid
 from repro.graph import hybrid as hybrid_module
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
 from tests.distributed.conftest import chain_assembly, dag_of, make_assembly
@@ -16,7 +16,7 @@ from tests.distributed.conftest import chain_assembly, dag_of, make_assembly
 def one_cluster_hybrid(g0):
     """A hand-built hybrid set whose single H0 node holds all of G0."""
     empty = np.empty(0, dtype=np.int64)
-    h0 = OverlapGraph(1, empty, empty, np.empty(0), node_weights=[g0.n_nodes])
+    h0 = Level(1, empty, empty, np.empty(0), node_weights=[g0.n_nodes])
     n = g0.n_nodes
     return HybridGraphSet(
         graphs=[h0],
@@ -92,19 +92,17 @@ class TestLayoutWork:
         self, pipeline_graphs, monkeypatch
     ):
         reads, _, g0, mls, want = pipeline_graphs
+        # A graph has no per-edge delta reader to walk edge by edge with.
+        assert not hasattr(OverlapGraph, "edge_delta")
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return layout_clusters(*args, **kwargs)
 
-        def scalar_read(self, edge_id, source):
-            raise AssertionError("edge_delta called: a per-edge Python walk is back")
-
         layout_clusters = hybrid_module.layout_clusters
         monkeypatch.setattr(hybrid_module, "layout_clusters", counting)
         monkeypatch.setattr(dgraph_module, "layout_clusters", counting)
-        monkeypatch.setattr(OverlapGraph, "edge_delta", scalar_read)
         hyb = build_hybrid_set(mls, reads.lengths)
         asm = enrich_hybrid(hyb, g0, reads)
         assert mls.n_levels > 2 and 2 <= len(calls) <= mls.n_levels

@@ -17,7 +17,7 @@ WEIGHTS = {
 
 @st.composite
 def edge_lists(draw):
-    """``(n_nodes, eu, ev, weights, deltas or None, identities or None)``."""
+    """``(n_nodes, eu, ev, weights, deltas or None)``."""
     n = draw(st.integers(min_value=0, max_value=10))
     if n >= 2:
         node = st.integers(min_value=0, max_value=n - 1)
@@ -29,14 +29,10 @@ def edge_lists(draw):
     weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
     weights = draw(st.lists(weight, min_size=m, max_size=m))
     deltas = draw(st.none() | st.lists(st.integers(-500, 500), min_size=m, max_size=m))
-    identities = draw(
-        st.none() | st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=m, max_size=m)
-    )
     return (
         n,
         np.array([u for u, _ in edges], dtype=np.int64),
         np.array([v for _, v in edges], dtype=np.int64),
         np.array(weights, dtype=np.float64),
         None if deltas is None else np.array(deltas, dtype=np.int64),
-        None if identities is None else np.array(identities, dtype=np.float64),
     )

@@ -13,7 +13,7 @@ from repro.graph.contigs import (
     contig_for_nodes,
     is_layout_contiguous,
 )
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
 from repro.io.records import Read
 from repro.sequence.dna import decode
@@ -63,7 +63,7 @@ class TestClusterLayout:
         assert cluster_layout_offsets(g, np.array([0, 1, 2]), tolerance=2) is not None
 
     def test_requires_deltas(self):
-        g = OverlapGraph(2, np.array([0]), np.array([1]), np.array([1.0]))
+        g = Level(2, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(ValueError):
             cluster_layout_offsets(g, np.array([0, 1]))
 

@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
-from repro.graph.hybrid import build_hybrid_set, is_contiguous_cluster
-from repro.graph.overlap_graph import OverlapGraph
+from repro.core.config import AssemblyConfig
+from repro.core.focus import FocusAssembler
+from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set
+from repro.graph.hybrid import HybridGraphSet, build_hybrid_set, is_contiguous_cluster
+from repro.graph.overlap_graph import Level, OverlapGraph
+from repro.partition.multilevel import (
+    partition_graph_set,
+    partition_via_hybrid,
+    partition_via_multilevel,
+)
+from repro.simulate.community import CommunityConfig, build_community
+from repro.simulate.reads import ReadSimConfig, ReadSimulator
 from tests.graph.conftest import graph_from_reads, tiled_readset
+from tests.graph.test_overlap_graph import LEVEL_ARRAYS, assert_same_arrays
+from tests.reference import hybrid_build
+from tests.reference import layout as layout_ref
 
 
 @pytest.fixture
@@ -118,3 +130,89 @@ class TestBuildHybridSet:
         reads, _, mls = tiled_mls
         with pytest.raises(ValueError):
             build_hybrid_set(mls, np.array([100]))
+
+
+@pytest.fixture(scope="module")
+def community_prep():
+    """A small simulated community, with repeats, through ``prepare()``."""
+    community = build_community(
+        CommunityConfig(shared_length=1500, private_length=1200, repeat_length=150),
+        seed=13,
+    )
+    reads = ReadSimulator(ReadSimConfig(read_length=100, coverage=5, seed=13)).simulate_community(
+        community
+    )
+    config = AssemblyConfig(n_partitions=4, backend="serial")
+    return config, FocusAssembler(config).prepare(reads)
+
+
+def as_level(arrays):
+    n = arrays["node_weights"].size
+    return Level(n, arrays["eu"], arrays["ev"], arrays["weights"], arrays["node_weights"])
+
+
+class TestContractedSetsMatchOracles:
+    """Every level built by chained contraction == the same level built
+    straight from G0 by the builders in ``tests/reference/hybrid_build.py``,
+    array for array, and so are the enriched hybrid edges."""
+
+    def test_multilevel_levels(self, community_prep):
+        _, prep = community_prep
+        mls = prep.mls
+        assert mls.n_levels > 2
+        for i, g in enumerate(mls.graphs[1:], start=1):
+            want = hybrid_build.contracted_from_g0(prep.g0, mls.map_to_level(i))
+            assert_same_arrays(g, want, LEVEL_ARRAYS)
+
+    def test_hybrid_set(self, community_prep):
+        config, prep = community_prep
+        hyb = prep.hyb
+        rep_level = layout_ref.select_representatives(
+            prep.mls, prep.reads.lengths, config.layout_tolerance
+        )
+        assert np.array_equal(hyb.rep_level, rep_level)
+        assert 0 < hyb.hybrid.n_nodes < prep.g0.n_nodes and rep_level.max() > 0
+        graphs, mappings, base_maps = hybrid_build.hybrid_set(prep.mls, rep_level)
+        assert len(hyb.graphs) == len(graphs)
+        for got, want in zip(hyb.graphs, graphs):
+            assert_same_arrays(got, want, LEVEL_ARRAYS)
+        for got, want in zip(hyb.mappings + hyb.base_maps, mappings + base_maps):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_enriched_edges(self, community_prep):
+        config, prep = community_prep
+        g0, hyb, graph = prep.g0, prep.hyb, prep.assembly.graph
+        read_offset = np.zeros(g0.n_nodes, dtype=np.int64)
+        for cluster in hyb.clusters_of_hybrid():
+            if cluster.size > 1:
+                read_offset[cluster] = layout_ref.cluster_layout_offsets(
+                    g0, cluster, config.layout_tolerance
+                )
+        want = hybrid_build.enriched_edges(
+            g0, hyb.base_maps[0], read_offset, prep.assembly.contig_lengths
+        )
+        assert graph.n_edges > 0
+        assert_same_arrays(graph, want, ("eu", "ev", "weights", "deltas"))
+        assert np.array_equal(graph.node_weights, hyb.hybrid.node_weights)
+
+    def test_partition_labels(self, community_prep):
+        config, prep = community_prep
+        k, pcfg = config.n_partitions, config.partition
+        graphs, mappings, base_maps = hybrid_build.hybrid_set(prep.mls, prep.hyb.rep_level)
+        oracle_hyb = HybridGraphSet(
+            [as_level(g) for g in graphs], mappings, base_maps, prep.hyb.rep_level
+        )
+        labels, _, _ = partition_graph_set(oracle_hyb, k, pcfg)
+        got = partition_via_hybrid(prep.mls, prep.hyb, k, pcfg).labels_finest
+        assert np.array_equal(got, labels)
+        mls = prep.mls
+        oracle_mls = MultilevelGraphSet(
+            [prep.g0]
+            + [
+                as_level(hybrid_build.contracted_from_g0(prep.g0, mls.map_to_level(i)))
+                for i in range(1, mls.n_levels)
+            ],
+            mls.mappings,
+        )
+        labels, _, _ = partition_graph_set(oracle_mls, k, pcfg)
+        assert np.array_equal(partition_via_multilevel(mls, k, pcfg).labels_finest, labels)

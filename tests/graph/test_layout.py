@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.contigs import layout_clusters, layout_contiguity
 from repro.graph.hybrid import _select_representatives
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.simulate.genome import random_genome
 from tests.graph.conftest import graph_from_reads, tiled_readset
 from tests.reference import layout as layout_ref
@@ -87,7 +87,7 @@ class TestLayoutClustersEqualsOracle:
             layout_clusters(g, np.array([0, 1]), np.array([0, 2, 2]))
         with pytest.raises(ValueError, match="listed twice"):
             layout_clusters(g, np.array([0, 1, 1]), np.array([0, 2, 3]))
-        plain = OverlapGraph(2, np.array([0]), np.array([1]), np.array([1.0]))
+        plain = Level(2, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(ValueError, match="deltas"):
             layout_clusters(plain, np.array([0, 1]), np.array([0, 2]))
 

@@ -12,7 +12,7 @@ from repro.graph.coarsen import (
     coarsen_once,
 )
 from repro.graph.matching import heavy_edge_matching
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level, OverlapGraph
 
 from tests.graph.strategies import edge_lists
 from tests.reference import matching_loop
@@ -21,15 +21,15 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def graph_of(case):
-    n, eu, ev, w, d, ident = case
-    return OverlapGraph(n, eu, ev, w, deltas=d, identities=ident)
+    n, eu, ev, w, d = case
+    return Level(n, eu, ev, w) if d is None else OverlapGraph(n, eu, ev, w, deltas=d)
 
 
 def path_graph(n, weights=None):
     eu = np.arange(n - 1)
     ev = eu + 1
     w = np.ones(n - 1) if weights is None else np.asarray(weights, dtype=np.float64)
-    return OverlapGraph(n, eu, ev, w)
+    return Level(n, eu, ev, w)
 
 
 def random_graph(n, p, seed):
@@ -40,7 +40,7 @@ def random_graph(n, p, seed):
     eu = np.array([a for a, _ in pairs])
     ev = np.array([b for _, b in pairs])
     w = rng.integers(1, 100, size=len(pairs)).astype(np.float64)
-    return OverlapGraph(n, eu, ev, w)
+    return Level(n, eu, ev, w)
 
 
 class TestHeavyEdgeMatching:
@@ -57,13 +57,13 @@ class TestHeavyEdgeMatching:
                 assert match[v] in g.neighbors(v)
 
     def test_isolated_nodes_self_matched(self):
-        g = OverlapGraph(4, np.array([0]), np.array([1]), np.array([1.0]))
+        g = Level(4, np.array([0]), np.array([1]), np.array([1.0]))
         match = heavy_edge_matching(g, np.random.default_rng(0))
         assert match[2] == 2 and match[3] == 3
 
     def test_prefers_heavy_edge(self):
         # star: center 0 with edges to 1 (w=1), 2 (w=100)
-        g = OverlapGraph(3, np.array([0, 0]), np.array([1, 2]), np.array([1.0, 100.0]))
+        g = Level(3, np.array([0, 0]), np.array([1, 2]), np.array([1.0, 100.0]))
         for seed in range(5):
             match = heavy_edge_matching(g, np.random.default_rng(seed))
             if match[0] != 0:

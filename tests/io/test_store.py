@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.atomic import atomic_save_npy, atomic_savez, atomic_write, atomic_write_text
+from repro.io.atomic import atomic_savez, atomic_write, atomic_write_text
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 
 from tests.fuzz import damaged
@@ -98,11 +98,10 @@ def test_flipped_encryption_flag_names_the_file(checkpoint_blob, tmp_path):
 
 class TestAtomicWrites:
     """A crash mid-write must never corrupt an existing file — through
-    each of the three helpers and the primitive they share."""
+    each of the two helpers and the primitive they share."""
 
     WRITES = {
         "c.npz": lambda path, n: atomic_savez(path, value=np.arange(n)),
-        "c.npy": lambda path, n: atomic_save_npy(path, np.arange(n)),
         "c.txt": lambda path, n: atomic_write_text(path, "x" * n),
         "c.bin": lambda path, n: atomic_write(path, lambda fh: fh.write(b"x" * n)),
     }

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.coarsen import build_multilevel_set
+from repro.graph.overlap_graph import Level
+from repro.partition.recursive import PartitionConfig, recursive_bisection
+
+
+def recursive_labels(g, k, config=None, tasks=None):
+    """``recursive_bisection`` of ``g``'s own multilevel set."""
+    config = config or PartitionConfig()
+    return recursive_bisection(build_multilevel_set(g, config.coarsen), k, config, tasks)
 
 
 def two_cliques(n_each=8, bridge_weight=1.0, clique_weight=10.0):
@@ -19,7 +27,7 @@ def two_cliques(n_each=8, bridge_weight=1.0, clique_weight=10.0):
     eu.append(n_each - 1)
     ev.append(n_each)
     w.append(bridge_weight)
-    return OverlapGraph(2 * n_each, np.array(eu), np.array(ev), np.array(w, dtype=np.float64))
+    return Level(2 * n_each, np.array(eu), np.array(ev), np.array(w, dtype=np.float64))
 
 
 def ring_of_cliques(n_cliques=4, n_each=6, bridge_weight=1.0, clique_weight=10.0):
@@ -38,7 +46,7 @@ def ring_of_cliques(n_cliques=4, n_each=6, bridge_weight=1.0, clique_weight=10.0
         eu.append(a)
         ev.append(b)
         w.append(bridge_weight)
-    return OverlapGraph(
+    return Level(
         n_cliques * n_each, np.array(eu), np.array(ev), np.array(w, dtype=np.float64)
     )
 
@@ -51,4 +59,4 @@ def random_weighted_graph(n, p, seed):
     eu = np.array([a for a, _ in pairs])
     ev = np.array([b for _, b in pairs])
     w = rng.integers(1, 50, size=len(pairs)).astype(np.float64)
-    return OverlapGraph(n, eu, ev, w)
+    return Level(n, eu, ev, w)

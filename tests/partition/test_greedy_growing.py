@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.greedy_growing import greedy_grow_bisection
 from repro.partition.metrics import edge_cut, partition_node_weights
 from tests.partition.conftest import random_weighted_graph, two_cliques
@@ -35,27 +35,27 @@ class TestGreedyGrowBisection:
         assert best_cut == 1.0
 
     def test_empty_graph(self):
-        g = OverlapGraph(0, np.array([]), np.array([]), np.array([]))
+        g = Level(0, np.array([]), np.array([]), np.array([]))
         assert greedy_grow_bisection(g, np.random.default_rng(0)).size == 0
 
     def test_single_node(self):
-        g = OverlapGraph(1, np.array([]), np.array([]), np.array([]))
+        g = Level(1, np.array([]), np.array([]), np.array([]))
         assert greedy_grow_bisection(g, np.random.default_rng(0)).tolist() == [0]
 
     def test_two_nodes(self):
-        g = OverlapGraph(2, np.array([0]), np.array([1]), np.array([5.0]))
+        g = Level(2, np.array([0]), np.array([1]), np.array([5.0]))
         labels = greedy_grow_bisection(g, np.random.default_rng(0))
         assert sorted(labels.tolist()) == [0, 1]
 
     def test_disconnected_components(self):
         # two disjoint edges; growing must reseed across components
-        g = OverlapGraph(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
+        g = Level(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
         labels = greedy_grow_bisection(g, np.random.default_rng(0))
         assert set(labels.tolist()) == {0, 1}
         assert partition_node_weights(g, labels, 2).tolist() == [2, 2]
 
     def test_isolated_nodes(self):
-        g = OverlapGraph(5, np.array([0]), np.array([1]), np.array([1.0]))
+        g = Level(5, np.array([0]), np.array([1]), np.array([1.0]))
         labels = greedy_grow_bisection(g, np.random.default_rng(3))
         assert (labels >= 0).all()
 
@@ -66,7 +66,7 @@ class TestGreedyGrowBisection:
 
     def test_weighted_nodes_balanced_by_weight(self):
         # one heavy node should sit alone against many light ones
-        g = OverlapGraph(
+        g = Level(
             5,
             np.array([0, 0, 0, 0]),
             np.array([1, 2, 3, 4]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.kl import edge_weight_between, kl_refine_bisection
 from repro.partition.metrics import edge_cut, partition_node_weights
 from tests.partition.conftest import random_weighted_graph, two_cliques
@@ -13,12 +13,12 @@ from tests.partition.conftest import random_weighted_graph, two_cliques
 
 class TestEdgeWeightBetween:
     def test_present(self):
-        g = OverlapGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([5.0, 7.0]))
+        g = Level(3, np.array([0, 1]), np.array([1, 2]), np.array([5.0, 7.0]))
         assert edge_weight_between(g, 0, 1) == 5.0
         assert edge_weight_between(g, 2, 1) == 7.0
 
     def test_absent(self):
-        g = OverlapGraph(3, np.array([0]), np.array([1]), np.array([5.0]))
+        g = Level(3, np.array([0]), np.array([1]), np.array([5.0]))
         assert edge_weight_between(g, 0, 2) == 0.0
 
 
@@ -67,7 +67,7 @@ class TestKlRefine:
         assert (labels == snapshot).all()
 
     def test_empty_graph(self):
-        g = OverlapGraph(0, np.array([]), np.array([]), np.array([]))
+        g = Level(0, np.array([]), np.array([]), np.array([]))
         refined, gain = kl_refine_bisection(g, np.array([], dtype=np.int64))
         assert refined.size == 0 and gain == 0.0
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.kway import kway_refine
 from repro.partition.metrics import edge_cut, node_weight_balance
 from tests.partition.conftest import random_weighted_graph, ring_of_cliques
@@ -67,7 +67,7 @@ class TestKwayRefine:
         assert edge_cut(g, refined) <= edge_cut(g, labels)
 
     def test_empty_graph(self):
-        g = OverlapGraph(0, np.array([]), np.array([]), np.array([]))
+        g = Level(0, np.array([]), np.array([]), np.array([]))
         refined, gain = kway_refine(g, np.array([], dtype=np.int64))
         assert refined.size == 0 and gain == 0.0
 

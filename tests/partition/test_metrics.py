@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 from repro.partition.metrics import (
     edge_cut,
     edge_cut_fraction,
@@ -16,7 +16,7 @@ from repro.partition.metrics import (
 
 def square_graph():
     # 4-cycle 0-1-2-3-0 with weights 1,2,3,4
-    return OverlapGraph(
+    return Level(
         4, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]), np.array([1.0, 2.0, 3.0, 4.0])
     )
 
@@ -40,7 +40,7 @@ class TestEdgeCut:
         assert edge_cut_fraction(g, np.array([0, 0, 1, 1])) == pytest.approx(0.6)
 
     def test_fraction_empty_graph(self):
-        g = OverlapGraph(2, np.array([]), np.array([]), np.array([]))
+        g = Level(2, np.array([]), np.array([]), np.array([]))
         assert edge_cut_fraction(g, np.array([0, 1])) == 0.0
 
     def test_bad_labels(self):

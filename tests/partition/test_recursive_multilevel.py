@@ -10,9 +10,14 @@ from repro.partition.multilevel import (
     partition_via_hybrid,
     partition_via_multilevel,
 )
-from repro.partition.recursive import PartitionConfig, recursive_bisection
+from repro.partition.recursive import PartitionConfig
 from tests.graph.conftest import graph_from_reads, tiled_readset
-from tests.partition.conftest import random_weighted_graph, ring_of_cliques, two_cliques
+from tests.partition.conftest import (
+    random_weighted_graph,
+    recursive_labels,
+    ring_of_cliques,
+    two_cliques,
+)
 
 
 def small_config(seed=0):
@@ -23,35 +28,35 @@ class TestRecursiveBisection:
     def test_k_must_be_power_of_two(self):
         g = two_cliques()
         with pytest.raises(ValueError):
-            recursive_bisection(g, 3)
+            recursive_labels(g, 3)
         with pytest.raises(ValueError):
-            recursive_bisection(g, 0)
+            recursive_labels(g, 0)
 
     def test_k1_trivial(self):
         g = two_cliques()
-        assert (recursive_bisection(g, 1) == 0).all()
+        assert (recursive_labels(g, 1) == 0).all()
 
     def test_k2_two_cliques(self):
         g = two_cliques(n_each=12)
-        labels = recursive_bisection(g, 2, small_config())
+        labels = recursive_labels(g, 2, small_config())
         assert edge_cut(g, labels) == 1.0
 
     def test_k4_ring_of_cliques(self):
         g = ring_of_cliques(n_cliques=4, n_each=8)
-        labels = recursive_bisection(g, 4, small_config())
+        labels = recursive_labels(g, 4, small_config())
         assert len(set(labels.tolist())) == 4
         # Ideal cut = 4 bridges; accept near-ideal.
         assert edge_cut(g, labels) <= 3 * 10.0 + 4.0
 
     def test_labels_in_range(self):
         g = random_weighted_graph(60, 0.1, seed=4)
-        labels = recursive_bisection(g, 8, small_config(4))
+        labels = recursive_labels(g, 8, small_config(4))
         assert set(labels.tolist()) <= set(range(8))
 
     def test_task_records_counts(self):
         g = random_weighted_graph(80, 0.08, seed=5)
         tasks = []
-        recursive_bisection(g, 8, small_config(5), tasks=tasks)
+        recursive_labels(g, 8, small_config(5), tasks=tasks)
         bisects = [t for t in tasks if t.kind == "bisect"]
         assert len(bisects) == 1 + 2 + 4
         assert sorted({t.step for t in bisects}) == [0, 1, 2]
@@ -59,7 +64,7 @@ class TestRecursiveBisection:
 
     def test_balance_reasonable(self):
         g = random_weighted_graph(128, 0.06, seed=6)
-        labels = recursive_bisection(g, 4, small_config(6))
+        labels = recursive_labels(g, 4, small_config(6))
         assert node_weight_balance(g, labels, 4) <= 1.6
 
 

@@ -17,7 +17,7 @@ from repro.analysis.mapping import SequenceMapper
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.sequence.dna import decode, reverse_complement
 
-from tests.reference.finish_loop import alive_incident
+from tests.reference.finish_loop import alive_incident, edge_delta
 
 __all__ = ["consensus_from_layout", "contigs_from_paths", "deduplicate_contigs"]
 
@@ -72,7 +72,7 @@ def contigs_from_paths(
             hit = np.flatnonzero(nbrs == tail)
             if not (dag.node_alive[head] and hit.size):
                 raise ValueError(f"path step {head}->{tail} has no alive edge")
-            deltas.append(dag.graph.edge_delta(int(eids[hit[0]]), head))
+            deltas.append(edge_delta(dag.graph, int(eids[hit[0]]), head))
         offs = np.concatenate([[0], np.cumsum(deltas)])
         offsets = (offs - offs.min()).tolist()
         width = max(o + contigs[v].size for o, v in zip(offsets, path))

@@ -5,7 +5,8 @@ readable specification of paper §V-A/B/C that the vectorized
 production kernels (``repro.distributed.{transitive,containment,
 trimming}``) are checked against.  The oracles read the alive graph
 through their own per-node reader of ``dag.graph``'s CSR and the
-masks, never through the production pair table
+masks, and its deltas through their own :func:`edge_delta`, never
+through the production pair table
 (``DistributedAssemblyGraph.rows_of``), so they share no code with
 what they check.  Same arguments as the production ``find_*``
 functions; results are plain lists in scan order (possibly with
@@ -20,6 +21,7 @@ from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.sequence.dna import hamming_identity
 
 __all__ = [
+    "edge_delta",
     "alive_incident",
     "alive_degree",
     "find_transitive_edges",
@@ -27,6 +29,17 @@ __all__ = [
     "find_dead_ends",
     "find_bubbles",
 ]
+
+
+def edge_delta(g, e: int, v: int) -> int:
+    """Offset of edge ``e``'s other endpoint relative to its endpoint ``v``."""
+    if getattr(g, "deltas", None) is None:
+        raise ValueError("graph carries no layout deltas")
+    if v == g.eu[e]:
+        return int(g.deltas[e])
+    if v == g.ev[e]:
+        return -int(g.deltas[e])
+    raise ValueError(f"node {v} is not an endpoint of edge {e}")
 
 
 def alive_incident(
@@ -55,7 +68,7 @@ def find_transitive_edges(
         nbrs, eids = alive_incident(dag, v)
         if nbrs.size < 2:
             continue
-        deltas = np.array([g.edge_delta(int(e), v) for e in eids])
+        deltas = np.array([edge_delta(g, int(e), v) for e in eids])
         right = deltas > 0
         r_nbrs, r_eids, r_deltas = nbrs[right], eids[right], deltas[right]
         if r_nbrs.size < 2:
@@ -74,7 +87,7 @@ def find_transitive_edges(
                 hit = np.flatnonzero(w_nbrs == u)
                 if hit.size:
                     e_wu = int(w_eids[hit[0]])
-                    if abs(g.edge_delta(e_wu, w) - (du - dw)) <= tolerance:
+                    if abs(edge_delta(g, e_wu, w) - (du - dw)) <= tolerance:
                         out.append(int(r_eids[far]))
                         break
     return out
@@ -105,7 +118,7 @@ def find_containments(
         cv = contigs[v]
         nbrs, eids = alive_incident(dag, v)
         for u, e in zip(nbrs.tolist(), eids.tolist()):
-            d = g.edge_delta(e, v)  # offset of u's contig relative to v's
+            d = edge_delta(g, e, v)  # offset of u's contig relative to v's
             cu = contigs[u]
             overlap = min(cv.size, d + cu.size) - max(0, d)
             if overlap < min_overlap:
@@ -177,7 +190,7 @@ def find_bubbles(dag: DistributedAssemblyGraph, nodes: np.ndarray) -> list[int]:
     for v in np.asarray(nodes).tolist():
         nbrs, eids = alive_incident(dag, v)
         two_deg = [
-            (int(u), int(np.sign(g.edge_delta(int(e), v))))
+            (int(u), int(np.sign(edge_delta(g, int(e), v))))
             for u, e in zip(nbrs.tolist(), eids.tolist())
             if alive_degree(dag, int(u)) == 2
         ]

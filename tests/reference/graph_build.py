@@ -1,6 +1,6 @@
-"""Sort-by-``lexsort`` reference of the ``OverlapGraph`` edge merge.
+"""Sort-by-``lexsort`` reference of the ``Level`` / ``OverlapGraph`` edge merge.
 
-The specification ``OverlapGraph.__init__`` and ``build_csr`` are
+The specification the graph constructors and ``build_csr`` are
 checked against: edges ordered by ``lexsort((ev, eu))``, the delta of
 each merged group taken from the last row of a ``lexsort((weights,
 group))`` (the heaviest instance, the last one on a tie), and the CSR
@@ -20,18 +20,15 @@ def graph_arrays(
     ev: np.ndarray,
     weights: np.ndarray,
     deltas: np.ndarray | None = None,
-    identities: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """``eu, ev, weights, deltas, identities, indptr, adj, adj_edge`` of
-    the merged graph, as ``OverlapGraph`` exposes them."""
+    """``eu, ev, weights, indptr, adj, adj_edge`` of the merged graph,
+    as ``Level`` exposes them, plus ``deltas`` when given (as
+    ``OverlapGraph`` exposes them)."""
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     has_deltas = deltas is not None
     deltas = np.zeros(eu.size, np.int64) if deltas is None else np.asarray(deltas, np.int64)
-    identities = (
-        np.ones(eu.size, np.float64) if identities is None else np.asarray(identities, np.float64)
-    )
     flip = eu > ev
     eu2 = np.where(flip, ev, eu)
     ev2 = np.where(flip, eu, ev)
@@ -39,19 +36,15 @@ def graph_arrays(
     if eu2.size:
         order = np.lexsort((ev2, eu2))
         eu2, ev2 = eu2[order], ev2[order]
-        weights, deltas, identities = weights[order], deltas[order], identities[order]
+        weights, deltas = weights[order], deltas[order]
         first = np.ones(eu2.size, dtype=bool)
         first[1:] = (eu2[1:] != eu2[:-1]) | (ev2[1:] != ev2[:-1])
         starts = np.flatnonzero(first)
         group = np.cumsum(first) - 1
-        if has_deltas:
-            worder = np.lexsort((weights, group))
-            deltas = deltas[worder[np.append(starts[1:], eu2.size) - 1]]
-        else:
-            deltas = deltas[starts]
+        worder = np.lexsort((weights, group))
+        deltas = deltas[worder[np.append(starts[1:], eu2.size) - 1]]
         eu2, ev2 = eu2[starts], ev2[starts]
         weights = np.bincount(group, weights=weights)
-        identities = np.maximum.reduceat(identities, starts)
 
     m = eu2.size
     src = np.concatenate([eu2, ev2])
@@ -60,13 +53,14 @@ def graph_arrays(
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
-    return {
+    arrays = {
         "eu": eu2,
         "ev": ev2,
         "weights": weights,
-        "deltas": deltas,
-        "identities": identities,
         "indptr": indptr,
         "adj": dst[order],
         "adj_edge": eids[order],
     }
+    if has_deltas:
+        arrays["deltas"] = deltas
+    return arrays

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.overlap_graph import OverlapGraph
+from repro.graph.overlap_graph import Level
 
 __all__ = ["heavy_edge_matching"]
 
 
-def heavy_edge_matching(graph: OverlapGraph, rng: np.random.Generator) -> np.ndarray:
+def heavy_edge_matching(graph: Level, rng: np.random.Generator) -> np.ndarray:
     """``match[v]`` is v's partner, or v itself."""
     n = graph.n_nodes
     match = np.full(n, -1, dtype=np.int64)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.variants import Variant, _align_branches
 
-from tests.reference.finish_loop import alive_degree, alive_incident
+from tests.reference.finish_loop import alive_degree, alive_incident, edge_delta
 
 __all__ = ["find_bubble_variants"]
 
@@ -33,7 +33,7 @@ def _branch_pairs(dag: DistributedAssemblyGraph, v: int) -> list[tuple[int, int,
     for u, e in zip(nbrs.tolist(), eids.tolist()):
         if alive_degree(dag, u) != 2:
             continue
-        side = int(np.sign(g.edge_delta(e, v)))
+        side = int(np.sign(edge_delta(g, e, v)))
         other = [x for x in alive_incident(dag, u)[0].tolist() if x != v]
         if len(other) != 1:
             continue

@@ -3,7 +3,8 @@
 Every single-bit flip and every truncation of a shard file makes
 ``load_shard`` raise a ``ValueError`` naming the file — the CRC covers
 the header as well as the columns, so no flip returns different
-arrays.  A damaged ``manifest.json`` either still loads or raises a
+arrays.  The reads store's global offsets table is the same format and
+gets the same treatment from ``ReadSet.open`` and ``verify-store``.  A damaged ``manifest.json`` either still loads or raises a
 ``ValueError`` naming the file, never a bare ``KeyError``/``TypeError``.
 """
 
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io.readset import ReadSet
 from repro.io.records import Read
-from repro.store import MANIFEST_NAME, ShardedStore, pack_reads, verify_store
+from repro.store import MANIFEST_NAME, OFFSETS_NAME, ShardedStore, pack_reads, verify_store
 from repro.store.sharded import shard_name
+from repro.store.verify import main as verify_main
 
 from tests.fuzz import damaged
 
@@ -57,6 +60,46 @@ def test_damaged_shard_is_refused_naming_the_file(store_dir, data):
     finally:
         with open(path, "wb") as fh:
             fh.write(pristine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_offsets_are_refused_naming_the_file(store_dir, data):
+    path = os.path.join(store_dir, OFFSETS_NAME)
+    with open(path, "rb") as fh:
+        pristine = fh.read()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(damaged(pristine, data))
+        with pytest.raises(ValueError) as info:
+            ReadSet.open(store_dir)
+        assert path in str(info.value)
+        report = verify_store(store_dir)
+        assert not report.ok
+        assert [s.name for s in report.shards if not s.ok] == [OFFSETS_NAME]
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(pristine)
+
+
+def test_one_flipped_offsets_bit_fails_the_scrub(store_dir, tmp_path, capsys):
+    # Offset 31 moved by 8: still ascending, but reads 30 and 31 would
+    # open with lengths their shard data does not hold.
+    path = str(tmp_path / "copy.store")
+    shutil.copytree(store_dir, path)
+    offsets = os.path.join(path, OFFSETS_NAME)
+    with open(offsets, "rb") as fh:
+        blob = bytearray(fh.read())
+    at = bytes(blob).find(ReadSet.open(path).offsets.tobytes())
+    assert at > 0
+    blob[at + 8 * 31] ^= 1 << 3
+    with open(offsets, "wb") as fh:
+        fh.write(bytes(blob))
+    assert verify_main(path) == 1
+    assert f"BAD {OFFSETS_NAME}: corrupt" in capsys.readouterr().out
+    with pytest.raises(ValueError, match="CRC mismatch") as info:
+        ReadSet.open(path)
+    assert offsets in str(info.value)
 
 
 @settings(max_examples=400, deadline=None)

@@ -119,6 +119,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="version 1 .*re-pack"):
             ShardedStore(path)
 
+    def test_version_2_store_refused_with_a_re_pack_hint(self, tmp_path):
+        # version 2 kept the reads store's offsets in an unchecked .npy
+        path = str(tmp_path / "store")
+        write_store(path)
+        replace_in_manifest(path, f'"version": {STORE_VERSION}', '"version": 2')
+        with pytest.raises(ValueError, match="version 2 .*re-pack"):
+            ShardedStore(path)
+
     def test_mistyped_manifest_field_names_the_file(self, tmp_path):
         path = str(tmp_path / "store")
         write_store(path)
