@@ -8,7 +8,8 @@ is the base in front of it (0–3), or ⊥ (4) when there is none — the
 window is the first of its read, or that base is ``N``.  It is read off
 the :meth:`~repro.io.readset.ReadSet.kmer_table` output itself, so the
 build is still one bulk table call plus one sort
-(:func:`~repro.sequence.kmers.stable_order`).
+(:func:`~repro.sequence.kmers.stable_sort`), which hands back the sorted
+keys with the rows, so only the two row tables are gathered.
 
 Why the class: a run of ``m`` consecutive matching windows on one
 diagonal of a read pair is one maximal exact match, and a caller that
@@ -20,16 +21,18 @@ run of index rows the classes are contiguous sub-runs, so the
 left-maximal partners of a window of class ``c < 4`` are two row ranges
 (the run before and after its own class), and of a ⊥ window the whole
 run.  :meth:`KmerIndex.seed_ranges` finds those ranges for query
-windows with one binary search over the *distinct* k-mers;
+windows with one binary search over the *distinct* k-mers and one over
+the sub-runs;
 :meth:`KmerIndex.self_join` reads them for the index's own windows off
 the sort, with no search at all.  :meth:`KmerIndex.hit_ranges` /
 :meth:`KmerIndex.lookup` still answer with every occurrence.  Ranges are
 handed out unexpanded, so a caller expands only as many rows as it
 wants to hold.
 
-After the build the index holds two window-sized arrays (the row
-tables) plus a ``(distinct k-mers, 6)`` table of class boundaries; all
-arrays are ``int64`` on every platform.
+The sorted array is the whole index: after the build it holds the two
+row tables (window-sized) and, per ``(k-mer, class)`` sub-run and per
+run, its first row — the boundaries the sort already drew, with no
+per-k-mer table of classes; all arrays are ``int64`` on every platform.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from repro.graph.sparse import ragged_positions
 from repro.io.readset import ReadSet
-from repro.sequence.kmers import max_k_for_dtype, stable_order
+from repro.sequence.kmers import max_k_for_dtype, stable_sort
 
 __all__ = ["KmerIndex"]
 
@@ -58,8 +61,19 @@ def _predecessor_classes(vals: np.ndarray, offsets: np.ndarray, k: int) -> np.nd
     """
     classes = np.full(vals.size, _BOTTOM, dtype=np.uint8)
     has_base = (offsets[1:] > 0) & (vals[:-1] >= 0)
-    np.copyto(classes[1:], vals[:-1] >> (2 * (k - 1)), where=has_base, casting="unsafe")
+    np.right_shift(
+        vals[:-1], 2 * (k - 1), out=classes[1:], where=has_base, casting="unsafe"
+    )
     return classes
+
+
+def _starts(*cols: np.ndarray) -> np.ndarray:
+    """First position of every run of equal rows of the sorted columns."""
+    first = np.ones(cols[0].size, dtype=bool)
+    np.not_equal(cols[0][1:], cols[0][:-1], out=first[1:])
+    for col in cols[1:]:
+        first[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(first)
 
 
 class KmerIndex:
@@ -80,88 +94,81 @@ class KmerIndex:
         if not valid.all():
             vals, classes = vals[valid], classes[valid]
             read_ids, offsets = read_ids[valid], offsets[valid]
+        del valid
         # Equal (k-mer, class) keep table order: read, then offset.
-        packs_class = k < max_k_for_dtype()  # else 4**k * 5 overflows
-        if packs_class:
-            vals = vals * 5 + classes
-            order = stable_order(vals)
+        if k < max_k_for_dtype():  # else 4**k * 5 overflows
+            vals = vals * 5
+            vals += classes
+            del classes
+            keys, order = stable_sort(vals)
+            del vals
+            sub_lo = _starts(keys)
+            sub_kmers, sub_classes = np.divmod(keys[sub_lo], 5)
+            del keys
         else:
             order = np.lexsort((classes, vals))
+            vals, classes = vals[order], classes[order]
+            sub_lo = _starts(vals, classes)
+            sub_kmers, sub_classes = vals[sub_lo], classes[sub_lo]
+            del vals, classes
         #: index row -> the read and the offset of its window.
         self.kmer_reads = read_ids[order]
         del read_ids
         self.kmer_offsets = offsets[order]
-        del offsets
-        vals, classes = vals[order], classes[order]
-        del order
-        # First row of every (k-mer, class) sub-run; everything below is
-        # per sub-run or per run, not per window.
-        first = np.ones(vals.size, dtype=bool)
-        np.not_equal(vals[1:], vals[:-1], out=first[1:])
-        first[1:] |= classes[1:] != classes[:-1]
-        sub_lo = np.flatnonzero(first)
-        sub_kmers = vals[sub_lo] // 5 if packs_class else vals[sub_lo]
-        del vals, first
+        del offsets, order
         run_first = np.ones(sub_lo.size, dtype=bool)
         np.not_equal(sub_kmers[1:], sub_kmers[:-1], out=run_first[1:])
         #: the distinct k-mers, ascending; run ``r`` is all rows of
-        #: ``run_kmers[r]``.
+        #: ``run_kmers[r]``, rows ``run_lo[r] .. run_lo[r + 1]``.
         self.run_kmers = sub_kmers[run_first]
-        bounds = np.full((self.run_kmers.size, _BOTTOM + 2), len(self), dtype=np.int64)
-        bounds[np.cumsum(run_first) - 1, classes[sub_lo]] = sub_lo
-        bounds[:-1, -1] = sub_lo[run_first][1:]
-        #: ``bounds[r, c]``: first row of run ``r`` whose class is
-        #: ``>= c`` (``bounds[r, 5]`` is the run's end), so class ``c``
-        #: of run ``r`` is rows ``bounds[r, c] .. bounds[r, c + 1]`` —
-        #: an absent class starts, and ends, where the next one starts.
-        self.bounds = np.ascontiguousarray(
-            np.minimum.accumulate(bounds[:, ::-1], axis=1)[:, ::-1]
-        )
+        self.run_lo = np.append(sub_lo[run_first], len(self))
+        #: sub-run ``s`` — the rows of one k-mer and one class — is rows
+        #: ``sub_lo[s] .. sub_lo[s + 1]`` of run ``sub_key[s] // 5`` and
+        #: class ``sub_key[s] % 5``; the keys ascend, so one binary
+        #: search finds the first row of a run whose class is ``>= c``.
+        self.sub_lo = np.append(sub_lo, len(self))
+        self.sub_key = (np.cumsum(run_first) - 1) * 5 + sub_classes
 
     def __len__(self) -> int:
         return int(self.kmer_reads.size)
 
     def _runs(self, query_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(found, run)``: positions in ``query_vals`` of the k-mers
-        the index holds (invalid entries < 0 are absent), ascending,
-        and the run of each.
+        """``(pos, run)``: positions in ``query_vals`` of the k-mers the
+        index holds (invalid entries < 0 are absent) and the run of
+        each, in k-mer order — ``run`` ascends.
 
         The needles are sorted first, so the binary search walks the
         distinct k-mers front to back instead of jumping through them
-        per query window.
+        per query window, and so does every gather by ``run`` after it.
         """
-        runs = np.full(query_vals.size, -1, dtype=np.int64)
-        valid = np.flatnonzero(query_vals >= 0)
-        if valid.size and self.run_kmers.size:
-            valid = valid[stable_order(query_vals[valid])]
-            vals = query_vals[valid]
-            at = np.minimum(np.searchsorted(self.run_kmers, vals), self.run_kmers.size - 1)
-            hit = self.run_kmers[at] == vals
-            runs[valid[hit]] = at[hit]
-        found = np.flatnonzero(runs >= 0)
-        return found, runs[found]
+        pos = np.flatnonzero(query_vals >= 0)
+        if not (pos.size and self.run_kmers.size):
+            return pos[:0], pos[:0]
+        vals, order = stable_sort(query_vals[pos])
+        pos = pos[order]
+        runs = np.minimum(np.searchsorted(self.run_kmers, vals), self.run_kmers.size - 1)
+        hit = self.run_kmers[runs] == vals
+        return pos[hit], runs[hit]
 
     def _class_ranges(
-        self, runs: np.ndarray, classes: np.ndarray
+        self, runs: np.ndarray, own_lo: np.ndarray, own_hi: np.ndarray, bottom: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row ranges of the left-maximal partners of windows of the
-        given runs and classes: the run before and after the window's
-        own class, or — ⊥ — the whole run (which holds the window
-        itself when it is indexed).
+        given runs whose own class is rows ``own_lo .. own_hi``: the
+        run before and after those rows, or — ⊥ (``bottom``) — the
+        whole run (which holds the window itself when it is indexed).
 
         Returns ``(which, lo, counts)``, one entry per non-empty range:
-        ``which`` indexes the arguments and ascends (a window with
-        partners on both sides appears twice in a row).
+        ``which >> 1`` indexes the arguments and ``which`` ascends, its
+        low bit 0 for the range before the class and 1 after it.
         """
-        own = np.minimum(classes, _BOTTOM - 1)
-        bottom = classes == _BOTTOM
-        run_hi = self.bounds[runs, -1]
-        own_lo = np.where(bottom, run_hi, self.bounds[runs, own])
-        own_hi = np.where(bottom, run_hi, self.bounds[runs, own + 1])
-        lo = np.stack([self.bounds[runs, 0], own_hi], axis=1).ravel()
+        run_lo, run_hi = self.run_lo[runs], self.run_lo[runs + 1]
+        own_lo = np.where(bottom, run_hi, own_lo)
+        own_hi = np.where(bottom, run_hi, own_hi)
+        lo = np.stack([run_lo, own_hi], axis=1).ravel()
         counts = np.stack([own_lo, run_hi], axis=1).ravel() - lo
-        some = np.flatnonzero(counts)
-        return some >> 1, lo[some], counts[some]
+        which = np.flatnonzero(counts)
+        return which, lo[which], counts[which]
 
     def hit_ranges(
         self, query_vals: np.ndarray
@@ -177,9 +184,9 @@ class KmerIndex:
         query_vals = np.asarray(query_vals, dtype=np.int64)
         lo = np.zeros(query_vals.size, dtype=np.int64)
         counts = np.zeros(query_vals.size, dtype=np.int64)
-        found, runs = self._runs(query_vals)
-        lo[found] = self.bounds[runs, 0]
-        counts[found] = self.bounds[runs, -1] - lo[found]
+        pos, runs = self._runs(query_vals)
+        lo[pos] = self.run_lo[runs]
+        counts[pos] = self.run_lo[runs + 1] - lo[pos]
         return lo, counts, self.kmer_reads, self.kmer_offsets
 
     def seed_ranges(
@@ -195,10 +202,22 @@ class KmerIndex:
         class twice in a row — and the range as in :meth:`hit_ranges`.
         """
         query_vals = np.asarray(query_vals, dtype=np.int64)
-        classes = _predecessor_classes(query_vals, query_offsets, self.k)
-        found, runs = self._runs(query_vals)
-        which, lo, counts = self._class_ranges(runs, classes[found])
-        return found[which], lo, counts, self.kmer_reads, self.kmer_offsets
+        pos, runs = self._runs(query_vals)
+        classes = _predecessor_classes(query_vals, query_offsets, self.k)[pos]
+        # ``sub``: the first sub-run of the window's run with a class
+        # >= the window's (else the next run's first), where the
+        # window's own class starts; it ends one sub-run later when
+        # ``sub`` is that class (``own``), and at once otherwise.
+        key = runs * 5 + classes
+        sub = np.searchsorted(self.sub_key, key)
+        own = self.sub_key[np.minimum(sub, self.sub_key.size - 1)] == key
+        which, lo, counts = self._class_ranges(
+            runs, self.sub_lo[sub], self.sub_lo[sub + own], classes == _BOTTOM
+        )
+        # back from k-mer order to window order, the range before the
+        # window's class first.
+        windows, order = stable_sort(pos[which >> 1] * 2 + (which & 1))
+        return windows >> 1, lo[order], counts[order], self.kmer_reads, self.kmer_offsets
 
     def self_join(
         self,
@@ -217,18 +236,23 @@ class KmerIndex:
         ``(read id, offset)`` order, which is window order when
         ``read_indices`` ascends.
         """
-        sizes = np.diff(self.bounds, axis=1)
-        runs, classes = np.nonzero(sizes)  # the sub-runs, in row order
-        sub, lo, counts = self._class_ranges(runs, classes)
-        runs, classes = runs[sub], classes[sub]
-        size = sizes[runs, classes]
-        rows = ragged_positions(self.bounds[runs, classes], size)
-        win_reads, win_offsets = self.kmer_reads[rows], self.kmer_offsets[rows]
-        stride = int(self.kmer_offsets.max(initial=0)) + 1
-        order = stable_order(win_reads * stride + win_offsets)
+        runs, classes = np.divmod(self.sub_key, 5)
+        # A sub-run alone in its run has no partner, unless it is ⊥.
+        shared = classes == _BOTTOM
+        shared[1:] |= runs[1:] == runs[:-1]
+        shared[:-1] |= runs[:-1] == runs[1:]
+        sub = np.flatnonzero(shared)
+        which, lo, counts = self._class_ranges(
+            runs[sub], self.sub_lo[sub], self.sub_lo[sub + 1], classes[sub] == _BOTTOM
+        )
+        sub = sub[which >> 1]
+        size = np.diff(self.sub_lo)[sub]
+        rows = ragged_positions(self.sub_lo[sub], size)
+        shift = int(self.kmer_offsets.max(initial=0)).bit_length()
+        keys, order = stable_sort((self.kmer_reads[rows] << shift) | self.kmer_offsets[rows])
         return (
-            win_reads[order],
-            win_offsets[order],
+            keys >> shift,
+            keys & ((1 << shift) - 1),
             np.repeat(lo, size)[order],
             np.repeat(counts, size)[order],
             self.kmer_reads,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graph.sparse import ragged_positions
 from repro.sequence.dna import hamming_identity, reverse_complement
-from repro.sequence.kmers import batched_kmer_positions, stable_order
+from repro.sequence.kmers import batched_kmer_positions, stable_sort
 
 __all__ = ["Placement", "SequenceMapper"]
 
@@ -44,8 +44,7 @@ class SequenceMapper:
         self.k = k
         self.references = [np.asarray(r, dtype=np.uint8) for r in references]
         pos, vals, counts = batched_kmer_positions(self.references, k)
-        order = stable_order(vals)
-        self.vals = vals[order]
+        self.vals, order = stable_sort(vals)
         self.refs = np.repeat(np.arange(len(self.references)), counts)[order]
         self.pos = pos[order]
 

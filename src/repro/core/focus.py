@@ -44,7 +44,7 @@ from repro.partition.multilevel import (
     partition_via_multilevel,
 )
 from repro.sequence.dna import N, decode, hamming_identity, reverse_complement
-from repro.sequence.kmers import kmer_codes, stable_order
+from repro.sequence.kmers import kmer_codes, stable_sort
 
 __all__ = [
     "FINISH_STAGES",
@@ -79,7 +79,7 @@ def _count_rows(
     the product of the widths fits in :data:`_KEY_BITS` bits the rows
     pack into one ``int64`` for a single ``np.unique``; otherwise a
     ``lexsort`` orders them and the runs are cut where any column
-    changes, as :func:`stable_order` falls back to ``argsort``.
+    changes, as :func:`stable_sort` falls back to ``argsort``.
     """
     if prod(widths) <= 1 << _KEY_BITS:
         key = np.zeros(cols[0].size, dtype=np.int64)
@@ -126,9 +126,8 @@ def _placement_groups(
     owner = np.searchsorted(starts, row, side="right") - 1
     pos = row - starts[owner]
     flipped = rev < fwd
-    canon = np.minimum(fwd, rev)
-    order = stable_order(canon)
-    canon, owner, pos, flipped = canon[order], owner[order], pos[order], flipped[order]
+    canon, order = stable_sort(np.minimum(fwd, rev))
+    owner, pos, flipped = owner[order], pos[order], flipped[order]
     # Within a run of one canonical k-mer the rows are in rank order,
     # so each row's earlier-ranked partners are a prefix of its run.
     idx = np.arange(canon.size)

@@ -8,15 +8,16 @@ rule flags ``for``/``while`` loops in communicator-taking functions
 that neither run under ``timed()`` nor touch the communicator in their
 body (a loop that sends/receives is communication, not untimed compute).
 
-PERF002 — the vectorized hot paths must stay vectorized.  Three kinds
+PERF002 — the vectorized hot paths must stay vectorized.  Four kinds
 of function carry the contract: overlap detection
 (``src/repro/align/``, overlap/seed/vote/candidate functions), the finish
 kernels (every function of ``src/repro/graph/sparse.py`` and of
 ``src/repro/distributed/{dgraph,transitive,containment,trimming,traversal}.py``,
-the pair-table reader included) and
+the pair-table reader included),
 cluster layout (``layout_*`` / ``*_layout_*`` in
 ``src/repro/graph/contigs.py``, ``_select_*`` in
-``src/repro/graph/hybrid.py``).  Iterating ``.tolist()`` output there
+``src/repro/graph/hybrid.py``) and the k-mer packer (``kmer_codes`` in
+``src/repro/sequence/kmers.py``).  Iterating ``.tolist()`` output there
 reintroduces a per-element Python loop on the innermost path.  The
 scalar reference implementations live under ``tests/reference/``,
 outside the rule's scope.
@@ -106,11 +107,19 @@ def _is_selection_function(name: str) -> bool:
     return name.startswith("_select_")
 
 
+def _is_kmer_kernel(name: str) -> bool:
+    """The window packer every index build, store shard and dedupe
+    pass runs; not ``pack_kmer``, the one-k-mer scalar it is tested
+    against."""
+    return name in ("kmer_codes", "_pack_windows")
+
+
 #: path fragment -> which functions of a matching file are hot, by name.
 _NAME_SCOPED = (
     ("repro/align/", _is_hot_function),
     ("repro/graph/contigs.py", _is_layout_function),
     ("repro/graph/hybrid.py", _is_selection_function),
+    ("repro/sequence/kmers.py", _is_kmer_kernel),
 )
 
 #: modules whose every function is a vectorized finish-kernel path.

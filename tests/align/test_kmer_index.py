@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align.kmer_index import KmerIndex
 from repro.io.readset import ReadSet
 from repro.sequence.dna import encode
 from repro.sequence.kmers import kmer_codes
+from repro.simulate.genome import Genome, random_genome
+from repro.simulate.reads import ReadSimConfig, ReadSimulator
+from tests.reference.kmer_index_bounds import BoundsKmerIndex
 
 
 class TestKmerIndex:
@@ -177,3 +182,100 @@ class TestSeeds:
         assert list(zip(acg[1].tolist(), acg[2].tolist())) == [
             (1, 1), (0, 1), (2, 4), (2, 0), (3, 1),
         ]
+
+
+@st.composite
+def read_sets(draw):
+    """Up to eight reads cut from one short, possibly tandem-repeated
+    sequence — so k-mers repeat within and across reads, on two letters
+    with several predecessor classes each — with a few bases changed,
+    to ``N`` or to another base; sometimes no read at all."""
+    alphabet = draw(st.sampled_from(["ACGT", "AC"]))
+    motif = draw(st.text(alphabet=alphabet, min_size=1, max_size=40))
+    source = motif * draw(st.integers(min_value=1, max_value=4))
+    seqs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        lo = draw(st.integers(min_value=0, max_value=len(source) - 1))
+        hi = draw(st.integers(min_value=lo + 1, max_value=len(source)))
+        read = list(source[lo:hi])
+        for at in draw(st.lists(st.integers(min_value=0, max_value=len(read) - 1), max_size=3)):
+            read[at] = draw(st.sampled_from("ACGTN"))
+        seqs.append("".join(read))
+    return seqs
+
+
+def assert_same(got, expect):
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+class TestAgainstBoundsTable:
+    """The sub-run index answers exactly as the dense ``(distinct
+    k-mers, 6)`` class-boundary table did, array for array."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(read_sets(), st.sampled_from([3, 5, 16, 30, 31]), st.data())
+    def test_every_reader_equals_the_oracle(self, seqs, k, data):
+        reads = ReadSet.from_strings(seqs)
+        n = len(reads)
+        everyone = np.arange(n, dtype=np.int64)
+        ref = everyone
+        if n and data.draw(st.booleans(), label="subset"):
+            keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="keep")
+            picked = data.draw(st.permutations(everyone[keep].tolist()), label="ref")
+            ref = np.array(picked, dtype=np.int64)
+        idx, oracle = KmerIndex(reads, k, ref), BoundsKmerIndex(reads, k, ref)
+        assert_same((idx.kmer_reads, idx.kmer_offsets), (oracle.kmer_reads, oracle.kmer_offsets))
+        assert_same(idx.self_join(), oracle.self_join())
+        query = np.array(
+            data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True), label="query")
+            if n
+            else [],
+            dtype=np.int64,
+        )
+        # the reads left out of the index: classes its runs lack.
+        for reads_in in (query, np.setdiff1d(everyone, ref)):
+            vals, _, offsets = reads.kmer_table(k, reads_in)
+            assert_same(idx.seed_ranges(vals, offsets), oracle.seed_ranges(vals, offsets))
+        # any values, absent and invalid ones too.
+        noise = np.array(
+            data.draw(st.lists(st.integers(-1, 4**k - 1), max_size=10), label="noise"),
+            dtype=np.int64,
+        )
+        needles = np.concatenate([vals, noise, idx.run_kmers[:3]])
+        assert_same(idx.hit_ranges(needles), oracle.hit_ranges(needles))
+        assert_same(idx.lookup(needles), oracle.lookup(needles))
+
+
+def shotgun_sample():
+    """2,000 100-bp reads of a 25 kb random genome at 0.5 % error, with
+    their reverse complements, as the pipeline indexes them."""
+    rng = np.random.default_rng(11)
+    genome = Genome("g", random_genome(25_000, rng))
+    sim = ReadSimulator(ReadSimConfig(coverage=8, flat_error_rate=0.005, seed=11))
+    return sim.simulate_genome(genome).with_reverse_complements()
+
+
+class TestMemory:
+    """What the index costs per window, resident and while it builds.
+    The dense class-boundary table (tests/reference/kmer_index_bounds.py)
+    held 28.6 B per window here and peaked at 56.0 B building."""
+
+    def test_resident_and_build_peak_per_window(self):
+        import tracemalloc
+
+        reads = shotgun_sample()
+        reads.packed_kmers(16)  # the read set's cache, not the index's
+        tracemalloc.start()
+        try:
+            idx = KmerIndex(reads, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_windows = len(idx)
+        assert n_windows == 4000 * 85
+        resident = sum(a.nbytes for a in vars(idx).values() if isinstance(a, np.ndarray))
+        # measured 23.5 and 40.1; a window-sized array more is 8 B.
+        assert resident / n_windows <= 25.0
+        assert peak / n_windows <= 44.0

@@ -223,7 +223,7 @@ class TestWorkIsLinear:
 
             return wrapper
 
-        for name in ("kmer_codes", "stable_order", "hamming_identity"):
+        for name in ("kmer_codes", "stable_sort", "hamming_identity"):
             monkeypatch.setattr(focus, name, counting(name, getattr(focus, name)))
         monkeypatch.setattr(
             mapping.SequenceMapper,
@@ -237,7 +237,7 @@ class TestWorkIsLinear:
         kept = deduplicate_contigs(self.mirrored(n))
         assert len(kept) == n // 2
         assert 0 < counts.pop("hamming_identity") <= 2 * n
-        assert counts == {"kmer_codes": 2, "stable_order": 1}
+        assert counts == {"kmer_codes": 2, "stable_sort": 1}
 
 
 @pytest.mark.slow

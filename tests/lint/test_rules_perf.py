@@ -318,3 +318,35 @@ class TestPERF002LayoutScope:
         ):
             src = LAYOUT_SCALARIZED.replace("layout_clusters", name)
             assert perf2_findings(src, path=path) == [], (path, name)
+
+
+KMER_SCALARIZED = """
+def kmer_codes(codes, k):
+    out = []
+    for i in range(len(codes) - k + 1):
+        value = 0
+        for c in codes[i : i + k].tolist():
+            value = (value << 2) | c
+        out.append(value)
+    return out
+"""
+
+
+class TestPERF002KmerKernelScope:
+    """The k-mer packer, by function name in its module."""
+
+    def test_per_window_loop_in_the_packer_flagged(self):
+        for name in ("kmer_codes", "_pack_windows"):
+            src = KMER_SCALARIZED.replace("kmer_codes", name)
+            fs = perf2_findings(src, path="src/repro/sequence/kmers.py")
+            assert len(fs) == 1, name
+            assert fs[0].rule == "PERF002"
+
+    def test_scalar_helpers_and_other_modules_clean(self):
+        # pack_kmer is the one-k-mer oracle; the name alone is not hot.
+        for path, name in (
+            ("src/repro/sequence/kmers.py", "pack_kmer"),
+            ("src/repro/sequence/dna.py", "kmer_codes"),
+        ):
+            src = KMER_SCALARIZED.replace("kmer_codes", name)
+            assert perf2_findings(src, path=path) == [], (path, name)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence import dna, kmers
@@ -93,13 +93,57 @@ class TestKmerCodes:
         import tracemalloc
 
         codes = np.random.default_rng(0).integers(0, 4, 1 << 18).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            vals = kmers.kmer_codes(codes, 31)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * vals.nbytes
+        for k in (16, 31):
+            tracemalloc.start()
+            try:
+                vals = kmers.kmer_codes(codes, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * vals.nbytes, k
+
+
+def _windows_to_check(n_windows: int, rng: np.random.Generator) -> np.ndarray:
+    """Every window of a short sequence; of a long one, the windows
+    around each chunk boundary and a random sample."""
+    if n_windows <= 400:
+        return np.arange(max(n_windows, 0))
+    edges = np.arange(0, n_windows, kmers._CHUNK)
+    near = (edges[:, None] + np.arange(-40, 40)).ravel()
+    some = np.concatenate([near, rng.integers(0, n_windows, 300), [n_windows - 1]])
+    return np.unique(some[(some >= 0) & (some < n_windows)])
+
+
+class TestKmerCodesAgainstPack:
+    """``kmer_codes`` packs by doubling, chunk by chunk: every window is
+    ``pack_kmer`` of its bases, or -1 when one of them is ``N``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=31),
+        st.one_of(
+            st.integers(min_value=0, max_value=120),
+            st.sampled_from([-1, 0, 1]).map(lambda d: kmers._CHUNK + 30 + d),
+            st.integers(min_value=2 * kmers._CHUNK - 40, max_value=2 * kmers._CHUNK + 40),
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.002, 0.05, 1.0]),
+    )
+    def test_every_window_is_its_packed_bases(self, k, length, seed, n_rate):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 4, length).astype(np.uint8)
+        codes[rng.random(length) < n_rate] = dna.N
+        vals = kmers.kmer_codes(codes, k)
+        n_windows = max(length - k + 1, 0)
+        assert vals.size == n_windows and vals.dtype == np.int64
+        # the -1s, all of them: a window holds an N iff a count of the
+        # N codes changes across it.
+        seen = np.concatenate([[0], np.cumsum(codes == dna.N)])
+        assert np.array_equal(vals == -1, seen[k : k + n_windows] != seen[:n_windows])
+        for i in _windows_to_check(n_windows, rng).tolist():
+            window = codes[i : i + k]
+            expect = -1 if (window == dna.N).any() else kmers.pack_kmer(window)
+            assert vals[i] == expect, (k, length, i)
 
 
 class TestKmerPositions:
@@ -142,8 +186,9 @@ class TestCanonical:
 
 
 class TestStableOrder:
-    """``stable_order`` is ``argsort(kind="stable")`` on both of its
-    branches; which one runs is decided by the keys, not the caller."""
+    """``stable_sort`` is ``(np.sort(keys), argsort(kind="stable"))`` on
+    both of its branches, and ``stable_order`` its second half; which
+    branch runs is decided by the keys, not the caller."""
 
     @given(
         st.lists(st.integers(min_value=0, max_value=40), max_size=200),
@@ -152,18 +197,20 @@ class TestStableOrder:
     def test_matches_stable_argsort(self, values, offset):
         # + 2**62 leaves no room for the row number: the fallback.
         keys = np.array(values, dtype=np.int64) + offset
-        order = kmers.stable_order(keys)
-        assert order.dtype == np.int64
+        ordered, order = kmers.stable_sort(keys)
+        assert order.dtype == np.int64 and ordered.dtype == np.int64
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(ordered, np.sort(keys))
+        assert np.array_equal(kmers.stable_order(keys), order)
 
     def test_widest_keys_that_still_pack(self):
         # 200 rows take 8 bits: keys up to 2**55 - 1 pack, 2**55 does not.
         rng = np.random.default_rng(3)
         for top in (2**55 - 1, 2**55):
             keys = rng.choice(np.array([0, 7, top], dtype=np.int64), size=200)
-            assert np.array_equal(
-                kmers.stable_order(keys), np.argsort(keys, kind="stable")
-            )
+            ordered, order = kmers.stable_sort(keys)
+            assert np.array_equal(order, np.argsort(keys, kind="stable"))
+            assert np.array_equal(ordered, np.sort(keys))
 
     def test_negative_keys_take_the_fallback(self):
         keys = np.array([3, -1, 3, -1, 0], dtype=np.int64)
