@@ -27,7 +27,7 @@ def test_ablation_parallel_alignment(benchmark, datasets, write_result):
 
     def run_all():
         for p in RANKS:
-            cluster = SimCluster(p, cost_model=FAST_NET, deadlock_timeout=600.0)
+            cluster = SimCluster(p, cost_model=FAST_NET)
             results, stats = cluster.run(
                 run_stage_on_comm, get_stage("overlap"), OverlapSubject(reads, config, p)
             )

@@ -6,8 +6,8 @@ the hybrid graph is split over 8 -> 64 partitions; graph traversal is
 very cheap and roughly flat in the partition count.
 
 Here each stage runs on the simulated cluster with one rank per
-partition; plotted runtimes are virtual elapsed seconds, averaged over
-three repetitions.  To give the workers non-trivial per-rank work we
+partition; plotted runtimes are virtual elapsed seconds, the median of
+``RUNS`` repetitions.  To give the workers non-trivial per-rank work we
 trim a *lightly coarsened* hybrid graph (few coarsening levels keep
 thousands of nodes) — the paper's hybrid graphs likewise hold far more
 nodes per partition than our default benchmark datasets produce.
@@ -15,9 +15,10 @@ nodes per partition than our default benchmark datasets produce.
 Status: since the vectorized kernels became the only kernels the whole
 trim pass on these ~3,220-node graphs takes 2-11 virtual ms at every k
 (per-call numpy overhead, not partition work), so the strong-scaling
-assertion below holds in only about half the runs on this input; the
-input and the assertions are deliberately unchanged.  EXPERIMENTS.md
-has the numbers and ROADMAP open item 3g the follow-up.
+assertion below does not hold in every run on this input: it passed
+9 of 10 runs on a 2-core host, the failure on "trimming did not speed
+up".  The input and the assertions are deliberately unchanged.  EXPERIMENTS.md has the numbers and
+ROADMAP open item 5d the follow-up.
 """
 
 import numpy as np
@@ -55,7 +56,7 @@ def _run_stages(mls, hyb, asm, k):
     trims, travs = [], []
     for _ in range(RUNS):
         dag = DistributedAssemblyGraph(asm, part.labels_finest)
-        cluster = SimCluster(k, cost_model=FAST_NET, deadlock_timeout=300.0)
+        cluster = SimCluster(k, cost_model=FAST_NET)
         trim = 0.0
         for stage in ("transitive", "containment", "dead_ends", "bubbles"):
             _, stats = cluster.run(run_stage_on_comm, get_stage(stage), dag)

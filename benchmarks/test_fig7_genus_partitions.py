@@ -9,6 +9,13 @@ Firmicutes) show correlated partition profiles.
 Here the classifier is the k-mer voter against the simulated reference
 genomes, partitions come from the 16-way hybrid partitioning, and the
 heat map is rendered in ASCII.
+
+"Far from uniform" is checked twice: against the fixed bound of 0.9
+normalised entropy, and against a shuffled-label baseline — the same
+partition labels permuted over the reads with fixed seeds, which keeps
+every partition's size and destroys only the link between a read and
+its partition.  The ground-truth genus entropy must sit below the
+lowest shuffled one by ``ENTROPY_MARGIN`` (EXPERIMENTS.md, Fig. 7).
 """
 
 import numpy as np
@@ -26,6 +33,10 @@ from repro.partition.recursive import PartitionConfig
 from repro.simulate.taxonomy import PHYLUM_OF
 
 K_PARTS = 16
+#: shuffles of the partition labels in the baseline (seeds 0..N-1).
+N_SHUFFLES = 20
+#: how far the real mean entropy must sit below the lowest shuffled one.
+ENTROPY_MARGIN = 0.15
 
 
 def _analyse(ds, prep):
@@ -40,7 +51,18 @@ def _analyse(ds, prep):
     agree = np.mean(
         [p == t for p, t in zip(predicted, genus_labels) if t is not None and p is not None]
     )
-    return genera, matrix, truth_matrix, float(agree)
+    shuffled = [
+        normalized_entropy_per_genus(
+            genus_partition_matrix(
+                genus_labels,
+                np.random.default_rng(seed).permutation(read_parts),
+                genera,
+                K_PARTS,
+            )
+        ).mean()
+        for seed in range(N_SHUFFLES)
+    ]
+    return genera, matrix, truth_matrix, float(agree), float(min(shuffled))
 
 
 def test_fig7_genus_partition_distribution(benchmark, datasets, prepared, write_result):
@@ -53,20 +75,23 @@ def test_fig7_genus_partition_distribution(benchmark, datasets, prepared, write_
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     blocks = []
-    for name, (genera, matrix, _truth, agree) in analysis.items():
+    for name, (genera, matrix, truth, agree, shuffled) in analysis.items():
         maxf = max_fraction_per_genus(matrix)
         ent = normalized_entropy_per_genus(matrix)
+        truth_ent = normalized_entropy_per_genus(truth).mean()
         same, cross = phylum_colocation(matrix, genera, PHYLUM_OF)
         blocks.append(
             f"--- {name} (classifier/truth agreement {agree:.3f}) ---\n"
             + render_heatmap(matrix, genera)
             + f"\nmean max-fraction {maxf.mean():.3f} (uniform floor {1 / K_PARTS:.3f})"
             + f"\nmean normalised entropy {ent.mean():.3f} (uniform = 1.0)"
+            + f"\nground truth: mean normalised entropy {truth_ent:.3f}, lowest of "
+            + f"{N_SHUFFLES} label shuffles {shuffled:.3f}"
             + f"\nprofile correlation same-phylum {same:.3f} vs cross-phylum {cross:.3f}"
         )
     write_result("fig7_genus_partitions", "\n\n".join(blocks))
 
-    for name, (genera, matrix, truth_matrix, agree) in analysis.items():
+    for name, (genera, matrix, truth_matrix, agree, shuffled) in analysis.items():
         # The BWA-substitute classifier must be accurate on its own refs.
         assert agree > 0.9, f"{name}: classifier agreement {agree}"
         # Concentration: distributions are far from uniform (paper's
@@ -74,6 +99,12 @@ def test_fig7_genus_partition_distribution(benchmark, datasets, prepared, write_
         maxf = max_fraction_per_genus(matrix)
         assert maxf.mean() > 3.0 / K_PARTS, f"{name}: genera not concentrated"
         assert normalized_entropy_per_genus(matrix).mean() < 0.9
+        # ...and far below what the same partition sizes give by chance.
+        truth_ent = normalized_entropy_per_genus(truth_matrix).mean()
+        assert truth_ent < shuffled - ENTROPY_MARGIN, (
+            f"{name}: entropy {truth_ent:.3f} not below shuffled {shuffled:.3f} "
+            f"by {ENTROPY_MARGIN}"
+        )
         # Phylum co-location: same-phylum genera correlate more.
         same, cross = phylum_colocation(matrix, genera, PHYLUM_OF)
         assert same > cross, f"{name}: no phylum co-location ({same} vs {cross})"

@@ -93,7 +93,7 @@ def parallel_partition_graph_set(
     config = config or PartitionConfig()
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError("k must be a power of two")
-    cluster = SimCluster(n_ranks, cost_model=cost_model, deadlock_timeout=300.0)
+    cluster = SimCluster(n_ranks, cost_model=cost_model)
     results, stats = cluster.run(_rank_fn, gs, k, config)
     labels = results[0]
     for other in results[1:]:

@@ -2,12 +2,10 @@
 
 The distributed algorithms in this reproduction (recursive bisection,
 per-partition trimming, master-merge traversal) run as SPMD rank
-functions on :class:`~repro.mpi.SimCluster`.  The classic SPMD bug
-classes — collectives under rank-dependent branches, payloads mutated
-after an eager send, hidden-global RNG, compute outside the virtual
-clock — survive the test suite because they corrupt *timing* and
-*determinism* rather than values.  This package catches them at the
-AST level:
+functions on :class:`~repro.mpi.SimCluster`.  Bugs that corrupt
+*timing* and *determinism* rather than values — hidden-global RNG,
+compute outside the virtual clock, a kernel that imports the runtime —
+survive the test suite, so this package catches them at the AST level:
 
 {rule_table}
 
@@ -21,16 +19,12 @@ Run it as ``python -m repro lint [paths] [--format text|json]
 :func:`lint_source`.  Suppress a finding with a trailing
 ``# noqa: RULEID`` comment.
 
-Communication *protocols* — who sends what to whom, and whether every
-rank reaches the same collectives — are checked where they execute,
-by the simulated runtime: a receive from a rank that has already
-returned raises :class:`~repro.mpi.simcomm.DeadlockError` at once (a
-cycle among live ranks after the timeout), and
-``SimCluster(..., sanitize=True)`` fingerprints every payload at send
-and re-verifies it at receive
-(:class:`~repro.mpi.simcomm.PayloadMutationError`) and reports
-unconsumed mailbox messages at shutdown as
-:class:`~repro.mpi.simcomm.MessageLeakError`.
+Communication *protocols* — whether every rank reaches the same
+collectives — are checked where they execute, by the simulated
+runtime: a collective whose ranks disagree, or that a rank which has
+already returned can never join, raises
+:class:`~repro.mpi.simcomm.DeadlockError` at once, naming the ranks
+and their calls.
 """
 
 from repro.lint.context import FileContext

@@ -1,13 +1,9 @@
 """Per-file analysis context and shared AST helpers.
 
-The helpers encode the project's simulated-MPI programming model:
-
-- a *communicator-taking function* is any ``def`` whose parameter list
-  contains an argument named ``comm`` or annotated ``SimComm`` — the
-  SPMD rank functions that :class:`~repro.mpi.cluster.SimCluster`
-  launches and the distributed-algorithm drivers that receive one;
-- an expression is *rank-dependent* if it mentions ``<comm>.rank``,
-  ``<comm>.get_rank()``, or a local name assigned from either.
+A *communicator-taking function* is any ``def`` whose parameter list
+contains an argument named ``comm`` or annotated ``SimComm`` — the SPMD
+rank functions that :class:`~repro.mpi.cluster.SimCluster` launches
+and the distributed-algorithm drivers that receive one.
 """
 
 from __future__ import annotations
@@ -16,40 +12,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-__all__ = [
-    "FileContext",
-    "comm_param_name",
-    "rank_alias_names",
-    "is_rank_dependent",
-    "dotted_name",
-    "literal_int",
-    "MUTATING_METHODS",
-]
-
-#: collective operations of the simulated runtime.
-COLLECTIVE_METHODS = frozenset(
-    {"bcast", "gather", "scatter", "allgather", "reduce", "allreduce", "alltoall", "barrier"}
-)
-
-#: method calls that mutate their receiver in place (the
-#: mutate-after-send rule's list).
-MUTATING_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-        "sort", "reverse", "update", "add", "discard", "setdefault",
-        "fill", "resize", "put", "itemset",
-    }
-)
-
-#: point-to-point operations, mapped to the positional index of their
-#: ``tag`` argument (after the implicit first ``comm.`` receiver).
-P2P_TAG_POSITION = {
-    "send": 2,
-    "isend": 2,
-    "recv": 1,
-    "irecv": 1,
-    "sendrecv": 3,
-}
+__all__ = ["FileContext", "comm_param_name", "dotted_name", "references_name"]
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -74,7 +37,7 @@ class FileContext:
         """True when the physical line carries ``# noqa`` for this rule.
 
         Bare ``# noqa`` silences every rule on the line;
-        ``# noqa: MPI001,DET001`` silences only the listed ids.
+        ``# noqa: DET001,ROB001`` silences only the listed ids.
         """
         if not 1 <= line <= len(self.lines):
             return False
@@ -123,38 +86,6 @@ def comm_param_name(func: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
     return None
 
 
-def rank_alias_names(func: ast.AST, comm: str) -> set[str]:
-    """Local names assigned from ``comm.rank`` / ``comm.get_rank()``."""
-    aliases: set[str] = set()
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not _is_rank_expr(node.value, comm, aliases):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                aliases.add(target.id)
-    return aliases
-
-
-def _is_rank_expr(node: ast.expr, comm: str, aliases: set[str]) -> bool:
-    """True for ``comm.rank``, ``comm.get_rank()``, or a known alias."""
-    if isinstance(node, ast.Attribute) and node.attr == "rank":
-        return isinstance(node.value, ast.Name) and node.value.id == comm
-    if isinstance(node, ast.Call):
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr == "get_rank":
-            return isinstance(f.value, ast.Name) and f.value.id == comm
-    if isinstance(node, ast.Name):
-        return node.id in aliases
-    return False
-
-
-def is_rank_dependent(test: ast.expr, comm: str, aliases: set[str]) -> bool:
-    """True when any subexpression of ``test`` reads the rank."""
-    return any(_is_rank_expr(sub, comm, aliases) for sub in ast.walk(test))
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
@@ -164,17 +95,6 @@ def dotted_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def literal_int(node: ast.expr) -> int | None:
-    """The value of an integer literal, handling unary minus."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = literal_int(node.operand)
-        if inner is not None:
-            return -inner
     return None
 
 

@@ -4,7 +4,6 @@ from repro.lint.rules import (  # noqa: F401 (registration side effect)
     arch,
     determinism,
     memory,
-    mpi,
     perf,
     robustness,
 )

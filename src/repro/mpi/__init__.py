@@ -1,17 +1,23 @@
 """Simulated MPI runtime.
 
 The paper runs on an HPC cluster over MPI; this environment has no
-mpi4py and a GIL, so we substitute an in-process message-passing
-runtime with *virtual clocks*:
+mpi4py and a GIL, so we substitute an in-process SPMD runtime with
+*virtual clocks*:
 
 - each rank is a Python thread holding a :class:`SimComm`;
-- point-to-point and collective operations follow the mpi4py
-  lowercase (pickle-object) API, so the code would port to real MPI
-  nearly verbatim;
-- each rank's virtual clock advances by *measured* compute time (wrapped
-  in ``comm.timed()``) and by an alpha-beta (latency + inverse
-  bandwidth) communication cost model; a receive completes at
-  ``max(local clock, send clock + alpha + beta * bytes)``.
+- the communicator offers the four collectives the program calls —
+  ``gather``, ``bcast``, ``allgather``, ``barrier`` — with the mpi4py
+  lowercase (pickle-object) signatures, so the code would port to real
+  MPI nearly verbatim;
+- each collective is one rendezvous of all ranks: the last to arrive
+  checks that every rank made the same call, then computes each rank's
+  result and clock; a collective that can never complete (ranks
+  disagree, or one has exited) raises :class:`DeadlockError` at once;
+- each rank's virtual clock advances by *measured* compute time
+  (wrapped in ``comm.timed()``) and by the binomial-tree messages of
+  each collective under an alpha-beta (latency + inverse bandwidth)
+  cost model: a message arrives at ``send clock + alpha + beta *
+  bytes`` and the receiver's clock becomes ``max(own clock, arrival)``.
 
 Virtual elapsed time of a run is the maximum final clock over ranks —
 the LogP-style estimate of what a real cluster would measure, with the
@@ -26,12 +32,7 @@ from repro.mpi.schedule import (
     partition_schedule_makespan,
     speedup_curve,
 )
-from repro.mpi.simcomm import (
-    DeadlockError,
-    MessageLeakError,
-    PayloadMutationError,
-    SimComm,
-)
+from repro.mpi.simcomm import DeadlockError, SimComm
 from repro.mpi.timing import CommCostModel, payload_nbytes
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "CommCostModel",
     "payload_nbytes",
     "DeadlockError",
-    "PayloadMutationError",
-    "MessageLeakError",
     "lpt_makespan",
     "partition_schedule_makespan",
     "speedup_curve",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.mpi.simcomm import MessageLeakError, SimComm, _Channels
+from repro.mpi.simcomm import SimComm, _Rendezvous
 from repro.mpi.timing import CommCostModel
 
 __all__ = ["RunStats", "SimCluster"]
@@ -42,38 +42,20 @@ class SimCluster:
     ``run(fn, *args)`` starts one thread per rank executing
     ``fn(comm, *args)`` and returns ``(results, stats)`` where
     ``results[r]`` is rank r's return value.  Any rank exception is
-    re-raised in the caller after all threads stop.
+    re-raised in the caller after all threads stop; the first one
+    recorded is the cause, so a rank's own error wins over the
+    :class:`~repro.mpi.simcomm.DeadlockError` it leaves its peers.
     """
 
-    def __init__(
-        self,
-        n_ranks: int,
-        cost_model: CommCostModel | None = None,
-        deadlock_timeout: float = 60.0,
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, n_ranks: int, cost_model: CommCostModel | None = None) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
         self.cost_model = cost_model or CommCostModel()
-        self.deadlock_timeout = deadlock_timeout
-        #: runtime message sanitizer: payload fingerprints at send/recv
-        #: plus a message-leak check at shutdown (see docs/mpi_simulation.md).
-        self.sanitize = sanitize
 
     def run(self, fn, *args, **kwargs) -> tuple[list, RunStats]:
-        channels = _Channels()
-        comms = [
-            SimComm(
-                r,
-                self.n_ranks,
-                channels,
-                self.cost_model,
-                self.deadlock_timeout,
-                sanitize=self.sanitize,
-            )
-            for r in range(self.n_ranks)
-        ]
+        rendezvous = _Rendezvous(self.n_ranks, self.cost_model)
+        comms = [SimComm(r, self.n_ranks, rendezvous) for r in range(self.n_ranks)]
         results: list = [None] * self.n_ranks
         errors: list[tuple[int, BaseException]] = []
 
@@ -83,9 +65,8 @@ class SimCluster:
             except BaseException as exc:  # noqa: BLE001 - must not kill the pool silently
                 errors.append((rank, exc))
             finally:
-                # Peers still receiving from this rank fail now, not
-                # after the deadlock timeout.
-                channels.finish(rank)
+                # A collective this rank can no longer join fails now.
+                rendezvous.exit(rank)
 
         threads = [
             threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
@@ -98,21 +79,6 @@ class SimCluster:
         if errors:
             rank, exc = errors[0]
             raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-        if self.sanitize:
-            leaks = channels.unconsumed()
-            if leaks:
-                detail = ", ".join(
-                    f"rank {src}->{dst} tag {tag}: {n} message(s)"
-                    for src, dst, tag, n in leaks
-                )
-                clocks = ", ".join(
-                    f"rank {c.rank}={c.clock:.6f}s" for c in comms
-                )
-                raise MessageLeakError(
-                    f"unconsumed messages at cluster shutdown ({detail}); "
-                    "every send needs a matching receive "
-                    f"[virtual clocks at shutdown: {clocks}]"
-                )
         stats = RunStats(
             clocks=[c.clock for c in comms],
             compute_times=[c.compute_time for c in comms],

@@ -8,7 +8,7 @@ root's clock, broadcast — exactly the communication pattern the
 paper's Fig. 6 times.  The returned ``elapsed`` is the cluster's
 virtual wall-clock (slowest rank), not real time.
 
-Failures are loud: a rank that raises, or a receive that can never
+Failures are loud: a rank that raises, or a collective that can never
 complete, makes :meth:`SimCluster.run` raise a ``RuntimeError`` naming
 the rank, and :meth:`SimBackend.run_stage` lets it propagate.  There is
 no retry — kernels are deterministic, so a second attempt would fail
@@ -31,20 +31,9 @@ class SimBackend(ExecutionBackend):
     name = "sim"
     time_kind = "virtual"
 
-    def __init__(
-        self,
-        subject,
-        cost_model: CommCostModel | None = None,
-        deadlock_timeout: float = 600.0,
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, subject, cost_model: CommCostModel | None = None) -> None:
         super().__init__(subject)
-        self.cluster = SimCluster(
-            max(subject.n_parts, 1),
-            cost_model=cost_model,
-            deadlock_timeout=deadlock_timeout,
-            sanitize=sanitize,
-        )
+        self.cluster = SimCluster(max(subject.n_parts, 1), cost_model=cost_model)
 
     def run_stage(self, stage: StageSpec | str, **params) -> StageOutcome:
         spec = self._resolve(stage)

@@ -486,14 +486,13 @@ def create_backend(
     *,
     workers: int = 0,
     cost_model=None,
-    sanitize: bool = False,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> ExecutionBackend:
     """Instantiate a backend by name for one partitioned subject.
 
     ``workers``, ``retry`` and ``fault_plan`` only affect ``process``;
-    ``cost_model`` and ``sanitize`` only affect ``sim``.  A fault plan
+    ``cost_model`` only affects ``sim``.  A fault plan
     fires only in process workers, so serial and sim refuse one.
     """
     if name not in BACKEND_NAMES:
@@ -513,4 +512,4 @@ def create_backend(
     # repro.parallel itself never depends on repro.mpi.
     from repro.mpi.stage_backend import SimBackend
 
-    return SimBackend(subject, cost_model=cost_model, sanitize=sanitize)
+    return SimBackend(subject, cost_model=cost_model)

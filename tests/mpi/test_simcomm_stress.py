@@ -12,16 +12,16 @@ FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
 
 def cluster(n):
-    return SimCluster(n, cost_model=FAST, deadlock_timeout=20.0)
+    return SimCluster(n, cost_model=FAST)
 
 
 class TestManyRanks:
-    def test_sixteen_rank_allreduce(self):
+    def test_sixteen_rank_allgather(self):
         def fn(comm):
-            return comm.allreduce(comm.rank)
+            return comm.allgather(comm.rank)
 
         results, _ = cluster(16).run(fn)
-        assert results == [sum(range(16))] * 16
+        assert results == [list(range(16))] * 16
 
     def test_large_array_bcast(self):
         def fn(comm):
@@ -38,34 +38,14 @@ class TestManyRanks:
         def fn(comm):
             x = comm.bcast(comm.rank if comm.rank == 0 else None, root=0)
             y = comm.allgather(x + comm.rank)
-            z = comm.reduce(sum(y), root=0)
+            z = comm.gather(sum(y), root=0)
             comm.barrier()
-            return z
+            return z and sum(z)
 
         results, _ = cluster(6).run(fn)
         expect = sum(range(6)) * 6
         assert results[0] == expect
         assert all(r is None for r in results[1:])
-
-    def test_ring_communication(self):
-        def fn(comm):
-            nxt = (comm.rank + 1) % comm.size
-            prv = (comm.rank - 1) % comm.size
-            comm.send(comm.rank, dest=nxt)
-            return comm.recv(source=prv)
-
-        results, _ = cluster(8).run(fn)
-        assert results == [(r - 1) % 8 for r in range(8)]
-
-    def test_all_to_one_funnel(self):
-        def fn(comm):
-            if comm.rank == 0:
-                return sorted(comm.recv(source=src) for src in range(1, comm.size))
-            comm.send(comm.rank * 10, dest=0)
-            return None
-
-        results, _ = cluster(10).run(fn)
-        assert results[0] == [r * 10 for r in range(1, 10)]
 
 
 class TestClockProperties:
@@ -77,7 +57,7 @@ class TestClockProperties:
             comm.barrier()
             return comm.clock
 
-        results, _ = SimCluster(len(works), cost_model=FAST, deadlock_timeout=20.0).run(fn)
+        results, _ = SimCluster(len(works), cost_model=FAST).run(fn)
         assert all(c >= max(works) - 1e-12 for c in results)
 
     def test_clock_monotone_through_operations(self):
@@ -100,9 +80,7 @@ class TestClockProperties:
         def fn(comm):
             if comm.rank == 0:
                 comm.advance(1.0)
-                comm.send("x", dest=1)
-            else:
-                comm.recv(source=0)  # waits a virtual second
+            comm.bcast("x", root=0)  # rank 1 waits a virtual second
             return comm.compute_time
 
         results, _ = cluster(2).run(fn)

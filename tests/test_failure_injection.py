@@ -1,6 +1,8 @@
 """Failure-injection tests: the system degrades loudly, not silently."""
 
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -122,16 +124,24 @@ class TestRuntimeFailures:
     def test_mismatched_collective_deadlocks_cleanly(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.gather(1, root=0)  # noqa: MPI001 - deliberate deadlock fixture
+                comm.gather(1, root=0)
             # rank 1 returns immediately
 
-        with pytest.raises(RuntimeError, match="timed out|failed"):
-            SimCluster(2, cost_model=FAST, deadlock_timeout=0.3).run(fn)
+        with pytest.raises(RuntimeError, match="exited without joining") as ei:
+            SimCluster(2, cost_model=FAST).run(fn)
+        assert isinstance(ei.value.__cause__, DeadlockError)
 
-    def test_recv_from_dead_rank(self):
+    def test_collective_after_peer_exited_fails_at_once(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.recv(source=1)
+                names = {t.name: t for t in threading.enumerate()}
+                if "simrank-1" in names:  # else it has already exited
+                    names["simrank-1"].join(timeout=10.0)
+                    assert not names["simrank-1"].is_alive()
+                comm.barrier()
 
-        with pytest.raises(RuntimeError):
-            SimCluster(2, cost_model=FAST, deadlock_timeout=0.3).run(fn)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank 1 exited without joining") as ei:
+            SimCluster(2, cost_model=FAST).run(fn)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(ei.value.__cause__, DeadlockError)
