@@ -4,13 +4,18 @@ The expensive, partition-count-independent pipeline stages (dataset
 generation, read alignment, graph/hybrid construction) run once per
 session and are shared by every bench.  Each bench writes the table or
 figure series it regenerates into ``benchmarks/results/`` so the
-numbers quoted in EXPERIMENTS.md are reproducible artifacts.
+numbers quoted in EXPERIMENTS.md are reproducible artifacts; its first
+line names the host that recorded them.
 """
 
 from __future__ import annotations
 
+import datetime
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench.datasets import standard_datasets
@@ -66,13 +71,24 @@ def partition_sweep(prepared):
     return out
 
 
+def host_stamp() -> str:
+    """One line: the host's CPU count and load, the Python and numpy
+    versions and the UTC date, so absolute times say where they ran."""
+    load = " ".join(f"{x:.2f}" for x in os.getloadavg())
+    today = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    return (
+        f"# host: cpu_count {os.cpu_count()}, loadavg {load}, "
+        f"python {platform.python_version()}, numpy {np.__version__}, {today} UTC"
+    )
+
+
 @pytest.fixture(scope="session")
 def write_result():
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _write(name: str, text: str) -> None:
         path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        path.write_text(f"{host_stamp()}\n{text}\n", encoding="utf-8")
         print(f"\n=== {name} ===\n{text}\n")
 
     return _write

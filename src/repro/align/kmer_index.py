@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.sparse import ragged_positions
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, ragged_positions
 from repro.sequence.kmers import max_k_for_dtype, stable_sort
 
 __all__ = ["KmerIndex"]

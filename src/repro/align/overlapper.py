@@ -54,8 +54,7 @@ from repro.align.kmer_index import KmerIndex
 from repro.align.overlap import Overlap, PackedOverlaps
 from repro.distributed.stages import register_stage
 from repro.faults import FaultPlan, RetryPolicy
-from repro.graph.sparse import ragged_positions
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, ragged_positions
 from repro.parallel.backend import ExecutionBackend, create_backend
 from repro.parallel.schedule import lpt_assignment, subset_pair_costs
 from repro.sequence.dna import N

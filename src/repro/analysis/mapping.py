@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.sparse import ragged_positions
+from repro.io.readset import ragged_positions
 from repro.sequence.dna import hamming_identity, reverse_complement
 from repro.sequence.kmers import batched_kmer_positions, stable_sort
 

@@ -34,8 +34,7 @@ from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import OverlapGraph
-from repro.graph.sparse import ragged_positions
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, ragged_positions
 from repro.mpi.timing import CommCostModel
 from repro.parallel.backend import create_backend
 from repro.partition.multilevel import (

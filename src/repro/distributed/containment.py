@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.dgraph import DistributedAssemblyGraph
+from repro.distributed.dgraph import DistributedAssemblyGraph, sorted_unique
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import ragged_positions, sorted_unique
+from repro.io.readset import ragged_positions
 
 __all__ = [
     "find_containments",
@@ -62,21 +62,19 @@ def find_containments(
 
     A node's scan ends at its first containment hit, so a
     short-overlap edge *after* that hit is never proposed by this
-    node.  "After" is the graph's adjacency order — every
-    ``OverlapGraph`` lists a node's higher neighbours ascending, then
-    its lower ones — which the rank ``nbr - n_nodes`` (higher) / ``nbr``
-    (lower) reproduces on the node's alive rows of the pair table.
+    node.  "After" is the graph's adjacency order, the order of the
+    node's CSR rows, so the first hit is the smallest hit row.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     rows, degrees = dag.rows_of(nodes)
     if rows.size == 0:
         return empty, empty
-    pairs = dag.pairs
+    g = dag.graph
     contigs = dag.assembly.contigs
     lengths = dag.assembly.contig_lengths
     owner = np.repeat(np.arange(nodes.size, dtype=np.int64), degrees)
-    v, nbrs, d = pairs.src[rows], pairs.dst[rows], pairs.delta[rows]
+    v, nbrs, d = nodes[owner], g.adj[rows], g.adj_delta[rows]
     len_v, len_u = lengths[v], lengths[nbrs]
     overlap = np.minimum(len_v, d + len_u) - np.maximum(0, d)
     short = overlap < min_overlap
@@ -92,15 +90,14 @@ def find_containments(
     )
     hit = geom & (ident >= min_identity)
     # First containment hit per node, in adjacency order, ends its scan.
-    n = pairs.n_nodes
-    rank = np.where(nbrs > v, nbrs - n, nbrs)
-    first_hit = np.full(nodes.size, n, dtype=np.int64)
-    np.minimum.at(first_hit, owner[hit], rank[hit])
-    dead_nodes = nodes[first_hit < n]
-    dead_edge_rows = short & (rank < first_hit[owner])
+    end = g.adj.size
+    first_hit = np.full(nodes.size, end, dtype=np.int64)
+    np.minimum.at(first_hit, owner[hit], rows[hit])
+    dead_nodes = nodes[first_hit < end]
+    dead_edge_rows = short & (rows < first_hit[owner])
     return (
         sorted_unique(dead_nodes),
-        sorted_unique(pairs.eid[rows[dead_edge_rows]]),
+        sorted_unique(g.adj_edge[rows[dead_edge_rows]]),
     )
 
 

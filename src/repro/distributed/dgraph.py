@@ -8,11 +8,22 @@ derived from the heaviest crossing G0 overlap — plus an implied
 contig-overlap length.
 
 ``DistributedAssemblyGraph`` wraps the enriched graph with partition
-ownership and alive-masks.  Every stage reads the alive graph one way:
-the directed pair table (:class:`~repro.graph.sparse.PairTable`)
-through the masks.  Workers only read; the master applies the removals
-they report (paper §V), so no locking is needed beyond the
-gather/apply barrier the algorithms already have.
+ownership and alive-masks.  The finish stages (paper §V: transitive
+reduction, containment removal, dead-end trimming, bubble popping,
+traversal and the variant caller) batch each stage into
+whole-partition numpy operations over the graph's one adjacency, the
+way diBELLA keeps the string graph as one sparse matrix that every
+step of its transitive reduction reads (PAPERS.md), and Dinh &
+Rajasekaran's compact overlap graph keeps one edge encoding.  That
+adjacency is the graph's own CSR (``indptr``, ``adj``, ``adj_edge``,
+``adj_delta``), read *in place* through the current masks — nothing
+is copied, sorted or compacted — by :meth:`~DistributedAssemblyGraph.rows_of`
+(alive rows and degrees of a node set), ``lookup`` and ``pair_deltas``
+(vectorized pair queries), so a kernel pays for its partition's rows
+plus the hops it reads, never an O(E) pass per partition per stage.
+Workers only read; the master applies the removals they report (paper
+§V), so no locking is needed beyond the gather/apply barrier the
+algorithms already have.
 """
 
 from __future__ import annotations
@@ -27,10 +38,31 @@ from repro.graph.contigs import consensus_of_layouts, layout_clusters
 from repro.graph.csr import split_groups
 from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import OverlapGraph
-from repro.graph.sparse import PairTable, ragged_positions
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, ragged_positions
 
-__all__ = ["HybridAssembly", "enrich_hybrid", "DistributedAssemblyGraph"]
+__all__ = [
+    "HybridAssembly",
+    "enrich_hybrid",
+    "DistributedAssemblyGraph",
+    "sorted_unique",
+]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array: sort, drop repeats.
+
+    Same result as ``np.unique(values)``, which recent numpy routes
+    through a hash table that is 10-30x slower than this on the int64
+    id and key arrays the finish kernels deduplicate (numpy 2.4.6:
+    1.2 ms vs 0.07 ms at 10^4 elements, 27 ms vs 0.8 ms at 10^5).
+    """
+    values = np.array(values)  # private copy, sorted in place
+    values.sort()
+    if values.size == 0:
+        return values
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 @dataclass
@@ -117,7 +149,17 @@ def _as_ids(ids) -> np.ndarray:
 
 
 class DistributedAssemblyGraph:
-    """Partition-owned view of a :class:`HybridAssembly` with alive masks."""
+    """Partition-owned view of a :class:`HybridAssembly` with alive masks.
+
+    The alive graph is the assembly graph's CSR read through the
+    masks.  A row is a CSR position: node ``v``'s rows
+    ``indptr[v]:indptr[v+1]`` list its higher neighbours ascending,
+    then its lower ones ascending, so the row key ``v * 2n + adj``
+    (higher) / ``v * 2n + n + adj`` (lower) is strictly increasing
+    over the whole CSR and :meth:`lookup` binary-searches it with no
+    sort.  ``n_nodes`` must stay below ``2**31`` for the key to fit
+    int64.
+    """
 
     def __init__(self, assembly: HybridAssembly, labels: np.ndarray) -> None:
         labels = np.asarray(labels, dtype=np.int64)
@@ -126,15 +168,16 @@ class DistributedAssemblyGraph:
         if labels.size and labels.min() < 0:
             raise ValueError("labels must be non-negative")
         self.assembly = assembly
-        self.graph = assembly.graph
+        self.graph = g = assembly.graph
         self.labels = labels
         self.n_parts = int(labels.max()) + 1 if labels.size else 0
-        self.node_alive = np.ones(self.graph.n_nodes, dtype=bool)
-        self.edge_alive = np.ones(self.graph.n_edges, dtype=bool)
-        #: mask-independent directed pair table, sorted once per graph;
-        #: every stage reads the alive graph through it (:meth:`rows_of`,
-        #: :meth:`lookup`, :meth:`pair_deltas`).
-        self.pairs = PairTable(self.graph)
+        self.node_alive = np.ones(g.n_nodes, dtype=bool)
+        self.edge_alive = np.ones(g.n_edges, dtype=bool)
+        #: mask-independent lookup key of every CSR row, built once per
+        #: graph in O(E); worker views share it.
+        n = g.n_nodes
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+        self.key = src * (2 * n) + np.where(g.adj > src, g.adj, g.adj + n)
 
     # -- stage subject (docs/architecture.md, the subject contract) --------
 
@@ -154,7 +197,7 @@ class DistributedAssemblyGraph:
 
     def worker_view(self) -> "DistributedAssemblyGraph":
         """A worker's own view (own, all-alive masks) of the shared
-        assembly; the pair table is the master's, not sorted again."""
+        assembly; the graph and its lookup key are the master's."""
         view = copy.copy(self)
         view.state = (np.ones_like(self.node_alive), np.ones_like(self.edge_alive))
         return view
@@ -165,25 +208,27 @@ class DistributedAssemblyGraph:
         """Alive nodes owned by ``part``."""
         return np.flatnonzero((self.labels == part) & self.node_alive)
 
-    # -- the alive graph: the pair table read through the masks ----------
+    # -- the alive graph: the CSR read through the masks ---------------
 
     def rows_of(self, nodes) -> tuple[np.ndarray, np.ndarray]:
         """(alive row positions, alive degree per node) of a node sequence.
 
-        Rows index the :attr:`pairs` table; a row is alive when its
-        edge and both endpoints are.  Rows are concatenated in the
-        order of ``nodes`` (repeats allowed), each node's in ``dst``
-        order, so node ``i``'s rows start at ``cumsum(degrees)[i] -
-        degrees[i]``.  Cost is the nodes' table rows, not the graph's.
+        Rows index the graph's CSR (``adj``, ``adj_edge``,
+        ``adj_delta``); a row is alive when its edge and both endpoints
+        are.  Rows are concatenated in the order of ``nodes`` (repeats
+        allowed), each node's in CSR order, so node ``i``'s rows start
+        at ``cumsum(degrees)[i] - degrees[i]`` and each row's source is
+        ``np.repeat(nodes, degrees)``.  Cost is the nodes' rows, not
+        the graph's.
         """
-        t = self.pairs
+        g = self.graph
         nodes = np.asarray(nodes, dtype=np.int64)
-        counts = t.degrees[nodes]
-        rows = ragged_positions(t.indptr[nodes], counts)
+        counts = g.indptr[nodes + 1] - g.indptr[nodes]
+        rows = ragged_positions(g.indptr[nodes], counts)
         alive = (
-            self.edge_alive[t.eid[rows]]
-            & self.node_alive[t.dst[rows]]
-            & self.node_alive[t.src[rows]]
+            self.edge_alive[g.adj_edge[rows]]
+            & self.node_alive[g.adj[rows]]
+            & np.repeat(self.node_alive[nodes], counts)
         )
         owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         return rows[alive], np.bincount(owner[alive], minlength=counts.size)
@@ -192,14 +237,15 @@ class DistributedAssemblyGraph:
         """(row positions, found mask) of alive directed pairs (u, v)."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        t = self.pairs
-        if t.key.size == 0:
+        key = self.key
+        if key.size == 0:
             return np.zeros(us.shape, dtype=np.int64), np.zeros(us.shape, dtype=bool)
-        want = us * t.n_nodes + vs
-        pos = np.minimum(np.searchsorted(t.key, want), t.key.size - 1)
+        n = self.graph.n_nodes
+        want = us * (2 * n) + np.where(vs > us, vs, vs + n)
+        pos = np.minimum(np.searchsorted(key, want), key.size - 1)
         found = (
-            (t.key[pos] == want)
-            & self.edge_alive[t.eid[pos]]
+            (key[pos] == want)
+            & self.edge_alive[self.graph.adj_edge[pos]]
             & self.node_alive[us]
             & self.node_alive[vs]
         )
@@ -208,9 +254,9 @@ class DistributedAssemblyGraph:
     def pair_deltas(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
         """(delta of edge u-v as seen from u, found mask); 0 where absent."""
         pos, found = self.lookup(us, vs)
-        if self.pairs.delta.size == 0:
+        if self.key.size == 0:
             return np.zeros(found.shape, dtype=np.int64), found
-        return np.where(found, self.pairs.delta[pos], 0), found
+        return np.where(found, self.graph.adj_delta[pos], 0), found
 
     # -- master mutations -----------------------------------------------------
 

@@ -37,8 +37,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph.sparse import sorted_unique
-
 __all__ = [
     "StageSpec",
     "register_stage",
@@ -122,6 +120,10 @@ def union_proposals(proposals) -> np.ndarray:
     removals are idempotent); the merge deduplicates so removal counts
     stay exact.
     """
+    # dgraph imports the graph package, which imports alignment, whose
+    # overlap stage registers here: import it on first call.
+    from repro.distributed.dgraph import sorted_unique
+
     if len(proposals) == 0:
         return np.empty(0, dtype=np.int64)
     flat = np.concatenate(proposals, axis=None, dtype=np.int64, casting="unsafe")

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.dgraph import DistributedAssemblyGraph
+from repro.distributed.dgraph import DistributedAssemblyGraph, sorted_unique
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import ragged_positions, sorted_unique
+from repro.io.readset import ragged_positions
 
 __all__ = [
     "find_transitive_edges",
@@ -44,15 +44,16 @@ def find_transitive_edges(
     evaluated on the pattern of ``A_right`` (diBELLA's reduction step).
     """
     nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
-    pairs = dag.pairs
-    # Right-extending rows of the partition's own nodes; CSR slices of
-    # sorted nodes keep the structure's (src, dst) order, so a source's
-    # right rows are one sorted run.
-    rows, _ = dag.rows_of(nodes)
-    rows = rows[pairs.delta[rows] > 0]
+    g = dag.graph
+    # Right-extending rows of the partition's own nodes; rows come
+    # grouped by node and the nodes are sorted, so a source's right
+    # rows are one contiguous run.
+    rows, degrees = dag.rows_of(nodes)
+    right = g.adj_delta[rows] > 0
+    rows = rows[right]
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    src = pairs.src[rows]
+    src = np.repeat(nodes, degrees)[right]
     first = np.searchsorted(src, src, side="left")
     fan = np.searchsorted(src, src, side="right") - first
     # Blocks of far rows whose pair count stays under the budget.
@@ -63,13 +64,13 @@ def find_transitive_edges(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         far = np.repeat(rows[lo:hi], fan[lo:hi])
         near = rows[ragged_positions(first[lo:hi], fan[lo:hi])]
-        dw, du = pairs.delta[near], pairs.delta[far]
+        dw, du = g.adj_delta[near], g.adj_delta[far]
         closer = dw < du
         far, near, gap = far[closer], near[closer], (du - dw)[closer]
         # Witness check: alive edge w-u whose delta from w matches du - dw.
-        d_wu, found = dag.pair_deltas(pairs.dst[near], pairs.dst[far])
+        d_wu, found = dag.pair_deltas(g.adj[near], g.adj[far])
         hit = found & (np.abs(d_wu - gap) <= tolerance)
-        transitive.append(pairs.eid[far[hit]])
+        transitive.append(g.adj_edge[far[hit]])
     return sorted_unique(np.concatenate(transitive))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
 from repro.graph.contigs import overlay_votes, vote_winners
-from repro.graph.sparse import ragged_positions
+from repro.io.readset import ragged_positions
 
 __all__ = [
     "subpath_kernel",
@@ -52,7 +52,7 @@ def _unique_neighbours(
     where it has none or several."""
     rows, degrees = dag.rows_of(nodes)
     owner = np.repeat(np.arange(nodes.size), degrees)
-    delta, dst = dag.pairs.delta[rows], dag.pairs.dst[rows]
+    delta, dst = dag.graph.adj_delta[rows], dag.graph.adj[rows]
     right, left = np.full((2, nodes.size), -1, dtype=np.int64)
     for near, side in ((right, delta > 0), (left, delta < 0)):
         near[owner[side]] = dst[side]

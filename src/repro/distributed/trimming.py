@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.dgraph import DistributedAssemblyGraph
+from repro.distributed.dgraph import DistributedAssemblyGraph, sorted_unique
 from repro.distributed.stages import register_stage, union_proposals
-from repro.graph.sparse import sorted_unique
 
 __all__ = [
     "find_dead_ends",
@@ -50,7 +49,7 @@ def find_dead_ends(
     O(nodes) Python steps.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    pairs = dag.pairs
+    adj = dag.graph.adj
     contig_len = dag.assembly.contig_lengths
     rows, deg = dag.rows_of(nodes)
     # A tip's single alive row is its neighbour.
@@ -60,7 +59,7 @@ def find_dead_ends(
     # Walk state: bases counts the chain collected so far (tip
     # included); cur is the node under inspection this round.
     prev = tips
-    cur = pairs.dst[rows[(np.cumsum(deg) - deg)[tip]]]
+    cur = adj[rows[(np.cumsum(deg) - deg)[tip]]]
     bases = contig_len[tips].astype(np.int64)
     ok = np.zeros(n_tips, dtype=bool)
     active = np.arange(n_tips, dtype=np.int64)
@@ -85,8 +84,8 @@ def find_dead_ends(
         chain_tip.append(active)
         chain_node.append(cur)
         bases = bases + contig_len[cur]
-        nbr0 = pairs.dst[rows[lo]]
-        nbr1 = pairs.dst[rows[lo + 1]]
+        nbr0 = adj[rows[lo]]
+        nbr1 = adj[rows[lo + 1]]
         nxt = np.where(nbr0 != prev, nbr0, nbr1)
         prev, cur = cur, nxt
     out = [tips[ok]]
@@ -129,19 +128,19 @@ def parallel_branches(
     and the variant caller both read bubbles from here.
     """
     nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
-    pairs = dag.pairs
+    g = dag.graph
     # The anchors' own rows whose far end is a degree-2 branch.
-    rows, _ = dag.rows_of(nodes)
-    u_rows, u_deg = dag.rows_of(pairs.dst[rows])
+    rows, degrees = dag.rows_of(nodes)
+    u_rows, u_deg = dag.rows_of(g.adj[rows])
     branch = u_deg == 2
     rows = rows[branch]
-    v = pairs.src[rows]
-    u = pairs.dst[rows]
-    side = np.sign(pairs.delta[rows])
+    v = np.repeat(nodes, degrees)[branch]
+    u = g.adj[rows]
+    side = np.sign(g.adj_delta[rows])
     # u's far endpoint: the one of its two alive rows that is not v.
     lo = (np.cumsum(u_deg) - u_deg)[branch]
-    nbr0 = pairs.dst[u_rows[lo]]
-    nbr1 = pairs.dst[u_rows[lo + 1]]
+    nbr0 = g.adj[u_rows[lo]]
+    nbr1 = g.adj[u_rows[lo + 1]]
     w = np.where(nbr0 != v, nbr0, nbr1)
     order = np.lexsort((u, dag.assembly.contig_lengths[u], w, side, v))
     v, u, side, w = v[order], u[order], side[order], w[order]

@@ -27,7 +27,7 @@ from repro.align.banded_nw import banded_align
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
 from repro.distributed.trimming import parallel_branches
-from repro.graph.sparse import ragged_positions
+from repro.io.readset import ragged_positions
 from repro.sequence.dna import decode
 
 __all__ = ["Variant", "find_bubble_variants", "variants_kernel", "variants_merge"]

@@ -84,10 +84,7 @@ def layout_clusters(
         stamp[dst[::-1]] = keep[::-1]
         won = stamp[dst] == keep
         keep, dst = keep[won], dst[won]
-        rows, src = rows[keep], src[keep]
-        delta = g0.deltas[g0.adj_edge[rows]]
-        # eu < ev, so a delta reads forwards from the smaller end.
-        offset[dst] = offset[src] + np.where(src < dst, delta, -delta)
+        offset[dst] = offset[src[keep]] + g0.adj_delta[rows[keep]]
         seen[dst] = True
         frontier = dst
     inside = label[g0.eu] == label[g0.ev]

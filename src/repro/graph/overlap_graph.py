@@ -174,7 +174,9 @@ class OverlapGraph(Level):
 
     ``deltas[i]`` is the offset of ``ev[i]`` relative to ``eu[i]``; it
     flips sign with the orientation, and a merged edge keeps the delta
-    of its heaviest instance (of the last one on a tie).
+    of its heaviest instance (of the last one on a tie).  ``adj_delta``
+    is the CSR's delta column: row ``r`` of node ``v`` holds the offset
+    of ``adj[r]`` relative to ``v``.
     """
 
     def __init__(
@@ -191,6 +193,8 @@ class OverlapGraph(Level):
         if deltas.shape != np.shape(eu):
             raise ValueError("deltas must match the edge count")
         self.deltas = self._build(n_nodes, eu, ev, weights, node_weights, deltas)
+        d = self.deltas[self.adj_edge]
+        self.adj_delta = np.where(self.adj == self.ev[self.adj_edge], d, -d)
 
     @classmethod
     def from_overlaps(

@@ -11,9 +11,9 @@ body (a loop that sends/receives is communication, not untimed compute).
 PERF002 — the vectorized hot paths must stay vectorized.  Four kinds
 of function carry the contract: overlap detection
 (``src/repro/align/``, overlap/seed/vote/candidate functions), the finish
-kernels (every function of ``src/repro/graph/sparse.py`` and of
+kernels (every function of
 ``src/repro/distributed/{dgraph,transitive,containment,trimming,traversal}.py``,
-the pair-table reader included),
+the masked CSR reader included),
 cluster layout (``layout_*`` / ``*_layout_*`` in
 ``src/repro/graph/contigs.py``, ``_select_*`` in
 ``src/repro/graph/hybrid.py``) and the k-mer packer (``kmer_codes`` in
@@ -124,7 +124,6 @@ _NAME_SCOPED = (
 
 #: modules whose every function is a vectorized finish-kernel path.
 _FINISH_KERNEL_MODULES = (
-    "repro/graph/sparse.py",
     "repro/distributed/dgraph.py",
     "repro/distributed/transitive.py",
     "repro/distributed/containment.py",

@@ -12,7 +12,7 @@ those pairs and almost nothing else.
 import numpy as np
 
 from repro.align.overlapper import OverlapConfig, OverlapDetector
-from repro.graph.sparse import ragged_positions
+from repro.io.readset import ragged_positions
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import dgraph as dgraph_module
-from repro.distributed.dgraph import DistributedAssemblyGraph, enrich_hybrid
+from repro.distributed.dgraph import (
+    DistributedAssemblyGraph,
+    HybridAssembly,
+    enrich_hybrid,
+)
 from repro.graph import hybrid as hybrid_module
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
 from tests.distributed.conftest import chain_assembly, dag_of, make_assembly
+from tests.graph.strategies import edge_lists
+from tests.reference.finish_loop import edge_delta
 
 
 def one_cluster_hybrid(g0):
@@ -131,7 +139,7 @@ class TestDistributedAssemblyGraph:
         # node 1 has a left neighbour 0 and a right neighbour 2
         rows, degrees = dag.rows_of([1])
         assert degrees.tolist() == [2]
-        dst, delta = dag.pairs.dst[rows], dag.pairs.delta[rows]
+        dst, delta = dag.graph.adj[rows], dag.graph.adj_delta[rows]
         assert dst[delta > 0].tolist() == [2]
         assert dst[delta < 0].tolist() == [0]
 
@@ -146,7 +154,7 @@ class TestDistributedAssemblyGraph:
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0, 0, 0])
         rows, _ = dag.rows_of([0])
-        assert dag.remove_edges(dag.pairs.eid[rows]) == 1
+        assert dag.remove_edges(dag.graph.adj_edge[rows]) == 1
         assert dag.rows_of([0])[1].tolist() == [0]
         assert dag.pair_deltas([0], [1])[1].tolist() == [False]
         assert dag.n_alive_edges == 1
@@ -160,12 +168,15 @@ class TestDistributedAssemblyGraph:
         assert dag.n_alive_nodes == 2
         assert dag.n_alive_edges == 0
 
-    def test_worker_view_shares_the_pair_table(self):
+    def test_worker_view_shares_the_graph_and_key(self):
+        # Only the masks are the view's own.
         asm, _ = chain_assembly(n=3)
         dag = dag_of(asm, [0, 0, 0])
         dag.remove_nodes([1])
         view = dag.worker_view()
-        assert view.pairs is dag.pairs
+        assert view.graph is dag.graph and view.key is dag.key
+        assert view.node_alive is not dag.node_alive
+        assert view.edge_alive is not dag.edge_alive
         assert view.node_alive.all() and view.edge_alive.all()
         view.remove_nodes([0])
         assert dag.node_alive.tolist() == [True, False, True]
@@ -181,3 +192,71 @@ class TestDistributedAssemblyGraph:
         dag = dag_of(asm, [0, 0, 0])
         assert dag.remove_nodes([]) == 0
         assert dag.remove_edges([]) == 0
+
+
+@st.composite
+def masked_graphs(draw):
+    """An ``OverlapGraph`` (parallel and flipped edges, isolated nodes,
+    no edges at all), possibly the edges of a ``contract`` or
+    ``induced_subgraph`` of it, and random alive masks."""
+    n, eu, ev, weights, _ = draw(edge_lists())
+    g = Level(n, eu, ev, weights)
+    derive = draw(st.sampled_from(["none", "contract", "induced"]))
+    if derive == "contract":
+        n1 = draw(st.integers(0, n))
+        mapping = draw(st.lists(st.integers(-1, n1 - 1), min_size=n, max_size=n))
+        g = g.contract(np.array(mapping, dtype=np.int64), n1)
+    elif derive == "induced":
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        g, _ = g.induced_subgraph(np.flatnonzero(np.array(keep, dtype=bool)))
+    n, m = g.n_nodes, g.n_edges
+    deltas = draw(st.lists(st.integers(-500, 500), min_size=m, max_size=m))
+    og = OverlapGraph(n, g.eu, g.ev, g.weights, deltas=np.array(deltas, dtype=np.int64))
+    node_alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edge_alive = draw(st.lists(st.booleans(), min_size=og.n_edges, max_size=og.n_edges))
+    return og, np.array(node_alive, dtype=bool), np.array(edge_alive, dtype=bool)
+
+
+class TestCsrReader:
+    """The masked CSR reader against brute force over the edge list."""
+
+    @given(masked_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_key_lookup_and_deltas_match_brute_force(self, case):
+        g, node_alive, edge_alive = case
+        n = g.n_nodes
+        asm = HybridAssembly(
+            graph=g,
+            contigs=[np.zeros(1, dtype=np.uint8)] * n,
+            clusters=[np.array([i]) for i in range(n)],
+        )
+        dag = DistributedAssemblyGraph(asm, np.zeros(n, dtype=np.int64))
+        # The key that lookup binary-searches is increasing as built.
+        assert (np.diff(dag.key) > 0).all()
+        # Each row's delta is its edge's, seen from the row's node.
+        for v in range(n):
+            for r in range(g.indptr[v], g.indptr[v + 1]):
+                assert g.adj_delta[r] == edge_delta(g, int(g.adj_edge[r]), v)
+        dag.state = (node_alive, edge_alive)
+        want = {}
+        for e in range(g.n_edges):
+            u, v, d = int(g.eu[e]), int(g.ev[e]), int(g.deltas[e])
+            if edge_alive[e] and node_alive[u] and node_alive[v]:
+                want[u, v], want[v, u] = d, -d
+        # Every ordered pair: present, absent and u == v.
+        us, vs = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+        pos, found = dag.lookup(us, vs)
+        deltas, found2 = dag.pair_deltas(us, vs)
+        assert found.tolist() == found2.tolist()
+        for u, v, p, f, d in zip(
+            us.tolist(), vs.tolist(), pos.tolist(), found.tolist(), deltas.tolist()
+        ):
+            assert f == ((u, v) in want)
+            assert d == want.get((u, v), 0)
+            if f:
+                assert g.indptr[u] <= p < g.indptr[u + 1] and g.adj[p] == v
+        # rows_of: each node's alive rows are its alive neighbours.
+        rows, degrees = dag.rows_of(np.arange(n))
+        src = np.repeat(np.arange(n), degrees)
+        got = sorted(zip(src.tolist(), g.adj[rows].tolist()))
+        assert got == sorted(want)

@@ -27,7 +27,7 @@ class TestBuildCsr:
         assert adj.size == 0
 
     def test_empty_graph_arrays_are_typed(self):
-        # Downstream vectorized consumers (repro.graph.sparse) index
+        # Downstream vectorized consumers (the finish kernels) index
         # with these arrays, so the edgeless path must return int64
         # like the populated path — not float64 from np.array([]).
         indptr, adj, eids = build_csr(3, np.array([]), np.array([]))

@@ -263,11 +263,11 @@ class TestPERF002SparseEngineScope:
     def test_any_function_in_sparse_module_flagged(self):
         fs = perf2_findings(
             """
-            def ragged_positions(starts, counts):
-                for s in starts.tolist():
-                    yield s
+            def sorted_unique(values):
+                for v in values.tolist():
+                    yield v
             """,
-            path="src/repro/graph/sparse.py",
+            path="src/repro/distributed/dgraph.py",
         )
         assert len(fs) == 1
 
@@ -278,7 +278,7 @@ class TestPERF002SparseEngineScope:
                 for r in rows.tolist():  # noqa: PERF002 - deliberate
                     yield r
             """,
-            path="src/repro/graph/sparse.py",
+            path="src/repro/distributed/dgraph.py",
         )
         assert fs == []
 

@@ -6,9 +6,9 @@ production kernels (``repro.distributed.{transitive,containment,
 trimming}``) are checked against.  The oracles read the alive graph
 through their own per-node reader of ``dag.graph``'s CSR and the
 masks, and its deltas through their own :func:`edge_delta`, never
-through the production pair table
-(``DistributedAssemblyGraph.rows_of``), so they share no code with
-what they check.  Same arguments as the production ``find_*``
+through the production reader (``DistributedAssemblyGraph.rows_of``,
+``lookup``, the graph's ``adj_delta`` column), so they share no code
+with what they check.  Same arguments as the production ``find_*``
 functions; results are plain lists in scan order (possibly with
 duplicates), so compare them as sorted sets.
 """

@@ -3,7 +3,7 @@
 The per-node scan ``repro.distributed.variants.find_bubble_variants``
 is checked against: for each anchor, one Python pass over its alive
 neighbours (the :mod:`tests.reference.finish_loop` reader, not the
-production pair table) groups the degree-2 branches by (far endpoint,
+production ``rows_of``) groups the degree-2 branches by (far endpoint,
 side of the anchor); every pair of branches in a group is aligned
 once, at the first anchor that sees it.  Calls come out in scan
 order, so compare them as sorted lists.
