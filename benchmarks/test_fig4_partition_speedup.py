@@ -10,9 +10,8 @@ Here every bisection/k-way task's serial duration is *measured* during
 real partitioning runs, and T(p) comes from replaying the task DAG on
 p processors with LPT list scheduling (see repro.mpi.schedule) — the
 deterministic form of the paper's processor assignment, immune to the
-sub-millisecond thread-timing noise of our much smaller graphs.  The
-live SimCluster execution path is exercised separately by
-tests/distributed/test_partition_parallel.py.
+sub-millisecond thread-timing noise of our much smaller graphs.  It is
+the one path: no partitioner runs on SimCluster ranks.
 """
 
 import numpy as np

@@ -36,15 +36,15 @@ def test_table3_assembly_stats(benchmark, prepared, assembler, write_result):
     )
     write_result("table3_assembly_stats", table)
 
-    # Shape: per dataset, stats are consistent across partition counts.
+    # Shape: per dataset, stats are invariant across partition counts.
     # The paper's N50 varies by <1%, contig counts by a few hundred in
-    # ~10^5; on our small graphs allow ~15% relative wobble.
+    # ~10^5.  Here all three columns are exactly equal at every k on
+    # D1-D3, so the check is equality.  The contig sets themselves are
+    # not byte-identical across k (their sorted SHA-256 differs), so
+    # only the statistics are held equal.
     for name in prepared:
         stats = [results[(name, k)] for k in K_VALUES]
-        n50s = [s.n50 for s in stats]
-        maxes = [s.max_contig for s in stats]
-        counts = [s.n_contigs for s in stats]
-        assert min(n50s) > 0
-        assert max(n50s) <= 1.2 * min(n50s), f"{name}: N50 unstable {n50s}"
-        assert max(maxes) <= 1.2 * min(maxes), f"{name}: max contig unstable {maxes}"
-        assert max(counts) <= 1.25 * min(counts), f"{name}: contig count unstable {counts}"
+        assert stats[0].n50 > 0
+        for column in ("n50", "max_contig", "n_contigs"):
+            values = [getattr(s, column) for s in stats]
+            assert len(set(values)) == 1, f"{name}: {column} varies with k {values}"

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.core.stats import AssemblyStats
-from repro.io.atomic import atomic_write, atomic_write_text
+from repro.io.atomic import atomic_write, atomic_write_text, npz_path
 from repro.io.fasta import (
     load_reads,
     parse_fasta,
@@ -475,23 +475,24 @@ def _assemble_config(args) -> AssemblyConfig:
 
 
 def _cmd_assemble(args) -> int:
+    # Every flag is checked before the input is read.
     if args.store and args.reads:
         print("error: pass a reads file or --store, not both", file=sys.stderr)
         return 1
-    if args.store:
-        reads = ReadSet.open(args.store, cache_budget=args.cache_budget_mb << 20)
-    elif args.reads:
-        reads = load_reads(args.reads)
-    else:
+    if not (args.store or args.reads):
         print("error: a reads file or --store is required", file=sys.stderr)
-        return 1
-    if len(reads) == 0:
-        print("error: no reads in input", file=sys.stderr)
         return 1
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
     assembler = FocusAssembler(_assemble_config(args))
+    if args.store:
+        reads = ReadSet.open(args.store, cache_budget=args.cache_budget_mb << 20)
+    else:
+        reads = load_reads(args.reads)
+    if len(reads) == 0:
+        print("error: no reads in input", file=sys.stderr)
+        return 1
     result = assembler.finish(
         assembler.prepare(reads),
         checkpoint=args.checkpoint,
@@ -525,7 +526,7 @@ def _cmd_assemble(args) -> int:
     if fault_report is not None and fault_report.has_activity:
         print(f"fault report: {fault_report.summary()}")
     if args.checkpoint:
-        print(f"stage checkpoint at {args.checkpoint}")
+        print(f"stage checkpoint at {npz_path(args.checkpoint)}")
     if args.timings:
         print(f"wrote stage timings to {args.timings}")
     return 0

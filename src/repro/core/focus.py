@@ -30,6 +30,7 @@ from repro.core.stats import AssemblyStats
 from repro.distributed.dgraph import DistributedAssemblyGraph, HybridAssembly, enrich_hybrid
 from repro.distributed.traversal import contigs_from_paths
 from repro.faults import FaultReport
+from repro.io.atomic import npz_path
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
@@ -412,11 +413,7 @@ class FocusAssembler:
             raise ValueError(f"unknown partition_mode {mode!r}")
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
-        ckpt_file: str | None = None
-        if checkpoint is not None:
-            ckpt_file = str(checkpoint)
-            if not ckpt_file.endswith(".npz"):
-                ckpt_file += ".npz"
+        ckpt_file = None if checkpoint is None else npz_path(checkpoint)
 
         timer = StageTimer()
         timer.durations.update(prep.timer.durations)

@@ -19,7 +19,6 @@ from repro.distributed.dgraph import (
     HybridAssembly,
     enrich_hybrid,
 )
-from repro.distributed.partition_parallel import parallel_partition_graph_set
 from repro.distributed.stages import (
     StageSpec,
     all_stages,
@@ -40,7 +39,6 @@ __all__ = [
     "all_stages",
     "run_stage_on_comm",
     "contigs_from_paths",
-    "parallel_partition_graph_set",
     "Variant",
     "find_bubble_variants",
 ]

@@ -26,6 +26,7 @@ __all__ = [
     "atomic_write",
     "atomic_savez",
     "atomic_write_text",
+    "npz_path",
 ]
 
 #: process-wide tmp-name disambiguator (``itertools.count`` increments
@@ -77,14 +78,15 @@ def atomic_write(path: str | Path, write: Callable[[IO], None], mode: str = "wb"
         raise
 
 
+def npz_path(path: str | Path) -> str:
+    """The file numpy writes for ``path``: ``.npz`` appended if missing."""
+    path = str(path)
+    return path if path.endswith(".npz") else path + ".npz"
+
+
 def atomic_savez(path: str | Path, **arrays) -> None:
-    """Durably write a compressed ``.npz`` archive; like numpy, a path
-    without the ``.npz`` suffix gets it appended."""
-    final = str(path)
-    atomic_write(
-        final if final.endswith(".npz") else final + ".npz",
-        lambda fh: np.savez_compressed(fh, **arrays),
-    )
+    """Durably write a compressed ``.npz`` archive at :func:`npz_path`."""
+    atomic_write(npz_path(path), lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -5,10 +5,9 @@ mpi4py and a GIL, so we substitute an in-process SPMD runtime with
 *virtual clocks*:
 
 - each rank is a Python thread holding a :class:`SimComm`;
-- the communicator offers the four collectives the program calls —
-  ``gather``, ``bcast``, ``allgather``, ``barrier`` — with the mpi4py
-  lowercase (pickle-object) signatures, so the code would port to real
-  MPI nearly verbatim;
+- the communicator offers the two collectives the program calls —
+  ``gather`` and ``bcast`` — with the mpi4py lowercase (pickle-object)
+  signatures, so the code would port to real MPI nearly verbatim;
 - each collective is one rendezvous of all ranks: the last to arrive
   checks that every rank made the same call, then computes each rank's
   result and clock; a collective that can never complete (ranks

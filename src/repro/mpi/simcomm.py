@@ -1,9 +1,8 @@
 """SimComm: the per-rank communicator of the simulated MPI runtime.
 
-The program's distributed stages call four collectives, with the
-mpi4py lowercase (pickle-object) signatures: ``gather``, ``bcast``,
-``allgather`` and ``barrier``.  They are the whole communication
-surface.
+The program's distributed stages call two collectives, with the
+mpi4py lowercase (pickle-object) signatures: ``gather`` and ``bcast``.
+They are the whole communication surface.
 
 Each collective is one rendezvous.  Every rank deposits its call (the
 collective's name and root) and its payload, then blocks.  The last
@@ -62,13 +61,13 @@ def _message(sender: "SimComm", receiver: "SimComm", nbytes: int, cost) -> None:
     receiver.clock = max(receiver.clock, arrival)
 
 
-def _up_tree(comms, root, cost, acc, merge) -> None:
-    """Binomial-tree reduction toward ``root``, in place on ``acc``.
+def _up_tree(comms, root, cost, acc) -> None:
+    """Binomial-tree gather toward ``root``, in place on ``acc``.
 
-    ``acc[v]`` is virtual rank ``v``'s contribution (``v = (rank -
-    root) % size``).  In round ``mask`` every ``v`` with ``v % (2 *
-    mask) == mask`` sends its accumulator to ``v - mask``, which merges
-    it; afterwards ``acc[0]`` holds the root's result.
+    ``acc[v]`` is virtual rank ``v``'s bucket of payloads keyed by
+    virtual rank (``v = (rank - root) % size``).  In round ``mask``
+    every ``v`` with ``v % (2 * mask) == mask`` sends its bucket to ``v
+    - mask``, which merges it; afterwards ``acc[0]`` holds every payload.
     """
     size = len(comms)
     mask = 1
@@ -80,7 +79,7 @@ def _up_tree(comms, root, cost, acc, merge) -> None:
                 payload_nbytes(acc[v + mask]),
                 cost,
             )
-            acc[v] = merge(acc[v], acc[v + mask])
+            acc[v].update(acc[v + mask])
         mask <<= 1
 
 
@@ -99,19 +98,14 @@ def _down_tree(comms, root, cost, obj) -> None:
         mask <<= 1
 
 
-def _gather_to(comms, root, cost, payloads) -> list:
-    """The rank-ordered list of ``payloads`` that ``root`` gathers."""
+def _gather(comms, root, cost, payloads) -> list:
     size = len(comms)
     # Buckets are keyed by virtual rank, as the messages of a real
     # binomial gather are, so the byte counts are those messages'.
     acc = [{v: payloads[(v + root) % size]} for v in range(size)]
-    _up_tree(comms, root, cost, acc, lambda bucket, part: {**bucket, **part})
-    return [acc[0][(r - root) % size] for r in range(size)]
-
-
-def _gather(comms, root, cost, payloads) -> list:
-    out = _gather_to(comms, root, cost, payloads)
-    return [out if r == root else None for r in range(len(comms))]
+    _up_tree(comms, root, cost, acc)
+    out = [acc[0][(r - root) % size] for r in range(size)]
+    return [out if r == root else None for r in range(size)]
 
 
 def _bcast(comms, root, cost, payloads) -> list:
@@ -120,29 +114,7 @@ def _bcast(comms, root, cost, payloads) -> list:
     return [obj] * len(comms)
 
 
-def _allgather(comms, root, cost, payloads) -> list:
-    out = _gather_to(comms, 0, cost, payloads)
-    _down_tree(comms, 0, cost, out)
-    return [out] * len(comms)
-
-
-def _barrier(comms, root, cost, payloads) -> list:
-    # An allreduce of the entry clocks with ``max``: up the tree to rank
-    # 0, then back down; every rank leaves at or after the latest entry.
-    acc = [comm.clock for comm in comms]
-    _up_tree(comms, 0, cost, acc, max)
-    _down_tree(comms, 0, cost, acc[0])
-    for comm in comms:
-        comm.clock = max(comm.clock, acc[0])
-    return [None] * len(comms)
-
-
-_COLLECTIVES = {
-    "gather": _gather,
-    "bcast": _bcast,
-    "allgather": _allgather,
-    "barrier": _barrier,
-}
+_COLLECTIVES = {"gather": _gather, "bcast": _bcast}
 
 
 class _Round:
@@ -155,11 +127,6 @@ class _Round:
         self.calls: dict[int, tuple] = {}
         self.results: list | None = None
         self.error: str | None = None
-
-
-def _call_name(call: tuple[str, int]) -> str:
-    name, root = call
-    return f"{name}()" if name in ("allgather", "barrier") else f"{name}(root={root})"
 
 
 class _Rendezvous:
@@ -212,7 +179,9 @@ class _Rendezvous:
         by_call: dict[tuple[str, int], list[int]] = {}
         for rank, (call, _payload, _comm) in rnd.calls.items():
             by_call.setdefault(call, []).append(rank)
-        calls = "; ".join(f"{_ranks(r)} called {_call_name(c)}" for c, r in by_call.items())
+        calls = "; ".join(
+            f"{_ranks(r)} called {name}(root={root})" for (name, root), r in by_call.items()
+        )
         if len(by_call) > 1:
             rnd.error = f"ranks disagree on the collective: {calls}"
         else:
@@ -276,11 +245,3 @@ class SimComm:
     def gather(self, obj, root: int = 0):
         """Binomial-tree gather; root gets the rank-ordered list, others None."""
         return self._collective("gather", root, obj)
-
-    def allgather(self, obj):
-        """Gather to rank 0, then broadcast the full list."""
-        return self._collective("allgather", 0, obj)
-
-    def barrier(self) -> None:
-        """Synchronise clocks: everyone leaves at or after the latest entry."""
-        self._collective("barrier", 0, None)

@@ -23,13 +23,7 @@ from repro.graph.overlap_graph import Level
 from repro.partition.greedy_growing import greedy_grow_bisection
 from repro.partition.kl import kl_refine_bisection
 
-__all__ = [
-    "PartitionConfig",
-    "TaskRecord",
-    "bisect_graph_set",
-    "bisect_group",
-    "recursive_bisection",
-]
+__all__ = ["PartitionConfig", "TaskRecord", "recursive_bisection"]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.accuracy import evaluate_assembly
 from repro.baselines.debruijn import DeBruijnAssembler, DeBruijnConfig
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode, reverse_complement
@@ -89,3 +90,19 @@ class TestDeBruijnAssembler:
         asm = DeBruijnAssembler(DeBruijnConfig(k=4, min_count=1, min_contig_length=100))
         contigs, stats = asm.assemble(reads)
         assert contigs == [] and stats.n_contigs == 0
+
+
+class TestDeBruijnTruth:
+    """Unitigs place on the genome they came from (the shootout's setting)."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_unitigs_place_on_the_genome(self, seed):
+        genome = Genome("plain", random_genome(15_000, np.random.default_rng(seed)))
+        sim = ReadSimulator(ReadSimConfig(read_length=100, coverage=15, seed=seed))
+        reads = sim.simulate_genome(genome).with_reverse_complements()
+        asm = DeBruijnAssembler(DeBruijnConfig(k=31, min_count=3, min_contig_length=100))
+        contigs, _ = asm.assemble(reads)
+        report = evaluate_assembly(contigs, [genome], min_identity=0.99)
+        assert report.n_misassembled == 0
+        assert report.mean_identity >= 0.99
+        assert report.genome_fraction >= 0.99

@@ -170,6 +170,30 @@ class TestAssembleAndStats:
         a = parser.parse_args(["assemble", "--store", "r.store", "-o", "c.fa"])
         assert a.store == "r.store" and a.reads is None
 
+    def test_resume_restores_every_finish_stage(self, tmp_path, reads_fastq, capsys):
+        import json
+
+        from repro.core.focus import FINISH_STAGES
+        from repro.io.store import load_checkpoint
+
+        checkpoint = tmp_path / "ck"
+        fastas, timings = [], []
+        for run in range(2):
+            out, times = tmp_path / f"c{run}.fasta", tmp_path / f"t{run}.json"
+            argv = ["assemble", str(reads_fastq), "-o", str(out), "--partitions", "2",
+                    "--checkpoint", str(checkpoint), "--resume", "--timings", str(times)]
+            assert main(argv) == 0
+            assert f"stage checkpoint at {checkpoint}.npz\n" in capsys.readouterr().out
+            fastas.append(out.read_bytes())
+            timings.append(json.loads(times.read_text()))
+        assert sorted(load_checkpoint(f"{checkpoint}.npz").completed) == sorted(FINISH_STAGES)
+        # The first run executes the trim and traversal stages; the second
+        # restores all five from the checkpoint and runs neither.
+        assert {"trim", "traverse"} <= timings[0]["stages"].keys()
+        assert not {"trim", "traverse"} & timings[1]["stages"].keys()
+        assert set(FINISH_STAGES) <= timings[1]["distributed"]["stages"].keys()
+        assert fastas[1] == fastas[0]
+
 
 class TestOutputsAreAtomic:
     @pytest.mark.parametrize("output", ["contigs", "timings", "overlap"])
@@ -222,6 +246,13 @@ class TestBadInputIsOneLine:
                 ["assemble", "{reads}", "-o", "{tmp}/c.fa", "--fault-plan", "random:7"],
                 "process workers",
             ),
+            # Flags are checked before the input is read, so a missing
+            # reads file is not what these report.
+            (["assemble", "{tmp}/missing.fq", "-o", "{tmp}/c.fa", "--resume"], "--checkpoint"),
+            (
+                ["assemble", "{tmp}/missing.fq", "-o", "{tmp}/c.fa", "--fault-plan", "random:7"],
+                "process workers",
+            ),
         ],
         ids=[
             "pack-shard-size-0",
@@ -229,6 +260,8 @@ class TestBadInputIsOneLine:
             "overlap-subsets-0",
             "stats-missing-file",
             "assemble-fault-plan-off-process",
+            "assemble-resume-checked-before-reading",
+            "assemble-fault-plan-checked-before-reading",
         ],
     )
     def test_error_line_and_exit_code(self, tmp_path, reads_fastq, capsys, argv, message):

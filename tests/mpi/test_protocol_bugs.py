@@ -49,16 +49,16 @@ def bcast_on_rank_zero_only(comm):
 
 
 def sync(comm):
-    """Every rank must call this together — it runs a barrier."""
-    comm.barrier()
+    """Every rank must call this together — it runs a gather."""
+    comm.gather(comm.rank, root=comm.size - 1)
 
 
-def barrier_behind_helper_rank_zero_calls(comm):
+def gather_behind_helper_rank_zero_calls(comm):
     if comm.rank == 0:
         sync(comm)
 
 
-def barrier_behind_helper_other_ranks_call(comm):
+def gather_behind_helper_other_ranks_call(comm):
     if comm.rank != 0:
         sync(comm)
 
@@ -82,11 +82,11 @@ class TestProtocolBugs:
         "fn, call",
         [
             (bcast_on_rank_zero_only, "rank 0 called bcast(root=0)"),
-            (barrier_behind_helper_rank_zero_calls, "rank 0 called barrier()"),
-            (barrier_behind_helper_other_ranks_call, "called barrier()"),
+            (gather_behind_helper_rank_zero_calls, "rank 0 called gather(root=2)"),
+            (gather_behind_helper_other_ranks_call, "called gather(root=2)"),
             (per_item_gather, "rank 0 called gather(root=0)"),
         ],
-        ids=["bcast_rank0", "barrier_helper_rank0", "barrier_helper_others", "per_item_gather"],
+        ids=["bcast_rank0", "gather_helper_rank0", "gather_helper_others", "per_item_gather"],
     )
     def test_collective_a_rank_never_joins_fails_at_once(self, fn, call):
         n = 2 if fn is per_item_gather else 3
@@ -107,7 +107,7 @@ class TestProtocolBugs:
         def fn(comm):
             if comm.rank == 2:
                 raise ValueError("partition table corrupted")
-            comm.barrier()
+            comm.gather(comm.rank, root=0)
 
         assert "rank 2 failed: ValueError" in str(run_bounded(4, fn))
 
@@ -141,9 +141,9 @@ class TestRankExit:
             t0 = time.perf_counter()
             for _ in range(300):
                 results, _ = SimCluster(9, cost_model=FAST).run(
-                    lambda comm: comm.allgather(comm.rank)
+                    lambda comm: comm.gather(comm.rank, root=0)
                 )
-                assert results == [list(range(9))] * 9
+                assert results == [list(range(9))] + [None] * 8
             assert time.perf_counter() - t0 < 60.0
         finally:
             sys.setswitchinterval(old)

@@ -110,23 +110,6 @@ class TestCollectives:
         results, _ = cluster(4).run(fn)
         assert results[2] == ["a", "b", "c", "d"]
 
-    @pytest.mark.parametrize("size", [1, 3, 4, 8])
-    def test_allgather(self, size):
-        def fn(comm):
-            return comm.allgather(comm.rank)
-
-        results, _ = cluster(size).run(fn)
-        assert all(r == list(range(size)) for r in results)
-
-    def test_barrier_synchronises_clocks(self):
-        def fn(comm):
-            comm.advance(float(comm.rank))  # rank r computes r seconds
-            comm.barrier()
-            return comm.clock
-
-        results, _ = cluster(4).run(fn)
-        assert all(c >= 3.0 for c in results)
-
     def test_collective_cost_scales_logarithmically(self):
         model = CommCostModel(alpha=1.0, beta=0.0)
 
@@ -196,7 +179,7 @@ class TestErrorContext:
             if comm.rank == 0:
                 comm.bcast("x", root=0)
             else:
-                comm.barrier()
+                comm.gather(comm.rank, root=0)
 
         with pytest.raises(RuntimeError) as ei:
             cluster(4).run(fn)
@@ -204,7 +187,7 @@ class TestErrorContext:
         message = str(ei.value)
         assert "ranks disagree on the collective" in message
         assert "rank 0 called bcast(root=0)" in message
-        assert "barrier()" in message
+        assert "called gather(root=0)" in message
 
     def test_different_roots_disagree(self):
         def fn(comm):

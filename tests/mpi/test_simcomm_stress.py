@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
@@ -16,12 +14,12 @@ def cluster(n):
 
 
 class TestManyRanks:
-    def test_sixteen_rank_allgather(self):
+    def test_sixteen_rank_gather(self):
         def fn(comm):
-            return comm.allgather(comm.rank)
+            return comm.gather(comm.rank, root=0)
 
         results, _ = cluster(16).run(fn)
-        assert results == [list(range(16))] * 16
+        assert results == [list(range(16))] + [None] * 15
 
     def test_large_array_bcast(self):
         def fn(comm):
@@ -37,9 +35,9 @@ class TestManyRanks:
     def test_chained_collectives(self):
         def fn(comm):
             x = comm.bcast(comm.rank if comm.rank == 0 else None, root=0)
-            y = comm.allgather(x + comm.rank)
+            y = comm.bcast(comm.gather(x + comm.rank, root=0), root=0)
             z = comm.gather(sum(y), root=0)
-            comm.barrier()
+            comm.bcast(None, root=comm.size - 1)
             return z and sum(z)
 
         results, _ = cluster(6).run(fn)
@@ -49,25 +47,14 @@ class TestManyRanks:
 
 
 class TestClockProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=2, max_size=6))
-    def test_barrier_clock_is_max(self, works):
-        def fn(comm):
-            comm.advance(works[comm.rank])
-            comm.barrier()
-            return comm.clock
-
-        results, _ = SimCluster(len(works), cost_model=FAST).run(fn)
-        assert all(c >= max(works) - 1e-12 for c in results)
-
     def test_clock_monotone_through_operations(self):
         def fn(comm):
             marks = [comm.clock]
             comm.advance(0.1)
             marks.append(comm.clock)
-            comm.barrier()
+            comm.gather(comm.rank, root=comm.size - 1)
             marks.append(comm.clock)
-            x = comm.allgather(comm.rank)
+            x = comm.bcast(list(range(comm.size)) if comm.rank == 0 else None, root=0)
             marks.append(comm.clock)
             assert x == list(range(comm.size))
             return marks
@@ -90,7 +77,7 @@ class TestClockProperties:
     def test_elapsed_at_least_per_rank_compute(self):
         def fn(comm):
             comm.advance(0.2 * (comm.rank + 1))
-            comm.barrier()
+            comm.gather(comm.rank, root=0)
 
         _, stats = cluster(5).run(fn)
         assert stats.elapsed >= 1.0 - 1e-9  # slowest rank did 1.0s

@@ -1,12 +1,12 @@
-"""Message-passing reference for the simulated cluster's four collectives.
+"""Message-passing reference for the simulated cluster's two collectives.
 
 The runtime this package's ``repro.mpi`` replaced, trimmed to what the
 program calls: each rank is a thread, each ``(src, dst, tag)`` pair is
-a FIFO mailbox, and ``bcast`` / ``gather`` / ``allgather`` /
-``barrier`` are built from eager point-to-point messages along
-binomial trees.  A send charges its sender ``alpha`` and delivers at
-``sender clock + alpha + beta * payload_nbytes(message)``; a receive
-sets the receiver's clock to ``max(own clock, arrival)``.
+a FIFO mailbox, and ``bcast`` and ``gather`` are built from eager
+point-to-point messages along binomial trees.  A send charges its
+sender ``alpha`` and delivers at ``sender clock + alpha + beta *
+payload_nbytes(message)``; a receive sets the receiver's clock to
+``max(own clock, arrival)``.
 
 ``repro.mpi`` computes the same clocks in one rendezvous per
 collective; ``tests/mpi/test_rendezvous_oracle.py`` requires every
@@ -26,10 +26,8 @@ from repro.mpi import CommCostModel, RunStats, payload_nbytes
 
 __all__ = ["MailboxComm", "run_mailbox"]
 
-#: one tag per collective leg, so a gather never matches a bcast.
-_BCAST, _GATHER, _ALLGATHER_UP, _ALLGATHER_DOWN, _BARRIER_UP, _BARRIER_DOWN = range(
-    -1000, -1006, -1
-)
+#: one tag per collective, so a gather never matches a bcast.
+_BCAST, _GATHER = -1000, -1001
 
 
 class _Channels:
@@ -87,7 +85,7 @@ class MailboxComm:
     def _to_rank(self, vrank: int, root: int) -> int:
         return (vrank + root) % self.size
 
-    def bcast(self, obj, root: int = 0, _tag: int = _BCAST):
+    def bcast(self, obj, root: int = 0):
         if self.size == 1:
             return obj
         v = (self.rank - root) % self.size
@@ -95,49 +93,26 @@ class MailboxComm:
         while mask < self.size:
             if v < mask:
                 if v + mask < self.size:
-                    self._send(obj, self._to_rank(v + mask, root), _tag)
+                    self._send(obj, self._to_rank(v + mask, root), _BCAST)
             elif v < 2 * mask:
-                obj = self._recv(self._to_rank(v - mask, root), _tag)
+                obj = self._recv(self._to_rank(v - mask, root), _BCAST)
             mask <<= 1
         return obj
 
-    def _up(self, acc, merge, root: int, tag: int):
-        """Binomial-tree reduction of ``acc`` to ``root`` (None elsewhere)."""
+    def gather(self, obj, root: int = 0):
+        """Binomial-tree gather of buckets keyed by virtual rank."""
         v = (self.rank - root) % self.size
+        bucket = {v: obj}
         mask = 1
         while mask < self.size:
             if v % (2 * mask) == 0:
                 if v + mask < self.size:
-                    acc = merge(acc, self._recv(self._to_rank(v + mask, root), tag))
+                    bucket.update(self._recv(self._to_rank(v + mask, root), _GATHER))
             elif v % (2 * mask) == mask:
-                self._send(acc, self._to_rank(v - mask, root), tag)
+                self._send(bucket, self._to_rank(v - mask, root), _GATHER)
                 return None
             mask <<= 1
-        return acc
-
-    def gather(self, obj, root: int = 0, _tag: int = _GATHER):
-        if self.size == 1:
-            return [obj]
-
-        def merge(bucket, part):
-            bucket.update(part)
-            return bucket
-
-        bucket = self._up({(self.rank - root) % self.size: obj}, merge, root, _tag)
-        if self.rank == root:
-            return [bucket[(r - root) % self.size] for r in range(self.size)]
-        return None
-
-    def allgather(self, obj):
-        out = self.gather(obj, root=0, _tag=_ALLGATHER_UP)
-        return self.bcast(out, root=0, _tag=_ALLGATHER_DOWN)
-
-    def barrier(self) -> None:
-        if self.size == 1:
-            return
-        latest = self._up(self.clock, max, 0, _BARRIER_UP)
-        latest = self.bcast(latest, root=0, _tag=_BARRIER_DOWN)
-        self.clock = max(self.clock, latest)
+        return [bucket[(r - root) % self.size] for r in range(self.size)]
 
 
 def run_mailbox(n_ranks: int, cost: CommCostModel, fn, *args):

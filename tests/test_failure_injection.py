@@ -138,7 +138,7 @@ class TestRuntimeFailures:
                 if "simrank-1" in names:  # else it has already exited
                     names["simrank-1"].join(timeout=10.0)
                     assert not names["simrank-1"].is_alive()
-                comm.barrier()
+                comm.gather(comm.rank, root=0)
 
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="rank 1 exited without joining") as ei:

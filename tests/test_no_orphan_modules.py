@@ -17,11 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: run as ``python -m repro.service.worker`` by the supervisor.
 ENTRY_POINTS = {"repro.service.worker"}
 
-#: Fig. 4's live SPMD driver, imported only by
-#: ``tests/distributed/test_partition_parallel.py``; ROADMAP item 8
-#: decides its fate.
-KNOWN_ORPHANS = {"repro.distributed.partition_parallel"}
-
 
 def imports_of(path: Path) -> set[tuple[str, str | None]]:
     """``(module, name | None)`` of every absolute import in a file."""
@@ -78,8 +73,4 @@ def orphan_modules(root: Path = ROOT) -> set[str]:
 
 
 def test_every_module_has_a_caller():
-    assert orphan_modules() - KNOWN_ORPHANS == set()
-
-
-def test_known_orphans_still_need_their_exception():
-    assert KNOWN_ORPHANS <= orphan_modules()
+    assert orphan_modules() == set()
