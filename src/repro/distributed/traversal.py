@@ -40,8 +40,8 @@ __all__ = [
     "contigs_from_paths",
 ]
 
-#: bases overlaid per ``np.bincount`` in :func:`contigs_from_paths`:
-#: bounds its transient arrays (a few int64 per base) whatever the path.
+#: bases overlaid per block in :func:`contigs_from_paths`: bounds every
+#: overlay transient, vote table included, on paths whose steps go right.
 _MAX_BASES = 1 << 18
 
 
@@ -176,10 +176,10 @@ def _overlay(
 ) -> list[np.ndarray]:
     """Consensus of each packed path of two or more nodes.
 
-    The paths are laid side by side in one base-major vote table:
-    every step delta resolves through one batched sparse pair lookup,
-    and node contigs are counted into the table one ``np.bincount``
-    per block of whole contigs.  A path's contig is its covered columns.
+    The paths lie side by side; step deltas resolve in one batched pair
+    lookup.  Each block of whole contigs is one ``np.bincount`` into a vote
+    table from the settled edge on: columns no later node reaches are
+    decided, the rest carried on.  A path's contig is its covered columns.
     """
     contigs = dag.assembly.contigs
     first = np.cumsum(lens) - lens
@@ -200,22 +200,22 @@ def _overlay(
     widths = np.maximum.reduceat(offsets + sizes, first)
     columns = np.cumsum(widths) - widths
     offsets += np.repeat(columns, lens)
-    counts = np.zeros((4, int(widths.sum())), dtype=np.int32)
+    # No node from i on starts left of floor[i]: the columns left of it are final.
+    floor = np.append(np.minimum.accumulate(offsets[::-1])[::-1], widths.sum())
+    ends = np.maximum(np.maximum.accumulate(offsets + sizes), floor[1:])
+    seq, covered = np.empty(floor[-1], np.uint8), np.empty(floor[-1], bool)
     # Blocks of consecutive nodes whose bases stay under the budget.
     total = np.cumsum(sizes)
     cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
     bounds = np.unique(np.concatenate([[0], cuts, [nodes.size]])).tolist()
+    done, carry = 0, np.zeros((4, 0), dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         codes = np.concatenate([contigs[v] for v in nodes[lo:hi].tolist()])
-        left = int(offsets[lo:hi].min())
-        right = int((offsets[lo:hi] + sizes[lo:hi]).max())
-        counts[:, left:right] += overlay_votes(
-            codes, offsets[lo:hi] - left, sizes[lo:hi], right - left
-        )
-    seq, covered = vote_winners(counts)
-    # Free the table before the contigs are cut, so they can land in its
-    # space instead of above it, where a kept contig would pin the heap.
-    del counts
+        stop, end = int(floor[hi]), int(ends[hi - 1])
+        counts = overlay_votes(codes, offsets[lo:hi] - done, sizes[lo:hi], end - done)
+        counts[:, : carry.shape[1]] += carry
+        seq[done:stop], covered[done:stop] = vote_winners(counts[:, : stop - done])
+        done, carry = stop, counts[:, stop - done :]
     return [
         seq[a:b][covered[a:b]]
         for a, b in zip(columns.tolist(), (columns + widths).tolist())

@@ -134,3 +134,35 @@ class TestCorrectReadSet:
             int(corrector._weak_windows(fixed.codes_of(i)).sum()) for i in range(len(fixed))
         )
         assert after < before
+
+
+class TestAgainstTruth:
+    """Corrections scored against the simulator's error-free twin reads."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 17])
+    def test_corrections_match_truth(self, seed):
+        g = Genome("g", random_genome(4000, np.random.default_rng(seed)))
+        config = dict(read_length=100, coverage=14, seed=seed)
+        noisy = ReadSimulator(ReadSimConfig(**config, flat_error_rate=0.012)).simulate_genome(g)
+        truth = ReadSimulator(ReadSimConfig(**config, flat_error_rate=0.0)).simulate_genome(g)
+        # Starts and strands are drawn before any error, so the twins
+        # sample the same fragments.
+        assert [(m["position"], m["strand"]) for m in noisy.meta] == [
+            (m["position"], m["strand"]) for m in truth.meta
+        ]
+        corrector = ReadCorrector(KmerSpectrum(noisy, k=21))
+        changed = right = errors = fixed = 0
+        for i in range(len(noisy)):
+            before, want = noisy.codes_of(i), truth.codes_of(i)
+            after, _, clean = corrector.correct_read(before)
+            if clean:
+                assert (after == want).all(), f"read {i} reported clean but is wrong"
+            moved = after != before
+            changed += int(moved.sum())
+            right += int((moved & (after == want)).sum())
+            wrong = before != want
+            errors += int(wrong.sum())
+            fixed += int((wrong & (after == want)).sum())
+        assert errors > 0 and changed > 0
+        assert right / changed >= 0.99
+        assert fixed / errors >= 0.6

@@ -1,5 +1,7 @@
 """Tests for dead-end trimming, bubble popping, and traversal."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,23 @@ class TestTraversal:
         contigs = contigs_from_paths(dag, subpath_kernel(dag, 0))
         assert len(contigs) == 1
         assert decode(contigs[0]) == decode(genome)
+
+    def test_contig_emission_bounded_by_block(self):
+        """One 2.4 Mbp path spells its genome, and the overlay's peak is
+        the output plus block-sized transients: a vote table spanning the
+        path (four int32 counts per column) would alone exceed the bound."""
+        n = 40_000
+        asm, genome = chain_assembly(n=n, contig_len=150, step=60)
+        dag = dag_of(asm, [0] * n)
+        path = packed(range(n))
+        tracemalloc.start()
+        try:
+            (contig,) = contigs_from_paths(dag, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(contig, genome)
+        assert peak < 4 * genome.size + (16 << 20)
 
     def test_single_node_path_contig(self):
         asm, _ = chain_assembly(n=2)
