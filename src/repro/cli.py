@@ -10,7 +10,7 @@ Usage examples::
     python -m repro assemble --store reads.store -o contigs.fasta
     python -m repro assemble reads.fastq -o contigs.fasta --partitions 4 --workers 4
     python -m repro assemble reads.fastq -o contigs.fasta --backend process --timings t.json
-    python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.npz --resume
+    python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.bin --resume
     python -m repro assemble reads.fastq -o contigs.fasta --fault-plan random:7 --retries 3
     python -m repro stats contigs.fasta
     python -m repro submit jobs.store reads.fastq --partitions 4 --retries 3
@@ -23,6 +23,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -31,7 +32,7 @@ import numpy as np
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FINISH_STAGES, FocusAssembler
 from repro.core.stats import AssemblyStats
-from repro.io.atomic import atomic_write, atomic_write_text, npz_path
+from repro.io.atomic import atomic_write, atomic_write_text
 from repro.io.fasta import (
     load_reads,
     parse_fasta,
@@ -150,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checkpoint",
         metavar="PATH",
-        help="persist a stage checkpoint (.npz) after every completed "
-        "distributed stage; combine with --resume to restart from it",
+        help="persist a stage checkpoint (a CRC-checked flat array file, "
+        "written at exactly PATH) after every completed distributed stage; "
+        "combine with --resume to restart from it",
     )
     p.add_argument(
         "--resume",
@@ -526,7 +528,7 @@ def _cmd_assemble(args) -> int:
     if fault_report is not None and fault_report.has_activity:
         print(f"fault report: {fault_report.summary()}")
     if args.checkpoint:
-        print(f"stage checkpoint at {npz_path(args.checkpoint)}")
+        print(f"stage checkpoint at {args.checkpoint}")
     if args.timings:
         print(f"wrote stage timings to {args.timings}")
     return 0
@@ -589,10 +591,13 @@ def _cmd_submit(args) -> int:
             file=sys.stderr,
         )
         return 1
+    # Workers run in the supervisor's directory, not this one.
+    reads = args.reads and os.path.abspath(args.reads)
+    reads_store = args.reads_store and os.path.abspath(args.reads_store)
     spec = JobSpec(
         name=args.name,
-        reads_path=args.reads,
-        reads_store=args.reads_store,
+        reads_path=reads,
+        reads_store=reads_store,
         n_partitions=args.partitions,
         partition_mode=args.partition_mode,
         backend=args.backend,
@@ -605,6 +610,12 @@ def _cmd_submit(args) -> int:
         retry=RetryPolicy(max_attempts=args.retries),
         deadline=args.deadline,
     )
+    # A bad input fails here, not three worker attempts later.
+    if reads is not None and not os.path.isfile(reads):
+        print(f"error: no such reads file: {reads}", file=sys.stderr)
+        return 1
+    if reads_store is not None:
+        ReadSet.open(reads_store)
     store = JobStore(args.store, create=True)
     record = store.submit(spec)
     print(f"submitted {record.job_id} (queued, priority {record.priority})")
@@ -741,8 +752,6 @@ def main(argv: list[str] | None = None) -> int:
         # Output piped into a consumer that closed early (`lint | head`).
         # Point stdout at devnull so the interpreter's exit flush does not
         # raise again, and exit with the conventional SIGPIPE status.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (OSError, ValueError) as exc:

@@ -30,7 +30,6 @@ from repro.core.stats import AssemblyStats
 from repro.distributed.dgraph import DistributedAssemblyGraph, HybridAssembly, enrich_hybrid
 from repro.distributed.traversal import contigs_from_paths
 from repro.faults import FaultReport
-from repro.io.atomic import npz_path
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
@@ -413,7 +412,6 @@ class FocusAssembler:
             raise ValueError(f"unknown partition_mode {mode!r}")
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
-        ckpt_file = None if checkpoint is None else npz_path(checkpoint)
 
         timer = StageTimer()
         timer.durations.update(prep.timer.durations)
@@ -433,11 +431,11 @@ class FocusAssembler:
 
         completed: list[str] = []
         restored_paths: tuple[np.ndarray, np.ndarray] | None = None
-        if resume and ckpt_file is not None and os.path.exists(ckpt_file):
-            state = load_checkpoint(ckpt_file)
+        if resume and os.path.exists(checkpoint):
+            state = load_checkpoint(checkpoint)
             if state.fingerprint != fingerprint:
                 raise ValueError(
-                    f"checkpoint {ckpt_file!r} does not match this run: "
+                    f"checkpoint {str(checkpoint)!r} does not match this run: "
                     f"saved fingerprint {state.fingerprint} != "
                     f"current {fingerprint}"
                 )
@@ -463,7 +461,7 @@ class FocusAssembler:
             out = runner.run_stage(stage, **params)
             stage_times[stage] = out.elapsed
             completed.append(stage)
-            if ckpt_file is not None:
+            if checkpoint is not None:
                 save_checkpoint(
                     CheckpointState(
                         fingerprint=fingerprint,
@@ -477,7 +475,7 @@ class FocusAssembler:
                         },
                         paths=out.result if stage == "traversal" else None,
                     ),
-                    ckpt_file,
+                    checkpoint,
                 )
             if on_stage is not None:
                 on_stage(stage)

@@ -19,15 +19,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import IO
 
-import numpy as np
-
-__all__ = [
-    "fsync_dir",
-    "atomic_write",
-    "atomic_savez",
-    "atomic_write_text",
-    "npz_path",
-]
+__all__ = ["fsync_dir", "atomic_write", "atomic_write_text"]
 
 #: process-wide tmp-name disambiguator (``itertools.count`` increments
 #: are atomic under the GIL, so threads never mint the same name).
@@ -76,17 +68,6 @@ def atomic_write(path: str | Path, write: Callable[[IO], None], mode: str = "wb"
         with suppress(OSError):
             os.remove(tmp)
         raise
-
-
-def npz_path(path: str | Path) -> str:
-    """The file numpy writes for ``path``: ``.npz`` appended if missing."""
-    path = str(path)
-    return path if path.endswith(".npz") else path + ".npz"
-
-
-def atomic_savez(path: str | Path, **arrays) -> None:
-    """Durably write a compressed ``.npz`` archive at :func:`npz_path`."""
-    atomic_write(npz_path(path), lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -1,44 +1,35 @@
-"""The stage-checkpoint archive (docs/robustness.md).
+"""The stage checkpoint (docs/robustness.md).
 
 After each completed stage of the distributed finish pipeline the
 assembler persists the alive-masks, completed stage list, per-stage
-times, and (after traversal) the packed paths in a single ``.npz``
-archive of numpy arrays — no pickle, no code execution on load — so
+times, and (after traversal) the packed paths in one flat array file —
+the sharded store's format (:func:`repro.store.sharded.encode_arrays`):
+the masks and paths are raw columns, the rest is its JSON header, and a
+CRC-32 covers every byte.  No pickle, no code execution on load, so
 ``repro assemble --resume`` and the job service restart from the last
 good stage instead of the beginning.
 
-The archive is written through :func:`repro.io.atomic.atomic_savez`, so
-a crash mid-write can never leave a truncated or corrupt checkpoint:
+The file is written through :func:`repro.io.atomic.atomic_write`, so a
+crash mid-write can never leave a truncated or corrupt checkpoint:
 either the previous file survives untouched or the new one is complete.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.io.atomic import atomic_savez
+from repro.io.atomic import atomic_write
+from repro.store.sharded import encode_arrays, read_arrays
 
 __all__ = ["CheckpointState", "save_checkpoint", "load_checkpoint"]
 
-_CHECKPOINT_VERSION = 1
+#: 1 was a compressed ``.npz`` archive; 2 is the flat array file.
+_CHECKPOINT_VERSION = 2
 
-_CHECKPOINT_KEYS = (
-    "version",
-    "fingerprint",
-    "completed",
-    "node_alive",
-    "edge_alive",
-    "stage_times",
-    "has_paths",
-    "paths_flat",
-    "paths_offsets",
-)
+_HEADER_KEYS = ("checkpoint_version", "fingerprint", "completed", "stage_times", "has_paths")
+_COLUMNS = ("node_alive", "edge_alive", "paths_flat", "paths_offsets")
 
 
 @dataclass
@@ -62,91 +53,65 @@ class CheckpointState:
     paths: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _json_array(obj) -> np.ndarray:
-    return np.frombuffer(json.dumps(obj).encode("utf-8"), dtype=np.uint8)
-
-
-def _json_value(arr: np.ndarray):
-    return json.loads(bytes(arr.tobytes()).decode("utf-8"))
-
-
 def save_checkpoint(state: CheckpointState, dest) -> None:
-    """Persist a stage checkpoint atomically (see :class:`CheckpointState`)."""
+    """Persist a stage checkpoint atomically at exactly ``dest``."""
     if state.node_alive is None or state.edge_alive is None:
         raise ValueError("checkpoint needs both alive-masks")
     flat = offsets = np.empty(0, dtype=np.int64)
     if state.paths is not None:
         flat, lens = (np.asarray(a, dtype=np.int64) for a in state.paths)
         offsets = np.concatenate([[0], np.cumsum(lens)])
-    atomic_savez(
-        dest,
-        version=np.int64(_CHECKPOINT_VERSION),
-        fingerprint=_json_array(state.fingerprint),
-        completed=_json_array(list(state.completed)),
-        node_alive=np.asarray(state.node_alive, dtype=bool),
-        edge_alive=np.asarray(state.edge_alive, dtype=bool),
-        stage_times=_json_array(state.stage_times),
-        has_paths=np.bool_(state.paths is not None),
-        paths_flat=flat,
-        paths_offsets=offsets,
+    blob = encode_arrays(
+        {
+            "node_alive": np.asarray(state.node_alive, dtype=bool),
+            "edge_alive": np.asarray(state.edge_alive, dtype=bool),
+            "paths_flat": flat,
+            "paths_offsets": offsets,
+        },
+        checkpoint_version=_CHECKPOINT_VERSION,
+        fingerprint=state.fingerprint,
+        completed=list(state.completed),
+        stage_times=state.stage_times,
+        has_paths=state.paths is not None,
     )
+    atomic_write(dest, lambda fh: fh.write(blob))
 
 
 def load_checkpoint(source) -> CheckpointState:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises :class:`ValueError` naming the file — never a bare
-    ``KeyError``, ``BadZipFile`` or ``zlib.error`` — when the file is
-    not an archive, is damaged, is missing expected arrays, or was
-    written by an unsupported format version.  Every member is read
-    whole, so its CRC-32 is checked: a damaged archive is refused, never
-    loaded as different state.
+    Raises :class:`ValueError` naming the file when it is not an array
+    file, is damaged (the CRC covers every byte, so a damaged file is
+    refused, never loaded as different state), lacks an expected key or
+    column, or was written by an unsupported format version.  The
+    arrays returned are writable copies.
     """
-    try:
-        with zipfile.ZipFile(source) as archive:
-            members = {
-                name.removesuffix(".npy"): archive.read(name)
-                for name in archive.namelist()
-            }
-    except (
-        zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError,
-        RuntimeError,  # a flipped "encrypted" flag
-    ) as exc:
-        raise ValueError(f"not a checkpoint archive: {source!r} ({exc})") from exc
-    missing = sorted(set(_CHECKPOINT_KEYS) - set(members))
-    if missing:
+    path = str(source)
+    header, columns = read_arrays(path)
+    found = header.get("checkpoint_version")
+    if found is not None and found != _CHECKPOINT_VERSION:
         raise ValueError(
-            f"corrupt or foreign checkpoint archive {source!r}: "
-            f"missing keys {missing}"
-        )
-    damage = (ValueError, TypeError, EOFError)
-    try:
-        data = {
-            key: np.load(io.BytesIO(members[key]), allow_pickle=False)
-            for key in _CHECKPOINT_KEYS
-        }
-        found = int(data["version"])
-    except damage as exc:
-        raise ValueError(f"corrupt checkpoint archive {source!r}: {exc}") from exc
-    if found != _CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint archive version {found} in {source!r} "
+            f"unsupported checkpoint version {found} in {path!r} "
             f"(this build reads version {_CHECKPOINT_VERSION})"
         )
-    try:
-        paths = None
-        if bool(data["has_paths"]):
-            paths = (
-                data["paths_flat"].astype(np.int64),
-                np.diff(data["paths_offsets"]).astype(np.int64),
-            )
-        return CheckpointState(
-            fingerprint=_json_value(data["fingerprint"]),
-            completed=list(_json_value(data["completed"])),
-            node_alive=data["node_alive"].astype(bool),
-            edge_alive=data["edge_alive"].astype(bool),
-            stage_times=_json_value(data["stage_times"]),
-            paths=paths,
+    missing = sorted(
+        {*_HEADER_KEYS} - header.keys() | {*_COLUMNS} - columns.keys()
+    )
+    if missing:
+        raise ValueError(
+            f"corrupt or foreign checkpoint {path!r}: missing keys {missing}"
         )
-    except damage as exc:
-        raise ValueError(f"corrupt checkpoint archive {source!r}: {exc}") from exc
+    paths = None
+    if header["has_paths"]:
+        paths = (
+            columns["paths_flat"].astype(np.int64),
+            np.diff(columns["paths_offsets"]).astype(np.int64),
+        )
+    return CheckpointState(
+        fingerprint=header["fingerprint"],
+        completed=list(header["completed"]),
+        node_alive=columns["node_alive"].astype(bool),
+        edge_alive=columns["edge_alive"].astype(bool),
+        stage_times=header["stage_times"],
+        paths=paths,
+    )

@@ -132,16 +132,9 @@ class JobSpec:
             raise ValueError(
                 "exactly one of reads_path and reads_store is required"
             )
-        if self.n_partitions < 1 or (
-            self.n_partitions & (self.n_partitions - 1)
-        ) != 0:
-            raise ValueError("n_partitions must be a power of two")
-        if self.backend not in ("serial", "sim", "process"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.partition_mode not in ("hybrid", "multilevel"):
-            raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
         if self.memory_bytes < 0 or self.cache_budget < 0:
             raise ValueError("byte budgets must be non-negative")
+        self.assembly_config()  # the assembly knobs' own checks
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         if self.pause_between_stages < 0:

@@ -9,7 +9,7 @@ Layout::
         state.json               # current JobRecord (atomic replace)
         journal.jsonl            # append-only, fsynced transition log
         lease.json               # present while a supervisor/worker owns it
-        checkpoint.npz           # PR 5 stage checkpoint (while running)
+        checkpoint.bin           # stage checkpoint (while running)
         cancel.json              # cooperative cancellation request
         worker.log               # worker stdout/stderr
         contigs.fasta            # final output (done jobs)
@@ -52,7 +52,7 @@ SPEC_NAME = "spec.json"
 STATE_NAME = "state.json"
 JOURNAL_NAME = "journal.jsonl"
 CANCEL_NAME = "cancel.json"
-CHECKPOINT_NAME = "checkpoint.npz"
+CHECKPOINT_NAME = "checkpoint.bin"
 CONTIGS_NAME = "contigs.fasta"
 RESULT_NAME = "result.json"
 WORKER_LOG_NAME = "worker.log"
@@ -260,6 +260,36 @@ class JobStore:
         )
         self._write_record(job_dir, updated)
         return updated
+
+    def retry_or_fail(
+        self, job_id: str, reason: str, error: str, now: float | None = None
+    ) -> bool:
+        """End a failed attempt through the spec's RetryPolicy.
+
+        While the policy allows another attempt the job goes back to
+        ``queued`` behind a jittered backoff (journaled with ``reason``);
+        otherwise it is ``failed``.  Returns ``True`` iff requeued.
+        """
+        t = now if now is not None else time.time()
+        attempt = self.load_record(job_id).attempt
+        policy = self.load_spec(job_id).retry
+        if policy.allows(attempt + 1):
+            delay = policy.backoff(attempt, token=job_id)
+            self.transition(
+                job_id,
+                "queued",
+                now=t,
+                attempt=attempt + 1,
+                not_before=t + delay,
+                error=error,
+                info={"requeue": reason, "backoff": delay},
+            )
+            return True
+        self.transition(
+            job_id, "failed", now=t, error=error,
+            info={"error": error, "attempts": attempt},
+        )
+        return False
 
     def journal(self, job_id: str) -> list[JournalEntry]:
         """Every intact journal entry, oldest first.

@@ -280,27 +280,7 @@ class Supervisor:
             record = self.store.load_record(job_id)
             if record.state == "queued" or record.terminal:
                 return False  # already resolved before we won the claim
-            spec = self.store.load_spec(job_id)
-            policy = spec.retry
-            if policy.allows(record.attempt + 1):
-                delay = policy.backoff(record.attempt, token=job_id)
-                self.store.transition(
-                    job_id,
-                    "queued",
-                    now=now,
-                    attempt=record.attempt + 1,
-                    not_before=now + delay,
-                    error=reason,
-                    info={"requeue": reason, "backoff": delay},
-                )
-            else:
-                self.store.transition(
-                    job_id,
-                    "failed",
-                    now=now,
-                    error=reason,
-                    info={"error": reason, "attempts": record.attempt},
-                )
+            self.store.retry_or_fail(job_id, reason, reason, now=now)
             return True
         finally:
             lease_mod.release(job_dir, guard)

@@ -100,7 +100,6 @@ def run_job(root: str, job_id: str, token: str, ttl: float) -> int:
     # under its own) so watchdogs and the chaos harness can target us.
     lease = lease_mod.heartbeat(job_dir, lease, ttl, pid=os.getpid())
     spec = store.load_spec(job_id)
-    record = store.load_record(job_id)
     store.transition(
         job_id, "running", info={"owner": lease.owner, "pid": os.getpid()}
     )
@@ -135,7 +134,11 @@ def run_job(root: str, job_id: str, token: str, ttl: float) -> int:
         return 3
     except Exception as exc:  # noqa: BLE001 - recorded + escalated below
         beat.stop()
-        return _fail_or_requeue(store, job_id, spec, record.attempt, exc, beat)
+        requeued = store.retry_or_fail(
+            job_id, "worker error", f"{type(exc).__name__}: {exc}"
+        )
+        lease_mod.release(job_dir, beat.lease)
+        return 5 if requeued else 2
     _finish_ok(store, job_id, result)
     beat.stop()
     lease_mod.release(job_dir, beat.lease)
@@ -176,29 +179,6 @@ def _finish_ok(store: JobStore, job_id: str, result) -> None:
         },
     )
     store.transition(job_id, "done", info={"n_contigs": int(stats.n_contigs)})
-
-
-def _fail_or_requeue(
-    store: JobStore, job_id: str, spec, attempt: int, exc: Exception, beat
-) -> int:
-    """Escalate a failed attempt through the spec's RetryPolicy."""
-    policy = spec.retry
-    error = f"{type(exc).__name__}: {exc}"
-    if policy.allows(attempt + 1):
-        delay = policy.backoff(attempt, token=job_id)
-        store.transition(
-            job_id,
-            "queued",
-            attempt=attempt + 1,
-            not_before=time.time() + delay,
-            error=error,
-            info={"requeue": "worker error", "backoff": delay},
-        )
-        lease_mod.release(store.job_dir(job_id), beat.lease)
-        return 5
-    store.transition(job_id, "failed", error=error, info={"error": error})
-    lease_mod.release(store.job_dir(job_id), beat.lease)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:

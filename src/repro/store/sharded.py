@@ -16,7 +16,9 @@ served as read-only ``np.frombuffer`` views of that buffer; a torn,
 truncated or bit-flipped shard raises ``ValueError`` naming the file.
 A store-wide *table* (the reads store's global offsets) is one more
 file of the same format, stamped with shard index ``None`` and the
-store's record count.
+store's record count.  :func:`encode_arrays` and :func:`read_arrays`
+are the format without the stamp; the stage checkpoint
+(:mod:`repro.io.store`) is written and read with them too.
 
 A :class:`ShardedStore` opens the manifest and serves shard payloads
 through a byte-budgeted :class:`~repro.store.cache.ShardCache`, so the
@@ -42,6 +44,8 @@ from repro.store.manifest import STORE_VERSION, ShardInfo, StoreManifest
 
 __all__ = [
     "DEFAULT_CACHE_BUDGET",
+    "encode_arrays",
+    "read_arrays",
     "SHARD_PATTERN",
     "shard_name",
     "ShardWriter",
@@ -65,8 +69,8 @@ def shard_name(index: int) -> str:
     return f"shard-{index:05d}.bin"
 
 
-def _encode_shard(arrays: dict, **stamp) -> bytes:
-    """The bytes of one shard file stamped with ``stamp``."""
+def encode_arrays(arrays: dict, **header) -> bytes:
+    """The bytes of one flat array file whose JSON header holds ``header``."""
     columns, blobs, offset = [], [], 0
     for name, value in arrays.items():
         arr = np.asarray(value)
@@ -76,9 +80,9 @@ def _encode_shard(arrays: dict, **stamp) -> bytes:
         )
         blobs += [blob, b"\0" * (-len(blob) % _ALIGN)]
         offset += len(blob) + len(blobs[-1])
-    header = json.dumps({**stamp, "columns": columns}).encode("utf-8")
-    header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
-    body = b"".join([struct.pack("<Q", len(header)), header, *blobs])
+    head = json.dumps({**header, "columns": columns}).encode("utf-8")
+    head += b" " * (-(_PREFIX.size + len(head)) % _ALIGN)
+    body = b"".join([struct.pack("<Q", len(head)), head, *blobs])
     return _MAGIC + struct.pack("<I", zlib.crc32(body)) + body
 
 
@@ -120,7 +124,7 @@ def _write_stamped(
     path: str, arrays: dict, kind: str, index: int | None, n_records: int
 ) -> None:
     """Durably write ``arrays`` as one stamped, CRC-checked file."""
-    blob = _encode_shard(
+    blob = encode_arrays(
         arrays,
         store_version=STORE_VERSION,
         store_kind=kind,
@@ -130,41 +134,45 @@ def _write_stamped(
     atomic_write(path, lambda fh: fh.write(blob))
 
 
-def _read_shard(path: str, kind: str, index: int | None, n_records: int) -> dict:
-    """One shard's columns, as read-only views of one read of ``path``.
+def read_arrays(path: str) -> tuple[dict, dict]:
+    """A flat array file's header and columns, the columns as read-only
+    views of one read of ``path``.
 
     Raises ``ValueError`` naming ``path`` when the file is missing,
-    torn, bit-flipped, foreign, or stamped for another store or slot.
+    torn, bit-flipped or not an array file.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ValueError(f"unreadable shard {path!r}: {exc}") from exc
+        raise ValueError(f"unreadable file {path!r}: {exc}") from exc
     if len(raw) < _PREFIX.size or raw[:8] != _MAGIC:
-        raise ValueError(f"foreign shard {path!r}: not a repro.store shard file")
+        raise ValueError(f"foreign file {path!r}: not a repro array file")
     _, crc, hlen = _PREFIX.unpack_from(raw)
     if zlib.crc32(memoryview(raw)[12:]) != crc:  # every byte after the CRC
-        raise ValueError(f"corrupt shard {path!r}: CRC mismatch (torn or bit-flipped)")
+        raise ValueError(f"corrupt file {path!r}: CRC mismatch (torn or bit-flipped)")
     start = _PREFIX.size + hlen
     try:
         header = json.loads(raw[_PREFIX.size : start])
-        columns = header["columns"]  # TypeError unless a JSON object
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt shard {path!r}: {exc!r}") from exc
-    _check_stamp(header, path, kind, index, n_records)
-    try:
-        arrays = {}
-        for col in columns:
-            arrays[col["name"]] = np.frombuffer(
+        columns = {
+            col["name"]: np.frombuffer(
                 raw,
                 np.dtype(col["dtype"]),
                 count=math.prod(col["shape"]),
                 offset=start + col["offset"],
             ).reshape(col["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt shard {path!r}: {exc!r}") from exc
-    return arrays
+            for col in header.pop("columns")
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt file {path!r}: {exc!r}") from exc
+    return header, columns
+
+
+def _read_shard(path: str, kind: str, index: int | None, n_records: int) -> dict:
+    """One shard's columns, checked against its stamp (see :func:`read_arrays`)."""
+    header, columns = read_arrays(path)
+    _check_stamp(header, path, kind, index, n_records)
+    return columns
 
 
 class ShardWriter:

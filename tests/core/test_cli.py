@@ -183,10 +183,10 @@ class TestAssembleAndStats:
             argv = ["assemble", str(reads_fastq), "-o", str(out), "--partitions", "2",
                     "--checkpoint", str(checkpoint), "--resume", "--timings", str(times)]
             assert main(argv) == 0
-            assert f"stage checkpoint at {checkpoint}.npz\n" in capsys.readouterr().out
+            assert f"stage checkpoint at {checkpoint}\n" in capsys.readouterr().out
             fastas.append(out.read_bytes())
             timings.append(json.loads(times.read_text()))
-        assert sorted(load_checkpoint(f"{checkpoint}.npz").completed) == sorted(FINISH_STAGES)
+        assert sorted(load_checkpoint(checkpoint).completed) == sorted(FINISH_STAGES)
         # The first run executes the trim and traversal stages; the second
         # restores all five from the checkpoint and runs neither.
         assert {"trim", "traverse"} <= timings[0]["stages"].keys()

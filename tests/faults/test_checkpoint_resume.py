@@ -13,7 +13,6 @@ from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 
 from tests.faults.conftest import FAST, contig_key, small_reads
-from tests.reference.traversal_walk import unpack_paths
 
 
 class Interrupted(Exception):
@@ -79,7 +78,7 @@ class TestResume:
         self, prepared_trimming, uninterrupted, tmp_path
     ):
         assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
+        ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="containment")
 
         result = assembler.finish(
@@ -97,7 +96,7 @@ class TestResume:
         self, prepared_trimming, uninterrupted, tmp_path
     ):
         assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
+        ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="bubbles")
 
         result = assembler.finish(
@@ -114,7 +113,7 @@ class TestResume:
         self, prepared_trimming, uninterrupted, tmp_path
     ):
         assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
+        ckpt = tmp_path / "ck.bin"
         assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt
         )
@@ -125,41 +124,13 @@ class TestResume:
         assert "trim" not in result.timer.durations
         assert "traverse" not in result.timer.durations
 
-    def test_resume_of_list_written_checkpoint(
-        self, prepared_trimming, uninterrupted, tmp_path
-    ):
-        # Earlier releases held paths as lists and wrote them with the
-        # writer below; the archive keys are unchanged, so such a
-        # checkpoint resumes to the same paths and contigs.
-        assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
-        assembler.finish(prep, n_partitions=4, backend="serial", checkpoint=ckpt)
-        with np.load(ckpt) as data:
-            arrays = {key: data[key] for key in data.files}
-        paths = unpack_paths(*uninterrupted.paths)
-        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(p) for p in paths])
-        arrays["paths_offsets"] = offsets
-        arrays["paths_flat"] = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in paths]
-        )
-        np.savez(ckpt, **arrays)
-
-        result = assembler.finish(
-            prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
-        )
-        assert "traverse" not in result.timer.durations
-        assert_resumed(result, uninterrupted)
-        for got, want in zip(result.paths, uninterrupted.paths):
-            np.testing.assert_array_equal(got, want)
-
     def test_resume_across_backends(
         self, prepared_trimming, uninterrupted, tmp_path
     ):
         # Contigs are backend-identical, so a checkpoint written under
         # serial may resume under sim.
         assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
+        ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="dead_ends")
         result = assembler.finish(
             prep, n_partitions=4, backend="sim", checkpoint=ckpt, resume=True
@@ -174,7 +145,7 @@ class TestResume:
             prep,
             n_partitions=4,
             backend="serial",
-            checkpoint=tmp_path / "never_written.npz",
+            checkpoint=tmp_path / "never_written.bin",
             resume=True,
         )
         assert_resumed(result, uninterrupted)
@@ -182,7 +153,7 @@ class TestResume:
 
     def test_mismatched_fingerprint_refused(self, prepared_trimming, tmp_path):
         assembler, prep = prepared_trimming
-        ckpt = tmp_path / "ck.npz"
+        ckpt = tmp_path / "ck.bin"
         assembler.finish(prep, n_partitions=4, backend="serial", checkpoint=ckpt)
         with pytest.raises(ValueError, match="does not match"):
             assembler.finish(

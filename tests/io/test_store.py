@@ -1,4 +1,4 @@
-"""Tests for the checkpoint archive and the atomic writes under it."""
+"""Tests for the stage checkpoint and the atomic writes under it."""
 
 import os
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.atomic import atomic_savez, atomic_write, atomic_write_text
+from repro.io.atomic import atomic_write, atomic_write_text
 from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
+from repro.store.sharded import encode_arrays, read_arrays
 
 from tests.fuzz import damaged
 
@@ -24,37 +25,46 @@ def sample_state(paths=None):
     )
 
 
+def rewrite(path, columns=None, **header):
+    """Re-encode the checkpoint at ``path`` with some columns or header
+    fields replaced, as another writer would have produced it."""
+    old_header, old_columns = read_arrays(path)
+    path.write_bytes(
+        encode_arrays({**old_columns, **(columns or {})}, **{**old_header, **header})
+    )
+
+
 class TestCorruptedArchives:
     """The loader must fail with ValueError, never a bare KeyError."""
 
     def test_not_an_archive(self, tmp_path):
-        # What a torn copy looks like: the first half of a real archive.
-        path = tmp_path / "ck.npz"
+        # What a torn copy looks like: the first half of a real checkpoint.
+        path = tmp_path / "ck.bin"
         save_checkpoint(sample_state(), path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.raises(ValueError, match="not a checkpoint archive"):
+        with pytest.raises(ValueError, match="CRC mismatch") as info:
             load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_missing_key_message_names_the_keys(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        np.savez(path, version=np.int64(1), node_alive=np.ones(2, dtype=bool))
+        path = tmp_path / "partial.bin"
+        path.write_bytes(
+            encode_arrays({"node_alive": np.ones(2, dtype=bool)}, checkpoint_version=2)
+        )
         with pytest.raises(ValueError, match="missing keys.*edge_alive"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "ck.npz"
+        path = tmp_path / "ck.bin"
         save_checkpoint(sample_state(), path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["version"] = np.int64(99)
-        np.savez(path, **arrays)
+        rewrite(path, checkpoint_version=99)
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
 def checkpoint_blob(tmp_path_factory):
-    path = tmp_path_factory.mktemp("pristine") / "ck.npz"
+    path = tmp_path_factory.mktemp("pristine") / "ck.bin"
     save_checkpoint(sample_state(paths=(np.arange(5), np.array([3, 0, 2]))), path)
     return path.read_bytes()
 
@@ -68,7 +78,7 @@ def test_damaged_checkpoint_loads_identically_or_names_the_file(
     the state that was saved or raises a ``ValueError`` naming the file
     (each member's CRC-32 is checked, so a flip never loads as other
     state)."""
-    path = tmp_path_factory.mktemp("fuzz") / "ck.npz"
+    path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
     path.write_bytes(damaged(checkpoint_blob, data))
     try:
         state = load_checkpoint(path)
@@ -84,24 +94,11 @@ def test_damaged_checkpoint_loads_identically_or_names_the_file(
     assert [a.tolist() for a in state.paths] == [[0, 1, 2, 3, 4], [3, 0, 2]]
 
 
-def test_flipped_encryption_flag_names_the_file(checkpoint_blob, tmp_path):
-    """zipfile raises ``RuntimeError`` for a member flagged encrypted."""
-    blob = bytearray(checkpoint_blob)
-    entry = blob.index(b"PK\x01\x02")  # first central-directory entry
-    blob[entry + 8] |= 1  # its general-purpose flag: encrypted
-    path = tmp_path / "ck.npz"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="not a checkpoint archive") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
-
-
 class TestAtomicWrites:
     """A crash mid-write must never corrupt an existing file — through
-    each of the two helpers and the primitive they share."""
+    the text helper and the primitive under it."""
 
     WRITES = {
-        "c.npz": lambda path, n: atomic_savez(path, value=np.arange(n)),
         "c.txt": lambda path, n: atomic_write_text(path, "x" * n),
         "c.bin": lambda path, n: atomic_write(path, lambda fh: fh.write(b"x" * n)),
     }
@@ -151,16 +148,12 @@ class TestAtomicWrites:
             ]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.WRITES)
 
-    def test_npz_suffix_appended_like_numpy(self, tmp_path):
-        save_checkpoint(sample_state(), tmp_path / "noext")
-        assert (tmp_path / "noext.npz").exists()
-
 
 class TestCheckpointStore:
     """Stage-checkpoint persistence (docs/robustness.md)."""
 
     def test_roundtrip_without_paths(self, tmp_path):
-        path = tmp_path / "ck.npz"
+        path = tmp_path / "ck.bin"
         state = sample_state()
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
@@ -170,19 +163,25 @@ class TestCheckpointStore:
         assert (loaded.edge_alive == state.edge_alive).all()
         assert loaded.stage_times == state.stage_times
         assert loaded.paths is None
+        # finish() clears mask bits in place, so the masks are copies.
+        assert loaded.node_alive.flags.writeable and loaded.edge_alive.flags.writeable
+
+    def test_written_at_exactly_the_given_path(self, tmp_path):
+        save_checkpoint(sample_state(), tmp_path / "noext")
+        assert [p.name for p in tmp_path.iterdir()] == ["noext"]
+        assert load_checkpoint(tmp_path / "noext").completed == sample_state().completed
 
     def test_roundtrip_with_paths(self, tmp_path):
-        path = tmp_path / "ck.npz"
+        path = tmp_path / "ck.bin"
         paths = (np.array([0, 1, 2, 5, 4]), np.array([3, 0, 2]))
         save_checkpoint(sample_state(paths=paths), path)
         flat, lens = load_checkpoint(path).paths
         assert flat.dtype == lens.dtype == np.int64
         assert flat.tolist() == [0, 1, 2, 5, 4] and lens.tolist() == [3, 0, 2]
-        with np.load(path) as data:
-            assert data["paths_offsets"].tolist() == [0, 3, 3, 5]
+        assert read_arrays(path)[1]["paths_offsets"].tolist() == [0, 3, 3, 5]
 
     def test_empty_paths_distinct_from_missing(self, tmp_path):
-        path = tmp_path / "ck.npz"
+        path = tmp_path / "ck.bin"
         empty = np.empty(0, dtype=np.int64)
         save_checkpoint(sample_state(paths=(empty, empty)), path)
         flat, lens = load_checkpoint(path).paths
@@ -191,16 +190,19 @@ class TestCheckpointStore:
     def test_masks_required(self, tmp_path):
         state = CheckpointState(fingerprint={})
         with pytest.raises(ValueError, match="alive-masks"):
-            save_checkpoint(state, tmp_path / "ck.npz")
+            save_checkpoint(state, tmp_path / "ck.bin")
 
     def test_foreign_archive_rejected(self, tmp_path):
-        path = tmp_path / "r.npz"
-        np.savez(path, version=np.int64(1), data=np.arange(4))
+        # A store shard is a valid array file, but not a checkpoint.
+        path = tmp_path / "shard-00000.bin"
+        path.write_bytes(
+            encode_arrays({"data": np.arange(4)}, store_version=3, store_kind="reads")
+        )
         with pytest.raises(ValueError, match="missing keys"):
             load_checkpoint(path)
 
     def test_not_an_archive_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
+        path = tmp_path / "junk.bin"
         path.write_bytes(b"nope")
-        with pytest.raises(ValueError, match="not a checkpoint archive"):
+        with pytest.raises(ValueError, match="not a repro array file"):
             load_checkpoint(path)

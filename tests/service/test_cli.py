@@ -1,5 +1,7 @@
 """CLI surface tests: submit / jobs / serve / cancel round trips."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -48,6 +50,30 @@ class TestSubmitJobsServe:
         rc = main(["submit", str(tmp_path / "s")])
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
+
+    def test_relative_reads_path_is_stored_absolute(
+        self, tmp_path, reads_path, capsys, monkeypatch
+    ):
+        import os
+
+        from repro.service import JobStore
+
+        store = str(tmp_path / "jobs.store")
+        monkeypatch.chdir(os.path.dirname(reads_path))
+        assert main(["submit", store, os.path.basename(reads_path)]) == 0
+        job_id = capsys.readouterr().out.split()[1]
+        stored = JobStore(store).load_spec(job_id).reads_path
+        assert os.path.isabs(stored) and os.path.samefile(stored, reads_path)
+
+    @pytest.mark.parametrize("flag", [None, "--reads-store"])
+    def test_missing_input_exits_one_and_queues_nothing(self, tmp_path, capsys, flag):
+        store = tmp_path / "jobs.store"
+        missing = str(tmp_path / "missing")
+        argv = ["submit", str(store)] + ([flag] if flag else []) + [missing]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not store.exists()
 
     def test_jobs_on_missing_store_errors(self, tmp_path, capsys):
         rc = main(["jobs", str(tmp_path / "nope")])

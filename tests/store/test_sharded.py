@@ -33,7 +33,7 @@ def rewrite_shard(store_path, index, columns=None, **stamp):
         **stamp,
     }
     with open(store.shard_path(index), "wb") as fh:
-        fh.write(sharded_mod._encode_shard(arrays, **fields))
+        fh.write(sharded_mod.encode_arrays(arrays, **fields))
 
 
 def replace_in_manifest(store_path, old, new):
