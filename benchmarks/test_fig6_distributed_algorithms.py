@@ -18,18 +18,18 @@ trim pass on these ~3,220-node graphs takes 2-11 virtual ms at every k
 assertion below does not hold in every run on this input: it passed
 9 of 10 runs on a 2-core host, the failure on "trimming did not speed
 up".  The input and the assertions are deliberately unchanged.  EXPERIMENTS.md has the numbers and
-ROADMAP open item 5d the follow-up.
+ROADMAP open item 10 (the simulated cluster as a schedule) the follow-up.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import format_table
+from repro.core import AssemblyConfig, finish_plan, run_plan
 from repro.distributed.dgraph import DistributedAssemblyGraph, enrich_hybrid
-from repro.distributed.stages import get_stage, run_stage_on_comm
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.hybrid import build_hybrid_set
-from repro.mpi.cluster import SimCluster
+from repro.parallel.backend import create_backend
 from repro.partition.multilevel import partition_via_hybrid
 from repro.partition.recursive import PartitionConfig
 
@@ -56,14 +56,10 @@ def _run_stages(mls, hyb, asm, k):
     trims, travs = [], []
     for _ in range(RUNS):
         dag = DistributedAssemblyGraph(asm, part.labels_finest)
-        cluster = SimCluster(k, cost_model=FAST_NET)
-        trim = 0.0
-        for stage in ("transitive", "containment", "dead_ends", "bubbles"):
-            _, stats = cluster.run(run_stage_on_comm, get_stage(stage), dag)
-            trim += stats.elapsed
-        _, stats = cluster.run(run_stage_on_comm, get_stage("traversal"), dag)
-        trims.append(trim)
-        travs.append(stats.elapsed)
+        with create_backend("sim", dag, cost_model=FAST_NET) as runner:
+            outcomes = run_plan(runner, finish_plan(AssemblyConfig()))
+        travs.append(outcomes.pop("traversal").elapsed)
+        trims.append(sum(out.elapsed for out in outcomes.values()))
     return float(np.median(trims)), float(np.median(travs))
 
 

@@ -1,7 +1,7 @@
 """The Focus assembler: end-to-end pipeline and assembly statistics."""
 
 from repro.core.config import AssemblyConfig
-from repro.core.focus import AssemblyResult, FocusAssembler
+from repro.core.focus import AssemblyResult, FocusAssembler, finish_plan, run_plan
 from repro.core.pipeline import StageTimer
 from repro.core.stats import AssemblyStats, n50
 
@@ -9,6 +9,8 @@ __all__ = [
     "AssemblyConfig",
     "FocusAssembler",
     "AssemblyResult",
+    "finish_plan",
+    "run_plan",
     "StageTimer",
     "AssemblyStats",
     "n50",

@@ -18,8 +18,10 @@ reads.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import OverlapGraph
 from repro.io.readset import ReadSet, ragged_positions
 from repro.mpi.timing import CommCostModel
-from repro.parallel.backend import create_backend
+from repro.parallel.backend import ExecutionBackend, StageOutcome, create_backend
 from repro.partition.multilevel import (
     PartitionResult,
     partition_via_hybrid,
@@ -47,17 +49,57 @@ from repro.sequence.kmers import kmer_codes, stable_sort
 
 __all__ = [
     "FINISH_STAGES",
+    "finish_plan",
+    "run_plan",
     "PreparedAssembly",
     "AssemblyResult",
     "FocusAssembler",
     "deduplicate_contigs",
 ]
 
+
+def finish_plan(config: AssemblyConfig) -> list[tuple[str, dict]]:
+    """The finish stages ``config`` runs, in order, each with its
+    kernel parameters: the trimming stages (unless ``run_trimming`` is
+    off), then the maximal-path traversal (paper §II, Fig. 6)."""
+    trim = [
+        ("transitive", {"tolerance": config.transitive_tolerance}),
+        (
+            "containment",
+            {
+                "min_overlap": config.containment_min_overlap,
+                "min_identity": config.containment_min_identity,
+            },
+        ),
+        ("dead_ends", {"max_tip_bases": config.max_tip_bases}),
+        ("bubbles", {}),
+    ]
+    return (trim if config.run_trimming else []) + [("traversal", {})]
+
+
+def run_plan(
+    runner: ExecutionBackend,
+    plan: list[tuple[str, dict]],
+    done: frozenset[str] = frozenset(),
+    after: Callable[[str, StageOutcome], None] | None = None,
+) -> dict[str, StageOutcome]:
+    """Run each stage of ``plan`` not in ``done`` on ``runner``, in
+    order, calling ``after(name, outcome)`` once each has merged."""
+    outcomes = {}
+    for name, params in plan:
+        if name in done:
+            continue
+        outcomes[name] = runner.run_stage(name, **params)
+        if after is not None:
+            after(name, outcomes[name])
+    return outcomes
+
+
 #: the distributed stages :meth:`FocusAssembler.finish` runs, in the
 #: sorted order seeded ``random:SEED`` fault plans draw over — the
 #: registry also holds ``overlap`` and ``variants``, and drawing over
 #: it would silently re-draw every recorded plan.
-FINISH_STAGES = ("bubbles", "containment", "dead_ends", "transitive", "traversal")
+FINISH_STAGES = tuple(sorted(name for name, _ in finish_plan(AssemblyConfig())))
 
 
 #: k-mer length of the dedupe placement.  Odd, so no k-mer is its own
@@ -255,11 +297,6 @@ class AssemblyResult:
     fault_report: FaultReport | None = None
 
     @property
-    def stage_times(self) -> dict[str, float]:
-        """Alias for :attr:`virtual_times` (clock kind in ``time_kind``)."""
-        return self.virtual_times
-
-    @property
     def read_partitions(self) -> np.ndarray:
         """Partition id of every processed read (via its hybrid node)."""
         return self.partition.labels_finest[self.hyb.base_maps[0]]
@@ -344,6 +381,8 @@ class FocusAssembler:
     def _fingerprint(self, prep: PreparedAssembly, k: int, mode: str) -> dict:
         """Run identity recorded in checkpoints: a resume against a
         checkpoint from a different input or configuration is refused.
+        It holds the whole :func:`finish_plan`, so every finish stage
+        parameter guards a resume.
 
         For shard-backed reads the store manifest digest is included
         (``store``), so resuming against a store whose shards changed
@@ -357,11 +396,8 @@ class FocusAssembler:
             "n_hybrid_nodes": int(prep.hyb.hybrid.n_nodes),
             "n_partitions": int(k),
             "partition_mode": mode,
-            "run_trimming": bool(cfg.run_trimming),
-            "transitive_tolerance": int(cfg.transitive_tolerance),
-            "containment_min_overlap": int(cfg.containment_min_overlap),
-            "containment_min_identity": float(cfg.containment_min_identity),
-            "max_tip_bases": int(cfg.max_tip_bases),
+            # Lists, not tuples: the header round-trips through JSON.
+            "plan": [[name, params] for name, params in finish_plan(cfg)],
             "seed": int(cfg.seed),
         }
 
@@ -375,7 +411,8 @@ class FocusAssembler:
         resume: bool = False,
         on_stage=None,
     ) -> AssemblyResult:
-        """Partition, trim, traverse, and build contigs.
+        """Partition, run :func:`finish_plan` through :func:`run_plan`,
+        and build contigs.
 
         May be called repeatedly on one :class:`PreparedAssembly` with
         different partition counts/modes/backends; each call works on a
@@ -415,6 +452,7 @@ class FocusAssembler:
 
         timer = StageTimer()
         timer.durations.update(prep.timer.durations)
+        # Seconds of every completed stage, in completion order.
         stage_times: dict[str, float] = {}
 
         with timer.stage("partition"):
@@ -429,7 +467,6 @@ class FocusAssembler:
         dag = DistributedAssemblyGraph(prep.assembly, labels_h)
         fingerprint = self._fingerprint(prep, k, mode)
 
-        completed: list[str] = []
         restored_paths: tuple[np.ndarray, np.ndarray] | None = None
         if resume and os.path.exists(checkpoint):
             state = load_checkpoint(checkpoint)
@@ -441,12 +478,8 @@ class FocusAssembler:
                 )
             dag.node_alive = np.asarray(state.node_alive, dtype=bool)
             dag.edge_alive = np.asarray(state.edge_alive, dtype=bool)
-            completed = list(state.completed)
-            stage_times.update(
-                {name: float(v) for name, v in state.stage_times.items()}
-            )
+            stage_times.update(state.stage_times)
             restored_paths = state.paths
-        restored = frozenset(completed)
 
         runner = create_backend(
             backend_name,
@@ -457,61 +490,35 @@ class FocusAssembler:
             fault_plan=cfg.fault_plan,
         )
 
-        def run(stage: str, **params) -> object:
-            out = runner.run_stage(stage, **params)
-            stage_times[stage] = out.elapsed
-            completed.append(stage)
+        mark = time.perf_counter()
+
+        def after(name: str, out: StageOutcome) -> None:
+            nonlocal mark
+            stage_times[name] = out.elapsed
             if checkpoint is not None:
                 save_checkpoint(
                     CheckpointState(
                         fingerprint=fingerprint,
-                        completed=list(completed),
+                        completed=list(stage_times),
                         node_alive=dag.node_alive,
                         edge_alive=dag.edge_alive,
-                        stage_times={
-                            name: stage_times[name]
-                            for name in completed
-                            if name in stage_times
-                        },
-                        paths=out.result if stage == "traversal" else None,
+                        stage_times=dict(stage_times),
+                        paths=out.result if name == "traversal" else None,
                     ),
                     checkpoint,
                 )
             if on_stage is not None:
-                on_stage(stage)
-            return out.result
+                on_stage(name)
+            # Only executed stages are timed, each with its checkpoint.
+            now = time.perf_counter()
+            timer.record("traverse" if name == "traversal" else "trim", now - mark)
+            mark = now
 
-        trim_sequence = (
-            ("transitive", {"tolerance": cfg.transitive_tolerance}),
-            (
-                "containment",
-                {
-                    "min_overlap": cfg.containment_min_overlap,
-                    "min_identity": cfg.containment_min_identity,
-                },
-            ),
-            ("dead_ends", {"max_tip_bases": cfg.max_tip_bases}),
-            ("bubbles", {}),
-        )
         try:
-            if cfg.run_trimming:
-                pending = [s for s in trim_sequence if s[0] not in restored]
-                if pending:
-                    with timer.stage("trim"):
-                        for name, params in pending:
-                            run(name, **params)
-                stage_times["trim_total"] = sum(
-                    stage_times[key]
-                    for key in ("transitive", "containment", "dead_ends", "bubbles")
-                )
-
-            if "traversal" in restored and restored_paths is not None:
-                paths = restored_paths
-            else:
-                with timer.stage("traverse"):
-                    paths = run("traversal")
+            outcomes = run_plan(runner, finish_plan(cfg), frozenset(stage_times), after)
         finally:
             runner.close()
+        paths = outcomes["traversal"].result if "traversal" in outcomes else restored_paths
 
         fault_report = FaultReport()
         fault_report.merge(prep.fault_report)

@@ -4,8 +4,9 @@ After each completed stage of the distributed finish pipeline the
 assembler persists the alive-masks, completed stage list, per-stage
 times, and (after traversal) the packed paths in one flat array file —
 the sharded store's format (:func:`repro.store.sharded.encode_arrays`):
-the masks and paths are raw columns, the rest is its JSON header, and a
-CRC-32 covers every byte.  No pickle, no code execution on load, so
+the bit-packed masks and ``int32`` paths are raw columns, the rest
+(with the mask lengths) is its JSON header, and a CRC-32 covers every
+byte.  No pickle, no code execution on load, so
 ``repro assemble --resume`` and the job service restart from the last
 good stage instead of the beginning.
 
@@ -25,10 +26,14 @@ from repro.store.sharded import encode_arrays, read_arrays
 
 __all__ = ["CheckpointState", "save_checkpoint", "load_checkpoint"]
 
-#: 1 was a compressed ``.npz`` archive; 2 is the flat array file.
-_CHECKPOINT_VERSION = 2
+#: 1 was a compressed ``.npz`` archive; 2 the flat array file with
+#: byte masks and ``int64`` paths; 3 packs the masks to bits and the
+#: paths to ``int32``.
+_CHECKPOINT_VERSION = 3
 
-_HEADER_KEYS = ("checkpoint_version", "fingerprint", "completed", "stage_times", "has_paths")
+_HEADER_KEYS = (
+    "checkpoint_version", "fingerprint", "completed", "stage_times", "n_nodes", "n_edges"
+)
 _COLUMNS = ("node_alive", "edge_alive", "paths_flat", "paths_offsets")
 
 
@@ -37,7 +42,7 @@ class CheckpointState:
     """Everything needed to resume a finish pipeline mid-stage-sequence.
 
     ``fingerprint`` identifies the run (read counts, partition count,
-    trimming parameters, ...): a resume against a checkpoint from a
+    finish plan, ...): a resume against a checkpoint from a
     different configuration is refused rather than silently producing
     wrong contigs.  ``completed`` lists finished stages in execution
     order; ``stage_times`` holds their recorded per-stage seconds;
@@ -57,14 +62,17 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
     """Persist a stage checkpoint atomically at exactly ``dest``."""
     if state.node_alive is None or state.edge_alive is None:
         raise ValueError("checkpoint needs both alive-masks")
-    flat = offsets = np.empty(0, dtype=np.int64)
+    node_alive = np.asarray(state.node_alive, dtype=bool)
+    edge_alive = np.asarray(state.edge_alive, dtype=bool)
+    # Node ids and path offsets are below the node count: int32 holds them.
+    flat = offsets = np.empty(0, dtype=np.int32)
     if state.paths is not None:
-        flat, lens = (np.asarray(a, dtype=np.int64) for a in state.paths)
-        offsets = np.concatenate([[0], np.cumsum(lens)])
+        flat, lens = (np.asarray(a, dtype=np.int32) for a in state.paths)
+        offsets = np.concatenate([[0], np.cumsum(lens, dtype=np.int32)])
     blob = encode_arrays(
         {
-            "node_alive": np.asarray(state.node_alive, dtype=bool),
-            "edge_alive": np.asarray(state.edge_alive, dtype=bool),
+            "node_alive": np.packbits(node_alive),
+            "edge_alive": np.packbits(edge_alive),
             "paths_flat": flat,
             "paths_offsets": offsets,
         },
@@ -72,7 +80,8 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
         fingerprint=state.fingerprint,
         completed=list(state.completed),
         stage_times=state.stage_times,
-        has_paths=state.paths is not None,
+        n_nodes=node_alive.size,
+        n_edges=edge_alive.size,
     )
     atomic_write(dest, lambda fh: fh.write(blob))
 
@@ -102,7 +111,8 @@ def load_checkpoint(source) -> CheckpointState:
             f"corrupt or foreign checkpoint {path!r}: missing keys {missing}"
         )
     paths = None
-    if header["has_paths"]:
+    # Saved paths have at least the leading 0 offset, even when empty.
+    if columns["paths_offsets"].size:
         paths = (
             columns["paths_flat"].astype(np.int64),
             np.diff(columns["paths_offsets"]).astype(np.int64),
@@ -110,8 +120,8 @@ def load_checkpoint(source) -> CheckpointState:
     return CheckpointState(
         fingerprint=header["fingerprint"],
         completed=list(header["completed"]),
-        node_alive=columns["node_alive"].astype(bool),
-        edge_alive=columns["edge_alive"].astype(bool),
+        node_alive=np.unpackbits(columns["node_alive"], count=header["n_nodes"]) > 0,
+        edge_alive=np.unpackbits(columns["edge_alive"], count=header["n_edges"]) > 0,
         stage_times=header["stage_times"],
         paths=paths,
     )

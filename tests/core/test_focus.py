@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import AssemblyConfig
+from repro.core import AssemblyConfig, finish_plan
 from repro.core.focus import FocusAssembler, deduplicate_contigs
 from repro.mpi.timing import CommCostModel
 from repro.sequence.dna import decode, encode, reverse_complement
@@ -72,7 +72,7 @@ class TestFocusPipeline:
         _, _, res = assembled
         for stage in ("preprocess", "align", "coarsen", "hybrid", "partition", "traverse"):
             assert stage in res.timer.durations
-        for stage in ("transitive", "containment", "dead_ends", "bubbles", "traversal"):
+        for stage, _ in finish_plan(AssemblyConfig()):
             assert stage in res.virtual_times
 
     def test_read_partitions_cover_reads(self, assembled):

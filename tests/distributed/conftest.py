@@ -96,19 +96,6 @@ def defect_chain_assembly(backbone, seed, length=150, step=60):
     return make_assembly(contigs, edges), np.array(anchors, dtype=np.int64), genome
 
 
-def trim_params(cfg):
-    """Per-stage kernel parameters of one config, in ``finish()`` order."""
-    return {
-        "transitive": {"tolerance": cfg.transitive_tolerance},
-        "containment": {
-            "min_overlap": cfg.containment_min_overlap,
-            "min_identity": cfg.containment_min_identity,
-        },
-        "dead_ends": {"max_tip_bases": cfg.max_tip_bases},
-        "bubbles": {},
-    }
-
-
 def dag_of(assembly, labels):
     return DistributedAssemblyGraph(assembly, np.asarray(labels, dtype=np.int64))
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import AssemblyConfig
+from repro.core import AssemblyConfig, finish_plan, run_plan
 from repro.core.focus import FocusAssembler, deduplicate_contigs
 from repro.distributed.containment import containment_kernel
 from repro.distributed.dgraph import DistributedAssemblyGraph
@@ -38,7 +38,6 @@ from tests.distributed.conftest import (
     dag_of,
     defect_chain_assembly,
     make_assembly,
-    trim_params,
 )
 from tests.reference import contigs as contigs_ref
 from tests.reference import finish_loop, traversal_walk
@@ -283,9 +282,7 @@ class TestGroundTruthAcrossPartitions:
         assembly, anchors, genome = chain
         dag = DistributedAssemblyGraph(assembly, anchors * k // self.BACKBONE)
         with create_backend(backend, dag, workers=2) as runner:
-            for name, params in trim_params(AssemblyConfig()).items():
-                runner.run_stage(name, **params)
-            paths = runner.run_stage("traversal").result
+            paths = run_plan(runner, finish_plan(AssemblyConfig()))["traversal"].result
         contigs = contigs_from_paths(dag, paths)
         assert len(contigs) == 1
         np.testing.assert_array_equal(contigs[0], genome)
@@ -300,7 +297,7 @@ def reference_contigs(assembly, labels, cfg):
     the references too.
     """
     dag = DistributedAssemblyGraph(assembly, labels)
-    params = trim_params(cfg)
+    params = dict(finish_plan(cfg))
 
     def alive():
         return np.flatnonzero(dag.node_alive)
@@ -394,8 +391,6 @@ class TestEngineMatrixSlow:
         for backend in BACKEND_NAMES:
             dag = DistributedAssemblyGraph(assembly, labels)
             with create_backend(backend, dag, workers=2) as runner:
-                for name, params in trim_params(cfg).items():
-                    runner.run_stage(name, **params)
-                paths = runner.run_stage("traversal").result
+                paths = run_plan(runner, finish_plan(cfg))["traversal"].result
             contigs = deduplicate_contigs(contigs_from_paths(dag, paths))
             assert sorted(c.tobytes() for c in contigs) == expect, backend

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.align.overlapper import OverlapConfig, OverlapSubject
-from repro.core.config import AssemblyConfig
+from repro.core import AssemblyConfig, finish_plan
 from repro.distributed.containment import containment_kernel, find_containments
 from repro.distributed.stages import (
     StageSpec,
@@ -25,7 +25,6 @@ from tests.distributed.conftest import (
     defect_chain_assembly,
     ids,
     run_stage_on_cluster,
-    trim_params,
 )
 from tests.graph.conftest import tiled_readset
 from tests.reference import finish_loop
@@ -35,7 +34,7 @@ from tests.reference.traversal_walk import extract_subpaths, pack_paths, unpack_
 class TestRegistry:
     def test_all_standard_stages_registered(self):
         names = {s.name for s in all_stages()}
-        assert {"transitive", "containment", "dead_ends", "bubbles", "traversal"} <= names
+        assert {name for name, _ in finish_plan(AssemblyConfig())} <= names
 
     def test_get_stage_returns_spec(self):
         spec = get_stage("transitive")
@@ -98,8 +97,7 @@ def chain_dag():
 #: subject kind and kernel parameters of every registered stage; the
 #: contract test runs each kernel on its subject.
 CONTRACT_CASES = {
-    **{name: ("dag", p) for name, p in trim_params(AssemblyConfig()).items()},
-    "traversal": ("dag", {}),
+    **{name: ("dag", p) for name, p in finish_plan(AssemblyConfig())},
     "variants": ("dag", {}),
     "overlap": ("reads", {}),
 }

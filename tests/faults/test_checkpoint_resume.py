@@ -6,11 +6,13 @@ aborts a cancelled run by — leaving exactly the state a run killed
 before the next stage leaves on disk.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.config import AssemblyConfig
-from repro.core.focus import FocusAssembler
+from repro.core import AssemblyConfig, FocusAssembler, finish_plan
+from repro.io.store import load_checkpoint
 
 from tests.faults.conftest import FAST, contig_key, small_reads
 
@@ -19,26 +21,28 @@ class Interrupted(Exception):
     """Stands in for a run killed between two stages."""
 
 
-def interrupt_after(stage):
-    """``on_stage`` callback that stops the run once ``stage`` is done."""
-
-    def on_stage(done):
-        if done == stage:
-            raise Interrupted(stage)
-
-    return on_stage
-
-
 def run_interrupted(assembler, prep, ckpt, after):
     """Run ``finish`` until the checkpoint after stage ``after``."""
+
+    def on_stage(done):
+        if done == after:
+            raise Interrupted(after)
+
     with pytest.raises(Interrupted):
         assembler.finish(
             prep,
             n_partitions=4,
             backend="serial",
             checkpoint=ckpt,
-            on_stage=interrupt_after(after),
+            on_stage=on_stage,
         )
+
+
+def resume(assembler, prep, ckpt, n_partitions=4, backend="serial"):
+    """``finish`` resumed from the checkpoint at ``ckpt``."""
+    return assembler.finish(
+        prep, n_partitions=n_partitions, backend=backend, checkpoint=ckpt, resume=True
+    )
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +85,13 @@ class TestResume:
         ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="containment")
 
-        result = assembler.finish(
-            prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
-        )
+        result = resume(assembler, prep, ckpt)
         assert_resumed(result, uninterrupted)
         # transitive+containment were restored, dead_ends onward re-ran:
         # the trim timer exists but the restored stage times come from
         # the checkpoint.
         assert "trim" in result.timer.durations
-        for stage in ("transitive", "containment", "dead_ends", "bubbles"):
+        for stage, _ in finish_plan(assembler.config):
             assert stage in result.virtual_times
 
     def test_resume_after_trim_skips_trim_entirely(
@@ -99,15 +101,12 @@ class TestResume:
         ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="bubbles")
 
-        result = assembler.finish(
-            prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
-        )
+        result = resume(assembler, prep, ckpt)
         assert_resumed(result, uninterrupted)
         # Every trim stage was restored: the StageTimer must not have
         # opened a "trim" stage at all (nothing was executed).
         assert "trim" not in result.timer.durations
         assert "traverse" in result.timer.durations
-        assert result.virtual_times["trim_total"] >= 0.0
 
     def test_resume_of_finished_checkpoint_runs_no_stage(
         self, prepared_trimming, uninterrupted, tmp_path
@@ -117,9 +116,7 @@ class TestResume:
         assembler.finish(
             prep, n_partitions=4, backend="serial", checkpoint=ckpt
         )
-        result = assembler.finish(
-            prep, n_partitions=4, backend="serial", checkpoint=ckpt, resume=True
-        )
+        result = resume(assembler, prep, ckpt)
         assert_resumed(result, uninterrupted)
         assert "trim" not in result.timer.durations
         assert "traverse" not in result.timer.durations
@@ -132,22 +129,14 @@ class TestResume:
         assembler, prep = prepared_trimming
         ckpt = tmp_path / "ck.bin"
         run_interrupted(assembler, prep, ckpt, after="dead_ends")
-        result = assembler.finish(
-            prep, n_partitions=4, backend="sim", checkpoint=ckpt, resume=True
-        )
+        result = resume(assembler, prep, ckpt, backend="sim")
         assert_resumed(result, uninterrupted)
 
     def test_missing_checkpoint_starts_fresh(
         self, prepared_trimming, uninterrupted, tmp_path
     ):
         assembler, prep = prepared_trimming
-        result = assembler.finish(
-            prep,
-            n_partitions=4,
-            backend="serial",
-            checkpoint=tmp_path / "never_written.bin",
-            resume=True,
-        )
+        result = resume(assembler, prep, tmp_path / "never_written.bin")
         assert_resumed(result, uninterrupted)
         assert "trim" in result.timer.durations
 
@@ -156,9 +145,37 @@ class TestResume:
         ckpt = tmp_path / "ck.bin"
         assembler.finish(prep, n_partitions=4, backend="serial", checkpoint=ckpt)
         with pytest.raises(ValueError, match="does not match"):
-            assembler.finish(
-                prep, n_partitions=2, backend="serial", checkpoint=ckpt, resume=True
-            )
+            resume(assembler, prep, ckpt, n_partitions=2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("transitive_tolerance", 3),
+            ("containment_min_overlap", 60),
+            ("containment_min_identity", 0.95),
+            ("max_tip_bases", 100),
+            ("run_trimming", False),
+        ],
+    )
+    def test_changed_finish_parameter_refused(
+        self, prepared_trimming, tmp_path, field, value
+    ):
+        # Masks trimmed under one setting must never seed a run under another.
+        assembler, prep = prepared_trimming
+        ckpt = tmp_path / "ck.bin"
+        run_interrupted(assembler, prep, ckpt, after="transitive")
+        changed = FocusAssembler(replace(assembler.config, **{field: value}))
+        assert finish_plan(changed.config) != finish_plan(assembler.config)
+        with pytest.raises(ValueError, match="does not match"):
+            resume(changed, prep, ckpt)
+
+    def test_fingerprint_survives_the_json_header(self, prepared_trimming, tmp_path):
+        assembler, prep = prepared_trimming
+        ckpt = tmp_path / "ck.bin"
+        run_interrupted(assembler, prep, ckpt, after="transitive")
+        saved = load_checkpoint(ckpt).fingerprint
+        assert saved == assembler._fingerprint(prep, 4, "hybrid")
+        assert saved["plan"] == [list(step) for step in finish_plan(assembler.config)]
 
     def test_resume_requires_checkpoint_path(self, prepared_trimming):
         assembler, prep = prepared_trimming

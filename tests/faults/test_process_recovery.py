@@ -14,20 +14,14 @@ import numpy as np
 import pytest
 
 from repro.align.overlapper import OverlapConfig, OverlapDetector, overlap_backend
+from repro.core import AssemblyConfig, finish_plan, run_plan
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.faults import FaultPlan, KernelFault, RetryPolicy, StageExecutionError
 from repro.parallel.backend import ProcessBackend, SerialBackend
 from tests.align.test_engine_equivalence import assert_same_columns
 from tests.faults.conftest import small_reads
 
-#: the finish stage sequence with the pipeline's default parameters.
-STAGES = (
-    ("transitive", {"tolerance": 2}),
-    ("containment", {"min_overlap": 50, "min_identity": 0.9}),
-    ("dead_ends", {"max_tip_bases": 150}),
-    ("bubbles", {}),
-    ("traversal", {}),
-)
+PLAN = finish_plan(AssemblyConfig())
 
 FAST_RETRY = RetryPolicy(
     max_attempts=3, backoff_base=0.0, backoff_cap=0.0, task_deadline=10.0
@@ -42,25 +36,19 @@ def fresh_dag(prepared):
     return DistributedAssemblyGraph(prep.assembly, part.labels_finest)
 
 
-def run_all_stages(backend):
-    paths = None
-    for name, params in STAGES:
-        paths = backend.run_stage(name, **params).result
-    return paths
-
-
 @pytest.fixture(scope="module")
 def serial_reference(prepared):
     dag = fresh_dag(prepared)
-    backend = SerialBackend(dag)
-    paths = run_all_stages(backend)
+    paths = run_plan(SerialBackend(dag), PLAN)["traversal"].result
     return dag.node_alive.copy(), dag.edge_alive.copy(), paths
 
 
-def assert_matches_serial(dag, paths, serial_reference):
+def assert_plan_matches_serial(backend, serial_reference, after=None):
+    """Run the finish plan on ``backend``: the exact serial masks and paths."""
     node_alive, edge_alive, ref_paths = serial_reference
-    assert (dag.node_alive == node_alive).all()
-    assert (dag.edge_alive == edge_alive).all()
+    paths = run_plan(backend, PLAN, after=after)["traversal"].result
+    assert (backend.subject.node_alive == node_alive).all()
+    assert (backend.subject.edge_alive == edge_alive).all()
     assert all(map(np.array_equal, paths, ref_paths))
 
 
@@ -68,23 +56,20 @@ class TestExternalKill:
     def test_kill9_live_worker_recovered_by_respawn(
         self, prepared, serial_reference
     ):
-        dag = fresh_dag(prepared)
-        backend = ProcessBackend(dag, workers=2, retry=FAST_RETRY)
-        try:
-            first_name, first_params = STAGES[0]
-            backend.run_stage(first_name, **first_params)
-            pids = backend.worker_pids()
-            assert len(pids) == 2
-            os.kill(pids[0], signal.SIGKILL)
-            paths = None
-            for name, params in STAGES[1:]:
-                paths = backend.run_stage(name, **params).result
-            assert_matches_serial(dag, paths, serial_reference)
+        killed = []
+
+        def kill_after_first(name, _):
+            if name == PLAN[0][0]:
+                killed.extend(backend.worker_pids())
+                assert len(killed) == 2
+                os.kill(killed[0], signal.SIGKILL)
+
+        with ProcessBackend(fresh_dag(prepared), workers=2, retry=FAST_RETRY) as backend:
+            assert_plan_matches_serial(backend, serial_reference, after=kill_after_first)
+            assert killed
             assert backend.fault_report.respawns >= 1
             # The pool really was rebuilt with fresh workers.
-            assert backend.worker_pids() != pids
-        finally:
-            backend.close()
+            assert backend.worker_pids() != killed
 
 
 class TestInjectedFaults:
@@ -95,17 +80,13 @@ class TestInjectedFaults:
             kernel_faults=(KernelFault("crash", "containment", 1),)
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(dag, workers=2, retry=FAST_RETRY, fault_plan=plan)
-        try:
-            paths = run_all_stages(backend)
-            assert_matches_serial(dag, paths, serial_reference)
+        with ProcessBackend(dag, workers=2, retry=FAST_RETRY, fault_plan=plan) as backend:
+            assert_plan_matches_serial(backend, serial_reference)
             report = backend.fault_report
             assert report.injected.get("crash") == 1
             assert report.respawns >= 1
             assert report.recovered_partitions >= 1
             assert report.fallbacks == 0
-        finally:
-            backend.close()
 
     def test_hung_worker_killed_at_deadline_and_recovered(
         self, prepared, serial_reference
@@ -120,15 +101,11 @@ class TestInjectedFaults:
             max_attempts=3, backoff_base=0.0, backoff_cap=0.0, task_deadline=1.0
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
-        try:
-            paths = run_all_stages(backend)
-            assert_matches_serial(dag, paths, serial_reference)
+        with ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan) as backend:
+            assert_plan_matches_serial(backend, serial_reference)
             report = backend.fault_report
             assert report.deadline_exceeded >= 1
             assert report.respawns >= 1
-        finally:
-            backend.close()
 
 
 class TestBudgetExhaustion:
@@ -140,15 +117,11 @@ class TestBudgetExhaustion:
             max_attempts=2, backoff_base=0.0, backoff_cap=0.0, task_deadline=10.0
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
-        try:
-            paths = run_all_stages(backend)
-            assert_matches_serial(dag, paths, serial_reference)
+        with ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan) as backend:
+            assert_plan_matches_serial(backend, serial_reference)
             report = backend.fault_report
             assert report.fallbacks >= 1
             assert report.retries >= 1
-        finally:
-            backend.close()
 
     def test_no_fallback_raises_stage_execution_error(self, prepared):
         plan = FaultPlan(
@@ -162,12 +135,9 @@ class TestBudgetExhaustion:
             fallback_serial=False,
         )
         dag = fresh_dag(prepared)
-        backend = ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan)
-        try:
+        with ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan) as backend:
             with pytest.raises(StageExecutionError, match="transitive"):
-                run_all_stages(backend)
-        finally:
-            backend.close()
+                run_plan(backend, PLAN)
 
 
 class TestOverlapStage:

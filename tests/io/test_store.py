@@ -49,17 +49,20 @@ class TestCorruptedArchives:
     def test_missing_key_message_names_the_keys(self, tmp_path):
         path = tmp_path / "partial.bin"
         path.write_bytes(
-            encode_arrays({"node_alive": np.ones(2, dtype=bool)}, checkpoint_version=2)
+            encode_arrays({"node_alive": np.ones(2, dtype=bool)}, checkpoint_version=3)
         )
         with pytest.raises(ValueError, match="missing keys.*edge_alive"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
+        # 2 is the byte-mask layout: its masks would unpack as garbage.
         path = tmp_path / "ck.bin"
-        save_checkpoint(sample_state(), path)
-        rewrite(path, checkpoint_version=99)
-        with pytest.raises(ValueError, match="version 99"):
-            load_checkpoint(path)
+        for version in (2, 99):
+            save_checkpoint(sample_state(), path)
+            rewrite(path, checkpoint_version=version)
+            with pytest.raises(ValueError, match=f"version {version}") as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,15 @@ class TestCheckpointStore:
         assert loaded.paths is None
         # finish() clears mask bits in place, so the masks are copies.
         assert loaded.node_alive.flags.writeable and loaded.edge_alive.flags.writeable
+        # Masks are stored as bits: a length off a byte boundary neither
+        # gains the padding bits nor loses its last ones.
+        for n in (0, 1, 8, 9, 1001):
+            state.node_alive = np.arange(n) % 3 == 1
+            state.edge_alive = np.ones(n + 6, dtype=bool)
+            save_checkpoint(state, path)
+            loaded = load_checkpoint(path)
+            np.testing.assert_array_equal(loaded.node_alive, state.node_alive)
+            np.testing.assert_array_equal(loaded.edge_alive, state.edge_alive)
 
     def test_written_at_exactly_the_given_path(self, tmp_path):
         save_checkpoint(sample_state(), tmp_path / "noext")

@@ -11,6 +11,7 @@ from repro.align.overlapper import (
     OverlapSubject,
     overlap_backend,
 )
+from repro.core import AssemblyConfig, finish_plan, run_plan
 from repro.distributed.stages import StageSpec, get_stage
 from repro.faults import FaultPlan, KernelFault
 from repro.parallel.backend import (
@@ -24,26 +25,12 @@ from tests.align.test_overlapper import tiled_reads
 from tests.distributed.conftest import FAST, chain_assembly, dag_of
 
 LABELS_6 = [0, 0, 0, 1, 1, 1]
-STAGE_PARAMS = {
-    "transitive": {"tolerance": 2},
-    "containment": {"min_overlap": 50, "min_identity": 0.9},
-    "dead_ends": {"max_tip_bases": 150},
-    "bubbles": {},
-    "traversal": {},
-}
+PLAN = finish_plan(AssemblyConfig())
 
 
 def fresh_dag():
     assembly, _ = chain_assembly(n=6)
     return dag_of(assembly, LABELS_6)
-
-
-def run_all_stages(engine):
-    """Run the full cleaning sequence; returns (paths, outcomes)."""
-    outcomes = {}
-    for stage, params in STAGE_PARAMS.items():
-        outcomes[stage] = engine.run_stage(stage, **params)
-    return outcomes["traversal"].result, outcomes
 
 
 class TestSerialBackend:
@@ -144,10 +131,11 @@ class TestProcessBackend:
     def test_real_pool_matches_serial(self):
         # workers=2 forces a genuine pool even on single-core hosts.
         serial_dag, process_dag = fresh_dag(), fresh_dag()
-        serial_paths, _ = run_all_stages(SerialBackend(serial_dag))
+        serial_paths = run_plan(SerialBackend(serial_dag), PLAN)["traversal"].result
         with ProcessBackend(process_dag, workers=2) as engine:
-            process_paths, outcomes = run_all_stages(engine)
+            outcomes = run_plan(engine, PLAN)
             assert engine._pool is not None  # the pool really ran
+        process_paths = outcomes["traversal"].result
         assert all(map(np.array_equal, process_paths, serial_paths))
         assert (process_dag.node_alive == serial_dag.node_alive).all()
         assert (process_dag.edge_alive == serial_dag.edge_alive).all()
@@ -161,7 +149,7 @@ class TestBackendEquivalenceSmall:
             dag = fresh_dag()
             engine = create_backend(name, dag, workers=2, cost_model=FAST)
             try:
-                paths, _ = run_all_stages(engine)
+                paths = run_plan(engine, PLAN)["traversal"].result
             finally:
                 engine.close()
             results[name] = (paths, dag.node_alive.copy(), dag.edge_alive.copy())
