@@ -13,7 +13,7 @@ Usage examples::
     python -m repro assemble reads.fastq -o contigs.fasta --checkpoint ckpt.bin --resume
     python -m repro assemble reads.fastq -o contigs.fasta --fault-plan random:7 --retries 3
     python -m repro stats contigs.fasta
-    python -m repro submit jobs.store reads.fastq --partitions 4 --retries 3
+    python -m repro submit jobs.store reads.fastq --partitions 4 --retries 3 --backend process
     python -m repro serve jobs.store --workers 2 --drain
     python -m repro jobs jobs.store
     python -m repro cancel jobs.store job-ab12cd34ef
@@ -42,7 +42,6 @@ from repro.io.fasta import (
 )
 from repro.io.fastq import write_fastq
 from repro.io.records import Read
-from repro.io.readset import ReadSet
 from repro.simulate.community import CommunityConfig, build_community
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
@@ -52,6 +51,67 @@ __all__ = ["main", "build_parser"]
 #: read subsets when alignment has workers to share the pairs
 #: (4 subsets -> 10 subset-pair work units).
 _POOL_SUBSETS = 4
+
+
+def _add_assembly_options(p: argparse.ArgumentParser) -> None:
+    """The input and assembly options of ``assemble`` and ``submit``."""
+    p.add_argument(
+        "reads", nargs="?", help="FASTA/FASTQ read set (omit with --store)"
+    )
+    p.add_argument(
+        "--store",
+        metavar="DIR",
+        help="assemble from a sharded read store (``repro pack``) instead "
+        "of an in-RAM read file; peak memory stays O(cache budget)",
+    )
+    p.add_argument(
+        "--cache-budget-mb",
+        type=int,
+        default=64,
+        help="LRU shard-cache byte budget for --store, in MiB",
+    )
+    p.add_argument("--partitions", type=int, default=4)
+    p.add_argument("--mode", choices=("hybrid", "multilevel"), default="hybrid")
+    p.add_argument("--min-overlap", type=int, default=50)
+    p.add_argument("--min-identity", type=float, default=0.9)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="worker processes for the alignment stage (0/1 = serial; "
+        f"more share the pairs of {_POOL_SUBSETS} read subsets)",
+    )
+    p.add_argument(
+        "--backend",
+        choices=("serial", "sim", "process"),
+        default="sim",
+        help="execution backend for the distributed graph stages: "
+        "in-process serial loop, simulated MPI cluster (virtual "
+        "clocks, the paper's figures), or real OS processes",
+    )
+    p.add_argument(
+        "--backend-workers",
+        type=int,
+        default=0,
+        help="worker processes for --backend process (0 = one per partition)",
+    )
+    p.add_argument(
+        "--fault-plan",
+        metavar="PATH|random:SEED",
+        help="inject deterministic faults into --backend process workers: "
+        "path to a FaultPlan JSON file, or random:SEED to generate a "
+        "seeded chaos plan (see docs/robustness.md)",
+    )
+    p.add_argument(
+        "--retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="max attempts of a partition on process workers before the "
+        "serial fallback, and of a job before it is marked failed "
+        "(default: 3)",
+    )
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,47 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("assemble", help="assemble a FASTA/FASTQ read set")
-    p.add_argument(
-        "reads", nargs="?", help="FASTA/FASTQ read set (omit with --store)"
-    )
-    p.add_argument(
-        "--store",
-        metavar="DIR",
-        help="assemble from a sharded read store (``repro pack``) instead "
-        "of an in-RAM read file; peak memory stays O(cache budget)",
-    )
-    p.add_argument(
-        "--cache-budget-mb",
-        type=int,
-        default=64,
-        help="LRU shard-cache byte budget for --store, in MiB",
-    )
+    _add_assembly_options(p)
     p.add_argument("-o", "--output", required=True, help="contigs FASTA")
-    p.add_argument("--partitions", type=int, default=4)
-    p.add_argument("--mode", choices=("hybrid", "multilevel"), default="hybrid")
-    p.add_argument("--min-overlap", type=int, default=50)
-    p.add_argument("--min-identity", type=float, default=0.9)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the alignment stage (0/1 = serial; "
-        f"more share the pairs of {_POOL_SUBSETS} read subsets)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("serial", "sim", "process"),
-        default="sim",
-        help="execution backend for the distributed graph stages: "
-        "in-process serial loop, simulated MPI cluster (virtual "
-        "clocks, the paper's figures), or real OS processes",
-    )
-    p.add_argument(
-        "--backend-workers",
-        type=int,
-        default=0,
-        help="worker processes for --backend process (0 = one per partition)",
-    )
     p.add_argument(
         "--timings",
         metavar="PATH",
@@ -161,22 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint, skipping already-completed stages "
         "(starts fresh when the checkpoint file does not exist yet)",
     )
-    p.add_argument(
-        "--fault-plan",
-        metavar="PATH|random:SEED",
-        help="inject deterministic faults into --backend process workers: "
-        "path to a FaultPlan JSON file, or random:SEED to generate a "
-        "seeded chaos plan (see docs/robustness.md)",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts of a partition on process workers before the "
-        "serial fallback (default: 3)",
-    )
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
         "overlap", help="compute pairwise read overlaps, write a TSV"
@@ -202,33 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit an assembly job to a durable job store",
         description=(
-            "Durably enqueues one checkpointed assembly job.  The store "
+            "Durably enqueues one checkpointed assembly job with the input "
+            "and assembly options of `repro assemble`.  The job store "
             "directory is created on first use; a supervisor (`repro "
             "serve`) picks the job up, and the job survives any crash — "
             "worker or supervisor — by resuming from its last durable "
             "stage checkpoint."
         ),
     )
-    p.add_argument("store", help="job store directory (created if absent)")
-    p.add_argument(
-        "reads", nargs="?", help="FASTA/FASTQ read set (omit with --reads-store)"
-    )
-    p.add_argument(
-        "--reads-store",
-        metavar="DIR",
-        help="sharded read store (`repro pack`) instead of a read file",
-    )
+    p.add_argument("jobs", help="job store directory (created if absent)")
+    _add_assembly_options(p)
     p.add_argument("--name", default="job", help="job name prefix")
-    p.add_argument("--partitions", type=int, default=4)
-    p.add_argument(
-        "--partition-mode", choices=("hybrid", "multilevel"), default="hybrid"
-    )
-    p.add_argument(
-        "--backend", choices=("serial", "sim", "process"), default="serial"
-    )
-    p.add_argument("--min-overlap", type=int, default=50)
-    p.add_argument("--min-identity", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--priority", type=int, default=0, help="larger runs first"
     )
@@ -237,18 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="admission-control charge in MiB (0 = the shard-cache budget)",
-    )
-    p.add_argument(
-        "--cache-budget-mb",
-        type=int,
-        default=64,
-        help="LRU shard-cache budget for store-backed reads, in MiB",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="max attempts before the job is marked failed",
     )
     p.add_argument(
         "--deadline",
@@ -447,10 +424,12 @@ def _cmd_pack(args) -> int:
 
 
 def _assemble_config(args) -> AssemblyConfig:
-    """The ``AssemblyConfig`` of one ``repro assemble`` invocation."""
+    """The ``AssemblyConfig`` of one ``repro assemble`` or ``submit``."""
     from repro.align.overlapper import OverlapConfig
     from repro.faults import RetryPolicy
 
+    if (args.reads is None) == (args.store is None):
+        raise ValueError("give exactly one of READS or --store")
     fault_plan = None
     if args.fault_plan:
         fault_plan = _parse_fault_plan(
@@ -478,20 +457,14 @@ def _assemble_config(args) -> AssemblyConfig:
 
 def _cmd_assemble(args) -> int:
     # Every flag is checked before the input is read.
-    if args.store and args.reads:
-        print("error: pass a reads file or --store, not both", file=sys.stderr)
-        return 1
-    if not (args.store or args.reads):
-        print("error: a reads file or --store is required", file=sys.stderr)
-        return 1
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
     assembler = FocusAssembler(_assemble_config(args))
-    if args.store:
-        reads = ReadSet.open(args.store, cache_budget=args.cache_budget_mb << 20)
-    else:
+    if args.store is None:
         reads = load_reads(args.reads)
+    else:
+        reads = assembler.open_reads()
     if len(reads) == 0:
         print("error: no reads in input", file=sys.stderr)
         return 1
@@ -582,41 +555,26 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.faults import RetryPolicy
     from repro.service import JobSpec, JobStore
 
-    if (args.reads is None) == (args.reads_store is None):
-        print(
-            "error: give exactly one of READS or --reads-store",
-            file=sys.stderr,
-        )
-        return 1
     # Workers run in the supervisor's directory, not this one.
-    reads = args.reads and os.path.abspath(args.reads)
-    reads_store = args.reads_store and os.path.abspath(args.reads_store)
+    args.reads = args.reads and os.path.abspath(args.reads)
+    args.store = args.store and os.path.abspath(args.store)
     spec = JobSpec(
         name=args.name,
-        reads_path=reads,
-        reads_store=reads_store,
-        n_partitions=args.partitions,
-        partition_mode=args.partition_mode,
-        backend=args.backend,
-        min_overlap=args.min_overlap,
-        min_identity=args.min_identity,
-        seed=args.seed,
+        reads_path=args.reads,
+        config=_assemble_config(args),
         priority=args.priority,
         memory_bytes=args.memory_mb << 20,
-        cache_budget=args.cache_budget_mb << 20,
-        retry=RetryPolicy(max_attempts=args.retries),
         deadline=args.deadline,
     )
     # A bad input fails here, not three worker attempts later.
-    if reads is not None and not os.path.isfile(reads):
-        print(f"error: no such reads file: {reads}", file=sys.stderr)
+    if args.store is not None:
+        FocusAssembler(spec.config).open_reads()
+    elif not os.path.isfile(args.reads):
+        print(f"error: no such reads file: {args.reads}", file=sys.stderr)
         return 1
-    if reads_store is not None:
-        ReadSet.open(reads_store)
-    store = JobStore(args.store, create=True)
+    store = JobStore(args.jobs, create=True)
     record = store.submit(spec)
     print(f"submitted {record.job_id} (queued, priority {record.priority})")
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.align.overlapper import OverlapConfig
 from repro.faults import FaultPlan, RetryPolicy
@@ -115,3 +115,53 @@ class AssemblyConfig:
                 "a fault plan fires only in process workers: it needs "
                 f"backend='process', not {self.backend!r}"
             )
+
+    def to_dict(self) -> dict:
+        """Every field as JSON-native values; :meth:`from_dict` inverts it."""
+        data = asdict(self)
+        data["retry"] = self.retry.to_dict()
+        data["fault_plan"] = self.fault_plan and self.fault_plan.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AssemblyConfig":
+        """The config of :meth:`to_dict`; omitted keys take their defaults.
+
+        An unknown key at any level raises ``ValueError`` naming it, so
+        a misspelt option never loads as the default silently.
+        """
+        payload = _fields_of(cls, data, "")
+        if "retry" in payload:
+            payload["retry"] = RetryPolicy.from_dict(payload["retry"])
+        if payload.get("fault_plan") is not None:
+            payload["fault_plan"] = FaultPlan.from_dict(
+                _object(payload["fault_plan"], "fault_plan")
+            )
+        return _build(cls, payload)
+
+
+def _object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"assembly config {where or 'dict'} is not a JSON object")
+    return data
+
+
+def _fields_of(cls, data, where: str) -> dict:
+    """``data``'s keys as ``cls`` arguments, nested stage configs built."""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(_object(data, where.rstrip("."))) - set(known))
+    if unknown:
+        raise ValueError(f"unknown assembly config key {where + unknown[0]!r}")
+    payload = dict(data)
+    for name, value in data.items():
+        nested = known[name].default_factory
+        if nested in (OverlapConfig, CoarsenConfig, PartitionConfig):
+            payload[name] = _build(nested, _fields_of(nested, value, f"{where}{name}."))
+    return payload
+
+
+def _build(cls, payload: dict):
+    try:
+        return cls(**payload)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed assembly config: {exc}") from exc

@@ -283,7 +283,9 @@ class ReadSet:
             idx = np.arange(len(self), dtype=np.int64)
         else:
             idx = np.asarray(read_indices, dtype=np.int64)
-        n_windows = np.maximum(self.offsets[idx + 1] - self.offsets[idx] - k + 1, 0)
+        starts = np.asarray(self.offsets[idx], dtype=np.int64)
+        ends = np.asarray(self.offsets[idx + 1], dtype=np.int64)
+        n_windows = np.maximum(ends - starts - k + 1, 0)
         total = int(n_windows.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -291,8 +293,15 @@ class ReadSet:
         read_ids = np.repeat(idx, n_windows)
         group_starts = np.cumsum(n_windows) - n_windows
         within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, n_windows)
-        flat = np.repeat(self.offsets[idx], n_windows) + within
-        return self.packed_kmers(k, canonical)[flat], read_ids, within
+        flat = np.repeat(starts, n_windows) + within
+        return self._window_kmers(k, canonical, flat, idx, n_windows), read_ids, within
+
+    def _window_kmers(
+        self, k: int, canonical: bool, flat: np.ndarray, idx: np.ndarray, n_windows: np.ndarray
+    ) -> np.ndarray:
+        """Packed values at absolute base positions ``flat``: the windows
+        of reads ``idx``, ``n_windows`` of them per read."""
+        return self.packed_kmers(k, canonical)[flat]
 
     # -- preprocessing ---------------------------------------------------
     # Both steps map a column kernel over the set's blocks — the whole

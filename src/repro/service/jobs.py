@@ -11,7 +11,8 @@ transition).  The state machine is small and strict::
        +---- (requeue after a crash, lease loss, or watchdog kill)
 
 ``queued``
-    Submitted (or requeued after a failed attempt); no owner.
+    Submitted (or requeued after a failed attempt); no owner.  A job
+    whose ``spec.json`` cannot be read goes straight to ``failed``.
 ``leased``
     A supervisor claimed the job's lease and is starting a worker.
 ``running`` / ``checkpointing``
@@ -29,9 +30,9 @@ state, which is what makes crash recovery a scan instead of a repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from repro.faults import RetryPolicy
+from repro.core.config import AssemblyConfig
 
 __all__ = [
     "JOB_STATES",
@@ -61,9 +62,10 @@ ACTIVE_STATES = frozenset({"leased", "running", "checkpointing"})
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: the legal state machine; requeue edges (``* -> queued``) are how
-#: crash recovery returns a stranded job to the scheduler.
+#: crash recovery returns a stranded job to the scheduler, and
+#: ``queued -> failed`` ends a job whose spec cannot be read.
 TRANSITIONS: dict[str, frozenset[str]] = {
-    "queued": frozenset({"leased", "cancelled"}),
+    "queued": frozenset({"leased", "failed", "cancelled"}),
     "leased": frozenset({"running", "queued", "failed", "cancelled"}),
     "running": frozenset(
         {"checkpointing", "done", "failed", "queued", "cancelled"}
@@ -93,11 +95,14 @@ class InvalidTransitionError(ValueError):
 class JobSpec:
     """Immutable description of one assembly job.
 
-    Exactly one of ``reads_path`` (FASTA/FASTQ file) and
-    ``reads_store`` (a ``repro pack`` sharded store directory) names
-    the input.  ``memory_bytes`` is the job's admission-control charge
-    against the supervisor's memory budget; for store-backed jobs it
-    defaults to the shard-cache budget (the actual streaming ceiling).
+    ``config`` is the :class:`~repro.core.config.AssemblyConfig` the
+    worker runs, exactly as ``repro assemble`` would.  Exactly one of
+    ``reads_path`` (FASTA/FASTQ file) and ``config.store_path`` (a
+    ``repro pack`` sharded store directory) names the input, and
+    ``config.retry`` is both the job's attempt budget and its
+    partitions' retry budget.  ``memory_bytes`` is the job's
+    admission-control charge against the supervisor's memory budget;
+    it defaults to the shard-cache budget (the streaming ceiling).
     ``pause_between_stages`` inserts a sleep after each durable stage
     checkpoint — a chaos/testing knob that widens the kill window for
     the hard-kill recovery suites; production jobs leave it at 0.
@@ -105,22 +110,11 @@ class JobSpec:
 
     name: str = "job"
     reads_path: str | None = None
-    reads_store: str | None = None
-    n_partitions: int = 4
-    partition_mode: str = "hybrid"
-    backend: str = "serial"
-    min_overlap: int = 50
-    min_identity: float = 0.9
-    seed: int = 0
+    config: AssemblyConfig = field(default_factory=AssemblyConfig)
     #: larger runs first; ties break on submit order.
     priority: int = 0
-    #: admission-control charge in bytes (0 = use ``cache_budget``).
+    #: admission-control charge in bytes (0 = ``config.cache_budget``).
     memory_bytes: int = 0
-    #: LRU shard-cache budget for store-backed reads.
-    cache_budget: int = 64 * 1024 * 1024
-    #: retry/backoff escalation for failed attempts (worker crashes,
-    #: watchdog kills, stage errors) — the PR 5 policy, reused.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: wall-second budget for one attempt before the supervisor's
     #: watchdog kills and requeues it (None = no watchdog).
     deadline: float | None = None
@@ -128,13 +122,12 @@ class JobSpec:
     pause_between_stages: float = 0.0
 
     def __post_init__(self) -> None:
-        if (self.reads_path is None) == (self.reads_store is None):
+        if (self.reads_path is None) == (self.config.store_path is None):
             raise ValueError(
-                "exactly one of reads_path and reads_store is required"
+                "exactly one of reads_path and config.store_path is required"
             )
-        if self.memory_bytes < 0 or self.cache_budget < 0:
-            raise ValueError("byte budgets must be non-negative")
-        self.assembly_config()  # the assembly knobs' own checks
+        if self.memory_bytes < 0:
+            raise ValueError("memory_bytes must be non-negative")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         if self.pause_between_stages < 0:
@@ -143,55 +136,20 @@ class JobSpec:
     @property
     def charge(self) -> int:
         """Admission-control bytes this job reserves while running."""
-        return self.memory_bytes if self.memory_bytes > 0 else self.cache_budget
-
-    def assembly_config(self):
-        """The :class:`~repro.core.config.AssemblyConfig` this spec runs."""
-        from repro.align.overlapper import OverlapConfig
-        from repro.core.config import AssemblyConfig
-
-        return AssemblyConfig(
-            n_partitions=self.n_partitions,
-            partition_mode=self.partition_mode,
-            backend=self.backend,
-            overlap=OverlapConfig(
-                min_overlap=self.min_overlap, min_identity=self.min_identity
-            ),
-            retry=self.retry,
-            store_path=self.reads_store,
-            cache_budget=self.cache_budget,
-            seed=self.seed,
-        )
+        return self.memory_bytes or self.config.cache_budget
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "reads_path": self.reads_path,
-            "reads_store": self.reads_store,
-            "n_partitions": self.n_partitions,
-            "partition_mode": self.partition_mode,
-            "backend": self.backend,
-            "min_overlap": self.min_overlap,
-            "min_identity": self.min_identity,
-            "seed": self.seed,
-            "priority": self.priority,
-            "memory_bytes": self.memory_bytes,
-            "cache_budget": self.cache_budget,
-            "retry": self.retry.to_dict(),
-            "deadline": self.deadline,
-            "pause_between_stages": self.pause_between_stages,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["config"] = self.config.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         if not isinstance(data, dict):
             raise ValueError("malformed job spec: not a JSON object")
         payload = dict(data)
-        # Specs queued before the finish-engine option was removed
-        # carry an "engine" key; one kernel runs now, so it is dropped.
-        payload.pop("engine", None)
-        if "retry" in payload:
-            payload["retry"] = RetryPolicy.from_dict(payload["retry"])
+        if "config" in payload:
+            payload["config"] = AssemblyConfig.from_dict(payload["config"])
         try:
             return cls(**payload)
         except TypeError as exc:

@@ -268,12 +268,17 @@ class JobStore:
 
         While the policy allows another attempt the job goes back to
         ``queued`` behind a jittered backoff (journaled with ``reason``);
-        otherwise it is ``failed``.  Returns ``True`` iff requeued.
+        otherwise it is ``failed``, as it is at once when its spec
+        cannot be read (``error`` then names the file).  Returns
+        ``True`` iff requeued.
         """
         t = now if now is not None else time.time()
         attempt = self.load_record(job_id).attempt
-        policy = self.load_spec(job_id).retry
-        if policy.allows(attempt + 1):
+        try:
+            policy = self.load_spec(job_id).config.retry
+        except ValueError as exc:  # no attempt can ever run
+            policy, error = None, str(exc)
+        if policy is not None and policy.allows(attempt + 1):
             delay = policy.backoff(attempt, token=job_id)
             self.transition(
                 job_id,

@@ -23,6 +23,7 @@ other) redoes idempotently:
    its spec's ``memory_bytes`` (or shard-cache budget); a job too big
    for the remaining budget is admitted *alone* once the service
    drains — the serial fallback under pressure — rather than starved.
+   A queued job whose spec cannot be read is failed, not admitted.
 
 Admission spawns ``python -m repro.service.worker`` with the freshly
 claimed lease token; the worker adopts the lease and heartbeats it.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.service import lease as lease_mod
 from repro.service.jobstore import JobStore
-from repro.service.jobs import JobRecord
+from repro.service.jobs import ACTIVE_STATES, JobRecord
 
 __all__ = ["WorkerHandle", "Supervisor"]
 
@@ -177,7 +178,7 @@ class Supervisor:
             current = lease_mod.read(self.store.job_dir(job_id))
             if current is not None:
                 lease_mod.release(self.store.job_dir(job_id), current)
-            self._requeue_dead(
+            self._retry_or_fail(
                 job_id, now, reason=f"watchdog: exceeded {handle.deadline}s"
             )
             killed += 1
@@ -193,7 +194,7 @@ class Supervisor:
                 continue
             if not lease_mod.take_over(self.store.job_dir(record.job_id), now):
                 continue  # a racing supervisor won this job
-            if self._requeue_dead(record.job_id, now, reason="stale lease"):
+            if self._retry_or_fail(record.job_id, now, reason="stale lease"):
                 recovered += 1
         return recovered
 
@@ -212,7 +213,15 @@ class Supervisor:
         for record in queued:
             if len(self.workers) >= self.max_workers:
                 break
-            spec = self.store.load_spec(record.job_id)
+            try:
+                spec = self.store.load_spec(record.job_id)
+            except ValueError:
+                # An unreadable spec.json can never run: retry_or_fail
+                # fails that job alone, and the others are still served.
+                self._retry_or_fail(
+                    record.job_id, now, "unreadable spec", states={"queued"}
+                )
+                continue
             charge = spec.charge
             if committed + charge > self.memory_budget and self.workers:
                 # Over budget with company: wait.  Alone: admit anyway
@@ -259,9 +268,13 @@ class Supervisor:
         )
         return True
 
-    def _requeue_dead(self, job_id: str, now: float, reason: str) -> bool:
+    def _retry_or_fail(
+        self, job_id: str, now: float, reason: str, states=ACTIVE_STATES
+    ) -> bool:
         """Route a dead job's next attempt through its RetryPolicy.
 
+        Acts only on a job still in one of ``states``: an active job
+        whose owner died, or a queued one whose spec cannot be read.
         The caller guarantees the *previous* owner is gone (lease taken
         over, or our own worker killed and waited on) — but other
         supervisors may be making the same observation concurrently
@@ -277,8 +290,7 @@ class Supervisor:
         if guard is None:
             return False  # a racing supervisor is recovering this job
         try:
-            record = self.store.load_record(job_id)
-            if record.state == "queued" or record.terminal:
+            if self.store.load_record(job_id).state not in states:
                 return False  # already resolved before we won the claim
             self.store.retry_or_fail(job_id, reason, reason, now=now)
             return True

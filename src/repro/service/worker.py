@@ -44,15 +44,6 @@ class JobCancelled(Exception):
     """Raised between stages when a cancel marker appears."""
 
 
-def _load_reads(spec):
-    from repro.io.fasta import load_reads
-    from repro.io.readset import ReadSet
-
-    if spec.reads_store is not None:
-        return ReadSet.open(spec.reads_store, cache_budget=spec.cache_budget)
-    return load_reads(spec.reads_path)
-
-
 class _Heartbeat:
     """Daemon thread renewing the lease every ``ttl / BEATS_PER_TTL``.
 
@@ -147,9 +138,13 @@ def run_job(root: str, job_id: str, token: str, ttl: float) -> int:
 
 def _execute(store: JobStore, job_id: str, spec, on_stage):
     from repro.core.focus import FocusAssembler
+    from repro.io.fasta import load_reads
 
-    reads = _load_reads(spec)
-    assembler = FocusAssembler(spec.assembly_config())
+    assembler = FocusAssembler(spec.config)
+    if spec.reads_path is None:
+        reads = assembler.open_reads()
+    else:
+        reads = load_reads(spec.reads_path)
     prep = assembler.prepare(reads)
     return assembler.finish(
         prep,

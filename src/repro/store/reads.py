@@ -382,36 +382,19 @@ class ShardedReadSet(ReadSet):
             return np.empty(0, dtype=np.int64)
         return self._shard_kmers(shard, k, canonical)[lo:hi]
 
-    def kmer_table(
-        self,
-        k: int,
-        read_indices: np.ndarray | None = None,
-        canonical: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if read_indices is None:
-            idx = np.arange(len(self), dtype=np.int64)
-        else:
-            idx = np.asarray(read_indices, dtype=np.int64)
-        starts = np.asarray(self.offsets[idx], dtype=np.int64)
-        ends = np.asarray(self.offsets[idx + 1], dtype=np.int64)
-        n_windows = np.maximum(ends - starts - k + 1, 0)
-        total = int(n_windows.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        read_ids = np.repeat(idx, n_windows)
-        group_starts = np.cumsum(n_windows) - n_windows
-        within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, n_windows)
-        flat = np.repeat(starts, n_windows) + within
+    def _window_kmers(
+        self, k: int, canonical: bool, flat: np.ndarray, idx: np.ndarray, n_windows: np.ndarray
+    ) -> np.ndarray:
+        # Gathered shard by shard: each shard's k-mers are packed once.
         read_shards = (
             np.searchsorted(self.store.record_starts, idx, side="right") - 1
         )
         window_shards = np.repeat(read_shards, n_windows)
-        values = np.empty(total, dtype=np.int64)
+        values = np.empty(flat.size, dtype=np.int64)
         for s, at in _shard_groups(window_shards):
             packed = self._shard_kmers(s, k, canonical)
             values[at] = packed[flat[at] - int(self._base_bounds[s])]
-        return values, read_ids, within
+        return values
 
     # -- preprocessing (streams into derived stores) ----------------------
 

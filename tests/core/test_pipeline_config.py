@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+from repro.align.overlapper import OverlapConfig
 from repro.core.config import AssemblyConfig
 from repro.core.pipeline import StageTimer
-from repro.faults import FaultPlan, KernelFault
+from repro.faults import FaultPlan, KernelFault, RetryPolicy
+from repro.graph.coarsen import CoarsenConfig
+from repro.partition.recursive import PartitionConfig
 
 
 class TestStageTimer:
@@ -68,6 +71,100 @@ class TestStageTimer:
         )
         assert payload["backend"] == "process"
         assert payload["distributed"]["time_kind"] == "wall"
+
+
+def every_field_set() -> AssemblyConfig:
+    """A config whose every field, nested ones too, is not the default."""
+    return AssemblyConfig(
+        trim5=1,
+        trim3=2,
+        quality_window=7,
+        quality_step=2,
+        min_quality=20.5,
+        min_read_length=40,
+        add_reverse_complements=False,
+        dedupe_rc=False,
+        overlap=OverlapConfig(
+            k=12, min_kmer_hits=2, min_overlap=40, min_identity=0.85,
+            method="banded_nw", band=3, n_subsets=4,
+        ),
+        coarsen=CoarsenConfig(min_nodes=32, min_reduction=0.1, max_levels=5, seed=3),
+        partition=PartitionConfig(
+            coarsen=CoarsenConfig(min_nodes=16, min_reduction=0.2, max_levels=4, seed=4),
+            edge_balance=1.1, stall_window=20, kl_max_passes=3,
+            kway_max_passes=2, kway_balance=1.2, run_kway=False, seed=5,
+        ),
+        overlap_workers=2,
+        backend="process",
+        backend_workers=3,
+        retry=RetryPolicy(
+            max_attempts=5, backoff_base=0.1, backoff_cap=2.0, task_deadline=None,
+            fallback_serial=False, jitter=0.5, jitter_seed=9,
+        ),
+        fault_plan=FaultPlan(
+            seed=4, kernel_faults=(KernelFault("crash", "bubbles", 1, 2),), hang_seconds=5.0
+        ),
+        layout_tolerance=1,
+        quality_weighted_consensus=True,
+        store_path="/data/reads.store",
+        cache_budget=1 << 20,
+        n_partitions=8,
+        partition_mode="multilevel",
+        transitive_tolerance=3,
+        containment_min_overlap=60,
+        containment_min_identity=0.95,
+        max_tip_bases=200,
+        run_trimming=False,
+        seed=7,
+    )
+
+
+def flat(data: dict, prefix: str = ""):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from flat(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+class TestConfigDict:
+    def test_every_field_is_set(self):
+        defaults = dict(flat(AssemblyConfig().to_dict()))
+        same = [k for k, v in flat(every_field_set().to_dict()) if defaults.get(k) == v]
+        assert same == []
+
+    @pytest.mark.parametrize("config", [AssemblyConfig(), every_field_set()], ids=["default", "every-field"])
+    def test_json_round_trip(self, config):
+        assert AssemblyConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    def test_omitted_keys_take_defaults(self):
+        assert AssemblyConfig.from_dict({"partition": {"seed": 2}}) == AssemblyConfig(
+            partition=PartitionConfig(seed=2)
+        )
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"colour": 1}, "'colour'"),
+            ({"overlap": {"colour": 1}}, "'overlap.colour'"),
+            ({"partition": {"coarsen": {"colour": 1}}}, "'partition.coarsen.colour'"),
+            ({"retry": {"colour": 1}}, "'colour'"),
+            ({"backend": "process", "fault_plan": {"colour": 1}}, "'colour'"),
+        ],
+        ids=["top", "overlap", "partition.coarsen", "retry", "fault_plan"],
+    )
+    def test_unknown_key_is_refused_by_name(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            AssemblyConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], {"overlap": 5}, {"retry": 5}, {"fault_plan": []}, {"n_partitions": "4"}],
+        ids=["list", "int-overlap", "int-retry", "list-fault-plan", "string-partitions"],
+    )
+    def test_malformed_dict_is_a_value_error(self, data):
+        with pytest.raises(ValueError):
+            AssemblyConfig.from_dict(data)
 
 
 class TestAssemblyConfig:

@@ -41,6 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service.jobstore import JobStore
 from repro.service.jobs import JobSpec
@@ -124,9 +125,7 @@ def _chaos_spec(reads_path: str, pause: float = PAUSE_BETWEEN_STAGES) -> JobSpec
     return JobSpec(
         name="chaos",
         reads_path=reads_path,
-        backend="serial",
-        seed=7,
-        retry=CHAOS_RETRY,
+        config=AssemblyConfig(backend="serial", seed=7, retry=CHAOS_RETRY),
         pause_between_stages=pause,
     )
 

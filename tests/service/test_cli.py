@@ -65,7 +65,7 @@ class TestSubmitJobsServe:
         stored = JobStore(store).load_spec(job_id).reads_path
         assert os.path.isabs(stored) and os.path.samefile(stored, reads_path)
 
-    @pytest.mark.parametrize("flag", [None, "--reads-store"])
+    @pytest.mark.parametrize("flag", [None, "--store"])
     def test_missing_input_exits_one_and_queues_nothing(self, tmp_path, capsys, flag):
         store = tmp_path / "jobs.store"
         missing = str(tmp_path / "missing")
@@ -74,6 +74,72 @@ class TestSubmitJobsServe:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--partitions", "3"],
+            ["--fault-plan", "random:1", "--backend", "serial"],
+            ["--retries", "0"],
+        ],
+        ids=["partitions-3", "fault-plan-off-process", "retries-0"],
+    )
+    def test_bad_assembly_option_exits_one_and_queues_nothing(
+        self, tmp_path, reads_path, capsys, options
+    ):
+        store = tmp_path / "jobs.store"
+        assert main(["submit", str(store), reads_path, *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not store.exists()
+
+    def test_job_runs_the_config_assemble_parses(self, tmp_path, reads_path, capsys):
+        from repro.cli import _assemble_config, build_parser
+        from repro.core.config import AssemblyConfig
+        from repro.service import JobStore
+
+        options = [
+            "--cache-budget-mb", "8", "--partitions", "8", "--mode", "multilevel",
+            "--min-overlap", "45", "--min-identity", "0.85", "--workers", "2",
+            "--backend", "process", "--backend-workers", "2",
+            "--fault-plan", "random:3", "--retries", "4", "--seed", "5",
+        ]
+        assemble = build_parser().parse_args(["assemble", reads_path, "-o", "c.fa", *options])
+        expected = _assemble_config(assemble)
+        assert expected.fault_plan is not None and expected.retry.max_attempts == 4
+        store = str(tmp_path / "jobs.store")
+        assert main(["submit", store, reads_path, *options]) == 0
+        job_id = capsys.readouterr().out.split()[1]
+        # spec.json keeps the config itself, fault plan included.
+        assert JobStore(store).load_spec(job_id).config == expected
+        assert expected != AssemblyConfig()
+
+    def test_unreadable_spec_fails_that_job_alone(self, tmp_path, reads_path, capsys):
+        import json
+        import os
+
+        from repro.service import JobStore
+        from repro.service.jobstore import SPEC_NAME
+
+        store = str(tmp_path / "jobs.store")
+        ids = []
+        for name in ("a", "b"):
+            argv = ["submit", store, reads_path, "--name", name, "--backend", "serial"]
+            assert main(argv) == 0
+            ids.append(capsys.readouterr().out.split()[1])
+        a, b = ids
+        spec_path = os.path.join(JobStore(store).job_dir(a), SPEC_NAME)
+        with open(spec_path, "w") as fh:
+            json.dump({"reads_path": "x", "color": 1}, fh)
+        rc = main(["serve", store, "--drain", "--poll-interval", "0.02",
+                   "--lease-ttl", "5", "--max-seconds", "60"])
+        assert rc == 0
+        jobs = JobStore(store)
+        assert jobs.load_record(b).state == "done"
+        failed = jobs.load_record(a)
+        assert failed.state == "failed" and spec_path in failed.error
+        last = jobs.journal(a)[-1]
+        assert (last.state_from, last.state_to) == ("queued", "failed")
 
     def test_jobs_on_missing_store_errors(self, tmp_path, capsys):
         rc = main(["jobs", str(tmp_path / "nope")])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore
 from repro.service.jobstore import SPEC_NAME, STATE_NAME
@@ -27,8 +28,9 @@ def job(tmp_path_factory):
     spec = JobSpec(
         name="fz",
         reads_path="reads.fastq",
-        n_partitions=2,
-        retry=RetryPolicy(max_attempts=4, jitter=0.5),
+        config=AssemblyConfig(
+            n_partitions=2, retry=RetryPolicy(max_attempts=4, jitter=0.5)
+        ),
         deadline=60.0,
     )
     return store, store.submit(spec, now=1.0).job_id
@@ -64,7 +66,8 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
         assert path in str(exc)
     else:
         if name == SPEC_NAME:
-            assert isinstance(loaded.retry, RetryPolicy)
+            assert isinstance(loaded.config, AssemblyConfig)
+            assert isinstance(loaded.config.retry, RetryPolicy)
 
 
 @pytest.mark.parametrize(
@@ -72,11 +75,25 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
     [
         b"[1]",
         b"\xff\xfe{}",
-        b'{"reads_path": "r.fq", "n_partitions": 2, "colour": "red"}',
-        b'{"reads_path": "r.fq", "retry": 5}',
-        b'{"reads_path": "r.fq", "retry": {"max_attempts": 0}}',
+        b'{"reads_path": "r.fq", "colour": "red"}',
+        b'{"reads_path": "r.fq", "config": {"n_partitions": 2, "colour": 1}}',
+        b'{"reads_path": "r.fq", "config": {"overlap": {"colour": 1}}}',
+        b'{"reads_path": "r.fq", "config": {"retry": 5}}',
+        b'{"reads_path": "r.fq", "config": {"retry": {"max_attempts": 0}}}',
+        b'{"reads_path": "r.fq", "config": {"n_partitions": "2"}}',
+        b'{"reads_path": "r.fq", "config": 5}',
     ],
-    ids=["not-an-object", "not-utf8", "unknown-field", "int-retry", "bad-retry"],
+    ids=[
+        "not-an-object",
+        "not-utf8",
+        "unknown-field",
+        "unknown-config-field",
+        "unknown-nested-field",
+        "int-retry",
+        "bad-retry",
+        "string-partitions",
+        "int-config",
+    ],
 )
 def test_malformed_spec_is_refused_naming_the_file(job, blob):
     store, job_id = job
@@ -96,7 +113,7 @@ def test_malformed_record_is_refused_naming_the_file(job, blob):
 def test_pristine_files_still_load(job):
     store, job_id = job
     spec = store.load_spec(job_id)
-    assert spec.retry == RetryPolicy(max_attempts=4, jitter=0.5)
+    assert spec.config.retry == RetryPolicy(max_attempts=4, jitter=0.5)
     assert store.load_record(job_id).job_id == job_id
     with open(os.path.join(store.job_dir(job_id), SPEC_NAME)) as fh:
         assert JobSpec.from_dict(json.load(fh)) == spec

@@ -1,7 +1,11 @@
 """Unit tests for the job state machine, specs, and records."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
+from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import (
     ACTIVE_STATES,
@@ -44,6 +48,11 @@ class TestStateMachine:
         assert record.terminal
         assert record.updated == 6.0
 
+    def test_only_queued_and_active_states_can_fail(self):
+        # queued -> failed ends a job whose spec cannot be read.
+        can_fail = {s for s in JOB_STATES if "failed" in TRANSITIONS[s]}
+        assert can_fail == ACTIVE_STATES | {"queued"}
+
     def test_illegal_transition_raises(self):
         record = JobRecord(job_id="j", state="queued")
         with pytest.raises(InvalidTransitionError) as exc:
@@ -78,65 +87,60 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec(name="j")
         with pytest.raises(ValueError):
-            JobSpec(name="j", reads_path="a.fasta", reads_store="b.store")
+            JobSpec(
+                name="j",
+                reads_path="a.fasta",
+                config=AssemblyConfig(store_path="b.store"),
+            )
 
     def test_rejects_bad_partitions(self):
         with pytest.raises(ValueError):
-            JobSpec(reads_path="a.fasta", n_partitions=3)
+            JobSpec.from_dict({"reads_path": "a.fasta", "config": {"n_partitions": 3}})
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            JobSpec(reads_path="a.fasta", backend="gpu")
+            JobSpec.from_dict({"reads_path": "a.fasta", "config": {"backend": "gpu"}})
 
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError):
             JobSpec(reads_path="a.fasta", deadline=0.0)
 
     def test_charge_prefers_memory_bytes(self):
-        spec = JobSpec(reads_path="a.fasta", memory_bytes=123, cache_budget=456)
+        config = AssemblyConfig(cache_budget=456)
+        spec = JobSpec(reads_path="a.fasta", config=config, memory_bytes=123)
         assert spec.charge == 123
-        spec = JobSpec(reads_path="a.fasta", memory_bytes=0, cache_budget=456)
+        spec = JobSpec(reads_path="a.fasta", config=config, memory_bytes=0)
         assert spec.charge == 456
 
     def test_dict_roundtrip_preserves_retry_policy(self):
         spec = JobSpec(
             name="rt",
             reads_path="a.fasta",
-            seed=9,
+            config=AssemblyConfig(
+                seed=9,
+                retry=RetryPolicy(max_attempts=5, backoff_base=0.25, jitter=0.5),
+            ),
             priority=3,
-            retry=RetryPolicy(max_attempts=5, backoff_base=0.25, jitter=0.5),
             deadline=12.0,
             pause_between_stages=0.1,
         )
-        again = JobSpec.from_dict(spec.to_dict())
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
-        assert again.retry.jitter == 0.5
+        assert again.config.retry.jitter == 0.5
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="malformed job spec"):
             JobSpec.from_dict({"reads_path": "a.fasta", "color": "red"})
+        with pytest.raises(ValueError, match="'partition.coarsen.color'"):
+            JobSpec.from_dict(
+                {"reads_path": "a.fasta", "config": {"partition": {"coarsen": {"color": 1}}}}
+            )
 
-    def test_from_dict_drops_legacy_engine_key(self):
-        # A spec.json queued before the finish-engine option was removed.
-        legacy = {**JobSpec(reads_path="a.fasta", seed=4).to_dict(), "engine": "loop"}
-        assert JobSpec.from_dict(legacy) == JobSpec(reads_path="a.fasta", seed=4)
-        assert "engine" not in JobSpec.from_dict(legacy).to_dict()
-
-    def test_assembly_config_mirrors_spec(self):
-        spec = JobSpec(
-            reads_path="a.fasta",
-            n_partitions=8,
-            backend="process",
-            min_overlap=40,
-            min_identity=0.85,
-            seed=11,
-        )
-        cfg = spec.assembly_config()
-        assert cfg.n_partitions == 8
-        assert cfg.backend == "process"
-        assert cfg.overlap.min_overlap == 40
-        assert cfg.overlap.min_identity == 0.85
-        assert cfg.seed == 11
+    def test_spec_has_no_assembly_knob_of_its_own(self):
+        # The config is the one carrier of assembly options.
+        spec_fields = {f.name for f in fields(JobSpec)}
+        assert not spec_fields & {f.name for f in fields(AssemblyConfig)}
+        assert not hasattr(JobSpec, "assembly_config")
 
 
 class TestJobRecord:

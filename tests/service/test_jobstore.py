@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.service import JobSpec, JobStore
-from repro.service.jobstore import JOURNAL_NAME, STATE_NAME
+from repro.service.jobstore import JOURNAL_NAME, SPEC_NAME, STATE_NAME
 
 
 def spec(**kw):
@@ -90,6 +90,16 @@ class TestTransitions:
             store.transition(record.job_id, "done")
         assert [e.state_to for e in store.journal(record.job_id)] == ["queued"]
         assert store.load_record(record.job_id).state == "queued"
+
+    def test_retry_or_fail_fails_a_job_whose_spec_cannot_be_read(self, store):
+        record = store.submit(spec(), now=1.0)
+        store.transition(record.job_id, "leased", now=2.0)
+        path = os.path.join(store.job_dir(record.job_id), SPEC_NAME)
+        with open(path, "w") as fh:
+            fh.write('{"reads_path": "x", "color": 1}')
+        assert not store.retry_or_fail(record.job_id, "stale lease", "stale lease")
+        loaded = store.load_record(record.job_id)
+        assert loaded.state == "failed" and path in loaded.error
 
     def test_torn_journal_tail_ignored(self, store):
         record = store.submit(spec())

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
 from repro.service.supervisor import WorkerHandle
@@ -136,7 +137,7 @@ class TestRecoveryPass:
 
     def test_retry_exhaustion_fails_job(self, store):
         record = store.submit(
-            spec(retry=RetryPolicy(max_attempts=1)), now=1.0
+            spec(config=AssemblyConfig(retry=RetryPolicy(max_attempts=1))), now=1.0
         )
         store.transition(record.job_id, "leased", now=1.0)
         store.claim_lease(record.job_id, "dead", ttl=1.0, now=1.0)
@@ -161,7 +162,7 @@ class TestRecoveryPass:
         policy = RetryPolicy(
             max_attempts=3, backoff_base=1.0, backoff_cap=8.0, jitter=0.5
         )
-        record = store.submit(spec(retry=policy), now=1.0)
+        record = store.submit(spec(config=AssemblyConfig(retry=policy)), now=1.0)
         store.transition(record.job_id, "leased", now=1.0)
         store.claim_lease(record.job_id, "dead", ttl=1.0, now=1.0)
         sup = Supervisor(store, max_workers=1)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
 from repro.service.worker import _finish_ok
@@ -21,8 +22,10 @@ class TestFailureEscalation:
             JobSpec(
                 name="doomed",
                 reads_path=str(tmp_path / "missing.fasta"),
-                retry=RetryPolicy(
-                    max_attempts=2, backoff_base=0.01, backoff_cap=0.02
+                config=AssemblyConfig(
+                    retry=RetryPolicy(
+                        max_attempts=2, backoff_base=0.01, backoff_cap=0.02
+                    )
                 ),
             )
         )
@@ -46,7 +49,7 @@ class TestFailureEscalation:
         record = store.submit(
             JobSpec(
                 reads_path=str(tmp_path / "missing.fasta"),
-                retry=RetryPolicy(max_attempts=1),
+                config=AssemblyConfig(retry=RetryPolicy(max_attempts=1)),
             )
         )
         Supervisor(store, lease_ttl=5.0, poll_interval=POLL).run(
@@ -63,7 +66,7 @@ class TestCooperativeCancel:
             JobSpec(
                 name="cancelme",
                 reads_path=reads_path,
-                seed=7,
+                config=AssemblyConfig(seed=7),
                 pause_between_stages=0.2,
             )
         )

@@ -96,9 +96,13 @@ class TestEquivalence:
             assert (
                 opened.kmer_codes_of(i, 16) == ram.kmer_codes_of(i, 16)
             ).all()
-        idx = np.array([3, 11, 29, 41])
-        for a, b in zip(opened.kmer_table(16, idx), ram.kmer_table(16, idx)):
-            assert (a == b).all()
+        # All reads, then an unsorted subset that spans shards.
+        for idx in (None, np.array([3, 11, 29, 41]), np.array([56, 9, 41, 10, 0, 29, 9])):
+            for canonical in (False, True):
+                got = opened.kmer_table(16, idx, canonical)
+                want = ram.kmer_table(16, idx, canonical)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_many_small_shards_unsorted_positions(self, tmp_path):
         # 29 shards of two reads; reads arrive shuffled and repeated,
