@@ -58,15 +58,13 @@ def partition_sweep(prepared):
     graph sets partitioned into 8, 16, 32 and 64 parts.
     """
     from repro.partition.multilevel import partition_via_hybrid, partition_via_multilevel
-    from repro.partition.recursive import PartitionConfig
 
-    cfg = PartitionConfig(seed=0)
     out = {}
     for name, prep in prepared.items():
         for k in K_SWEEP:
             out[(name, k)] = {
-                "hybrid": partition_via_hybrid(prep.mls, prep.hyb, k, cfg),
-                "multilevel": partition_via_multilevel(prep.mls, k, cfg),
+                "hybrid": partition_via_hybrid(prep.mls, prep.hyb, k),
+                "multilevel": partition_via_multilevel(prep.mls, k),
             }
     return out
 

@@ -19,7 +19,6 @@ import numpy as np
 from repro.bench.reporting import format_series, format_table
 from repro.mpi.schedule import speedup_curve
 from repro.partition.multilevel import partition_via_hybrid
-from repro.partition.recursive import PartitionConfig
 
 K_PARTS = 16
 PROCS = (1, 2, 4, 6, 8, 10, 12, 16)
@@ -29,7 +28,7 @@ RUNS = 3
 def _mean_speedups(prep):
     per_run = []
     for r in range(RUNS):
-        result = partition_via_hybrid(prep.mls, prep.hyb, K_PARTS, PartitionConfig(seed=r))
+        result = partition_via_hybrid(prep.mls, prep.hyb, K_PARTS, seed=r)
         per_run.append(dict(speedup_curve(result.tasks, PROCS)))
     return {p: float(np.mean([run[p] for run in per_run])) for p in PROCS}
 

@@ -18,7 +18,6 @@ the multilevel partition.
 
 from repro.bench.reporting import format_table
 from repro.partition.multilevel import partition_via_hybrid
-from repro.partition.recursive import PartitionConfig
 
 from conftest import K_SWEEP
 
@@ -64,7 +63,8 @@ def test_fig5_hybrid_vs_multilevel_runtime(
     prep = next(iter(prepared.values()))
     benchmark.pedantic(
         partition_via_hybrid,
-        args=(prep.mls, prep.hyb, 16, PartitionConfig(seed=1)),
+        args=(prep.mls, prep.hyb, 16),
+        kwargs={"seed": 1},
         rounds=1,
         iterations=1,
     )

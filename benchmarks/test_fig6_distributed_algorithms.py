@@ -31,7 +31,6 @@ from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.hybrid import build_hybrid_set
 from repro.parallel.backend import create_backend
 from repro.partition.multilevel import partition_via_hybrid
-from repro.partition.recursive import PartitionConfig
 
 from conftest import FAST_NET, K_SWEEP
 
@@ -43,7 +42,7 @@ def big_hybrids(prepared):
     """name -> (HybridAssembly, hybrid set) with light coarsening."""
     out = {}
     for name, prep in prepared.items():
-        mls = build_multilevel_set(prep.g0, CoarsenConfig(max_levels=3, seed=0))
+        mls = build_multilevel_set(prep.g0, CoarsenConfig(max_levels=3))
         hyb = build_hybrid_set(mls, prep.reads.lengths)
         asm = enrich_hybrid(hyb, prep.g0, prep.reads)
         out[name] = (mls, hyb, asm)
@@ -52,7 +51,7 @@ def big_hybrids(prepared):
 
 def _run_stages(mls, hyb, asm, k):
     """Median (trim, traversal) virtual seconds over RUNS repetitions."""
-    part = partition_via_hybrid(mls, hyb, k, PartitionConfig(seed=0))
+    part = partition_via_hybrid(mls, hyb, k)
     trims, travs = [], []
     for _ in range(RUNS):
         dag = DistributedAssemblyGraph(asm, part.labels_finest)

@@ -29,7 +29,6 @@ from repro.analysis.community import (
 )
 from repro.analysis.heatmap import render_heatmap
 from repro.partition.multilevel import partition_via_hybrid
-from repro.partition.recursive import PartitionConfig
 from repro.simulate.taxonomy import PHYLUM_OF
 
 K_PARTS = 16
@@ -40,7 +39,7 @@ ENTROPY_MARGIN = 0.15
 
 
 def _analyse(ds, prep):
-    part = partition_via_hybrid(prep.mls, prep.hyb, K_PARTS, PartitionConfig(seed=0))
+    part = partition_via_hybrid(prep.mls, prep.hyb, K_PARTS)
     read_parts = part.labels_finest[prep.hyb.base_maps[0]]
     classifier = KmerClassifier(ds.community.reference_database(), k=21)
     genus_labels = [m.get("genus") for m in prep.reads.meta]

@@ -17,7 +17,6 @@ Run:  python examples/partitioning_comparison.py
 
 from repro import AssemblyConfig, FocusAssembler
 from repro.partition.multilevel import partition_via_hybrid, partition_via_multilevel
-from repro.partition.recursive import PartitionConfig
 from repro.simulate.community import CommunityConfig, build_community
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 
@@ -42,10 +41,9 @@ def main() -> None:
 
     print(f"\n{'k':>4} {'hybrid (s)':>11} {'multi (s)':>10} {'speed':>6} "
           f"{'cut hyb':>9} {'cut multi':>10}")
-    cfg = PartitionConfig(seed=0)
     for k in (8, 16, 32):
-        r_h = partition_via_hybrid(prep.mls, hyb, k, cfg)
-        r_m = partition_via_multilevel(prep.mls, k, cfg)
+        r_h = partition_via_hybrid(prep.mls, hyb, k)
+        r_m = partition_via_multilevel(prep.mls, k)
         print(
             f"{k:>4} {r_h.wall_time:>11.3f} {r_m.wall_time:>10.3f} "
             f"{r_m.wall_time / r_h.wall_time:>5.1f}x "

@@ -111,7 +111,8 @@ def _add_assembly_options(p: argparse.ArgumentParser) -> None:
         "serial fallback, and of a job before it is marked failed "
         "(default: 3)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of coarsening and partitioning; contigs can change with it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from repro.align.overlapper import OverlapConfig
 from repro.faults import FaultPlan, RetryPolicy
@@ -91,9 +91,12 @@ class AssemblyConfig:
     max_tip_bases: int = 150
     run_trimming: bool = True
 
+    #: the run's one seed: every coarsening and partitioning draw starts from it.
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.n_partitions < 1 or (self.n_partitions & (self.n_partitions - 1)) != 0:
             raise ValueError("n_partitions must be a power of two")
         if self.partition_mode not in ("hybrid", "multilevel"):
@@ -127,8 +130,10 @@ class AssemblyConfig:
     def from_dict(cls, data: dict) -> "AssemblyConfig":
         """The config of :meth:`to_dict`; omitted keys take their defaults.
 
-        An unknown key at any level raises ``ValueError`` naming it, so
-        a misspelt option never loads as the default silently.
+        An unknown key at any level, or a value whose JSON type is not
+        its field's, raises ``ValueError`` naming the key, so a misspelt
+        option never loads as the default and ``"false"`` never loads
+        as true.
         """
         payload = _fields_of(cls, data, "")
         if "retry" in payload:
@@ -146,8 +151,20 @@ def _object(data, where: str) -> dict:
     return data
 
 
+#: per type of a field's default, the JSON types its value may have (a
+#: ``None`` default is an optional string) and how to name them.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((str, type(None)), "a string or null"),
+}
+
+
 def _fields_of(cls, data, where: str) -> dict:
-    """``data``'s keys as ``cls`` arguments, nested stage configs built."""
+    """``data``'s keys as ``cls`` arguments, nested stage configs built
+    and every other leaf checked against its field's JSON type."""
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(_object(data, where.rstrip("."))) - set(known))
     if unknown:
@@ -157,6 +174,10 @@ def _fields_of(cls, data, where: str) -> dict:
         nested = known[name].default_factory
         if nested in (OverlapConfig, CoarsenConfig, PartitionConfig):
             payload[name] = _build(nested, _fields_of(nested, value, f"{where}{name}."))
+        elif nested is MISSING and name != "fault_plan":
+            types, kind = _JSON_TYPES[type(known[name].default)]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValueError(f"assembly config key {where + name!r} must be {kind}")
     return payload
 
 

@@ -345,7 +345,7 @@ class FocusAssembler:
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
         with timer.stage("coarsen"):
-            mls = build_multilevel_set(g0, cfg.coarsen)
+            mls = build_multilevel_set(g0, cfg.coarsen, cfg.seed)
         with timer.stage("hybrid"):
             hyb = build_hybrid_set(mls, rs.lengths, tolerance=cfg.layout_tolerance)
         with timer.stage("enrich"):
@@ -457,9 +457,9 @@ class FocusAssembler:
 
         with timer.stage("partition"):
             if mode == "hybrid":
-                part = partition_via_hybrid(prep.mls, prep.hyb, k, cfg.partition)
+                part = partition_via_hybrid(prep.mls, prep.hyb, k, cfg.partition, cfg.seed)
             else:
-                part = partition_via_multilevel(prep.mls, k, cfg.partition)
+                part = partition_via_multilevel(prep.mls, k, cfg.partition, cfg.seed)
             labels_h = self._hybrid_labels(part, prep.hyb)
             if mode == "multilevel":
                 part.labels_finest = labels_h

@@ -107,6 +107,9 @@ class RetryPolicy:
         ``jitter=0`` — the historical behaviour.
         """
         try:
-            return cls(**data)
+            policy = cls(**data)
         except TypeError as exc:
             raise ValueError(f"malformed retry policy: {exc}") from exc
+        if not isinstance(policy.fallback_serial, bool):
+            raise ValueError("retry policy key 'fallback_serial' must be true or false")
+        return policy

@@ -33,7 +33,6 @@ class CoarsenConfig:
     min_reduction: float = 0.05
     #: hard cap on the number of levels (n+1 graphs).
     max_levels: int = 12
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -56,9 +55,11 @@ def coarsen_once(graph: Level, rng: np.random.Generator) -> tuple[Level, np.ndar
 
 
 class MultilevelGraphSet:
-    """The graphs ``[G0..Gn]`` plus the fine->coarse maps between levels."""
+    """The graphs ``[G0..Gn]``, the fine->coarse maps and the ``coarsen`` rules."""
 
-    def __init__(self, graphs: list[Level], mappings: list[np.ndarray]) -> None:
+    def __init__(
+        self, graphs: list[Level], mappings: list[np.ndarray], coarsen: CoarsenConfig | None = None
+    ) -> None:
         if len(graphs) != len(mappings) + 1:
             raise ValueError("need one mapping per coarsening step")
         for i, m in enumerate(mappings):
@@ -66,6 +67,7 @@ class MultilevelGraphSet:
                 raise ValueError(f"mapping {i} does not cover G{i}")
         self.graphs = graphs
         self.mappings = [np.asarray(m, dtype=np.int64) for m in mappings]
+        self.coarsen = coarsen or CoarsenConfig()
 
     @property
     def n_levels(self) -> int:
@@ -102,11 +104,11 @@ class MultilevelGraphSet:
 
 
 def build_multilevel_set(
-    g0: Level, config: CoarsenConfig | None = None
+    g0: Level, config: CoarsenConfig | None = None, seed: int = 0
 ) -> MultilevelGraphSet:
-    """Coarsen ``g0`` until the stopping rules fire."""
+    """Coarsen ``g0`` from ``seed`` until the stopping rules fire."""
     config = config or CoarsenConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     graphs = [g0]
     mappings: list[np.ndarray] = []
     while len(graphs) < config.max_levels:
@@ -119,4 +121,4 @@ def build_multilevel_set(
             break
         graphs.append(coarse)
         mappings.append(mapping)
-    return MultilevelGraphSet(graphs, mappings)
+    return MultilevelGraphSet(graphs, mappings, config)

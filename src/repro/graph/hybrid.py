@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.coarsen import MultilevelGraphSet
+from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet
 from repro.graph.contigs import layout_clusters, layout_contiguity
 from repro.graph.csr import group_by_label, split_groups
 from repro.graph.overlap_graph import Level, OverlapGraph
@@ -68,8 +68,9 @@ class HybridGraphSet(MultilevelGraphSet):
         mappings: list[np.ndarray],
         base_maps: list[np.ndarray],
         rep_level: np.ndarray,
+        coarsen: CoarsenConfig | None = None,
     ) -> None:
-        super().__init__(graphs, mappings)
+        super().__init__(graphs, mappings, coarsen)
         if len(base_maps) != len(graphs):
             raise ValueError("need one base map per level")
         #: base_maps[i]: V(G0) -> V(H_i)
@@ -151,4 +152,4 @@ def build_hybrid_set(
         m[base_maps[i]] = base_maps[i + 1]
         mappings.append(m)
         graphs.append(graphs[i].contract(m))
-    return HybridGraphSet(graphs, mappings, base_maps, rep_level)
+    return HybridGraphSet(graphs, mappings, base_maps, rep_level, mls.coarsen)

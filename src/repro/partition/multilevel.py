@@ -66,7 +66,7 @@ def _project_labels_up(
 
 
 def partition_graph_set(
-    gs: MultilevelGraphSet, k: int, config: PartitionConfig | None = None
+    gs: MultilevelGraphSet, k: int, config: PartitionConfig | None = None, seed: int = 0
 ) -> tuple[np.ndarray, list[TaskRecord], float]:
     """Recursive bisection + per-level k-way refinement on one graph set.
 
@@ -76,7 +76,7 @@ def partition_graph_set(
     config = config or PartitionConfig()
     tasks: list[TaskRecord] = []
     t0 = time.perf_counter()
-    labels = recursive_bisection(gs, k, config=config, tasks=tasks)
+    labels = recursive_bisection(gs, k, config=config, tasks=tasks, seed=seed)
     if config.run_kway and k > 1:
         per_level = _project_labels_up(gs, labels, k)
         refined_finest = labels
@@ -99,10 +99,10 @@ def partition_graph_set(
 
 
 def partition_via_multilevel(
-    mls: MultilevelGraphSet, k: int, config: PartitionConfig | None = None
+    mls: MultilevelGraphSet, k: int, config: PartitionConfig | None = None, seed: int = 0
 ) -> PartitionResult:
     """Naive baseline: partition with full un-coarsening to G0."""
-    labels, tasks, wall = partition_graph_set(mls, k, config)
+    labels, tasks, wall = partition_graph_set(mls, k, config, seed)
     cut = edge_cut(mls.base, labels)
     return PartitionResult(
         k=k,
@@ -120,10 +120,11 @@ def partition_via_hybrid(
     hyb: HybridGraphSet,
     k: int,
     config: PartitionConfig | None = None,
+    seed: int = 0,
 ) -> PartitionResult:
     """Knowledge-enriched variant: partition the hybrid set, map to G0."""
     t0 = time.perf_counter()
-    labels_h0, tasks, _ = partition_graph_set(hyb, k, config)
+    labels_h0, tasks, _ = partition_graph_set(hyb, k, config, seed)
     labels_g0 = labels_h0[hyb.base_maps[0]]
     wall = time.perf_counter() - t0
     return PartitionResult(

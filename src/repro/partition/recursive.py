@@ -14,12 +14,11 @@ MPI scheduler replays these records on ``p`` virtual processors).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set
-from repro.graph.overlap_graph import Level
+from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.partition.greedy_growing import greedy_grow_bisection
 from repro.partition.kl import kl_refine_bisection
 
@@ -30,7 +29,6 @@ __all__ = ["PartitionConfig", "TaskRecord", "recursive_bisection"]
 class PartitionConfig:
     """Knobs of the whole partitioning pipeline."""
 
-    coarsen: CoarsenConfig = field(default_factory=CoarsenConfig)
     #: greedy-growing edge-weight balance bound (paper: 1.03).
     edge_balance: float = 1.03
     #: KL / k-way early-stop window (paper: 50 moves).
@@ -41,7 +39,6 @@ class PartitionConfig:
     kway_balance: float = 1.03
     #: run the global k-way refinement stage after recursive bisection.
     run_kway: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.edge_balance < 1.0 or self.kway_balance < 1.0:
@@ -80,32 +77,25 @@ def bisect_graph_set(
     return labels
 
 
-def bisect_group(
-    graph: Level, group: np.ndarray, config: PartitionConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Half-assignment (0/1 per member) of ``group``: its induced
-    subgraph, coarsened afresh and bisected."""
-    sub, remap = graph.induced_subgraph(group)
-    return bisect_graph_set(build_multilevel_set(sub, config.coarsen), config, rng)[remap[group]]
-
-
 def recursive_bisection(
     gs: MultilevelGraphSet,
     k: int,
     config: PartitionConfig | None = None,
     tasks: list[TaskRecord] | None = None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Partition ``gs.base`` into ``k = 2^i`` parts by recursive bisection.
 
     The first, whole-graph bisection runs on the set ``gs`` as it is;
-    recursive sub-bisections coarsen their induced subgraphs afresh.
-    ``tasks`` (if given) collects one :class:`TaskRecord` per bisection
-    for the Fig. 4 speedup replay.
+    recursive sub-bisections coarsen their induced subgraphs afresh
+    under ``gs.coarsen``, each from ``seed``, and all bisections draw
+    from one stream seeded with ``seed``.  ``tasks`` (if given) collects
+    one :class:`TaskRecord` per bisection for the Fig. 4 speedup replay.
     """
     config = config or PartitionConfig()
     if k < 1 or (k & (k - 1)) != 0:
         raise ValueError("k must be a power of two")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     graph = gs.base
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     if k == 1 or graph.n_nodes == 0:
@@ -123,7 +113,9 @@ def recursive_bisection(
             elif step == 0:
                 half = bisect_graph_set(gs, config, rng)
             else:
-                half = bisect_group(graph, group, config, rng)
+                sub, remap = graph.induced_subgraph(group)
+                fresh = build_multilevel_set(sub, gs.coarsen, seed)
+                half = bisect_graph_set(fresh, config, rng)[remap[group]]
             if tasks is not None:
                 tasks.append(
                     TaskRecord(kind="bisect", step=step, duration=time.perf_counter() - t0)

@@ -253,6 +253,7 @@ class TestBadInputIsOneLine:
                 ["assemble", "{tmp}/missing.fq", "-o", "{tmp}/c.fa", "--fault-plan", "random:7"],
                 "process workers",
             ),
+            (["assemble", "{tmp}/missing.fq", "-o", "{tmp}/c.fa", "--seed", "-1"], "seed"),
         ],
         ids=[
             "pack-shard-size-0",
@@ -262,6 +263,7 @@ class TestBadInputIsOneLine:
             "assemble-fault-plan-off-process",
             "assemble-resume-checked-before-reading",
             "assemble-fault-plan-checked-before-reading",
+            "assemble-seed-checked-before-reading",
         ],
     )
     def test_error_line_and_exit_code(self, tmp_path, reads_fastq, capsys, argv, message):

@@ -154,3 +154,35 @@ class TestFocusPipeline:
             assembler.finish(prep, n_partitions=3)
         with pytest.raises(ValueError):
             assembler.finish(prep, partition_mode="magic")
+
+
+class TestOneSeed:
+    """``AssemblyConfig.seed`` is the one seed of a run."""
+
+    @staticmethod
+    def assemble(reads, seed):
+        config = AssemblyConfig(n_partitions=4, backend="serial", seed=seed)
+        return FocusAssembler(config, cost_model=FAST).assemble(reads)
+
+    def test_seed_changes_the_partition_and_reproduces_it(self, assembled):
+        _, reads, default = assembled
+        seven = self.assemble(reads, 7).partition.labels_finest
+        assert not np.array_equal(seven, default.partition.labels_finest)
+        assert np.array_equal(seven, self.assemble(reads, 7).partition.labels_finest)
+
+    def test_every_coarsening_starts_from_the_seed(self, assembled, monkeypatch):
+        # G0's coarsening and each sub-bisection's fresh one.
+        from repro.core import focus
+        from repro.partition import recursive
+
+        seeds = []
+        real = recursive.build_multilevel_set
+
+        def spy(graph, config=None, seed=0):
+            seeds.append(seed)
+            return real(graph, config, seed)
+
+        monkeypatch.setattr(focus, "build_multilevel_set", spy)
+        monkeypatch.setattr(recursive, "build_multilevel_set", spy)
+        self.assemble(assembled[1], 7)
+        assert seeds == [7, 7, 7]  # G0, then the two halves of k = 4

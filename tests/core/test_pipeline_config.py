@@ -88,11 +88,10 @@ def every_field_set() -> AssemblyConfig:
             k=12, min_kmer_hits=2, min_overlap=40, min_identity=0.85,
             method="banded_nw", band=3, n_subsets=4,
         ),
-        coarsen=CoarsenConfig(min_nodes=32, min_reduction=0.1, max_levels=5, seed=3),
+        coarsen=CoarsenConfig(min_nodes=32, min_reduction=0.1, max_levels=5),
         partition=PartitionConfig(
-            coarsen=CoarsenConfig(min_nodes=16, min_reduction=0.2, max_levels=4, seed=4),
             edge_balance=1.1, stall_window=20, kl_max_passes=3,
-            kway_max_passes=2, kway_balance=1.2, run_kway=False, seed=5,
+            kway_max_passes=2, kway_balance=1.2, run_kway=False,
         ),
         overlap_workers=2,
         backend="process",
@@ -138,33 +137,69 @@ class TestConfigDict:
         assert AssemblyConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_omitted_keys_take_defaults(self):
-        assert AssemblyConfig.from_dict({"partition": {"seed": 2}}) == AssemblyConfig(
-            partition=PartitionConfig(seed=2)
+        assert AssemblyConfig.from_dict({"partition": {"run_kway": False}}) == AssemblyConfig(
+            partition=PartitionConfig(run_kway=False)
         )
+
+    def test_seed_is_the_one_assembly_seed(self):
+        leaves = dict(flat(AssemblyConfig().to_dict()))
+        assert len(leaves) == 47
+        assert sorted(k for k in leaves if "seed" in k) == ["retry.jitter_seed", "seed"]
 
     @pytest.mark.parametrize(
         "data, key",
         [
             ({"colour": 1}, "'colour'"),
             ({"overlap": {"colour": 1}}, "'overlap.colour'"),
-            ({"partition": {"coarsen": {"colour": 1}}}, "'partition.coarsen.colour'"),
+            ({"coarsen": {"colour": 1}}, "'coarsen.colour'"),
             ({"retry": {"colour": 1}}, "'colour'"),
             ({"backend": "process", "fault_plan": {"colour": 1}}, "'colour'"),
+            # The seeds and coarsening rules of older configs are gone.
+            ({"coarsen": {"seed": 3}}, "'coarsen.seed'"),
+            ({"partition": {"seed": 5}}, "'partition.seed'"),
+            ({"partition": {"coarsen": {}}}, "'partition.coarsen'"),
         ],
-        ids=["top", "overlap", "partition.coarsen", "retry", "fault_plan"],
+        ids=[
+            "top", "overlap", "coarsen", "retry", "fault_plan",
+            "coarsen.seed", "partition.seed", "partition.coarsen",
+        ],
     )
     def test_unknown_key_is_refused_by_name(self, data, key):
         with pytest.raises(ValueError, match=key):
             AssemblyConfig.from_dict(data)
 
     @pytest.mark.parametrize(
-        "data",
-        [[], {"overlap": 5}, {"retry": 5}, {"fault_plan": []}, {"n_partitions": "4"}],
-        ids=["list", "int-overlap", "int-retry", "list-fault-plan", "string-partitions"],
+        "data, key",
+        [
+            ([], "dict"),
+            ({"overlap": 5}, "overlap"),
+            ({"retry": 5}, "retry"),
+            ({"fault_plan": []}, "fault_plan"),
+            ({"n_partitions": "4"}, "n_partitions"),
+            # A JSON type that Python would coerce is refused too.
+            ({"run_trimming": "false"}, "run_trimming"),
+            ({"add_reverse_complements": 0}, "add_reverse_complements"),
+            ({"max_tip_bases": "150"}, "max_tip_bases"),
+            ({"n_partitions": True}, "n_partitions"),
+            ({"containment_min_identity": "0.9"}, "containment_min_identity"),
+            ({"partition": {"run_kway": "false"}}, "partition.run_kway"),
+            ({"retry": {"fallback_serial": "no"}}, "fallback_serial"),
+            ({"seed": 1.5}, "seed"),
+            ({"store_path": 5}, "store_path"),
+        ],
+        ids=[
+            "list", "int-overlap", "int-retry", "list-fault-plan", "string-partitions",
+            "string-bool", "int-bool", "string-int", "bool-int", "string-float",
+            "nested-string-bool", "retry-string-bool", "float-seed", "int-path",
+        ],
     )
-    def test_malformed_dict_is_a_value_error(self, data):
-        with pytest.raises(ValueError):
+    def test_malformed_dict_is_a_value_error(self, data, key):
+        with pytest.raises(ValueError, match=key):
             AssemblyConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [{"containment_min_identity": 1}, {"store_path": None}])
+    def test_json_number_and_null_load(self, data):
+        assert AssemblyConfig.from_dict(data) == AssemblyConfig(**data)
 
 
 class TestAssemblyConfig:
@@ -180,6 +215,8 @@ class TestAssemblyConfig:
             dict(min_read_length=0),
             dict(backend="threads"),
             dict(backend_workers=-1),
+            dict(seed=-1),
+            dict(seed=True),
         ],
     )
     def test_invalid(self, kw):

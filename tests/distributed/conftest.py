@@ -128,6 +128,6 @@ def pipeline_graphs():
     """Realistic end-to-end structures from tiled reads."""
     reads, genome = tiled_readset(genome_len=2400, stride=30, seed=5)
     g0 = graph_from_reads(reads)
-    mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=6, seed=5))
+    mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=6), seed=5)
     hyb = build_hybrid_set(mls, reads.lengths)
     return reads, genome, g0, mls, hyb

@@ -147,6 +147,15 @@ class TestResume:
         with pytest.raises(ValueError, match="does not match"):
             resume(assembler, prep, ckpt, n_partitions=2)
 
+    def test_changed_seed_refused(self, prepared_trimming, tmp_path):
+        # Another seed partitions differently: its masks are not this run's.
+        assembler, prep = prepared_trimming
+        ckpt = tmp_path / "ck.bin"
+        run_interrupted(assembler, prep, ckpt, after="transitive")
+        changed = FocusAssembler(replace(assembler.config, seed=7))
+        with pytest.raises(ValueError, match="does not match"):
+            resume(changed, prep, ckpt)
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -25,7 +25,7 @@ from tests.reference import layout as layout_ref
 def tiled_mls():
     reads, genome = tiled_readset(genome_len=2000, stride=25, seed=1)
     g0 = graph_from_reads(reads)
-    mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4, seed=1))
+    mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4), seed=1)
     return reads, g0, mls
 
 
@@ -121,7 +121,7 @@ class TestBuildHybridSet:
             np.array([60.0, 60.0]),
             deltas=np.array([10, 10]),
         )
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=10, seed=0))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=10))
         hyb = build_hybrid_set(mls, np.array([100, 100, 100]))
         assert hyb.n_levels == 1
         assert hyb.hybrid.n_nodes == 3

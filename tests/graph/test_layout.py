@@ -180,7 +180,7 @@ class TestSelectionEqualsStackDescent:
     @given(st.integers(0, 10_000), st.booleans(), st.sampled_from([0, 2]))
     def test_rep_levels_match(self, seed, repeat, tolerance):
         reads, g0 = tiled_with_repeat(seed, repeat)
-        mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4, seed=seed))
+        mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4), seed=seed)
         assert mls.n_levels > 2
         got = _select_representatives(mls, reads.lengths, tolerance)
         want = layout_ref.select_representatives(mls, reads.lengths, tolerance)
@@ -191,7 +191,7 @@ class TestSelectionEqualsStackDescent:
         # with it some reads settle two or more levels further down.
         for repeat, lowest in ((False, 5), (True, 2)):
             reads, g0 = tiled_with_repeat(0, repeat)
-            mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4, seed=0))
+            mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4))
             assert mls.n_levels == 6
             rep_level = _select_representatives(mls, reads.lengths, 0)
             assert rep_level.min() == lowest

@@ -137,25 +137,25 @@ class TestCoarsenOnce:
 class TestMultilevelSet:
     def test_monotone_sizes(self):
         g = random_graph(200, 0.05, seed=5)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=10, seed=5))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=10), seed=5)
         sizes = [gr.n_nodes for gr in mls.graphs]
         assert sizes == sorted(sizes, reverse=True)
         assert mls.n_levels >= 2
 
     def test_stops_at_min_nodes(self):
         g = path_graph(100)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=80, seed=0))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=80))
         # G0 has 100 > 80 -> one step allowed; G1 <= ~50, stop.
         assert mls.n_levels == 2
 
     def test_map_to_level_identity_at_zero(self):
         g = path_graph(30)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=4, seed=0))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=4))
         assert (mls.map_to_level(0) == np.arange(30)).all()
 
     def test_map_to_level_composes(self):
         g = random_graph(100, 0.08, seed=6)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8, seed=6))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8), seed=6)
         top = mls.n_levels - 1
         comp = mls.map_to_level(top)
         manual = np.arange(g.n_nodes)
@@ -165,7 +165,7 @@ class TestMultilevelSet:
 
     def test_clusters_partition_base(self):
         g = random_graph(80, 0.1, seed=7)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8, seed=7))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8), seed=7)
         for level in range(mls.n_levels):
             clusters = mls.clusters_at_level(level)
             allnodes = np.concatenate([c for c in clusters if c.size])
@@ -173,7 +173,7 @@ class TestMultilevelSet:
 
     def test_node_weight_conserved_through_levels(self):
         g = random_graph(120, 0.08, seed=8)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8, seed=8))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8), seed=8)
         for gr in mls.graphs:
             assert gr.total_node_weight == 120
 
@@ -192,6 +192,6 @@ class TestMultilevelSet:
 
     def test_level_out_of_range(self):
         g = path_graph(10)
-        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=2, seed=0))
+        mls = build_multilevel_set(g, CoarsenConfig(min_nodes=2))
         with pytest.raises(ValueError):
             mls.map_to_level(99)

@@ -5,13 +5,14 @@ import pytest
 
 from repro.graph.coarsen import build_multilevel_set
 from repro.graph.overlap_graph import Level
-from repro.partition.recursive import PartitionConfig, recursive_bisection
+from repro.partition.recursive import recursive_bisection
 
 
-def recursive_labels(g, k, config=None, tasks=None):
-    """``recursive_bisection`` of ``g``'s own multilevel set."""
-    config = config or PartitionConfig()
-    return recursive_bisection(build_multilevel_set(g, config.coarsen), k, config, tasks)
+def recursive_labels(g, k, coarsen=None, seed=0, tasks=None):
+    """``recursive_bisection`` of ``g``'s own multilevel set, coarsened
+    under ``coarsen``; ``seed`` is the run's one seed."""
+    gs = build_multilevel_set(g, coarsen, seed)
+    return recursive_bisection(gs, k, tasks=tasks, seed=seed)
 
 
 def two_cliques(n_each=8, bridge_weight=1.0, clique_weight=10.0):

@@ -9,12 +9,9 @@ from repro.graph.coarsen import CoarsenConfig
 from repro.partition.kl import kl_refine_bisection
 from repro.partition.kway import kway_refine
 from repro.partition.metrics import edge_cut, partition_node_weights
-from repro.partition.recursive import PartitionConfig
 from tests.partition.conftest import random_weighted_graph, recursive_labels
 
-
-def config(seed):
-    return PartitionConfig(coarsen=CoarsenConfig(min_nodes=6, seed=seed), seed=seed)
+SMALL = CoarsenConfig(min_nodes=6)
 
 
 class TestRecursiveBisectionProperties:
@@ -26,7 +23,7 @@ class TestRecursiveBisectionProperties:
     )
     def test_labels_complete_and_in_range(self, n, k, seed):
         g = random_weighted_graph(n, 0.2, seed)
-        labels = recursive_labels(g, k, config(seed))
+        labels = recursive_labels(g, k, SMALL, seed)
         assert labels.size == n
         assert labels.min() >= 0 and labels.max() < k
 
@@ -34,7 +31,7 @@ class TestRecursiveBisectionProperties:
     @given(st.integers(min_value=16, max_value=60), st.integers(min_value=0, max_value=100))
     def test_all_parts_nonempty_when_feasible(self, n, seed):
         g = random_weighted_graph(n, 0.3, seed)
-        labels = recursive_labels(g, 4, config(seed))
+        labels = recursive_labels(g, 4, SMALL, seed)
         counts = partition_node_weights(g, labels, 4)
         assert (counts > 0).all()
 
@@ -42,7 +39,7 @@ class TestRecursiveBisectionProperties:
     @given(st.integers(min_value=10, max_value=40), st.integers(min_value=0, max_value=100))
     def test_cut_bounded_by_total(self, n, seed):
         g = random_weighted_graph(n, 0.3, seed)
-        labels = recursive_labels(g, 4, config(seed))
+        labels = recursive_labels(g, 4, SMALL, seed)
         assert 0.0 <= edge_cut(g, labels) <= g.total_edge_weight + 1e-9
 
 

@@ -10,7 +10,6 @@ from repro.partition.multilevel import (
     partition_via_hybrid,
     partition_via_multilevel,
 )
-from repro.partition.recursive import PartitionConfig
 from tests.graph.conftest import graph_from_reads, tiled_readset
 from tests.partition.conftest import (
     random_weighted_graph,
@@ -20,8 +19,7 @@ from tests.partition.conftest import (
 )
 
 
-def small_config(seed=0):
-    return PartitionConfig(coarsen=CoarsenConfig(min_nodes=8, seed=seed), seed=seed)
+SMALL = CoarsenConfig(min_nodes=8)
 
 
 class TestRecursiveBisection:
@@ -38,25 +36,25 @@ class TestRecursiveBisection:
 
     def test_k2_two_cliques(self):
         g = two_cliques(n_each=12)
-        labels = recursive_labels(g, 2, small_config())
+        labels = recursive_labels(g, 2, SMALL)
         assert edge_cut(g, labels) == 1.0
 
     def test_k4_ring_of_cliques(self):
         g = ring_of_cliques(n_cliques=4, n_each=8)
-        labels = recursive_labels(g, 4, small_config())
+        labels = recursive_labels(g, 4, SMALL)
         assert len(set(labels.tolist())) == 4
         # Ideal cut = 4 bridges; accept near-ideal.
         assert edge_cut(g, labels) <= 3 * 10.0 + 4.0
 
     def test_labels_in_range(self):
         g = random_weighted_graph(60, 0.1, seed=4)
-        labels = recursive_labels(g, 8, small_config(4))
+        labels = recursive_labels(g, 8, SMALL, 4)
         assert set(labels.tolist()) <= set(range(8))
 
     def test_task_records_counts(self):
         g = random_weighted_graph(80, 0.08, seed=5)
         tasks = []
-        recursive_labels(g, 8, small_config(5), tasks=tasks)
+        recursive_labels(g, 8, SMALL, 5, tasks=tasks)
         bisects = [t for t in tasks if t.kind == "bisect"]
         assert len(bisects) == 1 + 2 + 4
         assert sorted({t.step for t in bisects}) == [0, 1, 2]
@@ -64,7 +62,7 @@ class TestRecursiveBisection:
 
     def test_balance_reasonable(self):
         g = random_weighted_graph(128, 0.06, seed=6)
-        labels = recursive_labels(g, 4, small_config(6))
+        labels = recursive_labels(g, 4, SMALL, 6)
         assert node_weight_balance(g, labels, 4) <= 1.6
 
 
@@ -73,20 +71,20 @@ class TestGraphSetPartitioning:
     def assembled(self):
         reads, genome = tiled_readset(genome_len=3000, stride=20, seed=2)
         g0 = graph_from_reads(reads)
-        mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=8, seed=2))
+        mls = build_multilevel_set(g0, SMALL, seed=2)
         hyb = build_hybrid_set(mls, reads.lengths)
         return reads, g0, mls, hyb
 
     def test_multilevel_partition(self, assembled):
         _, g0, mls, _ = assembled
-        res = partition_via_multilevel(mls, 4, small_config())
+        res = partition_via_multilevel(mls, 4)
         assert res.labels_g0.size == g0.n_nodes
         assert len(set(res.labels_g0.tolist())) == 4
         assert res.cut_g0 == edge_cut(g0, res.labels_g0)
 
     def test_hybrid_partition_projects_to_g0(self, assembled):
         _, g0, mls, hyb = assembled
-        res = partition_via_hybrid(mls, hyb, 4, small_config())
+        res = partition_via_hybrid(mls, hyb, 4)
         assert res.labels_finest.size == hyb.hybrid.n_nodes
         assert res.labels_g0.size == g0.n_nodes
         # Every hybrid cluster lands in exactly one part.
@@ -95,23 +93,22 @@ class TestGraphSetPartitioning:
 
     def test_hybrid_cut_is_small_fraction(self, assembled):
         _, g0, mls, hyb = assembled
-        res = partition_via_hybrid(mls, hyb, 4, small_config())
+        res = partition_via_hybrid(mls, hyb, 4)
         # Paper: cuts never exceeded 0.43% of total edge weight; our
         # small linear datasets should also cut only a tiny fraction.
         assert edge_cut_fraction(g0, res.labels_g0) < 0.1
 
     def test_hybrid_faster_than_multilevel(self, assembled):
         _, _, mls, hyb = assembled
-        cfg = small_config()
-        t_h = partition_via_hybrid(mls, hyb, 4, cfg).wall_time
-        t_m = partition_via_multilevel(mls, 4, cfg).wall_time
+        t_h = partition_via_hybrid(mls, hyb, 4).wall_time
+        t_m = partition_via_multilevel(mls, 4).wall_time
         # The headline claim (Fig. 5): hybrid partitioning is faster.
         # Allow slack on tiny test graphs.
         assert t_h < 2.0 * t_m
 
     def test_tasks_recorded(self, assembled):
         _, _, mls, hyb = assembled
-        res = partition_via_hybrid(mls, hyb, 4, small_config())
+        res = partition_via_hybrid(mls, hyb, 4)
         kinds = {t.kind for t in res.tasks}
         assert kinds == {"bisect", "kway"}
         kway_tasks = [t for t in res.tasks if t.kind == "kway"]

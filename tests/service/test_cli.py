@@ -81,8 +81,9 @@ class TestSubmitJobsServe:
             ["--partitions", "3"],
             ["--fault-plan", "random:1", "--backend", "serial"],
             ["--retries", "0"],
+            ["--seed", "-1"],
         ],
-        ids=["partitions-3", "fault-plan-off-process", "retries-0"],
+        ids=["partitions-3", "fault-plan-off-process", "retries-0", "seed-negative"],
     )
     def test_bad_assembly_option_exits_one_and_queues_nothing(
         self, tmp_path, reads_path, capsys, options

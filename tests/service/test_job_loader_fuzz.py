@@ -81,6 +81,7 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
         b'{"reads_path": "r.fq", "config": {"retry": 5}}',
         b'{"reads_path": "r.fq", "config": {"retry": {"max_attempts": 0}}}',
         b'{"reads_path": "r.fq", "config": {"n_partitions": "2"}}',
+        b'{"reads_path": "r.fq", "config": {"run_trimming": "false"}}',
         b'{"reads_path": "r.fq", "config": 5}',
     ],
     ids=[
@@ -92,6 +93,7 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
         "int-retry",
         "bad-retry",
         "string-partitions",
+        "string-bool",
         "int-config",
     ],
 )

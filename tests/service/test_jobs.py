@@ -131,9 +131,9 @@ class TestJobSpec:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="malformed job spec"):
             JobSpec.from_dict({"reads_path": "a.fasta", "color": "red"})
-        with pytest.raises(ValueError, match="'partition.coarsen.color'"):
+        with pytest.raises(ValueError, match="'coarsen.color'"):
             JobSpec.from_dict(
-                {"reads_path": "a.fasta", "config": {"partition": {"coarsen": {"color": 1}}}}
+                {"reads_path": "a.fasta", "config": {"coarsen": {"color": 1}}}
             )
 
     def test_spec_has_no_assembly_knob_of_its_own(self):
