@@ -289,7 +289,7 @@ class OverlapDetector:
         abs_r = starts[cand_q.size :] + r_start
         identity = np.empty(length.size, dtype=np.float64)
         aln_length = np.empty(length.size, dtype=np.int64)
-        for c, (lo_q, lo_r, ln) in enumerate(
+        for c, (lo_q, lo_r, ln) in enumerate(  # noqa: PERF002 - one DP per candidate
             zip(abs_q.tolist(), abs_r.tolist(), length.tolist())
         ):
             result = banded_align(

@@ -315,11 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static correctness checks for the simulated-MPI model",
+        help="static checks for bugs that no test sees",
         description=(
-            "Per-file AST checks for the simulated-MPI programming model "
-            "and the distributed kernel layering; --list-rules prints the "
-            "rule table.  Suppress per line with `# noqa: RULEID`."
+            "Per-file AST checks: unseeded RNG, scalar loops on the "
+            "vectorized hot paths, whole-store reads in a kernel, swallowed "
+            "exceptions and unbounded poll loops.  Any finding exits 1; "
+            "--list-rules prints the rule table.  Suppress per line with "
+            "`# noqa: RULEID`."
         ),
     )
     p.add_argument(
@@ -327,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit nonzero on warnings too, not just errors",
     )
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -683,7 +679,7 @@ def _cmd_lint(args) -> int:
     if args.list_rules:
         print(rule_table())
         return 0
-    return lint_run(args.paths, fmt=args.format, strict=args.strict)
+    return lint_run(args.paths)
 
 
 _COMMANDS = {

@@ -24,10 +24,11 @@ The registry maps stage names to :class:`StageSpec` pairs; execution
 backends (:mod:`repro.parallel.backend`) look stages up by name so a
 forked worker can resolve the kernel without shipping code.
 
-Layering note: this module (and every kernel-defining module under
-``repro.distributed``) must not import :mod:`repro.mpi` — enforced
-statically by lint rule ARCH001.  The simulated-cluster adapter lives
-on the mpi side (:mod:`repro.mpi.stage_backend`) and imports us.
+Layering note: this module and the kernel modules under
+``repro.distributed`` do not import :mod:`repro.mpi`; a kernel needs no
+communicator, because every backend resolves it by name.  The
+simulated-cluster adapter lives on the mpi side
+(:mod:`repro.mpi.stage_backend`) and imports us.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ _STAGES: dict[str, StageSpec] = {}
 def register_stage(name: str, kernel, merge) -> StageSpec:
     """Register a stage under a unique name; returns its spec.
 
-    The kernel must be named ``*_kernel``: lint rules ARCH001 and
-    MEM001 find kernels by that name.
+    The kernel must be named ``*_kernel``: lint rule MEM001 finds
+    kernels by that name.
     """
     if name in _STAGES:
         raise ValueError(f"duplicate stage name {name!r}")

@@ -67,7 +67,7 @@ def _align_branches(
     variants: list[Variant] = []
     if ca.size == cb.size:
         diff = np.flatnonzero(ca != cb)
-        for pos in diff.tolist():
+        for pos in diff.tolist():  # noqa: PERF002 - one loop per bubble
             variants.append(
                 Variant(
                     anchor=-1,
@@ -95,7 +95,7 @@ def _align_branches(
         )
         if result.mismatches:
             diff = np.flatnonzero(ca[: min(ca.size, cb.size)] != cb[: min(ca.size, cb.size)])
-            for pos in diff.tolist():
+            for pos in diff.tolist():  # noqa: PERF002 - one loop per bubble
                 variants.append(
                     Variant(
                         anchor=-1,

@@ -231,7 +231,7 @@ def consensus_of_layouts(
                 1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
             )
         )
-        for left, right in zip(columns[:-1].tolist(), columns[1:].tolist()):
+        for left, right in zip(columns[:-1].tolist(), columns[1:].tolist()):  # noqa: PERF002 - per contig
             # Split at zero-coverage columns.
             edges = np.flatnonzero(np.diff(covered[left:right])) + left + 1
             out.append(

@@ -32,7 +32,7 @@ def heavy_edge_matching(graph: Level, rng: np.random.Generator) -> np.ndarray:
     prefs = graph.adj[stable_order(row * distinct.size + heavier_first)]
     match = np.full(n, -1, dtype=np.int64)
     mate, nbrs, ptr = memoryview(match), memoryview(prefs), memoryview(graph.indptr)
-    for v in order.tolist():
+    for v in order.tolist():  # noqa: PERF002 - greedy walk, one node at a time
         if mate[v] != -1:
             continue
         mate[v] = v

@@ -1,11 +1,10 @@
-"""`repro lint`: a static analyzer for the simulated-MPI programming model.
+"""`repro lint`: per-file AST checks for what the test suite cannot see.
 
-The distributed algorithms in this reproduction (recursive bisection,
-per-partition trimming, master-merge traversal) run as SPMD rank
-functions on :class:`~repro.mpi.SimCluster`.  Bugs that corrupt
-*timing* and *determinism* rather than values — hidden-global RNG,
-compute outside the virtual clock, a kernel that imports the runtime —
-survive the test suite, so this package catches them at the AST level:
+Some bugs corrupt no value that a test asserts: hidden-global or
+seedless RNG, a per-element loop back on a vectorized hot path, a
+kernel that pulls the whole read store into RAM, a swallowed
+exception, a poll loop that can never leave.  This package catches
+them at the AST level:
 
 {rule_table}
 
@@ -14,29 +13,20 @@ Every rule sees one parsed file at a time.  The stage-kernel contract
 drawing on no ambient state) is checked where kernels run, by the
 contract test in ``tests/distributed/test_stages.py``, not here.
 
-Run it as ``python -m repro lint [paths] [--format text|json]
-[--strict]``, or from code via :func:`lint_paths` /
-:func:`lint_source`.  Suppress a finding with a trailing
-``# noqa: RULEID`` comment.
-
-Communication *protocols* — whether every rank reaches the same
-collectives — are checked where they execute, by the simulated
-runtime: a collective whose ranks disagree, or that a rank which has
-already returned can never join, raises
-:class:`~repro.mpi.simcomm.DeadlockError` at once, naming the ranks
-and their calls.
+Run it as ``python -m repro lint [paths]`` (any finding exits 1), or
+from code via :func:`lint_paths` / :func:`lint_source`.  Suppress a
+finding with a trailing ``# noqa: RULEID`` comment.
 """
 
 from repro.lint.context import FileContext
 from repro.lint.driver import (
     UsageError,
-    format_findings,
     iter_python_files,
     lint_paths,
     lint_source,
     run,
 )
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import (
     Rule,
     all_rules,
@@ -50,7 +40,6 @@ __doc__ = __doc__.format(rule_table=rule_table())
 __all__ = [
     "FileContext",
     "Finding",
-    "Severity",
     "Rule",
     "register",
     "all_rules",
@@ -59,7 +48,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "iter_python_files",
-    "format_findings",
     "run",
     "UsageError",
 ]

@@ -1,10 +1,4 @@
-"""Per-file analysis context and shared AST helpers.
-
-A *communicator-taking function* is any ``def`` whose parameter list
-contains an argument named ``comm`` or annotated ``SimComm`` — the SPMD
-rank functions that :class:`~repro.mpi.cluster.SimCluster` launches
-and the distributed-algorithm drivers that receive one.
-"""
+"""Per-file analysis context and shared AST helpers."""
 
 from __future__ import annotations
 
@@ -12,7 +6,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-__all__ = ["FileContext", "comm_param_name", "dotted_name", "references_name"]
+__all__ = ["FileContext", "dotted_name"]
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -58,34 +52,6 @@ class FileContext:
                 yield node
 
 
-def _annotation_is_simcomm(annotation: ast.expr | None) -> bool:
-    if annotation is None:
-        return False
-    if isinstance(annotation, ast.Name):
-        return annotation.id == "SimComm"
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr == "SimComm"
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return "SimComm" in annotation.value
-    return False
-
-
-def comm_param_name(func: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
-    """The communicator parameter of ``func``, or None.
-
-    Matches an argument annotated ``SimComm`` in any position, or one
-    named ``comm`` that is unannotated (rank-function closures) — a
-    ``comm`` annotated with some other type is *not* a communicator.
-    """
-    args = func.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        if _annotation_is_simcomm(arg.annotation):
-            return arg.arg
-        if arg.arg == "comm" and arg.annotation is None:
-            return arg.arg
-    return None
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
@@ -97,9 +63,3 @@ def dotted_name(node: ast.expr) -> str | None:
         return ".".join(reversed(parts))
     return None
 
-
-def references_name(node: ast.AST, name: str) -> bool:
-    """True when ``name`` is read anywhere under ``node``."""
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
-    )

@@ -1,23 +1,22 @@
-"""File and directory drivers, output formatting, exit codes.
+"""File and directory drivers and the CLI entry point.
 
 `lint_source` runs every rule over one unit of source; `lint_paths`
 runs it over each python file under the given paths; `run` is the CLI
 entry point used by ``python -m repro lint``.
 
-Exit codes: 0 clean, 1 findings at or above the failing severity
-(errors by default, everything under ``--strict``), 2 on bad input
-(missing paths, non-Python file arguments).
+Exit codes: 0 clean, 1 any finding, 2 on bad input (missing paths,
+non-Python file arguments).
 """
 
 from __future__ import annotations
 
-import json
 import sys
+from importlib.util import decode_source
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
 
 __all__ = [
@@ -51,7 +50,6 @@ def lint_source(
                 col=(exc.offset or 1) - 1,
                 rule="E999",
                 message=f"syntax error: {exc.msg}",
-                severity=Severity.ERROR,
             )
         ]
     findings = [
@@ -91,33 +89,26 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(out)
 
 
+def _lint_file(path: Path, rules: Sequence[Rule]) -> list[Finding]:
+    """Findings of one file, decoded the way Python decodes it (PEP 263)."""
+    try:
+        source = decode_source(path.read_bytes())
+    except (SyntaxError, UnicodeDecodeError) as exc:
+        return [Finding(str(path), 1, 0, "E999", f"cannot decode source: {exc}")]
+    return lint_source(source, str(path), rules)
+
+
 def lint_paths(
     paths: Iterable[str | Path], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Findings of every python file under ``paths``, sorted by location."""
     rules = all_rules() if rules is None else rules
     return sorted(
-        f
-        for path in iter_python_files(paths)
-        for f in lint_source(path.read_text(encoding="utf-8"), str(path), rules)
+        f for path in iter_python_files(paths) for f in _lint_file(path, rules)
     )
 
 
-# -- CLI entry point --------------------------------------------------------
-
-
-def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps([f.to_dict() for f in findings], indent=2)
-    return "\n".join(f.format_text() for f in findings)
-
-
-def run(
-    paths: Sequence[str],
-    fmt: str = "text",
-    strict: bool = False,
-    stream=None,
-) -> int:
+def run(paths: Sequence[str], stream=None) -> int:
     """CLI driver; prints findings and returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
     try:
@@ -125,16 +116,9 @@ def run(
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if findings or fmt == "json":
-        print(format_findings(findings, fmt=fmt), file=stream)
-    floor = Severity.WARNING if strict else Severity.ERROR
-    failing = sum(1 for f in findings if f.severity >= floor)
-    if findings and fmt == "text":
-        errors = sum(1 for f in findings if f.severity >= Severity.ERROR)
-        print(
-            f"{len(findings)} finding(s): {errors} error(s), "
-            f"{len(findings) - errors} warning(s)",
-            file=stream,
-        )
-    return 1 if failing else 0
+    if not findings:
+        return 0
+    for f in findings:
+        print(f.format_text(), file=stream)
+    print(f"{len(findings)} finding(s)", file=stream)
+    return 1

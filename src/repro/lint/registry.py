@@ -1,7 +1,7 @@
 """Rule base class and the global rule registry.
 
-A rule is a small object with an ``id``, a default ``severity``, a
-one-line ``summary``, and a ``check(ctx)`` generator yielding
+A rule is a small object with an ``id``, a one-line ``summary``, and
+a ``check(ctx)`` generator yielding
 :class:`~repro.lint.findings.Finding` objects for one parsed file.
 Rules self-register at import time via the :func:`register` decorator;
 ``repro.lint.rules`` imports every rule module so that
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.context import FileContext
@@ -30,7 +30,6 @@ class Rule:
     """Base class for AST checks.  Subclasses set the class attributes."""
 
     id: str = ""
-    severity: Severity = Severity.ERROR
     summary: str = ""
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
@@ -44,7 +43,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule=self.id,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -70,15 +68,13 @@ def all_rules() -> list[Rule]:
 
 
 def rule_table() -> str:
-    """``id  [severity]  summary`` for every registered rule, one per line.
+    """``id  summary`` for every registered rule, one per line.
 
     The one rule listing: ``repro lint --list-rules`` (which the
     ``lint`` subcommand's help points to) and the package docstring
     both print this.
     """
-    return "\n".join(
-        f"{r.id:<8} {f'[{r.severity}]':<10} {r.summary}" for r in all_rules()
-    )
+    return "\n".join(f"{r.id:<8} {r.summary}" for r in all_rules())
 
 
 def select_rules(ids: Iterable[str] | None = None) -> list[Rule]:

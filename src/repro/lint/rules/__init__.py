@@ -1,7 +1,6 @@
 """Rule modules; importing this package registers every rule."""
 
 from repro.lint.rules import (  # noqa: F401 (registration side effect)
-    arch,
     determinism,
     memory,
     perf,

@@ -27,7 +27,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 __all__ = ["WholeStoreMaterialization"]
@@ -67,7 +67,6 @@ def _feeds_on_shard_stream(call: ast.Call) -> bool:
 @register
 class WholeStoreMaterialization(Rule):
     id = "MEM001"
-    severity = Severity.WARNING
     summary = "partition kernel materializes a whole sharded store"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

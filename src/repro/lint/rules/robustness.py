@@ -32,7 +32,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 __all__ = ["SwallowedException", "UnboundedPollLoop"]
@@ -71,7 +71,6 @@ def _body_swallows(body: list[ast.stmt]) -> bool:
 @register
 class SwallowedException(Rule):
     id = "ROB001"
-    severity = Severity.ERROR
     summary = "broad except handler silently swallows the exception"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -145,7 +144,6 @@ def _loop_traits(body: list[ast.stmt]) -> tuple[bool, bool]:
 @register
 class UnboundedPollLoop(Rule):
     id = "ROB002"
-    severity = Severity.ERROR
     summary = "unbounded poll loop: while True + sleep with no escape"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

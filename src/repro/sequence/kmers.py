@@ -48,7 +48,7 @@ def pack_kmer(codes: np.ndarray) -> int:
     if (codes >= N).any():
         raise ValueError("cannot pack a k-mer containing N")
     value = 0
-    for c in codes.tolist():
+    for c in codes.tolist():  # noqa: PERF002 - the scalar oracle of kmer_codes
         value = (value << 2) | c
     return value
 

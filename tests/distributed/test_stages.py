@@ -51,7 +51,7 @@ class TestRegistry:
             register_stage("transitive", lambda *a: None, lambda *a: None)
 
     def test_misnamed_kernel_rejected(self):
-        # ARCH001 and MEM001 find kernels by their ``*_kernel`` name.
+        # MEM001 finds kernels by their ``*_kernel`` name.
         def trim(subject, part):
             return []
 

@@ -2,7 +2,9 @@
 
 import textwrap
 
-from repro.lint import Severity, lint_source, select_rules
+import pytest
+
+from repro.lint import lint_source, select_rules
 
 
 def findings(src):
@@ -21,7 +23,6 @@ class TestDET001UnseededRng:
         )
         assert len(fs) == 1
         assert fs[0].rule == "DET001"
-        assert fs[0].severity is Severity.WARNING
         assert "np.random.rand" in fs[0].message
 
     def test_numpy_random_seed_flagged(self):
@@ -54,6 +55,14 @@ class TestDET001UnseededRng:
             r = random.Random(7)
             y = r.randint(0, 5)
             g = np.random.Generator(np.random.PCG64(1))
+            def make(seed):
+                # a seed passed through a name is not second-guessed
+                return (
+                    np.random.default_rng(seed=seed),
+                    np.random.SeedSequence(entropy=1234),
+                    random.Random(seed),
+                    random.SystemRandom(),
+                )
             """
         )
         assert fs == []
@@ -132,3 +141,32 @@ class TestDET001UnseededRng:
             """
         )
         assert fs == []
+
+
+class TestDET001SeedlessGenerator:
+    """A seeded constructor called without a seed draws OS entropy."""
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import numpy as np\nrng = np.random.default_rng()",
+            "import numpy as np\nrng = np.random.default_rng(None)",
+            "import random\nr = random.Random()",
+            "from numpy.random import default_rng\nrng = default_rng()",
+        ],
+    )
+    def test_seedless_generator_flagged(self, src):
+        fs = findings(src)
+        assert [f.rule for f in fs] == ["DET001"]
+        assert "without a seed" in fs[0].message
+
+    def test_seedless_bit_generator_and_keyword_none_flagged(self):
+        fs = findings(
+            """
+            import numpy as np
+            g = np.random.Generator(np.random.PCG64())
+            ss = np.random.SeedSequence(entropy=None)
+            legacy = np.random.RandomState(seed=None)
+            """
+        )
+        assert len(fs) == 3

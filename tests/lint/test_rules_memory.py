@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import Severity, lint_source, select_rules
+from repro.lint import lint_source, select_rules
 
 
 def findings(src, path="src/repro/distributed/fixture.py"):
@@ -22,7 +22,6 @@ class TestMEM001TruePositives:
         )
         assert len(fs) == 1
         assert fs[0].rule == "MEM001"
-        assert fs[0].severity is Severity.WARNING
         assert "to_array" in fs[0].message
 
     def test_concatenated_shard_stream_flagged(self):

@@ -1,101 +1,23 @@
-"""True-positive / true-negative fixtures for PERF001 and PERF002."""
+"""True-positive / true-negative fixtures for PERF002."""
 
+import re
 import textwrap
+from pathlib import Path
 
-from repro.lint import Severity, lint_source, select_rules
+import pytest
 
+from repro.lint import lint_source, select_rules
 
-def findings(src):
-    return lint_source(
-        textwrap.dedent(src), path="fixture.py", rules=select_rules(["PERF001"])
-    )
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: the four packages PERF002 polices, every function.
+HOT_PACKAGES = ("align", "distributed", "graph", "sequence")
 
 
 def perf2_findings(src, path="src/repro/align/fixture.py"):
     return lint_source(
         textwrap.dedent(src), path=path, rules=select_rules(["PERF002"])
     )
-
-
-class TestPERF001UntimedCompute:
-    def test_bare_compute_loop_flagged(self):
-        fs = findings(
-            """
-            def rank_fn(comm, items):
-                total = 0
-                for x in items:
-                    total += x * x
-                return comm.allgather(total)
-            """
-        )
-        assert len(fs) == 1
-        assert fs[0].rule == "PERF001"
-        assert fs[0].severity is Severity.WARNING
-        assert "timed" in fs[0].message
-
-    def test_nested_untimed_loop_flagged_once(self):
-        fs = findings(
-            """
-            def rank_fn(comm, grid):
-                acc = 0
-                for row in grid:
-                    for cell in row:
-                        acc += cell
-                return comm.allgather(acc)
-            """
-        )
-        assert len(fs) == 1  # only the outermost loop is reported
-
-    def test_loop_under_timed_clean(self):
-        fs = findings(
-            """
-            def rank_fn(comm, items):
-                total = 0
-                with comm.timed():
-                    for x in items:
-                        total += x * x
-                return comm.allgather(total)
-            """
-        )
-        assert fs == []
-
-    def test_communication_loop_clean(self):
-        # A loop that drives collectives is communication, already
-        # charged by the cost model, not untimed compute.
-        fs = findings(
-            """
-            def rank_fn(comm, objs):
-                for root in range(comm.size):
-                    comm.bcast(objs[root], root=root)
-            """
-        )
-        assert fs == []
-
-    def test_loop_containing_timed_block_clean(self):
-        # The repo's task-loop idiom: iterate tasks, time each one.
-        fs = findings(
-            """
-            def rank_fn(comm, tasks):
-                out = []
-                for t in tasks:
-                    with comm.timed():
-                        out.append(t * 2)
-                return out
-            """
-        )
-        assert fs == []
-
-    def test_function_without_comm_clean(self):
-        fs = findings(
-            """
-            def pure_helper(items):
-                total = 0
-                for x in items:
-                    total += x
-                return total
-            """
-        )
-        assert fs == []
 
 
 SCALARIZED = """
@@ -112,7 +34,6 @@ class TestPERF002ScalarizedHotLoop:
         fs = perf2_findings(SCALARIZED)
         assert len(fs) == 1
         assert fs[0].rule == "PERF002"
-        assert fs[0].severity is Severity.WARNING
         assert "tolist" in fs[0].message
 
     def test_wrapped_iter_expression_flagged(self):
@@ -126,31 +47,8 @@ class TestPERF002ScalarizedHotLoop:
         )
         assert len(fs) == 1
 
-    def test_candidates_suffix_flagged(self):
-        fs = perf2_findings(
-            """
-            def _pair_candidates(self, arr):
-                for q in arr.tolist():
-                    yield q
-            """
-        )
-        assert len(fs) == 1
-
-    def test_seed_and_vote_functions_flagged(self):
-        for name in (
-            "_unit_seeds",
-            "seed_ranges",
-            "hit_ranges",
-            "self_join",
-            "_stripe_triples",
-            "_diagonal_votes",
-        ):
-            fs = perf2_findings(SCALARIZED.replace("overlap_subset_pair", name))
-            assert len(fs) == 1, name
-
     def test_batched_vote_count_clean(self):
-        # The per-candidate banded fallback is not a hot name, and a
-        # vote function that walks blocks, not elements, is clean.
+        # A vote function that walks blocks, not elements, is clean.
         fs = perf2_findings(
             """
             import numpy as np
@@ -161,9 +59,6 @@ class TestPERF002ScalarizedHotLoop:
                     e = int(np.searchsorted(ends, ends[b] + 1024))
                     b = max(b + 1, e)
                 return ends
-            def _banded_identity(self, spans):
-                for lo, hi in spans.tolist():
-                    yield lo, hi
             """
         )
         assert fs == []
@@ -191,23 +86,21 @@ class TestPERF002ScalarizedHotLoop:
         )
         assert fs == []
 
-    def test_outside_align_package_clean(self):
-        fs = perf2_findings(SCALARIZED, path="src/repro/graph/fixture.py")
-        assert fs == []
+    def test_outside_hot_packages_clean(self):
+        # Scope is the four packages: the partitioner, the scalar test
+        # oracles and the tests themselves may loop element by element.
+        for path in (
+            "src/repro/partition/fixture.py",
+            "src/repro/core/fixture.py",
+            "tests/reference/fixture.py",
+            "tests/align/test_fixture.py",
+        ):
+            assert perf2_findings(SCALARIZED, path=path) == [], path
 
     def test_windows_path_separators_normalized(self):
-        fs = perf2_findings(SCALARIZED, path="src\\repro\\align\\fixture.py")
-        assert len(fs) == 1
-
-    def test_non_hot_function_clean(self):
-        fs = perf2_findings(
-            """
-            def merge_results(self, parts):
-                for p in parts.tolist():
-                    yield p
-            """
-        )
-        assert fs == []
+        for package in HOT_PACKAGES:
+            path = f"src\\repro\\{package}\\fixture.py"
+            assert len(perf2_findings(SCALARIZED, path=path)) == 1, path
 
     def test_loop_without_tolist_clean(self):
         fs = perf2_findings(
@@ -230,122 +123,64 @@ class TestPERF002ScalarizedHotLoop:
         assert fs == []
 
 
-SPARSE_SCALARIZED = """
-def find_transitive_edges(dag, nodes):
-    out = []
-    for v in nodes.tolist():
-        out.append(v)
-    return out
-"""
+#: the deliberate scalar loops of the four packages, per file.
+NOQA_SITES = {
+    "align/overlapper.py": 1,  # _banded_identity: one DP per candidate
+    "distributed/variants.py": 2,  # _align_branches: one loop per bubble
+    "graph/contigs.py": 1,  # consensus_of_layouts: one loop per contig
+    "graph/matching.py": 1,  # heavy_edge_matching: the greedy walk
+    "sequence/kmers.py": 1,  # pack_kmer: the scalar oracle
+}
+
+NOQA = re.compile(r"\s*# noqa: PERF002 - .*$")
 
 
-class TestPERF002SparseEngineScope:
-    """The finish-kernel modules are policed by path, every function."""
+class TestPERF002PackageScope:
+    """Every function of the four packages is in scope, whatever its name."""
 
-    def test_sparse_function_in_distributed_flagged(self):
-        for module in ("dgraph", "transitive", "containment", "trimming", "traversal"):
-            fs = perf2_findings(
-                SPARSE_SCALARIZED, path=f"src/repro/distributed/{module}.py"
+    @pytest.mark.parametrize("package", HOT_PACKAGES)
+    def test_any_function_in_the_package_flagged(self, package):
+        for name in ("merge_results", "consensus_of_layouts", "pack_kmer", "_helper"):
+            src = SCALARIZED.replace("overlap_subset_pair", name)
+            fs = perf2_findings(src, path=f"src/repro/{package}/any_module.py")
+            assert [f.rule for f in fs] == ["PERF002"], (package, name)
+
+    def test_nested_and_module_level_loops_flagged_once(self):
+        # A loop in a nested function is reported once, not per
+        # enclosing function.
+        fs = perf2_findings(
+            """
+            def outer(xs):
+                def inner():
+                    for x in xs.tolist():
+                        yield x
+                return inner
+            for y in TABLE.tolist():
+                pass
+            """,
+            path="src/repro/graph/fixture.py",
+        )
+        assert [f.line for f in fs] == [4, 7]
+
+    def test_noqa_sites_are_the_known_scalar_loops(self):
+        found = {
+            path.relative_to(SRC / "repro").as_posix(): sum(
+                bool(NOQA.search(line))
+                for line in path.read_text(encoding="utf-8").splitlines()
             )
-            assert len(fs) == 1, module
-            assert fs[0].rule == "PERF002"
+            for package in HOT_PACKAGES
+            for path in (SRC / "repro" / package).rglob("*.py")
+        }
+        assert {k: v for k, v in found.items() if v} == NOQA_SITES
 
-    def test_outside_kernel_modules_clean(self):
-        # Scope is by path: other distributed modules and the scalar
-        # test oracles may loop element by element.
-        for path in (
-            "src/repro/distributed/variants.py",
-            "tests/reference/finish_loop.py",
-            "tests/reference/traversal_walk.py",
-        ):
-            assert perf2_findings(SPARSE_SCALARIZED, path=path) == [], path
-
-    def test_any_function_in_sparse_module_flagged(self):
-        fs = perf2_findings(
-            """
-            def sorted_unique(values):
-                for v in values.tolist():
-                    yield v
-            """,
-            path="src/repro/distributed/dgraph.py",
-        )
-        assert len(fs) == 1
-
-    def test_sparse_noqa_still_suppresses(self):
-        fs = perf2_findings(
-            """
-            def boolean_product_keys(rows):
-                for r in rows.tolist():  # noqa: PERF002 - deliberate
-                    yield r
-            """,
-            path="src/repro/distributed/dgraph.py",
-        )
-        assert fs == []
-
-
-LAYOUT_SCALARIZED = """
-def layout_clusters(g0, members, first, tolerance=0):
-    out = []
-    for v in members.tolist():
-        out.append(v)
-    return out
-"""
-
-
-class TestPERF002LayoutScope:
-    """Cluster layout and the representative descent, by function name."""
-
-    def test_layout_and_selection_functions_flagged(self):
-        for path, name in (
-            ("src/repro/graph/contigs.py", "layout_clusters"),
-            ("src/repro/graph/contigs.py", "cluster_layout_offsets"),
-            ("src/repro/graph/hybrid.py", "_select_representatives"),
-        ):
-            src = LAYOUT_SCALARIZED.replace("layout_clusters", name)
-            fs = perf2_findings(src, path=path)
-            assert len(fs) == 1, name
-            assert fs[0].rule == "PERF002"
-
-    def test_cluster_loops_and_other_modules_clean(self):
-        # Name-scoped: consensus_of_layouts walks clusters, not edges;
-        # the scalar oracle lives outside the rule's paths.
-        for path, name in (
-            ("src/repro/graph/contigs.py", "consensus_of_layouts"),
-            ("src/repro/graph/hybrid.py", "build_hybrid_set"),
-            ("src/repro/graph/coarsen.py", "layout_clusters"),
-            ("tests/reference/layout.py", "cluster_layout_offsets"),
-        ):
-            src = LAYOUT_SCALARIZED.replace("layout_clusters", name)
-            assert perf2_findings(src, path=path) == [], (path, name)
-
-
-KMER_SCALARIZED = """
-def kmer_codes(codes, k):
-    out = []
-    for i in range(len(codes) - k + 1):
-        value = 0
-        for c in codes[i : i + k].tolist():
-            value = (value << 2) | c
-        out.append(value)
-    return out
-"""
-
-
-class TestPERF002KmerKernelScope:
-    """The k-mer packer, by function name in its module."""
-
-    def test_per_window_loop_in_the_packer_flagged(self):
-        for name in ("kmer_codes", "_pack_windows"):
-            src = KMER_SCALARIZED.replace("kmer_codes", name)
-            fs = perf2_findings(src, path="src/repro/sequence/kmers.py")
-            assert len(fs) == 1, name
-            assert fs[0].rule == "PERF002"
-
-    def test_scalar_helpers_and_other_modules_clean(self):
-        # pack_kmer is the one-k-mer oracle; the name alone is not hot.
-        for path, name in (
-            ("src/repro/sequence/kmers.py", "pack_kmer"),
-            ("src/repro/sequence/dna.py", "kmer_codes"),
-        ):
-            src = KMER_SCALARIZED.replace("kmer_codes", name)
-            assert perf2_findings(src, path=path) == [], (path, name)
+    @pytest.mark.parametrize("relpath", sorted(NOQA_SITES))
+    def test_shipped_scalar_loop_flagged_without_its_noqa(self, relpath):
+        path = SRC / "repro" / relpath
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert perf2_findings("\n".join(lines), path=str(path)) == []
+        sites = [i + 1 for i, line in enumerate(lines) if NOQA.search(line)]
+        for site in sites:
+            stripped = list(lines)
+            stripped[site - 1] = NOQA.sub("", lines[site - 1])
+            fs = perf2_findings("\n".join(stripped), path=str(path))
+            assert [f.line for f in fs] == [site], (relpath, site)

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import Severity, lint_source, select_rules
+from repro.lint import lint_source, select_rules
 
 
 def rob_findings(src, path="src/repro/fixture.py", rule="ROB001"):
@@ -24,7 +24,6 @@ class TestROB001SwallowedException:
         )
         assert len(fs) == 1
         assert fs[0].rule == "ROB001"
-        assert fs[0].severity is Severity.ERROR
         assert "does nothing" in fs[0].message
 
     def test_except_exception_pass_flagged(self):
@@ -151,7 +150,6 @@ class TestROB002UnboundedPollLoop:
         )
         assert len(fs) == 1
         assert fs[0].rule == "ROB002"
-        assert fs[0].severity is Severity.ERROR
         assert "hangs" in fs[0].message
 
     def test_bare_sleep_name_flagged(self):
