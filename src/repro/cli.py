@@ -385,7 +385,10 @@ def _cmd_simulate_community(args) -> int:
 
 def _parse_fault_plan(spec: str, stages: tuple[str, ...], n_parts: int):
     """``--fault-plan`` value: a JSON file path or ``random:SEED``."""
+    import json
+
     from repro.faults import FaultPlan
+    from repro.io.codec import decode
 
     if spec.startswith("random:") or spec == "random":
         _, _, seed_text = spec.partition(":")
@@ -398,7 +401,7 @@ def _parse_fault_plan(spec: str, stages: tuple[str, ...], n_parts: int):
         return FaultPlan.random(seed, stages, n_parts)
     try:
         with open(spec, encoding="utf-8") as fh:
-            return FaultPlan.from_json(fh.read())
+            return decode(FaultPlan, json.load(fh))
     except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
         raise ValueError(f"bad --fault-plan file {spec!r}: {exc}") from exc
 
@@ -599,7 +602,7 @@ def _cmd_serve(args) -> int:
         sup.shutdown(kill=False)
         print("supervisor stopped; running workers keep their leases")
         return 130
-    states = [r.state for r in store.load_records()]
+    states = [r.state for r in store.load_records()[0]]
     print(
         f"serve loop done: {len(states)} jobs "
         f"({states.count('done')} done, {states.count('failed')} failed, "
@@ -611,6 +614,7 @@ def _cmd_serve(args) -> int:
 def _cmd_jobs(args) -> int:
     from repro.bench.reporting import format_table
     from repro.service import JobStore
+    from repro.service import lease as lease_mod
 
     store = JobStore(args.store)
     if args.journal:
@@ -627,9 +631,10 @@ def _cmd_jobs(args) -> int:
                 f"attempt {e.attempt}  {info}"
             )
         return 0
+    records, unreadable = store.load_records()
     rows = []
-    for record in store.load_records():
-        lease = store.read_lease(record.job_id)
+    for record in records:
+        lease = lease_mod.read(store.job_dir(record.job_id))
         owner = lease.owner if lease and not lease.stale() else "-"
         rows.append(
             [
@@ -642,16 +647,14 @@ def _cmd_jobs(args) -> int:
                 record.error or "-",
             ]
         )
-    if not rows:
+    header = ["Job", "State", "Attempt", "Priority", "Stage", "Owner", "Error"]
+    if rows:
+        print(format_table(header, rows))
+    elif not unreadable:
         print("no jobs")
-        return 0
-    print(
-        format_table(
-            ["Job", "State", "Attempt", "Priority", "Stage", "Owner", "Error"],
-            rows,
-        )
-    )
-    return 0
+    for error in unreadable.values():
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if unreadable else 0
 
 
 def _cmd_cancel(args) -> int:

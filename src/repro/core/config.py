@@ -1,8 +1,14 @@
-"""AssemblyConfig: all knobs of the Focus pipeline in one place."""
+"""AssemblyConfig: all knobs of the Focus pipeline in one place.
+
+A job's ``spec.json`` holds the whole config as JSON: :mod:`repro.io.codec`
+writes and reads it, and refuses an unknown key or a value of the wrong
+JSON type by its dotted key (``'overlap.k'``), so a misspelt option never
+loads as the default and ``"false"`` never loads as true.
+"""
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.align.overlapper import OverlapConfig
 from repro.faults import FaultPlan, RetryPolicy
@@ -111,78 +117,8 @@ class AssemblyConfig:
             raise ValueError("backend_workers must be non-negative")
         if self.cache_budget < 0:
             raise ValueError("cache_budget must be non-negative")
-        if self.retry.max_attempts < 1:
-            raise ValueError("retry.max_attempts must be >= 1")
         if self.fault_plan is not None and self.backend != "process":
             raise ValueError(
                 "a fault plan fires only in process workers: it needs "
                 f"backend='process', not {self.backend!r}"
             )
-
-    def to_dict(self) -> dict:
-        """Every field as JSON-native values; :meth:`from_dict` inverts it."""
-        data = asdict(self)
-        data["retry"] = self.retry.to_dict()
-        data["fault_plan"] = self.fault_plan and self.fault_plan.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssemblyConfig":
-        """The config of :meth:`to_dict`; omitted keys take their defaults.
-
-        An unknown key at any level, or a value whose JSON type is not
-        its field's, raises ``ValueError`` naming the key, so a misspelt
-        option never loads as the default and ``"false"`` never loads
-        as true.
-        """
-        payload = _fields_of(cls, data, "")
-        if "retry" in payload:
-            payload["retry"] = RetryPolicy.from_dict(payload["retry"])
-        if payload.get("fault_plan") is not None:
-            payload["fault_plan"] = FaultPlan.from_dict(
-                _object(payload["fault_plan"], "fault_plan")
-            )
-        return _build(cls, payload)
-
-
-def _object(data, where: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"assembly config {where or 'dict'} is not a JSON object")
-    return data
-
-
-#: per type of a field's default, the JSON types its value may have (a
-#: ``None`` default is an optional string) and how to name them.
-_JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    type(None): ((str, type(None)), "a string or null"),
-}
-
-
-def _fields_of(cls, data, where: str) -> dict:
-    """``data``'s keys as ``cls`` arguments, nested stage configs built
-    and every other leaf checked against its field's JSON type."""
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(_object(data, where.rstrip("."))) - set(known))
-    if unknown:
-        raise ValueError(f"unknown assembly config key {where + unknown[0]!r}")
-    payload = dict(data)
-    for name, value in data.items():
-        nested = known[name].default_factory
-        if nested in (OverlapConfig, CoarsenConfig, PartitionConfig):
-            payload[name] = _build(nested, _fields_of(nested, value, f"{where}{name}."))
-        elif nested is MISSING and name != "fault_plan":
-            types, kind = _JSON_TYPES[type(known[name].default)]
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                raise ValueError(f"assembly config key {where + name!r} must be {kind}")
-    return payload
-
-
-def _build(cls, payload: dict):
-    try:
-        return cls(**payload)
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"malformed assembly config: {exc}") from exc

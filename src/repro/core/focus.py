@@ -422,7 +422,7 @@ class FocusAssembler:
         kernels run and which clock fills ``virtual_times`` changes.
 
         With ``checkpoint`` set, the alive-masks and completed-stage
-        list are persisted (atomically) after every distributed stage;
+        times are persisted (atomically) after every distributed stage;
         ``resume=True`` restores that state and re-runs only the
         stages that had not completed.  A checkpoint whose fingerprint
         does not match the current run is rejected with
@@ -499,7 +499,6 @@ class FocusAssembler:
                 save_checkpoint(
                     CheckpointState(
                         fingerprint=fingerprint,
-                        completed=list(stage_times),
                         node_alive=dag.node_alive,
                         edge_alive=dag.edge_alive,
                         stage_times=dict(stage_times),

@@ -5,7 +5,8 @@ partition, which attempt numbers — rather than live probabilities, so
 the same plan object always injects exactly the same faults.
 :meth:`FaultPlan.random` bridges the two worlds: it expands a seed
 into explicit specs with a seeded generator, giving "random chaos"
-that is still fully reproducible and serializable.
+that is still fully reproducible and serializable: a ``--fault-plan``
+file is a plan as JSON, written and read by :mod:`repro.io.codec`.
 
 A plan fires only inside ``process``-backend workers, the one place
 where a failed attempt can be followed by a successful one (see
@@ -20,7 +21,6 @@ leans on).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,52 +96,6 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not self.kernel_faults
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "hang_seconds": self.hang_seconds,
-            "kernel_faults": [
-                {
-                    "kind": s.kind,
-                    "stage": s.stage,
-                    "part": s.part,
-                    "attempts": s.attempts,
-                }
-                for s in self.kernel_faults
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        # A misspelt key must not load as a plan that injects nothing.
-        unknown = sorted(set(data) - {"seed", "kernel_faults", "hang_seconds"})
-        if unknown:
-            raise ValueError(f"malformed fault plan: unknown keys {unknown}")
-        try:
-            kernel = tuple(KernelFault(**d) for d in data.get("kernel_faults", ()))
-            return cls(
-                seed=int(data.get("seed", 0)),
-                kernel_faults=kernel,
-                hang_seconds=float(data.get("hang_seconds", 30.0)),
-            )
-        except TypeError as exc:
-            raise ValueError(f"malformed fault plan: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"fault plan is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("fault plan JSON must be an object")
-        return cls.from_dict(data)
 
     # -- random generation ----------------------------------------------
 

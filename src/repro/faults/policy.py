@@ -87,29 +87,3 @@ class RetryPolicy:
             f"{self.jitter_seed}:{token}:{attempt}"
         ).random()
         return base * (1.0 + self.jitter * unit)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "task_deadline": self.task_deadline,
-            "fallback_serial": self.fallback_serial,
-            "jitter": self.jitter,
-            "jitter_seed": self.jitter_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetryPolicy":
-        """Inverse of :meth:`to_dict`.
-
-        Dicts written before the jitter fields existed load with
-        ``jitter=0`` — the historical behaviour.
-        """
-        try:
-            policy = cls(**data)
-        except TypeError as exc:
-            raise ValueError(f"malformed retry policy: {exc}") from exc
-        if not isinstance(policy.fallback_serial, bool):
-            raise ValueError("retry policy key 'fallback_serial' must be true or false")
-        return policy

@@ -1,8 +1,8 @@
 """The stage checkpoint (docs/robustness.md).
 
 After each completed stage of the distributed finish pipeline the
-assembler persists the alive-masks, completed stage list, per-stage
-times, and (after traversal) the packed paths in one flat array file —
+assembler persists the alive-masks, the seconds of every completed
+stage, and (after traversal) the packed paths in one flat array file —
 the sharded store's format (:func:`repro.store.sharded.encode_arrays`):
 the bit-packed masks and ``int32`` paths are raw columns, the rest
 (with the mask lengths) is its JSON header, and a CRC-32 covers every
@@ -32,7 +32,7 @@ __all__ = ["CheckpointState", "save_checkpoint", "load_checkpoint"]
 _CHECKPOINT_VERSION = 3
 
 _HEADER_KEYS = (
-    "checkpoint_version", "fingerprint", "completed", "stage_times", "n_nodes", "n_edges"
+    "checkpoint_version", "fingerprint", "stage_times", "n_nodes", "n_edges"
 )
 _COLUMNS = ("node_alive", "edge_alive", "paths_flat", "paths_offsets")
 
@@ -44,14 +44,13 @@ class CheckpointState:
     ``fingerprint`` identifies the run (read counts, partition count,
     finish plan, ...): a resume against a checkpoint from a
     different configuration is refused rather than silently producing
-    wrong contigs.  ``completed`` lists finished stages in execution
-    order; ``stage_times`` holds their recorded per-stage seconds;
+    wrong contigs.  ``stage_times`` holds the recorded seconds of every
+    finished stage, in execution order;
     ``paths`` — packed as (flat node ids, per-path lengths) — is present
     once the traversal stage has completed.
     """
 
     fingerprint: dict
-    completed: list[str] = field(default_factory=list)
     node_alive: np.ndarray | None = None
     edge_alive: np.ndarray | None = None
     stage_times: dict = field(default_factory=dict)
@@ -78,7 +77,6 @@ def save_checkpoint(state: CheckpointState, dest) -> None:
         },
         checkpoint_version=_CHECKPOINT_VERSION,
         fingerprint=state.fingerprint,
-        completed=list(state.completed),
         stage_times=state.stage_times,
         n_nodes=node_alive.size,
         n_edges=edge_alive.size,
@@ -119,7 +117,6 @@ def load_checkpoint(source) -> CheckpointState:
         )
     return CheckpointState(
         fingerprint=header["fingerprint"],
-        completed=list(header["completed"]),
         node_alive=np.unpackbits(columns["node_alive"], count=header["n_nodes"]) > 0,
         edge_alive=np.unpackbits(columns["edge_alive"], count=header["n_edges"]) > 0,
         stage_times=header["stage_times"],

@@ -3,7 +3,10 @@
 A *job* is one checkpointed assembly: a :class:`JobSpec` (immutable
 input + configuration, written once at submit) and a :class:`JobRecord`
 (the mutable lifecycle state, rewritten atomically on every
-transition).  The state machine is small and strict::
+transition).  :mod:`repro.io.codec` writes both as JSON (``spec.json``,
+``state.json``) and refuses a damaged or mistyped file by its key; the
+supervisor skips a job whose ``state.json`` it cannot read.  The state
+machine is small and strict::
 
     queued -> leased -> running <-> checkpointing -> done
        ^         |         |                           |
@@ -30,7 +33,7 @@ state, which is what makes crash recovery a scan instead of a repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import AssemblyConfig
 
@@ -138,23 +141,6 @@ class JobSpec:
         """Admission-control bytes this job reserves while running."""
         return self.memory_bytes or self.config.cache_budget
 
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["config"] = self.config.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        if not isinstance(data, dict):
-            raise ValueError("malformed job spec: not a JSON object")
-        payload = dict(data)
-        if "config" in payload:
-            payload["config"] = AssemblyConfig.from_dict(payload["config"])
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ValueError(f"malformed job spec: {exc}") from exc
-
 
 @dataclass
 class JobRecord:
@@ -174,6 +160,10 @@ class JobRecord:
     stage: str = ""
     error: str = ""
 
+    def __post_init__(self) -> None:
+        if self.state not in JOB_STATES:
+            raise ValueError(f"unknown job state {self.state!r}")
+
     @property
     def active(self) -> bool:
         return self.state in ACTIVE_STATES
@@ -191,26 +181,3 @@ class JobRecord:
         if target not in TRANSITIONS[self.state]:
             raise InvalidTransitionError(self.job_id, self.state, target)
         return replace(self, state=target, updated=now, **fields)
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "attempt": self.attempt,
-            "priority": self.priority,
-            "created": self.created,
-            "updated": self.updated,
-            "not_before": self.not_before,
-            "stage": self.stage,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobRecord":
-        try:
-            record = cls(**dict(data))
-        except TypeError as exc:
-            raise ValueError(f"malformed job record: {exc}") from exc
-        if record.state not in JOB_STATES:
-            raise ValueError(f"unknown job state {record.state!r}")
-        return record

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.io.atomic import atomic_write_text, fsync_dir
+from repro.io.codec import decode, encode
 from repro.service import lease as lease_mod
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -180,7 +181,7 @@ class JobStore:
             raise RuntimeError("could not allocate a unique job id")
         atomic_write_text(
             os.path.join(job_dir, SPEC_NAME),
-            json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(encode(spec), indent=2, sort_keys=True) + "\n",
         )
         record = JobRecord(
             job_id=job_id,
@@ -211,7 +212,7 @@ class JobStore:
         path = os.path.join(self.job_dir(job_id), SPEC_NAME)
         try:
             with open(path, encoding="utf-8") as fh:
-                return JobSpec.from_dict(json.load(fh))
+                return decode(JobSpec, json.load(fh))
         except FileNotFoundError:
             raise KeyError(f"no such job: {job_id!r}") from None
         except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
@@ -221,14 +222,28 @@ class JobStore:
         path = os.path.join(self.job_dir(job_id), STATE_NAME)
         try:
             with open(path, encoding="utf-8") as fh:
-                return JobRecord.from_dict(json.load(fh))
+                return decode(JobRecord, json.load(fh))
         except FileNotFoundError:
             raise KeyError(f"no such job: {job_id!r}") from None
         except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
             raise ValueError(f"corrupt job record {path!r}: {exc}") from exc
 
-    def load_records(self) -> list[JobRecord]:
-        return [self.load_record(job_id) for job_id in self.list_jobs()]
+    def load_records(self) -> tuple[list[JobRecord], dict[str, str]]:
+        """Every readable job record, and per job id whose ``state.json``
+        cannot be read, the error naming that file.
+
+        A job directory without a ``state.json`` is still being
+        submitted and appears in neither.
+        """
+        records, unreadable = [], {}
+        for job_id in self.list_jobs():
+            try:
+                records.append(self.load_record(job_id))
+            except KeyError:
+                continue
+            except ValueError as exc:
+                unreadable[job_id] = str(exc)
+        return records, unreadable
 
     # -- transitions -----------------------------------------------------
 
@@ -346,21 +361,13 @@ class JobStore:
     def cancel_requested(self, job_id: str) -> bool:
         return os.path.exists(os.path.join(self.job_dir(job_id), CANCEL_NAME))
 
-    # -- leases (thin forwarding; arbitration lives in lease.py) ---------
-
-    def read_lease(self, job_id: str):
-        return lease_mod.read(self.job_dir(job_id))
-
-    def claim_lease(
-        self, job_id: str, owner: str, ttl: float, now: float | None = None
-    ):
-        return lease_mod.claim(self.job_dir(job_id), owner, ttl, now=now)
+    # -- recovery --------------------------------------------------------
 
     def recoverable(self, record: JobRecord, now: float | None = None) -> bool:
         """Active job whose lease is stale or missing — crash debris."""
         if record.state not in ACTIVE_STATES:
             return False
-        current = self.read_lease(record.job_id)
+        current = lease_mod.read(self.job_dir(record.job_id))
         return current is None or current.stale(now)
 
     # -- result ----------------------------------------------------------
@@ -380,7 +387,7 @@ class JobStore:
     def _write_record(self, job_dir: str, record: JobRecord) -> None:
         atomic_write_text(
             os.path.join(job_dir, STATE_NAME),
-            json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(encode(record), indent=2, sort_keys=True) + "\n",
         )
 
     def _append_journal(self, job_dir: str, entry: JournalEntry) -> None:

@@ -4,8 +4,9 @@ A lease is a JSON file inside the job directory.  Its *existence* is
 the mutual exclusion (claims go through ``os.link``, which the kernel
 makes atomic: exactly one claimant wins, and the file appears with its
 full content — there is no window where a half-written lease is
-visible).  Its *content* carries the owner token, the owner's PID, and
-an expiry that heartbeats push forward.
+visible).  Its *content* is one :class:`Lease` record, written and read
+by :mod:`repro.io.codec`: the owner token, the owner's PID, and an
+expiry that heartbeats push forward.
 
 Three operations cover the whole lifecycle:
 
@@ -34,6 +35,7 @@ import uuid
 from dataclasses import dataclass, replace
 
 from repro.io.atomic import atomic_write_text, fsync_dir
+from repro.io.codec import decode, encode
 
 __all__ = [
     "LEASE_NAME",
@@ -73,37 +75,19 @@ class Lease:
     def stale(self, now: float | None = None) -> bool:
         return (now if now is not None else time.time()) >= self.expires
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "owner": self.owner,
-                "token": self.token,
-                "pid": self.pid,
-                "acquired": self.acquired,
-                "expires": self.expires,
-                "beats": self.beats,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Lease":
-        try:
-            payload = json.loads(text)
-            return cls(
-                owner=str(payload["owner"]),
-                token=str(payload["token"]),
-                pid=int(payload["pid"]),
-                acquired=float(payload["acquired"]),
-                expires=float(payload["expires"]),
-                beats=int(payload.get("beats", 0)),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed lease: {exc}") from exc
-
 
 def _lease_path(job_dir: str) -> str:
     return os.path.join(job_dir, LEASE_NAME)
+
+
+def _load(path: str) -> Lease:
+    """The lease in the file at ``path``; ``ValueError`` naming it if
+    the file is not one."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return decode(Lease, json.loads(fh.read()))
+        except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
+            raise ValueError(f"malformed lease {path!r}: {exc}") from exc
 
 
 def claim(
@@ -135,7 +119,7 @@ def claim(
     final = _lease_path(job_dir)
     tmp = f"{final}.claim.{os.getpid()}.{lease.token[:8]}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(lease.to_json())
+        fh.write(json.dumps(encode(lease), sort_keys=True))
         fh.flush()
         os.fsync(fh.fileno())
     try:
@@ -156,11 +140,9 @@ def read(job_dir: str) -> Lease | None:
     guessed at.
     """
     try:
-        with open(_lease_path(job_dir), encoding="utf-8") as fh:
-            text = fh.read()
+        return _load(_lease_path(job_dir))
     except FileNotFoundError:
         return None
-    return Lease.from_json(text)
 
 
 def heartbeat(
@@ -191,7 +173,7 @@ def heartbeat(
         beats=current.beats + 1,
         pid=pid if pid is not None else current.pid,
     )
-    atomic_write_text(_lease_path(job_dir), renewed.to_json())
+    atomic_write_text(_lease_path(job_dir), json.dumps(encode(renewed), sort_keys=True))
     return renewed
 
 
@@ -238,8 +220,7 @@ def take_over(job_dir: str, now: float | None = None) -> bool:
     except FileNotFoundError:
         return False
     try:
-        with open(tomb, encoding="utf-8") as fh:
-            grabbed = Lease.from_json(fh.read())
+        grabbed = _load(tomb)
     except (OSError, ValueError):
         grabbed = None
     if grabbed is not None and grabbed.token != current.token:

@@ -25,6 +25,10 @@ other) redoes idempotently:
    drains — the serial fallback under pressure — rather than starved.
    A queued job whose spec cannot be read is failed, not admitted.
 
+Every phase sees only the jobs whose ``state.json`` it can read: a job
+with a torn or mistyped record is skipped (one ``warning:`` line names
+the file) and the others are still served.
+
 Admission spawns ``python -m repro.service.worker`` with the freshly
 claimed lease token; the worker adopts the lease and heartbeats it.
 The supervisor never mutates a job some live worker owns: every
@@ -95,6 +99,8 @@ class Supervisor:
         self.lease_ttl = float(lease_ttl)
         self.poll_interval = float(poll_interval)
         self.workers: dict[str, WorkerHandle] = {}
+        #: jobs whose unreadable ``state.json`` has been warned about.
+        self.unreadable: set[str] = set()
 
     # -- one scheduling pass ---------------------------------------------
 
@@ -187,7 +193,7 @@ class Supervisor:
     def _recover(self, now: float) -> int:
         """Requeue stranded jobs (active state, stale/missing lease)."""
         recovered = 0
-        for record in self.store.load_records():
+        for record in self._records():
             if record.job_id in self.workers:
                 continue
             if not self.store.recoverable(record, now):
@@ -204,7 +210,7 @@ class Supervisor:
         committed = sum(h.charge for h in self.workers.values())
         queued = [
             r
-            for r in self.store.load_records()
+            for r in self._records()
             if r.state == "queued"
             and r.not_before <= now
             and r.job_id not in self.workers
@@ -234,6 +240,17 @@ class Supervisor:
         return admitted
 
     # -- helpers ---------------------------------------------------------
+
+    def _records(self) -> list[JobRecord]:
+        """The readable job records.  A job whose ``state.json`` cannot
+        be read cannot be transitioned either: it is skipped, with one
+        warning naming the file."""
+        records, unreadable = self.store.load_records()
+        for job_id, error in unreadable.items():
+            if job_id not in self.unreadable:
+                self.unreadable.add(job_id)
+                print(f"warning: skipping job {job_id}: {error}", file=sys.stderr)
+        return records
 
     def _spawn(self, record: JobRecord, spec, now: float) -> bool:
         job_id = record.job_id
@@ -298,7 +315,7 @@ class Supervisor:
             lease_mod.release(job_dir, guard)
 
     def _drained(self) -> bool:
-        return all(r.terminal for r in self.store.load_records())
+        return all(r.terminal for r in self._records())
 
     def _close_logs(self) -> None:
         for handle in self.workers.values():

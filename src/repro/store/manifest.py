@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.io.atomic import atomic_write_text, fsync_dir
+from repro.io.codec import decode, encode
 
 __all__ = ["STORE_VERSION", "MANIFEST_NAME", "ShardInfo", "StoreManifest"]
 
@@ -46,25 +47,6 @@ class ShardInfo:
     n_records: int
     nbytes: int
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "n_records": self.n_records, "nbytes": self.nbytes}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardInfo":
-        payload = _typed(payload, dict, "shard entry")
-        return cls(
-            name=_typed(payload.get("name"), str, "shard name"),
-            n_records=_typed(payload.get("n_records"), int, "n_records"),
-            nbytes=_typed(payload.get("nbytes"), int, "nbytes"),
-        )
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` when it is a ``kind`` (a ``bool`` is not an ``int``)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{what} is {value!r}, not {kind.__name__}")
-    return value
-
 
 @dataclass
 class StoreManifest:
@@ -85,18 +67,7 @@ class StoreManifest:
         return len(self.shards)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format": "repro.store",
-                "version": self.version,
-                "kind": self.kind,
-                "shard_size": self.shard_size,
-                "shards": [s.to_dict() for s in self.shards],
-                "meta": self.meta,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({"format": "repro.store", **encode(self)}, indent=2, sort_keys=True)
 
     def fingerprint(self) -> str:
         """Content digest identifying this exact store layout.
@@ -147,13 +118,8 @@ class StoreManifest:
                 f"store manifest {path!r} holds {payload.get('kind')!r} "
                 f"records, expected {kind!r}"
             )
+        payload.pop("format")
         try:
-            return cls(
-                kind=_typed(payload.get("kind"), str, "kind"),
-                shard_size=_typed(payload.get("shard_size"), int, "shard_size"),
-                shards=list(map(ShardInfo.from_dict, _typed(payload.get("shards"), list, "shards"))),
-                meta=_typed(payload.get("meta"), dict, "meta"),
-                version=found,
-            )
-        except TypeError as exc:
+            return decode(cls, payload)
+        except ValueError as exc:
             raise ValueError(f"corrupt store manifest {path!r}: {exc}") from exc

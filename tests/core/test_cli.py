@@ -186,7 +186,7 @@ class TestAssembleAndStats:
             assert f"stage checkpoint at {checkpoint}\n" in capsys.readouterr().out
             fastas.append(out.read_bytes())
             timings.append(json.loads(times.read_text()))
-        assert sorted(load_checkpoint(checkpoint).completed) == sorted(FINISH_STAGES)
+        assert sorted(load_checkpoint(checkpoint).stage_times) == sorted(FINISH_STAGES)
         # The first run executes the trim and traversal stages; the second
         # restores all five from the checkpoint and runs neither.
         assert {"trim", "traverse"} <= timings[0]["stages"].keys()

@@ -10,6 +10,7 @@ from repro.core.config import AssemblyConfig
 from repro.core.pipeline import StageTimer
 from repro.faults import FaultPlan, KernelFault, RetryPolicy
 from repro.graph.coarsen import CoarsenConfig
+from repro.io.codec import decode, encode
 from repro.partition.recursive import PartitionConfig
 
 
@@ -128,21 +129,21 @@ def flat(data: dict, prefix: str = ""):
 
 class TestConfigDict:
     def test_every_field_is_set(self):
-        defaults = dict(flat(AssemblyConfig().to_dict()))
-        same = [k for k, v in flat(every_field_set().to_dict()) if defaults.get(k) == v]
+        defaults = dict(flat(encode(AssemblyConfig())))
+        same = [k for k, v in flat(encode(every_field_set())) if defaults.get(k) == v]
         assert same == []
 
     @pytest.mark.parametrize("config", [AssemblyConfig(), every_field_set()], ids=["default", "every-field"])
     def test_json_round_trip(self, config):
-        assert AssemblyConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+        assert decode(AssemblyConfig, json.loads(json.dumps(encode(config)))) == config
 
     def test_omitted_keys_take_defaults(self):
-        assert AssemblyConfig.from_dict({"partition": {"run_kway": False}}) == AssemblyConfig(
+        assert decode(AssemblyConfig, {"partition": {"run_kway": False}}) == AssemblyConfig(
             partition=PartitionConfig(run_kway=False)
         )
 
     def test_seed_is_the_one_assembly_seed(self):
-        leaves = dict(flat(AssemblyConfig().to_dict()))
+        leaves = dict(flat(encode(AssemblyConfig())))
         assert len(leaves) == 47
         assert sorted(k for k in leaves if "seed" in k) == ["retry.jitter_seed", "seed"]
 
@@ -152,8 +153,8 @@ class TestConfigDict:
             ({"colour": 1}, "'colour'"),
             ({"overlap": {"colour": 1}}, "'overlap.colour'"),
             ({"coarsen": {"colour": 1}}, "'coarsen.colour'"),
-            ({"retry": {"colour": 1}}, "'colour'"),
-            ({"backend": "process", "fault_plan": {"colour": 1}}, "'colour'"),
+            ({"retry": {"colour": 1}}, "'retry.colour'"),
+            ({"backend": "process", "fault_plan": {"colour": 1}}, "'fault_plan.colour'"),
             # The seeds and coarsening rules of older configs are gone.
             ({"coarsen": {"seed": 3}}, "'coarsen.seed'"),
             ({"partition": {"seed": 5}}, "'partition.seed'"),
@@ -166,12 +167,12 @@ class TestConfigDict:
     )
     def test_unknown_key_is_refused_by_name(self, data, key):
         with pytest.raises(ValueError, match=key):
-            AssemblyConfig.from_dict(data)
+            decode(AssemblyConfig, data)
 
     @pytest.mark.parametrize(
         "data, key",
         [
-            ([], "dict"),
+            ([], "JSON object"),
             ({"overlap": 5}, "overlap"),
             ({"retry": 5}, "retry"),
             ({"fault_plan": []}, "fault_plan"),
@@ -195,11 +196,11 @@ class TestConfigDict:
     )
     def test_malformed_dict_is_a_value_error(self, data, key):
         with pytest.raises(ValueError, match=key):
-            AssemblyConfig.from_dict(data)
+            decode(AssemblyConfig, data)
 
     @pytest.mark.parametrize("data", [{"containment_min_identity": 1}, {"store_path": None}])
     def test_json_number_and_null_load(self, data):
-        assert AssemblyConfig.from_dict(data) == AssemblyConfig(**data)
+        assert decode(AssemblyConfig, data) == AssemblyConfig(**data)
 
 
 class TestAssemblyConfig:

@@ -1,5 +1,7 @@
 """Unit tests for FaultPlan / RetryPolicy / FaultReport."""
 
+import json
+
 import pytest
 
 from repro.faults import (
@@ -9,6 +11,11 @@ from repro.faults import (
     KernelFault,
     RetryPolicy,
 )
+from repro.io.codec import decode, encode
+
+
+def json_round_trip(record):
+    return decode(type(record), json.loads(json.dumps(encode(record))))
 
 #: ``FaultPlan.random(seed, FINISH_STAGES, 4)`` kernel draws, recorded
 #: when plans still drew message faults after them: dropping those draws
@@ -77,20 +84,20 @@ class TestFaultPlan:
             kernel_faults=(KernelFault("hang", "traversal", 2, attempts=2),),
             hang_seconds=1.5,
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert json_round_trip(plan) == plan
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError, match="not valid JSON"):
-            FaultPlan.from_json("{nope")
-        with pytest.raises(ValueError, match="must be an object"):
-            FaultPlan.from_json("[1, 2]")
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            decode(FaultPlan, [1, 2])
+        with pytest.raises(ValueError, match=r"'kernel_faults\[0\]\.part' must be an integer"):
+            decode(FaultPlan, {"kernel_faults": [{"kind": "crash", "stage": "*", "part": "1"}]})
 
     def test_random_is_deterministic_and_serializable(self):
         stages = ("transitive", "bubbles", "traversal")
         a = FaultPlan.random(42, stages, n_parts=4)
         b = FaultPlan.random(42, stages, n_parts=4)
         assert a == b
-        assert FaultPlan.from_json(a.to_json()) == a
+        assert json_round_trip(a) == a
         for spec in a.kernel_faults:
             assert spec.kind in KERNEL_FAULT_KINDS
             assert spec.stage in stages
@@ -157,11 +164,11 @@ class TestRetryPolicy:
 
     def test_dict_roundtrip(self):
         policy = RetryPolicy(max_attempts=5, task_deadline=1.0)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
+        assert json_round_trip(policy) == policy
 
     def test_dict_roundtrip_with_jitter(self):
         policy = RetryPolicy(jitter=0.25, jitter_seed=9)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
+        assert json_round_trip(policy) == policy
 
     def test_from_dict_accepts_pre_jitter_payloads(self):
         legacy = {
@@ -171,7 +178,7 @@ class TestRetryPolicy:
             "task_deadline": 30.0,
             "fallback_serial": True,
         }
-        policy = RetryPolicy.from_dict(legacy)
+        policy = decode(RetryPolicy, legacy)
         assert policy.jitter == 0.0
 
 

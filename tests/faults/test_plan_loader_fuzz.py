@@ -6,6 +6,8 @@ message holds the file's path.  A misspelt key is refused rather than
 loaded as a plan that silently injects nothing.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 from repro.cli import _parse_fault_plan
 from repro.core.focus import FINISH_STAGES
 from repro.faults import FaultPlan, KernelFault
+from repro.io.codec import encode
 
-from tests.fuzz import damaged
+from tests.fuzz import assert_typed, damaged
 
 PLAN = FaultPlan(
     seed=3,
@@ -24,6 +27,7 @@ PLAN = FaultPlan(
     ),
     hang_seconds=2.0,
 )
+BLOB = json.dumps(encode(PLAN), indent=2).encode()
 
 
 def load(tmp_path, blob: bytes):
@@ -33,7 +37,7 @@ def load(tmp_path, blob: bytes):
 
 
 def test_pristine_plan_loads(tmp_path):
-    assert load(tmp_path, PLAN.to_json().encode())[1] == PLAN
+    assert load(tmp_path, BLOB)[1] == PLAN
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +48,13 @@ def plan_dir(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_damaged_plan_loads_or_names_the_file(plan_dir, data):
-    blob = damaged(PLAN.to_json().encode(), data)
+    blob = damaged(BLOB, data)
     try:
         _, plan = load(plan_dir, blob)
     except ValueError as exc:
         assert str(plan_dir / "plan.json") in str(exc)
     else:
-        assert all(isinstance(f, KernelFault) for f in plan.kernel_faults)
+        assert_typed(plan)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from tests.fuzz import damaged
 def sample_state(paths=None):
     return CheckpointState(
         fingerprint={"n_reads": 10, "n_partitions": 4, "seed": 1},
-        completed=["transitive", "containment"],
         node_alive=np.array([True, False, True]),
         edge_alive=np.array([True, True, False, False]),
         stage_times={"transitive": 0.25, "containment": 0.5},
@@ -90,7 +89,6 @@ def test_damaged_checkpoint_loads_identically_or_names_the_file(
         return
     want = sample_state()
     assert state.fingerprint == want.fingerprint
-    assert state.completed == want.completed
     assert state.stage_times == want.stage_times
     assert state.node_alive.tolist() == want.node_alive.tolist()
     assert state.edge_alive.tolist() == want.edge_alive.tolist()
@@ -161,7 +159,6 @@ class TestCheckpointStore:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded.fingerprint == state.fingerprint
-        assert loaded.completed == state.completed
         assert (loaded.node_alive == state.node_alive).all()
         assert (loaded.edge_alive == state.edge_alive).all()
         assert loaded.stage_times == state.stage_times
@@ -181,7 +178,15 @@ class TestCheckpointStore:
     def test_written_at_exactly_the_given_path(self, tmp_path):
         save_checkpoint(sample_state(), tmp_path / "noext")
         assert [p.name for p in tmp_path.iterdir()] == ["noext"]
-        assert load_checkpoint(tmp_path / "noext").completed == sample_state().completed
+        assert load_checkpoint(tmp_path / "noext").stage_times == sample_state().stage_times
+
+    def test_header_with_completed_list_still_loads(self, tmp_path):
+        # Older writers also recorded the stage names as a "completed"
+        # list; the version is the same, so those files still resume.
+        path = tmp_path / "ck.bin"
+        save_checkpoint(sample_state(), path)
+        rewrite(path, completed=["transitive", "containment"])
+        assert load_checkpoint(path).stage_times == sample_state().stage_times
 
     def test_roundtrip_with_paths(self, tmp_path):
         path = tmp_path / "ck.bin"

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
+from repro.service import lease as lease_mod
 from repro.service.jobstore import JobStore
 from repro.service.jobs import JobSpec
 from repro.service.supervisor import Supervisor
@@ -147,7 +148,7 @@ def _worker_pid_after_checkpoints(
     """The worker's pid once >= n stage checkpoints are journaled."""
 
     def ready():
-        lease = store.read_lease(job_id)
+        lease = lease_mod.read(store.job_dir(job_id))
         if lease is None or lease.pid == supervisor_pid:
             return None
         done = sum(
@@ -278,11 +279,11 @@ def _run_takeover(root: str, reads_path: str, timeout: float) -> ScenarioResult:
     job_id = record.job_id
     # A supervisor claims the job and immediately "dies": the job is
     # stranded in ``leased`` under a lease that nobody will renew.
-    lease = store.claim_lease(job_id, "dead", ttl=0.2)
+    lease = lease_mod.claim(store.job_dir(job_id), "dead", ttl=0.2)
     assert lease is not None
     store.transition(job_id, "leased", info={"owner": "dead"})
     _wait(
-        lambda: store.read_lease(job_id).stale(), timeout, "lease expiry"
+        lambda: lease_mod.read(store.job_dir(job_id)).stale(), timeout, "lease expiry"
     )
     sups = [
         Supervisor(

@@ -142,6 +142,33 @@ class TestSubmitJobsServe:
         last = jobs.journal(a)[-1]
         assert (last.state_from, last.state_to) == ("queued", "failed")
 
+    def test_unreadable_record_skips_that_job_and_is_named(self, tmp_path, reads_path, capsys):
+        import os
+
+        from repro.service import JobStore
+        from repro.service.jobstore import STATE_NAME
+
+        store = str(tmp_path / "jobs.store")
+        ids = []
+        for name in ("a", "b"):
+            argv = ["submit", store, reads_path, "--name", name, "--backend", "serial"]
+            assert main(argv) == 0
+            ids.append(capsys.readouterr().out.split()[1])
+        a, b = ids
+        state_path = os.path.join(JobStore(store).job_dir(b), STATE_NAME)
+        with open(state_path, "w") as fh:
+            fh.write("{")
+        rc = main(["serve", store, "--drain", "--poll-interval", "0.02",
+                   "--lease-ttl", "5", "--max-seconds", "60"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and state_path in err
+        assert JobStore(store).load_record(a).state == "done"
+        assert main(["jobs", store]) == 1
+        out, err = capsys.readouterr()
+        assert a in out and b not in out
+        assert err.startswith("error: corrupt job record") and state_path in err
+
     def test_jobs_on_missing_store_errors(self, tmp_path, capsys):
         rc = main(["jobs", str(tmp_path / "nope")])
         assert rc == 1

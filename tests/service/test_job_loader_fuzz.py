@@ -4,7 +4,7 @@ Every truncation and single-bit flip of a job's ``spec.json`` or
 ``state.json`` makes ``JobStore.load_spec`` / ``load_record`` either
 return a job or raise a ``ValueError`` whose message holds the file's
 path — never a bare ``TypeError``/``UnicodeDecodeError``, and never a
-spec whose fields have the wrong type.
+job whose fields have the wrong type (``assert_typed``).
 """
 
 import json
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
+from repro.io.codec import decode
 from repro.service import JobSpec, JobStore
 from repro.service.jobstore import SPEC_NAME, STATE_NAME
 
-from tests.fuzz import damaged
+from tests.fuzz import assert_typed, damaged
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +66,7 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
     except ValueError as exc:
         assert path in str(exc)
     else:
-        if name == SPEC_NAME:
-            assert isinstance(loaded.config, AssemblyConfig)
-            assert isinstance(loaded.config.retry, RetryPolicy)
+        assert_typed(loaded)
 
 
 @pytest.mark.parametrize(
@@ -104,7 +103,16 @@ def test_malformed_spec_is_refused_naming_the_file(job, blob):
     assert os.path.join(store.job_dir(job_id), SPEC_NAME) in str(info.value)
 
 
-@pytest.mark.parametrize("blob", [b"[1]", b"\xc3", b'{"job_id": "x", "colour": 1}'])
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"[1]",
+        b"\xc3",
+        b'{"job_id": "x", "colour": 1}',
+        b'{"job_id": "x", "priority": "5", "not_before": "soon"}',
+        b'{"job_id": "x", "state": "zombie"}',
+    ],
+)
 def test_malformed_record_is_refused_naming_the_file(job, blob):
     store, job_id = job
     with pytest.raises(ValueError) as info:
@@ -118,4 +126,4 @@ def test_pristine_files_still_load(job):
     assert spec.config.retry == RetryPolicy(max_attempts=4, jitter=0.5)
     assert store.load_record(job_id).job_id == job_id
     with open(os.path.join(store.job_dir(job_id), SPEC_NAME)) as fh:
-        assert JobSpec.from_dict(json.load(fh)) == spec
+        assert decode(JobSpec, json.load(fh)) == spec

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
+from repro.io.codec import decode, encode
 from repro.service import (
     ACTIVE_STATES,
     JOB_STATES,
@@ -95,11 +96,11 @@ class TestJobSpec:
 
     def test_rejects_bad_partitions(self):
         with pytest.raises(ValueError):
-            JobSpec.from_dict({"reads_path": "a.fasta", "config": {"n_partitions": 3}})
+            decode(JobSpec, {"reads_path": "a.fasta", "config": {"n_partitions": 3}})
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            JobSpec.from_dict({"reads_path": "a.fasta", "config": {"backend": "gpu"}})
+            decode(JobSpec, {"reads_path": "a.fasta", "config": {"backend": "gpu"}})
 
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ValueError):
@@ -124,17 +125,15 @@ class TestJobSpec:
             deadline=12.0,
             pause_between_stages=0.1,
         )
-        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        again = decode(JobSpec, json.loads(json.dumps(encode(spec))))
         assert again == spec
         assert again.config.retry.jitter == 0.5
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="malformed job spec"):
-            JobSpec.from_dict({"reads_path": "a.fasta", "color": "red"})
-        with pytest.raises(ValueError, match="'coarsen.color'"):
-            JobSpec.from_dict(
-                {"reads_path": "a.fasta", "config": {"coarsen": {"color": 1}}}
-            )
+        with pytest.raises(ValueError, match="unknown key 'color'"):
+            decode(JobSpec, {"reads_path": "a.fasta", "color": "red"})
+        with pytest.raises(ValueError, match="'config.coarsen.color'"):
+            decode(JobSpec, {"reads_path": "a.fasta", "config": {"coarsen": {"color": 1}}})
 
     def test_spec_has_no_assembly_knob_of_its_own(self):
         # The config is the one carrier of assembly options.
@@ -156,11 +155,13 @@ class TestJobRecord:
             stage="bubbles",
             error="",
         )
-        assert JobRecord.from_dict(record.to_dict()) == record
+        assert decode(JobRecord, json.loads(json.dumps(encode(record)))) == record
 
     def test_from_dict_rejects_unknown_state(self):
-        with pytest.raises(ValueError):
-            JobRecord.from_dict({"job_id": "j", "state": "zombie"})
+        with pytest.raises(ValueError, match="unknown job state 'zombie'"):
+            decode(JobRecord, {"job_id": "j", "state": "zombie"})
+        with pytest.raises(ValueError, match="unknown job state 'zombie'"):
+            JobRecord(job_id="j", state="zombie")
 
     def test_active_and_terminal_flags(self):
         assert JobRecord(job_id="j", state="leased").active

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.service import JobSpec, JobStore
+from repro.service import lease as lease_mod
 from repro.service.jobstore import JOURNAL_NAME, SPEC_NAME, STATE_NAME
 
 
@@ -155,13 +156,13 @@ class TestRecoverable:
     def test_active_with_fresh_lease_is_not(self, store):
         record = store.submit(spec())
         updated = store.transition(record.job_id, "leased")
-        store.claim_lease(record.job_id, "sup", ttl=100.0)
+        lease_mod.claim(store.job_dir(record.job_id), "sup", ttl=100.0)
         assert not store.recoverable(updated)
 
     def test_active_with_stale_lease_is_recoverable(self, store):
         record = store.submit(spec())
         updated = store.transition(record.job_id, "leased")
-        store.claim_lease(record.job_id, "sup", ttl=5.0, now=100.0)
+        lease_mod.claim(store.job_dir(record.job_id), "sup", ttl=5.0, now=100.0)
         assert store.recoverable(updated, now=106.0)
 
 

@@ -1,10 +1,12 @@
 """Unit tests for lease claim/heartbeat/takeover arbitration."""
 
+import json
 import os
 import threading
 
 import pytest
 
+from repro.io.codec import decode, encode
 from repro.service import lease as lease_mod
 from repro.service.lease import Lease, LeaseLostError
 
@@ -206,7 +208,7 @@ class TestLeaseJson:
         lease = Lease(
             owner="a", token="t" * 32, pid=7, acquired=1.0, expires=2.0, beats=3
         )
-        assert Lease.from_json(lease.to_json()) == lease
+        assert decode(Lease, json.loads(json.dumps(encode(lease), sort_keys=True))) == lease
 
     def test_stale(self):
         lease = Lease(owner="a", token="t", pid=7, acquired=1.0, expires=2.0)

@@ -5,6 +5,8 @@ what's under test); the end-to-end paths — real worker processes, real
 SIGKILLs — live in test_recovery.py.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -12,6 +14,8 @@ import pytest
 from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
+from repro.service import lease as lease_mod
+from repro.service.jobstore import STATE_NAME
 from repro.service.supervisor import WorkerHandle
 
 MB = 1 << 20
@@ -39,7 +43,7 @@ def stub_spawner(sup):
     spawned = []
 
     def fake_spawn(record, job_spec, now):
-        lease = sup.store.claim_lease(record.job_id, sup.owner, sup.lease_ttl)
+        lease = lease_mod.claim(sup.store.job_dir(record.job_id), sup.owner, sup.lease_ttl)
         if lease is None:
             return False
         sup.store.transition(record.job_id, "leased", now=now)
@@ -125,7 +129,7 @@ class TestRecoveryPass:
     def test_stale_leased_job_requeued(self, store):
         record = store.submit(spec(), now=1.0)
         store.transition(record.job_id, "leased", now=1.0)
-        store.claim_lease(record.job_id, "dead", ttl=1.0, now=1.0)
+        lease_mod.claim(store.job_dir(record.job_id), "dead", ttl=1.0, now=1.0)
         sup = Supervisor(store, max_workers=1)
         stub_spawner(sup)
         summary = sup.poll_once(now=100.0)
@@ -140,7 +144,7 @@ class TestRecoveryPass:
             spec(config=AssemblyConfig(retry=RetryPolicy(max_attempts=1))), now=1.0
         )
         store.transition(record.job_id, "leased", now=1.0)
-        store.claim_lease(record.job_id, "dead", ttl=1.0, now=1.0)
+        lease_mod.claim(store.job_dir(record.job_id), "dead", ttl=1.0, now=1.0)
         sup = Supervisor(store)
         stub_spawner(sup)
         sup.poll_once(now=100.0)
@@ -151,7 +155,7 @@ class TestRecoveryPass:
     def test_fresh_lease_not_recovered(self, store):
         record = store.submit(spec(), now=1.0)
         store.transition(record.job_id, "leased", now=1.0)
-        store.claim_lease(record.job_id, "alive", ttl=1000.0)
+        lease_mod.claim(store.job_dir(record.job_id), "alive", ttl=1000.0)
         sup = Supervisor(store)
         stub_spawner(sup)
         summary = sup.poll_once(now=100.0)
@@ -164,7 +168,7 @@ class TestRecoveryPass:
         )
         record = store.submit(spec(config=AssemblyConfig(retry=policy)), now=1.0)
         store.transition(record.job_id, "leased", now=1.0)
-        store.claim_lease(record.job_id, "dead", ttl=1.0, now=1.0)
+        lease_mod.claim(store.job_dir(record.job_id), "dead", ttl=1.0, now=1.0)
         sup = Supervisor(store, max_workers=1)
         # no spawner stub needed: the requeued job's not_before holds
         # it out of the same pass's admission window
@@ -176,6 +180,40 @@ class TestRecoveryPass:
         assert delay == pytest.approx(
             policy.backoff(1, token=record.job_id), abs=1e-9
         )
+
+
+class TestUnreadableRecords:
+    def test_torn_and_mistyped_records_are_skipped_with_one_warning(self, store, capsys):
+        torn = store.submit(spec(priority=2), now=1.0)
+        mistyped = store.submit(spec(priority=1), now=2.0)
+        healthy = store.submit(spec(), now=3.0)
+        paths = {
+            j.job_id: os.path.join(store.job_dir(j.job_id), STATE_NAME) for j in (torn, mistyped)
+        }
+        with open(paths[torn.job_id], "w") as fh:
+            fh.write("{")
+        with open(paths[mistyped.job_id]) as fh:
+            data = json.load(fh)
+        with open(paths[mistyped.job_id], "w") as fh:
+            json.dump({**data, "priority": "5", "not_before": "soon"}, fh)
+        # A submit still in progress: the job directory, no state.json.
+        os.makedirs(store.job_dir("half-submitted"))
+        sup = Supervisor(store, max_workers=4, poll_interval=0.01)
+        spawned = stub_spawner(sup)
+        sup.poll_once(now=10.0)
+        sup.poll_once(now=11.0)
+        assert spawned == [healthy.job_id]
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2
+        for job_id, path in paths.items():
+            (line,) = [w for w in warnings if path in w]
+            assert line.startswith(f"warning: skipping job {job_id}: corrupt job record")
+        # --drain still ends once every readable job is terminal.
+        store.transition(healthy.job_id, "running", now=12.0)
+        store.transition(healthy.job_id, "done", now=13.0)
+        sup.workers.clear()
+        assert sup.run(drain=True, max_seconds=30.0) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestRunLoop:

@@ -9,6 +9,7 @@ import pytest
 from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
+from repro.service import lease as lease_mod
 from repro.service.worker import _finish_ok
 
 POLL = 0.02
@@ -56,7 +57,7 @@ class TestFailureEscalation:
             drain=True, max_seconds=TIMEOUT
         )
         assert store.load_record(record.job_id).state == "failed"
-        assert store.read_lease(record.job_id) is None
+        assert lease_mod.read(store.job_dir(record.job_id)) is None
 
 
 class TestCooperativeCancel:
@@ -87,7 +88,7 @@ class TestCooperativeCancel:
         loaded = store.load_record(record.job_id)
         assert loaded.state == "cancelled"
         # cancelled jobs release their lease and never write contigs
-        assert store.read_lease(record.job_id) is None
+        assert lease_mod.read(store.job_dir(record.job_id)) is None
         assert not (
             tmp_path / "store" / "jobs" / record.job_id / "contigs.fasta"
         ).exists()

@@ -22,7 +22,7 @@ from repro.store import MANIFEST_NAME, OFFSETS_NAME, ShardedStore, pack_reads, v
 from repro.store.sharded import shard_name
 from repro.store.verify import main as verify_main
 
-from tests.fuzz import damaged
+from tests.fuzz import assert_typed, damaged
 
 
 def fuzz_reads(n=40):
@@ -117,6 +117,7 @@ def test_damaged_manifest_loads_or_names_the_file(store_dir, data):
             assert path in str(exc)
         else:
             assert store.n_shards == len(store.manifest.shards)
+            assert_typed(store.manifest)
     finally:
         with open(path, "wb") as fh:
             fh.write(pristine)

@@ -131,7 +131,7 @@ class TestValidation:
         path = str(tmp_path / "store")
         write_store(path)
         replace_in_manifest(path, '"shard_size"', '"shard_sizg"')
-        with pytest.raises(ValueError, match="corrupt store manifest.*shard_size"):
+        with pytest.raises(ValueError, match="corrupt store manifest.*unknown key 'shard_sizg'"):
             ShardedStore(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
