@@ -624,11 +624,11 @@ def _cmd_jobs(args) -> int:
             print(f"error: no such job {args.journal!r}", file=sys.stderr)
             return 1
         for e in entries:
-            stamp = time.strftime("%H:%M:%S", time.localtime(e.ts))
+            stamp = time.strftime("%H:%M:%S", time.localtime(e.record.updated))
             info = " ".join(f"{k}={v}" for k, v in sorted(e.info.items()))
             print(
-                f"{stamp}  {e.state_from:>13s} -> {e.state_to:<13s} "
-                f"attempt {e.attempt}  {info}"
+                f"{stamp}  {e.prior:>13s} -> {e.record.state:<13s} "
+                f"attempt {e.record.attempt}  {info}"
             )
         return 0
     records, unreadable = store.load_records()

@@ -1,9 +1,10 @@
 """One JSON codec for every on-disk record (docs/robustness.md).
 
-``spec.json``, ``state.json``, ``lease.json``, ``manifest.json`` and
-``--fault-plan`` files each hold one dataclass record.  :func:`encode`
-is :func:`dataclasses.asdict`; :func:`decode` reads a record back with
-its field annotations as the schema: ``bool`` is never a number, a
+``spec.json``, ``lease.json``, ``manifest.json``, ``jobstore.json``,
+``--fault-plan`` files and each line of a job's ``journal.jsonl`` hold
+one dataclass record.  :func:`encode` is :func:`dataclasses.asdict`;
+:func:`decode` reads a record back with its field annotations as the
+schema: ``bool`` is never a number, a
 JSON integer is a valid ``float``, ``X | None`` accepts ``null``, an
 omitted key takes its default, and nested records (or tuples and lists
 of them) decode recursively.  A non-object, an unknown key, a value of

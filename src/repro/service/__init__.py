@@ -3,9 +3,10 @@
 A durable, filesystem-backed job service around the checkpointed
 :class:`~repro.core.focus.FocusAssembler` pipeline: jobs are submitted
 as immutable specs into a :class:`~repro.service.jobstore.JobStore`
-(atomic records, fsynced journal), supervisors claim them through
-lease files (:mod:`~repro.service.lease`) and spawn worker processes
-that heartbeat while running the checkpointed ``finish`` stages.  Any
+(an atomic spec, one fsynced journal line per transition),
+supervisors claim them through lease files
+(:mod:`~repro.service.lease`) and spawn worker processes that
+heartbeat while running the checkpointed ``finish`` stages.  Any
 process — worker or supervisor — can be SIGKILLed at any instant; the
 next supervisor scan finds the stale lease, requeues the job, and the
 resumed attempt restores fingerprint-verified checkpoints to produce

@@ -2,11 +2,11 @@
 
 A *job* is one checkpointed assembly: a :class:`JobSpec` (immutable
 input + configuration, written once at submit) and a :class:`JobRecord`
-(the mutable lifecycle state, rewritten atomically on every
-transition).  :mod:`repro.io.codec` writes both as JSON (``spec.json``,
-``state.json``) and refuses a damaged or mistyped file by its key; the
-supervisor skips a job whose ``state.json`` it cannot read.  The state
-machine is small and strict::
+(the mutable lifecycle state, appended whole to the job's journal on
+every transition).  :mod:`repro.io.codec` writes both as JSON
+(``spec.json``, ``journal.jsonl`` lines) and refuses a damaged or
+mistyped one by its key; the supervisor skips a job whose journal it
+cannot read.  The state machine is small and strict::
 
     queued -> leased -> running <-> checkpointing -> done
        ^         |         |                           |
@@ -144,7 +144,7 @@ class JobSpec:
 
 @dataclass
 class JobRecord:
-    """The mutable lifecycle state of one job (``state.json``)."""
+    """The mutable lifecycle state of one job (a journal line's ``record``)."""
 
     job_id: str
     state: str = "queued"

@@ -6,8 +6,7 @@ Layout::
       jobstore.json              # format marker + version
       jobs/<job_id>/
         spec.json                # immutable JobSpec (written at submit)
-        state.json               # current JobRecord (atomic replace)
-        journal.jsonl            # append-only, fsynced transition log
+        journal.jsonl            # the job: one fsynced line per transition
         lease.json               # present while a supervisor/worker owns it
         checkpoint.bin           # stage checkpoint (while running)
         cancel.json              # cooperative cancellation request
@@ -15,17 +14,15 @@ Layout::
         contigs.fasta            # final output (done jobs)
         result.json              # stats + stage times (done jobs)
 
-Durability contract (the same tmp+fsync+``os.replace`` machinery as
-the PR 5 checkpoints, via :func:`repro.io.atomic.atomic_write_text`):
-``spec.json`` and ``state.json`` are always complete — a crash at any
-instant leaves either the previous record or the new one, never a
-torn file.  ``journal.jsonl`` is append-only with per-line fsync; a
-crash can leave at most one torn *final* line, which the reader
-detects and ignores (every completed transition before it is intact).
-State is therefore doubly recorded — the journal is the history, the
-state file the O(1)-readable present — and any crash leaves a
-recoverable job: the supervisor's scan needs only ``state.json`` plus
-the lease file to decide what to do next.
+Durability contract: ``spec.json`` is written once through
+:func:`repro.io.atomic.atomic_write_text`, so it is always complete.
+``journal.jsonl`` is the only record of the job's state: each
+transition appends one line, holding the whole :class:`JobRecord`
+after it, with one ``write`` and one ``fsync``.  The current record is
+the one on the last complete line.  A crash mid-append can leave only
+a torn tail — the bytes after the file's last newline — which readers
+ignore and the next append cuts off; a complete line that does not
+decode is damage, a :class:`ValueError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ __all__ = ["MARKER_NAME", "STORE_VERSION", "JournalEntry", "JobStore"]
 
 MARKER_NAME = "jobstore.json"
 SPEC_NAME = "spec.json"
-STATE_NAME = "state.json"
 JOURNAL_NAME = "journal.jsonl"
 CANCEL_NAME = "cancel.json"
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -59,41 +55,26 @@ RESULT_NAME = "result.json"
 WORKER_LOG_NAME = "worker.log"
 
 #: format version of the job-store layout; bump on layout changes.
-STORE_VERSION = 1
+STORE_VERSION = 2
+
+
+@dataclass(frozen=True)
+class StoreMarker:
+    """``jobstore.json``: what the directory is, and its layout version."""
+
+    format: str
+    version: int
 
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One journaled state transition."""
+    """One journal line: the job's whole record after a transition."""
 
-    ts: float
-    state_from: str
-    state_to: str
-    attempt: int
+    #: the state before (``"submitted"`` on a job's first line).
+    prior: str
+    record: JobRecord
     #: free-form context: owner token, stage name, error, ...
     info: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ts": self.ts,
-                "from": self.state_from,
-                "to": self.state_to,
-                "attempt": self.attempt,
-                "info": self.info,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JournalEntry":
-        return cls(
-            ts=float(payload["ts"]),
-            state_from=str(payload["from"]),
-            state_to=str(payload["to"]),
-            attempt=int(payload["attempt"]),
-            info=dict(payload.get("info", {})),
-        )
 
 
 class JobStore:
@@ -112,35 +93,26 @@ class JobStore:
         if create:
             os.makedirs(self.jobs_root, exist_ok=True)
             if not os.path.exists(marker):
-                atomic_write_text(
-                    marker,
-                    json.dumps(
-                        {"format": "repro.jobstore", "version": STORE_VERSION},
-                        sort_keys=True,
-                    )
-                    + "\n",
-                )
+                current = StoreMarker("repro.jobstore", STORE_VERSION)
+                atomic_write_text(marker, json.dumps(encode(current), sort_keys=True) + "\n")
         try:
             with open(marker, encoding="utf-8") as fh:
-                payload = json.load(fh)
+                found = decode(StoreMarker, json.load(fh))
         except FileNotFoundError:
             raise ValueError(
                 f"not a job store: {self.root!r} has no {MARKER_NAME} "
                 "(create one with JobStore(root, create=True) or "
                 "`repro submit`)"
             ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"corrupt job store marker: {exc}") from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != "repro.jobstore"
-        ):
+        except (OSError, ValueError) as exc:  # ValueError: JSON, UTF-8 or fields
+            raise ValueError(f"corrupt job store marker {marker!r}: {exc}") from exc
+        if found.format != "repro.jobstore":
             raise ValueError(f"not a job store marker: {marker!r}")
-        found = int(payload.get("version", -1))
-        if found != STORE_VERSION:
+        if found.version != STORE_VERSION:
             raise ValueError(
-                f"unsupported job store version {found} "
-                f"(this build reads version {STORE_VERSION})"
+                f"unsupported job store version {found.version} in {marker!r} "
+                f"(this build reads version {STORE_VERSION}; "
+                "resubmit older stores' jobs with `repro submit`)"
             )
 
     # -- paths -----------------------------------------------------------
@@ -190,11 +162,8 @@ class JobStore:
             created=t,
             updated=t,
         )
-        self._append_journal(
-            job_dir,
-            JournalEntry(t, "submitted", "queued", record.attempt, {}),
-        )
-        self._write_record(job_dir, record)
+        self._append(job_dir, JournalEntry("submitted", record), intact=0)
+        fsync_dir(job_dir)
         fsync_dir(self.jobs_root)
         return record
 
@@ -219,20 +188,14 @@ class JobStore:
             raise ValueError(f"corrupt job spec {path!r}: {exc}") from exc
 
     def load_record(self, job_id: str) -> JobRecord:
-        path = os.path.join(self.job_dir(job_id), STATE_NAME)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return decode(JobRecord, json.load(fh))
-        except FileNotFoundError:
-            raise KeyError(f"no such job: {job_id!r}") from None
-        except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
-            raise ValueError(f"corrupt job record {path!r}: {exc}") from exc
+        """The record on the journal's last complete line."""
+        return self._read(job_id)[0][-1].record
 
     def load_records(self) -> tuple[list[JobRecord], dict[str, str]]:
-        """Every readable job record, and per job id whose ``state.json``
-        cannot be read, the error naming that file.
+        """Every readable job record, and per job id whose journal
+        holds a damaged line, the error naming the file and line.
 
-        A job directory without a ``state.json`` is still being
+        A job directory without a complete journal line is still being
         submitted and appears in neither.
         """
         records, unreadable = [], {}
@@ -255,25 +218,16 @@ class JobStore:
         info: dict | None = None,
         **fields,
     ) -> JobRecord:
-        """Validate, journal, and persist one state transition.
-
-        The journal line is appended (and fsynced) *before* the state
-        file is replaced, so a crash between the two leaves a journal
-        whose last entry is ahead of ``state.json`` by exactly one
-        transition — recovery reads ``state.json`` (the conservative
-        view) and the job merely repeats a step it already logged.
-        """
+        """Validate one state transition and journal the new record."""
         t = now if now is not None else time.time()
-        record = self.load_record(job_id)
+        entries, intact = self._read(job_id)
+        record = entries[-1].record
         updated = record.transitioned(target, t, **fields)
-        job_dir = self.job_dir(job_id)
-        self._append_journal(
-            job_dir,
-            JournalEntry(
-                t, record.state, target, updated.attempt, dict(info or {})
-            ),
+        self._append(
+            self.job_dir(job_id),
+            JournalEntry(record.state, updated, dict(info or {})),
+            intact,
         )
-        self._write_record(job_dir, updated)
         return updated
 
     def retry_or_fail(
@@ -312,28 +266,8 @@ class JobStore:
         return False
 
     def journal(self, job_id: str) -> list[JournalEntry]:
-        """Every intact journal entry, oldest first.
-
-        A torn final line (crash mid-append) is ignored; truncation is
-        detectable because every intact line parses as one JSON object.
-        """
-        path = os.path.join(self.job_dir(job_id), JOURNAL_NAME)
-        entries: list[JournalEntry] = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                entries.append(JournalEntry.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # Torn tail of a crashed append: everything before it
-                # is intact, nothing after it exists.
-                break
-        return entries
+        """Every journal entry, oldest first."""
+        return self._read(job_id)[0]
 
     # -- cancellation ----------------------------------------------------
 
@@ -384,15 +318,42 @@ class JobStore:
 
     # -- internals -------------------------------------------------------
 
-    def _write_record(self, job_dir: str, record: JobRecord) -> None:
-        atomic_write_text(
-            os.path.join(job_dir, STATE_NAME),
-            json.dumps(encode(record), indent=2, sort_keys=True) + "\n",
-        )
+    def _read(self, job_id: str) -> tuple[list[JournalEntry], int]:
+        """The entries on the journal's complete lines, and their length
+        in bytes; :class:`KeyError` if there are none.
 
-    def _append_journal(self, job_dir: str, entry: JournalEntry) -> None:
-        path = os.path.join(job_dir, JOURNAL_NAME)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(entry.to_json() + "\n")
+        The bytes after the last newline are a torn append and are
+        ignored; a complete line that does not decode is a
+        :class:`ValueError` naming the file and the 1-based line.
+        """
+        path = os.path.join(self.job_dir(job_id), JOURNAL_NAME)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        intact = data.rfind(b"\n") + 1
+        if not intact:  # no job, or its submit has not finished
+            raise KeyError(f"no such job: {job_id!r}")
+        entries = []
+        for number, line in enumerate(data[:intact].split(b"\n")[:-1], 1):
+            try:
+                entries.append(decode(JournalEntry, json.loads(line.decode("utf-8"))))
+            except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
+                raise ValueError(f"corrupt job record {path!r} line {number}: {exc}") from exc
+        return entries, intact
+
+    def _append(self, job_dir: str, entry: JournalEntry, intact: int) -> None:
+        """One ``write`` and one ``fsync`` of ``entry``'s line, after
+        cutting off the torn tail of a crashed append, which would glue
+        onto the new line.  ``intact`` bytes are known to end in a
+        newline; only bytes after the file's last newline are cut."""
+        line = json.dumps(encode(entry), sort_keys=True) + "\n"
+        with open(os.path.join(job_dir, JOURNAL_NAME), "a+b") as fh:
+            fh.seek(intact)
+            cut = intact + fh.read().rfind(b"\n") + 1
+            if fh.tell() > cut:
+                fh.truncate(cut)
+            fh.write(line.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())

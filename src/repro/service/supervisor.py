@@ -25,9 +25,10 @@ other) redoes idempotently:
    drains — the serial fallback under pressure — rather than starved.
    A queued job whose spec cannot be read is failed, not admitted.
 
-Every phase sees only the jobs whose ``state.json`` it can read: a job
-with a torn or mistyped record is skipped (one ``warning:`` line names
-the file) and the others are still served.
+Every phase sees only the jobs whose journal it can read: a job with a
+damaged or mistyped journal line is skipped (one ``warning:`` line
+names the file and line) and the others are still served; a torn final
+line is a crashed append, read as the end of the journal.
 
 Admission spawns ``python -m repro.service.worker`` with the freshly
 claimed lease token; the worker adopts the lease and heartbeats it.
@@ -99,7 +100,7 @@ class Supervisor:
         self.lease_ttl = float(lease_ttl)
         self.poll_interval = float(poll_interval)
         self.workers: dict[str, WorkerHandle] = {}
-        #: jobs whose unreadable ``state.json`` has been warned about.
+        #: jobs whose unreadable journal has been warned about.
         self.unreadable: set[str] = set()
 
     # -- one scheduling pass ---------------------------------------------
@@ -242,8 +243,8 @@ class Supervisor:
     # -- helpers ---------------------------------------------------------
 
     def _records(self) -> list[JobRecord]:
-        """The readable job records.  A job whose ``state.json`` cannot
-        be read cannot be transitioned either: it is skipped, with one
+        """The readable job records.  A job whose journal cannot be
+        read cannot be transitioned either: it is skipped, with one
         warning naming the file."""
         records, unreadable = self.store.load_records()
         for job_id, error in unreadable.items():

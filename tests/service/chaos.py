@@ -154,7 +154,7 @@ def _worker_pid_after_checkpoints(
         done = sum(
             1
             for e in store.journal(job_id)
-            if e.state_to == "checkpointing"
+            if e.record.state == "checkpointing"
         )
         return lease.pid if done >= n_checkpoints else None
 
@@ -177,7 +177,7 @@ def _collect(store: JobStore, job_id: str, scenario: str, **extra):
         {
             e.info.get("owner")
             for e in entries
-            if e.state_to == "leased" and e.info.get("owner")
+            if e.record.state == "leased" and e.info.get("owner")
         }
     )
     return ScenarioResult(

@@ -1,5 +1,7 @@
 """CLI surface tests: submit / jobs / serve / cancel round trips."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -43,8 +45,9 @@ class TestSubmitJobsServe:
 
         rc = main(["jobs", store, "--journal", job_id])
         assert rc == 0
-        journal = capsys.readouterr().out
-        assert "queued" in journal and "done" in journal
+        journal = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"\d\d:\d\d:\d\d +submitted -> queued +attempt 1 *", journal[0])
+        assert re.match(r"\d\d:\d\d:\d\d +[a-z]+ -> done +attempt 1 ", journal[-1])
 
     def test_submit_requires_exactly_one_input(self, tmp_path, capsys):
         rc = main(["submit", str(tmp_path / "s")])
@@ -140,13 +143,13 @@ class TestSubmitJobsServe:
         failed = jobs.load_record(a)
         assert failed.state == "failed" and spec_path in failed.error
         last = jobs.journal(a)[-1]
-        assert (last.state_from, last.state_to) == ("queued", "failed")
+        assert (last.prior, last.record.state) == ("queued", "failed")
 
     def test_unreadable_record_skips_that_job_and_is_named(self, tmp_path, reads_path, capsys):
         import os
 
         from repro.service import JobStore
-        from repro.service.jobstore import STATE_NAME
+        from repro.service.jobstore import JOURNAL_NAME
 
         store = str(tmp_path / "jobs.store")
         ids = []
@@ -155,19 +158,23 @@ class TestSubmitJobsServe:
             assert main(argv) == 0
             ids.append(capsys.readouterr().out.split()[1])
         a, b = ids
-        state_path = os.path.join(JobStore(store).job_dir(b), STATE_NAME)
-        with open(state_path, "w") as fh:
-            fh.write("{")
+        journal_path = os.path.join(JobStore(store).job_dir(b), JOURNAL_NAME)
+        with open(journal_path, "rb") as fh:
+            journal = fh.read()
+        with open(journal_path, "wb") as fh:
+            fh.write(b"{\n" + journal)  # an undecodable line before the first
         rc = main(["serve", store, "--drain", "--poll-interval", "0.02",
                    "--lease-ttl", "5", "--max-seconds", "60"])
         assert rc == 0
         err = capsys.readouterr().err
-        assert err.count("warning:") == 1 and state_path in err
+        assert err.count("warning:") == 1 and journal_path in err
         assert JobStore(store).load_record(a).state == "done"
         assert main(["jobs", store]) == 1
         out, err = capsys.readouterr()
         assert a in out and b not in out
-        assert err.startswith("error: corrupt job record") and state_path in err
+        assert err.startswith(f"error: corrupt job record {journal_path!r} line 1:")
+        assert main(["jobs", store, "--journal", b]) == 1
+        assert capsys.readouterr().err.startswith(f"error: corrupt job record {journal_path!r}")
 
     def test_jobs_on_missing_store_errors(self, tmp_path, capsys):
         rc = main(["jobs", str(tmp_path / "nope")])

@@ -1,10 +1,12 @@
 """Loader fuzzing: a damaged job file loads or is refused naming the file.
 
 Every truncation and single-bit flip of a job's ``spec.json`` or
-``state.json`` makes ``JobStore.load_spec`` / ``load_record`` either
+``journal.jsonl`` makes ``JobStore.load_spec`` / ``load_record`` either
 return a job or raise a ``ValueError`` whose message holds the file's
 path — never a bare ``TypeError``/``UnicodeDecodeError``, and never a
-job whose fields have the wrong type (``assert_typed``).
+job whose fields have the wrong type (``assert_typed``).  A journal
+cut short before its first newline holds no complete line: that is a
+submit still in progress, and ``load_record`` raises ``KeyError``.
 """
 
 import json
@@ -18,7 +20,7 @@ from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.io.codec import decode
 from repro.service import JobSpec, JobStore
-from repro.service.jobstore import SPEC_NAME, STATE_NAME
+from repro.service.jobstore import JOURNAL_NAME, SPEC_NAME
 
 from tests.fuzz import assert_typed, damaged
 
@@ -34,10 +36,13 @@ def job(tmp_path_factory):
         ),
         deadline=60.0,
     )
-    return store, store.submit(spec, now=1.0).job_id
+    job_id = store.submit(spec, now=1.0).job_id
+    store.transition(job_id, "leased", now=2.0, info={"owner": "fz"})
+    store.transition(job_id, "running", now=3.0, stage="enrich")
+    return store, job_id
 
 
-LOADERS = {SPEC_NAME: "load_spec", STATE_NAME: "load_record"}
+LOADERS = {SPEC_NAME: "load_spec", JOURNAL_NAME: "load_record"}
 
 
 def load_damaged(store, job_id, name, blob):
@@ -65,6 +70,8 @@ def test_damaged_job_file_loads_or_names_the_file(job, name, data):
         loaded = load_damaged(store, job_id, name, blob)
     except ValueError as exc:
         assert path in str(exc)
+    except KeyError:
+        assert name == JOURNAL_NAME and b"\n" not in blob
     else:
         assert_typed(loaded)
 
@@ -115,9 +122,13 @@ def test_malformed_spec_is_refused_naming_the_file(job, blob):
 )
 def test_malformed_record_is_refused_naming_the_file(job, blob):
     store, job_id = job
+    path = os.path.join(store.job_dir(job_id), JOURNAL_NAME)
+    with open(path, "rb") as fh:
+        journal = fh.read()
+    line = b'{"info": {}, "prior": "running", "record": ' + blob + b"}\n"
     with pytest.raises(ValueError) as info:
-        load_damaged(store, job_id, STATE_NAME, blob)
-    assert os.path.join(store.job_dir(job_id), STATE_NAME) in str(info.value)
+        load_damaged(store, job_id, JOURNAL_NAME, journal + line)
+    assert f"{path!r} line 4:" in str(info.value)
 
 
 def test_pristine_files_still_load(job):

@@ -2,12 +2,13 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.service import JobSpec, JobStore
 from repro.service import lease as lease_mod
-from repro.service.jobstore import JOURNAL_NAME, SPEC_NAME, STATE_NAME
+from repro.service.jobstore import JOURNAL_NAME, MARKER_NAME, SPEC_NAME
 
 
 def spec(**kw):
@@ -44,6 +45,21 @@ class TestMarker:
         with pytest.raises(ValueError, match="corrupt"):
             JobStore(store.root)
 
+    @pytest.mark.parametrize("version", [1.7, "x", 1], ids=["float", "string", "v1"])
+    def test_marker_version_is_decoded_and_named(self, store, version):
+        marker = os.path.join(store.root, MARKER_NAME)
+        with open(marker, "w") as fh:
+            json.dump({"format": "repro.jobstore", "version": version}, fh)
+        with pytest.raises(ValueError) as info:
+            JobStore(store.root)
+        message = str(info.value)
+        assert marker in message and "\n" not in message
+        if version == 1:
+            assert "unsupported job store version 1" in message
+            assert "resubmit" in message
+        else:
+            assert "'version' must be an integer" in message
+
 
 class TestSubmit:
     def test_submit_creates_queued_job(self, store):
@@ -57,9 +73,7 @@ class TestSubmit:
     def test_submit_journals_the_birth(self, store):
         record = store.submit(spec(), now=10.0)
         entries = store.journal(record.job_id)
-        assert [(e.state_from, e.state_to) for e in entries] == [
-            ("submitted", "queued")
-        ]
+        assert [(e.prior, e.record) for e in entries] == [("submitted", record)]
 
     def test_ids_are_unique(self, store):
         ids = {store.submit(spec()).job_id for _ in range(20)}
@@ -82,14 +96,16 @@ class TestTransitions:
         assert loaded.state == "running"
         assert loaded.updated == 3.0
         entries = store.journal(record.job_id)
-        assert [e.state_to for e in entries] == ["queued", "leased", "running"]
+        assert [e.record.state for e in entries] == ["queued", "leased", "running"]
+        assert [e.prior for e in entries] == ["submitted", "queued", "leased"]
         assert entries[1].info == {"owner": "s"}
+        assert entries[-1].record == loaded
 
     def test_illegal_transition_not_journaled(self, store):
         record = store.submit(spec())
         with pytest.raises(ValueError):
             store.transition(record.job_id, "done")
-        assert [e.state_to for e in store.journal(record.job_id)] == ["queued"]
+        assert [e.record.state for e in store.journal(record.job_id)] == ["queued"]
         assert store.load_record(record.job_id).state == "queued"
 
     def test_retry_or_fail_fails_a_job_whose_spec_cannot_be_read(self, store):
@@ -107,19 +123,61 @@ class TestTransitions:
         store.transition(record.job_id, "leased")
         path = os.path.join(store.job_dir(record.job_id), JOURNAL_NAME)
         with open(path, "a") as fh:
-            fh.write('{"ts": 99, "from": "leased", "to": "runn')  # torn
+            fh.write('{"prior": "leased", "record": {"job_id": "x", "state": "runn')  # torn
         entries = store.journal(record.job_id)
-        assert [e.state_to for e in entries] == ["queued", "leased"]
+        assert [e.record.state for e in entries] == ["queued", "leased"]
+        assert store.load_record(record.job_id).state == "leased"
 
-    def test_torn_state_json_never_happens_on_crash(self, store):
-        # The state file is replaced atomically; a reader can never see
-        # a partial write.  Simulate the tmp file surviving a crash:
-        # the store still reads the previous committed record.
+    def test_append_after_a_torn_tail_cuts_it_off(self, store):
         record = store.submit(spec())
-        state = os.path.join(store.job_dir(record.job_id), STATE_NAME)
-        with open(state + ".tmp.999.0", "w") as fh:
-            fh.write('{"job_id": "half')
-        assert store.load_record(record.job_id).state == "queued"
+        store.transition(record.job_id, "leased")
+        path = os.path.join(store.job_dir(record.job_id), JOURNAL_NAME)
+        with open(path, "a") as fh:
+            fh.write('{"ts": 9, "fro')  # a crashed append
+        store.transition(record.job_id, "running")
+        store.transition(record.job_id, "done")
+        assert store.load_record(record.job_id).state == "done"
+        states = [e.record.state for e in store.journal(record.job_id)]
+        assert states == ["queued", "leased", "running", "done"]
+        with open(path, "rb") as fh:
+            assert b"fro" not in fh.read()
+
+    def test_append_keeps_a_line_written_since_the_read(self, store):
+        # Only a torn tail is cut: a complete line another process
+        # appended after this one read the journal stays.
+        record = store.submit(spec())
+        entries, intact = store._read(record.job_id)
+        store.transition(record.job_id, "leased")
+        store._append(store.job_dir(record.job_id), entries[0], intact)
+        states = [e.record.state for e in store.journal(record.job_id)]
+        assert states == ["queued", "leased", "queued"]
+
+    def test_damaged_middle_line_is_named_by_file_and_line(self, store):
+        record = store.submit(spec())
+        for target in ("leased", "running", "done"):
+            store.transition(record.job_id, target)
+        path = os.path.join(store.job_dir(record.job_id), JOURNAL_NAME)
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[1] = lines[1][:-3]  # three bytes cut off line 2 of 4
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        for read in (store.load_record, store.journal):
+            with pytest.raises(ValueError, match=f"{re.escape(repr(path))} line 2:"):
+                read(record.job_id)
+        records, unreadable = store.load_records()
+        assert records == [] and list(unreadable) == [record.job_id]
+
+    def test_no_complete_line_is_a_submit_in_progress(self, store):
+        record = store.submit(spec())
+        path = os.path.join(store.job_dir(record.job_id), JOURNAL_NAME)
+        with open(path, "rb") as fh:
+            line = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(line[:-1])  # the first append, torn
+        with pytest.raises(KeyError):
+            store.load_record(record.job_id)
+        assert store.load_records() == ([], {})
 
 
 class TestCancel:

@@ -51,7 +51,7 @@ class TestWorkerKill:
         root, res = killed
         store = JobStore(root)
         entries = store.journal(res.job_id)
-        tos = [e.state_to for e in entries]
+        tos = [e.record.state for e in entries]
         # attempt 1 started and checkpointed at least once
         assert tos.count("leased") == 2
         assert "checkpointing" in tos
@@ -60,7 +60,7 @@ class TestWorkerKill:
         requeues = [
             e
             for e in entries
-            if e.state_to == "queued" and e.state_from != "submitted"
+            if e.record.state == "queued" and e.prior != "submitted"
         ]
         assert len(requeues) == 1
         assert requeues[0].info.get("requeue") == "stale lease"
@@ -76,17 +76,17 @@ class TestWorkerKill:
         requeue_at = next(
             i
             for i, e in enumerate(entries)
-            if e.state_to == "queued" and e.state_from != "submitted"
+            if e.record.state == "queued" and e.prior != "submitted"
         )
         stages_before = {
             e.info.get("stage")
             for e in entries[:requeue_at]
-            if e.state_to == "checkpointing"
+            if e.record.state == "checkpointing"
         }
         stages_after = {
             e.info.get("stage")
             for e in entries[requeue_at:]
-            if e.state_to == "checkpointing"
+            if e.record.state == "checkpointing"
         }
         # checkpointed-and-durable stages do not run (or journal) again
         assert not (stages_before & stages_after)
@@ -141,8 +141,8 @@ class TestTakeoverRace:
         # per attempt, at most one supervisor ever leased the job
         leases_by_attempt = {}
         for e in entries:
-            if e.state_to == "leased":
-                leases_by_attempt.setdefault(e.attempt, []).append(
+            if e.record.state == "leased":
+                leases_by_attempt.setdefault(e.record.attempt, []).append(
                     e.info.get("owner")
                 )
         for attempt, owners in leases_by_attempt.items():

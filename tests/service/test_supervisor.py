@@ -15,7 +15,7 @@ from repro.core.config import AssemblyConfig
 from repro.faults import RetryPolicy
 from repro.service import JobSpec, JobStore, Supervisor
 from repro.service import lease as lease_mod
-from repro.service.jobstore import STATE_NAME
+from repro.service.jobstore import JOURNAL_NAME
 from repro.service.supervisor import WorkerHandle
 
 MB = 1 << 20
@@ -183,34 +183,49 @@ class TestRecoveryPass:
 
 
 class TestUnreadableRecords:
-    def test_torn_and_mistyped_records_are_skipped_with_one_warning(self, store, capsys):
-        torn = store.submit(spec(priority=2), now=1.0)
-        mistyped = store.submit(spec(priority=1), now=2.0)
-        healthy = store.submit(spec(), now=3.0)
+    def test_damaged_and_mistyped_journals_are_skipped(self, store, capsys):
+        damaged = store.submit(spec(priority=3), now=1.0)
+        mistyped = store.submit(spec(priority=2), now=2.0)
+        torn = store.submit(spec(priority=1), now=3.0)
+        healthy = store.submit(spec(), now=4.0)
         paths = {
-            j.job_id: os.path.join(store.job_dir(j.job_id), STATE_NAME) for j in (torn, mistyped)
+            j.job_id: os.path.join(store.job_dir(j.job_id), JOURNAL_NAME)
+            for j in (damaged, mistyped, torn)
         }
-        with open(paths[torn.job_id], "w") as fh:
-            fh.write("{")
+        # A requeued job whose middle line lost its last bytes.
+        store.transition(damaged.job_id, "leased", now=5.0)
+        store.transition(damaged.job_id, "queued", now=6.0, attempt=2)
+        with open(paths[damaged.job_id], "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[1] = lines[1][:-1]
+        with open(paths[damaged.job_id], "wb") as fh:
+            fh.write(b"\n".join(lines))
+        # The last complete line well-formed JSON, but mistyped.
         with open(paths[mistyped.job_id]) as fh:
-            data = json.load(fh)
+            entry = json.loads(fh.readline())
+        entry["record"].update(priority="5", not_before="soon")
         with open(paths[mistyped.job_id], "w") as fh:
-            json.dump({**data, "priority": "5", "not_before": "soon"}, fh)
-        # A submit still in progress: the job directory, no state.json.
+            fh.write(json.dumps(entry) + "\n")
+        # A crashed append: the job is as its last complete line says.
+        with open(paths[torn.job_id], "a") as fh:
+            fh.write('{"prior": "queued", "record": {"job_id"')
+        # A submit still in progress: the job directory, no journal.
         os.makedirs(store.job_dir("half-submitted"))
         sup = Supervisor(store, max_workers=4, poll_interval=0.01)
         spawned = stub_spawner(sup)
         sup.poll_once(now=10.0)
         sup.poll_once(now=11.0)
-        assert spawned == [healthy.job_id]
+        assert spawned == [torn.job_id, healthy.job_id]
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 2
-        for job_id, path in paths.items():
-            (line,) = [w for w in warnings if path in w]
+        for job_id, line_no in ((damaged.job_id, 2), (mistyped.job_id, 1)):
+            (line,) = [w for w in warnings if paths[job_id] in w]
             assert line.startswith(f"warning: skipping job {job_id}: corrupt job record")
+            assert f"{paths[job_id]!r} line {line_no}:" in line
         # --drain still ends once every readable job is terminal.
-        store.transition(healthy.job_id, "running", now=12.0)
-        store.transition(healthy.job_id, "done", now=13.0)
+        for job in (torn, healthy):
+            store.transition(job.job_id, "running", now=12.0)
+            store.transition(job.job_id, "done", now=13.0)
         sup.workers.clear()
         assert sup.run(drain=True, max_seconds=30.0) == 1
         assert capsys.readouterr().err == ""

@@ -38,7 +38,7 @@ class TestFailureEscalation:
         assert "FileNotFoundError" in loaded.error
         # both attempts journaled: two leases, one worker requeue, one fail
         entries = store.journal(record.job_id)
-        tos = [e.state_to for e in entries]
+        tos = [e.record.state for e in entries]
         assert tos.count("leased") == 2
         assert tos[-1] == "failed"
         requeues = [e for e in entries if e.info.get("requeue")]
@@ -100,7 +100,7 @@ class TestDoneIsDurable:
     ):
         # Power loss after `done` must not find an empty contig file:
         # contigs fsynced, renamed, the rename fsynced — then the
-        # result, then the journal line, then the state file.
+        # result, then the one journal line that records `done`.
         store = JobStore(str(tmp_path / "store"), create=True)
         job_id = store.submit(JobSpec(reads_path=reads_path)).job_id
         store.transition(job_id, "leased")
@@ -119,7 +119,6 @@ class TestDoneIsDurable:
             *durable("contigs.fasta"),
             *durable("result.json"),
             ("fsync", "journal.jsonl"),
-            *durable("state.json"),
         ]
         assert store.load_record(job_id).state == "done"
         with open(store.contigs_path(job_id)) as fh:
