@@ -6,9 +6,10 @@ Within a pair, the reference subset is k-mer indexed, shared k-mers
 name (query read, reference read, diagonal) triples, every triple's
 diagonal is laid out once and compared base by base — which yields its
 k-mer *votes* and its identity together — and the best-voted diagonal
-of a read pair becomes an overlap when it is long and similar enough
-(ungapped identity, exact for the substitution-only error model, or
-banded Needleman–Wunsch per candidate).
+of a read pair becomes an overlap when it is long and similar enough.
+Its identity is the ungapped one — the share of equal bases on the
+diagonal — which is exact for the simulator's substitution-only error
+model.
 
 The votes are counted on the diagonal, not in a hit list.  The index
 hands out *seeds*: only the left-maximal hits, one per maximal exact
@@ -49,9 +50,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex
-from repro.align.overlap import Overlap, PackedOverlaps
+from repro.align.overlap import PackedOverlaps
 from repro.distributed.stages import register_stage
 from repro.faults import FaultPlan, RetryPolicy
 from repro.io.readset import ReadSet, ragged_positions
@@ -118,8 +118,6 @@ class OverlapConfig:
     min_kmer_hits: int = 3
     min_overlap: int = 50
     min_identity: float = 0.90
-    method: str = "ungapped"  # "ungapped" | "banded_nw"
-    band: int = 5
     #: work units of the ``overlap`` stage: the reads are split into
     #: this many subsets and every subset pair is one unit.  Not a
     #: memory knob — a unit's memory is bounded by the stripe budget.
@@ -134,8 +132,6 @@ class OverlapConfig:
             raise ValueError("min_overlap must be positive")
         if not 0.0 <= self.min_identity <= 1.0:
             raise ValueError("min_identity must be in [0, 1]")
-        if self.method not in ("ungapped", "banded_nw"):
-            raise ValueError(f"unknown verification method {self.method!r}")
         if self.n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
 
@@ -146,7 +142,7 @@ class OverlapDetector:
     def __init__(self, config: OverlapConfig | None = None) -> None:
         self.config = config or OverlapConfig()
         #: candidates sent to verification by the most recent
-        #: ``find_overlaps*`` call.
+        #: :meth:`find_overlaps` call.
         self.last_candidates = 0
 
     # -- one work unit ----------------------------------------------------
@@ -272,33 +268,6 @@ class OverlapDetector:
             b = e
         return votes, matches
 
-    def _banded_identity(
-        self,
-        reads: ReadSet,
-        cand_q: np.ndarray,
-        cand_r: np.ndarray,
-        q_start: np.ndarray,
-        r_start: np.ndarray,
-        length: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(identity, aligned length)`` of each span under banded
-        Needleman–Wunsch — per-candidate dynamic programming on one
-        gathered block of the candidates' reads."""
-        codes, starts, _ = reads.gather_reads(np.concatenate([cand_q, cand_r]))
-        abs_q = starts[: cand_q.size] + q_start
-        abs_r = starts[cand_q.size :] + r_start
-        identity = np.empty(length.size, dtype=np.float64)
-        aln_length = np.empty(length.size, dtype=np.int64)
-        for c, (lo_q, lo_r, ln) in enumerate(  # noqa: PERF002 - one DP per candidate
-            zip(abs_q.tolist(), abs_r.tolist(), length.tolist())
-        ):
-            result = banded_align(
-                codes[lo_q : lo_q + ln], codes[lo_r : lo_r + ln], band=self.config.band
-            )
-            identity[c] = result.identity
-            aln_length[c] = result.length
-        return identity, aln_length
-
     def _stripe_overlaps(
         self,
         reads: ReadSet,
@@ -309,8 +278,9 @@ class OverlapDetector:
     ) -> tuple[PackedOverlaps, int]:
         """(overlaps, candidates) of one stripe's ``_stripe_triples``.
 
-        Every triple's span (:func:`~repro.align.overlap.overlap_span`
-        semantics) is voted on and measured by one
+        Every triple's span — from ``max(d, 0)`` on the query and
+        ``max(-d, 0)`` on the reference, to the end of the shorter
+        remainder — is voted on and measured by one
         :meth:`_diagonal_votes` pass; a triple needs ``min_kmer_hits``
         votes, only the best-supported diagonal per read pair survives
         (ties resolved toward the larger diagonal) — those are the
@@ -338,28 +308,20 @@ class OverlapDetector:
         n_candidates = int(keep.size)
 
         keep = keep[length[keep] >= cfg.min_overlap]
-        if cfg.method == "ungapped":
-            identity = matches[keep] / length[keep]
-            accepted = identity >= cfg.min_identity
-        else:
-            identity, aln_length = self._banded_identity(
-                reads, cand_q[keep], cand_r[keep], q_start[keep], r_start[keep], length[keep]
-            )
-            accepted = (identity >= cfg.min_identity) & (aln_length >= cfg.min_overlap)
+        identity = matches[keep] / length[keep]
+        accepted = identity >= cfg.min_identity
         keep, identity = keep[accepted], identity[accepted]
         cand_q, cand_r, length = cand_q[keep], cand_r[keep], length[keep]
         q_start, r_start = q_start[keep], r_start[keep]
 
-        # Vectorized overlap classification (classify_overlap semantics;
-        # KIND_CODES order: EQUAL, QUERY_CONTAINED, REF_CONTAINED,
-        # QUERY_LEFT, QUERY_RIGHT).
+        # The kind, as an index into KIND_NAMES; a later rule wins.
         q_full = (q_start == 0) & (length == len_q[keep])
         r_full = (r_start == 0) & (length == len_r[keep])
-        kind_code = np.full(length.size, 4, dtype=np.uint8)  # QUERY_RIGHT
-        kind_code[q_start > 0] = 3  # QUERY_LEFT
-        kind_code[r_full] = 2  # REF_CONTAINED
-        kind_code[q_full] = 1  # QUERY_CONTAINED
-        kind_code[q_full & r_full] = 0  # EQUAL
+        kind_code = np.full(length.size, 4, dtype=np.uint8)  # query_right
+        kind_code[q_start > 0] = 3  # query_left
+        kind_code[r_full] = 2  # ref_contained
+        kind_code[q_full] = 1  # query_contained
+        kind_code[q_full & r_full] = 0  # equal
         packed = PackedOverlaps(
             query=cand_q,
             ref=cand_r,
@@ -382,10 +344,9 @@ class OverlapDetector:
     ) -> tuple[PackedOverlaps, int]:
         """One work unit in columnar form: (packed overlaps, candidates).
 
-        This is the stage's wire format — seven flat arrays instead
-        of thousands of :class:`Overlap` objects.  ``index`` optionally
-        supplies a prebuilt reference-subset index so a kernel that
-        touches one subset in several work units builds it only once.
+        ``index`` optionally supplies a prebuilt reference-subset index
+        so a kernel that touches one subset in several work units builds
+        it only once.
         ``max_hits`` is the stripe budget in seed rows (tests force it
         small; the result does not depend on it).
         """
@@ -423,7 +384,7 @@ class OverlapDetector:
 
     # -- public API ---------------------------------------------------------
 
-    def find_overlaps_packed(self, reads: ReadSet, n_workers: int = 1) -> PackedOverlaps:
+    def find_overlaps(self, reads: ReadSet, n_workers: int = 1) -> PackedOverlaps:
         """All pairwise overlaps of a ReadSet, as columns.
 
         The ``overlap`` stage on the in-process loop, or —
@@ -435,18 +396,8 @@ class OverlapDetector:
             packed, self.last_candidates = backend.run_stage("overlap").result
         return packed
 
-    def find_overlaps(self, reads: ReadSet) -> list[Overlap]:
-        """All pairwise overlaps of a ReadSet (serial over subset pairs)."""
-        return self.find_overlaps_packed(reads).to_overlaps()
-
-    def find_overlaps_processes(
-        self, reads: ReadSet, n_workers: int
-    ) -> list[Overlap]:
-        """All pairwise overlaps using real OS processes (paper §II-B).
-
-        Result-identical (including list order) to :meth:`find_overlaps`.
-        """
-        return self.find_overlaps_packed(reads, n_workers).to_overlaps()
+    # Kept only for the benchmark's frozen replay; ROADMAP 13b deletes it.
+    find_overlaps_processes = find_overlaps
 
 
 class OverlapSubject:

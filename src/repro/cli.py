@@ -508,6 +508,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
+    from repro.align.overlap import KIND_NAMES
     from repro.align.overlapper import OverlapConfig, OverlapDetector
 
     reads = load_reads(args.reads)
@@ -520,16 +521,17 @@ def _cmd_overlap(args) -> int:
         n_subsets=args.subsets,
     )
     t0 = time.perf_counter()
-    overlaps = OverlapDetector(config).find_overlaps_packed(reads, args.workers).to_overlaps()
+    overlaps = OverlapDetector(config).find_overlaps(reads, args.workers)
     wall = time.perf_counter() - t0
 
     def write_rows(fh) -> None:
         fh.write("query\tref\tq_start\tr_start\tlength\tidentity\tkind\n")
-        for o in overlaps:
-            fh.write(
-                f"{o.query}\t{o.ref}\t{o.q_start}\t{o.r_start}\t"
-                f"{o.length}\t{o.identity:.6f}\t{o.kind.value}\n"
-            )
+        columns = (
+            overlaps.query, overlaps.ref, overlaps.q_start, overlaps.r_start,
+            overlaps.length, overlaps.identity, overlaps.kind_code,
+        )
+        for q, r, qs, rs, ln, idt, kc in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{q}\t{r}\t{qs}\t{rs}\t{ln}\t{idt:.6f}\t{KIND_NAMES[kc]}\n")
 
     atomic_write(args.output, write_rows, mode="w")
     mode = f"{args.workers} workers" if args.workers > 1 else "serial"

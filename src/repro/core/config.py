@@ -35,9 +35,8 @@ class AssemblyConfig:
     min_read_length: int = 50
     #: add each read's reverse complement (paper §II-A).  Required for
     #: full-coverage assembly of two-stranded data; mirrored contigs
-    #: are deduplicated at the end when ``dedupe_rc`` is set.
+    #: are then deduplicated at the end.
     add_reverse_complements: bool = True
-    dedupe_rc: bool = True
 
     # -- stage configs --
     overlap: OverlapConfig = field(default_factory=OverlapConfig)

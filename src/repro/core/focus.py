@@ -525,7 +525,7 @@ class FocusAssembler:
 
         with timer.stage("contigs"):
             contigs = contigs_from_paths(dag, paths)
-        if cfg.add_reverse_complements and cfg.dedupe_rc:
+        if cfg.add_reverse_complements:
             with timer.stage("dedupe"):
                 contigs = deduplicate_contigs(contigs)
 

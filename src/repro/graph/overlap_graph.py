@@ -14,11 +14,9 @@ cluster layout and contig construction read.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.align.overlap import Overlap, PackedOverlaps
+from repro.align.overlap import PackedOverlaps
 from repro.graph.csr import build_csr
 from repro.sequence.kmers import stable_order
 
@@ -197,25 +195,12 @@ class OverlapGraph(Level):
         self.adj_delta = np.where(self.adj == self.ev[self.adj_edge], d, -d)
 
     @classmethod
-    def from_overlaps(
-        cls, overlaps: Sequence[Overlap] | PackedOverlaps, n_reads: int
-    ) -> "OverlapGraph":
-        """Build G0 from verified overlaps (weight = alignment length).
-
-        A :class:`PackedOverlaps` batch supplies the edge columns as
-        they are; a sequence of :class:`Overlap` is read field by field.
-        """
-        if isinstance(overlaps, PackedOverlaps):
-            return cls(
-                n_reads,
-                overlaps.query,
-                overlaps.ref,
-                overlaps.length,
-                deltas=overlaps.q_start - overlaps.r_start,
-            )
-        m = len(overlaps)
-        eu = np.fromiter((o.query for o in overlaps), dtype=np.int64, count=m)
-        ev = np.fromiter((o.ref for o in overlaps), dtype=np.int64, count=m)
-        w = np.fromiter((o.length for o in overlaps), dtype=np.float64, count=m)
-        d = np.fromiter((o.q_start - o.r_start for o in overlaps), dtype=np.int64, count=m)
-        return cls(n_reads, eu, ev, w, deltas=d)
+    def from_overlaps(cls, overlaps: PackedOverlaps, n_reads: int) -> "OverlapGraph":
+        """Build G0 from verified overlaps (weight = alignment length)."""
+        return cls(
+            n_reads,
+            overlaps.query,
+            overlaps.ref,
+            overlaps.length,
+            deltas=overlaps.q_start - overlaps.r_start,
+        )

@@ -20,7 +20,6 @@ from repro.partition.metrics import (
     edge_cut,
     edge_cut_fraction,
     node_weight_balance,
-    partition_edge_weights,
     partition_node_weights,
 )
 from repro.partition.multilevel import (
@@ -38,7 +37,6 @@ __all__ = [
     "edge_cut",
     "edge_cut_fraction",
     "partition_node_weights",
-    "partition_edge_weights",
     "node_weight_balance",
     "PartitionConfig",
     "TaskRecord",

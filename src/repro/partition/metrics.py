@@ -10,7 +10,6 @@ __all__ = [
     "edge_cut",
     "edge_cut_fraction",
     "partition_node_weights",
-    "partition_edge_weights",
     "node_weight_balance",
     "internal_external_weights",
 ]
@@ -46,16 +45,6 @@ def partition_node_weights(graph: Level, labels: np.ndarray, k: int | None = Non
     k = int(labels.max()) + 1 if k is None else k
     out = np.zeros(k, dtype=np.int64)
     np.add.at(out, labels, graph.node_weights)
-    return out
-
-
-def partition_edge_weights(graph: Level, labels: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Summed weight of *internal* edges per part (paper's ew_partition)."""
-    labels = _check_labels(graph, labels)
-    k = int(labels.max()) + 1 if k is None else k
-    out = np.zeros(k, dtype=np.float64)
-    internal = labels[graph.eu] == labels[graph.ev]
-    np.add.at(out, labels[graph.eu[internal]], graph.weights[internal])
     return out
 
 

@@ -18,7 +18,6 @@ from repro.sequence.dna import (
     encode,
     gc_content,
     hamming_identity,
-    is_valid_codes,
     reverse_complement,
 )
 from repro.sequence.kmers import (
@@ -34,7 +33,6 @@ from repro.sequence.quality import (
     PHRED_OFFSET,
     decode_phred,
     encode_phred,
-    error_probabilities,
     sliding_window_trim_index,
     trim_read,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "reverse_complement",
     "gc_content",
     "hamming_identity",
-    "is_valid_codes",
     "kmer_codes",
     "canonical_kmer_codes",
     "kmer_positions",
@@ -63,7 +60,6 @@ __all__ = [
     "PHRED_OFFSET",
     "encode_phred",
     "decode_phred",
-    "error_probabilities",
     "sliding_window_trim_index",
     "trim_read",
 ]

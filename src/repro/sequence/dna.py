@@ -27,7 +27,6 @@ __all__ = [
     "reverse_complement",
     "gc_content",
     "hamming_identity",
-    "is_valid_codes",
 ]
 
 A, C, G, T, N = 0, 1, 2, 3, 4
@@ -112,12 +111,3 @@ def hamming_identity(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 1.0
     return float(np.count_nonzero(a == b) / a.size)
-
-
-def is_valid_codes(codes: np.ndarray, allow_n: bool = True) -> bool:
-    """True if every element is a legal base code."""
-    codes = np.asarray(codes)
-    if codes.size == 0:
-        return True
-    hi = N if allow_n else T
-    return bool((codes >= 0).all() and (codes <= hi).all())

@@ -17,7 +17,6 @@ __all__ = [
     "PHRED_OFFSET",
     "encode_phred",
     "decode_phred",
-    "error_probabilities",
     "sliding_window_trim_index",
     "trim_read",
     "trim_spans",
@@ -42,11 +41,6 @@ def decode_phred(qstring: str, offset: int = PHRED_OFFSET) -> np.ndarray:
     if quals.size and quals.min() < 0:
         raise ValueError("quality string contains characters below the offset")
     return quals
-
-
-def error_probabilities(quals: np.ndarray) -> np.ndarray:
-    """Per-base error probability 10**(-Q/10)."""
-    return np.power(10.0, -np.asarray(quals, dtype=np.float64) / 10.0)
 
 
 def sliding_window_trim_index(

@@ -89,6 +89,9 @@ class JobStore:
 
     def __init__(self, root: str | Path, create: bool = False) -> None:
         self.root = str(root)
+        #: per journal path, the complete lines last decoded and their
+        #: entries: a read decodes only the lines appended since.
+        self._decoded: dict[str, tuple[bytes, tuple[JournalEntry, ...]]] = {}
         marker = os.path.join(self.root, MARKER_NAME)
         if create:
             os.makedirs(self.jobs_root, exist_ok=True)
@@ -324,7 +327,9 @@ class JobStore:
 
         The bytes after the last newline are a torn append and are
         ignored; a complete line that does not decode is a
-        :class:`ValueError` naming the file and the 1-based line.
+        :class:`ValueError` naming the file and the 1-based line.  Only
+        the lines after the bytes of the previous read are decoded, and
+        every line if those bytes changed.
         """
         path = os.path.join(self.job_dir(job_id), JOURNAL_NAME)
         try:
@@ -335,12 +340,17 @@ class JobStore:
         intact = data.rfind(b"\n") + 1
         if not intact:  # no job, or its submit has not finished
             raise KeyError(f"no such job: {job_id!r}")
-        entries = []
-        for number, line in enumerate(data[:intact].split(b"\n")[:-1], 1):
+        done, cached = self._decoded.get(path, (b"", ()))
+        if not data.startswith(done):
+            done, cached = b"", ()
+        entries = list(cached)
+        lines = data[len(done) : intact].split(b"\n")[:-1]
+        for number, line in enumerate(lines, len(entries) + 1):
             try:
                 entries.append(decode(JournalEntry, json.loads(line.decode("utf-8"))))
             except ValueError as exc:  # bad JSON, bad UTF-8 or bad fields
                 raise ValueError(f"corrupt job record {path!r} line {number}: {exc}") from exc
+        self._decoded[path] = (data[:intact], tuple(entries))
         return entries, intact
 
     def _append(self, job_dir: str, entry: JournalEntry, intact: int) -> None:

@@ -25,7 +25,6 @@ from repro.simulate.taxonomy import (
     GUT_GENERA,
     PHYLUM_OF,
     Taxon,
-    genera_of_phylum,
     phyla,
 )
 
@@ -43,5 +42,4 @@ __all__ = [
     "GUT_GENERA",
     "PHYLUM_OF",
     "phyla",
-    "genera_of_phylum",
 ]

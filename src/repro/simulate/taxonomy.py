@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Taxon", "GUT_GENERA", "PHYLUM_OF", "phyla", "genera_of_phylum"]
+__all__ = ["Taxon", "GUT_GENERA", "PHYLUM_OF", "phyla"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,3 @@ def phyla() -> list[str]:
         if t.phylum not in seen:
             seen.append(t.phylum)
     return seen
-
-
-def genera_of_phylum(phylum: str) -> list[str]:
-    """All genera belonging to ``phylum`` (may be empty)."""
-    return [t.genus for t in GUT_GENERA if t.phylum == phylum]

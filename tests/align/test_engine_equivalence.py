@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import overlapper
-from repro.align.overlap import PackedOverlaps
 from repro.align.overlapper import (
     OverlapConfig,
     OverlapDetector,
@@ -41,8 +40,8 @@ from tests.align.test_overlapper import (
     recorded_votes,
 )
 from tests.reference.overlap_loop import (
+    assert_same_columns,
     find_overlaps_loop,
-    overlap_keys,
     overlap_subset_pair_loop,
 )
 
@@ -108,13 +107,6 @@ def string_matches(reads, triples):
     return counted
 
 
-def assert_same_columns(got: PackedOverlaps, expected: PackedOverlaps, label=""):
-    for column in vars(expected):
-        assert np.array_equal(
-            getattr(got, column), getattr(expected, column)
-        ), (label, column)
-
-
 def run_path(path, config, reads):
     """``(overlap columns, candidates)`` on the named backend — or, for
     the reference index, which no backend builds, from the per-unit
@@ -132,8 +124,7 @@ class TestEngineEquivalence:
     @given(reads=genome_readsets(), n_subsets=st.integers(min_value=1, max_value=3))
     def test_all_paths_identical(self, index, reads, n_subsets):
         base = OverlapConfig(min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets)
-        loop, loop_candidates = find_overlaps_loop(base, reads)
-        expected = PackedOverlaps.from_overlaps(loop)
+        expected, loop_candidates = find_overlaps_loop(base, reads)
         with tempfile.TemporaryDirectory() as tmp:
             sources = [reads]
             if len(reads):
@@ -188,19 +179,9 @@ class TestEngineEquivalence:
                     *work, index=INDEXES[index](reads, config.k, subsets[j]), max_hits=max_hits
                 )
             assert candidates == loop_candidates
-            assert_same_columns(packed, PackedOverlaps.from_overlaps(loop))
+            assert_same_columns(packed, loop)
             assert {t: v for t, (v, _) in seen.items()} == oracle_votes(config, *work)
             assert {t: m for t, (_, m) in seen.items()} == string_matches(reads, seen)
-
-    @settings(max_examples=3, deadline=None)
-    @given(reads=genome_readsets())
-    def test_banded_nw_method_paths_agree(self, index, reads):
-        # Gapped verification runs per candidate in production too; the
-        # batched span selection feeding it must still agree.
-        cfg = OverlapConfig(min_overlap=25, min_kmer_hits=2, method="banded_nw")
-        vectorized, _ = find_overlaps_on(index, cfg, reads)
-        loop, _ = find_overlaps_loop(cfg, reads)
-        assert overlap_keys(vectorized.to_overlaps()) == overlap_keys(loop)
 
 
 @pytest.mark.slow
@@ -218,8 +199,7 @@ def test_d1_sample_both_indexes_equal_the_oracle(n_subsets):
     reads = FocusAssembler(AssemblyConfig()).preprocess(sample)
     assert len(reads) == 1500
     config = OverlapConfig(n_subsets=n_subsets)
-    loop, loop_candidates = find_overlaps_loop(config, reads)
-    expected = PackedOverlaps.from_overlaps(loop)
+    expected, loop_candidates = find_overlaps_loop(config, reads)
     assert len(expected) > 5000
     for index in INDEXES:
         packed, candidates = find_overlaps_on(index, config, reads)

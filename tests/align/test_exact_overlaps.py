@@ -58,7 +58,7 @@ def exact_overlaps(seqs, min_overlap):
 @settings(max_examples=25, deadline=None)
 @given(seqs=error_free_reads())
 def test_emits_exactly_the_exact_overlaps(seqs):
-    packed = OverlapDetector(OverlapConfig(min_overlap=MIN_OVERLAP)).find_overlaps_packed(
+    packed = OverlapDetector(OverlapConfig(min_overlap=MIN_OVERLAP)).find_overlaps(
         ReadSet.from_strings(seqs)
     )
     rows = zip(

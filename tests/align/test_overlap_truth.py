@@ -47,7 +47,7 @@ def test_recall_and_precision_against_the_truth():
     forward = np.concatenate([forward, ~forward]).astype(np.int64)
     reads = reads.with_reverse_complements()
     config = OverlapConfig()
-    found = OverlapDetector(config).find_overlaps_packed(reads)
+    found = OverlapDetector(config).find_overlaps(reads)
     detected = set(
         zip(
             np.minimum(found.query, found.ref).tolist(),

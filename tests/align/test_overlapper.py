@@ -10,13 +10,14 @@ import pytest
 
 from repro.align import overlapper
 from repro.align.kmer_index import KmerIndex
-from repro.align.overlap import OverlapKind, PackedOverlaps
+from repro.align.overlap import KIND_NAMES, PackedOverlaps
 from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 from tests.reference.overlap_loop import (
+    assert_same_columns,
     find_overlaps_loop,
     overlap_keys,
     overlap_subset_pair_loop,
@@ -35,7 +36,7 @@ def find_overlaps_on(index, cfg, reads):
     handed to the kernel unit by unit."""
     detector = OverlapDetector(cfg)
     if index == "kmer":
-        return detector.find_overlaps_packed(reads), detector.last_candidates
+        return detector.find_overlaps(reads), detector.last_candidates
     subsets = reads.split(cfg.n_subsets)
     units = [
         detector.overlap_subset_pair_packed(
@@ -44,6 +45,11 @@ def find_overlaps_on(index, cfg, reads):
         for i, j in subset_pairs(len(subsets))
     ]
     return PackedOverlaps.concatenate([p for p, _ in units]), sum(n for _, n in units)
+
+
+def pairs(overlaps):
+    """The ``(query, ref)`` of every row."""
+    return set(zip(overlaps.query.tolist(), overlaps.ref.tolist()))
 
 
 def tiled_reads(genome_len=600, read_len=100, stride=40, seed=0):
@@ -102,7 +108,6 @@ class TestOverlapConfig:
             dict(min_kmer_hits=0),
             dict(min_overlap=0),
             dict(min_identity=1.2),
-            dict(method="smith_waterman"),
             dict(n_subsets=0),
         ],
     )
@@ -115,8 +120,7 @@ class TestOverlapDetection:
     def test_adjacent_reads_overlap(self):
         reads, _ = tiled_reads()
         det = OverlapDetector(OverlapConfig(min_overlap=50, min_kmer_hits=3))
-        overlaps = det.find_overlaps(reads)
-        found = {(o.query, o.ref) for o in overlaps}
+        found = pairs(det.find_overlaps(reads))
         # stride 40, read 100 -> neighbours overlap by 60, next-neighbours by 20 (<50)
         n = len(reads)
         for i in range(n - 1):
@@ -127,16 +131,17 @@ class TestOverlapDetection:
     def test_overlap_lengths_exact(self):
         reads, _ = tiled_reads()
         det = OverlapDetector(OverlapConfig(min_overlap=50))
-        for ov in det.find_overlaps(reads):
-            assert ov.length == 60
-            assert ov.identity == 1.0
-            assert ov.kind == OverlapKind.QUERY_LEFT  # later reads start further right
+        overlaps = det.find_overlaps(reads)
+        assert len(overlaps) and (overlaps.length == 60).all()
+        assert (overlaps.identity == 1.0).all()
+        # later reads start further right
+        assert (overlaps.kind_code == KIND_NAMES.index("query_left")).all()
 
     def test_no_duplicate_pairs(self):
         reads, _ = tiled_reads()
         det = OverlapDetector(OverlapConfig(min_overlap=50))
         overlaps = det.find_overlaps(reads)
-        keys = [(o.query, o.ref) for o in overlaps]
+        keys = list(zip(overlaps.query.tolist(), overlaps.ref.tolist()))
         assert len(keys) == len(set(keys))
         assert all(q < r for q, r in keys)  # single subset -> ordered pairs
 
@@ -144,7 +149,13 @@ class TestOverlapDetection:
         reads, _ = tiled_reads(genome_len=800)
         base = OverlapDetector(OverlapConfig(min_overlap=50)).find_overlaps(reads)
         split = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=3)).find_overlaps(reads)
-        as_set = lambda ovs: {(min(o.query, o.ref), max(o.query, o.ref), o.length) for o in ovs}
+        as_set = lambda ovs: set(
+            zip(
+                np.minimum(ovs.query, ovs.ref).tolist(),
+                np.maximum(ovs.query, ovs.ref).tolist(),
+                ovs.length.tolist(),
+            )
+        )
         assert as_set(base) == as_set(split)
 
     def test_containment_detected(self):
@@ -153,12 +164,9 @@ class TestOverlapDetection:
         reads2 = ReadSet.from_strings([reads.sequence_of(i) for i in range(len(reads))] + [inner])
         det = OverlapDetector(OverlapConfig(min_overlap=50))
         overlaps = det.find_overlaps(reads2)
-        cont = [o for o in overlaps if OverlapKind.QUERY_CONTAINED in (o.kind,) or o.kind == OverlapKind.REF_CONTAINED]
-        assert any(
-            (o.query == len(reads2) - 1 and o.kind == OverlapKind.REF_CONTAINED)
-            or (o.ref == len(reads2) - 1 and o.kind == OverlapKind.QUERY_CONTAINED)
-            for o in overlaps
-        ) or cont
+        contained = overlaps.kind_code == KIND_NAMES.index("ref_contained")
+        rows = zip(overlaps.query[contained].tolist(), overlaps.ref[contained].tolist())
+        assert (0, len(reads2) - 1) in set(rows)  # the inner read, as the reference
 
     def test_identity_threshold_enforced(self):
         reads, _ = tiled_reads()
@@ -169,14 +177,7 @@ class TestOverlapDetection:
             s1[i] = "A" if s1[i] != "A" else "C"
         noisy = ReadSet.from_strings([seqs[0], "".join(s1)])
         det = OverlapDetector(OverlapConfig(min_overlap=50, min_identity=0.95, min_kmer_hits=1))
-        assert det.find_overlaps(noisy) == []
-
-    def test_banded_nw_method_agrees_on_clean_data(self):
-        reads, _ = tiled_reads(genome_len=400)
-        fast = OverlapDetector(OverlapConfig(min_overlap=50)).find_overlaps(reads)
-        nw = OverlapDetector(OverlapConfig(min_overlap=50, method="banded_nw")).find_overlaps(reads)
-        key = lambda ovs: {(o.query, o.ref) for o in ovs}
-        assert key(fast) == key(nw)
+        assert len(det.find_overlaps(noisy)) == 0
 
     def test_simulated_reads_with_errors(self):
         g = Genome("g", random_genome(3000, np.random.default_rng(1)))
@@ -188,24 +189,60 @@ class TestOverlapDetection:
         assert len(overlaps) > len(reads)
         # Verify detected overlaps against ground-truth positions (same-strand pairs).
         checked = 0
-        for ov in overlaps[:200]:
-            mq, mr = reads.meta[ov.query], reads.meta[ov.ref]
+        rows = zip(
+            overlaps.query[:200].tolist(),
+            overlaps.ref[:200].tolist(),
+            (overlaps.q_start - overlaps.r_start)[:200].tolist(),
+        )
+        for query, ref, diagonal in rows:
+            mq, mr = reads.meta[query], reads.meta[ref]
             if mq["strand"] == "+" and mr["strand"] == "+":
-                true_diag = mr["position"] - mq["position"]
-                assert ov.q_start - ov.r_start == true_diag
+                assert diagonal == mr["position"] - mq["position"]
                 checked += 1
         assert checked > 0
 
     def test_empty_readset(self):
         det = OverlapDetector()
-        assert det.find_overlaps(ReadSet.from_strings([])) == []
+        assert len(det.find_overlaps(ReadSet.from_strings([]))) == 0
 
     def test_no_overlap_between_unrelated(self):
         rng = np.random.default_rng
         a = decode(random_genome(100, rng(1)))
         b = decode(random_genome(100, rng(2)))
         det = OverlapDetector(OverlapConfig(min_overlap=50))
-        assert det.find_overlaps(ReadSet.from_strings([a, b])) == []
+        assert len(det.find_overlaps(ReadSet.from_strings([a, b]))) == 0
+
+
+class TestOneOutput:
+    """``find_overlaps`` returns the columns ``prepare()`` builds G0 from."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_prepare_builds_g0_from_the_same_columns(self, monkeypatch, workers):
+        from repro.core.config import AssemblyConfig
+        from repro.core.focus import FocusAssembler
+        from repro.graph.overlap_graph import OverlapGraph
+
+        g = Genome("g", random_genome(2000, np.random.default_rng(5)))
+        reads = ReadSimulator(ReadSimConfig(read_length=100, coverage=6, seed=5)).simulate_genome(g)
+        config = AssemblyConfig(overlap=OverlapConfig(n_subsets=3), overlap_workers=workers)
+        passed = []
+        real = OverlapGraph.from_overlaps
+        monkeypatch.setattr(
+            OverlapGraph,
+            "from_overlaps",
+            classmethod(lambda cls, overlaps, n: passed.append(overlaps) or real(overlaps, n)),
+        )
+        assembler = FocusAssembler(config)
+        assembler.prepare(reads)
+        rs = assembler.preprocess(reads)
+        detector = OverlapDetector(config.overlap)
+        if workers:
+            found = detector.find_overlaps_processes(rs, workers)
+        else:
+            found = detector.find_overlaps(rs)
+        assert isinstance(found, PackedOverlaps) and len(found) > len(rs)
+        assert len(passed) == 1
+        assert_same_columns(found, passed[0])
 
 
 class TestStripedLoopEdgeCases:
@@ -218,7 +255,7 @@ class TestStripedLoopEdgeCases:
         detector = OverlapDetector(cfg)
         found = detector.find_overlaps(reads)
         expect, n_candidates = find_overlaps_loop(cfg, reads)
-        assert overlap_keys(found) == overlap_keys(expect)
+        assert_same_columns(found, expect)
         assert detector.last_candidates == n_candidates
         return found
 
@@ -246,7 +283,7 @@ class TestStripedLoopEdgeCases:
             reads, everything, everything, True, max_hits=5
         )
         assert len(whole) == 3 and n_tight == n_whole == 3
-        assert tight.to_overlaps() == whole.to_overlaps()
+        assert_same_columns(tight, whole)
         self.assert_matches_oracle(reads)
 
     def test_duplicate_reads_are_equal_overlaps(self):
@@ -254,14 +291,17 @@ class TestStripedLoopEdgeCases:
         seqs = [reads.sequence_of(i) for i in range(len(reads))]
         found = self.assert_matches_oracle(ReadSet.from_strings(seqs + seqs[:2]))
         n = len(seqs)
-        equal = {(o.query, o.ref) for o in found if o.kind is OverlapKind.EQUAL}
-        assert equal == {(0, n), (1, n + 1)}
+        equal = found.kind_code == KIND_NAMES.index("equal")
+        assert set(zip(found.query[equal].tolist(), found.ref[equal].tolist())) == {
+            (0, n),
+            (1, n + 1),
+        }
 
     def test_reads_with_n(self):
         g = decode(random_genome(260, np.random.default_rng(3)))
         seqs = [g[0:100], g[40:70] + "N" + g[71:140], g[80:180], "N" * 50, g[120:220]]
         found = self.assert_matches_oracle(ReadSet.from_strings(seqs))
-        assert {(o.query, o.ref) for o in found} >= {(0, 1), (1, 2), (2, 4)}
+        assert pairs(found) >= {(0, 1), (1, 2), (2, 4)}
 
     def test_kmer_repeated_inside_one_read(self):
         # The repeat gives every read hits on itself (ref == query rows
@@ -270,8 +310,8 @@ class TestStripedLoopEdgeCases:
         repeat = "ACCGTTGACTGA" * 3
         seqs = [g[0:60] + repeat + g[60:90], g[30:60] + repeat + g[60:130], repeat]
         found = self.assert_matches_oracle(ReadSet.from_strings(seqs))
-        assert all(o.query < o.ref for o in found)
-        assert {(0, 1), (0, 2), (1, 2)} <= {(o.query, o.ref) for o in found}
+        assert (found.query < found.ref).all()
+        assert {(0, 1), (0, 2), (1, 2)} <= pairs(found)
 
     @pytest.mark.parametrize("index", ["kmer", "suffix_array"])
     def test_non_ascending_query_indices(self, index):
@@ -284,7 +324,6 @@ class TestStripedLoopEdgeCases:
             found, _ = OverlapDetector(cfg).overlap_subset_pair_packed(
                 reads, order, order, same_subset, index=INDEXES[index](reads, cfg.k, order)
             )
-            found = found.to_overlaps()
             oracle, _ = overlap_subset_pair_loop(cfg, reads, order, order, same_subset)
             assert overlap_keys(found) == overlap_keys(oracle)
             if same_subset:
@@ -331,7 +370,7 @@ class TestSeedsAndVotes:
             with recorded_votes() as seen:
                 found, candidates = find_overlaps_on(index, cfg, reads)
             assert seen == expected, index
-            assert found.to_overlaps() == oracle
+            assert_same_columns(found, oracle, index)
             assert candidates == n_candidates
         return expected
 
@@ -394,7 +433,7 @@ class TestSeedsAndVotes:
         found = OverlapDetector(
             OverlapConfig(k=self.K, min_overlap=8, min_kmer_hits=1)
         ).find_overlaps(ReadSet.from_strings([period, period[:30]]))
-        assert [o.q_start - o.r_start for o in found] == [tied[-1]]
+        assert (found.q_start - found.r_start).tolist() == [tied[-1]]
 
     @pytest.mark.parametrize("k", [30, 31])
     def test_widest_kmers(self, k):
@@ -410,7 +449,8 @@ class TestSeedsAndVotes:
             found = detector.find_overlaps(reads)
         assert seen == brute_force_votes(seqs, k)
         oracle, n_candidates = find_overlaps_loop(cfg, reads)
-        assert found == oracle and len(found) >= 5
+        assert_same_columns(found, oracle)
+        assert len(found) >= 5
         assert detector.last_candidates == n_candidates
 
 
@@ -533,7 +573,7 @@ class TestWorkIsBounded:
             assert sum(counts["expanded"]) == int(per_read.sum())
             assert len(counts["expanded"]) >= per_read.sum() // max(budget, per_read.max())
             assert n_striped == n_whole
-            assert striped.to_overlaps() == whole.to_overlaps()
+            assert_same_columns(striped, whole)
 
     def test_no_compare_block_lays_out_more_than_the_budget(self, counts, monkeypatch):
         reads = self.shotgun(error_rate=0.01)
@@ -545,7 +585,7 @@ class TestWorkIsBounded:
         for budget in (triples * width // 7, 150, 1):
             counts["blocks"].clear()
             monkeypatch.setattr(overlapper, "_MAX_CELLS", budget)
-            assert detector.find_overlaps(reads) == whole
+            assert_same_columns(detector.find_overlaps(reads), whole)
             blocks = counts["blocks"][::2]
             assert counts["blocks"][1::2] == blocks  # both sides alike
             self.assert_blocks_within(blocks, budget, triples, bases)
@@ -569,8 +609,9 @@ class TestWorkIsBounded:
             cfg, reads, everything, everything, True
         )
         oracle, n_candidates = find_overlaps_loop(cfg, reads)
-        assert packed.to_overlaps() == oracle and candidates == n_candidates
-        assert (20, len(seqs) - 1) in {(o.query, o.ref) for o in oracle}
+        assert_same_columns(packed, oracle)
+        assert candidates == n_candidates
+        assert (20, len(seqs) - 1) in pairs(oracle)
         blocks = counts["blocks"][::2]
         self.assert_blocks_within(blocks, budget, len(seen), counts["bases"])
         assert max(width for _, width in blocks) == 1000

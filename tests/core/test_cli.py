@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -195,6 +198,34 @@ class TestAssembleAndStats:
         assert fastas[1] == fastas[0]
 
 
+class TestOverlapTsv:
+    """`repro overlap` writes the same bytes, serial or pooled: the
+    digests are of the TSVs written when each row was still an object."""
+
+    DIGESTS = {
+        # simulate-reads output: dovetails and equal reads, with errors.
+        "simulated": "b17a43c1d2e6ea4724995d516f2116288843ffd3e7c373bf70decdfef244a74d",
+        # error-free substrings of 60-140 bp: containments on both sides.
+        "tiled": "1e56dde1761ff2afeb8c9041f06b9a8692f0b8a9530cd2cdf01263c86771d927",
+    }
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("reads", ["simulated", "tiled"])
+    def test_tsv_bytes_are_fixed(self, tmp_path, genome_fasta, reads_fastq, reads, workers):
+        if reads == "simulated":
+            path = reads_fastq
+        else:
+            text = "".join(genome_fasta.read_text().splitlines()[1:])
+            seqs = [text[s : s + 60 + (s * 7) % 81] for s in range(0, len(text) - 140, 29)]
+            seqs.append(seqs[3])
+            path = tmp_path / "tiled.fasta"
+            path.write_text("".join(f">t{i}\n{seq}\n" for i, seq in enumerate(seqs)))
+        out = tmp_path / "overlaps.tsv"
+        argv = ["overlap", str(path), "-o", str(out), "--workers", workers, "--subsets", "3"]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[reads]
+
+
 class TestOutputsAreAtomic:
     @pytest.mark.parametrize("output", ["contigs", "timings", "overlap"])
     def test_failed_write_leaves_previous_output_intact(
@@ -202,7 +233,7 @@ class TestOutputsAreAtomic:
     ):
         """What `repro assemble -o / --timings`, `repro overlap -o` and the
         service worker rely on: a killed writer leaves no torn file."""
-        from repro.align.overlap import PackedOverlaps
+        from repro import cli
         from repro.core.pipeline import StageTimer
 
         def killed(*args, **kwargs):
@@ -225,8 +256,14 @@ class TestOutputsAreAtomic:
                     "--partitions", "2", "--backend", "serial", "--timings", str(out)]
             assert main(argv) == 1
         else:
-            packed = PackedOverlaps.to_overlaps
-            monkeypatch.setattr(PackedOverlaps, "to_overlaps", lambda self: dies_half_way(packed(self)))
+            real = cli.atomic_write
+
+            def tsv_dies_half_way(path, write_rows, mode):
+                rows = []
+                write_rows(SimpleNamespace(write=rows.append))
+                real(path, lambda fh: fh.writelines(dies_half_way(rows)), mode)
+
+            monkeypatch.setattr(cli, "atomic_write", tsv_dies_half_way)
             assert main(["overlap", str(reads_fastq), "-o", str(out)]) == 1
         assert out.read_text() == "previous\n"
         assert [p.name for p in out_dir.iterdir()] == [output]

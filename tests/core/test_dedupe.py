@@ -22,6 +22,7 @@ from repro.analysis import mapping
 from repro.core import focus
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler, deduplicate_contigs
+from repro.distributed.traversal import contigs_from_paths
 from repro.io.readset import ReadSet
 from repro.io.records import Read
 from repro.sequence.dna import N, reverse_complement
@@ -256,8 +257,8 @@ def test_real_shotgun_contigs_match_reference():
         Read(f"s{i}", reverse_complement(f) if strand else f)
         for i, (f, strand) in enumerate(zip(frags, strands))
     )
-    config = AssemblyConfig(backend="serial", n_partitions=4, dedupe_rc=False)
-    contigs = FocusAssembler(config).assemble(reads).contigs
+    result = FocusAssembler(AssemblyConfig(backend="serial", n_partitions=4)).assemble(reads)
+    contigs = contigs_from_paths(result.dag, result.paths)
     assert len(contigs) > 300
     got = deduplicate_contigs(contigs)
     assert_same_selection(got, contigs_ref.deduplicate_contigs(contigs))

@@ -84,10 +84,8 @@ def every_field_set() -> AssemblyConfig:
         min_quality=20.5,
         min_read_length=40,
         add_reverse_complements=False,
-        dedupe_rc=False,
         overlap=OverlapConfig(
-            k=12, min_kmer_hits=2, min_overlap=40, min_identity=0.85,
-            method="banded_nw", band=3, n_subsets=4,
+            k=12, min_kmer_hits=2, min_overlap=40, min_identity=0.85, n_subsets=4,
         ),
         coarsen=CoarsenConfig(min_nodes=32, min_reduction=0.1, max_levels=5),
         partition=PartitionConfig(
@@ -144,7 +142,7 @@ class TestConfigDict:
 
     def test_seed_is_the_one_assembly_seed(self):
         leaves = dict(flat(encode(AssemblyConfig())))
-        assert len(leaves) == 47
+        assert len(leaves) == 44
         assert sorted(k for k in leaves if "seed" in k) == ["retry.jitter_seed", "seed"]
 
     @pytest.mark.parametrize(
@@ -159,10 +157,15 @@ class TestConfigDict:
             ({"coarsen": {"seed": 3}}, "'coarsen.seed'"),
             ({"partition": {"seed": 5}}, "'partition.seed'"),
             ({"partition": {"coarsen": {}}}, "'partition.coarsen'"),
+            # So are the banded verifier's knobs and the dedupe switch.
+            ({"overlap": {"method": "ungapped"}}, "'overlap.method'"),
+            ({"overlap": {"band": 5}}, "'overlap.band'"),
+            ({"dedupe_rc": True}, "'dedupe_rc'"),
         ],
         ids=[
             "top", "overlap", "coarsen", "retry", "fault_plan",
             "coarsen.seed", "partition.seed", "partition.coarsen",
+            "overlap.method", "overlap.band", "dedupe_rc",
         ],
     )
     def test_unknown_key_is_refused_by_name(self, data, key):

@@ -18,8 +18,8 @@ from repro.core import AssemblyConfig, finish_plan, run_plan
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.faults import FaultPlan, KernelFault, RetryPolicy, StageExecutionError
 from repro.parallel.backend import ProcessBackend, SerialBackend
-from tests.align.test_engine_equivalence import assert_same_columns
 from tests.faults.conftest import small_reads
+from tests.reference.overlap_loop import assert_same_columns
 
 PLAN = finish_plan(AssemblyConfig())
 
@@ -153,7 +153,7 @@ class TestOverlapStage:
         plan = FaultPlan(kernel_faults=(KernelFault(kind, "overlap", part),))
         with overlap_backend(reads, self.CONFIG, 2, FAST_RETRY, plan) as backend:
             packed, _ = backend.run_stage("overlap").result
-        fault_free = OverlapDetector(self.CONFIG).find_overlaps_packed(reads)
+        fault_free = OverlapDetector(self.CONFIG).find_overlaps(reads)
         assert_same_columns(packed, fault_free)
         report = backend.fault_report
         assert report.injected == {kind: 1}

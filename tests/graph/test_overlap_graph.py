@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.overlap import Overlap, OverlapKind
+from repro.align.overlap import KIND_NAMES, PackedOverlaps
 from repro.graph.overlap_graph import Level, OverlapGraph
 
 from tests.graph.strategies import edge_lists
@@ -175,10 +175,16 @@ class TestQueries:
 
 class TestFromOverlaps:
     def test_from_overlaps(self):
-        ovs = [
-            Overlap(0, 1, 30, 0, 70, 0.95, OverlapKind.QUERY_LEFT),
-            Overlap(1, 2, 30, 0, 70, 1.0, OverlapKind.QUERY_LEFT),
-        ]
+        left = KIND_NAMES.index("query_left")
+        ovs = PackedOverlaps(
+            query=np.array([0, 1]),
+            ref=np.array([1, 2]),
+            q_start=np.array([30, 30]),
+            r_start=np.array([0, 0]),
+            length=np.array([70, 70]),
+            identity=np.array([0.95, 1.0]),
+            kind_code=np.array([left, left], dtype=np.uint8),
+        )
         g = OverlapGraph.from_overlaps(ovs, 3)
         assert g.n_edges == 2
         assert g.weights.tolist() == [70.0, 70.0]
@@ -186,7 +192,7 @@ class TestFromOverlaps:
         assert g.deltas.tolist() == [30, 30]  # read1 sits 30bp right of read0
 
     def test_empty_overlaps(self):
-        g = OverlapGraph.from_overlaps([], 4)
+        g = OverlapGraph.from_overlaps(PackedOverlaps.empty(), 4)
         assert g.n_edges == 0
 
 

@@ -39,7 +39,6 @@ FRACTION = st.floats(0.01, 0.99)
 #: each remaining lower bound.
 CHOICES = {
     "OverlapConfig.min_identity": FRACTION,
-    "OverlapConfig.method": st.sampled_from(["ungapped", "banded_nw"]),
     "CoarsenConfig.min_reduction": FRACTION,
     "RetryPolicy.backoff_base": FRACTION,
     "RetryPolicy.jitter": FRACTION,

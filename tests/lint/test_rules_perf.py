@@ -125,7 +125,6 @@ class TestPERF002ScalarizedHotLoop:
 
 #: the deliberate scalar loops of the four packages, per file.
 NOQA_SITES = {
-    "align/overlapper.py": 1,  # _banded_identity: one DP per candidate
     "distributed/variants.py": 2,  # _align_branches: one loop per bubble
     "graph/contigs.py": 1,  # consensus_of_layouts: one loop per contig
     "graph/matching.py": 1,  # heavy_edge_matching: the greedy walk

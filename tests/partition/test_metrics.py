@@ -9,7 +9,6 @@ from repro.partition.metrics import (
     edge_cut_fraction,
     internal_external_weights,
     node_weight_balance,
-    partition_edge_weights,
     partition_node_weights,
 )
 
@@ -58,11 +57,6 @@ class TestWeights:
     def test_node_weights_explicit_k(self):
         g = square_graph()
         assert partition_node_weights(g, np.zeros(4, dtype=int), k=3).tolist() == [4, 0, 0]
-
-    def test_edge_weights_internal(self):
-        g = square_graph()
-        ew = partition_edge_weights(g, np.array([0, 0, 1, 1]))
-        assert ew.tolist() == [1.0, 3.0]
 
     def test_balance_perfect(self):
         g = square_graph()

@@ -86,14 +86,3 @@ class TestHammingIdentity:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length mismatch"):
             dna.hamming_identity(dna.encode("A"), dna.encode("AA"))
-
-
-class TestValidity:
-    def test_valid_with_n(self):
-        assert dna.is_valid_codes(dna.encode("ACGTN"))
-
-    def test_invalid_n_when_disallowed(self):
-        assert not dna.is_valid_codes(dna.encode("ACGTN"), allow_n=False)
-
-    def test_empty_valid(self):
-        assert dna.is_valid_codes(np.array([], dtype=np.uint8))

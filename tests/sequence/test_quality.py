@@ -28,10 +28,6 @@ class TestPhredCodec:
         with pytest.raises(ValueError):
             quality.decode_phred(" ")
 
-    def test_error_probabilities(self):
-        probs = quality.error_probabilities(np.array([0, 10, 20]))
-        assert probs == pytest.approx([1.0, 0.1, 0.01])
-
 
 class TestSlidingWindowTrim:
     def test_good_read_untouched(self):

@@ -7,8 +7,9 @@ import re
 import pytest
 
 from repro.service import JobSpec, JobStore
+from repro.service import jobstore as jobstore_mod
 from repro.service import lease as lease_mod
-from repro.service.jobstore import JOURNAL_NAME, MARKER_NAME, SPEC_NAME
+from repro.service.jobstore import JOURNAL_NAME, MARKER_NAME, SPEC_NAME, JournalEntry
 
 
 def spec(**kw):
@@ -178,6 +179,43 @@ class TestTransitions:
         with pytest.raises(KeyError):
             store.load_record(record.job_id)
         assert store.load_records() == ([], {})
+
+
+class TestDecodeOnce:
+    """Counted, not timed: a journal line is decoded once per store
+    object, however often the supervisor polls."""
+
+    def test_unchanged_journals_are_not_decoded_again(self, store, monkeypatch):
+        ids = [store.submit(spec()).job_id for _ in range(3)]
+        for job_id in ids:
+            store.transition(job_id, "leased")
+        reader = JobStore(store.root)
+        records, _ = reader.load_records()
+        assert sorted(r.state for r in records) == ["leased"] * 3
+        decoded = []
+        real = jobstore_mod.decode
+        monkeypatch.setattr(
+            jobstore_mod, "decode", lambda cls, data: decoded.append(cls) or real(cls, data)
+        )
+        assert reader.load_records() == (records, {})
+        assert decoded == []
+        store.transition(ids[1], "running")  # a worker's store appends
+        decoded.clear()
+        records, _ = reader.load_records()
+        assert decoded == [JournalEntry]
+        assert [r.state for r in records if r.job_id == ids[1]] == ["running"]
+
+    def test_a_rewritten_journal_is_decoded_again(self, store):
+        record = store.submit(spec())
+        store.transition(record.job_id, "leased")
+        assert [e.record.state for e in store.journal(record.job_id)] == ["queued", "leased"]
+        path = os.path.join(store.job_dir(record.job_id), JOURNAL_NAME)
+        with open(path, "rb") as fh:
+            first = fh.read().split(b"\n")[0]
+        with open(path, "wb") as fh:
+            fh.write(b"{" + first[1:-1] + b"\n" + first + b"\n")  # line 1 damaged
+        with pytest.raises(ValueError, match=f"{re.escape(repr(path))} line 1:"):
+            store.journal(record.job_id)
 
 
 class TestCancel:

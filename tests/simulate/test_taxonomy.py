@@ -18,17 +18,6 @@ class TestTaxonomy:
         assert taxonomy.PHYLUM_OF["Bacteroides"] == "Bacteroidetes"
         assert taxonomy.PHYLUM_OF["Escherichia"] == "Proteobacteria"
 
-    def test_genera_of_phylum(self):
-        assert set(taxonomy.genera_of_phylum("Bacteroidetes")) == {
-            "Alistipes",
-            "Bacteroides",
-            "Parabacteroides",
-            "Prevotella",
-        }
-
-    def test_unknown_phylum_empty(self):
-        assert taxonomy.genera_of_phylum("Cyanobacteria") == []
-
     def test_genera_unique(self):
         genera = [t.genus for t in taxonomy.GUT_GENERA]
         assert len(set(genera)) == len(genera)
