@@ -12,13 +12,17 @@ trim a *lightly coarsened* hybrid graph (few coarsening levels keep
 thousands of nodes) — the paper's hybrid graphs likewise hold far more
 nodes per partition than our default benchmark datasets produce.
 
-Status: since the vectorized kernels became the only kernels the whole
-trim pass on these ~3,220-node graphs takes 2-11 virtual ms at every k
-(per-call numpy overhead, not partition work), so the strong-scaling
-assertion below does not hold in every run on this input: it passed
-9 of 10 runs on a 2-core host, the failure on "trimming did not speed
-up".  The input and the assertions are deliberately unchanged.  EXPERIMENTS.md has the numbers and
-ROADMAP open item 10 (the simulated cluster as a schedule) the follow-up.
+Status: the simulated cluster runs its ranks one after another on one
+thread, so each rank's kernel is timed with no other rank competing for
+the cores.  The whole trim pass on these ~3,220-node graphs takes
+2.5-3.7 virtual ms at k = 8 and 1.5-2.1 at k = 64 (per-call numpy
+overhead, not partition work), and each sub-millisecond kernel is timed
+once, so the strong-scaling assertion below does not hold in every run
+on this input: it passed 18 of 20 runs on a 2-core host, both failures
+on "trimming did not speed up".  The input and the assertions are
+deliberately unchanged.  EXPERIMENTS.md has the numbers and ROADMAP
+open item 10 the follow-up (repeated timing of sub-millisecond parts,
+an input with per-rank work).
 """
 
 import numpy as np

@@ -42,6 +42,7 @@ from repro.io.fasta import (
 )
 from repro.io.fastq import write_fastq
 from repro.io.records import Read
+from repro.parallel.backend import BACKEND_NAMES
 from repro.simulate.community import CommunityConfig, build_community
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
@@ -83,7 +84,7 @@ def _add_assembly_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--backend",
-        choices=("serial", "sim", "process"),
+        choices=BACKEND_NAMES,
         default="sim",
         help="execution backend for the distributed graph stages: "
         "in-process serial loop, simulated MPI cluster (virtual "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from repro.align.overlapper import OverlapConfig
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph.coarsen import CoarsenConfig
+from repro.parallel.backend import BACKEND_NAMES
 from repro.partition.recursive import PartitionConfig
 
 __all__ = ["AssemblyConfig"]
@@ -110,7 +111,7 @@ class AssemblyConfig:
             raise ValueError("min_read_length must be positive")
         if self.overlap_workers < 0:
             raise ValueError("overlap_workers must be non-negative")
-        if self.backend not in ("serial", "sim", "process"):
+        if self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend_workers < 0:
             raise ValueError("backend_workers must be non-negative")

@@ -138,15 +138,17 @@ def run_stage_on_comm(comm, stage: StageSpec, subject, **params):
     clock, proposals are gathered to the root, the root merges (also
     timed), and the result is broadcast — the paper's
     scan-locally/apply-centrally pattern, and the only gather → merge
-    → bcast driver in the package.  The communicator is duck-typed
-    (anything with ``rank``/``timed``/``gather``/``bcast``), so this
-    module stays free of :mod:`repro.mpi` imports.
+    → bcast driver in the package.  It is a generator that yields each
+    collective and is sent its result, as
+    :class:`~repro.mpi.cluster.SimCluster` drives it.  The communicator
+    is duck-typed (anything with ``rank``/``timed``/``gather``/
+    ``bcast``), so this module stays free of :mod:`repro.mpi` imports.
     """
     with comm.timed():
         proposal = stage.kernel(subject, comm.rank, **params)
-    gathered = comm.gather(proposal, root=0)
+    gathered = yield comm.gather(proposal, root=0)
     result = None
     if comm.rank == 0:
         with comm.timed():
             result = stage.merge(subject, gathered, **params)
-    return comm.bcast(result, root=0)
+    return (yield comm.bcast(result, root=0))

@@ -1,17 +1,22 @@
 """Simulated MPI runtime.
 
 The paper runs on an HPC cluster over MPI; this environment has no
-mpi4py and a GIL, so we substitute an in-process SPMD runtime with
-*virtual clocks*:
+mpi4py, so we substitute an in-process SPMD runtime with *virtual
+clocks*:
 
-- each rank is a Python thread holding a :class:`SimComm`;
+- each rank is a generator holding a :class:`SimComm`, and
+  :class:`SimCluster` runs every rank in lockstep on the calling
+  thread, so a rank's measured compute never competes with another
+  rank's for the cores;
 - the communicator offers the two collectives the program calls —
   ``gather`` and ``bcast`` — with the mpi4py lowercase (pickle-object)
-  signatures, so the code would port to real MPI nearly verbatim;
-- each collective is one rendezvous of all ranks: the last to arrive
-  checks that every rank made the same call, then computes each rank's
-  result and clock; a collective that can never complete (ranks
-  disagree, or one has exited) raises :class:`DeadlockError` at once;
+  signatures; a rank program yields each call and is sent its result,
+  so a port to real MPI replaces only the driver with a trampoline
+  that sends each blocking call's result back;
+- once every rank has yielded its next collective, the cluster checks
+  that all made the same call and computes each rank's result and
+  clock; a collective that can never complete (ranks disagree, or one
+  has returned) raises :class:`DeadlockError` at once;
 - each rank's virtual clock advances by *measured* compute time
   (wrapped in ``comm.timed()``) and by the binomial-tree messages of
   each collective under an alpha-beta (latency + inverse bandwidth)

@@ -1,11 +1,11 @@
-"""SimCluster: launches rank functions on threads with SimComms."""
+"""SimCluster: runs rank programs in lockstep on the calling thread."""
 
 from __future__ import annotations
 
-import threading
+import inspect
 from dataclasses import dataclass
 
-from repro.mpi.simcomm import SimComm, _Rendezvous
+from repro.mpi.simcomm import SimComm, _complete
 from repro.mpi.timing import CommCostModel
 
 __all__ = ["RunStats", "SimCluster"]
@@ -28,23 +28,33 @@ class RunStats:
         return max(self.clocks) if self.clocks else 0.0
 
     @property
-    def total_compute(self) -> float:
-        return sum(self.compute_times)
-
-    @property
     def total_bytes(self) -> int:
         return sum(self.bytes_sent)
+
+
+def _program(fn, comm: SimComm, args, kwargs):
+    """Rank ``comm``'s program as a generator, whether or not ``fn`` yields."""
+    out = fn(comm, *args, **kwargs)
+    if inspect.isgenerator(out):
+        out = yield from out
+    if comm._call is not None:
+        raise RuntimeError(f"returned without yielding {comm._call}")
+    return out
 
 
 class SimCluster:
     """An n-rank simulated cluster.
 
-    ``run(fn, *args)`` starts one thread per rank executing
-    ``fn(comm, *args)`` and returns ``(results, stats)`` where
-    ``results[r]`` is rank r's return value.  Any rank exception is
-    re-raised in the caller after all threads stop; the first one
-    recorded is the cause, so a rank's own error wins over the
-    :class:`~repro.mpi.simcomm.DeadlockError` it leaves its peers.
+    ``run(fn, *args, **kwargs)`` runs ``fn(comm, *args, **kwargs)`` for
+    every rank and returns ``(results, stats)`` where ``results[r]`` is
+    rank r's return value.  ``fn`` yields each collective
+    (``x = yield comm.gather(obj, root=0)``); a ``fn`` that is not a
+    generator is a rank with no collectives.  One step advances every
+    rank, in rank order, to its next collective or its return, then
+    completes that collective for all of them; a collective that can
+    never complete raises :class:`~repro.mpi.simcomm.DeadlockError`.
+    A rank that raises fails the run at once as ``RuntimeError("rank r
+    failed: ...")``: of the ranks that raise in one step, the lowest.
     """
 
     def __init__(self, n_ranks: int, cost_model: CommCostModel | None = None) -> None:
@@ -54,31 +64,22 @@ class SimCluster:
         self.cost_model = cost_model or CommCostModel()
 
     def run(self, fn, *args, **kwargs) -> tuple[list, RunStats]:
-        rendezvous = _Rendezvous(self.n_ranks, self.cost_model)
-        comms = [SimComm(r, self.n_ranks, rendezvous) for r in range(self.n_ranks)]
+        comms = [SimComm(r, self.n_ranks) for r in range(self.n_ranks)]
+        programs = [_program(fn, comm, args, kwargs) for comm in comms]
         results: list = [None] * self.n_ranks
-        errors: list[tuple[int, BaseException]] = []
-
-        def worker(rank: int) -> None:
-            try:
-                results[rank] = fn(comms[rank], *args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - must not kill the pool silently
-                errors.append((rank, exc))
-            finally:
-                # A collective this rank can no longer join fails now.
-                rendezvous.exit(rank)
-
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)
-            for r in range(self.n_ranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            rank, exc = errors[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        replies: list = [None] * self.n_ranks
+        while True:
+            calls = {}
+            for comm, program in zip(comms, programs):
+                try:
+                    calls[comm.rank] = comm._take_call(program.send(replies[comm.rank]))
+                except StopIteration as stop:
+                    results[comm.rank] = stop.value
+                except Exception as exc:
+                    raise RuntimeError(f"rank {comm.rank} failed: {exc!r}") from exc
+            if not calls:
+                break
+            replies = _complete(comms, calls, self.cost_model)
         stats = RunStats(
             clocks=[c.clock for c in comms],
             compute_times=[c.compute_time for c in comms],

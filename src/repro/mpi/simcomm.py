@@ -4,15 +4,16 @@ The program's distributed stages call two collectives, with the
 mpi4py lowercase (pickle-object) signatures: ``gather`` and ``bcast``.
 They are the whole communication surface.
 
-Each collective is one rendezvous.  Every rank deposits its call (the
-collective's name and root) and its payload, then blocks.  The last
-rank to arrive checks that all ranks made the same call, computes every
-rank's result and new clock, and releases the others.  Payloads change
-hands only while every rank is blocked.
+A rank program is a generator that *yields* each collective and
+receives its result: ``gathered = yield comm.gather(proposal, root=0)``.
+``gather`` and ``bcast`` only describe the call;
+:class:`~repro.mpi.cluster.SimCluster` advances every rank to its next
+collective, checks that all ranks made the same call, and computes
+every rank's result and new clock in one step (:func:`_complete`).
 
 Every rank carries a *virtual clock*:
 
-- ``timed()`` measures a compute block with per-thread CPU time and
+- ``timed()`` measures a compute block with the thread's CPU time and
   adds the measured seconds;
 - ``advance(dt)`` adds model time directly (for deterministic tests
   and for replaying pre-measured task durations);
@@ -21,17 +22,17 @@ Every rank carries a *virtual clock*:
   at sender clock ``t`` arrives at ``t + alpha + beta * bytes``; the
   receiver's clock becomes ``max(own clock, arrival)``.
 
-A collective that can never complete fails at once, in every rank
-waiting on it, with a :class:`DeadlockError` naming the ranks and their
-calls: either the ranks called different collectives (or roots), or a
-rank has returned or raised and so will never arrive.
+A collective that can never complete fails at once with a
+:class:`DeadlockError` naming the ranks and their calls: either the
+ranks called different collectives (or roots), or a rank has returned
+and so will never arrive.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from repro.mpi.timing import CommCostModel, payload_nbytes
 
@@ -43,7 +44,7 @@ class DeadlockError(RuntimeError):
 
     The ranks called different collectives (or the same one with
     different roots), or a rank that must take part has already
-    returned or raised.
+    returned.
     """
 
 
@@ -117,88 +118,47 @@ def _bcast(comms, root, cost, payloads) -> list:
 _COLLECTIVES = {"gather": _gather, "bcast": _bcast}
 
 
-class _Round:
-    """One collective generation: the calls deposited and its outcome."""
+class _Call(NamedTuple):
+    """One rank's collective call: what a rank program yields."""
 
-    __slots__ = ("calls", "results", "error")
+    name: str
+    root: int
+    payload: object
 
-    def __init__(self) -> None:
-        #: rank -> ((collective name, root), payload, communicator).
-        self.calls: dict[int, tuple] = {}
-        self.results: list | None = None
-        self.error: str | None = None
+    def __str__(self) -> str:
+        return f"{self.name}(root={self.root})"
 
 
-class _Rendezvous:
-    """The meeting point of one cluster run's ranks.
+def _complete(comms, calls: dict, cost: CommCostModel) -> list:
+    """Every rank's result of one collective, given each rank's call.
 
-    Rank exits are tracked here, not by aborting a
-    ``threading.Barrier``: a waiter that a completed round has released
-    but that has not yet retaken the lock must still see that round's
-    results, whatever fails after it.  So each waiter holds its own
-    :class:`_Round`, and only the current round can fail.
+    ``calls`` maps rank to the :class:`_Call` it yielded; a rank missing
+    from it has returned.  Raises :class:`DeadlockError` naming every
+    rank's call when the ranks disagree or one has returned.
     """
-
-    def __init__(self, size: int, cost: CommCostModel) -> None:
-        self.size = size
-        self.cost = cost
-        self._cond = threading.Condition()
-        self._round = _Round()
-        self._exited: set[int] = set()
-
-    def join(self, comm: "SimComm", name: str, root: int, payload):
-        with self._cond:
-            rnd = self._round
-            first = next(iter(rnd.calls.values()), None)
-            rnd.calls[comm.rank] = ((name, root), payload, comm)
-            if self._exited or (first is not None and first[0] != (name, root)):
-                self._fail(rnd)
-            elif len(rnd.calls) == self.size:
-                # Should this raise, the rank's exit fails the round and
-                # so releases the others.
-                calls = [rnd.calls[r] for r in range(self.size)]
-                rnd.results = _COLLECTIVES[name](
-                    [c[2] for c in calls], root, self.cost, [c[1] for c in calls]
-                )
-                self._round = _Round()
-                self._cond.notify_all()
-            self._cond.wait_for(lambda: rnd.results is not None or rnd.error is not None)
-            if rnd.error is not None:
-                raise DeadlockError(f"rank {comm.rank}: {rnd.error}")
-            return rnd.results[comm.rank]
-
-    def exit(self, rank: int) -> None:
-        """Rank ``rank`` has returned or raised: it joins no collective again."""
-        with self._cond:
-            self._exited.add(rank)
-            if self._round.calls:
-                self._fail(self._round)
-
-    def _fail(self, rnd: _Round) -> None:
-        """End ``rnd`` with an error naming every rank's call, and wake its waiters."""
-        by_call: dict[tuple[str, int], list[int]] = {}
-        for rank, (call, _payload, _comm) in rnd.calls.items():
-            by_call.setdefault(call, []).append(rank)
-        calls = "; ".join(
-            f"{_ranks(r)} called {name}(root={root})" for (name, root), r in by_call.items()
-        )
-        if len(by_call) > 1:
-            rnd.error = f"ranks disagree on the collective: {calls}"
-        else:
-            rnd.error = f"{calls}, which {_ranks(self._exited)} exited without joining"
-        self._round = _Round()
-        self._cond.notify_all()
+    by_call: dict[str, list[int]] = {}
+    for rank, call in calls.items():
+        by_call.setdefault(str(call), []).append(rank)
+    described = "; ".join(f"{_ranks(r)} called {call}" for call, r in by_call.items())
+    if len(by_call) > 1:
+        raise DeadlockError(f"ranks disagree on the collective: {described}")
+    if len(calls) < len(comms):
+        exited = set(range(len(comms))) - set(calls)
+        raise DeadlockError(f"{described}, which {_ranks(exited)} exited without joining")
+    name, root, _ = calls[0]
+    return _COLLECTIVES[name](comms, root, cost, [calls[r].payload for r in range(len(comms))])
 
 
 class SimComm:
-    """Communicator handle held by one rank (thread)."""
+    """Communicator handle held by one rank."""
 
-    def __init__(self, rank: int, size: int, rendezvous: _Rendezvous) -> None:
+    def __init__(self, rank: int, size: int) -> None:
         if not 0 <= rank < size:
             raise ValueError("rank out of range")
         self.rank = rank
         self.size = size
-        self._rendezvous = rendezvous
+        #: the collective called and not yet yielded.
+        self._call: _Call | None = None
         #: virtual seconds elapsed on this rank.
         self.clock = 0.0
         #: virtual seconds spent purely computing (subset of clock).
@@ -219,11 +179,10 @@ class SimComm:
     def timed(self):
         """Measure the wrapped compute block and charge it to the clock.
 
-        Uses per-thread CPU time (``time.thread_time``), not wall time:
-        ranks are threads sharing a GIL, and wall time would charge a
-        rank for the time *other* ranks spent computing, flattening
-        every speedup curve to 1.  CPU time measures the work this rank
-        actually did, which is what a dedicated core would have taken.
+        Uses the calling thread's CPU time (``time.thread_time``), not
+        wall time: ranks run one after another on one thread, so the
+        block's CPU time is this rank's work alone, which is what a
+        dedicated core would have taken, whatever else the host runs.
         """
         t0 = time.thread_time()
         try:
@@ -233,15 +192,25 @@ class SimComm:
 
     # -- collectives -----------------------------------------------------------
 
-    def _collective(self, name: str, root: int, payload):
+    def _collective(self, name: str, root: int, payload) -> _Call:
         if not 0 <= root < self.size:
             raise ValueError(f"root {root} out of range (size {self.size})")
-        return self._rendezvous.join(self, name, root, payload)
+        if self._call is not None:
+            raise RuntimeError(f"{name}(root={root}) called before {self._call} was yielded")
+        self._call = _Call(name, root, payload)
+        return self._call
 
-    def bcast(self, obj, root: int = 0):
-        """Binomial-tree broadcast; returns the root's object on every rank."""
+    def _take_call(self, yielded) -> _Call:
+        """The call the rank program just yielded, checked and cleared."""
+        call, self._call = self._call, None
+        if call is None or yielded is not call:
+            raise TypeError(f"yielded {yielded!r}, not the result of gather() or bcast()")
+        return call
+
+    def bcast(self, obj, root: int = 0) -> _Call:
+        """Binomial-tree broadcast; yields the root's object on every rank."""
         return self._collective("bcast", root, obj)
 
-    def gather(self, obj, root: int = 0):
-        """Binomial-tree gather; root gets the rank-ordered list, others None."""
+    def gather(self, obj, root: int = 0) -> _Call:
+        """Binomial-tree gather; yields the rank-ordered list on root, None elsewhere."""
         return self._collective("gather", root, obj)

@@ -76,6 +76,3 @@ class CommCostModel:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         return self.alpha + self.beta * nbytes
-
-    def cost_of(self, obj) -> float:
-        return self.message_cost(payload_nbytes(obj))

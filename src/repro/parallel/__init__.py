@@ -1,7 +1,7 @@
 """Real (OS-process) parallel execution of assembly work units.
 
-The simulated-MPI layer (``repro.mpi``) models a cluster on threads and
-a virtual clock; this package runs the same independent work units on
+The simulated-MPI layer (``repro.mpi``) models a cluster as a lockstep
+schedule of rank programs with virtual clocks; this package runs the same independent work units on
 actual cores via :class:`concurrent.futures.ProcessPoolExecutor`.  Both
 layers share the scheduling helpers in :mod:`repro.parallel.schedule`.
 

@@ -16,8 +16,9 @@ modes:
     must match bit for bit.
 
 ``sim``
-    The paper's virtual cluster: kernels run as SPMD rank functions on
-    :class:`~repro.mpi.SimCluster` threads, producing the *virtual*
+    The paper's virtual cluster: kernels run as SPMD rank programs that
+    :class:`~repro.mpi.SimCluster` steps in lockstep on the calling
+    thread, producing the *virtual*
     elapsed times Fig. 6 plots.  Implemented in
     :mod:`repro.mpi.stage_backend` and resolved lazily here so the
     parallel layer carries no mpi import.

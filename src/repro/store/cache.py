@@ -13,9 +13,8 @@ else and is itself evicted as soon as another entry arrives.  A budget
 of 0 therefore degenerates to "load on every access", which is the
 correct worst case, not an error.
 
-One lock serialises every operation: the rank threads of a simulated
-cluster share one read set — and so one cache — when alignment runs on
-the ``sim`` backend.
+One lock serialises every operation, so threads may share one read set
+and so one cache.
 """
 
 from __future__ import annotations

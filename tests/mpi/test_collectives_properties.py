@@ -23,12 +23,12 @@ COMMON = dict(max_examples=25, deadline=None)
 
 
 def run_collective(size, fn):
-    """Run ``fn(comm)`` on ``size`` ranks; returns (results, clock deltas ok)."""
+    """Yield the collective ``fn(comm)`` calls on ``size`` ranks; its results."""
     monotone = [None] * size
 
     def wrapper(comm):
         before = comm.clock
-        out = fn(comm)
+        out = yield fn(comm)
         monotone[comm.rank] = comm.clock >= before
         return out
 

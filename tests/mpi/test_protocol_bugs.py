@@ -2,13 +2,9 @@
 
 The runtime is the only checker of whether every rank reaches the same
 collectives.  A collective whose ranks disagree, or that a rank which
-has already returned can never join, raises ``DeadlockError`` in every
-rank waiting on it — with no timeout to wait out.
+has already returned can never join, raises ``DeadlockError`` from
+``SimCluster.run`` in the step that reaches it.
 """
-
-import sys
-import threading
-import time
 
 import pytest
 
@@ -20,61 +16,65 @@ from repro.mpi.timing import CommCostModel
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
 
-def run_bounded(n, fn, timeout=10.0):
-    """``SimCluster(n).run(fn)``'s exception, or a failure if it hangs.
-
-    The runtime has no timeout of its own, so a regression in its exit
-    tracking would hang the test instead of failing it.
-    """
-    outcome = []
-
-    def target():
-        try:
-            SimCluster(n, cost_model=FAST).run(fn)
-        except RuntimeError as exc:
-            outcome.append(exc)
-
-    runner = threading.Thread(target=target, daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), f"ranks still waiting after {timeout} s"
-    assert outcome, "the run did not fail"
-    return outcome[0]
+def run_failing(n, fn):
+    """``SimCluster(n).run(fn)``'s exception; the run must fail."""
+    with pytest.raises(RuntimeError) as ei:
+        SimCluster(n, cost_model=FAST).run(fn)
+    return ei.value
 
 
 def bcast_on_rank_zero_only(comm):
     """The collective sits under a rank-dependent branch."""
     if comm.rank == 0:
-        comm.bcast("x", root=0)
+        yield comm.bcast("x", root=0)
 
 
 def sync(comm):
     """Every rank must call this together — it runs a gather."""
-    comm.gather(comm.rank, root=comm.size - 1)
+    yield comm.gather(comm.rank, root=comm.size - 1)
 
 
 def gather_behind_helper_rank_zero_calls(comm):
     if comm.rank == 0:
-        sync(comm)
+        yield from sync(comm)
 
 
 def gather_behind_helper_other_ranks_call(comm):
     if comm.rank != 0:
-        sync(comm)
+        yield from sync(comm)
 
 
 def per_item_gather(comm):
     """A rank-dependent number of trips around a gather."""
     mine = [["ab", "c"], ["d"]][comm.rank]
-    return [comm.gather(len(chunk), root=0) for chunk in mine]
+    sizes = []
+    for chunk in mine:
+        sizes.append((yield comm.gather(len(chunk), root=0)))
+    return sizes
 
 
 def ship_flags(comm):
     """Rank 0 broadcasts a dict; rank 1 uses it as a list."""
-    flags = comm.bcast({"trim": True} if comm.rank == 0 else None, root=0)
+    flags = yield comm.bcast({"trim": True} if comm.rank == 0 else None, root=0)
     if comm.rank == 1:
         flags.append("done")
     return flags
+
+
+def gather_without_yield(comm):
+    """A blocking-style call: the gather is described but never yielded."""
+    return comm.gather(comm.rank, root=0)
+
+
+def second_call_before_the_yield(comm):
+    """The gather is described, then overtaken by a yielded bcast."""
+    comm.gather(comm.rank, root=0)
+    yield comm.bcast(None, root=0)
+
+
+def yield_a_value(comm):
+    """A yield that is not a collective call."""
+    yield comm.rank
 
 
 class TestProtocolBugs:
@@ -90,16 +90,13 @@ class TestProtocolBugs:
     )
     def test_collective_a_rank_never_joins_fails_at_once(self, fn, call):
         n = 2 if fn is per_item_gather else 3
-        t0 = time.perf_counter()
-        error = run_bounded(n, fn)
-        assert time.perf_counter() - t0 < 1.0
-        cause = error.__cause__
-        assert isinstance(cause, DeadlockError)
-        assert call in str(cause)
-        assert "exited without joining" in str(cause)
+        error = run_failing(n, fn)
+        assert isinstance(error, DeadlockError)
+        assert call in str(error)
+        assert "exited without joining" in str(error)
 
     def test_wrong_payload_type_surfaces_the_ranks_own_error(self):
-        error = run_bounded(2, ship_flags)
+        error = run_failing(2, ship_flags)
         assert "rank 1 failed" in str(error)
         assert isinstance(error.__cause__, AttributeError)
 
@@ -107,43 +104,40 @@ class TestProtocolBugs:
         def fn(comm):
             if comm.rank == 2:
                 raise ValueError("partition table corrupted")
-            comm.gather(comm.rank, root=0)
+            yield comm.gather(comm.rank, root=0)
 
-        assert "rank 2 failed: ValueError" in str(run_bounded(4, fn))
+        assert "rank 2 failed: ValueError" in str(run_failing(4, fn))
+
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (gather_without_yield, "returned without yielding gather(root=0)"),
+            (second_call_before_the_yield, "bcast(root=0) called before gather(root=0) was yielded"),
+        ],
+        ids=["returned", "second_call"],
+    )
+    def test_collective_called_but_not_yielded_fails(self, fn, message):
+        error = run_failing(2, fn)
+        assert "rank 0 failed" in str(error)
+        assert message in str(error)
+
+    def test_yield_of_a_non_collective_fails(self):
+        error = run_failing(2, yield_a_value)
+        assert "rank 0 failed: TypeError" in str(error)
+        assert "not the result of gather() or bcast()" in str(error)
 
 
 class TestCollectiveFailure:
     def test_error_computing_a_collective_releases_every_rank(self, monkeypatch):
-        """The last arrival's failure must not leave the others waiting."""
+        """A failure computing the collective ends the run with that error."""
 
         def broken(comms, root, cost, payloads):
             raise MemoryError("no room for the bucket")
 
         monkeypatch.setitem(simcomm._COLLECTIVES, "gather", broken)
-        t0 = time.perf_counter()
-        error = run_bounded(4, lambda comm: comm.gather(comm.rank))
-        assert time.perf_counter() - t0 < 1.0
-        message = str(error)
-        assert "MemoryError" in message and "no room for the bucket" in message
 
+        def fn(comm):
+            return (yield comm.gather(comm.rank))
 
-class TestRankExit:
-    def test_released_ranks_keep_their_results_when_a_peer_exits(self):
-        """Exit after the last collective is not a failure.
-
-        A rank the last arrival released may not have retaken the lock
-        when a faster peer returns; it must still get its round's
-        result.  A short switch interval makes that interleaving common.
-        """
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            t0 = time.perf_counter()
-            for _ in range(300):
-                results, _ = SimCluster(9, cost_model=FAST).run(
-                    lambda comm: comm.gather(comm.rank, root=0)
-                )
-                assert results == [list(range(9))] + [None] * 8
-            assert time.perf_counter() - t0 < 60.0
-        finally:
-            sys.setswitchinterval(old)
+        with pytest.raises(MemoryError, match="no room for the bucket"):
+            SimCluster(4, cost_model=FAST).run(fn)

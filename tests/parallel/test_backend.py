@@ -97,20 +97,50 @@ class TestKernelErrorsPropagate:
         assert calls == [0]
 
     def test_sim_raises_and_names_the_rank(self):
-        # The kernel fails only off the main thread, i.e. on a simulated
-        # rank: an in-process serial fallback would hide it.
         transitive = get_stage("transitive")
 
-        def rank_only_kernel(subject, part, **params):
-            if part == 1 and threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("kernel bug on a rank thread")
+        def rank_one_kernel(subject, part, **params):
+            if part == 1:
+                raise RuntimeError("kernel bug on rank 1")
             return transitive.kernel(subject, part, **params)
 
-        spec = StageSpec("transitive", rank_only_kernel, transitive.merge)
+        spec = StageSpec("transitive", rank_one_kernel, transitive.merge)
         with create_backend("sim", fresh_dag(), cost_model=FAST) as engine:
             with pytest.raises(RuntimeError, match="rank 1 failed.*kernel bug"):
                 engine.run_stage(spec, tolerance=2)
             assert not engine.fault_report.has_activity
+
+    def test_sim_names_the_lowest_failing_rank_every_time(self):
+        transitive = get_stage("transitive")
+
+        def two_rank_kernel(subject, part, **params):
+            if part == 1:
+                sum(range(200_000))  # rank 1 fails after rank 2 in wall time
+            if part in (1, 2):
+                raise RuntimeError(f"kernel bug on rank {part}")
+            return transitive.kernel(subject, part, **params)
+
+        spec = StageSpec("transitive", two_rank_kernel, transitive.merge)
+        assembly, _ = chain_assembly(n=6)
+        dag = dag_of(assembly, [0, 0, 1, 1, 2, 2])
+        for _ in range(20):
+            with create_backend("sim", dag, cost_model=FAST) as engine:
+                with pytest.raises(RuntimeError, match="rank 1 failed.*kernel bug on rank 1"):
+                    engine.run_stage(spec, tolerance=2)
+
+    def test_sim_runs_every_rank_on_the_calling_thread(self):
+        transitive = get_stage("transitive")
+        seen = []
+
+        def recording_kernel(subject, part, **params):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return transitive.kernel(subject, part, **params)
+
+        spec = StageSpec("transitive", recording_kernel, transitive.merge)
+        before = threading.active_count()
+        with create_backend("sim", fresh_dag(), cost_model=FAST) as engine:
+            engine.run_stage(spec, tolerance=2)
+        assert seen == [(threading.current_thread(), before)] * 2
 
 
 class TestProcessBackend:

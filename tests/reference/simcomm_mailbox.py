@@ -8,7 +8,12 @@ sender ``alpha`` and delivers at ``sender clock + alpha + beta *
 payload_nbytes(message)``; a receive sets the receiver's clock to
 ``max(own clock, arrival)``.
 
-``repro.mpi`` computes the same clocks in one rendezvous per
+Rank programs are the generators ``repro.mpi`` runs: each yields its
+collective calls.  Here a call blocks and returns its result, and
+:func:`run_blocking` sends every yielded result straight back into the
+program — the whole of what a port to real MPI would need.
+
+``repro.mpi`` computes the same clocks in one lockstep step per
 collective; ``tests/mpi/test_rendezvous_oracle.py`` requires every
 rank's results, clock, compute time and counters to equal this
 module's exactly.  The oracle has no failure handling: feed it only
@@ -17,6 +22,7 @@ programs in which every rank makes the same collective calls.
 
 from __future__ import annotations
 
+import inspect
 import queue
 import threading
 import time
@@ -24,7 +30,7 @@ from contextlib import contextmanager
 
 from repro.mpi import CommCostModel, RunStats, payload_nbytes
 
-__all__ = ["MailboxComm", "run_mailbox"]
+__all__ = ["MailboxComm", "run_blocking", "run_mailbox"]
 
 #: one tag per collective, so a gather never matches a bcast.
 _BCAST, _GATHER = -1000, -1001
@@ -115,6 +121,18 @@ class MailboxComm:
         return [bucket[(r - root) % self.size] for r in range(self.size)]
 
 
+def run_blocking(program):
+    """Run a rank program whose collectives block: yield in, result back."""
+    if not inspect.isgenerator(program):
+        return program
+    reply = None
+    try:
+        while True:
+            reply = program.send(reply)
+    except StopIteration as stop:
+        return stop.value
+
+
 def run_mailbox(n_ranks: int, cost: CommCostModel, fn, *args):
     """Run ``fn(comm, *args)`` on ``n_ranks`` mailbox ranks: ``(results, stats)``."""
     channels = _Channels()
@@ -124,7 +142,7 @@ def run_mailbox(n_ranks: int, cost: CommCostModel, fn, *args):
 
     def worker(rank: int) -> None:
         try:
-            results[rank] = fn(comms[rank], *args)
+            results[rank] = run_blocking(fn(comms[rank], *args))
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 

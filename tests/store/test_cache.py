@@ -136,9 +136,8 @@ class TestCounters:
         assert len(cache) == 0 and cache.current_bytes == 0
 
     def test_concurrent_gets_keep_the_accounting_exact(self):
-        # Rank threads of a simulated cluster share one cache when the
-        # overlap stage runs on the sim backend: more threads than
-        # cores, a budget that evicts on nearly every load.
+        # The lock keeps a cache shared between threads exact: more
+        # threads than cores, a budget that evicts on nearly every load.
         cache = ShardCache(budget_bytes=30)
 
         def load(key):

@@ -1,8 +1,6 @@
 """Failure-injection tests: the system degrades loudly, not silently."""
 
 import io
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -124,24 +122,8 @@ class TestRuntimeFailures:
     def test_mismatched_collective_deadlocks_cleanly(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.gather(1, root=0)
+                yield comm.gather(1, root=0)
             # rank 1 returns immediately
 
-        with pytest.raises(RuntimeError, match="exited without joining") as ei:
+        with pytest.raises(DeadlockError, match="rank 1 exited without joining"):
             SimCluster(2, cost_model=FAST).run(fn)
-        assert isinstance(ei.value.__cause__, DeadlockError)
-
-    def test_collective_after_peer_exited_fails_at_once(self):
-        def fn(comm):
-            if comm.rank == 0:
-                names = {t.name: t for t in threading.enumerate()}
-                if "simrank-1" in names:  # else it has already exited
-                    names["simrank-1"].join(timeout=10.0)
-                    assert not names["simrank-1"].is_alive()
-                comm.gather(comm.rank, root=0)
-
-        t0 = time.perf_counter()
-        with pytest.raises(RuntimeError, match="rank 1 exited without joining") as ei:
-            SimCluster(2, cost_model=FAST).run(fn)
-        assert time.perf_counter() - t0 < 1.0
-        assert isinstance(ei.value.__cause__, DeadlockError)
