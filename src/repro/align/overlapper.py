@@ -12,16 +12,29 @@ diagonal — which is exact for the simulator's substitution-only error
 model.
 
 The votes are counted on the diagonal, not in a hit list.  The index
-hands out *seeds*: only the left-maximal hits, one per maximal exact
-match (:mod:`repro.align.kmer_index`).  Every triple that shares a
-k-mer has a left-maximal hit — the leftmost window of its leftmost
-match — so any seed set between those and all hits names the same
-triples (the tests run the kernel on an all-hits index to hold it to
-that), and the kernel only has to deduplicate them: expand the seed
-rows, pack ``(query, ref, diagonal)`` into one ``int64`` key, sort,
-drop repeats.  The number of k-mer hits a triple *would* have had is
-then read off the compared span: a run of ``m`` agreeing, ``N``-free
-bases holds ``max(0, m - k + 1)`` shared windows.
+hands out *seeds*: only the hits at the ends of maximal exact matches
+(:mod:`repro.align.kmer_index`).  Every triple that shares a k-mer has
+such a hit — the leftmost window of its leftmost match — so any seed
+set between those and all hits names the same triples (the tests run
+the kernel on an all-hits index to hold it to that), and the kernel
+only has to deduplicate them: expand the seed rows, pack ``(query,
+ref, diagonal)`` into one ``int64`` key, sort, drop repeats.  The
+number of k-mer hits a triple *would* have had is then read off the
+compared span: a run of ``m`` agreeing, ``N``-free bases holds
+``max(0, m - k + 1)`` shared windows.
+
+Strands are aligned once.  A set built with its reverse complements
+(:attr:`~repro.io.readset.ReadSet.mirrored`: ``2n`` reads, read ``i +
+n`` the mate of read ``i``) is split and indexed by its ``n`` forward
+reads' canonical k-mers.  A seed on the two windows' own strands pairs
+the forward reads; one across strands pairs the query with the ref's
+mate, verified against the mate's bases.  Each such pair stands for its
+mirror, the pair of the two mates, whose row is derived — the same
+span read backwards — and :func:`overlap_merge` sorts every row into
+the order of the doubled set's subset pairs, so the rows are those of
+aligning all ``2n`` reads as plain reads
+(``tests/reference/doubled_set.py``).  A set without mates runs the
+same detector and keeps the same-strand pairs only.
 
 A work unit never holds all of its seeds or all of its spans: its query
 reads are cut into contiguous *stripes* whose seed rows stay under
@@ -45,12 +58,12 @@ execution backends every other stage uses, and return identical rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.align.kmer_index import KmerIndex
+from repro.align.kmer_index import PALINDROME, KmerIndex
 from repro.align.overlap import PackedOverlaps
 from repro.distributed.stages import register_stage
 from repro.faults import FaultPlan, RetryPolicy
@@ -58,6 +71,7 @@ from repro.io.readset import ReadSet, ragged_positions
 from repro.parallel.backend import ExecutionBackend, create_backend
 from repro.parallel.schedule import lpt_assignment, subset_pair_costs
 from repro.sequence.dna import N
+from repro.sequence.kmers import stable_sort
 
 __all__ = [
     "OverlapConfig",
@@ -90,6 +104,13 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return np.flatnonzero(first)
+
+
+def _best(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Position of the highest score of each run (``starts``); a run's
+    scores are distinct."""
+    best = np.maximum.reduceat(score, starts)
+    return np.flatnonzero(score == np.repeat(best, np.diff(starts, append=score.size)))
 
 
 def _diagonal_tile(codes: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
@@ -156,14 +177,14 @@ class OverlapDetector:
     ) -> tuple[np.ndarray, ...]:
         """A work unit's seeds, as ranges of index rows per query window.
 
-        ``(win_reads, win_offsets, lo, counts, row_reads,
-        row_offsets)``: entry ``i`` pairs the query window at
-        ``(win_reads[i], win_offsets[i])`` with rows ``lo[i] .. lo[i] +
-        counts[i]`` of the two row tables; entries come in
+        ``(win_reads, win_offsets, win_strands, lo, counts, row_reads,
+        row_offsets, row_strands)``: entry ``i`` pairs the query window
+        at ``(win_reads[i], win_offsets[i])`` with rows ``lo[i] ..
+        lo[i] + counts[i]`` of the three row tables; entries come in
         ``query_indices`` order, one read's adjacent.  The index
-        answers with left-maximal hits only — off its own sort for a
-        subset against itself (which needs that sort's read order to be
-        query order), by search otherwise.
+        answers with seeds only — off its own sort for a subset against
+        itself (which needs that sort's read order to be query order),
+        by search otherwise.
         """
         if (
             same_subset
@@ -175,12 +196,12 @@ class OverlapDetector:
         windows, *ranges = index.seed_ranges(vals, win_offsets)
         return (win_reads[windows], win_offsets[windows], *ranges)
 
-    @staticmethod
     def _stripe_triples(
+        self,
         seeds: tuple[np.ndarray, ...],
         stripe: slice,
         same_subset: bool,
-        n_reads: int,
+        reads: ReadSet,
         diag_lo: int,
         n_diags: int,
     ) -> np.ndarray:
@@ -188,24 +209,67 @@ class OverlapDetector:
 
         The row ranges of the :meth:`_unit_seeds` entries in ``stripe``
         are expanded, each row packed with its query window into one
-        ``(query * n_reads + ref) * n_diags + diagonal - diag_lo`` key,
-        and the keys sorted and deduplicated — a triple has one seed per
-        maximal exact match on its diagonal.  Each unordered read pair
-        is kept once in a subset against itself.
+        ``(query * 2n + ref) * n_diags + diagonal - diag_lo`` key, and
+        the keys sorted and deduplicated — a triple has a seed at each
+        end of every maximal exact match on its diagonal.  A row on the
+        query window's strand pairs the two forward reads; one on the
+        other strand pairs the query with the ref's mate ``ref + n``,
+        whose window at ``len - k - offset`` it is — and only in a set
+        that holds the mates.  Each unordered read pair is kept once in
+        a subset against itself: the ref is the larger forward read, or
+        the larger read's mate.
         """
-        win_reads, win_offsets, lo, counts, row_reads, row_offsets = seeds
+        win_reads, win_offsets, win_strands, lo, counts, row_reads, row_offsets, row_strands = seeds
         counts = counts[stripe]
         rows = ragged_positions(lo[stripe], counts)
         q = np.repeat(win_reads[stripe], counts)
         r = row_reads[rows]
-        key = (q * n_reads + r) * n_diags + (
-            np.repeat(win_offsets[stripe], counts) - row_offsets[rows] - diag_lo
-        )
-        keep = r > q if same_subset else r != q
-        if not keep.all():
-            key = key[keep]
+        diag = np.repeat(win_offsets[stripe] - diag_lo, counts)
+        p = row_offsets[rows]
+        strands = np.repeat(win_strands[stripe], counts)
+        mate = strands != row_strands[rows]
+        keep = (r > q) if same_subset else (r != q)
+        if not reads.mirrored:
+            key = self._keys(q, r, diag, p, None, reads, n_diags)[keep & ~mate]
+        else:
+            # A palindrome is on both strands: its rows pair once more, as mates.
+            pal = np.flatnonzero(strands == PALINDROME)
+            both = self._keys(q[pal], r[pal], diag[pal], p[pal], True, reads, n_diags)
+            if same_subset:
+                both = both[r[pal] >= q[pal]]
+                keep |= mate & (r == q)
+            else:
+                keep |= mate
+            key = np.concatenate([self._keys(q, r, diag, p, mate, reads, n_diags)[keep], both])
         key.sort()
         return key[_run_starts(key)]
+
+    def _keys(
+        self,
+        q: np.ndarray,
+        r: np.ndarray,
+        diag: np.ndarray,
+        p: np.ndarray,
+        mate: np.ndarray | bool | None,
+        reads: ReadSet,
+        n_diags: int,
+    ) -> np.ndarray:
+        """``(query * 2n + ref) * n_diags + diagonal - diag_lo`` of seed
+        rows at ref offsets ``p``, ``diag`` holding ``offset - diag_lo``
+        (and overwritten); a ``mate`` row pairs with the ref's mate
+        (``None``: no row does)."""
+        n = reads.n_forward
+        if mate is None:
+            diag -= p
+        else:
+            diag += np.where(mate, p + (self.config.k - reads.lengths[r]), -p)
+        key = q * (2 * n)
+        key += r
+        if mate is not None:
+            key += np.multiply(mate, n)
+        key *= n_diags
+        key += diag
+        return key
 
     def _diagonal_votes(
         self,
@@ -268,11 +332,48 @@ class OverlapDetector:
             b = e
         return votes, matches
 
+    def _verified(
+        self,
+        cand_q: np.ndarray,
+        cand_r: np.ndarray,
+        q_start: np.ndarray,
+        r_start: np.ndarray,
+        length: np.ndarray,
+        matches: np.ndarray,
+        lengths: np.ndarray,
+    ) -> PackedOverlaps:
+        """The rows of the candidate spans that are long and similar
+        enough, with their kinds."""
+        cfg = self.config
+        keep = np.flatnonzero(length >= cfg.min_overlap)
+        identity = matches[keep] / length[keep]
+        accepted = identity >= cfg.min_identity
+        keep, identity = keep[accepted], identity[accepted]
+        cand_q, cand_r, length = cand_q[keep], cand_r[keep], length[keep]
+        q_start, r_start = q_start[keep], r_start[keep]
+
+        # The kind, as an index into KIND_NAMES; a later rule wins.
+        q_full = (q_start == 0) & (length == lengths[cand_q])
+        r_full = (r_start == 0) & (length == lengths[cand_r])
+        kind_code = np.full(length.size, 4, dtype=np.uint8)  # query_right
+        kind_code[q_start > 0] = 3  # query_left
+        kind_code[r_full] = 2  # ref_contained
+        kind_code[q_full] = 1  # query_contained
+        kind_code[q_full & r_full] = 0  # equal
+        return PackedOverlaps(
+            query=cand_q,
+            ref=cand_r,
+            q_start=q_start,
+            r_start=r_start,
+            length=length,
+            identity=identity,
+            kind_code=kind_code,
+        )
+
     def _stripe_overlaps(
         self,
         reads: ReadSet,
         key: np.ndarray,
-        n_reads: int,
         diag_lo: int,
         n_diags: int,
     ) -> tuple[PackedOverlaps, int]:
@@ -282,56 +383,53 @@ class OverlapDetector:
         ``max(-d, 0)`` on the reference, to the end of the shorter
         remainder — is voted on and measured by one
         :meth:`_diagonal_votes` pass; a triple needs ``min_kmer_hits``
-        votes, only the best-supported diagonal per read pair survives
-        (ties resolved toward the larger diagonal) — those are the
-        candidates that are counted — and a candidate becomes an
-        overlap when its span is long enough and similar enough.  Rows
-        come back in ``(query, ref)`` order.
+        votes, and only the best-supported diagonal per read pair
+        survives, ties resolved toward the larger diagonal.
+
+        In a set that holds the mates, each pair also stands for its
+        mirror, the pair of the two mates, which picks its diagonal in
+        its own coordinates.  The mirror of two forward reads maps ``d``
+        to ``len_q - len_r - d``, which reverses the tie order, so it
+        takes the smallest of the tied diagonals here; the mirror of a
+        read and a mate, ``(ref - n, query + n)``, keeps the order; a
+        read and its own mate are their own mirror.  Every triple picked
+        is a candidate (counted once) and becomes an overlap when its
+        span is long enough and similar enough.  The pairs' rows come
+        back in ``(query, ref)`` order, their mirrors' after them.
         """
         cfg = self.config
+        n = reads.n_forward
         pair, diag = np.divmod(key, n_diags)
-        cand_q, cand_r = np.divmod(pair, n_reads)
+        cand_q, cand_r = np.divmod(pair, 2 * n)
         lengths = reads.lengths
-        len_q, len_r = lengths[cand_q], lengths[cand_r]
-        q_start = np.maximum(diag + diag_lo, 0)
-        r_start = np.maximum(-(diag + diag_lo), 0)
-        length = np.minimum(len_q - q_start, len_r - r_start)
+        d = diag + diag_lo
+        q_start = np.maximum(d, 0)
+        r_start = np.maximum(-d, 0)
+        length = np.minimum(lengths[cand_q] - q_start, lengths[cand_r] - r_start)
         votes, matches = self._diagonal_votes(reads, cand_q, cand_r, q_start, r_start, length)
 
         strong = np.flatnonzero(votes >= cfg.min_kmer_hits)
         if strong.size == 0:
             return PackedOverlaps.empty(), 0
         starts = _run_starts(pair[strong])
-        score = votes[strong] * n_diags + diag[strong]
-        best = np.maximum.reduceat(score, starts)
-        keep = strong[score == np.repeat(best, np.diff(starts, append=score.size))]
-        n_candidates = int(keep.size)
-
-        keep = keep[length[keep] >= cfg.min_overlap]
-        identity = matches[keep] / length[keep]
-        accepted = identity >= cfg.min_identity
-        keep, identity = keep[accepted], identity[accepted]
-        cand_q, cand_r, length = cand_q[keep], cand_r[keep], length[keep]
-        q_start, r_start = q_start[keep], r_start[keep]
-
-        # The kind, as an index into KIND_NAMES; a later rule wins.
-        q_full = (q_start == 0) & (length == len_q[keep])
-        r_full = (r_start == 0) & (length == len_r[keep])
-        kind_code = np.full(length.size, 4, dtype=np.uint8)  # query_right
-        kind_code[q_start > 0] = 3  # query_left
-        kind_code[r_full] = 2  # ref_contained
-        kind_code[q_full] = 1  # query_contained
-        kind_code[q_full & r_full] = 0  # equal
-        packed = PackedOverlaps(
-            query=cand_q,
-            ref=cand_r,
-            q_start=q_start,
-            r_start=r_start,
-            length=length,
-            identity=identity,
-            kind_code=kind_code,
-        )
-        return packed, n_candidates
+        votes = votes[strong] * n_diags
+        chosen = strong[_best(votes + diag[strong], starts)]
+        n_candidates = chosen.size
+        spans = (cand_q, cand_r, q_start, r_start, length, matches)
+        rows = [self._verified(*(column[chosen] for column in spans), lengths)]
+        if reads.mirrored:
+            lowest = strong[_best(votes + (n_diags - 1 - diag[strong]), starts)]
+            has_mirror = cand_r[chosen] != cand_q[chosen] + n
+            mirror = np.where(cand_r[chosen] < n, lowest, chosen)[has_mirror]
+            n_candidates += int(np.count_nonzero(mirror != chosen[has_mirror]))
+            a, c, d = cand_q[mirror], cand_r[mirror], d[mirror]
+            forward = c < n
+            shift = lengths[a] - lengths[c]
+            d = np.where(forward, shift - d, d - shift)
+            query, ref = np.where(forward, a + n, c - n), np.where(forward, c, a) + n
+            spans = (query, ref, np.maximum(d, 0), np.maximum(-d, 0), length[mirror], matches[mirror])
+            rows.append(self._verified(*spans, lengths))
+        return PackedOverlaps.concatenate(rows), n_candidates
 
     def overlap_subset_pair_packed(
         self,
@@ -344,6 +442,9 @@ class OverlapDetector:
     ) -> tuple[PackedOverlaps, int]:
         """One work unit in columnar form: (packed overlaps, candidates).
 
+        ``query_indices`` and ``ref_indices`` are forward reads (below
+        :attr:`~repro.io.readset.ReadSet.n_forward`); in a set that
+        holds the mates the unit also emits every pair with a mate.
         ``index`` optionally supplies a prebuilt reference-subset index
         so a kernel that touches one subset in several work units builds
         it only once.
@@ -353,14 +454,17 @@ class OverlapDetector:
         query_indices = np.asarray(query_indices, dtype=np.int64)
         if index is None:
             index = KmerIndex(reads, self.config.k, ref_indices)
+        if max(query_indices.max(initial=-1), index.read_indices.max(initial=-1)) >= reads.n_forward:
+            raise ValueError("a unit aligns forward reads: a mate is aligned with its read")
         seeds = self._unit_seeds(reads, query_indices, same_subset, index)
-        win_reads, win_offsets, _, counts, _, row_offsets = seeds
-        if row_offsets.size == 0 or not counts.any():
+        win_reads, counts = seeds[0], seeds[4]
+        if not counts.any():
             return PackedOverlaps.empty(), 0
-        n_reads = len(reads)
-        diag_lo = -int(row_offsets.max())
-        n_diags = int(win_offsets.max()) - diag_lo + 1
-        if n_reads * n_reads * n_diags >= 1 << 63:
+        # Same-strand diagonals are ``o - p``, mate ones ``o + p + k -
+        # len_ref``: both within one read's span of windows either way.
+        span = int(reads.lengths.max()) - self.config.k
+        diag_lo, n_diags = -span, 2 * span + 1
+        if 2 * reads.n_forward**2 * n_diags >= 1 << 63:
             raise OverflowError("(query, ref, diagonal) does not fit one int64 key")
         # First entry of every query read, and the seed rows before it.
         bounds = np.append(_run_starts(win_reads), win_reads.size)
@@ -373,11 +477,11 @@ class OverlapDetector:
             limit = rows_before[b] + max_hits
             e = max(b + 1, int(np.searchsorted(rows_before, limit, side="right")) - 1)
             key = self._stripe_triples(
-                seeds, slice(bounds[b], bounds[e]), same_subset, n_reads, diag_lo, n_diags
+                seeds, slice(bounds[b], bounds[e]), same_subset, reads, diag_lo, n_diags
             )
             b = e
             if key.size:
-                packed, n = self._stripe_overlaps(reads, key, n_reads, diag_lo, n_diags)
+                packed, n = self._stripe_overlaps(reads, key, diag_lo, n_diags)
                 chunks.append(packed)
                 n_candidates += n
         return PackedOverlaps.concatenate(chunks), n_candidates
@@ -414,7 +518,9 @@ class OverlapSubject:
     def __init__(self, reads: ReadSet, config: OverlapConfig, n_parts: int = 1) -> None:
         self.reads = reads
         self.config = config
-        self.subsets = reads.split(config.n_subsets)
+        #: the forward reads in ``n_subsets`` contiguous chunks (a
+        #: read's mate is aligned with it).
+        self.subsets = np.array_split(np.arange(reads.n_forward, dtype=np.int64), config.n_subsets)
         self.pairs = subset_pairs(len(self.subsets))
         self.unit_costs = subset_pair_costs(
             self.pairs, np.array([s.size for s in self.subsets])
@@ -463,10 +569,28 @@ def overlap_kernel(subject: OverlapSubject, part: int) -> list[tuple]:
 
 
 def overlap_merge(subject: OverlapSubject, proposals) -> tuple[PackedOverlaps, int]:
-    """(overlap columns in subset-pair order, candidates verified)."""
+    """(overlap columns in subset-pair order, candidates verified).
+
+    The order is that of the whole set cut into ``n_subsets`` subsets
+    (:meth:`~repro.io.readset.ReadSet.split`): rows by the subsets of
+    query and ref, then by ``(query, ref)``.  Without mates the units
+    are those subset pairs and come back in it; with them a unit's
+    mirrors belong to other subset pairs, so the rows are sorted into
+    it.
+    """
     units = sorted((u for part in proposals for u in part), key=lambda u: u[0])
     packed = PackedOverlaps.concatenate([columns for _, columns, _ in units])
-    return packed, sum(n for _, _, n in units)
+    n_candidates = sum(n for _, _, n in units)
+    reads = subject.reads
+    if not reads.mirrored or len(packed) == 0:
+        return packed, n_candidates
+    n_reads, n_subsets = len(reads), len(subject.subsets)
+    firsts = np.cumsum([s.size for s in reads.split(n_subsets)])[:-1]
+    sub_q = np.searchsorted(firsts, packed.query, side="right")
+    sub_r = np.searchsorted(firsts, packed.ref, side="right")
+    key = ((sub_q * n_subsets + sub_r) * n_reads + packed.query) * n_reads + packed.ref
+    order = stable_sort(key)[1]
+    return PackedOverlaps(*(getattr(packed, f.name)[order] for f in fields(PackedOverlaps))), n_candidates
 
 
 register_stage("overlap", overlap_kernel, overlap_merge)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +74,14 @@ class HybridAssembly:
     contigs: list[np.ndarray]
     #: G0 read members per hybrid node.
     clusters: list[np.ndarray]
+    #: bases per contig: :func:`enrich_hybrid` hands over the ones it
+    #: measured, else they are counted here — once, in the process that
+    #: builds the assembly, so no forked worker counts them again.
+    contig_lengths: np.ndarray | None = None
 
-    @cached_property
-    def contig_lengths(self) -> np.ndarray:
-        """Bases per contig; contigs are fixed once enriched, so computed once."""
-        return np.array([c.size for c in self.contigs], dtype=np.int64)
+    def __post_init__(self) -> None:
+        if self.contig_lengths is None:
+            self.contig_lengths = np.array([c.size for c in self.contigs], dtype=np.int64)
 
 
 def enrich_hybrid(
@@ -138,7 +140,7 @@ def enrich_hybrid(
         node_weights=h.node_weights,
         deltas=deltas,
     )
-    return HybridAssembly(graph=graph, contigs=contigs, clusters=clusters)
+    return HybridAssembly(graph=graph, contigs=contigs, clusters=clusters, contig_lengths=lengths)
 
 
 def _as_ids(ids) -> np.ndarray:

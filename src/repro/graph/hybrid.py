@@ -144,12 +144,14 @@ def build_hybrid_set(
         _, base_map = np.unique(lvl * max_nodes + level_maps[lvl, reads], return_inverse=True)
         base_maps.append(base_map.astype(np.int64))
 
-    # Each hybrid level is the one below it contracted: H0 from G0.
+    # Each hybrid level is the one below it contracted: H0 from G0.  A
+    # level that merges nothing is the same graph, not a copy of it.
     graphs = [g0.contract(base_maps[0])]
     mappings: list[np.ndarray] = []
     for i in range(mls.n_levels - 1):
         m = np.zeros(graphs[i].n_nodes, dtype=np.int64)
         m[base_maps[i]] = base_maps[i + 1]
         mappings.append(m)
-        graphs.append(graphs[i].contract(m))
+        same = bool((m == np.arange(m.size)).all())
+        graphs.append(graphs[i] if same else graphs[i].contract(m))
     return HybridGraphSet(graphs, mappings, base_maps, rep_level, mls.coarsen)

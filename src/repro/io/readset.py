@@ -28,7 +28,15 @@ from repro.sequence.dna import complement, decode
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
 from repro.sequence.quality import trim_spans
 
-__all__ = ["ReadSet", "ragged_positions", "read_columns", "trim_columns", "rc_columns"]
+__all__ = [
+    "ReadSet",
+    "ragged_positions",
+    "read_columns",
+    "trim_columns",
+    "rc_columns",
+    "rc_bases",
+    "rc_labels",
+]
 
 #: a ragged block of reads as columns ``(data, offsets, quals, ids,
 #: meta)``: concatenated codes, CSR offsets, flat scores or ``None``,
@@ -95,16 +103,20 @@ def trim_columns(
 def rc_columns(data, offsets, quals, ids, meta) -> Columns:
     """:meth:`Read.reverse_complement` of every read of a block: one
     mirrored gather per column; ids gain ``/rc``, meta ``rc_of``."""
+    return (*rc_bases(data, offsets, quals), *rc_labels(ids, meta))
+
+
+def rc_bases(data, offsets, quals) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The ``(data, offsets, quals)`` half of :func:`rc_columns`."""
     offsets = np.asarray(offsets, dtype=np.int64)
     last = offsets[:-1] + offsets[1:] - 1
     mirror = np.repeat(last, np.diff(offsets)) - np.arange(data.size, dtype=np.int64)
-    return (
-        complement(data[mirror]),
-        offsets,
-        None if quals is None else quals[mirror],
-        [i + "/rc" for i in ids],
-        [{**m, "rc_of": i} for i, m in zip(ids, meta)],
-    )
+    return complement(data[mirror]), offsets, None if quals is None else quals[mirror]
+
+
+def rc_labels(ids, meta) -> tuple[list, list]:
+    """The ``(ids, meta)`` half of :func:`rc_columns`."""
+    return [i + "/rc" for i in ids], [{**m, "rc_of": i} for i, m in zip(ids, meta)]
 
 
 class ReadSet:
@@ -114,6 +126,11 @@ class ReadSet:
     container is immutable after construction — preprocessing steps
     return new ReadSets.
     """
+
+    #: whether the second half of the set is the first half's reverse
+    #: complements, read ``i + n`` the mate of read ``i``
+    #: (:meth:`with_reverse_complements`).
+    mirrored = False
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
         self._set_columns(*read_columns(list(reads)))
@@ -205,6 +222,12 @@ class ReadSet:
         lengths = np.diff(self.offsets)
         lengths.setflags(write=False)
         return lengths
+
+    @property
+    def n_forward(self) -> int:
+        """Reads in front of the mates: half the set when it is
+        :attr:`mirrored`, else all of it."""
+        return len(self) // 2 if self.mirrored else len(self)
 
     @property
     def total_bases(self) -> int:
@@ -352,8 +375,12 @@ class ReadSet:
         The forward read ``i`` and its reverse complement ``i + n`` are
         paired; :meth:`mate_of` maps between them.
         """
+        if self.mirrored:
+            raise ValueError("the read set already holds its reverse complements")
         mates = (rc_columns(*block) for block in self._blocks())
-        return self._rebuilt("rc", {}, chain(self._blocks(), mates))
+        both = self._rebuilt("rc", {}, chain(self._blocks(), mates))
+        both.mirrored = True
+        return both
 
     def mate_of(self, i: int) -> int:
         """Index of read ``i``'s reverse complement in an rc-augmented set."""

@@ -20,7 +20,7 @@ import numpy as np
 from repro.graph.overlap_graph import Level
 from repro.partition.metrics import internal_external_weights
 
-__all__ = ["kl_refine_bisection", "edge_weight_between"]
+__all__ = ["kl_refine", "kl_refine_bisection", "edge_weight_between"]
 
 
 def edge_weight_between(graph: Level, a: int, b: int) -> float:
@@ -97,11 +97,27 @@ def kl_refine_bisection(
     ``labels`` is not modified; a refined copy is returned together
     with the total edge-cut improvement achieved across passes.
     """
+    labels, gain, _ = kl_refine(graph, labels, stall_window, max_passes, max_scan, node_balance)
+    return labels, gain
+
+
+def kl_refine(
+    graph: Level,
+    labels: np.ndarray,
+    stall_window: int = 50,
+    max_passes: int = 8,
+    max_scan: int = 400,
+    node_balance: float = 1.1,
+) -> tuple[np.ndarray, float, bool]:
+    """:func:`kl_refine_bisection`, and whether it converged: its last
+    pass found no positive gain and rolled back, so — KL being
+    deterministic — another call on the same graph and labels would
+    return them unchanged."""
     labels = np.asarray(labels, dtype=np.int64).copy()
     if labels.size != graph.n_nodes:
         raise ValueError("labels must cover every node")
     if labels.size == 0:
-        return labels, 0.0
+        return labels, 0.0, True
     if set(np.unique(labels).tolist()) - {0, 1}:
         raise ValueError("bisection labels must be 0/1")
 
@@ -164,6 +180,6 @@ def kl_refine_bisection(
         for a, b in reversed(swaps[s_max_idx + 1 :]):
             labels[a], labels[b] = 0, 1
         if s_max <= 0:
-            break
+            return labels, total_gain, True
         total_gain += s_max
-    return labels, total_gain
+    return labels, total_gain, False

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.partition.greedy_growing import greedy_grow_bisection
-from repro.partition.kl import kl_refine_bisection
+from repro.partition.kl import kl_refine
 
 __all__ = ["PartitionConfig", "TaskRecord", "recursive_bisection"]
 
@@ -62,16 +62,20 @@ def bisect_graph_set(
     """Bisect the finest graph of a coarsened set (labels 0/1).
 
     The initial bisection is found on the coarsest graph and
-    projected/refined down to ``gs.base``.
+    projected/refined down to ``gs.base``.  A level that is the level
+    above it again (a hybrid set repeats its finest graph) keeps the
+    labels KL converged to there: refining them again is a no-op.
     """
     graphs, mappings = gs.graphs, gs.mappings
     labels = greedy_grow_bisection(graphs[-1], rng, edge_balance=config.edge_balance)
-    labels, _ = kl_refine_bisection(
+    labels, _, converged = kl_refine(
         graphs[-1], labels, stall_window=config.stall_window, max_passes=config.kl_max_passes
     )
     for level in range(len(graphs) - 2, -1, -1):
         labels = labels[mappings[level]]  # project coarse -> fine
-        labels, _ = kl_refine_bisection(
+        if converged and graphs[level] is graphs[level + 1]:
+            continue
+        labels, _, converged = kl_refine(
             graphs[level], labels, stall_window=config.stall_window, max_passes=config.kl_max_passes
         )
     return labels

@@ -67,15 +67,24 @@ def revcomp_kmer_code(values: np.ndarray | int, k: int):
     """Reverse-complement packed k-mer value(s) without unpacking.
 
     Works elementwise on arrays.  Complementing a 2-bit base is
-    ``3 - b`` i.e. ``b ^ 3``; reversing swaps digit order.
+    ``3 - b`` i.e. ``b ^ 3``; reversing swaps digit order: the 2-bit
+    digits of the whole 64-bit word are reversed by swapping pairs,
+    then nibbles, then bytes, and the k digits shifted back down.
     """
     _check_k(k)
     scalar = np.isscalar(values)
-    v = np.asarray(values, dtype=np.int64)
-    out = np.zeros_like(v)
-    for _ in range(k):
-        out = (out << 2) | ((v & 3) ^ 3)
-        v = v >> 2
+    v = np.asarray(values, dtype=np.int64).astype(np.uint64)
+    v ^= np.uint64((1 << 2 * k) - 1)
+    for mask, width in ((0x3333333333333333, 2), (0x0F0F0F0F0F0F0F0F, 4)):
+        low = v & np.uint64(mask)
+        low <<= np.uint64(width)
+        v >>= np.uint64(width)
+        v &= np.uint64(mask)
+        v |= low
+        del low
+    v = v.byteswap(inplace=True)
+    v >>= np.uint64(64 - 2 * k)
+    out = v.view(np.int64)
     return int(out) if scalar else out
 
 

@@ -15,8 +15,12 @@ Layout of a reads store::
       offsets.bin            # global CSR offsets, a CRC-checked table
       shard-00000.bin        # data, offsets (local), ids, meta, quals
       shard-00001.bin        #   (scores as uint8); CRC-checked, read-only
-      derived/               # trimmed / reverse-complement children,
-                             #   written shard by shard from the parent's
+      derived/               # trimmed children, written shard by
+                             #   shard from the parent's
+
+A set's reverse complements are not stored: the mirrored view
+(:meth:`ShardedReadSet.with_reverse_complements`) builds mate shard
+``S + s`` from shard ``s`` when it loads.
 
 Reads never straddle shards, so every in-read k-mer window of a shard
 is computable from that shard alone — the per-shard packed k-mer
@@ -37,7 +41,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.io.readset import Columns, ReadSet, ragged_positions, read_columns
+from repro.io.readset import Columns, ReadSet, ragged_positions, rc_bases, rc_labels, read_columns
 from repro.io.records import Read
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
 from repro.store.manifest import StoreManifest
@@ -180,9 +184,9 @@ class _ShardColumn(Sequence):
         if not -n <= i < n:
             raise IndexError(i)
         i = i % n if n else i
-        shard = self._reads.store.shard_of(i)
+        shard = self._reads.shard_of(i)
         column = self._reads._shard_column(shard, self._field)
-        return column[i - int(self._reads.store.record_starts[shard])]
+        return column[i - int(self._reads.record_starts[shard])]
 
 
 class ShardedReadSet(ReadSet):
@@ -193,12 +197,18 @@ class ShardedReadSet(ReadSet):
     splitting behave identically (and produce byte-identical downstream
     assemblies) — but base codes, qualities, and packed k-mers are
     loaded one shard at a time through an LRU cache, the global offsets
-    array is read once and CRC-checked, and preprocessing streams its
-    output into derived stores under ``<store>/derived/`` instead of RAM.
+    array is read once and CRC-checked, and trimming streams its output
+    into a derived store under ``<store>/derived/`` instead of RAM.
 
-    Pickling serializes only ``(store path, cache budget)``: a worker
-    process re-opens the shards by path rather than receiving (or
-    copy-on-write-inheriting) any mapped array.
+    A *mirrored* set (:meth:`with_reverse_complements`) is a view of
+    the same store: after its ``S`` shards come ``S`` mate shards, mate
+    shard ``S + s`` being :func:`~repro.io.readset.rc_columns` of shard
+    ``s``, built when it is first asked for and cached like any shard.
+    Nothing is written for it.
+
+    Pickling serializes only ``(store path, cache budget, mirrored)``:
+    a worker process re-opens the shards by path rather than receiving
+    (or copy-on-write-inheriting) any mapped array.
 
     :attr:`data` / :attr:`quals` remain available as *explicit
     whole-store materializations* (via :meth:`to_array`) so legacy
@@ -207,36 +217,43 @@ class ShardedReadSet(ReadSet):
     """
 
     def __init__(
-        self, path: str | Path, cache_budget: int = DEFAULT_CACHE_BUDGET
+        self, path: str | Path, cache_budget: int = DEFAULT_CACHE_BUDGET, mirrored: bool = False
     ) -> None:
-        self._init_from_store(str(path), int(cache_budget))
+        self._init_from_store(str(path), int(cache_budget), bool(mirrored))
 
-    def _init_from_store(self, path: str, cache_budget: int) -> None:
+    def _init_from_store(self, path: str, cache_budget: int, mirrored: bool) -> None:
         self.store_path = path
         self.cache_budget = cache_budget
         self.store = ShardedStore(
             path, kind=READS_KIND, cache_budget=cache_budget
         )
         try:
-            self.offsets = self.store.load_table(OFFSETS_NAME)["offsets"]
+            offsets = self.store.load_table(OFFSETS_NAME)["offsets"]
         except (KeyError, ValueError) as exc:
             raise ValueError(
                 f"reads store {path!r} has no readable {OFFSETS_NAME}: {exc}"
             ) from exc
-        if self.offsets.shape[0] != self.store.n_records + 1:
+        if offsets.shape[0] != self.store.n_records + 1:
             raise ValueError(
                 f"reads store {path!r}: {OFFSETS_NAME} describes "
-                f"{self.offsets.shape[0] - 1} reads, manifest expects "
+                f"{offsets.shape[0] - 1} reads, manifest expects "
                 f"{self.store.n_records}"
             )
         self.has_quals = bool(self.store.manifest.meta.get("has_quals", False))
         #: manifest content digest — folded into assembly checkpoint
         #: fingerprints so a resume against changed shards is refused.
         self.store_fingerprint = self.store.manifest.fingerprint()
+        #: record ``i`` of shard ``s`` is read ``record_starts[s] + i``.
+        self.record_starts = self.store.record_starts
+        self.mirrored = mirrored
+        if mirrored:
+            self.store_fingerprint += "+rc"
+            n = self.store.n_records
+            offsets = np.concatenate([offsets, offsets[1:] + offsets[-1]])
+            self.record_starts = np.concatenate([self.record_starts, self.record_starts[1:] + n])
+        self.offsets = offsets
         #: global base offset of each shard's first base (n_shards + 1).
-        self._base_bounds = np.asarray(
-            self.offsets[self.store.record_starts], dtype=np.int64
-        )
+        self._base_bounds = np.asarray(self.offsets[self.record_starts], dtype=np.int64)
         self.ids = _ShardColumn(self, "ids")
         self.meta = _ShardColumn(self, "meta")
         self._kmer_cache = {}  # whole-store entries, filled by packed_kmers
@@ -246,23 +263,72 @@ class ShardedReadSet(ReadSet):
     # -- pickling (ships the path, never the arrays) ----------------------
 
     def __getstate__(self) -> dict:
-        return {"store_path": self.store_path, "cache_budget": self.cache_budget}
+        return {
+            "store_path": self.store_path,
+            "cache_budget": self.cache_budget,
+            "mirrored": self.mirrored,
+        }
 
     def __setstate__(self, state: dict) -> None:
-        self._init_from_store(state["store_path"], state["cache_budget"])
+        self._init_from_store(state["store_path"], state["cache_budget"], state["mirrored"])
 
     def reopen(self) -> "ShardedReadSet":
         """A fresh view with its own cold cache (for worker processes)."""
-        return type(self)(self.store_path, self.cache_budget)
+        return type(self)(self.store_path, self.cache_budget, self.mirrored)
+
+    def with_reverse_complements(self) -> "ShardedReadSet":
+        """The set and its mates (paper §II-A) as a mirrored view of the
+        same store: nothing is packed or written."""
+        if self.mirrored:
+            raise ValueError("the read set already holds its reverse complements")
+        return type(self)(self.store_path, self.cache_budget, mirrored=True)
 
     # -- shard plumbing ---------------------------------------------------
 
+    @property
+    def n_shards(self) -> int:
+        """The store's shards, and as many mate shards when mirrored."""
+        return int(self.record_starts.size - 1)
+
+    def shard_of(self, i: int) -> int:
+        """Index of the shard (a mate shard past the store's) holding read ``i``."""
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return int(np.searchsorted(self.record_starts, i, side="right") - 1)
+
+    def _shard(self, shard: int) -> dict:
+        """One shard's arrays (``data``, ``offsets``, ``has_quals``,
+        ``quals``), through the store's cache; a mate shard is built
+        from its store shard on a miss."""
+        n_stored = self.store.n_shards
+        if shard < n_stored:
+            return self.store.shard(shard)
+
+        def loader() -> tuple[dict, int]:
+            mate = _mate_arrays(self.store.shard(shard - n_stored))
+            return mate, sum(a.nbytes for a in mate.values())
+
+        return self.store.cache.get(("mate", self.store_path, shard), loader)
+
+    def _load(self, shard: int) -> dict:
+        """:meth:`_shard` read past the cache (whole-set materialization)."""
+        n_stored = self.store.n_shards
+        if shard < n_stored:
+            return self.store.load_shard(shard)
+        return _mate_arrays(self.store.load_shard(shard - n_stored))
+
     def _shard_column(self, shard: int, field: str) -> list:
-        """Decoded ids/meta list of one shard (cache-backed)."""
+        """Decoded ids/meta list of one shard (cache-backed); a mate
+        shard's are its store shard's, relabelled."""
+        n_stored = self.store.n_shards
 
         def loader() -> tuple[list, int]:
-            raw = self.store.shard(shard)[field]
-            return _json_load(raw), int(raw.nbytes)
+            if shard < n_stored:
+                raw = self.store.shard(shard)[field]
+                return _json_load(raw), int(raw.nbytes)
+            source = self.store.shard(shard - n_stored)
+            labels = rc_labels(_json_load(source["ids"]), _json_load(source["meta"]))
+            return labels[field == "meta"], int(source[field].nbytes)
 
         return self.store.cache.get(
             ("column", self.store_path, shard, field), loader
@@ -272,22 +338,24 @@ class ShardedReadSet(ReadSet):
         """Packed k-mer values of one shard's concatenated codes."""
         packer = canonical_kmer_codes if canonical else kmer_codes
 
-        def build(arrays: dict) -> np.ndarray:
-            packed = packer(arrays["data"], int(k))
+        def loader() -> tuple[np.ndarray, int]:
+            packed = packer(self._shard(shard)["data"], int(k))
             packed.setflags(write=False)
-            return packed
+            return packed, int(packed.nbytes)
 
-        return self.store.derived(shard, ("kmers", int(k), bool(canonical)), build)
+        return self.store.cache.get(
+            ("kmers", self.store_path, shard, int(k), bool(canonical)), loader
+        )
 
     def _locate(self, i: int) -> tuple[dict, int]:
         """(shard arrays, local read index) of global read ``i``."""
-        shard = self.store.shard_of(int(i))
-        return self.store.shard(shard), int(i) - int(self.store.record_starts[shard])
+        shard = self.shard_of(int(i))
+        return self._shard(shard), int(i) - int(self.record_starts[shard])
 
     # -- ReadSet protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return self.store.n_records
+        return int(self.record_starts[-1])
 
     def codes_of(self, i: int) -> np.ndarray:
         arrays, local = self._locate(i)
@@ -315,9 +383,7 @@ class ShardedReadSet(ReadSet):
         rule MEM001 flags this call inside them).
         """
         if self._materialized is None:
-            parts = [
-                self.store.load_shard(s)["data"] for s in range(self.store.n_shards)
-            ]
+            parts = [self._load(s)["data"] for s in range(self.n_shards)]
             self._materialized = (
                 np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
             )
@@ -335,8 +401,8 @@ class ShardedReadSet(ReadSet):
         if self._materialized_quals is None:
             total = int(self.offsets[-1])
             out = np.zeros(total, dtype=np.int64)
-            for s in range(self.store.n_shards):
-                arrays = self.store.load_shard(s)
+            for s in range(self.n_shards):
+                arrays = self._load(s)
                 if bool(arrays["has_quals"]):
                     lo = int(self._base_bounds[s])
                     out[lo : lo + arrays["quals"].size] = arrays["quals"]
@@ -358,10 +424,10 @@ class ShardedReadSet(ReadSet):
         starts = np.cumsum(sizes) - sizes
         codes = np.empty(int(sizes.sum()), dtype=np.uint8)
         scores = np.zeros(codes.size, dtype=np.int64) if quals and self.has_quals else None
-        shard_ids = np.searchsorted(self.store.record_starts, distinct, side="right") - 1
+        shard_ids = np.searchsorted(self.record_starts, distinct, side="right") - 1
         for s, at in _shard_groups(shard_ids):
-            arrays = self.store.shard(s)
-            local = distinct[at] - int(self.store.record_starts[s])
+            arrays = self._shard(s)
+            local = distinct[at] - int(self.record_starts[s])
             src = ragged_positions(arrays["offsets"][local], sizes[at])
             dest = slice(int(starts[at[0]]), int(starts[at[0]]) + src.size)
             codes[dest] = arrays["data"][src]
@@ -372,10 +438,9 @@ class ShardedReadSet(ReadSet):
     # -- k-mer cache API (per-shard materialization) ----------------------
 
     def kmer_codes_of(self, i: int, k: int, canonical: bool = False) -> np.ndarray:
-        shard = self.store.shard_of(int(i))
-        arrays = self.store.shard(shard)
-        offsets = arrays["offsets"]
-        local = int(i) - int(self.store.record_starts[shard])
+        shard = self.shard_of(int(i))
+        offsets = self._shard(shard)["offsets"]
+        local = int(i) - int(self.record_starts[shard])
         lo = int(offsets[local])
         hi = int(offsets[local + 1]) - k + 1
         if hi <= lo:
@@ -386,9 +451,7 @@ class ShardedReadSet(ReadSet):
         self, k: int, canonical: bool, flat: np.ndarray, idx: np.ndarray, n_windows: np.ndarray
     ) -> np.ndarray:
         # Gathered shard by shard: each shard's k-mers are packed once.
-        read_shards = (
-            np.searchsorted(self.store.record_starts, idx, side="right") - 1
-        )
+        read_shards = np.searchsorted(self.record_starts, idx, side="right") - 1
         window_shards = np.repeat(read_shards, n_windows)
         values = np.empty(flat.size, dtype=np.int64)
         for s, at in _shard_groups(window_shards):
@@ -400,19 +463,19 @@ class ShardedReadSet(ReadSet):
 
     def _blocks(self) -> Iterator[Columns]:
         """Every shard as a column block, in shard order (one visit each)."""
-        for _, arrays in self.store.iter_shards():
+        n_stored = self.store.n_shards
+        for s in range(self.n_shards):
+            arrays = self._shard(s)
             quals = None
             if self.has_quals:
                 quals = arrays["quals"]
                 if not bool(arrays["has_quals"]):
                     quals = np.zeros(arrays["data"].size, dtype=np.int64)
-            yield (
-                arrays["data"],
-                arrays["offsets"],
-                quals,
-                _json_load(arrays["ids"]),
-                _json_load(arrays["meta"]),
-            )
+            source = self.store.shard(s % n_stored)
+            labels = _json_load(source["ids"]), _json_load(source["meta"])
+            yield (arrays["data"], arrays["offsets"], quals, *(
+                rc_labels(*labels) if s >= n_stored else labels
+            ))
 
     def _rebuilt(
         self, tag: str, params: dict, blocks: Iterable[Columns]
@@ -441,3 +504,17 @@ class ShardedReadSet(ReadSet):
             meta={"derived_from": self.store_fingerprint, "derived_tag": tag},
         )
         return ShardedReadSet(dest, self.cache_budget)
+
+
+def _mate_arrays(arrays: dict) -> dict:
+    """A mate shard: the reverse complements of a store shard's reads."""
+    has_quals = bool(arrays["has_quals"])
+    data, offsets, quals = rc_bases(
+        arrays["data"], arrays["offsets"], arrays["quals"] if has_quals else None
+    )
+    return {
+        "data": data,
+        "offsets": offsets,
+        "has_quals": arrays["has_quals"],
+        "quals": quals if has_quals else arrays["quals"],
+    }

@@ -306,20 +306,6 @@ class ShardedStore:
 
         return self.cache.get(("shard", self.path, index), loader)
 
-    def derived(self, index: int, tag, builder) -> np.ndarray:
-        """A per-shard derived array (e.g. packed k-mers), cache-backed.
-
-        ``builder(shard_arrays)`` runs on a miss and must return a
-        numpy array; its ``nbytes`` charge the same budget the raw
-        shards use, so derived data participates in eviction.
-        """
-
-        def loader() -> tuple[np.ndarray, int]:
-            value = builder(self.shard(index))
-            return value, int(getattr(value, "nbytes", 0) or 0)
-
-        return self.cache.get(("derived", self.path, index, tag), loader)
-
     def iter_shards(self) -> Iterator[tuple[int, dict]]:
         """Yield ``(index, arrays)`` for every shard, in order."""
         for index in range(self.n_shards):

@@ -39,6 +39,7 @@ from tests.align.test_overlapper import (
     oracle_votes,
     recorded_votes,
 )
+from tests.reference.doubled_set import as_plain, strand_once_candidates
 from tests.reference.overlap_loop import (
     assert_same_columns,
     find_overlaps_loop,
@@ -188,8 +189,9 @@ class TestEngineEquivalence:
 @pytest.mark.parametrize("n_subsets", [1, 3])
 def test_d1_sample_both_indexes_equal_the_oracle(n_subsets):
     """1,500 reads of D1 as ``prepare()`` aligns them (trimmed, with
-    reverse complements): left-maximal seeds, all-hit seeds and the
-    hit-counting oracle give the same rows in the same order."""
+    reverse complements): match-end seeds, all-hit seeds and the
+    hit-counting oracle on the doubled set give the same rows in the
+    same order."""
     from repro.bench.datasets import standard_datasets
     from repro.core.config import AssemblyConfig
     from repro.core.focus import FocusAssembler
@@ -197,11 +199,11 @@ def test_d1_sample_both_indexes_equal_the_oracle(n_subsets):
     dataset = next(d for d in standard_datasets() if d.name == "D1")
     sample = ReadSet(list(dataset.reads)[:750])
     reads = FocusAssembler(AssemblyConfig()).preprocess(sample)
-    assert len(reads) == 1500
+    assert len(reads) == 1500 and reads.mirrored
     config = OverlapConfig(n_subsets=n_subsets)
-    expected, loop_candidates = find_overlaps_loop(config, reads)
+    expected, _ = find_overlaps_loop(config, as_plain(reads))
     assert len(expected) > 5000
     for index in INDEXES:
         packed, candidates = find_overlaps_on(index, config, reads)
         assert_same_columns(packed, expected, index)
-        assert candidates == loop_candidates
+        assert candidates == strand_once_candidates(config, reads)

@@ -103,15 +103,68 @@ class TestKmerIndex:
         assert (2, 4) in pairs
 
 
-def left_maximal(reads, k, q, o, r, p):
-    """Whether the hit (q, o) ~ (r, p) has no hit directly before it."""
-    a, b = reads.sequence_of(q), reads.sequence_of(r)
-    return o == 0 or p == 0 or a[o - 1] != b[p - 1] or a[o - 1] == "N"
+COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A"}
+
+
+def revcomp(seq):
+    return "".join(COMPLEMENT[c] for c in reversed(seq))
+
+
+def string_windows(reads, k, indices):
+    """``{(read, offset): (canonical k-mer, strand, class)}`` of every
+    ``N``-free window, from the strings: the class is the flanking
+    bases ``(in front, behind)`` read on the canonical k-mer's strand,
+    ``None`` where there is none or it is ``N``."""
+    found = {}
+    for x in np.asarray(indices).tolist():
+        seq = reads.sequence_of(x)
+        for o in range(len(seq) - k + 1):
+            w = seq[o : o + k]
+            if "N" in w:
+                continue
+            before = seq[o - 1] if o and seq[o - 1] != "N" else None
+            after = seq[o + k] if o + k < len(seq) and seq[o + k] != "N" else None
+            rc = revcomp(w)
+            if w == rc:
+                found[x, o] = (w, 2, (None, None))
+            elif w < rc:
+                found[x, o] = (w, 0, (before, after))
+            else:
+                found[x, o] = (rc, 1, (COMPLEMENT.get(after), COMPLEMENT.get(before)))
+    return found
+
+
+def seed_pairs(query, ref):
+    """``(q, o, strand, r, p, strand)`` of every pair of a query and a
+    ref window (``string_windows``) of one canonical k-mer that is a
+    seed: their classes differ or either lacks a flank.  Also the
+    number of all such pairs, seeds or not."""
+    seeds, hits = [], 0
+    for (q, o), (kq, sq, cq) in query.items():
+        for (r, p), (kr, sr, cr) in ref.items():
+            if kq == kr:
+                hits += 1
+                if cq != cr or None in cq or None in cr:
+                    seeds.append((q, o, sq, r, p, sr))
+    return sorted(seeds), hits
+
+
+def expanded(entries, lo, counts, rows):
+    """``(window..., row read, row offset, row strand)`` of every row of
+    the ranges: the seed pairs an index hands out."""
+    at = np.concatenate([np.arange(a, a + n) for a, n in zip(lo, counts)] or [np.empty(0, int)])
+    return sorted(
+        zip(
+            *(np.repeat(column, counts).tolist() for column in entries),
+            *(table[at].tolist() for table in rows),
+        )
+    )
 
 
 class TestSeeds:
-    """``seed_ranges`` and ``self_join`` hand out exactly the hits of
-    ``lookup`` that are left-maximal, each once per side."""
+    """``seed_ranges`` and ``self_join`` hand out exactly the pairs of
+    windows of one canonical k-mer — on the same strand or not — whose
+    flank classes differ or lack a base, each once per side."""
 
     SEQS = [
         "ACGTACGTTTGACCA",
@@ -120,68 +173,60 @@ class TestSeeds:
         "TTGACCATTGACCA",
         "ACG",
         "ACGTACGTTTGACCA",
+        "TGGTCAAACGTACGT",  # read 0's reverse complement
     ]
 
     @pytest.mark.parametrize("k", [3, 5, 31])
     def test_self_join_is_the_left_maximal_part_of_lookup(self, k):
+        # The name predates the strands: a seed is now a match end on
+        # either side, of either strand.
         seqs = [s * 4 for s in self.SEQS] if k == 31 else self.SEQS
         reads = ReadSet.from_strings(seqs)
         idx = KmerIndex(reads, k)
-        vals, win_reads, win_offsets = reads.kmer_table(k)
-        qpos, hit_reads, hit_offsets = idx.lookup(vals)
-        expected = sorted(
-            (q, o, r, p)
-            for q, o, r, p in zip(
-                win_reads[qpos].tolist(),
-                win_offsets[qpos].tolist(),
-                hit_reads.tolist(),
-                hit_offsets.tolist(),
-            )
-            if left_maximal(reads, k, q, o, r, p)
-        )
-        assert len(expected) < qpos.size
-        jr, jo, lo, counts, row_reads, row_offsets = idx.self_join()
+        windows = string_windows(reads, k, range(len(reads)))
+        expected, hits = seed_pairs(windows, windows)
+        assert 0 < len(expected) < hits
+        jr, jo, js, lo, counts, *rows = idx.self_join()
         assert (counts > 0).all()
         assert (np.diff(jr * 1000 + jo) >= 0).all()  # window order
-        rows = np.concatenate([np.arange(a, a + n) for a, n in zip(lo, counts)])
-        joined = zip(
-            np.repeat(jr, counts).tolist(),
-            np.repeat(jo, counts).tolist(),
-            row_reads[rows].tolist(),
-            row_offsets[rows].tolist(),
-        )
-        assert sorted(joined) == expected
+        assert all(windows[q, o][1] == s for q, o, s in zip(jr.tolist(), jo.tolist(), js.tolist()))
+        assert expanded((jr, jo, js), lo, counts, rows) == expected
+        # both strands pair: read 6 is read 0 backwards.
+        assert any(q == 0 and r == 6 and sq != sr for q, _, sq, r, _, sr in expected)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_seed_ranges_of_another_subset(self, k):
         reads = ReadSet.from_strings(self.SEQS)
-        ref, query = np.array([0, 2, 5]), np.array([3, 1, 4])
+        ref, query = np.array([0, 2, 5]), np.array([3, 1, 4, 6])
         idx = KmerIndex(reads, k, ref)
         vals, win_reads, win_offsets = reads.kmer_table(k, query)
-        qpos, hit_reads, hit_offsets = idx.lookup(vals)
-        expected = sorted(
-            (w, r, p)
-            for w, r, p in zip(qpos.tolist(), hit_reads.tolist(), hit_offsets.tolist())
-            if left_maximal(reads, k, int(win_reads[w]), int(win_offsets[w]), r, p)
-        )
-        windows, lo, counts, row_reads, row_offsets = idx.seed_ranges(vals, win_offsets)
+        expected, _ = seed_pairs(string_windows(reads, k, query), string_windows(reads, k, ref))
+        windows, win_strands, lo, counts, *rows = idx.seed_ranges(vals, win_offsets)
         assert (counts > 0).all() and (np.diff(windows) >= 0).all()
-        rows = np.concatenate([np.arange(a, a + n) for a, n in zip(lo, counts)])
-        found = zip(
-            np.repeat(windows, counts).tolist(),
-            row_reads[rows].tolist(),
-            row_offsets[rows].tolist(),
-        )
-        assert sorted(found) == expected
+        entries = (win_reads[windows], win_offsets[windows], win_strands)
+        assert expanded(entries, lo, counts, rows) == expected
 
     def test_rows_are_sorted_by_kmer_class_read_offset(self):
         reads = ReadSet.from_strings(["TACGA", "GACGT", "ACGTACG", "NACGC"])
         idx = KmerIndex(reads, 3)
-        acg = idx.lookup(kmer_codes(encode("ACG"), 3))
-        # preceded by G (read 1), by T (reads 0 and 2), by nothing (2, 3).
-        assert list(zip(acg[1].tolist(), acg[2].tolist())) == [
-            (1, 1), (0, 1), (2, 4), (2, 0), (3, 1),
+        # ACG and CGT are one canonical k-mer, ACG; its rows by class
+        # (in front, behind on ACG's strand; 4 is none):
+        run = np.searchsorted(idx.run_kmers, kmer_codes(encode("ACG"), 3)[0])
+        rows = slice(idx.run_lo[run], idx.run_lo[run + 1])
+        assert list(
+            zip(idx.kmer_reads[rows].tolist(), idx.kmer_offsets[rows].tolist(), idx.kmer_strands[rows].tolist())
+        ) == [
+            (1, 1, 0),  # G.T  13
+            (0, 1, 0),  # T.A  15
+            (2, 1, 1),  # CGT between A and A: T.T  18
+            (2, 4, 0),  # T.   19
+            (3, 1, 0),  # .C   21
+            (1, 2, 1),  # CGT after A, at the end: .T  23
+            (2, 0, 0),  # .T   23
         ]
+        # lookup answers on the query's own strand only.
+        cgt = idx.lookup(kmer_codes(encode("CGT"), 3))
+        assert list(zip(cgt[1].tolist(), cgt[2].tolist())) == [(2, 1), (1, 2)]
 
 
 @st.composite
@@ -212,7 +257,7 @@ def assert_same(got, expect):
 
 class TestAgainstBoundsTable:
     """The sub-run index answers exactly as the dense ``(distinct
-    k-mers, 6)`` class-boundary table did, array for array."""
+    k-mers, 26)`` class-boundary table does, array for array."""
 
     @settings(max_examples=400, deadline=None)
     @given(read_sets(), st.sampled_from([3, 5, 16, 30, 31]), st.data())
@@ -244,7 +289,6 @@ class TestAgainstBoundsTable:
             dtype=np.int64,
         )
         needles = np.concatenate([vals, noise, idx.run_kmers[:3]])
-        assert_same(idx.hit_ranges(needles), oracle.hit_ranges(needles))
         assert_same(idx.lookup(needles), oracle.lookup(needles))
 
 
@@ -259,8 +303,10 @@ def shotgun_sample():
 
 class TestMemory:
     """What the index costs per window, resident and while it builds.
-    The dense class-boundary table (tests/reference/kmer_index_bounds.py)
-    held 28.6 B per window here and peaked at 56.0 B building."""
+    It holds the forward reads' windows only: the 4,000 reads with
+    their mates index as 2,000.  The forward-strand index of both
+    (before the strand codes) held 23.5 B per window of 4,000 reads and
+    peaked at 40.1 B building."""
 
     def test_resident_and_build_peak_per_window(self):
         import tracemalloc
@@ -274,8 +320,8 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         n_windows = len(idx)
-        assert n_windows == 4000 * 85
+        assert len(reads) == 4000 and n_windows == 2000 * 85
         resident = sum(a.nbytes for a in vars(idx).values() if isinstance(a, np.ndarray))
-        # measured 23.5 and 40.1; a window-sized array more is 8 B.
+        # measured 24.7 and 41.2; a window-sized array more is 8 B.
         assert resident / n_windows <= 25.0
         assert peak / n_windows <= 44.0

@@ -23,6 +23,7 @@ from tests.reference.overlap_loop import (
     overlap_subset_pair_loop,
     vote_groups,
 )
+from tests.align.test_kmer_index import string_windows
 from tests.reference.sa_index import SuffixArrayReadIndex
 
 #: what the kernel takes its seeds from in these tests: the production
@@ -31,20 +32,11 @@ INDEXES = {"kmer": KmerIndex, "suffix_array": SuffixArrayReadIndex}
 
 
 def find_overlaps_on(index, cfg, reads):
-    """``(overlap columns, candidates)`` of a read set: ``"kmer"`` is
-    the public path; the reference index, which no backend builds, is
-    handed to the kernel unit by unit."""
+    """``(overlap columns, candidates)`` of a read set on the public
+    path, every work unit taking its seeds from the named index."""
     detector = OverlapDetector(cfg)
-    if index == "kmer":
+    with mock.patch.object(overlapper, "KmerIndex", INDEXES[index]):
         return detector.find_overlaps(reads), detector.last_candidates
-    subsets = reads.split(cfg.n_subsets)
-    units = [
-        detector.overlap_subset_pair_packed(
-            reads, subsets[i], subsets[j], i == j, index=INDEXES[index](reads, cfg.k, subsets[j])
-        )
-        for i, j in subset_pairs(len(subsets))
-    ]
-    return PackedOverlaps.concatenate([p for p, _ in units]), sum(n for _, n in units)
 
 
 def pairs(overlaps):
@@ -415,12 +407,22 @@ class TestSeedsAndVotes:
         assert len({d for q, r, d in votes if (q, r) == (0, 1) and votes[q, r, d][0] >= 3}) >= 3
 
     def test_prefix_read_has_one_left_maximal_window(self):
+        # Seeds are both ends of a match, on either strand: the prefix's
+        # 35 shared windows pair up at its first and last (nothing in
+        # front of both, nothing behind read 1's) and at the one
+        # palindrome, which pairs with its whole run.
         g = decode(random_genome(70, np.random.default_rng(18)))  # no 6-mer twice
         reads = ReadSet.from_strings([g, g[:40]])
-        win_reads, win_offsets, _, counts, _, _ = KmerIndex(reads, self.K).self_join()
-        # only the first windows (nothing in front of either) pair up.
-        assert sorted(zip(win_reads.tolist(), win_offsets.tolist())) == [(0, 0), (1, 0)]
-        assert counts.tolist() == [2, 2]  # the other first window, and its own row
+        win_reads, win_offsets, win_strands, lo, counts, row_reads, _, _ = KmerIndex(
+            reads, self.K
+        ).self_join()
+        across = sorted(
+            (q, o)
+            for q, o, a, n in zip(win_reads.tolist(), win_offsets.tolist(), lo, counts)
+            if 1 - q in row_reads[a : a + n].tolist()
+        )
+        assert across == [(0, 0), (0, 21), (0, 34), (1, 0), (1, 21), (1, 34)]
+        assert win_strands[win_offsets == 21].tolist() == [2, 2]
         votes = self.check([g, g[:40]])
         assert votes == {(0, 1, 0): (35, 40)}
 
@@ -474,22 +476,18 @@ class TestWorkIsBounded:
     @staticmethod
     def seed_rows(reads, k):
         """(rows a self-join must expand, all unordered k-mer hits),
-        derived from the strings: per k-mer, a window pairs with every
-        other window whose preceding base differs from its own — or
-        with all of them, itself included, when it has none."""
-        runs = {}
-        for i in range(len(reads)):
-            seq = reads.sequence_of(i)
-            for o in range(len(seq) - k + 1):
-                if "N" not in seq[o : o + k]:
-                    before = seq[o - 1] if o and seq[o - 1] != "N" else None
-                    runs.setdefault(seq[o : o + k], Counter())[before] += 1
-        seeds = hits = 0
+        derived from the strings: per canonical k-mer, a window pairs
+        with every other window whose flank class differs from its own
+        — or with all of them, itself included, when it lacks a flank."""
+        runs, hits = {}, Counter()
+        for (x, o), (kmer, _, flanks) in string_windows(reads, k, range(len(reads))).items():
+            runs.setdefault(kmer, Counter())[flanks] += 1
+            hits[reads.sequence_of(x)[o : o + k]] += 1
+        seeds = 0
         for classes in runs.values():
             n = sum(classes.values())
-            hits += n * (n - 1) // 2
-            seeds += n * n - sum(c * c for before, c in classes.items() if before)
-        return seeds, hits
+            seeds += n * n - sum(c * c for flanks, c in classes.items() if None not in flanks)
+        return seeds, sum(n * (n - 1) // 2 for n in hits.values())
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -525,7 +523,7 @@ class TestWorkIsBounded:
             return real_votes(detector, *spans)
 
         monkeypatch.setattr(ReadSet, "kmer_table", counting_table)
-        for name in ("hit_ranges", "seed_ranges", "lookup"):
+        for name in ("seed_ranges", "lookup"):
             monkeypatch.setattr(KmerIndex, name, counting_search(name))
         monkeypatch.setattr(overlapper, "ragged_positions", counting_expand)
         monkeypatch.setattr(overlapper, "_diagonal_tile", counting_tile)
@@ -548,9 +546,9 @@ class TestWorkIsBounded:
             overlaps = OverlapDetector(cfg).find_overlaps(reads)
             assert len(overlaps) > 1000
             assert (counts["kmer_table"], counts["searches"]) == (1, 0)
-            # one row per maximal exact match and side, where counting
-            # the votes in the hit list expanded every unordered pair of
-            # equal k-mers: sum c(c-1)/2.
+            # a row per end of a maximal exact match and side, where
+            # counting the votes in the hit list expanded every
+            # unordered pair of equal k-mers: sum c(c-1)/2.
             assert sum(counts["expanded"]) == seeds
             assert seeds < hits // 5
 
@@ -558,7 +556,7 @@ class TestWorkIsBounded:
         reads = self.shotgun()
         detector = OverlapDetector(OverlapConfig(min_overlap=40))
         everything = np.arange(len(reads))
-        win_reads, _, _, win_rows, _, _ = KmerIndex(reads, 16).self_join()
+        win_reads, _, _, _, win_rows, *_ = KmerIndex(reads, 16).self_join()
         per_read = np.bincount(win_reads, weights=win_rows).astype(np.int64)
         whole, n_whole = detector.overlap_subset_pair_packed(
             reads, everything, everything, True

@@ -1,6 +1,7 @@
 """Sharded-store assemblies are byte-identical to in-RAM on every backend."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -56,7 +57,10 @@ class TestStoreBackedAssembly:
     def test_preprocessing_stays_shard_backed(self, store_path):
         assembler = FocusAssembler(config_for("serial", store_path))
         prep = assembler.prepare(assembler.open_reads())
-        assert isinstance(prep.reads, ShardedReadSet)
+        assert isinstance(prep.reads, ShardedReadSet) and prep.reads.mirrored
+        # the mates are a view of the trimmed store: no second store.
+        for root, dirs, _ in os.walk(store_path):
+            assert all(d.startswith("trim-") for d in dirs if root.endswith("derived"))
 
     def test_open_reads_requires_store_path(self):
         assembler = FocusAssembler(config_for("serial"))
@@ -158,9 +162,9 @@ class TestShardOrderAccess:
         rs = assembler.preprocess(source)
         per_store = {path: [i for p, i in loads if p == path] for path, _ in loads}
         assert per_store.pop(source.store_path) == [*range(source.store.n_shards)]
-        # forwards, then mates: every trimmed shard is read twice.
-        (trimmed,) = per_store.values()
-        assert trimmed == [*range(rs.store.n_shards // 2)] * 2
+        # the trimmed reads are written, and their mates are a view of
+        # them: neither is read back.
+        assert per_store == {} and rs.mirrored and rs.store_path != source.store_path
 
     def test_enrich_visits_each_shard_once_per_block(self, assembler, loads, monkeypatch):
         prep = assembler.prepare(assembler.open_reads())
@@ -177,7 +181,7 @@ class TestShardOrderAccess:
         enrich_hybrid(prep.hyb, prep.g0, prep.reads)
         assert 3 <= len(blocks) <= 5
         per_block = np.diff([*blocks, len(loads)])
-        assert (per_block <= prep.reads.store.n_shards).all()
+        assert (per_block <= prep.reads.n_shards).all()
 
     def test_compare_visits_each_shard_once_per_block(self, assembler, loads, monkeypatch):
         rs = assembler.preprocess(assembler.open_reads())
@@ -193,11 +197,12 @@ class TestShardOrderAccess:
 
         monkeypatch.setattr(ShardedReadSet, "gather_reads", counting)
         detector = OverlapDetector(assembler.config.overlap)
+        forward = np.arange(rs.n_forward)
         packed_overlaps, _ = detector.overlap_subset_pair_packed(
-            rs, np.arange(len(rs)), np.arange(len(rs)), same_subset=True, max_hits=10_000
+            rs, forward, forward, same_subset=True, max_hits=10_000
         )
         assert len(packed_overlaps) > 0 and len(blocks) >= 6
-        assert max(blocks) <= rs.store.n_shards
+        assert max(blocks) <= rs.n_shards
 
     def test_align_loads_no_more_shards_than_before(
         self, assembler, loads, monkeypatch
@@ -211,7 +216,7 @@ class TestShardOrderAccess:
         # 12,148,202 compared bases were 2.9 block budgets.  A block's
         # budget is in tile cells, so the cut is total cells / 2.9.
         rs = assembler.preprocess(assembler.open_reads())
-        unit = (rs, np.arange(len(rs)), np.arange(len(rs)), True)
+        unit = (rs, np.arange(rs.n_forward), np.arange(rs.n_forward), True)
         detector = OverlapDetector(assembler.config.overlap)
         compared = []
         diagonal_tile = overlapper._diagonal_tile

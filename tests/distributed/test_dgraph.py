@@ -1,5 +1,7 @@
 """Unit + integration tests for the distributed assembly graph."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,3 +262,45 @@ class TestCsrReader:
         src = np.repeat(np.arange(n), degrees)
         got = sorted(zip(src.tolist(), g.adj[rows].tolist()))
         assert got == sorted(want)
+
+
+class _WatchedContigs(list):
+    """Contigs that note, in a file, every process but the first that
+    walks them."""
+
+    def __init__(self, contigs, record):
+        super().__init__(contigs)
+        self.master, self.record = os.getpid(), record
+
+    def __iter__(self):
+        if os.getpid() != self.master:
+            with open(self.record, "a") as out:
+                out.write(f"{os.getpid()}\n")
+        return super().__iter__()
+
+
+def test_workers_take_the_lengths_enrich_measured(tmp_path):
+    """The enriched assembly carries its contig lengths, so no forked
+    worker walks 10^5 contigs again to count them (22-58 ms and about
+    3,200 copy-on-write faults per fresh worker on ``finish_100k``)."""
+    from dataclasses import replace
+
+    from repro.core.config import AssemblyConfig
+    from repro.core.focus import FocusAssembler
+    from repro.parallel.backend import create_backend
+    from repro.simulate.genome import Genome, random_genome
+    from repro.simulate.reads import ReadSimConfig, ReadSimulator
+
+    genome = Genome("g", random_genome(3000, np.random.default_rng(4)))
+    reads = ReadSimulator(ReadSimConfig(read_length=100, coverage=6, seed=4)).simulate_genome(genome)
+    prep = FocusAssembler(AssemblyConfig(backend="serial")).prepare(reads)
+    assembly = prep.assembly
+    assert np.array_equal(assembly.contig_lengths, [c.size for c in assembly.contigs])
+    record = str(tmp_path / "walked")
+    watched = replace(assembly, contigs=_WatchedContigs(assembly.contigs, record))
+    dag = DistributedAssemblyGraph(watched, np.arange(watched.graph.n_nodes) % 2)
+    with create_backend("process", dag, workers=2) as runner:
+        for name in ("transitive", "containment", "dead_ends"):
+            runner.run_stage(name)
+        assert runner.fault_report.retries == runner.fault_report.fallbacks == 0
+    assert not os.path.exists(record)

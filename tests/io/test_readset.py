@@ -68,6 +68,9 @@ class TestPreprocessing:
         assert len(rs) == 4
         assert rs.sequence_of(2) == "CGTT"
         assert rs.sequence_of(3) == "CA"
+        assert rs.mirrored and rs.n_forward == 2
+        with pytest.raises(ValueError, match="already"):
+            rs.with_reverse_complements()
 
     def test_mate_of(self):
         rs = ReadSet.from_strings(["AACG", "TG"]).with_reverse_complements()

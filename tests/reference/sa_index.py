@@ -6,8 +6,11 @@ queries it with the query read's k-mers.  This is that exact structure
 behind the seed interface of :class:`repro.align.kmer_index.KmerIndex`
 (``read_indices``, ``seed_ranges``, ``self_join``, ``lookup``), except
 that it answers with *every* hit where the production index hands out
-left-maximal ones.  Tests pass it to ``overlap_subset_pair_packed`` via
-``index=``: the kernel must return the same rows from either seed set.
+the ends of maximal matches: each query window's own k-mer (strand 0,
+the window's) and its reverse complement (strand 1, a hit on the other
+read's mate) are searched.  Tests pass it to
+``overlap_subset_pair_packed`` via ``index=``: the kernel must return
+the same rows from either seed set.
 
 Reference reads are concatenated with single ``N`` separators; since
 queries never contain code 4, no match can span a read boundary.
@@ -19,7 +22,7 @@ import numpy as np
 
 from repro.io.readset import ReadSet
 from repro.sequence.dna import N
-from repro.sequence.kmers import unpack_kmer
+from repro.sequence.kmers import revcomp_kmer_code, unpack_kmer
 from tests.reference.suffix_array import SuffixArraySearcher
 
 __all__ = ["SuffixArrayReadIndex"]
@@ -34,7 +37,7 @@ class SuffixArrayReadIndex:
         self.k = k
         self.reads = reads
         if read_indices is None:
-            read_indices = np.arange(len(reads), dtype=np.int64)
+            read_indices = np.arange(reads.n_forward, dtype=np.int64)
         self.read_indices = np.asarray(read_indices, dtype=np.int64)
 
         parts: list[np.ndarray] = []
@@ -65,20 +68,31 @@ class SuffixArrayReadIndex:
         offsets = text_positions - self.read_starts[slot]
         return self.read_indices[slot], offsets
 
-    def seed_ranges(
-        self, query_vals: np.ndarray, query_offsets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def seed_ranges(self, query_vals: np.ndarray, query_offsets: np.ndarray) -> tuple[np.ndarray, ...]:
         """Same contract as :meth:`KmerIndex.seed_ranges`, with every
-        hit: one range per query window that occurs at all.
-
-        The row tables are this batch's :meth:`lookup` result, whose
-        rows already come grouped by ascending query position.
+        hit on both strands: one range per query window that occurs at
+        all, its own k-mer's hits (strand 0) before its reverse
+        complement's (strand 1); every window is on strand 0.
         """
-        query_pos, hit_reads, hit_offsets = self.lookup(query_vals)
-        counts = np.bincount(query_pos, minlength=np.size(query_vals)).astype(np.int64)
+        query_vals = np.asarray(query_vals, dtype=np.int64)
+        size = query_vals.size
+        rc = np.where(query_vals >= 0, revcomp_kmer_code(query_vals, self.k), -1)
+        query_pos, hit_reads, hit_offsets = self.lookup(np.concatenate([query_vals, rc]))
+        strands = (query_pos >= size).astype(np.uint8)
+        order = np.argsort(query_pos % max(size, 1), kind="stable")
+        query_pos = query_pos[order] % max(size, 1)
+        counts = np.bincount(query_pos, minlength=size).astype(np.int64)
         windows = np.flatnonzero(counts)
         lo = np.cumsum(counts) - counts
-        return windows, lo[windows], counts[windows], hit_reads, hit_offsets
+        return (
+            windows,
+            np.zeros(windows.size, dtype=np.uint8),
+            lo[windows],
+            counts[windows],
+            hit_reads[order],
+            hit_offsets[order],
+            strands[order],
+        )
 
     def self_join(self) -> tuple[np.ndarray, ...]:
         """Same contract as :meth:`KmerIndex.self_join`, by looking the

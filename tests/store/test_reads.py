@@ -1,11 +1,12 @@
 """Shard-backed ReadSet: equivalence with in-RAM, pickling, memory."""
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io.records import Read
@@ -143,7 +144,10 @@ class TestEquivalence:
         assert [s.n_records for s in trimmed.store.manifest.shards] == [10, 10, 10]
         assert_same_columns(trimmed, ram.trimmed(min_length=30))
         both = trimmed.with_reverse_complements()
-        assert both.store.n_shards == 6
+        # three store shards and their three mate shards, in the same
+        # store: the mirror is a view, not a second store.
+        assert both.n_shards == 6 and both.store_path == trimmed.store_path
+        assert not os.path.exists(os.path.join(trimmed.store_path, "derived"))
         assert_same_columns(both, ram.trimmed(min_length=30).with_reverse_complements())
 
     def test_derived_store_is_reused(self, stores):
@@ -198,6 +202,45 @@ class TestBlockGatherEqualsInRam:
         assert opened.store.cache.stats().misses - before == 2
 
 
+class TestMirroredView:
+    """A store's reverse complements are a view: mate shard ``S + s``
+    is built from shard ``s`` when it loads, and every accessor of the
+    view answers as the in-RAM set with its mates does."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(0, 47), max_size=40),
+        st.sampled_from([1, 5, 16]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_view_equals_the_in_ram_mates(self, ragged_stores, indices, k, scored, quals, canonical):
+        ram, opened = ragged_stores[scored]
+        view, both = opened.with_reverse_complements(), ram.with_reverse_complements()
+        assert view.mirrored and both.mirrored and view.n_forward == len(opened)
+        assert_same_columns(view, both)
+        indices = np.array(indices, dtype=np.int64)
+        assert_same_block(view, both, indices, quals)
+        for got, want in zip(view.kmer_table(k, indices, canonical), both.kmer_table(k, indices, canonical)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for i in indices.tolist():
+            assert np.array_equal(view.codes_of(i), both.codes_of(i))
+            assert (view.quals_of(i) is None) == (both.quals_of(i) is None)
+            if scored:
+                assert np.array_equal(view.quals_of(i), both.quals_of(i))
+            assert np.array_equal(view.kmer_codes_of(i, k, canonical), both.kmer_codes_of(i, k, canonical))
+
+    def test_nothing_is_written(self, tmp_path):
+        path = str(tmp_path / "reads.store")
+        pack_reads(iter(make_reads()), path, shard_size=10)
+        before = sorted(os.listdir(path))
+        view = ReadSet.open(path).with_reverse_complements()
+        assert view.to_array().size and sorted(os.listdir(path)) == before
+        with pytest.raises(ValueError, match="already"):
+            view.with_reverse_complements()
+
+
 class TestQualityDtype:
     """Scores are stored narrow and always read back as ``int64``."""
 
@@ -242,8 +285,12 @@ class TestPickleContract:
     def test_state_has_no_arrays(self, stores):
         _, opened, path = stores
         state = opened.__getstate__()
-        assert set(state) == {"store_path", "cache_budget"}
-        assert state["store_path"] == path
+        assert state == {"store_path": path, "cache_budget": opened.cache_budget, "mirrored": False}
+        mirrored = opened.with_reverse_complements()
+        assert mirrored.__getstate__() == {**state, "mirrored": True}
+        clone = pickle.loads(pickle.dumps(mirrored))
+        assert clone.mirrored and len(clone) == 2 * len(opened)
+        assert clone.store_fingerprint == mirrored.store_fingerprint != opened.store_fingerprint
 
     def test_unpickled_set_reopens_and_matches(self, stores):
         ram, opened, _ = stores
