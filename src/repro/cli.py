@@ -172,6 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
         "fault report when injection or recovery happened)",
     )
     p.add_argument(
+        "--trace",
+        metavar="PATH",
+        help="write the run's spans as JSON lines (id, name, start, end, "
+        "parent, tags, counts): every stage, the distributed stages inside "
+        "trim/traverse, and the work each counted",
+    )
+    p.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="persist a stage checkpoint (a CRC-checked flat array file, "
@@ -492,6 +499,8 @@ def _cmd_assemble(args) -> int:
             )
             + "\n",
         )
+    if args.trace:
+        atomic_write_text(args.trace, result.timer.to_jsonl())
     s = result.stats
     print(result.timer.report())
     print(
@@ -505,6 +514,8 @@ def _cmd_assemble(args) -> int:
         print(f"stage checkpoint at {args.checkpoint}")
     if args.timings:
         print(f"wrote stage timings to {args.timings}")
+    if args.trace:
+        print(f"wrote spans to {args.trace}")
     return 0
 
 

@@ -17,6 +17,7 @@ reads.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from dataclasses import dataclass, field
@@ -335,6 +336,7 @@ class FocusAssembler:
         timer = StageTimer()
         with timer.stage("preprocess"):
             rs = self.preprocess(reads)
+            timer.count("reads_kept", len(rs))
         if len(rs) == 0:
             raise ValueError("no reads survived preprocessing")
         with timer.stage("align"):
@@ -342,12 +344,18 @@ class FocusAssembler:
                 rs, cfg.overlap, cfg.overlap_workers, cfg.retry, cfg.fault_plan
             ) as aligner:
                 overlaps, _ = aligner.run_stage("overlap").result
+            timer.count("overlaps", len(overlaps))
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
+            timer.count("g0_edges", g0.n_edges)
         with timer.stage("coarsen"):
             mls = build_multilevel_set(g0, cfg.coarsen, cfg.seed)
+            timer.count("levels", mls.n_levels)
         with timer.stage("hybrid"):
-            hyb = build_hybrid_set(mls, rs.lengths, tolerance=cfg.layout_tolerance)
+            hyb = build_hybrid_set(
+                mls, rs.lengths, tolerance=cfg.layout_tolerance, count=timer.count
+            )
+            timer.count("hybrid_nodes", hyb.hybrid.n_nodes)
         with timer.stage("enrich"):
             assembly = enrich_hybrid(
                 hyb,
@@ -355,6 +363,7 @@ class FocusAssembler:
                 rs,
                 tolerance=cfg.layout_tolerance,
                 quality_weighted=cfg.quality_weighted_consensus,
+                count=timer.count,
             )
         return PreparedAssembly(
             reads=rs,
@@ -450,8 +459,7 @@ class FocusAssembler:
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
 
-        timer = StageTimer()
-        timer.durations.update(prep.timer.durations)
+        timer = copy.deepcopy(prep.timer)
         # Seconds of every completed stage, in completion order.
         stage_times: dict[str, float] = {}
 
@@ -463,6 +471,7 @@ class FocusAssembler:
             labels_h = self._hybrid_labels(part, prep.hyb)
             if mode == "multilevel":
                 part.labels_finest = labels_h
+            timer.count("edge_cut", part.cut_finest)
 
         dag = DistributedAssemblyGraph(prep.assembly, labels_h)
         fingerprint = self._fingerprint(prep, k, mode)
@@ -491,9 +500,10 @@ class FocusAssembler:
         )
 
         mark = time.perf_counter()
+        alive = dag.n_alive_nodes, dag.n_alive_edges
 
         def after(name: str, out: StageOutcome) -> None:
-            nonlocal mark
+            nonlocal mark, alive
             stage_times[name] = out.elapsed
             if checkpoint is not None:
                 save_checkpoint(
@@ -508,10 +518,15 @@ class FocusAssembler:
                 )
             if on_stage is not None:
                 on_stage(name)
-            # Only executed stages are timed, each with its checkpoint.
-            now = time.perf_counter()
-            timer.record("traverse" if name == "traversal" else "trim", now - mark)
-            mark = now
+            # Only executed stages are timed, each with its checkpoint;
+            # the stage itself is a child span on the backend's clock.
+            outer = timer.record(
+                "traverse" if name == "traversal" else "trim", time.perf_counter() - mark
+            )
+            child = timer.record(name, out.elapsed, within=outer, clock=out.time_kind)
+            left = dag.n_alive_nodes, dag.n_alive_edges
+            child.counts.update(nodes_removed=alive[0] - left[0], edges_removed=alive[1] - left[1])
+            mark, alive = outer.end, left
 
         try:
             outcomes = run_plan(runner, finish_plan(cfg), frozenset(stage_times), after)
@@ -524,10 +539,12 @@ class FocusAssembler:
         fault_report.merge(runner.fault_report)
 
         with timer.stage("contigs"):
-            contigs = contigs_from_paths(dag, paths)
+            contigs = contigs_from_paths(dag, paths, count=timer.count)
         if cfg.add_reverse_complements:
             with timer.stage("dedupe"):
+                timer.count("contigs_in", len(contigs))
                 contigs = deduplicate_contigs(contigs)
+                timer.count("contigs_kept", len(contigs))
 
         return AssemblyResult(
             contigs=contigs,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +91,7 @@ def enrich_hybrid(
     reads: ReadSet,
     tolerance: int = 0,
     quality_weighted: bool = False,
+    count: Callable[[str, int], None] | None = None,
 ) -> HybridAssembly:
     """Contigs + contig-level edge geometry for the hybrid graph.
 
@@ -99,12 +101,15 @@ def enrich_hybrid(
     crossing overlaps are measured against.  Raises ``RuntimeError``
     if a cluster admits no layout at ``tolerance`` or its consensus is
     not one contiguous segment: selection accepted a cluster it should
-    not have (or was run at another tolerance).
+    not have (or was run at another tolerance).  ``count(name, n)``, if
+    given, receives the number of ``layouts`` made.
     """
     h = hyb.hybrid
     members, first = hyb.members_of_hybrid()
     # Every layout first (graph only), then the reads, block by block.
     offsets, ok = layout_clusters(g0, members, first, tolerance)
+    if count is not None:
+        count("layouts", 1)
     if not ok.all():
         raise RuntimeError(
             "hybrid cluster admits no layout; representative selection is broken"

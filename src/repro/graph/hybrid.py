@@ -18,6 +18,8 @@ multilevel graphs the hybrid levels carry no deltas.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet
@@ -95,7 +97,10 @@ class HybridGraphSet(MultilevelGraphSet):
 
 
 def _select_representatives(
-    mls: MultilevelGraphSet, read_lengths: np.ndarray, tolerance: int
+    mls: MultilevelGraphSet,
+    read_lengths: np.ndarray,
+    tolerance: int,
+    count: Callable[[str, int], None] | None = None,
 ) -> np.ndarray:
     """Per-G0-node level of its best representative (top-down descent).
 
@@ -114,6 +119,8 @@ def _select_representatives(
         first = np.unique(first)  # pending clusters only
         members = pending[order]
         passed = _contiguous_clusters(g0, members, first, read_lengths, tolerance)
+        if count is not None:
+            count("layouts", 1)
         passed = np.repeat(passed, np.diff(first))
         rep_level[members[passed]] = level
         pending = members[~passed]
@@ -124,14 +131,19 @@ def _select_representatives(
 
 
 def build_hybrid_set(
-    mls: MultilevelGraphSet, read_lengths: np.ndarray, tolerance: int = 0
+    mls: MultilevelGraphSet,
+    read_lengths: np.ndarray,
+    tolerance: int = 0,
+    count: Callable[[str, int], None] | None = None,
 ) -> HybridGraphSet:
-    """Select best representatives and assemble the hybrid graph set."""
+    """Select best representatives and assemble the hybrid graph set;
+    ``count(name, n)``, if given, receives the number of ``layouts``
+    made (one per level tested)."""
     read_lengths = np.asarray(read_lengths, dtype=np.int64)
     g0 = mls.base
     if read_lengths.size != g0.n_nodes:
         raise ValueError("read_lengths must cover V(G0)")
-    rep_level = _select_representatives(mls, read_lengths, tolerance)
+    rep_level = _select_representatives(mls, read_lengths, tolerance, count)
 
     level_maps = np.stack([mls.map_to_level(lvl) for lvl in range(mls.n_levels)])
     reads = np.arange(g0.n_nodes)

@@ -140,7 +140,8 @@ class ReadSet:
         self.ids, self.meta = ids, meta
         #: whether the set carries Phred scores at all.
         self.has_quals = quals is not None
-        #: packed k-mer values of ``data``, keyed (k, canonical); lazy.
+        #: packed k-mer values of a prefix of ``data``, keyed (k,
+        #: canonical); lazy (:meth:`_packed_prefix`).
         self._kmer_cache: dict[tuple[int, bool], np.ndarray] = {}
 
     def __getstate__(self) -> dict:
@@ -265,11 +266,16 @@ class ReadSet:
         through :meth:`kmer_codes_of` / :meth:`kmer_table`, which never
         expose them.
         """
+        return self._packed_prefix(k, canonical, self.total_bases)
+
+    def _packed_prefix(self, k: int, canonical: bool, stop: int) -> np.ndarray:
+        """Packed k-mer values of at least ``data[:stop]``: the cached
+        entry if it reaches ``stop``, else that prefix packed in its place."""
         key = (int(k), bool(canonical))
         cached = self._kmer_cache.get(key)
-        if cached is None:
+        if cached is None or cached.size < stop - k + 1:
             packer = canonical_kmer_codes if canonical else kmer_codes
-            cached = packer(self.data, k)
+            cached = packer(self.data[:stop], k)
             cached.setflags(write=False)
             self._kmer_cache[key] = cached
         return cached
@@ -323,8 +329,13 @@ class ReadSet:
         self, k: int, canonical: bool, flat: np.ndarray, idx: np.ndarray, n_windows: np.ndarray
     ) -> np.ndarray:
         """Packed values at absolute base positions ``flat``: the windows
-        of reads ``idx``, ``n_windows`` of them per read."""
-        return self.packed_kmers(k, canonical)[flat]
+        of reads ``idx``, ``n_windows`` of them per read.  Alignment asks
+        a set with mates for its forward reads only, so only their bases
+        are packed until a mate's window is asked for."""
+        stop = self.total_bases
+        if self.mirrored and idx.size and int(idx.max()) < self.n_forward:
+            stop = int(self.offsets[self.n_forward])
+        return self._packed_prefix(k, canonical, stop)[flat]
 
     # -- preprocessing ---------------------------------------------------
     # Both steps map a column kernel over the set's blocks — the whole

@@ -134,6 +134,33 @@ class TestAssembleAndStats:
             assert stage in payload["distributed"]["stages"]
         assert payload["total"] == pytest.approx(sum(payload["stages"].values()))
 
+    def test_assemble_trace_jsonl(self, tmp_path, reads_fastq):
+        import json
+
+        trace_path, timings_path = tmp_path / "trace.jsonl", tmp_path / "t.json"
+        rc = main(
+            ["assemble", str(reads_fastq), "-o", str(tmp_path / "c.fasta"),
+             "--partitions", "2", "--backend", "serial",
+             "--timings", str(timings_path), "--trace", str(trace_path)]
+        )
+        assert rc == 0
+        spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert all(
+            s.keys() == {"id", "name", "start", "end", "parent", "tags", "counts"}
+            for s in spans
+        )
+        assert [s["id"] for s in spans] == list(range(len(spans)))
+        # The top-level spans are the --timings stages, summed by name.
+        stages = json.loads(timings_path.read_text())["stages"]
+        top = {}
+        for s in spans:
+            if s["parent"] is None:
+                top[s["name"]] = top.get(s["name"], 0.0) + s["end"] - s["start"]
+        assert top.keys() == stages.keys()
+        assert all(top[k] == pytest.approx(v) for k, v in stages.items())
+        (contigs,) = [s for s in spans if s["name"] == "contigs"]
+        assert contigs["counts"]["bases_voted"] > 0
+
     def test_assemble_unknown_backend_exits(self, tmp_path, reads_fastq):
         with pytest.raises(SystemExit):
             main(

@@ -75,6 +75,38 @@ class TestFocusPipeline:
         for stage, _ in finish_plan(AssemblyConfig()):
             assert stage in res.virtual_times
 
+    def test_distributed_stages_are_child_spans(self, assembled):
+        """Each finish stage is a child of its trim / traverse span, on
+        the backend's clock; the flat view holds only the parents."""
+        _, _, res = assembled
+        spans = res.timer.spans
+        children = [s for s in spans if s.parent is not None]
+        assert [s.name for s in children] == [name for name, _ in finish_plan(AssemblyConfig())]
+        for child in children:
+            parent = spans[child.parent]
+            assert parent.name == ("traverse" if child.name == "traversal" else "trim")
+            assert child.tags == {"clock": res.time_kind}
+            assert child.start == parent.start and child.counts.keys() == {
+                "nodes_removed",
+                "edges_removed",
+            }
+        assert not any(s.name in res.timer.durations for s in children)
+        top = [s for s in spans if s.parent is None]
+        assert all(a.end <= b.start for a, b in zip(top, top[1:]))
+
+    def test_emission_votes_each_base_once(self, assembled):
+        """Work guard, read off the contigs span: every node of a
+        multi-node path is overlaid once and each of its bases voted once."""
+        _, _, res = assembled
+        (span,) = [s for s in res.timer.spans if s.name == "contigs"]
+        flat, lens = res.paths
+        multi = flat[np.repeat(lens > 1, lens)]
+        assert multi.size > 0
+        assert span.counts["nodes_overlaid"] == multi.size
+        assert span.counts["bases_voted"] == res.assembly.contig_lengths[multi].sum()
+        assert 1 <= span.counts["blocks"] <= span.counts["nodes_overlaid"]
+        assert span.counts["max_depth"] >= 1
+
     def test_read_partitions_cover_reads(self, assembled):
         _, _, res = assembled
         parts = res.read_partitions

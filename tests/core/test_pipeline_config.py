@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.align.overlapper import OverlapConfig
@@ -72,6 +73,45 @@ class TestStageTimer:
         )
         assert payload["backend"] == "process"
         assert payload["distributed"]["time_kind"] == "wall"
+
+
+class TestSpanTree:
+    def test_stages_nest_and_durations_stay_flat(self):
+        t = StageTimer()
+        with t.stage("outer", part=1):
+            with t.stage("inner"):
+                t.count("bases", 3)
+                t.count("bases", 4)
+            t.count("blocks")
+        outer, inner = t.spans
+        assert (outer.parent, inner.parent) == (None, outer.id)
+        assert outer.tags == {"part": 1} and outer.counts == {"blocks": 1}
+        assert inner.counts == {"bases": 7}
+        assert outer.start <= inner.start <= inner.end <= outer.end
+        assert list(t.durations) == ["outer"]
+
+    def test_count_needs_an_open_span(self):
+        with pytest.raises(ValueError, match="outside any stage"):
+            StageTimer().count("bases", 1)
+
+    def test_record_within_starts_with_its_parent(self):
+        t = StageTimer()
+        outer = t.record("trim", 2.0)
+        inner = t.record("transitive", 0.5, within=outer, clock="virtual")
+        assert inner.parent == outer.id and inner.start == outer.start
+        assert inner.end - inner.start == pytest.approx(0.5)
+        assert inner.tags == {"clock": "virtual"}
+        assert t.durations == {"trim": pytest.approx(2.0)}
+
+    def test_to_jsonl_one_span_a_line(self):
+        t = StageTimer()
+        with t.stage("contigs"):
+            t.count("blocks", np.int64(2))
+        (line,) = t.to_jsonl().splitlines()
+        span = json.loads(line)
+        assert span["name"] == "contigs" and span["parent"] is None
+        assert span["counts"] == {"blocks": 2} and span["tags"] == {}
+        assert span["end"] >= span["start"]
 
 
 def every_field_set() -> AssemblyConfig:

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import dgraph as dgraph_module
+from repro.core.pipeline import StageTimer
 from repro.distributed.dgraph import (
     DistributedAssemblyGraph,
     HybridAssembly,
     enrich_hybrid,
 )
-from repro.graph import hybrid as hybrid_module
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
@@ -98,24 +97,17 @@ class TestEnrichHybrid:
 class TestLayoutWork:
     """Hybrid build + enrich lay clusters out in bulk, not edge by edge."""
 
-    def test_no_scalar_edge_reads_and_one_layout_per_level(
-        self, pipeline_graphs, monkeypatch
-    ):
+    def test_no_scalar_edge_reads_and_one_layout_per_level(self, pipeline_graphs):
         reads, _, g0, mls, want = pipeline_graphs
         # A graph has no per-edge delta reader to walk edge by edge with.
         assert not hasattr(OverlapGraph, "edge_delta")
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return layout_clusters(*args, **kwargs)
-
-        layout_clusters = hybrid_module.layout_clusters
-        monkeypatch.setattr(hybrid_module, "layout_clusters", counting)
-        monkeypatch.setattr(dgraph_module, "layout_clusters", counting)
-        hyb = build_hybrid_set(mls, reads.lengths)
-        asm = enrich_hybrid(hyb, g0, reads)
-        assert mls.n_levels > 2 and 2 <= len(calls) <= mls.n_levels
+        timer = StageTimer()
+        with timer.stage("hybrid"):
+            hyb = build_hybrid_set(mls, reads.lengths, count=timer.count)
+        with timer.stage("enrich"):
+            asm = enrich_hybrid(hyb, g0, reads, count=timer.count)
+        hybrid, enrich = (span.counts["layouts"] for span in timer.spans)
+        assert mls.n_levels > 2 and 1 <= hybrid <= mls.n_levels - 1 and enrich == 1
         assert np.array_equal(hyb.rep_level, want.rep_level)
         assert len(asm.contigs) == want.hybrid.n_nodes
 

@@ -7,7 +7,7 @@ kernel proposes exactly the removals the per-node reference scan
 kernel/oracle pairs over randomized genome-sliced assemblies with
 random dead nodes/edges, the list-ranking traversal against the
 per-node walk (``tests/reference/traversal_walk.py``) over random
-chains and cycles, and the blocked-bincount contig overlay against the
+chains and cycles, and the layered contig overlay against the
 per-node ``np.add.at`` overlay (``tests/reference/contigs.py``).  A
 defect chain then finishes to its genome at every partition count on
 every backend, and a chaos smoke proves fault injection composes with
@@ -187,12 +187,54 @@ def dags_with_paths(draw):
     return dag_of(make_assembly(contigs, edges), np.zeros(n)), paths
 
 
+@st.composite
+def chain_cases(draw):
+    """Random chain assemblies, cut into hand-built paths.
+
+    A path's contigs mix short (1-8 bp), mid (20-60 bp) and long
+    (100-400 bp) ones.  A step usually lands inside the node before it
+    (a short node then lies inside a long one), sometimes left of it
+    (the offsets are unsorted) or past its end (uncovered columns).  A
+    fifth of the contigs are all ``N``, the rest ~10 % ``N``, and each
+    path draws its bases from two, so columns tie 2-vs-2 often.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    contigs, edges, paths = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pair = rng.choice(4, size=2, replace=False)
+        path = []
+        for _ in range(int(rng.integers(2, 14))):
+            size = int(rng.choice([rng.integers(1, 9), rng.integers(20, 61), rng.integers(100, 401)]))
+            if rng.random() < 0.2:
+                codes = np.full(size, 4, dtype=np.uint8)
+            else:
+                codes = rng.choice([*pair, 4], size=size, p=[0.45, 0.45, 0.1]).astype(np.uint8)
+            if path:
+                before = contigs[path[-1]].size
+                kind = rng.random()
+                if kind < 0.15:
+                    delta = int(rng.integers(-30, 0))
+                elif kind < 0.25:
+                    delta = int(rng.integers(before + 1, before + 20))
+                else:
+                    delta = int(rng.integers(0, before + 1))
+                edges.append((path[-1], len(contigs), delta))
+            path.append(len(contigs))
+            contigs.append(codes)
+        paths.append(path)
+    return dag_of(make_assembly(contigs, edges), np.zeros(len(contigs))), paths
+
+
 class TestContigOverlayEquivalence:
-    @given(case=dags_with_paths(), max_bases=st.sampled_from([1, 7, 64, 1 << 18]))
-    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(dags_with_paths(), chain_cases()),
+        max_bases=st.sampled_from([1, 7, 64, 500, 1 << 18]),
+    )
+    @settings(max_examples=120, deadline=None)
     def test_overlay_matches_reference(self, case, max_bases):
         """Any path set, in one block and in many (a budget below one
-        contig's size puts every node in its own block)."""
+        contig's size puts every node in its own block; small budgets cut
+        blocks inside paths and across their edges)."""
         from repro.distributed import traversal
 
         dag, paths = case
@@ -204,6 +246,30 @@ class TestContigOverlayEquivalence:
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype == np.uint8
             np.testing.assert_array_equal(a, b)
+
+    def test_columns_deeper_than_a_byte(self):
+        """A 1 bp-step chain of 300 bp contigs stacks 300 votes on a
+        column; a tenth of each contig's bases vote for the next base,
+        so a count kept in one byte (300 wraps to 44) would lose to them."""
+        rng = np.random.default_rng(5)
+        n, size = 400, 300
+        genome = random_genome(n - 1 + size, rng)
+        contigs = []
+        for i in range(n):
+            codes = genome[i : i + size].copy()
+            wrong = rng.random(size) < 0.1
+            codes[wrong] = (codes[wrong] + 1) % 4
+            contigs.append(codes)
+        dag = dag_of(make_assembly(contigs, [(i, i + 1, 1) for i in range(n - 1)]), np.zeros(n))
+        path = [list(range(n))]
+        seen = {}
+        (got,) = contigs_from_paths(
+            dag, traversal_walk.pack_paths(path), lambda name, k: seen.update({name: k})
+        )
+        (expect,) = contigs_ref.contigs_from_paths(dag, path)
+        np.testing.assert_array_equal(got, expect)
+        assert seen["max_depth"] > 255
+        np.testing.assert_array_equal(got[size - 1 : n], genome[size - 1 : n])
 
 
 @st.composite

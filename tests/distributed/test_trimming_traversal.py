@@ -1,6 +1,7 @@
 """Tests for dead-end trimming, bubble popping, and traversal."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,8 +175,9 @@ class TestTraversal:
 
     def test_contig_emission_bounded_by_block(self):
         """One 2.4 Mbp path spells its genome, and the overlay's peak is
-        the output plus block-sized transients: a vote table spanning the
-        path (four int32 counts per column) would alone exceed the bound."""
+        the output plus block-sized transients: byte rows and byte counts
+        spanning the path (three rows and four counts per column) would,
+        with the output, exceed the bound."""
         n = 40_000
         asm, genome = chain_assembly(n=n, contig_len=150, step=60)
         dag = dag_of(asm, [0] * n)
@@ -187,7 +189,35 @@ class TestTraversal:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(contig, genome)
-        assert peak < 4 * genome.size + (16 << 20)
+        assert peak < 4 * genome.size + (8 << 20)
+
+    def test_long_node_with_short_nodes_inside_bounded_by_block(self):
+        """A 200 kbp node with ~4,000 short nodes inside it: every short
+        node starts before the long one ends, so a block holding it and
+        the ~1,000 short nodes its bases allow would deal them onto ~1,000
+        rows of 200 kbp (~200 MB).  Blocks are cut on rows x width too:
+        the long node is a block of one row, and the peak stays a few
+        bytes per column."""
+        rng = np.random.default_rng(3)
+        size, short, step = 200_000, 60, 50
+        genome = random_genome(size, rng)
+        m = (size - short) // step
+        contigs = [genome] + [genome[j * step + 10 : j * step + 10 + short] for j in range(m)]
+        edges = [(0, 1, 10)] + [(j, j + 1, step) for j in range(1, m)]
+        dag = dag_of(make_assembly(contigs, edges), [0] * (m + 1))
+        seen = Counter()
+        tracemalloc.start()
+        try:
+            (contig,) = contigs_from_paths(
+                dag, packed(range(m + 1)), lambda name, n: seen.update({name: n})
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(contig, genome)
+        assert peak < 40 * size
+        # Work guard: no block was dealt onto more rows than overlap.
+        assert seen["max_depth"] == 2 and seen["nodes_overlaid"] == m + 1
 
     def test_single_node_path_contig(self):
         asm, _ = chain_assembly(n=2)

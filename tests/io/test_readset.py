@@ -220,6 +220,25 @@ class TestKmerCache:
         assert not a.flags.writeable
         assert rs.packed_kmers(4, canonical=True) is not a  # distinct entry
 
+    def test_forward_windows_pack_only_the_forward_reads(self):
+        """A set with mates packs its forward reads' bases for alignment's
+        forward-only table; a mate's window is still served."""
+        rs = ReadSet.from_strings(["ACGTACGTNA", "TTGACCAGT", "GGGATCCAAC"])
+        rs = rs.with_reverse_complements()
+        forward = np.arange(rs.n_forward)
+        vals, _, _ = rs.kmer_table(4, forward, canonical=True)
+        (entry,) = rs._kmer_cache.values()
+        assert entry.size == rs.offsets[rs.n_forward] - 3
+        mates = forward + rs.n_forward
+        got, read_ids, _ = rs.kmer_table(4, mates, canonical=True)
+        want = [canonical_kmer_codes(rs.codes_of(i), 4) for i in mates.tolist()]
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        assert read_ids.tolist() == np.repeat(mates, [w.size for w in want]).tolist()
+        # The whole set was packed in the prefix's place, not beside it.
+        (entry,) = rs._kmer_cache.values()
+        assert entry.size == rs.total_bases - 3
+        np.testing.assert_array_equal(rs.kmer_table(4, forward, canonical=True)[0], vals)
+
     def test_kmer_table_matches_per_read(self):
         rs = ReadSet.from_strings(["ACGTACGT", "TT", "GATTACAGATT"])
         vals, read_ids, offsets = rs.kmer_table(4)
