@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
@@ -40,6 +41,7 @@ from repro.graph.overlap_graph import OverlapGraph
 from repro.io.readset import ReadSet, ragged_positions
 from repro.mpi.timing import CommCostModel
 from repro.parallel.backend import ExecutionBackend, StageOutcome, create_backend
+from repro.partition.metrics import node_weight_balance
 from repro.partition.multilevel import (
     PartitionResult,
     partition_via_hybrid,
@@ -256,6 +258,19 @@ def deduplicate_contigs(
     return [c for c, keep in zip(ranked, kept) if keep]
 
 
+@contextmanager
+def _cache_counted(timer: StageTimer, reads: ReadSet):
+    """Count the read store cache's hits, misses and evictions inside
+    the open stage, when ``reads`` is store-backed."""
+    store = getattr(reads, "store", None)
+    before = None if store is None else store.cache.stats()
+    yield
+    if store is not None:
+        after = store.cache.stats()
+        for name in ("hits", "misses", "evictions"):
+            timer.count(f"cache_{name}", getattr(after, name) - getattr(before, name))
+
+
 @dataclass
 class PreparedAssembly:
     """Partition-count-independent intermediate state of a Focus run."""
@@ -334,16 +349,17 @@ class FocusAssembler:
         """Preprocess, align, and build the graph structures."""
         cfg = self.config
         timer = StageTimer()
-        with timer.stage("preprocess"):
+        with timer.stage("preprocess"), _cache_counted(timer, reads):
             rs = self.preprocess(reads)
             timer.count("reads_kept", len(rs))
         if len(rs) == 0:
             raise ValueError("no reads survived preprocessing")
-        with timer.stage("align"):
+        with timer.stage("align"), _cache_counted(timer, rs):
             with overlap_backend(
                 rs, cfg.overlap, cfg.overlap_workers, cfg.retry, cfg.fault_plan
             ) as aligner:
-                overlaps, _ = aligner.run_stage("overlap").result
+                overlaps, candidates = aligner.run_stage("overlap").result
+            timer.count("candidates_verified", candidates)
             timer.count("overlaps", len(overlaps))
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
@@ -356,7 +372,7 @@ class FocusAssembler:
                 mls, rs.lengths, tolerance=cfg.layout_tolerance, count=timer.count
             )
             timer.count("hybrid_nodes", hyb.hybrid.n_nodes)
-        with timer.stage("enrich"):
+        with timer.stage("enrich"), _cache_counted(timer, rs):
             assembly = enrich_hybrid(
                 hyb,
                 g0,
@@ -472,6 +488,7 @@ class FocusAssembler:
             if mode == "multilevel":
                 part.labels_finest = labels_h
             timer.count("edge_cut", part.cut_finest)
+            timer.count("imbalance", node_weight_balance(prep.hyb.hybrid, labels_h, k))
 
         dag = DistributedAssemblyGraph(prep.assembly, labels_h)
         fingerprint = self._fingerprint(prep, k, mode)

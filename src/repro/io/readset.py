@@ -1,25 +1,30 @@
-"""ReadSet: a columnar container for many reads.
+"""ReadSet: a columnar container for many reads, held in shards.
 
-Reads are stored as one concatenated ``uint8`` code array plus an
-``int64`` offsets array (CSR-style ragged layout), which keeps the
-memory footprint flat and lets alignment kernels slice views instead of
-copying per-read arrays.
+A set's reads are cut into **shards**, each one column block: a
+concatenated ``uint8`` code array, its local CSR ``int64`` offsets,
+the Phred scores (or ``None``), and one id and one meta dict per read.
+Reads never straddle shards.  An in-RAM set's shards are resident
+blocks — ``ReadSet(reads)`` is one block, and :meth:`ReadSet.trimmed`
+keeps one block per source block — and a store-backed set
+(:class:`~repro.store.reads.ShardedReadSet`) loads its shards from disk
+through a byte-budgeted cache.  Every accessor is written once, over
+shards; the two kinds of set differ only in where a shard comes from.
 
-The same layout powers the per-set **k-mer code cache**: packing the
-whole concatenated code array once per k yields every read's k-mer
-values as slices of a single array (windows that straddle a read
-boundary exist in the cache but are never exposed), so the alignment
-index build, the query path, and the correction spectrum all share one
-packing pass instead of re-packing per read per consumer.  The cache
-costs 8 bytes per base per (k, canonical) combination — see
-docs/performance.md for the trade-off.
+A set with mates (:meth:`ReadSet.with_reverse_complements`, paper
+§II-A) is a view: after its ``S`` shards come ``S`` mate shards, mate
+shard ``S + s`` built from shard ``s`` on first use and then cached.
+
+Packed k-mers are cached per shard and per ``(k, canonical)``, so the
+alignment index build, the query path and the correction spectrum
+share one packing pass, and a request for forward reads alone packs
+only their shards.  The cache costs 8 bytes per packed base per
+``(k, canonical)`` combination — see docs/performance.md.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -33,9 +38,6 @@ __all__ = [
     "ragged_positions",
     "read_columns",
     "trim_columns",
-    "rc_columns",
-    "rc_bases",
-    "rc_labels",
 ]
 
 #: a ragged block of reads as columns ``(data, offsets, quals, ids,
@@ -100,70 +102,86 @@ def trim_columns(
     )
 
 
-def rc_columns(data, offsets, quals, ids, meta) -> Columns:
-    """:meth:`Read.reverse_complement` of every read of a block: one
-    mirrored gather per column; ids gain ``/rc``, meta ``rc_of``."""
-    return (*rc_bases(data, offsets, quals), *rc_labels(ids, meta))
-
-
-def rc_bases(data, offsets, quals) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The ``(data, offsets, quals)`` half of :func:`rc_columns`."""
-    offsets = np.asarray(offsets, dtype=np.int64)
+def _mirror(offsets: np.ndarray) -> np.ndarray:
+    """Where each base of a block's reverse complements comes from: read
+    ``i``'s :meth:`Read.reverse_complement` is ``complement(data[m])``
+    over its own span, and its scores ``quals[m]``."""
     last = offsets[:-1] + offsets[1:] - 1
-    mirror = np.repeat(last, np.diff(offsets)) - np.arange(data.size, dtype=np.int64)
-    return complement(data[mirror]), offsets, None if quals is None else quals[mirror]
+    return np.repeat(last, np.diff(offsets)) - np.arange(offsets[-1], dtype=np.int64)
 
 
-def rc_labels(ids, meta) -> tuple[list, list]:
-    """The ``(ids, meta)`` half of :func:`rc_columns`."""
-    return [i + "/rc" for i in ids], [{**m, "rc_of": i} for i, m in zip(ids, meta)]
+def _distinct(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(indices, return_inverse=True)`` in O(requests ×
+    log requests): a request that is at least as long as the span of
+    reads it covers — overlap verification's, which names each read
+    many times — goes through a mask over that span, several times
+    cheaper than the sort any other request takes."""
+    if indices.size:
+        low = int(indices.min())
+        span = int(indices.max()) + 1 - low
+        if span <= indices.size:
+            wanted = np.zeros(span, dtype=bool)
+            wanted[indices - low] = True
+            return np.flatnonzero(wanted) + low, (np.cumsum(wanted) - 1)[indices - low]
+    return np.unique(indices, return_inverse=True)
+
+
+def _slices(array: np.ndarray, starts: list[int], ends: list[int]) -> np.ndarray:
+    """``array[starts[i]:ends[i]]`` for every ``i``, end to end, in one
+    C-level join."""
+    view = memoryview(np.ascontiguousarray(array))
+    return np.frombuffer(b"".join([view[a:b] for a, b in zip(starts, ends)]), dtype=array.dtype)
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``parts`` end to end in ``dtype``; a single part is not copied."""
+    if len(parts) == 1:
+        return parts[0].astype(dtype, copy=False)
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
+
+
+class _ShardColumn(Sequence):
+    """The ids or meta of a set, read shard by shard."""
+
+    def __init__(self, reads: "ReadSet", field: int) -> None:
+        self._reads = reads
+        self._field = field
+
+    def __len__(self) -> int:
+        return len(self._reads)
+
+    def __iter__(self) -> Iterator:
+        for shard in range(self._reads.n_shards):
+            yield from self._reads._labels(shard)[self._field]
+
+    def __getitem__(self, i: int):
+        shard, local = self._reads._locate(i + len(self) if i < 0 else i)
+        return self._reads._labels(shard, slice(local, local + 1))[self._field][0]
 
 
 class ReadSet:
-    """An ordered collection of reads with columnar storage.
+    """An ordered collection of reads with columnar storage in shards.
 
-    Construct with :meth:`from_reads` (or ``ReadSet(reads)``); the
-    container is immutable after construction — preprocessing steps
-    return new ReadSets.
+    Construct with ``ReadSet(reads)``; the container is immutable after
+    construction — preprocessing steps return new ReadSets.
+
+    A subclass names where shards come from by overriding the source
+    hooks :meth:`_source_bases`, :meth:`_source_labels`,
+    :meth:`_cached`, :meth:`_rebuilt` and the pickle state; everything
+    else reads through them.  In RAM the shards are the held blocks
+    and derived shards (mates, packed k-mers) are kept in a dict, which
+    pickling drops: a pickled set ships its blocks and its mirror flag.
     """
 
-    #: whether the second half of the set is the first half's reverse
-    #: complements, read ``i + n`` the mate of read ``i``
-    #: (:meth:`with_reverse_complements`).
-    mirrored = False
-
     def __init__(self, reads: Iterable[Read] = ()) -> None:
-        self._set_columns(*read_columns(list(reads)))
-
-    def _set_columns(self, data, offsets, quals, ids: list[str], meta: list[dict]) -> None:
-        self.data, self.offsets, self.quals = data, offsets, quals
-        self.ids, self.meta = ids, meta
-        #: whether the set carries Phred scores at all.
-        self.has_quals = quals is not None
-        #: packed k-mer values of a prefix of ``data``, keyed (k,
-        #: canonical); lazy (:meth:`_packed_prefix`).
-        self._kmer_cache: dict[tuple[int, bool], np.ndarray] = {}
-
-    def __getstate__(self) -> dict:
-        # The k-mer cache is derived data and can be large (8 bytes per
-        # base per entry): drop it so pickling a ReadSet — e.g. shipping
-        # it to ProcessPoolExecutor workers — stays cheap.  Workers
-        # rebuild it lazily on first use.
-        state = self.__dict__.copy()
-        state["_kmer_cache"] = {}
-        return state
-
-    # -- construction ---------------------------------------------------
+        self.__setstate__({"blocks": [read_columns(list(reads))], "mirrored": False})
 
     @classmethod
-    def from_reads(cls, reads: Iterable[Read]) -> "ReadSet":
-        return cls(reads)
-
-    @classmethod
-    def _from_columns(cls, *columns) -> "ReadSet":
-        """A set over a ready-made column block (taken, not copied)."""
+    def _from_blocks(cls, blocks: Iterable[Columns]) -> "ReadSet":
+        """A set over ready-made column blocks (taken, not copied), one
+        shard each; blocks without reads are left out."""
         self = cls.__new__(cls)
-        self._set_columns(*columns)
+        self.__setstate__({"blocks": list(blocks), "mirrored": False})
         return self
 
     @classmethod
@@ -173,43 +191,209 @@ class ReadSet:
 
     @classmethod
     def open(cls, path, cache_budget: int | None = None) -> "ReadSet":
-        """Open a sharded reads store as a lazy, shard-backed ReadSet.
-
-        The returned set streams base codes, qualities, and packed
-        k-mers one shard at a time through an LRU cache bounded by
-        ``cache_budget`` bytes (default: the store layer's 64 MiB), so
-        peak memory is O(shard), not O(reads).  Build the store with
-        ``repro pack`` or :func:`repro.store.pack_reads`.
+        """Open a sharded reads store (``repro pack``,
+        :func:`repro.store.pack_reads`) as a set whose shards load
+        through an LRU cache of ``cache_budget`` bytes (default: the
+        store layer's 64 MiB), so peak memory is O(shard), not O(reads).
         """
         from repro.store.reads import ShardedReadSet
-        from repro.store.sharded import DEFAULT_CACHE_BUDGET
 
-        budget = DEFAULT_CACHE_BUDGET if cache_budget is None else int(cache_budget)
-        return ShardedReadSet(path, cache_budget=budget)
+        if cache_budget is None:
+            return ShardedReadSet(path)
+        return ShardedReadSet(path, int(cache_budget))
+
+    # -- source hooks: an in-RAM set's shards are its blocks ---------------
+
+    def __getstate__(self) -> dict:
+        return {"blocks": self._held, "mirrored": self.mirrored}
+
+    def __setstate__(self, state: dict) -> None:
+        self._held = [block for block in state["blocks"] if len(block[3])]
+        #: derived shards (mates, packed k-mers) by key (:meth:`_cached`).
+        self._derived: dict = {}
+        self._open(
+            np.concatenate([[0], *(np.diff(block[1]) for block in self._held)]).cumsum(),
+            np.cumsum([0] + [len(block[3]) for block in self._held], dtype=np.int64),
+            any(block[2] is not None for block in self._held),
+            state["mirrored"],
+        )
+
+    def _source_bases(
+        self, shard: int, cache: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(data, local offsets, scores or None)`` of stored shard
+        ``shard``; with ``cache`` false, loaded past any cache."""
+        return self._held[shard][:3]
+
+    def _source_labels(self, shard: int) -> tuple[list, list]:
+        """``(ids, meta)`` of stored shard ``shard``."""
+        return self._held[shard][3:]
+
+    def _cached(self, key: tuple, loader):
+        """The derived value under ``key``; ``loader`` returns ``(value,
+        nbytes)`` and runs on the first request only."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = loader()[0]
+        return value
+
+    def _rebuilt(self, tag: str, params: dict, blocks: Iterable[Columns]) -> "ReadSet":
+        """A new set holding ``blocks`` in order (``tag`` and ``params``
+        name the step, for sets that keep what they derive)."""
+        return ReadSet._from_blocks(blocks)
+
+    # -- shards -----------------------------------------------------------
+
+    def _open(
+        self, offsets: np.ndarray, record_starts: np.ndarray, has_quals: bool, mirrored: bool
+    ) -> None:
+        """Lay the set over its stored shards: global ``offsets`` and
+        each shard's first read (``record_starts``, one past the end
+        last), doubled when the set is ``mirrored``."""
+        #: whether the set carries Phred scores at all.
+        self.has_quals = bool(has_quals)
+        #: whether the second half of the set is the first half's reverse
+        #: complements, read ``i + n`` the mate of read ``i``
+        #: (:meth:`with_reverse_complements`).
+        self.mirrored = bool(mirrored)
+        self._n_stored = int(record_starts.size - 1)
+        if mirrored:
+            offsets = np.concatenate([offsets, offsets[1:] + offsets[-1]])
+            record_starts = np.concatenate([record_starts, record_starts[1:] + record_starts[-1]])
+        self.offsets = offsets
+        #: shard ``s`` holds reads ``record_starts[s]`` up to ``record_starts[s + 1]``.
+        self.record_starts = record_starts
+        #: global position of each shard's first base.
+        self._base_bounds = np.asarray(offsets[record_starts], dtype=np.int64)
+        self._materialized: np.ndarray | None = None
+        self._materialized_quals: np.ndarray | None = None
+
+    # A column is made on each access: held, it would be a reference
+    # cycle, which keeps a dropped set's shards alive until the cyclic
+    # collector runs.
+    @property
+    def ids(self) -> Sequence[str]:
+        """Every read's id, read shard by shard."""
+        return _ShardColumn(self, 0)
+
+    @property
+    def meta(self) -> Sequence[dict]:
+        """Every read's meta dict, read shard by shard."""
+        return _ShardColumn(self, 1)
+
+    @property
+    def n_shards(self) -> int:
+        """The stored shards, and as many mate shards when mirrored."""
+        return int(self.record_starts.size - 1)
+
+    def _locate(self, i: int) -> tuple[int, int]:
+        """``(shard, index within it)`` of read ``i``; a mate shard
+        follows the stored ones."""
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        shard = int(np.searchsorted(self.record_starts, i, side="right") - 1)
+        return shard, int(i) - int(self.record_starts[shard])
+
+    def _span(self, i: int) -> tuple[int, int, int]:
+        """``(shard, start, end)`` of read ``i``'s bases within its shard."""
+        shard = self._locate(i)[0]
+        base = int(self._base_bounds[shard])
+        return shard, int(self.offsets[i]) - base, int(self.offsets[i + 1]) - base
+
+    def _shard(self, shard: int, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """``(data, local offsets)`` of any shard; a mate shard's bases
+        are built from its stored shard on first use (each use when
+        ``cache`` is false: nothing is read or kept through the cache)."""
+        n = self._n_stored
+        if shard < n:
+            return self._source_bases(shard, cache)[:2]
+
+        def loader():
+            data, offsets, _ = self._source_bases(shard - n, cache)
+            return (complement(data[_mirror(offsets)]), offsets), data.nbytes + offsets.nbytes
+
+        return self._cached(("mate", shard), loader) if cache else loader()[0]
+
+    def _shard_quals(self, shard: int, cache: bool = True) -> np.ndarray | None:
+        """Scores of any shard: ``None`` in a set without any, zeros (a
+        read-only view, not an array) for a shard stored without them.
+        A mate shard's are built like its bases (:meth:`_shard`) but
+        apart from them, which are all alignment and an unweighted
+        consensus read."""
+        if not self.has_quals:
+            return None
+        n = self._n_stored
+        if shard < n:
+            data, _, quals = self._source_bases(shard, cache)
+            return np.broadcast_to(np.int64(0), data.shape) if quals is None else quals
+
+        def loader():
+            data, offsets, quals = self._source_bases(shard - n, cache)
+            mate = np.zeros(data.size, np.int64) if quals is None else quals[_mirror(offsets)]
+            return mate, mate.nbytes
+
+        return self._cached(("mate quals", shard), loader) if cache else loader()[0]
+
+    def _labels(self, shard: int, reads: slice = slice(None)) -> tuple[list, list]:
+        """``(ids, meta)`` of ``reads`` of any shard; a mate shard's are
+        its stored shard's, relabelled: ids gain ``/rc``, meta ``rc_of``."""
+        n = self._n_stored
+        ids, meta = self._source_labels(shard % n)
+        ids, meta = ids[reads], meta[reads]
+        if shard < n:
+            return ids, meta
+        return [i + "/rc" for i in ids], [{**m, "rc_of": i} for i, m in zip(ids, meta)]
+
+    def _shard_kmers(self, shard: int, k: int, canonical: bool) -> np.ndarray:
+        """Packed k-mer values of one shard's concatenated codes (read-only)."""
+        packer = canonical_kmer_codes if canonical else kmer_codes
+
+        def loader():
+            packed = packer(self._shard(shard)[0], int(k))
+            packed.setflags(write=False)
+            return packed, int(packed.nbytes)
+
+        return self._cached(("kmers", shard, int(k), bool(canonical)), loader)
+
+    def _blocks(self) -> Iterator[Columns]:
+        """Every shard as a column block, in shard order (one visit each);
+        a shard without scores in a set with them scores zero."""
+        for shard in range(self.n_shards):
+            yield (*self._shard(shard), self._shard_quals(shard), *self._labels(shard))
 
     # -- basic protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return int(self.record_starts[-1])
 
     def __iter__(self) -> Iterator[Read]:
-        for i in range(len(self)):
-            yield self[i]
+        for shard in range(self.n_shards):
+            data, offsets = self._shard(shard)
+            bounds = offsets.tolist()
+            for lo, hi, read_id, meta in zip(bounds, bounds[1:], *self._labels(shard)):
+                yield Read(read_id, data[lo:hi].copy(), self._scores(shard, lo, hi), meta)
 
     def __getitem__(self, i: int) -> Read:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self) if len(self) else i
-        return Read(self.ids[i], self.codes_of(i).copy(), self.quals_of(i), self.meta[i])
+        i = i + len(self) if i < 0 else i
+        shard, lo, hi = self._span(i)
+        codes = self._shard(shard)[0][lo:hi].copy()
+        return Read(self.ids[i], codes, self._scores(shard, lo, hi), self.meta[i])
+
+    def _scores(self, shard: int, lo: int, hi: int) -> np.ndarray | None:
+        """An ``int64`` copy of a shard's scores ``lo:hi``: ``None`` in a
+        set without scores, zeros for a shard stored without them."""
+        quals = self._shard_quals(shard)
+        return None if quals is None else quals[lo:hi].astype(np.int64)
 
     def codes_of(self, i: int) -> np.ndarray:
         """Zero-copy view of read ``i``'s base codes."""
-        return self.data[self.offsets[i] : self.offsets[i + 1]]
+        shard, lo, hi = self._span(i)
+        return self._shard(shard)[0][lo:hi]
 
     def quals_of(self, i: int) -> np.ndarray | None:
-        if self.quals is None:
-            return None
-        return self.quals[self.offsets[i] : self.offsets[i + 1]].copy()
+        """A copy of read ``i``'s Phred scores as ``int64`` (zeros for a
+        read stored without them in a set with them)."""
+        return self._scores(*self._span(i))
 
     def sequence_of(self, i: int) -> str:
         return decode(self.codes_of(i))
@@ -234,10 +418,44 @@ class ReadSet:
     def total_bases(self) -> int:
         return int(self.offsets[-1])
 
+    # -- whole-set materialization (explicit; avoid in kernels) -----------
+
+    def to_array(self) -> np.ndarray:
+        """The full concatenated code array (read-only), built once from
+        the shards, which are loaded past the cache so that the working
+        set stays in it.
+
+        O(total bases) memory unless the set is one resident block,
+        whose array it is.  Per-partition kernels must stream instead
+        (lint rule MEM001 flags this call inside them).
+        """
+        if self._materialized is None:
+            parts = [self._shard(s, cache=False)[0] for s in range(self.n_shards)]
+            self._materialized = _joined(parts, np.uint8)
+            self._materialized.setflags(write=False)
+        return self._materialized
+
+    @property
+    def data(self) -> np.ndarray:
+        """:meth:`to_array`."""
+        return self.to_array()
+
+    @property
+    def quals(self) -> np.ndarray | None:
+        """Every read's scores end to end as ``int64`` (``None`` without
+        any); built once, like :attr:`data`."""
+        if not self.has_quals:
+            return None
+        if self._materialized_quals is None:
+            parts = [self._shard_quals(s, cache=False) for s in range(self.n_shards)]
+            self._materialized_quals = _joined(parts, np.int64)
+            self._materialized_quals.setflags(write=False)
+        return self._materialized_quals
+
     # -- block access -----------------------------------------------------
     # The one bulk read primitive: consensus, overlap verification and
-    # preprocessing all take their bases through it, so the shard-backed
-    # subclass can serve a whole request with one visit per shard.
+    # preprocessing all take their bases through it, so a request is
+    # served with one visit per shard.
 
     def gather_reads(
         self, indices: np.ndarray, quals: bool = False
@@ -247,51 +465,48 @@ class ReadSet:
         Returns ``(codes, starts, scores)``: request ``j``'s bases are
         ``codes[starts[j] : starts[j] + lengths[indices[j]]]`` and its
         Phred scores the same span of ``scores`` (``None`` unless
-        ``quals`` is asked for and the set has any).  In RAM the block
-        is the set's own arrays — nothing is copied, so it must not be
-        written to.
+        ``quals`` is asked for and the set has any).  Each distinct
+        read is copied once, shard by shard, and a run of consecutive
+        reads as one slice: a call's cost grows with the request, not
+        with the set.
         """
-        starts = self.offsets[np.asarray(indices, dtype=np.int64)]
-        return self.data, starts, self.quals if quals else None
+        # Distinct requested reads, ascending: one shard's are adjacent
+        # both here and in the block.
+        distinct, request = _distinct(np.asarray(indices, dtype=np.int64))
+        sizes = self.lengths[distinct]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        codes = np.empty(int(sizes.sum()), dtype=np.uint8)
+        scores = np.empty(codes.size, dtype=np.int64) if quals and self.has_quals else None
+        shards = np.searchsorted(self.record_starts, distinct, side="right") - 1
+        cuts = np.flatnonzero(np.diff(shards, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            shard = int(shards[lo])
+            data, offsets = self._shard(shard)
+            # Each run of consecutive reads is one slice of the shard.
+            local = distinct[lo:hi] - self.record_starts[shard]
+            first = np.flatnonzero(np.diff(local, prepend=-2) != 1)
+            last = np.append(first[1:], local.size) - 1
+            runs = offsets[local[first]].tolist(), offsets[local[last] + 1].tolist()
+            dest = slice(int(starts[lo]), int(ends[hi - 1]))
+            codes[dest] = _slices(data, *runs)
+            if scores is not None:
+                scores[dest] = _slices(self._shard_quals(shard), *runs)
+        return codes, starts[request], scores
 
     # -- k-mer code cache -------------------------------------------------
-
-    def packed_kmers(self, k: int, canonical: bool = False) -> np.ndarray:
-        """Packed k-mer values of the whole concatenated code array.
-
-        Computed once per ``(k, canonical)`` and cached (read-only view;
-        the container is immutable).  Entry ``p`` is the window starting
-        at absolute position ``p`` of :attr:`data`; windows that straddle
-        a read boundary are present but meaningless — callers must slice
-        through :meth:`kmer_codes_of` / :meth:`kmer_table`, which never
-        expose them.
-        """
-        return self._packed_prefix(k, canonical, self.total_bases)
-
-    def _packed_prefix(self, k: int, canonical: bool, stop: int) -> np.ndarray:
-        """Packed k-mer values of at least ``data[:stop]``: the cached
-        entry if it reaches ``stop``, else that prefix packed in its place."""
-        key = (int(k), bool(canonical))
-        cached = self._kmer_cache.get(key)
-        if cached is None or cached.size < stop - k + 1:
-            packer = canonical_kmer_codes if canonical else kmer_codes
-            cached = packer(self.data[:stop], k)
-            cached.setflags(write=False)
-            self._kmer_cache[key] = cached
-        return cached
 
     def kmer_codes_of(self, i: int, k: int, canonical: bool = False) -> np.ndarray:
         """Packed k-mer values of read ``i`` (cache-backed view).
 
         Equal to ``kmer_codes(self.codes_of(i), k)`` (length
         ``len_i - k + 1``, invalid windows -1) but computed via the
-        per-set cache, so repeated callers never re-pack the read.
+        per-shard cache, so repeated callers never re-pack the read.
         """
-        lo = int(self.offsets[i])
-        hi = int(self.offsets[i + 1]) - k + 1
-        if hi <= lo:
+        shard, lo, hi = self._span(i)
+        if hi - k + 1 <= lo:
             return np.empty(0, dtype=np.int64)
-        return self.packed_kmers(k, canonical)[lo:hi]
+        return self._shard_kmers(shard, k, canonical)[lo : hi - k + 1]
 
     def kmer_table(
         self,
@@ -306,15 +521,16 @@ class ReadSet:
         -1), the read it belongs to, and its offset within that read —
         reads in ``read_indices`` order, windows in position order.
         This is the bulk primitive behind the k-mer index build and the
-        query side of a cross-subset work unit; no per-read Python loop.
+        query side of a cross-subset work unit; its Python loop runs once
+        per run of requested reads in one shard.  Only the shards of the
+        given reads are packed: alignment asks a set with mates for its
+        forward reads, so its mate shards are not.
         """
         if read_indices is None:
             idx = np.arange(len(self), dtype=np.int64)
         else:
             idx = np.asarray(read_indices, dtype=np.int64)
-        starts = np.asarray(self.offsets[idx], dtype=np.int64)
-        ends = np.asarray(self.offsets[idx + 1], dtype=np.int64)
-        n_windows = np.maximum(ends - starts - k + 1, 0)
+        n_windows = np.maximum(self.lengths[idx] - k + 1, 0)
         total = int(n_windows.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -322,42 +538,24 @@ class ReadSet:
         read_ids = np.repeat(idx, n_windows)
         group_starts = np.cumsum(n_windows) - n_windows
         within = np.arange(total, dtype=np.int64) - np.repeat(group_starts, n_windows)
-        flat = np.repeat(starts, n_windows) + within
-        return self._window_kmers(k, canonical, flat, idx, n_windows), read_ids, within
-
-    def _window_kmers(
-        self, k: int, canonical: bool, flat: np.ndarray, idx: np.ndarray, n_windows: np.ndarray
-    ) -> np.ndarray:
-        """Packed values at absolute base positions ``flat``: the windows
-        of reads ``idx``, ``n_windows`` of them per read.  Alignment asks
-        a set with mates for its forward reads only, so only their bases
-        are packed until a mate's window is asked for."""
-        stop = self.total_bases
-        if self.mirrored and idx.size and int(idx.max()) < self.n_forward:
-            stop = int(self.offsets[self.n_forward])
-        return self._packed_prefix(k, canonical, stop)[flat]
+        # Each window's position in its shard; each run of requested
+        # reads in one shard (the whole request when it is ascending and
+        # in one shard) is a run of windows, taken from that shard's
+        # packed k-mers.
+        shards = np.searchsorted(self.record_starts, idx, side="right") - 1
+        local = np.repeat(self.offsets[idx] - self._base_bounds[shards], n_windows) + within
+        runs = np.flatnonzero(np.diff(shards, prepend=-1, append=-1))
+        window_cuts = np.append(group_starts, total)[runs].tolist()
+        values = np.empty(total, dtype=np.int64)
+        for read, lo, hi in zip(runs[:-1].tolist(), window_cuts[:-1], window_cuts[1:]):
+            packed = self._shard_kmers(int(shards[read]), k, canonical)
+            # in range by construction; "clip" writes to out unbuffered
+            np.take(packed, local[lo:hi], out=values[lo:hi], mode="clip")
+        return values, read_ids, within
 
     # -- preprocessing ---------------------------------------------------
-    # Both steps map a column kernel over the set's blocks — the whole
-    # set here, one shard at a time on a store — and :meth:`_rebuilt`
-    # makes a set of the results.
-
-    def _blocks(self) -> Iterator[Columns]:
-        yield self.data, self.offsets, self.quals, self.ids, self.meta
-
-    def _rebuilt(self, tag: str, params: dict, blocks: Iterable[Columns]) -> "ReadSet":
-        """A new set holding ``blocks`` in order (``tag`` and ``params``
-        name the step, for sets that keep what they derive)."""
-        data, offsets, quals, ids, meta = zip(*blocks)
-        joined = np.zeros(sum(len(block) for block in ids) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.diff(o) for o in offsets]), out=joined[1:])
-        return ReadSet._from_columns(
-            np.concatenate(data),
-            joined,
-            np.concatenate(quals) if self.has_quals else None,
-            [i for block in ids for i in block],
-            [m for block in meta for m in block],
-        )
+    # Trimming maps a column kernel over the set's shards and
+    # :meth:`_rebuilt` makes a set of the results, one block per shard.
 
     def trimmed(
         self,
@@ -381,25 +579,25 @@ class ReadSet:
         return self._rebuilt("trim", rule, trimmed)
 
     def with_reverse_complements(self) -> "ReadSet":
-        """Append the reverse complement of every read (paper §II-A).
+        """The set and the reverse complement of every read (paper §II-A),
+        as a view: mate shard ``S + s`` is built from shard ``s`` when it
+        is first asked for.
 
         The forward read ``i`` and its reverse complement ``i + n`` are
         paired; :meth:`mate_of` maps between them.
         """
         if self.mirrored:
             raise ValueError("the read set already holds its reverse complements")
-        mates = (rc_columns(*block) for block in self._blocks())
-        both = self._rebuilt("rc", {}, chain(self._blocks(), mates))
-        both.mirrored = True
-        return both
+        view = type(self).__new__(type(self))
+        view.__setstate__({**self.__getstate__(), "mirrored": True})
+        return view
 
     def mate_of(self, i: int) -> int:
-        """Index of read ``i``'s reverse complement in an rc-augmented set."""
-        n = len(self)
-        if n % 2 != 0:
+        """Index of read ``i``'s reverse complement in a :attr:`mirrored` set."""
+        if not self.mirrored:
             raise ValueError("read set was not built with with_reverse_complements()")
-        half = n // 2
-        return i + half if i < half else i - half
+        n = self.n_forward
+        return i + n if i < n else i - n
 
     def split(self, n_subsets: int) -> list[np.ndarray]:
         """Split read indices into ``n_subsets`` contiguous chunks.
@@ -411,7 +609,3 @@ class ReadSet:
         if n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
         return [np.asarray(c, dtype=np.int64) for c in np.array_split(np.arange(len(self)), n_subsets)]
-
-    def subset(self, indices: np.ndarray) -> "ReadSet":
-        """A new ReadSet containing the given reads (copies)."""
-        return ReadSet(self[int(i)] for i in indices)

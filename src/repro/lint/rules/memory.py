@@ -4,7 +4,7 @@ The out-of-core contract (docs/architecture.md, storage layer): a
 per-partition kernel sees O(partition) data, never O(dataset).  The
 sharded store keeps that true by handing kernels shard-sized views;
 the escape hatch that rebuilds the full in-RAM array —
-``ShardedReadSet.to_array()`` — exists for tooling and tests, not for
+``ReadSet.to_array()`` — exists for tooling and tests, not for
 kernels.  One such call inside a kernel silently restores the O(reads)
 peak memory the store was built to remove, on *every* partition at
 once.

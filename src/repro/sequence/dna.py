@@ -77,7 +77,7 @@ def decode(codes: np.ndarray) -> str:
 
 def complement(codes: np.ndarray) -> np.ndarray:
     """Return the complement of each code (A<->T, C<->G, N->N)."""
-    return _COMPLEMENT[np.asarray(codes, dtype=np.uint8)]
+    return np.take(_COMPLEMENT, np.asarray(codes, dtype=np.uint8))
 
 
 def reverse_complement(codes: np.ndarray) -> np.ndarray:

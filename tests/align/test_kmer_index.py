@@ -83,7 +83,7 @@ class TestKmerIndex:
             ["".join(rng.choice(list("ACGT"), 60)) for _ in range(20)]
         )
         idx = KmerIndex(rs, 7)
-        vals = rs.packed_kmers(7)  # includes boundary windows; lookup filters
+        vals = rs.kmer_table(7)[0]
         big = idx.lookup(np.tile(vals, 50))
         small = idx.lookup(vals)
         n = small[0].size
@@ -312,7 +312,7 @@ class TestMemory:
         import tracemalloc
 
         reads = shotgun_sample()
-        reads.packed_kmers(16)  # the read set's cache, not the index's
+        reads.kmer_table(16, np.arange(reads.n_forward))  # the read set's cache, not the index's
         tracemalloc.start()
         try:
             idx = KmerIndex(reads, 16)

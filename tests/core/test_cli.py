@@ -161,6 +161,35 @@ class TestAssembleAndStats:
         (contigs,) = [s for s in spans if s["name"] == "contigs"]
         assert contigs["counts"]["bases_voted"] > 0
 
+    def test_assemble_store_trace_counts(self, tmp_path, reads_fastq):
+        """The align span counts the candidates verified, the partition
+        span the imbalance, and the store-reading spans the read store
+        cache's hits, misses and evictions."""
+        import json
+
+        store, trace_path = tmp_path / "reads.store", tmp_path / "trace.jsonl"
+        assert main(["pack", str(reads_fastq), "-o", str(store), "--shard-size", "50"]) == 0
+        rc = main(
+            ["assemble", "--store", str(store), "-o", str(tmp_path / "c.fasta"),
+             "--partitions", "2", "--backend", "serial", "--trace", str(trace_path)]
+        )
+        assert rc == 0
+        spans = {
+            s["name"]: s["counts"]
+            for s in map(json.loads, trace_path.read_text().splitlines())
+            if s["parent"] is None
+        }
+        assert spans["align"]["candidates_verified"] > 0
+        assert spans["partition"]["imbalance"] >= 1.0
+        # Trimming loads each of the 12 shards of 50 reads once; align
+        # loads the trimmed shards, builds their mates and packs their
+        # k-mers, which enrich reads back.  A 64 MiB cache evicts nothing.
+        assert spans["preprocess"]["cache_misses"] >= 12
+        assert spans["align"]["cache_hits"] > 0 and spans["align"]["cache_misses"] >= 24
+        assert spans["enrich"]["cache_hits"] > 0 and "cache_misses" in spans["enrich"]
+        for name in ("preprocess", "align", "enrich"):
+            assert spans[name]["cache_evictions"] == 0
+
     def test_assemble_unknown_backend_exits(self, tmp_path, reads_fastq):
         with pytest.raises(SystemExit):
             main(

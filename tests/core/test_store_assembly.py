@@ -12,11 +12,10 @@ from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 from repro.distributed.dgraph import enrich_hybrid
 from repro.graph import contigs
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, _ShardColumn
 from repro.simulate.genome import Genome, random_genome
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 from repro.store import ShardedReadSet, pack_reads
-from repro.store.reads import _ShardColumn
 from repro.store.sharded import ShardedStore
 
 

@@ -61,7 +61,7 @@ class TestPreprocessing:
         ]
         rs = ReadSet(reads).trimmed(min_quality=20, min_length=20)
         assert len(rs) == 1
-        assert rs.ids == ["good"]
+        assert list(rs.ids) == ["good"]
 
     def test_with_reverse_complements(self):
         rs = ReadSet.from_strings(["AACG", "TG"]).with_reverse_complements()
@@ -80,6 +80,11 @@ class TestPreprocessing:
     def test_mate_of_requires_even(self):
         with pytest.raises(ValueError):
             ReadSet.from_strings(["A", "C", "G"]).mate_of(0)
+
+    def test_mate_of_requires_mirrored(self):
+        # An even count is not a set with mates.
+        with pytest.raises(ValueError, match="with_reverse_complements"):
+            ReadSet.from_strings(["ACGT", "GGCC"]).mate_of(0)
 
     @given(seq_lists)
     def test_rc_involution_property(self, seqs):
@@ -173,6 +178,46 @@ class TestBlockPreprocessEqualsPerRead:
             assert both.meta[n + i]["rc_of"] == rs.ids[i]
 
 
+class TestLifetime:
+    def test_dropped_set_is_freed_without_the_cyclic_collector(self):
+        """A set holds no reference cycle: dropped, its shards, mates and
+        packed k-mers go at once, not at the next collection."""
+        import gc
+        import weakref
+
+        rs = ReadSet.from_strings(["ACGTACGT", "GATTACA"]).with_reverse_complements()
+        rs.kmer_table(4, np.arange(len(rs)))
+        assert list(rs.ids) and rs.meta[3]
+        gc.disable()
+        try:
+            ref = weakref.ref(rs)
+            del rs
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestGatherCost:
+    def test_a_few_reads_cost_the_request_not_the_set(self):
+        """Gathering two reads of 200,000 allocates nothing the size of
+        the set: no per-read mask or running count."""
+        import tracemalloc
+
+        n = 200_000
+        offsets = np.arange(n + 1, dtype=np.int64)
+        data = np.arange(n, dtype=np.int64).astype(np.uint8) % 4
+        rs = ReadSet._from_blocks([(data, offsets, None, [f"r{i}" for i in range(n)], [{}] * n)])
+        rs.lengths  # cached on first use, like any later call's
+        tracemalloc.start()
+        try:
+            codes, starts, _ = rs.gather_reads(np.array([n - 1, 17, n - 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes.tolist() == [17 % 4, (n - 1) % 4] and starts.tolist() == [1, 0, 1]
+        assert peak < 20_000  # a bool per read would be 200,000 bytes
+
+
 class TestSplit:
     def test_split_covers_all(self):
         rs = ReadSet.from_strings(["A"] * 10)
@@ -188,11 +233,6 @@ class TestSplit:
     def test_split_invalid(self):
         with pytest.raises(ValueError):
             ReadSet.from_strings(["A"]).split(0)
-
-    def test_subset(self):
-        rs = ReadSet.from_strings(["AA", "CC", "GG"])
-        sub = rs.subset(np.array([2, 0]))
-        assert [sub.sequence_of(i) for i in range(2)] == ["GG", "AA"]
 
 
 class TestKmerCache:
@@ -213,30 +253,32 @@ class TestKmerCache:
         assert rs.kmer_codes_of(0, 3).size == 0
         assert rs.kmer_codes_of(1, 3).size == 2
 
-    def test_packed_kmers_cached_and_readonly(self):
-        rs = ReadSet.from_strings(["ACGTACGT"])
-        a = rs.packed_kmers(4)
-        assert rs.packed_kmers(4) is a  # second call hits the cache
+    def test_shard_kmers_cached_and_readonly(self):
+        rs = ReadSet.from_strings(["ACGTACGT", "GATTACA"])
+        a = rs.kmer_codes_of(1, 4)
+        (packed,) = rs._derived.values()  # one packed shard
+        assert np.shares_memory(rs.kmer_codes_of(0, 4), packed)
+        assert np.shares_memory(rs.kmer_codes_of(1, 4), a)  # second call hits the cache
         assert not a.flags.writeable
-        assert rs.packed_kmers(4, canonical=True) is not a  # distinct entry
+        assert not np.shares_memory(rs.kmer_codes_of(1, 4, canonical=True), packed)
+        assert list(rs._derived) == [("kmers", 0, 4, False), ("kmers", 0, 4, True)]
 
     def test_forward_windows_pack_only_the_forward_reads(self):
-        """A set with mates packs its forward reads' bases for alignment's
-        forward-only table; a mate's window is still served."""
+        """A set with mates packs its forward shard for alignment's
+        forward-only table; a mate's window packs its mate shard."""
         rs = ReadSet.from_strings(["ACGTACGTNA", "TTGACCAGT", "GGGATCCAAC"])
         rs = rs.with_reverse_complements()
         forward = np.arange(rs.n_forward)
         vals, _, _ = rs.kmer_table(4, forward, canonical=True)
-        (entry,) = rs._kmer_cache.values()
-        assert entry.size == rs.offsets[rs.n_forward] - 3
+        assert list(rs._derived) == [("kmers", 0, 4, True)]
+        assert rs._derived["kmers", 0, 4, True].size == rs.offsets[rs.n_forward] - 3
         mates = forward + rs.n_forward
         got, read_ids, _ = rs.kmer_table(4, mates, canonical=True)
         want = [canonical_kmer_codes(rs.codes_of(i), 4) for i in mates.tolist()]
         np.testing.assert_array_equal(got, np.concatenate(want))
         assert read_ids.tolist() == np.repeat(mates, [w.size for w in want]).tolist()
-        # The whole set was packed in the prefix's place, not beside it.
-        (entry,) = rs._kmer_cache.values()
-        assert entry.size == rs.total_bases - 3
+        # The mate shard was built and packed beside the forward one.
+        assert sorted(rs._derived) == [("kmers", 0, 4, True), ("kmers", 1, 4, True), ("mate", 1)]
         np.testing.assert_array_equal(rs.kmer_table(4, forward, canonical=True)[0], vals)
 
     def test_kmer_table_matches_per_read(self):
@@ -262,10 +304,15 @@ class TestKmerCache:
         assert offsets[:n2].tolist() == list(range(n2))
 
     def test_pickle_drops_cache(self):
-        rs = ReadSet.from_strings(["ACGTACGT", "GATTACA"])
-        rs.packed_kmers(4)
-        assert rs._kmer_cache
+        """A pickled in-RAM set ships its blocks and mirror flag, not
+        its mates or packed k-mers."""
+        rs = ReadSet.from_strings(["ACGTACGT", "GATTACA"]).with_reverse_complements()
+        rs.kmer_codes_of(3, 4)
+        assert ("mate", 1) in rs._derived and ("kmers", 1, 4, False) in rs._derived
+        state = rs.__getstate__()
+        assert state.keys() == {"blocks", "mirrored"} and state["mirrored"]
+        assert sum(b[0].size for b in state["blocks"]) == rs.total_bases // 2
         clone = pickle.loads(pickle.dumps(rs))
-        assert clone._kmer_cache == {}
+        assert clone._derived == {}
         # and the clone still answers correctly, rebuilding lazily
-        assert clone.kmer_codes_of(0, 4).tolist() == rs.kmer_codes_of(0, 4).tolist()
+        assert clone.kmer_codes_of(3, 4).tolist() == rs.kmer_codes_of(3, 4).tolist()

@@ -28,8 +28,8 @@ __all__ = ["as_plain", "strand_once_candidates"]
 
 def as_plain(reads: ReadSet) -> ReadSet:
     """The same reads, in RAM, as a set without mates."""
-    return ReadSet._from_columns(
-        np.array(reads.data), np.array(reads.offsets), reads.quals, list(reads.ids), list(reads.meta)
+    return ReadSet._from_blocks(
+        [(np.array(reads.data), np.array(reads.offsets), reads.quals, list(reads.ids), list(reads.meta))]
     )
 
 

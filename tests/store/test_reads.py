@@ -1,4 +1,4 @@
-"""Shard-backed ReadSet: equivalence with in-RAM, pickling, memory."""
+"""Shard-backed ReadSet: the per-read oracle, pickling, memory."""
 
 import multiprocessing
 import os
@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io.records import Read
-from repro.io.readset import ReadSet
+from repro.io.readset import ReadSet, read_columns
 from repro.store import ShardedReadSet, ShardedStore, pack_reads
+from tests.reference.per_read import assert_matches, expected_reads, trimmed_reads
 from tests.store.test_sharded import rewrite_shard
 
 
@@ -28,37 +29,16 @@ def make_reads(n=57, with_quals=True, seed=11):
     return reads
 
 
-def block_reads(reads, indices, quals=True):
-    """A ``gather_reads`` block unpacked to per-request (codes, scores)."""
-    codes, starts, scores = reads.gather_reads(indices, quals=quals)
+def assert_block_matches(reads, want, indices, quals=True):
+    """``gather_reads`` of ``indices`` against the per-read oracle."""
+    codes, starts, scores = reads.gather_reads(np.asarray(indices, dtype=np.int64), quals=quals)
     assert codes.dtype == np.uint8 and starts.dtype == np.int64
-    spans = [
-        slice(int(s), int(s) + int(n))
-        for s, n in zip(starts, reads.lengths[np.asarray(indices, dtype=np.int64)])
-    ]
-    return [(codes[sp], None if scores is None else scores[sp]) for sp in spans]
-
-
-def assert_same_block(opened, ram, indices, quals=True):
-    got, want = block_reads(opened, indices, quals), block_reads(ram, indices, quals)
-    assert len(got) == len(want) == len(indices)
-    for (codes, scores), (ram_codes, ram_scores) in zip(got, want):
-        assert np.array_equal(codes, ram_codes)
-        assert (scores is None) == (ram_scores is None)
+    assert (scores is None) == (not quals or not reads.has_quals)
+    for j, i in enumerate(indices):
+        span = slice(int(starts[j]), int(starts[j]) + len(want[i]))
+        assert np.array_equal(codes[span], want[i].codes)
         if scores is not None:
-            assert scores.dtype == np.int64 and np.array_equal(scores, ram_scores)
-
-
-def assert_same_columns(opened, ram):
-    """Every column of a shard-backed set equals the in-RAM set's."""
-    assert len(opened) == len(ram) and opened.has_quals == ram.has_quals
-    assert np.array_equal(opened.offsets, ram.offsets)
-    assert np.array_equal(opened.to_array(), ram.data)
-    if ram.has_quals:
-        assert opened.quals.dtype == np.int64
-        assert np.array_equal(opened.quals, ram.quals)
-    assert list(opened.ids) == list(ram.ids)
-    assert list(opened.meta) == list(ram.meta)
+            assert scores.dtype == np.int64 and np.array_equal(scores[span], want[i].quals)
 
 
 @pytest.fixture()
@@ -66,44 +46,39 @@ def stores(tmp_path):
     reads = make_reads()
     path = str(tmp_path / "reads.store")
     pack_reads(iter(reads), path, shard_size=10)
-    return ReadSet(reads), ReadSet.open(path), path
+    return reads, ReadSet.open(path), path
 
 
 class TestEquivalence:
+    """A store-backed set answers as the reads it was packed from."""
+
     def test_open_returns_sharded_readset(self, stores):
         _, opened, _ = stores
         assert isinstance(opened, ShardedReadSet)
         assert isinstance(opened, ReadSet)
 
     def test_per_read_accessors_match(self, stores):
-        ram, opened, _ = stores
-        assert len(opened) == len(ram)
-        for i in range(len(ram)):
-            assert (opened.codes_of(i) == ram.codes_of(i)).all()
-            assert (opened.quals_of(i) == ram.quals_of(i)).all()
-            assert opened.ids[i] == ram.ids[i]
-            assert opened.meta[i] == ram.meta[i]
+        reads, opened, _ = stores
+        assert len(opened) == len(reads)
+        for i, read in enumerate(reads):
+            assert np.array_equal(opened.codes_of(i), read.codes)
+            assert np.array_equal(opened.quals_of(i), read.quals)
+            assert opened.ids[i] == read.id
+            assert opened.meta[i] == read.meta
 
     def test_bulk_primitives_match(self, stores):
-        ram, opened, _ = stores
-        assert (opened.to_array() == ram.data).all()
-        assert (opened.offsets[:] == ram.offsets).all()
-        assert np.array_equal(opened.lengths, ram.lengths)
-        assert_same_block(opened, ram, np.array([0, 5, 56, 9, 10, 5]))
+        reads, opened, _ = stores
+        assert np.array_equal(opened.to_array(), np.concatenate([r.codes for r in reads]))
+        assert np.array_equal(opened.lengths, [len(r) for r in reads])
+        assert_block_matches(opened, reads, [0, 5, 56, 9, 10, 5])
 
     def test_kmer_primitives_match(self, stores):
-        ram, opened, _ = stores
-        for i in (0, 9, 10, 56):  # shard interior and boundaries
-            assert (
-                opened.kmer_codes_of(i, 16) == ram.kmer_codes_of(i, 16)
-            ).all()
-        # All reads, then an unsorted subset that spans shards.
-        for idx in (None, np.array([3, 11, 29, 41]), np.array([56, 9, 41, 10, 0, 29, 9])):
+        reads, opened, _ = stores
+        # All reads, then an unsorted subset that spans shards, with
+        # shard interiors and boundaries.
+        for idx in (range(57), [3, 11, 29, 41], [56, 9, 41, 10, 0, 29, 9]):
             for canonical in (False, True):
-                got = opened.kmer_table(16, idx, canonical)
-                want = ram.kmer_table(16, idx, canonical)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert_matches(opened, reads, idx, k=16, canonical=canonical)
 
     def test_many_small_shards_unsorted_positions(self, tmp_path):
         # 29 shards of two reads; reads arrive shuffled and repeated,
@@ -111,25 +86,33 @@ class TestEquivalence:
         reads = make_reads()
         path = str(tmp_path / "small.store")
         pack_reads(iter(reads), path, shard_size=2)
-        ram, opened = ReadSet(reads), ReadSet.open(path)
+        opened = ReadSet.open(path)
         assert opened.store.n_shards == 29
-        rng = np.random.default_rng(5)
-        idx = rng.integers(0, len(ram), size=80)
-        assert_same_block(opened, ram, idx)
+        idx = np.random.default_rng(5).integers(0, len(reads), size=80)
+        assert_matches(opened, reads, idx, k=16)
         assert opened.gather_reads(np.empty(0, dtype=np.int64))[0].size == 0
-        for a, b in zip(opened.kmer_table(16, idx), ram.kmer_table(16, idx)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_requests_from_inside_one_large_shard(self, tmp_path):
+        # Few reads and most of a run of reads, neither starting at the
+        # shard's first read, repeated and out of order.
+        reads = make_reads()
+        path = str(tmp_path / "one.store")
+        pack_reads(iter(reads), path, shard_size=len(reads))
+        for rs in (ReadSet(reads), ReadSet.open(path)):
+            assert rs.n_shards == 1
+            assert_matches(rs, reads, [40, 3, 50, 3])
+            assert_matches(rs, reads, [12, 11, 13, 12, 20])
 
     def test_derived_sets_match(self, stores):
-        ram, opened, path = stores
-        rt = ram.trimmed(trim5=2, min_length=45)
+        reads, opened, path = stores
         ot = opened.trimmed(trim5=2, min_length=45)
         assert isinstance(ot, ShardedReadSet)
-        assert 0 < len(rt) < len(ram)  # some reads are dropped
-        assert_same_columns(ot, rt)
+        want = trimmed_reads(reads, trim5=2, min_length=45)
+        assert 0 < len(want) < len(reads)  # some reads are dropped
+        assert_matches(ot, want, [0, len(want) - 1, 3])
         orc = ot.with_reverse_complements()
         assert isinstance(orc, ShardedReadSet)
-        assert_same_columns(orc, rt.with_reverse_complements())
+        assert_matches(orc, expected_reads(want, mirrored=True), [len(want), 0, 2 * len(want) - 1])
 
     def test_derived_shards_follow_the_source(self, tmp_path):
         # Shard 1's reads all fail the quality rule: no empty shard is
@@ -139,16 +122,16 @@ class TestEquivalence:
             read.quals[:] = 2
         path = str(tmp_path / "reads.store")
         pack_reads(iter(reads), path, shard_size=10)
-        ram, opened = ReadSet(reads), ReadSet.open(path)
-        trimmed = opened.trimmed(min_length=30)
+        trimmed = ReadSet.open(path).trimmed(min_length=30)
         assert [s.n_records for s in trimmed.store.manifest.shards] == [10, 10, 10]
-        assert_same_columns(trimmed, ram.trimmed(min_length=30))
+        want = trimmed_reads(reads, min_length=30)
+        assert_matches(trimmed, want, range(30))
         both = trimmed.with_reverse_complements()
         # three store shards and their three mate shards, in the same
         # store: the mirror is a view, not a second store.
         assert both.n_shards == 6 and both.store_path == trimmed.store_path
         assert not os.path.exists(os.path.join(trimmed.store_path, "derived"))
-        assert_same_columns(both, ram.trimmed(min_length=30).with_reverse_complements())
+        assert_matches(both, expected_reads(want, mirrored=True), range(60))
 
     def test_derived_store_is_reused(self, stores):
         _, opened, _ = stores
@@ -171,11 +154,13 @@ def ragged_stores(tmp_path_factory):
             reads[i].quals = None
         path = str(tmp_path_factory.mktemp("ragged") / "reads.store")
         pack_reads(iter(reads), path, shard_size=2)
-        out[scored] = ReadSet(reads), ReadSet.open(path, cache_budget=1)
+        out[scored] = reads, ReadSet.open(path, cache_budget=1)
     return out
 
 
 class TestBlockGatherEqualsInRam:
+    """``gather_reads`` of any index array against the per-read oracle."""
+
     @given(
         st.lists(st.integers(0, 23), max_size=40),
         st.sampled_from(["drawn", "descending", "ascending"]),
@@ -183,16 +168,17 @@ class TestBlockGatherEqualsInRam:
         st.booleans(),
     )
     def test_any_index_array(self, ragged_stores, indices, order, scored, quals):
-        ram, opened = ragged_stores[scored]
+        reads, opened = ragged_stores[scored]
         if order != "drawn":
             indices = sorted(indices, reverse=order == "descending")
-        assert_same_block(opened, ram, np.array(indices, dtype=np.int64), quals)
+        assert_block_matches(opened, expected_reads(reads), indices, quals)
 
     def test_unscored_shard_reads_as_zeros(self, ragged_stores):
-        ram, opened = ragged_stores[True]
+        _, opened = ragged_stores[True]
         assert not bool(opened.store.shard(2)["has_quals"])
-        (_, zeros), (_, scores) = block_reads(opened, [4, 6])
-        assert zeros.size and not zeros.any() and scores.any()
+        codes, starts, scores = opened.gather_reads(np.array([4, 6]), quals=True)
+        zeros, others = scores[: opened.length_of(4)], scores[opened.length_of(4) :]
+        assert zeros.size and not zeros.any() and others.any()
 
     def test_one_visit_per_requested_shard(self, ragged_stores):
         _, opened = ragged_stores[True]
@@ -205,7 +191,7 @@ class TestBlockGatherEqualsInRam:
 class TestMirroredView:
     """A store's reverse complements are a view: mate shard ``S + s``
     is built from shard ``s`` when it loads, and every accessor of the
-    view answers as the in-RAM set with its mates does."""
+    view answers as the reads and their ``Read.reverse_complement()``."""
 
     @settings(deadline=None)
     @given(
@@ -213,23 +199,25 @@ class TestMirroredView:
         st.sampled_from([1, 5, 16]),
         st.booleans(),
         st.booleans(),
-        st.booleans(),
     )
-    def test_view_equals_the_in_ram_mates(self, ragged_stores, indices, k, scored, quals, canonical):
-        ram, opened = ragged_stores[scored]
-        view, both = opened.with_reverse_complements(), ram.with_reverse_complements()
-        assert view.mirrored and both.mirrored and view.n_forward == len(opened)
-        assert_same_columns(view, both)
-        indices = np.array(indices, dtype=np.int64)
-        assert_same_block(view, both, indices, quals)
-        for got, want in zip(view.kmer_table(k, indices, canonical), both.kmer_table(k, indices, canonical)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for i in indices.tolist():
-            assert np.array_equal(view.codes_of(i), both.codes_of(i))
-            assert (view.quals_of(i) is None) == (both.quals_of(i) is None)
-            if scored:
-                assert np.array_equal(view.quals_of(i), both.quals_of(i))
-            assert np.array_equal(view.kmer_codes_of(i, k, canonical), both.kmer_codes_of(i, k, canonical))
+    def test_view_equals_the_in_ram_mates(self, ragged_stores, indices, k, scored, canonical):
+        reads, opened = ragged_stores[scored]
+        view = opened.with_reverse_complements()
+        assert view.mirrored and view.n_forward == len(opened)
+        assert_matches(view, expected_reads(reads, mirrored=True), indices, k, canonical)
+
+    def test_materializing_goes_past_the_cache(self, ragged_stores):
+        """``data`` / ``quals`` load every shard and mate without touching
+        the cache's working set or its counters, and are read-only."""
+        reads, opened = ragged_stores[True]
+        view = opened.with_reverse_complements()
+        view.gather_reads(np.array([3, 30]))
+        before, held = view.store.cache.stats(), len(view.store.cache)
+        want = expected_reads(reads, mirrored=True)
+        assert np.array_equal(view.data, np.concatenate([r.codes for r in want]))
+        assert np.array_equal(view.quals, np.concatenate([r.quals for r in want]))
+        assert view.store.cache.stats() == before and len(view.store.cache) == held
+        assert not view.data.flags.writeable and not view.quals.flags.writeable
 
     def test_nothing_is_written(self, tmp_path):
         path = str(tmp_path / "reads.store")
@@ -239,6 +227,55 @@ class TestMirroredView:
         assert view.to_array().size and sorted(os.listdir(path)) == before
         with pytest.raises(ValueError, match="already"):
             view.with_reverse_complements()
+
+
+@st.composite
+def read_lists(draw):
+    """0..9 reads of 0..25 bases (N included); scored, unscored or mixed."""
+    scoring = draw(st.sampled_from(["all", "none", "mixed"]))
+    reads = []
+    for i in range(draw(st.integers(0, 9))):
+        codes = draw(st.lists(st.integers(0, 4), max_size=25))
+        scored = scoring == "all" or (scoring == "mixed" and draw(st.booleans()))
+        quals = draw(st.lists(st.integers(0, 41), min_size=len(codes), max_size=len(codes))) if scored else None
+        reads.append(Read(f"r{i}", np.array(codes, dtype=np.uint8), quals, {"n": i}))
+    return reads
+
+
+class TestOneImplementation:
+    """In RAM and from a store, at shard sizes 1, 3 and all, with mates
+    or without: every accessor answers as the per-read oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        read_lists(),
+        st.sampled_from([1, 3, None]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1, 4, 9]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_every_accessor_matches_the_per_read_oracle(
+        self, tmp_path_factory, reads, shard_size, in_store, mirrored, k, canonical, data
+    ):
+        size = shard_size or max(len(reads), 1)
+        if in_store:
+            path = str(tmp_path_factory.mktemp("drawn") / "reads.store")
+            pack_reads(iter(reads), path, shard_size=size)
+            rs = ReadSet.open(path, cache_budget=data.draw(st.sampled_from([0, 1 << 20])))
+        else:
+            chunks = [reads[i : i + size] for i in range(0, len(reads), size)]
+            rs = ReadSet._from_blocks(read_columns(chunk) for chunk in chunks)
+        assert rs.n_shards == -(-len(reads) // size)
+        if mirrored:
+            rs = rs.with_reverse_complements()
+        want = expected_reads(reads, mirrored)
+        indices = data.draw(st.lists(st.integers(0, max(len(want) - 1, 0)), max_size=12)) if want else []
+        assert_matches(rs, want, indices, k, canonical)
+        rule = {"trim5": data.draw(st.integers(0, 3)), "window": 3, "min_quality": 20.0}
+        trimmed = trimmed_reads(want, min_length=2, **rule)
+        assert_matches(rs.trimmed(min_length=2, **rule), trimmed, range(len(trimmed)), k, canonical)
 
 
 class TestQualityDtype:
@@ -256,7 +293,7 @@ class TestQualityDtype:
         assert opened.store.shard(0)["quals"].dtype == stored
         assert opened.store.shard(1)["quals"].dtype == np.uint8
         assert opened.quals_of(2).dtype == np.int64
-        assert_same_columns(opened, ReadSet(reads))
+        assert_matches(opened, reads, range(6))
 
     def test_int64_scores_of_older_stores_still_open(self, tmp_path):
         reads = make_reads(n=6)
@@ -267,10 +304,26 @@ class TestQualityDtype:
             rewrite_shard(path, index, {"quals": quals.astype(np.int64)})
         opened = ShardedReadSet(path)
         assert opened.store.shard(0)["quals"].dtype == np.int64
-        ram = ReadSet(reads)
-        assert_same_columns(opened, ram)
-        assert_same_block(opened, ram, np.arange(6))
-        assert_same_columns(opened.trimmed(min_length=30), ram.trimmed(min_length=30))
+        assert_matches(opened, reads, range(6))
+        want = trimmed_reads(reads, min_length=30)
+        assert_matches(opened.trimmed(min_length=30), want, range(len(want)))
+
+
+def test_dropped_store_set_is_freed_without_the_cyclic_collector(stores):
+    import gc
+    import weakref
+
+    _, opened, _ = stores
+    view = opened.with_reverse_complements()
+    view.kmer_table(16, np.arange(len(view)))
+    assert view.ids[70] == "r13/rc"
+    gc.disable()
+    try:
+        ref = weakref.ref(view)
+        del view
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestPickleContract:
@@ -293,11 +346,11 @@ class TestPickleContract:
         assert clone.store_fingerprint == mirrored.store_fingerprint != opened.store_fingerprint
 
     def test_unpickled_set_reopens_and_matches(self, stores):
-        ram, opened, _ = stores
+        reads, opened, _ = stores
         clone = pickle.loads(pickle.dumps(opened))
         assert isinstance(clone, ShardedReadSet)
         for i in (0, 13, 56):
-            assert (clone.codes_of(i) == ram.codes_of(i)).all()
+            assert np.array_equal(clone.codes_of(i), reads[i].codes)
 
     def test_reopen_starts_with_cold_cache(self, stores):
         _, opened, _ = stores
