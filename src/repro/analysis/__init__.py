@@ -7,11 +7,16 @@ classifier is a k-mer voter against the simulated reference genomes
 (plus optional simulator ground truth), and the same genus x partition
 fraction matrices, concentration measures, and phylum co-location
 scores are computed.
+
+Assemblies are checked against those genomes by :func:`evaluate_assembly`,
+which places contigs with :func:`place_each` (``repro.analysis.mapping``):
+the program's one placement join, which contig dedupe and the
+scaffolder's read placement share.
 """
 
 from repro.analysis.accuracy import AccuracyReport, ContigPlacement, evaluate_assembly
 from repro.analysis.classify import KmerClassifier
-from repro.analysis.mapping import Placement, SequenceMapper
+from repro.analysis.mapping import Placement, place_each
 from repro.analysis.community import (
     genus_partition_matrix,
     max_fraction_per_genus,
@@ -23,7 +28,7 @@ from repro.analysis.heatmap import render_heatmap
 
 __all__ = [
     "KmerClassifier",
-    "SequenceMapper",
+    "place_each",
     "Placement",
     "evaluate_assembly",
     "AccuracyReport",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.mapping import SequenceMapper
+from repro.analysis.mapping import place_each
 from repro.simulate.genome import Genome
 
 __all__ = ["ContigPlacement", "AccuracyReport", "evaluate_assembly"]
@@ -68,7 +68,6 @@ def evaluate_assembly(
     """Place every contig on the references and aggregate accuracy."""
     if not references:
         raise ValueError("need at least one reference genome")
-    mapper = SequenceMapper([g.codes for g in references], k=k)
     names = [g.name for g in references]
     coverage = [np.zeros(len(g), dtype=bool) for g in references]
     placements: list[ContigPlacement] = []
@@ -79,35 +78,26 @@ def evaluate_assembly(
     # One pass at no identity floor: the best placement clears
     # ``min_identity`` or nothing does, and then its identity is the
     # best unverified one, recorded for diagnostics.
-    hits = mapper.place_each(contigs, min_identity=0.0, min_votes=min_votes)
+    hits = place_each(
+        contigs, [g.codes for g in references], k, min_identity=0.0, min_votes=min_votes
+    )
     for ci, (contig, hit) in enumerate(zip(contigs, hits)):
-        if hit is not None and hit.identity >= min_identity:
-            placements.append(
-                ContigPlacement(
-                    contig_index=ci,
-                    length=int(contig.size),
-                    reference=names[hit.reference],
-                    position=hit.position,
-                    strand=hit.strand,
-                    identity=hit.identity,
-                    placed=True,
-                )
+        placed = hit is not None and hit.identity >= min_identity
+        placements.append(
+            ContigPlacement(
+                contig_index=ci,
+                length=int(contig.size),
+                reference=names[hit.reference] if placed else None,
+                position=hit.position if placed else None,
+                strand=hit.strand if placed else None,
+                identity=0.0 if hit is None else hit.identity,
+                placed=placed,
             )
+        )
+        if placed:
             coverage[hit.reference][hit.position : hit.position + contig.size] = True
             placed_bases += int(contig.size)
             identity_weighted += hit.identity * contig.size
-        else:
-            placements.append(
-                ContigPlacement(
-                    contig_index=ci,
-                    length=int(contig.size),
-                    reference=None,
-                    position=None,
-                    strand=None,
-                    identity=0.0 if hit is None else hit.identity,
-                    placed=False,
-                )
-            )
 
     covered = sum(int(c.sum()) for c in coverage)
     total_ref = sum(c.size for c in coverage)

@@ -23,6 +23,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -117,11 +118,13 @@ def _add_assembly_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Options match by exact name: ``--cache-budget`` is not ``--cache-budget-mb``.
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = exact(
         prog="repro",
         description="Focus parallel NGS assembler (IPDPSW 2017 reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
     p = sub.add_parser("simulate-genome", help="generate a random genome FASTA")
     p.add_argument("--length", type=int, default=25_000)

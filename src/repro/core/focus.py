@@ -22,12 +22,12 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import prod
 from typing import Callable
 
 import numpy as np
 
 from repro.align.overlapper import overlap_backend
+from repro.analysis.mapping import placement_groups
 from repro.core.config import AssemblyConfig
 from repro.core.pipeline import StageTimer
 from repro.core.stats import AssemblyStats
@@ -38,7 +38,7 @@ from repro.io.store import CheckpointState, load_checkpoint, save_checkpoint
 from repro.graph.coarsen import MultilevelGraphSet, build_multilevel_set
 from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import OverlapGraph
-from repro.io.readset import ReadSet, ragged_positions
+from repro.io.readset import ReadSet
 from repro.mpi.timing import CommCostModel
 from repro.parallel.backend import ExecutionBackend, StageOutcome, create_backend
 from repro.partition.metrics import node_weight_balance
@@ -48,7 +48,6 @@ from repro.partition.multilevel import (
     partition_via_multilevel,
 )
 from repro.sequence.dna import N, decode, hamming_identity, reverse_complement
-from repro.sequence.kmers import kmer_codes, stable_sort
 
 __all__ = [
     "FINISH_STAGES",
@@ -105,104 +104,8 @@ def run_plan(
 FINISH_STAGES = tuple(sorted(name for name, _ in finish_plan(AssemblyConfig())))
 
 
-#: k-mer length of the dedupe placement.  Odd, so no k-mer is its own
-#: reverse complement: every window is canonical on exactly one strand.
+#: k-mer length of the dedupe placement (odd, as placement needs).
 _DEDUPE_K = 21
-
-#: bits a packed vote key may use (one non-negative ``int64``).
-_KEY_BITS = 63
-
-
-def _count_rows(
-    cols: list[np.ndarray], widths: list[int]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct rows of ``cols`` in lexicographic order, as columns,
-    and how many times each occurs.
-
-    Column ``j`` holds non-negative values below ``widths[j]``.  When
-    the product of the widths fits in :data:`_KEY_BITS` bits the rows
-    pack into one ``int64`` for a single ``np.unique``; otherwise a
-    ``lexsort`` orders them and the runs are cut where any column
-    changes, as :func:`stable_sort` falls back to ``argsort``.
-    """
-    if prod(widths) <= 1 << _KEY_BITS:
-        key = np.zeros(cols[0].size, dtype=np.int64)
-        for col, width in zip(cols, widths):
-            key *= width
-            key += col
-        key, counts = np.unique(key, return_counts=True)
-        rows = []
-        for width in reversed(widths):
-            key, col = np.divmod(key, width)
-            rows.append(col)
-        return rows[::-1], counts
-    order = np.lexsort(cols[::-1])
-    rows = [col[order] for col in cols]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[1:] = True
-    for col in rows:
-        repeat[1:] &= col[1:] == col[:-1]
-    starts = np.flatnonzero(~repeat)
-    return [col[starts] for col in rows], np.diff(np.append(starts, order.size))
-
-
-def _placement_groups(
-    ranked: list[np.ndarray],
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Every ranked contig of >= 64 bases placed on every earlier-ranked
-    one, both strands, by one canonical k-mer self-join.
-
-    Returns ``(bounds, ref, start, votes)``: the vote groups of query
-    ``q`` on strand ``s`` (0 is '+') are ``bounds[2q + s]`` up to
-    ``bounds[2q + s + 1]``, most votes first, then by (ref, start).
-    """
-    k, n = _DEDUPE_K, len(ranked)
-    sizes = np.array([c.size for c in ranked], dtype=np.int64)
-    starts = np.cumsum(sizes + 1) - (sizes + 1)
-    sep = np.full(1, N, dtype=np.uint8)
-    joined = np.concatenate([part for c in ranked for part in (c, sep)])
-    # Every window's value and its reverse complement's, from one pass
-    # per strand; the canonical k-mer is the smaller of the two.
-    fwd = kmer_codes(joined, k)
-    rev = kmer_codes(reverse_complement(joined), k)[::-1]
-    row = np.flatnonzero(fwd >= 0)
-    fwd, rev = fwd[row], rev[row]
-    owner = np.searchsorted(starts, row, side="right") - 1
-    pos = row - starts[owner]
-    flipped = rev < fwd
-    canon, order = stable_sort(np.minimum(fwd, rev))
-    owner, pos, flipped = owner[order], pos[order], flipped[order]
-    # Within a run of one canonical k-mer the rows are in rank order,
-    # so each row's earlier-ranked partners are a prefix of its run.
-    idx = np.arange(canon.size)
-    new_run = np.ones(canon.size, dtype=bool)
-    new_run[1:] = canon[1:] != canon[:-1]
-    new_owner = new_run.copy()
-    new_owner[1:] |= owner[1:] != owner[:-1]
-    run_first = np.maximum.accumulate(np.where(new_run, idx, 0))
-    partners = np.maximum.accumulate(np.where(new_owner, idx, 0)) - run_first
-    partners[sizes[owner] < 64] = 0
-    ref_row = ragged_positions(run_first, partners)
-    q_row = np.repeat(idx, partners)
-    # One vote per (earlier ref row, query row): '+' when both read the
-    # canonical k-mer on the same strand, '-' otherwise, with the query
-    # position mapped onto its reverse complement.
-    query, ref = owner[q_row], owner[ref_row]
-    minus = flipped[q_row] != flipped[ref_row]
-    q_pos = pos[q_row]
-    q_pos = np.where(minus, sizes[query] - k - q_pos, q_pos)
-    bias = max(int(sizes[0]) - k, 0)
-    (slot, ref, diag), votes = _count_rows(
-        [query * 2 + minus, ref, pos[ref_row] - q_pos + bias],
-        [2 * n, n, 2 * bias + 1],
-    )
-    order = np.lexsort((diag, ref, -votes, slot))
-    return (
-        np.searchsorted(slot[order], np.arange(2 * n + 1)).tolist(),
-        ref[order].tolist(),
-        (diag[order] - bias).tolist(),
-        votes[order].tolist(),
-    )
 
 
 def deduplicate_contigs(
@@ -222,16 +125,18 @@ def deduplicate_contigs(
     # Longest first (stable): a contig can only duplicate one that
     # precedes it here, so the contigs are their own index.  A query's
     # first vote group on a kept contig is the first maximum among the
-    # kept references: none at or after its rank is kept yet.
+    # kept references: none at or after its rank is kept yet.  The
+    # contigs under 64 bases, the tail, are only string-scanned.
     ranked = sorted(contigs, key=lambda c: -c.size)
-    bounds, ref, start, votes = _placement_groups(ranked)
+    placed = ranked[: sum(c.size >= 64 for c in ranked)]
+    bounds, ref, start, votes = (a.tolist() for a in placement_groups(placed, _DEDUPE_K))
     kept = [False] * len(ranked)
     kept_strings: list[str] = []
     for rank, contig in enumerate(ranked):
         size = contig.size
         duplicate = False
         # '+' is tried first; either strand verifying makes a duplicate.
-        for slot in (2 * rank, 2 * rank + 1):
+        for slot in (2 * rank, 2 * rank + 1) if size >= 64 else ():
             g = next(
                 (g for g in range(bounds[slot], bounds[slot + 1]) if kept[ref[g]]),
                 None,

@@ -61,9 +61,18 @@ def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - block, counts) + np.arange(total, dtype=np.int64)
 
 
+def _narrowed(quals: np.ndarray) -> np.ndarray:
+    """Scores in the narrowest unsigned dtype that holds them (``uint8``
+    for real Phred data); anything negative stays ``int64``."""
+    if quals.size == 0 or int(quals.min()) < 0:
+        return quals
+    return quals.astype(np.min_scalar_type(int(quals.max())), copy=False)
+
+
 def read_columns(reads: list[Read]) -> Columns:
     """The column block of a list of reads; once any read carries
-    scores, a read without them scores zero."""
+    scores, a read without them scores zero.  The scores are held as a
+    store holds them (:func:`_narrowed`)."""
     lengths = np.fromiter((len(r) for r in reads), dtype=np.int64, count=len(reads))
     offsets = np.zeros(len(reads) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -75,6 +84,8 @@ def read_columns(reads: list[Read]) -> Columns:
         data[lo:hi] = r.codes
         if r.quals is not None:
             quals[lo:hi] = r.quals
+    if quals is not None:
+        quals = _narrowed(quals)
     return data, offsets, quals, [r.id for r in reads], [r.meta for r in reads]
 
 
@@ -266,7 +277,6 @@ class ReadSet:
         #: global position of each shard's first base.
         self._base_bounds = np.asarray(offsets[record_starts], dtype=np.int64)
         self._materialized: np.ndarray | None = None
-        self._materialized_quals: np.ndarray | None = None
 
     # A column is made on each access: held, it would be a reference
     # cycle, which keeps a dropped set's shards alive until the cyclic
@@ -325,11 +335,11 @@ class ReadSet:
         n = self._n_stored
         if shard < n:
             data, _, quals = self._source_bases(shard, cache)
-            return np.broadcast_to(np.int64(0), data.shape) if quals is None else quals
+            return np.broadcast_to(np.uint8(0), data.shape) if quals is None else quals
 
         def loader():
             data, offsets, quals = self._source_bases(shard - n, cache)
-            mate = np.zeros(data.size, np.int64) if quals is None else quals[_mirror(offsets)]
+            mate = np.zeros(data.size, np.uint8) if quals is None else quals[_mirror(offsets)]
             return mate, mate.nbytes
 
         return self._cached(("mate quals", shard), loader) if cache else loader()[0]
@@ -443,14 +453,14 @@ class ReadSet:
     @property
     def quals(self) -> np.ndarray | None:
         """Every read's scores end to end as ``int64`` (``None`` without
-        any); built once, like :attr:`data`."""
+        any), read-only.  Built on each call: kept, the wide copy would
+        sit beside the narrow blocks for the life of the set."""
         if not self.has_quals:
             return None
-        if self._materialized_quals is None:
-            parts = [self._shard_quals(s, cache=False) for s in range(self.n_shards)]
-            self._materialized_quals = _joined(parts, np.int64)
-            self._materialized_quals.setflags(write=False)
-        return self._materialized_quals
+        parts = [self._shard_quals(s, cache=False) for s in range(self.n_shards)]
+        quals = _joined(parts, np.int64)
+        quals.setflags(write=False)
+        return quals
 
     # -- block access -----------------------------------------------------
     # The one bulk read primitive: consensus, overlap verification and

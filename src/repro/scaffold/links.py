@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.mapping import Placement, SequenceMapper
+from repro.analysis.mapping import Placement, place_each
 from repro.io.readset import ReadSet
 
 __all__ = ["pair_indices", "ContigLink", "build_links", "place_reads", "estimate_insert_size"]
@@ -47,11 +47,9 @@ def place_reads(
     min_identity: float = 0.9,
 ) -> list[Placement | None]:
     """Best contig placement per read (None when unplaced)."""
-    mapper = SequenceMapper(contigs, k=k)
-    return [
-        mapper.place(reads.codes_of(i), min_identity=min_identity, min_votes=2)
-        for i in range(len(reads))
-    ]
+    return place_each(
+        [reads.codes_of(i) for i in range(len(reads))], contigs, k, min_identity, min_votes=2
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from repro.sequence.dna import (
 from repro.sequence.kmers import (
     canonical_kmer_codes,
     kmer_codes,
-    kmer_positions,
     max_k_for_dtype,
     pack_kmer,
     revcomp_kmer_code,
@@ -52,7 +51,6 @@ __all__ = [
     "hamming_identity",
     "kmer_codes",
     "canonical_kmer_codes",
-    "kmer_positions",
     "pack_kmer",
     "unpack_kmer",
     "revcomp_kmer_code",

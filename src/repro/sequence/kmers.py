@@ -22,8 +22,6 @@ __all__ = [
     "unpack_kmer",
     "revcomp_kmer_code",
     "kmer_codes",
-    "kmer_positions",
-    "batched_kmer_positions",
     "canonical_kmer_codes",
     "stable_sort",
     "stable_order",
@@ -143,33 +141,6 @@ def _pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
         doubled = block[:-width] << 2 * width
         doubled |= block[width:]
         block, width = doubled, 2 * width
-
-
-def kmer_positions(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, packed values) of all valid (N-free) k-mers."""
-    values = kmer_codes(codes, k)
-    pos = np.flatnonzero(values >= 0)
-    return pos, values[pos]
-
-
-def batched_kmer_positions(
-    seqs: list[np.ndarray], k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`kmer_positions` of every sequence, in one extraction pass.
-
-    Returns ``(positions, values, counts)``: the valid k-mers of
-    ``seqs[0]``, then of ``seqs[1]`` and so on, ``counts[i]`` of them
-    from ``seqs[i]``, each position counted from its own sequence's
-    start.  The sequences are joined with an ``N`` after each, so no
-    valid window crosses a boundary.
-    """
-    sizes = np.array([len(s) for s in seqs], dtype=np.int64)
-    starts = np.cumsum(sizes + 1) - (sizes + 1)
-    joined = np.insert(np.concatenate([np.empty(0, np.uint8), *seqs]), np.cumsum(sizes), N)
-    values = kmer_codes(joined, k)
-    pos = np.flatnonzero(values >= 0)
-    owner = np.searchsorted(starts, pos, side="right") - 1
-    return pos - starts[owner], values[pos], np.bincount(owner, minlength=sizes.size)
 
 
 def canonical_kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:

@@ -71,14 +71,6 @@ def _read_blocks(reads: Iterable[Read], shard_size: int) -> Iterator[Columns]:
         yield read_columns(chunk)
 
 
-def _narrowed(quals: np.ndarray) -> np.ndarray:
-    """Scores in the narrowest unsigned dtype that holds them (``uint8``
-    for real Phred data); anything negative stays ``int64``."""
-    if quals.size == 0 or int(quals.min()) < 0:
-        return quals
-    return quals.astype(np.min_scalar_type(int(quals.max())), copy=False)
-
-
 def _pack_blocks(
     blocks: Iterable[Columns],
     path: str | Path,
@@ -103,7 +95,7 @@ def _pack_blocks(
                 "ids": _json_uint8(ids),
                 "meta": _json_uint8(read_meta),
                 "has_quals": np.bool_(has_quals),
-                "quals": _narrowed(quals) if has_quals else np.empty(0, dtype=np.uint8),
+                "quals": quals if has_quals else np.empty(0, dtype=np.uint8),
             },
             len(ids),
         )

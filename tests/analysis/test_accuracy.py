@@ -61,15 +61,14 @@ class TestEvaluateAssembly:
         """One placement pass for all contigs, placed or not: the
         chimera's best diagonal verifies its first half and ~1/4 of the
         second."""
-        from repro.analysis.mapping import SequenceMapper
+        from repro.analysis import accuracy
 
         calls = []
-        real = SequenceMapper.place_each
+        real = accuracy.place_each
         monkeypatch.setattr(
-            SequenceMapper,
+            accuracy,
             "place_each",
-            lambda self, queries, *a, **kw: calls.append(len(queries))
-            or real(self, queries, *a, **kw),
+            lambda queries, *a, **kw: calls.append(len(queries)) or real(queries, *a, **kw),
         )
         chimera = np.concatenate([reference.codes[:500], reference.codes[3000:3500]])
         report = evaluate_assembly([chimera, reference.codes[:400].copy()], [reference])

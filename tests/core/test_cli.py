@@ -229,6 +229,19 @@ class TestAssembleAndStats:
         a = parser.parse_args(["assemble", "--store", "r.store", "-o", "c.fa"])
         assert a.store == "r.store" and a.reads is None
 
+    def test_options_match_by_exact_name(self, capsys):
+        """``--cache-budget`` is not taken for ``--cache-budget-mb``: an
+        abbreviation exits 2 and names the option it did not know."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        args = ["assemble", "--store", "r.store", "-o", "c.fa"]
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([*args, "--cache-budget", "20000"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache-budget" in capsys.readouterr().err
+        assert parser.parse_args([*args, "--cache-budget-mb", "20"]).cache_budget_mb == 20
+
     def test_resume_restores_every_finish_stage(self, tmp_path, reads_fastq, capsys):
         import json
 

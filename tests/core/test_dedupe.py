@@ -2,9 +2,10 @@
 work is linear in the input.
 
 The production function places every contig by one canonical k-mer
-self-join over all contigs; ``tests/reference/contigs.py`` keeps the
-specification it replaced (a fresh ``SequenceMapper`` over the kept
-contigs per candidate, exact string scan first).  Hypothesis drives
+self-join over all contigs (``repro.analysis.mapping.placement_groups``
+in self mode); ``tests/reference/contigs.py`` keeps the specification
+it replaced (each candidate placed afresh on the kept contigs by the
+reference placement, exact string scan first).  Hypothesis drives
 both over mirrored contig families, on the packed vote key and on its
 ``lexsort`` fallback; a counting guard pins the number of k-mer passes
 and sorts, so a per-contig lookup cannot come back unnoticed (no wall
@@ -184,7 +185,7 @@ class TestVoteKey:
         hi, lo = 2**32 - 1, 2**31 - 1
         cols = [np.array([hi, 0, hi], dtype=np.int64), np.array([lo, 5, lo], dtype=np.int64)]
         for widths in ([2**32, 2**31], [2**32, 2**31 + 1]):  # packed, fallback
-            rows, counts = focus._count_rows(cols, widths)
+            rows, counts = mapping._count_rows(cols, widths)
             assert [r.tolist() for r in rows] == [[0, hi], [5, lo]]
             assert counts.tolist() == [1, 2]
 
@@ -193,16 +194,15 @@ class TestVoteKey:
     def test_fallback_selects_like_the_packed_key(self, contigs):
         packed = deduplicate_contigs(contigs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(focus, "_KEY_BITS", 0)
+            mp.setattr(mapping, "_KEY_BITS", 0)
             assert_same_selection(deduplicate_contigs(contigs), packed)
 
 
 class TestWorkIsLinear:
     """Counted, not timed: whatever the number of contigs, one k-mer
     pass per strand over all contigs joined, one sort of their
-    canonical k-mers (the contigs are their own index), no
-    ``SequenceMapper``, and at most one identity check per contig and
-    strand."""
+    canonical k-mers (the contigs are their own index), one join, and
+    at most one identity check per contig and strand."""
 
     @staticmethod
     def mirrored(n, seed=4):
@@ -224,13 +224,12 @@ class TestWorkIsLinear:
 
             return wrapper
 
-        for name in ("kmer_codes", "stable_sort", "hamming_identity"):
-            monkeypatch.setattr(focus, name, counting(name, getattr(focus, name)))
-        monkeypatch.setattr(
-            mapping.SequenceMapper,
-            "__init__",
-            counting("SequenceMapper", mapping.SequenceMapper.__init__),
-        )
+        for module, names in (
+            (mapping, ("kmer_codes", "stable_sort")),
+            (focus, ("placement_groups", "hamming_identity")),
+        ):
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return seen
 
     @pytest.mark.parametrize("n", [200, 400])
@@ -238,7 +237,7 @@ class TestWorkIsLinear:
         kept = deduplicate_contigs(self.mirrored(n))
         assert len(kept) == n // 2
         assert 0 < counts.pop("hamming_identity") <= 2 * n
-        assert counts == {"kmer_codes": 2, "stable_sort": 1}
+        assert counts == {"kmer_codes": 2, "stable_sort": 1, "placement_groups": 1}
 
 
 @pytest.mark.slow

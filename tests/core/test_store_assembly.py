@@ -82,7 +82,9 @@ class TestStoreBackedAssembly:
         assert fp_store["store"] is not None
         assert fp_ram != fp_store
 
-    def test_quality_weighted_consensus_stays_shard_backed(self, sim_reads, store_path):
+    def test_quality_weighted_consensus_stays_shard_backed(
+        self, sim_reads, store_path, monkeypatch
+    ):
         """Weighted votes take their scores block by block: the
         whole-store ``.quals`` materialisation is never built."""
         cfg = AssemblyConfig(
@@ -92,10 +94,11 @@ class TestStoreBackedAssembly:
             quality_weighted_consensus=True,
         )
         assembler = FocusAssembler(cfg)
-        stored = assembler.prepare(assembler.open_reads())
+        with monkeypatch.context() as patch:
+            patch.setattr(ReadSet, "quals", property(lambda _: pytest.fail("built .quals")))
+            stored = assembler.prepare(assembler.open_reads())
         assert stored.reads.has_quals
         assert stored.reads._materialized is None
-        assert stored.reads._materialized_quals is None
         ram = assembler.prepare(ReadSet(sim_reads))
         assert [c.tobytes() for c in stored.assembly.contigs] == [
             c.tobytes() for c in ram.assembly.contigs

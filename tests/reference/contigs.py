@@ -4,20 +4,21 @@ The readable specification of paper §II steps 3-4 and 6 that the
 production ``repro.graph.contigs.consensus_from_layout``,
 ``repro.distributed.traversal.contigs_from_paths`` and
 ``repro.core.focus.deduplicate_contigs`` are checked against: one
-``np.add.at`` per read or path node, and one fresh
-:class:`SequenceMapper` over the kept contigs per candidate.  Same
-arguments and results as the production functions.
+``np.add.at`` per read or path node, and each candidate placed afresh
+on the kept contigs by the reference placement
+(``tests/reference/placement.py``).  Same arguments and results as the
+production functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.mapping import SequenceMapper
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.sequence.dna import decode, reverse_complement
 
 from tests.reference.finish_loop import alive_incident, edge_delta
+from tests.reference.placement import place_each
 
 __all__ = ["consensus_from_layout", "contigs_from_paths", "deduplicate_contigs"]
 
@@ -104,9 +105,7 @@ def deduplicate_contigs(
             continue
         # Near-duplicate: placement on a kept contig at >= min_identity.
         if kept and contig.size >= 64:
-            mapper = SequenceMapper(kept, k=21)
-            hit = mapper.place(contig, min_identity=min_identity, min_votes=3)
-            if hit is not None:
+            if place_each([contig], kept, 21, min_identity, min_votes=3)[0] is not None:
                 continue
         kept.append(contig)
         kept_strings.append(seq)

@@ -189,7 +189,7 @@ class TestAgainstTruth:
     @pytest.mark.parametrize("seed", [3, 5, 7, 55])  # 55: examples/scaffolding.py
     def test_scaffolds_follow_the_genome(self, seed):
         from repro import AssemblyConfig, FocusAssembler
-        from repro.analysis.mapping import SequenceMapper
+        from repro.analysis.mapping import place_each
 
         genome = Genome("g", random_genome(20_000, np.random.default_rng(seed)))
         reads = ReadSimulator(
@@ -203,9 +203,7 @@ class TestAgainstTruth:
         config = ScaffoldConfig(min_pairs=3)
         scaffolds, _ = Scaffolder(config).scaffold(pairs, contigs)
 
-        placements = SequenceMapper([genome.codes], k=21).place_each(
-            contigs, min_identity=0.95
-        )
+        placements = place_each(contigs, [genome.codes], k=21, min_identity=0.95)
         assert all(p is not None for p in placements)
         joined = [s for s in scaffolds if s.n_contigs > 1]
         assert joined, "no junction to check"

@@ -146,27 +146,6 @@ class TestKmerCodesAgainstPack:
             assert vals[i] == expect, (k, length, i)
 
 
-class TestKmerPositions:
-    def test_skips_n(self):
-        pos, vals = kmers.kmer_positions(dna.encode("ACNGT"), 2)
-        assert pos.tolist() == [0, 3]
-        assert (vals >= 0).all()
-
-    @given(
-        st.lists(st.text(alphabet="ACGTN", max_size=30), max_size=8),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_batched_equals_per_sequence(self, strings, k):
-        # Sequences with N, shorter than k, and empty: no window may
-        # cross from one sequence into the next.
-        seqs = [dna.encode(s) for s in strings]
-        pos, vals, counts = kmers.batched_kmer_positions(seqs, k)
-        each = [kmers.kmer_positions(s, k) for s in seqs]
-        assert counts.tolist() == [p.size for p, _ in each]
-        assert pos.tolist() == [x for p, _ in each for x in p.tolist()]
-        assert vals.tolist() == [x for _, v in each for x in v.tolist()]
-
-
 class TestCanonical:
     def test_canonical_le_both(self):
         codes = dna.encode("ACGTAGCTT")

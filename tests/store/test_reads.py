@@ -295,6 +295,27 @@ class TestQualityDtype:
         assert opened.quals_of(2).dtype == np.int64
         assert_matches(opened, reads, range(6))
 
+    def test_in_ram_set_holds_scores_as_a_store_does(self, tmp_path):
+        """``ReadSet(reads)`` keeps its scores ``uint8`` too, every
+        accessor still reads them back as ``int64``, and trimming gives
+        the same set in RAM and from a store."""
+        reads = make_reads(n=30)
+        ram = ReadSet(reads)
+        assert next(ram._blocks())[2].dtype == np.uint8
+        assert ram.quals.dtype == ram.quals_of(3).dtype == ram[3].quals.dtype == np.int64
+        assert_block_matches(ram, reads, range(30))
+        path = str(tmp_path / "reads.store")
+        pack_reads(iter(reads), path, shard_size=7)
+        rule = {"trim5": 2, "window": 5, "min_quality": 25.0, "min_length": 30}
+        in_ram = ram.trimmed(**rule).with_reverse_complements()
+        stored = ReadSet.open(path).trimmed(**rule).with_reverse_complements()
+        assert len(in_ram) == len(stored) > 0
+        for a, b in zip(in_ram, stored):
+            assert (a.id, a.codes.tolist(), a.quals.tolist(), a.meta) == (
+                b.id, b.codes.tolist(), b.quals.tolist(), b.meta
+            )
+        assert all(block[2].dtype == np.uint8 for block in in_ram._blocks())
+
     def test_int64_scores_of_older_stores_still_open(self, tmp_path):
         reads = make_reads(n=6)
         path = str(tmp_path / "reads.store")
