@@ -118,6 +118,11 @@ def _add_assembly_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``repro`` parser and its subcommands' parsers by name."""
     # Options match by exact name: ``--cache-budget`` is not ``--cache-budget-mb``.
     exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = exact(
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_simulate_genome(args) -> int:
@@ -720,7 +725,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = _parsers()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # Under the subcommand's usage line, not the list of subcommands.
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

@@ -284,7 +284,6 @@ class FocusAssembler:
                 rs,
                 tolerance=cfg.layout_tolerance,
                 quality_weighted=cfg.quality_weighted_consensus,
-                count=timer.count,
             )
         return PreparedAssembly(
             reads=rs,

@@ -21,7 +21,6 @@ from repro.distributed.dgraph import (
 )
 from repro.distributed.stages import (
     StageSpec,
-    all_stages,
     get_stage,
     register_stage,
     run_stage_on_comm,
@@ -36,7 +35,6 @@ __all__ = [
     "StageSpec",
     "register_stage",
     "get_stage",
-    "all_stages",
     "run_stage_on_comm",
     "contigs_from_paths",
     "Variant",

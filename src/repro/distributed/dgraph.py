@@ -1,11 +1,11 @@
 """The distributed assembly graph: hybrid nodes as contigs.
 
 ``enrich_hybrid`` lifts the hybrid graph H0 into assembly form: every
-hybrid node's read cluster (contiguous by construction) is laid out
-and collapsed to a consensus *contig*, and every hybrid edge gets a
-*delta* — the genomic offset of one contig relative to the other,
-derived from the heaviest crossing G0 overlap — plus an implied
-contig-overlap length.
+hybrid node's read cluster (contiguous by construction) is collapsed,
+in the layout selection accepted it in, to a consensus *contig*, and
+every hybrid edge gets a *delta* — the genomic offset of one contig
+relative to the other, derived from the heaviest crossing G0 overlap —
+plus an implied contig-overlap length.
 
 ``DistributedAssemblyGraph`` wraps the enriched graph with partition
 ownership and alive-masks.  The finish stages (paper §V: transitive
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.graph.contigs import consensus_of_layouts, layout_clusters
+from repro.graph.contigs import consensus_of_layouts
 from repro.graph.csr import split_groups
 from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import OverlapGraph
@@ -91,35 +90,24 @@ def enrich_hybrid(
     reads: ReadSet,
     tolerance: int = 0,
     quality_weighted: bool = False,
-    count: Callable[[str, int], None] | None = None,
 ) -> HybridAssembly:
     """Contigs + contig-level edge geometry for the hybrid graph.
 
-    All H0 clusters are laid out in one
-    :func:`~repro.graph.contigs.layout_clusters` call; its per-read
-    offsets place the reads for the consensus and are the table the
-    crossing overlaps are measured against.  Raises ``RuntimeError``
-    if a cluster admits no layout at ``tolerance`` or its consensus is
-    not one contiguous segment: selection accepted a cluster it should
-    not have (or was run at another tolerance).  ``count(name, n)``, if
-    given, receives the number of ``layouts`` made.
+    The H0 clusters are laid out already: ``hyb.read_offsets`` place
+    the reads for the consensus and are the table the crossing
+    overlaps are measured against.  ``tolerance`` must be the one they
+    were laid out at (``ValueError`` otherwise).  Raises
+    ``RuntimeError`` if a cluster's consensus is not one contiguous
+    segment.
     """
+    if tolerance != hyb.tolerance:
+        raise ValueError(
+            f"the hybrid set was laid out at tolerance {hyb.tolerance}, not {tolerance}"
+        )
     h = hyb.hybrid
     members, first = hyb.members_of_hybrid()
-    # Every layout first (graph only), then the reads, block by block.
-    offsets, ok = layout_clusters(g0, members, first, tolerance)
-    if count is not None:
-        count("layouts", 1)
-    if not ok.all():
-        raise RuntimeError(
-            "hybrid cluster admits no layout; representative selection is broken"
-        )
-    # read -> offset within its cluster's layout.
-    read_offset = np.zeros(g0.n_nodes, dtype=np.int64)
-    read_offset[members] = offsets
-    clusters = split_groups(members, first)
-    layouts = split_groups(offsets, first)
-    segments = consensus_of_layouts(reads, clusters, layouts, quality_weighted)
+    offset = hyb.read_offsets
+    segments = consensus_of_layouts(reads, members, first, offset[members], quality_weighted)
     if any(len(s) != 1 for s in segments):
         raise RuntimeError("hybrid cluster consensus is not contiguous")
     contigs = [s[0] for s in segments]
@@ -129,7 +117,7 @@ def enrich_hybrid(
     bm = hyb.base_maps[0]
     hu, hv = bm[g0.eu], bm[g0.ev]
     crossing = hu != hv
-    d = read_offset[g0.eu] + g0.deltas - read_offset[g0.ev]
+    d = offset[g0.eu] + g0.deltas - offset[g0.ev]
     merged = OverlapGraph(
         h.n_nodes, hu[crossing], hv[crossing], g0.weights[crossing], deltas=d[crossing]
     )
@@ -145,7 +133,12 @@ def enrich_hybrid(
         node_weights=h.node_weights,
         deltas=deltas,
     )
-    return HybridAssembly(graph=graph, contigs=contigs, clusters=clusters, contig_lengths=lengths)
+    return HybridAssembly(
+        graph=graph,
+        contigs=contigs,
+        clusters=split_groups(members, first),
+        contig_lengths=lengths,
+    )
 
 
 def _as_ids(ids) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "StageSpec",
     "register_stage",
     "get_stage",
-    "all_stages",
     "run_stage_on_comm",
     "union_proposals",
 ]
@@ -106,12 +105,6 @@ def get_stage(name: str) -> StageSpec:
         raise KeyError(
             f"unknown stage {name!r}; known: {sorted(_STAGES)}"
         ) from None
-
-
-def all_stages() -> list[StageSpec]:
-    """Every registered stage, sorted by name."""
-    _load_stage_modules()
-    return [_STAGES[name] for name in sorted(_STAGES)]
 
 
 def union_proposals(proposals) -> np.ndarray:

@@ -12,17 +12,18 @@ and each level of either set is built from the level below it by one
 contraction, :meth:`Level.contract`.  Only G0 and the enriched hybrid
 graph are :class:`OverlapGraph` instances, whose edges also carry the
 layout deltas.
+
+Read clusters have one form, ragged ``(members, first)``: cluster ``i``
+is ``members[first[i]:first[i+1]]``.  Layout, the contiguity test and
+the consensus each take every cluster in one call, and the hybrid set
+keeps the layouts its selection accepted (``read_offsets``), so each
+``H0`` cluster is laid out once.
 """
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set, coarsen_once
-from repro.graph.contigs import (
-    cluster_layout_offsets,
-    consensus_from_layout,
-    contig_for_nodes,
-    layout_clusters,
-)
+from repro.graph.contigs import layout_clusters
 from repro.graph.csr import build_csr
-from repro.graph.hybrid import HybridGraphSet, build_hybrid_set, is_contiguous_cluster
+from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.matching import heavy_edge_matching
 from repro.graph.overlap_graph import Level, OverlapGraph
 
@@ -37,9 +38,5 @@ __all__ = [
     "coarsen_once",
     "HybridGraphSet",
     "build_hybrid_set",
-    "is_contiguous_cluster",
     "layout_clusters",
-    "cluster_layout_offsets",
-    "consensus_from_layout",
-    "contig_for_nodes",
 ]

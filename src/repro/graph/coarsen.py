@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import group_by_label, split_groups
+from repro.graph.csr import group_by_label
 from repro.graph.matching import heavy_edge_matching
 from repro.graph.overlap_graph import Level
 
@@ -93,14 +93,9 @@ class MultilevelGraphSet:
         return out
 
     def members_at_level(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ragged form of :meth:`clusters_at_level`: node ``v`` of
-        G_level represents G0 nodes ``members[first[v]:first[v+1]]``."""
+        """Node ``v`` of G_level represents G0 nodes
+        ``members[first[v]:first[v+1]]``, ascending."""
         return group_by_label(self.map_to_level(level), self.graphs[level].n_nodes)
-
-    def clusters_at_level(self, level: int) -> list[np.ndarray]:
-        """For each node of G_level, the G0 nodes it represents."""
-        members, first = self.members_at_level(level)
-        return split_groups(members, first)
 
 
 def build_multilevel_set(

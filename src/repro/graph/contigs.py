@@ -18,13 +18,9 @@ from repro.io.readset import ReadSet, ragged_positions
 __all__ = [
     "layout_clusters",
     "layout_contiguity",
-    "cluster_layout_offsets",
-    "is_layout_contiguous",
     "overlay_votes",
     "vote_winners",
     "consensus_of_layouts",
-    "consensus_from_layout",
-    "contig_for_nodes",
 ]
 
 #: read bases gathered and overlaid per block of whole clusters in
@@ -127,26 +123,6 @@ def layout_contiguity(
     return np.bincount(cluster[1:][gap], minlength=sizes.size) == 0
 
 
-def cluster_layout_offsets(
-    g0: OverlapGraph, nodes: np.ndarray, tolerance: int = 0
-) -> np.ndarray | None:
-    """Offsets of ``nodes`` satisfying all induced edge deltas, or None.
-
-    The one-cluster call of :func:`layout_clusters`, rooted at
-    ``nodes[0]``: None if the induced subgraph is disconnected or if
-    any induced edge disagrees with the assigned offsets by more than
-    ``tolerance`` bases.  Offsets are normalised so the smallest is 0.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    offsets, ok = layout_clusters(g0, nodes, np.array([0, nodes.size]), tolerance)
-    return offsets if ok[0] else None
-
-
-def is_layout_contiguous(offsets: np.ndarray, lengths: np.ndarray) -> bool:
-    """True if the read intervals [offset, offset+length) leave no gap."""
-    return bool(layout_contiguity(offsets, lengths, [0, np.size(offsets)])[0])
-
-
 def overlay_votes(
     codes: np.ndarray,
     offsets: np.ndarray,
@@ -193,40 +169,55 @@ def vote_winners(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def consensus_of_layouts(
     reads: ReadSet,
-    clusters: list[np.ndarray],
-    layouts: list[np.ndarray],
+    members: np.ndarray,
+    first: np.ndarray,
+    offsets: np.ndarray,
     quality_weighted: bool = False,
 ) -> list[list[np.ndarray]]:
-    """:func:`consensus_from_layout` of many non-empty clusters.
+    """Majority-vote consensus of many laid-out clusters.
+
+    Cluster ``i`` is the reads ``members[first[i]:first[i+1]]``
+    (non-empty), read ``members[j]`` stacked at column ``offsets[j]``
+    — the ragged form :func:`layout_clusters` lays out; each cluster's
+    columns start at its smallest offset.  With ``quality_weighted``
+    (and reads that carry Phred scores), each base's vote is weighted
+    by its probability of being correct, ``1 - 10^(-Q/10)``, added in
+    member order — low-quality 3' tails then lose ties against
+    confident bases instead of splitting them.  Returns, per cluster,
+    one code array per zero-coverage-separated segment (a contiguous
+    layout yields exactly one).
 
     Clusters are taken in blocks of whole clusters of at most
     ``_MAX_BASES`` read bases (a larger cluster is a block by itself):
     one :meth:`ReadSet.gather_reads` and one :func:`overlay_votes` per
     block, each cluster voting in its own run of columns.
     """
+    members = np.asarray(members, dtype=np.int64)
+    first = np.asarray(first, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
     out: list[list[np.ndarray]] = []
-    if not clusters:
+    n_clusters = first.size - 1
+    if n_clusters == 0:
         return out
     weighted = quality_weighted and reads.has_quals
-    nodes = np.concatenate(clusters)
-    shifted = np.concatenate([lay - lay.min() for lay in layouts])
-    sizes = reads.lengths[nodes]
-    first = np.cumsum([0, *(c.size for c in clusters)])
+    counts = np.diff(first)
+    shifted = offsets - np.repeat(np.minimum.reduceat(offsets, first[:-1]), counts)
+    sizes = reads.lengths[members]
     widths = np.maximum.reduceat(shifted + sizes, first[:-1])
     total = np.cumsum(np.add.reduceat(sizes, first[:-1]))
     cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
-    bounds = np.unique(np.concatenate([[0], cuts, [len(clusters)]])).tolist()
+    bounds = np.unique(np.concatenate([[0], cuts, [n_clusters]])).tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        members = slice(first[lo], first[hi])
+        block = slice(first[lo], first[hi])
         columns = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(widths[lo:hi], out=columns[1:])
-        codes, starts, quals = reads.gather_reads(nodes[members], quals=weighted)
-        at = ragged_positions(starts, sizes[members])
+        codes, starts, quals = reads.gather_reads(members[block], quals=weighted)
+        at = ragged_positions(starts, sizes[block])
         consensus, covered = vote_winners(
             overlay_votes(
                 codes[at],
-                np.repeat(columns[:-1], np.diff(first[lo : hi + 1])) + shifted[members],
-                sizes[members],
+                np.repeat(columns[:-1], counts[lo:hi]) + shifted[block],
+                sizes[block],
                 int(columns[-1]),
                 1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
             )
@@ -242,38 +233,3 @@ def consensus_of_layouts(
                 ]
             )
     return out
-
-
-def consensus_from_layout(
-    reads: ReadSet,
-    nodes: np.ndarray,
-    offsets: np.ndarray,
-    quality_weighted: bool = False,
-) -> list[np.ndarray]:
-    """Majority-vote consensus of the stacked reads.
-
-    With ``quality_weighted`` (and reads that carry Phred scores), each
-    base's vote is weighted by its probability of being correct,
-    ``1 - 10^(-Q/10)`` — low-quality 3' tails then lose ties against
-    confident bases instead of splitting them.
-
-    Returns one code array per zero-coverage-separated segment (a
-    contiguous layout yields exactly one).
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if nodes.size != offsets.size:
-        raise ValueError("nodes/offsets length mismatch")
-    if nodes.size == 0:
-        return []
-    return consensus_of_layouts(reads, [nodes], [offsets], quality_weighted)[0]
-
-
-def contig_for_nodes(
-    reads: ReadSet, g0: OverlapGraph, nodes: np.ndarray, tolerance: int = 0
-) -> list[np.ndarray] | None:
-    """Layout + consensus in one call; None if the cluster has no layout."""
-    offsets = cluster_layout_offsets(g0, nodes, tolerance=tolerance)
-    if offsets is None:
-        return None
-    return consensus_from_layout(reads, np.asarray(nodes, dtype=np.int64), offsets)

@@ -4,7 +4,9 @@ A *best representative* is a node selected from the coarsest possible
 graph level whose read cluster still assembles into one contiguous
 contig — operationally: the cluster's induced G0 subgraph is connected,
 admits a consistent offset layout (no repeat conflicts), and its read
-intervals tile the region without gaps.
+intervals tile the region without gaps.  The layout that passes the
+test is the contig's layout, so the set keeps it
+(:attr:`HybridGraphSet.read_offsets`) for the consensus to read.
 
 The hybrid graph set ``{H0..Hn}`` mirrors the multilevel set, but
 un-coarsens only *through* non-representative nodes: ``Hi`` contains
@@ -24,45 +26,15 @@ import numpy as np
 
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet
 from repro.graph.contigs import layout_clusters, layout_contiguity
-from repro.graph.csr import group_by_label, split_groups
-from repro.graph.overlap_graph import Level, OverlapGraph
+from repro.graph.csr import group_by_label
+from repro.graph.overlap_graph import Level
 
-__all__ = ["is_contiguous_cluster", "HybridGraphSet", "build_hybrid_set"]
-
-
-def _contiguous_clusters(
-    g0: OverlapGraph,
-    members: np.ndarray,
-    first: np.ndarray,
-    read_lengths: np.ndarray,
-    tolerance: int,
-) -> np.ndarray:
-    """Per cluster of ``(members, first)``: one contiguous contig?"""
-    offsets, ok = layout_clusters(g0, members, first, tolerance)
-    return ok & layout_contiguity(offsets, read_lengths[members], first)
-
-
-def is_contiguous_cluster(
-    g0: OverlapGraph,
-    nodes: np.ndarray,
-    read_lengths: np.ndarray,
-    tolerance: int = 0,
-) -> bool:
-    """Does this G0 node cluster assemble into one contiguous contig?
-
-    True for a single read; otherwise the cluster must admit a layout
-    (:func:`~repro.graph.contigs.layout_clusters`, one cluster) whose
-    read intervals leave no gap.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 1:
-        return True
-    first = np.array([0, nodes.size])
-    return bool(_contiguous_clusters(g0, nodes, first, read_lengths, tolerance)[0])
+__all__ = ["HybridGraphSet", "build_hybrid_set"]
 
 
 class HybridGraphSet(MultilevelGraphSet):
-    """Hybrid graphs ``[H0..Hn]``: a graph set whose levels also map to G0."""
+    """Hybrid graphs ``[H0..Hn]``: a graph set whose levels also map to G0,
+    with the layout of every H0 cluster that selection accepted."""
 
     def __init__(
         self,
@@ -70,15 +42,24 @@ class HybridGraphSet(MultilevelGraphSet):
         mappings: list[np.ndarray],
         base_maps: list[np.ndarray],
         rep_level: np.ndarray,
+        read_offsets: np.ndarray,
+        tolerance: int = 0,
         coarsen: CoarsenConfig | None = None,
     ) -> None:
         super().__init__(graphs, mappings, coarsen)
         if len(base_maps) != len(graphs):
             raise ValueError("need one base map per level")
+        if len(read_offsets) != len(base_maps[0]):
+            raise ValueError("need one read offset per G0 node")
         #: base_maps[i]: V(G0) -> V(H_i)
         self.base_maps = base_maps
         #: per G0 node, the multilevel level of its chosen representative.
         self.rep_level = rep_level
+        #: per G0 node, its offset in its H0 cluster's layout (each
+        #: cluster's smallest is 0; a level-0 singleton's is 0) ...
+        self.read_offsets = np.asarray(read_offsets, dtype=np.int64)
+        #: ... made at this offset slack.
+        self.tolerance = tolerance
 
     @property
     def hybrid(self) -> Level:
@@ -86,14 +67,9 @@ class HybridGraphSet(MultilevelGraphSet):
         return self.graphs[0]
 
     def members_of_hybrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ragged form of :meth:`clusters_of_hybrid`: H0 node ``h``
-        represents G0 nodes ``members[first[h]:first[h+1]]``."""
+        """H0 node ``h`` represents G0 nodes ``members[first[h]:first[h+1]]``,
+        ascending; ``read_offsets[members]`` is the clusters' layout."""
         return group_by_label(self.base_maps[0], self.hybrid.n_nodes)
-
-    def clusters_of_hybrid(self) -> list[np.ndarray]:
-        """For each H0 node, the G0 nodes (reads) it represents."""
-        members, first = self.members_of_hybrid()
-        return split_groups(members, first)
 
 
 def _select_representatives(
@@ -101,15 +77,18 @@ def _select_representatives(
     read_lengths: np.ndarray,
     tolerance: int,
     count: Callable[[str, int], None] | None = None,
-) -> np.ndarray:
-    """Per-G0-node level of its best representative (top-down descent).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per G0 node: the level of its best representative (top-down
+    descent) and its offset in that representative's layout.
 
     Level-synchronous: every cluster of a level whose parent failed is
-    tested in one layout; the reads of those that fail stay pending for
-    the level below, and level 0 takes what is left.
+    laid out and tested in one call; the reads of those that pass keep
+    their offsets, those that fail stay pending for the level below,
+    and level 0 takes what is left at offset 0.
     """
     g0 = mls.base
     rep_level = np.full(g0.n_nodes, -1, dtype=np.int64)
+    read_offsets = np.zeros(g0.n_nodes, dtype=np.int64)
     pending = np.arange(g0.n_nodes, dtype=np.int64)
     for level in range(mls.n_levels - 1, 0, -1):
         if pending.size == 0:
@@ -118,16 +97,19 @@ def _select_representatives(
         order, first = group_by_label(labels, mls.graphs[level].n_nodes)
         first = np.unique(first)  # pending clusters only
         members = pending[order]
-        passed = _contiguous_clusters(g0, members, first, read_lengths, tolerance)
+        offsets, ok = layout_clusters(g0, members, first, tolerance)
+        passed = ok & layout_contiguity(offsets, read_lengths[members], first)
         if count is not None:
             count("layouts", 1)
         passed = np.repeat(passed, np.diff(first))
-        rep_level[members[passed]] = level
+        accepted = members[passed]
+        rep_level[accepted] = level
+        read_offsets[accepted] = offsets[passed]
         pending = members[~passed]
     rep_level[pending] = 0
     if (rep_level < 0).any():
         raise RuntimeError("representative selection left nodes unassigned")
-    return rep_level
+    return rep_level, read_offsets
 
 
 def build_hybrid_set(
@@ -136,14 +118,15 @@ def build_hybrid_set(
     tolerance: int = 0,
     count: Callable[[str, int], None] | None = None,
 ) -> HybridGraphSet:
-    """Select best representatives and assemble the hybrid graph set;
-    ``count(name, n)``, if given, receives the number of ``layouts``
-    made (one per level tested)."""
+    """Select best representatives and assemble the hybrid graph set,
+    carrying the layouts selection accepted; ``count(name, n)``, if
+    given, receives the number of ``layouts`` made (one per level
+    tested)."""
     read_lengths = np.asarray(read_lengths, dtype=np.int64)
     g0 = mls.base
     if read_lengths.size != g0.n_nodes:
         raise ValueError("read_lengths must cover V(G0)")
-    rep_level = _select_representatives(mls, read_lengths, tolerance, count)
+    rep_level, read_offsets = _select_representatives(mls, read_lengths, tolerance, count)
 
     level_maps = np.stack([mls.map_to_level(lvl) for lvl in range(mls.n_levels)])
     reads = np.arange(g0.n_nodes)
@@ -166,4 +149,6 @@ def build_hybrid_set(
         mappings.append(m)
         same = bool((m == np.arange(m.size)).all())
         graphs.append(graphs[i] if same else graphs[i].contract(m))
-    return HybridGraphSet(graphs, mappings, base_maps, rep_level, mls.coarsen)
+    return HybridGraphSet(
+        graphs, mappings, base_maps, rep_level, read_offsets, tolerance, mls.coarsen
+    )

@@ -124,12 +124,6 @@ class ShardCache:
             self.current_bytes = 0
             self.evictions += 1
 
-    def invalidate(self, key: Hashable) -> None:
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self.current_bytes -= entry[1]
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

@@ -277,12 +277,6 @@ class ShardedStore:
     def n_shards(self) -> int:
         return self.manifest.n_shards
 
-    def shard_of(self, record: int) -> int:
-        """Index of the shard holding global ``record``."""
-        if not 0 <= record < self.n_records:
-            raise IndexError(record)
-        return int(np.searchsorted(self.record_starts, record, side="right") - 1)
-
     def shard_path(self, index: int) -> str:
         return os.path.join(self.path, self.manifest.shards[index].name)
 

@@ -242,6 +242,23 @@ class TestAssembleAndStats:
         assert "unrecognized arguments: --cache-budget" in capsys.readouterr().err
         assert parser.parse_args([*args, "--cache-budget-mb", "20"]).cache_budget_mb == 20
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assemble", "--store", "r.store", "-o", "c.fa", "--cache-budget", "20000"],
+            ["stats", "--bogus", "a.fa"],
+        ],
+    )
+    def test_unknown_option_shows_the_subcommand_usage(self, argv, capsys):
+        """An option the subcommand does not know exits 2 under that
+        subcommand's usage line, not the list of subcommands."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert f"repro {argv[0]}: error: unrecognized arguments: {argv[-2]}" in err
+
     def test_resume_restores_every_finish_stage(self, tmp_path, reads_fastq, capsys):
         import json
 

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import StageTimer
+from repro.core.config import AssemblyConfig
+from repro.core.focus import FocusAssembler
 from repro.distributed.dgraph import (
     DistributedAssemblyGraph,
     HybridAssembly,
     enrich_hybrid,
 )
-from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
+from repro.graph.coarsen import CoarsenConfig
+from repro.graph.hybrid import HybridGraphSet
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
@@ -22,8 +24,9 @@ from tests.graph.strategies import edge_lists
 from tests.reference.finish_loop import edge_delta
 
 
-def one_cluster_hybrid(g0):
-    """A hand-built hybrid set whose single H0 node holds all of G0."""
+def one_cluster_hybrid(g0, read_offsets):
+    """A hand-built hybrid set whose single H0 node holds all of G0,
+    laid out at ``read_offsets``."""
     empty = np.empty(0, dtype=np.int64)
     h0 = Level(1, empty, empty, np.empty(0), node_weights=[g0.n_nodes])
     n = g0.n_nodes
@@ -32,6 +35,7 @@ def one_cluster_hybrid(g0):
         mappings=[],
         base_maps=[np.zeros(n, dtype=np.int64)],
         rep_level=np.ones(n, dtype=np.int64),
+        read_offsets=np.asarray(read_offsets),
     )
 
 
@@ -68,21 +72,11 @@ class TestEnrichHybrid:
         asm, _ = chain_assembly()
         assert (asm.contig_lengths == 120).all()
 
-    def test_cluster_without_a_layout_is_refused(self):
-        # 0->1 +10, 1->2 +10 but 0->2 +50: selection would never have
-        # accepted this cluster, so enrich must not paper over it.
-        g0 = OverlapGraph(
-            3,
-            np.array([0, 1, 0]),
-            np.array([1, 2, 2]),
-            np.full(3, 60.0),
-            deltas=np.array([10, 10, 50]),
-        )
-        reads = ReadSet.from_strings(["ACGT" * 25] * 3)
-        with pytest.raises(RuntimeError, match="admits no layout"):
-            enrich_hybrid(one_cluster_hybrid(g0), g0, reads)
-        # ... unless the slack covers the 30-base disagreement.
-        assert len(enrich_hybrid(one_cluster_hybrid(g0), g0, reads, tolerance=30).contigs) == 1
+    def test_tolerance_must_be_the_layouts(self, pipeline_graphs):
+        reads, _, g0, _, hyb = pipeline_graphs
+        assert hyb.tolerance == 0
+        with pytest.raises(ValueError, match="laid out at tolerance 0, not 2"):
+            enrich_hybrid(hyb, g0, reads, tolerance=2)
 
     def test_cluster_with_a_coverage_gap_is_refused(self):
         # A consistent layout that leaves columns 100..149 uncovered.
@@ -91,25 +85,23 @@ class TestEnrichHybrid:
         )
         reads = ReadSet.from_strings(["ACGT" * 25] * 2)
         with pytest.raises(RuntimeError, match="not contiguous"):
-            enrich_hybrid(one_cluster_hybrid(g0), g0, reads)
+            enrich_hybrid(one_cluster_hybrid(g0, [0, 150]), g0, reads)
 
 
 class TestLayoutWork:
-    """Hybrid build + enrich lay clusters out in bulk, not edge by edge."""
+    """Selection lays clusters out in bulk, not edge by edge, and enrich
+    reads its layouts instead of making its own."""
 
     def test_no_scalar_edge_reads_and_one_layout_per_level(self, pipeline_graphs):
-        reads, _, g0, mls, want = pipeline_graphs
+        reads = pipeline_graphs[0]
         # A graph has no per-edge delta reader to walk edge by edge with.
         assert not hasattr(OverlapGraph, "edge_delta")
-        timer = StageTimer()
-        with timer.stage("hybrid"):
-            hyb = build_hybrid_set(mls, reads.lengths, count=timer.count)
-        with timer.stage("enrich"):
-            asm = enrich_hybrid(hyb, g0, reads, count=timer.count)
-        hybrid, enrich = (span.counts["layouts"] for span in timer.spans)
-        assert mls.n_levels > 2 and 1 <= hybrid <= mls.n_levels - 1 and enrich == 1
-        assert np.array_equal(hyb.rep_level, want.rep_level)
-        assert len(asm.contigs) == want.hybrid.n_nodes
+        config = AssemblyConfig(coarsen=CoarsenConfig(min_nodes=6), seed=5)
+        prep = FocusAssembler(config).prepare(reads)
+        layouts = {span.name: span.counts.get("layouts", 0) for span in prep.timer.spans}
+        assert prep.mls.n_levels > 2 and 1 <= layouts["hybrid"] <= prep.mls.n_levels - 1
+        assert layouts["enrich"] == 0
+        assert 1 < len(prep.assembly.contigs) == prep.hyb.hybrid.n_nodes
 
 
 class TestDistributedAssemblyGraph:

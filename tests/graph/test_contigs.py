@@ -6,13 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph import contigs as contigs_module
-from repro.graph.contigs import (
-    cluster_layout_offsets,
-    consensus_from_layout,
-    consensus_of_layouts,
-    contig_for_nodes,
-    is_layout_contiguous,
-)
+from repro.graph.contigs import consensus_of_layouts, layout_clusters, layout_contiguity
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.io.readset import ReadSet
 from repro.io.records import Read
@@ -21,82 +15,83 @@ from tests.graph.conftest import graph_from_reads, tiled_readset
 from tests.reference import contigs as contigs_ref
 
 
+def one_cluster(nodes):
+    """``(members, first)`` of a single cluster."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return nodes, np.array([0, nodes.size])
+
+
+TRIANGLE = (np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([60.0, 60.0, 60.0]))
+
+
 class TestClusterLayout:
     def test_tiled_layout_recovers_positions(self, tiled):
         reads, genome, g0 = tiled
-        nodes = np.arange(len(reads))
-        offsets = cluster_layout_offsets(g0, nodes)
-        assert offsets is not None
+        offsets, ok = layout_clusters(g0, *one_cluster(np.arange(len(reads))))
+        assert ok.tolist() == [True]
         # True positions are 0, 40, 80, ...; offsets normalised to min 0.
         assert offsets.tolist() == [40 * i for i in range(len(reads))]
 
     def test_disconnected_returns_none(self, tiled):
         reads, _, g0 = tiled
         # first and last read do not overlap
-        assert cluster_layout_offsets(g0, np.array([0, len(reads) - 1])) is None
+        assert layout_clusters(g0, *one_cluster([0, len(reads) - 1]))[1].tolist() == [False]
 
     def test_singleton(self, tiled):
         _, _, g0 = tiled
-        offsets = cluster_layout_offsets(g0, np.array([3]))
-        assert offsets.tolist() == [0]
+        offsets, ok = layout_clusters(g0, *one_cluster([3]))
+        assert ok.tolist() == [True] and offsets.tolist() == [0]
 
     def test_conflicting_deltas_return_none(self):
         # triangle with inconsistent deltas: 0->1 +10, 1->2 +10, 0->2 +50
-        g = OverlapGraph(
-            3,
-            np.array([0, 1, 0]),
-            np.array([1, 2, 2]),
-            np.array([60.0, 60.0, 60.0]),
-            deltas=np.array([10, 10, 50]),
-        )
-        assert cluster_layout_offsets(g, np.array([0, 1, 2])) is None
+        g = OverlapGraph(3, *TRIANGLE, deltas=np.array([10, 10, 50]))
+        assert layout_clusters(g, *one_cluster([0, 1, 2]))[1].tolist() == [False]
 
     def test_tolerance_allows_slack(self):
-        g = OverlapGraph(
-            3,
-            np.array([0, 1, 0]),
-            np.array([1, 2, 2]),
-            np.array([60.0, 60.0, 60.0]),
-            deltas=np.array([10, 10, 22]),
-        )
-        assert cluster_layout_offsets(g, np.array([0, 1, 2])) is None
-        assert cluster_layout_offsets(g, np.array([0, 1, 2]), tolerance=2) is not None
+        g = OverlapGraph(3, *TRIANGLE, deltas=np.array([10, 10, 22]))
+        assert layout_clusters(g, *one_cluster([0, 1, 2]))[1].tolist() == [False]
+        assert layout_clusters(g, *one_cluster([0, 1, 2]), tolerance=2)[1].tolist() == [True]
 
     def test_requires_deltas(self):
         g = Level(2, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(ValueError):
-            cluster_layout_offsets(g, np.array([0, 1]))
+            layout_clusters(g, *one_cluster([0, 1]))
 
     def test_empty_cluster_rejected(self, tiled):
         _, _, g0 = tiled
         with pytest.raises(ValueError):
-            cluster_layout_offsets(g0, np.array([], dtype=np.int64))
+            layout_clusters(g0, *one_cluster([]))
+
+
+def contiguous(offsets, lengths):
+    """:func:`layout_contiguity` of a single cluster."""
+    return layout_contiguity(offsets, lengths, [0, len(offsets)]).tolist() == [True]
 
 
 class TestIsLayoutContiguous:
     def test_contiguous(self):
-        assert is_layout_contiguous(np.array([0, 40, 80]), np.array([100, 100, 100]))
+        assert contiguous(np.array([0, 40, 80]), np.array([100, 100, 100]))
 
     def test_gap(self):
-        assert not is_layout_contiguous(np.array([0, 200]), np.array([100, 100]))
+        assert not contiguous(np.array([0, 200]), np.array([100, 100]))
 
     def test_touching_counts(self):
-        assert is_layout_contiguous(np.array([0, 100]), np.array([100, 100]))
+        assert contiguous(np.array([0, 100]), np.array([100, 100]))
 
     def test_unsorted_input(self):
-        assert is_layout_contiguous(np.array([80, 0, 40]), np.array([100, 100, 100]))
+        assert contiguous(np.array([80, 0, 40]), np.array([100, 100, 100]))
 
     def test_mismatch_raises(self):
         with pytest.raises(ValueError):
-            is_layout_contiguous(np.array([0]), np.array([1, 2]))
+            layout_contiguity(np.array([0]), np.array([1, 2]), [0, 1])
 
 
 class TestConsensus:
     def test_reconstructs_genome(self, tiled):
         reads, genome, g0 = tiled
-        nodes = np.arange(len(reads))
-        segments = contig_for_nodes(reads, g0, nodes)
-        assert segments is not None
+        members, first = one_cluster(np.arange(len(reads)))
+        offsets, _ = layout_clusters(g0, members, first)
+        (segments,) = consensus_of_layouts(reads, members, first, offsets)
         assert len(segments) == 1
         # Tiles cover genome[0 : last_start + 100]
         covered = genome[: 40 * (len(reads) - 1) + 100]
@@ -104,8 +99,6 @@ class TestConsensus:
 
     def test_majority_vote_fixes_errors(self):
         # Three identical reads stacked; one has an error at position 5.
-        from repro.io.readset import ReadSet
-
         base = "ACGTACGTACGTACGTACGT"
         noisy = base[:5] + ("A" if base[5] != "A" else "C") + base[6:]
         reads = ReadSet.from_strings([base, base, noisy])
@@ -116,29 +109,33 @@ class TestConsensus:
             np.array([20.0, 20.0]),
             deltas=np.array([0, 0]),
         )
-        segs = contig_for_nodes(reads, g, np.array([0, 1, 2]))
+        members, first = one_cluster([0, 1, 2])
+        offsets, _ = layout_clusters(g, members, first)
+        (segs,) = consensus_of_layouts(reads, members, first, offsets)
         assert decode(segs[0]) == base
 
     def test_gap_splits_segments(self):
-        from repro.io.readset import ReadSet
-
         reads = ReadSet.from_strings(["AAAA", "TTTT"])
-        segs = consensus_from_layout(reads, np.array([0, 1]), np.array([0, 10]))
+        (segs,) = consensus_of_layouts(reads, *one_cluster([0, 1]), np.array([0, 10]))
         assert len(segs) == 2
         assert decode(segs[0]) == "AAAA"
         assert decode(segs[1]) == "TTTT"
 
     def test_empty_nodes(self):
-        from repro.io.readset import ReadSet
-
-        assert consensus_from_layout(ReadSet.from_strings([]), np.array([], dtype=int), np.array([], dtype=int)) == []
+        empty = np.array([], dtype=np.int64)
+        assert consensus_of_layouts(ReadSet.from_strings([]), empty, [0], empty) == []
 
     def test_layout_failure_propagates(self):
-        from repro.io.readset import ReadSet
-
-        reads = ReadSet.from_strings(["AAAA", "TTTT"])
+        # An edgeless pair has no layout, so there is nothing to vote on.
         g = OverlapGraph(2, np.array([]), np.array([]), np.array([]), deltas=np.array([], dtype=np.int64))
-        assert contig_for_nodes(reads, g, np.array([0, 1])) is None
+        assert layout_clusters(g, *one_cluster([0, 1]))[1].tolist() == [False]
+
+    def test_clusters_vote_apart(self):
+        # Two clusters in one call: each votes in its own columns, from
+        # its own smallest offset.
+        reads = ReadSet.from_strings(["AAAA", "AACC", "GGGG"])
+        got = consensus_of_layouts(reads, [1, 0, 2], [0, 2, 3], [7, 5, -3])
+        assert [[decode(s) for s in segs] for segs in got] == [["AAAACC"], ["GGGG"]]
 
 
 @st.composite
@@ -175,7 +172,13 @@ class TestBatchedConsensusEqualsOracle:
         reads, clusters, layouts = drawn
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(contigs_module, "_MAX_BASES", budget)
-            got = consensus_of_layouts(reads, clusters, layouts, weighted)
+            got = consensus_of_layouts(
+                reads,
+                np.concatenate(clusters),
+                np.cumsum([0, *(c.size for c in clusters)]),
+                np.concatenate(layouts),
+                weighted,
+            )
         want = [
             contigs_ref.consensus_from_layout(reads, c, lay, weighted)
             for c, lay in zip(clusters, layouts)
@@ -190,7 +193,7 @@ class TestBatchedConsensusEqualsOracle:
         reads = ReadSet.from_strings(["ACNT", "NNNN", "GGTT"])
         nodes, layout = np.array([0, 1, 2]), np.array([0, 2, 7])
         for weighted in (False, True):
-            segs = consensus_from_layout(reads, nodes, layout, weighted)
+            (segs,) = consensus_of_layouts(reads, *one_cluster(nodes), layout, weighted)
             want = contigs_ref.consensus_from_layout(reads, nodes, layout, weighted)
             assert [decode(s) for s in segs] == [decode(s) for s in want]
             assert [decode(s) for s in segs] == ["AC", "T", "GGTT"]
@@ -212,5 +215,5 @@ class TestBatchedConsensusEqualsOracle:
         want = contigs_ref.consensus_from_layout(reads, nodes, layout, True)
         backwards = contigs_ref.consensus_from_layout(reads, nodes[::-1], layout, True)
         assert want[0].tobytes() != backwards[0].tobytes()  # order does matter
-        got = consensus_from_layout(reads, nodes, layout, quality_weighted=True)
+        (got,) = consensus_of_layouts(reads, *one_cluster(nodes), layout, quality_weighted=True)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in want]

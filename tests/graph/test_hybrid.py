@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import AssemblyConfig
 from repro.core.focus import FocusAssembler
 from repro.graph.coarsen import CoarsenConfig, MultilevelGraphSet, build_multilevel_set
-from repro.graph.hybrid import HybridGraphSet, build_hybrid_set, is_contiguous_cluster
+from repro.graph.contigs import layout_clusters, layout_contiguity
+from repro.graph.csr import split_groups
+from repro.graph.hybrid import HybridGraphSet, build_hybrid_set
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.partition.multilevel import (
     partition_graph_set,
@@ -16,6 +20,7 @@ from repro.partition.multilevel import (
 from repro.simulate.community import CommunityConfig, build_community
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
 from tests.graph.conftest import graph_from_reads, tiled_readset
+from tests.graph.strategies import delta_graphs
 from tests.graph.test_overlap_graph import LEVEL_ARRAYS, assert_same_arrays
 from tests.reference import hybrid_build
 from tests.reference import layout as layout_ref
@@ -27,6 +32,14 @@ def tiled_mls():
     g0 = graph_from_reads(reads)
     mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4), seed=1)
     return reads, g0, mls
+
+
+def is_contiguous_cluster(g0, nodes, read_lengths, tolerance=0):
+    """Selection's test of one cluster: a layout that leaves no gap."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    first = np.array([0, nodes.size])
+    offsets, ok = layout_clusters(g0, nodes, first, tolerance)
+    return bool(ok[0] and layout_contiguity(offsets, read_lengths[nodes], first)[0])
 
 
 class TestIsContiguousCluster:
@@ -102,15 +115,16 @@ class TestBuildHybridSet:
     def test_clusters_of_hybrid_partition_reads(self, tiled_mls):
         reads, _, mls = tiled_mls
         hyb = build_hybrid_set(mls, reads.lengths)
-        clusters = hyb.clusters_of_hybrid()
-        allnodes = np.concatenate([c for c in clusters if c.size])
-        assert sorted(allnodes.tolist()) == list(range(len(reads)))
+        members, first = hyb.members_of_hybrid()
+        assert first.size == hyb.hybrid.n_nodes + 1 and (np.diff(first) > 0).all()
+        assert sorted(members.tolist()) == list(range(len(reads)))
 
     def test_every_hybrid_cluster_is_contiguous(self, tiled_mls):
         reads, g0, mls = tiled_mls
         hyb = build_hybrid_set(mls, reads.lengths)
-        for cluster in hyb.clusters_of_hybrid():
-            assert is_contiguous_cluster(g0, cluster, reads.lengths)
+        members, first = hyb.members_of_hybrid()
+        offsets, ok = layout_clusters(g0, members, first)
+        assert ok.all() and layout_contiguity(offsets, reads.lengths[members], first).all()
 
     def test_trivial_multilevel(self):
         # a graph too small to coarsen: hybrid == multilevel == single level
@@ -183,11 +197,12 @@ class TestContractedSetsMatchOracles:
         config, prep = community_prep
         g0, hyb, graph = prep.g0, prep.hyb, prep.assembly.graph
         read_offset = np.zeros(g0.n_nodes, dtype=np.int64)
-        for cluster in hyb.clusters_of_hybrid():
+        for cluster in split_groups(*hyb.members_of_hybrid()):
             if cluster.size > 1:
                 read_offset[cluster] = layout_ref.cluster_layout_offsets(
                     g0, cluster, config.layout_tolerance
                 )
+        assert np.array_equal(hyb.read_offsets, read_offset)
         want = hybrid_build.enriched_edges(
             g0, hyb.base_maps[0], read_offset, prep.assembly.contig_lengths
         )
@@ -200,7 +215,11 @@ class TestContractedSetsMatchOracles:
         k, pcfg = config.n_partitions, config.partition
         graphs, mappings, base_maps = hybrid_build.hybrid_set(prep.mls, prep.hyb.rep_level)
         oracle_hyb = HybridGraphSet(
-            [as_level(g) for g in graphs], mappings, base_maps, prep.hyb.rep_level
+            [as_level(g) for g in graphs],
+            mappings,
+            base_maps,
+            prep.hyb.rep_level,
+            prep.hyb.read_offsets,
         )
         labels, _, _ = partition_graph_set(oracle_hyb, k, pcfg)
         got = partition_via_hybrid(prep.mls, prep.hyb, k, pcfg).labels_finest
@@ -216,3 +235,61 @@ class TestContractedSetsMatchOracles:
         )
         labels, _, _ = partition_graph_set(oracle_mls, k, pcfg)
         assert np.array_equal(partition_via_multilevel(mls, k, pcfg).labels_finest, labels)
+
+
+def assert_layouts_hold(g0, hyb, read_lengths):
+    """Every H0 cluster's ``read_offsets`` honour each induced G0 edge
+    within the set's tolerance, start at 0 and leave no gap."""
+    offsets, h = hyb.read_offsets, hyb.base_maps[0]
+    assert offsets.shape == (g0.n_nodes,) and offsets.dtype == np.int64
+    inside = h[g0.eu] == h[g0.ev]
+    miss = offsets[g0.ev] - offsets[g0.eu] - g0.deltas
+    assert (np.abs(miss[inside]) <= hyb.tolerance).all()
+    for cluster in split_groups(*hyb.members_of_hybrid()):
+        assert offsets[cluster].min() == 0
+        assert layout_ref.is_layout_contiguous(offsets[cluster], read_lengths[cluster])
+
+
+@pytest.fixture(scope="module")
+def standard_preps():
+    """D1-D3 through ``prepare()``, by name."""
+    from repro.bench.datasets import standard_datasets
+
+    assembler = FocusAssembler(AssemblyConfig())
+    return {d.name: assembler.prepare(d.reads) for d in standard_datasets()[:3]}
+
+
+class TestSelectionLaysOutOnce:
+    """Selection's accepted layouts are the ones the set carries: what
+    enrich reads instead of laying the H0 clusters out again."""
+
+    @settings(max_examples=60)
+    @given(
+        delta_graphs(),
+        st.data(),
+        st.sampled_from([0, 2]),
+        st.integers(0, 3),
+    )
+    def test_carried_layouts_hold_on_random_graphs(self, g0, data, tolerance, seed):
+        n = g0.n_nodes
+        lengths = np.array(
+            data.draw(st.lists(st.integers(5, 40), min_size=n, max_size=n), label="lengths"),
+            dtype=np.int64,
+        )
+        mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=1), seed=seed)
+        hyb = build_hybrid_set(mls, lengths, tolerance=tolerance)
+        assert hyb.tolerance == tolerance
+        assert_layouts_hold(g0, hyb, lengths)
+        # A level-0 singleton sits at 0.
+        assert (hyb.read_offsets[hyb.rep_level == 0] == 0).all()
+
+    @pytest.mark.parametrize("tolerance", [0, 2])
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3"])
+    def test_carried_layouts_are_the_h0_relayout(self, standard_preps, name, tolerance):
+        prep = standard_preps[name]
+        hyb = build_hybrid_set(prep.mls, prep.reads.lengths, tolerance=tolerance)
+        members, first = hyb.members_of_hybrid()
+        offsets, ok = layout_clusters(prep.g0, members, first, tolerance)
+        assert ok.all() and np.array_equal(hyb.read_offsets[members], offsets)
+        if name == "D1":
+            assert_layouts_hold(prep.g0, hyb, prep.reads.lengths)

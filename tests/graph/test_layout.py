@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
 from repro.graph.contigs import layout_clusters, layout_contiguity
+from repro.graph.csr import split_groups
 from repro.graph.hybrid import _select_representatives
 from repro.graph.overlap_graph import Level, OverlapGraph
 from repro.simulate.genome import random_genome
 from tests.graph.conftest import graph_from_reads, tiled_readset
+from tests.graph.strategies import delta_graphs
 from tests.reference import layout as layout_ref
 
 
@@ -91,35 +93,10 @@ class TestLayoutClustersEqualsOracle:
         with pytest.raises(ValueError, match="deltas"):
             layout_clusters(plain, np.array([0, 1]), np.array([0, 2]))
 
-    @given(st.data(), st.sampled_from([0, 2]))
-    def test_random_delta_graphs(self, data, tolerance):
-        n = data.draw(st.integers(1, 10), label="n")
-        position = data.draw(
-            st.lists(st.integers(0, 40), min_size=n, max_size=n), label="position"
-        )
-        # Each pair of nodes: no edge, an exact delta, one within the
-        # slack, or one far outside it.
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        noise = data.draw(
-            st.lists(
-                st.sampled_from([None, None, 0, 0, 0, 0, 1, -2, 3, 25]),
-                min_size=len(pairs),
-                max_size=len(pairs),
-            ),
-            label="noise",
-        )
-        edges = [
-            (u, v, position[v] - position[u] + e)
-            for (u, v), e in zip(pairs, noise)
-            if e is not None
-        ]
-        empty = np.empty(0, dtype=np.int64)
-        g = (
-            delta_graph(n, edges)
-            if edges
-            else OverlapGraph(n, empty, empty, np.empty(0), deltas=empty)
-        )
+    @given(st.data(), delta_graphs(), st.sampled_from([0, 2]))
+    def test_random_delta_graphs(self, data, g, tolerance):
         # Up to three clusters and nodes in none, members in any order.
+        n = g.n_nodes
         label = data.draw(
             st.lists(st.integers(-1, 2), min_size=n, max_size=n), label="label"
         )
@@ -182,7 +159,7 @@ class TestSelectionEqualsStackDescent:
         reads, g0 = tiled_with_repeat(seed, repeat)
         mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4), seed=seed)
         assert mls.n_levels > 2
-        got = _select_representatives(mls, reads.lengths, tolerance)
+        got, _ = _select_representatives(mls, reads.lengths, tolerance)
         want = layout_ref.select_representatives(mls, reads.lengths, tolerance)
         assert np.array_equal(got, want)
 
@@ -193,7 +170,7 @@ class TestSelectionEqualsStackDescent:
             reads, g0 = tiled_with_repeat(0, repeat)
             mls = build_multilevel_set(g0, CoarsenConfig(min_nodes=4))
             assert mls.n_levels == 6
-            rep_level = _select_representatives(mls, reads.lengths, 0)
+            rep_level, _ = _select_representatives(mls, reads.lengths, 0)
             assert rep_level.min() == lowest
 
 
@@ -216,7 +193,7 @@ class TestStandardDatasetsMatchReference:
             prep.mls, prep.reads.lengths, cfg.layout_tolerance
         )
         assert np.array_equal(prep.hyb.rep_level, want)
-        clusters = prep.hyb.clusters_of_hybrid()
+        clusters = split_groups(*prep.hyb.members_of_hybrid())
         assert len(clusters) == len(prep.assembly.contigs)
         for cluster, contig in zip(clusters, prep.assembly.contigs):
             layout = layout_ref.cluster_layout_offsets(

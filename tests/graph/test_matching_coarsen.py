@@ -167,9 +167,9 @@ class TestMultilevelSet:
         g = random_graph(80, 0.1, seed=7)
         mls = build_multilevel_set(g, CoarsenConfig(min_nodes=8), seed=7)
         for level in range(mls.n_levels):
-            clusters = mls.clusters_at_level(level)
-            allnodes = np.concatenate([c for c in clusters if c.size])
-            assert sorted(allnodes.tolist()) == list(range(80))
+            members, first = mls.members_at_level(level)
+            assert first.size == mls.graphs[level].n_nodes + 1 and first[-1] == 80
+            assert sorted(members.tolist()) == list(range(80))
 
     def test_node_weight_conserved_through_levels(self):
         g = random_graph(120, 0.08, seed=8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.graph.contigs import consensus_from_layout
+from repro.graph.contigs import consensus_of_layouts
 from repro.io.records import Read
 from repro.io.readset import ReadSet
 from repro.sequence.dna import decode
@@ -16,6 +16,15 @@ def stacked_reads(seqs, quals_list):
     return ReadSet(reads)
 
 
+def stacked_consensus(rs, quality_weighted=False):
+    """Consensus of every read of ``rs`` stacked at column 0, one cluster."""
+    n = len(rs)
+    (segments,) = consensus_of_layouts(
+        rs, np.arange(n), [0, n], np.zeros(n, dtype=np.int64), quality_weighted
+    )
+    return segments
+
+
 class TestQualityWeightedConsensus:
     def test_tie_broken_by_quality(self):
         # two reads disagree at position 2: confident C vs junk A
@@ -23,8 +32,7 @@ class TestQualityWeightedConsensus:
             ["AACAA", "AAAAA"],
             [[40, 40, 40, 40, 40], [40, 40, 2, 40, 40]],
         )
-        zero = np.zeros(2, dtype=np.int64)
-        weighted = consensus_from_layout(rs, np.arange(2), zero, quality_weighted=True)
+        weighted = stacked_consensus(rs, quality_weighted=True)
         assert decode(weighted[0]) == "AACAA"
 
     def test_majority_still_wins_against_one_confident_error(self):
@@ -32,8 +40,7 @@ class TestQualityWeightedConsensus:
             ["AAAAA", "AAAAA", "AACAA"],
             [[30] * 5, [30] * 5, [41] * 5],
         )
-        out = consensus_from_layout(rs, np.arange(3), np.zeros(3, dtype=np.int64),
-                                    quality_weighted=True)
+        out = stacked_consensus(rs, quality_weighted=True)
         assert decode(out[0]) == "AAAAA"
 
     def test_unweighted_default_unchanged(self):
@@ -41,19 +48,17 @@ class TestQualityWeightedConsensus:
             ["AACAA", "AAAAA"],
             [[40] * 5, [40, 40, 2, 40, 40]],
         )
-        out = consensus_from_layout(rs, np.arange(2), np.zeros(2, dtype=np.int64))
+        out = stacked_consensus(rs)
         # unweighted tie: argmax picks the smaller code (A=0 beats C=1)
         assert decode(out[0]) == "AAAAA"
 
     def test_no_quals_falls_back(self):
         rs = ReadSet.from_strings(["ACGT", "ACGT"])
-        out = consensus_from_layout(rs, np.arange(2), np.zeros(2, dtype=np.int64),
-                                    quality_weighted=True)
+        out = stacked_consensus(rs, quality_weighted=True)
         assert decode(out[0]) == "ACGT"
 
     def test_weighted_matches_unweighted_on_agreement(self):
         rs = stacked_reads(["ACGTACGT"] * 3, [[35] * 8] * 3)
-        a = consensus_from_layout(rs, np.arange(3), np.zeros(3, dtype=np.int64))
-        b = consensus_from_layout(rs, np.arange(3), np.zeros(3, dtype=np.int64),
-                                  quality_weighted=True)
+        a = stacked_consensus(rs)
+        b = stacked_consensus(rs, quality_weighted=True)
         assert decode(a[0]) == decode(b[0]) == "ACGTACGT"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.coarsen import CoarsenConfig, build_multilevel_set
+from repro.graph.csr import split_groups
 from repro.graph.hybrid import build_hybrid_set
 from repro.partition.metrics import edge_cut, edge_cut_fraction, node_weight_balance
 from repro.partition.multilevel import (
@@ -88,7 +89,7 @@ class TestGraphSetPartitioning:
         assert res.labels_finest.size == hyb.hybrid.n_nodes
         assert res.labels_g0.size == g0.n_nodes
         # Every hybrid cluster lands in exactly one part.
-        for cluster in hyb.clusters_of_hybrid():
+        for cluster in split_groups(*hyb.members_of_hybrid()):
             assert len(set(res.labels_g0[cluster].tolist())) == 1
 
     def test_hybrid_cut_is_small_fraction(self, assembled):

@@ -1,13 +1,15 @@
 """Scalar reference implementations of the consensus and contig steps.
 
 The readable specification of paper §II steps 3-4 and 6 that the
-production ``repro.graph.contigs.consensus_from_layout``,
+production ``repro.graph.contigs.consensus_of_layouts``,
 ``repro.distributed.traversal.contigs_from_paths`` and
 ``repro.core.focus.deduplicate_contigs`` are checked against: one
 ``np.add.at`` per read or path node, and each candidate placed afresh
 on the kept contigs by the reference placement
-(``tests/reference/placement.py``).  Same arguments and results as the
-production functions.
+(``tests/reference/placement.py``).  ``consensus_from_layout`` takes
+one cluster and gives what ``consensus_of_layouts`` gives for it; the
+other two take the production functions' arguments and give their
+results.
 """
 
 from __future__ import annotations

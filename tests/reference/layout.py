@@ -5,9 +5,10 @@ The readable specification of the paper's best-representative test
 ``layout_contiguity`` and ``repro.graph.hybrid._select_representatives``
 are checked against: one FIFO queue walk per cluster touching one
 adjacency entry per step, one sort per cluster, and a work stack that
-tests one coarse node at a time.  Same arguments and results as
-``cluster_layout_offsets``, ``is_layout_contiguous``,
-``is_contiguous_cluster`` and ``_select_representatives``.
+tests one coarse node at a time.  The first three functions take one
+cluster and give what the batched calls give for it (None for a
+cluster ``layout_clusters`` marks not ok); ``select_representatives``
+gives ``_select_representatives``' levels.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.graph.csr import split_groups
 from tests.reference.finish_loop import edge_delta
 
 __all__ = [
@@ -89,7 +91,7 @@ def select_representatives(mls, read_lengths, tolerance):
     g0 = mls.base
     top = mls.n_levels - 1
     rep_level = np.full(g0.n_nodes, -1, dtype=np.int64)
-    clusters = {lvl: mls.clusters_at_level(lvl) for lvl in range(mls.n_levels)}
+    clusters = {lvl: split_groups(*mls.members_at_level(lvl)) for lvl in range(mls.n_levels)}
     # Work stack of (level, node-at-level); start from every coarsest node.
     stack = [(top, v) for v in range(mls.graphs[top].n_nodes)]
     while stack:

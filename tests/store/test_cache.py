@@ -125,13 +125,10 @@ class TestCounters:
             "hit_rate",
         }
 
-    def test_invalidate_and_clear(self):
+    def test_clear(self):
         cache = ShardCache(budget_bytes=100)
         cache.put("a", "A", 10)
         cache.put("b", "B", 10)
-        cache.invalidate("a")
-        assert "a" not in cache and cache.current_bytes == 10
-        cache.invalidate("missing")  # no-op
         cache.clear()
         assert len(cache) == 0 and cache.current_bytes == 0
 

@@ -75,16 +75,11 @@ class TestWriterRoundtrip:
             store.shard(1)["data"][0] = 7
         assert (store.shard(1)["data"] == 1).all()
 
-    def test_record_starts_and_shard_of(self, tmp_path):
+    def test_record_starts(self, tmp_path):
         path = str(tmp_path / "store")
         write_store(path)
         store = ShardedStore(path)
         assert store.record_starts.tolist() == [0, 4, 8, 12]
-        assert store.shard_of(0) == 0
-        assert store.shard_of(4) == 1
-        assert store.shard_of(11) == 2
-        with pytest.raises(IndexError):
-            store.shard_of(12)
 
     def test_fresh_pack_clears_stale_files(self, tmp_path):
         path = str(tmp_path / "store")

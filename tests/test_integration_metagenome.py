@@ -16,6 +16,7 @@ from repro.analysis.community import (
     max_fraction_per_genus,
     phylum_colocation,
 )
+from repro.graph.csr import split_groups
 from repro.mpi.timing import CommCostModel
 from repro.simulate.community import CommunityConfig, build_community
 from repro.simulate.reads import ReadSimConfig, ReadSimulator
@@ -48,7 +49,7 @@ class TestMetagenomePipeline:
         # Each contig's reads should mostly come from one genus: the
         # hybrid clusters respect the linearity of each genome.
         community, _, result = pipeline
-        clusters = result.hyb.clusters_of_hybrid()
+        clusters = split_groups(*result.hyb.members_of_hybrid())
         meta = result.processed_reads.meta
         impure = 0
         for cluster in clusters:
