@@ -99,8 +99,8 @@ def run_plan(
 
 #: the distributed stages :meth:`FocusAssembler.finish` runs, in the
 #: sorted order seeded ``random:SEED`` fault plans draw over — the
-#: registry also holds ``overlap`` and ``variants``, and drawing over
-#: it would silently re-draw every recorded plan.
+#: registry also holds ``overlap``, which :meth:`FocusAssembler.prepare`
+#: runs, and drawing over it would silently re-draw every recorded plan.
 FINISH_STAGES = tuple(sorted(name for name, _ in finish_plan(AssemblyConfig())))
 
 

@@ -26,7 +26,6 @@ from repro.distributed.stages import (
     run_stage_on_comm,
 )
 from repro.distributed.traversal import contigs_from_paths
-from repro.distributed.variants import Variant, find_bubble_variants
 
 __all__ = [
     "DistributedAssemblyGraph",
@@ -37,6 +36,4 @@ __all__ = [
     "get_stage",
     "run_stage_on_comm",
     "contigs_from_paths",
-    "Variant",
-    "find_bubble_variants",
 ]

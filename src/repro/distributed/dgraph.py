@@ -9,8 +9,8 @@ plus an implied contig-overlap length.
 
 ``DistributedAssemblyGraph`` wraps the enriched graph with partition
 ownership and alive-masks.  The finish stages (paper §V: transitive
-reduction, containment removal, dead-end trimming, bubble popping,
-traversal and the variant caller) batch each stage into
+reduction, containment removal, dead-end trimming, bubble popping and
+traversal) batch each stage into
 whole-partition numpy operations over the graph's one adjacency, the
 way diBELLA keeps the string graph as one sparse matrix that every
 step of its transitive reduction reads (PAPERS.md), and Dinh &

@@ -92,7 +92,6 @@ def _load_stage_modules() -> None:
         transitive,
         traversal,
         trimming,
-        variants,
     )
 
 

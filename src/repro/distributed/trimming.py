@@ -23,7 +23,6 @@ __all__ = [
     "find_dead_ends",
     "dead_end_kernel",
     "apply_dead_ends",
-    "parallel_branches",
     "find_bubbles",
     "bubble_kernel",
     "apply_bubbles",
@@ -109,10 +108,10 @@ def apply_dead_ends(dag: DistributedAssemblyGraph, proposals, **_params) -> int:
 register_stage("dead_ends", dead_end_kernel, apply_dead_ends)
 
 
-def parallel_branches(
+def find_bubbles(
     dag: DistributedAssemblyGraph, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(anchor, branch, group) of each simple bubble anchored in ``nodes``.
+) -> np.ndarray:
+    """Lighter branch node of each simple bubble anchored in ``nodes``.
 
     A simple bubble is ``v - a - w`` / ``v - b - w`` with ``a`` and
     ``b`` of degree exactly 2, where both branches extend to the *same
@@ -122,10 +121,10 @@ def parallel_branches(
 
     Every (anchor v, degree-2 branch u) row resolves u's far endpoint
     ``w`` from u's two alive rows, then a single lexsort groups rows by
-    the (anchor, side-of-v, far-endpoint) key.  Only groups of two or
-    more parallel branches are kept: each is one run ordered by
-    (contig length, id), numbered from 0 in key order.  Bubble popping
-    and the variant caller both read bubbles from here.
+    the (anchor, side-of-v, far-endpoint) key, each group one run
+    ordered by (contig length, id).  In each group of two or more
+    parallel branches all but the (contig length, id)-max branch, the
+    last of its run, are proposed.
     """
     nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
     g = dag.graph
@@ -144,25 +143,9 @@ def parallel_branches(
     w = np.where(nbr0 != v, nbr0, nbr1)
     order = np.lexsort((u, dag.assembly.contig_lengths[u], w, side, v))
     v, u, side, w = v[order], u[order], side[order], w[order]
-    new_group = np.ones(v.size, dtype=bool)
-    new_group[1:] = (v[1:] != v[:-1]) | (side[1:] != side[:-1]) | (w[1:] != w[:-1])
-    group = np.cumsum(new_group) - 1
-    parallel = np.bincount(group)[group] >= 2
-    return v[parallel], u[parallel], np.cumsum(new_group[parallel]) - 1
-
-
-def find_bubbles(
-    dag: DistributedAssemblyGraph, nodes: np.ndarray
-) -> np.ndarray:
-    """Lighter branch node of each simple bubble anchored in ``nodes``.
-
-    In each group of parallel branches (:func:`parallel_branches`) all
-    but the (contig length, id)-max branch, the last of its run, are
-    proposed.
-    """
-    _, u, group = parallel_branches(dag, nodes)
+    # A row is lighter when the next row is in its group.
     lighter = np.zeros(u.size, dtype=bool)
-    lighter[:-1] = group[1:] == group[:-1]
+    lighter[:-1] = (v[1:] == v[:-1]) & (side[1:] == side[:-1]) & (w[1:] == w[:-1])
     return sorted_unique(u[lighter])
 
 

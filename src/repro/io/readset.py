@@ -99,15 +99,26 @@ def trim_columns(
     """
     lo, hi = trim_spans(offsets, quals, **rule)
     kept = np.flatnonzero(hi - lo >= min_length)
+    if kept.size == lo.size and (lo == offsets[:-1]).all() and (hi == offsets[1:]).all():
+        return data, offsets, quals, ids, meta
     sizes = (hi - lo)[kept]
-    at = ragged_positions(lo[kept], sizes)
     trimmed = np.zeros(kept.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=trimmed[1:])
+    # The kept bases as a one-byte mask: +1 where a kept span opens, -1
+    # where it closes, summed in place.  Spans are disjoint and a span's
+    # end is only ever another's start, so no two opens nor two closes
+    # share a position and the running sum stays 0 or 1.
+    kept_spans = kept[sizes > 0]
+    mask = np.zeros(data.size + 1, dtype=np.int8)
+    mask[lo[kept_spans]] += 1
+    mask[hi[kept_spans]] -= 1
+    np.cumsum(mask, out=mask)
+    mask = mask[:-1].view(bool)
     kept = kept.tolist()
     return (
-        data[at],
+        data[mask],
         trimmed,
-        None if quals is None else quals[at],
+        None if quals is None else quals[mask],
         [ids[i] for i in kept],
         [meta[i] for i in kept],
     )

@@ -19,8 +19,8 @@ def json_round_trip(record):
 
 #: ``FaultPlan.random(seed, FINISH_STAGES, 4)`` kernel draws, recorded
 #: when plans still drew message faults after them: dropping those draws
-#: changed no plan, and neither did registering ``overlap`` and
-#: ``variants``.
+#: changed no plan, and neither did registering ``overlap``: plans
+#: draw over ``FINISH_STAGES``, not the registry.
 SEEDED_KERNEL_DRAWS = {
     7: (KernelFault("error", "transitive", 2), KernelFault("error", "dead_ends", 3)),
     11: (KernelFault("crash", "bubbles", 3), KernelFault("hang", "dead_ends", 2)),
