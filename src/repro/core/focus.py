@@ -266,6 +266,8 @@ class FocusAssembler:
                 overlaps, candidates = aligner.run_stage("overlap").result
             timer.count("candidates_verified", candidates)
             timer.count("overlaps", len(overlaps))
+            timer.count("retries", aligner.fault_report.retries)
+            timer.count("fallbacks", aligner.fault_report.fallbacks)
         with timer.stage("overlap_graph"):
             g0 = OverlapGraph.from_overlaps(overlaps, len(rs))
             timer.count("g0_edges", g0.n_edges)
@@ -422,9 +424,10 @@ class FocusAssembler:
 
         mark = time.perf_counter()
         alive = dag.n_alive_nodes, dag.n_alive_edges
+        faults = 0, 0
 
         def after(name: str, out: StageOutcome) -> None:
-            nonlocal mark, alive
+            nonlocal mark, alive, faults
             stage_times[name] = out.elapsed
             if checkpoint is not None:
                 save_checkpoint(
@@ -446,8 +449,15 @@ class FocusAssembler:
             )
             child = timer.record(name, out.elapsed, within=outer, clock=out.time_kind)
             left = dag.n_alive_nodes, dag.n_alive_edges
-            child.counts.update(nodes_removed=alive[0] - left[0], edges_removed=alive[1] - left[1])
-            mark, alive = outer.end, left
+            report = runner.fault_report
+            now = report.retries, report.fallbacks
+            child.counts.update(
+                nodes_removed=alive[0] - left[0],
+                edges_removed=alive[1] - left[1],
+                retries=now[0] - faults[0],
+                fallbacks=now[1] - faults[1],
+            )
+            mark, alive, faults = outer.end, left, now
 
         try:
             outcomes = run_plan(runner, finish_plan(cfg), frozenset(stage_times), after)

@@ -94,8 +94,7 @@ def trim_columns(
 ) -> Columns:
     """The Focus trimming rule on a block; reads under ``min_length`` go.
 
-    ``rule`` is :func:`~repro.sequence.quality.trim_spans`'s keywords
-    (``trim_read``'s, which it equals read by read).
+    ``rule`` is :func:`~repro.sequence.quality.trim_spans`'s keywords.
     """
     lo, hi = trim_spans(offsets, quals, **rule)
     kept = np.flatnonzero(hi - lo >= min_length)

@@ -8,79 +8,82 @@ beat the best gain seen), swapped pairs are locked, and the pass is cut
 short once ``stall_window`` (50) consecutive exchanges fail to improve
 the running maximum partial gain.  The pass is rolled back to the
 prefix with maximal partial gain; passes repeat until no positive gain
-remains.
+remains.  A swap makes no NumPy call: a pass keeps its state in Python
+lists (docs/algorithms.md, "Partitioning").
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 
 import numpy as np
 
 from repro.graph.overlap_graph import Level
 from repro.partition.metrics import internal_external_weights
 
-__all__ = ["kl_refine", "kl_refine_bisection", "edge_weight_between"]
-
-
-def edge_weight_between(graph: Level, a: int, b: int) -> float:
-    """Weight of edge (a, b), or 0.0 if absent (scans the smaller side)."""
-    if graph.indptr[a + 1] - graph.indptr[a] > graph.indptr[b + 1] - graph.indptr[b]:
-        a, b = b, a
-    lo, hi = graph.indptr[a], graph.indptr[a + 1]
-    nbrs = graph.adj[lo:hi]
-    hit = np.flatnonzero(nbrs == b)
-    if hit.size == 0:
-        return 0.0
-    return float(graph.weights[graph.adj_edge[lo + hit[0]]])
+__all__ = ["kl_refine", "kl_refine_bisection"]
 
 
 def _best_pair(
-    graph: Level,
-    d: np.ndarray,
-    cand0: np.ndarray,
-    cand1: np.ndarray,
+    order0: list[tuple[float, int]],
+    order1: list[tuple[float, int]],
+    d: list[float],
+    node_w: list[int],
+    weight_to: dict[int, dict[int, float]],
+    part_w: list[float],
     max_scan: int,
-    part_w: np.ndarray,
     node_balance: float,
 ) -> tuple[int, int, float] | None:
     """Diagonal scan for the max-gain swap pair between two parts.
 
-    ``cand0``/``cand1`` are unlocked nodes sorted by D descending.  A
-    pair is admissible only if swapping it keeps the node-weight
-    imbalance within ``node_balance`` (or improves it) — coarse nodes
-    carry unequal weights, and unconstrained swaps would let the
-    partition drift arbitrarily far from half/half.
+    ``order0``/``order1`` are each part's unlocked nodes as ``(-D,
+    node)``, ascending; the first ``max_scan`` pairs ``(i, j)`` by
+    ``(-(D_a + D_b), i, j)`` are visited.  A pair is admissible only if
+    swapping it keeps the node-weight imbalance within ``node_balance``
+    (or improves it) — coarse nodes carry unequal weights, and
+    unconstrained swaps would let the partition drift arbitrarily far
+    from half/half.  Row ``i``'s pairs of one sum are consecutive in
+    that order, so each such run is walked in place, off the heap.
     """
-    if cand0.size == 0 or cand1.size == 0:
+    if not order0 or not order1:
         return None
-    node_w = graph.node_weights
-    ideal = part_w.sum() / 2.0
-    cur_max = part_w.max()
+    p0, p1 = part_w
+    # max(p0 + s, p1 - s) must stay within the balance bound or the
+    # current maximum, whichever is larger.
+    limit = max(node_balance * ((p0 + p1) / 2.0), max(p0, p1))
+    n0, n1 = len(order0), len(order1)
     best: tuple[int, int, float] | None = None
     gmax = -np.inf
-    # Enumerate (i, j) by decreasing d0[i] + d1[j]:
-    # push (i, j+1) always, (i+1, j) only from j == 0 (unique coverage).
-    heap = [(-(d[cand0[0]] + d[cand1[0]]), 0, 0)]
+    # Enumerate (i, j) by decreasing d0[i] + d1[j]: a row's next pair
+    # joins the heap once its run ends, and (i+1, 0) from j == 0.
+    heap = [(order0[0][0] + order1[0][0], 0, 0)]
     scanned = 0
     while heap and scanned < max_scan:
         neg_sum, i, j = heapq.heappop(heap)
-        dsum = -neg_sum
-        if dsum <= gmax:
+        if -neg_sum <= gmax:
             break
-        a, b = int(cand0[i]), int(cand1[j])
-        scanned += 1
-        shift = node_w[b] - node_w[a]
-        new_max = max(part_w[0] + shift, part_w[1] - shift)
-        if new_max <= node_balance * ideal or new_max <= cur_max:
-            gain = d[a] + d[b] - 2.0 * edge_weight_between(graph, a, b)
-            if gain > gmax:
-                gmax = gain
-                best = (a, b, gain)
-        if j + 1 < cand1.size:
-            heapq.heappush(heap, (-(d[cand0[i]] + d[cand1[j + 1]]), i, j + 1))
-        if j == 0 and i + 1 < cand0.size:
-            heapq.heappush(heap, (-(d[cand0[i + 1]] + d[cand1[0]]), i + 1, 0))
+        neg_da, a = order0[i]
+        if j == 0 and i + 1 < n0:
+            heapq.heappush(heap, (order0[i + 1][0] + order1[0][0], i + 1, 0))
+        w_a, row_a = node_w[a], weight_to.get(a, {})
+        start, stop = j, min(n1, j + max_scan - scanned)
+        while j < stop:
+            neg_db, b = order1[j]
+            if neg_da + neg_db != neg_sum:
+                break
+            j += 1
+            shift = node_w[b] - w_a
+            if p0 + shift <= limit and p1 - shift <= limit:
+                gain = d[a] + d[b] - 2.0 * row_a.get(b, 0.0)
+                if gain > gmax:
+                    gmax = gain
+                    best = (a, b, gain)
+                    if -neg_sum <= gmax:
+                        return best
+        scanned += j - start
+        if j < n1:
+            heapq.heappush(heap, (neg_da + order1[j][0], i, j))
     return best
 
 
@@ -121,19 +124,31 @@ def kl_refine(
     if set(np.unique(labels).tolist()) - {0, 1}:
         raise ValueError("bisection labels must be 0/1")
 
+    n = graph.n_nodes
+    node_w = graph.node_weights.tolist()
+    ptr, adj = graph.indptr.tolist(), graph.adj.tolist()
+    w_adj = graph.weights[graph.adj_edge].tolist()
+    # Each node's {neighbour: weight}; an isolated node has none.
+    weight_to = {
+        v: dict(zip(adj[ptr[v] : ptr[v + 1]], w_adj[ptr[v] : ptr[v + 1]]))
+        for v in np.flatnonzero(np.diff(graph.indptr)).tolist()
+    }
     total_gain = 0.0
-    indptr, adj, adj_edge, weights = graph.indptr, graph.adj, graph.adj_edge, graph.weights
 
     for _ in range(max_passes):
         internal, external = internal_external_weights(graph, labels)
-        d = external - internal
-        locked = np.zeros(graph.n_nodes, dtype=bool)
-        part_w = np.array(
-            [
-                float(graph.node_weights[labels == 0].sum()),
-                float(graph.node_weights[labels == 1].sum()),
-            ]
-        )
+        d = (external - internal).tolist()
+        part = labels.tolist()
+        part_w = [
+            float(graph.node_weights[labels == 0].sum()),
+            float(graph.node_weights[labels == 1].sum()),
+        ]
+        locked = [False] * n
+        order = ([], [])
+        for v in range(n):
+            order[part[v]].append((-d[v], v))
+        order[0].sort()
+        order[1].sort()
         swaps: list[tuple[int, int]] = []
         cum = 0.0
         s_max = 0.0
@@ -141,20 +156,19 @@ def kl_refine(
         since_improve = 0
 
         while True:
-            free = ~locked
-            cand0 = np.flatnonzero(free & (labels == 0))
-            cand1 = np.flatnonzero(free & (labels == 1))
-            cand0 = cand0[np.argsort(-d[cand0], kind="stable")]
-            cand1 = cand1[np.argsort(-d[cand1], kind="stable")]
-            pair = _best_pair(graph, d, cand0, cand1, max_scan, part_w, node_balance)
+            pair = _best_pair(
+                order[0], order[1], d, node_w, weight_to, part_w, max_scan, node_balance
+            )
             if pair is None:
                 break
             a, b, gain = pair
-            labels[a], labels[b] = 1, 0
-            shift = graph.node_weights[b] - graph.node_weights[a]
+            part[a], part[b] = 1, 0
+            shift = node_w[b] - node_w[a]
             part_w[0] += shift
             part_w[1] -= shift
             locked[a] = locked[b] = True
+            del order[0][bisect_left(order[0], (-d[a], a))]
+            del order[1][bisect_left(order[1], (-d[b], b))]
             swaps.append((a, b))
             cum += gain
             if cum > s_max:
@@ -166,19 +180,22 @@ def kl_refine(
                 if since_improve >= stall_window:
                     break
             # D updates (KL): x in P0 gains 2w(x,a) - 2w(x,b); P1 mirrored.
-            for moved, joined_part in ((a, 1), (b, 0)):
-                lo, hi = indptr[moved], indptr[moved + 1]
-                nbrs = adj[lo:hi]
-                w = weights[adj_edge[lo:hi]]
-                left_part = 1 - joined_part  # part the node departed
-                same = labels[nbrs] == left_part
-                d[nbrs[same]] += 2.0 * w[same]
-                other = labels[nbrs] == joined_part
-                d[nbrs[other]] -= 2.0 * w[other]
+            for moved, left_part in ((a, 0), (b, 1)):
+                for x, w in weight_to.get(moved, {}).items():
+                    if locked[x]:
+                        continue
+                    keys = order[part[x]]
+                    del keys[bisect_left(keys, (-d[x], x))]
+                    if part[x] == left_part:
+                        d[x] += 2.0 * w
+                    else:
+                        d[x] -= 2.0 * w
+                    insort(keys, (-d[x], x))
 
         # Roll back to the best prefix.
         for a, b in reversed(swaps[s_max_idx + 1 :]):
-            labels[a], labels[b] = 0, 1
+            part[a], part[b] = 0, 1
+        labels = np.array(part, dtype=np.int64)
         if s_max <= 0:
             return labels, total_gain, True
         total_gain += s_max

@@ -28,13 +28,7 @@ from repro.sequence.kmers import (
     revcomp_kmer_code,
     unpack_kmer,
 )
-from repro.sequence.quality import (
-    PHRED_OFFSET,
-    decode_phred,
-    encode_phred,
-    sliding_window_trim_index,
-    trim_read,
-)
+from repro.sequence.quality import PHRED_OFFSET, decode_phred, encode_phred
 
 __all__ = [
     "A",
@@ -58,6 +52,4 @@ __all__ = [
     "PHRED_OFFSET",
     "encode_phred",
     "decode_phred",
-    "sliding_window_trim_index",
-    "trim_read",
 ]

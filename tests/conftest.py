@@ -43,3 +43,14 @@ def durable_ops(monkeypatch):
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     return ops
+
+
+@pytest.fixture(scope="module")
+def standard_preps():
+    """D1-D3 through ``prepare()`` at the default config, by name."""
+    from repro.bench.datasets import standard_datasets
+    from repro.core.config import AssemblyConfig
+    from repro.core.focus import FocusAssembler
+
+    assembler = FocusAssembler(AssemblyConfig())
+    return {d.name: assembler.prepare(d.reads) for d in standard_datasets()[:3]}

@@ -190,6 +190,44 @@ class TestAssembleAndStats:
         for name in ("preprocess", "align", "enrich"):
             assert spans[name]["cache_evictions"] == 0
 
+    def test_assemble_trace_counts_fault_recovery(self, tmp_path, reads_fastq):
+        """Crashed workers on both pools: the align span and the finish
+        spans count the retries and fallbacks, and their sums are the
+        run's fault report."""
+        import json
+
+        plan = {
+            "kernel_faults": [
+                {"kind": "crash", "stage": "overlap", "part": 0},
+                # Past the 2-attempt budget: one retry, then the fallback.
+                {"kind": "crash", "stage": "transitive", "part": 1, "attempts": 5},
+                {"kind": "crash", "stage": "dead_ends", "part": 0},
+            ]
+        }
+        plan_path, trace_path = tmp_path / "plan.json", tmp_path / "trace.jsonl"
+        timings_path = tmp_path / "t.json"
+        plan_path.write_text(json.dumps(plan))
+        rc = main(
+            ["assemble", str(reads_fastq), "-o", str(tmp_path / "c.fasta"),
+             "--partitions", "2", "--workers", "2", "--backend", "process",
+             "--backend-workers", "2", "--retries", "2", "--fault-plan", str(plan_path),
+             "--trace", str(trace_path), "--timings", str(timings_path)]
+        )
+        assert rc == 0
+        report = json.loads(timings_path.read_text())["faults"]
+        spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        counted = {
+            s["name"]: (s["counts"]["retries"], s["counts"]["fallbacks"])
+            for s in spans
+            if "retries" in s["counts"]
+        }
+        faulted = {name: c for name, c in counted.items() if c != (0, 0)}
+        assert faulted.keys() == {"align", "transitive", "dead_ends"}
+        assert faulted["align"] == faulted["dead_ends"] == (1, 0)
+        assert faulted["transitive"][1] == 1
+        for i, name in enumerate(("retries", "fallbacks")):
+            assert sum(c[i] for c in counted.values()) == report[name]
+
     def test_assemble_unknown_backend_exits(self, tmp_path, reads_fastq):
         with pytest.raises(SystemExit):
             main(

@@ -89,7 +89,10 @@ class TestFocusPipeline:
             assert child.start == parent.start and child.counts.keys() == {
                 "nodes_removed",
                 "edges_removed",
+                "retries",
+                "fallbacks",
             }
+            assert child.counts["retries"] == child.counts["fallbacks"] == 0
         assert not any(s.name in res.timer.durations for s in children)
         top = [s for s in spans if s.parent is None]
         assert all(a.end <= b.start for a, b in zip(top, top[1:]))

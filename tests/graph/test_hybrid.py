@@ -250,15 +250,6 @@ def assert_layouts_hold(g0, hyb, read_lengths):
         assert layout_ref.is_layout_contiguous(offsets[cluster], read_lengths[cluster])
 
 
-@pytest.fixture(scope="module")
-def standard_preps():
-    """D1-D3 through ``prepare()``, by name."""
-    from repro.bench.datasets import standard_datasets
-
-    assembler = FocusAssembler(AssemblyConfig())
-    return {d.name: assembler.prepare(d.reads) for d in standard_datasets()[:3]}
-
-
 class TestSelectionLaysOutOnce:
     """Selection's accepted layouts are the ones the set carries: what
     enrich reads instead of laying the H0 clusters out again."""

@@ -5,21 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.partition.recursive as recursive
+from repro.core.config import AssemblyConfig
 from repro.graph.overlap_graph import Level
-from repro.partition.kl import edge_weight_between, kl_refine_bisection
+from repro.partition.kl import kl_refine, kl_refine_bisection
 from repro.partition.metrics import edge_cut, partition_node_weights
+from repro.partition.multilevel import partition_via_hybrid
 from tests.partition.conftest import random_weighted_graph, two_cliques
-
-
-class TestEdgeWeightBetween:
-    def test_present(self):
-        g = Level(3, np.array([0, 1]), np.array([1, 2]), np.array([5.0, 7.0]))
-        assert edge_weight_between(g, 0, 1) == 5.0
-        assert edge_weight_between(g, 2, 1) == 7.0
-
-    def test_absent(self):
-        g = Level(3, np.array([0]), np.array([1]), np.array([5.0]))
-        assert edge_weight_between(g, 0, 2) == 0.0
+from tests.reference import kl_loop
 
 
 class TestKlRefine:
@@ -93,3 +86,76 @@ class TestKlRefine:
         refined, gain = kl_refine_bisection(g, labels)
         assert edge_cut(g, refined) <= edge_cut(g, labels) + 1e-9
         assert gain >= 0
+
+
+@st.composite
+def kl_cases(draw):
+    """A graph, a bisection and KL's knobs.  Edge weights come from a
+    small set (sums that tie, and sums like 0.1 + 0.2 that round),
+    node weights are unequal, many nodes are isolated (D = 0), and a
+    part may be empty."""
+    n = draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(
+        st.lists(
+            st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 7.5]),
+            min_size=len(edges),
+            max_size=len(edges),
+        )
+    )
+    node_w = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 9, 40]), min_size=n, max_size=n))
+    labels = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.sampled_from([[0] * n, [1] * n]),
+        )
+    )
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    graph = Level(n, eu, ev, np.array(weights, dtype=np.float64), np.array(node_w))
+    knobs = {
+        "stall_window": draw(st.integers(1, 8)),
+        "max_passes": draw(st.integers(1, 4)),
+        "max_scan": draw(st.sampled_from([1, 2, 3, 5, 400])),
+        "node_balance": draw(st.sampled_from([1.0, 1.1, 1.5])),
+    }
+    return graph, np.array(labels, dtype=np.int64), knobs
+
+
+def assert_same_as_oracle(graph, labels, **knobs):
+    got = kl_refine(graph, labels, **knobs)
+    want = kl_loop.kl_refine(graph, labels, **knobs)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
+
+
+class TestMatchesOracle:
+    """Labels, total gain and ``converged`` equal the per-swap NumPy
+    loop's (``tests/reference/kl_loop.py``), bit for bit."""
+
+    @settings(max_examples=300)
+    @given(kl_cases())
+    def test_random_graphs(self, case):
+        graph, labels, knobs = case
+        assert_same_as_oracle(graph, labels, **knobs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_larger_graphs_with_unequal_node_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_weighted_graph(80, 0.04, seed)
+        g = Level(g.n_nodes, g.eu, g.ev, g.weights, rng.integers(1, 30, size=g.n_nodes))
+        labels = (rng.random(g.n_nodes) < 0.5).astype(np.int64)
+        for stall_window, max_scan in ((50, 400), (3, 7)):
+            assert_same_as_oracle(g, labels, stall_window=stall_window, max_scan=max_scan)
+
+
+def test_hybrid_partition_labels_match_oracle_on_standard_datasets(standard_preps, monkeypatch):
+    config = AssemblyConfig()  # seed 0, as standard_preps prepared D1-D3
+    k, pcfg, seed = config.n_partitions, config.partition, config.seed
+    preps = list(standard_preps.values())
+    got = [partition_via_hybrid(p.mls, p.hyb, k, pcfg, seed).labels_finest for p in preps]
+    monkeypatch.setattr(recursive, "kl_refine", kl_loop.kl_refine)
+    for prep, labels in zip(preps, got):
+        want = partition_via_hybrid(prep.mls, prep.hyb, k, pcfg, seed).labels_finest
+        assert np.array_equal(labels, want)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.io.records import Read
 from repro.sequence.kmers import canonical_kmer_codes, kmer_codes
-from repro.sequence.quality import trim_read
+from tests.reference.trim_loop import trim_read
 
 __all__ = ["expected_reads", "trimmed_reads", "assert_matches"]
 
