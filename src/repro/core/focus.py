@@ -286,6 +286,7 @@ class FocusAssembler:
                 rs,
                 tolerance=cfg.layout_tolerance,
                 quality_weighted=cfg.quality_weighted_consensus,
+                count=timer.count,
             )
         return PreparedAssembly(
             reads=rs,

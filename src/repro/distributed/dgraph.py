@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +91,7 @@ def enrich_hybrid(
     reads: ReadSet,
     tolerance: int = 0,
     quality_weighted: bool = False,
+    count: Callable[[str, int], None] | None = None,
 ) -> HybridAssembly:
     """Contigs + contig-level edge geometry for the hybrid graph.
 
@@ -97,8 +99,9 @@ def enrich_hybrid(
     the reads for the consensus and are the table the crossing
     overlaps are measured against.  ``tolerance`` must be the one they
     were laid out at (``ValueError`` otherwise).  Raises
-    ``RuntimeError`` if a cluster's consensus is not one contiguous
-    segment.
+    ``RuntimeError`` if a cluster's covered columns are not one run
+    (:func:`~repro.graph.contigs.consensus_of_layouts`, which also
+    hands ``count`` its vote counters).
     """
     if tolerance != hyb.tolerance:
         raise ValueError(
@@ -107,10 +110,9 @@ def enrich_hybrid(
     h = hyb.hybrid
     members, first = hyb.members_of_hybrid()
     offset = hyb.read_offsets
-    segments = consensus_of_layouts(reads, members, first, offset[members], quality_weighted)
-    if any(len(s) != 1 for s in segments):
-        raise RuntimeError("hybrid cluster consensus is not contiguous")
-    contigs = [s[0] for s in segments]
+    contigs, lengths = consensus_of_layouts(
+        reads, members, first, offset[members], quality_weighted, count
+    )
 
     # Offset of the hv contig relative to the hu one, implied by each
     # crossing read overlap; the merge keeps the heaviest witness.
@@ -122,7 +124,6 @@ def enrich_hybrid(
         h.n_nodes, hu[crossing], hv[crossing], g0.weights[crossing], deltas=d[crossing]
     )
     # Implied contig overlap: intervals [0, L_eu) and [d, d+L_ev).
-    lengths = np.array([c.size for c in contigs], dtype=np.int64)
     eu, ev, deltas = merged.eu, merged.ev, merged.deltas
     ov = np.minimum(lengths[eu], deltas + lengths[ev]) - np.maximum(0, deltas)
     graph = OverlapGraph(

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.stages import register_stage
-from repro.graph.contigs import vote_winners
+from repro.graph.contigs import overlay_consensus
 from repro.io.readset import ragged_positions
 
 __all__ = [
@@ -41,12 +41,6 @@ __all__ = [
     "merge_subpaths",
     "contigs_from_paths",
 ]
-
-#: byte cells of one block's rows in :func:`contigs_from_paths` (a block
-#: of one node may exceed it): bounds every overlay transient, its
-#: bases and vote table included, on paths whose steps go right.
-_MAX_BASES = 1 << 18
-
 
 def _unique_neighbours(
     dag: DistributedAssemblyGraph, nodes: np.ndarray
@@ -174,61 +168,29 @@ def merge_subpaths(
 register_stage("traversal", subpath_kernel, merge_subpaths)
 
 
-class _Runs(dict):
-    """Runs of ``N`` by length, each made once."""
-
-    def __missing__(self, size: int) -> bytes:
-        run = self[size] = b"\x04" * size
-        return run
-
-
-def _rows(
-    contigs: list[np.ndarray],
-    nodes: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    depth: int,
-    width: int,
-) -> np.ndarray:
-    """``(depth, width)`` byte rows: the contig of ``nodes[i]`` (nodes by
-    start) at column ``starts[i]`` of row ``i % depth``, ``N`` elsewhere.
-
-    No two nodes of a row overlap, so the rows are one byte string: the
-    contigs (``uint8`` codes, each contiguous) row by row, each after the
-    run of ``N`` up to its start.
-    """
-    # Node ranks row by row: 0, D, 2D, ..., then 1, D + 1, ...
-    rank = np.arange(-(-nodes.size // depth) * depth).reshape(-1, depth).T.ravel()
-    rank = rank[rank < nodes.size]
-    at = rank % depth * width + starts[rank]
-    runs = np.diff(at, prepend=0)
-    runs[1:] -= sizes[rank[:-1]]
-    pieces = [b""] * (2 * rank.size + 1)
-    tail = depth * width - int(at[-1] + sizes[rank[-1]])
-    pieces[0::2] = map(_Runs().__getitem__, [*runs.tolist(), tail])
-    pieces[1::2] = map(contigs.__getitem__, nodes[rank].tolist())
-    return np.frombuffer(b"".join(pieces), dtype=np.uint8).reshape(depth, width)
-
-
-def _overlay(
+def contigs_from_paths(
     dag: DistributedAssemblyGraph,
-    nodes: np.ndarray,
-    lens: np.ndarray,
-    count: Callable[[str, int], None],
+    paths: tuple[np.ndarray, np.ndarray],
+    count: Callable[[str, int], None] | None = None,
 ) -> list[np.ndarray]:
-    """Consensus of each packed path of two or more nodes.
+    """One consensus sequence per packed path, overlaying contigs at
+    their delta-accumulated offsets; a single-node path is its contig.
 
-    The paths lie side by side; step deltas resolve in one batched pair
-    lookup.  A vote is a count, so the nodes are taken by start column
-    (sorted once, and only where a step goes left).  Each block of nodes
-    is dealt round-robin onto ``D`` byte rows (:func:`_rows`), ``D`` the
-    most nodes that start before one of them ends, so no two nodes of a
-    row overlap.  A base's count at a column is the number of rows
-    holding it there, in the narrowest unsigned dtype that holds the
-    deepest column.  Columns no later node reaches are decided, the
-    rest carried on.  A path's contig is its covered columns.
+    The paths of two or more nodes lie side by side; their step deltas
+    resolve in one batched pair lookup, and
+    :func:`~repro.graph.contigs.overlay_consensus` votes the node
+    contigs at their columns.  Such a path's contig is its covered
+    columns.  ``count(name, n)``, if given, receives the work done:
+    ``nodes_overlaid``, ``bases_voted``, ``blocks`` and ``max_depth``
+    (the most rows one block was dealt onto).
     """
+    flat, lens = (np.asarray(a, dtype=np.int64) for a in paths)
     contigs = dag.assembly.contigs
+    multi = lens > 1
+    heads = flat[np.cumsum(lens) - lens].tolist()
+    if not multi.any():
+        return [contigs[v].copy() for v in heads]
+    nodes, lens = flat[np.repeat(multi, lens)], lens[multi]
     first = np.cumsum(lens) - lens
     step = np.ones(nodes.size, dtype=bool)
     step[first] = False
@@ -247,73 +209,13 @@ def _overlay(
     widths = np.maximum.reduceat(offsets + sizes, first)
     columns = np.cumsum(widths) - widths
     offsets += np.repeat(columns, lens)
-    if (offsets[1:] < offsets[:-1]).any():
-        order = np.argsort(offsets, kind="stable")
-        nodes, offsets, sizes = nodes[order], offsets[order], sizes[order]
-    n, total = nodes.size, int(widths.sum())
-    stops = offsets + sizes
-    # Nodes from i on that start before node i ends: node i + D, and
-    # every node after it, starts right of node i.
-    depth = np.maximum(np.searchsorted(offsets, stops) - np.arange(n), 1)
-    dtype = np.min_scalar_type(int(depth.max()))
-    bases = np.concatenate([[0], np.cumsum(sizes)])
-    seq, covered = np.empty(total, np.uint8), np.empty(total, bool)
-    lo, carry, deepest = 0, np.zeros((4, 0), dtype=dtype), 0
-    while lo < n:
-        done = int(offsets[lo])
-        # Blocks of consecutive nodes whose rows stay within the budget;
-        # every base takes a cell, so no block past ``cap`` does.
-        cap = max(int(np.searchsorted(bases, bases[lo] + _MAX_BASES, "right")) - 1, lo + 1)
-        ends = np.maximum.accumulate(stops[lo:cap]) - done
-        cells = np.maximum.accumulate(depth[lo:cap]) * ends
-        hi = lo + max(int(np.searchsorted(cells, _MAX_BASES, "right")), 1)
-        d = int(np.minimum(depth[lo:hi], np.arange(hi - lo, 0, -1)).max())
-        width = int(ends[hi - lo - 1])
-        rows = _rows(contigs, nodes[lo:hi], offsets[lo:hi] - done, sizes[lo:hi], d, width)
-        # Left of the next node's start, every column is final.
-        decided = (int(offsets[hi]) if hi < n else total) - done
-        if carry.shape[1] < max(width, decided):
-            grown = np.zeros((4, max(width, decided)), dtype=dtype)
-            grown[:, : carry.shape[1]] = carry
-            carry = grown
-        held = np.empty(rows.shape, dtype=bool)
-        for base in range(4):
-            np.equal(rows, base, out=held)
-            carry[base, :width] += np.add.reduce(held.view(np.uint8), axis=0, dtype=dtype)
-        seq[done : done + decided], covered[done : done + decided] = vote_winners(carry[:, :decided])
-        count("blocks", 1)
-        count("bases_voted", int(bases[hi] - bases[lo]))
-        lo, carry, deepest = hi, carry[:, decided:], max(deepest, d)
-    count("nodes_overlaid", n)
+    count = count or (lambda name, n: None)
+    seq, covered, deepest = overlay_consensus(contigs, nodes, offsets, sizes, int(widths.sum()), count)
+    count("nodes_overlaid", nodes.size)
     count("max_depth", deepest)
     # A path covered end to end is its columns as they are.
-    return [
+    overlaid = (
         seq[a:b] if covered[a:b].all() else seq[a:b][covered[a:b]]
         for a, b in zip(columns.tolist(), (columns + widths).tolist())
-    ]
-
-
-def contigs_from_paths(
-    dag: DistributedAssemblyGraph,
-    paths: tuple[np.ndarray, np.ndarray],
-    count: Callable[[str, int], None] | None = None,
-) -> list[np.ndarray]:
-    """One consensus sequence per packed path, overlaying contigs at
-    their delta-accumulated offsets; a single-node path is its contig.
-
-    ``count(name, n)``, if given, receives the work done: ``nodes_overlaid``,
-    ``bases_voted``, ``blocks`` and ``max_depth`` (the most rows one
-    block was dealt onto).
-    """
-    flat, lens = (np.asarray(a, dtype=np.int64) for a in paths)
-    multi = lens > 1
-    overlaid = iter(
-        _overlay(dag, flat[np.repeat(multi, lens)], lens[multi], count or (lambda name, n: None))
-        if multi.any()
-        else []
     )
-    contigs = dag.assembly.contigs
-    return [
-        next(overlaid) if m else contigs[v].copy()
-        for m, v in zip(multi.tolist(), flat[np.cumsum(lens) - lens].tolist())
-    ]
+    return [next(overlaid) if m else contigs[v].copy() for m, v in zip(multi.tolist(), heads)]

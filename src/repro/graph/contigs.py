@@ -5,10 +5,14 @@ A cluster of reads representing one contiguous genomic region can be
 implied relative offset (its delta) is honoured.  Repeat-confused
 clusters admit no consistent layout — exactly the property the hybrid
 graph's best-representative test uses.  The consensus sequence of a
-laid-out cluster is the per-column majority over the stacked reads.
+laid-out cluster is the per-column majority over the stacked reads,
+counted by :func:`overlay_consensus` — the one count vote, which contig
+emission runs on the node contigs along each path too.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,16 +22,21 @@ from repro.io.readset import ReadSet, ragged_positions
 __all__ = [
     "layout_clusters",
     "layout_contiguity",
+    "overlay_consensus",
     "overlay_votes",
-    "vote_winners",
     "consensus_of_layouts",
 ]
 
 #: read bases gathered and overlaid per block of whole clusters in
-#: :func:`consensus_of_layouts`: bounds its transient arrays (a few
-#: int64 per base) whatever the read set.  A block visits every shard
-#: its reads live in, so a store pays for small blocks in shard loads.
+#: :func:`consensus_of_layouts`: bounds its transient arrays whatever
+#: the read set.  A block visits every shard its reads live in, so a
+#: store pays for small blocks in shard loads.
 _MAX_BASES = 1 << 20
+
+#: byte cells of one block's rows in :func:`overlay_consensus` (a block
+#: of one sequence may exceed it): bounds every overlay transient, its
+#: bases and vote table included, on layouts whose sequences go right.
+_MAX_CELLS = 1 << 18
 
 
 def layout_clusters(
@@ -123,30 +132,38 @@ def layout_contiguity(
     return np.bincount(cluster[1:][gap], minlength=sizes.size) == 0
 
 
-def overlay_votes(
-    codes: np.ndarray,
-    offsets: np.ndarray,
-    sizes: np.ndarray,
-    width: int,
-    weights: np.ndarray | None = None,
+class _Runs(dict):
+    """Runs of ``N`` by length, each made once."""
+
+    def __missing__(self, size: int) -> bytes:
+        run = self[size] = b"\x04" * size
+        return run
+
+
+def _rows(
+    pieces: Sequence, ids: np.ndarray, starts: np.ndarray, sizes: np.ndarray, depth: int, width: int
 ) -> np.ndarray:
-    """Base-major ``(4, width)`` vote table of stacked sequences.
+    """``(depth, width)`` byte rows: sequence ``pieces[ids[i]]`` (sequences
+    by start) at column ``starts[i]`` of row ``i % depth``, ``N`` elsewhere.
 
-    ``codes`` concatenates sequences of ``sizes`` bases, sequence ``i``
-    laid at columns ``offsets[i] ...`` (all below ``width``); cell
-    ``[base, column]`` of the result counts (or, with per-base
-    ``weights``, sums in input order) the called bases there — one
-    ``np.bincount``.
+    No two sequences of a row overlap, so the rows are one byte string:
+    the sequences (``uint8`` codes, each contiguous) row by row, each
+    after the run of ``N`` up to its start.
     """
-    cell = ragged_positions(offsets, sizes) + codes * np.int64(width)
-    called = codes < 4
-    if weights is not None:
-        weights = weights[called]
-    votes = np.bincount(cell[called], weights=weights, minlength=4 * width)
-    return votes.reshape(4, width)
+    # Ranks row by row: 0, D, 2D, ..., then 1, D + 1, ...
+    rank = np.arange(-(-ids.size // depth) * depth).reshape(-1, depth).T.ravel()
+    rank = rank[rank < ids.size]
+    at = rank % depth * width + starts[rank]
+    runs = np.diff(at, prepend=0)
+    runs[1:] -= sizes[rank[:-1]]
+    joined = [b""] * (2 * rank.size + 1)
+    tail = depth * width - int(at[-1] + sizes[rank[-1]])
+    joined[0::2] = map(_Runs().__getitem__, [*runs.tolist(), tail])
+    joined[1::2] = map(pieces.__getitem__, ids[rank].tolist())
+    return np.frombuffer(b"".join(joined), dtype=np.uint8).reshape(depth, width)
 
 
-def vote_winners(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vote_winners(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(winning base, covered) of every column of a ``(4, width)`` vote table.
 
     Ties go to the lowest base (the first maximum); a column is covered
@@ -167,38 +184,110 @@ def vote_winners(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return winner, best > 0
 
 
+def overlay_consensus(
+    pieces: Sequence, ids: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, width: int,
+    count: Callable[[str, int], None],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Count vote of stacked sequences: ``(seq, covered, depth)`` per column.
+
+    Sequence ``i``, ``pieces[ids[i]]``, is ``sizes[i]`` contiguous
+    ``uint8`` codes at columns ``offsets[i] ...``, all below ``width``.
+    The sequences are taken by start column (sorted only where out of
+    order).  Each block of them is dealt round-robin onto ``D`` byte
+    rows (:func:`_rows`), ``D`` the most that start before one of them
+    ends, so no two of a row overlap; ``depth`` is the largest ``D``.  A
+    base's count at a column is the number of rows holding it there, in
+    the narrowest unsigned dtype that holds the deepest column.
+    Columns no later sequence reaches are decided (:func:`_vote_winners`),
+    the rest carried on.  ``count(name, n)`` receives ``blocks`` and
+    ``bases_voted``.
+    """
+    if (offsets[1:] < offsets[:-1]).any():
+        order = np.argsort(offsets, kind="stable")
+        ids, offsets, sizes = ids[order], offsets[order], sizes[order]
+    n = ids.size
+    stops = offsets + sizes
+    # Sequences from i on that start before sequence i ends: sequence
+    # i + D, and every one after it, starts right of sequence i.
+    depth = np.maximum(np.searchsorted(offsets, stops) - np.arange(n), 1)
+    dtype = np.min_scalar_type(int(depth.max()))
+    bases = np.concatenate([[0], np.cumsum(sizes)])
+    seq, covered = np.empty(width, np.uint8), np.empty(width, bool)
+    lo, carry, deepest = 0, np.zeros((4, 0), dtype=dtype), 0
+    while lo < n:
+        done = int(offsets[lo])
+        # Blocks of consecutive sequences whose rows stay within the
+        # budget; every base takes a cell, so no block past ``cap`` does.
+        cap = max(int(np.searchsorted(bases, bases[lo] + _MAX_CELLS, "right")) - 1, lo + 1)
+        ends = np.maximum.accumulate(stops[lo:cap]) - done
+        cells = np.maximum.accumulate(depth[lo:cap]) * ends
+        hi = lo + max(int(np.searchsorted(cells, _MAX_CELLS, "right")), 1)
+        d = int(np.minimum(depth[lo:hi], np.arange(hi - lo, 0, -1)).max())
+        span = int(ends[hi - lo - 1])
+        rows = _rows(pieces, ids[lo:hi], offsets[lo:hi] - done, sizes[lo:hi], d, span)
+        # Left of the next sequence's start, every column is final.
+        decided = (int(offsets[hi]) if hi < n else width) - done
+        if carry.shape[1] < max(span, decided):
+            grown = np.zeros((4, max(span, decided)), dtype=dtype)
+            grown[:, : carry.shape[1]] = carry
+            carry = grown
+        held = np.empty(rows.shape, dtype=bool)
+        for base in range(4):
+            np.equal(rows, base, out=held)
+            carry[base, :span] += np.add.reduce(held.view(np.uint8), axis=0, dtype=dtype)
+        decision = _vote_winners(carry[:, :decided])
+        seq[done : done + decided], covered[done : done + decided] = decision
+        count("blocks", 1)
+        count("bases_voted", int(bases[hi] - bases[lo]))
+        lo, carry, deepest = hi, carry[:, decided:], max(deepest, d)
+    return seq, covered, deepest
+
+
+def overlay_votes(codes, offsets, sizes, width: int, weights: np.ndarray) -> np.ndarray:
+    """Base-major ``(4, width)`` table of stacked sequences (``codes``
+    concatenated, sequence ``i`` at columns ``offsets[i] ...``): cell
+    ``[base, column]`` sums the ``weights`` of the called bases there,
+    in input order — the float sums of the quality-weighted vote."""
+    cell = ragged_positions(offsets, sizes) + codes * np.int64(width)
+    called = codes < 4
+    votes = np.bincount(cell[called], weights=weights[called], minlength=4 * width)
+    return votes.reshape(4, width)
+
+
 def consensus_of_layouts(
     reads: ReadSet,
     members: np.ndarray,
     first: np.ndarray,
     offsets: np.ndarray,
     quality_weighted: bool = False,
-) -> list[list[np.ndarray]]:
-    """Majority-vote consensus of many laid-out clusters.
+    count: Callable[[str, int], None] | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Majority-vote consensus of many laid-out clusters: one code array
+    per cluster, and their lengths.
 
     Cluster ``i`` is the reads ``members[first[i]:first[i+1]]``
     (non-empty), read ``members[j]`` stacked at column ``offsets[j]``
-    — the ragged form :func:`layout_clusters` lays out; each cluster's
-    columns start at its smallest offset.  With ``quality_weighted``
-    (and reads that carry Phred scores), each base's vote is weighted
-    by its probability of being correct, ``1 - 10^(-Q/10)``, added in
-    member order — low-quality 3' tails then lose ties against
-    confident bases instead of splitting them.  Returns, per cluster,
-    one code array per zero-coverage-separated segment (a contiguous
-    layout yields exactly one).
+    — the ragged form :func:`layout_clusters` lays out.  Its consensus
+    runs from its first to its last covered column; ``RuntimeError`` if
+    it has none, or an uncovered column between them (every read there
+    holds ``N``).
 
     Clusters are taken in blocks of whole clusters of at most
-    ``_MAX_BASES`` read bases (a larger cluster is a block by itself):
-    one :meth:`ReadSet.gather_reads` and one :func:`overlay_votes` per
-    block, each cluster voting in its own run of columns.
+    ``_MAX_BASES`` read bases (a larger cluster is a block by itself),
+    side by side: one :meth:`ReadSet.gather_reads` per block, whose
+    reads :func:`overlay_consensus` votes on (``count`` receives its
+    ``blocks``, ``bases_voted`` and ``max_depth``).  With
+    ``quality_weighted`` (and reads that carry Phred scores), each
+    base's vote is instead its probability of being correct,
+    ``1 - 10^(-Q/10)``, added in member order by :func:`overlay_votes`,
+    which counts nothing.
     """
-    members = np.asarray(members, dtype=np.int64)
-    first = np.asarray(first, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    out: list[list[np.ndarray]] = []
+    members, first, offsets = (np.asarray(a, dtype=np.int64) for a in (members, first, offsets))
+    out: list[np.ndarray] = []
     n_clusters = first.size - 1
     if n_clusters == 0:
-        return out
+        return out, np.zeros(0, dtype=np.int64)
+    count = count or (lambda name, n: None)
     weighted = quality_weighted and reads.has_quals
     counts = np.diff(first)
     shifted = offsets - np.repeat(np.minimum.reduceat(offsets, first[:-1]), counts)
@@ -207,29 +296,35 @@ def consensus_of_layouts(
     total = np.cumsum(np.add.reduceat(sizes, first[:-1]))
     cuts = np.searchsorted(total, np.arange(_MAX_BASES, total[-1], _MAX_BASES))
     bounds = np.unique(np.concatenate([[0], cuts, [n_clusters]])).tolist()
+    lengths, deepest = np.empty(n_clusters, dtype=np.int64), 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = slice(first[lo], first[hi])
         columns = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(widths[lo:hi], out=columns[1:])
         codes, starts, quals = reads.gather_reads(members[block], quals=weighted)
-        at = ragged_positions(starts, sizes[block])
-        consensus, covered = vote_winners(
-            overlay_votes(
-                codes[at],
-                np.repeat(columns[:-1], counts[lo:hi]) + shifted[block],
-                sizes[block],
-                int(columns[-1]),
-                1.0 - np.power(10.0, -quals[at] / 10.0) if weighted else None,
+        placed, width = np.repeat(columns[:-1], counts[lo:hi]) + shifted[block], int(columns[-1])
+        if weighted:
+            at = ragged_positions(starts, sizes[block])
+            weights = 1.0 - np.power(10.0, -quals[at] / 10.0)
+            votes = overlay_votes(codes[at], placed, sizes[block], width, weights)
+            seq, covered = _vote_winners(votes)
+        else:
+            view, ends = memoryview(codes), starts + sizes[block]
+            pieces = list(map(view.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+            seq, covered, d = overlay_consensus(
+                pieces, np.arange(starts.size), placed, sizes[block], width, count
             )
-        )
-        for left, right in zip(columns[:-1].tolist(), columns[1:].tolist()):  # noqa: PERF002 - per contig
-            # Split at zero-coverage columns.
-            edges = np.flatnonzero(np.diff(covered[left:right])) + left + 1
-            out.append(
-                [
-                    consensus[a:b].copy()
-                    for a, b in zip([left, *edges], [*edges, right])
-                    if a < b and covered[a]
-                ]
-            )
-    return out
+            deepest = max(deepest, d)
+        # ``ahead[c]``: the covered columns left of ``c``, so the rank in
+        # ``at`` of the first covered column from ``c`` on.
+        ahead, at = np.concatenate([[0], np.cumsum(covered)]), np.flatnonzero(covered)
+        held = lengths[lo:hi] = np.diff(ahead[columns])
+        if (held == 0).any():
+            raise RuntimeError("a cluster consensus is not contiguous: no called base")
+        left, right = at[ahead[columns[:-1]]], at[ahead[columns[1:]] - 1] + 1
+        if (right - left != held).any():
+            raise RuntimeError("a cluster consensus is not contiguous: an uncovered column inside")
+        out += map(seq.__getitem__, map(slice, left.tolist(), right.tolist()))
+    if not weighted:
+        count("max_depth", deepest)
+    return out, lengths

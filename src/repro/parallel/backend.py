@@ -331,6 +331,13 @@ class ProcessBackend(ExecutionBackend):
         # substrate regardless of which partition is at fault.
         max_respawns = max(policy.max_attempts, 2)
 
+        def failed(part: int, reason: str) -> None:
+            # A retry is counted only if the pool will run the part again.
+            attempt[part] += 1
+            failed_once.add(part)
+            if policy.allows(attempt[part]):
+                report.record_retry(spec.name, f"part {part}", reason)
+
         while pending:
             over_budget = [p for p in sorted(pending) if not policy.allows(attempt[p])]
             for part in over_budget:
@@ -424,11 +431,7 @@ class ProcessBackend(ExecutionBackend):
                             f"part {p} attempt {attempt[p]}: task deadline "
                             f"({policy.task_deadline}s) exceeded"
                         )
-                        report.record_retry(
-                            spec.name, f"part {p}", "DeadlineExceeded"
-                        )
-                        attempt[p] += 1
-                        failed_once.add(p)
+                        failed(p, "DeadlineExceeded")
                     self._discard_pool(kill=True)
                     report.record_respawn(spec.name, "task deadline exceeded")
                     respawns += 1
@@ -448,9 +451,7 @@ class ProcessBackend(ExecutionBackend):
                             failures.append(
                                 f"part {p} attempt {attempt[p]}: worker crashed"
                             )
-                            report.record_retry(spec.name, f"part {p}", "WorkerCrash")
-                            attempt[p] += 1
-                            failed_once.add(p)
+                            failed(p, "WorkerCrash")
                     self._discard_pool(kill=False)
                     report.record_respawn(spec.name, "broken process pool")
                     respawns += 1
@@ -464,14 +465,13 @@ class ProcessBackend(ExecutionBackend):
                             expected[part].kind, spec.name, where
                         )
                     failures.append(f"{where} attempt {attempt[part]}: {exc}")
-                    report.record_retry(spec.name, where, type(exc).__name__)
-                    attempt[part] += 1
-                    failed_once.add(part)
+                    failed(part, type(exc).__name__)
                 else:
                     pending.discard(part)
                     if part in failed_once:
                         report.record_recovery(spec.name, where)
-            if round_failed and pending:
+            # A part past its budget goes to the fallback at once.
+            if round_failed and any(policy.allows(attempt[p]) for p in pending):
                 time.sleep(
                     policy.backoff(min(attempt.values()), token=min(pending))
                 )

@@ -110,6 +110,16 @@ class TestFocusPipeline:
         assert 1 <= span.counts["blocks"] <= span.counts["nodes_overlaid"]
         assert span.counts["max_depth"] >= 1
 
+    def test_enrich_votes_each_read_base_once(self, assembled):
+        """The same work guard on the enrich span: every base of every H0
+        member read is voted once, by the kernel emission uses."""
+        _, _, res = assembled
+        (span,) = [s for s in res.timer.spans if s.name == "enrich"]
+        members = np.concatenate(res.assembly.clusters)
+        assert span.counts["bases_voted"] == res.processed_reads.lengths[members].sum()
+        assert 1 <= span.counts["blocks"] <= members.size
+        assert span.counts["max_depth"] >= 1
+
     def test_read_partitions_cover_reads(self, assembled):
         _, _, res = assembled
         parts = res.read_partitions

@@ -228,19 +228,19 @@ def chain_cases(draw):
 class TestContigOverlayEquivalence:
     @given(
         case=st.one_of(dags_with_paths(), chain_cases()),
-        max_bases=st.sampled_from([1, 7, 64, 500, 1 << 18]),
+        max_cells=st.sampled_from([1, 7, 64, 500, 1 << 18]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_overlay_matches_reference(self, case, max_bases):
+    def test_overlay_matches_reference(self, case, max_cells):
         """Any path set, in one block and in many (a budget below one
         contig's size puts every node in its own block; small budgets cut
         blocks inside paths and across their edges)."""
-        from repro.distributed import traversal
+        from repro.graph import contigs
 
         dag, paths = case
         expect = contigs_ref.contigs_from_paths(dag, paths)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(traversal, "_MAX_BASES", max_bases)
+            patch.setattr(contigs, "_MAX_CELLS", max_cells)
             got = contigs_from_paths(dag, traversal_walk.pack_paths(paths))
         assert len(got) == len(expect)
         for a, b in zip(got, expect):

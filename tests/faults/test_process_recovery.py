@@ -123,6 +123,27 @@ class TestBudgetExhaustion:
             assert report.fallbacks >= 1
             assert report.retries >= 1
 
+    def test_no_retry_or_backoff_after_the_last_attempt(
+        self, prepared, serial_reference, monkeypatch
+    ):
+        # Attempt 1 fails: one retry, one backoff.  Attempt 2 fails: the
+        # budget is spent, so the fallback runs at once and no retry is
+        # counted for it.
+        slept = []
+        monkeypatch.setattr("repro.parallel.backend.time.sleep", slept.append)
+        plan = FaultPlan(
+            kernel_faults=(KernelFault("error", "bubbles", 3, attempts=99),)
+        )
+        policy = RetryPolicy(
+            max_attempts=2, backoff_base=0.5, backoff_cap=0.5, task_deadline=10.0
+        )
+        dag = fresh_dag(prepared)
+        with ProcessBackend(dag, workers=2, retry=policy, fault_plan=plan) as backend:
+            assert_plan_matches_serial(backend, serial_reference)
+            report = backend.fault_report
+            assert (report.retries, report.fallbacks) == (1, 1)
+            assert slept == [0.5]
+
     def test_no_fallback_raises_stage_execution_error(self, prepared):
         plan = FaultPlan(
             kernel_faults=(KernelFault("error", "transitive", 0, attempts=99),)

@@ -91,11 +91,11 @@ class TestConsensus:
         reads, genome, g0 = tiled
         members, first = one_cluster(np.arange(len(reads)))
         offsets, _ = layout_clusters(g0, members, first)
-        (segments,) = consensus_of_layouts(reads, members, first, offsets)
-        assert len(segments) == 1
+        (contig,), lengths = consensus_of_layouts(reads, members, first, offsets)
         # Tiles cover genome[0 : last_start + 100]
         covered = genome[: 40 * (len(reads) - 1) + 100]
-        assert decode(segments[0]) == decode(covered)
+        assert decode(contig) == decode(covered)
+        assert lengths.tolist() == [covered.size]
 
     def test_majority_vote_fixes_errors(self):
         # Three identical reads stacked; one has an error at position 5.
@@ -111,19 +111,28 @@ class TestConsensus:
         )
         members, first = one_cluster([0, 1, 2])
         offsets, _ = layout_clusters(g, members, first)
-        (segs,) = consensus_of_layouts(reads, members, first, offsets)
-        assert decode(segs[0]) == base
+        (contig,), _ = consensus_of_layouts(reads, members, first, offsets)
+        assert decode(contig) == base
 
-    def test_gap_splits_segments(self):
+    def test_gap_raises(self):
+        # Columns 4..9 hold no read: the cluster is two pieces, not a contig.
         reads = ReadSet.from_strings(["AAAA", "TTTT"])
-        (segs,) = consensus_of_layouts(reads, *one_cluster([0, 1]), np.array([0, 10]))
-        assert len(segs) == 2
-        assert decode(segs[0]) == "AAAA"
-        assert decode(segs[1]) == "TTTT"
+        with pytest.raises(RuntimeError, match="not contiguous"):
+            consensus_of_layouts(reads, *one_cluster([0, 1]), np.array([0, 10]))
+
+    def test_end_n_columns_are_trimmed(self):
+        # Columns 0-1 and 5 hold only N: trimmed off the ends, no raise.
+        reads = ReadSet.from_strings(["NNAC", "ACGN"])
+        nodes, layout = np.array([0, 1]), np.array([0, 2])
+        for weighted in (False, True):
+            (contig,), lengths = consensus_of_layouts(reads, *one_cluster(nodes), layout, weighted)
+            (want,) = contigs_ref.consensus_from_layout(reads, nodes, layout, weighted)
+            assert decode(contig) == decode(want) == "ACG" and lengths.tolist() == [3]
 
     def test_empty_nodes(self):
         empty = np.array([], dtype=np.int64)
-        assert consensus_of_layouts(ReadSet.from_strings([]), empty, [0], empty) == []
+        contigs, lengths = consensus_of_layouts(ReadSet.from_strings([]), empty, [0], empty)
+        assert contigs == [] and lengths.size == 0
 
     def test_layout_failure_propagates(self):
         # An edgeless pair has no layout, so there is nothing to vote on.
@@ -134,8 +143,9 @@ class TestConsensus:
         # Two clusters in one call: each votes in its own columns, from
         # its own smallest offset.
         reads = ReadSet.from_strings(["AAAA", "AACC", "GGGG"])
-        got = consensus_of_layouts(reads, [1, 0, 2], [0, 2, 3], [7, 5, -3])
-        assert [[decode(s) for s in segs] for segs in got] == [["AAAACC"], ["GGGG"]]
+        got, lengths = consensus_of_layouts(reads, [1, 0, 2], [0, 2, 3], [7, 5, -3])
+        assert [decode(c) for c in got] == ["AAAACC", "GGGG"]
+        assert lengths.tolist() == [6, 4]
 
 
 @st.composite
@@ -165,38 +175,50 @@ def stacked_clusters(draw):
 
 
 class TestBatchedConsensusEqualsOracle:
-    """One gather + one bincount per block == ``np.add.at`` per read."""
+    """One gather and one overlay per block == ``np.add.at`` per read."""
 
     @given(stacked_clusters(), st.booleans(), st.sampled_from([1, 16, 1 << 20]))
     def test_blocks_match_per_read_oracle(self, drawn, weighted, budget):
+        # A cluster is a contig where the oracle gives one segment; a
+        # call holding any other cluster raises.  The contig clusters
+        # alone are then checked against the oracle.
         reads, clusters, layouts = drawn
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(contigs_module, "_MAX_BASES", budget)
-            got = consensus_of_layouts(
-                reads,
-                np.concatenate(clusters),
-                np.cumsum([0, *(c.size for c in clusters)]),
-                np.concatenate(layouts),
-                weighted,
-            )
         want = [
             contigs_ref.consensus_from_layout(reads, c, lay, weighted)
             for c, lay in zip(clusters, layouts)
         ]
-        assert [[s.tobytes() for s in segs] for segs in got] == [
-            [s.tobytes() for s in segs] for segs in want
-        ]
+        whole = [len(w) == 1 for w in want]
 
-    def test_gap_and_all_n_columns(self):
-        # read 1 is all N: it spans columns 2..5 without voting, so they
-        # stay zero-coverage gaps, as does read 0's own N column.
+        def consensus(keep):
+            picked = [c for c, k in zip(clusters, keep) if k]
+            return consensus_of_layouts(
+                reads,
+                np.concatenate(picked),
+                np.cumsum([0, *(c.size for c in picked)]),
+                np.concatenate([lay for lay, k in zip(layouts, keep) if k]),
+                weighted,
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(contigs_module, "_MAX_BASES", budget)
+            if not all(whole):
+                with pytest.raises(RuntimeError, match="not contiguous"):
+                    consensus([True] * len(clusters))
+            if any(whole):
+                got, lengths = consensus(whole)
+                assert [c.tobytes() for c in got] == [w[0].tobytes() for w in want if len(w) == 1]
+                assert lengths.tolist() == [c.size for c in got]
+
+    def test_all_n_interior_column_raises(self):
+        # read 1 is all N: it spans columns 2..5 without voting, so
+        # read 0's own N column 2 and columns 4..6 stay uncovered.
         reads = ReadSet.from_strings(["ACNT", "NNNN", "GGTT"])
         nodes, layout = np.array([0, 1, 2]), np.array([0, 2, 7])
         for weighted in (False, True):
-            (segs,) = consensus_of_layouts(reads, *one_cluster(nodes), layout, weighted)
             want = contigs_ref.consensus_from_layout(reads, nodes, layout, weighted)
-            assert [decode(s) for s in segs] == [decode(s) for s in want]
-            assert [decode(s) for s in segs] == ["AC", "T", "GGTT"]
+            assert [decode(s) for s in want] == ["AC", "T", "GGTT"]
+            with pytest.raises(RuntimeError, match="uncovered column inside"):
+                consensus_of_layouts(reads, *one_cluster(nodes), layout, weighted)
 
     def test_weighted_float_sums_are_bit_identical(self):
         # In every column A and C receive the same multiset of weights
@@ -215,5 +237,5 @@ class TestBatchedConsensusEqualsOracle:
         want = contigs_ref.consensus_from_layout(reads, nodes, layout, True)
         backwards = contigs_ref.consensus_from_layout(reads, nodes[::-1], layout, True)
         assert want[0].tobytes() != backwards[0].tobytes()  # order does matter
-        (got,) = consensus_of_layouts(reads, *one_cluster(nodes), layout, quality_weighted=True)
-        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        (got,), _ = consensus_of_layouts(reads, *one_cluster(nodes), layout, quality_weighted=True)
+        assert [got.tobytes()] == [s.tobytes() for s in want]

@@ -177,29 +177,32 @@ class TestSelectionEqualsStackDescent:
 @pytest.mark.slow
 class TestStandardDatasetsMatchReference:
     """D1-D3 as the paper benchmarks prepare them: the representatives
-    and every enriched contig are those of the scalar descent and walk."""
+    and every enriched contig, voted by count or by quality, are those
+    of the scalar descent and walk."""
 
+    @pytest.mark.parametrize("tolerance", [0, 2])
     @pytest.mark.parametrize("dataset_name", ["D1", "D2", "D3"])
-    def test_rep_levels_and_contigs(self, dataset_name):
+    def test_rep_levels_and_contigs(self, dataset_name, tolerance):
         from repro.bench.datasets import standard_datasets
         from repro.core.config import AssemblyConfig
         from repro.core.focus import FocusAssembler
+        from repro.distributed.dgraph import enrich_hybrid
         from tests.reference import contigs as contigs_ref
 
         dataset = next(d for d in standard_datasets() if d.name == dataset_name)
-        cfg = AssemblyConfig()
-        prep = FocusAssembler(cfg).prepare(dataset.reads)
-        want = layout_ref.select_representatives(
-            prep.mls, prep.reads.lengths, cfg.layout_tolerance
-        )
+        prep = FocusAssembler(AssemblyConfig(layout_tolerance=tolerance)).prepare(dataset.reads)
+        want = layout_ref.select_representatives(prep.mls, prep.reads.lengths, tolerance)
         assert np.array_equal(prep.hyb.rep_level, want)
         clusters = split_groups(*prep.hyb.members_of_hybrid())
         assert len(clusters) == len(prep.assembly.contigs)
-        for cluster, contig in zip(clusters, prep.assembly.contigs):
-            layout = layout_ref.cluster_layout_offsets(
-                prep.g0, cluster, cfg.layout_tolerance
-            )
-            (segment,) = contigs_ref.consensus_from_layout(
-                prep.reads, cluster, layout, cfg.quality_weighted_consensus
-            )
-            assert np.array_equal(contig, segment)
+        layouts = [
+            layout_ref.cluster_layout_offsets(prep.g0, cluster, tolerance)
+            for cluster in clusters
+        ]
+        for weighted in (False, True):
+            assembly = enrich_hybrid(prep.hyb, prep.g0, prep.reads, tolerance, weighted)
+            for cluster, layout, contig in zip(clusters, layouts, assembly.contigs):
+                (segment,) = contigs_ref.consensus_from_layout(
+                    prep.reads, cluster, layout, weighted
+                )
+                assert np.array_equal(contig, segment)

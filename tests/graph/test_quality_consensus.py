@@ -19,10 +19,10 @@ def stacked_reads(seqs, quals_list):
 def stacked_consensus(rs, quality_weighted=False):
     """Consensus of every read of ``rs`` stacked at column 0, one cluster."""
     n = len(rs)
-    (segments,) = consensus_of_layouts(
+    (contig,), _ = consensus_of_layouts(
         rs, np.arange(n), [0, n], np.zeros(n, dtype=np.int64), quality_weighted
     )
-    return segments
+    return contig
 
 
 class TestQualityWeightedConsensus:
@@ -33,7 +33,7 @@ class TestQualityWeightedConsensus:
             [[40, 40, 40, 40, 40], [40, 40, 2, 40, 40]],
         )
         weighted = stacked_consensus(rs, quality_weighted=True)
-        assert decode(weighted[0]) == "AACAA"
+        assert decode(weighted) == "AACAA"
 
     def test_majority_still_wins_against_one_confident_error(self):
         rs = stacked_reads(
@@ -41,7 +41,7 @@ class TestQualityWeightedConsensus:
             [[30] * 5, [30] * 5, [41] * 5],
         )
         out = stacked_consensus(rs, quality_weighted=True)
-        assert decode(out[0]) == "AAAAA"
+        assert decode(out) == "AAAAA"
 
     def test_unweighted_default_unchanged(self):
         rs = stacked_reads(
@@ -50,15 +50,15 @@ class TestQualityWeightedConsensus:
         )
         out = stacked_consensus(rs)
         # unweighted tie: argmax picks the smaller code (A=0 beats C=1)
-        assert decode(out[0]) == "AAAAA"
+        assert decode(out) == "AAAAA"
 
     def test_no_quals_falls_back(self):
         rs = ReadSet.from_strings(["ACGT", "ACGT"])
         out = stacked_consensus(rs, quality_weighted=True)
-        assert decode(out[0]) == "ACGT"
+        assert decode(out) == "ACGT"
 
     def test_weighted_matches_unweighted_on_agreement(self):
         rs = stacked_reads(["ACGTACGT"] * 3, [[35] * 8] * 3)
         a = stacked_consensus(rs)
         b = stacked_consensus(rs, quality_weighted=True)
-        assert decode(a[0]) == decode(b[0]) == "ACGTACGT"
+        assert decode(a) == decode(b) == "ACGTACGT"

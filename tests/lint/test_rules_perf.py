@@ -125,7 +125,6 @@ class TestPERF002ScalarizedHotLoop:
 
 #: the deliberate scalar loops of the four packages, per file.
 NOQA_SITES = {
-    "graph/contigs.py": 1,  # consensus_of_layouts: one loop per contig
     "graph/matching.py": 1,  # heavy_edge_matching: the greedy walk
     "sequence/kmers.py": 1,  # pack_kmer: the scalar oracle
 }

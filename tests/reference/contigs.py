@@ -7,9 +7,10 @@ production ``repro.graph.contigs.consensus_of_layouts``,
 ``np.add.at`` per read or path node, and each candidate placed afresh
 on the kept contigs by the reference placement
 (``tests/reference/placement.py``).  ``consensus_from_layout`` takes
-one cluster and gives what ``consensus_of_layouts`` gives for it; the
-other two take the production functions' arguments and give their
-results.
+one cluster and gives its covered runs (split at zero-coverage
+columns): where that is one run, ``consensus_of_layouts`` gives it as
+the cluster's contig, and otherwise refuses the cluster.  The other two
+take the production functions' arguments and give their results.
 """
 
 from __future__ import annotations
